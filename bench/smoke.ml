@@ -424,17 +424,16 @@ let sanitize_overhead_smoke () =
       ~invoke:one_proposal ~depth:10 ~max_crashes:0 ~por:true ~symmetry:true
       ~sanitize ~check ()
   in
-  let best f =
-    let ns = ref max_int and last = ref None in
-    for _ = 1 to 5 do
-      let e = f () in
-      ns := min !ns e.Slx_core.Explore.stats.Slx_core.Explore_stats.elapsed_ns;
-      last := Some e
-    done;
-    (!ns, Option.get !last)
-  in
-  let off_ns, off = best (fun () -> explore ~sanitize:false ()) in
-  let on_ns, on_ = best (fun () -> explore ~sanitize:true ()) in
+  let off_ns = ref max_int and on_ns = ref max_int in
+  let last = ref None in
+  for _ = 1 to 200 do
+    let off = explore ~sanitize:false () and on_ = explore ~sanitize:true () in
+    let ns e = e.Slx_core.Explore.stats.Slx_core.Explore_stats.elapsed_ns in
+    off_ns := min !off_ns (ns off);
+    on_ns := min !on_ns (ns on_);
+    last := Some (off, on_)
+  done;
+  let off, on_ = Option.get !last and off_ns = !off_ns and on_ns = !on_ns in
   let violations =
     on_.Slx_core.Explore.stats.Slx_core.Explore_stats.footprint_violations
   in
@@ -482,15 +481,20 @@ let micro_smoke () =
     float_of_int !best /. float_of_int iters
   in
   (* A mid-tree register-consensus cursor, the configuration shape the
-     engine keys at every node.  The factory preallocates its rounds
-     (thousands of registers), which is exactly why the seed's
+     engine keys at every node, over a registry the size the seed's
+     register-consensus instance had: an explicit pool of 4096 rounds
+     x 2n registers beside the decision register (16,385 objects at
+     n = 2).  A registry that large is exactly why the seed's
      from-scratch digest fold dominated the hot loop. *)
-  let cursor =
-    let c =
-      Runner.Cursor.create ~n:2
-        ~factory:(Slx_consensus.Register_consensus.factory ())
-        ()
+  let pooled ~n =
+    let pool =
+      Array.init (4096 * 2 * n) (fun _ -> Slx_base_objects.Register.make None)
     in
+    ignore (Sys.opaque_identity pool);
+    Slx_consensus.Register_consensus.factory () ~n
+  in
+  let cursor =
+    let c = Runner.Cursor.create ~n:2 ~factory:pooled () in
     List.iter (Runner.Cursor.apply c)
       [
         Driver.Invoke (1, Slx_consensus.Consensus_type.Propose 0);

@@ -694,8 +694,7 @@ let live_explore_cmd =
     let open Slx_consensus in
     let factory =
       match impl with
-      | "register" ->
-          Ok (fun () -> Register_consensus.factory ~max_rounds:(max 8 depth) ())
+      | "register" -> Ok (fun () -> Register_consensus.factory ())
       | "cas" -> Ok (fun () -> Cas_consensus.factory ())
       | "selfish" -> Ok (fun () -> Selfish_consensus.factory ())
       | other -> Error (Printf.sprintf "unknown implementation %S" other)

@@ -99,17 +99,13 @@ let base_cases () =
 (* Consensus implementations. *)
 
 let consensus_cases () =
-  let mk ~name ?(depth = 6) ?(max_crashes = 0) ?(waive_opaque = false) factory
-      =
-    Audit.case ~group:"consensus" ~name ~n:2 ~depth ~max_crashes ~waive_opaque
-      ~factory ~invoke:one_proposal ~pp_inv:pp_consensus ()
+  let mk ~name ?(depth = 6) ?(max_crashes = 0) factory =
+    Audit.case ~group:"consensus" ~name ~n:2 ~depth ~max_crashes ~factory
+      ~invoke:one_proposal ~pp_inv:pp_consensus ()
   in
   [
-    (* max_rounds caps the eager per-round register preallocation so
-       fingerprinting stays cheap; lazily-allocated rounds take an
-       Opaque lookup step, hence the waiver. *)
-    mk ~name:"consensus-register" ~max_crashes:1 ~waive_opaque:true (fun () ->
-        Slx_consensus.Register_consensus.factory ~max_rounds:4 ());
+    mk ~name:"consensus-register" ~max_crashes:1 (fun () ->
+        Slx_consensus.Register_consensus.factory ());
     mk ~name:"consensus-cas" (fun () -> Slx_consensus.Cas_consensus.factory ());
     mk ~name:"consensus-queue" (fun () ->
         Slx_consensus.Queue_consensus.factory ());

@@ -8,11 +8,12 @@ type round = {
   b : (bool * int) option Register.t array;
 }
 
+(* Builds [a] then [b], so inside an id block slot [i] of [a] takes
+   offset [i - 1] and slot [i] of [b] offset [n + i - 1]. *)
 let make_round n =
-  {
-    a = Array.init n (fun _ -> Register.make None);
-    b = Array.init n (fun _ -> Register.make None);
-  }
+  let a = Array.init n (fun _ -> Register.make None) in
+  let b = Array.init n (fun _ -> Register.make None) in
+  { a; b }
 
 type outcome = Commit of int | Adopt of int
 
@@ -42,10 +43,29 @@ let commit_adopt round ~n ~i v =
   | (_, u) :: _ -> Adopt u
   | [] -> Adopt v
 
+(* Rounds are built on demand: the first process to enter round [r]
+   builds it, inside the instance's id block at an offset fixed by [r],
+   between two of its atomic steps.  Construction registers only the
+   decision register, whatever [max_rounds] is. *)
 let factory ?(max_rounds = 4096) () : _ Slx_sim.Runner.factory =
  fun ~n ->
-  let rounds = Array.init max_rounds (fun _ -> make_round n) in
-  let decision = Register.make None in
+  let width = 2 * n in
+  let ids = Slx_sim.Runtime.reserve_ids (1 + (max_rounds * width)) in
+  let decision =
+    Slx_sim.Runtime.in_block ids ~offset:0 (fun () -> Register.make None)
+  in
+  let rounds = Hashtbl.create 8 in
+  let round r =
+    match Hashtbl.find_opt rounds r with
+    | Some rd -> rd
+    | None ->
+        let rd =
+          Slx_sim.Runtime.in_block ids ~offset:(1 + (r * width)) (fun () ->
+              make_round n)
+        in
+        Hashtbl.add rounds r rd;
+        rd
+  in
   fun ~proc (Consensus_type.Propose v) ->
     let rec go r pref =
       if r >= max_rounds then
@@ -54,7 +74,7 @@ let factory ?(max_rounds = 4096) () : _ Slx_sim.Runner.factory =
         match Register.read decision with
         | Some w -> Consensus_type.Decided w
         | None -> begin
-            match commit_adopt rounds.(r) ~n ~i:proc pref with
+            match commit_adopt (round r) ~n ~i:proc pref with
             | Commit u ->
                 Register.write decision (Some u);
                 Consensus_type.Decided u

@@ -24,7 +24,12 @@ val factory :
   ?max_rounds:int ->
   unit ->
   (Consensus_type.invocation, Consensus_type.response) Slx_sim.Runner.factory
-(** A fresh implementation instance.  [max_rounds] (default [4096])
-    bounds the commit–adopt cascade; a process exceeding it raises —
-    choose it larger than [max_steps / 6] to make the bound
-    unreachable in bounded runs. *)
+(** A fresh implementation instance.  It registers only the decision
+    register; round [r]'s [2n] registers are built when a process
+    first enters round [r], at ids fixed by the instance and [r] (see
+    {!Slx_sim.Runtime.in_block}), so the explorers tell the same
+    configurations apart as with every round built up front.
+    [max_rounds] (default [4096]) only caps the cascade: a process
+    entering round [max_rounds] raises.  It costs nothing until
+    reached, so the default suits any bounded run (each round takes
+    [2n + 3] steps of a process). *)

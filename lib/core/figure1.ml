@@ -86,12 +86,10 @@ let consensus ?(n = 3) ?(max_steps = 1200) ?(seeds = [ 1; 2; 3 ]) () =
    {!Live_explore.search} finds a validated fair progress-free lasso in
    the bounded configuration graph.  [max_crashes = n - 1] gives the
    obstruction-style points their solo windows (a blocked-forever
-   lockstep partner is unfair unless crashed); [max_rounds] is kept just
-   above the rounds reachable at [depth] so configuration fingerprints
-   stay cheap. *)
+   lockstep partner is unfair unless crashed). *)
 let consensus_exhaustive ?(n = 2) ?(depth = 10) () =
   let open Slx_consensus in
-  let factory () = Register_consensus.factory ~max_rounds:(max 8 depth) () in
+  let factory () = Register_consensus.factory () in
   let invoke =
     Explore.workload_invoke
       (Driver.forever (fun p -> Consensus_type.Propose (p - 1)))

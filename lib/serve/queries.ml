@@ -43,13 +43,7 @@ let point_of_string ~n = function
 let factory_of_spec sp =
   match sp.sp_impl with
   | "cas" -> Ok (fun () -> Cas_consensus.factory ())
-  | "register" ->
-      (* The liveness searches need enough rounds for any bounded
-         schedule, exactly as [slx live-explore] arranges. *)
-      Ok
-        (if sp.sp_kind = `Live then fun () ->
-           Register_consensus.factory ~max_rounds:(max 8 sp.sp_depth) ()
-         else fun () -> Register_consensus.factory ())
+  | "register" -> Ok (fun () -> Register_consensus.factory ())
   | "selfish" -> Ok (fun () -> Selfish_consensus.factory ())
   | other -> Error (Printf.sprintf "unknown implementation %S" other)
 

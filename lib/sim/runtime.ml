@@ -242,10 +242,9 @@ let hash_value v =
    the XOR of all contributions, and a write reported through [touch]
    marks its object dirty so only touched objects are re-read at the
    next [registry_digest] call.  A full fold would be O(objects) per
-   configuration — factories preallocate their object pools (the
-   register-consensus factory allocates 4096 rounds of registers up
-   front), so the fold dominated every fingerprint; the incremental
-   digest is O(writes since the last digest) instead.  XOR makes the
+   configuration, and objects accumulate over a run (each commit-adopt
+   round a run enters registers 2n registers), so the digest is
+   O(writes since the last digest) instead.  XOR makes the
    combination order-free (contributions carry the object's own id, so
    equal multisets of (id, state) pairs — i.e. equal shared states of
    two instances of one deterministic factory — digest equally).
@@ -259,29 +258,50 @@ let hash_value v =
    its footprint), and the sanitizer shadow is the dynamic check of
    precisely this reporting. *)
 
+(* Per-object storage lives in fixed-size pages, object [id] at slot
+   [id land page_mask] of page [id lsr page_bits].  Reserved id blocks
+   leave long stretches of ids unused; pages are allocated only where
+   an object registers, so storage follows the objects, not the ids. *)
+let page_bits = 6
+let page_mask = (1 lsl page_bits) - 1
+
+type page = {
+  readers : (unit -> int) array;
+  contrib : int array;  (* last XOR contribution per object *)
+  flags : Bytes.t;  (* see below *)
+}
+
+(* [flags] states: a registered object is [clean] or queued on
+   [dirty]; a slot nothing has registered at is [vacant], so touches
+   of it are ignored and the full fold skips it. *)
+let clean = '\000'
+let queued = '\001'
+let vacant = '\002'
+
+let no_reader : unit -> int = fun () -> 0
+
+let make_page () =
+  {
+    readers = Array.make (page_mask + 1) no_reader;
+    contrib = Array.make (page_mask + 1) 0;
+    flags = Bytes.make (page_mask + 1) vacant;
+  }
+
+(* Stands in for every page nothing has registered on; never written. *)
+let vacant_page = make_page ()
+
 type registry = {
-  mutable readers : (unit -> int) array;  (* slot [id - 1] *)
-  mutable contrib : int array;  (* last XOR contribution per object *)
+  mutable pages : page array;
   mutable dirty : int list;  (* ids re-read at the next digest *)
-  mutable dirty_flag : Bytes.t;  (* dedup for [dirty]; slot [id - 1] *)
-  mutable digest : int;  (* XOR of [contrib.(0 .. next_id - 2)] *)
-  mutable next_id : int;
+  mutable digest : int;  (* XOR of every registered contribution *)
+  mutable next_id : int;  (* first id neither issued nor reserved *)
 }
 
 let current_registry : registry option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let no_reader : unit -> int = fun () -> 0
-
 let fresh_registry () : registry =
-  {
-    readers = Array.make 16 no_reader;
-    contrib = Array.make 16 0;
-    dirty = [];
-    dirty_flag = Bytes.make 16 '\000';
-    digest = 0x811c9dc5;
-    next_id = 1;
-  }
+  { pages = [| vacant_page |]; dirty = []; digest = 0x811c9dc5; next_id = 1 }
 
 (* Fallback id source for objects allocated with no registry current
    (plain [Runner.run]s); footprint ids only ever need to be distinct
@@ -289,47 +309,115 @@ let fresh_registry () : registry =
    with registry-issued positive ones. *)
 let orphan_ids : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 
+(* While [in_block] runs: the next id to issue inside the block and the
+   block's end (exclusive). *)
+let block_scope : (int * int) option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+(* The first of [size] consecutive fresh ids: from the enclosing block
+   when one is in scope, else from the current registry, else from the
+   orphan counter. *)
+let issue_ids size =
+  let scope = Domain.DLS.get block_scope in
+  match !scope with
+  | Some (id, limit) ->
+      if id + size > limit then
+        invalid_arg "Runtime: allocation overruns its reserved id block";
+      scope := Some (id + size, limit);
+      id
+  | None -> (
+      match !(Domain.DLS.get current_registry) with
+      | Some reg ->
+          let id = reg.next_id in
+          reg.next_id <- id + size;
+          id
+      | None ->
+          let c = Domain.DLS.get orphan_ids in
+          c := !c - size;
+          !c)
+
+(* The page object [id] lives on, allocating it (and growing the page
+   directory) on first use. *)
+let own_page reg id =
+  let pg = id lsr page_bits in
+  let len = Array.length reg.pages in
+  if pg >= len then begin
+    let pages = Array.make (max (pg + 1) (2 * len)) vacant_page in
+    Array.blit reg.pages 0 pages 0 len;
+    reg.pages <- pages
+  end;
+  if reg.pages.(pg) == vacant_page then reg.pages.(pg) <- make_page ();
+  reg.pages.(pg)
+
 let register_object reader =
-  match !(Domain.DLS.get current_registry) with
-  | None ->
-      let c = Domain.DLS.get orphan_ids in
-      decr c;
-      !c
+  let id = issue_ids 1 in
+  (match !(Domain.DLS.get current_registry) with
+  | None -> ()
   | Some reg ->
-      let id = reg.next_id in
-      reg.next_id <- id + 1;
-      let cap = Array.length reg.readers in
-      if id > cap then begin
-        let readers = Array.make (2 * cap) no_reader in
-        Array.blit reg.readers 0 readers 0 cap;
-        reg.readers <- readers;
-        let contrib = Array.make (2 * cap) 0 in
-        Array.blit reg.contrib 0 contrib 0 cap;
-        reg.contrib <- contrib;
-        let flags = Bytes.make (2 * cap) '\000' in
-        Bytes.blit reg.dirty_flag 0 flags 0 cap;
-        reg.dirty_flag <- flags
-      end;
-      reg.readers.(id - 1) <- reader;
+      let p = own_page reg id and i = id land page_mask in
+      if Bytes.get p.flags i <> vacant then
+        invalid_arg "Runtime.register_object: id registered twice";
+      p.readers.(i) <- reader;
+      Bytes.set p.flags i clean;
       (* The reader is callable at registration: constructors register
          after initializing the state the reader closes over. *)
       let c = combine id (reader ()) in
-      reg.contrib.(id - 1) <- c;
-      reg.digest <- reg.digest lxor c;
-      id
+      p.contrib.(i) <- c;
+      reg.digest <- reg.digest lxor c);
+  id
+
+(* ------------------------------------------------------------------ *)
+(* Reserved id blocks: objects built mid-run at schedule-independent
+   ids.  An implementation that allocates lazily reserves, at
+   construction, one block sized for everything it may ever build, and
+   builds each object inside it at an offset fixed by the object's
+   logical identity — so ids never depend on which process, or which
+   of several instances sharing the registry, allocated first. *)
+
+type id_block = { blk_registry : registry option; blk_base : int; blk_size : int }
+
+let reserve_ids size =
+  if size < 0 then invalid_arg "Runtime.reserve_ids: negative size";
+  {
+    blk_registry = !(Domain.DLS.get current_registry);
+    blk_base = issue_ids size;
+    blk_size = size;
+  }
+
+let in_block blk ~offset f =
+  if offset < 0 || offset > blk.blk_size then
+    invalid_arg "Runtime.in_block: offset outside the block";
+  let slot = Domain.DLS.get current_registry
+  and scope = Domain.DLS.get block_scope in
+  let saved_reg = !slot and saved_scope = !scope in
+  let restore () =
+    slot := saved_reg;
+    scope := saved_scope
+  in
+  slot := blk.blk_registry;
+  scope := Some (blk.blk_base + offset, blk.blk_base + blk.blk_size);
+  match f () with
+  | x ->
+      restore ();
+      x
+  | exception e ->
+      restore ();
+      raise e
 
 (* Called (unconditionally) on every write-touch: queue the object for
-   re-reading at the next digest.  Ids outside the current registry —
-   orphans (negative) or a fixture touching an id it never registered —
-   have no contribution to invalidate and are skipped. *)
+   re-reading at the next digest.  Ids no registered object holds —
+   orphans (negative), vacant block slots, or a fixture touching an id
+   it never registered — have no contribution to invalidate and are
+   skipped. *)
 let mark_written obj =
   match !(Domain.DLS.get current_registry) with
-  | Some reg
-    when obj >= 1
-         && obj < reg.next_id
-         && Bytes.unsafe_get reg.dirty_flag (obj - 1) = '\000' ->
-      Bytes.unsafe_set reg.dirty_flag (obj - 1) '\001';
-      reg.dirty <- obj :: reg.dirty
+  | Some reg when obj >= 1 && obj lsr page_bits < Array.length reg.pages ->
+      let p = Array.unsafe_get reg.pages (obj lsr page_bits)
+      and i = obj land page_mask in
+      if Bytes.unsafe_get p.flags i = clean then begin
+        Bytes.unsafe_set p.flags i queued;
+        reg.dirty <- obj :: reg.dirty
+      end
   | _ -> ()
 
 let with_registry reg f =
@@ -351,10 +439,11 @@ let registry_digest (reg : registry) =
       reg.dirty <- [];
       List.iter
         (fun id ->
-          Bytes.unsafe_set reg.dirty_flag (id - 1) '\000';
-          let c = combine id (reg.readers.(id - 1) ()) in
-          reg.digest <- reg.digest lxor reg.contrib.(id - 1) lxor c;
-          reg.contrib.(id - 1) <- c)
+          let p = reg.pages.(id lsr page_bits) and i = id land page_mask in
+          Bytes.unsafe_set p.flags i clean;
+          let c = combine id (p.readers.(i) ()) in
+          reg.digest <- reg.digest lxor p.contrib.(i) lxor c;
+          p.contrib.(i) <- c)
         dirty);
   reg.digest
 
@@ -365,10 +454,21 @@ let registry_digest (reg : registry) =
    digest is stale and the divergence is the diagnostic). *)
 let registry_digest_full (reg : registry) =
   let d = ref 0x811c9dc5 in
-  for id = 1 to reg.next_id - 1 do
-    d := !d lxor combine id (reg.readers.(id - 1) ())
-  done;
+  Array.iteri
+    (fun pg p ->
+      for i = 0 to page_mask do
+        if Bytes.get p.flags i <> vacant then
+          d := !d lxor combine ((pg lsl page_bits) lor i) (p.readers.(i) ())
+      done)
+    reg.pages;
   !d
+
+let registry_objects (reg : registry) =
+  let k = ref 0 in
+  Array.iter
+    (fun p -> Bytes.iter (fun f -> if f <> vacant then incr k) p.flags)
+    reg.pages;
+  !k
 
 (* ------------------------------------------------------------------ *)
 (* Shadow state: the conflict-soundness sanitizer.
@@ -684,6 +784,40 @@ let observed_mask_of_buffer fr =
     }
   end
 
+(* Whether a buffered touch of this step hit [obj] (a write, if
+   [write]): the scan for ids outside the bitmask range. *)
+let rec buffer_has fr ~obj ~write i =
+  i < fr.fr_len
+  && (let p = fr.fr_buf.(i) in
+      (p asr 1 = obj && (p land 1 <> 0 || not write))
+      || buffer_has fr ~obj ~write (i + 1))
+
+(* Count one step's declaration of [a] in the shadow's per-object
+   stats; [tr]/[tw] are the step's touched/written bits. *)
+let note_declared sh fr ~tr ~tw (a : access) =
+  let ms =
+    match Hashtbl.find_opt sh.sh_decls a.obj with
+    | Some ms -> ms
+    | None ->
+        let ms = { ms_decl = 0; ms_touched = 0; ms_wdecl = 0; ms_wrote = 0 } in
+        Hashtbl.add sh.sh_decls a.obj ms;
+        ms
+  in
+  let in_mask = a.obj >= 0 && a.obj < mask_width in
+  let bit = if in_mask then 1 lsl a.obj else 0 in
+  ms.ms_decl <- ms.ms_decl + 1;
+  if
+    if in_mask then tr land bit <> 0
+    else buffer_has fr ~obj:a.obj ~write:false 0
+  then ms.ms_touched <- ms.ms_touched + 1;
+  if a.write then begin
+    ms.ms_wdecl <- ms.ms_wdecl + 1;
+    if
+      if in_mask then tw land bit <> 0
+      else buffer_has fr ~obj:a.obj ~write:true 0
+    then ms.ms_wrote <- ms.ms_wrote + 1
+  end
+
 (* Step bracketing: [enter_step] as a grant begins executing its
    pending action, [leave_step] when the action's body returns (or
    raises) — crucially {e before} the continuation is resumed, because
@@ -715,46 +849,22 @@ let leave_step fr =
   (match fr.fr_shadow with
   | None -> ()
   | Some sh ->
-      (* Per-object declaration stats from the touched masks: one pair
-         of bit tests per declared access instead of two list walks. *)
-      let obs = observed_mask_of_buffer fr in
-      let touched_r = (if fr.fr_len = 0 then 0 else obs.m_r)
-      and touched_w = (if fr.fr_len = 0 then 0 else obs.m_w)
-      and touched_rest = if fr.fr_len = 0 then [] else obs.m_rest in
-      (match accesses fr.fr_pending with
-      | None -> sh.sh_opaque <- sh.sh_opaque + 1
-      | Some decl ->
-          List.iter
-            (fun (a : access) ->
-              let ms =
-                match Hashtbl.find_opt sh.sh_decls a.obj with
-                | Some ms -> ms
-                | None ->
-                    let ms =
-                      { ms_decl = 0; ms_touched = 0; ms_wdecl = 0; ms_wrote = 0 }
-                    in
-                    Hashtbl.add sh.sh_decls a.obj ms;
-                    ms
-              in
-              let was_touched, was_written =
-                if a.obj >= 0 && a.obj < mask_width then
-                  let bit = 1 lsl a.obj in
-                  (touched_r land bit <> 0, touched_w land bit <> 0)
-                else
-                  ( List.exists
-                      (fun (t : access) -> t.obj = a.obj)
-                      touched_rest,
-                    List.exists
-                      (fun (t : access) -> t.obj = a.obj && t.write)
-                      touched_rest )
-              in
-              ms.ms_decl <- ms.ms_decl + 1;
-              if was_touched then ms.ms_touched <- ms.ms_touched + 1;
-              if a.write then begin
-                ms.ms_wdecl <- ms.ms_wdecl + 1;
-                if was_written then ms.ms_wrote <- ms.ms_wrote + 1
-              end)
-            decl);
+      (* Per-object declaration stats from the touched bits: one pair
+         of bit tests per declared access, allocation-free. *)
+      let tr = ref 0 and tw = ref 0 in
+      for i = 0 to fr.fr_len - 1 do
+        let p = fr.fr_buf.(i) in
+        let obj = p asr 1 in
+        if obj >= 0 && obj < mask_width then begin
+          let bit = 1 lsl obj in
+          tr := !tr lor bit;
+          if p land 1 <> 0 then tw := !tw lor bit
+        end
+      done;
+      (match fr.fr_pending with
+      | Opaque -> sh.sh_opaque <- sh.sh_opaque + 1
+      | Access a -> note_declared sh fr ~tr:!tr ~tw:!tw a
+      | Multi decl -> List.iter (note_declared sh fr ~tr:!tr ~tw:!tw) decl);
       if sh.sh_record then
         sh.sh_log <-
           {

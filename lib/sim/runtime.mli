@@ -398,10 +398,32 @@ val register_object : (unit -> int) -> int
 (** Called by base-object constructors: adds a reader returning a hash
     of the object's current state to the current registry, and returns
     the object's footprint id (for {!atomic_access}).  Ids issued by
-    one registry are positive, deterministic (allocation order), and
-    unique within the registry; with no registry current the reader is
-    dropped and a fresh negative id is returned (plain {!Runner.run}s
-    pay nothing). *)
+    one registry are positive, deterministic (allocation order, or the
+    fixed offset inside an {!in_block} scope), and unique within the
+    registry; with no registry current the reader is dropped and a
+    fresh negative id is returned (plain {!Runner.run}s pay nothing).
+    @raise Invalid_argument if an {!in_block} scope's block is
+    exhausted. *)
+
+type id_block
+(** A run of consecutive object ids reserved in one registry (or in the
+    orphan id space) for objects built later. *)
+
+val reserve_ids : int -> id_block
+(** [reserve_ids size] reserves [size] consecutive ids in the current
+    registry, registering nothing; objects allocated afterwards outside
+    the block get ids past it.  Inside an {!in_block} scope the block
+    is carved from the enclosing one.  Costs O(1): registry storage
+    grows only when an object actually registers at an id. *)
+
+val in_block : id_block -> offset:int -> (unit -> 'a) -> 'a
+(** [in_block blk ~offset f] runs [f] with [blk]'s registry current,
+    and objects [f] registers take the ids [offset], [offset + 1], ...
+    of [blk], in allocation order.  Implementations that build objects
+    lazily, mid-run, use it to keep each object's id a function of its
+    logical identity rather than of the schedule that first needed it.
+    @raise Invalid_argument if [offset] lies outside [blk]; [f] raises
+    it if it registers past [blk]'s end. *)
 
 val registry_digest : registry -> int
 (** A digest of the current shared state of every base object in the
@@ -409,10 +431,8 @@ val registry_digest : registry -> int
     object, maintained {e incrementally}, Zobrist-style — a write
     reported through {!touch} marks its object dirty, and only dirty
     objects are re-read here, so the cost is O(writes since the last
-    digest) rather than O(objects).  (Factories preallocate their
-    object pools — the register-consensus factory allocates thousands
-    of registers up front — so the full fold dominated every
-    configuration fingerprint.)
+    digest) rather than O(objects), which grows over a run: every
+    commit-adopt round a run enters registers 2n registers.
 
     Exactness rests on the touch contract: every physical mutation of
     a registered object's state is reported via [touch ~write:true]
@@ -431,6 +451,10 @@ val registry_digest_full : registry -> int
     contract (the incremental digest would then be stale, and the
     divergence is the diagnostic); used by audits, tests and the
     before/after microbenchmarks. *)
+
+val registry_objects : registry -> int
+(** How many objects are registered: O(storage), for tests and
+    diagnostics.  Reserved but unused block ids do not count. *)
 
 val mix64 : int -> int
 (** A 64-bit finalizing mixer (xorshift-star family, 63-bit-safe
