@@ -32,7 +32,7 @@
 
    slx serve --port N --workers N --store FILE
        Run the JSON-over-HTTP verification service: warm answers from
-       the store, shards cold queries across worker processes.
+       the store, one worker task per other query.
 
    slx query [--kind explore|live] [--impl I] [--wait] [--port N] ...
        Submit a query to a running server (or --status ID / --stats /
@@ -1317,9 +1317,10 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run the verification service: a JSON-over-HTTP coordinator that \
-          answers queries warm from the store, shards cold ones across \
-          worker processes (frontier slices, leased and re-leased on \
-          crash), and dedupes identical in-flight queries.  Endpoints: \
+          answers queries warm from the store, computes each other one \
+          as a single task on a worker process (resuming a stored \
+          frontier when it can; re-leased on crash), and dedupes \
+          identical in-flight queries.  Endpoints: \
           POST /query, GET /status/ID, GET /stats, POST /shutdown.")
     Term.(const run $ host_arg $ port_arg $ workers_arg $ store_path_arg)
 

@@ -1,6 +1,7 @@
 type t =
   | Null
   | Bool of bool
+  | Int of int
   | Num of float
   | Str of string
   | Arr of t list
@@ -75,9 +76,19 @@ let parse s =
     while numchar (peek ()) do
       advance ()
     done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
+    let lexeme = String.sub s start (!pos - start) in
+    (* Integer literals stay exact: 63-bit digests do not survive a
+       round trip through a float.  One too wide for [int] falls back
+       to a float like any other number. *)
+    let integral =
+      String.for_all (fun c -> c = '-' || (c >= '0' && c <= '9')) lexeme
+    in
+    match (if integral then int_of_string_opt lexeme else None) with
+    | Some i -> Int i
+    | None -> (
+        match float_of_string_opt lexeme with
+        | Some f -> Num f
+        | None -> fail "bad number")
   in
   let rec value () =
     skip_ws ();
@@ -141,6 +152,37 @@ let parse s =
   | exception Fail (at, msg) ->
       Error (Printf.sprintf "JSON parse error at byte %d: %s" at msg)
 
+let quote s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+let rec to_string = function
+  | Null -> "null"
+  | Bool b -> string_of_bool b
+  | Int i -> string_of_int i
+  | Num f when Float.is_integer f && Float.abs f < 1e17 ->
+      (* Keep the fraction so it parses back as a [Num]. *)
+      Printf.sprintf "%.1f" f
+  | Num f when Float.is_finite f -> Printf.sprintf "%.17g" f
+  | Num _ -> "null"
+  | Str s -> quote s
+  | Arr xs -> "[" ^ String.concat ", " (List.map to_string xs) ^ "]"
+  | Obj kvs ->
+      "{"
+      ^ String.concat ", "
+          (List.map (fun (k, v) -> quote k ^ ": " ^ to_string v) kvs)
+      ^ "}"
+
 let parse_file path =
   match In_channel.with_open_bin path In_channel.input_all with
   | contents -> parse contents
@@ -151,6 +193,14 @@ let member key = function
   | _ -> None
 
 let to_list = function Arr xs -> xs | _ -> []
-let num = function Num f -> Some f | _ -> None
-let int j = Option.map int_of_float (num j)
+let num = function
+  | Int i -> Some (float_of_int i)
+  | Num f -> Some f
+  | _ -> None
+
+let int = function
+  | Int i -> Some i
+  | Num f -> Some (int_of_float f)
+  | _ -> None
+
 let str = function Str s -> Some s | _ -> None

@@ -2,15 +2,17 @@
     (the [slx stats] replay mode, the bench smoke's trace validation,
     and the well-formedness tests), with no third-party dependency.
 
-    The grammar is standard JSON; numbers are read as [float]
-    ([\u] escapes are decoded only for the ASCII range and replaced
-    with ['?'] otherwise, which the traces this library emits never
-    contain). *)
+    The grammar is standard JSON.  Integer literals that fit an OCaml
+    [int] are read exactly as [Int] (digests and counters are 63-bit);
+    every other number is read as a [float] [Num].  [\u] escapes are
+    decoded only for the ASCII range and replaced with ['?'] otherwise,
+    which the traces this library emits never contain. *)
 
 type t =
   | Null
   | Bool of bool
-  | Num of float
+  | Int of int  (** An integer literal, exact. *)
+  | Num of float  (** Any other number. *)
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
@@ -21,6 +23,10 @@ val parse : string -> (t, string) result
 
 val parse_file : string -> (t, string) result
 
+val to_string : t -> string
+(** One-line JSON.  [parse (to_string j)] is [Ok j] for every parsed
+    [j] without a non-finite number or a non-ASCII [\u] escape. *)
+
 (** {2 Accessors} *)
 
 val member : string -> t -> t option
@@ -30,8 +36,9 @@ val to_list : t -> t list
 (** Elements of an [Arr]; [[]] on anything else. *)
 
 val num : t -> float option
+(** Either number form, as a float. *)
 
 val int : t -> int option
-(** [num] truncated. *)
+(** An [Int] exactly; a [Num] truncated. *)
 
 val str : t -> string option

@@ -158,7 +158,7 @@ let qid sp =
 (* ------------------------------------------------------------------ *)
 (* Task modes.                                                         *)
 
-type mode = Full | Split of int | Slice of int * Store.seed list
+type mode = Full | Resume of int * Store.frontier
 
 let ints xs = "[" ^ String.concat ", " (List.map string_of_int xs) ^ "]"
 
@@ -196,27 +196,21 @@ let frontier_of_json j =
 
 let mode_to_json = function
   | Full -> "{\"mode\": \"full\"}"
-  | Split d -> Printf.sprintf "{\"mode\": \"split\", \"split_depth\": %d}" d
-  | Slice (base, seeds) ->
-      Printf.sprintf "{\"mode\": \"slice\", \"base_depth\": %d, \"seeds\": [%s]}"
-        base
-        (String.concat ", " (List.map seed_to_json seeds))
+  | Resume (base, f) ->
+      Printf.sprintf
+        "{\"mode\": \"resume\", \"base_depth\": %d, \"frontier\": %s}" base
+        (frontier_to_json f)
 
 let mode_of_json j =
   match Option.bind (Json.member "mode" j) Json.str with
   | Some "full" | None -> Ok Full
-  | Some "split" -> begin
-      match Option.bind (Json.member "split_depth" j) Json.int with
-      | Some d -> Ok (Split d)
-      | None -> Error "split task without split_depth"
-    end
-  | Some "slice" -> begin
+  | Some "resume" -> begin
       match
-        (Option.bind (Json.member "base_depth" j) Json.int, Json.member "seeds" j)
+        ( Option.bind (Json.member "base_depth" j) Json.int,
+          Option.bind (Json.member "frontier" j) frontier_of_json )
       with
-      | Some base, Some seeds ->
-          Ok (Slice (base, List.filter_map seed_of_json (Json.to_list seeds)))
-      | _ -> Error "slice task without base_depth/seeds"
+      | Some base, Some f -> Ok (Resume (base, f))
+      | _ -> Error "resume task without base_depth/frontier"
     end
   | Some other -> Error (Printf.sprintf "unknown task mode %S" other)
 
@@ -232,31 +226,32 @@ let frontier_field = function
   | None -> ""
   | Some f -> Printf.sprintf ", \"frontier\": %s" (frontier_to_json f)
 
+(* The work a computed answer did: [steps] executed, of which
+   [steps_replayed] re-established stored frontier seeds. *)
+let work_json (stats : Explore_stats.t) =
+  Printf.sprintf "\"steps\": %d, \"steps_replayed\": %d"
+    stats.Explore_stats.steps_executed stats.Explore_stats.steps_replayed
+
 let safety_result (e : (_, _) Explore.exploration) =
   let stats = e.Explore.stats in
   match e.Explore.outcome with
   | Explore.Ok runs ->
-      Printf.sprintf
-        "{\"outcome\": \"ok\", \"runs\": %d, \"digest\": %d, \"steps\": %d%s}"
-        runs stats.Explore_stats.history_digest
-        stats.Explore_stats.steps_executed
-        (frontier_field
-           (Option.map Slx_store.Persist.frontier_to_store e.Explore.frontier))
+      Printf.sprintf "{\"outcome\": \"ok\", \"runs\": %d, \"digest\": %d, %s%s}"
+        runs stats.Explore_stats.history_digest (work_json stats)
+        (frontier_field (Option.map Persist.frontier_to_store e.Explore.frontier))
   | Explore.Counterexample _ ->
-      Printf.sprintf "{\"outcome\": \"counterexample\", %s, \"steps\": %d}"
+      Printf.sprintf "{\"outcome\": \"counterexample\", %s, %s}"
         (witness_json (Option.get e.Explore.witness_script))
-        stats.Explore_stats.steps_executed
+        (work_json stats)
 
 let live_result (r : (_, _) Live_explore.result) =
   let stats = r.Live_explore.stats in
   match r.Live_explore.outcome with
   | Live_explore.No_fair_cycle ->
-      Printf.sprintf
-        "{\"outcome\": \"no_fair_cycle\", \"runs\": %d, \"steps\": %d%s}"
-        stats.Explore_stats.runs stats.Explore_stats.steps_executed
+      Printf.sprintf "{\"outcome\": \"no_fair_cycle\", \"runs\": %d, %s%s}"
+        stats.Explore_stats.runs (work_json stats)
         (frontier_field
-           (Option.map Slx_store.Persist.live_frontier_to_store
-              r.Live_explore.frontier))
+           (Option.map Persist.live_frontier_to_store r.Live_explore.frontier))
   | Live_explore.Lasso c ->
       let pp ds =
         "["
@@ -266,12 +261,12 @@ let live_result (r : (_, _) Live_explore.result) =
       in
       Printf.sprintf
         "{\"outcome\": \"lasso\", \"stem\": %s, \"cycle\": %s, \"stem_pp\": \
-         %s, \"cycle_pp\": %s, \"period\": %d, \"steps\": %d}"
+         %s, \"cycle_pp\": %s, \"period\": %d, %s}"
         (ints (Explore.codes_of_script c.Lasso.c_stem))
         (ints (Explore.codes_of_script c.Lasso.c_cycle))
         (pp c.Lasso.c_stem) (pp c.Lasso.c_cycle)
         (List.length c.Lasso.c_cycle)
-        stats.Explore_stats.steps_executed
+        (work_json stats)
 
 let cancelled_result (stats : Explore_stats.t) =
   Printf.sprintf "{\"outcome\": \"cancelled\", \"steps\": %d}"
@@ -280,71 +275,52 @@ let cancelled_result (stats : Explore_stats.t) =
 let error_result msg = Printf.sprintf "{\"outcome\": \"error\", \"message\": %S}" msg
 
 let run_task ?cancel ?(progress = Progress.off) sp mode =
-  match factory_of_spec sp with
-  | Error e -> error_result e
-  | Ok factory -> begin
+  match (factory_of_spec sp, mode) with
+  | Error e, _ -> error_result e
+  | Ok _, Resume (d, _) when d >= sp.sp_depth ->
+      error_result
+        (Printf.sprintf "resume base depth %d not shallower than depth %d" d
+           sp.sp_depth)
+  | Ok factory, _ -> begin
       let obs = Obs.create ~tracing:false ~progress () in
-      match sp.sp_kind with
-      | `Explore -> begin
-          let depth, resume =
-            match mode with
-            | Full -> (sp.sp_depth, None)
-            | Split d -> (d, None)
-            | Slice (base, seeds) ->
-                ( sp.sp_depth,
+      let run () =
+        match sp.sp_kind with
+        | `Explore ->
+            let resume =
+              match mode with
+              | Full -> None
+              | Resume (d, f) ->
                   Option.map
-                    (fun f -> { f with Explore.fr_depth = base })
-                    (Slx_store.Persist.frontier_of_store
-                       {
-                         Store.f_base_runs = 0;
-                         f_base_digest = 0;
-                         f_seeds = seeds;
-                       }) )
-          in
-          match
-            Explore.explore ~n:sp.sp_n ~factory ~invoke:safety_invoke ~depth
-              ~max_crashes:sp.sp_crashes ~por:true ~dpor:true ~symmetry:true
-              ~obs ~persist:true ?resume ?cancel ~check ()
-          with
-          | e -> safety_result e
-          | exception Explore.Interrupted stats -> cancelled_result stats
-        end
-      | `Live -> begin
-          match point_of_string ~n:sp.sp_n sp.sp_property with
-          | Error e -> error_result e
-          | Ok point -> begin
-              let depth, resume =
-                match mode with
-                | Full -> (sp.sp_depth, None)
-                | Split d -> (d, None)
-                | Slice (base, seeds) ->
-                    ( sp.sp_depth,
+                    (fun fr -> { fr with Explore.fr_depth = d })
+                    (Persist.frontier_of_store f)
+            in
+            safety_result
+              (Explore.explore ~n:sp.sp_n ~factory ~invoke:safety_invoke
+                 ~depth:sp.sp_depth ~max_crashes:sp.sp_crashes ~por:true
+                 ~dpor:true ~symmetry:true ~obs ~persist:true ?resume ?cancel
+                 ~check ())
+        | `Live -> (
+            match point_of_string ~n:sp.sp_n sp.sp_property with
+            | Error e -> error_result e
+            | Ok point ->
+                let resume =
+                  match mode with
+                  | Full -> None
+                  | Resume (d, f) ->
                       Some
-                        {
-                          Live_explore.lf_depth = base;
-                          lf_max_period = sp.sp_max_period;
-                          lf_pump_ticks = sp.sp_pump;
-                          lf_base_runs = 0;
-                          lf_seeds =
-                            List.map
-                              (fun (s : Store.seed) ->
-                                {
-                                  Live_explore.ls_script = s.Store.sd_script;
-                                  ls_sleep = s.Store.sd_sleep;
-                                })
-                              seeds;
-                        } )
-              in
-              match
-                Live_explore.search ~n:sp.sp_n ~factory ~invoke:live_invoke
-                  ~good ~point ~depth ~max_crashes:sp.sp_crashes
-                  ~max_period:sp.sp_max_period ~pump_ticks:sp.sp_pump
-                  ~dpor:true ~obs ~persist:true ?resume ?cancel ()
-              with
-              | r -> live_result r
-              | exception Explore.Interrupted stats -> cancelled_result stats
-            end
-        end
+                        (Persist.live_frontier_of_store ~depth:d
+                           ~max_period:sp.sp_max_period ~pump_ticks:sp.sp_pump
+                           f)
+                in
+                live_result
+                  (Live_explore.search ~n:sp.sp_n ~factory ~invoke:live_invoke
+                     ~good ~point ~depth:sp.sp_depth ~max_crashes:sp.sp_crashes
+                     ~max_period:sp.sp_max_period ~pump_ticks:sp.sp_pump
+                     ~dpor:true ~obs ~persist:true ?resume ?cancel ()))
+      in
+      match run () with
+      | result -> result
+      | exception Explore.Interrupted stats -> cancelled_result stats
     end
 
 (* ------------------------------------------------------------------ *)

@@ -10,12 +10,13 @@
     a worker, or by the CLI with [--store] lands on the {e same}
     store key ({!qid}) and they warm-serve each other.
 
-    Tasks are the unit of work leased to workers: a [Full] run, a
-    shallow [Split] pass that cuts a frontier for sharding, or a
-    [Slice] resuming a subset of frontier seeds (base totals are
-    added once by the coordinator).  {!run_task} executes any of them
-    and returns the result as a JSON object string — the exact line a
-    worker writes back. *)
+    A task is the unit of work leased to a worker, and every computed
+    query is exactly one task: a [Full] run of the whole tree, or a
+    [Resume] of a stored shallower frontier, base totals included, so
+    the engine's own resume produces the complete answer — the same
+    verdict, runs, digest, witness and frontier as a [Full] run.
+    {!run_task} executes either and returns the result as a JSON
+    object string, the exact line a worker writes back. *)
 
 open Slx_obs
 
@@ -52,17 +53,16 @@ val qid : spec -> (int, string) result
     flags bound in.  [Error] on unknown implementation/property. *)
 
 type mode =
-  | Full  (** The whole depth-[sp_depth] tree, one worker. *)
-  | Split of int
-      (** A persist run at this shallower depth; the result carries
-          the frontier the coordinator slices. *)
-  | Slice of int * Slx_store.Store.seed list
-      (** Resume these seeds (cut at the given base depth) to full
-          depth; totals exclude the base, which the coordinator adds
-          exactly once. *)
+  | Full  (** The whole depth-[sp_depth] tree. *)
+  | Resume of int * Slx_store.Store.frontier
+      (** Deepen this whole stored frontier, cut at the given base
+          depth, to [sp_depth]. *)
 
 val mode_to_json : mode -> string
+
 val mode_of_json : Json.t -> (mode, string) result
+(** [Error] on any other mode name and on a resume task without its
+    base depth or frontier. *)
 
 val run_task :
   ?cancel:(unit -> bool) ->
@@ -74,18 +74,21 @@ val run_task :
     JSON object (no trailing newline):
 
     - safety: [{"outcome": "ok" | "counterexample", "runs", "digest",
-      "steps", "witness": [codes], "frontier": {...}}]
+      "steps", "steps_replayed", "witness": [codes], "frontier": {...}}]
     - liveness: [{"outcome": "no_fair_cycle" | "lasso", "stem",
-      "cycle", "period", "runs", "steps", "frontier": {...}}]
+      "cycle", "period", "runs", "steps", "steps_replayed",
+      "frontier": {...}}]
     - [{"outcome": "cancelled", "steps"}] when [cancel] fired;
-    - [{"outcome": "error", "message"}] on a bad spec.
+    - [{"outcome": "error", "message"}] on a bad spec or a resume base
+      not shallower than [sp_depth].
 
-    [Split] results always carry ["frontier"]; [Slice]/[Full] runs
-    carry theirs too (persist mode), so the coordinator can stitch a
-    full-depth frontier back into the store.  [progress] is handed to
-    the engine — pass a JSON-lines reporter on stdout and the task's
-    heartbeats interleave with the final line, which is
-    distinguishable by its ["outcome"] member. *)
+    Clean verdicts carry the depth-[sp_depth] ["frontier"] (persist
+    mode), which the coordinator stores for later resumes.
+    [steps_replayed] counts the steps spent re-establishing a
+    [Resume] task's seeds.  [progress] is handed to the engine — pass
+    a JSON-lines reporter on stdout and the task's heartbeats
+    interleave with the final line, which is distinguishable by its
+    ["outcome"] member. *)
 
 val error_result : string -> string
 (** [{"outcome": "error", "message": ...}] — the uniform failure form

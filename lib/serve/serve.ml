@@ -1,5 +1,6 @@
 module Json = Slx_obs.Json
 module Store = Slx_store.Store
+module Persist = Slx_store.Persist
 
 (* ------------------------------------------------------------------ *)
 (* State.                                                              *)
@@ -17,7 +18,6 @@ type lease = {
   l_id : int;
   l_query : int;
   l_mode : Queries.mode;
-  l_index : int;  (* slice position, for lex-correct witness choice *)
   mutable l_cancelled : bool;
 }
 
@@ -30,11 +30,7 @@ type query = {
   q_qid : int;
   q_created : float;
   mutable q_state : qstate;
-  mutable q_pending : int;  (* outstanding leases *)
-  mutable q_slices : (int * Json.t) list;  (* slice index -> result *)
-  mutable q_base : Store.frontier option;  (* added exactly once *)
-  mutable q_base_depth : int;
-  mutable q_base_steps : int;  (* split/stored steps feeding r_steps *)
+  mutable q_inherited : int;  (* stored steps of the resumed record *)
   mutable q_source : string;
   mutable q_deadline : float option;
   mutable q_waiters : Unix.file_descr list;
@@ -192,156 +188,63 @@ let fail t q msg =
     q.q_waiters;
   q.q_waiters <- []
 
-(* Re-serialize a parsed JSON value (worker results are re-emitted
-   into status payloads and the store path).  Integral numbers print
-   as ints — every counter in the protocol is one. *)
-let rec json_str = function
-  | Json.Null -> "null"
-  | Json.Bool b -> string_of_bool b
-  | Json.Num f ->
-      if Float.is_integer f && Float.abs f < 1e15 then
-        string_of_int (int_of_float f)
-      else Printf.sprintf "%g" f
-  | Json.Str s -> Printf.sprintf "%S" s
-  | Json.Arr xs -> "[" ^ String.concat ", " (List.map json_str xs) ^ "]"
-  | Json.Obj kvs ->
-      "{"
-      ^ String.concat ", "
-          (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k (json_str v)) kvs)
-      ^ "}"
-
-let new_lease t q mode index =
+let new_lease t q mode =
   let lease =
-    {
-      l_id = t.next_lease;
-      l_query = q.q_id;
-      l_mode = mode;
-      l_index = index;
-      l_cancelled = false;
-    }
+    { l_id = t.next_lease; l_query = q.q_id; l_mode = mode; l_cancelled = false }
   in
   t.next_lease <- t.next_lease + 1;
   Hashtbl.replace t.leases lease.l_id lease;
-  q.q_pending <- q.q_pending + 1;
   lease
 
-(* Partition seeds into at most [slots] contiguous chunks, preserving
-   the first-visit order the lex-least-witness argument depends on. *)
-let chunk_seeds ~slots seeds =
-  let n = List.length seeds in
-  let slots = max 1 (min slots n) in
-  let per = (n + slots - 1) / slots in
-  let rec go acc i = function
-    | [] -> List.rev acc
-    | rest ->
-        let rec take k xs =
-          if k = 0 then ([], xs)
-          else
-            match xs with
-            | [] -> ([], [])
-            | x :: tl ->
-                let a, b = take (k - 1) tl in
-                (x :: a, b)
-        in
-        let chunk, rest = take per rest in
-        go ((i, chunk) :: acc) (i + 1) rest
+(* Store the final verdict of a computed (non-warm) query with the
+   frontier its task returned, so the record resumes later runs. *)
+let store_final t q j =
+  let sp = q.q_spec in
+  let outcome =
+    Option.value ~default:"" (Option.bind (Json.member "outcome" j) Json.str)
   in
-  go [] 0 seeds
+  let int_of k =
+    Option.value ~default:0 (Option.bind (Json.member k j) Json.int)
+  in
+  let codes k =
+    List.filter_map Json.int
+      (Json.to_list (Option.value ~default:Json.Null (Json.member k j)))
+  in
+  let verdict =
+    match outcome with
+    | "ok" -> Some (Store.V_ok (int_of "runs"))
+    | "counterexample" -> Some (Store.V_counterexample (codes "witness"))
+    | "no_fair_cycle" -> Some Store.V_no_fair_cycle
+    | "lasso" ->
+        Some (Store.V_lasso { stem = codes "stem"; cycle = codes "cycle" })
+    | _ -> None
+  in
+  match verdict with
+  | None -> ()
+  | Some v ->
+      Store.add t.store
+        {
+          Store.r_qid = q.q_qid;
+          r_depth = sp.Queries.sp_depth;
+          r_max_period = sp.Queries.sp_max_period;
+          r_pump_ticks = sp.Queries.sp_pump;
+          r_runs = int_of "runs";
+          r_steps = q.q_inherited + q.q_steps;
+          r_verdict = v;
+          r_frontier =
+            Option.bind (Json.member "frontier" j) Queries.frontier_of_json;
+        };
+      (* As in Persist: a resume saves the stored steps it did not
+         have to replay. *)
+      (match q.q_source with
+      | "resumed" ->
+          Store.bump t.store
+            (`Resume (max 0 (q.q_inherited - int_of "steps_replayed")))
+      | _ -> Store.bump t.store `Cold);
+      Store.commit t.store
 
-let rec start_slices t q ~base_depth ~(base : Store.frontier) ~base_steps
-    ~source =
-  q.q_base <- Some base;
-  q.q_base_depth <- base_depth;
-  q.q_base_steps <- base_steps;
-  q.q_source <- source;
-  match base.Store.f_seeds with
-  | [] ->
-      (* No cut leaves: the shallow tree was already complete, so its
-         totals are the full-depth answer. *)
-      let result =
-        match q.q_spec.Queries.sp_kind with
-        | `Explore ->
-            Printf.sprintf
-              "{\"outcome\": \"ok\", \"runs\": %d, \"digest\": %d, \
-               \"steps\": %d}"
-              base.Store.f_base_runs base.Store.f_base_digest q.q_steps
-        | `Live ->
-            Printf.sprintf
-              "{\"outcome\": \"no_fair_cycle\", \"runs\": %d, \"steps\": %d}"
-              base.Store.f_base_runs q.q_steps
-      in
-      store_final t q result;
-      finalize t q result ~source
-  | seeds ->
-      let chunks = chunk_seeds ~slots:(Array.length t.workers) seeds in
-      List.iter
-        (fun (i, chunk) ->
-          let lease = new_lease t q (Queries.Slice (base_depth, chunk)) i in
-          t.pending <- t.pending @ [ lease ])
-        chunks;
-      dispatch t
-
-(* Store the final verdict of a computed (non-warm) query, stitching
-   the slice frontiers onto the base so the record resumes later runs. *)
-and store_final t q result_json =
-  match (Queries.qid q.q_spec, Json.parse result_json) with
-  | Error _, _ | _, Error _ -> ()
-  | Ok _, Ok j -> begin
-      let sp = q.q_spec in
-      let outcome =
-        Option.value ~default:""
-          (Option.bind (Json.member "outcome" j) Json.str)
-      in
-      let int_of k =
-        Option.value ~default:0 (Option.bind (Json.member k j) Json.int)
-      in
-      let codes k =
-        List.filter_map Json.int
-          (Json.to_list (Option.value ~default:Json.Null (Json.member k j)))
-      in
-      let frontier =
-        (* A full-task result carries its own frontier; a sliced
-           result's is stitched in [combine].  Either way it arrives
-           under "frontier". *)
-        Option.bind (Json.member "frontier" j) Queries.frontier_of_json
-      in
-      let verdict =
-        match outcome with
-        | "ok" -> Some (Store.V_ok (int_of "runs"))
-        | "counterexample" -> Some (Store.V_counterexample (codes "witness"))
-        | "no_fair_cycle" -> Some Store.V_no_fair_cycle
-        | "lasso" ->
-            Some (Store.V_lasso { stem = codes "stem"; cycle = codes "cycle" })
-        | _ -> None
-      in
-      match verdict with
-      | None -> ()
-      | Some v ->
-          Store.add t.store
-            {
-              Store.r_qid = q.q_qid;
-              r_depth = sp.Queries.sp_depth;
-              r_max_period = sp.Queries.sp_max_period;
-              r_pump_ticks = sp.Queries.sp_pump;
-              r_runs = int_of "runs";
-              r_steps = q.q_base_steps + q.q_steps;
-              r_verdict = v;
-              r_frontier = frontier;
-            };
-          (match q.q_source with
-          | "resumed" -> Store.bump t.store (`Resume q.q_base_steps)
-          | _ -> Store.bump t.store `Cold);
-          Store.commit t.store
-    end
-
-let start_full t q ~source =
-  q.q_source <- source;
-  let lease = new_lease t q Queries.Full 0 in
-  t.pending <- t.pending @ [ lease ];
-  dispatch t
-
-(* Plan a freshly created query: warm, resume-and-slice, split-and-
-   slice, or a single full task. *)
+(* Plan a freshly created query: a warm answer, or one task that
+   resumes the deepest compatible stored frontier or runs in full. *)
 let plan t q =
   let sp = q.q_spec in
   Store.bump t.store `Query;
@@ -362,166 +265,32 @@ let plan t q =
   in
   if not warm then begin
     q.q_state <- Running;
-    let resumable =
-      match Store.best_resumable t.store ~qid:q.q_qid ~depth:sp.Queries.sp_depth with
-      | Some r
-        when sp.Queries.sp_kind = `Explore
-             || (r.Store.r_pump_ticks = sp.Queries.sp_pump
-                && r.Store.r_max_period
-                   >= min sp.Queries.sp_max_period (r.Store.r_depth / 2)) -> (
-          match r.Store.r_frontier with
-          | Some f -> Some (r.Store.r_depth, f, r.Store.r_steps)
-          | None -> None)
-      | _ -> None
+    let mode =
+      match
+        Store.best_resumable t.store ~qid:q.q_qid ~depth:sp.Queries.sp_depth
+      with
+      | Some ({ Store.r_frontier = Some f; _ } as r)
+        when match sp.Queries.sp_kind with
+             | `Explore -> Persist.frontier_of_store f <> None
+             | `Live ->
+                 Persist.live_resumable
+                   ~max_period:sp.Queries.sp_max_period
+                   ~pump_ticks:sp.Queries.sp_pump r ->
+          q.q_source <- "resumed";
+          q.q_inherited <- r.Store.r_steps;
+          Queries.Resume (r.Store.r_depth, f)
+      | _ ->
+          q.q_source <- "full";
+          Queries.Full
     in
-    match resumable with
-    | Some (base_depth, base, base_steps) ->
-        start_slices t q ~base_depth ~base ~base_steps ~source:"resumed"
-    | None ->
-        if sp.Queries.sp_depth >= 4 then begin
-          (* Split pass: cut a frontier two levels up, then shard. *)
-          q.q_source <- "split";
-          let lease =
-            new_lease t q (Queries.Split (sp.Queries.sp_depth - 2)) 0
-          in
-          t.pending <- t.pending @ [ lease ];
-          dispatch t
-        end
-        else start_full t q ~source:"full"
+    t.pending <- t.pending @ [ new_lease t q mode ];
+    dispatch t
   end
-
-(* ------------------------------------------------------------------ *)
-(* Combining slice results.                                            *)
-
-let combine t q =
-  let slices = List.sort compare q.q_slices in
-  let outcome_of j =
-    Option.value ~default:"" (Option.bind (Json.member "outcome" j) Json.str)
-  in
-  let failing =
-    List.find_opt
-      (fun (_, j) ->
-        match outcome_of j with
-        | "counterexample" | "lasso" -> true
-        | _ -> false)
-      slices
-  in
-  match failing with
-  | Some (_, j) -> begin
-      (* The lowest-indexed failing slice: its witness is the
-         lex-least failing run of the whole tree, because slices are
-         contiguous runs of the first-visit seed order. *)
-      let codes k =
-        List.filter_map Json.int
-          (Json.to_list (Option.value ~default:Json.Null (Json.member k j)))
-      in
-      let pp k =
-        let vals =
-          List.filter_map Json.str
-            (Json.to_list (Option.value ~default:Json.Null (Json.member k j)))
-        in
-        "[" ^ String.concat ", " (List.map (Printf.sprintf "%S") vals) ^ "]"
-      in
-      let result =
-        match outcome_of j with
-        | "counterexample" ->
-            Printf.sprintf
-              "{\"outcome\": \"counterexample\", \"witness\": %s, \
-               \"witness_pp\": %s, \"steps\": %d}"
-              ("["
-              ^ String.concat ", " (List.map string_of_int (codes "witness"))
-              ^ "]")
-              (pp "witness_pp") q.q_steps
-        | _ ->
-            Printf.sprintf
-              "{\"outcome\": \"lasso\", \"stem\": %s, \"cycle\": %s, \
-               \"stem_pp\": %s, \"cycle_pp\": %s, \"period\": %d, \
-               \"steps\": %d}"
-              ("["
-              ^ String.concat ", " (List.map string_of_int (codes "stem"))
-              ^ "]")
-              ("["
-              ^ String.concat ", " (List.map string_of_int (codes "cycle"))
-              ^ "]")
-              (pp "stem_pp") (pp "cycle_pp")
-              (Option.value ~default:0
-                 (Option.bind (Json.member "period" j) Json.int))
-              q.q_steps
-      in
-      store_final t q result;
-      finalize t q result ~source:q.q_source
-    end
-  | None -> begin
-      let base = Option.get q.q_base in
-      let int_of j k =
-        Option.value ~default:0 (Option.bind (Json.member k j) Json.int)
-      in
-      let runs =
-        List.fold_left
-          (fun acc (_, j) -> acc + int_of j "runs")
-          base.Store.f_base_runs slices
-      in
-      let digest =
-        List.fold_left
-          (fun acc (_, j) -> acc + int_of j "digest")
-          base.Store.f_base_digest slices
-      in
-      (* Stitch the deep frontier: slice bases sum onto the inherited
-         base; seeds concatenate in slice order = first-visit order. *)
-      let fronts =
-        List.map
-          (fun (_, j) ->
-            Option.bind (Json.member "frontier" j) Queries.frontier_of_json)
-          slices
-      in
-      let frontier =
-        if List.for_all Option.is_some fronts then begin
-          let fs = List.map Option.get fronts in
-          Some
-            {
-              Store.f_base_runs =
-                List.fold_left
-                  (fun acc f -> acc + f.Store.f_base_runs)
-                  base.Store.f_base_runs fs;
-              f_base_digest =
-                List.fold_left
-                  (fun acc f -> acc + f.Store.f_base_digest)
-                  base.Store.f_base_digest fs;
-              f_seeds = List.concat_map (fun f -> f.Store.f_seeds) fs;
-            }
-        end
-        else None
-      in
-      let result =
-        match q.q_spec.Queries.sp_kind with
-        | `Explore ->
-            Printf.sprintf
-              "{\"outcome\": \"ok\", \"runs\": %d, \"digest\": %d, \
-               \"steps\": %d%s}"
-              runs digest q.q_steps
-              (match frontier with
-              | Some f ->
-                  Printf.sprintf ", \"frontier\": %s"
-                    (Queries.frontier_to_json f)
-              | None -> "")
-        | `Live ->
-            Printf.sprintf
-              "{\"outcome\": \"no_fair_cycle\", \"runs\": %d, \"steps\": %d%s}"
-              runs q.q_steps
-              (match frontier with
-              | Some f ->
-                  Printf.sprintf ", \"frontier\": %s"
-                    (Queries.frontier_to_json f)
-              | None -> "")
-      in
-      store_final t q result;
-      finalize t q result ~source:q.q_source
-    end
 
 (* ------------------------------------------------------------------ *)
 (* Worker lines.                                                       *)
 
-let rec handle_result t lease result_j =
+let handle_result t lease result_j =
   match Hashtbl.find_opt t.queries lease.l_query with
   | None -> ()
   | Some q ->
@@ -531,12 +300,10 @@ let rec handle_result t lease result_j =
             (Option.bind (Json.member "steps" result_j) Json.int);
       if lease.l_cancelled || q.q_state <> Running then ()
       else begin
-        q.q_pending <- q.q_pending - 1;
-        let outcome =
+        match
           Option.value ~default:""
             (Option.bind (Json.member "outcome" result_j) Json.str)
-        in
-        match outcome with
+        with
         | "error" ->
             fail t q
               (Option.value ~default:"worker error"
@@ -544,49 +311,15 @@ let rec handle_result t lease result_j =
         | "cancelled" ->
             (* We did not cancel it: a stray signal.  Re-lease. *)
             lease.l_cancelled <- true;
-            let fresh = new_lease t q lease.l_mode lease.l_index in
             t.re_leases <- t.re_leases + 1;
-            t.pending <- fresh :: t.pending;
+            t.pending <- new_lease t q lease.l_mode :: t.pending;
             dispatch t
-        | _ -> begin
-            match lease.l_mode with
-            | Queries.Full -> begin
-                let raw = json_str result_j in
-                store_final t q raw;
-                finalize t q raw ~source:q.q_source
-              end
-            | Queries.Split base_depth -> begin
-                match outcome with
-                | "ok" | "no_fair_cycle" -> begin
-                    match
-                      Option.bind
-                        (Json.member "frontier" result_j)
-                        Queries.frontier_of_json
-                    with
-                    | Some base ->
-                        start_slices t q ~base_depth ~base
-                          ~base_steps:
-                            (Option.value ~default:0
-                               (Option.bind (Json.member "steps" result_j)
-                                  Json.int))
-                          ~source:"split"
-                    | None ->
-                        (* Persist was gated off in the engine (e.g. a
-                           wide n): fall back to one full task. *)
-                        start_full t q ~source:"full"
-                  end
-                | _ ->
-                    (* A shallow violation's witness need not be the
-                       full-depth lex-least one; recompute honestly. *)
-                    start_full t q ~source:"full"
-              end
-            | Queries.Slice _ ->
-                q.q_slices <- (lease.l_index, result_j) :: q.q_slices;
-                if q.q_pending = 0 then combine t q
-          end
+        | _ ->
+            store_final t q result_j;
+            finalize t q (Json.to_string result_j) ~source:q.q_source
       end
 
-and handle_worker_line t w line =
+let handle_worker_line t w line =
   match Json.parse line with
   | Error _ -> ()
   | Ok j -> (
@@ -635,10 +368,8 @@ let handle_worker_eof t w =
           match Hashtbl.find_opt t.queries lease.l_query with
           | Some q when q.q_state = Running ->
               Hashtbl.remove t.leases lid;
-              let fresh = new_lease t q lease.l_mode lease.l_index in
-              q.q_pending <- q.q_pending - 1;
               t.re_leases <- t.re_leases + 1;
-              t.pending <- fresh :: t.pending
+              t.pending <- new_lease t q lease.l_mode :: t.pending
           | _ -> Hashtbl.remove t.leases lid
         end
       | Some _ -> Hashtbl.remove t.leases lid
@@ -794,11 +525,7 @@ let handle_query_post t fd body =
                       q_qid = qid;
                       q_created = now ();
                       q_state = Queued;
-                      q_pending = 0;
-                      q_slices = [];
-                      q_base = None;
-                      q_base_depth = 0;
-                      q_base_steps = 0;
+                      q_inherited = 0;
                       q_source = "";
                       q_deadline = Option.map (fun s -> now () +. s) timeout;
                       q_waiters = [];
@@ -829,6 +556,8 @@ let handle_request t fd ~meth ~path ~body =
         end
       | None -> respond ~status:"400 Bad Request" fd "{\"error\": \"bad id\"}"
     end
+  | "BAD", _ ->
+      respond ~status:"400 Bad Request" fd "{\"error\": \"bad request\"}"
   | "GET", "/stats" -> respond fd (stats_json t)
   | "POST", "/shutdown" ->
       respond fd "{\"ok\": true}";
@@ -860,28 +589,31 @@ let try_parse_request acc =
           match lines with
           | [] -> None
           | req :: headers -> (
+              (* [None]: a Content-Length that is not a length. *)
               let content_length =
                 List.fold_left
                   (fun acc h ->
                     match String.index_opt h ':' with
                     | Some i
                       when String.lowercase_ascii (String.sub h 0 i)
-                           = "content-length" ->
-                        int_of_string_opt
-                          (String.trim
-                             (String.sub h (i + 1) (String.length h - i - 1)))
-                        |> Option.value ~default:acc
+                           = "content-length" -> (
+                        match
+                          int_of_string_opt
+                            (String.trim
+                               (String.sub h (i + 1) (String.length h - i - 1)))
+                        with
+                        | Some len when len >= 0 -> Some len
+                        | _ -> None)
                     | _ -> acc)
-                  0 headers
+                  (Some 0) headers
               in
               let body_start = he + 4 in
-              if String.length data >= body_start + content_length then begin
-                let body = String.sub data body_start content_length in
-                match String.split_on_char ' ' req with
-                | meth :: path :: _ -> Some (meth, path, body)
-                | _ -> Some ("BAD", "/", "")
-              end
-              else None)))
+              match (content_length, String.split_on_char ' ' req) with
+              | Some len, meth :: path :: _ ->
+                  if String.length data >= body_start + len then
+                    Some (meth, path, String.sub data body_start len)
+                  else None
+              | _ -> Some ("BAD", "/", ""))))
 
 (* ------------------------------------------------------------------ *)
 (* Main loop.                                                          *)

@@ -19,20 +19,22 @@
       timeouts, worker states) and the store's counters/health.
     - [POST /shutdown] — drain and exit.
 
-    {b Answer planning} mirrors {!Slx_store.Persist}: warm store hits
-    answer immediately (witnesses re-validated); otherwise the query
-    is sharded — a stored frontier's seeds, or the frontier cut by a
-    shallow {e split pass} at [depth - 2], are partitioned into
-    contiguous slices leased across workers, whose totals the
-    coordinator stitches back (base added exactly once; on a failing
-    verdict all slices complete and the lowest-indexed failure is the
-    witness, preserving the engines' lex-least guarantee; a failing
-    split pass falls back to one full-depth task so served verdicts
-    are byte-identical to cold runs).  Identical in-flight queries
-    dedupe onto one computation.  A worker that dies mid-task gets
-    its lease re-queued ([re_leases] in [/stats]) and its process
-    respawned; a query past its timeout has its workers cancelled
-    ([SIGUSR1]) and reports [timeout]. *)
+    {b Answer planning} mirrors {!Slx_store.Persist}: a warm store hit
+    answers immediately (witnesses re-validated).  Any other query is
+    computed as exactly one task leased to one worker
+    ({!Queries.mode}): it resumes the deepest stored shallower
+    frontier that {!Slx_store.Persist} would resume — for liveness,
+    only one cut under the same [pump] ({!Slx_store.Persist.live_resumable})
+    — or explores the whole tree.  Either way the worker's engine
+    returns the complete answer, byte-identical to a cold
+    [slx explore] / [slx live-explore], plus the deeper frontier the
+    coordinator stores.  [--workers] therefore parallelises across
+    queries, not within one.  Served sources are [warm], [resumed]
+    and [full].  Identical in-flight queries dedupe onto one
+    computation.  A worker that dies mid-task gets its lease
+    re-queued ([re_leases] in [/stats]) and its process respawned; a
+    query past its timeout has its worker cancelled ([SIGUSR1]) and
+    reports [timeout]. *)
 
 val main :
   ?host:string ->

@@ -37,8 +37,9 @@ let handle_line line =
       in
       reply (Printf.sprintf "{\"lease\": %d, \"result\": %s}" lease result);
       (* Consume the cancel flag only after the reply: a SIGUSR1 can
-         land while the task line is still being read or parsed (slice
-         tasks run to tens of megabytes of JSON), and a reset at task
+         land while the task line is still being read or parsed (a
+         resume task carries a whole stored frontier, which can run to
+         megabytes of JSON), and a reset at task
          start would erase it.  The dual race — a stale signal
          cancelling the next task instantly — is self-healing: the
          coordinator re-leases a task answered "cancelled" when it

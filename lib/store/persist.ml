@@ -185,12 +185,12 @@ let run_explore ~store ~qid ~n ~factory ~invoke ~depth ?(max_crashes = 0)
 (* ------------------------------------------------------------------ *)
 (* Liveness.                                                           *)
 
-let live_frontier_of_store ~(r : Store.record) (f : Store.frontier) :
-    Live_explore.live_frontier =
+let live_frontier_of_store ~depth ~max_period ~pump_ticks (f : Store.frontier)
+    : Live_explore.live_frontier =
   {
-    Live_explore.lf_depth = r.Store.r_depth;
-    lf_max_period = r.Store.r_max_period;
-    lf_pump_ticks = r.Store.r_pump_ticks;
+    Live_explore.lf_depth = depth;
+    lf_max_period = max_period;
+    lf_pump_ticks = pump_ticks;
     lf_base_runs = f.Store.f_base_runs;
     lf_seeds =
       List.map
@@ -215,6 +215,10 @@ let live_frontier_to_store (f : Live_explore.live_frontier) : Store.frontier =
           })
         f.Live_explore.lf_seeds;
   }
+
+let live_resumable ~max_period ~pump_ticks (r : Store.record) =
+  r.Store.r_pump_ticks = pump_ticks
+  && r.Store.r_max_period >= min max_period (r.Store.r_depth / 2)
 
 let record_of_live ~qid ~depth ~max_period ~pump_ticks ~inherited
     (r : ('inv, 'res) Live_explore.result) =
@@ -272,16 +276,16 @@ let run_live ~store ~qid ~n ~factory ~invoke ~good ~point ~depth
         raise (Explore.Interrupted stats)
   in
   let cold () = finish_live Cold 0 None in
+  let of_record (r : Store.record) =
+    live_frontier_of_store ~depth:r.Store.r_depth
+      ~max_period:r.Store.r_max_period ~pump_ticks:r.Store.r_pump_ticks
+  in
   let try_resume () =
     match Store.best_resumable store ~qid ~depth with
-    | Some r
-      when r.Store.r_pump_ticks = pump_ticks
-           && r.Store.r_max_period >= min max_period (r.Store.r_depth / 2) -> (
-        match r.Store.r_frontier with
-        | Some f ->
-            finish_live (Resumed r.Store.r_depth) r.Store.r_steps
-              (Some (live_frontier_of_store ~r f))
-        | None -> cold ())
+    | Some ({ Store.r_frontier = Some f; _ } as r)
+      when live_resumable ~max_period ~pump_ticks r ->
+        finish_live (Resumed r.Store.r_depth) r.Store.r_steps
+          (Some (of_record r f))
     | _ -> cold ()
   in
   match Store.find store ~qid ~depth with
@@ -295,10 +299,7 @@ let run_live ~store ~qid ~n ~factory ~invoke ~good ~point ~depth
           ( {
               Live_explore.outcome = Live_explore.No_fair_cycle;
               stats = Explore_stats.zero;
-              frontier =
-                Option.map
-                  (fun f -> live_frontier_of_store ~r f)
-                  r.Store.r_frontier;
+              frontier = Option.map (of_record r) r.Store.r_frontier;
             },
             Warm )
       | Store.V_lasso { stem; cycle } -> begin

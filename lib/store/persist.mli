@@ -84,8 +84,8 @@ val query_key :
 (** {2 Frontier conversions}
 
     Between the engines' typed frontier forms and the store's neutral
-    one — exported for {!Slx_serve}, whose coordinator slices stored
-    frontiers across workers and stitches the results back. *)
+    one — exported for {!Slx_serve}, whose workers resume a stored
+    frontier and return the deeper one for the coordinator to store. *)
 
 val frontier_of_store : Store.frontier -> Explore.frontier option
 (** [None] if a seed's sleep payload is not the single bitset word a
@@ -95,9 +95,26 @@ val frontier_of_store : Store.frontier -> Explore.frontier option
 
 val frontier_to_store : Explore.frontier -> Store.frontier
 
+val live_frontier_of_store :
+  depth:int ->
+  max_period:int ->
+  pump_ticks:int ->
+  Store.frontier ->
+  Live_explore.live_frontier
+(** The stored frontier cut at [depth] by a search under these
+    budgets (see {!live_resumable} for when resuming it is exact). *)
+
 val live_frontier_to_store : Live_explore.live_frontier -> Store.frontier
 (** The liveness base digest is not stored (cells are rebuilt on
     resume); [f_base_digest] is 0. *)
+
+val live_resumable : max_period:int -> pump_ticks:int -> Store.record -> bool
+(** The liveness resume rule: may a search under [max_period] and
+    [pump_ticks] resume from this shallower record's frontier?  Only
+    if the record was cut under the same [pump_ticks] and a
+    [max_period] of at least [min max_period (r_depth / 2)]
+    ({!Slx_core.Live_explore.live_frontier}).  {!run_live} and
+    [slx serve] both plan with it. *)
 
 val run_explore :
   store:Store.t ->

@@ -95,7 +95,37 @@ let test_json_rejects_garbage () =
   bad "{\"a\" 1}";
   bad "1 2";
   bad "nul";
-  bad "\"unterminated"
+  bad "\"unterminated";
+  bad "-";
+  bad "1-2"
+
+(* 63-bit history digests cross the serve worker pipe as JSON: an
+   integer literal must come back exactly, and re-serialize to itself. *)
+let test_json_exact_ints () =
+  let text =
+    "[3784237809352984055, -4611686018427387904, 4611686018427387903, 0, \
+     1.5, 2.0, 1e3, 99999999999999999999]"
+  in
+  match Json.parse text with
+  | Error e -> Alcotest.failf "parse failed: %s" e
+  | Ok j ->
+      let xs = Json.to_list j in
+      List.iter2
+        (fun x want -> check_bool (string_of_int want) true (Json.int x = Some want))
+        (List.filteri (fun i _ -> i < 4) xs)
+        [ 3784237809352984055; min_int; max_int; 0 ];
+      check_bool "fractions stay floats" true
+        (List.nth xs 4 = Json.Num 1.5 && List.nth xs 5 = Json.Num 2.0
+        && List.nth xs 6 = Json.Num 1000.);
+      check_bool "too wide for int: a float" true
+        (List.nth xs 7 = Json.Num 1e20);
+      check_bool "exact ints read as floats too" true
+        (Json.num (List.nth xs 0) = Some 3784237809352984055.);
+      check_bool "to_string round-trips" true
+        (Json.parse (Json.to_string j) = Ok j);
+      Alcotest.(check string)
+        "digest printed exactly" "3784237809352984055"
+        (Json.to_string (List.nth xs 0))
 
 (* ------------------------------------------------------------------ *)
 (* Chrome-trace export and validation.                                 *)
@@ -364,6 +394,7 @@ let suites =
       [
         quick "parses values and escapes" test_json_parses_values;
         quick "rejects garbage" test_json_rejects_garbage;
+        quick "exact integers" test_json_exact_ints;
       ] );
     ( "obs-trace",
       [
