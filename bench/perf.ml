@@ -198,28 +198,12 @@ let checker_family_tests =
    transposition keying (structural fingerprint lookup vs hash-consed
    compact key), pending-step commutation (footprint list walk vs
    conflict bitmask), and the sanitizer (shadowed vs bare run, now
-   batched per step). *)
-let micro_tests =
+   batched per step).  [cursor] is the configuration the keying rows
+   key; [run] owns it. *)
+let micro_tests cursor =
   let one_proposal =
     Slx_core.Explore.workload_invoke
       (Driver.n_times 1 (fun p _ -> Slx_consensus.Consensus_type.Propose (p - 1)))
-  in
-  (* A mid-tree register-consensus configuration: the kind of cursor
-     the engine keys at every node. *)
-  let cursor =
-    let c =
-      Runner.Cursor.create ~n:2
-        ~factory:(Slx_consensus.Register_consensus.factory ()) ()
-    in
-    List.iter (Runner.Cursor.apply c)
-      [
-        Driver.Invoke (1, Slx_consensus.Consensus_type.Propose 0);
-        Driver.Schedule 1;
-        Driver.Invoke (2, Slx_consensus.Consensus_type.Propose 1);
-        Driver.Schedule 2;
-        Driver.Schedule 1;
-      ];
-    c
   in
   let struct_table = Hashtbl.create 64 in
   Hashtbl.replace struct_table (Runner.Cursor.fingerprint cursor) 1;
@@ -300,11 +284,11 @@ let game_tests =
                 ~max_steps:400 ())));
   ]
 
-let all_tests () =
+let all_tests cursor =
   Test.make_grouped ~name:"slx"
     (lin_tests @ opacity_tests @ simulator_tests @ i12_tests
     @ snapshot_substitution_tests @ universal_tests @ explore_tests
-    @ checker_family_tests @ micro_tests @ game_tests)
+    @ checker_family_tests @ micro_tests cursor @ game_tests)
 
 let run () =
   let ols =
@@ -312,7 +296,21 @@ let run () =
   in
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.4) () in
-  let raw = Benchmark.all cfg instances (all_tests ()) in
+  (* The micro rows key a mid-tree register-consensus configuration:
+     the kind of cursor the engine keys at every node. *)
+  let raw =
+    Runner.Cursor.with_ ~n:2
+      ~factory:(Slx_consensus.Register_consensus.factory ())
+      ~prefix:
+        [
+          Driver.Invoke (1, Slx_consensus.Consensus_type.Propose 0);
+          Driver.Schedule 1;
+          Driver.Invoke (2, Slx_consensus.Consensus_type.Propose 1);
+          Driver.Schedule 2;
+          Driver.Schedule 1;
+        ]
+      (fun cursor -> Benchmark.all cfg instances (all_tests cursor))
+  in
   let results = Analyze.all ols Instance.monotonic_clock raw in
   Printf.printf "\n== performance (ns per run, OLS on monotonic clock) ==\n";
   let rows =

@@ -493,39 +493,42 @@ let micro_smoke () =
     ignore (Sys.opaque_identity pool);
     Slx_consensus.Register_consensus.factory () ~n
   in
-  let cursor =
-    let c = Runner.Cursor.create ~n:2 ~factory:pooled () in
-    List.iter (Runner.Cursor.apply c)
-      [
-        Driver.Invoke (1, Slx_consensus.Consensus_type.Propose 0);
-        Driver.Schedule 1;
-        Driver.Invoke (2, Slx_consensus.Consensus_type.Propose 1);
-        Driver.Schedule 2;
-        Driver.Schedule 1;
-      ];
-    c
-  in
-  let struct_table = Hashtbl.create 64 in
-  Hashtbl.replace struct_table (Runner.Cursor.fingerprint cursor) 1;
-  let keys = Slx_core.Intern.Ints.create () in
-  let compact_table = Hashtbl.create 64 in
-  Hashtbl.replace compact_table
-    (Slx_core.Intern.Ints.intern keys
-       (Runner.Cursor.compact_key cursor ~extra:[ 0 ]))
-    1;
-  (* Seed path: every visit re-folded the whole registry (the full
-     digest is recomputed here exactly as the seed did per node) and
-     keyed the cache on the structural fingerprint. *)
-  let structural_ns =
-    time_ns ~iters:100 (fun () ->
-        ignore (Sys.opaque_identity (Runner.Cursor.shared_digest_full cursor));
-        Hashtbl.find_opt struct_table (Runner.Cursor.fingerprint cursor))
-  in
-  let compact_ns =
-    time_ns ~iters:20_000 (fun () ->
-        Hashtbl.find_opt compact_table
+  let structural_ns, compact_ns =
+    Runner.Cursor.with_ ~n:2 ~factory:pooled
+      ~prefix:
+        [
+          Driver.Invoke (1, Slx_consensus.Consensus_type.Propose 0);
+          Driver.Schedule 1;
+          Driver.Invoke (2, Slx_consensus.Consensus_type.Propose 1);
+          Driver.Schedule 2;
+          Driver.Schedule 1;
+        ]
+      (fun cursor ->
+        let struct_table = Hashtbl.create 64 in
+        Hashtbl.replace struct_table (Runner.Cursor.fingerprint cursor) 1;
+        let keys = Slx_core.Intern.Ints.create () in
+        let compact_table = Hashtbl.create 64 in
+        Hashtbl.replace compact_table
           (Slx_core.Intern.Ints.intern keys
-             (Runner.Cursor.compact_key cursor ~extra:[ 0 ])))
+             (Runner.Cursor.compact_key cursor ~extra:[ 0 ]))
+          1;
+        (* Seed path: every visit re-folded the whole registry (the full
+           digest is recomputed here exactly as the seed did per node) and
+           keyed the cache on the structural fingerprint. *)
+        let structural_ns =
+          time_ns ~iters:100 (fun () ->
+              ignore
+                (Sys.opaque_identity
+                   (Runner.Cursor.shared_digest_full cursor));
+              Hashtbl.find_opt struct_table (Runner.Cursor.fingerprint cursor))
+        in
+        let compact_ns =
+          time_ns ~iters:20_000 (fun () ->
+              Hashtbl.find_opt compact_table
+                (Slx_core.Intern.Ints.intern keys
+                   (Runner.Cursor.compact_key cursor ~extra:[ 0 ])))
+        in
+        (structural_ns, compact_ns))
   in
   let fp_ratio = structural_ns /. compact_ns in
   let fp_a =
@@ -701,7 +704,54 @@ let store_resume_smoke () =
       pct;
   (planned && identical && pct < 50.0, pct)
 
+(* The cursor-release row: the lib-safety query shape (register n = 3,
+   one crash, depth 14, every reduction on) explored 10 times in this
+   process, with a full major collection after each run.  Every cursor
+   is bracketed ([Runner.Cursor.with_]), so each exploration hands its
+   fibers' stacks back and the peak resident set stays where the first
+   exploration put it.  A cursor dropped without disposal keeps its
+   stacks through any collection: with the explorers dropping their
+   sibling cursors, this row measured 4.91x, 17.1 MB -> 84.1 MB (bar:
+   <= 1.25x; bracketed, 1.03x).  The collection only keeps ordinary
+   heap slack out of the ratio.  The row runs first, before any other
+   row has raised the high-water mark.  [VmHWM] comes from
+   /proc/self/status; without it the row is skipped. *)
+let cursor_release_smoke () =
+  Printf.printf "== bench smoke: cursor release (peak RSS over 10 runs) ==\n";
+  let explore () =
+    ignore
+      (Slx_core.Explore.explore ~n:3
+         ~factory:(fun () ->
+           Slx_consensus.Register_consensus.factory ~max_rounds:14 ())
+         ~invoke:one_proposal ~depth:14 ~max_crashes:1 ~por:true ~dpor:true
+         ~symmetry:true ~check ()
+        : _ Slx_core.Explore.exploration);
+    Gc.full_major ()
+  in
+  match Slx_obs.Proc_status.kb "VmHWM" with
+  | None ->
+      Printf.printf "  cursor-release: skipped (no /proc/self/status)\n";
+      (true, None)
+  | Some _ ->
+      explore ();
+      let first = Option.get (Slx_obs.Proc_status.kb "VmHWM") in
+      for _ = 2 to 10 do
+        explore ()
+      done;
+      let tenth = Option.get (Slx_obs.Proc_status.kb "VmHWM") in
+      let ratio = float_of_int tenth /. float_of_int (max 1 first) in
+      Printf.printf
+        "  {\"case\": \"cursor-release\", \"hwm_after_1_kb\": %d, \
+         \"hwm_after_10_kb\": %d, \"ratio\": %.2f}\n"
+        first tenth ratio;
+      if ratio > 1.25 then
+        Printf.printf
+          "  SMOKE FAILURE: peak RSS grew %.2fx over 10 runs (bar: <= 1.25x)\n"
+          ratio;
+      (ratio <= 1.25, Some ratio)
+
 let run () =
+  let release_ok, release_ratio = cursor_release_smoke () in
   Printf.printf "== bench smoke: incremental explorer vs naive replay ==\n";
   let cas_ratio, cas_eq =
     explore_pair ~impl:"cas"
@@ -752,14 +802,15 @@ let run () =
   let ok =
     cas_ratio >= 3.0 && crash_ratio >= 3.0 && red_ratio >= 3.0 && cas_eq
     && crash_eq && red_eq && dpor_ok && live_ok && live_dpor_ok && obs_ok
-    && san_ok && micro_ok && compact_ok && store_ok
+    && san_ok && micro_ok && compact_ok && store_ok && release_ok
   in
   Printf.printf
     "smoke %s: depth-8 incremental ratios %.2fx / %.2fx, depth-10 reduction \
      ratio %.2fx (bar: 3x each), dpor %s, live split %s, live dpor %.2fx \
      nodes / %.2fx steps (bar: 3x each), traces %s, sanitizer %s (bar: \
      <=15%%), micro fingerprint %.2fx / commute %.2fx (bar: 2x each), \
-     compact keys %s, store resume %.1f%% of cold (bar: <50%%)\n"
+     compact keys %s, store resume %.1f%% of cold (bar: <50%%), cursor \
+     release %s (bar: <=1.25x)\n"
     (if ok then "OK" else "FAILED")
     cas_ratio crash_ratio red_ratio
     (if dpor_ok then "sound" else "BROKEN")
@@ -769,5 +820,8 @@ let run () =
     (if san_ok then "transparent" else "BROKEN")
     fp_ratio commute_ratio
     (if compact_ok then "identical" else "BROKEN")
-    store_pct;
+    store_pct
+    (match release_ratio with
+    | Some r -> Printf.sprintf "%.2fx" r
+    | None -> "skipped");
   ok

@@ -161,8 +161,8 @@ let run_case ?(bound = `Runtest) ?depth ?(oracle = false) ?(detect = true)
       found := Some (v, List.rev (d :: rev_script));
       raise Aborted
   in
-  let fresh_cursor () =
-    Runner.Cursor.create ~n ~factory:(c.c_factory ()) ~ticks ~shadow ()
+  let with_fresh_cursor f =
+    Runner.Cursor.with_ ~n ~factory:(c.c_factory ()) ~ticks ~shadow f
   in
   (* A leaf: certify the run's conflict relation by replaying its
      script under a fresh recording (never-raising) shadow and
@@ -171,11 +171,10 @@ let run_case ?(bound = `Runtest) ?depth ?(oracle = false) ?(detect = true)
     if !hb_runs < max_hb_runs && !hb_mismatch = None then begin
       incr hb_runs;
       let rec_sh = Runtime.make_shadow ~record:true ~raise_on_violation:false () in
-      let cur =
-        Runner.Cursor.replay ~n ~factory:(c.c_factory ()) ~ticks ~shadow:rec_sh
-          script
+      let r =
+        Runner.Cursor.with_ ~n ~factory:(c.c_factory ()) ~ticks ~shadow:rec_sh
+          ~prefix:script (fun cur -> Runner.Cursor.report cur ())
       in
-      let r = Runner.Cursor.report cur () in
       let steps = Hb.of_run ~shadow:rec_sh ~grants:r.Run_report.grants in
       match Hb.certify ~n steps with
       | Ok cert ->
@@ -210,13 +209,11 @@ let run_case ?(bound = `Runtest) ?depth ?(oracle = false) ?(detect = true)
               then begin
                 incr oracle_checks;
                 let order d1 d2 =
-                  let cur =
-                    Runner.Cursor.replay ~n ~factory:(c.c_factory ()) ~ticks
-                      prefix
-                  in
-                  Runner.Cursor.apply cur (Driver.Schedule d1);
-                  Runner.Cursor.apply cur (Driver.Schedule d2);
-                  Runner.Cursor.fingerprint cur
+                  Runner.Cursor.with_ ~n ~factory:(c.c_factory ()) ~ticks
+                    ~prefix (fun cur ->
+                      Runner.Cursor.apply cur (Driver.Schedule d1);
+                      Runner.Cursor.apply cur (Driver.Schedule d2);
+                      Runner.Cursor.fingerprint cur)
                 in
                 let f1 = order p q and f2 = order q p in
                 let same =
@@ -256,29 +253,24 @@ let run_case ?(bound = `Runtest) ?depth ?(oracle = false) ?(detect = true)
             let crashes' =
               match d with Driver.Crash _ -> crashes + 1 | _ -> crashes
             in
-            let child =
-              if i = 0 then cursor
-              else begin
-                let cur = fresh_cursor () in
-                List.iter
-                  (fun d -> apply_checked cur [] d)
-                  (List.rev rev_script);
-                cur
-              end
+            let descend child =
+              apply_checked child rev_script d;
+              visit child (d :: rev_script) (len + 1) crashes'
             in
-            apply_checked child rev_script d;
-            visit child (d :: rev_script) (len + 1) crashes')
+            if i = 0 then descend cursor
+            else
+              with_fresh_cursor (fun cur ->
+                  List.iter
+                    (fun d -> apply_checked cur [] d)
+                    (List.rev rev_script);
+                  descend cur))
           decisions
   in
-  (try
-     let root =
-       try fresh_cursor ()
-       with Runtime.Shadow_violation v ->
-         found := Some (v, []);
-         raise Aborted
-     in
-     visit root [] 0 0
-   with Aborted -> ());
+  (* Every other violation is caught by [apply_checked], so one escaping
+     the root bracket was raised by the factory itself. *)
+  (try with_fresh_cursor (fun root -> visit root [] 0 0) with
+   | Aborted -> ()
+   | Runtime.Shadow_violation v -> found := Some (v, []));
   (* Replay-verify the witness: a fresh instance under a fresh raising
      shadow must reproduce the same violation on the last decision.
      ([v_step] is a shadow-global ordinal, so only the violation's
@@ -289,10 +281,10 @@ let run_case ?(bound = `Runtest) ?depth ?(oracle = false) ?(detect = true)
         let replayed =
           let sh = Runtime.make_shadow ~raise_on_violation:true () in
           match
-            Runner.Cursor.replay ~n ~factory:(c.c_factory ()) ~ticks:(ref 0)
-              ~shadow:sh script
+            Runner.Cursor.with_ ~n ~factory:(c.c_factory ()) ~ticks:(ref 0)
+              ~shadow:sh ~prefix:script ignore
           with
-          | (_ : (_, _) Runner.Cursor.t) -> false
+          | () -> false
           | exception Runtime.Shadow_violation v' ->
               v'.Runtime.v_kind = v.Runtime.v_kind
               && v'.Runtime.v_obj = v.Runtime.v_obj

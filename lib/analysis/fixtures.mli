@@ -18,7 +18,7 @@ val pp_res : res -> string
 val cell : 'a -> 'a ref * int
 (** A bare instrumented cell: a ref plus its registered footprint id.
     Must be created under a registry (i.e. inside a factory run by
-    {!Slx_sim.Runner.Cursor.create}). *)
+    {!Slx_sim.Runner.Cursor.with_}). *)
 
 val load : 'a ref * int -> 'a
 (** Read through {!Slx_sim.Runtime.touch}. *)

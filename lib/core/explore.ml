@@ -72,10 +72,10 @@ let apply_codes ~invoke cursor codes =
     codes
 
 let run_of_codes ~n ~factory ~invoke codes =
-  let cursor = Runner.Cursor.create ~n ~factory:(factory ()) () in
-  let ds = apply_codes ~invoke cursor codes in
-  let len = List.length ds in
-  (ds, Runner.Cursor.report cursor ~window:(max len 1) ())
+  Runner.Cursor.with_ ~n ~factory:(factory ()) (fun cursor ->
+      let ds = apply_codes ~invoke cursor codes in
+      let len = List.length ds in
+      (ds, Runner.Cursor.report cursor ~window:(max len 1) ()))
 
 let workload_invoke workload view p =
   let issued =
@@ -543,9 +543,12 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
             (fun p -> view.Driver.status p <> Runtime.Crashed)
             (Proc.all ~n)
   in
-  let make_cursor st =
-    Runner.Cursor.create ~n ~factory:(factory ()) ~ticks:st.ticks
-      ?shadow:st.shadow ?probe:st.probe ?encode:st.encode ()
+  (* Every cursor of the walk lives in one of these brackets: a
+     sibling's cursor is disposed of as soon as its subtree is done
+     (or unwinds), so at most [depth + 1] are live per domain. *)
+  let with_cursor st ?prefix f =
+    Runner.Cursor.with_ ~n ~factory:(factory ()) ~ticks:st.ticks
+      ?shadow:st.shadow ?probe:st.probe ?encode:st.encode ?prefix f
   in
   (* Under DPOR, a child's sleep set is only a {e candidate} until its
      edge executes: the dynamic filter then wakes the sleepers whose
@@ -576,12 +579,13 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
      The first child extends the cursor in place (the incremental step
      the naive engine lacks); each later sibling re-establishes the
      configuration by replaying the decision prefix into a fresh
-     cursor — unless the subtree is farmed out to the shared queue for
-     another domain to steal.  Returns [true] iff the subtree was
-     fully explored locally (so its transposition entry is exact and
-     may be written).  Raises [Found_counterexample] with [st.found]
-     set on the first failing maximal run, which under this in-order
-     walk is the rank-least one of the subtree.
+     cursor, bracketed to its subtree — unless the subtree is farmed
+     out to the shared queue for another domain to steal.  Returns
+     [true] iff the subtree was fully explored locally (so its
+     transposition entry is exact and may be written).  Raises
+     [Found_counterexample] with [st.found] set on the first failing
+     maximal run, which under this in-order walk is the rank-least one
+     of the subtree.
 
      [visit] wraps [visit_body] in the telemetry node span; the span
      closes on every exit, [Found_counterexample] unwinds included, so
@@ -804,30 +808,28 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                         }
                     end
                     else begin
-                      let child =
+                      let descend child =
+                        Telemetry.emit st.sink Telemetry.Decision (len + 1)
+                          (dec_code d);
+                        Runner.Cursor.apply child d;
+                        let settled =
+                          settle_sleep st child d child_sleep (len + 1)
+                        in
+                        visit sh st child (d :: rev_script) (i :: rev_rank)
+                          (len + 1) crashes' settled
+                      in
+                      let explored =
                         if i = 0 then begin
                           st.avoided <- st.avoided + 1;
-                          cursor
+                          descend cursor
                         end
-                        else begin
-                          let c = make_cursor st in
-                          List.iter (Runner.Cursor.apply c)
-                            (List.rev rev_script);
-                          st.replayed <- st.replayed + len;
-                          c
-                        end
+                        else
+                          with_cursor st ~prefix:(List.rev rev_script)
+                            (fun c ->
+                              st.replayed <- st.replayed + len;
+                              descend c)
                       in
-                      Telemetry.emit st.sink Telemetry.Decision (len + 1)
-                        (dec_code d);
-                      Runner.Cursor.apply child d;
-                      let settled =
-                        settle_sleep st child d child_sleep (len + 1)
-                      in
-                      if
-                        not
-                          (visit sh st child (d :: rev_script)
-                             (i :: rev_rank) (len + 1) crashes' settled)
-                      then complete := false
+                      if not explored then complete := false
                     end)
                   children;
                 (* Persist mode: never cache a subtree containing cut
@@ -902,26 +904,28 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
     wire_progress obs [| st |] (fun () -> 0);
     let walk () =
       match resume with
-      | None -> ignore (visit None st (make_cursor st) [] [] 0 0 [] : bool)
+      | None ->
+          with_cursor st (fun c ->
+              ignore (visit None st c [] [] 0 0 [] : bool))
       | Some f ->
           st.runs <- f.fr_base_runs;
           st.digest <- f.fr_base_digest;
           List.iter
             (fun seed ->
-              let c = make_cursor st in
-              let ds = apply_codes ~invoke c seed.seed_script in
-              let len = List.length ds in
-              st.replayed <- st.replayed + len;
-              let crashes =
-                List.fold_left
-                  (fun a d ->
-                    match d with Driver.Crash _ -> a + 1 | _ -> a)
-                  0 ds
-              in
-              ignore
-                (visit None st c (List.rev ds) [] len crashes
-                   (procs_of_bits seed.seed_sleep)
-                  : bool))
+              with_cursor st (fun c ->
+                  let ds = apply_codes ~invoke c seed.seed_script in
+                  let len = List.length ds in
+                  st.replayed <- st.replayed + len;
+                  let crashes =
+                    List.fold_left
+                      (fun a d ->
+                        match d with Driver.Crash _ -> a + 1 | _ -> a)
+                      0 ds
+                  in
+                  ignore
+                    (visit None st c (List.rev ds) [] len crashes
+                       (procs_of_bits seed.seed_sleep)
+                      : bool)))
             f.fr_seeds
     in
     let witness =
@@ -996,22 +1000,22 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                 st.steals <- st.steals + 1;
                 Telemetry.emit st.sink Telemetry.Steal it.it_id it.it_owner
               end;
-              let c = make_cursor st in
-              List.iter (Runner.Cursor.apply c) (List.rev it.it_script);
-              st.replayed <- st.replayed + it.it_len;
-              (* A stolen item carries the publisher's {e candidate}
-                 sleep set; the probe now holds the accesses of the
-                 item's last decision (the final step of the replay),
-                 so settle it here — exactly the filter the inline
-                 path would have applied. *)
-              let sleep =
-                match it.it_script with
-                | d :: _ -> settle_sleep st c d it.it_sleep it.it_len
-                | [] -> it.it_sleep
-              in
               (match
-                 visit (Some shared) st c it.it_script
-                   (List.rev it.it_rank) it.it_len it.it_crashes sleep
+                 with_cursor st ~prefix:(List.rev it.it_script) (fun c ->
+                     st.replayed <- st.replayed + it.it_len;
+                     (* A stolen item carries the publisher's {e
+                        candidate} sleep set; the probe now holds the
+                        accesses of the item's last decision (the final
+                        step of the replay), so settle it here — exactly
+                        the filter the inline path would have
+                        applied. *)
+                     let sleep =
+                       match it.it_script with
+                       | d :: _ -> settle_sleep st c d it.it_sleep it.it_len
+                       | [] -> it.it_sleep
+                     in
+                     visit (Some shared) st c it.it_script
+                       (List.rev it.it_rank) it.it_len it.it_crashes sleep)
                with
               | (_ : bool) -> ()
               | exception Cancelled -> Atomic.set cancelled true
@@ -1062,33 +1066,34 @@ let explore_naive ~n ~factory ~invoke ~depth ?(max_crashes = 0) ~check () =
      as the original explorer did.  Kept for differential testing and
      as the baseline the incremental/reduced engines' counters are
      measured against. *)
-  let replay rev_script =
-    let c = Runner.Cursor.create ~n ~factory:(factory ()) ~ticks:st.ticks () in
-    List.iter (Runner.Cursor.apply c) (List.rev rev_script);
-    c
-  in
   let rec walk rev_script len crashes =
     st.nodes <- st.nodes + 1;
-    let cursor = replay rev_script in
-    st.replayed <- st.replayed + len;
-    match fst (menu (Runner.Cursor.view cursor) len crashes) with
-    | [] ->
-        let r = Runner.Cursor.report cursor ~window:(max len 1) () in
-        st.runs <- st.runs + 1;
-        st.checked <- st.checked + 1;
-        st.digest <- st.digest + Runtime.hash_value r.Run_report.history;
-        if not (check r) then begin
-          st.found <- Some ([], List.rev rev_script, r);
-          raise Found_counterexample
-        end
-    | decisions ->
-        List.iter
-          (fun d ->
-            let crashes' =
-              match d with Driver.Crash _ -> crashes + 1 | _ -> crashes
-            in
-            walk (d :: rev_script) (len + 1) crashes')
-          decisions
+    (* The node's cursor is disposed of before its children are
+       walked: each child replays its own prefix from scratch. *)
+    let decisions =
+      Runner.Cursor.with_ ~n ~factory:(factory ()) ~ticks:st.ticks
+        ~prefix:(List.rev rev_script) (fun cursor ->
+          st.replayed <- st.replayed + len;
+          match fst (menu (Runner.Cursor.view cursor) len crashes) with
+          | [] ->
+              let r = Runner.Cursor.report cursor ~window:(max len 1) () in
+              st.runs <- st.runs + 1;
+              st.checked <- st.checked + 1;
+              st.digest <- st.digest + Runtime.hash_value r.Run_report.history;
+              if not (check r) then begin
+                st.found <- Some ([], List.rev rev_script, r);
+                raise Found_counterexample
+              end;
+              []
+          | decisions -> decisions)
+    in
+    List.iter
+      (fun d ->
+        let crashes' =
+          match d with Driver.Crash _ -> crashes + 1 | _ -> crashes
+        in
+        walk (d :: rev_script) (len + 1) crashes')
+      decisions
   in
   let witness =
     match walk [] 0 0 with

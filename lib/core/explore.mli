@@ -97,7 +97,7 @@ type frontier_seed = {
 }
 (** One {e cut leaf} of a depth-bounded exploration: a maximal run
     that ended only because the depth bound fell, recorded compactly
-    enough to re-establish via {!Slx_sim.Runner.Cursor.replay} and
+    enough to re-establish via {!Slx_sim.Runner.Cursor.with_} and
     deepen later. *)
 
 type frontier = {

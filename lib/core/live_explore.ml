@@ -471,6 +471,12 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
     end;
     List.map (fun (z, streak) -> (z, streak + 1)) kept
   in
+  (* As in {!Explore}: every cursor of the search is bracketed, a
+     sibling's disposed of as soon as its subtree is done. *)
+  let with_cursor ?prefix f =
+    Runner.Cursor.with_ ~n ~factory:(factory ()) ~ticks:st.ticks
+      ?shadow:st.shadow ?probe:st.probe ?encode:st.encode ?prefix f
+  in
   (* As in {!Explore}: [visit] wraps [visit_body] in the node span,
      closed on every exit ([Found_lasso] unwinds included).  [sleep]
      carries each slept process with its ignoring streak; [] with DPOR
@@ -604,78 +610,18 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
                 let crashes' =
                   match d with Driver.Crash _ -> crashes + 1 | _ -> crashes
                 in
-                let child =
-                  if i = 0 then begin
-                    st.avoided <- st.avoided + 1;
-                    cursor
-                  end
-                  else begin
-                    let c =
-                      Runner.Cursor.replay ~n ~factory:(factory ())
-                        ~ticks:st.ticks ?shadow:st.shadow ?probe:st.probe
-                        ?encode:st.encode
-                        (List.rev rev_script)
-                    in
-                    st.replayed <- st.replayed + len;
-                    c
-                  end
-                in
-                Telemetry.emit st.sink Telemetry.Decision (len + 1)
-                  (dec_code d);
-                Runner.Cursor.apply child d;
-                let settled =
-                  if dpor then settle_sleep child d child_sleep (len + 1)
-                  else []
-                in
-                let fresh =
-                  drop before
-                    (History.to_list
-                       (Runner.Cursor.view child).Driver.history)
-                in
-                let cell = cell_of d fresh in
-                let rev_cids' =
-                  if compact then
-                    Intern.intern st.cells_pool cell :: rev_cids
-                  else rev_cids
-                in
-                visit child (d :: rev_script) (cell :: rev_cells) rev_cids'
-                  (goods_of ~good fresh :: rev_goods)
-                  (len + 1) crashes' settled)
-              children);
-        (* Persist mode: as in {!Explore}, never cache a subtree
-           holding cut leaves — a hit would hide their occurrences
-           from the seed log. *)
-        if st.fr_cuts = cuts0 || not persist then
-          Option.iter (fun k -> Clock_cache.replace st.table k ()) key
-  in
-  let make_cursor () =
-    Runner.Cursor.create ~n ~factory:(factory ()) ~ticks:st.ticks
-      ?shadow:st.shadow ?probe:st.probe ?encode:st.encode ()
-  in
-  (* Resuming: replay each stored seed decision by decision, rebuilding
-     the abstract cells / good-response sets / interned cell ids the
-     walk would have carried (the {!certify_run} pattern), then visit
-     only the seed subtrees on top of the stored base run count. *)
-  let walk () =
-    match resume with
-    | None -> visit (make_cursor ()) [] [] [] [] 0 0 []
-    | Some f ->
-        st.runs <- f.lf_base_runs;
-        List.iter
-          (fun seed ->
-            let c = make_cursor () in
-            let rec go codes rev_script rev_cells rev_cids rev_goods len
-                crashes =
-              match codes with
-              | [] -> (rev_script, rev_cells, rev_cids, rev_goods, len, crashes)
-              | code :: tl ->
-                  let view = Runner.Cursor.view c in
-                  let d = Explore.decision_of_code ~invoke view code in
-                  let before = History.length view.Driver.history in
-                  Runner.Cursor.apply c d;
+                let descend child =
+                  Telemetry.emit st.sink Telemetry.Decision (len + 1)
+                    (dec_code d);
+                  Runner.Cursor.apply child d;
+                  let settled =
+                    if dpor then settle_sleep child d child_sleep (len + 1)
+                    else []
+                  in
                   let fresh =
                     drop before
-                      (History.to_list (Runner.Cursor.view c).Driver.history)
+                      (History.to_list
+                         (Runner.Cursor.view child).Driver.history)
                   in
                   let cell = cell_of d fresh in
                   let rev_cids' =
@@ -683,21 +629,74 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
                       Intern.intern st.cells_pool cell :: rev_cids
                     else rev_cids
                   in
-                  go tl (d :: rev_script) (cell :: rev_cells) rev_cids'
+                  visit child (d :: rev_script) (cell :: rev_cells) rev_cids'
                     (goods_of ~good fresh :: rev_goods)
-                    (len + 1)
-                    (match d with
-                    | Driver.Crash _ -> crashes + 1
-                    | _ -> crashes)
-            in
-            let rev_script, rev_cells, rev_cids, rev_goods, len, crashes =
-              go seed.ls_script [] [] [] [] 0 0
-            in
-            st.replayed <- st.replayed + len;
-            let sleep =
-              List.map (fun c -> (c land 0xff, c asr 8)) seed.ls_sleep
-            in
-            visit c rev_script rev_cells rev_cids rev_goods len crashes sleep)
+                    (len + 1) crashes' settled
+                in
+                if i = 0 then begin
+                  st.avoided <- st.avoided + 1;
+                  descend cursor
+                end
+                else
+                  with_cursor ~prefix:(List.rev rev_script) (fun c ->
+                      st.replayed <- st.replayed + len;
+                      descend c))
+              children);
+        (* Persist mode: as in {!Explore}, never cache a subtree
+           holding cut leaves — a hit would hide their occurrences
+           from the seed log. *)
+        if st.fr_cuts = cuts0 || not persist then
+          Option.iter (fun k -> Clock_cache.replace st.table k ()) key
+  in
+  (* Resuming: replay each stored seed decision by decision, rebuilding
+     the abstract cells / good-response sets / interned cell ids the
+     walk would have carried (the {!certify_run} pattern), then visit
+     only the seed subtrees on top of the stored base run count. *)
+  let walk () =
+    match resume with
+    | None -> with_cursor (fun c -> visit c [] [] [] [] 0 0 [])
+    | Some f ->
+        st.runs <- f.lf_base_runs;
+        List.iter
+          (fun seed ->
+            with_cursor (fun c ->
+                let rec go codes rev_script rev_cells rev_cids rev_goods len
+                    crashes =
+                  match codes with
+                  | [] ->
+                      (rev_script, rev_cells, rev_cids, rev_goods, len, crashes)
+                  | code :: tl ->
+                      let view = Runner.Cursor.view c in
+                      let d = Explore.decision_of_code ~invoke view code in
+                      let before = History.length view.Driver.history in
+                      Runner.Cursor.apply c d;
+                      let fresh =
+                        drop before
+                          (History.to_list
+                             (Runner.Cursor.view c).Driver.history)
+                      in
+                      let cell = cell_of d fresh in
+                      let rev_cids' =
+                        if compact then
+                          Intern.intern st.cells_pool cell :: rev_cids
+                        else rev_cids
+                      in
+                      go tl (d :: rev_script) (cell :: rev_cells) rev_cids'
+                        (goods_of ~good fresh :: rev_goods)
+                        (len + 1)
+                        (match d with
+                        | Driver.Crash _ -> crashes + 1
+                        | _ -> crashes)
+                in
+                let rev_script, rev_cells, rev_cids, rev_goods, len, crashes =
+                  go seed.ls_script [] [] [] [] 0 0
+                in
+                st.replayed <- st.replayed + len;
+                let sleep =
+                  List.map (fun c -> (c land 0xff, c asr 8)) seed.ls_sleep
+                in
+                visit c rev_script rev_cells rev_cids rev_goods len crashes
+                  sleep))
           f.lf_seeds
   in
   let outcome =
@@ -741,35 +740,35 @@ let certify_run ~n ~factory ~driver ~good ~point ~max_steps ?max_period
   let max_period = Option.value max_period ~default:(max 1 (max_steps / 4)) in
   let pump_ticks = Option.value pump_ticks ~default:(max 64 (2 * max_period)) in
   let st = new_state () in
-  let cursor = Runner.Cursor.create ~n ~factory:(factory ()) ~ticks:st.ticks () in
-  let rec go rev_script rev_cells rev_goods len =
-    if len >= max_steps then (rev_script, rev_cells, rev_goods, len)
-    else
-      let view = Runner.Cursor.view cursor in
-      match driver view with
-      | Driver.Stop -> (rev_script, rev_cells, rev_goods, len)
-      | d ->
-          let before = History.length view.Driver.history in
-          Runner.Cursor.apply cursor d;
-          let fresh =
-            drop before
-              (History.to_list (Runner.Cursor.view cursor).Driver.history)
-          in
-          go (d :: rev_script)
-            (cell_of d fresh :: rev_cells)
-            (goods_of ~good fresh :: rev_goods)
-            (len + 1)
-  in
-  let rev_script, rev_cells, rev_goods, len = go [] [] [] 0 in
-  st.nodes <- len;
-  st.runs <- 1;
   let outcome =
-    match
-      eval_candidates st ~factory ~good ~point ~max_period ~pump_ticks
-        ~blocked:Proc.Set.empty cursor rev_script rev_cells rev_goods len
-    with
-    | () -> No_fair_cycle
-    | exception Found_lasso -> Lasso (Option.get st.found)
+    Runner.Cursor.with_ ~n ~factory:(factory ()) ~ticks:st.ticks (fun cursor ->
+        let rec go rev_script rev_cells rev_goods len =
+          if len >= max_steps then (rev_script, rev_cells, rev_goods, len)
+          else
+            let view = Runner.Cursor.view cursor in
+            match driver view with
+            | Driver.Stop -> (rev_script, rev_cells, rev_goods, len)
+            | d ->
+                let before = History.length view.Driver.history in
+                Runner.Cursor.apply cursor d;
+                let fresh =
+                  drop before
+                    (History.to_list (Runner.Cursor.view cursor).Driver.history)
+                in
+                go (d :: rev_script)
+                  (cell_of d fresh :: rev_cells)
+                  (goods_of ~good fresh :: rev_goods)
+                  (len + 1)
+        in
+        let rev_script, rev_cells, rev_goods, len = go [] [] [] 0 in
+        st.nodes <- len;
+        st.runs <- 1;
+        match
+          eval_candidates st ~factory ~good ~point ~max_period ~pump_ticks
+            ~blocked:Proc.Set.empty cursor rev_script rev_cells rev_goods len
+        with
+        | () -> No_fair_cycle
+        | exception Found_lasso -> Lasso (Option.get st.found))
   in
   {
     outcome;
@@ -784,51 +783,53 @@ let validate_cert_codes ~n ~factory ~invoke ~good ~point ~pump_ticks ~stem
   if p = 0 then None
   else
     let ticks = ref 0 in
-    let cursor = Runner.Cursor.create ~n ~factory:(factory ()) ~ticks () in
-    let apply_codes codes =
-      List.map
-        (fun code ->
-          let view = Runner.Cursor.view cursor in
-          let d = Explore.decision_of_code ~invoke view code in
-          let before = History.length view.Driver.history in
-          Runner.Cursor.apply cursor d;
-          let fresh =
-            drop before
-              (History.to_list (Runner.Cursor.view cursor).Driver.history)
-          in
-          (d, cell_of d fresh))
-        codes
-    in
-    match
-      let stem_ds = apply_codes stem in
-      let cycle_ds = apply_codes cycle in
-      (stem_ds, cycle_ds)
-    with
-    | exception _ -> None
-    | stem_ds, cycle_ds ->
-        let view = Runner.Cursor.view cursor in
-        let blocked =
-          Proc.Set.of_list
-            (List.filter
-               (fun q ->
-                 view.Driver.status q = Runtime.Idle
-                 && Option.is_none (invoke view q))
-               (Proc.all ~n))
+    Runner.Cursor.with_ ~n ~factory:(factory ()) ~ticks (fun cursor ->
+        let apply_codes codes =
+          List.map
+            (fun code ->
+              let view = Runner.Cursor.view cursor in
+              let d = Explore.decision_of_code ~invoke view code in
+              let before = History.length view.Driver.history in
+              Runner.Cursor.apply cursor d;
+              let fresh =
+                drop before
+                  (History.to_list (Runner.Cursor.view cursor).Driver.history)
+              in
+              (d, cell_of d fresh))
+            codes
         in
-        let cert =
-          Lasso.cert_of_cursor
-            ~stem:(List.map fst stem_ds)
-            ~cycle:(List.map fst cycle_ds)
-            ~cells:(List.map snd cycle_ds)
-            cursor
-        in
-        let reps = max 2 ((pump_ticks + p - 1) / p) in
-        (match Lasso.pump ~factory:(factory ()) ~ticks ~repetitions:reps cert with
-        | Error _ -> None
-        | Ok rep ->
-            if
-              Proc.Set.subset (Fairness.starved rep) blocked
-              && (not (Freedom.holds ~good rep point))
-              && Option.is_some (Lasso.window_period rep)
-            then Some cert
-            else None)
+        match
+          let stem_ds = apply_codes stem in
+          let cycle_ds = apply_codes cycle in
+          (stem_ds, cycle_ds)
+        with
+        | exception _ -> None
+        | stem_ds, cycle_ds ->
+            let view = Runner.Cursor.view cursor in
+            let blocked =
+              Proc.Set.of_list
+                (List.filter
+                   (fun q ->
+                     view.Driver.status q = Runtime.Idle
+                     && Option.is_none (invoke view q))
+                   (Proc.all ~n))
+            in
+            let cert =
+              Lasso.cert_of_cursor
+                ~stem:(List.map fst stem_ds)
+                ~cycle:(List.map fst cycle_ds)
+                ~cells:(List.map snd cycle_ds)
+                cursor
+            in
+            let reps = max 2 ((pump_ticks + p - 1) / p) in
+            match
+              Lasso.pump ~factory:(factory ()) ~ticks ~repetitions:reps cert
+            with
+            | Error _ -> None
+            | Ok rep ->
+                if
+                  Proc.Set.subset (Fairness.starved rep) blocked
+                  && (not (Freedom.holds ~good rep point))
+                  && Option.is_some (Lasso.window_period rep)
+                then Some cert
+                else None)

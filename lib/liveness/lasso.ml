@@ -103,36 +103,38 @@ let pump ~factory ?ticks ?(repetitions = 2) ?abstract cert =
   else if repetitions < 2 then Error "Lasso.pump: need at least 2 repetitions"
   else
     try
-      let cursor = Runner.Cursor.create ~n:cert.c_n ~factory ?ticks () in
-      let apply d =
-        try Runner.Cursor.apply cursor d
-        with Invalid_argument msg ->
-          raise (Pump_failed ("decision not applicable: " ^ msg))
-      in
-      List.iter apply cert.c_stem;
-      let stem_len = List.length cert.c_stem in
-      for rep = 1 to repetitions do
-        List.iter apply cert.c_cycle;
-        if boundary_digest cursor cert.c_cells <> cert.c_digest then
-          raise
-            (Pump_failed
-               (Printf.sprintf
-                  "configuration digest diverged on repetition %d" rep))
-      done;
-      (* One trace computation for the whole pumped run, then compare
-         each repetition's slice — the per-repetition digest check above
-         already localizes a diverging configuration. *)
-      let r = Runner.Cursor.report cursor ~window:(repetitions * period) () in
-      let cells = Array.of_list (tick_cells ?abstract r) in
-      let expected = Array.of_list cert.c_cells in
-      for rep = 1 to repetitions do
-        let base = stem_len + ((rep - 1) * period) in
-        for i = 0 to period - 1 do
-          if cells.(base + i) <> expected.(i) then
-            raise
-              (Pump_failed
-                 (Printf.sprintf "trace diverged on repetition %d" rep))
-        done
-      done;
-      Ok r
+      Runner.Cursor.with_ ~n:cert.c_n ~factory ?ticks (fun cursor ->
+          let apply d =
+            try Runner.Cursor.apply cursor d
+            with Invalid_argument msg ->
+              raise (Pump_failed ("decision not applicable: " ^ msg))
+          in
+          List.iter apply cert.c_stem;
+          let stem_len = List.length cert.c_stem in
+          for rep = 1 to repetitions do
+            List.iter apply cert.c_cycle;
+            if boundary_digest cursor cert.c_cells <> cert.c_digest then
+              raise
+                (Pump_failed
+                   (Printf.sprintf
+                      "configuration digest diverged on repetition %d" rep))
+          done;
+          (* One trace computation for the whole pumped run, then
+             compare each repetition's slice — the per-repetition digest
+             check above already localizes a diverging configuration. *)
+          let r =
+            Runner.Cursor.report cursor ~window:(repetitions * period) ()
+          in
+          let cells = Array.of_list (tick_cells ?abstract r) in
+          let expected = Array.of_list cert.c_cells in
+          for rep = 1 to repetitions do
+            let base = stem_len + ((rep - 1) * period) in
+            for i = 0 to period - 1 do
+              if cells.(base + i) <> expected.(i) then
+                raise
+                  (Pump_failed
+                     (Printf.sprintf "trace diverged on repetition %d" rep))
+            done
+          done;
+          Ok r)
     with Pump_failed msg -> Error msg

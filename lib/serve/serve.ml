@@ -459,15 +459,27 @@ let stats_json t =
       (fun acc w -> if w.w_lease <> None then acc + 1 else acc)
       0 t.workers
   in
+  (* Each worker's peak resident set, read only now, when asked for:
+     a long-lived worker that kept memory from earlier queries shows
+     it here.  [null] where /proc is unavailable. *)
+  let hwm =
+    Array.to_list t.workers
+    |> List.map (fun w ->
+           match Slx_obs.Proc_status.kb ~pid:w.w_pid "VmHWM" with
+           | Some kb -> string_of_int kb
+           | None -> "null")
+    |> String.concat ", "
+  in
   Printf.sprintf
     "{\"queries\": %d, \"active\": %d, \"dedup_hits\": %d, \"re_leases\": \
      %d, \"timeouts\": %d, \"workers\": %d, \"workers_busy\": %d, \
+     \"worker_hwm_kb\": [%s], \
      \"store\": {\"path\": %S, \"records\": %d, \"queries\": %d, \
      \"warm_hits\": %d, \"resumes\": %d, \"colds\": %d, \"rejected\": %d, \
      \"steps_saved\": %d, \"created\": %b, \"invalidated\": %s, \
      \"records_dropped\": %d}}"
     (t.next_query - 1) active t.dedup_hits t.re_leases t.timeouts
-    (Array.length t.workers) busy (Store.path t.store)
+    (Array.length t.workers) busy hwm (Store.path t.store)
     (List.length (Store.records t.store))
     c.Store.c_queries c.Store.c_warm_hits c.Store.c_resumes c.Store.c_colds
     c.Store.c_rejected c.Store.c_steps_saved h.Store.h_created

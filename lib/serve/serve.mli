@@ -16,7 +16,10 @@
       [failed]/[timeout]), the latest heartbeat, and the result when
       done.
     - [GET /stats] — service counters (dedup hits, re-leases,
-      timeouts, worker states) and the store's counters/health.
+      timeouts, worker states), each worker's peak resident set
+      ([worker_hwm_kb], read from [/proc/<pid>/status] when asked;
+      [null] where that is unavailable) and the store's
+      counters/health.
     - [POST /shutdown] — drain and exit.
 
     {b Answer planning} mirrors {!Slx_store.Persist}: a warm store hit

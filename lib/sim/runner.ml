@@ -125,10 +125,26 @@ module Cursor = struct
 
   let probe c = c.probe
 
-  let replay ~n ~factory ?ticks ?shadow ?probe ?encode decisions =
+  (* Disposal: crash every process, under the cursor's own registry and
+     outside any shadow or probe.  [Runtime.crash] discontinues each
+     suspended continuation with [Killed], which unwinds the fiber and
+     returns its stack to the runtime — OCaml 5.1 never reclaims the
+     stack of a continuation that is merely dropped.  No tick, no
+     history event, no probe or shadow observation: nothing an
+     explorer counts can move. *)
+  let dispose c =
+    Runtime.with_registry c.registry (fun () ->
+        for p = 1 to c.n do
+          Runtime.crash c.cells.(p)
+        done)
+
+  let with_ ~n ~factory ?ticks ?shadow ?probe ?encode ?(prefix = []) f =
     let c = create ~n ~factory ?ticks ?shadow ?probe ?encode () in
-    List.iter (apply c) decisions;
-    c
+    Fun.protect
+      ~finally:(fun () -> dispose c)
+      (fun () ->
+        List.iter (apply c) prefix;
+        f c)
 
   let report c ?window ?(stopped = `Max_steps) () =
     let window = Option.value window ~default:(max 1 (c.time / 2)) in
@@ -193,23 +209,23 @@ end
 
 let run ~n ~factory ~driver ~max_steps ?window () =
   let window = Option.value window ~default:(max_steps / 2) in
-  let c = Cursor.create ~n ~factory () in
-  let stopped = ref `Max_steps in
-  (try
-     while c.Cursor.time < max_steps do
-       match driver (Cursor.view c) with
-       | Driver.Stop ->
-           let quiescent =
-             List.for_all
-               (fun p -> Runtime.status (Cursor.cell c p) <> Runtime.Ready)
-               (Proc.all ~n)
-           in
-           stopped := (if quiescent then `Quiescent else `Driver_stop);
-           raise Exit
-       | d -> Cursor.apply c d
-     done
-   with Exit -> ());
-  Cursor.report c ~window ~stopped:!stopped ()
+  Cursor.with_ ~n ~factory (fun c ->
+      let stopped = ref `Max_steps in
+      (try
+         while c.Cursor.time < max_steps do
+           match driver (Cursor.view c) with
+           | Driver.Stop ->
+               let quiescent =
+                 List.for_all
+                   (fun p -> Runtime.status (Cursor.cell c p) <> Runtime.Ready)
+                   (Proc.all ~n)
+               in
+               stopped := (if quiescent then `Quiescent else `Driver_stop);
+               raise Exit
+           | d -> Cursor.apply c d
+         done
+       with Exit -> ());
+      Cursor.report c ~window ~stopped:!stopped ())
 
 let history ~n ~factory ~driver ~max_steps =
   (run ~n ~factory ~driver ~max_steps ()).Run_report.history

@@ -44,23 +44,48 @@ type ('inv, 'res) fingerprint = {
     snapshots the run so far without disturbing it.  Cursors cannot be
     forked (suspended processes are one-shot effect continuations);
     explorers re-establish sibling configurations by replaying their
-    decision prefix into a fresh cursor. *)
+    decision prefix into a fresh cursor.
+
+    {b Lifecycle.}  A cursor exists only inside {!with_}, which disposes
+    of it when its body returns or raises.  Disposal crashes every
+    process, which discontinues each suspended continuation and so
+    unwinds its fiber.  OCaml 5.1 never frees the fiber stack of a
+    continuation that is dropped without being resumed or
+    discontinued, so a cursor that is simply forgotten keeps its
+    processes' stacks for the rest of the program, and an exhaustive
+    walk forgets sibling cursors by the hundred thousand.  Disposal
+    applies no decision: it ticks nothing, records no history event
+    and runs outside the cursor's shadow and probe, so no count, digest
+    or verdict depends on it.  A cursor that escapes its bracket
+    (stored, returned, captured by a closure that outlives [f]) is a
+    bug: after disposal every process is [Crashed] and the cursor no
+    longer denotes the configuration its decisions reached. *)
 module Cursor : sig
   type ('inv, 'res) t
 
-  val create :
+  val with_ :
     n:int ->
     factory:('inv, 'res) factory ->
     ?ticks:int ref ->
     ?shadow:Runtime.shadow ->
     ?probe:Runtime.probe ->
     ?encode:(int -> ('inv, 'res) Event.t -> int) ->
-    unit ->
-    ('inv, 'res) t
-  (** A cursor at the initial configuration of a fresh implementation
-      instance.  [ticks] (default: a private counter) is incremented on
-      every applied decision — explorers share one counter across many
-      cursors to measure runtime steps executed.
+    ?prefix:('inv, 'res) Driver.decision list ->
+    (('inv, 'res) t -> 'a) ->
+    'a
+  (** [with_ ~n ~factory f] creates a cursor at the initial
+      configuration of a fresh implementation instance, applies the
+      decisions of [prefix] (default [[]]) in order, runs [f] on it and
+      disposes of the cursor however [f] ends.  Replaying a prefix is
+      how a configuration is re-established — since cursors cannot be
+      forked — and how a lasso certificate is pumped (see
+      {!Slx_liveness.Lasso}); a decision of [prefix] that is not
+      applicable raises [Invalid_argument] as {!apply} does, and the
+      cursor is disposed of all the same.
+
+      [ticks] (default: a private counter) is incremented on every
+      applied decision, [prefix] included — explorers share one
+      counter across many cursors to measure runtime steps executed.
 
       [encode] arms incremental history interning: on every history
       append the cursor updates a small-int history id as
@@ -75,7 +100,8 @@ module Cursor : sig
       cell accesses made while this cursor executes algorithm code are
       checked (and, in record mode, logged) against declared footprints.
       A raising shadow propagates {!Runtime.Shadow_violation} out of
-      [apply]; the cursor must then be abandoned.
+      [apply] (and out of [with_], after disposal); the cursor must not
+      be applied again.
 
       [probe] installs a dynamic-conflict probe
       ({!Runtime.make_probe}) around every {!apply}: after a
@@ -101,7 +127,7 @@ module Cursor : sig
   val hist_id : ('inv, 'res) t -> int
   (** The interned history id maintained by the [encode] hook (0 at
       the empty history, and constantly 0 when no hook was passed to
-      {!create}). *)
+      {!with_}). *)
 
   val apply : ('inv, 'res) t -> ('inv, 'res) Driver.decision -> unit
   (** Extend the run by one decision (one scheduler tick).  Decisions
@@ -111,22 +137,6 @@ module Cursor : sig
   val probe : ('inv, 'res) t -> Runtime.probe option
   (** The probe installed at creation, if any — after an {!apply} of a
       [Schedule] decision it holds that step's observation. *)
-
-  val replay :
-    n:int ->
-    factory:('inv, 'res) factory ->
-    ?ticks:int ref ->
-    ?shadow:Runtime.shadow ->
-    ?probe:Runtime.probe ->
-    ?encode:(int -> ('inv, 'res) Event.t -> int) ->
-    ('inv, 'res) Driver.decision list ->
-    ('inv, 'res) t
-  (** [replay ~n ~factory decisions] creates a fresh cursor and applies
-      [decisions] in order — the cycle-replay primitive: since cursors
-      cannot be forked, a configuration is re-established (and a lasso
-      certificate pumped, see {!Slx_liveness.Lasso}) by replaying its
-      decision script.  Raises [Invalid_argument] as {!apply} does if a
-      decision is not applicable at its step. *)
 
   val report :
     ('inv, 'res) t ->

@@ -10,8 +10,7 @@ let pp_source fmt = function
   | Uncached why -> Format.fprintf fmt "uncached (%s)" why
 
 let instance_digest ~n ~factory =
-  Runner.Cursor.shared_digest
-    (Runner.Cursor.create ~n ~factory:(factory ()) ())
+  Runner.Cursor.with_ ~n ~factory:(factory ()) Runner.Cursor.shared_digest
 
 let query_key ~ident ~check ~n ~registry_digest ?(max_crashes = 0)
     ?(por = false) ?(dpor = false) ?(symmetry = false) ?(invoke_order = false)

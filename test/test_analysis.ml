@@ -246,19 +246,17 @@ let prop_of_accesses_union_homomorphism =
    footprint, and the step log exposes declared vs effective. *)
 let test_nesting_composes_effective_footprint () =
   let sh = Runtime.make_shadow ~record:true () in
-  let cur =
-    Runner.Cursor.create ~n:1
-      ~factory:(fun ~n:_ ->
-        let c = Fixtures.cell 0 in
-        fun ~proc:_ () ->
-          Runtime.atomic_access ~obj:(snd c) ~write:true (fun () ->
-              Fixtures.store c 1;
-              Runtime.atomic_access ~obj:(snd c) ~write:false (fun () ->
-                  ignore (Fixtures.load c))))
-      ~shadow:sh ()
-  in
-  Runner.Cursor.apply cur (Driver.Invoke (1, ()));
-  Runner.Cursor.apply cur (Driver.Schedule 1);
+  Runner.Cursor.with_ ~n:1
+    ~factory:(fun ~n:_ ->
+      let c = Fixtures.cell 0 in
+      fun ~proc:_ () ->
+        Runtime.atomic_access ~obj:(snd c) ~write:true (fun () ->
+            Fixtures.store c 1;
+            Runtime.atomic_access ~obj:(snd c) ~write:false (fun () ->
+                ignore (Fixtures.load c))))
+    ~shadow:sh
+    ~prefix:[ Driver.Invoke (1, ()); Driver.Schedule 1 ]
+    ignore;
   check_int "no violations" 0 (Runtime.shadow_violation_count sh);
   match Runtime.shadow_steps sh with
   | [ log ] ->

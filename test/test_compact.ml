@@ -308,47 +308,45 @@ let test_bitstate_bits_bounds () =
 (* still attached to the owning cell).                                 *)
 
 let test_incremental_digest_matches_full () =
-  let c =
-    Runner.Cursor.create ~n:2
-      ~factory:(Slx_consensus.Register_consensus.factory ())
-      ()
-  in
-  let check_step i d =
-    Runner.Cursor.apply c d;
-    check_bool
-      (Printf.sprintf "register consensus: digests agree after decision %d" i)
-      true
-      (Runner.Cursor.shared_digest c = Runner.Cursor.shared_digest_full c)
-  in
-  List.iteri check_step
-    [
-      Driver.Invoke (1, Slx_consensus.Consensus_type.Propose 0);
-      Driver.Schedule 1;
-      Driver.Invoke (2, Slx_consensus.Consensus_type.Propose 1);
-      Driver.Schedule 2;
-      Driver.Schedule 1;
-      Driver.Schedule 2;
-      Driver.Schedule 1;
-    ]
+  Runner.Cursor.with_ ~n:2
+    ~factory:(Slx_consensus.Register_consensus.factory ())
+    (fun c ->
+      let check_step i d =
+        Runner.Cursor.apply c d;
+        check_bool
+          (Printf.sprintf
+             "register consensus: digests agree after decision %d" i)
+          true
+          (Runner.Cursor.shared_digest c = Runner.Cursor.shared_digest_full c)
+      in
+      List.iteri check_step
+        [
+          Driver.Invoke (1, Slx_consensus.Consensus_type.Propose 0);
+          Driver.Schedule 1;
+          Driver.Invoke (2, Slx_consensus.Consensus_type.Propose 1);
+          Driver.Schedule 2;
+          Driver.Schedule 1;
+          Driver.Schedule 2;
+          Driver.Schedule 1;
+        ])
 
 let test_incremental_digest_matches_full_on_fixture () =
-  let c =
-    Runner.Cursor.create ~n:2 ~factory:Slx_analysis.Fixtures.leaky_factory ()
-  in
-  let check_step i d =
-    Runner.Cursor.apply c d;
-    check_bool
-      (Printf.sprintf "leaky fixture: digests agree after decision %d" i)
-      true
-      (Runner.Cursor.shared_digest c = Runner.Cursor.shared_digest_full c)
-  in
-  List.iteri check_step
-    [
-      Driver.Invoke (1, Slx_analysis.Fixtures.Poke 7);
-      Driver.Schedule 1;
-      Driver.Invoke (2, Slx_analysis.Fixtures.Peek);
-      Driver.Schedule 2;
-    ]
+  Runner.Cursor.with_ ~n:2 ~factory:Slx_analysis.Fixtures.leaky_factory
+    (fun c ->
+      let check_step i d =
+        Runner.Cursor.apply c d;
+        check_bool
+          (Printf.sprintf "leaky fixture: digests agree after decision %d" i)
+          true
+          (Runner.Cursor.shared_digest c = Runner.Cursor.shared_digest_full c)
+      in
+      List.iteri check_step
+        [
+          Driver.Invoke (1, Slx_analysis.Fixtures.Poke 7);
+          Driver.Schedule 1;
+          Driver.Invoke (2, Slx_analysis.Fixtures.Peek);
+          Driver.Schedule 2;
+        ])
 
 let suites =
   [

@@ -1,0 +1,398 @@
+(* Bracketed cursor lifetimes.  [Runner.Cursor.with_] disposes of its
+   cursor however the body ends, crashing every process so the
+   suspended continuations are discontinued and their fiber stacks
+   freed.  Disposal must be invisible to everything an explorer
+   counts: these tests check that no process is left suspended, that
+   the shared tick counter, probe, shadow and history interner are
+   untouched by disposal, and that both explorers report exactly the
+   counters, digests, witnesses and lasso certificates they reported
+   when sibling cursors were simply dropped (pinned below). *)
+
+open Slx_history
+open Slx_sim
+open Slx_core
+open Slx_consensus
+open Support
+
+(* ------------------------------------------------------------------ *)
+(* Exploration summaries, pinned.                                      *)
+
+let one_proposal =
+  Explore.workload_invoke
+    (Driver.n_times 1 (fun p _ -> Consensus_type.Propose (p - 1)))
+
+let forever_proposal =
+  Explore.workload_invoke
+    (Driver.forever (fun p -> Consensus_type.Propose (p - 1)))
+
+let consensus_check r = Consensus_safety.check r.Run_report.history
+
+(* A property that fails only off the leftmost path — on the least run
+   in which p2 responds before p1 — so the walk reaches its witness
+   through sibling brackets and unwinds all of them. *)
+let p1_responds_first r =
+  match
+    List.find_opt Event.is_response (History.to_list r.Run_report.history)
+  with
+  | Some e -> Proc.equal (Event.proc e) 1
+  | None -> true
+
+let codes script =
+  String.concat " " (List.map string_of_int (Explore.codes_of_script script))
+
+let witness (e : _ Explore.exploration) =
+  match e.Explore.witness_script with
+  | None -> "none"
+  | Some s -> codes s
+
+(* Everything a sequential walk reports that disposal could disturb. *)
+let summary (e : _ Explore.exploration) =
+  let s = e.Explore.stats in
+  Printf.sprintf
+    "runs=%d nodes=%d steps_executed=%d steps_replayed=%d cache_hits=%d \
+     history_digest=%d witness=[%s]"
+    s.Explore_stats.runs s.nodes s.steps_executed s.steps_replayed
+    s.cache_hits s.history_digest (witness e)
+
+(* Under fan-out, node, step and hit counts depend on the steal
+   schedule, and so do the runs counted before a counterexample stops
+   the domains.  The rank-least witness does not, nor do the run count
+   and history digest of an exhaustive (counterexample-free) walk. *)
+let parallel_summary (e : _ Explore.exploration) =
+  let s = e.Explore.stats in
+  match e.Explore.witness_script with
+  | Some _ -> Printf.sprintf "witness=[%s]" (witness e)
+  | None ->
+      Printf.sprintf "runs=%d history_digest=%d" s.Explore_stats.runs
+        s.history_digest
+
+let live_summary (r : _ Live_explore.result) =
+  let s = r.Live_explore.stats in
+  let verdict =
+    match r.Live_explore.outcome with
+    | Live_explore.No_fair_cycle -> "no_fair_cycle"
+    | Live_explore.Lasso c ->
+        Printf.sprintf "lasso stem=[%s] cycle=[%s] cells=[%s]"
+          (codes c.Slx_liveness.Lasso.c_stem)
+          (codes c.c_cycle)
+          (String.concat "; " (List.map (String.concat ",") c.c_cells))
+  in
+  Printf.sprintf
+    "%s nodes=%d runs=%d steps_executed=%d steps_replayed=%d cache_hits=%d"
+    verdict s.Explore_stats.nodes s.runs s.steps_executed s.steps_replayed
+    s.cache_hits
+
+let register () = Register_consensus.factory ()
+let cas () = Cas_consensus.factory ()
+let selfish () = Selfish_consensus.factory ()
+
+let explore ?(domains = 1) ?(reduce = false) ?(dpor = false)
+    ?(check = consensus_check) ~n ~depth ~crashes factory =
+  Explore.explore ~n ~factory ~invoke:one_proposal ~depth
+    ~max_crashes:crashes ~por:reduce ~symmetry:reduce ~dpor ~domains ~check
+    ()
+
+let live ?(dpor = false) ~l ~k ~n ~depth ~crashes () =
+  Live_explore.search ~n
+    ~factory:(fun () -> Register_consensus.factory ~max_rounds:(max 8 depth) ())
+    ~invoke:forever_proposal
+    ~good:(fun _ -> true)
+    ~point:(Slx_liveness.Freedom.make ~l ~k)
+    ~depth ~max_crashes:crashes ~dpor ()
+
+(* A resumed exploration replays its seeds through the resume path. *)
+let resumed ~depth ~deeper factory =
+  let base =
+    Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth ~dpor:true
+      ~persist:true ~check:consensus_check ()
+  in
+  Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth:deeper
+    ~dpor:true ?resume:base.Explore.frontier ~check:consensus_check ()
+
+let live_resumed ~l ~k ~depth ~deeper () =
+  let search ?resume ?persist depth =
+    Live_explore.search ~n:2
+      ~factory:(fun () -> Register_consensus.factory ~max_rounds:16 ())
+      ~invoke:forever_proposal
+      ~good:(fun _ -> true)
+      ~point:(Slx_liveness.Freedom.make ~l ~k)
+      ~depth ~dpor:true ?persist ?resume ()
+  in
+  let base = search ~persist:true depth in
+  search ?resume:base.Live_explore.frontier deeper
+
+let cases =
+  [
+    ( "register n=2 depth=12 c=1 incremental",
+      fun () -> summary (explore ~n:2 ~depth:12 ~crashes:1 register) );
+    ( "register n=2 depth=12 c=1 por+symmetry",
+      fun () ->
+        summary (explore ~reduce:true ~n:2 ~depth:12 ~crashes:1 register) );
+    ( "register n=2 depth=12 c=1 dpor",
+      fun () -> summary (explore ~dpor:true ~n:2 ~depth:12 ~crashes:1 register)
+    );
+    ( "register n=3 depth=10 c=1 dpor",
+      fun () -> summary (explore ~dpor:true ~n:3 ~depth:10 ~crashes:1 register)
+    );
+    ( "register n=3 depth=12 c=1 por+symmetry+dpor",
+      fun () ->
+        summary
+          (explore ~reduce:true ~dpor:true ~n:3 ~depth:12 ~crashes:1 register)
+    );
+    ( "cas n=3 depth=10 c=1 incremental",
+      fun () -> summary (explore ~n:3 ~depth:10 ~crashes:1 cas) );
+    ( "cas n=3 depth=12 c=1 dpor",
+      fun () -> summary (explore ~dpor:true ~n:3 ~depth:12 ~crashes:1 cas) );
+    ( "selfish n=3 depth=8 c=0 incremental",
+      fun () -> summary (explore ~n:3 ~depth:8 ~crashes:0 selfish) );
+    ( "selfish n=3 depth=8 c=1 dpor",
+      fun () -> summary (explore ~dpor:true ~n:3 ~depth:8 ~crashes:1 selfish) );
+    ( "register n=2 depth=10 c=1 incremental, p1 responds first",
+      fun () ->
+        summary
+          (explore ~check:p1_responds_first ~n:2 ~depth:10 ~crashes:1 register)
+    );
+    ( "register n=3 depth=12 c=1 dpor, p1 responds first",
+      fun () ->
+        summary
+          (explore ~check:p1_responds_first ~dpor:true ~n:3 ~depth:12
+             ~crashes:1 register) );
+    ( "cas n=3 depth=10 c=1 incremental, p1 responds first",
+      fun () ->
+        summary
+          (explore ~check:p1_responds_first ~n:3 ~depth:10 ~crashes:1 cas) );
+    ( "register n=2 depth=8 c=1 naive",
+      fun () ->
+        summary
+          (Explore.explore_naive ~n:2 ~factory:register ~invoke:one_proposal
+             ~depth:8 ~max_crashes:1 ~check:consensus_check ()) );
+    ( "register n=2 depth=8 -> 10 resumed dpor",
+      fun () -> summary (resumed ~depth:8 ~deeper:10 register) );
+    ( "register n=2 depth=12 c=1 dpor domains=2",
+      fun () ->
+        parallel_summary
+          (explore ~domains:2 ~dpor:true ~n:2 ~depth:12 ~crashes:1 register) );
+    ( "cas n=3 depth=10 c=1 dpor domains=2",
+      fun () ->
+        parallel_summary
+          (explore ~domains:2 ~dpor:true ~n:3 ~depth:10 ~crashes:1 cas) );
+    ( "register n=3 depth=12 c=1 dpor domains=2, p1 responds first",
+      fun () ->
+        parallel_summary
+          (explore ~check:p1_responds_first ~domains:2 ~dpor:true ~n:3
+             ~depth:12 ~crashes:1 register) );
+    ( "selfish n=3 depth=8 c=1 dpor domains=2",
+      fun () ->
+        parallel_summary
+          (explore ~domains:2 ~dpor:true ~n:3 ~depth:8 ~crashes:1 selfish) );
+    ( "live (1,1) n=2 depth=8 c=1",
+      fun () -> live_summary (live ~l:1 ~k:1 ~n:2 ~depth:8 ~crashes:1 ()) );
+    ( "live (1,1) n=2 depth=8 c=1 dpor",
+      fun () ->
+        live_summary (live ~dpor:true ~l:1 ~k:1 ~n:2 ~depth:8 ~crashes:1 ()) );
+    ( "live (1,2) n=2 depth=8 c=0",
+      fun () -> live_summary (live ~l:1 ~k:2 ~n:2 ~depth:8 ~crashes:0 ()) );
+    ( "live (1,2) n=2 depth=8 c=0 dpor",
+      fun () ->
+        live_summary (live ~dpor:true ~l:1 ~k:2 ~n:2 ~depth:8 ~crashes:0 ()) );
+    ( "live (1,1) n=3 depth=7 c=0 dpor",
+      fun () ->
+        live_summary (live ~dpor:true ~l:1 ~k:1 ~n:3 ~depth:7 ~crashes:0 ()) );
+    ( "live (1,1) n=2 depth=7 -> 9 resumed dpor",
+      fun () -> live_summary (live_resumed ~l:1 ~k:1 ~depth:7 ~deeper:9 ()) );
+  ]
+
+(* The figures both explorers reported when explorers dropped their
+   sibling cursors without disposing of them. *)
+let pinned =
+  [
+    ( "register n=2 depth=12 c=1 incremental",
+      "runs=12056 nodes=1091 steps_executed=5342 steps_replayed=4252 \
+         cache_hits=366 history_digest=4281660246409360189 witness=[none]" );
+    ( "register n=2 depth=12 c=1 por+symmetry",
+      "runs=197 nodes=477 steps_executed=2045 steps_replayed=1569 \
+         cache_hits=121 history_digest=2275089341820367456 witness=[none]" );
+    ( "register n=2 depth=12 c=1 dpor",
+      "runs=851 nodes=1083 steps_executed=4973 steps_replayed=3891 \
+         cache_hits=333 history_digest=1228134150341533242 witness=[none]" );
+    ( "register n=3 depth=10 c=1 dpor",
+      "runs=22253 nodes=13002 steps_executed=67616 steps_replayed=54615 \
+         cache_hits=4512 history_digest=1185516990485747586 witness=[none]" );
+    ( "register n=3 depth=12 c=1 por+symmetry+dpor",
+      "runs=3371 nodes=3724 steps_executed=20725 steps_replayed=17002 \
+         cache_hits=980 history_digest=114583864289440043 witness=[none]" );
+    ( "cas n=3 depth=10 c=1 incremental",
+      "runs=19740 nodes=9238 steps_executed=36690 steps_replayed=27453 \
+         cache_hits=1800 history_digest=92538121459553355 witness=[none]" );
+    ( "cas n=3 depth=12 c=1 dpor",
+      "runs=5628 nodes=7798 steps_executed=30071 steps_replayed=22274 \
+         cache_hits=1513 history_digest=3963148168097614869 witness=[none]" );
+    ( "selfish n=3 depth=8 c=0 incremental",
+      "runs=1 nodes=4 steps_executed=3 steps_replayed=0 cache_hits=0 \
+         history_digest=1507557541948699408 witness=[5 9 13]" );
+    ( "selfish n=3 depth=8 c=1 dpor",
+      "runs=1 nodes=5 steps_executed=4 steps_replayed=0 cache_hits=0 \
+         history_digest=1398092627404957013 witness=[5 9 13 6]" );
+    ( "register n=2 depth=10 c=1 incremental, p1 responds first",
+      "runs=1515 nodes=284 steps_executed=1267 steps_replayed=984 \
+         cache_hits=93 history_digest=-985492335719341250 witness=[5 9 8 8 \
+         8 8 8 8 8 8]" );
+    ( "register n=3 depth=12 c=1 dpor, p1 responds first",
+      "runs=7527 nodes=6485 steps_executed=40177 steps_replayed=33693 \
+         cache_hits=2025 history_digest=901000425845494936 witness=[5 9 8 8 \
+         8 8 8 8 8 8 8 8]" );
+    ( "cas n=3 depth=10 c=1 incremental, p1 responds first",
+      "runs=455 nodes=461 steps_executed=1781 steps_replayed=1321 \
+         cache_hits=87 history_digest=-98425659240458076 witness=[5 4 9 8 8 \
+         4 13 12 12 6]" );
+    ( "register n=2 depth=8 c=1 naive",
+      "runs=766 nodes=1515 steps_executed=10686 steps_replayed=10686 \
+         cache_hits=0 history_digest=-1491201430012651329 witness=[none]" );
+    ( "register n=2 depth=8 -> 10 resumed dpor",
+      "runs=79 nodes=128 steps_executed=642 steps_replayed=562 \
+         cache_hits=32 history_digest=3605867556362046586 witness=[none]" );
+    ( "register n=2 depth=12 c=1 dpor domains=2",
+      "runs=851 history_digest=1228134150341533242" );
+    ( "cas n=3 depth=10 c=1 dpor domains=2",
+      "runs=5628 history_digest=3963148168097614869" );
+    ( "register n=3 depth=12 c=1 dpor domains=2, p1 responds first",
+      "witness=[5 9 8 8 8 8 8 8 8 8 8 8]" );
+    ( "selfish n=3 depth=8 c=1 dpor domains=2",
+      "witness=[5 9 13 6]" );
+    ( "live (1,1) n=2 depth=8 c=1",
+      "no_fair_cycle nodes=1515 runs=766 steps_executed=9658 \
+         steps_replayed=4614 cache_hits=0" );
+    ( "live (1,1) n=2 depth=8 c=1 dpor",
+      "no_fair_cycle nodes=856 runs=368 steps_executed=5778 \
+         steps_replayed=2089 cache_hits=0" );
+    ( "live (1,2) n=2 depth=8 c=0",
+      "lasso stem=[5 4 4 9 8 4] cycle=[8 4] cells=[p2:step; p1:step] \
+         nodes=58 runs=26 steps_executed=270 steps_replayed=159 \
+         cache_hits=0" );
+    ( "live (1,2) n=2 depth=8 c=0 dpor",
+      "lasso stem=[5 4 4 9 8 4] cycle=[8 4] cells=[p2:step; p1:step] \
+         nodes=32 runs=11 steps_executed=134 steps_replayed=65 cache_hits=0" );
+    ( "live (1,1) n=3 depth=7 c=0 dpor",
+      "no_fair_cycle nodes=1475 runs=860 steps_executed=6020 \
+         steps_replayed=4546 cache_hits=0" );
+    ( "live (1,1) n=2 depth=7 -> 9 resumed dpor",
+      "no_fair_cycle nodes=307 runs=154 steps_executed=1386 \
+         steps_replayed=1136 cache_hits=0" );
+  ]
+
+let test_pinned () =
+  List.iter
+    (fun (label, run) ->
+      Alcotest.(check string) label (List.assoc label pinned) (run ()))
+    cases
+
+(* ------------------------------------------------------------------ *)
+(* Disposal.                                                           *)
+
+(* Two cas-consensus processes left suspended mid-operation. *)
+let two_suspended =
+  [
+    Driver.Invoke (1, Consensus_type.Propose 0);
+    Driver.Invoke (2, Consensus_type.Propose 1);
+  ]
+
+let statuses c =
+  let view = Runner.Cursor.view c in
+  List.map view.Driver.status (Proc.all ~n:view.Driver.n)
+
+(* Runs [with_] and hands back the (deliberately escaped) cursor. *)
+let escaped ?prefix ?(body = ignore) () =
+  let kept = ref None in
+  (try
+     Runner.Cursor.with_ ~n:2 ~factory:(cas ()) ?prefix (fun c ->
+         kept := Some c;
+         body c)
+   with Exit | Invalid_argument _ -> ());
+  Option.get !kept
+
+let none_ready label c =
+  check_bool label true
+    (List.for_all (fun s -> s <> Runtime.Ready) (statuses c))
+
+let test_no_cell_ready () =
+  none_ready "after a normal return" (escaped ~prefix:two_suspended ());
+  none_ready "after the body raises"
+    (escaped ~prefix:two_suspended ~body:(fun _ -> raise Exit) ());
+  none_ready "after a decision in the body fails"
+    (escaped ~prefix:two_suspended
+       ~body:(fun c -> Runner.Cursor.apply c (Driver.Crash 3))
+       ());
+  (* The body saw both processes suspended; disposal crashed them. *)
+  let seen = ref [] in
+  Runner.Cursor.with_ ~n:2 ~factory:(cas ()) ~prefix:two_suspended (fun c ->
+      seen := statuses c);
+  check_bool "suspended inside the bracket" true
+    (!seen = [ Runtime.Ready; Runtime.Ready ]);
+  (* An inapplicable prefix decision raises out of [with_] before the
+     body runs. *)
+  let kept = ref None in
+  (match
+     Runner.Cursor.with_ ~n:2 ~factory:(cas ())
+       ~prefix:(two_suspended @ [ Driver.Invoke (1, Consensus_type.Propose 0) ])
+       (fun c -> kept := Some c)
+   with
+  | () -> Alcotest.fail "an inapplicable prefix decision must raise"
+  | exception Invalid_argument _ -> ());
+  check_bool "body not run" true (!kept = None)
+
+(* Disposal moves none of the counters an explorer reads: the shared
+   tick counter, the probe's last observation, the shadow's log and
+   counts, and the history interner behind the [encode] hook. *)
+let test_disposal_is_silent () =
+  let ticks = ref 0 in
+  let probe = Runtime.make_probe () in
+  let shadow = Runtime.make_shadow ~record:true () in
+  let events = Intern.create () in
+  let conses = Intern.create () in
+  let encodes = ref 0 in
+  let encode parent e =
+    incr encodes;
+    Intern.intern conses (parent, Intern.intern events e)
+  in
+  let observe () =
+    ( !ticks,
+      ( Runtime.probe_steps probe,
+        Runtime.probe_last_effective probe,
+        Runtime.probe_last_touched probe,
+        Runtime.probe_last_observed probe ),
+      ( Runtime.shadow_step_count shadow,
+        Runtime.shadow_violation_count shadow,
+        Runtime.shadow_steps shadow,
+        Runtime.shadow_decl_stats shadow ),
+      (!encodes, Intern.count events, Intern.count conses) )
+  in
+  let inside =
+    Runner.Cursor.with_ ~n:2 ~factory:(register ()) ~ticks ~probe ~shadow
+      ~encode
+      ~prefix:
+        [
+          Driver.Invoke (1, Consensus_type.Propose 0);
+          Driver.Schedule 1;
+          Driver.Invoke (2, Consensus_type.Propose 1);
+          Driver.Schedule 2;
+          Driver.Schedule 1;
+        ]
+      (fun c ->
+        check_bool "both processes suspended before disposal" true
+          (statuses c = [ Runtime.Ready; Runtime.Ready ]);
+        observe ())
+  in
+  check_int "five decisions ticked" 5 !ticks;
+  check_bool "disposal leaves ticks, probe, shadow and interner alone" true
+    (inside = observe ())
+
+let suites =
+  [
+    ( "cursor release",
+      [
+        quick "no process is left suspended by with_" test_no_cell_ready;
+        quick "disposal ticks, probes, logs and interns nothing"
+          test_disposal_is_silent;
+        quick "explorers report the pinned figures" test_pinned;
+      ] );
+  ]

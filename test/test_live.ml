@@ -127,20 +127,20 @@ let test_cert_digest_repeats_exactly () =
      configuration digest (the fingerprint of the quotient that can
      recur) repeats exactly. *)
   let c = lasso_exn "cert" (search_register ~depth:8 (Freedom.make ~l:1 ~k:2)) in
-  let cur =
-    Runner.Cursor.replay ~n:2 ~factory:(reg_factory ())
-      (c.Lasso.c_stem @ c.Lasso.c_cycle)
-  in
   let boundary cur =
     (Lasso.cert_of_cursor ~stem:c.Lasso.c_stem ~cycle:c.Lasso.c_cycle
        ~cells:c.Lasso.c_cells cur)
       .Lasso.c_digest
   in
-  check_int "digest at the first boundary" c.Lasso.c_digest (boundary cur);
-  List.iter (Runner.Cursor.apply cur) c.Lasso.c_cycle;
-  check_int "digest after one more repetition" c.Lasso.c_digest (boundary cur);
-  List.iter (Runner.Cursor.apply cur) c.Lasso.c_cycle;
-  check_int "digest after two more repetitions" c.Lasso.c_digest (boundary cur)
+  Runner.Cursor.with_ ~n:2 ~factory:(reg_factory ())
+    ~prefix:(c.Lasso.c_stem @ c.Lasso.c_cycle) (fun cur ->
+      check_int "digest at the first boundary" c.Lasso.c_digest (boundary cur);
+      List.iter (Runner.Cursor.apply cur) c.Lasso.c_cycle;
+      check_int "digest after one more repetition" c.Lasso.c_digest
+        (boundary cur);
+      List.iter (Runner.Cursor.apply cur) c.Lasso.c_cycle;
+      check_int "digest after two more repetitions" c.Lasso.c_digest
+        (boundary cur))
 
 let test_pump_rejects_wrong_instance () =
   (* A certificate recorded against the register consensus does not
@@ -159,16 +159,16 @@ let test_pump_argument_errors () =
   | Ok _ -> Alcotest.fail "repetitions < 2 must be rejected");
   Alcotest.check_raises "empty cycle rejected"
     (Invalid_argument "Lasso.cert_of_cursor: empty cycle") (fun () ->
-      let cur = Runner.Cursor.create ~n:2 ~factory:(reg_factory ()) () in
-      ignore (Lasso.cert_of_cursor ~stem:[] ~cycle:[] ~cells:[] cur));
+      Runner.Cursor.with_ ~n:2 ~factory:(reg_factory ()) (fun cur ->
+          ignore (Lasso.cert_of_cursor ~stem:[] ~cycle:[] ~cells:[] cur)));
   Alcotest.check_raises "cells arity checked"
     (Invalid_argument "Lasso.cert_of_cursor: one cell list per cycle tick")
     (fun () ->
-      let cur = Runner.Cursor.create ~n:2 ~factory:(reg_factory ()) () in
-      ignore
-        (Lasso.cert_of_cursor ~stem:[]
-           ~cycle:[ Driver.Schedule 1 ]
-           ~cells:[] cur))
+      Runner.Cursor.with_ ~n:2 ~factory:(reg_factory ()) (fun cur ->
+          ignore
+            (Lasso.cert_of_cursor ~stem:[]
+               ~cycle:[ Driver.Schedule 1 ]
+               ~cells:[] cur)))
 
 let prop_lasso_pumps =
   (* The QCheck satellite: over small depth/point/pump-length choices,

@@ -306,7 +306,16 @@ let test_served_store_resumes_cli () =
   with_server ~store (fun port ->
       let src, r = query port "\"impl\": \"cas\", \"crashes\": 1, \"depth\": 8" in
       check_bool "served full" true (src = Some "full");
-      check_outcome "served" "ok" r);
+      check_outcome "served" "ok" r;
+      (* The one worker's peak resident set, where /proc can tell. *)
+      match Json.member "worker_hwm_kb" (stats port) with
+      | Some (Json.Arr [ Json.Int kb ]) ->
+          check_bool "worker_hwm_kb > 0" true (kb > 0)
+      | Some (Json.Arr [ Json.Null ])
+        when Slx_obs.Proc_status.kb "VmHWM" = None -> ()
+      | j ->
+          Alcotest.failf "worker_hwm_kb: %s"
+            (Option.fold ~none:"missing" ~some:Json.to_string j));
   let args = "explore --impl cas --depth 10 --crashes 1" in
   let resumed = cli_json (args ^ " --store " ^ store) in
   Alcotest.(check (option string))
