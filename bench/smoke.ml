@@ -237,6 +237,59 @@ let live_dpor_smoke () =
       node_ratio step_ratio;
   (ok, node_ratio, step_ratio)
 
+(* The live-keying row: the suffix cache keys a node only when
+   [2 * max_period < len < depth] — shallower keys spell out the whole
+   script and cannot hit, and leaves are not worth a key.  At the
+   default period bound no node qualifies, so the search builds no
+   cache and every counter (clock aside) equals [~cache:false]'s; at
+   a small period bound the cache still hits and walks fewer nodes,
+   while a hit credits its subtree's runs so [runs] stays equal. *)
+let live_keying_smoke () =
+  Printf.printf "== bench smoke: live suffix-cache keying ==\n";
+  let factory () = Slx_consensus.Register_consensus.factory () in
+  let invoke =
+    Slx_core.Explore.workload_invoke
+      (Driver.forever (fun p -> Slx_consensus.Consensus_type.Propose (p - 1)))
+  in
+  let good (_ : Slx_consensus.Consensus_type.response) = true in
+  let stats ~n ~depth ~max_crashes ?max_period cache =
+    let st =
+      (Slx_core.Live_explore.search ~n ~factory ~invoke ~good
+         ~point:Slx_liveness.Freedom.obstruction_freedom ~depth ~max_crashes
+         ?max_period ~dpor:true ~cache ())
+        .Slx_core.Live_explore.stats
+    in
+    { st with Slx_core.Explore_stats.elapsed_ns = 0 }
+  in
+  let row name (on : Slx_core.Explore_stats.t) (off : Slx_core.Explore_stats.t)
+      =
+    Printf.printf
+      "  {\"case\": %S, \"nodes\": %d, \"no_cache_nodes\": %d, \"runs\": %d, \
+       \"no_cache_runs\": %d, \"cache_hits\": %d, \"cache_entries\": %d}\n"
+      name on.nodes off.nodes on.runs off.runs on.cache_hits on.cache_entries
+  in
+  let d_on = stats ~n:3 ~depth:9 ~max_crashes:2 true in
+  let d_off = stats ~n:3 ~depth:9 ~max_crashes:2 false in
+  row "register-live-n3-crashes-2-depth-9-default-period" d_on d_off;
+  let default_ok = d_on.cache_entries = 0 && d_on = d_off in
+  if not default_ok then
+    Printf.printf
+      "  SMOKE FAILURE: default period bound built a cache or moved a \
+       counter (%d entries)\n"
+      d_on.cache_entries;
+  let s_on = stats ~n:2 ~depth:14 ~max_crashes:1 ~max_period:2 true in
+  let s_off = stats ~n:2 ~depth:14 ~max_crashes:1 ~max_period:2 false in
+  row "register-live-n2-crashes-1-depth-14-max-period-2" s_on s_off;
+  let small_ok =
+    s_on.cache_hits > 0 && s_on.nodes < s_off.nodes && s_on.runs = s_off.runs
+  in
+  if not small_ok then
+    Printf.printf
+      "  SMOKE FAILURE: max_period 2 cache did not pay (hits %d, nodes %d vs \
+       %d, runs %d vs %d)\n"
+      s_on.cache_hits s_on.nodes s_off.nodes s_on.runs s_off.runs;
+  default_ok && small_ok
+
 (* Observability smoke: one traced fair-cycle search and one traced
    2-domain exploration, exported to Chrome trace-event JSON, re-parsed
    with the validator, and reconciled event-by-event against the stats
@@ -794,6 +847,7 @@ let run () =
   let dpor_ok = List.for_all snd dpor_results in
   let live_ok = live_smoke () in
   let live_dpor_ok, live_node_ratio, live_step_ratio = live_dpor_smoke () in
+  let keying_ok = live_keying_smoke () in
   let obs_ok = obs_smoke () in
   let san_ok = sanitize_overhead_smoke () in
   let micro_ok, fp_ratio, commute_ratio = micro_smoke () in
@@ -801,21 +855,22 @@ let run () =
   let store_ok, store_pct = store_resume_smoke () in
   let ok =
     cas_ratio >= 3.0 && crash_ratio >= 3.0 && red_ratio >= 3.0 && cas_eq
-    && crash_eq && red_eq && dpor_ok && live_ok && live_dpor_ok && obs_ok
-    && san_ok && micro_ok && compact_ok && store_ok && release_ok
+    && crash_eq && red_eq && dpor_ok && live_ok && live_dpor_ok && keying_ok
+    && obs_ok && san_ok && micro_ok && compact_ok && store_ok && release_ok
   in
   Printf.printf
     "smoke %s: depth-8 incremental ratios %.2fx / %.2fx, depth-10 reduction \
      ratio %.2fx (bar: 3x each), dpor %s, live split %s, live dpor %.2fx \
-     nodes / %.2fx steps (bar: 3x each), traces %s, sanitizer %s (bar: \
-     <=15%%), micro fingerprint %.2fx / commute %.2fx (bar: 2x each), \
-     compact keys %s, store resume %.1f%% of cold (bar: <50%%), cursor \
-     release %s (bar: <=1.25x)\n"
+     nodes / %.2fx steps (bar: 3x each), live keying %s, traces %s, \
+     sanitizer %s (bar: <=15%%), micro fingerprint %.2fx / commute %.2fx \
+     (bar: 2x each), compact keys %s, store resume %.1f%% of cold (bar: \
+     <50%%), cursor release %s (bar: <=1.25x)\n"
     (if ok then "OK" else "FAILED")
     cas_ratio crash_ratio red_ratio
     (if dpor_ok then "sound" else "BROKEN")
     (if live_ok then "reproduced" else "BROKEN")
     live_node_ratio live_step_ratio
+    (if keying_ok then "exact" else "BROKEN")
     (if obs_ok then "reconciled" else "BROKEN")
     (if san_ok then "transparent" else "BROKEN")
     fp_ratio commute_ratio

@@ -633,7 +633,9 @@ let live_explore_cmd =
          & info [ "max-period" ]
              ~doc:"Bound candidate cycle length in ticks (default \
                    ceil(depth/2), the largest period observable twice \
-                   within the depth bound).")
+                   within the depth bound).  The transposition cache \
+                   engages only when depth > 2*max-period + 1, so never \
+                   at the default.")
   in
   let pump_arg =
     Arg.(value & opt (some int) None
@@ -661,7 +663,12 @@ let live_explore_cmd =
   in
   let no_cache_arg =
     Arg.(value & flag
-         & info [ "no-cache" ] ~doc:"Disable the transposition cache.")
+         & info [ "no-cache" ]
+             ~doc:"Disable the transposition cache.  It only engages when \
+                   depth > 2*max-period + 1 (never at the default \
+                   max-period), keying nodes deeper than 2*max-period \
+                   ticks; verdict, certificate and runs are the same \
+                   either way.")
   in
   let cache_capacity_arg =
     Arg.(value & opt (some int) None

@@ -38,11 +38,24 @@ exception Cancelled
    fingerprint, which embeds the full history and hence all response
    payloads) and of at most that much trace suffix, so two prefixes
    agreeing on both have identical candidate sets below — an entry is
-   written only for completed lasso-free subtrees.  Under DPOR the
+   written only for completed lasso-free subtrees, and stores the
+   subtree's run count, credited to [runs] on a hit.  Under DPOR the
    reduced subtree additionally depends on the sleep set and on each
    sleeper's ignoring streak (the proviso counter), so [k_sleep] joins
    the key; with DPOR off it is always [] and keys degenerate to the
-   old shape. *)
+   old shape.
+
+   Only nodes with [2 * max_period < len < depth] are keyed.  The key
+   carries the time ([len]), and every decision's cell names its
+   process and kind ([pK:step], [pK:inv], [pK:crash]), so at
+   [len <= 2 * max_period] the cell suffix spells out the node's whole
+   script: no other node of the walk (resume seeds included) has that
+   key, and a lookup could only miss.  Leaves ([len = depth]) are not
+   keyed: a hit would save one candidate evaluation while every leaf
+   pays for a key.  When no node qualifies ([depth <= 2 * max_period +
+   1], which includes the default period bound) the search builds no
+   cache at all — no table, no history-interning hook, and no cell is
+   interned (doc/model.md §7). *)
 (* As in {!Explore}, two verdict-identical representations: the
    structural form, and the hash-consed compact form (default) where
    the fingerprint is the cursor's [compact_key] array, each abstract
@@ -82,7 +95,9 @@ type ('inv, 'res) state = {
          {!Explore}. *)
   mutable fr_rev_seeds : live_seed list;
   ticks : int ref;
-  table : (('inv, 'res) key, unit) Clock_cache.t;
+  table : (('inv, 'res) key, int) Clock_cache.t option;
+      (* The suffix cache, mapping a key to its subtree's run count;
+         [None] when no node of the search can be keyed. *)
   shadow : Runtime.shadow option;  (* non-raising: counts only *)
   probe : Runtime.probe option;
       (* DPOR observed-access probe shared by all cursors of this
@@ -111,7 +126,8 @@ let zero_sample =
   }
 
 let new_state ?capacity ?(sink = Telemetry.null) ?(progress = Progress.off)
-    ?(sanitize = false) ?(dpor = false) ?(compact = false) () =
+    ?(sanitize = false) ?(dpor = false) ?(cache = false) ?(compact = false) ()
+    =
   let encode =
     if not compact then None
     else begin
@@ -141,7 +157,8 @@ let new_state ?capacity ?(sink = Telemetry.null) ?(progress = Progress.off)
     fr_cuts = 0;
     fr_rev_seeds = [];
     ticks = ref 0;
-    table = Clock_cache.create ?capacity ~sink ();
+    table =
+      (if cache then Some (Clock_cache.create ?capacity ~sink ()) else None);
     shadow =
       (if sanitize then
          Some (Runtime.make_shadow ~record:false ~raise_on_violation:false ())
@@ -163,9 +180,10 @@ let wire_progress st =
           s_runs = st.runs;
           s_steps = !(st.ticks);
           s_frontier = 0;
-          s_cache_entries = Clock_cache.length st.table;
+          s_cache_entries =
+            Option.fold ~none:0 ~some:Clock_cache.length st.table;
           s_cache_capacity =
-            Option.value ~default:0 (Clock_cache.capacity st.table);
+            Option.value ~default:0 (Option.bind st.table Clock_cache.capacity);
           s_cycles = st.cycles;
           s_domain_steps = [];
         })
@@ -186,8 +204,8 @@ let stats_of_state ~elapsed_ns ~events_dropped st : Explore_stats.t =
     steps_replayed = st.replayed;
     replays_avoided = st.avoided;
     cache_hits = st.hits;
-    cache_entries = Clock_cache.length st.table;
-    cache_evictions = Clock_cache.evictions st.table;
+    cache_entries = Option.fold ~none:0 ~some:Clock_cache.length st.table;
+    cache_evictions = Option.fold ~none:0 ~some:Clock_cache.evictions st.table;
     por_prunes = st.por_pruned;
     race_reversals = st.reversals;
     invoke_order_prunes = st.invoke_pruned;
@@ -350,13 +368,16 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
      graph either), and larger bounds can ignore a transition across a
      whole short cycle and silently miss its lasso. *)
   let proviso_bound = Option.value proviso_bound ~default:2 in
-  (* Compact keys need the cache to be live and every packed
-     [(streak << 8) | proc] sleeper entry to be unambiguous. *)
+  (* The cache engages only if some node can be keyed, i.e. some
+     [len] has [2 * max_period < len < depth] (see the [key] type).
+     Compact keys need it, and every packed [(streak << 8) | proc]
+     sleeper entry to be unambiguous. *)
+  let cache = cache && depth > (2 * max_period) + 1 in
   let compact = compact && cache && n < 62 in
   let st =
     new_state ?capacity:cache_capacity
       ~sink:(Obs.sink obs ~index:0)
-      ~progress:(Obs.progress obs) ~sanitize ~dpor ~compact ()
+      ~progress:(Obs.progress obs) ~sanitize ~dpor ~cache ~compact ()
   in
   wire_progress st;
   let all_procs = Proc.all ~n in
@@ -500,35 +521,42 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
   and visit_body cursor rev_script rev_cells rev_cids rev_goods len crashes
       sleep =
     if cancel () then raise Cancelled;
-    let key =
-      if not cache then None
-      else if compact then
-        (* The interned-cell suffix is length-prefixed so the cell ids
-           and the packed sleeper entries cannot alias each other in
-           the flat array. *)
-        let cids = take (2 * max_period) rev_cids in
-        Some
-          (K_compact
-             (Intern.Ints.intern st.keys
-                (Runner.Cursor.compact_key cursor
-                   ~extra:
-                     ((List.length cids :: cids)
-                     @ List.map (fun (z, s) -> (s lsl 8) lor z) sleep))))
-      else
-        Some
-          (K_struct
-             {
-               k_fp = Runner.Cursor.fingerprint cursor;
-               k_cells = take (2 * max_period) rev_cells;
-               k_sleep = sleep;
-             })
+    (* Shallow nodes and leaves stay unkeyed: see the key comment. *)
+    let entry =
+      match st.table with
+      | Some table when 2 * max_period < len && len < depth ->
+          let key =
+            if compact then
+              (* The interned-cell suffix is length-prefixed so the cell
+                 ids and the packed sleeper entries cannot alias each
+                 other in the flat array. *)
+              let cids = take (2 * max_period) rev_cids in
+              K_compact
+                (Intern.Ints.intern st.keys
+                   (Runner.Cursor.compact_key cursor
+                      ~extra:
+                        ((List.length cids :: cids)
+                        @ List.map (fun (z, s) -> (s lsl 8) lor z) sleep)))
+            else
+              K_struct
+                {
+                  k_fp = Runner.Cursor.fingerprint cursor;
+                  k_cells = take (2 * max_period) rev_cells;
+                  k_sleep = sleep;
+                }
+          in
+          Some (table, key)
+      | _ -> None
     in
-    match Option.bind key (Clock_cache.find_opt st.table) with
-    | Some () ->
+    match
+      Option.bind entry (fun (table, k) -> Clock_cache.find_opt table k)
+    with
+    | Some runs ->
         st.hits <- st.hits + 1;
-        Telemetry.emit st.sink Telemetry.Cache_hit len 0
+        st.runs <- st.runs + runs;
+        Telemetry.emit st.sink Telemetry.Cache_hit len runs
     | None ->
-        let cuts0 = st.fr_cuts in
+        let cuts0 = st.fr_cuts and runs0 = st.runs in
         let view = Runner.Cursor.view cursor in
         eval_candidates st ~factory ~good ~point ~max_period ~pump_ticks
           ~blocked:(blocked_at view) cursor rev_script rev_cells rev_goods len;
@@ -646,7 +674,9 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
            holding cut leaves — a hit would hide their occurrences
            from the seed log. *)
         if st.fr_cuts = cuts0 || not persist then
-          Option.iter (fun k -> Clock_cache.replace st.table k ()) key
+          Option.iter
+            (fun (table, k) -> Clock_cache.replace table k (st.runs - runs0))
+            entry
   in
   (* Resuming: replay each stored seed decision by decision, rebuilding
      the abstract cells / good-response sets / interned cell ids the

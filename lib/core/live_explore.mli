@@ -49,7 +49,9 @@
     fingerprint {e plus} the last [2 * max_period] abstract cells —
     the context that determines every candidate in a subtree — and
     stores only completed lasso-free subtrees, so hits can never mask
-    the least witness.
+    the least witness.  Only nodes with [2 * max_period < len < depth]
+    are keyed: a shallower key spells out the node's whole script, so
+    it can never hit, and leaves are not worth a key (doc/model.md §7).
 
     {b Reductions.}  Naive sleep sets are unsound for cycle detection
     — sleep sets are path-dependent, and pruning by them can defer a
@@ -176,8 +178,17 @@ val search :
     Ready and correct, so a cycle never granting it is unfair in the
     full graph too).  Larger bounds prune more but can ignore a
     transition across a whole shorter cycle and silently miss its
-    lasso; [cache]/[cache_capacity] control the suffix-keyed
-    transposition cache.
+    lasso.
+
+    [cache] (default [true]) enables the suffix-keyed transposition
+    cache, bounded by [cache_capacity] (clock eviction).  It engages
+    only when [depth > 2 * max_period + 1], the only searches with a
+    node that can hit (see module doc); otherwise, as at the default
+    [max_period], nothing is built and every counter equals a
+    [~cache:false] run's.  A hit credits the cached subtree's run
+    count to [stats.runs], so [runs] is the same with the cache on or
+    off and with [persist] on or off; [nodes] counts the nodes
+    visited, which a hit lowers.
 
     [obs] (default {!Slx_obs.Obs.disabled}) attaches the observability
     bundle, as in {!Explore.explore}: node spans, decisions, cache
@@ -199,7 +210,8 @@ val search :
     history ids, interned abstract-trace cells, packed sleeper
     entries — one dense int per key.  Verdict- and
     certificate-identical to [~compact:false] (differentially tested);
-    ignored when the cache is off or [n >= 62].  There is deliberately
+    ignored when the cache is off or does not engage, or [n >= 62]
+    — then the cursors carry no history-interning hook either.  There is deliberately
     no bitstate variant here: hash compaction's false hits would
     silently truncate the search, and [No_fair_cycle] is an
     exhaustiveness claim — the liveness side keeps exact keys

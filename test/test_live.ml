@@ -97,6 +97,90 @@ let test_witness_deterministic_across_configs () =
     (base.Lasso.c_stem = no_cache.Lasso.c_stem
     && base.Lasso.c_cycle = no_cache.Lasso.c_cycle)
 
+(* ------------------------------------------------------------------ *)
+(* The suffix cache against [~cache:false].                            *)
+
+let same_cert a b =
+  match (a, b) with
+  | Live_explore.Lasso x, Live_explore.Lasso y ->
+      x.Lasso.c_stem = y.Lasso.c_stem
+      && x.Lasso.c_cycle = y.Lasso.c_cycle
+      && x.Lasso.c_cells = y.Lasso.c_cells
+  | Live_explore.No_fair_cycle, Live_explore.No_fair_cycle -> true
+  | _ -> false
+
+let cache_pair ?max_period ?pump_ticks ?(persist = false) ~factory ~point
+    ~depth ~max_crashes () =
+  let search cache =
+    Live_explore.search ~n:2 ~factory ~invoke ~good ~point ~depth ~max_crashes
+      ?max_period ?pump_ticks ~dpor:true ~persist ~cache ()
+  in
+  (search true, search false)
+
+(* A hit credits its subtree's runs, so the cache may only lower
+   [nodes] (the hit node's subtree is not walked); the verdict, the
+   certificate, [runs] and the persist frontier must not move. *)
+let cache_agrees (on, off) =
+  let s r = r.Live_explore.stats in
+  same_cert on.Live_explore.outcome off.Live_explore.outcome
+  && (s on).Explore_stats.runs = (s off).Explore_stats.runs
+  && (s on).Explore_stats.nodes <= (s off).Explore_stats.nodes
+  && ((s on).Explore_stats.cache_hits > 0
+     || (s on).Explore_stats.nodes = (s off).Explore_stats.nodes)
+  && on.Live_explore.frontier = off.Live_explore.frontier
+
+let test_cache_hits_keep_results () =
+  let reg () = reg_factory ~depth:14 () in
+  let cas () = Slx_consensus.Cas_consensus.factory () in
+  List.iter
+    (fun (name, pair) ->
+      let on, _ = pair in
+      check_bool (name ^ ": the cache hits") true
+        (on.Live_explore.stats.Explore_stats.cache_hits > 0);
+      check_bool (name ^ ": same outcome, certificate and runs") true
+        (cache_agrees pair))
+    [
+      ( "register (1,1) d=14 max_period 2",
+        cache_pair ~factory:reg ~point:Freedom.obstruction_freedom ~depth:14
+          ~max_crashes:1 ~max_period:2 () );
+      ( "register (1,1) d=14 max_period 4",
+        cache_pair ~factory:reg ~point:Freedom.obstruction_freedom ~depth:14
+          ~max_crashes:1 ~max_period:4 () );
+      ( "cas (1,1) d=13 max_period 4 pump 40",
+        cache_pair ~factory:cas ~point:Freedom.obstruction_freedom ~depth:13
+          ~max_crashes:1 ~max_period:4 ~pump_ticks:40 () );
+      ( "register (1,2) d=12 max_period 2",
+        cache_pair ~factory:reg ~point:(Freedom.make ~l:1 ~k:2) ~depth:12
+          ~max_crashes:0 ~max_period:2 () );
+    ]
+
+let test_default_period_builds_no_cache () =
+  (* At the default period bound no node is ever keyed: the cache is
+     not built, and every counter but the clock matches [~cache:false]. *)
+  let on, off =
+    cache_pair
+      ~factory:(fun () -> reg_factory ~depth:12 ())
+      ~point:Freedom.obstruction_freedom ~depth:12 ~max_crashes:1 ()
+  in
+  let untimed r = { r.Live_explore.stats with Explore_stats.elapsed_ns = 0 } in
+  check_int "no cache entries" 0
+    on.Live_explore.stats.Explore_stats.cache_entries;
+  check_bool "stats equal to ~cache:false" true (untimed on = untimed off);
+  check_bool "same outcome" true
+    (same_cert on.Live_explore.outcome off.Live_explore.outcome)
+
+let prop_cache_transparent =
+  QCheck2.Test.make ~name:"suffix cache keeps outcome, certificate and runs"
+    ~count:20
+    QCheck2.Gen.(
+      tup5 (int_range 6 10) (int_range 1 5) (int_range 0 1) bool
+        (oneofl [ Freedom.obstruction_freedom; Freedom.make ~l:1 ~k:2 ]))
+    (fun (depth, max_period, max_crashes, persist, point) ->
+      cache_agrees
+        (cache_pair
+           ~factory:(fun () -> reg_factory ~depth ())
+           ~point ~depth ~max_crashes ~max_period ~persist ()))
+
 let test_invoke_order_reduction_sound () =
   let point = Freedom.make ~l:1 ~k:2 in
   let full = search_register ~depth:8 point in
@@ -283,6 +367,14 @@ let suites =
           test_witness_deterministic_across_configs;
         quick "invoke-order reduction sound" test_invoke_order_reduction_sound;
       ] );
+    ( "live-explore: suffix cache",
+      [
+        quick "hits keep outcome, certificate and runs"
+          test_cache_hits_keep_results;
+        quick "default max_period builds no cache"
+          test_default_period_builds_no_cache;
+      ]
+      @ qcheck [ prop_cache_transparent ] );
     ( "live-explore: certificates",
       [
         quick "boundary digest repeats exactly" test_cert_digest_repeats_exactly;
