@@ -689,74 +689,6 @@ let compact_smoke () =
     Printf.printf "  SMOKE FAILURE: bitstate row missing or dishonest\n";
   identical && bitstate_ok
 
-(* The persistent-store resume row: the depth-8 register exploration
-   committed cold to a scratch store, then the same query deepened to
-   10 — the store plans a resume, the engine replays the stored
-   frontier's cut seeds and explores only the delta.  The gate: the
-   resumed run's executed steps stay under half the cold depth-10
-   run's, with the identical verdict and run count (the store is an
-   accelerator, never an approximation).  This is the
-   BENCH_explore.json "store_resume" row. *)
-let store_resume_smoke () =
-  Printf.printf "== bench smoke: store-backed resume (frontier delta) ==\n";
-  let module Store = Slx_store.Store in
-  let module Persist = Slx_store.Persist in
-  let factory () = Slx_consensus.Register_consensus.factory () in
-  let path = Filename.temp_file "slx_smoke" ".store" in
-  let store = Store.open_ path in
-  let qid =
-    Persist.query_key ~ident:"register" ~check:"consensus-safety" ~n:2
-      ~registry_digest:(Persist.instance_digest ~n:2 ~factory)
-      ~dpor:true ()
-  in
-  let stored depth =
-    Persist.run_explore ~store ~qid ~n:2 ~factory ~invoke:one_proposal ~depth
-      ~dpor:true ~check ()
-  in
-  let cold10 =
-    Slx_core.Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth:10
-      ~dpor:true ~check ()
-  in
-  let base8, src8 = stored 8 in
-  let resumed10, src10 = stored 10 in
-  Sys.remove path;
-  let replayed =
-    resumed10.Slx_core.Explore.stats.Slx_core.Explore_stats.steps_replayed
-  in
-  (* The saved work is the fresh (non-replay) delta: replay ticks only
-     re-establish the stored cut's cursors and are already counted
-     apart by the engine ([steps_replayed]). *)
-  let fresh = steps resumed10 - replayed in
-  let pct = 100.0 *. float_of_int fresh /. float_of_int (max 1 (steps cold10)) in
-  Printf.printf
-    "  {\"case\": \"register-depth-10-dpor-store-resume\", \
-     \"cold_depth8_steps\": %d, \"cold_depth10_steps\": %d, \
-     \"resumed_steps\": %d, \"resumed_replayed\": %d, \"fresh_steps\": %d, \
-     \"fresh_pct\": %.1f, \"runs\": %d}\n"
-    (steps base8) (steps cold10) (steps resumed10) replayed fresh pct
-    (runs cold10);
-  let planned =
-    src8 = Persist.Cold && src10 = Persist.Resumed 8
-  in
-  if not planned then
-    Printf.printf
-      "  SMOKE FAILURE: store planning wrong (depth 8 %s, depth 10 %s)\n"
-      (Format.asprintf "%a" Persist.pp_source src8)
-      (Format.asprintf "%a" Persist.pp_source src10);
-  let identical =
-    safe cold10 = safe resumed10 && runs cold10 = runs resumed10
-  in
-  if not identical then
-    Printf.printf
-      "  SMOKE FAILURE: resume changed the verdict (runs %d vs %d)\n"
-      (runs cold10) (runs resumed10);
-  if pct >= 50.0 then
-    Printf.printf
-      "  SMOKE FAILURE: resumed fresh steps %.1f%% of cold, above the 50%% \
-       bar\n"
-      pct;
-  (planned && identical && pct < 50.0, pct)
-
 (* The cursor-release row: the lib-safety query shape (register n = 3,
    one crash, depth 14, every reduction on) explored 10 times in this
    process, with a full major collection after each run.  Every cursor
@@ -852,19 +784,17 @@ let run () =
   let san_ok = sanitize_overhead_smoke () in
   let micro_ok, fp_ratio, commute_ratio = micro_smoke () in
   let compact_ok = compact_smoke () in
-  let store_ok, store_pct = store_resume_smoke () in
   let ok =
     cas_ratio >= 3.0 && crash_ratio >= 3.0 && red_ratio >= 3.0 && cas_eq
     && crash_eq && red_eq && dpor_ok && live_ok && live_dpor_ok && keying_ok
-    && obs_ok && san_ok && micro_ok && compact_ok && store_ok && release_ok
+    && obs_ok && san_ok && micro_ok && compact_ok && release_ok
   in
   Printf.printf
     "smoke %s: depth-8 incremental ratios %.2fx / %.2fx, depth-10 reduction \
      ratio %.2fx (bar: 3x each), dpor %s, live split %s, live dpor %.2fx \
      nodes / %.2fx steps (bar: 3x each), live keying %s, traces %s, \
      sanitizer %s (bar: <=15%%), micro fingerprint %.2fx / commute %.2fx \
-     (bar: 2x each), compact keys %s, store resume %.1f%% of cold (bar: \
-     <50%%), cursor release %s (bar: <=1.25x)\n"
+     (bar: 2x each), compact keys %s, cursor release %s (bar: <=1.25x)\n"
     (if ok then "OK" else "FAILED")
     cas_ratio crash_ratio red_ratio
     (if dpor_ok then "sound" else "BROKEN")
@@ -875,7 +805,6 @@ let run () =
     (if san_ok then "transparent" else "BROKEN")
     fp_ratio commute_ratio
     (if compact_ok then "identical" else "BROKEN")
-    store_pct
     (match release_ratio with
     | Some r -> Printf.sprintf "%.2fx" r
     | None -> "skipped");

@@ -41,8 +41,8 @@
    The exploration subcommands additionally take --trace FILE (record
    a Chrome trace-event JSON file, loadable in Perfetto),
    --progress[=SECS] (live heartbeats to stderr), and --store FILE
-   (answer through the persistent verdict store: warm hits, frontier
-   resumes, and recording — see doc/model.md section 11).  *)
+   (answer through the persistent verdict store: warm hits, else a cold
+   run that is recorded — see doc/model.md section 11).  *)
 
 open Cmdliner
 open Slx_liveness
@@ -91,10 +91,10 @@ let store_arg =
     & info [ "store" ] ~docv:"FILE"
         ~doc:
           "Answer through the persistent verdict store at $(docv): serve \
-           an exact stored verdict warm (witnesses re-validated), resume \
-           a deeper run from a stored frontier, and record this run's \
-           verdict for the next one.  Created if missing; corrupt or \
-           stale stores degrade to cold runs, never to wrong answers.")
+           an exact stored verdict warm (witnesses re-validated), or run \
+           cold and record this run's verdict for the next one.  Created \
+           if missing; corrupt or stale stores degrade to cold runs, \
+           never to wrong answers.")
 
 (* Graceful ^C for the exploration subcommands: the engines poll the
    flag once per node and abandon with partial statistics; a
@@ -870,7 +870,7 @@ let stats_cmd =
       & opt (some string) None
       & info [ "store" ] ~docv:"FILE"
           ~doc:"Summarize the persistent verdict store at $(docv): \
-                records, hit/resume counters, steps saved, health.")
+                records, warm/cold counters, health.")
   in
   let store_stats path =
     if not (Sys.file_exists path) then cli_error "%s: no such store" path
@@ -887,10 +887,9 @@ let stats_cmd =
         Printf.printf "  dropped:  %d corrupt frame(s)\n"
           h.Vstore.h_records_dropped;
       Printf.printf
-        "  counters: %d queries, %d warm, %d resumed, %d cold, %d \
-         rejected, %d steps saved\n"
-        c.Vstore.c_queries c.Vstore.c_warm_hits c.Vstore.c_resumes
-        c.Vstore.c_colds c.Vstore.c_rejected c.Vstore.c_steps_saved;
+        "  counters: %d queries, %d warm, %d cold, %d rejected\n"
+        c.Vstore.c_queries c.Vstore.c_warm_hits c.Vstore.c_colds
+        c.Vstore.c_rejected;
       Printf.printf "  records:  %d\n" (List.length records);
       List.iter
         (fun (r : Vstore.record) ->
@@ -910,14 +909,8 @@ let stats_cmd =
                   Printf.sprintf " mp=%d pt=%d" r.Vstore.r_max_period
                     r.Vstore.r_pump_ticks )
           in
-          Printf.printf
-            "    qid=%016x depth=%-2d%s %-28s steps=%-9d %s\n"
-            r.Vstore.r_qid r.Vstore.r_depth budgets verdict r.Vstore.r_steps
-            (match r.Vstore.r_frontier with
-            | Some f ->
-                Printf.sprintf "frontier(%d seeds)"
-                  (List.length f.Vstore.f_seeds)
-            | None -> "no frontier"))
+          Printf.printf "    qid=%016x depth=%-2d%s %-28s steps=%d\n"
+            r.Vstore.r_qid r.Vstore.r_depth budgets verdict r.Vstore.r_steps)
         records;
       0
     end
@@ -1325,8 +1318,8 @@ let serve_cmd =
        ~doc:
          "Run the verification service: a JSON-over-HTTP coordinator that \
           answers queries warm from the store, computes each other one \
-          as a single task on a worker process (resuming a stored \
-          frontier when it can; re-leased on crash), and dedupes \
+          cold as a single task on a worker process (re-leased on \
+          crash), and dedupes \
           identical in-flight queries.  Endpoints: \
           POST /query, GET /status/ID, GET /stats, POST /shutdown.")
     Term.(const run $ host_arg $ port_arg $ workers_arg $ store_path_arg)

@@ -9,20 +9,10 @@ type ('inv, 'res) outcome =
   | Ok of int
   | Counterexample of ('inv, 'res) Run_report.t
 
-type frontier_seed = { seed_script : int list; seed_sleep : int }
-
-type frontier = {
-  fr_depth : int;
-  fr_base_runs : int;
-  fr_base_digest : int;
-  fr_seeds : frontier_seed list;
-}
-
 type ('inv, 'res) exploration = {
   outcome : ('inv, 'res) outcome;
   stats : Explore_stats.t;
   witness_script : ('inv, 'res) Driver.decision list option;
-  frontier : frontier option;
 }
 
 exception Found_counterexample
@@ -35,8 +25,8 @@ exception Cancelled
 (* ------------------------------------------------------------------ *)
 (* Type-agnostic decision coding.                                      *)
 
-(* A decision as a small int — the persistent form frontier seeds and
-   stored witness scripts use.  [Invoke] payloads are deliberately not
+(* A decision as a small int — the persistent form stored witness
+   scripts use.  [Invoke] payloads are deliberately not
    encoded: every engine constructs an invocation as [invoke view p],
    so a decoder holding the same [invoke] re-derives the identical
    payload from the view at the point of application.  [Stop] never
@@ -199,15 +189,6 @@ type ('inv, 'res) key =
    compact mode ([n < 62]). *)
 let sleep_bits sleep = List.fold_left (fun acc p -> acc lor (1 lsl p)) 0 sleep
 
-(* Inverse of [sleep_bits], ascending — the order the engine's
-   [sort_uniq]-maintained sleep lists are in. *)
-let procs_of_bits bits =
-  let rec go p acc =
-    if p < 0 then acc
-    else go (p - 1) (if bits land (1 lsl p) <> 0 then p :: acc else acc)
-  in
-  go 61 []
-
 (* A counterexample as first found: decision-tree rank (root-first
    child indices in the reduced menus — the tie-breaker that makes the
    parallel engine deterministic), decision script, failing report. *)
@@ -240,14 +221,6 @@ type ('inv, 'res) dstate = {
   mutable steals : int;
   mutable digest : int;
   mutable found : ('inv, 'res) witness option;
-  mutable fr_cuts : int;
-      (* Persist mode: cut leaves seen — maximal runs at the depth
-         bound whose menu would be nonempty at a greater depth.  Each
-         is recorded as a frontier seed, and a transposition entry is
-         written only for subtrees containing none of them, so a later
-         resumed walk sees every cut leaf exactly once. *)
-  mutable fr_cut_digest : int;
-  mutable fr_rev_seeds : frontier_seed list;
   ticks : int ref;
   table : (('inv, 'res) key, entry) Clock_cache.t;
   shadow : Runtime.shadow option;
@@ -319,9 +292,6 @@ let new_state ~index ?capacity ~sink ?(progress = Progress.off)
     steals = 0;
     digest = 0;
     found = None;
-    fr_cuts = 0;
-    fr_cut_digest = 0;
-    fr_rev_seeds = [];
     ticks = ref 0;
     table = Clock_cache.create ?capacity ~sink ();
     shadow =
@@ -497,24 +467,9 @@ let record_witness shared ((rank, _, _) as w) =
 let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
     ?cache_capacity ?(por = false) ?(dpor = false) ?(symmetry = false)
     ?(domains = 1) ?(obs = Obs.disabled) ?(sanitize = false) ?(compact = true)
-    ?bitstate ?(persist = false) ?resume ?cancel ~check () =
+    ?bitstate ?cancel ~check () =
   let t0 = Clock.now_ns () in
   let cancel = match cancel with Some f -> f | None -> fun () -> false in
-  (* Persist/resume are sequential-exact modes: frontier seeds must be
-     discovered (and replayed) in first-visit order for the resumed
-     witness to stay the lex-least one, and bitstate hits could prune
-     a subtree holding unrecorded cut leaves.  Both are therefore
-     silently ignored under fan-out or hash compaction; the sleep
-     bitset additionally needs every process id to fit a word. *)
-  let persist = persist && domains <= 1 && bitstate = None && n < 62 in
-  let resume =
-    match resume with
-    | Some f when domains <= 1 && bitstate = None ->
-        if f.fr_depth >= depth then
-          invalid_arg "Explore.explore: resume frontier not shallower";
-        Some f
-    | _ -> None
-  in
   (* [reduce]: the sleep-set walk runs; [dpor] selects the dynamic
      observed-access oracle over the declared-footprint one. *)
   let reduce = por || dpor in
@@ -524,25 +479,6 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
      the sleep bitset needs every process id to fit a word. *)
   let compact = compact && cache && bitstate = None && n < 62 in
   let menu = decision_menu ~n ~invoke ~depth ~max_crashes ~symmetry in
-  (* Would the menu be nonempty with the depth guard lifted?  Exactly
-     when some process can still step, invoke or crash — neither
-     symmetry nor invoke pruning ever empties a nonempty raw menu, so
-     this decides whether a maximal node is a {e cut} leaf (interior
-     at a greater depth, hence a frontier seed) or terminated (final
-     at any depth). *)
-  let has_future view crashes =
-    List.exists
-      (fun p ->
-        match view.Driver.status p with
-        | Runtime.Ready -> true
-        | Runtime.Idle -> invoke view p <> None
-        | Runtime.Crashed -> false)
-      (Proc.all ~n)
-    || crashes < max_crashes
-       && List.exists
-            (fun p -> view.Driver.status p <> Runtime.Crashed)
-            (Proc.all ~n)
-  in
   (* Every cursor of the walk lives in one of these brackets: a
      sibling's cursor is disposed of as soon as its subtree is done
      (or unwinds), so at most [depth + 1] are live per domain. *)
@@ -658,29 +594,10 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
             Telemetry.emit st.sink Telemetry.Run_checked len 0;
             let dh = Runtime.hash_value r.Run_report.history in
             st.digest <- st.digest + dh;
-            let cut =
-              persist && has_future (Runner.Cursor.view cursor) crashes
-            in
-            if cut then begin
-              (* A cut leaf: maximal only because of the depth bound.
-                 Record its coded script + settled sleep set as a
-                 frontier seed (in first-visit = lex order) and write
-                 no transposition entry, so no later hit can hide an
-                 occurrence of this class from the seed log. *)
-              st.fr_cuts <- st.fr_cuts + 1;
-              st.fr_cut_digest <- st.fr_cut_digest + dh;
-              st.fr_rev_seeds <-
-                {
-                  seed_script = List.rev_map code_of_decision rev_script;
-                  seed_sleep = sleep_bits sleep;
-                }
-                :: st.fr_rev_seeds
-            end
-            else
-              Option.iter
-                (fun k ->
-                  Clock_cache.replace st.table k { e_runs = 1; e_digest = dh })
-                key;
+            Option.iter
+              (fun k ->
+                Clock_cache.replace st.table k { e_runs = 1; e_digest = dh })
+              key;
             if not (check r) then begin
               st.found <- Some (List.rev rev_rank, List.rev rev_script, r);
               raise Found_counterexample
@@ -718,7 +635,6 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                 true
             | _ ->
                 let runs0 = st.runs and digest0 = st.digest in
-                let cuts0 = st.fr_cuts in
                 let pend p = Runner.Cursor.pending_mask cursor p in
                 let commutes z d =
                   match d with
@@ -832,12 +748,7 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                       if not explored then complete := false
                     end)
                   children;
-                (* Persist mode: never cache a subtree containing cut
-                   leaves — a hit on it would credit runs without
-                   re-recording the seeds it holds, so the frontier
-                   would under-count.  (Verdict-neutral: a hit credits
-                   exactly what re-exploration counts.) *)
-                if !complete && (st.fr_cuts = cuts0 || not persist) then
+                if !complete then
                   Option.iter
                     (fun k ->
                       Clock_cache.replace st.table k
@@ -859,43 +770,12 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
     in
     match witness with
     | None ->
-        let frontier =
-          match states with
-          | [ st ] when persist ->
-              (* [fr_base_*] = the runs/digest final at this depth:
-                 the totals minus every cut leaf's contribution.  A
-                 deeper resume starts from these and explores only the
-                 seed subtrees. *)
-              Some
-                {
-                  fr_depth = depth;
-                  fr_base_runs = stats.Explore_stats.runs - st.fr_cuts;
-                  fr_base_digest =
-                    stats.Explore_stats.history_digest - st.fr_cut_digest;
-                  fr_seeds = List.rev st.fr_rev_seeds;
-                }
-          | _ -> None
-        in
-        {
-          outcome = Ok stats.Explore_stats.runs;
-          stats;
-          witness_script = None;
-          frontier;
-        }
+        { outcome = Ok stats.Explore_stats.runs; stats; witness_script = None }
     | Some (_, script, r) ->
-        {
-          outcome = Counterexample r;
-          stats;
-          witness_script = Some script;
-          frontier = None;
-        }
+        { outcome = Counterexample r; stats; witness_script = Some script }
   in
   if domains <= 1 then begin
-    (* Sequential: one in-order walk from the root configuration — or,
-       resuming, one walk per stored frontier seed, in the stored
-       (first-visit, hence lex) order, on top of the stored base
-       counts.  Cut leaves terminated at the stored depth stay final
-       at any depth, so the seed subtrees are exactly the delta. *)
+    (* Sequential: one in-order walk from the root configuration. *)
     let st =
       new_state ~index:0 ?capacity:cache_capacity
         ~sink:(Obs.sink obs ~index:0) ~progress:(Obs.progress obs) ~sanitize
@@ -903,30 +783,7 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
     in
     wire_progress obs [| st |] (fun () -> 0);
     let walk () =
-      match resume with
-      | None ->
-          with_cursor st (fun c ->
-              ignore (visit None st c [] [] 0 0 [] : bool))
-      | Some f ->
-          st.runs <- f.fr_base_runs;
-          st.digest <- f.fr_base_digest;
-          List.iter
-            (fun seed ->
-              with_cursor st (fun c ->
-                  let ds = apply_codes ~invoke c seed.seed_script in
-                  let len = List.length ds in
-                  st.replayed <- st.replayed + len;
-                  let crashes =
-                    List.fold_left
-                      (fun a d ->
-                        match d with Driver.Crash _ -> a + 1 | _ -> a)
-                      0 ds
-                  in
-                  ignore
-                    (visit None st c (List.rev ds) [] len crashes
-                       (procs_of_bits seed.seed_sleep)
-                      : bool)))
-            f.fr_seeds
+      with_cursor st (fun c -> ignore (visit None st c [] [] 0 0 [] : bool))
     in
     let witness =
       match walk () with
@@ -1107,19 +964,9 @@ let explore_naive ~n ~factory ~invoke ~depth ?(max_crashes = 0) ~check () =
   in
   match witness with
   | None ->
-      {
-        outcome = Ok stats.Explore_stats.runs;
-        stats;
-        witness_script = None;
-        frontier = None;
-      }
+      { outcome = Ok stats.Explore_stats.runs; stats; witness_script = None }
   | Some (_, script, r) ->
-      {
-        outcome = Counterexample r;
-        stats;
-        witness_script = Some script;
-        frontier = None;
-      }
+      { outcome = Counterexample r; stats; witness_script = Some script }
 
 let forall_schedules ~n ~factory ~invoke ~depth ?(max_crashes = 0) ~check () =
   (explore ~n ~factory ~invoke ~depth ~max_crashes ~check ()).outcome

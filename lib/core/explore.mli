@@ -89,31 +89,6 @@ type ('inv, 'res) outcome =
           possibly a commutation/renaming of the unreduced engines'
           witness. *)
 
-type frontier_seed = {
-  seed_script : int list;
-      (** The coded decision prefix ({!code_of_decision}) reaching the
-          cut leaf, root-first. *)
-  seed_sleep : int;  (** The leaf's settled POR sleep set, as a bitset. *)
-}
-(** One {e cut leaf} of a depth-bounded exploration: a maximal run
-    that ended only because the depth bound fell, recorded compactly
-    enough to re-establish via {!Slx_sim.Runner.Cursor.with_} and
-    deepen later. *)
-
-type frontier = {
-  fr_depth : int;  (** The depth bound the frontier was cut at. *)
-  fr_base_runs : int;
-      (** Maximal runs final at {e any} depth (the [Ok] payload minus
-          the cut leaves) — the base a deeper resume starts from. *)
-  fr_base_digest : int;
-      (** [history_digest] restricted to those final runs. *)
-  fr_seeds : frontier_seed list;  (** Cut leaves, in first-visit order. *)
-}
-(** The resumable residue of a counterexample-free exploration: replay
-    each seed and explore only its subtree at the greater depth, and
-    the totals — runs, digest, witness — come out byte-identical to a
-    cold run at that depth (see doc/model.md §11). *)
-
 type ('inv, 'res) exploration = {
   outcome : ('inv, 'res) outcome;
   stats : Explore_stats.t;  (** Work counters; see {!Explore_stats}. *)
@@ -121,9 +96,6 @@ type ('inv, 'res) exploration = {
       (** The decision script of the counterexample, when there is one:
           replaying it through [Driver.of_script] reproduces the
           failing run exactly. *)
-  frontier : frontier option;
-      (** Under [~persist:true] (and its gates) on an [Ok] outcome:
-          the cut frontier a deeper [~resume] run can start from. *)
 }
 
 exception Interrupted of Explore_stats.t
@@ -148,8 +120,6 @@ val explore :
   ?sanitize:bool ->
   ?compact:bool ->
   ?bitstate:int ->
-  ?persist:bool ->
-  ?resume:frontier ->
   ?cancel:(unit -> bool) ->
   check:(('inv, 'res) Run_report.t -> bool) ->
   unit ->
@@ -240,33 +210,11 @@ val explore :
     only runs actually checked.  Safety-side only by design: the
     fair-cycle search keeps its exact cache ({!Live_explore}).
 
-    [persist] (default [false]) records the {e cut frontier}: every
-    maximal run that ended only at the depth bound becomes a
-    {!frontier_seed}, and on an [Ok] outcome the result carries a
-    {!frontier}.  To keep the seed log exact, subtrees containing cut
-    leaves are not written to the transposition cache (hits on them
-    would hide seed occurrences); this costs extra frontier-adjacent
-    work but changes no verdict, witness, run count or digest.
-    Silently ignored — no frontier is produced — under [~domains > 1],
-    [~bitstate], or [n >= 62].
-
-    [resume] starts from a previously recorded frontier instead of the
-    root: each seed's script is decoded and replayed ([Invoke]
-    payloads re-derived through [invoke] — pass the same workload),
-    and only the seed subtrees are explored, on top of the stored base
-    counts.  The outcome, witness and [Ok]/digest totals are
-    byte-identical to a cold run at [depth] with the same flags —
-    callers must guarantee the instance, workload, flags and check
-    match the stored run's ({!Slx_store.Persist} binds all of these
-    into the store key).  Ignored under [~domains > 1] or
-    [~bitstate]; composes with [persist] (chained deepening).
-
     [cancel] is polled once per visited node; when it returns [true]
     the walk stops and {!Interrupted} carries the partial stats.  The
     poll must be cheap and domain-safe (a [ref] or [Atomic] read).
     @raise Interrupted when [cancel] fired.
-    @raise Invalid_argument if [resume.fr_depth >= depth], and unless
-    [4 <= bitstate <= 30]. *)
+    @raise Invalid_argument unless [4 <= bitstate <= 30]. *)
 
 val code_of_decision : ('inv, 'res) Driver.decision -> int
 (** The persistent int form of a menu decision:

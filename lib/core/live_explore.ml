@@ -10,20 +10,9 @@ type ('inv, 'res) outcome =
   | Lasso of ('inv, 'res) Lasso.cert
   | No_fair_cycle
 
-type live_seed = { ls_script : int list; ls_sleep : int list }
-
-type live_frontier = {
-  lf_depth : int;
-  lf_max_period : int;
-  lf_pump_ticks : int;
-  lf_base_runs : int;
-  lf_seeds : live_seed list;
-}
-
 type ('inv, 'res) result = {
   outcome : ('inv, 'res) outcome;
   stats : Explore_stats.t;
-  frontier : live_frontier option;
 }
 
 exception Found_lasso
@@ -49,13 +38,13 @@ exception Cancelled
    carries the time ([len]), and every decision's cell names its
    process and kind ([pK:step], [pK:inv], [pK:crash]), so at
    [len <= 2 * max_period] the cell suffix spells out the node's whole
-   script: no other node of the walk (resume seeds included) has that
-   key, and a lookup could only miss.  Leaves ([len = depth]) are not
-   keyed: a hit would save one candidate evaluation while every leaf
-   pays for a key.  When no node qualifies ([depth <= 2 * max_period +
-   1], which includes the default period bound) the search builds no
-   cache at all — no table, no history-interning hook, and no cell is
-   interned (doc/model.md §7). *)
+   script: no other node of the walk has that key, and a lookup could
+   only miss.  Leaves ([len = depth]) are not keyed: a hit would save
+   one candidate evaluation while every leaf pays for a key.  When no
+   node qualifies ([depth <= 2 * max_period + 1], which includes the
+   default period bound) the search builds no cache at all — no table,
+   no history-interning hook, and no cell is interned (doc/model.md
+   §7). *)
 (* As in {!Explore}, two verdict-identical representations: the
    structural form, and the hash-consed compact form (default) where
    the fingerprint is the cursor's [compact_key] array, each abstract
@@ -89,11 +78,6 @@ type ('inv, 'res) state = {
   mutable cycles : int;
   mutable fair : int;
   mutable found : ('inv, 'res) Lasso.cert option;
-  mutable fr_cuts : int;
-      (* Persist mode: cut leaves recorded as frontier seeds; suffix
-         cache entries are vetoed for subtrees containing any, as in
-         {!Explore}. *)
-  mutable fr_rev_seeds : live_seed list;
   ticks : int ref;
   table : (('inv, 'res) key, int) Clock_cache.t option;
       (* The suffix cache, mapping a key to its subtree's run count;
@@ -154,8 +138,6 @@ let new_state ?capacity ?(sink = Telemetry.null) ?(progress = Progress.off)
     cycles = 0;
     fair = 0;
     found = None;
-    fr_cuts = 0;
-    fr_rev_seeds = [];
     ticks = ref 0;
     table =
       (if cache then Some (Clock_cache.create ?capacity ~sink ()) else None);
@@ -340,14 +322,9 @@ let eval_candidates st ~factory ~good ~point ~max_period ~pump_ticks ~blocked
 let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
     ?max_period ?pump_ticks ?(invoke_order = false) ?(dpor = false)
     ?proviso_bound ?(cache = true) ?cache_capacity ?(obs = Obs.disabled)
-    ?(sanitize = false) ?(compact = true) ?(persist = false) ?resume ?cancel
-    () =
+    ?(sanitize = false) ?(compact = true) ?cancel () =
   let t0 = Clock.now_ns () in
   let cancel = match cancel with Some f -> f | None -> fun () -> false in
-  (match resume with
-  | Some f when f.lf_depth >= depth ->
-      invalid_arg "Live_explore.search: resume frontier not shallower"
-  | _ -> ());
   (* Default period bound: ceil(depth / 2), the largest period for
      which two full repetitions fit in a depth-bounded suffix at {e
      some} node of the walk (detection at a node of length [len] needs
@@ -435,22 +412,6 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
            view.Driver.status p = Runtime.Idle
            && Option.is_none (invoke view p))
          all_procs)
-  in
-  (* Cut-leaf test, as in {!Explore.explore}: would the menu be
-     nonempty with the depth guard lifted?  ([invoke_order] never
-     empties a nonempty raw menu — the least invocation survives.) *)
-  let has_future view crashes =
-    List.exists
-      (fun p ->
-        match view.Driver.status p with
-        | Runtime.Ready -> true
-        | Runtime.Idle -> invoke view p <> None
-        | Runtime.Crashed -> false)
-      all_procs
-    || crashes < max_crashes
-       && List.exists
-            (fun p -> view.Driver.status p <> Runtime.Crashed)
-            all_procs
   in
   (* Settle a child's candidate sleep set once its edge [d] has
      executed (DPOR only).  Three filters, in order: (1) race
@@ -556,25 +517,12 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
         st.runs <- st.runs + runs;
         Telemetry.emit st.sink Telemetry.Cache_hit len runs
     | None ->
-        let cuts0 = st.fr_cuts and runs0 = st.runs in
+        let runs0 = st.runs in
         let view = Runner.Cursor.view cursor in
         eval_candidates st ~factory ~good ~point ~max_period ~pump_ticks
           ~blocked:(blocked_at view) cursor rev_script rev_cells rev_goods len;
         (match menu view len crashes with
-        | [] ->
-            st.runs <- st.runs + 1;
-            if persist && has_future view crashes then begin
-              (* A cut leaf: record the coded script and the sleep set
-                 with its proviso streaks (packed, as in the compact
-                 key) so a deeper resume re-settles nothing. *)
-              st.fr_cuts <- st.fr_cuts + 1;
-              st.fr_rev_seeds <-
-                {
-                  ls_script = List.rev_map Explore.code_of_decision rev_script;
-                  ls_sleep = List.map (fun (z, s) -> (s lsl 8) lor z) sleep;
-                }
-                :: st.fr_rev_seeds
-            end
+        | [] -> st.runs <- st.runs + 1
         | decisions ->
             (* Sleep-set filter, guarded by the cycle proviso.  A slept
                process's step commutes with everything executed since
@@ -670,67 +618,12 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
                       st.replayed <- st.replayed + len;
                       descend c))
               children);
-        (* Persist mode: as in {!Explore}, never cache a subtree
-           holding cut leaves — a hit would hide their occurrences
-           from the seed log. *)
-        if st.fr_cuts = cuts0 || not persist then
-          Option.iter
-            (fun (table, k) -> Clock_cache.replace table k (st.runs - runs0))
-            entry
-  in
-  (* Resuming: replay each stored seed decision by decision, rebuilding
-     the abstract cells / good-response sets / interned cell ids the
-     walk would have carried (the {!certify_run} pattern), then visit
-     only the seed subtrees on top of the stored base run count. *)
-  let walk () =
-    match resume with
-    | None -> with_cursor (fun c -> visit c [] [] [] [] 0 0 [])
-    | Some f ->
-        st.runs <- f.lf_base_runs;
-        List.iter
-          (fun seed ->
-            with_cursor (fun c ->
-                let rec go codes rev_script rev_cells rev_cids rev_goods len
-                    crashes =
-                  match codes with
-                  | [] ->
-                      (rev_script, rev_cells, rev_cids, rev_goods, len, crashes)
-                  | code :: tl ->
-                      let view = Runner.Cursor.view c in
-                      let d = Explore.decision_of_code ~invoke view code in
-                      let before = History.length view.Driver.history in
-                      Runner.Cursor.apply c d;
-                      let fresh =
-                        drop before
-                          (History.to_list
-                             (Runner.Cursor.view c).Driver.history)
-                      in
-                      let cell = cell_of d fresh in
-                      let rev_cids' =
-                        if compact then
-                          Intern.intern st.cells_pool cell :: rev_cids
-                        else rev_cids
-                      in
-                      go tl (d :: rev_script) (cell :: rev_cells) rev_cids'
-                        (goods_of ~good fresh :: rev_goods)
-                        (len + 1)
-                        (match d with
-                        | Driver.Crash _ -> crashes + 1
-                        | _ -> crashes)
-                in
-                let rev_script, rev_cells, rev_cids, rev_goods, len, crashes =
-                  go seed.ls_script [] [] [] [] 0 0
-                in
-                st.replayed <- st.replayed + len;
-                let sleep =
-                  List.map (fun c -> (c land 0xff, c asr 8)) seed.ls_sleep
-                in
-                visit c rev_script rev_cells rev_cids rev_goods len crashes
-                  sleep))
-          f.lf_seeds
+        Option.iter
+          (fun (table, k) -> Clock_cache.replace table k (st.runs - runs0))
+          entry
   in
   let outcome =
-    match walk () with
+    match with_cursor (fun c -> visit c [] [] [] [] 0 0 []) with
     | () -> No_fair_cycle
     | exception Found_lasso -> Lasso (Option.get st.found)
     | exception Cancelled ->
@@ -741,22 +634,8 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
                 ~events_dropped:(Obs.events_dropped obs)
                 st))
   in
-  let frontier =
-    match outcome with
-    | No_fair_cycle when persist ->
-        Some
-          {
-            lf_depth = depth;
-            lf_max_period = max_period;
-            lf_pump_ticks = pump_ticks;
-            lf_base_runs = st.runs - st.fr_cuts;
-            lf_seeds = List.rev st.fr_rev_seeds;
-          }
-    | _ -> None
-  in
   {
     outcome;
-    frontier;
     stats =
       stats_of_state
         ~elapsed_ns:(Clock.now_ns () - t0)
@@ -802,7 +681,6 @@ let certify_run ~n ~factory ~driver ~good ~point ~max_steps ?max_period
   in
   {
     outcome;
-    frontier = None;
     stats =
       stats_of_state ~elapsed_ns:(Clock.now_ns () - t0) ~events_dropped:0 st;
   }

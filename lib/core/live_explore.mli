@@ -85,36 +85,6 @@ type ('inv, 'res) outcome =
           tree: every fair cycle of the instance (within [depth],
           [max_period], the crash budget) makes progress. *)
 
-type live_seed = {
-  ls_script : int list;
-      (** Coded decision prefix ({!Explore.code_of_decision}),
-          root-first. *)
-  ls_sleep : int list;
-      (** The leaf's sleep set with proviso streaks, each packed as
-          [(streak lsl 8) lor proc]. *)
-}
-(** A cut leaf of a depth-bounded fair-cycle search — as
-    {!Explore.frontier_seed}, plus the ignoring streaks the liveness
-    sleep sets carry. *)
-
-type live_frontier = {
-  lf_depth : int;
-  lf_max_period : int;
-      (** The period bound the stored search ran under.  A resume at
-          depth [d] is exact iff this is at least
-          [min new_max_period (lf_depth / 2)] — every candidate the
-          deeper walk would examine at a node the stored walk visited
-          was already examined (and, the verdict being
-          [No_fair_cycle], rejected). *)
-  lf_pump_ticks : int;
-      (** The validation budget of the stored search.  Resume requires
-          the {e same} budget: a bigger pump can flip a rejected
-          candidate at an already-visited node, which a resumed walk
-          would never re-pump ({!Slx_store.Persist} enforces this). *)
-  lf_base_runs : int;
-  lf_seeds : live_seed list;
-}
-
 type ('inv, 'res) result = {
   outcome : ('inv, 'res) outcome;
   stats : Explore_stats.t;
@@ -124,9 +94,6 @@ type ('inv, 'res) result = {
           [invoke_order]; [por_prunes]/[race_reversals]/
           [proviso_wakes] count the [dpor] reduction's prunes and
           wakes; pump replays are included in [steps_executed]. *)
-  frontier : live_frontier option;
-      (** Under [~persist:true] on a [No_fair_cycle] outcome: the cut
-          frontier a deeper [~resume] search can start from. *)
 }
 
 val search :
@@ -147,8 +114,6 @@ val search :
   ?obs:Slx_obs.Obs.t ->
   ?sanitize:bool ->
   ?compact:bool ->
-  ?persist:bool ->
-  ?resume:live_frontier ->
   ?cancel:(unit -> bool) ->
   unit ->
   ('inv, 'res) result
@@ -187,7 +152,7 @@ val search :
     [max_period], nothing is built and every counter equals a
     [~cache:false] run's.  A hit credits the cached subtree's run
     count to [stats.runs], so [runs] is the same with the cache on or
-    off and with [persist] on or off; [nodes] counts the nodes
+    off; [nodes] counts the nodes
     visited, which a hit lowers.
 
     [obs] (default {!Slx_obs.Obs.disabled}) attaches the observability
@@ -217,22 +182,9 @@ val search :
     exhaustiveness claim — the liveness side keeps exact keys
     (doc/model.md §10).
 
-    [persist]/[resume]/[cancel] behave as in {!Explore.explore}: cut
-    leaves become {!live_seed}s (suffix-cache entries are vetoed for
-    subtrees containing them), [resume] replays the stored seeds —
-    rebuilding their abstract-cell suffixes — and searches only their
-    subtrees, and [cancel] is polled per node, aborting with
-    {!Explore.Interrupted} carrying partial stats.  A resumed search
-    is certificate-identical to a cold one at the same depth provided
-    the stored run's [max_period]/[pump_ticks] satisfy the
-    compatibility bounds documented on {!live_frontier} — enforced by
-    {!Slx_store.Persist}, which also pins the flags, workload and
-    instance via the store key.  Liveness frontiers are additionally
-    {e per query}: the suffix cells a seed carries are a function of
-    the property's [good]/[point], so seeds are never shared across
-    properties (doc/model.md §11).
-    @raise Explore.Interrupted when [cancel] fired.
-    @raise Invalid_argument if [resume.lf_depth >= depth]. *)
+    [cancel] behaves as in {!Explore.explore}: it is polled per node,
+    aborting with {!Explore.Interrupted} carrying partial stats.
+    @raise Explore.Interrupted when [cancel] fired. *)
 
 val validate_cert_codes :
   n:int ->

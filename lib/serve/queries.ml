@@ -156,78 +156,20 @@ let qid sp =
               ~dpor:true ())
 
 (* ------------------------------------------------------------------ *)
-(* Task modes.                                                         *)
+(* Execution.                                                          *)
 
-type mode = Full | Resume of int * Store.frontier
+type mode = Full
 
 let ints xs = "[" ^ String.concat ", " (List.map string_of_int xs) ^ "]"
-
-let seed_to_json (s : Store.seed) =
-  Printf.sprintf "{\"k\": %s, \"m\": %s}" (ints s.Store.sd_script)
-    (ints s.Store.sd_sleep)
-
-let json_ints j = List.filter_map Json.int (Json.to_list j)
-
-let seed_of_json j =
-  match (Json.member "k" j, Json.member "m" j) with
-  | Some k, Some m ->
-      Some { Store.sd_script = json_ints k; sd_sleep = json_ints m }
-  | _ -> None
-
-let frontier_to_json (f : Store.frontier) =
-  Printf.sprintf "{\"base_runs\": %d, \"base_digest\": %d, \"seeds\": [%s]}"
-    f.Store.f_base_runs f.Store.f_base_digest
-    (String.concat ", " (List.map seed_to_json f.Store.f_seeds))
-
-let frontier_of_json j =
-  match
-    ( Option.bind (Json.member "base_runs" j) Json.int,
-      Option.bind (Json.member "base_digest" j) Json.int,
-      Json.member "seeds" j )
-  with
-  | Some base_runs, Some base_digest, Some seeds ->
-      Some
-        {
-          Store.f_base_runs = base_runs;
-          f_base_digest = base_digest;
-          f_seeds = List.filter_map seed_of_json (Json.to_list seeds);
-        }
-  | _ -> None
-
-let mode_to_json = function
-  | Full -> "{\"mode\": \"full\"}"
-  | Resume (base, f) ->
-      Printf.sprintf
-        "{\"mode\": \"resume\", \"base_depth\": %d, \"frontier\": %s}" base
-        (frontier_to_json f)
-
-let mode_of_json j =
-  match Option.bind (Json.member "mode" j) Json.str with
-  | Some "full" | None -> Ok Full
-  | Some "resume" -> begin
-      match
-        ( Option.bind (Json.member "base_depth" j) Json.int,
-          Option.bind (Json.member "frontier" j) frontier_of_json )
-      with
-      | Some base, Some f -> Ok (Resume (base, f))
-      | _ -> Error "resume task without base_depth/frontier"
-    end
-  | Some other -> Error (Printf.sprintf "unknown task mode %S" other)
-
-(* ------------------------------------------------------------------ *)
-(* Execution.                                                          *)
 
 let witness_json ds =
   Printf.sprintf "\"witness\": %s, \"witness_pp\": [%s]"
     (ints (Explore.codes_of_script ds))
     (String.concat ", " (List.map (fun d -> Printf.sprintf "%S" (dec_string d)) ds))
 
-let frontier_field = function
-  | None -> ""
-  | Some f -> Printf.sprintf ", \"frontier\": %s" (frontier_to_json f)
-
 (* The work a computed answer did: [steps] executed, of which
-   [steps_replayed] re-established stored frontier seeds. *)
+   [steps_replayed] re-established a sibling's configuration by
+   replaying its decision prefix. *)
 let work_json (stats : Explore_stats.t) =
   Printf.sprintf "\"steps\": %d, \"steps_replayed\": %d"
     stats.Explore_stats.steps_executed stats.Explore_stats.steps_replayed
@@ -236,9 +178,8 @@ let safety_result (e : (_, _) Explore.exploration) =
   let stats = e.Explore.stats in
   match e.Explore.outcome with
   | Explore.Ok runs ->
-      Printf.sprintf "{\"outcome\": \"ok\", \"runs\": %d, \"digest\": %d, %s%s}"
+      Printf.sprintf "{\"outcome\": \"ok\", \"runs\": %d, \"digest\": %d, %s}"
         runs stats.Explore_stats.history_digest (work_json stats)
-        (frontier_field (Option.map Persist.frontier_to_store e.Explore.frontier))
   | Explore.Counterexample _ ->
       Printf.sprintf "{\"outcome\": \"counterexample\", %s, %s}"
         (witness_json (Option.get e.Explore.witness_script))
@@ -248,10 +189,8 @@ let live_result (r : (_, _) Live_explore.result) =
   let stats = r.Live_explore.stats in
   match r.Live_explore.outcome with
   | Live_explore.No_fair_cycle ->
-      Printf.sprintf "{\"outcome\": \"no_fair_cycle\", \"runs\": %d, %s%s}"
+      Printf.sprintf "{\"outcome\": \"no_fair_cycle\", \"runs\": %d, %s}"
         stats.Explore_stats.runs (work_json stats)
-        (frontier_field
-           (Option.map Persist.live_frontier_to_store r.Live_explore.frontier))
   | Live_explore.Lasso c ->
       let pp ds =
         "["
@@ -274,49 +213,27 @@ let cancelled_result (stats : Explore_stats.t) =
 
 let error_result msg = Printf.sprintf "{\"outcome\": \"error\", \"message\": %S}" msg
 
-let run_task ?cancel ?(progress = Progress.off) sp mode =
-  match (factory_of_spec sp, mode) with
-  | Error e, _ -> error_result e
-  | Ok _, Resume (d, _) when d >= sp.sp_depth ->
-      error_result
-        (Printf.sprintf "resume base depth %d not shallower than depth %d" d
-           sp.sp_depth)
-  | Ok factory, _ -> begin
+let run_task ?cancel ?(progress = Progress.off) sp Full =
+  match factory_of_spec sp with
+  | Error e -> error_result e
+  | Ok factory -> begin
       let obs = Obs.create ~tracing:false ~progress () in
       let run () =
         match sp.sp_kind with
         | `Explore ->
-            let resume =
-              match mode with
-              | Full -> None
-              | Resume (d, f) ->
-                  Option.map
-                    (fun fr -> { fr with Explore.fr_depth = d })
-                    (Persist.frontier_of_store f)
-            in
             safety_result
               (Explore.explore ~n:sp.sp_n ~factory ~invoke:safety_invoke
                  ~depth:sp.sp_depth ~max_crashes:sp.sp_crashes ~por:true
-                 ~dpor:true ~symmetry:true ~obs ~persist:true ?resume ?cancel
-                 ~check ())
+                 ~dpor:true ~symmetry:true ~obs ?cancel ~check ())
         | `Live -> (
             match point_of_string ~n:sp.sp_n sp.sp_property with
             | Error e -> error_result e
             | Ok point ->
-                let resume =
-                  match mode with
-                  | Full -> None
-                  | Resume (d, f) ->
-                      Some
-                        (Persist.live_frontier_of_store ~depth:d
-                           ~max_period:sp.sp_max_period ~pump_ticks:sp.sp_pump
-                           f)
-                in
                 live_result
                   (Live_explore.search ~n:sp.sp_n ~factory ~invoke:live_invoke
                      ~good ~point ~depth:sp.sp_depth ~max_crashes:sp.sp_crashes
                      ~max_period:sp.sp_max_period ~pump_ticks:sp.sp_pump
-                     ~dpor:true ~obs ~persist:true ?resume ?cancel ()))
+                     ~dpor:true ~obs ?cancel ()))
       in
       match run () with
       | result -> result

@@ -11,12 +11,10 @@
     store key ({!qid}) and they warm-serve each other.
 
     A task is the unit of work leased to a worker, and every computed
-    query is exactly one task: a [Full] run of the whole tree, or a
-    [Resume] of a stored shallower frontier, base totals included, so
-    the engine's own resume produces the complete answer — the same
-    verdict, runs, digest, witness and frontier as a [Full] run.
-    {!run_task} executes either and returns the result as a JSON
-    object string, the exact line a worker writes back. *)
+    query is exactly one task: a [Full] run of the whole tree, the
+    same run the CLI makes without a store.  {!run_task} executes it
+    and returns the result as a JSON object string, the exact line a
+    worker writes back. *)
 
 open Slx_obs
 
@@ -52,17 +50,7 @@ val qid : spec -> (int, string) result
     with the implementation's instance digest and the pinned default
     flags bound in.  [Error] on unknown implementation/property. *)
 
-type mode =
-  | Full  (** The whole depth-[sp_depth] tree. *)
-  | Resume of int * Slx_store.Store.frontier
-      (** Deepen this whole stored frontier, cut at the given base
-          depth, to [sp_depth]. *)
-
-val mode_to_json : mode -> string
-
-val mode_of_json : Json.t -> (mode, string) result
-(** [Error] on any other mode name and on a resume task without its
-    base depth or frontier. *)
+type mode = Full  (** The whole depth-[sp_depth] tree. *)
 
 val run_task :
   ?cancel:(unit -> bool) ->
@@ -74,18 +62,16 @@ val run_task :
     JSON object (no trailing newline):
 
     - safety: [{"outcome": "ok" | "counterexample", "runs", "digest",
-      "steps", "steps_replayed", "witness": [codes], "frontier": {...}}]
+      "steps", "steps_replayed", "witness": [codes]}]
     - liveness: [{"outcome": "no_fair_cycle" | "lasso", "stem",
-      "cycle", "period", "runs", "steps", "steps_replayed",
-      "frontier": {...}}]
+      "cycle", "period", "runs", "steps", "steps_replayed"}]
     - [{"outcome": "cancelled", "steps"}] when [cancel] fired;
-    - [{"outcome": "error", "message"}] on a bad spec or a resume base
-      not shallower than [sp_depth].
+    - [{"outcome": "error", "message"}] on a bad spec.
 
-    Clean verdicts carry the depth-[sp_depth] ["frontier"] (persist
-    mode), which the coordinator stores for later resumes.
-    [steps_replayed] counts the steps spent re-establishing a
-    [Resume] task's seeds.  [progress] is handed to the engine — pass
+    [steps] is the engine's [steps_executed]; [steps_replayed] is the
+    part of it spent replaying decision prefixes to re-establish
+    sibling configurations (the numerator of the replay share).
+    [progress] is handed to the engine — pass
     a JSON-lines reporter on stdout and the task's heartbeats
     interleave with the final line, which is distinguishable by its
     ["outcome"] member. *)
@@ -103,6 +89,3 @@ val warm_result : spec -> Slx_store.Store.record -> string option
     {!Slx_core.Live_explore.validate_cert_codes}).  [None] means the
     record must not be served (failed validation, wrong budgets) and
     the query has to be computed. *)
-
-val frontier_to_json : Slx_store.Store.frontier -> string
-val frontier_of_json : Json.t -> Slx_store.Store.frontier option

@@ -1,6 +1,5 @@
 module Json = Slx_obs.Json
 module Store = Slx_store.Store
-module Persist = Slx_store.Persist
 
 (* ------------------------------------------------------------------ *)
 (* State.                                                              *)
@@ -14,12 +13,7 @@ type worker = {
   mutable w_lease : int option;
 }
 
-type lease = {
-  l_id : int;
-  l_query : int;
-  l_mode : Queries.mode;
-  mutable l_cancelled : bool;
-}
+type lease = { l_id : int; l_query : int; mutable l_cancelled : bool }
 
 type qstate = Queued | Running | Done of string | Failed of string | Timeout
 
@@ -30,7 +24,6 @@ type query = {
   q_qid : int;
   q_created : float;
   mutable q_state : qstate;
-  mutable q_inherited : int;  (* stored steps of the resumed record *)
   mutable q_source : string;
   mutable q_deadline : float option;
   mutable q_waiters : Unix.file_descr list;
@@ -130,10 +123,8 @@ let respawn_worker w =
 
 let send_task t w lease =
   let line =
-    Printf.sprintf "{\"lease\": %d, \"spec\": %s, \"task\": %s}\n" lease.l_id
-      (Queries.spec_to_json
-         (Hashtbl.find t.queries lease.l_query).q_spec)
-      (Queries.mode_to_json lease.l_mode)
+    Printf.sprintf "{\"lease\": %d, \"spec\": %s}\n" lease.l_id
+      (Queries.spec_to_json (Hashtbl.find t.queries lease.l_query).q_spec)
   in
   match write_all w.w_in line with
   | () -> w.w_lease <- Some lease.l_id
@@ -188,16 +179,14 @@ let fail t q msg =
     q.q_waiters;
   q.q_waiters <- []
 
-let new_lease t q mode =
-  let lease =
-    { l_id = t.next_lease; l_query = q.q_id; l_mode = mode; l_cancelled = false }
-  in
+let new_lease t q =
+  let lease = { l_id = t.next_lease; l_query = q.q_id; l_cancelled = false } in
   t.next_lease <- t.next_lease + 1;
   Hashtbl.replace t.leases lease.l_id lease;
   lease
 
-(* Store the final verdict of a computed (non-warm) query with the
-   frontier its task returned, so the record resumes later runs. *)
+(* Store the final verdict of a computed (non-warm) query, so the
+   same query is answered warm next time. *)
 let store_final t q j =
   let sp = q.q_spec in
   let outcome =
@@ -229,22 +218,14 @@ let store_final t q j =
           r_max_period = sp.Queries.sp_max_period;
           r_pump_ticks = sp.Queries.sp_pump;
           r_runs = int_of "runs";
-          r_steps = q.q_inherited + q.q_steps;
+          r_steps = q.q_steps;
           r_verdict = v;
-          r_frontier =
-            Option.bind (Json.member "frontier" j) Queries.frontier_of_json;
         };
-      (* As in Persist: a resume saves the stored steps it did not
-         have to replay. *)
-      (match q.q_source with
-      | "resumed" ->
-          Store.bump t.store
-            (`Resume (max 0 (q.q_inherited - int_of "steps_replayed")))
-      | _ -> Store.bump t.store `Cold);
+      Store.bump t.store `Cold;
       Store.commit t.store
 
-(* Plan a freshly created query: a warm answer, or one task that
-   resumes the deepest compatible stored frontier or runs in full. *)
+(* Plan a freshly created query: a warm answer, or one task that runs
+   the whole tree. *)
 let plan t q =
   let sp = q.q_spec in
   Store.bump t.store `Query;
@@ -253,7 +234,7 @@ let plan t q =
     | Some r -> begin
         match Queries.warm_result sp r with
         | Some result ->
-            Store.bump t.store (`Warm r.Store.r_steps);
+            Store.bump t.store `Warm;
             Store.commit t.store;
             finalize t q result ~source:"warm";
             true
@@ -265,25 +246,8 @@ let plan t q =
   in
   if not warm then begin
     q.q_state <- Running;
-    let mode =
-      match
-        Store.best_resumable t.store ~qid:q.q_qid ~depth:sp.Queries.sp_depth
-      with
-      | Some ({ Store.r_frontier = Some f; _ } as r)
-        when match sp.Queries.sp_kind with
-             | `Explore -> Persist.frontier_of_store f <> None
-             | `Live ->
-                 Persist.live_resumable
-                   ~max_period:sp.Queries.sp_max_period
-                   ~pump_ticks:sp.Queries.sp_pump r ->
-          q.q_source <- "resumed";
-          q.q_inherited <- r.Store.r_steps;
-          Queries.Resume (r.Store.r_depth, f)
-      | _ ->
-          q.q_source <- "full";
-          Queries.Full
-    in
-    t.pending <- t.pending @ [ new_lease t q mode ];
+    q.q_source <- "full";
+    t.pending <- t.pending @ [ new_lease t q ];
     dispatch t
   end
 
@@ -312,7 +276,7 @@ let handle_result t lease result_j =
             (* We did not cancel it: a stray signal.  Re-lease. *)
             lease.l_cancelled <- true;
             t.re_leases <- t.re_leases + 1;
-            t.pending <- new_lease t q lease.l_mode :: t.pending;
+            t.pending <- new_lease t q :: t.pending;
             dispatch t
         | _ ->
             store_final t q result_j;
@@ -369,7 +333,7 @@ let handle_worker_eof t w =
           | Some q when q.q_state = Running ->
               Hashtbl.remove t.leases lid;
               t.re_leases <- t.re_leases + 1;
-              t.pending <- new_lease t q lease.l_mode :: t.pending
+              t.pending <- new_lease t q :: t.pending
           | _ -> Hashtbl.remove t.leases lid
         end
       | Some _ -> Hashtbl.remove t.leases lid
@@ -475,14 +439,14 @@ let stats_json t =
      %d, \"timeouts\": %d, \"workers\": %d, \"workers_busy\": %d, \
      \"worker_hwm_kb\": [%s], \
      \"store\": {\"path\": %S, \"records\": %d, \"queries\": %d, \
-     \"warm_hits\": %d, \"resumes\": %d, \"colds\": %d, \"rejected\": %d, \
-     \"steps_saved\": %d, \"created\": %b, \"invalidated\": %s, \
+     \"warm_hits\": %d, \"colds\": %d, \"rejected\": %d, \
+     \"created\": %b, \"invalidated\": %s, \
      \"records_dropped\": %d}}"
     (t.next_query - 1) active t.dedup_hits t.re_leases t.timeouts
     (Array.length t.workers) busy hwm (Store.path t.store)
     (List.length (Store.records t.store))
-    c.Store.c_queries c.Store.c_warm_hits c.Store.c_resumes c.Store.c_colds
-    c.Store.c_rejected c.Store.c_steps_saved h.Store.h_created
+    c.Store.c_queries c.Store.c_warm_hits c.Store.c_colds c.Store.c_rejected
+    h.Store.h_created
     (match h.Store.h_invalidated with
     | None -> "null"
     | Some r -> Printf.sprintf "%S" r)
@@ -537,7 +501,6 @@ let handle_query_post t fd body =
                       q_qid = qid;
                       q_created = now ();
                       q_state = Queued;
-                      q_inherited = 0;
                       q_source = "";
                       q_deadline = Option.map (fun s -> now () +. s) timeout;
                       q_waiters = [];

@@ -1,4 +1,5 @@
-(** [slx serve]: a resumable, multi-process verification service.
+(** [slx serve]: a multi-process verification service over one verdict
+    store.
 
     One coordinator process owns an HTTP/1.1 endpoint (plain [Unix]
     sockets, JSON bodies — no dependencies beyond the stdlib), the
@@ -24,20 +25,15 @@
 
     {b Answer planning} mirrors {!Slx_store.Persist}: a warm store hit
     answers immediately (witnesses re-validated).  Any other query is
-    computed as exactly one task leased to one worker
-    ({!Queries.mode}): it resumes the deepest stored shallower
-    frontier that {!Slx_store.Persist} would resume — for liveness,
-    only one cut under the same [pump] ({!Slx_store.Persist.live_resumable})
-    — or explores the whole tree.  Either way the worker's engine
-    returns the complete answer, byte-identical to a cold
-    [slx explore] / [slx live-explore], plus the deeper frontier the
-    coordinator stores.  [--workers] therefore parallelises across
-    queries, not within one.  Served sources are [warm], [resumed]
-    and [full].  Identical in-flight queries dedupe onto one
-    computation.  A worker that dies mid-task gets its lease
-    re-queued ([re_leases] in [/stats]) and its process respawned; a
-    query past its timeout has its worker cancelled ([SIGUSR1]) and
-    reports [timeout]. *)
+    computed as exactly one task leased to one worker, which explores
+    the whole tree: the answer is byte-identical to a store-less
+    [slx explore] / [slx live-explore], and the coordinator stores its
+    verdict.  [--workers] therefore parallelises across queries, not
+    within one.  Served sources are [warm] and [full].  Identical
+    in-flight queries dedupe onto one computation.  A worker that dies
+    mid-task gets its lease re-queued ([re_leases] in [/stats]) and its
+    process respawned; a query past its timeout has its worker
+    cancelled ([SIGUSR1]) and reports [timeout]. *)
 
 val main :
   ?host:string ->

@@ -19,28 +19,23 @@ let handle_line line =
         Option.value ~default:(-1) (Option.bind (Json.member "lease" j) Json.int)
       in
       let result =
-        match
-          ( Option.map Queries.spec_of_json (Json.member "spec" j),
-            Option.map Queries.mode_of_json (Json.member "task" j) )
-        with
-        | Some (Ok spec), Some (Ok mode) ->
+        match Option.map Queries.spec_of_json (Json.member "spec" j) with
+        | Some (Ok spec) ->
             (* Heartbeats ride the result pipe; the coordinator keys
                them to this lease because a worker runs one task at a
                time. *)
             let progress =
               Progress.create ~interval:0.2 ~json:true ~out:stdout ()
             in
-            Queries.run_task ~cancel:(fun () -> !cancelled) ~progress spec mode
-        | Some (Error e), _ | _, Some (Error e) -> Queries.error_result e
-        | None, _ -> Queries.error_result "task without spec"
-        | _, None -> Queries.error_result "task without mode"
+            Queries.run_task ~cancel:(fun () -> !cancelled) ~progress spec
+              Queries.Full
+        | Some (Error e) -> Queries.error_result e
+        | None -> Queries.error_result "task without spec"
       in
       reply (Printf.sprintf "{\"lease\": %d, \"result\": %s}" lease result);
       (* Consume the cancel flag only after the reply: a SIGUSR1 can
-         land while the task line is still being read or parsed (a
-         resume task carries a whole stored frontier, which can run to
-         megabytes of JSON), and a reset at task
-         start would erase it.  The dual race — a stale signal
+         land while the task line is still being read or parsed, and a
+         reset at task start would erase it.  The dual race — a stale signal
          cancelling the next task instantly — is self-healing: the
          coordinator re-leases a task answered "cancelled" when it
          never cancelled its lease. *)

@@ -4,18 +4,16 @@
     [worker] subcommand, wired to the coordinator by two pipes.  The
     protocol is JSON-lines on stdin/stdout:
 
-    - stdin, one line per task:
-      [{"lease": N, "spec": {...}, "task": {"mode": ...}}]
-      ({!Queries.spec_of_json} / {!Queries.mode_of_json});
+    - stdin, one line per task: [{"lease": N, "spec": {...}}]
+      ({!Queries.spec_of_json}), run as a {!Queries.Full} task;
     - stdout, zero or more progress heartbeats (the engines'
       JSON-lines reporter, no ["lease"] member) followed by exactly
       one result line [{"lease": N, "result": {...}}]
       ({!Queries.run_task}).
 
-    Workers never open the store — verdict-relevant state travels
-    inline in the task (frontier seeds) and the result (frontier,
-    witness codes), so the coordinator stays the store's only
-    writer.  [SIGUSR1] requests graceful cancellation: the engines
+    Workers never open the store — the result line carries the
+    verdict and witness codes back, so the coordinator stays the
+    store's only writer.  [SIGUSR1] requests graceful cancellation: the engines
     poll a flag per node and the task answers
     [{"outcome": "cancelled"}].  EOF on stdin is shutdown. *)
 

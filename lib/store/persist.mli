@@ -10,7 +10,7 @@
     domain count — deliberately stays out of the key, so tuning runs
     share records.
 
-    Answer planning, in order:
+    Answer planning is warm, else cold:
 
     + {b warm} — an exact [(qid, depth)] record (for liveness: with
       the same resolved [max_period]/[pump_ticks]).  Positive verdicts
@@ -20,22 +20,15 @@
       ({!Slx_core.Live_explore.validate_cert_codes}).  A witness that
       fails re-validation is {e rejected}: counted, never served, and
       overwritten by the fresh run's record.
-    + {b resume} — the deepest shallower record with a frontier and a
-      resumable verdict; the engine replays its cut seeds and explores
-      only the frontier delta.  Liveness resumes additionally require
-      the stored [pump_ticks] to equal the request's and the stored
-      [max_period] to cover every candidate the stored walk could
-      have examined (see {!Slx_core.Live_explore.live_frontier}).
-    + {b cold} — explore from scratch.
+    + {b cold} — anything else, a record at another depth included:
+      the engine explores from scratch, exactly as without a store.
 
-    Every non-warm answer runs with [~persist:true] and stores its
-    record (superseding the slot) before returning; the store is
-    committed even when the run is {e interrupted} ([?cancel] /
-    SIGINT), so partial sessions still pay forward their counters.
-    Bitstate runs bypass the store entirely: their clean verdicts are
-    probabilistic, not exhaustive, and must never be replayed as
-    facts.  Parallel ([domains > 1]) runs are stored warm-servable but
-    frontier-less (the engine only cuts frontiers sequentially). *)
+    Every cold answer stores its record (superseding the slot) before
+    returning; the store is committed even when the run is
+    {e interrupted} ([?cancel] / SIGINT), so partial sessions still
+    pay forward their counters.  Bitstate runs bypass the store
+    entirely: their clean verdicts are probabilistic, not exhaustive,
+    and must never be replayed as facts. *)
 
 open Slx_history
 open Slx_sim
@@ -44,8 +37,6 @@ open Slx_core
 
 type source =
   | Warm  (** Served from an exact stored record (witnesses re-validated). *)
-  | Resumed of int
-      (** Deepened from the stored frontier at this shallower depth. *)
   | Cold  (** Explored from scratch (and stored). *)
   | Uncached of string
       (** The store was bypassed — the reason (e.g. ["bitstate"]). *)
@@ -76,45 +67,10 @@ val query_key :
 (** Digest a query identity into a [qid].  [ident] names the
     implementation + workload (e.g. ["cas"]); [check] names the
     property (e.g. ["consensus-safety"], ["live:obstruction"]) — for
-    liveness it must embed the [good]/[point] identity, because
-    frontier seeds carry property-specific abstract cells
-    (doc/model.md §11).  Flag defaults mirror the engines'
-    ([max_crashes 0], reductions off, [proviso_bound 2]). *)
-
-(** {2 Frontier conversions}
-
-    Between the engines' typed frontier forms and the store's neutral
-    one — exported for {!Slx_serve}, whose workers resume a stored
-    frontier and return the deeper one for the coordinator to store. *)
-
-val frontier_of_store : Store.frontier -> Explore.frontier option
-(** [None] if a seed's sleep payload is not the single bitset word a
-    safety frontier carries (a malformed or liveness record).  The
-    returned [fr_depth] is 0 — the caller patches in the record's
-    depth. *)
-
-val frontier_to_store : Explore.frontier -> Store.frontier
-
-val live_frontier_of_store :
-  depth:int ->
-  max_period:int ->
-  pump_ticks:int ->
-  Store.frontier ->
-  Live_explore.live_frontier
-(** The stored frontier cut at [depth] by a search under these
-    budgets (see {!live_resumable} for when resuming it is exact). *)
-
-val live_frontier_to_store : Live_explore.live_frontier -> Store.frontier
-(** The liveness base digest is not stored (cells are rebuilt on
-    resume); [f_base_digest] is 0. *)
-
-val live_resumable : max_period:int -> pump_ticks:int -> Store.record -> bool
-(** The liveness resume rule: may a search under [max_period] and
-    [pump_ticks] resume from this shallower record's frontier?  Only
-    if the record was cut under the same [pump_ticks] and a
-    [max_period] of at least [min max_period (r_depth / 2)]
-    ({!Slx_core.Live_explore.live_frontier}).  {!run_live} and
-    [slx serve] both plan with it. *)
+    liveness it must embed the [good]/[point] identity, because a
+    verdict is property-specific (doc/model.md §11).  Flag defaults
+    mirror the engines' ([max_crashes 0], reductions off,
+    [proviso_bound 2]). *)
 
 val run_explore :
   store:Store.t ->
@@ -173,10 +129,8 @@ val run_live :
   ('inv, 'res) Live_explore.result * source
 (** Store-backed {!Slx_core.Live_explore.search}.  [max_period] and
     [pump_ticks] are resolved to the engine's defaults {e here} and
-    stored per record, because the defaults are depth-derived and the
-    comparability gates need the actual values: a warm hit requires
-    both to match, a resume requires equal [pump_ticks] and a
-    covering stored [max_period] — anything else plans cold (pin both
-    flags across depths to make a depth sweep resume end-to-end).
+    stored per record, because the defaults are depth-derived and a
+    warm hit requires both to match the stored values — anything else
+    plans cold.
     @raise Explore.Interrupted as the engine does; counters are
     committed first. *)

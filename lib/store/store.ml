@@ -4,14 +4,6 @@ type verdict =
   | V_no_fair_cycle
   | V_lasso of { stem : int list; cycle : int list }
 
-type seed = { sd_script : int list; sd_sleep : int list }
-
-type frontier = {
-  f_base_runs : int;
-  f_base_digest : int;
-  f_seeds : seed list;
-}
-
 type record = {
   r_qid : int;
   r_depth : int;
@@ -20,16 +12,13 @@ type record = {
   r_runs : int;
   r_steps : int;
   r_verdict : verdict;
-  r_frontier : frontier option;
 }
 
 type counters = {
   c_queries : int;
   c_warm_hits : int;
-  c_resumes : int;
   c_colds : int;
   c_rejected : int;
-  c_steps_saved : int;
 }
 
 type health = {
@@ -38,10 +27,10 @@ type health = {
   h_records_dropped : int;
 }
 
-let format_version = 1
+let format_version = 2
 
-(* Bump the engine tag whenever menus, reductions, fingerprint or
-   frontier semantics change — a stored verdict is only as good as the
+(* Bump the engine tag whenever menus, reductions or fingerprint
+   semantics change — a stored verdict is only as good as the
    engine that would reproduce it.  The OCaml version rides along
    because history digests go through the runtime's value hashing. *)
 let engine_version = Printf.sprintf "slx-engine-9+ocaml-%s" Sys.ocaml_version
@@ -49,14 +38,7 @@ let engine_version = Printf.sprintf "slx-engine-9+ocaml-%s" Sys.ocaml_version
 let magic = "SLXSTOR1"
 
 let zero_counters =
-  {
-    c_queries = 0;
-    c_warm_hits = 0;
-    c_resumes = 0;
-    c_colds = 0;
-    c_rejected = 0;
-    c_steps_saved = 0;
-  }
+  { c_queries = 0; c_warm_hits = 0; c_colds = 0; c_rejected = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* CRC32 (IEEE 802.3, table-driven) and digesting.                     *)
@@ -109,33 +91,19 @@ let record_payload r =
     (Printf.sprintf "Q %d %d %d %d %d %d\n" r.r_qid r.r_depth r.r_max_period
        r.r_pump_ticks r.r_runs r.r_steps);
   Buffer.add_string b (verdict_lines r.r_verdict);
-  Buffer.add_char b '\n';
-  (match r.r_frontier with
-  | None -> Buffer.add_string b "nofr"
-  | Some f ->
-      Buffer.add_string b
-        (Printf.sprintf "fr %d %d %d" f.f_base_runs f.f_base_digest
-           (List.length f.f_seeds));
-      List.iter
-        (fun s ->
-          Buffer.add_string b
-            (Printf.sprintf "\ns %d %s %d %s" (List.length s.sd_script)
-               (ints_to_string s.sd_script) (List.length s.sd_sleep)
-               (ints_to_string s.sd_sleep)))
-        f.f_seeds);
   Buffer.contents b
 
 let counters_payload c =
-  Printf.sprintf "C %d %d %d %d %d %d" c.c_queries c.c_warm_hits c.c_resumes
-    c.c_colds c.c_rejected c.c_steps_saved
+  Printf.sprintf "C %d %d %d %d" c.c_queries c.c_warm_hits c.c_colds
+    c.c_rejected
 
 let header_payload ~engine_version =
   Printf.sprintf "H %d %s" format_version engine_version
 
 exception Malformed
 
-(* Empty-list fields serialize as nothing, leaving double or trailing
-   spaces ("s 0  0 "); dropping empty tokens makes those round-trip. *)
+(* Empty-list fields serialize as nothing, leaving a trailing space
+   ("cex 0 "); dropping empty tokens makes those round-trip. *)
 let tokens line =
   List.filter (fun s -> s <> "") (String.split_on_char ' ' line)
 
@@ -165,39 +133,12 @@ let parse_verdict line =
       V_lasso { stem; cycle }
   | _ -> raise Malformed
 
-let parse_seed line =
-  match tokens line with
-  | "s" :: k :: rest ->
-      let script, rest = take_ints (int_tok k) rest in
-      (match rest with
-      | m :: rest ->
-          let sleep, extra = take_ints (int_tok m) rest in
-          if extra <> [] then raise Malformed;
-          { sd_script = script; sd_sleep = sleep }
-      | [] -> raise Malformed)
-  | _ -> raise Malformed
-
 let parse_record payload =
   match String.split_on_char '\n' payload with
-  | q :: v :: fr :: seeds -> (
+  | [ q; v ] -> (
       match tokens q with
       | [ "Q"; qid; depth; mp; pt; runs; steps ] ->
           let r_verdict = parse_verdict v in
-          let r_frontier =
-            match tokens fr with
-            | [ "nofr" ] ->
-                if seeds <> [] then raise Malformed;
-                None
-            | [ "fr"; base_runs; base_digest; nseeds ] ->
-                if List.length seeds <> int_tok nseeds then raise Malformed;
-                Some
-                  {
-                    f_base_runs = int_tok base_runs;
-                    f_base_digest = int_tok base_digest;
-                    f_seeds = List.map parse_seed seeds;
-                  }
-            | _ -> raise Malformed
-          in
           {
             r_qid = int_tok qid;
             r_depth = int_tok depth;
@@ -206,21 +147,18 @@ let parse_record payload =
             r_runs = int_tok runs;
             r_steps = int_tok steps;
             r_verdict;
-            r_frontier;
           }
       | _ -> raise Malformed)
   | _ -> raise Malformed
 
 let parse_counters payload =
   match tokens payload with
-  | [ "C"; q; w; r; c; x; s ] ->
+  | [ "C"; q; w; c; x ] ->
       {
         c_queries = int_tok q;
         c_warm_hits = int_tok w;
-        c_resumes = int_tok r;
         c_colds = int_tok c;
         c_rejected = int_tok x;
-        c_steps_saved = int_tok s;
       }
   | _ -> raise Malformed
 
@@ -244,8 +182,9 @@ let add_frame b payload =
   add_u32 b (crc32 payload);
   Buffer.add_string b payload
 
-(* The sane upper bound on one frame: seeds are small int lists, so a
-   larger length field means a corrupted frame, not a big record. *)
+(* The sane upper bound on one frame: the largest record is a witness
+   or lasso of at most [depth] small int codes, so a larger length
+   field means a corrupted frame, not a big record. *)
 let max_frame = 1 lsl 26
 
 type t = {
@@ -336,9 +275,12 @@ let open_ ?engine_version:(ev = engine_version) path =
       | [] -> fresh "missing header"
       | header :: rest -> (
           match tokens header with
-          | [ "H"; fv; hev ] when int_of_string_opt fv = Some format_version
-            ->
-              if hev <> ev then
+          | [ "H"; fv; hev ] when int_of_string_opt fv <> None ->
+              if int_of_string fv <> format_version then
+                fresh
+                  (Printf.sprintf "format version mismatch (%s, want %d)" fv
+                     format_version)
+              else if hev <> ev then
                 fresh
                   (Printf.sprintf "engine version mismatch (%s, want %s)" hev
                      ev)
@@ -388,20 +330,6 @@ let records t = List.rev t.t_records
 let find t ~qid ~depth =
   List.find_opt (fun r -> r.r_qid = qid && r.r_depth = depth) t.t_records
 
-let resumable r =
-  r.r_frontier <> None
-  && match r.r_verdict with V_ok _ | V_no_fair_cycle -> true | _ -> false
-
-let best_resumable t ~qid ~depth =
-  List.fold_left
-    (fun best r ->
-      if r.r_qid = qid && r.r_depth < depth && resumable r then
-        match best with
-        | Some b when b.r_depth >= r.r_depth -> best
-        | _ -> Some r
-      else best)
-    None t.t_records
-
 let add t r =
   t.t_records <- r :: List.filter (fun o -> not (same_slot o r)) t.t_records
 
@@ -410,18 +338,7 @@ let bump t event =
   t.t_counters <-
     (match event with
     | `Query -> { c with c_queries = c.c_queries + 1 }
-    | `Warm saved ->
-        {
-          c with
-          c_warm_hits = c.c_warm_hits + 1;
-          c_steps_saved = c.c_steps_saved + max 0 saved;
-        }
-    | `Resume saved ->
-        {
-          c with
-          c_resumes = c.c_resumes + 1;
-          c_steps_saved = c.c_steps_saved + max 0 saved;
-        }
+    | `Warm -> { c with c_warm_hits = c.c_warm_hits + 1 }
     | `Cold -> { c with c_colds = c.c_colds + 1 }
     | `Rejected -> { c with c_rejected = c.c_rejected + 1 })
 

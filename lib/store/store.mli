@@ -4,15 +4,15 @@
     One file holds every verdict a machine has computed: for each
     {e query} (an implementation + workload + property + flags,
     digested into a [qid] by {!Persist.query_key}) and depth, the
-    outcome, the witness or lasso scripts in coded form
-    ({!Slx_core.Explore.code_of_decision}), and — for
-    counterexample-free bounded runs — the {e cut frontier} a deeper
-    run can resume from.
+    outcome and the witness or lasso scripts in coded form
+    ({!Slx_core.Explore.code_of_decision}).  A record answers exactly
+    its own [(qid, depth)]: a query at any other depth runs cold.
 
     {b Format.}  The file starts with the magic ["SLXSTOR1"], followed
     by frames [[u32 length][u32 crc32][payload]].  The first frame is
     the {e header} binding the format version and the engine version;
-    any mismatch — or a bad magic — invalidates the whole file (it is
+    any mismatch (a file written under an older [format_version]
+    included) — or a bad magic — invalidates the whole file (it is
     read as empty and overwritten on the next commit), so a stale
     cache can never forge a verdict across an engine change.  A frame
     whose CRC does not match its payload is dropped (and counted in
@@ -37,17 +37,6 @@ type verdict =
       (** Liveness: the certificate's coded stem and cycle scripts.
           Re-validated (rebuilt, pumped) before being served. *)
 
-type seed = { sd_script : int list; sd_sleep : int list }
-(** A stored frontier seed: the coded cut-leaf script plus the
-    engine-specific sleep payload (safety: one bitset word; liveness:
-    packed [(streak lsl 8) lor proc] entries). *)
-
-type frontier = {
-  f_base_runs : int;
-  f_base_digest : int;
-  f_seeds : seed list;
-}
-
 type record = {
   r_qid : int;  (** {!Persist.query_key} digest — binds impl, workload,
                     property, flags and registry digest. *)
@@ -58,21 +47,15 @@ type record = {
   r_steps : int;  (** [stats.steps_executed] of the producing run — the
                       work a warm hit saves, reported by [slx stats]. *)
   r_verdict : verdict;
-  r_frontier : frontier option;
 }
 
 type counters = {
   c_queries : int;  (** Store-backed queries answered. *)
   c_warm_hits : int;  (** Served from an exact [(qid, depth)] record. *)
-  c_resumes : int;  (** Served by deepening a stored frontier. *)
   c_colds : int;  (** Explored from scratch. *)
   c_rejected : int;
       (** Stored witnesses that failed re-validation (fell back to a
           cold run and were overwritten). *)
-  c_steps_saved : int;
-      (** Runtime steps of the stored runs that warm hits and resumes
-          did not re-execute (resumes: stored steps minus the delta
-          actually run). *)
 }
 
 type health = {
@@ -85,10 +68,12 @@ type health = {
 }
 
 val format_version : int
+(** The codec version in the header frame; bumped whenever the record
+    or counter lines change shape. *)
 
 val engine_version : string
 (** Identifies the verdict-relevant engine semantics (bumped on any
-    change to menus, reductions, fingerprints or frontier encoding)
+    change to menus, reductions or fingerprints)
     plus the OCaml version (polymorphic-hash digests are not
     guaranteed stable across compiler versions). *)
 
@@ -114,20 +99,12 @@ val records : t -> record list
 val find : t -> qid:int -> depth:int -> record option
 (** The exact record for this query at this depth, if any. *)
 
-val best_resumable : t -> qid:int -> depth:int -> record option
-(** The deepest stored record for [qid] that is strictly shallower
-    than [depth], carries a frontier, and whose verdict is resumable
-    ([V_ok] / [V_no_fair_cycle] — failing verdicts never resume:
-    a shallow counterexample's extensions are unexplored). *)
-
 val add : t -> record -> unit
 (** Insert (in memory), superseding any record with the same
     [(qid, depth)].  Visible on disk after {!commit}. *)
 
-val bump :
-  t -> [ `Query | `Warm of int | `Resume of int | `Cold | `Rejected ] -> unit
-(** Count a store interaction into {!counters}; the [`Warm]/[`Resume]
-    payloads are runtime steps saved. *)
+val bump : t -> [ `Query | `Warm | `Cold | `Rejected ] -> unit
+(** Count a store interaction into {!counters}. *)
 
 val counters : t -> counters
 

@@ -100,27 +100,6 @@ let live ?(dpor = false) ~l ~k ~n ~depth ~crashes () =
     ~point:(Slx_liveness.Freedom.make ~l ~k)
     ~depth ~max_crashes:crashes ~dpor ()
 
-(* A resumed exploration replays its seeds through the resume path. *)
-let resumed ~depth ~deeper factory =
-  let base =
-    Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth ~dpor:true
-      ~persist:true ~check:consensus_check ()
-  in
-  Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth:deeper
-    ~dpor:true ?resume:base.Explore.frontier ~check:consensus_check ()
-
-let live_resumed ~l ~k ~depth ~deeper () =
-  let search ?resume ?persist depth =
-    Live_explore.search ~n:2
-      ~factory:(fun () -> Register_consensus.factory ~max_rounds:16 ())
-      ~invoke:forever_proposal
-      ~good:(fun _ -> true)
-      ~point:(Slx_liveness.Freedom.make ~l ~k)
-      ~depth ~dpor:true ?persist ?resume ()
-  in
-  let base = search ~persist:true depth in
-  search ?resume:base.Live_explore.frontier deeper
-
 let cases =
   [
     ( "register n=2 depth=12 c=1 incremental",
@@ -166,8 +145,6 @@ let cases =
         summary
           (Explore.explore_naive ~n:2 ~factory:register ~invoke:one_proposal
              ~depth:8 ~max_crashes:1 ~check:consensus_check ()) );
-    ( "register n=2 depth=8 -> 10 resumed dpor",
-      fun () -> summary (resumed ~depth:8 ~deeper:10 register) );
     ( "register n=2 depth=12 c=1 dpor domains=2",
       fun () ->
         parallel_summary
@@ -198,8 +175,6 @@ let cases =
     ( "live (1,1) n=3 depth=7 c=0 dpor",
       fun () ->
         live_summary (live ~dpor:true ~l:1 ~k:1 ~n:3 ~depth:7 ~crashes:0 ()) );
-    ( "live (1,1) n=2 depth=7 -> 9 resumed dpor",
-      fun () -> live_summary (live_resumed ~l:1 ~k:1 ~depth:7 ~deeper:9 ()) );
   ]
 
 (* The figures both explorers reported when explorers dropped their
@@ -248,9 +223,6 @@ let pinned =
     ( "register n=2 depth=8 c=1 naive",
       "runs=766 nodes=1515 steps_executed=10686 steps_replayed=10686 \
          cache_hits=0 history_digest=-1491201430012651329 witness=[none]" );
-    ( "register n=2 depth=8 -> 10 resumed dpor",
-      "runs=79 nodes=128 steps_executed=642 steps_replayed=562 \
-         cache_hits=32 history_digest=3605867556362046586 witness=[none]" );
     ( "register n=2 depth=12 c=1 dpor domains=2",
       "runs=851 history_digest=1228134150341533242" );
     ( "cas n=3 depth=10 c=1 dpor domains=2",
@@ -275,9 +247,6 @@ let pinned =
     ( "live (1,1) n=3 depth=7 c=0 dpor",
       "no_fair_cycle nodes=1475 runs=860 steps_executed=6020 \
          steps_replayed=4546 cache_hits=0" );
-    ( "live (1,1) n=2 depth=7 -> 9 resumed dpor",
-      "no_fair_cycle nodes=307 runs=154 steps_executed=1386 \
-         steps_replayed=1136 cache_hits=0" );
   ]
 
 let test_pinned () =

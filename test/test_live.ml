@@ -109,17 +109,17 @@ let same_cert a b =
   | Live_explore.No_fair_cycle, Live_explore.No_fair_cycle -> true
   | _ -> false
 
-let cache_pair ?max_period ?pump_ticks ?(persist = false) ~factory ~point
-    ~depth ~max_crashes () =
+let cache_pair ?max_period ?pump_ticks ~factory ~point ~depth ~max_crashes ()
+    =
   let search cache =
     Live_explore.search ~n:2 ~factory ~invoke ~good ~point ~depth ~max_crashes
-      ?max_period ?pump_ticks ~dpor:true ~persist ~cache ()
+      ?max_period ?pump_ticks ~dpor:true ~cache ()
   in
   (search true, search false)
 
 (* A hit credits its subtree's runs, so the cache may only lower
    [nodes] (the hit node's subtree is not walked); the verdict, the
-   certificate, [runs] and the persist frontier must not move. *)
+   certificate and [runs] must not move. *)
 let cache_agrees (on, off) =
   let s r = r.Live_explore.stats in
   same_cert on.Live_explore.outcome off.Live_explore.outcome
@@ -127,7 +127,6 @@ let cache_agrees (on, off) =
   && (s on).Explore_stats.nodes <= (s off).Explore_stats.nodes
   && ((s on).Explore_stats.cache_hits > 0
      || (s on).Explore_stats.nodes = (s off).Explore_stats.nodes)
-  && on.Live_explore.frontier = off.Live_explore.frontier
 
 let test_cache_hits_keep_results () =
   let reg () = reg_factory ~depth:14 () in
@@ -173,13 +172,13 @@ let prop_cache_transparent =
   QCheck2.Test.make ~name:"suffix cache keeps outcome, certificate and runs"
     ~count:20
     QCheck2.Gen.(
-      tup5 (int_range 6 10) (int_range 1 5) (int_range 0 1) bool
+      tup4 (int_range 6 10) (int_range 1 5) (int_range 0 1)
         (oneofl [ Freedom.obstruction_freedom; Freedom.make ~l:1 ~k:2 ]))
-    (fun (depth, max_period, max_crashes, persist, point) ->
+    (fun (depth, max_period, max_crashes, point) ->
       cache_agrees
         (cache_pair
            ~factory:(fun () -> reg_factory ~depth ())
-           ~point ~depth ~max_crashes ~max_period ~persist ()))
+           ~point ~depth ~max_crashes ~max_period ()))
 
 let test_invoke_order_reduction_sound () =
   let point = Freedom.make ~l:1 ~k:2 in

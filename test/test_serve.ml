@@ -1,20 +1,27 @@
 (* The serve subsystem's suite.
 
-   - The differential contract that lets every computed query be one
-     task: resuming a whole stored frontier ([Queries.Resume]) gives
-     the same outcome, runs, digest, witness/stem/cycle and deeper
-     frontier as exploring the whole tree ([Queries.Full]).
-   - The task wire form: modes round-trip, and unknown or incomplete
-     modes are rejected.
+   - A task is a store-less run: [Queries.run_task sp Full] does the
+     engine's exact work (runs, digest, steps, witness, lasso), so a
+     served answer costs what a cold CLI run costs, and its result line
+     carries the answer and its work counters and nothing else.
+   - Warm service: {!Queries.warm_result} serves a computed verdict
+     from its record, and refuses a record whose witness does not
+     replay or whose liveness budgets differ.
+   - A worker ([slx worker]) answers a task line with the in-process
+     task's result.
    - A live coordinator ([slx serve], spawned from the built binary):
-     a malformed request gets a 400 and the service keeps answering;
-     a served store resumes the CLI to the cold digest; and served
-     resumes credit [steps_saved] as the CLI's store path does. *)
+     a malformed request gets a 400 and the service keeps answering,
+     a served record carries its 63-bit digest exactly and
+     warm-serves the CLI, and a deeper query over a served shallower
+     record is computed in full. *)
 
 open Support
+open Slx_sim
+open Slx_core
+open Slx_liveness
 module Json = Slx_obs.Json
-module Store = Slx_store.Store
 module Queries = Slx_serve.Queries
+module Store = Slx_store.Store
 
 let spec_of fields =
   match Result.bind (Json.parse fields) Queries.spec_of_json with
@@ -29,55 +36,109 @@ let parse_result s =
 let outcome j =
   Option.value ~default:"" (Option.bind (Json.member "outcome" j) Json.str)
 
-(* A result without its work counters: everything a resumed task must
-   reproduce exactly. *)
-let comparable = function
-  | Json.Obj kvs ->
-      Json.Obj
-        (List.filter (fun (k, _) -> k <> "steps" && k <> "steps_replayed") kvs)
-  | j -> j
-
-let frontier_of j =
-  match Option.bind (Json.member "frontier" j) Queries.frontier_of_json with
-  | Some f -> f
-  | None -> Alcotest.failf "no frontier in %s" (Json.to_string j)
-
-(* ------------------------------------------------------------------ *)
-(* Resume = Full.                                                      *)
-
-(* Cut a frontier with a persist run two levels up, resume it to the
-   spec's depth, and compare with one full run.  Returns the resumed
-   result and the number of seeds it resumed. *)
-let resume_matches_full name sp =
-  let base = sp.Queries.sp_depth - 2 in
-  let shallow =
-    parse_result (Queries.run_task { sp with Queries.sp_depth = base } Queries.Full)
-  in
-  let f = frontier_of shallow in
-  let full = parse_result (Queries.run_task sp Queries.Full) in
-  let resumed = parse_result (Queries.run_task sp (Queries.Resume (base, f))) in
-  Alcotest.(check string)
-    (name ^ ": resumed = full")
-    (Json.to_string (comparable full))
-    (Json.to_string (comparable resumed));
-  (resumed, List.length f.Store.f_seeds)
-
 let check_outcome name expected j =
   Alcotest.(check string) (name ^ ": outcome") expected (outcome j)
 
-let test_resume_explore () =
+let int_field j k =
+  match Option.bind (Json.member k j) Json.int with
+  | Some v -> v
+  | None -> Alcotest.failf "no %S in %s" k (Json.to_string j)
+
+(* ------------------------------------------------------------------ *)
+(* A task is a store-less run.                                         *)
+
+let test_full_task_steps () =
+  let sp =
+    spec_of "{\"impl\": \"cas\", \"n\": 3, \"depth\": 10, \"crashes\": 2}"
+  in
+  let task = parse_result (Queries.run_task sp Queries.Full) in
+  let e =
+    Explore.explore ~n:3
+      ~factory:(fun () -> Slx_consensus.Cas_consensus.factory ())
+      ~invoke:
+        (Explore.workload_invoke
+           (Driver.n_times 1 (fun p _ ->
+                Slx_consensus.Consensus_type.Propose (p - 1))))
+      ~depth:10 ~max_crashes:2 ~por:true ~dpor:true ~symmetry:true
+      ~check:(fun r ->
+        Slx_consensus.Consensus_safety.check r.Run_report.history)
+      ()
+  in
+  let s = e.Explore.stats in
+  check_outcome "cas n=3 c=2 d=10" "ok" task;
+  check_int "runs = store-less" s.Explore_stats.runs (int_field task "runs");
+  check_int "digest = store-less" s.Explore_stats.history_digest
+    (int_field task "digest");
+  check_int "steps = store-less" s.Explore_stats.steps_executed
+    (int_field task "steps");
+  check_int "steps_replayed = store-less" s.Explore_stats.steps_replayed
+    (int_field task "steps_replayed")
+
+let factory_of = function
+  | "cas" -> fun () -> Slx_consensus.Cas_consensus.factory ()
+  | "register" -> fun () -> Slx_consensus.Register_consensus.factory ()
+  | "selfish" -> fun () -> Slx_consensus.Selfish_consensus.factory ()
+  | other -> Alcotest.failf "unknown implementation %S" other
+
+let ints_field j k =
+  match Json.member k j with
+  | Some (Json.Arr vs) ->
+      List.map
+        (fun v ->
+          match Json.int v with
+          | Some i -> i
+          | None -> Alcotest.failf "non-integer in %S: %s" k (Json.to_string j))
+        vs
+  | _ -> Alcotest.failf "no array %S in %s" k (Json.to_string j)
+
+(* The store-less safety run a task must reproduce. *)
+let store_less_explore ~impl ~n ~depth ~crashes =
+  Explore.explore ~n ~factory:(factory_of impl)
+    ~invoke:
+      (Explore.workload_invoke
+         (Driver.n_times 1 (fun p _ ->
+              Slx_consensus.Consensus_type.Propose (p - 1))))
+    ~depth ~max_crashes:crashes ~por:true ~dpor:true ~symmetry:true
+    ~check:(fun r -> Slx_consensus.Consensus_safety.check r.Run_report.history)
+    ()
+
+(* The store-less liveness run a task must reproduce. *)
+let store_less_live ~impl ~n ~point ~depth ~crashes ~max_period ~pump =
+  Live_explore.search ~n ~factory:(factory_of impl)
+    ~invoke:
+      (Explore.workload_invoke
+         (Driver.forever (fun p -> Slx_consensus.Consensus_type.Propose (p - 1))))
+    ~good:(fun _ -> true)
+    ~point ~depth ~max_crashes:crashes ~max_period ~pump_ticks:pump ~dpor:true
+    ()
+
+let check_work name (s : Explore_stats.t) task =
+  check_int (name ^ ": steps = store-less") s.Explore_stats.steps_executed
+    (int_field task "steps");
+  check_int (name ^ ": steps_replayed = store-less")
+    s.Explore_stats.steps_replayed
+    (int_field task "steps_replayed")
+
+let test_full_task_explore () =
   List.iter
     (fun (impl, n, depth, crashes) ->
       let name = Printf.sprintf "%s n=%d d=%d c=%d" impl n depth crashes in
-      let sp =
-        spec_of
-          (Printf.sprintf
-             "{\"impl\": %S, \"n\": %d, \"depth\": %d, \"crashes\": %d}"
-             impl n depth crashes)
+      let task =
+        parse_result
+          (Queries.run_task
+             (spec_of
+                (Printf.sprintf
+                   "{\"impl\": %S, \"n\": %d, \"depth\": %d, \"crashes\": %d}"
+                   impl n depth crashes))
+             Queries.Full)
       in
-      let r, seeds = resume_matches_full name sp in
-      check_outcome name "ok" r;
-      check_bool (name ^ ": frontier had seeds") true (seeds > 0))
+      let s = (store_less_explore ~impl ~n ~depth ~crashes).Explore.stats in
+      check_outcome name "ok" task;
+      check_int (name ^ ": runs = store-less") s.Explore_stats.runs
+        (int_field task "runs");
+      check_int (name ^ ": digest = store-less") s.Explore_stats.history_digest
+        (int_field task "digest");
+      check_work name s task)
     [
       ("cas", 2, 8, 1);
       ("register", 2, 10, 0);
@@ -85,85 +146,205 @@ let test_resume_explore () =
       ("register", 3, 8, 0);
     ]
 
-(* Clean at depth 1, failing at depth 3: the resumed walk must find the
-   same lex-least witness as the full one. *)
-let test_resume_counterexample () =
-  let sp =
-    spec_of "{\"impl\": \"selfish\", \"depth\": 3, \"crashes\": 1}"
+(* Clean at depth 1, failing at depth 3: the task reports the engine's
+   lex-least witness. *)
+let test_full_task_counterexample () =
+  let task =
+    parse_result
+      (Queries.run_task
+         (spec_of "{\"impl\": \"selfish\", \"depth\": 3, \"crashes\": 1}")
+         Queries.Full)
   in
-  let r, seeds = resume_matches_full "selfish" sp in
-  check_outcome "selfish" "counterexample" r;
-  check_bool "selfish: frontier had seeds" true (seeds > 0)
+  let e = store_less_explore ~impl:"selfish" ~n:2 ~depth:3 ~crashes:1 in
+  check_outcome "selfish" "counterexample" task;
+  match e.Explore.witness_script with
+  | None -> Alcotest.fail "selfish: store-less run found no witness"
+  | Some ds ->
+      Alcotest.(check (list int))
+        "selfish: witness = store-less" (Explore.codes_of_script ds)
+        (ints_field task "witness");
+      check_work "selfish" e.Explore.stats task
 
-let test_resume_lasso () =
-  let sp =
-    spec_of
-      "{\"kind\": \"live\", \"impl\": \"register\", \"property\": \"1,2\", \
-       \"depth\": 8, \"max_period\": 4, \"pump\": 32}"
+let test_full_task_lasso () =
+  let task =
+    parse_result
+      (Queries.run_task
+         (spec_of
+            "{\"kind\": \"live\", \"impl\": \"register\", \"property\": \
+             \"1,2\", \"depth\": 8, \"max_period\": 4, \"pump\": 32}")
+         Queries.Full)
   in
-  let r, seeds = resume_matches_full "live register (1,2)" sp in
-  check_outcome "live register (1,2)" "lasso" r;
-  check_bool "live register (1,2): frontier had seeds" true (seeds > 0)
-
-let test_resume_live_clean () =
-  let sp =
-    spec_of
-      "{\"kind\": \"live\", \"impl\": \"cas\", \"property\": \"obstruction\", \
-       \"n\": 2, \"depth\": 8, \"crashes\": 1, \"max_period\": 4, \"pump\": \
-       40}"
+  let r =
+    store_less_live ~impl:"register" ~n:2 ~point:(Freedom.make ~l:1 ~k:2)
+      ~depth:8 ~crashes:0 ~max_period:4 ~pump:32
   in
-  let r, seeds = resume_matches_full "live cas" sp in
-  check_outcome "live cas" "no_fair_cycle" r;
-  check_bool "live cas: frontier had seeds" true (seeds > 0)
+  check_outcome "live register (1,2)" "lasso" task;
+  match r.Live_explore.outcome with
+  | Live_explore.No_fair_cycle ->
+      Alcotest.fail "live register (1,2): store-less run found no lasso"
+  | Live_explore.Lasso c ->
+      Alcotest.(check (list int))
+        "stem = store-less"
+        (Explore.codes_of_script c.Lasso.c_stem)
+        (ints_field task "stem");
+      Alcotest.(check (list int))
+        "cycle = store-less"
+        (Explore.codes_of_script c.Lasso.c_cycle)
+        (ints_field task "cycle");
+      check_int "period" (List.length c.Lasso.c_cycle)
+        (int_field task "period");
+      check_work "live register (1,2)" r.Live_explore.stats task
 
-let test_resume_no_seeds () =
-  let sp = spec_of "{\"impl\": \"cas\", \"depth\": 10, \"crashes\": 1}" in
-  let r, seeds = resume_matches_full "empty frontier" sp in
-  check_int "empty frontier: no seeds" 0 seeds;
-  check_outcome "empty frontier" "ok" r;
-  check_int "empty frontier: nothing replayed" 0
-    (Option.get (Option.bind (Json.member "steps_replayed" r) Json.int))
+let test_full_task_live_clean () =
+  let task =
+    parse_result
+      (Queries.run_task
+         (spec_of
+            "{\"kind\": \"live\", \"impl\": \"cas\", \"property\": \
+             \"obstruction\", \"n\": 2, \"depth\": 8, \"crashes\": 1, \
+             \"max_period\": 4, \"pump\": 40}")
+         Queries.Full)
+  in
+  let r =
+    store_less_live ~impl:"cas" ~n:2 ~point:Freedom.obstruction_freedom
+      ~depth:8 ~crashes:1 ~max_period:4 ~pump:40
+  in
+  let s = r.Live_explore.stats in
+  check_outcome "live cas" "no_fair_cycle" task;
+  check_int "live cas: runs = store-less" s.Explore_stats.runs
+    (int_field task "runs");
+  check_work "live cas" s task
 
-let test_resume_not_shallower () =
-  let sp = spec_of "{\"impl\": \"cas\", \"depth\": 6}" in
-  let f = frontier_of (parse_result (Queries.run_task sp Queries.Full)) in
-  check_outcome "base at full depth" "error"
-    (parse_result (Queries.run_task sp (Queries.Resume (6, f))))
+(* A result line is the answer and its work counters: no member beyond
+   the documented ones (in particular no frontier to resume from). *)
+let test_result_members () =
+  List.iter
+    (fun (fields, expected) ->
+      let task = parse_result (Queries.run_task (spec_of fields) Queries.Full) in
+      match task with
+      | Json.Obj kvs ->
+          Alcotest.(check (list string))
+            ("members of " ^ fields) expected (List.map fst kvs)
+      | j -> Alcotest.failf "not an object: %s" (Json.to_string j))
+    [
+      ( "{\"impl\": \"cas\", \"depth\": 8, \"crashes\": 1}",
+        [ "outcome"; "runs"; "digest"; "steps"; "steps_replayed" ] );
+      ( "{\"impl\": \"selfish\", \"depth\": 3, \"crashes\": 1}",
+        [ "outcome"; "witness"; "witness_pp"; "steps"; "steps_replayed" ] );
+      ( "{\"kind\": \"live\", \"impl\": \"cas\", \"property\": \
+         \"obstruction\", \"depth\": 8, \"crashes\": 1, \"max_period\": 4, \
+         \"pump\": 40}",
+        [ "outcome"; "runs"; "steps"; "steps_replayed" ] );
+      ( "{\"kind\": \"live\", \"impl\": \"register\", \"property\": \"1,2\", \
+         \"depth\": 8, \"max_period\": 4, \"pump\": 32}",
+        [
+          "outcome"; "stem"; "cycle"; "stem_pp"; "cycle_pp"; "period"; "steps";
+          "steps_replayed";
+        ] );
+    ]
 
 (* ------------------------------------------------------------------ *)
-(* Task wire form.                                                     *)
+(* Warm service.                                                       *)
 
-let test_mode_wire () =
-  let f =
-    {
-      Store.f_base_runs = 17;
-      f_base_digest = 3784237809352984055;
-      f_seeds =
-        [
-          { Store.sd_script = [ 1; 2; 3 ]; sd_sleep = [ 5 ] };
-          { Store.sd_script = []; sd_sleep = [] };
-        ];
-    }
+(* The store record a computed task's result line stands for. *)
+let record_of sp task =
+  let verdict =
+    match outcome task with
+    | "ok" -> Store.V_ok (int_field task "runs")
+    | "counterexample" -> Store.V_counterexample (ints_field task "witness")
+    | "no_fair_cycle" -> Store.V_no_fair_cycle
+    | "lasso" ->
+        Store.V_lasso
+          { stem = ints_field task "stem"; cycle = ints_field task "cycle" }
+    | o -> Alcotest.failf "no record for outcome %S" o
   in
+  {
+    Store.r_qid = 0;
+    r_depth = sp.Queries.sp_depth;
+    r_max_period = sp.Queries.sp_max_period;
+    r_pump_ticks = sp.Queries.sp_pump;
+    r_runs =
+      (match Option.bind (Json.member "runs" task) Json.int with
+      | Some r -> r
+      | None -> 0);
+    r_steps = int_field task "steps";
+    r_verdict = verdict;
+  }
+
+let warm_queries =
+  [
+    "{\"impl\": \"cas\", \"depth\": 8, \"crashes\": 1}";
+    "{\"impl\": \"selfish\", \"depth\": 3, \"crashes\": 1}";
+    "{\"kind\": \"live\", \"impl\": \"cas\", \"property\": \"obstruction\", \
+     \"depth\": 8, \"crashes\": 1, \"max_period\": 4, \"pump\": 40}";
+    "{\"kind\": \"live\", \"impl\": \"register\", \"property\": \"1,2\", \
+     \"depth\": 8, \"max_period\": 4, \"pump\": 32}";
+  ]
+
+(* A warm answer repeats the computed one (verdict, runs, witness,
+   lasso), explores nothing (its only work is replaying a witness) and
+   reports the stored steps. *)
+let test_warm_serves_computed () =
   List.iter
-    (fun m ->
-      let s = Queries.mode_to_json m in
-      match Result.bind (Json.parse s) Queries.mode_of_json with
-      | Ok m' -> check_bool ("round trip " ^ s) true (m = m')
-      | Error e -> Alcotest.failf "round trip %s: %s" s e)
-    [ Queries.Full; Queries.Resume (6, f) ];
-  List.iter
-    (fun s ->
-      match Result.bind (Json.parse s) Queries.mode_of_json with
-      | Ok _ -> Alcotest.failf "accepted task %s" s
-      | Error _ -> ())
-    [
-      "{\"mode\": \"split\", \"split_depth\": 6}";
-      "{\"mode\": \"slice\", \"base_depth\": 6, \"seeds\": []}";
-      "{\"mode\": \"resume\", \"base_depth\": 6}";
-      "{\"mode\": \"resume\", \"frontier\": {\"base_runs\": 1, \
-       \"base_digest\": 2, \"seeds\": []}}";
-    ]
+    (fun fields ->
+      let sp = spec_of fields in
+      let task = parse_result (Queries.run_task sp Queries.Full) in
+      match Queries.warm_result sp (record_of sp task) with
+      | None -> Alcotest.failf "%s: computed record not served warm" fields
+      | Some w ->
+          let warm = parse_result w in
+          check_outcome fields (outcome task) warm;
+          (* Only a witness is replayed, one step per code. *)
+          let replayed =
+            if outcome task = "counterexample" then
+              List.length (ints_field task "witness")
+            else 0
+          in
+          check_int (fields ^ ": steps = replayed witness") replayed
+            (int_field warm "steps");
+          check_int (fields ^ ": stored steps") (int_field task "steps")
+            (int_field warm "stored_steps");
+          List.iter
+            (fun k ->
+              match (Json.member k task, Json.member k warm) with
+              | Some a, Some b ->
+                  Alcotest.(check string)
+                    (fields ^ ": " ^ k) (Json.to_string a) (Json.to_string b)
+              | Some _, None -> Alcotest.failf "%s: warm lacks %S" fields k
+              | None, _ -> ())
+            [ "runs"; "witness"; "witness_pp"; "stem"; "cycle"; "period" ])
+    warm_queries
+
+(* A record the query cannot vouch for is not served: a witness that
+   does not fail the property on replay, a lasso that is not a fair
+   cycle, or a liveness record made under other budgets. *)
+let test_warm_refuses () =
+  let refused name sp r =
+    check_bool (name ^ " is not served") true (Queries.warm_result sp r = None)
+  in
+  let selfish = spec_of (List.nth warm_queries 1) in
+  let task = parse_result (Queries.run_task selfish Queries.Full) in
+  let r = record_of selfish task in
+  (match r.Store.r_verdict with
+  | Store.V_counterexample codes ->
+      refused "a truncated witness" selfish
+        { r with Store.r_verdict = Store.V_counterexample [ List.hd codes ] }
+  | _ -> Alcotest.fail "selfish: no counterexample");
+  let cas = spec_of "{\"impl\": \"cas\", \"depth\": 8, \"crashes\": 1}" in
+  let codes = ints_field task "witness" in
+  refused "a selfish witness on cas" cas
+    { r with Store.r_verdict = Store.V_counterexample codes };
+  let live = spec_of (List.nth warm_queries 3) in
+  let r = record_of live (parse_result (Queries.run_task live Queries.Full)) in
+  refused "a lasso under another pump" live
+    { r with Store.r_pump_ticks = r.Store.r_pump_ticks + 1 };
+  refused "a lasso under another max_period" live
+    { r with Store.r_max_period = r.Store.r_max_period + 1 };
+  match r.Store.r_verdict with
+  | Store.V_lasso { stem; cycle } ->
+      refused "a lasso with its cycle dropped" live
+        { r with Store.r_verdict = Store.V_lasso { stem = stem @ cycle; cycle = [] } }
+  | _ -> Alcotest.fail "live register (1,2): no lasso"
 
 (* ------------------------------------------------------------------ *)
 (* A live coordinator.                                                 *)
@@ -273,6 +454,52 @@ let stat j path =
   List.fold_left (fun j k -> Option.get (Json.member k j)) j path
   |> Json.int |> Option.get
 
+(* A worker ([slx worker]) answers each task line with exactly the
+   in-process task's result, keyed to the line's lease, and a line
+   that does not parse with an error result. *)
+let test_worker_answers_task_line () =
+  let fields = "{\"impl\": \"register\", \"n\": 3, \"depth\": 8, \"crashes\": 1}" in
+  let expected = parse_result (Queries.run_task (spec_of fields) Queries.Full) in
+  let to_w_r, to_w_w = Unix.pipe ~cloexec:true () in
+  let of_w_r, of_w_w = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process slx_bin [| slx_bin; "worker" |] to_w_r of_w_w
+      Unix.stderr
+  in
+  Unix.close to_w_r;
+  Unix.close of_w_w;
+  let oc = Unix.out_channel_of_descr to_w_w in
+  let ic = Unix.in_channel_of_descr of_w_r in
+  let lines =
+    Fun.protect
+      ~finally:(fun () ->
+        close_out_noerr oc;
+        ignore (Unix.waitpid [] pid);
+        close_in_noerr ic)
+      (fun () ->
+        Printf.fprintf oc "{\"lease\": 7, \"spec\": %s}\nnot json\n%!" fields;
+        close_out oc;
+        (* Heartbeats carry no lease; only result lines do. *)
+        let rec results acc =
+          match input_line ic with
+          | line ->
+              let j = parse_result line in
+              if Json.member "lease" j = None then results acc
+              else results (j :: acc)
+          | exception End_of_file -> List.rev acc
+        in
+        results [])
+  in
+  match lines with
+  | [ answer; bad ] ->
+      check_int "lease echoed" 7 (int_field answer "lease");
+      Alcotest.(check string)
+        "worker result = in-process task" (Json.to_string expected)
+        (Json.to_string (Option.get (Json.member "result" answer)));
+      check_int "bad line: no lease" (-1) (int_field bad "lease");
+      check_outcome "bad line" "error" (Option.get (Json.member "result" bad))
+  | _ -> Alcotest.failf "expected 2 result lines, got %d" (List.length lines)
+
 let test_negative_content_length () =
   with_server ~store:(temp_store ()) (fun port ->
       let resp =
@@ -299,79 +526,104 @@ let cli_json args =
 let history_digest j =
   stat j [ "stats"; "history_digest" ]
 
-(* A served record's frontier must carry its 63-bit digest exactly:
-   the CLI resuming from it reports the cold run's digest. *)
-let test_served_store_resumes_cli () =
+(* A served record carries its 63-bit digest exactly (the served
+   answer's digest is the store-less CLI's), and the CLI answers the
+   same query warm from it. *)
+let test_cli_warm_serves_served_record () =
   let store = temp_store () in
-  with_server ~store (fun port ->
-      let src, r = query port "\"impl\": \"cas\", \"crashes\": 1, \"depth\": 8" in
-      check_bool "served full" true (src = Some "full");
-      check_outcome "served" "ok" r;
-      (* The one worker's peak resident set, where /proc can tell. *)
-      match Json.member "worker_hwm_kb" (stats port) with
-      | Some (Json.Arr [ Json.Int kb ]) ->
-          check_bool "worker_hwm_kb > 0" true (kb > 0)
-      | Some (Json.Arr [ Json.Null ])
-        when Slx_obs.Proc_status.kb "VmHWM" = None -> ()
-      | j ->
-          Alcotest.failf "worker_hwm_kb: %s"
-            (Option.fold ~none:"missing" ~some:Json.to_string j));
-  let args = "explore --impl cas --depth 10 --crashes 1" in
-  let resumed = cli_json (args ^ " --store " ^ store) in
+  let served =
+    with_server ~store (fun port ->
+        let src, r =
+          query port "\"impl\": \"cas\", \"crashes\": 1, \"depth\": 8"
+        in
+        check_bool "served full" true (src = Some "full");
+        check_outcome "served" "ok" r;
+        (* The one worker's peak resident set, where /proc can tell. *)
+        (match Json.member "worker_hwm_kb" (stats port) with
+        | Some (Json.Arr [ Json.Int kb ]) ->
+            check_bool "worker_hwm_kb > 0" true (kb > 0)
+        | Some (Json.Arr [ Json.Null ])
+          when Slx_obs.Proc_status.kb "VmHWM" = None -> ()
+        | j ->
+            Alcotest.failf "worker_hwm_kb: %s"
+              (Option.fold ~none:"missing" ~some:Json.to_string j));
+        r)
+  in
+  let args = "explore --impl cas --depth 8 --crashes 1" in
+  let cold = cli_json args in
+  check_int "served digest = store-less digest" (history_digest cold)
+    (int_field served "digest");
+  check_int "served runs = store-less runs" (int_field cold "runs")
+    (int_field served "runs");
+  let warm = cli_json (args ^ " --store " ^ store) in
   Alcotest.(check (option string))
-    "CLI resumed the served record" (Some "resumed from depth 8")
-    (Option.bind (Json.member "store_source" resumed) Json.str);
-  check_int "resumed digest = cold digest" (history_digest (cli_json args))
-    (history_digest resumed)
+    "CLI warm-serves the served record" (Some "warm")
+    (Option.bind (Json.member "store_source" warm) Json.str);
+  check_int "warm runs = store-less runs" (int_field cold "runs")
+    (int_field warm "runs")
 
-(* The same deepening, once through the CLI's store path and once
-   through the service, credits the same [steps_saved]: the stored
-   steps minus the steps the resume replayed, never the whole stored
-   count. *)
-let test_served_resume_credit () =
-  let cli_store = temp_store () in
-  let base = "explore --impl register --crashes 1 --store " ^ cli_store in
-  ignore (cli_json (base ^ " --depth 8"));
-  ignore (cli_json (base ^ " --depth 10"));
-  let cli_saved =
-    (Store.counters (Store.open_ cli_store)).Store.c_steps_saved
+(* A deeper query over a served shallower record is computed in full:
+   the store answers exact queries warm and nothing else, so the deeper
+   answer does the store-less step count. *)
+let test_deeper_query_runs_full () =
+  let fields d =
+    Printf.sprintf "\"impl\": \"register\", \"crashes\": 1, \"depth\": %d" d
+  in
+  let store_less =
+    parse_result (Queries.run_task (spec_of ("{" ^ fields 10 ^ "}")) Queries.Full)
   in
   with_server ~store:(temp_store ()) (fun port ->
-      let fields d =
-        Printf.sprintf "\"impl\": \"register\", \"crashes\": 1, \"depth\": %d" d
-      in
-      let _, shallow = query port (fields 8) in
+      let src, _ = query port (fields 8) in
+      check_bool "shallow served full" true (src = Some "full");
       let src, deep = query port (fields 10) in
-      check_bool "served resumed" true (src = Some "resumed");
-      let saved = stat (stats port) [ "store"; "steps_saved" ] in
-      check_int "stored steps minus replayed steps"
-        (max 0 (stat shallow [ "steps" ] - stat deep [ "steps_replayed" ]))
-        saved;
-      check_int "steps_saved as the CLI credits it" cli_saved saved)
+      check_bool "deeper served full" true (src = Some "full");
+      check_int "deeper runs = store-less" (int_field store_less "runs")
+        (int_field deep "runs");
+      check_int "deeper digest = store-less" (int_field store_less "digest")
+        (int_field deep "digest");
+      check_int "deeper steps = store-less" (int_field store_less "steps")
+        (int_field deep "steps");
+      let src, _ = query port (fields 10) in
+      check_bool "repeat served warm" true (src = Some "warm");
+      let st = stats port in
+      check_int "two records" 2 (stat st [ "store"; "records" ]);
+      check_int "two colds" 2 (stat st [ "store"; "colds" ]);
+      check_int "one warm hit" 1 (stat st [ "store"; "warm_hits" ]))
 
 let suites =
   [
-    ( "serve.resume",
+    ( "serve.task",
       [
+        Alcotest.test_case "Full steps = store-less engine" `Quick
+          test_full_task_steps;
         Alcotest.test_case "explore cas/register, n=2 and n=3" `Quick
-          test_resume_explore;
+          test_full_task_explore;
         Alcotest.test_case "counterexample (selfish)" `Quick
-          test_resume_counterexample;
+          test_full_task_counterexample;
         Alcotest.test_case "lasso (live register (1,2))" `Quick
-          test_resume_lasso;
-        Alcotest.test_case "clean live cas" `Quick test_resume_live_clean;
-        Alcotest.test_case "frontier without seeds" `Quick test_resume_no_seeds;
-        Alcotest.test_case "base not shallower is an error" `Quick
-          test_resume_not_shallower;
-        Alcotest.test_case "task modes on the wire" `Quick test_mode_wire;
+          test_full_task_lasso;
+        Alcotest.test_case "clean live cas" `Quick test_full_task_live_clean;
+        Alcotest.test_case "result members" `Quick test_result_members;
+      ] );
+    ( "serve.warm",
+      [
+        Alcotest.test_case "serves a computed verdict" `Quick
+          test_warm_serves_computed;
+        Alcotest.test_case "refuses an unvouched record" `Quick
+          test_warm_refuses;
+      ] );
+    ( "serve.worker",
+      [
+        Alcotest.test_case "answers a task line" `Quick
+          test_worker_answers_task_line;
       ] );
     ( "serve.coordinator",
       [
         Alcotest.test_case "negative Content-Length answers 400" `Quick
           test_negative_content_length;
-        Alcotest.test_case "served store resumes the CLI exactly" `Quick
-          test_served_store_resumes_cli;
-        Alcotest.test_case "served resumes credit steps_saved" `Quick
-          test_served_resume_credit;
+        Alcotest.test_case "the CLI warm-serves a served record" `Quick
+          test_cli_warm_serves_served_record;
+        Alcotest.test_case "a deeper query runs full" `Quick
+          test_deeper_query_runs_full;
       ] );
   ]

@@ -8,11 +8,13 @@
      invalidate wholesale;
    - the policy ({!Slx_store.Persist}): cold runs record, exact
      re-queries warm-serve (witnesses replayed, lassos re-pumped),
-     deeper queries resume from stored frontiers — and a corrupt or
-     mismatched store degrades to cold with the identical verdict;
+     deeper queries run cold and do exactly the store-less work — and
+     a corrupt or mismatched store degrades to cold with the identical
+     verdict;
    - the differential contract, on the whole audit registry: with the
-     store in any state (off, cold, warm, resumed) the verdict, the
-     run count, and the lex-least witness are byte-identical. *)
+     store in any state (off, cold, warm, holding a shallower record)
+     the verdict, the run count, the digest, the step count and the
+     lex-least witness are byte-identical. *)
 
 open Slx_sim
 open Slx_core
@@ -51,18 +53,6 @@ let sample_records =
       r_runs = 42;
       r_steps = 420;
       r_verdict = Store.V_ok 42;
-      r_frontier =
-        Some
-          {
-            Store.f_base_runs = 40;
-            f_base_digest = 123456789;
-            f_seeds =
-              [
-                { Store.sd_script = [ 4; 8; 15 ]; sd_sleep = [ 3 ] };
-                (* Empty payloads must survive the line codec. *)
-                { Store.sd_script = [ 16 ]; sd_sleep = [] };
-              ];
-          };
     }
     ;
     {
@@ -73,7 +63,6 @@ let sample_records =
       r_runs = 0;
       r_steps = 9;
       r_verdict = Store.V_counterexample [ 5; 9; 2 ];
-      r_frontier = None;
     }
     ;
     {
@@ -84,13 +73,6 @@ let sample_records =
       r_runs = 100;
       r_steps = 1000;
       r_verdict = Store.V_no_fair_cycle;
-      r_frontier =
-        Some
-          {
-            Store.f_base_runs = 0;
-            f_base_digest = 0;
-            f_seeds = [ { Store.sd_script = [ 5; 5 ]; sd_sleep = [ 258; 1 ] } ];
-          };
     }
     ;
     {
@@ -100,8 +82,8 @@ let sample_records =
       r_pump_ticks = 32;
       r_runs = 7;
       r_steps = 77;
-      r_verdict = Store.V_lasso { stem = [ 5; 9 ]; cycle = [ 0; 4 ] };
-      r_frontier = None;
+      (* An empty stem must survive the line codec. *)
+      r_verdict = Store.V_lasso { stem = []; cycle = [ 0; 4 ] };
     }
   ]
 
@@ -111,7 +93,7 @@ let populate path =
   Store.bump st `Query;
   Store.bump st `Cold;
   Store.bump st `Query;
-  Store.bump st (`Warm 420);
+  Store.bump st `Warm;
   Store.commit st;
   st
 
@@ -131,8 +113,7 @@ let test_round_trip () =
     sample_records;
   let c = Store.counters st in
   check_bool "counters round-trip" true
-    (c.Store.c_queries = 2 && c.Store.c_warm_hits = 1 && c.Store.c_colds = 1
-   && c.Store.c_steps_saved = 420)
+    (c.Store.c_queries = 2 && c.Store.c_warm_hits = 1 && c.Store.c_colds = 1)
 
 let file_bytes path =
   let ic = open_in_bin path in
@@ -190,6 +171,18 @@ let test_bad_magic () =
     ((Store.health st).Store.h_invalidated <> None);
   Alcotest.(check int) "read as empty" 0 (List.length (Store.records st))
 
+(* CRC-32 (IEEE 802.3), bitwise: enough to forge frames by hand. *)
+let crc32 s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    s;
+  !c lxor 0xFFFFFFFF
+
 let test_engine_mismatch () =
   let path = temp_store () in
   let _ = populate path in
@@ -204,7 +197,42 @@ let test_engine_mismatch () =
   let st' = Store.open_ ~engine_version:"slx-engine-bogus" path in
   check_bool "re-founded store is clean" true
     ((Store.health st').Store.h_invalidated = None
-    && List.length (Store.records st') = 1)
+    && List.length (Store.records st') = 1);
+  (* A file written under the previous codec — the same engine, but
+     the old format version in its header and old-shape counter and
+     record lines — is invalidated wholesale too, and the next commit
+     overwrites it in the current format. *)
+  let frame payload =
+    let b = Buffer.create 64 in
+    let u32 v =
+      for i = 0 to 3 do
+        Buffer.add_char b (Char.chr ((v lsr (8 * i)) land 0xff))
+      done
+    in
+    u32 (String.length payload);
+    u32 (crc32 payload);
+    Buffer.add_string b payload;
+    Buffer.contents b
+  in
+  write_bytes path
+    (Bytes.of_string
+       ("SLXSTOR1"
+       ^ frame
+           (Printf.sprintf "H %d %s" (Store.format_version - 1)
+              Store.engine_version)
+       ^ frame "C 2 1 0 1 0 420"
+       ^ frame "Q 11 5 0 0 42 420\nok 42\nfr 40 123 1\ns 1 16 0 "));
+  let old = Store.open_ path in
+  check_bool "an older format version invalidates" true
+    ((Store.health old).Store.h_invalidated <> None);
+  Alcotest.(check int) "no record crosses a format change" 0
+    (List.length (Store.records old));
+  Store.add old (List.hd sample_records);
+  Store.commit old;
+  let reopened = Store.open_ path in
+  check_bool "the next commit overwrites it in the current format" true
+    ((Store.health reopened).Store.h_invalidated = None
+    && Store.records reopened = [ List.hd sample_records ])
 
 let test_qid_binds_flags () =
   let base ?por ?dpor ?symmetry ?invoke_order ?proviso_bound
@@ -237,10 +265,10 @@ let test_qid_binds_flags () =
   check_bool "flag-variant qid misses" true
     (Store.find st ~qid:(base ~por:true ()) ~depth:5 = None)
 
-let test_supersede_and_resumable () =
+let test_supersede () =
   let path = temp_store () in
   let st = Store.open_ path in
-  let mk depth verdict frontier =
+  let mk depth verdict =
     {
       Store.r_qid = 7;
       r_depth = depth;
@@ -249,25 +277,17 @@ let test_supersede_and_resumable () =
       r_runs = 1;
       r_steps = 1;
       r_verdict = verdict;
-      r_frontier = frontier;
     }
   in
-  let fr = Some { Store.f_base_runs = 1; f_base_digest = 2; f_seeds = [] } in
-  Store.add st (mk 4 (Store.V_ok 1) fr);
-  Store.add st (mk 5 (Store.V_counterexample [ 1 ]) fr);
-  Store.add st (mk 6 (Store.V_ok 2) None);
-  Store.add st (mk 4 (Store.V_ok 9) fr);
+  Store.add st (mk 4 (Store.V_ok 1));
+  Store.add st (mk 5 (Store.V_counterexample [ 1 ]));
+  Store.add st (mk 4 (Store.V_ok 9));
   Store.commit st;
   let st = Store.open_ path in
   (match Store.find st ~qid:7 ~depth:4 with
   | Some { Store.r_verdict = Store.V_ok 9; _ } -> ()
   | _ -> Alcotest.fail "later record must supersede the slot");
-  (* depth 6 has no frontier, depth 5 is a counterexample: the deepest
-     resumable base below depth 8 is the superseded-in-place depth 4. *)
-  match Store.best_resumable st ~qid:7 ~depth:8 with
-  | Some { Store.r_depth = 4; r_verdict = Store.V_ok 9; _ } -> ()
-  | Some r -> Alcotest.failf "wrong resume base: depth %d" r.Store.r_depth
-  | None -> Alcotest.fail "expected a resumable record"
+  Alcotest.(check int) "one record per slot" 2 (List.length (Store.records st))
 
 (* ------------------------------------------------------------------ *)
 (* Persist policy on the consensus engines.                            *)
@@ -289,22 +309,42 @@ let consensus_check r =
 let pp_consensus_inv (Slx_consensus.Consensus_type.Propose v) =
   "propose " ^ string_of_int v
 
-let safety_qid ~ident ~factory =
-  Persist.query_key ~ident ~check:"consensus-safety" ~n:2
-    ~registry_digest:(Persist.instance_digest ~n:2 ~factory)
-    ~por:true ~dpor:true ~symmetry:true ()
+let safety_qid ?(n = 2) ?(max_crashes = 0) ~ident ~factory () =
+  Persist.query_key ~ident ~check:"consensus-safety" ~n
+    ~registry_digest:(Persist.instance_digest ~n ~factory)
+    ~max_crashes ~por:true ~dpor:true ~symmetry:true ()
 
-let run_safety ~store ~qid ~factory ~depth () =
-  Persist.run_explore ~store ~qid ~n:2 ~factory ~invoke:safety_invoke ~depth
-    ~por:true ~dpor:true ~symmetry:true ~check:consensus_check ()
+let run_safety ?(n = 2) ?(max_crashes = 0) ~store ~qid ~factory ~depth () =
+  Persist.run_explore ~store ~qid ~n ~factory ~invoke:safety_invoke ~depth
+    ~max_crashes ~por:true ~dpor:true ~symmetry:true ~check:consensus_check ()
 
-let test_persist_cold_warm_resume () =
+(* What a stored answer must share with the store-less one: outcome,
+   runs, digest and the work done. *)
+let explore_work e =
+  let s = e.Explore.stats in
+  ( (match e.Explore.outcome with
+    | Explore.Ok n -> Printf.sprintf "ok %d" n
+    | Explore.Counterexample _ -> "counterexample"),
+    s.Explore_stats.runs,
+    s.Explore_stats.history_digest,
+    s.Explore_stats.steps_executed )
+
+let check_explore_work name expected got =
+  let o, r, d, s = explore_work expected
+  and o', r', d', s' = explore_work got in
+  Alcotest.(check string) (name ^ ": outcome = storeless") o o';
+  Alcotest.(check int) (name ^ ": runs = storeless") r r';
+  Alcotest.(check int) (name ^ ": digest = storeless") d d';
+  Alcotest.(check int) (name ^ ": steps = storeless") s s'
+
+let test_persist_cold_warm_deeper () =
   let path = temp_store () in
   let st = Store.open_ path in
-  let qid = safety_qid ~ident:"cas" ~factory:cas_factory in
-  let plain depth =
-    Explore.explore ~n:2 ~factory:cas_factory ~invoke:safety_invoke ~depth
-      ~por:true ~dpor:true ~symmetry:true ~check:consensus_check ()
+  let qid = safety_qid ~ident:"cas" ~factory:cas_factory () in
+  let plain ?(n = 2) ?(max_crashes = 0) depth =
+    Explore.explore ~n ~factory:cas_factory ~invoke:safety_invoke ~depth
+      ~max_crashes ~por:true ~dpor:true ~symmetry:true ~check:consensus_check
+      ()
   in
   let runs_of e =
     match e.Explore.outcome with
@@ -313,7 +353,7 @@ let test_persist_cold_warm_resume () =
   in
   let cold, src = run_safety ~store:st ~qid ~factory:cas_factory ~depth:6 () in
   check_bool "first query is cold" true (src = Persist.Cold);
-  Alcotest.(check int) "cold = storeless" (runs_of (plain 6)) (runs_of cold);
+  check_explore_work "cold" (plain 6) cold;
   let warm, src = run_safety ~store:st ~qid ~factory:cas_factory ~depth:6 () in
   check_bool "identical re-query is warm" true (src = Persist.Warm);
   Alcotest.(check int) "warm restores the verdict" (runs_of cold)
@@ -321,17 +361,29 @@ let test_persist_cold_warm_resume () =
   check_bool "warm does no engine work" true
     (warm.Explore.stats.Explore_stats.nodes = 0);
   let deep, src = run_safety ~store:st ~qid ~factory:cas_factory ~depth:8 () in
-  check_bool "deeper query resumes" true (src = Persist.Resumed 6);
-  Alcotest.(check int) "resumed = storeless" (runs_of (plain 8)) (runs_of deep);
+  check_bool "deeper query is cold" true (src = Persist.Cold);
+  check_explore_work "deeper" (plain 8) deep;
+  (* A store holding a shallower record costs a deeper query nothing:
+     cas n=3 c=2 at depth 10 does exactly the store-less work. *)
+  let qid3 =
+    safety_qid ~n:3 ~max_crashes:2 ~ident:"cas" ~factory:cas_factory ()
+  in
+  let run3 depth =
+    run_safety ~n:3 ~max_crashes:2 ~store:st ~qid:qid3 ~factory:cas_factory
+      ~depth ()
+  in
+  ignore (run3 8);
+  let deep3, src = run3 10 in
+  check_bool "cas n=3 c=2 depth 10 is cold" true (src = Persist.Cold);
+  check_explore_work "cas n=3 c=2 d=10" (plain ~n:3 ~max_crashes:2 10) deep3;
   let c = Store.counters st in
   check_bool "counters tell the story" true
-    (c.Store.c_queries = 3 && c.Store.c_warm_hits = 1 && c.Store.c_resumes = 1
-   && c.Store.c_colds = 1)
+    (c.Store.c_queries = 5 && c.Store.c_warm_hits = 1 && c.Store.c_colds = 4)
 
 let test_persist_witness_warm () =
   let path = temp_store () in
   let st = Store.open_ path in
-  let qid = safety_qid ~ident:"selfish" ~factory:selfish_factory in
+  let qid = safety_qid ~ident:"selfish" ~factory:selfish_factory () in
   let witness e =
     match e.Explore.witness_script with
     | Some ds -> show_script pp_consensus_inv ds
@@ -352,7 +404,7 @@ let test_persist_witness_warm () =
 let test_persist_corrupt_fallback () =
   let path = temp_store () in
   let st = Store.open_ path in
-  let qid = safety_qid ~ident:"cas" ~factory:cas_factory in
+  let qid = safety_qid ~ident:"cas" ~factory:cas_factory () in
   let first, _ = run_safety ~store:st ~qid ~factory:cas_factory ~depth:6 () in
   (* Trash the committed file wholesale; the re-opened store must read
      as empty and the query must fall back to a cold run with the
@@ -372,7 +424,7 @@ let test_persist_corrupt_fallback () =
 let test_persist_bitstate_bypass () =
   let path = temp_store () in
   let st = Store.open_ path in
-  let qid = safety_qid ~ident:"cas" ~factory:cas_factory in
+  let qid = safety_qid ~ident:"cas" ~factory:cas_factory () in
   let _, src =
     Persist.run_explore ~store:st ~qid ~n:2 ~factory:cas_factory
       ~invoke:safety_invoke ~depth:6 ~por:true ~dpor:true ~symmetry:true
@@ -383,24 +435,41 @@ let test_persist_bitstate_bypass () =
   check_bool "and leave no record behind" true (Store.records st = []);
   check_bool "and no counters" true ((Store.counters st).Store.c_queries = 0)
 
-(* Liveness: cold/warm/resume with pinned pump budget, and lasso
-   re-validation on the Theorem 5.2 register certificate. *)
+(* Liveness: cold/warm/deeper-cold, and lasso re-validation on the
+   Theorem 5.2 register certificate. *)
 
 let register8_factory () =
   Slx_consensus.Register_consensus.factory ~max_rounds:8 ()
 
-let live_qid ~ident ~factory ~point =
+let live_qid ?(max_crashes = 0) ~ident ~factory ~point () =
   Persist.query_key ~ident
     ~check:("live:" ^ Format.asprintf "%a" Freedom.pp point)
     ~n:2
     ~registry_digest:(Persist.instance_digest ~n:2 ~factory)
-    ~dpor:true ()
+    ~max_crashes ~dpor:true ()
 
-let test_persist_live_cold_warm_resume () =
+let live_work r =
+  let s = r.Live_explore.stats in
+  ( (match r.Live_explore.outcome with
+    | Live_explore.No_fair_cycle -> "no_fair_cycle"
+    | Live_explore.Lasso c ->
+        show_script pp_consensus_inv c.Lasso.c_stem
+        ^ "~"
+        ^ show_script pp_consensus_inv c.Lasso.c_cycle),
+    s.Explore_stats.runs,
+    s.Explore_stats.steps_executed )
+
+let check_live_work name expected got =
+  let o, r, s = live_work expected and o', r', s' = live_work got in
+  Alcotest.(check string) (name ^ ": verdict = storeless") o o';
+  Alcotest.(check int) (name ^ ": runs = storeless") r r';
+  Alcotest.(check int) (name ^ ": steps = storeless") s s'
+
+let test_persist_live_cold_warm_deeper () =
   let path = temp_store () in
   let st = Store.open_ path in
   let point = Freedom.obstruction_freedom in
-  let qid = live_qid ~ident:"selfish" ~factory:selfish_factory ~point in
+  let qid = live_qid ~ident:"selfish" ~factory:selfish_factory ~point () in
   let good (_ : Slx_consensus.Consensus_type.response) = true in
   let run depth =
     Persist.run_live ~store:st ~qid ~n:2 ~factory:selfish_factory
@@ -410,31 +479,42 @@ let test_persist_live_cold_warm_resume () =
     Live_explore.search ~n:2 ~factory:selfish_factory ~invoke:live_invoke
       ~good ~point ~depth ~pump_ticks:32 ~dpor:true ()
   in
-  let outcome r =
-    match r.Live_explore.outcome with
-    | Live_explore.No_fair_cycle -> "no_fair_cycle"
-    | Live_explore.Lasso _ -> "lasso"
-  in
   let cold, src = run 6 in
   check_bool "live cold" true (src = Persist.Cold);
-  Alcotest.(check string) "cold = storeless" (outcome (plain 6)) (outcome cold);
+  check_live_work "live cold" (plain 6) cold;
   let warm, src = run 6 in
   check_bool "live warm" true (src = Persist.Warm);
-  Alcotest.(check string) "warm verdict identical" (outcome cold)
-    (outcome warm);
+  let (o, _, _), (o', _, _) = (live_work cold, live_work warm) in
+  Alcotest.(check string) "warm verdict identical" o o';
   let deep, src = run 8 in
-  check_bool "live resume (pinned pump)" true (src = Persist.Resumed 6);
-  Alcotest.(check string) "resumed = storeless" (outcome (plain 8))
-    (outcome deep);
-  Alcotest.(check int) "resumed run count = storeless"
-    (plain 8).Live_explore.stats.Explore_stats.runs
-    deep.Live_explore.stats.Explore_stats.runs
+  check_bool "live deeper query is cold" true (src = Persist.Cold);
+  check_live_work "live deeper" (plain 8) deep;
+  (* Register obstruction n=2 c=1 under a pinned period bound of 2,
+     where the suffix cache engages: depth 13 over a stored depth 11
+     does exactly the store-less work. *)
+  let register_factory () = Slx_consensus.Register_consensus.factory () in
+  let qidr =
+    live_qid ~max_crashes:1 ~ident:"register" ~factory:register_factory ~point
+      ()
+  in
+  let runr depth =
+    Persist.run_live ~store:st ~qid:qidr ~n:2 ~factory:register_factory
+      ~invoke:live_invoke ~good ~point ~depth ~max_crashes:1 ~max_period:2
+      ~dpor:true ()
+  in
+  ignore (runr 11);
+  let deepr, src = runr 13 in
+  check_bool "register obstruction depth 13 is cold" true (src = Persist.Cold);
+  check_live_work "register obstruction d=13"
+    (Live_explore.search ~n:2 ~factory:register_factory ~invoke:live_invoke
+       ~good ~point ~depth:13 ~max_crashes:1 ~max_period:2 ~dpor:true ())
+    deepr
 
 let test_persist_lasso_warm () =
   let path = temp_store () in
   let st = Store.open_ path in
   let point = Freedom.make ~l:1 ~k:2 in
-  let qid = live_qid ~ident:"register" ~factory:register8_factory ~point in
+  let qid = live_qid ~ident:"register" ~factory:register8_factory ~point () in
   let good (_ : Slx_consensus.Consensus_type.response) = true in
   let run () =
     Persist.run_live ~store:st ~qid ~n:2 ~factory:register8_factory
@@ -459,8 +539,8 @@ let test_persist_lasso_warm () =
     (show_script pp_consensus_inv c.Lasso.c_cycle)
 
 (* ------------------------------------------------------------------ *)
-(* Differential sweep: every registry case, store off/cold/warm/       *)
-(* resumed — identical verdicts, runs, and lex-least witnesses.        *)
+(* Differential sweep: every registry case, store off/cold/warm/deeper *)
+(* — identical verdicts, runs, digests, steps and lex-least witnesses. *)
 
 let diff_store_case (Audit.Case c) =
   let depth = min c.Audit.c_depth 5 in
@@ -480,8 +560,8 @@ let diff_store_case (Audit.Case c) =
         (Persist.instance_digest ~n:c.Audit.c_n ~factory:c.Audit.c_factory)
       ~max_crashes ~dpor:true ()
   in
-  (* Passing leg: run-count identity across store states, including a
-     resume from the frontier cut one level shallower. *)
+  (* Passing leg: identity across store states, including a store that
+     already holds the query one level shallower. *)
   let st = Store.open_ (temp_store ()) in
   let qid = qid_of ~check_name:"diff-true" in
   let runs e =
@@ -490,22 +570,19 @@ let diff_store_case (Audit.Case c) =
     | Explore.Counterexample _ ->
         Alcotest.failf "%s: always-true check failed" name
   in
-  let base = runs (plain ~depth ~check:(fun _ -> true)) in
+  let base = plain ~depth ~check:(fun _ -> true) in
   let shallow, src =
     stored ~store:st ~qid ~depth:(depth - 1) ~check:(fun _ -> true)
   in
   check_bool (name ^ ": shallow leg is cold") true (src = Persist.Cold);
   ignore (runs shallow);
-  let resumed, src = stored ~store:st ~qid ~depth ~check:(fun _ -> true) in
-  check_bool
-    (name ^ ": full-depth leg resumes the shallow frontier")
-    true
-    (src = Persist.Resumed (depth - 1));
-  Alcotest.(check int) (name ^ ": resumed runs = storeless") base
-    (runs resumed);
+  let deeper, src = stored ~store:st ~qid ~depth ~check:(fun _ -> true) in
+  check_bool (name ^ ": full-depth leg is cold") true (src = Persist.Cold);
+  check_explore_work name base deeper;
   let warm, src = stored ~store:st ~qid ~depth ~check:(fun _ -> true) in
   check_bool (name ^ ": re-query is warm") true (src = Persist.Warm);
-  Alcotest.(check int) (name ^ ": warm runs = storeless") base (runs warm);
+  Alcotest.(check int) (name ^ ": warm runs = storeless") (runs base)
+    (runs warm);
   (* Failing leg: lex-least witness identity cold vs warm (the warm
      hit replays the stored script through the real engine). *)
   let qidx = qid_of ~check_name:"diff-false" in
@@ -561,21 +638,21 @@ let diff_store_live_case (Audit.Case c) =
         ^ "~" ^ show_script c.Audit.c_pp_inv l.Lasso.c_cycle
   in
   let st = Store.open_ (temp_store ()) in
-  let base = fingerprint (plain ~depth) in
+  let plain_run = plain ~depth in
+  let base = fingerprint plain_run in
   let shallow, src = stored ~store:st ~depth:(depth - 1) in
   check_bool (name ^ ": live shallow leg is cold") true (src = Persist.Cold);
   ignore shallow;
-  let resumed, src = stored ~store:st ~depth in
-  check_bool (name ^ ": live leg resumes or recomputes soundly") true
-    (match src with
-    | Persist.Resumed d -> d = depth - 1
-    | Persist.Cold -> true (* shallow verdict was a lasso: not resumable *)
-    | _ -> false);
-  Alcotest.(check string) (name ^ ": live resumed = storeless") base
-    (fingerprint resumed);
-  Alcotest.(check int) (name ^ ": live resumed runs = storeless")
-    (plain ~depth).Live_explore.stats.Explore_stats.runs
-    resumed.Live_explore.stats.Explore_stats.runs;
+  let deeper, src = stored ~store:st ~depth in
+  check_bool (name ^ ": live full-depth leg is cold") true (src = Persist.Cold);
+  Alcotest.(check string) (name ^ ": live deeper = storeless") base
+    (fingerprint deeper);
+  Alcotest.(check int) (name ^ ": live deeper runs = storeless")
+    plain_run.Live_explore.stats.Explore_stats.runs
+    deeper.Live_explore.stats.Explore_stats.runs;
+  Alcotest.(check int) (name ^ ": live deeper steps = storeless")
+    plain_run.Live_explore.stats.Explore_stats.steps_executed
+    deeper.Live_explore.stats.Explore_stats.steps_executed;
   let warm, src = stored ~store:st ~depth in
   check_bool (name ^ ": live re-query is warm") true (src = Persist.Warm);
   Alcotest.(check string) (name ^ ": live warm = storeless") base
@@ -598,21 +675,20 @@ let suites =
           test_engine_mismatch;
         Alcotest.test_case "qid binds flags and registry" `Quick
           test_qid_binds_flags;
-        Alcotest.test_case "supersede and best_resumable" `Quick
-          test_supersede_and_resumable;
+        Alcotest.test_case "supersede" `Quick test_supersede;
       ] );
     ( "store.persist",
       [
-        Alcotest.test_case "cold, warm, resume" `Quick
-          test_persist_cold_warm_resume;
+        Alcotest.test_case "cold, warm, deeper cold" `Quick
+          test_persist_cold_warm_deeper;
         Alcotest.test_case "witness warm-served after replay" `Quick
           test_persist_witness_warm;
         Alcotest.test_case "corrupt store falls back cold" `Quick
           test_persist_corrupt_fallback;
         Alcotest.test_case "bitstate bypasses the store" `Quick
           test_persist_bitstate_bypass;
-        Alcotest.test_case "live cold, warm, resume" `Quick
-          test_persist_live_cold_warm_resume;
+        Alcotest.test_case "live cold, warm, deeper cold" `Quick
+          test_persist_live_cold_warm_deeper;
         Alcotest.test_case "lasso re-validated warm" `Quick
           test_persist_lasso_warm;
       ] );
