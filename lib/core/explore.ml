@@ -482,9 +482,9 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
   (* Every cursor of the walk lives in one of these brackets: a
      sibling's cursor is disposed of as soon as its subtree is done
      (or unwinds), so at most [depth + 1] are live per domain. *)
-  let with_cursor st ?prefix f =
+  let with_cursor st ?prefix ?hist_id f =
     Runner.Cursor.with_ ~n ~factory:(factory ()) ~ticks:st.ticks
-      ?shadow:st.shadow ?probe:st.probe ?encode:st.encode ?prefix f
+      ?shadow:st.shadow ?probe:st.probe ?encode:st.encode ?prefix ?hist_id f
   in
   (* Under DPOR, a child's sleep set is only a {e candidate} until its
      edge executes: the dynamic filter then wakes the sleepers whose
@@ -698,6 +698,10 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                   | None -> false
                 in
                 let complete = ref (not farm_out) in
+                (* Read before the first child extends [cursor] in
+                   place: every later sibling replays this node's
+                   prefix, whose history id this is. *)
+                let hist_id = Runner.Cursor.hist_id cursor in
                 List.iter
                   (fun (i, d, child_sleep) ->
                     let crashes' =
@@ -741,7 +745,7 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                         end
                         else
                           with_cursor st ~prefix:(List.rev rev_script)
-                            (fun c ->
+                            ~hist_id (fun c ->
                               st.replayed <- st.replayed + len;
                               descend c)
                       in
@@ -857,19 +861,27 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                 st.steals <- st.steals + 1;
                 Telemetry.emit st.sink Telemetry.Steal it.it_id it.it_owner
               end;
+              (* A stolen item carries the publisher's {e candidate}
+                 sleep set, settled by the probe's observation of the
+                 item's last decision — so the replay stops short of
+                 that decision, which is then applied (and observed)
+                 on its own, exactly as the inline path applies it.
+                 The publisher's history ids belong to its domain's
+                 interner, so the replay re-interns. *)
+              let prefix, last =
+                match it.it_script with
+                | [] -> ([], None)
+                | d :: rest -> (List.rev rest, Some d)
+              in
               (match
-                 with_cursor st ~prefix:(List.rev it.it_script) (fun c ->
+                 with_cursor st ~prefix (fun c ->
                      st.replayed <- st.replayed + it.it_len;
-                     (* A stolen item carries the publisher's {e
-                        candidate} sleep set; the probe now holds the
-                        accesses of the item's last decision (the final
-                        step of the replay), so settle it here — exactly
-                        the filter the inline path would have
-                        applied. *)
                      let sleep =
-                       match it.it_script with
-                       | d :: _ -> settle_sleep st c d it.it_sleep it.it_len
-                       | [] -> it.it_sleep
+                       match last with
+                       | Some d ->
+                           Runner.Cursor.apply c d;
+                           settle_sleep st c d it.it_sleep it.it_len
+                       | None -> it.it_sleep
                      in
                      visit (Some shared) st c it.it_script
                        (List.rev it.it_rank) it.it_len it.it_crashes sleep)

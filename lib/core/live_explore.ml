@@ -455,9 +455,9 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
   in
   (* As in {!Explore}: every cursor of the search is bracketed, a
      sibling's disposed of as soon as its subtree is done. *)
-  let with_cursor ?prefix f =
+  let with_cursor ?prefix ?hist_id f =
     Runner.Cursor.with_ ~n ~factory:(factory ()) ~ticks:st.ticks
-      ?shadow:st.shadow ?probe:st.probe ?encode:st.encode ?prefix f
+      ?shadow:st.shadow ?probe:st.probe ?encode:st.encode ?prefix ?hist_id f
   in
   (* As in {!Explore}: [visit] wraps [visit_body] in the node span,
      closed on every exit ([Found_lasso] unwinds included).  [sleep]
@@ -581,6 +581,9 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
                 |> fst |> List.rev
             in
             let before = History.length view.Driver.history in
+            (* As in {!Explore}: read before the first child extends
+               [cursor] in place. *)
+            let hist_id = Runner.Cursor.hist_id cursor in
             List.iter
               (fun (i, d, child_sleep) ->
                 let crashes' =
@@ -614,7 +617,8 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
                   descend cursor
                 end
                 else
-                  with_cursor ~prefix:(List.rev rev_script) (fun c ->
+                  with_cursor ~prefix:(List.rev rev_script) ~hist_id
+                    (fun c ->
                       st.replayed <- st.replayed + len;
                       descend c))
               children);

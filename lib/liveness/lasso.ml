@@ -102,14 +102,19 @@ let pump ~factory ?ticks ?(repetitions = 2) ?abstract cert =
   if period = 0 then Error "Lasso.pump: empty cycle"
   else if repetitions < 2 then Error "Lasso.pump: need at least 2 repetitions"
   else
+    (* The stem is replayed as the cursor's prefix: an
+       [Invalid_argument] raised before the body runs is an
+       inapplicable stem decision. *)
+    let in_body = ref false in
     try
-      Runner.Cursor.with_ ~n:cert.c_n ~factory ?ticks (fun cursor ->
+      Runner.Cursor.with_ ~n:cert.c_n ~factory ?ticks ~prefix:cert.c_stem
+        (fun cursor ->
+          in_body := true;
           let apply d =
             try Runner.Cursor.apply cursor d
             with Invalid_argument msg ->
               raise (Pump_failed ("decision not applicable: " ^ msg))
           in
-          List.iter apply cert.c_stem;
           let stem_len = List.length cert.c_stem in
           for rep = 1 to repetitions do
             List.iter apply cert.c_cycle;
@@ -137,4 +142,7 @@ let pump ~factory ?ticks ?(repetitions = 2) ?abstract cert =
             done
           done;
           Ok r)
-    with Pump_failed msg -> Error msg
+    with
+    | Pump_failed msg -> Error msg
+    | Invalid_argument msg when not !in_body ->
+        Error ("decision not applicable: " ^ msg)

@@ -107,7 +107,9 @@ val pump :
   (('inv, 'res) Run_report.t, string) result
 (** [pump ~factory cert] replays [cert.c_stem] and then [repetitions]
     (default 2, minimum 2) copies of [cert.c_cycle] through a fresh
-    cursor, checking after {e every} repetition that the repetition's
+    cursor — the stem as the cursor's prefix ({!Runner.Cursor.with_}),
+    the repetitions decision by decision — checking after {e every}
+    repetition that the repetition's
     {!tick_cells} equal [cert.c_cells] and that the boundary digest
     equals [cert.c_digest].  [Ok report] has its window set to exactly
     the pumped repetitions, so {!certified_violation} on it evaluates

@@ -39,29 +39,37 @@ module Registers = struct
     allocated : int ref;  (* rounds allocated so far (prefix of [rounds]) *)
     tbl : int;  (* footprint id of the allocation table *)
     decision : 'a option Register.t;
+    ids : Slx_sim.Runtime.id_block;  (* round [r] at offset [r * 2n] *)
   }
 
   let max_rounds = 4096
 
+  (* Builds [a] then [b]: [2n] ids. *)
   let make_round n =
-    {
-      a = Array.init n (fun _ -> Register.make None);
-      b = Array.init n (fun _ -> Register.make None);
-    }
+    let a = Array.init n (fun _ -> Register.make None) in
+    let b = Array.init n (fun _ -> Register.make None) in
+    { a; b }
 
   let make ~n () =
     (* The allocation table is shared mutable state: fingerprint it
        (rounds are allocated in order, so the count characterizes it —
        the registers themselves register their own readers) and give
        it a footprint id so the lazy-allocation step can report its
-       accesses to the sanitizer. *)
+       accesses to the sanitizer.  The rounds' ids are reserved here:
+       several instances share a registry (the universal
+       construction's log slots), and a round built with the
+       registry's counter would be numbered by whichever of them
+       allocated first. *)
     let allocated = ref 0 in
+    let decision = Register.make None in
+    let tbl = Slx_sim.Runtime.register_object (fun () -> !allocated) in
     {
       n;
       rounds = Array.make max_rounds None;
       allocated;
-      tbl = Slx_sim.Runtime.register_object (fun () -> !allocated);
-      decision = Register.make None;
+      tbl;
+      decision;
+      ids = Slx_sim.Runtime.reserve_ids (max_rounds * 2 * n);
     }
 
   (* Lazily allocate round [r]; modelled as one atomic step so the
@@ -76,7 +84,10 @@ module Registers = struct
         match t.rounds.(r) with
         | Some round -> round
         | None ->
-            let round = make_round t.n in
+            let round =
+              Slx_sim.Runtime.in_block t.ids ~offset:(r * 2 * t.n) (fun () ->
+                  make_round t.n)
+            in
             Slx_sim.Runtime.touch ~obj:t.tbl ~write:true;
             t.rounds.(r) <- Some round;
             incr t.allocated;

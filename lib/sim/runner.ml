@@ -26,7 +26,7 @@ module Cursor = struct
     ticks : int ref;
     shadow : Runtime.shadow option;
     probe : Runtime.probe option;
-    encode : (int -> ('inv, 'res) Event.t -> int) option;
+    mutable encode : (int -> ('inv, 'res) Event.t -> int) option;
     mutable hist_id : int;
   }
 
@@ -88,40 +88,59 @@ module Cursor = struct
 
   let hist_id c = c.hist_id
 
-  let apply_body c d =
-    (* Implementations may allocate base objects lazily, mid-run; keep
-       the cursor's registry current while algorithm code executes so
-       such objects are fingerprinted too. *)
-    Runtime.with_registry c.registry (fun () ->
-        (match d with
-        | Driver.Schedule p ->
-            c.rev_grants <- (c.time, p) :: c.rev_grants;
-            c.step_counts.(p) <- c.step_counts.(p) + 1;
-            Runtime.grant (cell c p)
-        | Driver.Invoke (p, inv) ->
-            record c (Event.Invocation (p, inv));
-            Runtime.spawn (cell c p) (fun () ->
-                let res = c.impl ~proc:p inv in
-                record c (Event.Response (p, res)))
-        | Driver.Crash p ->
-            if Proc.Set.mem p c.crashed then
-              invalid_arg "Runner: crashing a crashed process";
-            c.crashed <- Proc.Set.add p c.crashed;
-            record c (Event.Crash p);
-            Runtime.crash (cell c p)
-        | Driver.Stop -> invalid_arg "Runner: cannot apply Stop");
-        c.time <- c.time + 1;
-        incr c.ticks)
+  (* One decision, registry-free: the caller keeps the cursor's
+     registry current while algorithm code executes, because
+     implementations may allocate base objects lazily, mid-run, and
+     such objects must be fingerprinted too. *)
+  let step c d =
+    (match d with
+    | Driver.Schedule p ->
+        c.rev_grants <- (c.time, p) :: c.rev_grants;
+        c.step_counts.(p) <- c.step_counts.(p) + 1;
+        Runtime.grant (cell c p)
+    | Driver.Invoke (p, inv) ->
+        record c (Event.Invocation (p, inv));
+        Runtime.spawn (cell c p) (fun () ->
+            let res = c.impl ~proc:p inv in
+            record c (Event.Response (p, res)))
+    | Driver.Crash p ->
+        if Proc.Set.mem p c.crashed then
+          invalid_arg "Runner: crashing a crashed process";
+        c.crashed <- Proc.Set.add p c.crashed;
+        record c (Event.Crash p);
+        Runtime.crash (cell c p)
+    | Driver.Stop -> invalid_arg "Runner: cannot apply Stop");
+    c.time <- c.time + 1;
+    incr c.ticks
+
+  let with_shadow c f =
+    match c.shadow with None -> f () | Some sh -> Runtime.with_shadow sh f
 
   let apply c d =
     let body () =
-      match c.shadow with
-      | None -> apply_body c d
-      | Some sh -> Runtime.with_shadow sh (fun () -> apply_body c d)
+      with_shadow c (fun () ->
+          Runtime.with_registry c.registry (fun () -> step c d))
     in
     match c.probe with
     | None -> body ()
     | Some pr -> Runtime.with_probe pr body
+
+  (* Prefix replay: every decision under one registry and shadow
+     bracket, outside the probe — engines read the probe only for the
+     edge they just applied, never for a replayed one.  With the
+     prefix's own [hist_id] known, the interner is skipped too: the
+     implementation is deterministic, so the replay rebuilds the same
+     history and the hook would hand back that very id. *)
+  let replay c ?hist_id prefix =
+    let encode = c.encode in
+    if Option.is_some hist_id then c.encode <- None;
+    with_shadow c (fun () ->
+        Runtime.with_registry c.registry (fun () -> List.iter (step c) prefix));
+    match hist_id with
+    | None -> ()
+    | Some id ->
+        c.encode <- encode;
+        c.hist_id <- id
 
   let probe c = c.probe
 
@@ -138,12 +157,13 @@ module Cursor = struct
           Runtime.crash c.cells.(p)
         done)
 
-  let with_ ~n ~factory ?ticks ?shadow ?probe ?encode ?(prefix = []) f =
+  let with_ ~n ~factory ?ticks ?shadow ?probe ?encode ?(prefix = []) ?hist_id
+      f =
     let c = create ~n ~factory ?ticks ?shadow ?probe ?encode () in
     Fun.protect
       ~finally:(fun () -> dispose c)
       (fun () ->
-        List.iter (apply c) prefix;
+        replay c ?hist_id prefix;
         f c)
 
   let report c ?window ?(stopped = `Max_steps) () =

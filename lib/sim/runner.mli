@@ -71,17 +71,32 @@ module Cursor : sig
     ?probe:Runtime.probe ->
     ?encode:(int -> ('inv, 'res) Event.t -> int) ->
     ?prefix:('inv, 'res) Driver.decision list ->
+    ?hist_id:int ->
     (('inv, 'res) t -> 'a) ->
     'a
   (** [with_ ~n ~factory f] creates a cursor at the initial
-      configuration of a fresh implementation instance, applies the
+      configuration of a fresh implementation instance, replays the
       decisions of [prefix] (default [[]]) in order, runs [f] on it and
       disposes of the cursor however [f] ends.  Replaying a prefix is
       how a configuration is re-established — since cursors cannot be
-      forked — and how a lasso certificate is pumped (see
+      forked — and how a lasso certificate's stem is reached (see
       {!Slx_liveness.Lasso}); a decision of [prefix] that is not
       applicable raises [Invalid_argument] as {!apply} does, and the
       cursor is disposed of all the same.
+
+      {b The prefix contract.}  Prefix steps are ticked and
+      shadow-checked exactly as {!apply}'d ones are, but they are not
+      probed: [probe] observes only decisions {!apply}'d after the
+      prefix, so after [with_ ~prefix] it still holds whatever it held
+      before.  An engine that needs the observation of the edge into
+      a configuration replays the prefix without that edge and
+      {!apply}s it.  [hist_id], when given, must be the prefix's own
+      history id — the {!hist_id} a cursor fed the same [encode] hook
+      had after these very decisions (0 without a hook).  The replay
+      then skips the hook and sets the id directly; any other id
+      silently corrupts every compact key of the cursor's subtree.
+      Without [hist_id] the replay interns each event through the
+      hook as {!apply} does.
 
       [ticks] (default: a private counter) is incremented on every
       applied decision, [prefix] included — explorers share one
@@ -96,7 +111,7 @@ module Cursor : sig
       same hook have equal ids iff their histories are equal.
 
       [shadow] installs a sanitizer shadow ({!Runtime.make_shadow})
-      around the factory call and around every {!apply}: all base-object
+      around the factory call, the prefix and every {!apply}: all base-object
       cell accesses made while this cursor executes algorithm code are
       checked (and, in record mode, logged) against declared footprints.
       A raising shadow propagates {!Runtime.Shadow_violation} out of
@@ -104,7 +119,8 @@ module Cursor : sig
       be applied again.
 
       [probe] installs a dynamic-conflict probe
-      ({!Runtime.make_probe}) around every {!apply}: after a
+      ({!Runtime.make_probe}) around every {!apply} (not around the
+      prefix): after a
       [Schedule] grant, the probe holds the executed step's observed
       accesses, from which the DPOR engines compute race reversals.
       Engines share one probe across all of a domain's cursors (only

@@ -374,34 +374,27 @@ let register_object reader =
    logical identity — so ids never depend on which process, or which
    of several instances sharing the registry, allocated first. *)
 
-type id_block = { blk_registry : registry option; blk_base : int; blk_size : int }
+(* Plain data, with no reference to the registry: an object that keeps
+   its block stays hashable by value, and a step that returns such an
+   object folds only its logical state into the observation digest. *)
+type id_block = { blk_base : int; blk_size : int }
 
 let reserve_ids size =
   if size < 0 then invalid_arg "Runtime.reserve_ids: negative size";
-  {
-    blk_registry = !(Domain.DLS.get current_registry);
-    blk_base = issue_ids size;
-    blk_size = size;
-  }
+  { blk_base = issue_ids size; blk_size = size }
 
 let in_block blk ~offset f =
   if offset < 0 || offset > blk.blk_size then
     invalid_arg "Runtime.in_block: offset outside the block";
-  let slot = Domain.DLS.get current_registry
-  and scope = Domain.DLS.get block_scope in
-  let saved_reg = !slot and saved_scope = !scope in
-  let restore () =
-    slot := saved_reg;
-    scope := saved_scope
-  in
-  slot := blk.blk_registry;
+  let scope = Domain.DLS.get block_scope in
+  let saved = !scope in
   scope := Some (blk.blk_base + offset, blk.blk_base + blk.blk_size);
   match f () with
   | x ->
-      restore ();
+      scope := saved;
       x
   | exception e ->
-      restore ();
+      scope := saved;
       raise e
 
 (* Called (unconditionally) on every write-touch: queue the object for

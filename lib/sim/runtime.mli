@@ -417,9 +417,13 @@ val reserve_ids : int -> id_block
     grows only when an object actually registers at an id. *)
 
 val in_block : id_block -> offset:int -> (unit -> 'a) -> 'a
-(** [in_block blk ~offset f] runs [f] with [blk]'s registry current,
-    and objects [f] registers take the ids [offset], [offset + 1], ...
-    of [blk], in allocation order.  Implementations that build objects
+(** [in_block blk ~offset f] runs [f] so that the objects it registers
+    take the ids [offset], [offset + 1], ... of [blk], in allocation
+    order.  [f] must run under the registry [blk] was reserved in —
+    as implementation code does, whose cursor keeps its own registry
+    current — because a block is plain data: it holds no reference to
+    its registry, so an object that keeps one stays hashable by
+    value.  Implementations that build objects
     lazily, mid-run, use it to keep each object's id a function of its
     logical identity rather than of the schedule that first needed it.
     @raise Invalid_argument if [offset] lies outside [blk]; [f] raises

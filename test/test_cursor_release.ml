@@ -355,6 +355,124 @@ let test_disposal_is_silent () =
   check_bool "disposal leaves ticks, probe, shadow and interner alone" true
     (inside = observe ())
 
+(* ------------------------------------------------------------------ *)
+(* Prefix replay.                                                      *)
+
+(* The hash-consing hook the explorers install in compact-key mode. *)
+let interning_hook () =
+  let events = Intern.create () and conses = Intern.create () in
+  fun parent e -> Intern.intern conses (parent, Intern.intern events e)
+
+(* The decisions applicable at [view]: grant a ready process, invoke an
+   idle one with a proposal left, crash a live one while [crashes]
+   allows. *)
+let applicable ~crashes (view : _ Driver.view) =
+  let procs = Proc.all ~n:view.Driver.n in
+  let live p = view.Driver.status p <> Runtime.Crashed in
+  let budget = crashes - List.length (List.filter (fun p -> not (live p)) procs) in
+  List.concat_map
+    (fun p ->
+      let own =
+        match view.Driver.status p with
+        | Runtime.Ready -> [ Driver.Schedule p ]
+        | Runtime.Idle -> (
+            match one_proposal view p with
+            | Some inv -> [ Driver.Invoke (p, inv) ]
+            | None -> [])
+        | Runtime.Crashed -> []
+      in
+      if budget > 0 && live p then own @ [ Driver.Crash p ] else own)
+    procs
+
+(* Everything a cursor exposes about its configuration. *)
+let observe c =
+  ( Runner.Cursor.compact_key c ~extra:[],
+    Runner.Cursor.fingerprint c,
+    Runner.Cursor.report c (),
+    Runner.Cursor.hist_id c,
+    Runner.Cursor.shared_digest c )
+
+(* Walks a cursor by [apply], taking at each step the applicable
+   decision [choices] picks (modulo the menu), then replays the script
+   it took as a prefix — once with the walk's [hist_id], once
+   re-encoding through the same hook — and names each way the replay
+   could differ. *)
+let replay_agreement ~factory ~n ~crashes choices =
+  let encode = interning_hook () in
+  let walk_shadow = Runtime.make_shadow ~raise_on_violation:false () in
+  Runner.Cursor.with_ ~n ~factory:(factory ()) ~encode ~shadow:walk_shadow
+    (fun walked ->
+      let script =
+        List.fold_left
+          (fun rev k ->
+            match applicable ~crashes (Runner.Cursor.view walked) with
+            | [] -> rev
+            | ds ->
+                let d = List.nth ds (k mod List.length ds) in
+                Runner.Cursor.apply walked d;
+                d :: rev)
+          [] choices
+        |> List.rev
+      in
+      let hist_id = Runner.Cursor.hist_id walked in
+      let expected = observe walked in
+      let grants =
+        List.length
+          (List.filter (function Driver.Schedule _ -> true | _ -> false) script)
+      in
+      let probe = Runtime.make_probe () in
+      let shadow = Runtime.make_shadow ~raise_on_violation:false () in
+      let replayed =
+        Runner.Cursor.with_ ~n ~factory:(factory ()) ~encode ~probe ~shadow
+          ~prefix:script ~hist_id (fun c ->
+            [
+              ("keys, fingerprint, report, hist_id, digest", observe c = expected);
+              ( "shared_digest = shared_digest_full",
+                Runner.Cursor.shared_digest c = Runner.Cursor.shared_digest_full c
+              );
+              ("probe_steps unmoved", Runtime.probe_steps probe = 0);
+              ( "shadow counts every prefix step",
+                Runtime.shadow_step_count shadow = grants
+                && Runtime.shadow_step_count walk_shadow = grants );
+            ])
+      in
+      let re_encoded =
+        Runner.Cursor.with_ ~n ~factory:(factory ()) ~encode ~prefix:script
+          (fun c -> Runner.Cursor.hist_id c)
+      in
+      ("hist_id = the hook's re-encoding", re_encoded = hist_id) :: replayed)
+
+let replay_impls = [ ("register", register); ("cas", cas) ]
+
+let test_replay_equals_apply () =
+  List.iter
+    (fun (name, factory) ->
+      List.iter
+        (fun (n, crashes) ->
+          for seed = 1 to 6 do
+            let rng = Random.State.make [| seed |] in
+            let choices = List.init 16 (fun _ -> Random.State.int rng 64) in
+            List.iter
+              (fun (what, ok) ->
+                check_bool
+                  (Printf.sprintf "%s n=%d c=%d seed=%d: %s" name n crashes
+                     seed what)
+                  true ok)
+              (replay_agreement ~factory ~n ~crashes choices)
+          done)
+        [ (2, 0); (2, 1); (3, 0); (3, 1) ])
+    replay_impls
+
+let qcheck_replay_equals_apply =
+  QCheck2.Test.make ~count:200
+    ~name:"with_ ~prefix ~hist_id equals apply on random applicable prefixes"
+    QCheck2.Gen.(
+      quad (int_range 0 1) (int_range 2 3) (int_range 0 1)
+        (list_size (int_range 0 20) (int_range 0 63)))
+    (fun (impl, n, crashes, choices) ->
+      let factory = snd (List.nth replay_impls impl) in
+      List.for_all snd (replay_agreement ~factory ~n ~crashes choices))
+
 let suites =
   [
     ( "cursor release",
@@ -363,5 +481,8 @@ let suites =
         quick "disposal ticks, probes, logs and interns nothing"
           test_disposal_is_silent;
         quick "explorers report the pinned figures" test_pinned;
-      ] );
+        quick "a replayed prefix equals the applied one"
+          test_replay_equals_apply;
+      ]
+      @ qcheck [ qcheck_replay_equals_apply ] );
   ]

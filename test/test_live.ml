@@ -240,6 +240,16 @@ let test_pump_argument_errors () =
   (match Lasso.pump ~factory:(reg_factory ()) ~repetitions:1 c with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "repetitions < 2 must be rejected");
+  (* The stem is replayed as a cursor prefix; an inapplicable stem
+     decision is still an [Error], not an exception. *)
+  (match
+     Lasso.pump ~factory:(reg_factory ())
+       { c with Lasso.c_stem = Driver.Schedule 1 :: c.Lasso.c_stem }
+   with
+  | Error msg ->
+      check_bool "inapplicable stem decision reported" true
+        (String.starts_with ~prefix:"decision not applicable: " msg)
+  | Ok _ -> Alcotest.fail "a stem granting an idle process must not pump");
   Alcotest.check_raises "empty cycle rejected"
     (Invalid_argument "Lasso.cert_of_cursor: empty cycle") (fun () ->
       Runner.Cursor.with_ ~n:2 ~factory:(reg_factory ()) (fun cur ->
