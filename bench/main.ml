@@ -3,8 +3,7 @@
    dune exec bench/main.exe                -- experiments then perf
    dune exec bench/main.exe experiments    -- experiment suite only
    dune exec bench/main.exe perf           -- Bechamel perf only
-   dune exec bench/main.exe smoke          -- tiny explorer smoke (runtest)
-   dune exec bench/main.exe scaling        -- work-stealing domain scaling *)
+   dune exec bench/main.exe smoke          -- tiny explorer smoke (runtest) *)
 
 let () =
   let mode = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
@@ -15,14 +14,13 @@ let () =
         Perf.run ();
         true
     | "smoke" -> Smoke.run ()
-    | "scaling" -> Scaling.run ()
     | "all" ->
         let ok = Experiments.run () in
         Perf.run ();
         ok
     | other ->
         Printf.eprintf
-          "unknown mode %S (use: experiments | perf | smoke | scaling)\n" other;
+          "unknown mode %S (use: experiments | perf | smoke)\n" other;
         false
   in
   exit (if ok then 0 else 1)

@@ -290,10 +290,10 @@ let live_keying_smoke () =
       s_on.cache_hits s_on.nodes s_off.nodes s_on.runs s_off.runs;
   default_ok && small_ok
 
-(* Observability smoke: one traced fair-cycle search and one traced
-   2-domain exploration, exported to Chrome trace-event JSON, re-parsed
-   with the validator, and reconciled event-by-event against the stats
-   of the run that produced them — plus the tracing-overhead row of
+(* Observability smoke: one traced fair-cycle search, exported to
+   Chrome trace-event JSON, re-parsed with the validator, and
+   reconciled event-by-event against the stats of the run that
+   produced it — plus the tracing-overhead row of
    BENCH_explore.json (the disabled sink must stay within noise; the
    ring sink within a few percent).  The trace of the live case is kept
    at [$SLX_SMOKE_TRACE] when that is set, so CI can upload it as an
@@ -381,40 +381,6 @@ let obs_live_smoke () =
              ("dropped", sm.Trace_export.sm_dropped, 0);
            ]
 
-let obs_parallel_smoke () =
-  let obs = Obs.create ~tracing:true ~ring_capacity:(1 lsl 18) () in
-  let e =
-    Slx_core.Explore.explore ~n:2
-      ~factory:(fun () -> Slx_consensus.Cas_consensus.factory ())
-      ~invoke:one_proposal ~depth:6 ~max_crashes:0 ~domains:2 ~obs ~check ()
-  in
-  let st = e.Slx_core.Explore.stats in
-  let path = Filename.temp_file "slx_smoke_par" ".trace.json" in
-  Obs.write_trace obs path;
-  let r =
-    match
-      Result.bind (Json.parse_file path) (fun j -> Trace_export.validate j)
-    with
-    | Error msg ->
-        Printf.printf "  SMOKE FAILURE: parallel trace invalid: %s\n" msg;
-        false
-    | Ok sm ->
-        Printf.printf
-          "  {\"case\": \"cas-depth-6-domains-2-traced\", \"lanes\": %d, \
-           \"flow_starts\": %d, \"flow_ends\": %d, \"steals\": %d}\n"
-          sm.Trace_export.sm_lanes sm.Trace_export.sm_flow_starts
-          sm.Trace_export.sm_flow_ends st.Slx_core.Explore_stats.steals;
-        reconcile "parallel trace"
-          [
-            ( "steal flow ends",
-              sm.Trace_export.sm_flow_ends,
-              st.Slx_core.Explore_stats.steals );
-            ("dropped", sm.Trace_export.sm_dropped, 0);
-          ]
-  in
-  Sys.remove path;
-  r
-
 (* The tracing-overhead row: the depth-10 reduced exploration with the
    sink disabled vs a live ring sink, minimum elapsed_ns over a few
    repetitions (the same instance as the reduction row above, so the
@@ -457,9 +423,8 @@ let obs_overhead_smoke () =
 let obs_smoke () =
   Printf.printf "== bench smoke: traced exploration (observability) ==\n";
   let live_ok = obs_live_smoke () in
-  let par_ok = obs_parallel_smoke () in
   let ovh_ok = obs_overhead_smoke () in
-  live_ok && par_ok && ovh_ok
+  live_ok && ovh_ok
 
 (* The sanitizer-overhead row: the same depth-10 reduced instance with
    the counting shadow off vs on.  Sanitizing must change no decision

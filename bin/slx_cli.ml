@@ -54,6 +54,22 @@ module Trace_export = Slx_obs.Trace_export
 module Vstore = Slx_store.Store
 module Persist = Slx_store.Persist
 
+(* Integers confined to [lo, hi]: an out-of-range value is a usage error
+   (exit 124) at parse time, never an engine exception or a vacuous
+   verdict. *)
+let int_in ?(hi = max_int) lo =
+  let parse s =
+    match int_of_string_opt s with
+    | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
+    | Some v when v >= lo && v <= hi -> Ok v
+    | Some v ->
+        Error
+          (`Msg
+            (if hi = max_int then Printf.sprintf "%d is out of range: must be >= %d" v lo
+             else Printf.sprintf "%d is out of range: must be in [%d, %d]" v lo hi))
+  in
+  Arg.conv ~docv:"INT" (parse, Format.pp_print_int)
+
 (* ------------------------------------------------------------------ *)
 (* Shared observability flags.                                         *)
 
@@ -394,16 +410,10 @@ let explore_cmd =
     Arg.(value & opt string "cas" & info [ "impl"; "i" ] ~doc)
   in
   let depth_arg =
-    Arg.(value & opt int 10 & info [ "depth" ] ~doc:"Schedule-tree depth.")
+    Arg.(value & opt (int_in 0) 10 & info [ "depth" ] ~doc:"Schedule-tree depth.")
   in
   let crashes_arg =
-    Arg.(value & opt int 0 & info [ "crashes" ] ~doc:"Max crash branches.")
-  in
-  let domains_arg =
-    let doc =
-      "Fan top-level branches across this many domains (0 = one per core)."
-    in
-    Arg.(value & opt int 1 & info [ "domains"; "j" ] ~doc)
+    Arg.(value & opt (int_in 0) 0 & info [ "crashes" ] ~doc:"Max crash branches.")
   in
   let no_cache_arg =
     Arg.(value & flag
@@ -411,10 +421,10 @@ let explore_cmd =
   in
   let cache_capacity_arg =
     let doc =
-      "Bound the transposition cache to this many entries per domain \
-       (clock eviction); unbounded by default."
+      "Bound the transposition cache to this many entries (clock \
+       eviction); unbounded by default."
     in
-    Arg.(value & opt (some int) None & info [ "cache-capacity" ] ~doc)
+    Arg.(value & opt (some (int_in 1)) None & info [ "cache-capacity" ] ~doc)
   in
   let no_por_arg =
     Arg.(value & flag
@@ -464,10 +474,10 @@ let explore_cmd =
        verdict is no longer exhaustive; the reported \
        bitstate_collision_probability quantifies the risk."
     in
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some (int_in 4 ~hi:30)) None
          & info [ "bitstate" ] ~doc ~docv:"BITS")
   in
-  let run impl depth max_crashes domains no_cache cache_capacity no_por
+  let run impl depth max_crashes no_cache cache_capacity no_por
       no_dpor no_symmetry json naive sanitize no_compact bitstate store trace
       progress progress_json =
     let open Slx_consensus in
@@ -507,15 +517,11 @@ let explore_cmd =
                 ~check (),
               None )
           else begin
-            let domains =
-              if domains = 0 then Domain.recommended_domain_count ()
-              else domains
-            in
             match store with
             | None ->
                 ( Explore.explore ~n:2 ~factory ~invoke ~depth ~max_crashes
                     ~cache:(not no_cache) ?cache_capacity ~por:(not no_por)
-                    ~dpor:(not no_dpor) ~symmetry:(not no_symmetry) ~domains
+                    ~dpor:(not no_dpor) ~symmetry:(not no_symmetry)
                     ~obs ~sanitize ~compact:(not no_compact) ?bitstate ~cancel
                     ~check (),
                   None )
@@ -532,7 +538,7 @@ let explore_cmd =
                   Persist.run_explore ~store:st ~qid ~n:2 ~factory ~invoke
                     ~depth ~max_crashes ~cache:(not no_cache) ?cache_capacity
                     ~por:(not no_por) ~dpor:(not no_dpor)
-                    ~symmetry:(not no_symmetry) ~domains ~obs ~sanitize
+                    ~symmetry:(not no_symmetry) ~obs ~sanitize
                     ~compact:(not no_compact) ?bitstate ~cancel ~check ()
                 in
                 (e, Some source)
@@ -594,7 +600,7 @@ let explore_cmd =
     (Cmd.info "explore"
        ~doc:"Exhaustively check consensus safety on every bounded schedule")
     Term.(
-      const run $ impl_arg $ depth_arg $ crashes_arg $ domains_arg
+      const run $ impl_arg $ depth_arg $ crashes_arg
       $ no_cache_arg $ cache_capacity_arg $ no_por_arg $ no_dpor_arg
       $ no_symmetry_arg $ json_arg $ naive_arg $ sanitize_arg
       $ no_compact_arg $ bitstate_arg $ store_arg $ trace_arg
@@ -616,20 +622,20 @@ let live_explore_cmd =
     Arg.(value & opt string "obstruction" & info [ "property"; "p" ] ~doc)
   in
   let procs_arg =
-    Arg.(value & opt int 2 & info [ "procs"; "n" ] ~doc:"System size n.")
+    Arg.(value & opt (int_in 1) 2 & info [ "procs"; "n" ] ~doc:"System size n.")
   in
   let depth_arg =
-    Arg.(value & opt int 10 & info [ "depth" ] ~doc:"Schedule-tree depth.")
+    Arg.(value & opt (int_in 0) 10 & info [ "depth" ] ~doc:"Schedule-tree depth.")
   in
   let crashes_arg =
     let doc =
       "Max crash branches (pass at least n-1 to give obstruction-style \
        points their solo windows)."
     in
-    Arg.(value & opt int 0 & info [ "crashes" ] ~doc)
+    Arg.(value & opt (int_in 0) 0 & info [ "crashes" ] ~doc)
   in
   let max_period_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some (int_in 1)) None
          & info [ "max-period" ]
              ~doc:"Bound candidate cycle length in ticks (default \
                    ceil(depth/2), the largest period observable twice \
@@ -638,7 +644,7 @@ let live_explore_cmd =
                    at the default.")
   in
   let pump_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some (int_in 1)) None
          & info [ "pump" ]
              ~doc:"Certificate validation budget in ticks (default 4*depth).")
   in
@@ -671,7 +677,7 @@ let live_explore_cmd =
                    either way.")
   in
   let cache_capacity_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some (int_in 1)) None
          & info [ "cache-capacity" ]
              ~doc:"Bound the transposition cache (clock eviction).")
   in
@@ -944,8 +950,6 @@ let stats_cmd =
             List.iter
               (fun (n, c) -> Printf.printf "  events %-15s %d\n" n c)
               sm.Trace_export.sm_instants;
-            Printf.printf "  steal flows:   %d published, %d stolen\n"
-              sm.Trace_export.sm_flow_starts sm.Trace_export.sm_flow_ends;
             (* Cache-hit depth distribution: at which depths does the
                transposition cache actually cut subtrees? *)
             let hist = Hashtbl.create 16 in
@@ -1002,22 +1006,6 @@ let stats_cmd =
                   Printf.printf "    %-15s %-7s %d\n" name arg w)
                 reductions
             end;
-            (* Steal latency: publication ("s") to theft ("f") per flow
-               id, in microseconds. *)
-            let pushed = Hashtbl.create 16 in
-            let latencies = ref [] in
-            List.iter
-              (fun e ->
-                match (str_field e "ph", int_field e "id", num_field e "ts")
-                with
-                | Some "s", Some id, Some ts -> Hashtbl.replace pushed id ts
-                | Some "f", Some id, Some ts -> begin
-                    match Hashtbl.find_opt pushed id with
-                    | Some t0 -> latencies := (ts -. t0) :: !latencies
-                    | None -> ()
-                  end
-                | _ -> ())
-              events;
             let describe label = function
               | [] -> ()
               | xs ->
@@ -1030,7 +1018,6 @@ let stats_cmd =
                      %.1f us\n"
                     label n mn (total /. float_of_int n) mx
             in
-            describe "steal latency" !latencies;
             (* Pump-validation cost: B/E "pump" span durations per
                lane, tagged with the verdict carried on the close. *)
             let open_pumps = Hashtbl.create 8 in

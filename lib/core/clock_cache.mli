@@ -18,7 +18,7 @@
     both hash to the same buckets consistently, but only the former is
     O(1) per probe regardless of history depth.
 
-    Not thread-safe; the explorer gives each domain its own cache. *)
+    Not thread-safe; each exploration owns its own cache. *)
 
 type ('k, 'v) t
 

@@ -156,7 +156,7 @@ let decision_menu ~n ~invoke ~depth ~max_crashes ~symmetry view len crashes =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Per-domain state.                                                   *)
+(* Exploration state.                                                  *)
 
 (* Transposition keys pair the configuration fingerprint with the POR
    sleep set: the same configuration reached with different sleep sets
@@ -189,23 +189,16 @@ type ('inv, 'res) key =
    compact mode ([n < 62]). *)
 let sleep_bits sleep = List.fold_left (fun acc p -> acc lor (1 lsl p)) 0 sleep
 
-(* A counterexample as first found: decision-tree rank (root-first
-   child indices in the reduced menus — the tie-breaker that makes the
-   parallel engine deterministic), decision script, failing report. *)
+(* A counterexample as first found: decision script, failing report.
+   The walk is in menu order, so the first one found is the
+   lexicographically least. *)
 type ('inv, 'res) witness =
-  int list * ('inv, 'res) Driver.decision list * ('inv, 'res) Run_report.t
+  ('inv, 'res) Driver.decision list * ('inv, 'res) Run_report.t
 
-(* Per-engine (and, under fan-out, per-domain) mutable exploration
-   state.  Domains share nothing mutable except the work queue and the
-   witness slot: each has its own cursors, transposition table,
-   telemetry ring and counters, which keeps the engine deterministic
-   and lock-free.  [index] is the spawn index (0 = the calling
-   domain); it keys the per-domain stats rows and the trace lanes.
-   [sample] is installed once all sibling states exist — only the
-   index-0 state ticks the progress reporter, reading sibling counters
-   racily (they are immediates, so a stale read is the worst case). *)
-type ('inv, 'res) dstate = {
-  index : int;
+(* The mutable state of one exploration: its cursors' shared hooks,
+   transposition table, telemetry sink and counters.  [sample] is the
+   progress snapshot, installed once the state exists. *)
+type ('inv, 'res) state = {
   sink : Telemetry.sink;
   progress : Progress.t;
   mutable sample : unit -> Progress.sample;
@@ -218,27 +211,25 @@ type ('inv, 'res) dstate = {
   mutable sleeps : int;
   mutable reversals : int;
   mutable sym_pruned : int;
-  mutable steals : int;
   mutable digest : int;
   mutable found : ('inv, 'res) witness option;
   ticks : int ref;
   table : (('inv, 'res) key, entry) Clock_cache.t;
   shadow : Runtime.shadow option;
-      (* Sanitizer shadow shared by all this domain's cursors:
+      (* Sanitizer shadow shared by all the exploration's cursors:
          non-raising, non-recording — it only counts violations, so a
          sanitized exploration takes exactly the decisions an
          unsanitized one does. *)
   probe : Runtime.probe option;
-      (* DPOR observed-access probe, likewise shared by the domain's
-         cursors: records what each executed step physically touched,
-         from which the dynamic sleep-set filter computes race
-         reversals.  Recording only — decisions are unchanged. *)
+      (* DPOR observed-access probe, likewise shared by the cursors:
+         records what each executed step physically touched, from
+         which the dynamic sleep-set filter computes race reversals.
+         Recording only — decisions are unchanged. *)
   encode : (int -> ('inv, 'res) Event.t -> int) option;
-      (* Compact-key mode: the hash-consing hook every cursor of this
-         domain is created with.  It interns each appended event, then
-         the (previous history id, event id) pair, so the cursor's
-         [hist_id] stands in for its whole history — per-domain pools,
-         like the cache, so domains stay share-nothing. *)
+      (* Compact-key mode: the hash-consing hook every cursor is
+         created with.  It interns each appended event, then the
+         (previous history id, event id) pair, so the cursor's
+         [hist_id] stands in for its whole history. *)
   keys : Intern.Ints.t;
       (* Compact-key pool: interns the flat [compact_key] arrays into
          the dense ids the transposition cache is keyed on. *)
@@ -256,15 +247,13 @@ let zero_sample =
     Progress.s_nodes = 0;
     s_runs = 0;
     s_steps = 0;
-    s_frontier = 0;
     s_cache_entries = 0;
     s_cache_capacity = 0;
     s_cycles = 0;
-    s_domain_steps = [];
   }
 
-let new_state ~index ?capacity ~sink ?(progress = Progress.off)
-    ?(sanitize = false) ?(dpor = false) ?(compact = false) ?bitstate () =
+let new_state ?capacity ~sink ?(progress = Progress.off) ?(sanitize = false)
+    ?(dpor = false) ?(compact = false) ?bitstate () =
   let encode =
     if not compact then None
     else begin
@@ -276,7 +265,6 @@ let new_state ~index ?capacity ~sink ?(progress = Progress.off)
     end
   in
   {
-    index;
     sink;
     progress;
     sample = (fun () -> zero_sample);
@@ -289,7 +277,6 @@ let new_state ~index ?capacity ~sink ?(progress = Progress.off)
     sleeps = 0;
     reversals = 0;
     sym_pruned = 0;
-    steals = 0;
     digest = 0;
     found = None;
     ticks = ref 0;
@@ -304,162 +291,49 @@ let new_state ~index ?capacity ~sink ?(progress = Progress.off)
     bitstate = Option.map (fun bits -> Bitstate.create ~bits) bitstate;
   }
 
-let stats_of_states ~domains_used ~elapsed_ns ~events_dropped states :
-    Explore_stats.t =
-  let per_domain f =
-    if domains_used > 1 then List.map (fun st -> (st.index, f st)) states
-    else []
-  in
-  List.fold_left
-    (fun (acc : Explore_stats.t) st ->
-      {
-        acc with
-        Explore_stats.nodes = acc.Explore_stats.nodes + st.nodes;
-        runs = acc.runs + st.runs;
-        runs_checked = acc.runs_checked + st.checked;
-        steps_executed = acc.steps_executed + !(st.ticks);
-        steps_replayed = acc.steps_replayed + st.replayed;
-        replays_avoided = acc.replays_avoided + st.avoided;
-        cache_hits = acc.cache_hits + st.hits;
-        cache_entries = acc.cache_entries + Clock_cache.length st.table;
-        cache_evictions = acc.cache_evictions + Clock_cache.evictions st.table;
-        por_prunes = acc.por_prunes + st.sleeps;
-        race_reversals = acc.race_reversals + st.reversals;
-        symmetry_pruned = acc.symmetry_pruned + st.sym_pruned;
-        steals = acc.steals + st.steals;
-        footprint_violations =
-          (acc.Explore_stats.footprint_violations
-          +
-          match st.shadow with
-          | Some sh -> Runtime.shadow_violation_count sh
-          | None -> 0);
-        bitstate_bits =
-          (match st.bitstate with
-          | Some bs -> max acc.Explore_stats.bitstate_bits (Bitstate.bits bs)
-          | None -> acc.Explore_stats.bitstate_bits);
-        bitstate_adds =
-          (acc.Explore_stats.bitstate_adds
-          + match st.bitstate with Some bs -> Bitstate.adds bs | None -> 0);
-        bitstate_hits =
-          (acc.Explore_stats.bitstate_hits
-          + match st.bitstate with Some bs -> Bitstate.hits bs | None -> 0);
-        bitstate_marks =
-          (acc.Explore_stats.bitstate_marks
-          + match st.bitstate with Some bs -> Bitstate.marks bs | None -> 0);
-        history_digest = acc.history_digest + st.digest;
-      })
-    {
-      Explore_stats.zero with
-      domains_used;
-      elapsed_ns;
-      events_dropped;
-      per_domain_runs = per_domain (fun st -> st.runs);
-      per_domain_steps = per_domain (fun st -> !(st.ticks));
-    }
-    states
+let stats_of_state ~elapsed_ns ~events_dropped st : Explore_stats.t =
+  let bs f = match st.bitstate with Some b -> f b | None -> 0 in
+  {
+    Explore_stats.zero with
+    Explore_stats.nodes = st.nodes;
+    runs = st.runs;
+    runs_checked = st.checked;
+    steps_executed = !(st.ticks);
+    steps_replayed = st.replayed;
+    replays_avoided = st.avoided;
+    cache_hits = st.hits;
+    cache_entries = Clock_cache.length st.table;
+    cache_evictions = Clock_cache.evictions st.table;
+    por_prunes = st.sleeps;
+    race_reversals = st.reversals;
+    symmetry_pruned = st.sym_pruned;
+    footprint_violations =
+      (match st.shadow with
+      | Some sh -> Runtime.shadow_violation_count sh
+      | None -> 0);
+    bitstate_bits = bs Bitstate.bits;
+    bitstate_adds = bs Bitstate.adds;
+    bitstate_hits = bs Bitstate.hits;
+    bitstate_marks = bs Bitstate.marks;
+    history_digest = st.digest;
+    elapsed_ns;
+    events_dropped;
+  }
 
-(* Install the progress sample on the index-0 state: totals over all
-   sibling states (racy reads of immediates), the frontier count, and
-   the per-domain step split. *)
-let wire_progress obs states frontier =
-  let progress = Obs.progress obs in
-  if Progress.enabled progress then begin
-    let cap_total =
-      Array.fold_left
-        (fun acc st ->
-          match Clock_cache.capacity st.table with
-          | None -> acc
-          | Some c -> acc + c)
-        0 states
-    in
-    let sample () =
-      let nodes = ref 0
-      and runs = ref 0
-      and steps = ref 0
-      and entries = ref 0 in
-      Array.iter
-        (fun st ->
-          nodes := !nodes + st.nodes;
-          runs := !runs + st.runs;
-          steps := !steps + !(st.ticks);
-          entries := !entries + Clock_cache.length st.table)
-        states;
-      {
-        Progress.s_nodes = !nodes;
-        s_runs = !runs;
-        s_steps = !steps;
-        s_frontier = frontier ();
-        s_cache_entries = !entries;
-        s_cache_capacity = cap_total;
-        s_cycles = 0;
-        s_domain_steps =
-          (if Array.length states > 1 then
-             Array.to_list (Array.map (fun st -> !(st.ticks)) states)
-           else []);
-      }
-    in
-    states.(0).sample <- sample
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Work-stealing fan-out.                                              *)
-
-(* A frontier item: a configuration (as the decision prefix that
-   reaches it — cursors hold one-shot continuations and cannot
-   migrate, so thieves replay) plus the POR sleep set and the tree
-   rank it carries.  [it_id] is the publication serial (the flow id of
-   the trace's steal arrows); [it_owner] the publisher's spawn
-   index. *)
-type ('inv, 'res) item = {
-  it_id : int;
-  it_owner : int;
-  it_script : ('inv, 'res) Driver.decision list;  (* reversed *)
-  it_len : int;
-  it_crashes : int;
-  it_sleep : Proc.t list;
-  it_rank : int list;  (* root-first *)
-}
-
-(* Shared state of a fan-out: a lock-free Treiber stack of frontier
-   items (LIFO keeps thieves near the leaves their victim just left,
-   so stolen replays are short), the count of queued-or-running items
-   for termination detection, the publication serial counter, and the
-   least-rank witness slot. *)
-type ('inv, 'res) shared = {
-  queue : ('inv, 'res) item list Atomic.t;
-  outstanding : int Atomic.t;
-  spawn_bound : int;
-  next_item : int Atomic.t;
-  best : ('inv, 'res) witness option Atomic.t;
-}
-
-let push shared it =
-  Atomic.incr shared.outstanding;
-  let rec go () =
-    let cur = Atomic.get shared.queue in
-    if not (Atomic.compare_and_set shared.queue cur (it :: cur)) then go ()
-  in
-  go ()
-
-let pop shared =
-  let rec go () =
-    match Atomic.get shared.queue with
-    | [] -> None
-    | (it :: rest) as cur ->
-        if Atomic.compare_and_set shared.queue cur rest then Some it else go ()
-  in
-  go ()
-
-(* Ranks are compared lexicographically; [compare] on int lists is
-   exactly that (a proper prefix is smaller). *)
-let record_witness shared ((rank, _, _) as w) =
-  let rec go () =
-    let cur = Atomic.get shared.best in
-    match cur with
-    | Some (r, _, _) when compare r rank <= 0 -> ()
-    | _ -> if not (Atomic.compare_and_set shared.best cur (Some w)) then go ()
-  in
-  go ()
+(* Install the progress sample: a plain read of the state's counters. *)
+let wire_progress st =
+  if Progress.enabled st.progress then
+    st.sample <-
+      (fun () ->
+        {
+          Progress.s_nodes = st.nodes;
+          s_runs = st.runs;
+          s_steps = !(st.ticks);
+          s_cache_entries = Clock_cache.length st.table;
+          s_cache_capacity =
+            Option.value ~default:0 (Clock_cache.capacity st.table);
+          s_cycles = 0;
+        })
 
 (* ------------------------------------------------------------------ *)
 (* The incremental reduced engine.                                     *)
@@ -468,6 +342,7 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
     ?cache_capacity ?(por = false) ?(dpor = false) ?(symmetry = false)
     ?(domains = 1) ?(obs = Obs.disabled) ?(sanitize = false) ?(compact = true)
     ?bitstate ?cancel ~check () =
+  if domains <> 1 then invalid_arg "Explore.explore: domains must be 1";
   let t0 = Clock.now_ns () in
   let cancel = match cancel with Some f -> f | None -> fun () -> false in
   (* [reduce]: the sleep-set walk runs; [dpor] selects the dynamic
@@ -479,10 +354,15 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
      the sleep bitset needs every process id to fit a word. *)
   let compact = compact && cache && bitstate = None && n < 62 in
   let menu = decision_menu ~n ~invoke ~depth ~max_crashes ~symmetry in
+  let st =
+    new_state ?capacity:cache_capacity ~sink:(Obs.sink obs)
+      ~progress:(Obs.progress obs) ~sanitize ~dpor ~compact ?bitstate ()
+  in
+  wire_progress st;
   (* Every cursor of the walk lives in one of these brackets: a
      sibling's cursor is disposed of as soon as its subtree is done
-     (or unwinds), so at most [depth + 1] are live per domain. *)
-  let with_cursor st ?prefix ?hist_id f =
+     (or unwinds), so at most [depth + 1] are live. *)
+  let with_cursor ?prefix ?hist_id f =
     Runner.Cursor.with_ ~n ~factory:(factory ()) ~ticks:st.ticks
       ?shadow:st.shadow ?probe:st.probe ?encode:st.encode ?prefix ?hist_id f
   in
@@ -490,7 +370,7 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
      edge executes: the dynamic filter then wakes the sleepers whose
      pending actions raced with the step's observed accesses.  Returns
      the settled sleep set. *)
-  let settle_sleep st cursor d candidate len =
+  let settle_sleep cursor d candidate len =
     if not dpor then candidate
     else begin
       let observed = Dpor.observed_step_mask ~probe:st.probe ~declared:None in
@@ -515,19 +395,16 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
      The first child extends the cursor in place (the incremental step
      the naive engine lacks); each later sibling re-establishes the
      configuration by replaying the decision prefix into a fresh
-     cursor, bracketed to its subtree — unless the subtree is farmed
-     out to the shared queue for another domain to steal.  Returns
-     [true] iff the subtree was fully explored locally (so its
-     transposition entry is exact and may be written).  Raises
-     [Found_counterexample] with [st.found] set on the first failing
-     maximal run, which under this in-order walk is the rank-least one
-     of the subtree.
+     cursor, bracketed to its subtree.  Raises [Found_counterexample]
+     with [st.found] set on the first failing maximal run, which under
+     this in-order walk is the lexicographically least one; a subtree
+     that unwinds writes no transposition entry.
 
      [visit] wraps [visit_body] in the telemetry node span; the span
      closes on every exit, [Found_counterexample] unwinds included, so
      traces stay balanced.  With the sink disabled the wrapper costs
      two branches and no [Fun.protect] frame. *)
-  let rec visit sh st cursor rev_script rev_rank len crashes sleep =
+  let rec visit cursor rev_script len crashes sleep =
     st.nodes <- st.nodes + 1;
     Progress.tick st.progress st.sample;
     if Telemetry.enabled st.sink then begin
@@ -535,11 +412,10 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
       Fun.protect
         ~finally:(fun () ->
           Telemetry.emit st.sink Telemetry.Node_leave len 0)
-        (fun () ->
-          visit_body sh st cursor rev_script rev_rank len crashes sleep)
+        (fun () -> visit_body cursor rev_script len crashes sleep)
     end
-    else visit_body sh st cursor rev_script rev_rank len crashes sleep
-  and visit_body sh st cursor rev_script rev_rank len crashes sleep =
+    else visit_body cursor rev_script len crashes sleep
+  and visit_body cursor rev_script len crashes sleep =
     if cancel () then raise Cancelled;
     match st.bitstate with
     | Some bs
@@ -553,8 +429,7 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
            no subtree data, and the hit may be a collision; the stats
            carry the Bloom bound that quantifies how often). *)
         st.hits <- st.hits + 1;
-        Telemetry.emit st.sink Telemetry.Cache_hit len 0;
-        true
+        Telemetry.emit st.sink Telemetry.Cache_hit len 0
     | _ ->
     let key =
       if not cache || st.bitstate <> None then None
@@ -576,8 +451,7 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
         st.hits <- st.hits + 1;
         st.runs <- st.runs + e.e_runs;
         st.digest <- st.digest + e.e_digest;
-        Telemetry.emit st.sink Telemetry.Cache_hit len e.e_runs;
-        true
+        Telemetry.emit st.sink Telemetry.Cache_hit len e.e_runs
     | None -> begin
         let decisions, sym_pruned =
           menu (Runner.Cursor.view cursor) len crashes
@@ -599,10 +473,9 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                 Clock_cache.replace st.table k { e_runs = 1; e_digest = dh })
               key;
             if not (check r) then begin
-              st.found <- Some (List.rev rev_rank, List.rev rev_script, r);
+              st.found <- Some (List.rev rev_script, r);
               raise Found_counterexample
-            end;
-            true
+            end
         | _ -> begin
             (* Sleep-set filter: a slept process's pending step
                commutes with every step taken since it went to sleep,
@@ -631,8 +504,7 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                   (fun k ->
                     Clock_cache.replace st.table k
                       { e_runs = 0; e_digest = 0 })
-                  key;
-                true
+                  key
             | _ ->
                 let runs0 = st.runs and digest0 = st.digest in
                 let pend p = Runner.Cursor.pending_mask cursor p in
@@ -667,259 +539,78 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                    (crashes conservatively wake everyone — a crash
                    perturbs every process's view of the crashed one). *)
                 let children =
-                  if not reduce then
-                    List.mapi (fun i d -> (i, d, [])) active
+                  if not reduce then List.map (fun d -> (d, [])) active
                   else
-                    List.mapi (fun i d -> (i, d)) active
-                    |> List.fold_left
-                         (fun (acc, prev) (i, d) ->
-                           let child_sleep =
-                             if dpor then
-                               match d with
-                               | Driver.Crash _ -> []
-                               | _ -> prev
-                             else List.filter (fun z -> commutes z d) prev
-                           in
-                           let prev' =
-                             match d with
-                             | Driver.Schedule p ->
-                                 List.sort_uniq Proc.compare (p :: prev)
-                             | _ -> prev
-                           in
-                           ((i, d, child_sleep) :: acc, prev'))
-                         ([], sleep)
+                    List.fold_left
+                      (fun (acc, prev) d ->
+                        let child_sleep =
+                          if dpor then
+                            match d with Driver.Crash _ -> [] | _ -> prev
+                          else List.filter (fun z -> commutes z d) prev
+                        in
+                        let prev' =
+                          match d with
+                          | Driver.Schedule p ->
+                              List.sort_uniq Proc.compare (p :: prev)
+                          | _ -> prev
+                        in
+                        ((d, child_sleep) :: acc, prev'))
+                      ([], sleep) active
                     |> fst |> List.rev
                 in
-                let farm_out =
-                  match sh with
-                  | Some sh ->
-                      List.length children > 1
-                      && Atomic.get sh.outstanding < sh.spawn_bound
-                  | None -> false
-                in
-                let complete = ref (not farm_out) in
                 (* Read before the first child extends [cursor] in
                    place: every later sibling replays this node's
                    prefix, whose history id this is. *)
                 let hist_id = Runner.Cursor.hist_id cursor in
-                List.iter
-                  (fun (i, d, child_sleep) ->
+                List.iteri
+                  (fun i (d, child_sleep) ->
                     let crashes' =
                       match d with
                       | Driver.Crash _ -> crashes + 1
                       | _ -> crashes
                     in
-                    if farm_out && i > 0 then begin
-                      (* Publish the sibling as a stealable frontier
-                         item; whoever pops it replays the prefix. *)
-                      let sh = Option.get sh in
-                      let id = Atomic.fetch_and_add sh.next_item 1 in
-                      Telemetry.emit st.sink Telemetry.Frontier_push id
-                        (len + 1);
-                      push sh
-                        {
-                          it_id = id;
-                          it_owner = st.index;
-                          it_script = d :: rev_script;
-                          it_len = len + 1;
-                          it_crashes = crashes';
-                          it_sleep = child_sleep;
-                          it_rank = List.rev (i :: rev_rank);
-                        }
+                    let descend child =
+                      Telemetry.emit st.sink Telemetry.Decision (len + 1)
+                        (dec_code d);
+                      Runner.Cursor.apply child d;
+                      let settled = settle_sleep child d child_sleep (len + 1) in
+                      visit child (d :: rev_script) (len + 1) crashes' settled
+                    in
+                    if i = 0 then begin
+                      st.avoided <- st.avoided + 1;
+                      descend cursor
                     end
-                    else begin
-                      let descend child =
-                        Telemetry.emit st.sink Telemetry.Decision (len + 1)
-                          (dec_code d);
-                        Runner.Cursor.apply child d;
-                        let settled =
-                          settle_sleep st child d child_sleep (len + 1)
-                        in
-                        visit sh st child (d :: rev_script) (i :: rev_rank)
-                          (len + 1) crashes' settled
-                      in
-                      let explored =
-                        if i = 0 then begin
-                          st.avoided <- st.avoided + 1;
-                          descend cursor
-                        end
-                        else
-                          with_cursor st ~prefix:(List.rev rev_script)
-                            ~hist_id (fun c ->
-                              st.replayed <- st.replayed + len;
-                              descend c)
-                      in
-                      if not explored then complete := false
-                    end)
+                    else
+                      with_cursor ~prefix:(List.rev rev_script) ~hist_id
+                        (fun c ->
+                          st.replayed <- st.replayed + len;
+                          descend c))
                   children;
-                if !complete then
-                  Option.iter
-                    (fun k ->
-                      Clock_cache.replace st.table k
-                        {
-                          e_runs = st.runs - runs0;
-                          e_digest = st.digest - digest0;
-                        })
-                    key;
-                !complete
+                Option.iter
+                  (fun k ->
+                    Clock_cache.replace st.table k
+                      {
+                        e_runs = st.runs - runs0;
+                        e_digest = st.digest - digest0;
+                      })
+                  key
           end
       end
   in
-  let finish ~domains_used states witness =
-    let stats =
-      stats_of_states ~domains_used
-        ~elapsed_ns:(Clock.now_ns () - t0)
-        ~events_dropped:(Obs.events_dropped obs)
-        states
-    in
-    match witness with
-    | None ->
-        { outcome = Ok stats.Explore_stats.runs; stats; witness_script = None }
-    | Some (_, script, r) ->
-        { outcome = Counterexample r; stats; witness_script = Some script }
+  let stats () =
+    stats_of_state
+      ~elapsed_ns:(Clock.now_ns () - t0)
+      ~events_dropped:(Obs.events_dropped obs)
+      st
   in
-  if domains <= 1 then begin
-    (* Sequential: one in-order walk from the root configuration. *)
-    let st =
-      new_state ~index:0 ?capacity:cache_capacity
-        ~sink:(Obs.sink obs ~index:0) ~progress:(Obs.progress obs) ~sanitize
-        ~dpor ~compact ?bitstate ()
-    in
-    wire_progress obs [| st |] (fun () -> 0);
-    let walk () =
-      with_cursor st (fun c -> ignore (visit None st c [] [] 0 0 [] : bool))
-    in
-    let witness =
-      match walk () with
-      | () -> None
-      | exception Found_counterexample -> st.found
-      | exception Cancelled ->
-          raise
-            (Interrupted
-               (stats_of_states ~domains_used:1
-                  ~elapsed_ns:(Clock.now_ns () - t0)
-                  ~events_dropped:(Obs.events_dropped obs)
-                  [ st ]))
-    in
-    finish ~domains_used:1 [ st ] witness
-  end
-  else begin
-    (* Work-stealing fan-out: domains drain a shared lock-free stack of
-       frontier items, and a busy domain publishes sibling subtrees
-       whenever the stack runs low, so domains stay busy at every
-       depth (not just across root branches).  The rank-least witness
-       is selected at the join, so the counterexample is deterministic
-       regardless of the steal schedule. *)
-    let fan_out = domains in
-    let shared =
-      {
-        queue = Atomic.make [];
-        outstanding = Atomic.make 0;
-        spawn_bound = 4 * fan_out;
-        next_item = Atomic.make 0;
-        best = Atomic.make None;
-      }
-    in
-    let progress = Obs.progress obs in
-    let states =
-      Array.init fan_out (fun i ->
-          new_state ~index:i ?capacity:cache_capacity
-            ~sink:(Obs.sink obs ~index:i)
-            ~progress:(if i = 0 then progress else Progress.off)
-            ~sanitize ~dpor ~compact ?bitstate ())
-    in
-    wire_progress obs states (fun () -> Atomic.get shared.outstanding);
-    let root_id = Atomic.fetch_and_add shared.next_item 1 in
-    Telemetry.emit states.(0).sink Telemetry.Frontier_push root_id 0;
-    push shared
-      {
-        it_id = root_id;
-        it_owner = 0;
-        it_script = [];
-        it_len = 0;
-        it_crashes = 0;
-        it_sleep = [];
-        it_rank = [];
-      };
-    let cancelled = Atomic.make false in
-    let worker i () =
-      let st = states.(i) in
-      let rec loop () =
-        if Atomic.get cancelled then ()
-        else
-        match pop shared with
-        | Some it ->
-            let skip =
-              (* An item rank-greater than the best witness cannot
-                 contain the least one; drop it. *)
-              match Atomic.get shared.best with
-              | Some (r, _, _) -> compare r it.it_rank <= 0
-              | None -> false
-            in
-            if not skip then begin
-              if it.it_owner <> st.index then begin
-                st.steals <- st.steals + 1;
-                Telemetry.emit st.sink Telemetry.Steal it.it_id it.it_owner
-              end;
-              (* A stolen item carries the publisher's {e candidate}
-                 sleep set, settled by the probe's observation of the
-                 item's last decision — so the replay stops short of
-                 that decision, which is then applied (and observed)
-                 on its own, exactly as the inline path applies it.
-                 The publisher's history ids belong to its domain's
-                 interner, so the replay re-interns. *)
-              let prefix, last =
-                match it.it_script with
-                | [] -> ([], None)
-                | d :: rest -> (List.rev rest, Some d)
-              in
-              (match
-                 with_cursor st ~prefix (fun c ->
-                     st.replayed <- st.replayed + it.it_len;
-                     let sleep =
-                       match last with
-                       | Some d ->
-                           Runner.Cursor.apply c d;
-                           settle_sleep st c d it.it_sleep it.it_len
-                       | None -> it.it_sleep
-                     in
-                     visit (Some shared) st c it.it_script
-                       (List.rev it.it_rank) it.it_len it.it_crashes sleep)
-               with
-              | (_ : bool) -> ()
-              | exception Cancelled -> Atomic.set cancelled true
-              | exception Found_counterexample -> (
-                  match st.found with
-                  | Some w ->
-                      record_witness shared w;
-                      st.found <- None
-                  | None -> ()))
-            end;
-            Atomic.decr shared.outstanding;
-            loop ()
-        | None ->
-            if Atomic.get shared.outstanding > 0 then begin
-              Domain.cpu_relax ();
-              loop ()
-            end
-      in
-      loop ()
-    in
-    let handles =
-      List.init (fan_out - 1) (fun i -> Domain.spawn (worker (i + 1)))
-    in
-    worker 0 ();
-    List.iter Domain.join handles;
-    if Atomic.get cancelled then
-      raise
-        (Interrupted
-           (stats_of_states ~domains_used:fan_out
-              ~elapsed_ns:(Clock.now_ns () - t0)
-              ~events_dropped:(Obs.events_dropped obs)
-              (Array.to_list states)));
-    finish ~domains_used:fan_out (Array.to_list states)
-      (Atomic.get shared.best)
-  end
+  match with_cursor (fun c -> visit c [] 0 0 []) with
+  | () ->
+      let stats = stats () in
+      { outcome = Ok stats.Explore_stats.runs; stats; witness_script = None }
+  | exception Found_counterexample ->
+      let script, r = Option.get st.found in
+      { outcome = Counterexample r; stats = stats (); witness_script = Some script }
+  | exception Cancelled -> raise (Interrupted (stats ()))
 
 (* ------------------------------------------------------------------ *)
 (* The naive reference engine.                                         *)
@@ -929,7 +620,7 @@ let explore_naive ~n ~factory ~invoke ~depth ?(max_crashes = 0) ~check () =
   let menu =
     decision_menu ~n ~invoke ~depth ~max_crashes ~symmetry:false
   in
-  let st = new_state ~index:0 ~sink:Telemetry.null () in
+  let st = new_state ~sink:Telemetry.null () in
   (* The retained reference engine: re-run the decision prefix from a
      fresh implementation instance at every node of the tree, exactly
      as the original explorer did.  Kept for differential testing and
@@ -950,7 +641,7 @@ let explore_naive ~n ~factory ~invoke ~depth ?(max_crashes = 0) ~check () =
               st.checked <- st.checked + 1;
               st.digest <- st.digest + Runtime.hash_value r.Run_report.history;
               if not (check r) then begin
-                st.found <- Some ([], List.rev rev_script, r);
+                st.found <- Some (List.rev rev_script, r);
                 raise Found_counterexample
               end;
               []
@@ -970,14 +661,12 @@ let explore_naive ~n ~factory ~invoke ~depth ?(max_crashes = 0) ~check () =
     | exception Found_counterexample -> st.found
   in
   let stats =
-    stats_of_states ~domains_used:1
-      ~elapsed_ns:(Clock.now_ns () - t0)
-      ~events_dropped:0 [ st ]
+    stats_of_state ~elapsed_ns:(Clock.now_ns () - t0) ~events_dropped:0 st
   in
   match witness with
   | None ->
       { outcome = Ok stats.Explore_stats.runs; stats; witness_script = None }
-  | Some (_, script, r) ->
+  | Some (script, r) ->
       { outcome = Counterexample r; stats; witness_script = Some script }
 
 let forall_schedules ~n ~factory ~invoke ~depth ?(max_crashes = 0) ~check () =

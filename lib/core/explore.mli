@@ -20,12 +20,13 @@
       shared base-object digest) prunes schedule prefixes that reach an
       already-explored configuration, crediting the cached subtree's run
       count instead of descending; [~cache_capacity] bounds its memory
-      with clock (second-chance) eviction.  Three further multipliers
+      with clock (second-chance) eviction.  Two further multipliers
       are opt-in: {e partial-order reduction} ([~por], sleep sets over
-      declared base-object access footprints), {e symmetry reduction}
-      ([~symmetry], orbit pruning of interchangeable untouched
-      processes), and {e work-stealing fan-out} ([~domains], a shared
-      lock-free queue of frontier items drained by OCaml 5 domains).
+      declared base-object access footprints) and {e symmetry
+      reduction} ([~symmetry], orbit pruning of interchangeable
+      untouched processes).  The walk is sequential: independent
+      queries parallelize one level up, as separate processes
+      ([slx serve --workers]).
     - {!explore_naive} — the retained reference: replays every prefix
       from scratch at every node, no cache, no reductions.  The
       differential suite proves the unreduced engines visit the
@@ -82,12 +83,11 @@ type ('inv, 'res) outcome =
           script among those the engine explores (in the menu order:
           steps/invocations of processes 1..n, then crashes of
           processes 1..n) — deterministic for any engine configuration:
-          cache or not, bounded or not, one domain or many.  With
-          POR/symmetry on, "explored" means the reduced tree: the
-          witness is then the least {e representative} of the least
-          failing equivalence class, identical across domain counts but
-          possibly a commutation/renaming of the unreduced engines'
-          witness. *)
+          cache or not, bounded or not.  With POR/symmetry on,
+          "explored" means the reduced tree: the witness is then the
+          least {e representative} of the least failing equivalence
+          class, possibly a commutation/renaming of the unreduced
+          engines' witness. *)
 
 type ('inv, 'res) exploration = {
   outcome : ('inv, 'res) outcome;
@@ -133,7 +133,7 @@ val explore :
     each not-yet-crashed process.
 
     [cache] (default [true]) enables the transposition cache;
-    [cache_capacity] bounds each domain's cache to that many entries,
+    [cache_capacity] bounds the cache to that many entries,
     evicted second-chance (unbounded without it).  [por] (default
     [false]) enables sleep-set partial-order reduction over the
     base-object access footprints of pending steps.  [dpor] (default
@@ -150,16 +150,13 @@ val explore :
     compose as "either on" with the DPOR oracle winning.  [symmetry]
     (default [false]) declares the instance process-symmetric and
     enables orbit pruning of untouched processes; see the soundness
-    notes above.  [domains] (default 1) fans the exploration across up
-    to that many OCaml 5 domains with work-stealing over a shared
-    frontier queue; [factory], [invoke] and [check] then run
-    concurrently in several domains and must not share unsynchronized
-    mutable state.
+    notes above.  [domains] exists only for callers that still pass
+    [~domains:1]; any other value raises [Invalid_argument].
 
     [obs] (default {!Slx_obs.Obs.disabled}) attaches the observability
-    bundle: with tracing on, each domain records typed events (node
-    spans, decisions, cache hits/evicts, reductions, frontier
-    pushes/steals) into its own ring for Chrome-trace export, and the
+    bundle: with tracing on, the exploration records typed events (node
+    spans, decisions, cache hits/evicts, reductions) into a ring for
+    Chrome-trace export, and the
     bundle's progress reporter is ticked from the hot loop.  With the
     default bundle every event site costs one branch; verdicts,
     counters (other than [elapsed_ns]/[events_dropped]) and witnesses
@@ -168,14 +165,10 @@ val explore :
 
     The check runs on maximal runs only (depth reached or no decision
     available); the report's window is the whole run.  When a
-    counterexample is found the remaining exploration is abandoned
-    (work-stealing domains finish rank-lesser frontier items first, so
-    the reported witness is still deterministic), so [stats] then
-    reflects the work done up to (and while concurrently racing past)
-    the discovery.
+    counterexample is found the remaining exploration is abandoned, so
+    [stats] then reflects the work done up to the discovery.
 
-    [sanitize] (default [false]) installs a per-domain sanitizer
-    shadow ({!Slx_sim.Runtime.make_shadow}) on every cursor: physical
+    [sanitize] (default [false]) installs a sanitizer shadow ({!Slx_sim.Runtime.make_shadow}) on every cursor: physical
     base-object accesses are checked against declared footprints and
     mismatches counted into [stats.footprint_violations].  The shadow
     neither raises nor records, so a sanitized exploration applies
@@ -200,7 +193,7 @@ val explore :
     [bitstate] switches the transposition store to SPIN-style hash
     compaction ({!Bitstate}): a [2^bitstate]-bit table of fingerprint
     hashes replaces the exact cache, bounding memory at
-    [2^(bitstate-3)] bytes per domain.  Membership is one-sided — a
+    [2^(bitstate-3)] bytes.  Membership is one-sided — a
     hit may be a hash collision, so pruned subtrees may contain
     unexplored states: [Ok] then means {e no violation found}, not
     exhaustiveness, and the stats report the Bloom collision bound
@@ -212,9 +205,10 @@ val explore :
 
     [cancel] is polled once per visited node; when it returns [true]
     the walk stops and {!Interrupted} carries the partial stats.  The
-    poll must be cheap and domain-safe (a [ref] or [Atomic] read).
+    poll must be cheap (a [ref] read).
     @raise Interrupted when [cancel] fired.
-    @raise Invalid_argument unless [4 <= bitstate <= 30]. *)
+    @raise Invalid_argument unless [domains = 1], [4 <= bitstate <= 30]
+    and [cache_capacity >= 1]. *)
 
 val code_of_decision : ('inv, 'res) Driver.decision -> int
 (** The persistent int form of a menu decision:
@@ -272,7 +266,7 @@ val forall_schedules :
   unit ->
   ('inv, 'res) outcome
 (** [explore] with the default engine configuration (cache on, no
-    reductions, one domain), returning just the outcome.  [Ok runs]
+    reductions), returning just the outcome.  [Ok runs]
     counts {e maximal} runs only. *)
 
 val workload_invoke :

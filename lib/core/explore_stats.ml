@@ -15,8 +15,6 @@ type t = {
   symmetry_pruned : int;
   cycles_examined : int;
   fair_cycles : int;
-  domains_used : int;
-  steals : int;
   hb_edges : int;
   commutation_checks : int;
   footprint_violations : int;
@@ -24,8 +22,6 @@ type t = {
   bitstate_adds : int;
   bitstate_hits : int;
   bitstate_marks : int;
-  per_domain_runs : (int * int) list;
-  per_domain_steps : (int * int) list;
   elapsed_ns : int;
   events_dropped : int;
   history_digest : int;
@@ -49,8 +45,6 @@ let zero =
     symmetry_pruned = 0;
     cycles_examined = 0;
     fair_cycles = 0;
-    domains_used = 0;
-    steals = 0;
     hb_edges = 0;
     commutation_checks = 0;
     footprint_violations = 0;
@@ -58,60 +52,10 @@ let zero =
     bitstate_adds = 0;
     bitstate_hits = 0;
     bitstate_marks = 0;
-    per_domain_runs = [];
-    per_domain_steps = [];
     elapsed_ns = 0;
     events_dropped = 0;
     history_digest = 0;
   }
-
-(* Per-domain rows are keyed by spawn index so a merge of partial
-   stats lands in spawn order no matter the order the partials arrive
-   in — the trace's per-domain lanes and [per_domain_steps] then name
-   the same domains.  The sort is stable: when merging stats of
-   separate explorations (which reuse spawn indices) each
-   exploration's rows keep their relative order. *)
-let by_index rows = List.stable_sort (fun (a, _) (b, _) -> compare a b) rows
-
-let merge a b =
-  {
-    nodes = a.nodes + b.nodes;
-    runs = a.runs + b.runs;
-    runs_checked = a.runs_checked + b.runs_checked;
-    steps_executed = a.steps_executed + b.steps_executed;
-    steps_replayed = a.steps_replayed + b.steps_replayed;
-    replays_avoided = a.replays_avoided + b.replays_avoided;
-    cache_hits = a.cache_hits + b.cache_hits;
-    cache_entries = a.cache_entries + b.cache_entries;
-    cache_evictions = a.cache_evictions + b.cache_evictions;
-    por_prunes = a.por_prunes + b.por_prunes;
-    race_reversals = a.race_reversals + b.race_reversals;
-    invoke_order_prunes = a.invoke_order_prunes + b.invoke_order_prunes;
-    proviso_wakes = a.proviso_wakes + b.proviso_wakes;
-    symmetry_pruned = a.symmetry_pruned + b.symmetry_pruned;
-    cycles_examined = a.cycles_examined + b.cycles_examined;
-    fair_cycles = a.fair_cycles + b.fair_cycles;
-    domains_used = max a.domains_used b.domains_used;
-    steals = a.steals + b.steals;
-    hb_edges = a.hb_edges + b.hb_edges;
-    commutation_checks = a.commutation_checks + b.commutation_checks;
-    footprint_violations = a.footprint_violations + b.footprint_violations;
-    (* Every bitstate domain uses the same table size, so [max] keeps
-       it; the collision bound is then computed per 2^bits table from
-       the summed attempt count — conservative (as if one table
-       absorbed every attempt), never optimistic. *)
-    bitstate_bits = max a.bitstate_bits b.bitstate_bits;
-    bitstate_adds = a.bitstate_adds + b.bitstate_adds;
-    bitstate_hits = a.bitstate_hits + b.bitstate_hits;
-    bitstate_marks = a.bitstate_marks + b.bitstate_marks;
-    per_domain_runs = by_index (a.per_domain_runs @ b.per_domain_runs);
-    per_domain_steps = by_index (a.per_domain_steps @ b.per_domain_steps);
-    elapsed_ns = a.elapsed_ns + b.elapsed_ns;
-    events_dropped = a.events_dropped + b.events_dropped;
-    history_digest = a.history_digest + b.history_digest;
-  }
-
-let values rows = List.map snd rows
 
 (* The Bloom bound for the bitstate table (k = 2 probes), computed
    from the recorded table size and attempt count so every consumer
@@ -119,8 +63,6 @@ let values rows = List.map snd rows
 let bitstate_collision_probability s =
   if s.bitstate_bits = 0 then 0.0
   else Bitstate.collision_probability ~bits:s.bitstate_bits ~adds:s.bitstate_adds
-
-let pp_int_list rs = String.concat ", " (List.map string_of_int rs)
 
 let pp_elapsed fmt ns =
   if ns >= 1_000_000_000 then
@@ -135,11 +77,10 @@ let pp fmt s =
      steps executed:   %d (replayed: %d)@,replays avoided:  %d@,\
      cache:            %d hits / %d entries / %d evictions@,\
      reductions:       %d pruned (POR), %d pruned (symmetry)@,\
-     domains:          %d (%d steals)@,elapsed:          %a"
+     elapsed:          %a"
     s.nodes s.runs s.runs_checked s.steps_executed s.steps_replayed
     s.replays_avoided s.cache_hits s.cache_entries s.cache_evictions
-    s.por_prunes s.symmetry_pruned s.domains_used s.steals pp_elapsed
-    s.elapsed_ns;
+    s.por_prunes s.symmetry_pruned pp_elapsed s.elapsed_ns;
   if s.race_reversals > 0 || s.invoke_order_prunes > 0 || s.proviso_wakes > 0
   then
     Format.fprintf fmt
@@ -163,20 +104,7 @@ let pp fmt s =
   if s.events_dropped > 0 then
     Format.fprintf fmt "@,telemetry:        %d events dropped (ring overflow)"
       s.events_dropped;
-  (match s.per_domain_runs with
-  | [] | [ _ ] -> ()
-  | rs -> Format.fprintf fmt "@,runs per domain:  %s" (pp_int_list (values rs)));
-  (match s.per_domain_steps with
-  | [] | [ _ ] -> ()
-  | rs ->
-      Format.fprintf fmt "@,steps per domain: %s" (pp_int_list (values rs)));
   Format.fprintf fmt "@]"
-
-let json_pair_list rs =
-  "["
-  ^ String.concat ", "
-      (List.map (fun (d, v) -> Printf.sprintf "[%d, %d]" d v) rs)
-  ^ "]"
 
 let to_json s =
   Printf.sprintf
@@ -186,22 +114,16 @@ let to_json s =
      \"cache_evictions\": %d, \"por_prunes\": %d, \"race_reversals\": %d, \
      \"invoke_order_prunes\": %d, \"proviso_wakes\": %d, \
      \"symmetry_pruned\": %d, \
-     \"cycles_examined\": %d, \"fair_cycles\": %d, \
-     \"domains_used\": %d, \"steals\": %d, \"hb_edges\": %d, \
+     \"cycles_examined\": %d, \"fair_cycles\": %d, \"hb_edges\": %d, \
      \"commutation_checks\": %d, \"footprint_violations\": %d, \
      \"bitstate_bits\": %d, \"bitstate_adds\": %d, \"bitstate_hits\": %d, \
      \"bitstate_marks\": %d, \"bitstate_collision_probability\": %g, \
-     \"per_domain_runs\": %s, \
-     \"per_domain_steps\": %s, \"elapsed_ns\": %d, \"events_dropped\": %d, \
-     \"history_digest\": %d}"
+     \"elapsed_ns\": %d, \"events_dropped\": %d, \"history_digest\": %d}"
     s.nodes s.runs s.runs_checked s.steps_executed s.steps_replayed
     s.replays_avoided s.cache_hits s.cache_entries s.cache_evictions
     s.por_prunes s.race_reversals s.invoke_order_prunes s.proviso_wakes
-    s.symmetry_pruned s.cycles_examined s.fair_cycles
-    s.domains_used s.steals s.hb_edges s.commutation_checks
-    s.footprint_violations s.bitstate_bits s.bitstate_adds s.bitstate_hits
-    s.bitstate_marks
+    s.symmetry_pruned s.cycles_examined s.fair_cycles s.hb_edges
+    s.commutation_checks s.footprint_violations s.bitstate_bits
+    s.bitstate_adds s.bitstate_hits s.bitstate_marks
     (bitstate_collision_probability s)
-    (json_pair_list s.per_domain_runs)
-    (json_pair_list s.per_domain_steps)
     s.elapsed_ns s.events_dropped s.history_digest

@@ -1,5 +1,5 @@
 (** Counters produced by the exploration engine ({!Explore}), so that
-    the incremental/cached/reduced/parallel engine's speedup over naive
+    the incremental/cached/reduced engine's speedup over naive
     replay is measured, not asserted.  Surfaced by
     [bench/experiments.ml] (E16), the bench smoke target, and the
     [slx explore] subcommand (as JSON under [--json]). *)
@@ -28,7 +28,7 @@ type t = {
       (** Nodes entered by extending the parent's cursor in place — each
           saved a full prefix replay the naive engine performs. *)
   cache_hits : int;  (** Subtrees pruned by the transposition cache. *)
-  cache_entries : int;  (** Final size of the transposition cache(s). *)
+  cache_entries : int;  (** Final size of the transposition cache. *)
   cache_evictions : int;
       (** Entries evicted by the clock policy under [~cache_capacity]
           (0 when the cache is unbounded). *)
@@ -63,10 +63,6 @@ type t = {
       (** Fair-cycle search only: candidates that were fair and
           progress-violating before certificate validation; the search
           stops at the first one whose certificate also pumps. *)
-  domains_used : int;  (** Domains the exploration actually fanned over. *)
-  steals : int;
-      (** Frontier items executed by a domain other than the one that
-          pushed them (work-stealing fan-out; 0 when sequential). *)
   hb_edges : int;
       (** Happens-before certifier ({!Slx_analysis.Hb}) only:
           non-redundant conflict edges derived from observed accesses
@@ -93,27 +89,12 @@ type t = {
           compacted hash, each possibly a collision. *)
   bitstate_marks : int;
       (** Bits set in the bitstate table (occupancy numerator). *)
-  per_domain_runs : (int * int) list;
-      (** Maximal runs accounted per domain, as
-          [(spawn index, runs)] pairs sorted by spawn index (empty for
-          sequential exploration).  Keying by spawn index — not list
-          position — is what lets {!merge} combine partial stats
-          arriving in any order without scrambling which domain a row
-          describes.  Informational: the split depends on domain
-          scheduling; every non-[per_domain_*] counter except
-          [steps_executed]/[steps_replayed] does not. *)
-  per_domain_steps : (int * int) list;
-      (** Runtime ticks executed per domain, as [(spawn index, steps)]
-          pairs sorted by spawn index — the honest load-balance report:
-          with work-stealing these should be close to uniform even when
-          the decision tree is skewed. *)
   elapsed_ns : int;
       (** Wall-clock nanoseconds of the exploration, measured inside
-          the engine (entry to join).  {!merge} sums, so a merged value
-          is total exploration time, not a wall-clock span. *)
+          the engine (entry to exit). *)
   events_dropped : int;
       (** Telemetry events lost to ring-buffer overflow while tracing
-          (0 when tracing is off or every ring kept up).  Non-zero
+          (0 when tracing is off or the ring kept up).  Non-zero
           means the exported trace under-reports — grow the ring. *)
   history_digest : int;
       (** Order-insensitive digest (wrapping integer sum of deep hashes)
@@ -128,16 +109,6 @@ type t = {
 
 val zero : t
 
-val merge : t -> t -> t
-(** Pointwise sum (max for [domains_used]; the [per_domain_*] pair
-    lists are concatenated and stably re-sorted by spawn index, so the
-    result is in spawn order no matter the order the partials are
-    merged in). *)
-
-val values : (int * int) list -> int list
-(** Drop the spawn indices of a [per_domain_*] list, keeping the
-    values in spawn order. *)
-
 val bitstate_collision_probability : t -> float
 (** The Bloom bound [(1 - e^(-2n/m))^2] of the recorded bitstate table
     ([m = 2^bitstate_bits], [n = bitstate_adds]); 0 when bitstate mode
@@ -148,5 +119,4 @@ val bitstate_collision_probability : t -> float
 val pp : Format.formatter -> t -> unit
 
 val to_json : t -> string
-(** One-line JSON object of the full record ([per_domain_*] as arrays
-    of [[index, value]] pairs). *)
+(** One-line JSON object of the full record. *)

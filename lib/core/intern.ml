@@ -13,9 +13,9 @@
      only ~10 nodes, which on a key array would reintroduce exactly
      the truncation bug the compact encodings exist to kill.
 
-   Interners are single-domain by construction: each engine domain
-   owns its own pools, matching its own per-domain transposition
-   cache, so ids never cross domains. *)
+   Interners are not thread-safe: each exploration owns its own pools,
+   scoped like its transposition cache, so ids never cross
+   explorations. *)
 
 type 'a t = { tbl : ('a, int) Hashtbl.t; mutable next : int }
 

@@ -15,8 +15,8 @@
 
     Interners grow monotonically (one entry per distinct value seen);
     engines scope them per search so the pools die with the search.
-    Single-domain by design: each engine domain owns its own pools,
-    matching its per-domain transposition cache. *)
+    Not thread-safe: each exploration owns its own pools, scoped like
+    its transposition cache. *)
 
 type 'a t
 (** An interner over structural equality of ['a]. *)

@@ -102,11 +102,9 @@ let zero_sample =
     Progress.s_nodes = 0;
     s_runs = 0;
     s_steps = 0;
-    s_frontier = 0;
     s_cache_entries = 0;
     s_cache_capacity = 0;
     s_cycles = 0;
-    s_domain_steps = [];
   }
 
 let new_state ?capacity ?(sink = Telemetry.null) ?(progress = Progress.off)
@@ -161,13 +159,11 @@ let wire_progress st =
           Progress.s_nodes = st.nodes;
           s_runs = st.runs;
           s_steps = !(st.ticks);
-          s_frontier = 0;
           s_cache_entries =
             Option.fold ~none:0 ~some:Clock_cache.length st.table;
           s_cache_capacity =
             Option.value ~default:0 (Option.bind st.table Clock_cache.capacity);
           s_cycles = st.cycles;
-          s_domain_steps = [];
         })
 
 (* The packed int the [Decision] telemetry event carries. *)
@@ -194,7 +190,6 @@ let stats_of_state ~elapsed_ns ~events_dropped st : Explore_stats.t =
     proviso_wakes = st.proviso;
     cycles_examined = st.cycles;
     fair_cycles = st.fair;
-    domains_used = 1;
     footprint_violations =
       (match st.shadow with
       | Some sh -> Runtime.shadow_violation_count sh
@@ -353,7 +348,7 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
   let compact = compact && cache && n < 62 in
   let st =
     new_state ?capacity:cache_capacity
-      ~sink:(Obs.sink obs ~index:0)
+      ~sink:(Obs.sink obs)
       ~progress:(Obs.progress obs) ~sanitize ~dpor ~cache ~compact ()
   in
   wire_progress st;

@@ -1,8 +1,7 @@
 type t = {
   ob_tracing : bool;
   ob_capacity : int;
-  mutable ob_rings : Telemetry.ring list;
-  ob_mu : Mutex.t;
+  mutable ob_ring : Telemetry.ring option;
   ob_progress : Progress.t;
 }
 
@@ -11,8 +10,7 @@ let create ?(tracing = false) ?(ring_capacity = 65536) ?(progress = Progress.off
   {
     ob_tracing = tracing;
     ob_capacity = ring_capacity;
-    ob_rings = [];
-    ob_mu = Mutex.create ();
+    ob_ring = None;
     ob_progress = progress;
   }
 
@@ -21,37 +19,17 @@ let disabled = create ()
 let tracing t = t.ob_tracing
 let progress t = t.ob_progress
 
-let sink t ~index =
+let sink t =
   if not t.ob_tracing then Telemetry.null
   else begin
-    let r = Telemetry.ring ~capacity:t.ob_capacity ~domain:index () in
-    Mutex.lock t.ob_mu;
-    t.ob_rings <- r :: t.ob_rings;
-    Mutex.unlock t.ob_mu;
+    let r = Telemetry.ring ~capacity:t.ob_capacity ~domain:0 () in
+    t.ob_ring <- Some r;
     Telemetry.sink_of_ring r
   end
 
-let rings t =
-  List.sort
-    (fun a b -> compare (Telemetry.ring_domain a) (Telemetry.ring_domain b))
-    t.ob_rings
+let events t = Option.fold ~none:[] ~some:Telemetry.ring_events t.ob_ring
 
-(* Flow starts must precede their ends in the merged order; the clock
-   has microsecond grain, so a push and its steal can tie on [ev_ns]
-   across rings — break such ties in the flow's favour. *)
-let flow_weight e =
-  match e.Telemetry.ev_kind with Telemetry.Steal -> 1 | _ -> 0
-
-let events t =
-  rings t
-  |> List.concat_map Telemetry.ring_events
-  |> List.stable_sort (fun a b ->
-         compare
-           (a.Telemetry.ev_ns, flow_weight a)
-           (b.Telemetry.ev_ns, flow_weight b))
-
-let events_dropped t =
-  List.fold_left (fun acc r -> acc + Telemetry.ring_dropped r) 0 t.ob_rings
+let events_dropped t = Option.fold ~none:0 ~some:Telemetry.ring_dropped t.ob_ring
 
 let write_trace t path =
   Out_channel.with_open_bin path (fun oc ->

@@ -1,14 +1,15 @@
 (** The engine-facing observability bundle.
 
-    One [Obs.t] configures one exploration: whether tracing is on
-    (and each domain's ring capacity) and which progress reporter to
-    tick.  Engines call {!sink} once per domain at spawn — with
-    tracing off this returns {!Telemetry.null} and the whole subsystem
-    costs one branch per event site — and the CLI / bench harvest the
-    merged events afterwards with {!events} / {!write_trace}.
+    One [Obs.t] configures one exploration: whether tracing is on (and
+    the ring's capacity) and which progress reporter to tick.  The
+    engine calls {!sink} once when it starts — with tracing off this
+    returns {!Telemetry.null} and the whole subsystem costs one branch
+    per event site — and the CLI / bench harvest the events afterwards
+    with {!events} / {!write_trace}.
 
-    A bundle is single-shot: rings registered by one exploration stay
-    until the bundle is dropped, so create a fresh bundle per run. *)
+    A bundle is single-shot: one exploration, one sink.  A second
+    {!sink} call replaces the first ring, so create a fresh bundle per
+    run. *)
 
 type t
 
@@ -18,23 +19,22 @@ val disabled : t
 val create :
   ?tracing:bool -> ?ring_capacity:int -> ?progress:Progress.t -> unit -> t
 (** [tracing] (default [false]) turns event recording on;
-    [ring_capacity] (default [65536]) sizes each domain's ring;
+    [ring_capacity] (default [65536]) sizes the ring;
     [progress] (default {!Progress.off}) is the heartbeat reporter. *)
 
 val tracing : t -> bool
 
 val progress : t -> Progress.t
 
-val sink : t -> index:int -> Telemetry.sink
-(** A sink for the domain with spawn index [index]: a fresh registered
-    ring when tracing, {!Telemetry.null} otherwise.  Thread-safe. *)
+val sink : t -> Telemetry.sink
+(** The exploration's sink: a fresh ring, registered with the bundle,
+    when tracing; {!Telemetry.null} otherwise. *)
 
 val events : t -> Telemetry.event list
-(** All recorded events, merged across domains and sorted by
-    timestamp (stable, so each domain's emission order is kept). *)
+(** The recorded events, in emission order. *)
 
 val events_dropped : t -> int
-(** Total ring-overflow drops across all domains. *)
+(** Events lost to ring overflow. *)
 
 val write_trace : t -> string -> unit
 (** Export {!events} as Chrome trace-event JSON to the given path. *)

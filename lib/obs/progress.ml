@@ -2,11 +2,9 @@ type sample = {
   s_nodes : int;
   s_runs : int;
   s_steps : int;
-  s_frontier : int;
   s_cache_entries : int;
   s_cache_capacity : int;
   s_cycles : int;
-  s_domain_steps : int list;
 }
 
 type state = {
@@ -67,11 +65,10 @@ let emit s now (x : sample) =
     Printf.fprintf s.out
       "{\"elapsed_s\": %.3f, \"nodes\": %d, \"nodes_per_s\": %.0f, \
        \"runs\": %d, \"steps\": %d, \"steps_per_s\": %.0f, \
-       \"frontier\": %d, \"cache_entries\": %d, \"cache_capacity\": %d, \
-       \"cycles_examined\": %d, \"per_domain_steps\": [%s]}\n"
-      elapsed_s x.s_nodes nodes_s x.s_runs x.s_steps steps_s x.s_frontier
+       \"cache_entries\": %d, \"cache_capacity\": %d, \
+       \"cycles_examined\": %d}\n"
+      elapsed_s x.s_nodes nodes_s x.s_runs x.s_steps steps_s
       x.s_cache_entries x.s_cache_capacity x.s_cycles
-      (String.concat ", " (List.map string_of_int x.s_domain_steps))
   else begin
     let cache =
       if x.s_cache_capacity > 0 then
@@ -79,29 +76,17 @@ let emit s now (x : sample) =
           (human x.s_cache_capacity)
       else human x.s_cache_entries
     in
-    let balance =
-      match x.s_domain_steps with
-      | [] | [ _ ] -> ""
-      | ds ->
-          let total = max 1 (List.fold_left ( + ) 0 ds) in
-          Printf.sprintf "  dom%% [%s]"
-            (String.concat " "
-               (List.map
-                  (fun d -> string_of_int (100 * d / total))
-                  ds))
-    in
     let cycles =
       if x.s_cycles > 0 then Printf.sprintf "  cycles %s" (human x.s_cycles)
       else ""
     in
     Printf.fprintf s.out
-      "[slx] %6.1fs  nodes %s (%s/s)  runs %s  steps %s (%s/s)  frontier %d  \
-       cache %s%s%s\n"
+      "[slx] %6.1fs  nodes %s (%s/s)  runs %s  steps %s (%s/s)  cache %s%s\n"
       elapsed_s (human x.s_nodes)
       (human (int_of_float nodes_s))
       (human x.s_runs) (human x.s_steps)
       (human (int_of_float steps_s))
-      x.s_frontier cache cycles balance
+      cache cycles
   end;
   flush s.out;
   s.beats <- s.beats + 1;

@@ -16,14 +16,9 @@ type sample = {
   s_nodes : int;  (** Decision-tree nodes visited so far. *)
   s_runs : int;  (** Maximal runs accounted so far. *)
   s_steps : int;  (** Runtime ticks executed so far. *)
-  s_frontier : int;  (** Work-stealing frontier items outstanding. *)
-  s_cache_entries : int;  (** Transposition-cache entries (all domains). *)
-  s_cache_capacity : int;  (** Total configured capacity; 0 = unbounded. *)
+  s_cache_entries : int;  (** Transposition-cache entries. *)
+  s_cache_capacity : int;  (** Configured capacity; 0 = unbounded. *)
   s_cycles : int;  (** Candidate cycles examined (fair-cycle search). *)
-  s_domain_steps : int list;
-      (** Per-domain runtime ticks, spawn order; [[]] when
-          sequential.  Read racily from sibling domains — indicative,
-          not exact. *)
 }
 
 type t

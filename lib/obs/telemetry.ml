@@ -10,8 +10,6 @@ type kind =
   | Proviso_wake
   | Invoke_prune
   | Symmetry_prune
-  | Frontier_push
-  | Steal
   | Cycle_candidate
   | Pump_start
   | Pump_verdict
@@ -30,8 +28,6 @@ let kind_name = function
   | Proviso_wake -> "proviso_wake"
   | Invoke_prune -> "invoke_prune"
   | Symmetry_prune -> "symmetry_prune"
-  | Frontier_push -> "frontier_push"
-  | Steal -> "steal"
   | Cycle_candidate -> "cycle_candidate"
   | Pump_start -> "pump_start"
   | Pump_verdict -> "pump_verdict"
@@ -72,7 +68,6 @@ let ring ?(capacity = 65536) ~domain () =
   }
 
 let sink_of_ring r = Ring r
-let ring_domain r = r.r_domain
 let ring_written r = r.r_next
 let ring_dropped r = max 0 (r.r_next - r.r_cap)
 

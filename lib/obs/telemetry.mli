@@ -3,18 +3,18 @@
     The exploration engines ({!Slx_core.Explore},
     {!Slx_core.Live_explore}) emit one {!event} per interesting action
     — node enter/leave, decision taken, cache hit/evict, POR sleep,
-    symmetry prune, frontier push, steal, cycle candidate, pump
-    start/verdict — into a {!sink}.  Two sinks exist:
+    symmetry prune, cycle candidate, pump start/verdict — into a
+    {!sink}.  Two sinks exist:
 
     - {!null} — the disabled default.  [emit] on it is a single branch
       on an immediate value: no clock read, no allocation, no write.
       Every emission site passes plain [int] arguments, so a disabled
       sink costs one predictable conditional per event site.
     - a {e ring sink} ({!ring}, {!sink_of_ring}) — a preallocated
-      circular buffer owned by one domain (sinks are single-writer;
-      each domain of a fan-out records into its own ring and the rings
-      are merged at the join).  When the ring is full the oldest
-      events are overwritten and counted as {!ring_dropped}.
+      circular buffer with a single writer, one per exploration.  Its
+      [domain] index names the trace lane its events are drawn on.
+      When the ring is full the oldest events are overwritten and
+      counted as {!ring_dropped}.
 
     Timestamps are wall-clock nanoseconds ({!Clock.now_ns}) clamped to
     be non-decreasing per ring. *)
@@ -37,8 +37,6 @@ type kind =
       (** a = depth, b = invocations pruned by the [invoke_order]
           reduction ({!Slx_core.Live_explore}). *)
   | Symmetry_prune  (** a = depth, b = decisions pruned. *)
-  | Frontier_push  (** a = frontier item id, b = item depth. *)
-  | Steal  (** a = frontier item id, b = owner domain index. *)
   | Cycle_candidate  (** a = period, b = 1 iff fair and violating. *)
   | Pump_start  (** a = period; span open, paired with [Pump_verdict]. *)
   | Pump_verdict  (** a = period, b = 1 iff the certificate pumped. *)
@@ -53,7 +51,7 @@ val kind_name : kind -> string
 
 type event = {
   ev_ns : int;  (** Timestamp, ns (non-decreasing within a ring). *)
-  ev_domain : int;  (** Spawn index of the emitting domain. *)
+  ev_domain : int;  (** Lane index of the emitting ring. *)
   ev_kind : kind;
   ev_a : int;
   ev_b : int;
@@ -76,13 +74,11 @@ val emit : sink -> kind -> int -> int -> unit
 type ring
 
 val ring : ?capacity:int -> domain:int -> unit -> ring
-(** A fresh ring for the domain with the given spawn index.
+(** A fresh ring whose events carry the lane index [domain].
     [capacity] (default [65536]) must be >= 1; when more events are
     emitted the oldest are overwritten and counted as dropped. *)
 
 val sink_of_ring : ring -> sink
-
-val ring_domain : ring -> int
 
 val ring_written : ring -> int
 (** Total events ever emitted into the ring. *)

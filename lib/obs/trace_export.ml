@@ -17,13 +17,11 @@ let escape s =
 
 (* One trace record.  [ts] is microseconds relative to the first
    event; Chrome accepts fractional microseconds. *)
-let record buf ~name ~cat ~ph ~ts ~tid ?id ?bp ~args () =
+let record buf ~name ~cat ~ph ~ts ~tid ~args () =
   Buffer.add_string buf
     (Printf.sprintf
        "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"%s\", \"ts\": %.3f, \
         \"pid\": 1, \"tid\": %d" (escape name) cat ph ts tid);
-  Option.iter (fun id -> Buffer.add_string buf (Printf.sprintf ", \"id\": %d" id)) id;
-  Option.iter (fun bp -> Buffer.add_string buf (Printf.sprintf ", \"bp\": \"%s\"" bp)) bp;
   if ph = "i" then Buffer.add_string buf ", \"s\": \"t\"";
   if args <> [] then begin
     Buffer.add_string buf ", \"args\": {";
@@ -51,13 +49,6 @@ let event_record buf ~t0 e =
   | Pump_verdict ->
       record buf ~name:"pump" ~cat:"live" ~ph:"E" ~ts ~tid
         ~args:[ ("period", i e.ev_a); ("accepted", i e.ev_b) ] ()
-  | Frontier_push ->
-      record buf ~name:"steal" ~cat:"frontier" ~ph:"s" ~ts ~tid ~id:e.ev_a
-        ~args:[ ("item", i e.ev_a); ("depth", i e.ev_b) ] ()
-  | Steal ->
-      record buf ~name:"steal" ~cat:"frontier" ~ph:"f" ~ts ~tid ~id:e.ev_a
-        ~bp:"e"
-        ~args:[ ("item", i e.ev_a); ("owner", i e.ev_b) ] ()
   | Decision ->
       record buf ~name:"decision" ~cat:"explore" ~ph:"i" ~ts ~tid
         ~args:
@@ -103,7 +94,7 @@ let to_buffer ?(name = "slx") ~events_dropped events buf =
     List.fold_left (fun acc e -> min acc e.ev_ns) max_int events
   in
   let t0 = if t0 = max_int then 0 else t0 in
-  let domains =
+  let lanes =
     List.sort_uniq compare (List.map (fun e -> e.ev_domain) events)
   in
   Buffer.add_string buf "{\"traceEvents\": [\n";
@@ -121,7 +112,7 @@ let to_buffer ?(name = "slx") ~events_dropped events buf =
       record buf ~name:"thread_name" ~cat:"__metadata" ~ph:"M" ~ts:0. ~tid:d
         ~args:[ ("name", Printf.sprintf "\"domain %d\"" d) ]
         ())
-    domains;
+    lanes;
   List.iter
     (fun e ->
       sep ();
@@ -150,8 +141,6 @@ type summary = {
   sm_events : int;
   sm_spans : (string * int) list;
   sm_instants : (string * int) list;
-  sm_flow_starts : int;
-  sm_flow_ends : int;
   sm_lanes : int;
   sm_dropped : int;
 }
@@ -188,8 +177,6 @@ let validate json =
         s
   in
   let spans = Hashtbl.create 8 and instants = Hashtbl.create 8 in
-  let flow_ids = Hashtbl.create 8 in
-  let flow_starts = ref 0 and flow_ends = ref 0 in
   let count = ref 0 in
   let step idx e =
     let field k conv what =
@@ -226,18 +213,6 @@ let validate json =
                 (Printf.sprintf "event %d: span end %S with no open span" idx
                    name)
         end
-      | "s" ->
-          let* id = field "id" Json.int "flow id" in
-          Hashtbl.replace flow_ids id ();
-          incr flow_starts;
-          Ok ()
-      | "f" ->
-          let* id = field "id" Json.int "flow id" in
-          if Hashtbl.mem flow_ids id then begin
-            incr flow_ends;
-            Ok ()
-          end
-          else Error (Printf.sprintf "event %d: flow end without start" idx)
       | "i" ->
           bump instants name;
           Ok ()
@@ -269,8 +244,6 @@ let validate json =
       sm_events = !count;
       sm_spans = assoc spans;
       sm_instants = assoc instants;
-      sm_flow_starts = !flow_starts;
-      sm_flow_ends = !flow_ends;
       sm_lanes = Hashtbl.length stacks;
       sm_dropped = dropped;
     }

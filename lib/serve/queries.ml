@@ -86,9 +86,23 @@ let spec_of_json j =
       let n = Option.value (int "n") ~default:2 in
       let crashes = Option.value (int "crashes") ~default:0 in
       let property = Option.value (str "property") ~default:"obstruction" in
+      (* The liveness budgets are read (and checked) for live queries
+         only; an explore query ignores them. *)
+      let max_period, pump =
+        if kind = `Live then
+          ( Option.value (int "max_period") ~default:(max 1 ((depth + 1) / 2)),
+            Option.value (int "pump") ~default:(4 * depth) )
+        else (0, 0)
+      in
       if depth < 1 || depth > 64 then
         Error (Printf.sprintf "depth %d out of range" depth)
       else if n < 1 || n > 16 then Error (Printf.sprintf "n %d out of range" n)
+      else if crashes < 0 then
+        Error (Printf.sprintf "crashes %d out of range" crashes)
+      else if kind = `Live && max_period < 1 then
+        Error (Printf.sprintf "max_period %d out of range" max_period)
+      else if kind = `Live && pump < 1 then
+        Error (Printf.sprintf "pump %d out of range" pump)
       else begin
         let sp =
           {
@@ -98,15 +112,8 @@ let spec_of_json j =
             sp_n = n;
             sp_depth = depth;
             sp_crashes = crashes;
-            sp_max_period =
-              (if kind = `Live then
-                 Option.value (int "max_period")
-                   ~default:(max 1 ((depth + 1) / 2))
-               else 0);
-            sp_pump =
-              (if kind = `Live then
-                 Option.value (int "pump") ~default:(4 * depth)
-               else 0);
+            sp_max_period = max_period;
+            sp_pump = pump;
           }
         in
         match factory_of_spec sp with

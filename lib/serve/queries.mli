@@ -35,8 +35,10 @@ val spec_of_json : Json.t -> (spec, string) result
 (** Parse a client query object: [kind] ("explore" | "live"), [impl],
     [n], [depth], [crashes], and for liveness [property],
     [max_period], [pump] — unknown implementations, malformed freedom
-    points and non-positive bounds are errors, so a bad query dies at
-    the door instead of inside a worker.  Liveness defaults resolve
+    points and out-of-range bounds (depth outside [1, 64], n outside
+    [1, 16], negative crashes, a live [max_period] or [pump] below 1)
+    are errors, so a bad query dies at the door instead of inside a
+    worker.  Liveness defaults resolve
     here ([max_period = ceil(depth/2)], [pump = 4*depth]). *)
 
 val spec_to_json : spec -> string

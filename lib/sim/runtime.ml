@@ -620,7 +620,7 @@ let with_shadow sh f =
    physically touched (plus its effective footprint), so the
    exploration engines can compute race reversals from dynamic
    conflicts — what a step actually did in this configuration — instead
-   of declared footprints alone.  One probe per engine (per domain),
+   of declared footprints alone.  One probe per engine,
    installed around [Runner.Cursor.apply] exactly like the shadow; with
    no probe installed, [touch] stays one domain-local read and a
    branch. *)

@@ -230,7 +230,7 @@ val touch : obj:int -> write:bool -> unit
     configuration — rather than from declared footprints alone.  A
     probe records, per completed atomic step, the step's effective
     footprint and its {!touch}es; unlike the shadow it validates
-    nothing and never raises.  Install one per engine (per domain)
+    nothing and never raises.  Install one per engine
     with {!with_probe} (or [Runner.Cursor.with_ ~probe]); after each
     [Schedule] grant the engine reads the last step's observation. *)
 

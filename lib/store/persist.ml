@@ -42,11 +42,11 @@ let record_of_exploration ~qid ~depth (e : ('inv, 'res) Explore.exploration) =
 
 let run_explore ~store ~qid ~n ~factory ~invoke ~depth ?(max_crashes = 0)
     ?(cache = true) ?cache_capacity ?(por = false) ?(dpor = false)
-    ?(symmetry = false) ?(domains = 1) ?obs ?(sanitize = false)
+    ?(symmetry = false) ?obs ?(sanitize = false)
     ?(compact = true) ?bitstate ?cancel ~check () =
   let explore () =
     Explore.explore ~n ~factory ~invoke ~depth ~max_crashes ~cache
-      ?cache_capacity ~por ~dpor ~symmetry ~domains ?obs ~sanitize ~compact
+      ?cache_capacity ~por ~dpor ~symmetry ?obs ~sanitize ~compact
       ?bitstate ?cancel ~check ()
   in
   match bitstate with

@@ -6,9 +6,8 @@
     the verdict-relevant identity: the implementation ident, the
     property ident, the system size, the initial shared-state digest
     ({!instance_digest}) and the reduction flags.  Anything that
-    cannot change a verdict — cache on/off, capacity, compaction,
-    domain count — deliberately stays out of the key, so tuning runs
-    share records.
+    cannot change a verdict — cache on/off, capacity, compaction —
+    deliberately stays out of the key, so tuning runs share records.
 
     Answer planning is warm, else cold:
 
@@ -85,7 +84,6 @@ val run_explore :
   ?por:bool ->
   ?dpor:bool ->
   ?symmetry:bool ->
-  ?domains:int ->
   ?obs:Slx_obs.Obs.t ->
   ?sanitize:bool ->
   ?compact:bool ->

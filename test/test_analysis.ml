@@ -284,48 +284,42 @@ let one_proposal =
   Explore.workload_invoke
     (Driver.n_times 1 (fun p _ -> Slx_consensus.Consensus_type.Propose (p - 1)))
 
-let explore_register ?cache ?(por = false) ?(symmetry = false) ?domains
+let explore_register ?cache ?(por = false) ?(symmetry = false)
     ?(sanitize = false) () =
   Explore.explore ~n:2
     ~factory:(fun () -> Slx_consensus.Register_consensus.factory ())
-    ~invoke:one_proposal ~depth:8 ?cache ~por ~symmetry ?domains ~sanitize
+    ~invoke:one_proposal ~depth:8 ?cache ~por ~symmetry ~sanitize
     ~check:(fun r ->
       Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history)
     ()
 
-let essence ~steps e =
+let essence e =
   let s = e.Explore.stats in
   ( (match e.Explore.outcome with
     | Explore.Ok runs -> ("ok", runs)
     | Explore.Counterexample _ -> ("cex", 0)),
     s.Explore_stats.runs,
-    (if steps then s.Explore_stats.steps_executed else 0),
+    s.Explore_stats.steps_executed,
     s.Explore_stats.history_digest )
 
 let test_sanitize_changes_nothing () =
   let configs =
     [
-      ("plain", true, fun sanitize -> explore_register ~sanitize ());
-      ( "no-cache",
-        true,
-        fun sanitize -> explore_register ~cache:false ~sanitize () );
+      ("plain", fun sanitize -> explore_register ~sanitize ());
+      ("no-cache", fun sanitize -> explore_register ~cache:false ~sanitize ());
       ( "por+symmetry",
-        true,
         fun sanitize -> explore_register ~por:true ~symmetry:true ~sanitize ()
       );
-      ( "domains-3",
-        false,
-        fun sanitize -> explore_register ~domains:3 ~sanitize () );
     ]
   in
   List.iter
-    (fun (name, steps, run) ->
+    (fun (name, run) ->
       let off = run false and on = run true in
       Alcotest.(check (pair (pair (pair string int) int) (pair int int)))
         (name ^ ": sanitizing changes nothing the engine computes")
-        (let a, b, c, d = essence ~steps off in
+        (let a, b, c, d = essence off in
          (((fst a, snd a), b), (c, d)))
-        (let a, b, c, d = essence ~steps on in
+        (let a, b, c, d = essence on in
          (((fst a, snd a), b), (c, d)));
       check_int
         (name ^ ": instrumented implementations declare truthfully")

@@ -54,18 +54,6 @@ let summary (e : _ Explore.exploration) =
     s.Explore_stats.runs s.nodes s.steps_executed s.steps_replayed
     s.cache_hits s.history_digest (witness e)
 
-(* Under fan-out, node, step and hit counts depend on the steal
-   schedule, and so do the runs counted before a counterexample stops
-   the domains.  The rank-least witness does not, nor do the run count
-   and history digest of an exhaustive (counterexample-free) walk. *)
-let parallel_summary (e : _ Explore.exploration) =
-  let s = e.Explore.stats in
-  match e.Explore.witness_script with
-  | Some _ -> Printf.sprintf "witness=[%s]" (witness e)
-  | None ->
-      Printf.sprintf "runs=%d history_digest=%d" s.Explore_stats.runs
-        s.history_digest
-
 let live_summary (r : _ Live_explore.result) =
   let s = r.Live_explore.stats in
   let verdict =
@@ -86,11 +74,10 @@ let register () = Register_consensus.factory ()
 let cas () = Cas_consensus.factory ()
 let selfish () = Selfish_consensus.factory ()
 
-let explore ?(domains = 1) ?(reduce = false) ?(dpor = false)
-    ?(check = consensus_check) ~n ~depth ~crashes factory =
+let explore ?(reduce = false) ?(dpor = false) ?(check = consensus_check) ~n
+    ~depth ~crashes factory =
   Explore.explore ~n ~factory ~invoke:one_proposal ~depth
-    ~max_crashes:crashes ~por:reduce ~symmetry:reduce ~dpor ~domains ~check
-    ()
+    ~max_crashes:crashes ~por:reduce ~symmetry:reduce ~dpor ~check ()
 
 let live ?(dpor = false) ~l ~k ~n ~depth ~crashes () =
   Live_explore.search ~n
@@ -145,23 +132,8 @@ let cases =
         summary
           (Explore.explore_naive ~n:2 ~factory:register ~invoke:one_proposal
              ~depth:8 ~max_crashes:1 ~check:consensus_check ()) );
-    ( "register n=2 depth=12 c=1 dpor domains=2",
-      fun () ->
-        parallel_summary
-          (explore ~domains:2 ~dpor:true ~n:2 ~depth:12 ~crashes:1 register) );
-    ( "cas n=3 depth=10 c=1 dpor domains=2",
-      fun () ->
-        parallel_summary
-          (explore ~domains:2 ~dpor:true ~n:3 ~depth:10 ~crashes:1 cas) );
-    ( "register n=3 depth=12 c=1 dpor domains=2, p1 responds first",
-      fun () ->
-        parallel_summary
-          (explore ~check:p1_responds_first ~domains:2 ~dpor:true ~n:3
-             ~depth:12 ~crashes:1 register) );
-    ( "selfish n=3 depth=8 c=1 dpor domains=2",
-      fun () ->
-        parallel_summary
-          (explore ~domains:2 ~dpor:true ~n:3 ~depth:8 ~crashes:1 selfish) );
+    ( "cas n=3 depth=10 c=1 dpor",
+      fun () -> summary (explore ~dpor:true ~n:3 ~depth:10 ~crashes:1 cas) );
     ( "live (1,1) n=2 depth=8 c=1",
       fun () -> live_summary (live ~l:1 ~k:1 ~n:2 ~depth:8 ~crashes:1 ()) );
     ( "live (1,1) n=2 depth=8 c=1 dpor",
@@ -223,14 +195,9 @@ let pinned =
     ( "register n=2 depth=8 c=1 naive",
       "runs=766 nodes=1515 steps_executed=10686 steps_replayed=10686 \
          cache_hits=0 history_digest=-1491201430012651329 witness=[none]" );
-    ( "register n=2 depth=12 c=1 dpor domains=2",
-      "runs=851 history_digest=1228134150341533242" );
-    ( "cas n=3 depth=10 c=1 dpor domains=2",
-      "runs=5628 history_digest=3963148168097614869" );
-    ( "register n=3 depth=12 c=1 dpor domains=2, p1 responds first",
-      "witness=[5 9 8 8 8 8 8 8 8 8 8 8]" );
-    ( "selfish n=3 depth=8 c=1 dpor domains=2",
-      "witness=[5 9 13 6]" );
+    ( "cas n=3 depth=10 c=1 dpor",
+      "runs=5628 nodes=7798 steps_executed=30071 steps_replayed=22274 \
+         cache_hits=1513 history_digest=3963148168097614869 witness=[none]" );
     ( "live (1,1) n=2 depth=8 c=1",
       "no_fair_cycle nodes=1515 runs=766 steps_executed=9658 \
          steps_replayed=4614 cache_hits=0" );

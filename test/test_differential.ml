@@ -182,7 +182,7 @@ let prop_opacity_matches_brute_force =
 
 (* ------------------------------------------------------------------ *)
 (* Differential validation of the exploration engines: the incremental
-   cached (and parallel) explorer must visit exactly the maximal runs
+   cached explorer must visit exactly the maximal runs
    the retained naive replay reference visits.  Cache-off engines are
    compared on the exact multiset of final histories (collected through
    the check callback); cached engines never materialize pruned runs,
@@ -219,53 +219,23 @@ let explorer_equivalence name ~factory ~invoke ~depth ~max_crashes =
   in
   let digest e = e.Explore.stats.Explore_stats.history_digest in
   check_int (name ^ ": cache-off run count") (runs naive) (runs nocache);
-  (* Work-stealing with the cache off visits every maximal run exactly
-     once too, split across domains — compare the exact multiset again,
-     accumulated through an atomic (check runs concurrently). *)
-  let ws_hist = Atomic.make [] in
-  let ws_collect r =
-    let h = Slx_sim.Runtime.hash_value r.Run_report.history in
-    let rec add () =
-      let cur = Atomic.get ws_hist in
-      if not (Atomic.compare_and_set ws_hist cur (h :: cur)) then add ()
-    in
-    add ();
-    true
-  in
-  let ws =
-    Explore.explore ~n:2 ~factory ~invoke ~depth ~max_crashes ~cache:false
-      ~domains:3 ~check:ws_collect ()
-  in
-  check_bool
-    (name ^ ": work-stealing cache-off engine visits the identical run \
-             multiset")
-    true
-    (multiset naive_hist = List.sort compare (Atomic.get ws_hist));
-  check_int (name ^ ": work-stealing run count") (runs naive) (runs ws);
-  (* Cached engines, sequential and fanned out: count + digest. *)
+  (* The cached engine: count + digest. *)
   let check r = ignore (r : _ Run_report.t); true in
   let cached =
     Explore.explore ~n:2 ~factory ~invoke ~depth ~max_crashes ~check ()
   in
-  let parallel =
-    Explore.explore ~n:2 ~factory ~invoke ~depth ~max_crashes ~domains:3
-      ~check ()
-  in
-  List.iter
-    (fun (engine, e) ->
-      check_int (name ^ ": " ^ engine ^ " run count") (runs naive) (runs e);
-      check_bool (name ^ ": " ^ engine ^ " history digest") true
-        (digest naive = digest e))
-    [ ("cached", cached); ("parallel", parallel) ];
+  check_int (name ^ ": cached run count") (runs naive) (runs cached);
+  check_bool (name ^ ": cached history digest") true
+    (digest naive = digest cached);
   (* Reduced engines explore representatives only: the run count drops
      but the verdict must agree with naive on the same instance, and
      each reduced configuration must be self-deterministic (same count
      and digest on a re-run). *)
   List.iter
-    (fun (engine, por, symmetry, domains) ->
+    (fun (engine, por, symmetry) ->
       let reduced () =
         Explore.explore ~n:2 ~factory ~invoke ~depth ~max_crashes ~por
-          ~symmetry ~domains ~check ()
+          ~symmetry ~check ()
       in
       let e = reduced () and e' = reduced () in
       check_bool (name ^ ": " ^ engine ^ " verdict agrees with naive") true
@@ -282,10 +252,9 @@ let explorer_equivalence name ~factory ~invoke ~depth ~max_crashes =
       check_bool (name ^ ": " ^ engine ^ " is deterministic (digest)") true
         (digest e = digest e'))
     [
-      ("por", true, false, 1);
-      ("symmetry", false, true, 1);
-      ("por+symmetry", true, true, 1);
-      ("por+symmetry work-stealing", true, true, 3);
+      ("por", true, false);
+      ("symmetry", false, true);
+      ("por+symmetry", true, true);
     ]
 
 let one_proposal =
@@ -328,7 +297,7 @@ let test_explorers_agree_tm_crashes () =
 
 (* Counterexample equivalence: on a violating instance (selfish
    consensus breaks agreement) every engine configuration — naive,
-   cached or not, reduced or not, sequential or fanned out — must
+   cached or not, reduced or not — must
    report the byte-identical lexicographically-least witness script
    and failing history.  The selfish violation involves both
    processes' invocations, so no reduction can prune it away. *)
@@ -373,14 +342,6 @@ let test_explorers_agree_on_counterexample () =
         fun () ->
           Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth:8
             ~por:true ~symmetry:true ~check () );
-      ( "work-stealing",
-        fun () ->
-          Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth:8
-            ~domains:3 ~check () );
-      ( "por+symmetry work-stealing",
-        fun () ->
-          Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth:8
-            ~por:true ~symmetry:true ~domains:3 ~check () );
       ( "bounded cache",
         fun () ->
           Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth:8

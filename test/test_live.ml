@@ -357,11 +357,7 @@ let test_stats_json_has_cycle_counters () =
   let r = search_register ~depth:8 (Freedom.make ~l:1 ~k:2) in
   let j = Explore_stats.to_json r.Live_explore.stats in
   check_bool "cycles_examined serialized" true (contains j "\"cycles_examined\"");
-  check_bool "fair_cycles serialized" true (contains j "\"fair_cycles\"");
-  let m = Explore_stats.merge r.Live_explore.stats r.Live_explore.stats in
-  check_int "merge sums cycle counters"
-    (2 * r.Live_explore.stats.Explore_stats.cycles_examined)
-    m.Explore_stats.cycles_examined
+  check_bool "fair_cycles serialized" true (contains j "\"fair_cycles\"")
 
 let suites =
   [

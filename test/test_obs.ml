@@ -50,7 +50,7 @@ let test_ring_below_capacity () =
   check_bool "ring sinks are enabled" true (Telemetry.enabled sink);
   check_bool "the null sink is disabled" false (Telemetry.enabled Telemetry.null);
   (* Emitting into the null sink must be a no-op (and not crash). *)
-  Telemetry.emit Telemetry.null Telemetry.Steal 1 2
+  Telemetry.emit Telemetry.null Telemetry.Hb_edge 1 2
 
 let test_dec_codes () =
   Alcotest.(check string) "schedule" "S1" (Telemetry.Dec.pp (Telemetry.Dec.schedule 1));
@@ -141,8 +141,8 @@ let test_trace_export_well_formed () =
       ev 120 Telemetry.Node_enter 1 0;
       ev 130 Telemetry.Cache_hit 1 3;
       ev 140 Telemetry.Node_leave 1 0;
-      ev 150 Telemetry.Frontier_push 7 1;
-      ev 160 ~domain:1 Telemetry.Steal 7 0;
+      ev 150 Telemetry.Por_sleep 1 1;
+      ev 160 ~domain:1 Telemetry.Run_checked 3 0;
       ev 170 Telemetry.Pump_start 2 0;
       ev 180 Telemetry.Pump_verdict 2 1;
       ev 190 Telemetry.Node_leave 0 0;
@@ -161,8 +161,6 @@ let test_trace_export_well_formed () =
           check_int "pump spans balance" 1 (Trace_export.span_count sm "pump");
           check_int "cache hit instant" 1
             (Trace_export.instant_count sm "cache_hit");
-          check_int "one flow start" 1 sm.Trace_export.sm_flow_starts;
-          check_int "one flow end" 1 sm.Trace_export.sm_flow_ends;
           check_int "two lanes" 2 sm.Trace_export.sm_lanes;
           check_int "dropped count survives" 5 sm.Trace_export.sm_dropped
     end
@@ -181,12 +179,16 @@ let test_trace_validate_rejects_unbalanced () =
       | Ok _ -> Alcotest.fail "validator accepted an open span"
     end
   | Error e -> Alcotest.failf "unexpected parse error: %s" e);
-  let orphan_flow = [ ev 100 ~domain:2 Telemetry.Steal 9 0 ] in
-  match Json.parse (Trace_export.to_string ~events_dropped:0 orphan_flow) with
+  (* Spans balance per lane: a span opened on one lane cannot be
+     closed from another. *)
+  let cross_lane =
+    [ ev 100 Telemetry.Node_enter 0 0; ev 110 ~domain:1 Telemetry.Node_leave 0 0 ]
+  in
+  match Json.parse (Trace_export.to_string ~events_dropped:0 cross_lane) with
   | Ok json -> begin
       match Trace_export.validate json with
       | Error _ -> ()
-      | Ok _ -> Alcotest.fail "validator accepted a flow end without start"
+      | Ok _ -> Alcotest.fail "validator accepted a span closed on another lane"
     end
   | Error e -> Alcotest.failf "unexpected parse error: %s" e
 
@@ -199,52 +201,43 @@ let one_proposal =
          Slx_consensus.Consensus_type.Propose (p - 1)))
 
 let explore_register ?cache ?cache_capacity ?(por = false) ?(symmetry = false)
-    ?domains ?obs () =
+    ?obs () =
   Explore.explore ~n:2
     ~factory:(fun () -> Slx_consensus.Register_consensus.factory ())
-    ~invoke:one_proposal ~depth:8 ?cache ?cache_capacity ~por ~symmetry
-    ?domains ?obs
+    ~invoke:one_proposal ~depth:8 ?cache ?cache_capacity ~por ~symmetry ?obs
     ~check:(fun r ->
       Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history)
     ()
 
-let essence ~steps e =
+let essence e =
   let s = e.Explore.stats in
   ( (match e.Explore.outcome with
     | Explore.Ok runs -> ("ok", runs)
     | Explore.Counterexample _ -> ("cex", 0)),
     s.Explore_stats.runs,
-    (if steps then s.Explore_stats.steps_executed else 0),
+    s.Explore_stats.steps_executed,
     s.Explore_stats.history_digest )
 
 let test_tracing_does_not_change_verdicts () =
-  (* [steps_executed] is scheduling-dependent in the parallel engine
-     (per-domain transposition caches split differently run to run), so
-     it is only compared for the deterministic sequential configs; the
-     verdict, run count and history digest must match everywhere. *)
   let configs =
     [
-      ("plain", true, fun obs -> explore_register ~obs ());
-      ("no-cache", true, fun obs -> explore_register ~cache:false ~obs ());
-      ( "bounded-cache",
-        true,
-        fun obs -> explore_register ~cache_capacity:8 ~obs () );
+      ("plain", fun obs -> explore_register ~obs ());
+      ("no-cache", fun obs -> explore_register ~cache:false ~obs ());
+      ("bounded-cache", fun obs -> explore_register ~cache_capacity:8 ~obs ());
       ( "por+symmetry",
-        true,
         fun obs -> explore_register ~por:true ~symmetry:true ~obs () );
-      ("domains-3", false, fun obs -> explore_register ~domains:3 ~obs ());
     ]
   in
   List.iter
-    (fun (name, steps, run) ->
+    (fun (name, run) ->
       (* A bundle is single-shot, so each run gets its own. *)
       let untraced = run (Obs.create ()) in
       let traced = run (Obs.create ~tracing:true ()) in
       Alcotest.(check (pair (pair (pair string int) int) (pair int int)))
         (name ^ ": tracing changes nothing the engine computes")
-        (let a, b, c, d = essence ~steps untraced in
+        (let a, b, c, d = essence untraced in
          (((fst a, snd a), b), (c, d)))
-        (let a, b, c, d = essence ~steps traced in
+        (let a, b, c, d = essence traced in
          (((fst a, snd a), b), (c, d))))
     configs
 
@@ -279,24 +272,6 @@ let test_traced_events_reconcile_with_stats () =
           check_int "exported cache hits match the stats"
             s.Explore_stats.cache_hits
             (Trace_export.instant_count sm "cache_hit")
-    end
-
-let test_traced_steals_have_flow_starts () =
-  let obs = Obs.create ~tracing:true () in
-  let e = explore_register ~domains:2 ~obs () in
-  let s = e.Explore.stats in
-  match Json.parse (Obs.trace_string obs) with
-  | Error err -> Alcotest.failf "parallel trace does not parse: %s" err
-  | Ok json -> begin
-      match Trace_export.validate json with
-      | Error err ->
-          Alcotest.failf "parallel trace does not validate: %s" err
-      | Ok sm ->
-          (* validate already proved every flow end has a start. *)
-          check_int "one flow end per steal" s.Explore_stats.steals
-            sm.Trace_export.sm_flow_ends;
-          check_bool "spans balance on every lane" true
-            (Trace_export.span_count sm "node" = s.Explore_stats.nodes)
     end
 
 let test_live_search_traced_matches_untraced () =
@@ -404,7 +379,6 @@ let suites =
         quick "tracing changes no verdict" test_tracing_does_not_change_verdicts;
         quick "events reconcile with stats"
           test_traced_events_reconcile_with_stats;
-        quick "steal flows are anchored" test_traced_steals_have_flow_starts;
         quick "live search traced = untraced"
           test_live_search_traced_matches_untraced;
       ] );

@@ -4,6 +4,8 @@
      engine's exact work (runs, digest, steps, witness, lasso), so a
      served answer costs what a cold CLI run costs, and its result line
      carries the answer and its work counters and nothing else.
+   - Out-of-range bounds are refused: a usage error on the CLI, an
+     [Error] from the serve decoder.
    - Warm service: {!Queries.warm_result} serves a computed verdict
      from its record, and refuses a record whose witness does not
      replay or whose liveness budgets differ.
@@ -347,9 +349,54 @@ let test_warm_refuses () =
   | _ -> Alcotest.fail "live register (1,2): no lasso"
 
 (* ------------------------------------------------------------------ *)
-(* A live coordinator.                                                 *)
+(* Out-of-range input.                                                 *)
 
 let slx_bin = "../bin/slx_cli.exe"
+
+(* Each bad bound is a usage error (cmdliner's exit 124) on the CLI,
+   never an engine exception (125) or a verdict. *)
+let test_cli_out_of_range_refused () =
+  List.iter
+    (fun args ->
+      check_int
+        (Printf.sprintf "slx %s is a usage error" args)
+        124
+        (Sys.command
+           (Printf.sprintf "%s %s --json >/dev/null 2>&1" slx_bin args)))
+    [
+      "explore --cache-capacity 0";
+      "explore --bitstate 40";
+      "explore --bitstate 3";
+      "explore --depth=-3";
+      "explore --crashes=-2";
+      "explore -j 2";
+      "live-explore --max-period 0";
+      "live-explore --pump 0";
+      "live-explore --depth=-1";
+      "live-explore --crashes=-1";
+      "live-explore --cache-capacity 0";
+      "live-explore --procs 0";
+    ]
+
+(* The serve decoder answers the same bad bounds with an [Error]. *)
+let test_decoder_out_of_range_refused () =
+  List.iter
+    (fun fields ->
+      match Result.bind (Json.parse fields) Queries.spec_of_json with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "the decoder accepted %s" fields)
+    [
+      {|{"kind": "explore", "crashes": -1}|};
+      {|{"kind": "live", "crashes": -1}|};
+      {|{"kind": "live", "max_period": 0}|};
+      {|{"kind": "live", "pump": 0}|};
+      {|{"kind": "explore", "depth": 0}|};
+      {|{"kind": "explore", "n": 0}|};
+    ];
+  ignore (spec_of {|{"kind": "live", "max_period": 1, "pump": 1, "crashes": 0}|})
+
+(* ------------------------------------------------------------------ *)
+(* A live coordinator.                                                 *)
 
 let temp_store () =
   let path = Filename.temp_file "slx_serve_test" ".store" in
@@ -604,6 +651,13 @@ let suites =
           test_full_task_lasso;
         Alcotest.test_case "clean live cas" `Quick test_full_task_live_clean;
         Alcotest.test_case "result members" `Quick test_result_members;
+      ] );
+    ( "serve.input",
+      [
+        Alcotest.test_case "CLI refuses out-of-range bounds" `Quick
+          test_cli_out_of_range_refused;
+        Alcotest.test_case "decoder refuses out-of-range bounds" `Quick
+          test_decoder_out_of_range_refused;
       ] );
     ( "serve.warm",
       [
