@@ -21,14 +21,12 @@
    slx stats --trace FILE
        Replay a trace recorded with --trace into summary histograms.
 
-   slx lint [PATHS] [--ci] [--json] [--root DIR] [--waivers FILE]
-       Statically check model sources (escape/determinism/footprint
-       families); nonzero exit on any unwaived finding.
-
-   slx audit [--ci] [--oracle] [--lint] [--json] [--group G] [--case NAME]
+   slx audit [--ci] [--oracle] [--json] [--group G] [--case NAME]
        Sweep every registered implementation's bounded schedule tree
        with the conflict-soundness sanitizer armed; nonzero exit on
-       any footprint violation.  --lint folds the static sweep in.
+       any footprint violation.  (The static lint sweep is the
+       separate bin/slx_lint_cli.exe, which keeps compiler-libs out of
+       this executable.)
 
    slx serve --port N --workers N --store FILE
        Run the JSON-over-HTTP verification service: warm answers from
@@ -1068,100 +1066,6 @@ let stats_cmd =
     Term.(const run $ store_file_arg $ trace_file_arg)
 
 (* ------------------------------------------------------------------ *)
-(* lint                                                                *)
-
-let lint_today () =
-  let tm = Unix.gmtime (Unix.time ()) in
-  Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
-    tm.Unix.tm_mday
-
-let default_waiver_file = "lint-waivers.conf"
-
-(* Shared by [slx lint] and [slx audit --lint]: sweep, defaulting the
-   waiver file to the checked-in [lint-waivers.conf] when present. *)
-let run_lint ?root ?paths ?waivers ~ci () =
-  let module Lint = Slx_lint.Lint in
-  let rootdir = Option.value root ~default:"." in
-  let waiver_file =
-    match waivers with
-    | Some _ as w -> w
-    | None ->
-        if Sys.file_exists (Filename.concat rootdir default_waiver_file) then
-          Some default_waiver_file
-        else None
-  in
-  Lint.run ?root ?paths ?waiver_file ~today:(lint_today ())
-    ~strict_waivers:ci ()
-
-let lint_cmd =
-  let module Lint = Slx_lint.Lint in
-  let paths_arg =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"PATH"
-          ~doc:
-            "Files or directories to sweep, relative to --root (default: \
-             the model-code set: lib/objects, lib/consensus, lib/tm, \
-             lib/base_objects, examples, lib/analysis/fixtures.ml).")
-  in
-  let root_arg =
-    Arg.(
-      value & opt string "."
-      & info [ "root" ] ~docv:"DIR"
-          ~doc:"Resolve paths and the waiver file relative to $(docv).")
-  in
-  let waivers_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "waivers" ] ~docv:"FILE"
-          ~doc:
-            "The waiver file (default: lint-waivers.conf under --root \
-             when present).")
-  in
-  let json_arg =
-    Arg.(value & flag
-         & info [ "json" ] ~doc:"Emit the full report as one JSON object.")
-  in
-  let ci_arg =
-    Arg.(value & flag
-         & info [ "ci" ]
-             ~doc:"Gate on stale waivers too: an entry that matches no \
-                   finding becomes a warning instead of a note.")
-  in
-  let out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "out"; "o" ] ~docv:"FILE"
-             ~doc:"Also write the report to this file.")
-  in
-  let run paths root waivers json ci out =
-    let paths = match paths with [] -> None | ps -> Some ps in
-    let rp = run_lint ~root ?paths ?waivers ~ci () in
-    let rendered =
-      if json then Lint.to_json rp ^ "\n"
-      else Format.asprintf "%a@." Lint.pp rp
-    in
-    print_string rendered;
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        output_string oc rendered;
-        close_out oc)
-      out;
-    if Lint.clean rp then 0 else 1
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Statically check model sources for escape, determinism and \
-          footprint violations: the conservative all-paths complement of \
-          the audit's exact explored-paths sanitizer.  Nonzero exit on \
-          any unwaived finding.")
-    Term.(
-      const run $ paths_arg $ root_arg $ waivers_arg $ json_arg $ ci_arg
-      $ out_arg)
-
-(* ------------------------------------------------------------------ *)
 (* audit                                                               *)
 
 let audit_cmd =
@@ -1208,13 +1112,7 @@ let audit_cmd =
     Arg.(value & opt (some string) None
          & info [ "out"; "o" ] ~doc:"Also write the report to this file.")
   in
-  let lint_arg =
-    Arg.(value & flag
-         & info [ "lint" ]
-             ~doc:"Also run the static lint sweep and fold its verdict \
-                   into the report and the exit code.")
-  in
-  let run json ci oracle depth group case fixtures out lint =
+  let run json ci oracle depth group case fixtures out =
     let pool =
       if fixtures then Registry.all () @ Registry.fixture_cases ()
       else Registry.all ()
@@ -1233,20 +1131,9 @@ let audit_cmd =
             List.map (fun c -> Audit.run_case ~bound ?depth ~oracle c) cases;
         }
       in
-      let lint_rp = if lint then Some (run_lint ~ci ()) else None in
       let rendered =
-        match lint_rp with
-        | None ->
-            if json then Audit.report_to_json rp ^ "\n"
-            else Format.asprintf "%a" Audit.pp_report rp
-        | Some lrp ->
-            if json then
-              Printf.sprintf "{\"audit\": %s,\n\"lint\": %s}\n"
-                (Audit.report_to_json rp)
-                (Slx_lint.Lint.to_json lrp)
-            else
-              Format.asprintf "%a@.--- lint ---@.%a@." Audit.pp_report rp
-                Slx_lint.Lint.pp lrp
+        if json then Audit.report_to_json rp ^ "\n"
+        else Format.asprintf "%a" Audit.pp_report rp
       in
       print_string rendered;
       Option.iter
@@ -1255,10 +1142,7 @@ let audit_cmd =
           output_string oc rendered;
           close_out oc)
         out;
-      let lint_clean =
-        match lint_rp with None -> true | Some l -> Slx_lint.Lint.clean l
-      in
-      if Audit.clean rp && lint_clean then 0 else 1
+      if Audit.clean rp then 0 else 1
     end
   in
   Cmd.v
@@ -1272,7 +1156,7 @@ let audit_cmd =
           violation.")
     Term.(
       const run $ json_arg $ ci_arg $ oracle_arg $ depth_arg $ group_arg
-      $ case_arg $ fixtures_arg $ out_arg $ lint_arg)
+      $ case_arg $ fixtures_arg $ out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve / query / worker                                              *)
@@ -1440,6 +1324,6 @@ let () =
   in
   exit (Cmd.eval' (Cmd.group info
        [ figure1_cmd; game_cmd; tm_game_cmd; theorems_cmd; mutex_cmd;
-         explore_cmd; live_explore_cmd; stats_cmd; lint_cmd; audit_cmd;
+         explore_cmd; live_explore_cmd; stats_cmd; audit_cmd;
          serve_cmd;
          query_cmd; worker_cmd ]))

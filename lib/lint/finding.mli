@@ -46,5 +46,5 @@ val json_escape : string -> string
 (** JSON string-body escaping (shared with the report emitters). *)
 
 val rules : (string * severity * string) list
-(** The rule catalog: id, default severity, one-line doc.  [slx lint
-    --rules] prints it; tests assert reported ids stay within it. *)
+(** The rule catalog: id, default severity, one-line doc.  Tests
+    assert reported ids stay within it. *)

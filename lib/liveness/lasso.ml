@@ -74,6 +74,9 @@ let status_code = function
   | Runtime.Ready -> 1
   | Runtime.Crashed -> 2
 
+(* The full fold, not the polymorphic [Hashtbl.hash]: that one stops
+   after 10 meaningful values, and at n = 4 the last process's status
+   already falls past them, so a diverging status went unseen. *)
 let boundary_digest cursor cells =
   let view = Runner.Cursor.view cursor in
   let statuses =
@@ -81,7 +84,7 @@ let boundary_digest cursor cells =
       (fun p -> status_code (view.Driver.status p))
       (Proc.all ~n:view.Driver.n)
   in
-  Hashtbl.hash (cells, statuses)
+  Runtime.hash_value (cells, statuses)
 
 let cert_of_cursor ~stem ~cycle ~cells cursor =
   if cycle = [] then invalid_arg "Lasso.cert_of_cursor: empty cycle";

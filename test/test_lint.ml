@@ -214,18 +214,22 @@ let test_deep_leak_static_vs_dynamic () =
        static.Lint.findings)
 
 (* ------------------------------------------------------------------ *)
-(* The CLI: exit codes per fixture, and the normalized stats errors.   *)
+(* The CLIs: the linter's exit codes per fixture, the normalized stats  *)
+(* errors, and [slx] staying free of compiler-libs.                    *)
 
 let slx args = Sys.command (Printf.sprintf "../bin/slx_cli.exe %s" args)
+
+let slx_lint args =
+  Sys.command (Printf.sprintf "../bin/slx_lint_cli.exe %s" args)
 
 let test_cli_exit_codes () =
   List.iter
     (fun f ->
       check_int
-        (Printf.sprintf "slx lint exits 1 on %s" f)
+        (Printf.sprintf "slx_lint_cli exits 1 on %s" f)
         1
-        (slx
-           (Printf.sprintf "lint --root %s %s >/dev/null 2>&1" fixture_root f)))
+        (slx_lint
+           (Printf.sprintf "--root %s %s >/dev/null 2>&1" fixture_root f)))
     [
       "bad_escape_global.ml"; "bad_escape_closure.ml"; "bad_det_random.ml";
       "bad_det_physeq.ml"; "bad_fp_undeclared.ml"; "bad_fp_write.ml";
@@ -234,15 +238,35 @@ let test_cli_exit_codes () =
   List.iter
     (fun f ->
       check_int
-        (Printf.sprintf "slx lint exits 0 on %s" f)
+        (Printf.sprintf "slx_lint_cli exits 0 on %s" f)
         0
-        (slx
-           (Printf.sprintf "lint --root %s %s >/dev/null 2>&1" fixture_root f)))
+        (slx_lint
+           (Printf.sprintf "--root %s %s >/dev/null 2>&1" fixture_root f)))
     [ "good_escape.ml"; "good_det.ml"; "good_fp.ml" ]
 
 let test_cli_ci_clean_on_shipped_tree () =
-  check_int "slx lint --ci is clean on the shipped tree" 0
-    (slx (Printf.sprintf "lint --ci --root %s >/dev/null 2>&1" repo_root))
+  check_int "slx_lint_cli --ci is clean on the shipped tree" 0
+    (slx_lint (Printf.sprintf "--ci --root %s >/dev/null 2>&1" repo_root))
+
+(* compiler-libs is linked in full once any library names it, and its
+   module initialisers then run in every [slx] process, most of the
+   per-query start-up cost.  The linter is a separate executable for
+   that reason; a compiler-libs module in [slx] means a dependency
+   brought it back. *)
+let test_slx_links_no_compiler_libs () =
+  let bin =
+    In_channel.with_open_bin "../bin/slx_cli.exe" In_channel.input_all
+  in
+  List.iter
+    (fun sym ->
+      check_bool
+        (Printf.sprintf "bin/slx_cli.exe contains no %s symbol" sym)
+        false (contains ~sub:sym bin))
+    [ "camlTypecore"; "camlParser" ];
+  check_int "slx lint is a usage error" 124
+    (slx "lint --ci >/dev/null 2>&1");
+  check_int "slx audit --lint is a usage error" 124
+    (slx "audit --lint >/dev/null 2>&1")
 
 let test_stats_errors_normalized () =
   let run args =
@@ -303,5 +327,7 @@ let suites =
           test_cli_ci_clean_on_shipped_tree;
         quick "stats errors share one structured path"
           test_stats_errors_normalized;
+        quick "slx links no compiler-libs module"
+          test_slx_links_no_compiler_libs;
       ] );
   ]

@@ -225,6 +225,33 @@ let test_cert_digest_repeats_exactly () =
       check_int "digest after two more repetitions" c.Lasso.c_digest
         (boundary cur))
 
+let test_cert_digest_sees_last_process () =
+  (* Two n = 4 boundaries that differ only in process 4's status (idle
+     against crashed) must digest differently, for a short and a long
+     cycle: the polymorphic [Hashtbl.hash] stops before reaching it. *)
+  let period2 = [ [ "p1:step"; "p1:res" ]; [ "p2:step"; "p2:inv" ] ] in
+  let period8 =
+    List.init 8 (fun i ->
+        let p = (i mod 4) + 1 in
+        [ Printf.sprintf "p%d:step" p;
+          Printf.sprintf "p%d:%s" p (if i < 4 then "inv" else "res") ])
+  in
+  let digest ~prefix cells =
+    Runner.Cursor.with_ ~n:4 ~factory:(reg_factory ()) ~prefix (fun cur ->
+        (Lasso.cert_of_cursor ~stem:[]
+           ~cycle:(List.map (fun _ -> Slx_sim.Driver.Schedule 1) cells)
+           ~cells cur)
+          .Lasso.c_digest)
+  in
+  List.iter
+    (fun (name, cells) ->
+      check_bool
+        (Printf.sprintf "%s: process 4's status changes the digest" name)
+        true
+        (digest ~prefix:[] cells
+        <> digest ~prefix:[ Slx_sim.Driver.Crash 4 ] cells))
+    [ ("period 2", period2); ("period 8", period8) ]
+
 let test_pump_rejects_wrong_instance () =
   (* A certificate recorded against the register consensus does not
      validate against a different implementation. *)
@@ -383,6 +410,8 @@ let suites =
     ( "live-explore: certificates",
       [
         quick "boundary digest repeats exactly" test_cert_digest_repeats_exactly;
+        quick "boundary digest sees the last process"
+          test_cert_digest_sees_last_process;
         quick "pump rejects the wrong instance" test_pump_rejects_wrong_instance;
         quick "pump argument errors" test_pump_argument_errors;
       ]
