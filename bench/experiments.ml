@@ -588,7 +588,7 @@ let e16_exhaustive_verification () =
   let reduced =
     Explore.explore ~n:2
       ~factory:(fun () -> Slx_consensus.Register_consensus.factory ())
-      ~invoke:one_proposal ~depth:10 ~por:true ~symmetry:true
+      ~invoke:one_proposal ~depth:10 ~dpor:true ~symmetry:true
       ~check:(fun r ->
         Slx_consensus.Consensus_safety.check r.Run_report.history)
       ()
@@ -607,7 +607,7 @@ let e16_exhaustive_verification () =
     | _ -> false
   in
   Printf.printf
-    "    reductions (register depth 10): plain %d steps vs POR+symmetry %d \
+    "    reductions (register depth 10): plain %d steps vs DPOR+symmetry %d \
      steps (%.2fx); %d slept, %d pruned, %d of %d representative runs\n"
     plain.Explore.stats.Explore_stats.steps_executed
     reduced.Explore.stats.Explore_stats.steps_executed

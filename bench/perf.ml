@@ -154,7 +154,7 @@ let explore_tests =
       ])
     [ 6; 8; 10 ]
   @ [
-      (* The reduced engine (POR + symmetry) on the branchier
+      (* The reduced engine (DPOR + symmetry) on the branchier
          register-consensus tree, against the plain incremental engine
          on the same instance. *)
       Test.make ~name:"explore/register-consensus-depth-10-reduced"
@@ -163,7 +163,7 @@ let explore_tests =
                (Slx_core.Explore.explore ~n:2
                   ~factory:(fun () ->
                     Slx_consensus.Register_consensus.factory ())
-                  ~invoke:one_proposal ~depth:10 ~por:true ~symmetry:true
+                  ~invoke:one_proposal ~depth:10 ~dpor:true ~symmetry:true
                   ~check:(fun _ -> true)
                   ())));
       Test.make ~name:"explore/register-consensus-depth-10"

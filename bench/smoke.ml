@@ -2,7 +2,7 @@
    enough to run on every `dune runtest`, asserting the engine's two
    headline properties — the incremental engine executes at least 3x
    fewer runtime steps than naive replay on depth-8 CAS consensus, and
-   the POR+symmetry reduced engine at least 3x fewer again than the
+   the DPOR+symmetry reduced engine at least 5x fewer again than the
    plain incremental engine on depth-10 register consensus — and
    emitting the JSON rows recorded in BENCH_explore.json. *)
 
@@ -47,18 +47,19 @@ let explore_pair ~impl ~factory ~depth ~max_crashes =
       (digest inc <> digest naive);
   (ratio, equivalent)
 
-(* The reduced engine (POR + symmetry) against the plain incremental
+(* The reduced engine (DPOR + symmetry) against the plain incremental
    engine on the same instance: the reductions must agree on the
-   verdict (representative runs, not the full multiset) and cut the
-   executed steps by at least [bar]. *)
-let explore_reduced ~impl ~factory ~depth ~max_crashes =
+   verdict (representative runs, not the full multiset) and execute at
+   most [max_steps] steps — what the retired declared-footprint
+   sleep sets (POR + symmetry) executed on the same instance. *)
+let explore_reduced ~impl ~factory ~depth ~max_crashes ~max_steps =
   let inc =
     Slx_core.Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth
       ~max_crashes ~check ()
   in
   let red =
     Slx_core.Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth
-      ~max_crashes ~por:true ~symmetry:true ~check ()
+      ~max_crashes ~dpor:true ~symmetry:true ~check ()
   in
   let ratio = float_of_int (steps inc) /. float_of_int (max 1 (steps red)) in
   let st = red.Slx_core.Explore.stats in
@@ -74,13 +75,17 @@ let explore_reduced ~impl ~factory ~depth ~max_crashes =
     Printf.printf
       "  SMOKE FAILURE: reduced engine verdict differs (safe %b vs %b)\n"
       (safe inc) (safe red);
-  (ratio, agree)
+  let within = steps red <= max_steps in
+  if not within then
+    Printf.printf
+      "  SMOKE FAILURE: reduced engine executed %d steps (bar: <= %d)\n"
+      (steps red) max_steps;
+  (ratio, agree && within)
 
-(* The dynamic reduction (observed-access DPOR) against the plain
-   incremental engine on the same instance: observed accesses refine
-   declared footprints, so DPOR must prune at least as hard as the
-   declaration-based sleep sets while agreeing on the verdict.  These
-   are the BENCH_explore.json "dpor" step rows. *)
+(* The dynamic reduction (observed-access DPOR, no symmetry) against
+   the plain incremental engine on the same instance: it must agree on
+   the verdict and never execute more steps.  These are the
+   BENCH_explore.json "dpor" step rows. *)
 let explore_dpor ~impl ~factory ~depth ~max_crashes =
   let inc =
     Slx_core.Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth
@@ -389,7 +394,7 @@ let obs_overhead_smoke () =
   let explore ?obs () =
     Slx_core.Explore.explore ~n:2
       ~factory:(fun () -> Slx_consensus.Register_consensus.factory ())
-      ~invoke:one_proposal ~depth:10 ~max_crashes:0 ~por:true ~symmetry:true
+      ~invoke:one_proposal ~depth:10 ~max_crashes:0 ~dpor:true ~symmetry:true
       ?obs ~check ()
   in
   let best f =
@@ -439,7 +444,7 @@ let sanitize_overhead_smoke () =
   let explore ~sanitize () =
     Slx_core.Explore.explore ~n:2
       ~factory:(fun () -> Slx_consensus.Register_consensus.factory ())
-      ~invoke:one_proposal ~depth:10 ~max_crashes:0 ~por:true ~symmetry:true
+      ~invoke:one_proposal ~depth:10 ~max_crashes:0 ~dpor:true ~symmetry:true
       ~sanitize ~check ()
   in
   let off_ns = ref max_int and on_ns = ref max_int in
@@ -589,50 +594,16 @@ let micro_smoke () =
       fp_ratio commute_ratio;
   (ok, fp_ratio, commute_ratio)
 
-(* Compact-encoding identity + the bitstate row: the hash-consed keys
-   must reproduce the structural keys' exploration exactly (same runs,
-   digest, cache hits — byte-identical counters, not just verdicts),
-   and bitstate mode must report its honest collision bound in the
-   stats it emits. *)
-let compact_smoke () =
-  Printf.printf
-    "== bench smoke: compact keys vs structural keys (+ bitstate) ==\n";
-  let explore ~compact ?bitstate () =
+(* The bitstate row: hash compaction must report its honest collision
+   bound in the stats it emits. *)
+let bitstate_smoke () =
+  Printf.printf "== bench smoke: bitstate hash compaction ==\n";
+  let b =
     Slx_core.Explore.explore ~n:2
       ~factory:(fun () -> Slx_consensus.Register_consensus.factory ())
-      ~invoke:one_proposal ~depth:10 ~max_crashes:1 ~dpor:true ~compact
-      ?bitstate ~check ()
+      ~invoke:one_proposal ~depth:10 ~max_crashes:1 ~dpor:true ~bitstate:16
+      ~check ()
   in
-  let best f =
-    let ns = ref max_int and last = ref None in
-    for _ = 1 to 3 do
-      let e = f () in
-      ns := min !ns e.Slx_core.Explore.stats.Slx_core.Explore_stats.elapsed_ns;
-      last := Some e
-    done;
-    (!ns, Option.get !last)
-  in
-  let structural_ns, s = best (fun () -> explore ~compact:false ()) in
-  let compact_ns, c = best (fun () -> explore ~compact:true ()) in
-  let hits e = e.Slx_core.Explore.stats.Slx_core.Explore_stats.cache_hits in
-  let identical =
-    runs s = runs c && digest s = digest c && hits s = hits c
-    && steps s = steps c && safe s = safe c
-  in
-  Printf.printf
-    "  {\"case\": \"register-depth-10-crashes-1-dpor-compact-keys\", \
-     \"structural_ns\": %d, \"compact_ns\": %d, \"ratio\": %.2f, \
-     \"runs\": %d, \"cache_hits\": %d, \"identical\": %b}\n"
-    structural_ns compact_ns
-    (float_of_int structural_ns /. float_of_int (max 1 compact_ns))
-    (runs c) (hits c) identical;
-  if not identical then
-    Printf.printf
-      "  SMOKE FAILURE: compact keys changed the exploration (runs %d vs %d, \
-       hits %d vs %d, digest mismatch=%b)\n"
-      (runs s) (runs c) (hits s) (hits c)
-      (digest s <> digest c);
-  let _, b = best (fun () -> explore ~compact:true ~bitstate:16 ()) in
   let bst = b.Slx_core.Explore.stats in
   let prob = Slx_core.Explore_stats.bitstate_collision_probability bst in
   Printf.printf
@@ -652,7 +623,7 @@ let compact_smoke () =
   in
   if not bitstate_ok then
     Printf.printf "  SMOKE FAILURE: bitstate row missing or dishonest\n";
-  identical && bitstate_ok
+  bitstate_ok
 
 (* The cursor-release row: the lib-safety query shape (register n = 3,
    one crash, depth 14, every reduction on) explored 10 times in this
@@ -673,7 +644,7 @@ let cursor_release_smoke () =
       (Slx_core.Explore.explore ~n:3
          ~factory:(fun () ->
            Slx_consensus.Register_consensus.factory ~max_rounds:14 ())
-         ~invoke:one_proposal ~depth:14 ~max_crashes:1 ~por:true ~dpor:true
+         ~invoke:one_proposal ~depth:14 ~max_crashes:1 ~dpor:true
          ~symmetry:true ~check ()
         : _ Slx_core.Explore.exploration);
     Gc.full_major ()
@@ -713,12 +684,28 @@ let run () =
       ~factory:(fun () -> Slx_consensus.Cas_consensus.factory ())
       ~depth:8 ~max_crashes:1
   in
-  Printf.printf "== bench smoke: POR+symmetry vs plain incremental ==\n";
-  let red_ratio, red_eq =
+  Printf.printf "== bench smoke: DPOR+symmetry vs plain incremental ==\n";
+  let _, red_cas0 =
+    explore_reduced ~impl:"cas"
+      ~factory:(fun () -> Slx_consensus.Cas_consensus.factory ())
+      ~depth:8 ~max_crashes:0 ~max_steps:34
+  in
+  let _, red_cas1 =
+    explore_reduced ~impl:"cas"
+      ~factory:(fun () -> Slx_consensus.Cas_consensus.factory ())
+      ~depth:8 ~max_crashes:1 ~max_steps:240
+  in
+  let _, red_reg8 =
     explore_reduced ~impl:"register"
       ~factory:(fun () -> Slx_consensus.Register_consensus.factory ())
-      ~depth:10 ~max_crashes:0
+      ~depth:8 ~max_crashes:0 ~max_steps:88
   in
+  let red_ratio, red_reg10 =
+    explore_reduced ~impl:"register"
+      ~factory:(fun () -> Slx_consensus.Register_consensus.factory ())
+      ~depth:10 ~max_crashes:0 ~max_steps:160
+  in
+  let red_eq = red_cas0 && red_cas1 && red_reg8 && red_reg10 in
   Printf.printf "== bench smoke: observed-access DPOR vs plain incremental ==\n";
   let dpor_cas0 =
     explore_dpor ~impl:"cas"
@@ -748,20 +735,22 @@ let run () =
   let obs_ok = obs_smoke () in
   let san_ok = sanitize_overhead_smoke () in
   let micro_ok, fp_ratio, commute_ratio = micro_smoke () in
-  let compact_ok = compact_smoke () in
+  let bitstate_ok = bitstate_smoke () in
   let ok =
-    cas_ratio >= 3.0 && crash_ratio >= 3.0 && red_ratio >= 3.0 && cas_eq
+    cas_ratio >= 3.0 && crash_ratio >= 3.0 && red_ratio >= 5.0 && cas_eq
     && crash_eq && red_eq && dpor_ok && live_ok && live_dpor_ok && keying_ok
-    && obs_ok && san_ok && micro_ok && compact_ok && release_ok
+    && obs_ok && san_ok && micro_ok && bitstate_ok && release_ok
   in
   Printf.printf
-    "smoke %s: depth-8 incremental ratios %.2fx / %.2fx, depth-10 reduction \
-     ratio %.2fx (bar: 3x each), dpor %s, live split %s, live dpor %.2fx \
-     nodes / %.2fx steps (bar: 3x each), live keying %s, traces %s, \
-     sanitizer %s (bar: <=15%%), micro fingerprint %.2fx / commute %.2fx \
-     (bar: 2x each), compact keys %s, cursor release %s (bar: <=1.25x)\n"
+    "smoke %s: depth-8 incremental ratios %.2fx / %.2fx (bar: 3x each), \
+     depth-10 reduction ratio %.2fx (bar: 5x), reduced rows %s, dpor %s, \
+     live split %s, live dpor %.2fx nodes / %.2fx steps (bar: 3x each), \
+     live keying %s, traces %s, sanitizer %s (bar: <=15%%), micro \
+     fingerprint %.2fx / commute %.2fx (bar: 2x each), bitstate %s, cursor \
+     release %s (bar: <=1.25x)\n"
     (if ok then "OK" else "FAILED")
     cas_ratio crash_ratio red_ratio
+    (if red_eq then "within the declared-POR steps" else "BROKEN")
     (if dpor_ok then "sound" else "BROKEN")
     (if live_ok then "reproduced" else "BROKEN")
     live_node_ratio live_step_ratio
@@ -769,7 +758,7 @@ let run () =
     (if obs_ok then "reconciled" else "BROKEN")
     (if san_ok then "transparent" else "BROKEN")
     fp_ratio commute_ratio
-    (if compact_ok then "identical" else "BROKEN")
+    (if bitstate_ok then "honest" else "BROKEN")
     (match release_ratio with
     | Some r -> Printf.sprintf "%.2fx" r
     | None -> "skipped");

@@ -51,6 +51,7 @@ module Json = Slx_obs.Json
 module Trace_export = Slx_obs.Trace_export
 module Vstore = Slx_store.Store
 module Persist = Slx_store.Persist
+module Queries = Slx_serve.Queries
 
 (* Integers confined to [lo, hi]: an out-of-range value is a usage error
    (exit 124) at parse time, never an engine exception or a vacuous
@@ -424,12 +425,6 @@ let explore_cmd =
     in
     Arg.(value & opt (some (int_in 1)) None & info [ "cache-capacity" ] ~doc)
   in
-  let no_por_arg =
-    Arg.(value & flag
-         & info [ "no-por" ]
-             ~doc:"Disable declared-footprint sleep-set partial-order \
-                   reduction (DPOR, if enabled, still reduces).")
-  in
   let no_dpor_arg =
     Arg.(value & flag
          & info [ "no-dpor" ]
@@ -457,13 +452,6 @@ let explore_cmd =
              ~doc:"Arm the footprint sanitizer (counting mode): report \
                    violations in the stats without changing the verdict.")
   in
-  let no_compact_arg =
-    Arg.(value & flag
-         & info [ "no-compact" ]
-             ~doc:"Key the transposition cache on structural fingerprints \
-                   instead of hash-consed compact encodings (slower; \
-                   verdict-identical).")
-  in
   let bitstate_arg =
     let doc =
       "Replace the exact transposition cache with SPIN-style hash \
@@ -475,28 +463,14 @@ let explore_cmd =
     Arg.(value & opt (some (int_in 4 ~hi:30)) None
          & info [ "bitstate" ] ~doc ~docv:"BITS")
   in
-  let run impl depth max_crashes no_cache cache_capacity no_por
-      no_dpor no_symmetry json naive sanitize no_compact bitstate store trace
-      progress progress_json =
-    let open Slx_consensus in
-    let factory =
-      match impl with
-      | "cas" -> Ok (fun () -> Cas_consensus.factory ())
-      | "register" -> Ok (fun () -> Register_consensus.factory ())
-      | "selfish" -> Ok (fun () -> Selfish_consensus.factory ())
-      | other -> Error (Printf.sprintf "unknown implementation %S" other)
-    in
-    match factory with
+  let run impl depth max_crashes no_cache cache_capacity no_dpor no_symmetry
+      json naive sanitize bitstate store trace progress progress_json =
+    match Queries.factory_of_impl impl with
     | Error e ->
         prerr_endline e;
         1
     | Ok factory -> begin
-        let invoke =
-          Explore.workload_invoke
-            (Slx_sim.Driver.n_times 1 (fun p _ ->
-                 Consensus_type.Propose (p - 1)))
-        in
-        let check r = Consensus_safety.check r.Slx_sim.Run_report.history in
+        let invoke = Queries.safety_invoke and check = Queries.check in
         let obs = make_obs ~trace ~progress ~progress_json in
         if naive && trace <> None then
           prerr_endline
@@ -518,10 +492,9 @@ let explore_cmd =
             match store with
             | None ->
                 ( Explore.explore ~n:2 ~factory ~invoke ~depth ~max_crashes
-                    ~cache:(not no_cache) ?cache_capacity ~por:(not no_por)
-                    ~dpor:(not no_dpor) ~symmetry:(not no_symmetry)
-                    ~obs ~sanitize ~compact:(not no_compact) ?bitstate ~cancel
-                    ~check (),
+                    ~cache:(not no_cache) ?cache_capacity ~dpor:(not no_dpor)
+                    ~symmetry:(not no_symmetry) ~obs ~sanitize ?bitstate
+                    ~cancel ~check (),
                   None )
             | Some path ->
                 let st = Vstore.open_ path in
@@ -529,15 +502,14 @@ let explore_cmd =
                   Persist.query_key ~ident:impl ~check:"consensus-safety"
                     ~n:2
                     ~registry_digest:(Persist.instance_digest ~n:2 ~factory)
-                    ~max_crashes ~por:(not no_por) ~dpor:(not no_dpor)
+                    ~max_crashes ~dpor:(not no_dpor)
                     ~symmetry:(not no_symmetry) ()
                 in
                 let e, source =
                   Persist.run_explore ~store:st ~qid ~n:2 ~factory ~invoke
                     ~depth ~max_crashes ~cache:(not no_cache) ?cache_capacity
-                    ~por:(not no_por) ~dpor:(not no_dpor)
-                    ~symmetry:(not no_symmetry) ~obs ~sanitize
-                    ~compact:(not no_compact) ?bitstate ~cancel ~check ()
+                    ~dpor:(not no_dpor) ~symmetry:(not no_symmetry) ~obs
+                    ~sanitize ?bitstate ~cancel ~check ()
                 in
                 (e, Some source)
           end
@@ -571,20 +543,15 @@ let explore_cmd =
               | Explore.Ok runs ->
                   Printf.printf "safe on all %d bounded schedules\n" runs
               | Explore.Counterexample r ->
-                  Format.printf "counterexample: %a@." Consensus_type.pp_history
+                  Format.printf "counterexample: %a@."
+                    Slx_consensus.Consensus_type.pp_history
                     r.Slx_sim.Run_report.history;
-                  let pp_d fmt = function
-                    | Slx_sim.Driver.Schedule p -> Format.fprintf fmt "S%d" p
-                    | Slx_sim.Driver.Invoke (p, Consensus_type.Propose v) ->
-                        Format.fprintf fmt "I%d(%d)" p v
-                    | Slx_sim.Driver.Crash p -> Format.fprintf fmt "C%d" p
-                    | Slx_sim.Driver.Stop -> Format.fprintf fmt "stop"
-                  in
                   Option.iter
                     (fun script ->
                       Format.printf "witness script: %a@."
                         (Format.pp_print_list ~pp_sep:Format.pp_print_space
-                           pp_d)
+                           (fun fmt d ->
+                             Format.pp_print_string fmt (Queries.dec_string d)))
                         script)
                     e.Explore.witness_script);
               Option.iter (Printf.printf "store: %s\n") source_string;
@@ -599,10 +566,9 @@ let explore_cmd =
        ~doc:"Exhaustively check consensus safety on every bounded schedule")
     Term.(
       const run $ impl_arg $ depth_arg $ crashes_arg
-      $ no_cache_arg $ cache_capacity_arg $ no_por_arg $ no_dpor_arg
-      $ no_symmetry_arg $ json_arg $ naive_arg $ sanitize_arg
-      $ no_compact_arg $ bitstate_arg $ store_arg $ trace_arg
-      $ progress_arg $ progress_json_arg)
+      $ no_cache_arg $ cache_capacity_arg $ no_dpor_arg $ no_symmetry_arg
+      $ json_arg $ naive_arg $ sanitize_arg $ bitstate_arg $ store_arg
+      $ trace_arg $ progress_arg $ progress_json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* live-explore                                                        *)
@@ -692,53 +658,17 @@ let live_explore_cmd =
              ~doc:"Emit the verdict, certificate and statistics as one \
                    JSON object.")
   in
-  let no_compact_arg =
-    Arg.(value & flag
-         & info [ "no-compact" ]
-             ~doc:"Key the suffix cache on structural fingerprints instead \
-                   of hash-consed compact encodings (slower; verdict- and \
-                   certificate-identical).")
-  in
   let run impl property n depth max_crashes max_period pump_ticks invoke_order
-      no_dpor proviso_bound no_cache cache_capacity sanitize no_compact json
-      store trace progress progress_json =
-    let open Slx_consensus in
-    let factory =
-      match impl with
-      | "register" -> Ok (fun () -> Register_consensus.factory ())
-      | "cas" -> Ok (fun () -> Cas_consensus.factory ())
-      | "selfish" -> Ok (fun () -> Selfish_consensus.factory ())
-      | other -> Error (Printf.sprintf "unknown implementation %S" other)
-    in
-    let point =
-      match property with
-      | "obstruction" -> Ok Freedom.obstruction_freedom
-      | "lock" -> Ok (Freedom.lock_freedom ~n)
-      | "wait" -> Ok (Freedom.wait_freedom ~n)
-      | s -> begin
-          match String.split_on_char ',' s with
-          | [ l; k ] -> begin
-              match
-                (int_of_string_opt (String.trim l),
-                 int_of_string_opt (String.trim k))
-              with
-              | Some l, Some k when l >= 1 && k >= 1 ->
-                  Ok (Freedom.make ~l ~k)
-              | _ -> Error (Printf.sprintf "unknown property %S" s)
-            end
-          | _ -> Error (Printf.sprintf "unknown property %S" s)
-        end
-    in
-    match (factory, point) with
+      no_dpor proviso_bound no_cache cache_capacity sanitize json store trace
+      progress progress_json =
+    match
+      (Queries.factory_of_impl impl, Queries.point_of_string ~n property)
+    with
     | Error e, _ | _, Error e ->
         prerr_endline e;
         1
     | Ok factory, Ok point ->
-        let invoke =
-          Explore.workload_invoke
-            (Slx_sim.Driver.forever (fun p -> Consensus_type.Propose (p - 1)))
-        in
-        let good (_ : Consensus_type.response) = true in
+        let invoke = Queries.live_invoke and good = Queries.good in
         let obs = make_obs ~trace ~progress ~progress_json in
         let cancel = install_sigint () in
         let run_engine () =
@@ -747,8 +677,7 @@ let live_explore_cmd =
               ( Live_explore.search ~n ~factory ~invoke ~good ~point ~depth
                   ~max_crashes ?max_period ?pump_ticks ~invoke_order
                   ~dpor:(not no_dpor) ?proviso_bound ~cache:(not no_cache)
-                  ?cache_capacity ~sanitize ~compact:(not no_compact) ~obs
-                  ~cancel (),
+                  ?cache_capacity ~sanitize ~obs ~cancel (),
                 None )
           | Some path ->
               let st = Vstore.open_ path in
@@ -765,7 +694,7 @@ let live_explore_cmd =
                   ~point ~depth ~max_crashes ?max_period ?pump_ticks
                   ~invoke_order ~dpor:(not no_dpor) ?proviso_bound
                   ~cache:(not no_cache) ?cache_capacity ~obs ~sanitize
-                  ~compact:(not no_compact) ~cancel ()
+                  ~cancel ()
               in
               (r, Some source)
         in
@@ -778,13 +707,6 @@ let live_explore_cmd =
         let source_string =
           Option.map (Format.asprintf "%a" Persist.pp_source) source
         in
-        let dec_string = function
-          | Slx_sim.Driver.Schedule p -> Printf.sprintf "S%d" p
-          | Slx_sim.Driver.Invoke (p, Consensus_type.Propose v) ->
-              Printf.sprintf "I%d(%d)" p v
-          | Slx_sim.Driver.Crash p -> Printf.sprintf "C%d" p
-          | Slx_sim.Driver.Stop -> "stop"
-        in
         let property_string = Format.asprintf "%a" Freedom.pp point in
         if json then begin
           let cert_json =
@@ -794,7 +716,9 @@ let live_explore_cmd =
                 let script ds =
                   "["
                   ^ String.concat ", "
-                      (List.map (fun d -> Printf.sprintf "%S" (dec_string d)) ds)
+                      (List.map
+                         (fun d -> Printf.sprintf "%S" (Queries.dec_string d))
+                         ds)
                   ^ "]"
                 in
                 Printf.sprintf ", \"stem\": %s, \"cycle\": %s, \"period\": %d"
@@ -821,10 +745,12 @@ let live_explore_cmd =
               Printf.printf
                 "fair non-progressing lasso found: %s is excluded\n"
                 property_string;
-              Printf.printf "  stem:  %s\n"
-                (String.concat " " (List.map dec_string c.Lasso.c_stem));
+              let script ds =
+                String.concat " " (List.map Queries.dec_string ds)
+              in
+              Printf.printf "  stem:  %s\n" (script c.Lasso.c_stem);
               Printf.printf "  cycle: %s  (period %d, pump-validated)\n"
-                (String.concat " " (List.map dec_string c.Lasso.c_cycle))
+                (script c.Lasso.c_cycle)
                 (List.length c.Lasso.c_cycle)
           | Live_explore.No_fair_cycle ->
               Printf.printf
@@ -845,8 +771,7 @@ let live_explore_cmd =
       const run $ impl_arg $ property_arg $ procs_arg $ depth_arg $ crashes_arg
       $ max_period_arg $ pump_arg $ invoke_order_arg $ no_dpor_arg
       $ proviso_arg $ no_cache_arg $ cache_capacity_arg $ sanitize_arg
-      $ no_compact_arg $ json_arg $ store_arg $ trace_arg $ progress_arg
-      $ progress_json_arg)
+      $ json_arg $ store_arg $ trace_arg $ progress_arg $ progress_json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* stats — replay a saved trace into histograms                        *)

@@ -13,10 +13,8 @@
 
     Keys are hashed polymorphically, so their shape is the dominant
     per-lookup cost: the explorers key this cache by hash-consed
-    {!Intern} ids (small-int tuples) when compact encodings are on,
-    and fall back to structural fingerprints under [--no-compact] —
-    both hash to the same buckets consistently, but only the former is
-    O(1) per probe regardless of history depth.
+    {!Intern} ids (single ints), O(1) per probe regardless of history
+    depth.
 
     Not thread-safe; each exploration owns its own cache. *)
 

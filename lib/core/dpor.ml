@@ -13,13 +13,12 @@ let observed_commute obs pending = Runtime.footprints_commute obs pending
 
 (* The observed footprint of the step the engine just executed: the
    probe's physical touches when instrumentation reported any,
-   otherwise its effective declared footprint; with no probe (the
-   legacy declared-footprint oracle), the declared pending footprint
-   the step was suspended at. *)
-let observed_step ~probe ~declared =
+   otherwise its effective declared footprint; with no probe,
+   [Opaque]. *)
+let observed_step probe =
   match probe with
   | Some pr -> Runtime.probe_last_observed pr
-  | None -> Option.value declared ~default:Runtime.Opaque
+  | None -> Runtime.Opaque
 
 (* Whether the sleeping process [z] must be woken (a race reversal) by
    the executed step with observed footprint [observed]: its pending
@@ -53,10 +52,10 @@ let advance ~observed ~pending sleep d =
    observation mask at step end, so the per-decision race check is two
    word ANDs ([Runtime.masks_commute]). *)
 
-let observed_step_mask ~probe ~declared =
+let observed_step_mask probe =
   match probe with
   | Some pr -> Runtime.probe_last_observed_mask pr
-  | None -> Option.value declared ~default:Runtime.opaque_mask
+  | None -> Runtime.opaque_mask
 
 let wakes_mask ~observed ~pending =
   match pending with

@@ -13,11 +13,10 @@
     did (a {e race reversal}: the reversed order must be explored).
     Observed accesses refine declarations (a clean implementation
     touches a subset of what it declares, the invariant the sanitizer
-    certifies), so the dynamic oracle never prunes less than the
-    declared one and prunes strictly more whenever a declared conflict
-    does not materialize at runtime — no wakeup trees needed: the
-    engines' in-order walk already explores the reversal as the woken
-    sibling's subtree.
+    certifies), so a declared conflict that does not materialize at
+    runtime wakes no one.  No wakeup trees are needed: the engines'
+    in-order walk already explores the reversal as the woken sibling's
+    subtree.  This is the engines' only commutation oracle.
 
     The conflict relation is the one the happens-before certifier
     ({!Slx_analysis.Hb}) derives: two accesses conflict iff they touch
@@ -42,13 +41,9 @@ val observed_commute : Runtime.footprint -> Runtime.footprint -> bool
     on canonical touch footprints this is the negation of
     "some pair of accesses satisfies {!observed_conflict}". *)
 
-val observed_step :
-  probe:Runtime.probe option ->
-  declared:Runtime.footprint option ->
-  Runtime.footprint
+val observed_step : Runtime.probe option -> Runtime.footprint
 (** The observed footprint of the step just executed: the probe's last
-    observation when a probe is installed, else the declared pending
-    footprint ([Opaque] when neither is available). *)
+    observation, or [Opaque] without a probe. *)
 
 val wakes :
   observed:Runtime.footprint -> pending:Runtime.footprint option -> bool
@@ -80,10 +75,7 @@ val advance :
     [masks_commute ∘ mask_of_footprint = footprints_commute]
     (QCheck-tested in [test/test_compact.ml]). *)
 
-val observed_step_mask :
-  probe:Runtime.probe option ->
-  declared:Runtime.mask option ->
-  Runtime.mask
+val observed_step_mask : Runtime.probe option -> Runtime.mask
 (** {!observed_step} on masks. *)
 
 val wakes_mask :

@@ -158,36 +158,14 @@ let decision_menu ~n ~invoke ~depth ~max_crashes ~symmetry view len crashes =
 (* ------------------------------------------------------------------ *)
 (* Exploration state.                                                  *)
 
-(* Transposition keys pair the configuration fingerprint with the POR
-   sleep set: the same configuration reached with different sleep sets
-   explores different reduced subtrees, so they must not share an
-   entry.  With POR off the sleep set is always [] and keys degenerate
-   to plain fingerprints.
-
-   Two representations, verdict-identical (the differential suite in
-   test/test_compact.ml checks runs, digests and witnesses agree):
-
-   - [K_struct]: the structural form — deep fingerprint record plus
-     sleep list, hashed and compared structurally on every lookup.
-   - [K_compact]: the hash-consed form (the default) — the cursor's
-     [compact_key] int array (incrementally interned history id,
-     digests, packed per-process state) with the sleep set appended as
-     a bitset, interned into a dense id ({!Intern.Ints}), so cache
-     lookups hash one immediate int instead of a deep term.  Equality
-     of compact keys coincides with equality of structural keys up to
-     the digest collisions the structural form already accepts
-     (interning is injective; QCheck-tested). *)
-type ('inv, 'res) key =
-  | K_struct of {
-      k_fp : ('inv, 'res) Runner.fingerprint;
-      k_sleep : Proc.t list;
-    }
-  | K_compact of int
-
-(* Sleep sets as bitsets for the compact key: sound only when every
-   process id fits a word, which the engine checks before electing
-   compact mode ([n < 62]). *)
-let sleep_bits sleep = List.fold_left (fun acc p -> acc lor (1 lsl p)) 0 sleep
+(* The history-interning hook every cursor of a cached search is
+   created with: it interns each appended event, then the (previous
+   history id, event id) pair, so the cursor's [hist_id] stands in for
+   its whole history. *)
+let history_encoder () =
+  let events = Intern.create () in
+  let conses = Intern.create () in
+  fun parent e -> Intern.intern conses (parent, Intern.intern events e)
 
 (* A counterexample as first found: decision script, failing report.
    The walk is in menu order, so the first one found is the
@@ -214,7 +192,14 @@ type ('inv, 'res) state = {
   mutable digest : int;
   mutable found : ('inv, 'res) witness option;
   ticks : int ref;
-  table : (('inv, 'res) key, entry) Clock_cache.t;
+  table : (int, entry) Clock_cache.t;
+      (* Transposition cache, keyed on interned compact keys: the
+         cursor's [compact_key] (interned history id, digests, packed
+         per-process state) with the sleep set's sorted process ids as
+         its tail, interned into a dense id ({!Intern.Ints}).  The same
+         configuration reached with different sleep sets explores
+         different reduced subtrees, so the sleep set is part of the
+         key. *)
   shadow : Runtime.shadow option;
       (* Sanitizer shadow shared by all the exploration's cursors:
          non-raising, non-recording — it only counts violations, so a
@@ -226,13 +211,11 @@ type ('inv, 'res) state = {
          which the dynamic sleep-set filter computes race reversals.
          Recording only — decisions are unchanged. *)
   encode : (int -> ('inv, 'res) Event.t -> int) option;
-      (* Compact-key mode: the hash-consing hook every cursor is
-         created with.  It interns each appended event, then the
-         (previous history id, event id) pair, so the cursor's
-         [hist_id] stands in for its whole history. *)
+      (* [history_encoder], installed exactly when the exact cache is
+         live. *)
   keys : Intern.Ints.t;
-      (* Compact-key pool: interns the flat [compact_key] arrays into
-         the dense ids the transposition cache is keyed on. *)
+      (* Interns the flat [compact_key] arrays into the dense ids the
+         transposition cache is keyed on. *)
   bitstate : Bitstate.t option;
       (* Hash-compaction mode: replaces the exact transposition cache
          with a 2^bits-bit table of fingerprint hashes.  One-sided —
@@ -242,32 +225,12 @@ type ('inv, 'res) state = {
 
 and entry = { e_runs : int; e_digest : int }
 
-let zero_sample =
-  {
-    Progress.s_nodes = 0;
-    s_runs = 0;
-    s_steps = 0;
-    s_cache_entries = 0;
-    s_cache_capacity = 0;
-    s_cycles = 0;
-  }
-
 let new_state ?capacity ~sink ?(progress = Progress.off) ?(sanitize = false)
-    ?(dpor = false) ?(compact = false) ?bitstate () =
-  let encode =
-    if not compact then None
-    else begin
-      let events = Intern.create () in
-      let conses = Intern.create () in
-      Some
-        (fun parent e ->
-          Intern.intern conses (parent, Intern.intern events e))
-    end
-  in
+    ?(dpor = false) ?(keyed = false) ?bitstate () =
   {
     sink;
     progress;
-    sample = (fun () -> zero_sample);
+    sample = (fun () -> Progress.zero);
     nodes = 0;
     runs = 0;
     checked = 0;
@@ -286,7 +249,7 @@ let new_state ?capacity ~sink ?(progress = Progress.off) ?(sanitize = false)
          Some (Runtime.make_shadow ~record:false ~raise_on_violation:false ())
        else None);
     probe = (if dpor then Some (Runtime.make_probe ()) else None);
-    encode;
+    encode = (if keyed then Some (history_encoder ()) else None);
     keys = Intern.Ints.create ();
     bitstate = Option.map (fun bits -> Bitstate.create ~bits) bitstate;
   }
@@ -343,20 +306,18 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
     ?(domains = 1) ?(obs = Obs.disabled) ?(sanitize = false) ?(compact = true)
     ?bitstate ?cancel ~check () =
   if domains <> 1 then invalid_arg "Explore.explore: domains must be 1";
+  if not compact then invalid_arg "Explore.explore: compact must be true";
+  if por && not dpor then invalid_arg "Explore.explore: por requires dpor";
   let t0 = Clock.now_ns () in
   let cancel = match cancel with Some f -> f | None -> fun () -> false in
-  (* [reduce]: the sleep-set walk runs; [dpor] selects the dynamic
-     observed-access oracle over the declared-footprint one. *)
-  let reduce = por || dpor in
-  (* Compact keys only matter when the exact cache is live: bitstate
-     mode hashes the structural fingerprint directly (interning every
-     visited configuration would defeat its bounded-memory point), and
-     the sleep bitset needs every process id to fit a word. *)
-  let compact = compact && cache && bitstate = None && n < 62 in
+  (* Keys are interned only for the exact cache: bitstate mode hashes
+     the structural fingerprint directly (interning every visited
+     configuration would defeat its bounded-memory point). *)
+  let keyed = cache && bitstate = None in
   let menu = decision_menu ~n ~invoke ~depth ~max_crashes ~symmetry in
   let st =
     new_state ?capacity:cache_capacity ~sink:(Obs.sink obs)
-      ~progress:(Obs.progress obs) ~sanitize ~dpor ~compact ?bitstate ()
+      ~progress:(Obs.progress obs) ~sanitize ~dpor ~keyed ?bitstate ()
   in
   wire_progress st;
   (* Every cursor of the walk lives in one of these brackets: a
@@ -371,25 +332,22 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
      pending actions raced with the step's observed accesses.  Returns
      the settled sleep set. *)
   let settle_sleep cursor d candidate len =
-    if not dpor then candidate
-    else begin
-      let observed = Dpor.observed_step_mask ~probe:st.probe ~declared:None in
-      let keep, woken =
-        Dpor.advance_mask ~observed
-          ~pending:(fun z -> Runner.Cursor.pending_mask cursor z)
-          candidate d
-      in
-      (match woken with
-      | [] -> ()
-      | _ -> (
-          match d with
-          | Driver.Schedule _ ->
-              st.reversals <- st.reversals + List.length woken;
-              Telemetry.emit st.sink Telemetry.Race_reversal len
-                (List.length woken)
-          | _ -> ()));
-      keep
-    end
+    let observed = Dpor.observed_step_mask st.probe in
+    let keep, woken =
+      Dpor.advance_mask ~observed
+        ~pending:(fun z -> Runner.Cursor.pending_mask cursor z)
+        candidate d
+    in
+    (match woken with
+    | [] -> ()
+    | _ -> (
+        match d with
+        | Driver.Schedule _ ->
+            st.reversals <- st.reversals + List.length woken;
+            Telemetry.emit st.sink Telemetry.Race_reversal len
+              (List.length woken)
+        | _ -> ()));
+    keep
   in
   (* Walk the subtree rooted at the configuration [cursor] sits on.
      The first child extends the cursor in place (the incremental step
@@ -420,10 +378,7 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
     match st.bitstate with
     | Some bs
       when Bitstate.test_and_set bs
-             (Runtime.hash_value
-                (K_struct
-                   { k_fp = Runner.Cursor.fingerprint cursor; k_sleep = sleep }))
-      ->
+             (Runtime.hash_value (Runner.Cursor.fingerprint cursor, sleep)) ->
         (* Bitstate hit: the configuration's compacted hash was seen
            before — prune without crediting anything (the table stores
            no subtree data, and the hit may be a collision; the stats
@@ -431,15 +386,15 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
         st.hits <- st.hits + 1;
         Telemetry.emit st.sink Telemetry.Cache_hit len 0
     | _ ->
+    (* The sleep set is sorted (children inherit a [sort_uniq]ed set,
+       which [Dpor.advance_mask] filters in order), so its ids are a
+       canonical key tail. *)
     let key =
-      if not cache || st.bitstate <> None then None
-      else if compact then
-        Some
-          (K_compact
-             (Intern.Ints.intern st.keys
-                (Runner.Cursor.compact_key cursor ~extra:[ sleep_bits sleep ])))
+      if not keyed then None
       else
-        Some (K_struct { k_fp = Runner.Cursor.fingerprint cursor; k_sleep = sleep })
+        Some
+          (Intern.Ints.intern st.keys
+             (Runner.Cursor.compact_key cursor ~extra:sleep))
     in
     match Option.bind key (Clock_cache.find_opt st.table) with
     | Some e ->
@@ -482,7 +437,7 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                so granting it here would reproduce, step-swapped, a run
                already explored from an earlier sibling. *)
             let asleep, active =
-              if reduce && sleep <> [] then
+              if sleep <> [] then
                 List.partition
                   (fun d ->
                     match d with
@@ -507,46 +462,19 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                   key
             | _ ->
                 let runs0 = st.runs and digest0 = st.digest in
-                let pend p = Runner.Cursor.pending_mask cursor p in
-                let commutes z d =
-                  match d with
-                  | Driver.Schedule q when not (Proc.equal q z) -> begin
-                      (* Precomputed conflict masks: the commutation
-                         check is two word ANDs ([masks_commute]),
-                         verdict-identical to [footprints_commute] on
-                         the declared footprints. *)
-                      match (pend z, pend q) with
-                      | Some a, Some b -> Runtime.masks_commute a b
-                      | _ -> false
-                    end
-                  | Driver.Invoke (q, _) when not (Proc.equal q z) ->
-                      (* Invoking [q] touches only [q]-local state (and
-                         appends [q]'s invocation event), so it commutes
-                         with any pending step of [z] — whatever objects
-                         that step accesses.  Requires [invoke] to derive
-                         its invocation from [q]'s own projection of the
-                         history, which every counting workload does. *)
-                      true
-                  | _ -> false
-                in
-                (* Children, each with its sleep set: a process stays
-                   (or, as an explored earlier sibling, falls) asleep
-                   across child [d] iff its pending step commutes with
-                   [d].  Declared POR decides commutation here, from
-                   static footprints; DPOR instead carries the whole
-                   set as a candidate and lets [settle_sleep] wake
-                   racers from the accesses [d] actually performed
-                   (crashes conservatively wake everyone — a crash
-                   perturbs every process's view of the crashed one). *)
+                (* Children, each with its candidate sleep set: every
+                   explored earlier sibling falls asleep for the later
+                   ones, and [settle_sleep] wakes the racers from the
+                   accesses [d] actually performed (crashes wake
+                   everyone — a crash perturbs every process's view of
+                   the crashed one). *)
                 let children =
-                  if not reduce then List.map (fun d -> (d, [])) active
+                  if not dpor then List.map (fun d -> (d, [])) active
                   else
                     List.fold_left
                       (fun (acc, prev) d ->
                         let child_sleep =
-                          if dpor then
-                            match d with Driver.Crash _ -> [] | _ -> prev
-                          else List.filter (fun z -> commutes z d) prev
+                          match d with Driver.Crash _ -> [] | _ -> prev
                         in
                         let prev' =
                           match d with
@@ -573,7 +501,10 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                       Telemetry.emit st.sink Telemetry.Decision (len + 1)
                         (dec_code d);
                       Runner.Cursor.apply child d;
-                      let settled = settle_sleep child d child_sleep (len + 1) in
+                      let settled =
+                        if dpor then settle_sleep child d child_sleep (len + 1)
+                        else []
+                      in
                       visit child (d :: rev_script) (len + 1) crashes' settled
                     in
                     if i = 0 then begin

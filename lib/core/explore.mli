@@ -21,8 +21,8 @@
       already-explored configuration, crediting the cached subtree's run
       count instead of descending; [~cache_capacity] bounds its memory
       with clock (second-chance) eviction.  Two further multipliers
-      are opt-in: {e partial-order reduction} ([~por], sleep sets over
-      declared base-object access footprints) and {e symmetry
+      are opt-in: {e dynamic partial-order reduction} ([~dpor], sleep
+      sets woken by observed base-object accesses) and {e symmetry
       reduction} ([~symmetry], orbit pruning of interchangeable
       untouched processes).  The walk is sequential: independent
       queries parallelize one level up, as separate processes
@@ -45,14 +45,14 @@
       per configuration class — pass [~cache:false] if a check depends
       on fine-grained event timing rather than on the history, crash
       set, totals and window.
-    - {e por} (default off): two pending steps with commuting declared
-      footprints ({!Slx_sim.Runtime.footprints_commute}) reach the same
-      configuration in either order; sleep sets explore one
-      representative interleaving per such commutation class.  The
-      representative's history can differ from a pruned run's by swaps
-      of adjacent response events of different processes, so [check]
-      must be invariant under that (every history-level check in this
-      repository is).
+    - {e dpor} (default off): a pending step that commutes
+      ({!Slx_sim.Runtime.footprints_commute}) with the accesses another
+      step actually performed reaches the same configuration in either
+      order; sleep sets explore one representative interleaving per
+      such commutation class.  The representative's history can differ
+      from a pruned run's by swaps of adjacent response events of
+      different processes, so [check] must be invariant under that
+      (every history-level check in this repository is).
     - {e symmetry} (default off): requires the instance to be
       process-symmetric — all processes run the same [invoke] program
       and [check] is invariant under renaming processes (composed with
@@ -75,7 +75,7 @@ type ('inv, 'res) outcome =
   | Ok of int
       (** Every maximal bounded run satisfied the check.  The payload
           counts the {e maximal} runs explored (equivalence-class
-          representatives when POR/symmetry are on) — interior nodes of
+          representatives when DPOR/symmetry are on) — interior nodes of
           the decision tree (proper prefixes) are not counted; see
           {!Explore_stats.t.nodes} for those. *)
   | Counterexample of ('inv, 'res) Run_report.t
@@ -83,7 +83,7 @@ type ('inv, 'res) outcome =
           script among those the engine explores (in the menu order:
           steps/invocations of processes 1..n, then crashes of
           processes 1..n) — deterministic for any engine configuration:
-          cache or not, bounded or not.  With POR/symmetry on,
+          cache or not, bounded or not.  With DPOR/symmetry on,
           "explored" means the reduced tree: the witness is then the
           least {e representative} of the least failing equivalence
           class, possibly a commutation/renaming of the unreduced
@@ -134,24 +134,22 @@ val explore :
 
     [cache] (default [true]) enables the transposition cache;
     [cache_capacity] bounds the cache to that many entries,
-    evicted second-chance (unbounded without it).  [por] (default
-    [false]) enables sleep-set partial-order reduction over the
-    base-object access footprints of pending steps.  [dpor] (default
-    [false]) enables the {e dynamic} variant ({!Dpor}): each cursor
-    carries an observed-access probe
+    evicted second-chance (unbounded without it).  [dpor] (default
+    [false]) enables sleep-set partial-order reduction ({!Dpor}): each
+    cursor carries an observed-access probe
     ({!Slx_sim.Runtime.make_probe}), children inherit the whole sleep
     set as a candidate, and after each edge executes the sleepers
     whose pending footprints race with the accesses the step {e
     actually performed} are woken (a {e race reversal},
-    {!Explore_stats.t.race_reversals}).  Observed accesses refine
-    declared footprints, so DPOR prunes at least as much as [por] on
-    any implementation whose declarations over-approximate; both
-    soundness caveats of [por] apply unchanged.  [por] and [dpor]
-    compose as "either on" with the DPOR oracle winning.  [symmetry]
-    (default [false]) declares the instance process-symmetric and
-    enables orbit pruning of untouched processes; see the soundness
-    notes above.  [domains] exists only for callers that still pass
-    [~domains:1]; any other value raises [Invalid_argument].
+    {!Explore_stats.t.race_reversals}).  [symmetry] (default [false])
+    declares the instance process-symmetric and enables orbit pruning
+    of untouched processes; see the soundness notes above.
+
+    [domains] exists only for callers that still pass [~domains:1].
+    [por] exists only for callers that still pass it: [false], or
+    [true] together with [~dpor:true].  [compact] exists only for
+    callers that still pass [~compact:true].  Any other value of the
+    three raises [Invalid_argument].
 
     [obs] (default {!Slx_obs.Obs.disabled}) attaches the observability
     bundle: with tracing on, the exploration records typed events (node
@@ -177,18 +175,13 @@ val explore :
     one.  For raising shadows with replayable witnesses use
     {!Slx_analysis.Audit} instead.
 
-    [compact] (default [true]) keys the transposition cache on
-    hash-consed encodings: every cursor carries an incremental interned
-    history id, and cache keys become dense small ints
-    ({!Slx_sim.Runner.Cursor.compact_key}, {!Intern}) instead of deep
-    structural terms.  Interning is injective, so verdicts, stats and
-    witnesses are identical to [~compact:false] up to the digest
-    collisions the structural fingerprint already accepts (the
-    differential suite in test/test_compact.ml checks this on the full
-    audit registry); pass [~compact:false] to retain the structural
-    keys.  Compact mode is silently ignored when the cache is off,
-    when bitstate mode is on, or when [n >= 62] (the sleep bitset
-    would overflow a word).
+    The transposition cache is keyed on hash-consed encodings: every
+    cursor carries an incremental interned history id, and cache keys
+    are dense small ints ({!Slx_sim.Runner.Cursor.compact_key} with the
+    sleep set's process ids as its tail, interned by {!Intern}).
+    Interning is injective, so key equality is fingerprint-and-sleep-set
+    equality up to the digest collisions the fingerprint already
+    accepts.
 
     [bitstate] switches the transposition store to SPIN-style hash
     compaction ({!Bitstate}): a [2^bitstate]-bit table of fingerprint
@@ -207,8 +200,9 @@ val explore :
     the walk stops and {!Interrupted} carries the partial stats.  The
     poll must be cheap (a [ref] read).
     @raise Interrupted when [cancel] fired.
-    @raise Invalid_argument unless [domains = 1], [4 <= bitstate <= 30]
-    and [cache_capacity >= 1]. *)
+    @raise Invalid_argument unless [domains = 1], [compact = true],
+    [por] implies [dpor], [4 <= bitstate <= 30] and
+    [cache_capacity >= 1]. *)
 
 val code_of_decision : ('inv, 'res) Driver.decision -> int
 (** The persistent int form of a menu decision:
@@ -268,6 +262,17 @@ val forall_schedules :
 (** [explore] with the default engine configuration (cache on, no
     reductions), returning just the outcome.  [Ok runs]
     counts {e maximal} runs only. *)
+
+val dec_code : ('inv, 'res) Driver.decision -> int
+(** The packed int a [Decision] telemetry event carries
+    ({!Slx_obs.Telemetry.Dec}); shared with {!Live_explore}. *)
+
+val history_encoder : unit -> int -> ('inv, 'res) Event.t -> int
+(** A fresh history-interning hook for {!Slx_sim.Runner.Cursor.with_}'s
+    [~encode]: it interns each appended event, then the (previous
+    history id, event id) pair, so a cursor's [hist_id] stands in for
+    its whole history.  Both engines install one exactly when their
+    exact cache is live; shared with {!Live_explore}. *)
 
 val workload_invoke :
   ('inv, 'res) Driver.workload ->

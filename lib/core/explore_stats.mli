@@ -34,13 +34,13 @@ type t = {
           (0 when the cache is unbounded). *)
   por_prunes : int;
       (** Scheduling decisions skipped because the process was in the
-          sleep set — each cuts a redundant interleaving of commuting
-          steps (partial-order reduction, declared or DPOR).  Counted
-          by both engines; the liveness search's [invoke_order]
-          reduction has its own counter ([invoke_order_prunes]). *)
+          DPOR sleep set — each cuts a redundant interleaving of
+          commuting steps.  Counted by both engines; the liveness
+          search's [invoke_order] reduction has its own counter
+          ([invoke_order_prunes]). *)
   race_reversals : int;
-      (** DPOR only: sleeping processes woken because an executed
-          step's {e observed} accesses raced with their pending action
+      (** Sleeping processes woken because an executed step's {e
+          observed} accesses raced with their pending action
           ({!Dpor.advance}) — each forces the reversed order of a
           dynamic conflict to be explored. *)
   invoke_order_prunes : int;

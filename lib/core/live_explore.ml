@@ -30,9 +30,14 @@ exception Cancelled
    written only for completed lasso-free subtrees, and stores the
    subtree's run count, credited to [runs] on a hit.  Under DPOR the
    reduced subtree additionally depends on the sleep set and on each
-   sleeper's ignoring streak (the proviso counter), so [k_sleep] joins
-   the key; with DPOR off it is always [] and keys degenerate to the
-   old shape.
+   sleeper's ignoring streak (the proviso counter), so the sleep set
+   joins the key; with DPOR off it is always [].
+
+   The key is interned flat ({!Intern.Ints}) into one dense id: the
+   cursor's [compact_key] (which stands in for the fingerprint), then
+   the trace suffix as interned cell ids (the walk interns cells as it
+   emits them), length-prefixed so cell ids and sleeper entries cannot
+   alias, then each sleeper as the two ints [proc; streak].
 
    Only nodes with [2 * max_period < len < depth] are keyed.  The key
    carries the time ([len]), and every decision's cell names its
@@ -44,23 +49,9 @@ exception Cancelled
    node qualifies ([depth <= 2 * max_period + 1], which includes the
    default period bound) the search builds no cache at all — no table,
    no history-interning hook, and no cell is interned (doc/model.md
-   §7). *)
-(* As in {!Explore}, two verdict-identical representations: the
-   structural form, and the hash-consed compact form (default) where
-   the fingerprint is the cursor's [compact_key] array, each abstract
-   trace cell is an interned id (the walk interns cells as it emits
-   them, so the suffix is already a small-int list), and each sleeper
-   is one packed [(streak << 8) | proc] int — the whole key then
-   interns to a single dense id.  No bitstate variant here, ever: a
-   false hit would silently truncate the fair-cycle search, and
-   [No_fair_cycle] is an exhaustiveness claim (doc/model.md §10). *)
-type ('inv, 'res) key =
-  | K_struct of {
-      k_fp : ('inv, 'res) Runner.fingerprint;
-      k_cells : string list list;
-      k_sleep : (Proc.t * int) list;
-    }
-  | K_compact of int
+   §7).  No bitstate variant here, ever: a false hit would silently
+   truncate the fair-cycle search, and [No_fair_cycle] is an
+   exhaustiveness claim (doc/model.md §10). *)
 
 type ('inv, 'res) state = {
   sink : Telemetry.sink;
@@ -79,7 +70,7 @@ type ('inv, 'res) state = {
   mutable fair : int;
   mutable found : ('inv, 'res) Lasso.cert option;
   ticks : int ref;
-  table : (('inv, 'res) key, int) Clock_cache.t option;
+  table : (int, int) Clock_cache.t option;
       (* The suffix cache, mapping a key to its subtree's run count;
          [None] when no node of the search can be keyed. *)
   shadow : Runtime.shadow option;  (* non-raising: counts only *)
@@ -87,43 +78,22 @@ type ('inv, 'res) state = {
       (* DPOR observed-access probe shared by all cursors of this
          (sequential) search; recording only. *)
   encode : (int -> ('inv, 'res) Event.t -> int) option;
-      (* Compact-key mode: the hash-consing hook every cursor is
-         created with (see {!Explore}). *)
+      (* {!Explore.history_encoder}, installed exactly when the cache
+         is live. *)
   cells_pool : string list Intern.t;
-      (* Compact-key mode: interns abstract trace cells, so the key's
-         trace suffix is a list of small ints. *)
+      (* Interns abstract trace cells, so the key's trace suffix is a
+         list of small ints. *)
   keys : Intern.Ints.t;
-      (* Compact-key pool: interns the flat key arrays into the dense
-         ids the suffix cache is keyed on. *)
+      (* Interns the flat key arrays into the dense ids the suffix
+         cache is keyed on. *)
 }
 
-let zero_sample =
-  {
-    Progress.s_nodes = 0;
-    s_runs = 0;
-    s_steps = 0;
-    s_cache_entries = 0;
-    s_cache_capacity = 0;
-    s_cycles = 0;
-  }
-
 let new_state ?capacity ?(sink = Telemetry.null) ?(progress = Progress.off)
-    ?(sanitize = false) ?(dpor = false) ?(cache = false) ?(compact = false) ()
-    =
-  let encode =
-    if not compact then None
-    else begin
-      let events = Intern.create () in
-      let conses = Intern.create () in
-      Some
-        (fun parent e ->
-          Intern.intern conses (parent, Intern.intern events e))
-    end
-  in
+    ?(sanitize = false) ?(dpor = false) ?(cache = false) () =
   {
     sink;
     progress;
-    sample = (fun () -> zero_sample);
+    sample = (fun () -> Progress.zero);
     nodes = 0;
     runs = 0;
     replayed = 0;
@@ -144,7 +114,7 @@ let new_state ?capacity ?(sink = Telemetry.null) ?(progress = Progress.off)
          Some (Runtime.make_shadow ~record:false ~raise_on_violation:false ())
        else None);
     probe = (if dpor then Some (Runtime.make_probe ()) else None);
-    encode;
+    encode = (if cache then Some (Explore.history_encoder ()) else None);
     cells_pool = Intern.create ();
     keys = Intern.Ints.create ();
   }
@@ -165,13 +135,6 @@ let wire_progress st =
             Option.value ~default:0 (Option.bind st.table Clock_cache.capacity);
           s_cycles = st.cycles;
         })
-
-(* The packed int the [Decision] telemetry event carries. *)
-let dec_code = function
-  | Driver.Schedule p -> Telemetry.Dec.schedule (Proc.hash p)
-  | Driver.Invoke (p, _) -> Telemetry.Dec.invoke (Proc.hash p)
-  | Driver.Crash p -> Telemetry.Dec.crash (Proc.hash p)
-  | Driver.Stop -> Telemetry.Dec.schedule 0  (* never in a menu *)
 
 let stats_of_state ~elapsed_ns ~events_dropped st : Explore_stats.t =
   {
@@ -318,6 +281,7 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
     ?max_period ?pump_ticks ?(invoke_order = false) ?(dpor = false)
     ?proviso_bound ?(cache = true) ?cache_capacity ?(obs = Obs.disabled)
     ?(sanitize = false) ?(compact = true) ?cancel () =
+  if not compact then invalid_arg "Live_explore.search: compact must be true";
   let t0 = Clock.now_ns () in
   let cancel = match cancel with Some f -> f | None -> fun () -> false in
   (* Default period bound: ceil(depth / 2), the largest period for
@@ -341,15 +305,12 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
      whole short cycle and silently miss its lasso. *)
   let proviso_bound = Option.value proviso_bound ~default:2 in
   (* The cache engages only if some node can be keyed, i.e. some
-     [len] has [2 * max_period < len < depth] (see the [key] type).
-     Compact keys need it, and every packed [(streak << 8) | proc]
-     sleeper entry to be unambiguous. *)
+     [len] has [2 * max_period < len < depth] (see the key comment). *)
   let cache = cache && depth > (2 * max_period) + 1 in
-  let compact = compact && cache && n < 62 in
   let st =
     new_state ?capacity:cache_capacity
       ~sink:(Obs.sink obs)
-      ~progress:(Obs.progress obs) ~sanitize ~dpor ~cache ~compact ()
+      ~progress:(Obs.progress obs) ~sanitize ~dpor ~cache ()
   in
   wire_progress st;
   let all_procs = Proc.all ~n in
@@ -420,9 +381,7 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
     let advanced =
       match d with
       | Driver.Schedule _ ->
-          let observed =
-            Dpor.observed_step_mask ~probe:st.probe ~declared:None
-          in
+          let observed = Dpor.observed_step_mask st.probe in
           let keep, woken =
             List.partition
               (fun (z, _) ->
@@ -481,25 +440,13 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
     let entry =
       match st.table with
       | Some table when 2 * max_period < len && len < depth ->
+          let cids = take (2 * max_period) rev_cids in
           let key =
-            if compact then
-              (* The interned-cell suffix is length-prefixed so the cell
-                 ids and the packed sleeper entries cannot alias each
-                 other in the flat array. *)
-              let cids = take (2 * max_period) rev_cids in
-              K_compact
-                (Intern.Ints.intern st.keys
-                   (Runner.Cursor.compact_key cursor
-                      ~extra:
-                        ((List.length cids :: cids)
-                        @ List.map (fun (z, s) -> (s lsl 8) lor z) sleep)))
-            else
-              K_struct
-                {
-                  k_fp = Runner.Cursor.fingerprint cursor;
-                  k_cells = take (2 * max_period) rev_cells;
-                  k_sleep = sleep;
-                }
+            Intern.Ints.intern st.keys
+              (Runner.Cursor.compact_key cursor
+                 ~extra:
+                   ((List.length cids :: cids)
+                   @ List.concat_map (fun (z, s) -> [ z; s ]) sleep))
           in
           Some (table, key)
       | _ -> None
@@ -586,7 +533,7 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
                 in
                 let descend child =
                   Telemetry.emit st.sink Telemetry.Decision (len + 1)
-                    (dec_code d);
+                    (Explore.dec_code d);
                   Runner.Cursor.apply child d;
                   let settled =
                     if dpor then settle_sleep child d child_sleep (len + 1)
@@ -599,8 +546,7 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
                   in
                   let cell = cell_of d fresh in
                   let rev_cids' =
-                    if compact then
-                      Intern.intern st.cells_pool cell :: rev_cids
+                    if cache then Intern.intern st.cells_pool cell :: rev_cids
                     else rev_cids
                   in
                   visit child (d :: rev_script) (cell :: rev_cells) rev_cids'

@@ -170,21 +170,23 @@ val search :
     verdict.  Pump validation runs outside the shadow — it re-executes
     an already-sanitized script on a fresh instance.
 
-    [compact] (default [true]) keys the suffix cache on hash-consed
-    encodings, exactly as in {!Explore.explore}: interned incremental
-    history ids, interned abstract-trace cells, packed sleeper
-    entries — one dense int per key.  Verdict- and
-    certificate-identical to [~compact:false] (differentially tested);
-    ignored when the cache is off or does not engage, or [n >= 62]
-    — then the cursors carry no history-interning hook either.  There is deliberately
-    no bitstate variant here: hash compaction's false hits would
-    silently truncate the search, and [No_fair_cycle] is an
+    The suffix cache is keyed on hash-consed encodings, as in
+    {!Explore.explore}: interned incremental history ids, interned
+    abstract-trace cells and the sleepers' [(proc, streak)] pairs,
+    interned to one dense int per key.  When the cache does not engage
+    the cursors carry no history-interning hook either.  There is
+    deliberately no bitstate variant here: hash compaction's false hits
+    would silently truncate the search, and [No_fair_cycle] is an
     exhaustiveness claim — the liveness side keeps exact keys
     (doc/model.md §10).
 
+    [compact] exists only for callers that still pass [~compact:true];
+    [~compact:false] raises [Invalid_argument].
+
     [cancel] behaves as in {!Explore.explore}: it is polled per node,
     aborting with {!Explore.Interrupted} carrying partial stats.
-    @raise Explore.Interrupted when [cancel] fired. *)
+    @raise Explore.Interrupted when [cancel] fired.
+    @raise Invalid_argument unless [compact = true]. *)
 
 val validate_cert_codes :
   n:int ->

@@ -7,6 +7,16 @@ type sample = {
   s_cycles : int;
 }
 
+let zero =
+  {
+    s_nodes = 0;
+    s_runs = 0;
+    s_steps = 0;
+    s_cache_entries = 0;
+    s_cache_capacity = 0;
+    s_cycles = 0;
+  }
+
 type state = {
   interval_ns : int;
   json : bool;

@@ -21,6 +21,10 @@ type sample = {
   s_cycles : int;  (** Candidate cycles examined (fair-cycle search). *)
 }
 
+val zero : sample
+(** The all-zero sample: an engine's placeholder until its counters
+    are wired. *)
+
 type t
 
 val off : t

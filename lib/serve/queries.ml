@@ -24,6 +24,9 @@ type spec = {
    them.  The reduction flags are pinned to the CLI defaults so every
    producer lands on the same store key. *)
 
+type factory =
+  unit -> (Consensus_type.invocation, Consensus_type.response) Runner.factory
+
 let point_of_string ~n = function
   | "obstruction" -> Ok Freedom.obstruction_freedom
   | "lock" -> Ok (Freedom.lock_freedom ~n)
@@ -40,12 +43,13 @@ let point_of_string ~n = function
       | _ -> Error (Printf.sprintf "unknown property %S" s)
     end
 
-let factory_of_spec sp =
-  match sp.sp_impl with
+let factory_of_impl : string -> (factory, string) result = function
   | "cas" -> Ok (fun () -> Cas_consensus.factory ())
   | "register" -> Ok (fun () -> Register_consensus.factory ())
   | "selfish" -> Ok (fun () -> Selfish_consensus.factory ())
   | other -> Error (Printf.sprintf "unknown implementation %S" other)
+
+let factory_of_spec sp = factory_of_impl sp.sp_impl
 
 let safety_invoke =
   Explore.workload_invoke
@@ -156,7 +160,7 @@ let qid sp =
         | `Explore ->
             Persist.query_key ~ident:sp.sp_impl ~check:(check_id sp)
               ~n:sp.sp_n ~registry_digest:rd ~max_crashes:sp.sp_crashes
-              ~por:true ~dpor:true ~symmetry:true ()
+              ~dpor:true ~symmetry:true ()
         | `Live ->
             Persist.query_key ~ident:sp.sp_impl ~check:(check_id sp)
               ~n:sp.sp_n ~registry_digest:rd ~max_crashes:sp.sp_crashes
@@ -230,8 +234,8 @@ let run_task ?cancel ?(progress = Progress.off) sp Full =
         | `Explore ->
             safety_result
               (Explore.explore ~n:sp.sp_n ~factory ~invoke:safety_invoke
-                 ~depth:sp.sp_depth ~max_crashes:sp.sp_crashes ~por:true
-                 ~dpor:true ~symmetry:true ~obs ?cancel ~check ())
+                 ~depth:sp.sp_depth ~max_crashes:sp.sp_crashes ~dpor:true
+                 ~symmetry:true ~obs ?cancel ~check ())
         | `Live -> (
             match point_of_string ~n:sp.sp_n sp.sp_property with
             | Error e -> error_result e

@@ -2,11 +2,11 @@
     {e is} on the wire, and how any process — coordinator, worker, or
     the [slx query] client — runs one.
 
-    A query names an implementation and property from the same
-    vocabulary as the [slx explore] / [slx live-explore] subcommands
-    (consensus implementations [cas]/[register]/[selfish]; the
-    freedom-point grammar of the CLI), with the CLI's default
-    reduction flags pinned — so a verdict computed by the service, by
+    A query names an implementation and property from the vocabulary
+    below, which the [slx explore] / [slx live-explore] subcommands
+    also use (consensus implementations [cas]/[register]/[selfish];
+    the freedom-point grammar), with the CLI's default reduction flags
+    pinned — so a verdict computed by the service, by
     a worker, or by the CLI with [--store] lands on the {e same}
     store key ({!qid}) and they warm-serve each other.
 
@@ -17,6 +17,55 @@
     worker writes back. *)
 
 open Slx_obs
+
+(** {1 Vocabulary} *)
+
+type factory =
+  unit ->
+  ( Slx_consensus.Consensus_type.invocation,
+    Slx_consensus.Consensus_type.response )
+  Slx_sim.Runner.factory
+
+val factory_of_impl : string -> (factory, string) result
+(** [cas] | [register] | [selfish]; anything else is
+    [Error "unknown implementation \"...\""]. *)
+
+val point_of_string : n:int -> string -> (Slx_liveness.Freedom.t, string) result
+(** [obstruction] | [lock] | [wait] | ["l,k"] with [l, k >= 1];
+    anything else is [Error "unknown property \"...\""]. *)
+
+val safety_invoke :
+  ( Slx_consensus.Consensus_type.invocation,
+    Slx_consensus.Consensus_type.response )
+  Slx_sim.Driver.view ->
+  Slx_history.Proc.t ->
+  Slx_consensus.Consensus_type.invocation option
+(** Safety workload: each process proposes [p - 1] once. *)
+
+val live_invoke :
+  ( Slx_consensus.Consensus_type.invocation,
+    Slx_consensus.Consensus_type.response )
+  Slx_sim.Driver.view ->
+  Slx_history.Proc.t ->
+  Slx_consensus.Consensus_type.invocation option
+(** Liveness workload: each process proposes [p - 1] forever. *)
+
+val good : Slx_consensus.Consensus_type.response -> bool
+(** Every consensus response is good. *)
+
+val check :
+  ( Slx_consensus.Consensus_type.invocation,
+    Slx_consensus.Consensus_type.response )
+  Slx_sim.Run_report.t ->
+  bool
+(** Consensus safety of the run's history. *)
+
+val dec_string :
+  (Slx_consensus.Consensus_type.invocation, 'res) Slx_sim.Driver.decision ->
+  string
+(** A decision as [S1], [I1(0)], [C1] (and [stop]). *)
+
+(** {1 Queries} *)
 
 type spec = {
   sp_kind : [ `Explore | `Live ];

@@ -177,8 +177,8 @@ module Cursor : sig
       components are the very digests the structural fingerprint uses.
       Two cursors fed the same hook therefore have equal compact keys
       iff their structural fingerprints (plus [extra]) are equal.
-      [extra] appends engine-specific key components (e.g. the POR
-      sleep set as a bitset). *)
+      [extra] appends engine-specific key components (e.g. the DPOR
+      sleep set's process ids). *)
 
   val shared_digest : ('inv, 'res) t -> int
   (** The shared-state digest of the current configuration

@@ -83,7 +83,7 @@ let pp_footprint fmt = function
    access can never conflict with a rest-part access — the commutation
    check is two ANDs plus a rarely-taken list fallback.  Masks are
    computed once per suspension (and once per nested declaration), so
-   the per-decision hot paths — [masks_commute] in the POR/DPOR sleep
+   the per-decision hot paths — [masks_commute] in the DPOR sleep
    logic, [mask_covers] in the sanitizer — never walk access lists. *)
 
 let mask_width = 62

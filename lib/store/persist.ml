@@ -12,12 +12,12 @@ let instance_digest ~n ~factory =
   Runner.Cursor.with_ ~n ~factory:(factory ()) Runner.Cursor.shared_digest
 
 let query_key ~ident ~check ~n ~registry_digest ?(max_crashes = 0)
-    ?(por = false) ?(dpor = false) ?(symmetry = false) ?(invoke_order = false)
+    ?(dpor = false) ?(symmetry = false) ?(invoke_order = false)
     ?(proviso_bound = 2) () =
   Store.digest_string
-    (Printf.sprintf "%s|%s|n=%d|rd=%d|mc=%d|por=%b|dpor=%b|sym=%b|io=%b|pb=%d"
-       ident check n registry_digest max_crashes por dpor symmetry
-       invoke_order proviso_bound)
+    (Printf.sprintf "%s|%s|n=%d|rd=%d|mc=%d|dpor=%b|sym=%b|io=%b|pb=%d"
+       ident check n registry_digest max_crashes dpor symmetry invoke_order
+       proviso_bound)
 
 (* ------------------------------------------------------------------ *)
 (* Safety.                                                             *)
@@ -41,13 +41,12 @@ let record_of_exploration ~qid ~depth (e : ('inv, 'res) Explore.exploration) =
   }
 
 let run_explore ~store ~qid ~n ~factory ~invoke ~depth ?(max_crashes = 0)
-    ?(cache = true) ?cache_capacity ?(por = false) ?(dpor = false)
-    ?(symmetry = false) ?obs ?(sanitize = false)
-    ?(compact = true) ?bitstate ?cancel ~check () =
+    ?(cache = true) ?cache_capacity ?(dpor = false) ?(symmetry = false) ?obs
+    ?(sanitize = false) ?bitstate ?cancel ~check () =
   let explore () =
     Explore.explore ~n ~factory ~invoke ~depth ~max_crashes ~cache
-      ?cache_capacity ~por ~dpor ~symmetry ?obs ~sanitize ~compact
-      ?bitstate ?cancel ~check ()
+      ?cache_capacity ~dpor ~symmetry ?obs ~sanitize ?bitstate ?cancel ~check
+      ()
   in
   match bitstate with
   | Some _ ->
@@ -135,7 +134,7 @@ let record_of_live ~qid ~depth ~max_period ~pump_ticks
 let run_live ~store ~qid ~n ~factory ~invoke ~good ~point ~depth
     ?(max_crashes = 0) ?max_period ?pump_ticks ?(invoke_order = false)
     ?(dpor = false) ?proviso_bound ?(cache = true) ?cache_capacity ?obs
-    ?(sanitize = false) ?(compact = true) ?cancel () =
+    ?(sanitize = false) ?cancel () =
   (* Resolve the depth-derived defaults here: a warm hit needs the
      stored record's budgets to equal the actual values. *)
   let max_period = Option.value max_period ~default:(max 1 ((depth + 1) / 2)) in
@@ -145,7 +144,7 @@ let run_live ~store ~qid ~n ~factory ~invoke ~good ~point ~depth
     match
       Live_explore.search ~n ~factory ~invoke ~good ~point ~depth ~max_crashes
         ~max_period ~pump_ticks ~invoke_order ~dpor ?proviso_bound ~cache
-        ?cache_capacity ?obs ~sanitize ~compact ?cancel ()
+        ?cache_capacity ?obs ~sanitize ?cancel ()
     with
     | r ->
         Store.bump store `Cold;

@@ -6,8 +6,8 @@
     the verdict-relevant identity: the implementation ident, the
     property ident, the system size, the initial shared-state digest
     ({!instance_digest}) and the reduction flags.  Anything that
-    cannot change a verdict — cache on/off, capacity, compaction —
-    deliberately stays out of the key, so tuning runs share records.
+    cannot change a verdict — cache on/off, capacity — deliberately
+    stays out of the key, so tuning runs share records.
 
     Answer planning is warm, else cold:
 
@@ -56,7 +56,6 @@ val query_key :
   n:int ->
   registry_digest:int ->
   ?max_crashes:int ->
-  ?por:bool ->
   ?dpor:bool ->
   ?symmetry:bool ->
   ?invoke_order:bool ->
@@ -81,21 +80,19 @@ val run_explore :
   ?max_crashes:int ->
   ?cache:bool ->
   ?cache_capacity:int ->
-  ?por:bool ->
   ?dpor:bool ->
   ?symmetry:bool ->
   ?obs:Slx_obs.Obs.t ->
   ?sanitize:bool ->
-  ?compact:bool ->
   ?bitstate:int ->
   ?cancel:(unit -> bool) ->
   check:(('inv, 'res) Run_report.t -> bool) ->
   unit ->
   ('inv, 'res) Explore.exploration * source
 (** Store-backed {!Slx_core.Explore.explore}.  The caller must build
-    [qid] with {!query_key} from the same flags it passes here —
-    {!Slx_serve} and the CLI both go through one helper to make that
-    unforgeable.  Warm hits return synthesized explorations
+    [qid] with {!query_key} from the same flags it passes here; nothing
+    checks that it did ({!Slx_serve.Queries.qid} and the CLI's
+    [--store] path each build their own).  Warm hits return synthesized explorations
     (zero work counters; [runs] and the witness restored from the
     record).  The exploration and the store file are consistent on
     return: the record for this [(qid, depth)] reflects this answer.
@@ -121,7 +118,6 @@ val run_live :
   ?cache_capacity:int ->
   ?obs:Slx_obs.Obs.t ->
   ?sanitize:bool ->
-  ?compact:bool ->
   ?cancel:(unit -> bool) ->
   unit ->
   ('inv, 'res) Live_explore.result * source

@@ -284,11 +284,11 @@ let one_proposal =
   Explore.workload_invoke
     (Driver.n_times 1 (fun p _ -> Slx_consensus.Consensus_type.Propose (p - 1)))
 
-let explore_register ?cache ?(por = false) ?(symmetry = false)
+let explore_register ?cache ?(dpor = false) ?(symmetry = false)
     ?(sanitize = false) () =
   Explore.explore ~n:2
     ~factory:(fun () -> Slx_consensus.Register_consensus.factory ())
-    ~invoke:one_proposal ~depth:8 ?cache ~por ~symmetry ~sanitize
+    ~invoke:one_proposal ~depth:8 ?cache ~dpor ~symmetry ~sanitize
     ~check:(fun r ->
       Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history)
     ()
@@ -307,8 +307,8 @@ let test_sanitize_changes_nothing () =
     [
       ("plain", fun sanitize -> explore_register ~sanitize ());
       ("no-cache", fun sanitize -> explore_register ~cache:false ~sanitize ());
-      ( "por+symmetry",
-        fun sanitize -> explore_register ~por:true ~symmetry:true ~sanitize ()
+      ( "dpor+symmetry",
+        fun sanitize -> explore_register ~dpor:true ~symmetry:true ~sanitize ()
       );
     ]
   in

@@ -1,8 +1,7 @@
-(* The compact-encoding pass's own suite (ISSUE: hot-loop raw-speed
-   pass): the hash-consing and bitmask machinery must be invisible —
-   every verdict, witness script and lasso certificate byte-identical
-   with the compact hot path on or off — and the bitstate mode must be
-   honest about being lossy.
+(* The compact encodings' own suite: the hash-consed cache keys and
+   the conflict bitmasks must be invisible — every verdict, witness
+   script and lasso certificate identical with the transposition cache
+   on or off — and the bitstate mode must be honest about being lossy.
 
    Layers:
    - QCheck: interning preserves structural equality (the soundness
@@ -10,8 +9,11 @@
      conflict bitmasks agree with the footprint oracle everywhere,
      spill range included;
    - differential sweeps over the whole audit registry, safety and
-     liveness legs, compact keys on vs off (mirroring
-     test/test_dpor.ml's dpor-on-vs-off sweeps);
+     liveness legs, cache on vs off (mirroring test/test_dpor.ml's
+     dpor-on-vs-off sweeps), the liveness leg at a period bound where
+     the suffix cache engages;
+   - the retired switches ([~compact:false], declared-footprint
+     [~por:true ~dpor:false]) raise;
    - bitstate: an undersized table collides, prunes, reports its
      honest collision bound, and never invents a counterexample; the
      bits bounds raise;
@@ -105,42 +107,34 @@ let qcheck_wakes_mask_agree =
       = Dpor.wakes ~observed ~pending)
 
 (* ------------------------------------------------------------------ *)
-(* Safety leg: Explore with compact keys on vs off, over the whole     *)
-(* audit registry — identical verdicts, counters and lex-least         *)
-(* witness scripts.                                                    *)
+(* Safety leg: Explore with the transposition cache on vs off, over    *)
+(* the whole audit registry — identical runs, history digests and      *)
+(* lex-least witness scripts.                                          *)
 
 let diff_explore_case (Audit.Case c) =
   let depth = min c.Audit.c_depth 5 in
   let max_crashes = min c.Audit.c_max_crashes 1 in
-  let run ~compact ~check =
+  let run ~cache ~check =
     Explore.explore ~n:c.Audit.c_n ~factory:c.Audit.c_factory
-      ~invoke:c.Audit.c_invoke ~depth ~max_crashes ~dpor:true ~compact ~check
-      ()
+      ~invoke:c.Audit.c_invoke ~depth ~max_crashes ~dpor:true ~cache ~check ()
   in
   let stats e = e.Explore.stats in
-  let full = run ~compact:false ~check:(fun _ -> true) in
-  let comp = run ~compact:true ~check:(fun _ -> true) in
-  (match (full.Explore.outcome, comp.Explore.outcome) with
+  let off = run ~cache:false ~check:(fun _ -> true) in
+  let on = run ~cache:true ~check:(fun _ -> true) in
+  (match (off.Explore.outcome, on.Explore.outcome) with
   | Explore.Ok a, Explore.Ok b ->
-      check_int (c.Audit.c_name ^ ": identical runs checked") a b
+      check_int (c.Audit.c_name ^ ": identical runs") a b
   | _ ->
       Alcotest.failf "%s: always-true check produced a counterexample"
         c.Audit.c_name);
-  check_int
-    (c.Audit.c_name ^ ": identical steps")
-    (stats full).Explore_stats.steps_executed
-    (stats comp).Explore_stats.steps_executed;
-  check_int
-    (c.Audit.c_name ^ ": identical cache hits")
-    (stats full).Explore_stats.cache_hits (stats comp).Explore_stats.cache_hits;
   check_bool
     (c.Audit.c_name ^ ": identical history digest")
     true
-    ((stats full).Explore_stats.history_digest
-    = (stats comp).Explore_stats.history_digest);
-  let fullx = run ~compact:false ~check:(fun _ -> false) in
-  let compx = run ~compact:true ~check:(fun _ -> false) in
-  match (fullx.Explore.witness_script, compx.Explore.witness_script) with
+    ((stats off).Explore_stats.history_digest
+    = (stats on).Explore_stats.history_digest);
+  let offx = run ~cache:false ~check:(fun _ -> false) in
+  let onx = run ~cache:true ~check:(fun _ -> false) in
+  match (offx.Explore.witness_script, onx.Explore.witness_script) with
   | Some a, Some b ->
       Alcotest.(check string)
         (c.Audit.c_name ^ ": identical lex-least counterexample script")
@@ -154,47 +148,70 @@ let test_explore_differential () =
   List.iter diff_explore_case (Registry.all ())
 
 (* ------------------------------------------------------------------ *)
-(* Liveness leg: Live_explore with compact keys on vs off.             *)
+(* Liveness leg: Live_explore with the suffix cache on vs off.  The    *)
+(* cache keys only nodes deeper than [2 * max_period], so the leg      *)
+(* runs at [max_period] 1, where every registry depth has such nodes.  *)
 
-let diff_live_case (Audit.Case c) =
-  let depth = min c.Audit.c_depth 7 in
-  let run ~compact =
-    Live_explore.search ~n:c.Audit.c_n ~factory:c.Audit.c_factory
-      ~invoke:c.Audit.c_invoke
-      ~good:(fun _ -> false)
-      ~point:(Freedom.make ~l:1 ~k:1) ~depth ~dpor:true ~compact ()
-  in
-  let full = run ~compact:false in
-  let comp = run ~compact:true in
-  check_int
-    (c.Audit.c_name ^ ": identical live nodes")
-    full.Live_explore.stats.Explore_stats.nodes
-    comp.Live_explore.stats.Explore_stats.nodes;
-  match (full.Live_explore.outcome, comp.Live_explore.outcome) with
+let same_lasso ~name pp_inv (on : _ Live_explore.result)
+    (off : _ Live_explore.result) =
+  match (on.Live_explore.outcome, off.Live_explore.outcome) with
   | Live_explore.No_fair_cycle, Live_explore.No_fair_cycle -> ()
   | Live_explore.Lasso a, Live_explore.Lasso b ->
       Alcotest.(check string)
-        (c.Audit.c_name ^ ": identical lasso stem")
-        (show_script c.Audit.c_pp_inv a.Lasso.c_stem)
-        (show_script c.Audit.c_pp_inv b.Lasso.c_stem);
+        (name ^ ": identical lasso stem")
+        (show_script pp_inv a.Lasso.c_stem)
+        (show_script pp_inv b.Lasso.c_stem);
       Alcotest.(check string)
-        (c.Audit.c_name ^ ": identical lasso cycle")
-        (show_script c.Audit.c_pp_inv a.Lasso.c_cycle)
-        (show_script c.Audit.c_pp_inv b.Lasso.c_cycle);
-      check_bool
-        (c.Audit.c_name ^ ": identical certificate cells")
-        true
+        (name ^ ": identical lasso cycle")
+        (show_script pp_inv a.Lasso.c_cycle)
+        (show_script pp_inv b.Lasso.c_cycle);
+      check_bool (name ^ ": identical certificate cells") true
         (a.Lasso.c_cells = b.Lasso.c_cells)
   | Live_explore.Lasso _, Live_explore.No_fair_cycle ->
-      Alcotest.failf "%s: compact keys missed the lasso" c.Audit.c_name
+      Alcotest.failf "%s: the cache invented a lasso" name
   | Live_explore.No_fair_cycle, Live_explore.Lasso _ ->
-      Alcotest.failf "%s: compact keys invented a lasso" c.Audit.c_name
+      Alcotest.failf "%s: the cache missed the lasso" name
 
-let test_live_differential () = List.iter diff_live_case (Registry.all ())
+let cache_entries (r : _ Live_explore.result) =
+  r.Live_explore.stats.Explore_stats.cache_entries
+
+(* Every keyed node of a lasso-free search completes and writes its
+   entry, so such a search holds entries unless no node is deeper than
+   [2 * max_period]: selfish consensus decides inside the invocation,
+   so with one proposal per process its every run ends at length 2.  A search that finds its lasso on
+   the first path may complete no keyed node either, so the sweep also
+   checks that its total is positive. *)
+let shallow_cases = [ "consensus-selfish" ]
+
+let diff_live_case (Audit.Case c) =
+  let depth = min c.Audit.c_depth 7 in
+  let run ~cache =
+    Live_explore.search ~n:c.Audit.c_n ~factory:c.Audit.c_factory
+      ~invoke:c.Audit.c_invoke
+      ~good:(fun _ -> false)
+      ~point:(Freedom.make ~l:1 ~k:1) ~depth ~max_period:1 ~dpor:true ~cache
+      ()
+  in
+  let on = run ~cache:true in
+  if
+    on.Live_explore.outcome = Live_explore.No_fair_cycle
+    && not (List.mem c.Audit.c_name shallow_cases)
+  then
+    check_bool (c.Audit.c_name ^ ": the suffix cache holds entries") true
+      (cache_entries on > 0);
+  same_lasso ~name:c.Audit.c_name c.Audit.c_pp_inv on (run ~cache:false);
+  cache_entries on
+
+let test_live_differential () =
+  let total =
+    List.fold_left (fun acc case -> acc + diff_live_case case) 0
+      (Registry.all ())
+  in
+  check_bool "the sweep's suffix caches hold entries" true (total > 0)
 
 (* The positive half: Theorem 5.2's own (1,2) lasso at depth 8 must be
-   byte-identical with compact keys on or off, under the dpor
-   reduction whose key carries sleepers and streaks. *)
+   identical with the suffix cache on or off, under the dpor reduction
+   whose key carries sleepers and streaks. *)
 
 let pp_consensus_inv (Slx_consensus.Consensus_type.Propose v) =
   "propose " ^ string_of_int v
@@ -204,31 +221,55 @@ let consensus_invoke =
     (Driver.forever (fun p -> Slx_consensus.Consensus_type.Propose (p - 1)))
 
 let test_register_cert_identity () =
-  let run ~compact =
+  let run ~cache =
     Live_explore.search ~n:2
       ~factory:(fun () ->
         Slx_consensus.Register_consensus.factory ~max_rounds:8 ())
       ~invoke:consensus_invoke
       ~good:(fun _ -> true)
-      ~point:(Freedom.make ~l:1 ~k:2) ~depth:8 ~dpor:true ~compact ()
+      ~point:(Freedom.make ~l:1 ~k:2) ~depth:8 ~max_period:2 ~dpor:true ~cache
+      ()
   in
-  let cert name r =
-    match r.Live_explore.outcome with
-    | Live_explore.Lasso c -> c
-    | Live_explore.No_fair_cycle ->
-        Alcotest.failf "register (1,2) %s: expected a lasso" name
+  let on = run ~cache:true and off = run ~cache:false in
+  (match on.Live_explore.outcome with
+  | Live_explore.Lasso _ -> ()
+  | Live_explore.No_fair_cycle ->
+      Alcotest.fail "register (1,2): expected a lasso");
+  check_bool "register (1,2): the suffix cache holds entries" true
+    (cache_entries on > 0);
+  same_lasso ~name:"register (1,2)" pp_consensus_inv on off
+
+(* ------------------------------------------------------------------ *)
+(* The retired switches: one key representation, one sleep-set oracle. *)
+
+let test_retired_switches_raise () =
+  let raises name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s must raise Invalid_argument" name
   in
-  let b = cert "structural" (run ~compact:false) in
-  let c = cert "compact" (run ~compact:true) in
-  Alcotest.(check string)
-    "identical stem"
-    (show_script pp_consensus_inv b.Lasso.c_stem)
-    (show_script pp_consensus_inv c.Lasso.c_stem);
-  Alcotest.(check string)
-    "identical cycle"
-    (show_script pp_consensus_inv b.Lasso.c_cycle)
-    (show_script pp_consensus_inv c.Lasso.c_cycle);
-  check_bool "identical cells" true (b.Lasso.c_cells = c.Lasso.c_cells)
+  let factory () = Slx_consensus.Register_consensus.factory () in
+  let invoke =
+    Explore.workload_invoke
+      (Driver.n_times 1 (fun p _ -> Slx_consensus.Consensus_type.Propose (p - 1)))
+  in
+  let explore ?por ?dpor ?compact () =
+    ignore
+      (Explore.explore ~n:2 ~factory ~invoke ~depth:4 ?por ?dpor ?compact
+         ~check:(fun _ -> true)
+         ())
+  in
+  raises "Explore.explore ~compact:false" (explore ~compact:false);
+  raises "Explore.explore ~por:true" (explore ~por:true);
+  raises "Explore.explore ~por:true ~dpor:false" (explore ~por:true ~dpor:false);
+  raises "Live_explore.search ~compact:false" (fun () ->
+      ignore
+        (Live_explore.search ~n:2 ~factory ~invoke:consensus_invoke
+           ~good:(fun _ -> true)
+           ~point:(Freedom.make ~l:1 ~k:1) ~depth:4 ~compact:false ()));
+  (* The values the frozen callers still pass are accepted. *)
+  explore ~por:true ~dpor:true ~compact:true ();
+  explore ~por:false ~compact:true ()
 
 (* ------------------------------------------------------------------ *)
 (* Bitstate: honesty of the lossy mode.                                *)
@@ -356,8 +397,10 @@ let suites =
           test_explore_differential;
         quick "live-explore differential over the audit registry"
           test_live_differential;
-        quick "register (1,2) certificate is identical under compact keys"
+        quick "register (1,2) certificate is identical with the cache on or off"
           test_register_cert_identity;
+        quick "the retired --no-compact and declared-POR switches raise"
+          test_retired_switches_raise;
         quick "an undersized bitstate table is honest about collisions"
           test_bitstate_undersized_is_honest;
         quick "an adequate bitstate table agrees with the exact search"

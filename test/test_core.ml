@@ -385,7 +385,7 @@ let test_explore_finds_selfish_counterexample () =
       check_bool "counterexample really violates safety" false
         (Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history)
 
-let explore_selfish ?cache ?cache_capacity ?por ?symmetry engine =
+let explore_selfish ?cache ?cache_capacity ?dpor ?symmetry engine =
   let check r =
     Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history
   in
@@ -396,7 +396,7 @@ let explore_selfish ?cache ?cache_capacity ?por ?symmetry engine =
         ()
   | `Incremental ->
       Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth:6 ?cache
-        ?cache_capacity ?por ?symmetry ~check ()
+        ?cache_capacity ?dpor ?symmetry ~check ()
 
 let selfish_witness =
   (* The lexicographically least failing script: in the canonical menu
@@ -429,9 +429,9 @@ let test_explore_witness_is_deterministic () =
       ("incremental", explore_selfish `Incremental);
       ("no-cache", explore_selfish ~cache:false `Incremental);
       ("bounded-cache", explore_selfish ~cache_capacity:4 `Incremental);
-      ("por", explore_selfish ~por:true `Incremental);
+      ("dpor", explore_selfish ~dpor:true `Incremental);
       ("symmetry", explore_selfish ~symmetry:true `Incremental);
-      ("por+symmetry", explore_selfish ~por:true ~symmetry:true `Incremental);
+      ("dpor+symmetry", explore_selfish ~dpor:true ~symmetry:true `Incremental);
     ]
   in
   List.iter
@@ -482,12 +482,12 @@ let test_explore_reduction_stats () =
     Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history
   in
   let factory () = Slx_consensus.Register_consensus.factory () in
-  let explore ?cache_capacity ?(por = false) ?(symmetry = false) () =
+  let explore ?cache_capacity ?(dpor = false) ?(symmetry = false) () =
     Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth:10
-      ?cache_capacity ~por ~symmetry ~check ()
+      ?cache_capacity ~dpor ~symmetry ~check ()
   in
   let plain = explore () in
-  let reduced = explore ~por:true ~symmetry:true () in
+  let reduced = explore ~dpor:true ~symmetry:true () in
   let bounded = explore ~cache_capacity:8 () in
   let safe e =
     match e.Explore.outcome with

@@ -74,10 +74,10 @@ let register () = Register_consensus.factory ()
 let cas () = Cas_consensus.factory ()
 let selfish () = Selfish_consensus.factory ()
 
-let explore ?(reduce = false) ?(dpor = false) ?(check = consensus_check) ~n
+let explore ?(symmetry = false) ?(dpor = false) ?(check = consensus_check) ~n
     ~depth ~crashes factory =
   Explore.explore ~n ~factory ~invoke:one_proposal ~depth
-    ~max_crashes:crashes ~por:reduce ~symmetry:reduce ~dpor ~check ()
+    ~max_crashes:crashes ~symmetry ~dpor ~check ()
 
 let live ?(dpor = false) ~l ~k ~n ~depth ~crashes () =
   Live_explore.search ~n
@@ -91,19 +91,21 @@ let cases =
   [
     ( "register n=2 depth=12 c=1 incremental",
       fun () -> summary (explore ~n:2 ~depth:12 ~crashes:1 register) );
-    ( "register n=2 depth=12 c=1 por+symmetry",
+    ( "register n=2 depth=12 c=1 dpor+symmetry",
       fun () ->
-        summary (explore ~reduce:true ~n:2 ~depth:12 ~crashes:1 register) );
+        summary
+          (explore ~symmetry:true ~dpor:true ~n:2 ~depth:12 ~crashes:1 register)
+    );
     ( "register n=2 depth=12 c=1 dpor",
       fun () -> summary (explore ~dpor:true ~n:2 ~depth:12 ~crashes:1 register)
     );
     ( "register n=3 depth=10 c=1 dpor",
       fun () -> summary (explore ~dpor:true ~n:3 ~depth:10 ~crashes:1 register)
     );
-    ( "register n=3 depth=12 c=1 por+symmetry+dpor",
+    ( "register n=3 depth=12 c=1 dpor+symmetry",
       fun () ->
         summary
-          (explore ~reduce:true ~dpor:true ~n:3 ~depth:12 ~crashes:1 register)
+          (explore ~symmetry:true ~dpor:true ~n:3 ~depth:12 ~crashes:1 register)
     );
     ( "cas n=3 depth=10 c=1 incremental",
       fun () -> summary (explore ~n:3 ~depth:10 ~crashes:1 cas) );
@@ -156,7 +158,7 @@ let pinned =
     ( "register n=2 depth=12 c=1 incremental",
       "runs=12056 nodes=1091 steps_executed=5342 steps_replayed=4252 \
          cache_hits=366 history_digest=4281660246409360189 witness=[none]" );
-    ( "register n=2 depth=12 c=1 por+symmetry",
+    ( "register n=2 depth=12 c=1 dpor+symmetry",
       "runs=197 nodes=477 steps_executed=2045 steps_replayed=1569 \
          cache_hits=121 history_digest=2275089341820367456 witness=[none]" );
     ( "register n=2 depth=12 c=1 dpor",
@@ -165,7 +167,7 @@ let pinned =
     ( "register n=3 depth=10 c=1 dpor",
       "runs=22253 nodes=13002 steps_executed=67616 steps_replayed=54615 \
          cache_hits=4512 history_digest=1185516990485747586 witness=[none]" );
-    ( "register n=3 depth=12 c=1 por+symmetry+dpor",
+    ( "register n=3 depth=12 c=1 dpor+symmetry",
       "runs=3371 nodes=3724 steps_executed=20725 steps_replayed=17002 \
          cache_hits=980 history_digest=114583864289440043 witness=[none]" );
     ( "cas n=3 depth=10 c=1 incremental",

@@ -232,9 +232,9 @@ let explorer_equivalence name ~factory ~invoke ~depth ~max_crashes =
      each reduced configuration must be self-deterministic (same count
      and digest on a re-run). *)
   List.iter
-    (fun (engine, por, symmetry) ->
+    (fun (engine, dpor, symmetry) ->
       let reduced () =
-        Explore.explore ~n:2 ~factory ~invoke ~depth ~max_crashes ~por
+        Explore.explore ~n:2 ~factory ~invoke ~depth ~max_crashes ~dpor
           ~symmetry ~check ()
       in
       let e = reduced () and e' = reduced () in
@@ -252,9 +252,9 @@ let explorer_equivalence name ~factory ~invoke ~depth ~max_crashes =
       check_bool (name ^ ": " ^ engine ^ " is deterministic (digest)") true
         (digest e = digest e'))
     [
-      ("por", true, false);
+      ("dpor", true, false);
       ("symmetry", false, true);
-      ("por+symmetry", true, true);
+      ("dpor+symmetry", true, true);
     ]
 
 let one_proposal =
@@ -330,18 +330,18 @@ let test_explorers_agree_on_counterexample () =
         fun () ->
           Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth:8
             ~cache:false ~check () );
-      ( "por",
+      ( "dpor",
         fun () ->
           Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth:8
-            ~por:true ~check () );
+            ~dpor:true ~check () );
       ( "symmetry",
         fun () ->
           Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth:8
             ~symmetry:true ~check () );
-      ( "por+symmetry",
+      ( "dpor+symmetry",
         fun () ->
           Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth:8
-            ~por:true ~symmetry:true ~check () );
+            ~dpor:true ~symmetry:true ~check () );
       ( "bounded cache",
         fun () ->
           Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth:8

@@ -40,7 +40,7 @@ let diff_explore_case (Audit.Case c) =
   let max_crashes = min c.Audit.c_max_crashes 1 in
   let run ~dpor ~check =
     Explore.explore ~n:c.Audit.c_n ~factory:c.Audit.c_factory
-      ~invoke:c.Audit.c_invoke ~depth ~max_crashes ~por:false ~dpor ~check ()
+      ~invoke:c.Audit.c_invoke ~depth ~max_crashes ~dpor ~check ()
   in
   (* Verdict identity and reduction on a passing check. *)
   let full = run ~dpor:false ~check:(fun _ -> true) in

@@ -200,11 +200,11 @@ let one_proposal =
     (Slx_sim.Driver.n_times 1 (fun p _ ->
          Slx_consensus.Consensus_type.Propose (p - 1)))
 
-let explore_register ?cache ?cache_capacity ?(por = false) ?(symmetry = false)
+let explore_register ?cache ?cache_capacity ?(dpor = false) ?(symmetry = false)
     ?obs () =
   Explore.explore ~n:2
     ~factory:(fun () -> Slx_consensus.Register_consensus.factory ())
-    ~invoke:one_proposal ~depth:8 ?cache ?cache_capacity ~por ~symmetry ?obs
+    ~invoke:one_proposal ~depth:8 ?cache ?cache_capacity ~dpor ~symmetry ?obs
     ~check:(fun r ->
       Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history)
     ()
@@ -224,8 +224,8 @@ let test_tracing_does_not_change_verdicts () =
       ("plain", fun obs -> explore_register ~obs ());
       ("no-cache", fun obs -> explore_register ~cache:false ~obs ());
       ("bounded-cache", fun obs -> explore_register ~cache_capacity:8 ~obs ());
-      ( "por+symmetry",
-        fun obs -> explore_register ~por:true ~symmetry:true ~obs () );
+      ( "dpor+symmetry",
+        fun obs -> explore_register ~dpor:true ~symmetry:true ~obs () );
     ]
   in
   List.iter

@@ -105,18 +105,18 @@ let summary (e : _ Explore.exploration) =
     verdict s.Explore_stats.runs s.nodes s.steps_executed s.steps_replayed
     s.cache_hits s.history_digest
 
-type engine = { label : string; por : bool; dpor : bool }
+type engine = { label : string; symmetry : bool; dpor : bool }
 
 let engines =
   [
-    { label = "incremental"; por = false; dpor = false };
-    { label = "por+symmetry"; por = true; dpor = false };
-    { label = "dpor"; por = false; dpor = true };
+    { label = "incremental"; symmetry = false; dpor = false };
+    { label = "dpor+symmetry"; symmetry = true; dpor = true };
+    { label = "dpor"; symmetry = false; dpor = true };
   ]
 
 let explore_with ~n ~depth ~max_crashes ~check e factory =
   Explore.explore ~n ~factory ~invoke:one_proposal ~depth ~max_crashes
-    ~por:e.por ~symmetry:e.por ~dpor:e.dpor ~check ()
+    ~symmetry:e.symmetry ~dpor:e.dpor ~check ()
 
 let same_exploration ~name ~n ~depth ~max_crashes ~check ~lazy_ ~eager =
   List.iter

@@ -61,7 +61,7 @@ let test_full_task_steps () =
         (Explore.workload_invoke
            (Driver.n_times 1 (fun p _ ->
                 Slx_consensus.Consensus_type.Propose (p - 1))))
-      ~depth:10 ~max_crashes:2 ~por:true ~dpor:true ~symmetry:true
+      ~depth:10 ~max_crashes:2 ~dpor:true ~symmetry:true
       ~check:(fun r ->
         Slx_consensus.Consensus_safety.check r.Run_report.history)
       ()
@@ -100,7 +100,7 @@ let store_less_explore ~impl ~n ~depth ~crashes =
       (Explore.workload_invoke
          (Driver.n_times 1 (fun p _ ->
               Slx_consensus.Consensus_type.Propose (p - 1))))
-    ~depth ~max_crashes:crashes ~por:true ~dpor:true ~symmetry:true
+    ~depth ~max_crashes:crashes ~dpor:true ~symmetry:true
     ~check:(fun r -> Slx_consensus.Consensus_safety.check r.Run_report.history)
     ()
 
@@ -377,6 +377,18 @@ let test_cli_out_of_range_refused () =
       "live-explore --cache-capacity 0";
       "live-explore --procs 0";
     ]
+
+(* The declared-footprint POR and structural-key switches are gone:
+   naming them is a usage error too. *)
+let test_cli_retired_flags_refused () =
+  List.iter
+    (fun args ->
+      check_int
+        (Printf.sprintf "slx %s is a usage error" args)
+        124
+        (Sys.command
+           (Printf.sprintf "%s %s --json >/dev/null 2>&1" slx_bin args)))
+    [ "explore --no-por"; "explore --no-compact"; "live-explore --no-compact" ]
 
 (* The serve decoder answers the same bad bounds with an [Error]. *)
 let test_decoder_out_of_range_refused () =
@@ -656,6 +668,8 @@ let suites =
       [
         Alcotest.test_case "CLI refuses out-of-range bounds" `Quick
           test_cli_out_of_range_refused;
+        Alcotest.test_case "CLI refuses the retired reduction flags" `Quick
+          test_cli_retired_flags_refused;
         Alcotest.test_case "decoder refuses out-of-range bounds" `Quick
           test_decoder_out_of_range_refused;
       ] );

@@ -235,10 +235,10 @@ let test_engine_mismatch () =
     && Store.records reopened = [ List.hd sample_records ])
 
 let test_qid_binds_flags () =
-  let base ?por ?dpor ?symmetry ?invoke_order ?proviso_bound
+  let base ?dpor ?symmetry ?invoke_order ?proviso_bound
       ?(registry_digest = 99) () =
     Persist.query_key ~ident:"cas" ~check:"consensus-safety" ~n:2
-      ~registry_digest ?por ?dpor ?symmetry ?invoke_order ?proviso_bound ()
+      ~registry_digest ?dpor ?symmetry ?invoke_order ?proviso_bound ()
   in
   let q0 = base () in
   List.iteri
@@ -246,7 +246,6 @@ let test_qid_binds_flags () =
       check_bool (Printf.sprintf "flag variant %d lands on a fresh qid" i)
         false (q = q0))
     [
-      base ~por:true ();
       base ~dpor:true ();
       base ~symmetry:true ();
       base ~invoke_order:true ();
@@ -263,7 +262,7 @@ let test_qid_binds_flags () =
     { (List.hd sample_records) with Store.r_qid = q0; r_depth = 5 };
   check_bool "exact qid hits" true (Store.find st ~qid:q0 ~depth:5 <> None);
   check_bool "flag-variant qid misses" true
-    (Store.find st ~qid:(base ~por:true ()) ~depth:5 = None)
+    (Store.find st ~qid:(base ~dpor:true ()) ~depth:5 = None)
 
 let test_supersede () =
   let path = temp_store () in
@@ -312,11 +311,11 @@ let pp_consensus_inv (Slx_consensus.Consensus_type.Propose v) =
 let safety_qid ?(n = 2) ?(max_crashes = 0) ~ident ~factory () =
   Persist.query_key ~ident ~check:"consensus-safety" ~n
     ~registry_digest:(Persist.instance_digest ~n ~factory)
-    ~max_crashes ~por:true ~dpor:true ~symmetry:true ()
+    ~max_crashes ~dpor:true ~symmetry:true ()
 
 let run_safety ?(n = 2) ?(max_crashes = 0) ~store ~qid ~factory ~depth () =
   Persist.run_explore ~store ~qid ~n ~factory ~invoke:safety_invoke ~depth
-    ~max_crashes ~por:true ~dpor:true ~symmetry:true ~check:consensus_check ()
+    ~max_crashes ~dpor:true ~symmetry:true ~check:consensus_check ()
 
 (* What a stored answer must share with the store-less one: outcome,
    runs, digest and the work done. *)
@@ -343,7 +342,7 @@ let test_persist_cold_warm_deeper () =
   let qid = safety_qid ~ident:"cas" ~factory:cas_factory () in
   let plain ?(n = 2) ?(max_crashes = 0) depth =
     Explore.explore ~n ~factory:cas_factory ~invoke:safety_invoke ~depth
-      ~max_crashes ~por:true ~dpor:true ~symmetry:true ~check:consensus_check
+      ~max_crashes ~dpor:true ~symmetry:true ~check:consensus_check
       ()
   in
   let runs_of e =
@@ -427,7 +426,7 @@ let test_persist_bitstate_bypass () =
   let qid = safety_qid ~ident:"cas" ~factory:cas_factory () in
   let _, src =
     Persist.run_explore ~store:st ~qid ~n:2 ~factory:cas_factory
-      ~invoke:safety_invoke ~depth:6 ~por:true ~dpor:true ~symmetry:true
+      ~invoke:safety_invoke ~depth:6 ~dpor:true ~symmetry:true
       ~bitstate:12 ~check:consensus_check ()
   in
   check_bool "bitstate runs bypass the store" true
