@@ -594,37 +594,6 @@ let micro_smoke () =
       fp_ratio commute_ratio;
   (ok, fp_ratio, commute_ratio)
 
-(* The bitstate row: hash compaction must report its honest collision
-   bound in the stats it emits. *)
-let bitstate_smoke () =
-  Printf.printf "== bench smoke: bitstate hash compaction ==\n";
-  let b =
-    Slx_core.Explore.explore ~n:2
-      ~factory:(fun () -> Slx_consensus.Register_consensus.factory ())
-      ~invoke:one_proposal ~depth:10 ~max_crashes:1 ~dpor:true ~bitstate:16
-      ~check ()
-  in
-  let bst = b.Slx_core.Explore.stats in
-  let prob = Slx_core.Explore_stats.bitstate_collision_probability bst in
-  Printf.printf
-    "  {\"case\": \"register-depth-10-crashes-1-dpor-bitstate-16\", \
-     \"bitstate_bits\": %d, \"bitstate_adds\": %d, \"bitstate_hits\": %d, \
-     \"bitstate_marks\": %d, \"collision_probability\": %g, \
-     \"runs_checked\": %d, \"safe\": %b}\n"
-    bst.Slx_core.Explore_stats.bitstate_bits
-    bst.Slx_core.Explore_stats.bitstate_adds
-    bst.Slx_core.Explore_stats.bitstate_hits
-    bst.Slx_core.Explore_stats.bitstate_marks prob
-    bst.Slx_core.Explore_stats.runs_checked (safe b);
-  let bitstate_ok =
-    safe b && bst.Slx_core.Explore_stats.bitstate_bits = 16
-    && bst.Slx_core.Explore_stats.bitstate_adds > 0
-    && prob > 0.0
-  in
-  if not bitstate_ok then
-    Printf.printf "  SMOKE FAILURE: bitstate row missing or dishonest\n";
-  bitstate_ok
-
 (* The cursor-release row: the lib-safety query shape (register n = 3,
    one crash, depth 14, every reduction on) explored 10 times in this
    process, with a full major collection after each run.  Every cursor
@@ -735,18 +704,17 @@ let run () =
   let obs_ok = obs_smoke () in
   let san_ok = sanitize_overhead_smoke () in
   let micro_ok, fp_ratio, commute_ratio = micro_smoke () in
-  let bitstate_ok = bitstate_smoke () in
   let ok =
     cas_ratio >= 3.0 && crash_ratio >= 3.0 && red_ratio >= 5.0 && cas_eq
     && crash_eq && red_eq && dpor_ok && live_ok && live_dpor_ok && keying_ok
-    && obs_ok && san_ok && micro_ok && bitstate_ok && release_ok
+    && obs_ok && san_ok && micro_ok && release_ok
   in
   Printf.printf
     "smoke %s: depth-8 incremental ratios %.2fx / %.2fx (bar: 3x each), \
      depth-10 reduction ratio %.2fx (bar: 5x), reduced rows %s, dpor %s, \
      live split %s, live dpor %.2fx nodes / %.2fx steps (bar: 3x each), \
      live keying %s, traces %s, sanitizer %s (bar: <=15%%), micro \
-     fingerprint %.2fx / commute %.2fx (bar: 2x each), bitstate %s, cursor \
+     fingerprint %.2fx / commute %.2fx (bar: 2x each), cursor \
      release %s (bar: <=1.25x)\n"
     (if ok then "OK" else "FAILED")
     cas_ratio crash_ratio red_ratio
@@ -758,7 +726,6 @@ let run () =
     (if obs_ok then "reconciled" else "BROKEN")
     (if san_ok then "transparent" else "BROKEN")
     fp_ratio commute_ratio
-    (if bitstate_ok then "honest" else "BROKEN")
     (match release_ratio with
     | Some r -> Printf.sprintf "%.2fx" r
     | None -> "skipped");

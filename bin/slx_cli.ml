@@ -452,19 +452,8 @@ let explore_cmd =
              ~doc:"Arm the footprint sanitizer (counting mode): report \
                    violations in the stats without changing the verdict.")
   in
-  let bitstate_arg =
-    let doc =
-      "Replace the exact transposition cache with SPIN-style hash \
-       compaction: a 2^$(docv)-bit table of fingerprint hashes (4-30). \
-       Bounded memory, but hits may be hash collisions, so a clean \
-       verdict is no longer exhaustive; the reported \
-       bitstate_collision_probability quantifies the risk."
-    in
-    Arg.(value & opt (some (int_in 4 ~hi:30)) None
-         & info [ "bitstate" ] ~doc ~docv:"BITS")
-  in
   let run impl depth max_crashes no_cache cache_capacity no_dpor no_symmetry
-      json naive sanitize bitstate store trace progress progress_json =
+      json naive sanitize store trace progress progress_json =
     match Queries.factory_of_impl impl with
     | Error e ->
         prerr_endline e;
@@ -493,8 +482,8 @@ let explore_cmd =
             | None ->
                 ( Explore.explore ~n:2 ~factory ~invoke ~depth ~max_crashes
                     ~cache:(not no_cache) ?cache_capacity ~dpor:(not no_dpor)
-                    ~symmetry:(not no_symmetry) ~obs ~sanitize ?bitstate
-                    ~cancel ~check (),
+                    ~symmetry:(not no_symmetry) ~obs ~sanitize ~cancel
+                    ~check (),
                   None )
             | Some path ->
                 let st = Vstore.open_ path in
@@ -509,7 +498,7 @@ let explore_cmd =
                   Persist.run_explore ~store:st ~qid ~n:2 ~factory ~invoke
                     ~depth ~max_crashes ~cache:(not no_cache) ?cache_capacity
                     ~dpor:(not no_dpor) ~symmetry:(not no_symmetry) ~obs
-                    ~sanitize ?bitstate ~cancel ~check ()
+                    ~sanitize ~cancel ~check ()
                 in
                 (e, Some source)
           end
@@ -567,7 +556,7 @@ let explore_cmd =
     Term.(
       const run $ impl_arg $ depth_arg $ crashes_arg
       $ no_cache_arg $ cache_capacity_arg $ no_dpor_arg $ no_symmetry_arg
-      $ json_arg $ naive_arg $ sanitize_arg $ bitstate_arg $ store_arg
+      $ json_arg $ naive_arg $ sanitize_arg $ store_arg
       $ trace_arg $ progress_arg $ progress_json_arg)
 
 (* ------------------------------------------------------------------ *)

@@ -107,7 +107,7 @@ let certify ~n steps =
          object, the last write and the reads since it; an edge is new
          only when its source is not already ordered before the
          current step.  The count sizes the certified conflict
-         relation ([Explore_stats.hb_edges]). *)
+         relation ([Audit]'s [cr_hb_edges]). *)
       let vc = Array.init (n + 1) (fun _ -> Array.make (n + 1) 0) in
       (* Per object: last write and reads-since-last-write, each as
          (proc, clock snapshot). *)

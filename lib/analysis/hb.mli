@@ -15,8 +15,8 @@
     Runs are short (bounded by the audit depth), so the cross-check is
     a plain all-pairs sweep; a FastTrack-style vector-clock pass then
     counts the non-redundant happens-before edges induced by the
-    observed conflicts — the number reported as
-    {!Slx_core.Explore_stats.hb_edges}. *)
+    observed conflicts — the number the audit report sums into
+    {!Slx_analysis.Audit.case_result.cr_hb_edges}. *)
 
 open Slx_history
 open Slx_sim

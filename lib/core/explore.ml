@@ -1,9 +1,7 @@
 open Slx_history
 open Slx_sim
 module Telemetry = Slx_obs.Telemetry
-module Progress = Slx_obs.Progress
 module Obs = Slx_obs.Obs
-module Clock = Slx_obs.Clock
 
 type ('inv, 'res) outcome =
   | Ok of int
@@ -15,12 +13,7 @@ type ('inv, 'res) exploration = {
   witness_script : ('inv, 'res) Driver.decision list option;
 }
 
-exception Found_counterexample
-exception Interrupted of Explore_stats.t
-
-(* Internal: a [?cancel] poll came back true mid-walk; converted to
-   [Interrupted] (with the partial stats attached) at the top level. *)
-exception Cancelled
+exception Interrupted = Search.Interrupted
 
 (* ------------------------------------------------------------------ *)
 (* Type-agnostic decision coding.                                      *)
@@ -76,31 +69,20 @@ let workload_invoke workload view p =
   in
   workload p issued
 
-(* The packed int the [Decision] telemetry event carries. *)
-let dec_code = function
-  | Driver.Schedule p -> Telemetry.Dec.schedule (Proc.hash p)
-  | Driver.Invoke (p, _) -> Telemetry.Dec.invoke (Proc.hash p)
-  | Driver.Crash p -> Telemetry.Dec.crash (Proc.hash p)
-  | Driver.Stop -> Telemetry.Dec.schedule 0  (* never in a menu *)
-
 (* ------------------------------------------------------------------ *)
 (* The decision menu.                                                  *)
 
-(* The decision menu of a configuration, in the canonical order that
-   defines "lexicographically least script": for each process 1..n, its
-   step or invocation; then, if the crash budget allows, for each
-   process 1..n, its crash.
-
-   Under [~symmetry], untouched processes (no event in the history:
-   never invoked, never crashed — hence idle with zero steps and
-   initial local state) are interchangeable up to renaming, so only the
-   least untouched process is offered an invocation (resp. a crash);
-   the pruned decisions' subtrees are renamings of the representative's.
-   The second component counts the decisions pruned this way. *)
-let decision_menu ~n ~invoke ~depth ~max_crashes ~symmetry view len crashes =
-  if len >= depth then ([], 0)
+(* The canonical menu ({!Search.menu}) under [~symmetry]: untouched
+   processes (no event in the history: never invoked, never crashed —
+   hence idle with zero steps and initial local state) are
+   interchangeable up to renaming, so only the least untouched process
+   is offered an invocation (resp. a crash); the pruned decisions'
+   subtrees are renamings of the representative's.  The second
+   component counts the decisions pruned this way. *)
+let decision_menu ~invoke ~depth ~max_crashes ~symmetry view len crashes =
+  let menu = Search.menu ~invoke ~depth ~max_crashes view len crashes in
+  if not symmetry then (menu, 0)
   else begin
-    let pruned = ref 0 in
     let untouched p =
       History.length
         (History.filter
@@ -108,64 +90,31 @@ let decision_menu ~n ~invoke ~depth ~max_crashes ~symmetry view len crashes =
            view.Driver.history)
       = 0
     in
-    let rep_invoke =
-      if not symmetry then None
-      else
-        List.find_opt
-          (fun p ->
-            view.Driver.status p = Runtime.Idle
-            && untouched p
-            && invoke view p <> None)
-          (Proc.all ~n)
+    let pruned = ref 0 and invoked = ref false and crashed = ref false in
+    let representative seen p =
+      if not (untouched p) then true
+      else if !seen then begin
+        incr pruned;
+        false
+      end
+      else begin
+        seen := true;
+        true
+      end
     in
-    let rep_crash =
-      if not symmetry then None else List.find_opt untouched (Proc.all ~n)
+    let menu =
+      List.filter
+        (function
+          | Driver.Invoke (p, _) -> representative invoked p
+          | Driver.Crash p -> representative crashed p
+          | _ -> true)
+        menu
     in
-    let steps =
-      List.concat_map
-        (fun p ->
-          match view.Driver.status p with
-          | Runtime.Ready -> [ Driver.Schedule p ]
-          | Runtime.Idle -> begin
-              match invoke view p with
-              | Some inv ->
-                  if symmetry && untouched p && rep_invoke <> Some p then begin
-                    incr pruned;
-                    []
-                  end
-                  else [ Driver.Invoke (p, inv) ]
-              | None -> []
-            end
-          | Runtime.Crashed -> [])
-        (Proc.all ~n)
-    in
-    let crash_branches =
-      if crashes < max_crashes then
-        List.filter_map
-          (fun p ->
-            if view.Driver.status p = Runtime.Crashed then None
-            else if symmetry && untouched p && rep_crash <> Some p then begin
-              incr pruned;
-              None
-            end
-            else Some (Driver.Crash p))
-          (Proc.all ~n)
-      else []
-    in
-    (steps @ crash_branches, !pruned)
+    (menu, !pruned)
   end
 
 (* ------------------------------------------------------------------ *)
-(* Exploration state.                                                  *)
-
-(* The history-interning hook every cursor of a cached search is
-   created with: it interns each appended event, then the (previous
-   history id, event id) pair, so the cursor's [hist_id] stands in for
-   its whole history. *)
-let history_encoder () =
-  let events = Intern.create () in
-  let conses = Intern.create () in
-  fun parent e -> Intern.intern conses (parent, Intern.intern events e)
+(* The walk.                                                           *)
 
 (* A counterexample as first found: decision script, failing report.
    The walk is in menu order, so the first one found is the
@@ -173,130 +122,32 @@ let history_encoder () =
 type ('inv, 'res) witness =
   ('inv, 'res) Driver.decision list * ('inv, 'res) Run_report.t
 
-(* The mutable state of one exploration: its cursors' shared hooks,
-   transposition table, telemetry sink and counters.  [sample] is the
-   progress snapshot, installed once the state exists. *)
-type ('inv, 'res) state = {
-  sink : Telemetry.sink;
-  progress : Progress.t;
-  mutable sample : unit -> Progress.sample;
-  mutable nodes : int;
-  mutable runs : int;
-  mutable checked : int;
-  mutable replayed : int;
-  mutable avoided : int;
-  mutable hits : int;
-  mutable sleeps : int;
-  mutable reversals : int;
-  mutable sym_pruned : int;
-  mutable digest : int;
-  mutable found : ('inv, 'res) witness option;
-  ticks : int ref;
-  table : (int, entry) Clock_cache.t;
-      (* Transposition cache, keyed on interned compact keys: the
-         cursor's [compact_key] (interned history id, digests, packed
-         per-process state) with the sleep set's sorted process ids as
-         its tail, interned into a dense id ({!Intern.Ints}).  The same
-         configuration reached with different sleep sets explores
-         different reduced subtrees, so the sleep set is part of the
-         key. *)
-  shadow : Runtime.shadow option;
-      (* Sanitizer shadow shared by all the exploration's cursors:
-         non-raising, non-recording — it only counts violations, so a
-         sanitized exploration takes exactly the decisions an
-         unsanitized one does. *)
-  probe : Runtime.probe option;
-      (* DPOR observed-access probe, likewise shared by the cursors:
-         records what each executed step physically touched, from
-         which the dynamic sleep-set filter computes race reversals.
-         Recording only — decisions are unchanged. *)
-  encode : (int -> ('inv, 'res) Event.t -> int) option;
-      (* [history_encoder], installed exactly when the exact cache is
-         live. *)
-  keys : Intern.Ints.t;
-      (* Interns the flat [compact_key] arrays into the dense ids the
-         transposition cache is keyed on. *)
-  bitstate : Bitstate.t option;
-      (* Hash-compaction mode: replaces the exact transposition cache
-         with a 2^bits-bit table of fingerprint hashes.  One-sided —
-         a hit may be a collision, so the mode trades exhaustiveness
-         for bounded memory and reports its own collision bound. *)
-}
+(* A transposition entry: the completed, counterexample-free subtree's
+   run count and final-history digest. *)
+type entry = { e_runs : int; e_digest : int }
 
-and entry = { e_runs : int; e_digest : int }
+type ('inv, 'res) state = ('inv, 'res, entry, ('inv, 'res) witness) Search.t
 
-let new_state ?capacity ~sink ?(progress = Progress.off) ?(sanitize = false)
-    ?(dpor = false) ?(keyed = false) ?bitstate () =
-  {
-    sink;
-    progress;
-    sample = (fun () -> Progress.zero);
-    nodes = 0;
-    runs = 0;
-    checked = 0;
-    replayed = 0;
-    avoided = 0;
-    hits = 0;
-    sleeps = 0;
-    reversals = 0;
-    sym_pruned = 0;
-    digest = 0;
-    found = None;
-    ticks = ref 0;
-    table = Clock_cache.create ?capacity ~sink ();
-    shadow =
-      (if sanitize then
-         Some (Runtime.make_shadow ~record:false ~raise_on_violation:false ())
-       else None);
-    probe = (if dpor then Some (Runtime.make_probe ()) else None);
-    encode = (if keyed then Some (history_encoder ()) else None);
-    keys = Intern.Ints.create ();
-    bitstate = Option.map (fun bits -> Bitstate.create ~bits) bitstate;
-  }
+(* A maximal run: check it, crediting its final-history digest (and
+   caching the one-run subtree under [key] before the verdict, as
+   every other node writes its entry). *)
+let check_leaf (st : _ state) ~check ~key cursor rev_script len =
+  let r = Runner.Cursor.report cursor ~window:(max len 1) () in
+  st.runs <- st.runs + 1;
+  st.checked <- st.checked + 1;
+  Telemetry.emit st.sink Telemetry.Run_checked len 0;
+  let dh = Runtime.hash_value r.Run_report.history in
+  st.digest <- st.digest + dh;
+  Search.remember st key { e_runs = 1; e_digest = dh };
+  if not (check r) then Search.found st (List.rev rev_script, r)
 
-let stats_of_state ~elapsed_ns ~events_dropped st : Explore_stats.t =
-  let bs f = match st.bitstate with Some b -> f b | None -> 0 in
-  {
-    Explore_stats.zero with
-    Explore_stats.nodes = st.nodes;
-    runs = st.runs;
-    runs_checked = st.checked;
-    steps_executed = !(st.ticks);
-    steps_replayed = st.replayed;
-    replays_avoided = st.avoided;
-    cache_hits = st.hits;
-    cache_entries = Clock_cache.length st.table;
-    cache_evictions = Clock_cache.evictions st.table;
-    por_prunes = st.sleeps;
-    race_reversals = st.reversals;
-    symmetry_pruned = st.sym_pruned;
-    footprint_violations =
-      (match st.shadow with
-      | Some sh -> Runtime.shadow_violation_count sh
-      | None -> 0);
-    bitstate_bits = bs Bitstate.bits;
-    bitstate_adds = bs Bitstate.adds;
-    bitstate_hits = bs Bitstate.hits;
-    bitstate_marks = bs Bitstate.marks;
-    history_digest = st.digest;
-    elapsed_ns;
-    events_dropped;
-  }
-
-(* Install the progress sample: a plain read of the state's counters. *)
-let wire_progress st =
-  if Progress.enabled st.progress then
-    st.sample <-
-      (fun () ->
-        {
-          Progress.s_nodes = st.nodes;
-          s_runs = st.runs;
-          s_steps = !(st.ticks);
-          s_cache_entries = Clock_cache.length st.table;
-          s_cache_capacity =
-            Option.value ~default:0 (Clock_cache.capacity st.table);
-          s_cycles = 0;
-        })
+let exploration (st : _ state) found =
+  let stats = Search.stats st in
+  match found with
+  | None ->
+      { outcome = Ok stats.Explore_stats.runs; stats; witness_script = None }
+  | Some (script, r) ->
+      { outcome = Counterexample r; stats; witness_script = Some script }
 
 (* ------------------------------------------------------------------ *)
 (* The incremental reduced engine.                                     *)
@@ -304,28 +155,14 @@ let wire_progress st =
 let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
     ?cache_capacity ?(por = false) ?(dpor = false) ?(symmetry = false)
     ?(domains = 1) ?(obs = Obs.disabled) ?(sanitize = false) ?(compact = true)
-    ?bitstate ?cancel ~check () =
+    ?cancel ~check () =
   if domains <> 1 then invalid_arg "Explore.explore: domains must be 1";
   if not compact then invalid_arg "Explore.explore: compact must be true";
   if por && not dpor then invalid_arg "Explore.explore: por requires dpor";
-  let t0 = Clock.now_ns () in
-  let cancel = match cancel with Some f -> f | None -> fun () -> false in
-  (* Keys are interned only for the exact cache: bitstate mode hashes
-     the structural fingerprint directly (interning every visited
-     configuration would defeat its bounded-memory point). *)
-  let keyed = cache && bitstate = None in
-  let menu = decision_menu ~n ~invoke ~depth ~max_crashes ~symmetry in
-  let st =
-    new_state ?capacity:cache_capacity ~sink:(Obs.sink obs)
-      ~progress:(Obs.progress obs) ~sanitize ~dpor ~keyed ?bitstate ()
-  in
-  wire_progress st;
-  (* Every cursor of the walk lives in one of these brackets: a
-     sibling's cursor is disposed of as soon as its subtree is done
-     (or unwinds), so at most [depth + 1] are live. *)
-  let with_cursor ?prefix ?hist_id f =
-    Runner.Cursor.with_ ~n ~factory:(factory ()) ~ticks:st.ticks
-      ?shadow:st.shadow ?probe:st.probe ?encode:st.encode ?prefix ?hist_id f
+  let menu = decision_menu ~invoke ~depth ~max_crashes ~symmetry in
+  let st : _ state =
+    Search.create ~n ~factory ~cache ~dpor ~sanitize ?capacity:cache_capacity
+      ?cancel obs
   in
   (* Under DPOR, a child's sleep set is only a {e candidate} until its
      edge executes: the dynamic filter then wakes the sleepers whose
@@ -349,64 +186,31 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
         | _ -> ()));
     keep
   in
-  (* Walk the subtree rooted at the configuration [cursor] sits on.
-     The first child extends the cursor in place (the incremental step
-     the naive engine lacks); each later sibling re-establishes the
-     configuration by replaying the decision prefix into a fresh
-     cursor, bracketed to its subtree.  Raises [Found_counterexample]
-     with [st.found] set on the first failing maximal run, which under
-     this in-order walk is the lexicographically least one; a subtree
-     that unwinds writes no transposition entry.
-
-     [visit] wraps [visit_body] in the telemetry node span; the span
-     closes on every exit, [Found_counterexample] unwinds included, so
-     traces stay balanced.  With the sink disabled the wrapper costs
-     two branches and no [Fun.protect] frame. *)
+  (* Walk the subtree rooted at the configuration [cursor] sits on
+     ({!Search.children} extends it in place for the first child and
+     replays the prefix for the others).  Stops at the first failing
+     maximal run, which under this in-order walk is the
+     lexicographically least one; a subtree that unwinds writes no
+     transposition entry. *)
   let rec visit cursor rev_script len crashes sleep =
-    st.nodes <- st.nodes + 1;
-    Progress.tick st.progress st.sample;
-    if Telemetry.enabled st.sink then begin
-      Telemetry.emit st.sink Telemetry.Node_enter len 0;
-      Fun.protect
-        ~finally:(fun () ->
-          Telemetry.emit st.sink Telemetry.Node_leave len 0)
-        (fun () -> visit_body cursor rev_script len crashes sleep)
-    end
-    else visit_body cursor rev_script len crashes sleep
-  and visit_body cursor rev_script len crashes sleep =
-    if cancel () then raise Cancelled;
-    match st.bitstate with
-    | Some bs
-      when Bitstate.test_and_set bs
-             (Runtime.hash_value (Runner.Cursor.fingerprint cursor, sleep)) ->
-        (* Bitstate hit: the configuration's compacted hash was seen
-           before — prune without crediting anything (the table stores
-           no subtree data, and the hit may be a collision; the stats
-           carry the Bloom bound that quantifies how often). *)
-        st.hits <- st.hits + 1;
-        Telemetry.emit st.sink Telemetry.Cache_hit len 0
-    | _ ->
+    Search.node st len @@ fun () ->
     (* The sleep set is sorted (children inherit a [sort_uniq]ed set,
        which [Dpor.advance_mask] filters in order), so its ids are a
        canonical key tail. *)
     let key =
-      if not keyed then None
-      else
-        Some
-          (Intern.Ints.intern st.keys
-             (Runner.Cursor.compact_key cursor ~extra:sleep))
+      match st.table with
+      | None -> None
+      | Some _ -> Some (Search.key st cursor sleep)
     in
-    match Option.bind key (Clock_cache.find_opt st.table) with
+    match Option.bind key (Search.find st) with
     | Some e ->
         (* Transposition: an already-explored configuration (with the
            same sleep set).  Its subtree was counterexample-free
            (failing subtrees abort the walk before an entry is
            written), so credit its runs and final-history digest
            without descending. *)
-        st.hits <- st.hits + 1;
-        st.runs <- st.runs + e.e_runs;
-        st.digest <- st.digest + e.e_digest;
-        Telemetry.emit st.sink Telemetry.Cache_hit len e.e_runs
+        Search.hit st len e.e_runs;
+        st.digest <- st.digest + e.e_digest
     | None -> begin
         let decisions, sym_pruned =
           menu (Runner.Cursor.view cursor) len crashes
@@ -415,22 +219,7 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
         if sym_pruned > 0 then
           Telemetry.emit st.sink Telemetry.Symmetry_prune len sym_pruned;
         match decisions with
-        | [] ->
-            (* A maximal run: check it. *)
-            let r = Runner.Cursor.report cursor ~window:(max len 1) () in
-            st.runs <- st.runs + 1;
-            st.checked <- st.checked + 1;
-            Telemetry.emit st.sink Telemetry.Run_checked len 0;
-            let dh = Runtime.hash_value r.Run_report.history in
-            st.digest <- st.digest + dh;
-            Option.iter
-              (fun k ->
-                Clock_cache.replace st.table k { e_runs = 1; e_digest = dh })
-              key;
-            if not (check r) then begin
-              st.found <- Some (List.rev rev_script, r);
-              raise Found_counterexample
-            end
+        | [] -> check_leaf st ~check ~key cursor rev_script len
         | _ -> begin
             (* Sleep-set filter: a slept process's pending step
                commutes with every step taken since it went to sleep,
@@ -455,150 +244,75 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                 (* Everything enabled is asleep: every extension is a
                    reordering of an explored run.  Not a maximal run —
                    nothing to check, nothing to credit. *)
-                Option.iter
-                  (fun k ->
-                    Clock_cache.replace st.table k
-                      { e_runs = 0; e_digest = 0 })
-                  key
+                Search.remember st key { e_runs = 0; e_digest = 0 }
             | _ ->
                 let runs0 = st.runs and digest0 = st.digest in
                 (* Children, each with its candidate sleep set: every
                    explored earlier sibling falls asleep for the later
                    ones, and [settle_sleep] wakes the racers from the
-                   accesses [d] actually performed (crashes wake
-                   everyone — a crash perturbs every process's view of
-                   the crashed one). *)
+                   accesses [d] actually performed. *)
                 let children =
                   if not dpor then List.map (fun d -> (d, [])) active
                   else
-                    List.fold_left
-                      (fun (acc, prev) d ->
-                        let child_sleep =
-                          match d with Driver.Crash _ -> [] | _ -> prev
-                        in
-                        let prev' =
-                          match d with
-                          | Driver.Schedule p ->
-                              List.sort_uniq Proc.compare (p :: prev)
-                          | _ -> prev
-                        in
-                        ((d, child_sleep) :: acc, prev'))
-                      ([], sleep) active
-                    |> fst |> List.rev
+                    Search.sleep_sets
+                      ~add:(fun p prev ->
+                        List.sort_uniq Proc.compare (p :: prev))
+                      sleep active
                 in
-                (* Read before the first child extends [cursor] in
-                   place: every later sibling replays this node's
-                   prefix, whose history id this is. *)
-                let hist_id = Runner.Cursor.hist_id cursor in
-                List.iteri
-                  (fun i (d, child_sleep) ->
-                    let crashes' =
-                      match d with
-                      | Driver.Crash _ -> crashes + 1
-                      | _ -> crashes
+                Search.children st cursor ~rev_script ~len
+                  ~apply:Runner.Cursor.apply children
+                  (fun child d child_sleep () ->
+                    let settled =
+                      if dpor then settle_sleep child d child_sleep (len + 1)
+                      else []
                     in
-                    let descend child =
-                      Telemetry.emit st.sink Telemetry.Decision (len + 1)
-                        (dec_code d);
-                      Runner.Cursor.apply child d;
-                      let settled =
-                        if dpor then settle_sleep child d child_sleep (len + 1)
-                        else []
-                      in
-                      visit child (d :: rev_script) (len + 1) crashes' settled
-                    in
-                    if i = 0 then begin
-                      st.avoided <- st.avoided + 1;
-                      descend cursor
-                    end
-                    else
-                      with_cursor ~prefix:(List.rev rev_script) ~hist_id
-                        (fun c ->
-                          st.replayed <- st.replayed + len;
-                          descend c))
-                  children;
-                Option.iter
-                  (fun k ->
-                    Clock_cache.replace st.table k
-                      {
-                        e_runs = st.runs - runs0;
-                        e_digest = st.digest - digest0;
-                      })
-                  key
+                    visit child (d :: rev_script) (len + 1)
+                      (Search.crashes_after crashes d)
+                      settled);
+                Search.remember st key
+                  { e_runs = st.runs - runs0; e_digest = st.digest - digest0 }
           end
       end
   in
-  let stats () =
-    stats_of_state
-      ~elapsed_ns:(Clock.now_ns () - t0)
-      ~events_dropped:(Obs.events_dropped obs)
-      st
-  in
-  match with_cursor (fun c -> visit c [] 0 0 []) with
-  | () ->
-      let stats = stats () in
-      { outcome = Ok stats.Explore_stats.runs; stats; witness_script = None }
-  | exception Found_counterexample ->
-      let script, r = Option.get st.found in
-      { outcome = Counterexample r; stats = stats (); witness_script = Some script }
-  | exception Cancelled -> raise (Interrupted (stats ()))
+  exploration st
+    (Search.run st (fun () ->
+         Search.with_cursor st (fun c -> visit c [] 0 0 [])))
 
 (* ------------------------------------------------------------------ *)
 (* The naive reference engine.                                         *)
 
 let explore_naive ~n ~factory ~invoke ~depth ?(max_crashes = 0) ~check () =
-  let t0 = Clock.now_ns () in
   let menu =
-    decision_menu ~n ~invoke ~depth ~max_crashes ~symmetry:false
+    decision_menu ~invoke ~depth ~max_crashes ~symmetry:false
   in
-  let st = new_state ~sink:Telemetry.null () in
+  let st : _ state =
+    Search.create ~n ~factory ~cache:false ~dpor:false ~sanitize:false
+      Obs.disabled
+  in
   (* The retained reference engine: re-run the decision prefix from a
      fresh implementation instance at every node of the tree, exactly
      as the original explorer did.  Kept for differential testing and
      as the baseline the incremental/reduced engines' counters are
      measured against. *)
   let rec walk rev_script len crashes =
-    st.nodes <- st.nodes + 1;
+    Search.node st len @@ fun () ->
     (* The node's cursor is disposed of before its children are
        walked: each child replays its own prefix from scratch. *)
     let decisions =
-      Runner.Cursor.with_ ~n ~factory:(factory ()) ~ticks:st.ticks
-        ~prefix:(List.rev rev_script) (fun cursor ->
+      Search.with_cursor st ~prefix:(List.rev rev_script) (fun cursor ->
           st.replayed <- st.replayed + len;
           match fst (menu (Runner.Cursor.view cursor) len crashes) with
           | [] ->
-              let r = Runner.Cursor.report cursor ~window:(max len 1) () in
-              st.runs <- st.runs + 1;
-              st.checked <- st.checked + 1;
-              st.digest <- st.digest + Runtime.hash_value r.Run_report.history;
-              if not (check r) then begin
-                st.found <- Some (List.rev rev_script, r);
-                raise Found_counterexample
-              end;
+              check_leaf st ~check ~key:None cursor rev_script len;
               []
           | decisions -> decisions)
     in
     List.iter
       (fun d ->
-        let crashes' =
-          match d with Driver.Crash _ -> crashes + 1 | _ -> crashes
-        in
-        walk (d :: rev_script) (len + 1) crashes')
+        walk (d :: rev_script) (len + 1) (Search.crashes_after crashes d))
       decisions
   in
-  let witness =
-    match walk [] 0 0 with
-    | () -> None
-    | exception Found_counterexample -> st.found
-  in
-  let stats =
-    stats_of_state ~elapsed_ns:(Clock.now_ns () - t0) ~events_dropped:0 st
-  in
-  match witness with
-  | None ->
-      { outcome = Ok stats.Explore_stats.runs; stats; witness_script = None }
-  | Some (script, r) ->
-      { outcome = Counterexample r; stats; witness_script = Some script }
+  exploration st (Search.run st (fun () -> walk [] 0 0))
 
 let forall_schedules ~n ~factory ~invoke ~depth ?(max_crashes = 0) ~check () =
   (explore ~n ~factory ~invoke ~depth ~max_crashes ~check ()).outcome

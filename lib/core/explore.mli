@@ -26,7 +26,10 @@
       reduction} ([~symmetry], orbit pruning of interchangeable
       untouched processes).  The walk is sequential: independent
       queries parallelize one level up, as separate processes
-      ([slx serve --workers]).
+      ([slx serve --workers]).  It runs on the search kernel it
+      shares with {!Live_explore} (cursor bracket, node span, child
+      loop, counters, cancellation); only the menu, the sleep sets and
+      the leaf check are the safety engine's own.
     - {!explore_naive} — the retained reference: replays every prefix
       from scratch at every node, no cache, no reductions.  The
       differential suite proves the unreduced engines visit the
@@ -119,7 +122,6 @@ val explore :
   ?obs:Slx_obs.Obs.t ->
   ?sanitize:bool ->
   ?compact:bool ->
-  ?bitstate:int ->
   ?cancel:(unit -> bool) ->
   check:(('inv, 'res) Run_report.t -> bool) ->
   unit ->
@@ -183,26 +185,14 @@ val explore :
     equality up to the digest collisions the fingerprint already
     accepts.
 
-    [bitstate] switches the transposition store to SPIN-style hash
-    compaction ({!Bitstate}): a [2^bitstate]-bit table of fingerprint
-    hashes replaces the exact cache, bounding memory at
-    [2^(bitstate-3)] bytes.  Membership is one-sided — a
-    hit may be a hash collision, so pruned subtrees may contain
-    unexplored states: [Ok] then means {e no violation found}, not
-    exhaustiveness, and the stats report the Bloom collision bound
-    ({!Explore_stats.bitstate_collision_probability}) quantifying the
-    risk.  Counterexamples remain sound (a found violation is real and
-    replayable).  Hits credit no cached run counts, so [runs] counts
-    only runs actually checked.  Safety-side only by design: the
-    fair-cycle search keeps its exact cache ({!Live_explore}).
-
-    [cancel] is polled once per visited node; when it returns [true]
-    the walk stops and {!Interrupted} carries the partial stats.  The
+    [cancel] is polled once per visited node, right after the node is
+    counted; when it returns [true] the walk stops and {!Interrupted}
+    carries the partial stats (so a poll firing on its [k]-th call
+    reports [nodes = k]).  The
     poll must be cheap (a [ref] read).
     @raise Interrupted when [cancel] fired.
     @raise Invalid_argument unless [domains = 1], [compact = true],
-    [por] implies [dpor], [4 <= bitstate <= 30] and
-    [cache_capacity >= 1]. *)
+    [por] implies [dpor] and [cache_capacity >= 1]. *)
 
 val code_of_decision : ('inv, 'res) Driver.decision -> int
 (** The persistent int form of a menu decision:
@@ -262,17 +252,6 @@ val forall_schedules :
 (** [explore] with the default engine configuration (cache on, no
     reductions), returning just the outcome.  [Ok runs]
     counts {e maximal} runs only. *)
-
-val dec_code : ('inv, 'res) Driver.decision -> int
-(** The packed int a [Decision] telemetry event carries
-    ({!Slx_obs.Telemetry.Dec}); shared with {!Live_explore}. *)
-
-val history_encoder : unit -> int -> ('inv, 'res) Event.t -> int
-(** A fresh history-interning hook for {!Slx_sim.Runner.Cursor.with_}'s
-    [~encode]: it interns each appended event, then the (previous
-    history id, event id) pair, so a cursor's [hist_id] stands in for
-    its whole history.  Both engines install one exactly when their
-    exact cache is live; shared with {!Live_explore}. *)
 
 val workload_invoke :
   ('inv, 'res) Driver.workload ->

@@ -15,13 +15,7 @@ type t = {
   symmetry_pruned : int;
   cycles_examined : int;
   fair_cycles : int;
-  hb_edges : int;
-  commutation_checks : int;
   footprint_violations : int;
-  bitstate_bits : int;
-  bitstate_adds : int;
-  bitstate_hits : int;
-  bitstate_marks : int;
   elapsed_ns : int;
   events_dropped : int;
   history_digest : int;
@@ -45,24 +39,11 @@ let zero =
     symmetry_pruned = 0;
     cycles_examined = 0;
     fair_cycles = 0;
-    hb_edges = 0;
-    commutation_checks = 0;
     footprint_violations = 0;
-    bitstate_bits = 0;
-    bitstate_adds = 0;
-    bitstate_hits = 0;
-    bitstate_marks = 0;
     elapsed_ns = 0;
     events_dropped = 0;
     history_digest = 0;
   }
-
-(* The Bloom bound for the bitstate table (k = 2 probes), computed
-   from the recorded table size and attempt count so every consumer
-   (pp, JSON, gates) reports the same number. *)
-let bitstate_collision_probability s =
-  if s.bitstate_bits = 0 then 0.0
-  else Bitstate.collision_probability ~bits:s.bitstate_bits ~adds:s.bitstate_adds
 
 let pp_elapsed fmt ns =
   if ns >= 1_000_000_000 then
@@ -90,17 +71,9 @@ let pp fmt s =
   if s.cycles_examined > 0 || s.fair_cycles > 0 then
     Format.fprintf fmt "@,cycles:           %d examined, %d fair violating"
       s.cycles_examined s.fair_cycles;
-  if s.hb_edges > 0 || s.commutation_checks > 0 || s.footprint_violations > 0
-  then
-    Format.fprintf fmt
-      "@,sanitizer:        %d violations, %d hb edges, %d commutation checks"
-      s.footprint_violations s.hb_edges s.commutation_checks;
-  if s.bitstate_bits > 0 then
-    Format.fprintf fmt
-      "@,bitstate:         2^%d bits, %d marked, %d attempts, %d hits, \
-       collision probability %.2e (NOT exhaustive)"
-      s.bitstate_bits s.bitstate_marks s.bitstate_adds s.bitstate_hits
-      (bitstate_collision_probability s);
+  if s.footprint_violations > 0 then
+    Format.fprintf fmt "@,sanitizer:        %d violations"
+      s.footprint_violations;
   if s.events_dropped > 0 then
     Format.fprintf fmt "@,telemetry:        %d events dropped (ring overflow)"
       s.events_dropped;
@@ -114,16 +87,11 @@ let to_json s =
      \"cache_evictions\": %d, \"por_prunes\": %d, \"race_reversals\": %d, \
      \"invoke_order_prunes\": %d, \"proviso_wakes\": %d, \
      \"symmetry_pruned\": %d, \
-     \"cycles_examined\": %d, \"fair_cycles\": %d, \"hb_edges\": %d, \
-     \"commutation_checks\": %d, \"footprint_violations\": %d, \
-     \"bitstate_bits\": %d, \"bitstate_adds\": %d, \"bitstate_hits\": %d, \
-     \"bitstate_marks\": %d, \"bitstate_collision_probability\": %g, \
-     \"elapsed_ns\": %d, \"events_dropped\": %d, \"history_digest\": %d}"
+     \"cycles_examined\": %d, \"fair_cycles\": %d, \
+     \"footprint_violations\": %d, \"elapsed_ns\": %d, \
+     \"events_dropped\": %d, \"history_digest\": %d}"
     s.nodes s.runs s.runs_checked s.steps_executed s.steps_replayed
     s.replays_avoided s.cache_hits s.cache_entries s.cache_evictions
     s.por_prunes s.race_reversals s.invoke_order_prunes s.proviso_wakes
-    s.symmetry_pruned s.cycles_examined s.fair_cycles s.hb_edges
-    s.commutation_checks s.footprint_violations s.bitstate_bits
-    s.bitstate_adds s.bitstate_hits s.bitstate_marks
-    (bitstate_collision_probability s)
+    s.symmetry_pruned s.cycles_examined s.fair_cycles s.footprint_violations
     s.elapsed_ns s.events_dropped s.history_digest

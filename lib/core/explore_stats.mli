@@ -63,32 +63,12 @@ type t = {
       (** Fair-cycle search only: candidates that were fair and
           progress-violating before certificate validation; the search
           stops at the first one whose certificate also pumps. *)
-  hb_edges : int;
-      (** Happens-before certifier ({!Slx_analysis.Hb}) only:
-          non-redundant conflict edges derived from observed accesses
-          across certified runs (0 unless an audit ran the
-          certifier). *)
-  commutation_checks : int;
-      (** Commutation oracle only: pending-step pairs the explorer
-          would treat as commuting that were differentially executed
-          in both orders (0 unless the oracle ran). *)
   footprint_violations : int;
       (** Sanitizer violations observed ({!Runtime.shadow_violations}):
           undeclared touches, escaping nested declarations, or
           touches outside any atomic action.  Always 0 for a clean
           implementation; engines running with [~sanitize:true] count
           without raising. *)
-  bitstate_bits : int;
-      (** Table size exponent of the bitstate/hash-compaction mode
-          ({!Bitstate}): 0 when the exact transposition cache was used
-          (the default), else the [--bitstate BITS] value. *)
-  bitstate_adds : int;
-      (** Bitstate insert attempts (the [n] of the collision bound). *)
-  bitstate_hits : int;
-      (** Bitstate queries answered "seen" — subtrees pruned on a
-          compacted hash, each possibly a collision. *)
-  bitstate_marks : int;
-      (** Bits set in the bitstate table (occupancy numerator). *)
   elapsed_ns : int;
       (** Wall-clock nanoseconds of the exploration, measured inside
           the engine (entry to exit). *)
@@ -108,13 +88,6 @@ type t = {
 }
 
 val zero : t
-
-val bitstate_collision_probability : t -> float
-(** The Bloom bound [(1 - e^(-2n/m))^2] of the recorded bitstate table
-    ([m = 2^bitstate_bits], [n = bitstate_adds]); 0 when bitstate mode
-    was off.  Reported in {!pp} and {!to_json}
-    ([bitstate_collision_probability]) so a bitstate verdict carries
-    its own error bar. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -5,8 +5,9 @@
     adversary can drive an implementation into an infinite {e fair} run
     with no progress.  The adversary games sample such runs; this
     module {e searches} for them: it walks the same bounded decision
-    tree as {!Explore} (nodes are {!Slx_sim.Runner.Cursor}
-    configurations, edges scheduler decisions) looking for a reachable
+    tree as {!Explore}, on the same search kernel (nodes are
+    {!Slx_sim.Runner.Cursor} configurations, edges scheduler
+    decisions), looking for a reachable
     cycle that is
 
     - {b fair} — every non-crashed process that is not {e blocked}
@@ -35,7 +36,10 @@
     ({!Slx_liveness.Lasso.pump}), which must reproduce the cells and
     the boundary configuration digest on every repetition and yield a
     report satisfying the standard bounded violation
-    ({!Slx_liveness.Lasso.certified_violation}).  Pumping is what
+    ({!Slx_liveness.Lasso.certified_violation}).  The pump replays the
+    workload: every cycle invocation must be the one [invoke] issues
+    at that point of the pumped run, so a certificate is a run of the
+    declared workload, not of payloads recorded once.  Pumping is what
     rejects the spurious periodic suffixes of runs that merely {e
     pass through} a repetitive phase before responding (e.g. a solo
     register-consensus process mid-round, which decides within a
@@ -174,11 +178,7 @@ val search :
     {!Explore.explore}: interned incremental history ids, interned
     abstract-trace cells and the sleepers' [(proc, streak)] pairs,
     interned to one dense int per key.  When the cache does not engage
-    the cursors carry no history-interning hook either.  There is
-    deliberately no bitstate variant here: hash compaction's false hits
-    would silently truncate the search, and [No_fair_cycle] is an
-    exhaustiveness claim — the liveness side keeps exact keys
-    (doc/model.md §10).
+    the cursors carry no history-interning hook either.
 
     [compact] exists only for callers that still pass [~compact:true];
     [~compact:false] raises [Invalid_argument].
@@ -207,7 +207,8 @@ val validate_cert_codes :
     the starved set to be blocked, the freedom predicate violated, and
     a periodic window present.  [Some cert] is the rebuilt,
     pump-validated certificate; [None] means the stored witness does
-    not reproduce (stale codes, changed workload, or a forged store)
+    not reproduce (stale codes, changed workload, a cycle whose
+    invocations the workload does not re-issue, or a forged store)
     and must not be served — {!Slx_store.Persist} then falls back to a
     cold search. *)
 
@@ -231,5 +232,7 @@ val certify_run :
     to a replayable, pumpable certificate of the same form the
     exhaustive search emits (with blocked processes conservatively
     assumed absent: every correct process must be granted on the
-    cycle).  Defaults: [max_period = max_steps / 4],
+    cycle).  A driver is no workload, so the pump replays the
+    driver's recorded invocation payloads verbatim (doc/model.md §7
+    states what that does and does not prove).  Defaults: [max_period = max_steps / 4],
     [pump_ticks = max 64 (2 * max_period)]. *)

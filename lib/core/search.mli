@@ -1,0 +1,178 @@
+(** The search kernel both explorers build on ({!Explore} for safety,
+    {!Live_explore} for fair cycles).
+
+    Both walk the same bounded decision tree in the same way: a node is
+    a live {!Slx_sim.Runner.Cursor}; the first child extends the
+    parent's cursor in place and each later sibling replays the
+    decision prefix into a fresh, bracketed cursor; a transposition
+    cache keyed on interned compact keys credits completed subtrees;
+    every node is counted, ticks the progress reporter, polls
+    [cancel] and sits inside a telemetry node span.  This module holds
+    that shared walk and its state.  What really differs — the decision
+    menus, the sleep-set shapes, the leaf check or the cycle
+    candidates — stays in each explorer's own [visit] recursion. *)
+
+open Slx_history
+open Slx_sim
+module Telemetry = Slx_obs.Telemetry
+module Progress = Slx_obs.Progress
+
+exception Interrupted of Explore_stats.t
+(** Re-exported as {!Explore.Interrupted}. *)
+
+(** The mutable state of one search.  Counters an explorer never
+    touches stay 0. *)
+type ('inv, 'res, 'v, 'f) t = {
+  n : int;
+  factory : unit -> ('inv, 'res) Runner.factory;
+  obs : Slx_obs.Obs.t;
+  sink : Telemetry.sink;
+  progress : Progress.t;
+  mutable sample : unit -> Progress.sample;
+  cancel : unit -> bool;
+  t0 : int;  (** Clock reading at {!create}, for [elapsed_ns]. *)
+  mutable nodes : int;
+  mutable runs : int;
+  mutable checked : int;
+  mutable replayed : int;
+  mutable avoided : int;
+  mutable hits : int;
+  mutable sleeps : int;  (** [por_prunes]. *)
+  mutable reversals : int;
+  mutable sym_pruned : int;
+  mutable invoke_pruned : int;
+  mutable proviso : int;
+  mutable cycles : int;
+  mutable fair : int;
+  mutable digest : int;
+  mutable found : 'f option;
+      (** The witness {!found} recorded before unwinding. *)
+  ticks : int ref;
+  table : (int, 'v) Clock_cache.t option;
+      (** The transposition cache: [Some] exactly when the exact cache
+          is live. *)
+  shadow : Runtime.shadow option;
+      (** Non-raising, non-recording sanitizer shadow shared by every
+          cursor: it only counts violations, so a sanitized search
+          takes exactly the decisions an unsanitized one does. *)
+  probe : Runtime.probe option;
+      (** DPOR observed-access probe shared by every cursor; recording
+          only. *)
+  encode : (int -> ('inv, 'res) Event.t -> int) option;
+      (** The history-interning hook, installed exactly when the cache
+          is live: it interns each appended event, then the (previous
+          history id, event id) pair, so a cursor's [hist_id] stands in
+          for its whole history. *)
+  keys : Intern.Ints.t;
+      (** Interns the flat [compact_key] arrays into the dense ids the
+          cache is keyed on. *)
+}
+
+val create :
+  n:int ->
+  factory:(unit -> ('inv, 'res) Runner.factory) ->
+  cache:bool ->
+  dpor:bool ->
+  sanitize:bool ->
+  ?capacity:int ->
+  ?cancel:(unit -> bool) ->
+  Slx_obs.Obs.t ->
+  ('inv, 'res, 'v, 'f) t
+(** A fresh search over [n] processes.  [cache] builds the
+    transposition table (bounded by [capacity]) and the
+    history-interning hook; [dpor] the observed-access probe;
+    [sanitize] the counting shadow.  The bundle's sink and progress
+    reporter are taken once, here. *)
+
+val stats : (_, _, _, _) t -> Explore_stats.t
+(** The counters so far, [elapsed_ns] measured from {!create}. *)
+
+val with_cursor :
+  ('inv, 'res, 'v, 'f) t ->
+  ?prefix:('inv, 'res) Driver.decision list ->
+  ?hist_id:int ->
+  (('inv, 'res) Runner.Cursor.t -> 'a) ->
+  'a
+(** A cursor on a fresh instance carrying the search's hooks, disposed
+    of however the body ends, so at most [depth + 1] are live. *)
+
+val node : (_, _, _, _) t -> int -> (unit -> unit) -> unit
+(** [node st len body] enters a node at depth [len]: counts it, ticks
+    progress, then polls [cancel] and runs [body] inside the
+    [Node_enter]/[Node_leave] span, which closes on every exit.  With
+    the sink disabled there is no [Fun.protect] frame. *)
+
+val children :
+  ('inv, 'res, 'v, 'f) t ->
+  ('inv, 'res) Runner.Cursor.t ->
+  rev_script:('inv, 'res) Driver.decision list ->
+  len:int ->
+  apply:(('inv, 'res) Runner.Cursor.t -> ('inv, 'res) Driver.decision -> 'a) ->
+  (('inv, 'res) Driver.decision * 'c) list ->
+  (('inv, 'res) Runner.Cursor.t ->
+  ('inv, 'res) Driver.decision ->
+  'c ->
+  'a ->
+  unit) ->
+  unit
+(** [children st cursor ~rev_script ~len ~apply kids descend] walks the
+    node's children in order.  The first extends [cursor] in place
+    ([replays_avoided]); each later one replays the node's prefix into
+    a fresh cursor with the node's [hist_id] ([steps_replayed]).  Each
+    child emits its [Decision] event, is applied with [apply], and is
+    handed to [descend] with [apply]'s result. *)
+
+val menu :
+  invoke:(('inv, 'res) Driver.view -> Proc.t -> 'inv option) ->
+  depth:int ->
+  max_crashes:int ->
+  ('inv, 'res) Driver.view ->
+  int ->
+  int ->
+  ('inv, 'res) Driver.decision list
+(** [menu ~invoke ~depth ~max_crashes view len crashes] is the decision
+    menu at a node of depth [len] with [crashes] crashes so far, in the
+    canonical order that defines "lexicographically least script":
+    for each process 1..n, its step (if ready) or its invocation (if
+    idle and [invoke] has one); then, while [crashes < max_crashes],
+    each process not yet crashed, crashed.  Empty at [len >= depth].
+    The explorers' reductions (symmetry, [invoke_order]) filter it. *)
+
+val sleep_sets :
+  add:(Proc.t -> 's list -> 's list) ->
+  's list ->
+  ('inv, 'res) Driver.decision list ->
+  (('inv, 'res) Driver.decision * 's list) list
+(** [sleep_sets ~add sleep decisions] pairs each child decision with
+    its candidate DPOR sleep set: the node's [sleep] plus every earlier
+    sibling's scheduled process, added with [add].  A crash child gets
+    the empty set — a crash perturbs every process's view of the
+    crashed one. *)
+
+val crashes_after : int -> ('inv, 'res) Driver.decision -> int
+(** The crash count after a decision. *)
+
+val key :
+  ('inv, 'res, 'v, 'f) t -> ('inv, 'res) Runner.Cursor.t -> int list -> int
+(** The interned cache key of the cursor's [compact_key] with the given
+    tail. *)
+
+val find : ('inv, 'res, 'v, 'f) t -> int -> 'v option
+(** The cached entry under a key ([None] without a cache). *)
+
+val remember : ('inv, 'res, 'v, 'f) t -> int option -> 'v -> unit
+(** Write an entry under the key, if any.  A found witness ends the
+    walk, so only entries of completed, witness-free subtrees are ever
+    read back, and a hit never masks the least witness. *)
+
+val hit : (_, _, _, _) t -> int -> int -> unit
+(** [hit st len runs] counts a cache hit at depth [len] crediting
+    [runs] maximal runs. *)
+
+val found : ('inv, 'res, 'v, 'f) t -> 'f -> 'a
+(** Record the witness and unwind to {!run}. *)
+
+val run : ('inv, 'res, 'v, 'f) t -> (unit -> unit) -> 'f option
+(** Run a walk: [None] when it completes, the witness when it called
+    {!found}.
+    @raise Interrupted with the partial stats when [cancel] fired. *)

@@ -100,7 +100,7 @@ let cert_of_cursor ~stem ~cycle ~cells cursor =
 
 exception Pump_failed of string
 
-let pump ~factory ?ticks ?(repetitions = 2) ?abstract cert =
+let pump ~factory ?ticks ?(repetitions = 2) ?abstract ?invoke cert =
   let period = List.length cert.c_cycle in
   if period = 0 then Error "Lasso.pump: empty cycle"
   else if repetitions < 2 then Error "Lasso.pump: need at least 2 repetitions"
@@ -114,6 +114,11 @@ let pump ~factory ?ticks ?(repetitions = 2) ?abstract cert =
         (fun cursor ->
           in_body := true;
           let apply d =
+            (match (invoke, d) with
+            | Some invoke, Driver.Invoke (p, inv)
+              when invoke (Runner.Cursor.view cursor) p <> Some inv ->
+                raise (Pump_failed "workload diverged")
+            | _ -> ());
             try Runner.Cursor.apply cursor d
             with Invalid_argument msg ->
               raise (Pump_failed ("decision not applicable: " ^ msg))

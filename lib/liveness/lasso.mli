@@ -103,6 +103,8 @@ val pump :
   ?ticks:int ref ->
   ?repetitions:int ->
   ?abstract:(('inv, 'res) Slx_history.Event.t -> string) ->
+  ?invoke:
+    (('inv, 'res) Slx_sim.Driver.view -> Slx_history.Proc.t -> 'inv option) ->
   ('inv, 'res) cert ->
   (('inv, 'res) Run_report.t, string) result
 (** [pump ~factory cert] replays [cert.c_stem] and then [repetitions]
@@ -116,4 +118,13 @@ val pump :
     fairness, the freedom point and the window period over the cycle
     ticks alone.  [Error reason] reports the first inapplicable
     decision or diverging repetition — the certificate does not extend
-    to an infinite run by verbatim repetition. *)
+    to an infinite run by verbatim repetition.
+
+    [invoke], the workload the certificate was searched under, makes
+    the pump replay that workload rather than the recorded payloads:
+    before each cycle [Invoke (p, inv)] is applied, [invoke view p]
+    must return [Some inv] at the current configuration, else the
+    result is [Error "workload diverged"].  Without it a cycle may
+    re-issue an invocation the workload only issues once (a counting
+    workload's next transaction differs from its last), and the
+    pumped run is then no run of the declared system. *)

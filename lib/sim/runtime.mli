@@ -463,7 +463,7 @@ val registry_objects : registry -> int
 val mix64 : int -> int
 (** A 64-bit finalizing mixer (xorshift-star family, 63-bit-safe
     constants): spreads small-int keys across the whole word.  Used by
-    the compact-key and bitstate machinery in {!Slx_core}. *)
+    the compact-key interning in {!Slx_core}. *)
 
 val hash_value : 'a -> int
 (** The deep structural hash used for every fingerprint component: an

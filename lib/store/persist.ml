@@ -1,12 +1,11 @@
 open Slx_sim
 open Slx_core
 
-type source = Warm | Cold | Uncached of string
+type source = Warm | Cold
 
 let pp_source fmt = function
   | Warm -> Format.fprintf fmt "warm"
   | Cold -> Format.fprintf fmt "cold"
-  | Uncached why -> Format.fprintf fmt "uncached (%s)" why
 
 let instance_digest ~n ~factory =
   Runner.Cursor.with_ ~n ~factory:(factory ()) Runner.Cursor.shared_digest
@@ -18,6 +17,26 @@ let query_key ~ident ~check ~n ~registry_digest ?(max_crashes = 0)
     (Printf.sprintf "%s|%s|n=%d|rd=%d|mc=%d|dpor=%b|sym=%b|io=%b|pb=%d"
        ident check n registry_digest max_crashes dpor symmetry invoke_order
        proviso_bound)
+
+(* An answer served from a stored record. *)
+let warm store answer =
+  Store.bump store `Warm;
+  Store.commit store;
+  (answer, Warm)
+
+(* Run the engine, store this answer's record, and flush — also on
+   interruption, so a SIGINT'd session still pays its counters
+   forward. *)
+let cold store record run =
+  match run () with
+  | answer ->
+      Store.bump store `Cold;
+      Store.add store (record answer);
+      Store.commit store;
+      (answer, Cold)
+  | exception Explore.Interrupted stats ->
+      Store.commit store;
+      raise (Explore.Interrupted stats)
 
 (* ------------------------------------------------------------------ *)
 (* Safety.                                                             *)
@@ -42,69 +61,44 @@ let record_of_exploration ~qid ~depth (e : ('inv, 'res) Explore.exploration) =
 
 let run_explore ~store ~qid ~n ~factory ~invoke ~depth ?(max_crashes = 0)
     ?(cache = true) ?cache_capacity ?(dpor = false) ?(symmetry = false) ?obs
-    ?(sanitize = false) ?bitstate ?cancel ~check () =
-  let explore () =
-    Explore.explore ~n ~factory ~invoke ~depth ~max_crashes ~cache
-      ?cache_capacity ~dpor ~symmetry ?obs ~sanitize ?bitstate ?cancel ~check
-      ()
+    ?(sanitize = false) ?cancel ~check () =
+  Store.bump store `Query;
+  let cold () =
+    cold store (record_of_exploration ~qid ~depth) (fun () ->
+        Explore.explore ~n ~factory ~invoke ~depth ~max_crashes ~cache
+          ?cache_capacity ~dpor ~symmetry ?obs ~sanitize ?cancel ~check ())
   in
-  match bitstate with
-  | Some _ ->
-      (* Bitstate verdicts are probabilistic; the store only holds
-         exhaustive facts. *)
-      (explore (), Uncached "bitstate")
-  | None -> begin
-      Store.bump store `Query;
-      let cold () =
-        (* Run the engine, store this answer's record, and flush —
-           also on interruption, so a SIGINT'd session still pays its
-           counters forward. *)
-        match explore () with
-        | e ->
-            Store.bump store `Cold;
-            Store.add store (record_of_exploration ~qid ~depth e);
-            Store.commit store;
-            (e, Cold)
-        | exception Explore.Interrupted stats ->
-            Store.commit store;
-            raise (Explore.Interrupted stats)
-      in
-      match Store.find store ~qid ~depth with
-      | Some { Store.r_verdict = Store.V_ok runs; _ } ->
-          Store.bump store `Warm;
-          Store.commit store;
-          ( {
-              Explore.outcome = Explore.Ok runs;
+  match Store.find store ~qid ~depth with
+  | Some { Store.r_verdict = Store.V_ok runs; _ } ->
+      warm store
+        {
+          Explore.outcome = Explore.Ok runs;
+          stats = Explore_stats.zero;
+          witness_script = None;
+        }
+  | Some { Store.r_verdict = Store.V_counterexample codes; _ } -> begin
+      (* Never trust a stored witness: replay it and re-run the
+         check.  A reproduction is served; anything else is a
+         rejected record (stale engine state the version header
+         missed, or a tampered file) and we fall back cold. *)
+      match Explore.run_of_codes ~n ~factory ~invoke codes with
+      | ds, report when not (check report) ->
+          warm store
+            {
+              Explore.outcome = Explore.Counterexample report;
               stats = Explore_stats.zero;
-              witness_script = None;
-            },
-            Warm )
-      | Some { Store.r_verdict = Store.V_counterexample codes; _ } -> begin
-          (* Never trust a stored witness: replay it and re-run the
-             check.  A reproduction is served; anything else is a
-             rejected record (stale engine state the version header
-             missed, or a tampered file) and we fall back cold. *)
-          match Explore.run_of_codes ~n ~factory ~invoke codes with
-          | ds, report when not (check report) ->
-              Store.bump store `Warm;
-              Store.commit store;
-              ( {
-                  Explore.outcome = Explore.Counterexample report;
-                  stats = Explore_stats.zero;
-                  witness_script = Some ds;
-                },
-                Warm )
-          | _ | (exception _) ->
-              Store.bump store `Rejected;
-              cold ()
-        end
-      | Some _ ->
-          (* A liveness verdict under a safety qid: impossible unless
-             the file was forged — treat as rejected. *)
+              witness_script = Some ds;
+            }
+      | _ | (exception _) ->
           Store.bump store `Rejected;
           cold ()
-      | None -> cold ()
     end
+  | Some _ ->
+      (* A liveness verdict under a safety qid: impossible unless
+         the file was forged — treat as rejected. *)
+      Store.bump store `Rejected;
+      cold ()
+  | None -> cold ()
 
 (* ------------------------------------------------------------------ *)
 (* Liveness.                                                           *)
@@ -141,19 +135,10 @@ let run_live ~store ~qid ~n ~factory ~invoke ~good ~point ~depth
   let pump_ticks = Option.value pump_ticks ~default:(4 * depth) in
   Store.bump store `Query;
   let cold () =
-    match
-      Live_explore.search ~n ~factory ~invoke ~good ~point ~depth ~max_crashes
-        ~max_period ~pump_ticks ~invoke_order ~dpor ?proviso_bound ~cache
-        ?cache_capacity ?obs ~sanitize ?cancel ()
-    with
-    | r ->
-        Store.bump store `Cold;
-        Store.add store (record_of_live ~qid ~depth ~max_period ~pump_ticks r);
-        Store.commit store;
-        (r, Cold)
-    | exception Explore.Interrupted stats ->
-        Store.commit store;
-        raise (Explore.Interrupted stats)
+    cold store (record_of_live ~qid ~depth ~max_period ~pump_ticks) (fun () ->
+        Live_explore.search ~n ~factory ~invoke ~good ~point ~depth
+          ~max_crashes ~max_period ~pump_ticks ~invoke_order ~dpor
+          ?proviso_bound ~cache ?cache_capacity ?obs ~sanitize ?cancel ())
   in
   match Store.find store ~qid ~depth with
   | Some
@@ -161,26 +146,22 @@ let run_live ~store ~qid ~n ~factory ~invoke ~good ~point ~depth
     when mp = max_period && pt = pump_ticks -> begin
       match r.Store.r_verdict with
       | Store.V_no_fair_cycle ->
-          Store.bump store `Warm;
-          Store.commit store;
-          ( {
+          warm store
+            {
               Live_explore.outcome = Live_explore.No_fair_cycle;
               stats = Explore_stats.zero;
-            },
-            Warm )
+            }
       | Store.V_lasso { stem; cycle } -> begin
           match
             Live_explore.validate_cert_codes ~n ~factory ~invoke ~good ~point
               ~pump_ticks ~stem ~cycle ()
           with
           | Some cert ->
-              Store.bump store `Warm;
-              Store.commit store;
-              ( {
+              warm store
+                {
                   Live_explore.outcome = Live_explore.Lasso cert;
                   stats = Explore_stats.zero;
-                },
-                Warm )
+                }
           | None ->
               Store.bump store `Rejected;
               cold ()

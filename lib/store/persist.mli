@@ -25,9 +25,7 @@
     Every cold answer stores its record (superseding the slot) before
     returning; the store is committed even when the run is
     {e interrupted} ([?cancel] / SIGINT), so partial sessions still
-    pay forward their counters.  Bitstate runs bypass the store
-    entirely: their clean verdicts are probabilistic, not exhaustive,
-    and must never be replayed as facts. *)
+    pay forward their counters. *)
 
 open Slx_history
 open Slx_sim
@@ -37,8 +35,6 @@ open Slx_core
 type source =
   | Warm  (** Served from an exact stored record (witnesses re-validated). *)
   | Cold  (** Explored from scratch (and stored). *)
-  | Uncached of string
-      (** The store was bypassed — the reason (e.g. ["bitstate"]). *)
 
 val pp_source : Format.formatter -> source -> unit
 
@@ -84,7 +80,6 @@ val run_explore :
   ?symmetry:bool ->
   ?obs:Slx_obs.Obs.t ->
   ?sanitize:bool ->
-  ?bitstate:int ->
   ?cancel:(unit -> bool) ->
   check:(('inv, 'res) Run_report.t -> bool) ->
   unit ->

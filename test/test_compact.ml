@@ -1,7 +1,7 @@
 (* The compact encodings' own suite: the hash-consed cache keys and
    the conflict bitmasks must be invisible — every verdict, witness
    script and lasso certificate identical with the transposition cache
-   on or off — and the bitstate mode must be honest about being lossy.
+   on or off.
 
    Layers:
    - QCheck: interning preserves structural equality (the soundness
@@ -14,9 +14,6 @@
      the suffix cache engages;
    - the retired switches ([~compact:false], declared-footprint
      [~por:true ~dpor:false]) raise;
-   - bitstate: an undersized table collides, prunes, reports its
-     honest collision bound, and never invents a counterexample; the
-     bits bounds raise;
    - the incremental shared-state digest always agrees with the
      from-scratch recomputation — including for the deliberately
      mis-declared fixtures, whose physical write-touches are honest
@@ -272,77 +269,6 @@ let test_retired_switches_raise () =
   explore ~por:false ~compact:true ()
 
 (* ------------------------------------------------------------------ *)
-(* Bitstate: honesty of the lossy mode.                                *)
-
-let one_proposal =
-  Explore.workload_invoke
-    (Driver.n_times 1 (fun p _ -> Slx_consensus.Consensus_type.Propose (p - 1)))
-
-let register_explore ?bitstate () =
-  Explore.explore ~n:2
-    ~factory:(fun () -> Slx_consensus.Register_consensus.factory ())
-    ~invoke:one_proposal ~depth:8 ?bitstate
-    ~check:(fun _ -> true)
-    ()
-
-let test_bitstate_undersized_is_honest () =
-  (* 2^4 = 16 slots for hundreds of states: the table saturates, false
-     hits prune real work, and the stats must say so — positive hit
-     count, near-certain reported collision probability — while the
-     verdict stays Ok (one-sided: pruning can only lose coverage,
-     never invent a violation). *)
-  let exact = register_explore () in
-  let lossy = register_explore ~bitstate:4 () in
-  let runs e =
-    match e.Explore.outcome with
-    | Explore.Ok r -> r
-    | Explore.Counterexample _ ->
-        Alcotest.fail "register depth-8 must be safe"
-  in
-  let st = lossy.Explore.stats in
-  check_int "stats record the table exponent" 4 st.Explore_stats.bitstate_bits;
-  check_bool "the undersized table collides" true
-    (st.Explore_stats.bitstate_hits > 0);
-  check_bool "collisions prune runs" true (runs lossy < runs exact);
-  let p = Explore_stats.bitstate_collision_probability st in
-  check_bool "the reported collision probability is near-certain" true
-    (p > 0.5);
-  check_bool "occupancy is bounded by the table size" true
-    (st.Explore_stats.bitstate_marks <= 16);
-  (* The exact run reports no bitstate row at all. *)
-  check_int "exact mode records no table"
-    0 exact.Explore.stats.Explore_stats.bitstate_bits;
-  check_bool "exact mode reports zero collision probability" true
-    (Explore_stats.bitstate_collision_probability exact.Explore.stats = 0.0)
-
-let test_bitstate_adequate_agrees () =
-  (* A comfortably-sized table on the same instance: the Bloom bound
-     is tiny and the verdict agrees with the exact exploration.  (The
-     explored run sets still differ by design, collision-free or not:
-     the bitstate marks a configuration at entry, so an ancestor
-     recurrence on the DFS stack hits, while the exact cache stores
-     only completed subtrees — digest identity is deliberately NOT
-     claimed for this mode, which is why it is safety-only.) *)
-  let exact = register_explore () in
-  let big = register_explore ~bitstate:20 () in
-  let st = big.Explore.stats in
-  check_bool "reported probability is small" true
-    (Explore_stats.bitstate_collision_probability st < 0.01);
-  (match (exact.Explore.outcome, big.Explore.outcome) with
-  | Explore.Ok _, Explore.Ok _ -> ()
-  | _ -> Alcotest.fail "both modes must report safe");
-  check_bool "an adequate table does not saturate" true
-    (st.Explore_stats.bitstate_marks < 1 lsl 20)
-
-let test_bitstate_bits_bounds () =
-  List.iter
-    (fun bits ->
-      match register_explore ~bitstate:bits () with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.failf "bitstate %d must be rejected" bits)
-    [ 3; 31 ]
-
-(* ------------------------------------------------------------------ *)
 (* The incremental shared-state digest agrees with the from-scratch    *)
 (* recomputation after every decision — for an honest implementation   *)
 (* and for the mis-declared fixtures (whose physical write-touches are *)
@@ -401,12 +327,6 @@ let suites =
           test_register_cert_identity;
         quick "the retired --no-compact and declared-POR switches raise"
           test_retired_switches_raise;
-        quick "an undersized bitstate table is honest about collisions"
-          test_bitstate_undersized_is_honest;
-        quick "an adequate bitstate table agrees with the exact search"
-          test_bitstate_adequate_agrees;
-        quick "bitstate bits outside 4..30 are rejected"
-          test_bitstate_bits_bounds;
         quick "incremental shared digest = full recomputation"
           test_incremental_digest_matches_full;
         quick "incremental shared digest survives mis-declared fixtures"

@@ -359,6 +359,136 @@ let test_certify_run_i12_local_progress () =
         | Ok _ -> true
         | Error _ -> false)
 
+(* The certificate the search returned for I12 at (1,2), depth 22,
+   period bound 8, DPOR on, while pumps still replayed the recorded
+   payloads.  Its cycle re-issues each process's recorded [start],
+   which the TM workload issues only after a commit or an abort — not
+   where the cycle comes back round — so it is no run of the declared
+   system, and Lemma 5.4 rules a lasso out anyway. *)
+let test_pump_replays_the_workload () =
+  let open Slx_tm in
+  let factory () = I12.factory ~vars:1 in
+  let invoke v p = Some (Tm_workload.next_invocation v p) in
+  let stem = [ 5; 4; 4; 5; 5; 9; 8; 8; 9; 9; 5; 4; 4; 9; 8; 8 ]
+  and cycle = [ 5; 4; 4; 9; 8; 8 ] in
+  check_bool "the stored witness does not re-validate" true
+    (Live_explore.validate_cert_codes ~n:2 ~factory ~invoke ~good:Tm_type.good
+       ~point:(Freedom.make ~l:1 ~k:2) ~pump_ticks:88 ~stem ~cycle ()
+    = None);
+  let cert =
+    Runner.Cursor.with_ ~n:2 ~factory:(factory ()) (fun cursor ->
+        let apply =
+          List.map (fun code ->
+              let d =
+                Explore.decision_of_code ~invoke (Runner.Cursor.view cursor)
+                  code
+              in
+              Runner.Cursor.apply cursor d;
+              d)
+        in
+        let stem = apply stem in
+        let cycle = apply cycle in
+        let cells =
+          Lasso.tick_cells (Runner.Cursor.report cursor ())
+          |> List.filteri (fun t _ -> t >= List.length stem)
+        in
+        Lasso.cert_of_cursor ~stem ~cycle ~cells cursor)
+  in
+  check_bool "the recorded payloads pump" true
+    (Result.is_ok (Lasso.pump ~factory:(factory ()) ~repetitions:4 cert));
+  Alcotest.(check (result unit string))
+    "the workload does not" (Error "workload diverged")
+    (Result.map ignore
+       (Lasso.pump ~factory:(factory ()) ~repetitions:4 ~invoke cert))
+
+(* The other side of the workload check: a lasso the search finds is a
+   run of the declared workload.  TL2 with a crashed lock holder starves
+   the survivor, whose cycle re-issues [start] and [read] after each
+   abort, so the check compares real invocations; the certificate pumps
+   under [~invoke] and its codes re-validate to the same certificate. *)
+let test_genuine_lasso_passes_the_workload_check () =
+  let open Slx_tm in
+  let factory () = Tl2_tm.factory () in
+  let invoke v p = Some (Tm_workload.next_invocation v p) in
+  let good = Tm_type.good and point = Freedom.obstruction_freedom in
+  let c =
+    lasso_exn "TL2 (1,1)"
+      (Live_explore.search ~n:2 ~factory ~invoke ~good ~point ~depth:20
+         ~max_crashes:1 ~dpor:true ())
+  in
+  check_bool "the cycle re-issues invocations" true
+    (List.exists
+       (function Driver.Invoke _ -> true | _ -> false)
+       c.Lasso.c_cycle);
+  (match Lasso.pump ~factory:(factory ()) ~repetitions:4 ~invoke c with
+  | Error e -> Alcotest.failf "workload pump failed: %s" e
+  | Ok rep ->
+      check_bool "pumped report carries the bounded violation" true
+        (Lasso.certified_violation ~good rep point));
+  let stem = Explore.codes_of_script c.Lasso.c_stem
+  and cycle = Explore.codes_of_script c.Lasso.c_cycle in
+  match
+    Live_explore.validate_cert_codes ~n:2 ~factory ~invoke ~good ~point
+      ~pump_ticks:80 ~stem ~cycle ()
+  with
+  | None -> Alcotest.fail "the search's own witness does not re-validate"
+  | Some c' ->
+      Alcotest.(check (list int))
+        "same stem" stem
+        (Explore.codes_of_script c'.Lasso.c_stem);
+      Alcotest.(check (list int))
+        "same cycle" cycle
+        (Explore.codes_of_script c'.Lasso.c_cycle)
+
+(* ------------------------------------------------------------------ *)
+(* Cancellation.                                                       *)
+
+(* A [cancel] that fires on its [k]-th poll.  Both explorers poll once
+   per node, right after counting it, so the partial stats count
+   exactly [k] nodes; the trace's node spans stay balanced. *)
+let cancel_on k =
+  let polls = ref 0 in
+  fun () ->
+    incr polls;
+    !polls >= k
+
+let check_interrupted name k obs run =
+  match run (cancel_on k) with
+  | exception Explore.Interrupted st ->
+      check_int (name ^ ": nodes at the k-th poll") k st.Explore_stats.nodes;
+      let count kind =
+        List.length
+          (List.filter
+             (fun e -> e.Slx_obs.Telemetry.ev_kind = kind)
+             (Slx_obs.Obs.events obs))
+      in
+      check_int (name ^ ": node spans balanced")
+        (count Slx_obs.Telemetry.Node_enter)
+        (count Slx_obs.Telemetry.Node_leave);
+      check_int (name ^ ": one span per node") k
+        (count Slx_obs.Telemetry.Node_enter)
+  | _ -> Alcotest.failf "%s: the walk was not interrupted" name
+
+let test_cancel_interrupts_both_explorers () =
+  List.iter
+    (fun k ->
+      let obs = Slx_obs.Obs.create ~tracing:true () in
+      check_interrupted "explore" k obs (fun cancel ->
+          Explore.explore ~n:2
+            ~factory:(fun () -> reg_factory ())
+            ~invoke ~depth:10
+            ~max_crashes:1 ~dpor:true ~symmetry:true ~obs ~cancel
+            ~check:(fun _ -> true)
+            ());
+      let obs = Slx_obs.Obs.create ~tracing:true () in
+      check_interrupted "live" k obs (fun cancel ->
+          Live_explore.search ~n:2
+            ~factory:(fun () -> reg_factory ())
+            ~invoke ~good
+            ~point:(Freedom.make ~l:1 ~k:1) ~depth:10 ~max_crashes:1
+            ~max_period:2 ~dpor:true ~obs ~cancel ()))
+    [ 1; 7; 50 ]
+
 (* ------------------------------------------------------------------ *)
 (* JSON surfaces.                                                      *)
 
@@ -424,5 +554,17 @@ let suites =
           test_certify_run_i12_local_progress;
         quick "grid JSON" test_grid_json;
         quick "stats JSON cycle counters" test_stats_json_has_cycle_counters;
+      ] );
+    ( "live-explore: workload pumps",
+      [
+        quick "a pump replays the workload, not recorded payloads"
+          test_pump_replays_the_workload;
+        quick "a genuine lasso passes the workload check"
+          test_genuine_lasso_passes_the_workload_check;
+      ] );
+    ( "explorers: cancellation",
+      [
+        quick "cancel interrupts both explorers at the k-th node"
+          test_cancel_interrupts_both_explorers;
       ] );
   ]

@@ -219,6 +219,21 @@ let test_full_task_live_clean () =
 
 (* A result line is the answer and its work counters: no member beyond
    the documented ones (in particular no frontier to resume from). *)
+(* A worker's cancel reaches the engine: a task whose [cancel] is
+   already set answers "cancelled", for either explorer. *)
+let test_cancelled_task () =
+  List.iter
+    (fun fields ->
+      check_outcome fields "cancelled"
+        (parse_result
+           (Queries.run_task ~cancel:(fun () -> true) (spec_of fields)
+              Queries.Full)))
+    [
+      "{\"impl\": \"register\", \"depth\": 10, \"crashes\": 1}";
+      "{\"kind\": \"live\", \"impl\": \"register\", \"property\": \"1,2\", \
+       \"depth\": 8}";
+    ]
+
 let test_result_members () =
   List.iter
     (fun (fields, expected) ->
@@ -365,8 +380,6 @@ let test_cli_out_of_range_refused () =
            (Printf.sprintf "%s %s --json >/dev/null 2>&1" slx_bin args)))
     [
       "explore --cache-capacity 0";
-      "explore --bitstate 40";
-      "explore --bitstate 3";
       "explore --depth=-3";
       "explore --crashes=-2";
       "explore -j 2";
@@ -378,8 +391,8 @@ let test_cli_out_of_range_refused () =
       "live-explore --procs 0";
     ]
 
-(* The declared-footprint POR and structural-key switches are gone:
-   naming them is a usage error too. *)
+(* The declared-footprint POR, structural-key and hash-compaction
+   switches are gone: naming them is a usage error too. *)
 let test_cli_retired_flags_refused () =
   List.iter
     (fun args ->
@@ -388,7 +401,12 @@ let test_cli_retired_flags_refused () =
         124
         (Sys.command
            (Printf.sprintf "%s %s --json >/dev/null 2>&1" slx_bin args)))
-    [ "explore --no-por"; "explore --no-compact"; "live-explore --no-compact" ]
+    [
+      "explore --no-por";
+      "explore --no-compact";
+      "explore --bitstate 16";
+      "live-explore --no-compact";
+    ]
 
 (* The serve decoder answers the same bad bounds with an [Error]. *)
 let test_decoder_out_of_range_refused () =
@@ -663,6 +681,8 @@ let suites =
           test_full_task_lasso;
         Alcotest.test_case "clean live cas" `Quick test_full_task_live_clean;
         Alcotest.test_case "result members" `Quick test_result_members;
+        Alcotest.test_case "a cancelled task answers cancelled" `Quick
+          test_cancelled_task;
       ] );
     ( "serve.input",
       [

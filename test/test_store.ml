@@ -420,20 +420,6 @@ let test_persist_corrupt_fallback () =
     | Explore.Ok a, Explore.Ok b -> a = b
     | _ -> false)
 
-let test_persist_bitstate_bypass () =
-  let path = temp_store () in
-  let st = Store.open_ path in
-  let qid = safety_qid ~ident:"cas" ~factory:cas_factory () in
-  let _, src =
-    Persist.run_explore ~store:st ~qid ~n:2 ~factory:cas_factory
-      ~invoke:safety_invoke ~depth:6 ~dpor:true ~symmetry:true
-      ~bitstate:12 ~check:consensus_check ()
-  in
-  check_bool "bitstate runs bypass the store" true
-    (src = Persist.Uncached "bitstate");
-  check_bool "and leave no record behind" true (Store.records st = []);
-  check_bool "and no counters" true ((Store.counters st).Store.c_queries = 0)
-
 (* Liveness: cold/warm/deeper-cold, and lasso re-validation on the
    Theorem 5.2 register certificate. *)
 
@@ -684,8 +670,6 @@ let suites =
           test_persist_witness_warm;
         Alcotest.test_case "corrupt store falls back cold" `Quick
           test_persist_corrupt_fallback;
-        Alcotest.test_case "bitstate bypasses the store" `Quick
-          test_persist_bitstate_bypass;
         Alcotest.test_case "live cold, warm, deeper cold" `Quick
           test_persist_live_cold_warm_deeper;
         Alcotest.test_case "lasso re-validated warm" `Quick
