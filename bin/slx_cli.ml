@@ -401,29 +401,148 @@ let mutex_cmd =
     Term.(const run $ impl_arg $ steps_arg)
 
 (* ------------------------------------------------------------------ *)
-(* explore                                                             *)
+(* explore / live-explore: one query record each                       *)
+
+let no_cache_arg ~doc = Arg.(value & flag & info [ "no-cache" ] ~doc)
+
+let cache_capacity_arg ~doc =
+  Arg.(value & opt (some (int_in 1)) None & info [ "cache-capacity" ] ~doc)
+
+let sanitize_arg ~doc = Arg.(value & flag & info [ "sanitize" ] ~doc)
+let json_arg ~doc = Arg.(value & flag & info [ "json" ] ~doc)
+
+(* Print a query's answer: one JSON object, or the human report. *)
+let print_answer ~json (sp : Queries.spec) source answer =
+  let source = Option.map (Format.asprintf "%a" Persist.pp_source) source in
+  let source_json =
+    match source with
+    | None -> ""
+    | Some s -> Printf.sprintf ", \"store_source\": %S" s
+  in
+  let print_stats stats =
+    Option.iter (Printf.printf "store: %s\n") source;
+    Format.printf "%a@." Explore_stats.pp stats
+  in
+  match answer with
+  | Queries.Safety e when json ->
+      let outcome, runs =
+        match e.Explore.outcome with
+        | Explore.Ok runs -> ("ok", runs)
+        | Explore.Counterexample _ -> ("counterexample", 0)
+      in
+      Printf.printf
+        "{\"impl\": %S, \"depth\": %d, \"max_crashes\": %d, \"outcome\": %S, \
+         \"runs\": %d%s, \"stats\": %s}\n"
+        sp.sp_impl sp.sp_depth sp.sp_crashes outcome runs source_json
+        (Explore_stats.to_json e.Explore.stats)
+  | Queries.Safety e ->
+      (match e.Explore.outcome with
+      | Explore.Ok runs -> Printf.printf "safe on all %d bounded schedules\n" runs
+      | Explore.Counterexample r ->
+          Format.printf "counterexample: %a@."
+            Slx_consensus.Consensus_type.pp_history r.Slx_sim.Run_report.history;
+          Option.iter
+            (fun script ->
+              Format.printf "witness script: %a@."
+                (Format.pp_print_list ~pp_sep:Format.pp_print_space
+                   (fun fmt d -> Format.pp_print_string fmt (Queries.dec_string d)))
+                script)
+            e.Explore.witness_script);
+      print_stats e.Explore.stats
+  | Queries.Live r ->
+      let property = Format.asprintf "%a" Freedom.pp (Queries.point sp) in
+      let script sep quote ds =
+        String.concat sep (List.map (fun d -> quote (Queries.dec_string d)) ds)
+      in
+      if json then begin
+        let outcome, cert_json =
+          match r.Live_explore.outcome with
+          | Live_explore.No_fair_cycle -> ("no_fair_cycle", "")
+          | Live_explore.Lasso c ->
+              let script = script ", " (Printf.sprintf "%S") in
+              ( "lasso",
+                Printf.sprintf
+                  ", \"stem\": [%s], \"cycle\": [%s], \"period\": %d"
+                  (script c.Lasso.c_stem) (script c.Lasso.c_cycle)
+                  (List.length c.Lasso.c_cycle) )
+        in
+        Printf.printf
+          "{\"impl\": %S, \"property\": %S, \"n\": %d, \"depth\": %d, \
+           \"max_crashes\": %d, \"outcome\": %S%s%s, \"stats\": %s}\n"
+          sp.sp_impl property sp.sp_n sp.sp_depth sp.sp_crashes outcome
+          cert_json source_json
+          (Explore_stats.to_json r.Live_explore.stats)
+      end
+      else begin
+        (match r.Live_explore.outcome with
+        | Live_explore.Lasso c ->
+            Printf.printf "fair non-progressing lasso found: %s is excluded\n"
+              property;
+            Printf.printf "  stem:  %s\n" (script " " Fun.id c.Lasso.c_stem);
+            Printf.printf "  cycle: %s  (period %d, pump-validated)\n"
+              (script " " Fun.id c.Lasso.c_cycle)
+              (List.length c.Lasso.c_cycle)
+        | Live_explore.No_fair_cycle ->
+            Printf.printf
+              "no fair non-progressing cycle within depth %d: %s is not \
+               excluded on this bounded graph\n"
+              sp.sp_depth property);
+        print_stats r.Live_explore.stats
+      end
+
+(* Run one query record and print its answer.  A spec {!Queries.make}
+   refuses is a usage error (exit 124), like cmdliner's own.  [naive]
+   runs the replay-from-scratch reference engine instead, which
+   bypasses the store. *)
+let run_query ?(naive = false) ~json ~no_cache ~cache_capacity ~sanitize ~store
+    ~trace ~progress ~progress_json spec =
+  match spec with
+  | Error e -> `Error (false, e)
+  | Ok (sp : Queries.spec) ->
+      let obs = make_obs ~trace ~progress ~progress_json in
+      if naive && trace <> None then
+        prerr_endline
+          "[slx] note: the naive engine does not trace; the trace will be \
+           empty";
+      if naive && sanitize then
+        prerr_endline
+          "[slx] note: the naive engine does not sanitize; use slx audit";
+      if naive && store <> None then
+        prerr_endline "[slx] note: the naive engine bypasses the store";
+      let cancel = install_sigint () in
+      let run () =
+        if naive then
+          ( Queries.Safety
+              (Explore.explore_naive ~n:sp.sp_n
+                 ~factory:(Queries.factory sp)
+                 ~invoke:Queries.safety_invoke ~depth:sp.sp_depth
+                 ~max_crashes:sp.sp_crashes ~check:Queries.check ()),
+            None )
+        else
+          Queries.run
+            ?store:(Option.map Vstore.open_ store)
+            ~cache:(not no_cache) ?capacity:cache_capacity ~sanitize ~obs
+            ~cancel sp
+      in
+      match run () with
+      | exception Explore.Interrupted stats ->
+          write_trace obs trace;
+          `Ok (report_interrupt ~store ~stats)
+      | answer, source ->
+          write_trace obs trace;
+          print_answer ~json sp source answer;
+          `Ok 0
+
+let depth_arg =
+  Arg.(value & opt int 10 & info [ "depth" ] ~doc:"Schedule-tree depth (1-64).")
 
 let explore_cmd =
   let impl_arg =
     let doc = "Implementation: cas, register, or selfish (consensus)." in
     Arg.(value & opt string "cas" & info [ "impl"; "i" ] ~doc)
   in
-  let depth_arg =
-    Arg.(value & opt (int_in 0) 10 & info [ "depth" ] ~doc:"Schedule-tree depth.")
-  in
   let crashes_arg =
-    Arg.(value & opt (int_in 0) 0 & info [ "crashes" ] ~doc:"Max crash branches.")
-  in
-  let no_cache_arg =
-    Arg.(value & flag
-         & info [ "no-cache" ] ~doc:"Disable the transposition cache.")
-  in
-  let cache_capacity_arg =
-    let doc =
-      "Bound the transposition cache to this many entries (clock \
-       eviction); unbounded by default."
-    in
-    Arg.(value & opt (some (int_in 1)) None & info [ "cache-capacity" ] ~doc)
+    Arg.(value & opt int 0 & info [ "crashes" ] ~doc:"Max crash branches.")
   in
   let no_dpor_arg =
     Arg.(value & flag
@@ -436,131 +555,38 @@ let explore_cmd =
          & info [ "no-symmetry" ]
              ~doc:"Disable symmetry reduction of untouched processes.")
   in
-  let json_arg =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Emit the verdict and full statistics as one JSON object.")
-  in
   let naive_arg =
     Arg.(value & flag
          & info [ "naive" ]
              ~doc:"Use the replay-from-scratch reference engine.")
   in
-  let sanitize_arg =
-    Arg.(value & flag
-         & info [ "sanitize" ]
-             ~doc:"Arm the footprint sanitizer (counting mode): report \
-                   violations in the stats without changing the verdict.")
-  in
-  let run impl depth max_crashes no_cache cache_capacity no_dpor no_symmetry
-      json naive sanitize store trace progress progress_json =
-    match Queries.factory_of_impl impl with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok factory -> begin
-        let invoke = Queries.safety_invoke and check = Queries.check in
-        let obs = make_obs ~trace ~progress ~progress_json in
-        if naive && trace <> None then
-          prerr_endline
-            "[slx] note: the naive engine does not trace; the trace will \
-             be empty";
-        if naive && sanitize then
-          prerr_endline
-            "[slx] note: the naive engine does not sanitize; use slx audit";
-        if naive && store <> None then
-          prerr_endline
-            "[slx] note: the naive engine bypasses the store";
-        let cancel = install_sigint () in
-        let run_engine () =
-          if naive then
-            ( Explore.explore_naive ~n:2 ~factory ~invoke ~depth ~max_crashes
-                ~check (),
-              None )
-          else begin
-            match store with
-            | None ->
-                ( Explore.explore ~n:2 ~factory ~invoke ~depth ~max_crashes
-                    ~cache:(not no_cache) ?cache_capacity ~dpor:(not no_dpor)
-                    ~symmetry:(not no_symmetry) ~obs ~sanitize ~cancel
-                    ~check (),
-                  None )
-            | Some path ->
-                let st = Vstore.open_ path in
-                let qid =
-                  Persist.query_key ~ident:impl ~check:"consensus-safety"
-                    ~n:2
-                    ~registry_digest:(Persist.instance_digest ~n:2 ~factory)
-                    ~max_crashes ~dpor:(not no_dpor)
-                    ~symmetry:(not no_symmetry) ()
-                in
-                let e, source =
-                  Persist.run_explore ~store:st ~qid ~n:2 ~factory ~invoke
-                    ~depth ~max_crashes ~cache:(not no_cache) ?cache_capacity
-                    ~dpor:(not no_dpor) ~symmetry:(not no_symmetry) ~obs
-                    ~sanitize ~cancel ~check ()
-                in
-                (e, Some source)
-          end
-        in
-        match run_engine () with
-        | exception Explore.Interrupted stats ->
-            write_trace obs trace;
-            report_interrupt ~store ~stats
-        | e, source -> begin
-            write_trace obs trace;
-            let source_string =
-              Option.map (Format.asprintf "%a" Persist.pp_source) source
-            in
-            if json then begin
-              let outcome, runs =
-                match e.Explore.outcome with
-                | Explore.Ok runs -> ("ok", runs)
-                | Explore.Counterexample _ -> ("counterexample", 0)
-              in
-              Printf.printf
-                "{\"impl\": %S, \"depth\": %d, \"max_crashes\": %d, \
-                 \"outcome\": %S, \"runs\": %d%s, \"stats\": %s}\n"
-                impl depth max_crashes outcome runs
-                (match source_string with
-                | None -> ""
-                | Some s -> Printf.sprintf ", \"store_source\": %S" s)
-                (Explore_stats.to_json e.Explore.stats)
-            end
-            else begin
-              (match e.Explore.outcome with
-              | Explore.Ok runs ->
-                  Printf.printf "safe on all %d bounded schedules\n" runs
-              | Explore.Counterexample r ->
-                  Format.printf "counterexample: %a@."
-                    Slx_consensus.Consensus_type.pp_history
-                    r.Slx_sim.Run_report.history;
-                  Option.iter
-                    (fun script ->
-                      Format.printf "witness script: %a@."
-                        (Format.pp_print_list ~pp_sep:Format.pp_print_space
-                           (fun fmt d ->
-                             Format.pp_print_string fmt (Queries.dec_string d)))
-                        script)
-                    e.Explore.witness_script);
-              Option.iter (Printf.printf "store: %s\n") source_string;
-              Format.printf "%a@." Explore_stats.pp e.Explore.stats
-            end;
-            0
-          end
-      end
+  let run impl depth crashes no_cache cache_capacity no_dpor no_symmetry json
+      naive sanitize store trace progress progress_json =
+    run_query ~naive ~json ~no_cache ~cache_capacity ~sanitize ~store ~trace
+      ~progress ~progress_json
+      (Queries.make ~kind:`Explore ~impl ~property:"" ~n:2 ~depth ~crashes
+         ~max_period:None ~pump:None ~dpor:(not no_dpor)
+         ~symmetry:(not no_symmetry) ~invoke_order:false)
   in
   Cmd.v
     (Cmd.info "explore"
        ~doc:"Exhaustively check consensus safety on every bounded schedule")
     Term.(
-      const run $ impl_arg $ depth_arg $ crashes_arg
-      $ no_cache_arg $ cache_capacity_arg $ no_dpor_arg $ no_symmetry_arg
-      $ json_arg $ naive_arg $ sanitize_arg $ store_arg
-      $ trace_arg $ progress_arg $ progress_json_arg)
-
-(* ------------------------------------------------------------------ *)
-(* live-explore                                                        *)
+      ret
+        (const run $ impl_arg $ depth_arg $ crashes_arg
+        $ no_cache_arg ~doc:"Disable the transposition cache."
+        $ cache_capacity_arg
+            ~doc:
+              "Bound the transposition cache to this many entries (clock \
+               eviction); unbounded by default."
+        $ no_dpor_arg $ no_symmetry_arg
+        $ json_arg ~doc:"Emit the verdict and full statistics as one JSON object."
+        $ naive_arg
+        $ sanitize_arg
+            ~doc:
+              "Arm the footprint sanitizer (counting mode): report \
+               violations in the stats without changing the verdict."
+        $ store_arg $ trace_arg $ progress_arg $ progress_json_arg))
 
 let live_explore_cmd =
   let impl_arg =
@@ -575,20 +601,17 @@ let live_explore_cmd =
     Arg.(value & opt string "obstruction" & info [ "property"; "p" ] ~doc)
   in
   let procs_arg =
-    Arg.(value & opt (int_in 1) 2 & info [ "procs"; "n" ] ~doc:"System size n.")
-  in
-  let depth_arg =
-    Arg.(value & opt (int_in 0) 10 & info [ "depth" ] ~doc:"Schedule-tree depth.")
+    Arg.(value & opt int 2 & info [ "procs"; "n" ] ~doc:"System size n (1-16).")
   in
   let crashes_arg =
     let doc =
       "Max crash branches (pass at least n-1 to give obstruction-style \
        points their solo windows)."
     in
-    Arg.(value & opt (int_in 0) 0 & info [ "crashes" ] ~doc)
+    Arg.(value & opt int 0 & info [ "crashes" ] ~doc)
   in
   let max_period_arg =
-    Arg.(value & opt (some (int_in 1)) None
+    Arg.(value & opt (some int) None
          & info [ "max-period" ]
              ~doc:"Bound candidate cycle length in ticks (default \
                    ceil(depth/2), the largest period observable twice \
@@ -597,7 +620,7 @@ let live_explore_cmd =
                    at the default.")
   in
   let pump_arg =
-    Arg.(value & opt (some (int_in 1)) None
+    Arg.(value & opt (some int) None
          & info [ "pump" ]
              ~doc:"Certificate validation budget in ticks (default 4*depth).")
   in
@@ -611,145 +634,16 @@ let live_explore_cmd =
     Arg.(value & flag
          & info [ "no-dpor" ]
              ~doc:"Disable the cycle-proviso-guarded dynamic partial-order \
-                   reduction.")
+                   reduction and search the unreduced tree: the exhaustive \
+                   reference.  Under a depth bound the reduced search can \
+                   miss a lasso this one finds.")
   in
-  let proviso_arg =
-    Arg.(value & opt (some int) None
-         & info [ "proviso" ]
-             ~doc:"Bounded-ignoring proviso: max consecutive edges a \
-                   process may stay asleep (default 2; larger prunes more \
-                   but can miss lassos of shorter period).")
-  in
-  let no_cache_arg =
-    Arg.(value & flag
-         & info [ "no-cache" ]
-             ~doc:"Disable the transposition cache.  It only engages when \
-                   depth > 2*max-period + 1 (never at the default \
-                   max-period), keying nodes deeper than 2*max-period \
-                   ticks; verdict, certificate and runs are the same \
-                   either way.")
-  in
-  let cache_capacity_arg =
-    Arg.(value & opt (some (int_in 1)) None
-         & info [ "cache-capacity" ]
-             ~doc:"Bound the transposition cache (clock eviction).")
-  in
-  let sanitize_arg =
-    Arg.(value & flag
-         & info [ "sanitize" ]
-             ~doc:"Arm the footprint sanitizer (counting mode) on every \
-                   search cursor: violations surface in \
-                   footprint_violations without perturbing the search.")
-  in
-  let json_arg =
-    Arg.(value & flag
-         & info [ "json" ]
-             ~doc:"Emit the verdict, certificate and statistics as one \
-                   JSON object.")
-  in
-  let run impl property n depth max_crashes max_period pump_ticks invoke_order
-      no_dpor proviso_bound no_cache cache_capacity sanitize json store trace
-      progress progress_json =
-    match
-      (Queries.factory_of_impl impl, Queries.point_of_string ~n property)
-    with
-    | Error e, _ | _, Error e ->
-        prerr_endline e;
-        1
-    | Ok factory, Ok point ->
-        let invoke = Queries.live_invoke and good = Queries.good in
-        let obs = make_obs ~trace ~progress ~progress_json in
-        let cancel = install_sigint () in
-        let run_engine () =
-          match store with
-          | None ->
-              ( Live_explore.search ~n ~factory ~invoke ~good ~point ~depth
-                  ~max_crashes ?max_period ?pump_ticks ~invoke_order
-                  ~dpor:(not no_dpor) ?proviso_bound ~cache:(not no_cache)
-                  ?cache_capacity ~sanitize ~obs ~cancel (),
-                None )
-          | Some path ->
-              let st = Vstore.open_ path in
-              let qid =
-                Persist.query_key ~ident:impl
-                  ~check:("live:" ^ Format.asprintf "%a" Freedom.pp point)
-                  ~n
-                  ~registry_digest:(Persist.instance_digest ~n ~factory)
-                  ~max_crashes ~dpor:(not no_dpor) ~invoke_order
-                  ?proviso_bound ()
-              in
-              let r, source =
-                Persist.run_live ~store:st ~qid ~n ~factory ~invoke ~good
-                  ~point ~depth ~max_crashes ?max_period ?pump_ticks
-                  ~invoke_order ~dpor:(not no_dpor) ?proviso_bound
-                  ~cache:(not no_cache) ?cache_capacity ~obs ~sanitize
-                  ~cancel ()
-              in
-              (r, Some source)
-        in
-        match run_engine () with
-        | exception Explore.Interrupted stats ->
-            write_trace obs trace;
-            report_interrupt ~store ~stats
-        | r, source ->
-        write_trace obs trace;
-        let source_string =
-          Option.map (Format.asprintf "%a" Persist.pp_source) source
-        in
-        let property_string = Format.asprintf "%a" Freedom.pp point in
-        if json then begin
-          let cert_json =
-            match r.Live_explore.outcome with
-            | Live_explore.No_fair_cycle -> ""
-            | Live_explore.Lasso c ->
-                let script ds =
-                  "["
-                  ^ String.concat ", "
-                      (List.map
-                         (fun d -> Printf.sprintf "%S" (Queries.dec_string d))
-                         ds)
-                  ^ "]"
-                in
-                Printf.sprintf ", \"stem\": %s, \"cycle\": %s, \"period\": %d"
-                  (script c.Lasso.c_stem) (script c.Lasso.c_cycle)
-                  (List.length c.Lasso.c_cycle)
-          in
-          let outcome =
-            match r.Live_explore.outcome with
-            | Live_explore.Lasso _ -> "lasso"
-            | Live_explore.No_fair_cycle -> "no_fair_cycle"
-          in
-          Printf.printf
-            "{\"impl\": %S, \"property\": %S, \"n\": %d, \"depth\": %d, \
-             \"max_crashes\": %d, \"outcome\": %S%s%s, \"stats\": %s}\n"
-            impl property_string n depth max_crashes outcome cert_json
-            (match source_string with
-            | None -> ""
-            | Some s -> Printf.sprintf ", \"store_source\": %S" s)
-            (Explore_stats.to_json r.Live_explore.stats)
-        end
-        else begin
-          (match r.Live_explore.outcome with
-          | Live_explore.Lasso c ->
-              Printf.printf
-                "fair non-progressing lasso found: %s is excluded\n"
-                property_string;
-              let script ds =
-                String.concat " " (List.map Queries.dec_string ds)
-              in
-              Printf.printf "  stem:  %s\n" (script c.Lasso.c_stem);
-              Printf.printf "  cycle: %s  (period %d, pump-validated)\n"
-                (script c.Lasso.c_cycle)
-                (List.length c.Lasso.c_cycle)
-          | Live_explore.No_fair_cycle ->
-              Printf.printf
-                "no fair non-progressing cycle within depth %d: %s is not \
-                 excluded on this bounded graph\n"
-                depth property_string);
-          Option.iter (Printf.printf "store: %s\n") source_string;
-          Format.printf "%a@." Explore_stats.pp r.Live_explore.stats
-        end;
-        0
+  let run impl property n depth crashes max_period pump invoke_order no_dpor
+      no_cache cache_capacity sanitize json store trace progress progress_json =
+    run_query ~json ~no_cache ~cache_capacity ~sanitize ~store ~trace ~progress
+      ~progress_json
+      (Queries.make ~kind:`Live ~impl ~property ~n ~depth ~crashes ~max_period
+         ~pump ~dpor:(not no_dpor) ~symmetry:false ~invoke_order)
   in
   Cmd.v
     (Cmd.info "live-explore"
@@ -757,10 +651,26 @@ let live_explore_cmd =
          "Search the bounded configuration graph for a fair, progress-free \
           cycle")
     Term.(
-      const run $ impl_arg $ property_arg $ procs_arg $ depth_arg $ crashes_arg
-      $ max_period_arg $ pump_arg $ invoke_order_arg $ no_dpor_arg
-      $ proviso_arg $ no_cache_arg $ cache_capacity_arg $ sanitize_arg
-      $ json_arg $ store_arg $ trace_arg $ progress_arg $ progress_json_arg)
+      ret
+        (const run $ impl_arg $ property_arg $ procs_arg $ depth_arg
+        $ crashes_arg $ max_period_arg $ pump_arg $ invoke_order_arg
+        $ no_dpor_arg
+        $ no_cache_arg
+            ~doc:
+              "Disable the transposition cache.  It only engages when \
+               depth > 2*max-period + 1 (never at the default max-period), \
+               keying nodes deeper than 2*max-period ticks; verdict, \
+               certificate and runs are the same either way."
+        $ cache_capacity_arg ~doc:"Bound the transposition cache (clock eviction)."
+        $ sanitize_arg
+            ~doc:
+              "Arm the footprint sanitizer (counting mode) on every search \
+               cursor: violations surface in footprint_violations without \
+               perturbing the search."
+        $ json_arg
+            ~doc:"Emit the verdict, certificate and statistics as one JSON \
+                  object."
+        $ store_arg $ trace_arg $ progress_arg $ progress_json_arg))
 
 (* ------------------------------------------------------------------ *)
 (* stats — replay a saved trace into histograms                        *)
@@ -1194,20 +1104,19 @@ let query_cmd =
                (Printf.sprintf "/status/%d" id)
                ~out:stdout)
       | None ->
-          let opt_int k = function
-            | None -> ""
-            | Some v -> Printf.sprintf ", %S: %d" k v
-          in
-          let spec =
-            Printf.sprintf
-              "{\"kind\": %S, \"impl\": %S, \"property\": %S, \"n\": %d, \
-               \"depth\": %d, \"crashes\": %d%s%s}"
-              kind impl property n depth crashes
-              (opt_int "max_period" max_period)
-              (opt_int "pump" pump)
-          in
+          let budget k = Option.map (fun v -> (k, Json.Int v)) in
           finish
-            (Slx_serve.Client.post_query ~host ~port ~wait ?timeout spec
+            (Slx_serve.Client.post_query ~host ~port ~wait ?timeout
+               ([
+                  ("kind", Json.Str kind);
+                  ("impl", Json.Str impl);
+                  ("property", Json.Str property);
+                  ("n", Json.Int n);
+                  ("depth", Json.Int depth);
+                  ("crashes", Json.Int crashes);
+                ]
+               @ List.filter_map Fun.id
+                   [ budget "max_period" max_period; budget "pump" pump ])
                ~out:stdout)
   in
   Cmd.v

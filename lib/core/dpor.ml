@@ -7,19 +7,6 @@ open Slx_sim
 let observed_conflict (a : Runtime.access) (b : Runtime.access) =
   a.Runtime.obj = b.Runtime.obj && (a.Runtime.write || b.Runtime.write)
 
-let footprint_of_touches touched = Runtime.of_accesses touched
-
-let observed_commute obs pending = Runtime.footprints_commute obs pending
-
-(* The observed footprint of the step the engine just executed: the
-   probe's physical touches when instrumentation reported any,
-   otherwise its effective declared footprint; with no probe,
-   [Opaque]. *)
-let observed_step probe =
-  match probe with
-  | Some pr -> Runtime.probe_last_observed pr
-  | None -> Runtime.Opaque
-
 (* Whether the sleeping process [z] must be woken (a race reversal) by
    the executed step with observed footprint [observed]: its pending
    action no longer provably commutes with what the step actually did.

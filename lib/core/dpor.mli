@@ -31,20 +31,6 @@ val observed_conflict : Runtime.access -> Runtime.access -> bool
 (** [observed_conflict a b]: same object, at least one write — the
     observed-access conflict oracle. *)
 
-val footprint_of_touches : Runtime.access list -> Runtime.footprint
-(** Canonical footprint of a touch list (merged per object, sorted);
-    the empty list yields the empty footprint, which commutes with
-    everything. *)
-
-val observed_commute : Runtime.footprint -> Runtime.footprint -> bool
-(** Footprint-level commutation ({!Slx_sim.Runtime.footprints_commute});
-    on canonical touch footprints this is the negation of
-    "some pair of accesses satisfies {!observed_conflict}". *)
-
-val observed_step : Runtime.probe option -> Runtime.footprint
-(** The observed footprint of the step just executed: the probe's last
-    observation, or [Opaque] without a probe. *)
-
 val wakes :
   observed:Runtime.footprint -> pending:Runtime.footprint option -> bool
 (** Whether a sleeper with this pending footprint must be woken by a
@@ -76,7 +62,11 @@ val advance :
     (QCheck-tested in [test/test_compact.ml]). *)
 
 val observed_step_mask : Runtime.probe option -> Runtime.mask
-(** {!observed_step} on masks. *)
+(** The observed mask of the step the engine just executed: the
+    probe's physical touches when instrumentation reported any,
+    otherwise its effective declared footprint
+    ({!Slx_sim.Runtime.probe_last_observed_mask}); with no probe, the
+    opaque mask. *)
 
 val wakes_mask :
   observed:Runtime.mask -> pending:Runtime.mask option -> bool

@@ -64,7 +64,7 @@ type t = {
           progress-violating before certificate validation; the search
           stops at the first one whose certificate also pumps. *)
   footprint_violations : int;
-      (** Sanitizer violations observed ({!Runtime.shadow_violations}):
+      (** Sanitizer violations observed ({!Runtime.shadow_violation_count}):
           undeclared touches, escaping nested declarations, or
           touches outside any atomic action.  Always 0 for a clean
           implementation; engines running with [~sanitize:true] count

@@ -200,31 +200,34 @@ let result (st : _ state) found =
     stats = Search.stats st;
   }
 
+(* Default period bound: ceil(depth / 2), the largest period for
+   which two full repetitions fit in a depth-bounded suffix at {e
+   some} node of the walk (detection at a node of length [len] needs
+   [2p <= len]; the deepest nodes have [len = depth]).  A plain
+   [depth / 2] floor is equivalent for detection — an odd depth's
+   last tick cannot complete a second repetition — but ceil keeps
+   the documented bound honest at odd depths and costs nothing. *)
+let budgets ~depth ~max_period ~pump_ticks =
+  ( Option.value max_period ~default:(max 1 ((depth + 1) / 2)),
+    Option.value pump_ticks ~default:(4 * depth) )
+
+(* Bounded-ignoring proviso: a process may stay asleep through at most
+   this many consecutive edges of the walk before being force-woken,
+   so on any retained cycle of period >= the bound every slept process
+   gets re-enabled within one repetition (doc/model.md §7 says what
+   this does not keep under a depth bound).  2 is the minimal
+   nontrivial period: period-1 fair cycles need no protection (a
+   sleeper is Ready and correct, so a cycle that never grants it is
+   not fair in the full graph either), and a larger bound can ignore a
+   transition across a whole short cycle and miss its lasso. *)
+let ignoring_bound = 2
+
 let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
     ?max_period ?pump_ticks ?(invoke_order = false) ?(dpor = false)
-    ?proviso_bound ?(cache = true) ?cache_capacity ?(obs = Obs.disabled)
-    ?(sanitize = false) ?(compact = true) ?cancel () =
+    ?(cache = true) ?cache_capacity ?(obs = Obs.disabled) ?(sanitize = false)
+    ?(compact = true) ?cancel () =
   if not compact then invalid_arg "Live_explore.search: compact must be true";
-  (* Default period bound: ceil(depth / 2), the largest period for
-     which two full repetitions fit in a depth-bounded suffix at {e
-     some} node of the walk (detection at a node of length [len] needs
-     [2p <= len]; the deepest nodes have [len = depth]).  A plain
-     [depth / 2] floor is equivalent for detection — an odd depth's
-     last tick cannot complete a second repetition — but ceil keeps
-     the documented bound honest at odd depths and costs nothing. *)
-  let max_period = Option.value max_period ~default:(max 1 ((depth + 1) / 2)) in
-  let pump_ticks = Option.value pump_ticks ~default:(4 * depth) in
-  (* Bounded-ignoring proviso: a process may stay asleep through at
-     most this many consecutive edges of the walk before being
-     force-woken, so on any retained cycle of period >= the bound
-     every slept process gets re-enabled within one repetition — the
-     cycle proviso that keeps the sleep-set reduction sound for
-     fair-cycle detection.  Default 2, the minimal nontrivial period:
-     period-1 fair cycles need no protection (a sleeper is Ready and
-     correct, so a cycle that never grants it is not fair in the full
-     graph either), and larger bounds can ignore a transition across a
-     whole short cycle and silently miss its lasso. *)
-  let proviso_bound = Option.value proviso_bound ~default:2 in
+  let max_period, pump_ticks = budgets ~depth ~max_period ~pump_ticks in
   (* The cache engages only if some node can be keyed, i.e. some
      [len] has [2 * max_period < len < depth] (see the key comment). *)
   let cache = cache && depth > (2 * max_period) + 1 in
@@ -268,7 +271,7 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
      crashes wake everyone (handled by the caller passing [] as the
      candidate), invocations are process-local and keep everyone;
      (3) the bounded-ignoring proviso — bump each survivor's streak
-     and force-wake those that reach [proviso_bound]. *)
+     and force-wake those that reach [ignoring_bound]. *)
   let settle_sleep child d candidate len =
     let advanced =
       match d with
@@ -291,7 +294,7 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
       | _ -> candidate
     in
     let kept, expired =
-      List.partition (fun (_, streak) -> streak + 1 < proviso_bound) advanced
+      List.partition (fun (_, streak) -> streak + 1 < ignoring_bound) advanced
     in
     if expired <> [] then begin
       st.proviso <- st.proviso + List.length expired;
@@ -333,7 +336,7 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
                sound: a path is never truncated outright (if every
                enabled decision is asleep, all sleepers are
                force-woken), and no process sleeps through more than
-               [proviso_bound] consecutive edges ([settle_sleep]), so
+               [ignoring_bound] consecutive edges ([settle_sleep]), so
                every pruned transition is re-enabled within that many
                ticks on any retained cycle. *)
             let asleep, active =

@@ -66,14 +66,18 @@
     observed-access race reversal, {!Dpor}) runs under two extra wake
     rules — a node whose every enabled decision is asleep force-wakes
     them all instead of truncating the path, and no process stays
-    asleep through more than [proviso_bound] consecutive edges.
-    Together these guarantee that on every retained cycle each pruned
-    transition is re-enabled within [proviso_bound] ticks, so a fair
-    periodic run cannot be ignored out of the reduced tree; the
-    transposition key carries the sleep set and the per-sleeper
-    ignoring streaks so distinct reduced subtrees never share an
-    entry.  Certificate validation (pumping) remains the unconditional
-    backstop against false positives.  The other reduction offered is
+    asleep through more than 2 consecutive edges.  Together these
+    re-enable each pruned transition within 2 ticks on every retained
+    cycle; the transposition key carries the sleep set and the
+    per-sleeper ignoring streaks so distinct reduced subtrees never
+    share an entry.  This does {e not} make the reduced tree keep
+    every fair periodic run under a depth bound: the representative
+    of a lasso the full tree holds can lie deeper than [depth], so a
+    [dpor] search can answer [No_fair_cycle] where the unreduced
+    search finds a lasso (doc/model.md §7, EXPERIMENTS E37); the
+    unreduced search is the exhaustive reference.  Certificate
+    validation (pumping) remains the unconditional backstop against
+    false positives.  The other reduction offered is
     [invoke_order]. *)
 
 open Slx_history
@@ -112,7 +116,6 @@ val search :
   ?pump_ticks:int ->
   ?invoke_order:bool ->
   ?dpor:bool ->
-  ?proviso_bound:int ->
   ?cache:bool ->
   ?cache_capacity:int ->
   ?obs:Slx_obs.Obs.t ->
@@ -140,14 +143,9 @@ val search :
     idle process's invocation at each node (sound for cycles, see
     module doc); [dpor] (default [false]) enables the
     cycle-proviso-guarded DPOR sleep-set reduction (see module doc),
-    with [proviso_bound] (default [2]) the bounded-ignoring limit: a
-    transition stays protected on every retained cycle of period at
-    least the bound, so the default — the minimal nontrivial period —
-    protects them all (period-1 fair cycles need none: a sleeper is
-    Ready and correct, so a cycle never granting it is unfair in the
-    full graph too).  Larger bounds prune more but can ignore a
-    transition across a whole shorter cycle and silently miss its
-    lasso.
+    whose bounded-ignoring limit is 2, the minimal nontrivial period
+    (period-1 fair cycles need none: a sleeper is Ready and correct,
+    so a cycle never granting it is unfair in the full graph too).
 
     [cache] (default [true]) enables the suffix-keyed transposition
     cache, bounded by [cache_capacity] (clock eviction).  It engages
@@ -187,6 +185,13 @@ val search :
     aborting with {!Explore.Interrupted} carrying partial stats.
     @raise Explore.Interrupted when [cancel] fired.
     @raise Invalid_argument unless [compact = true]. *)
+
+val budgets :
+  depth:int -> max_period:int option -> pump_ticks:int option -> int * int
+(** [(max_period, pump_ticks)] with {!search}'s depth-derived defaults
+    filled in: ceil([depth / 2]) (at least 1) and [4 * depth].  The
+    store and the serve vocabulary resolve budgets with this, so a
+    record's budgets are the ones the search ran under. *)
 
 val validate_cert_codes :
   n:int ->

@@ -16,24 +16,6 @@ type kind =
   | Sanitizer_violation
   | Hb_edge
 
-let kind_name = function
-  | Node_enter -> "node_enter"
-  | Node_leave -> "node_leave"
-  | Decision -> "decision"
-  | Run_checked -> "run_checked"
-  | Cache_hit -> "cache_hit"
-  | Cache_evict -> "cache_evict"
-  | Por_sleep -> "por_sleep"
-  | Race_reversal -> "race_reversal"
-  | Proviso_wake -> "proviso_wake"
-  | Invoke_prune -> "invoke_prune"
-  | Symmetry_prune -> "symmetry_prune"
-  | Cycle_candidate -> "cycle_candidate"
-  | Pump_start -> "pump_start"
-  | Pump_verdict -> "pump_verdict"
-  | Sanitizer_violation -> "sanitizer_violation"
-  | Hb_edge -> "hb_edge"
-
 type event = {
   ev_ns : int;
   ev_domain : int;

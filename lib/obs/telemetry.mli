@@ -46,9 +46,6 @@ type kind =
           atomic). *)
   | Hb_edge  (** a = object id the edge conflicts on, b = 1 iff write. *)
 
-val kind_name : kind -> string
-(** Stable lower-snake-case name, used as the Chrome-trace event name. *)
-
 type event = {
   ev_ns : int;  (** Timestamp, ns (non-decreasing within a ring). *)
   ev_domain : int;  (** Lane index of the emitting ring. *)

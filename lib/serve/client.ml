@@ -79,23 +79,16 @@ let request ?host ~port ~meth ~path ?(body = "") ~out () =
           (try Unix.close fd with Unix.Unix_error _ -> ());
           Error (Unix.error_message e))
 
-(* The body is the spec object with the transport members spliced in;
-   validating it parses here beats a server-side 400 later. *)
-let post_query ?host ~port ~wait ?timeout spec_json ~out =
-  match Slx_obs.Json.parse spec_json with
-  | Error e -> Error ("bad spec JSON: " ^ e)
-  | Ok (Slx_obs.Json.Obj _) ->
-      let trimmed = String.trim spec_json in
-      let inner = String.sub trimmed 0 (String.length trimmed - 1) in
-      let sep = if String.trim (String.sub inner 1 (String.length inner - 1)) = "" then "" else ", " in
-      let body =
-        Printf.sprintf "%s%s\"wait\": %b%s}" inner sep wait
-          (match timeout with
-          | None -> ""
-          | Some s -> Printf.sprintf ", \"timeout\": %g" s)
-      in
-      request ?host ~port ~meth:"POST" ~path:"/query" ~body ~out ()
-  | Ok _ -> Error "spec must be a JSON object"
+(* The body is the spec object with the transport members appended. *)
+let post_query ?host ~port ~wait ?timeout spec ~out =
+  let module Json = Slx_obs.Json in
+  let transport =
+    ("wait", Json.Bool wait)
+    :: Option.to_list (Option.map (fun s -> ("timeout", Json.Num s)) timeout)
+  in
+  request ?host ~port ~meth:"POST" ~path:"/query"
+    ~body:(Json.to_string (Json.Obj (spec @ transport)))
+    ~out ()
 
 let get ?host ~port path ~out = request ?host ~port ~meth:"GET" ~path ~out ()
 

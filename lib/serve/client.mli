@@ -13,11 +13,11 @@ val post_query :
   port:int ->
   wait:bool ->
   ?timeout:float ->
-  string ->
+  (string * Slx_obs.Json.t) list ->
   out:out_channel ->
   (unit, string) result
-(** Submit the given spec JSON (the body's ["spec"]-level members —
-    see {!Queries.spec_of_json}).  With [wait:false] prints the [202]
+(** Submit a query whose body holds the given spec members (see
+    {!Queries.spec_of_json}).  With [wait:false] prints the [202]
     ticket ([{"id", "deduped"}]); with [wait:true] streams heartbeats
     until the result line.  [timeout] is forwarded to the server as
     the query's deadline. *)

@@ -8,26 +8,19 @@ module Progress = Slx_obs.Progress
 module Store = Slx_store.Store
 module Persist = Slx_store.Persist
 
-type spec = {
-  sp_kind : [ `Explore | `Live ];
-  sp_impl : string;
-  sp_property : string;
-  sp_n : int;
-  sp_depth : int;
-  sp_crashes : int;
-  sp_max_period : int;
-  sp_pump : int;
-}
+(* Outside text (a path, a name a client sent) as a JSON string. *)
+let json_string s = Json.to_string (Json.Str s)
 
 (* ------------------------------------------------------------------ *)
 (* Vocabulary: implementations and freedom points, as the CLI names
-   them.  The reduction flags are pinned to the CLI defaults so every
-   producer lands on the same store key. *)
+   them. *)
 
 type factory =
   unit -> (Consensus_type.invocation, Consensus_type.response) Runner.factory
 
-let point_of_string ~n = function
+let point_of_string ~n s =
+  let unknown () = Error ("unknown property " ^ json_string s) in
+  match s with
   | "obstruction" -> Ok Freedom.obstruction_freedom
   | "lock" -> Ok (Freedom.lock_freedom ~n)
   | "wait" -> Ok (Freedom.wait_freedom ~n)
@@ -38,18 +31,16 @@ let point_of_string ~n = function
             (int_of_string_opt (String.trim l), int_of_string_opt (String.trim k))
           with
           | Some l, Some k when l >= 1 && k >= 1 -> Ok (Freedom.make ~l ~k)
-          | _ -> Error (Printf.sprintf "unknown property %S" s)
+          | _ -> unknown ()
         end
-      | _ -> Error (Printf.sprintf "unknown property %S" s)
+      | _ -> unknown ()
     end
 
 let factory_of_impl : string -> (factory, string) result = function
   | "cas" -> Ok (fun () -> Cas_consensus.factory ())
   | "register" -> Ok (fun () -> Register_consensus.factory ())
   | "selfish" -> Ok (fun () -> Selfish_consensus.factory ())
-  | other -> Error (Printf.sprintf "unknown implementation %S" other)
-
-let factory_of_spec sp = factory_of_impl sp.sp_impl
+  | other -> Error ("unknown implementation " ^ json_string other)
 
 let safety_invoke =
   Explore.workload_invoke
@@ -69,252 +60,285 @@ let dec_string = function
   | Driver.Stop -> "stop"
 
 (* ------------------------------------------------------------------ *)
-(* Wire forms.                                                         *)
+(* The query record.                                                   *)
+
+type spec = {
+  sp_kind : [ `Explore | `Live ];
+  sp_impl : string;
+  sp_property : string;
+  sp_n : int;
+  sp_depth : int;
+  sp_crashes : int;
+  sp_max_period : int;
+  sp_pump : int;
+  sp_dpor : bool;
+  sp_symmetry : bool;
+  sp_invoke_order : bool;
+}
+
+let make ~kind ~impl ~property ~n ~depth ~crashes ~max_period ~pump ~dpor
+    ~symmetry ~invoke_order =
+  let live = kind = `Live in
+  (* The liveness budgets are resolved (and checked) for live queries
+     only; a safety query has none, and no invoke-order reduction. *)
+  let max_period, pump =
+    if live then Live_explore.budgets ~depth ~max_period ~pump_ticks:pump
+    else (0, 0)
+  in
+  let range name v = Error (Printf.sprintf "%s %d out of range" name v) in
+  if depth < 1 || depth > 64 then range "depth" depth
+  else if n < 1 || n > 16 then range "n" n
+  else if crashes < 0 then range "crashes" crashes
+  else if live && max_period < 1 then range "max_period" max_period
+  else if live && pump < 1 then range "pump" pump
+  else
+    let point =
+      if live then point_of_string ~n property else Ok Freedom.obstruction_freedom
+    in
+    match (factory_of_impl impl, point) with
+    | Error e, _ | _, Error e -> Error e
+    | Ok _, Ok _ ->
+        Ok
+          {
+            sp_kind = kind;
+            sp_impl = impl;
+            sp_property = (if live then property else "");
+            sp_n = n;
+            sp_depth = depth;
+            sp_crashes = crashes;
+            sp_max_period = max_period;
+            sp_pump = pump;
+            sp_dpor = dpor;
+            sp_symmetry = symmetry && not live;
+            sp_invoke_order = invoke_order && live;
+          }
+
+(* [make] admitted the spec, so its vocabulary resolves. *)
+let factory sp = Result.get_ok (factory_of_impl sp.sp_impl)
+let point sp = Result.get_ok (point_of_string ~n:sp.sp_n sp.sp_property)
+
+(* ------------------------------------------------------------------ *)
+(* Wire forms.  The reduction settings are not on the wire: a served
+   query runs at the CLI's defaults. *)
 
 let kind_string = function `Explore -> "explore" | `Live -> "live"
 
 let spec_of_json j =
   let str k = Option.bind (Json.member k j) Json.str in
   let int k = Option.bind (Json.member k j) Json.int in
-  let kind =
-    match str "kind" with
-    | Some "explore" | None -> Ok `Explore
-    | Some "live" -> Ok `Live
-    | Some other -> Error (Printf.sprintf "unknown kind %S" other)
-  in
-  match kind with
-  | Error e -> Error e
-  | Ok kind ->
-      let impl = Option.value (str "impl") ~default:"cas" in
-      let depth = Option.value (int "depth") ~default:8 in
-      let n = Option.value (int "n") ~default:2 in
-      let crashes = Option.value (int "crashes") ~default:0 in
-      let property = Option.value (str "property") ~default:"obstruction" in
-      (* The liveness budgets are read (and checked) for live queries
-         only; an explore query ignores them. *)
-      let max_period, pump =
-        if kind = `Live then
-          ( Option.value (int "max_period") ~default:(max 1 ((depth + 1) / 2)),
-            Option.value (int "pump") ~default:(4 * depth) )
-        else (0, 0)
-      in
-      if depth < 1 || depth > 64 then
-        Error (Printf.sprintf "depth %d out of range" depth)
-      else if n < 1 || n > 16 then Error (Printf.sprintf "n %d out of range" n)
-      else if crashes < 0 then
-        Error (Printf.sprintf "crashes %d out of range" crashes)
-      else if kind = `Live && max_period < 1 then
-        Error (Printf.sprintf "max_period %d out of range" max_period)
-      else if kind = `Live && pump < 1 then
-        Error (Printf.sprintf "pump %d out of range" pump)
-      else begin
-        let sp =
-          {
-            sp_kind = kind;
-            sp_impl = impl;
-            sp_property = (if kind = `Live then property else "");
-            sp_n = n;
-            sp_depth = depth;
-            sp_crashes = crashes;
-            sp_max_period = max_period;
-            sp_pump = pump;
-          }
-        in
-        match factory_of_spec sp with
-        | Error e -> Error e
-        | Ok _ ->
-            if kind = `Live then
-              match point_of_string ~n sp.sp_property with
-              | Error e -> Error e
-              | Ok _ -> Ok sp
-            else Ok sp
-      end
+  match str "kind" with
+  | Some other when other <> "explore" && other <> "live" ->
+      Error ("unknown kind " ^ json_string other)
+  | kind ->
+      make
+        ~kind:(if kind = Some "live" then `Live else `Explore)
+        ~impl:(Option.value (str "impl") ~default:"cas")
+        ~property:(Option.value (str "property") ~default:"obstruction")
+        ~n:(Option.value (int "n") ~default:2)
+        ~depth:(Option.value (int "depth") ~default:8)
+        ~crashes:(Option.value (int "crashes") ~default:0)
+        ~max_period:(int "max_period") ~pump:(int "pump")
+        ~dpor:true ~symmetry:true ~invoke_order:false
 
 let spec_to_json sp =
   Printf.sprintf
-    "{\"kind\": %S, \"impl\": %S, \"property\": %S, \"n\": %d, \"depth\": \
-     %d, \"crashes\": %d, \"max_period\": %d, \"pump\": %d}"
-    (kind_string sp.sp_kind) sp.sp_impl sp.sp_property sp.sp_n sp.sp_depth
-    sp.sp_crashes sp.sp_max_period sp.sp_pump
+    "{\"kind\": \"%s\", \"impl\": %s, \"property\": %s, \"n\": %d, \
+     \"depth\": %d, \"crashes\": %d, \"max_period\": %d, \"pump\": %d}"
+    (kind_string sp.sp_kind) (json_string sp.sp_impl)
+    (json_string sp.sp_property) sp.sp_n sp.sp_depth sp.sp_crashes
+    sp.sp_max_period sp.sp_pump
 
-let key sp =
-  Printf.sprintf "%s|%s|%s|n=%d|d=%d|c=%d|mp=%d|pt=%d"
-    (kind_string sp.sp_kind) sp.sp_impl sp.sp_property sp.sp_n sp.sp_depth
-    sp.sp_crashes sp.sp_max_period sp.sp_pump
+(* [key] and [qid] bind every field by name: a field added to [spec]
+   does not compile here until it is bound, or named as one of the
+   per-record fields (depth and the liveness budgets) that a qid
+   leaves to the record's slot. *)
+let key
+    {
+      sp_kind;
+      sp_impl;
+      sp_property;
+      sp_n;
+      sp_depth;
+      sp_crashes;
+      sp_max_period;
+      sp_pump;
+      sp_dpor;
+      sp_symmetry;
+      sp_invoke_order;
+    } =
+  Printf.sprintf "%s|%s|%s|n=%d|d=%d|c=%d|mp=%d|pt=%d|dpor=%b|sym=%b|io=%b"
+    (kind_string sp_kind) sp_impl sp_property sp_n sp_depth sp_crashes
+    sp_max_period sp_pump sp_dpor sp_symmetry sp_invoke_order
 
-let check_id sp =
-  match sp.sp_kind with
-  | `Explore -> "consensus-safety"
-  | `Live -> (
-      match point_of_string ~n:sp.sp_n sp.sp_property with
-      | Ok point -> "live:" ^ Format.asprintf "%a" Freedom.pp point
-      | Error _ -> "live:?" ^ sp.sp_property)
-
-let qid sp =
-  match factory_of_spec sp with
-  | Error e -> Error e
-  | Ok factory ->
-      let rd = Persist.instance_digest ~n:sp.sp_n ~factory in
-      Ok
-        (match sp.sp_kind with
-        | `Explore ->
-            Persist.query_key ~ident:sp.sp_impl ~check:(check_id sp)
-              ~n:sp.sp_n ~registry_digest:rd ~max_crashes:sp.sp_crashes
-              ~dpor:true ~symmetry:true ()
-        | `Live ->
-            Persist.query_key ~ident:sp.sp_impl ~check:(check_id sp)
-              ~n:sp.sp_n ~registry_digest:rd ~max_crashes:sp.sp_crashes
-              ~dpor:true ())
+let qid
+    {
+      sp_kind;
+      sp_impl;
+      sp_property;
+      sp_n;
+      sp_depth = _;
+      sp_crashes;
+      sp_max_period = _;
+      sp_pump = _;
+      sp_dpor;
+      sp_symmetry;
+      sp_invoke_order;
+    } =
+  (* The property is bound through the freedom point it names. *)
+  let check =
+    match sp_kind with
+    | `Explore -> "consensus-safety"
+    | `Live ->
+        "live:"
+        ^ Format.asprintf "%a" Freedom.pp
+            (Result.get_ok (point_of_string ~n:sp_n sp_property))
+  in
+  Persist.query_key ~ident:sp_impl ~check ~n:sp_n
+    ~registry_digest:
+      (Persist.instance_digest ~n:sp_n
+         ~factory:(Result.get_ok (factory_of_impl sp_impl)))
+    ~max_crashes:sp_crashes ~dpor:sp_dpor ~symmetry:sp_symmetry
+    ~invoke_order:sp_invoke_order ()
 
 (* ------------------------------------------------------------------ *)
 (* Execution.                                                          *)
+
+type answer =
+  | Safety of
+      (Consensus_type.invocation, Consensus_type.response) Explore.exploration
+  | Live of
+      (Consensus_type.invocation, Consensus_type.response) Live_explore.result
+
+let run ?store ?(cache = true) ?capacity ?(sanitize = false)
+    ?(obs = Obs.disabled) ?cancel sp =
+  let n = sp.sp_n and factory = factory sp and depth = sp.sp_depth in
+  let max_crashes = sp.sp_crashes and dpor = sp.sp_dpor in
+  match (sp.sp_kind, store) with
+  | `Explore, None ->
+      ( Safety
+          (Explore.explore ~n ~factory ~invoke:safety_invoke ~depth ~max_crashes
+             ~cache ?cache_capacity:capacity ~dpor ~symmetry:sp.sp_symmetry ~obs
+             ~sanitize ?cancel ~check ()),
+        None )
+  | `Explore, Some store ->
+      let e, source =
+        Persist.run_explore ~store ~qid:(qid sp) ~n ~factory
+          ~invoke:safety_invoke ~depth ~max_crashes ~cache
+          ?cache_capacity:capacity ~dpor ~symmetry:sp.sp_symmetry ~obs ~sanitize
+          ?cancel ~check ()
+      in
+      (Safety e, Some source)
+  | `Live, None ->
+      ( Live
+          (Live_explore.search ~n ~factory ~invoke:live_invoke ~good
+             ~point:(point sp) ~depth ~max_crashes ~max_period:sp.sp_max_period
+             ~pump_ticks:sp.sp_pump ~invoke_order:sp.sp_invoke_order ~dpor
+             ~cache ?cache_capacity:capacity ~obs ~sanitize ?cancel ()),
+        None )
+  | `Live, Some store ->
+      let r, source =
+        Persist.run_live ~store ~qid:(qid sp) ~n ~factory ~invoke:live_invoke
+          ~good ~point:(point sp) ~depth ~max_crashes
+          ~max_period:sp.sp_max_period ~pump_ticks:sp.sp_pump
+          ~invoke_order:sp.sp_invoke_order ~dpor ~cache ?cache_capacity:capacity
+          ~obs ~sanitize ?cancel ()
+      in
+      (Live r, Some source)
 
 type mode = Full
 
 let ints xs = "[" ^ String.concat ", " (List.map string_of_int xs) ^ "]"
 
-let witness_json ds =
-  Printf.sprintf "\"witness\": %s, \"witness_pp\": [%s]"
-    (ints (Explore.codes_of_script ds))
-    (String.concat ", " (List.map (fun d -> Printf.sprintf "%S" (dec_string d)) ds))
+let pps ds =
+  "["
+  ^ String.concat ", " (List.map (fun d -> Printf.sprintf "%S" (dec_string d)) ds)
+  ^ "]"
 
-(* The work a computed answer did: [steps] executed, of which
-   [steps_replayed] re-established a sibling's configuration by
-   replaying its decision prefix. *)
-let work_json (stats : Explore_stats.t) =
-  Printf.sprintf "\"steps\": %d, \"steps_replayed\": %d"
-    stats.Explore_stats.steps_executed stats.Explore_stats.steps_replayed
-
-let safety_result (e : (_, _) Explore.exploration) =
-  let stats = e.Explore.stats in
-  match e.Explore.outcome with
-  | Explore.Ok runs ->
-      Printf.sprintf "{\"outcome\": \"ok\", \"runs\": %d, \"digest\": %d, %s}"
-        runs stats.Explore_stats.history_digest (work_json stats)
-  | Explore.Counterexample _ ->
-      Printf.sprintf "{\"outcome\": \"counterexample\", %s, %s}"
-        (witness_json (Option.get e.Explore.witness_script))
-        (work_json stats)
-
-let live_result (r : (_, _) Live_explore.result) =
-  let stats = r.Live_explore.stats in
-  match r.Live_explore.outcome with
-  | Live_explore.No_fair_cycle ->
-      Printf.sprintf "{\"outcome\": \"no_fair_cycle\", \"runs\": %d, %s}"
-        stats.Explore_stats.runs (work_json stats)
-  | Live_explore.Lasso c ->
-      let pp ds =
-        "["
-        ^ String.concat ", "
-            (List.map (fun d -> Printf.sprintf "%S" (dec_string d)) ds)
-        ^ "]"
-      in
+(* An answer's verdict members, ahead of its work members. *)
+let verdict_json = function
+  | Safety { Explore.outcome = Explore.Ok runs; _ } ->
+      Printf.sprintf "\"outcome\": \"ok\", \"runs\": %d" runs
+  | Safety { Explore.outcome = Explore.Counterexample _; witness_script; _ } ->
+      let ds = Option.get witness_script in
       Printf.sprintf
-        "{\"outcome\": \"lasso\", \"stem\": %s, \"cycle\": %s, \"stem_pp\": \
-         %s, \"cycle_pp\": %s, \"period\": %d, %s}"
+        "\"outcome\": \"counterexample\", \"witness\": %s, \"witness_pp\": %s"
+        (ints (Explore.codes_of_script ds)) (pps ds)
+  | Live { Live_explore.outcome = Live_explore.No_fair_cycle; stats } ->
+      Printf.sprintf "\"outcome\": \"no_fair_cycle\", \"runs\": %d"
+        stats.Explore_stats.runs
+  | Live { Live_explore.outcome = Live_explore.Lasso c; _ } ->
+      Printf.sprintf
+        "\"outcome\": \"lasso\", \"stem\": %s, \"cycle\": %s, \"stem_pp\": %s, \
+         \"cycle_pp\": %s, \"period\": %d"
         (ints (Explore.codes_of_script c.Lasso.c_stem))
         (ints (Explore.codes_of_script c.Lasso.c_cycle))
-        (pp c.Lasso.c_stem) (pp c.Lasso.c_cycle)
+        (pps c.Lasso.c_stem) (pps c.Lasso.c_cycle)
         (List.length c.Lasso.c_cycle)
-        (work_json stats)
 
-let cancelled_result (stats : Explore_stats.t) =
-  Printf.sprintf "{\"outcome\": \"cancelled\", \"steps\": %d}"
-    stats.Explore_stats.steps_executed
+(* A computed answer's result line: the verdict, a clean safety
+   verdict's history digest, and the work done — [steps] executed, of
+   which [steps_replayed] re-established a sibling's configuration by
+   replaying its decision prefix. *)
+let computed_json answer =
+  let stats =
+    match answer with
+    | Safety e -> e.Explore.stats
+    | Live r -> r.Live_explore.stats
+  in
+  let digest =
+    match answer with
+    | Safety { Explore.outcome = Explore.Ok _; _ } ->
+        Printf.sprintf ", \"digest\": %d" stats.Explore_stats.history_digest
+    | _ -> ""
+  in
+  Printf.sprintf "{%s%s, \"steps\": %d, \"steps_replayed\": %d}"
+    (verdict_json answer) digest stats.Explore_stats.steps_executed
+    stats.Explore_stats.steps_replayed
 
-let error_result msg = Printf.sprintf "{\"outcome\": \"error\", \"message\": %S}" msg
+let error_result msg =
+  Printf.sprintf "{\"outcome\": \"error\", \"message\": %s}" (json_string msg)
 
 let run_task ?cancel ?(progress = Progress.off) sp Full =
-  match factory_of_spec sp with
-  | Error e -> error_result e
-  | Ok factory -> begin
-      let obs = Obs.create ~tracing:false ~progress () in
-      let run () =
-        match sp.sp_kind with
-        | `Explore ->
-            safety_result
-              (Explore.explore ~n:sp.sp_n ~factory ~invoke:safety_invoke
-                 ~depth:sp.sp_depth ~max_crashes:sp.sp_crashes ~dpor:true
-                 ~symmetry:true ~obs ?cancel ~check ())
-        | `Live -> (
-            match point_of_string ~n:sp.sp_n sp.sp_property with
-            | Error e -> error_result e
-            | Ok point ->
-                live_result
-                  (Live_explore.search ~n:sp.sp_n ~factory ~invoke:live_invoke
-                     ~good ~point ~depth:sp.sp_depth ~max_crashes:sp.sp_crashes
-                     ~max_period:sp.sp_max_period ~pump_ticks:sp.sp_pump
-                     ~dpor:true ~obs ?cancel ()))
-      in
-      match run () with
-      | result -> result
-      | exception Explore.Interrupted stats -> cancelled_result stats
-    end
+  match run ~obs:(Obs.create ~tracing:false ~progress ()) ?cancel sp with
+  | answer, _ -> computed_json answer
+  | exception Explore.Interrupted stats ->
+      Printf.sprintf "{\"outcome\": \"cancelled\", \"steps\": %d}"
+        stats.Explore_stats.steps_executed
 
 (* ------------------------------------------------------------------ *)
 (* Warm service.                                                       *)
 
+(* A warm answer explores nothing: its only work is replaying a
+   counterexample, one step per decision.  A clean liveness verdict
+   reports the stored run count. *)
 let warm_result sp (r : Store.record) =
-  match (sp.sp_kind, r.Store.r_verdict) with
-  | `Explore, Store.V_ok runs ->
-      Some
-        (Printf.sprintf
-           "{\"outcome\": \"ok\", \"runs\": %d, \"steps\": 0, \
-            \"stored_steps\": %d}"
-           runs r.Store.r_steps)
-  | `Explore, Store.V_counterexample codes -> begin
-      match factory_of_spec sp with
-      | Error _ -> None
-      | Ok factory -> begin
-          match
-            Explore.run_of_codes ~n:sp.sp_n ~factory ~invoke:safety_invoke
-              codes
-          with
-          | ds, report when not (check report) ->
-              Some
-                (Printf.sprintf
-                   "{\"outcome\": \"counterexample\", %s, \"steps\": %d, \
-                    \"stored_steps\": %d}"
-                   (witness_json ds) (List.length codes) r.Store.r_steps)
-          | _ | (exception _) -> None
-        end
-    end
-  | `Live, _
+  let warm answer steps =
+    Printf.sprintf "{%s, \"steps\": %d, \"stored_steps\": %d}"
+      (verdict_json answer) steps r.Store.r_steps
+  in
+  match sp.sp_kind with
+  | `Explore ->
+      Option.map
+        (fun e ->
+          warm (Safety e)
+            (List.length (Option.value e.Explore.witness_script ~default:[])))
+        (Persist.served_exploration ~n:sp.sp_n ~factory:(factory sp)
+           ~invoke:safety_invoke ~check r.Store.r_verdict)
+  | `Live
     when r.Store.r_max_period <> sp.sp_max_period
          || r.Store.r_pump_ticks <> sp.sp_pump ->
       None
-  | `Live, Store.V_no_fair_cycle ->
-      Some
-        (Printf.sprintf
-           "{\"outcome\": \"no_fair_cycle\", \"runs\": %d, \"steps\": 0, \
-            \"stored_steps\": %d}"
-           r.Store.r_runs r.Store.r_steps)
-  | `Live, Store.V_lasso { stem; cycle } -> begin
-      match (factory_of_spec sp, point_of_string ~n:sp.sp_n sp.sp_property) with
-      | Ok factory, Ok point -> begin
-          match
-            Live_explore.validate_cert_codes ~n:sp.sp_n ~factory
-              ~invoke:live_invoke ~good ~point ~pump_ticks:sp.sp_pump ~stem
-              ~cycle ()
-          with
-          | Some c ->
-              let pp ds =
-                "["
-                ^ String.concat ", "
-                    (List.map (fun d -> Printf.sprintf "%S" (dec_string d)) ds)
-                ^ "]"
-              in
-              Some
-                (Printf.sprintf
-                   "{\"outcome\": \"lasso\", \"stem\": %s, \"cycle\": %s, \
-                    \"stem_pp\": %s, \"cycle_pp\": %s, \"period\": %d, \
-                    \"steps\": 0, \"stored_steps\": %d}"
-                   (ints stem) (ints cycle) (pp c.Lasso.c_stem)
-                   (pp c.Lasso.c_cycle)
-                   (List.length c.Lasso.c_cycle)
-                   r.Store.r_steps)
-          | None -> None
-        end
-      | _ -> None
-    end
-  | _ -> None
+  | `Live ->
+      Option.map
+        (fun l ->
+          warm
+            (Live
+               {
+                 l with
+                 Live_explore.stats =
+                   { l.Live_explore.stats with runs = r.Store.r_runs };
+               })
+            0)
+        (Persist.served_live ~n:sp.sp_n ~factory:(factory sp)
+           ~invoke:live_invoke ~good ~point:(point sp) ~pump_ticks:sp.sp_pump
+           r.Store.r_verdict)

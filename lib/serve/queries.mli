@@ -2,13 +2,13 @@
     {e is} on the wire, and how any process — coordinator, worker, or
     the [slx query] client — runs one.
 
-    A query names an implementation and property from the vocabulary
-    below, which the [slx explore] / [slx live-explore] subcommands
-    also use (consensus implementations [cas]/[register]/[selfish];
-    the freedom-point grammar), with the CLI's default reduction flags
-    pinned — so a verdict computed by the service, by
-    a worker, or by the CLI with [--store] lands on the {e same}
-    store key ({!qid}) and they warm-serve each other.
+    A query is one {!spec} record, built only by {!make}: the CLI
+    parses its flags into one, the serve decoder ({!spec_of_json})
+    decodes one (with the CLI's default reduction settings pinned),
+    {!qid} keys the store with it and {!run} runs it — so a verdict
+    computed by the service, by a worker, or by the CLI with
+    [--store] lands on the {e same} store key and they warm-serve
+    each other.
 
     A task is the unit of work leased to a worker, and every computed
     query is exactly one task: a [Full] run of the whole tree, the
@@ -25,14 +25,6 @@ type factory =
   ( Slx_consensus.Consensus_type.invocation,
     Slx_consensus.Consensus_type.response )
   Slx_sim.Runner.factory
-
-val factory_of_impl : string -> (factory, string) result
-(** [cas] | [register] | [selfish]; anything else is
-    [Error "unknown implementation \"...\""]. *)
-
-val point_of_string : n:int -> string -> (Slx_liveness.Freedom.t, string) result
-(** [obstruction] | [lock] | [wait] | ["l,k"] with [l, k >= 1];
-    anything else is [Error "unknown property \"...\""]. *)
 
 val safety_invoke :
   ( Slx_consensus.Consensus_type.invocation,
@@ -67,7 +59,10 @@ val dec_string :
 
 (** {1 Queries} *)
 
-type spec = {
+(** Implementations: [cas] | [register] | [selfish].  Properties:
+    [obstruction] | [lock] | [wait] | ["l,k"] with [l, k >= 1]. *)
+
+type spec = private {
   sp_kind : [ `Explore | `Live ];
   sp_impl : string;  (** cas | register | selfish. *)
   sp_property : string;
@@ -78,17 +73,49 @@ type spec = {
   sp_crashes : int;
   sp_max_period : int;  (** Resolved (liveness); 0 for safety. *)
   sp_pump : int;  (** Resolved (liveness); 0 for safety. *)
+  sp_dpor : bool;  (** DPOR sleep sets (the cycle-proviso form for liveness). *)
+  sp_symmetry : bool;  (** Symmetry reduction; safety only. *)
+  sp_invoke_order : bool;  (** Invoke-order reduction; liveness only. *)
 }
+(** One verification query, from CLI flag to store key to served
+    answer.  Every field but [sp_depth], [sp_max_period] and [sp_pump]
+    is part of the {!qid}; those three are the per-record slot and
+    budgets (doc/model.md §11). *)
+
+val make :
+  kind:[ `Explore | `Live ] ->
+  impl:string ->
+  property:string ->
+  n:int ->
+  depth:int ->
+  crashes:int ->
+  max_period:int option ->
+  pump:int option ->
+  dpor:bool ->
+  symmetry:bool ->
+  invoke_order:bool ->
+  (spec, string) result
+(** The one checked constructor.  [Error] on an unknown
+    implementation or malformed freedom point, or an out-of-range
+    bound: depth outside [1, 64], n outside [1, 16], negative crashes,
+    a live [max_period] or [pump] below 1.  Liveness budgets resolve
+    here ({!Slx_core.Live_explore.budgets}); a safety spec drops the
+    property, the budgets and [invoke_order], a liveness spec drops
+    [symmetry]. *)
+
+val factory : spec -> factory
+(** The query's implementation. *)
+
+val point : spec -> Slx_liveness.Freedom.t
+(** A liveness query's freedom point.
+    @raise Invalid_argument on a safety query. *)
 
 val spec_of_json : Json.t -> (spec, string) result
-(** Parse a client query object: [kind] ("explore" | "live"), [impl],
-    [n], [depth], [crashes], and for liveness [property],
-    [max_period], [pump] — unknown implementations, malformed freedom
-    points and out-of-range bounds (depth outside [1, 64], n outside
-    [1, 16], negative crashes, a live [max_period] or [pump] below 1)
-    are errors, so a bad query dies at the door instead of inside a
-    worker.  Liveness defaults resolve
-    here ([max_period = ceil(depth/2)], [pump = 4*depth]). *)
+(** Decode a client query object through {!make}: [kind] ("explore" |
+    "live"), [impl], [n], [depth], [crashes], and for liveness
+    [property], [max_period], [pump].  The reduction settings are not
+    on the wire: dpor on, symmetry on (safety), invoke_order off — the
+    CLI's defaults. *)
 
 val spec_to_json : spec -> string
 
@@ -96,10 +123,36 @@ val key : spec -> string
 (** Canonical dedup key: two requests with equal keys are the same
     query (same verdict, same store record). *)
 
-val qid : spec -> (int, string) result
-(** The store key ({!Slx_store.Persist.query_key}) of this query,
-    with the implementation's instance digest and the pinned default
-    flags bound in.  [Error] on unknown implementation/property. *)
+val qid : spec -> int
+(** The store key ({!Slx_store.Persist.query_key}) of this query, with
+    the implementation's instance digest bound in — the only place a
+    query record becomes a store key. *)
+
+type answer =
+  | Safety of
+      ( Slx_consensus.Consensus_type.invocation,
+        Slx_consensus.Consensus_type.response )
+      Slx_core.Explore.exploration
+  | Live of
+      ( Slx_consensus.Consensus_type.invocation,
+        Slx_consensus.Consensus_type.response )
+      Slx_core.Live_explore.result
+
+val run :
+  ?store:Slx_store.Store.t ->
+  ?cache:bool ->
+  ?capacity:int ->
+  ?sanitize:bool ->
+  ?obs:Slx_obs.Obs.t ->
+  ?cancel:(unit -> bool) ->
+  spec ->
+  answer * Slx_store.Persist.source option
+(** Run a query: through [store] ({!Slx_store.Persist.run_explore} /
+    {!Slx_store.Persist.run_live} under {!qid}, the source returned),
+    or on the engine directly.  The optional arguments cannot change a
+    verdict: the transposition cache (default on) and its [capacity],
+    the counting [sanitize]r, the [obs] bundle and [cancel].
+    @raise Slx_core.Explore.Interrupted when [cancel] fired. *)
 
 type mode = Full  (** The whole depth-[sp_depth] tree. *)
 
@@ -109,15 +162,14 @@ val run_task :
   spec ->
   mode ->
   string
-(** Execute one task in-process and return its result as a one-line
-    JSON object (no trailing newline):
+(** Execute one task in-process ({!run} without a store) and return
+    its result as a one-line JSON object (no trailing newline):
 
     - safety: [{"outcome": "ok" | "counterexample", "runs", "digest",
       "steps", "steps_replayed", "witness": [codes]}]
     - liveness: [{"outcome": "no_fair_cycle" | "lasso", "stem",
       "cycle", "period", "runs", "steps", "steps_replayed"}]
-    - [{"outcome": "cancelled", "steps"}] when [cancel] fired;
-    - [{"outcome": "error", "message"}] on a bad spec.
+    - [{"outcome": "cancelled", "steps"}] when [cancel] fired.
 
     [steps] is the engine's [steps_executed]; [steps_replayed] is the
     part of it spent replaying decision prefixes to re-establish
@@ -129,14 +181,13 @@ val run_task :
 
 val error_result : string -> string
 (** [{"outcome": "error", "message": ...}] — the uniform failure form
-    of {!run_task}, exported for protocol-level errors (a task line
-    that does not even parse). *)
+    of a task, for protocol-level errors (a task line that does not
+    parse, a spec the decoder refuses). *)
 
 val warm_result : spec -> Slx_store.Store.record -> string option
-(** Serve a stored record for exactly this query without exploring:
-    positive verdicts are trusted (the store's version header and the
-    qid vouch for them), witnesses are re-validated by replay
-    ({!Slx_core.Explore.run_of_codes} /
-    {!Slx_core.Live_explore.validate_cert_codes}).  [None] means the
-    record must not be served (failed validation, wrong budgets) and
-    the query has to be computed. *)
+(** Serve a stored record for exactly this query without exploring,
+    through the store's own validators
+    ({!Slx_store.Persist.served_exploration} /
+    {!Slx_store.Persist.served_live}).  [None] means the record must
+    not be served (failed validation, other liveness budgets) and the
+    query has to be computed. *)

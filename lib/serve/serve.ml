@@ -1,6 +1,9 @@
 module Json = Slx_obs.Json
 module Store = Slx_store.Store
 
+(* Outside text (a path, an error message) as a JSON string. *)
+let json_string s = Json.to_string (Json.Str s)
+
 (* ------------------------------------------------------------------ *)
 (* State.                                                              *)
 
@@ -169,8 +172,8 @@ let fail t q msg =
   q.q_state <- Failed msg;
   Hashtbl.remove t.inflight q.q_key;
   let line =
-    Printf.sprintf "{\"id\": %d, \"state\": \"failed\", \"error\": %S}" q.q_id
-      msg
+    Printf.sprintf "{\"id\": %d, \"state\": \"failed\", \"error\": %s}" q.q_id
+      (json_string msg)
   in
   List.iter
     (fun fd ->
@@ -212,15 +215,9 @@ let store_final t q j =
   | None -> ()
   | Some v ->
       Store.add t.store
-        {
-          Store.r_qid = q.q_qid;
-          r_depth = sp.Queries.sp_depth;
-          r_max_period = sp.Queries.sp_max_period;
-          r_pump_ticks = sp.Queries.sp_pump;
-          r_runs = int_of "runs";
-          r_steps = q.q_steps;
-          r_verdict = v;
-        };
+        (Slx_store.Persist.record ~qid:q.q_qid ~depth:sp.Queries.sp_depth
+           ~max_period:sp.Queries.sp_max_period ~pump_ticks:sp.Queries.sp_pump
+           ~runs:(int_of "runs") ~steps:q.q_steps v);
       Store.bump t.store `Cold;
       Store.commit t.store
 
@@ -394,7 +391,7 @@ let status_json q =
     | Queued -> ("queued", "")
     | Running -> ("running", "")
     | Done r -> ("done", Printf.sprintf ", \"result\": %s" r)
-    | Failed e -> ("failed", Printf.sprintf ", \"error\": %S" e)
+    | Failed e -> ("failed", ", \"error\": " ^ json_string e)
     | Timeout -> ("timeout", "")
   in
   let hb =
@@ -438,18 +435,19 @@ let stats_json t =
     "{\"queries\": %d, \"active\": %d, \"dedup_hits\": %d, \"re_leases\": \
      %d, \"timeouts\": %d, \"workers\": %d, \"workers_busy\": %d, \
      \"worker_hwm_kb\": [%s], \
-     \"store\": {\"path\": %S, \"records\": %d, \"queries\": %d, \
+     \"store\": {\"path\": %s, \"records\": %d, \"queries\": %d, \
      \"warm_hits\": %d, \"colds\": %d, \"rejected\": %d, \
      \"created\": %b, \"invalidated\": %s, \
      \"records_dropped\": %d}}"
     (t.next_query - 1) active t.dedup_hits t.re_leases t.timeouts
-    (Array.length t.workers) busy hwm (Store.path t.store)
+    (Array.length t.workers) busy hwm
+    (json_string (Store.path t.store))
     (List.length (Store.records t.store))
     c.Store.c_queries c.Store.c_warm_hits c.Store.c_colds c.Store.c_rejected
     h.Store.h_created
     (match h.Store.h_invalidated with
     | None -> "null"
-    | Some r -> Printf.sprintf "%S" r)
+    | Some r -> json_string r)
     h.Store.h_records_dropped
 
 let handle_query_post t fd body =
@@ -459,61 +457,56 @@ let handle_query_post t fd body =
       match Queries.spec_of_json j with
       | Error e -> respond ~status:"400 Bad Request" fd (Queries.error_result e)
       | Ok spec -> begin
-          match Queries.qid spec with
-          | Error e ->
-              respond ~status:"400 Bad Request" fd (Queries.error_result e)
-          | Ok qid -> begin
-              let wait =
-                match Json.member "wait" j with
-                | Some (Json.Bool b) -> b
-                | _ -> false
-              in
-              let timeout =
-                Option.bind (Json.member "timeout" j) Json.num
-              in
-              let key = Queries.key spec in
-              let attach q deduped =
-                if wait then begin
-                  if stream_header fd then begin
-                    match q.q_state with
-                    | Done _ | Failed _ | Timeout ->
-                        ignore (try_write fd (status_json q ^ "\n"));
-                        close_quiet fd
-                    | _ -> q.q_waiters <- fd :: q.q_waiters
-                  end
-                  else close_quiet fd
-                end
-                else
-                  respond ~status:"202 Accepted" fd
-                    (Printf.sprintf "{\"id\": %d, \"deduped\": %b}" q.q_id
-                       deduped)
-              in
-              match Hashtbl.find_opt t.inflight key with
-              | Some qi ->
-                  t.dedup_hits <- t.dedup_hits + 1;
-                  attach (Hashtbl.find t.queries qi) true
-              | None ->
-                  let q =
-                    {
-                      q_id = t.next_query;
-                      q_spec = spec;
-                      q_key = key;
-                      q_qid = qid;
-                      q_created = now ();
-                      q_state = Queued;
-                      q_source = "";
-                      q_deadline = Option.map (fun s -> now () +. s) timeout;
-                      q_waiters = [];
-                      q_last_hb = None;
-                      q_steps = 0;
-                    }
-                  in
-                  t.next_query <- t.next_query + 1;
-                  Hashtbl.replace t.queries q.q_id q;
-                  Hashtbl.replace t.inflight key q.q_id;
-                  plan t q;
-                  attach q false
+          let wait =
+            match Json.member "wait" j with
+            | Some (Json.Bool b) -> b
+            | _ -> false
+          in
+          let timeout =
+            Option.bind (Json.member "timeout" j) Json.num
+          in
+          let key = Queries.key spec in
+          let attach q deduped =
+            if wait then begin
+              if stream_header fd then begin
+                match q.q_state with
+                | Done _ | Failed _ | Timeout ->
+                    ignore (try_write fd (status_json q ^ "\n"));
+                    close_quiet fd
+                | _ -> q.q_waiters <- fd :: q.q_waiters
+              end
+              else close_quiet fd
             end
+            else
+              respond ~status:"202 Accepted" fd
+                (Printf.sprintf "{\"id\": %d, \"deduped\": %b}" q.q_id
+                   deduped)
+          in
+          match Hashtbl.find_opt t.inflight key with
+          | Some qi ->
+              t.dedup_hits <- t.dedup_hits + 1;
+              attach (Hashtbl.find t.queries qi) true
+          | None ->
+              let q =
+                {
+                  q_id = t.next_query;
+                  q_spec = spec;
+                  q_key = key;
+                  q_qid = Queries.qid spec;
+                  q_created = now ();
+                  q_state = Queued;
+                  q_source = "";
+                  q_deadline = Option.map (fun s -> now () +. s) timeout;
+                  q_waiters = [];
+                  q_last_hb = None;
+                  q_steps = 0;
+                }
+              in
+              t.next_query <- t.next_query + 1;
+              Hashtbl.replace t.queries q.q_id q;
+              Hashtbl.replace t.inflight key q.q_id;
+              plan t q;
+              attach q false
         end
     end
 
@@ -539,7 +532,8 @@ let handle_request t fd ~meth ~path ~body =
       t.running <- false
   | _ ->
       respond ~status:"404 Not Found" fd
-        (Printf.sprintf "{\"error\": \"no route %s %s\"}" meth path)
+        (Printf.sprintf "{\"error\": %s}"
+           (json_string (Printf.sprintf "no route %s %s" meth path)))
 
 (* Try to cut one complete HTTP request out of a client's buffer. *)
 let try_parse_request acc =
@@ -623,8 +617,9 @@ let main ?(host = "127.0.0.1") ~port ~workers ~store () =
   let on_term _ = stop := true in
   Sys.set_signal Sys.sigint (Sys.Signal_handle on_term);
   Sys.set_signal Sys.sigterm (Sys.Signal_handle on_term);
-  Printf.printf "{\"serving\": \"%s:%d\", \"workers\": %d, \"store\": %S}\n%!"
-    host port nworkers (Store.path t.store);
+  Printf.printf "{\"serving\": \"%s:%d\", \"workers\": %d, \"store\": %s}\n%!"
+    host port nworkers
+    (json_string (Store.path t.store));
   while t.running && not !stop do
     let worker_fds = Array.to_list (Array.map (fun w -> w.w_out) t.workers) in
     let client_fds = List.map (fun c -> c.c_fd) t.clients in

@@ -149,14 +149,6 @@ let mask_covers m ~obj ~write =
   else
     List.exists (fun b -> b.obj = obj && (b.write || not write)) m.m_rest
 
-let mask_conflicts_access m (a : access) =
-  m.m_opaque
-  ||
-  if a.obj >= 0 && a.obj < mask_width then
-    let bit = 1 lsl a.obj in
-    if a.write then m.m_r land bit <> 0 else m.m_w land bit <> 0
-  else List.exists (fun b -> conflict a b) m.m_rest
-
 type _ Effect.t += Atomic : footprint * (unit -> 'a) -> 'a Effect.t
 
 exception Killed
@@ -655,7 +647,6 @@ let probe_last_observed pr =
 (* Same policy as [probe_last_observed], precomputed at step end. *)
 let probe_last_observed_mask pr = pr.pr_mask
 
-let shadow_violations sh = List.rev sh.sh_violations
 let shadow_violation_count sh = List.length sh.sh_violations
 let shadow_steps sh = List.rev sh.sh_log
 let shadow_step_count sh = sh.sh_steps

@@ -136,10 +136,6 @@ val masks_commute : mask -> mask -> bool
 val mask_covers : mask -> obj:int -> write:bool -> bool
 (** Mirrors [covers m (Access {obj; write})]. *)
 
-val mask_conflicts_access : mask -> access -> bool
-(** Whether the mask conflicts with one access: the access's object is
-    present with a write on either side (or the mask is opaque). *)
-
 (** {1 Shadow state: the conflict-soundness sanitizer}
 
     POR and the transposition cache trust declared footprints; a
@@ -286,9 +282,6 @@ type decl_stat = {
   write_decl_steps : int;  (** Steps declaring a write of the object. *)
   wrote_steps : int;  (** … of which physically wrote it. *)
 }
-
-val shadow_violations : shadow -> violation list
-(** All violations observed, in order. *)
 
 val shadow_violation_count : shadow -> int
 

@@ -12,13 +12,10 @@
     Answer planning is warm, else cold:
 
     + {b warm} — an exact [(qid, depth)] record (for liveness: with
-      the same resolved [max_period]/[pump_ticks]).  Positive verdicts
-      ([V_ok]/[V_no_fair_cycle]) are trusted under the version + qid
-      binding; witnesses never are — a stored counterexample is
-      replayed and re-checked, a stored lasso rebuilt and re-pumped
-      ({!Slx_core.Live_explore.validate_cert_codes}).  A witness that
-      fails re-validation is {e rejected}: counted, never served, and
-      overwritten by the fresh run's record.
+      the same resolved [max_period]/[pump_ticks]) that
+      {!served_exploration} / {!served_live} vouch for.  A record they
+      refuse is {e rejected}: counted, never served, and overwritten
+      by the fresh run's record.
     + {b cold} — anything else, a record at another depth included:
       the engine explores from scratch, exactly as without a store.
 
@@ -55,7 +52,6 @@ val query_key :
   ?dpor:bool ->
   ?symmetry:bool ->
   ?invoke_order:bool ->
-  ?proviso_bound:int ->
   unit ->
   int
 (** Digest a query identity into a [qid].  [ident] names the
@@ -63,8 +59,51 @@ val query_key :
     property (e.g. ["consensus-safety"], ["live:obstruction"]) — for
     liveness it must embed the [good]/[point] identity, because a
     verdict is property-specific (doc/model.md §11).  Flag defaults
-    mirror the engines' ([max_crashes 0], reductions off,
-    [proviso_bound 2]). *)
+    mirror the engines' ([max_crashes 0], reductions off).
+    {!Slx_serve.Queries.qid} is the one producer that binds a whole
+    query record. *)
+
+val record :
+  qid:int ->
+  depth:int ->
+  max_period:int ->
+  pump_ticks:int ->
+  runs:int ->
+  steps:int ->
+  Store.verdict ->
+  Store.record
+(** The record a computed verdict is stored as — by this module's cold
+    path and by the serve coordinator alike.  [max_period]/[pump_ticks]
+    are the resolved liveness budgets, 0 for safety. *)
+
+val served_exploration :
+  n:int ->
+  factory:(unit -> ('inv, 'res) Runner.factory) ->
+  invoke:(('inv, 'res) Driver.view -> Proc.t -> 'inv option) ->
+  check:(('inv, 'res) Run_report.t -> bool) ->
+  Store.verdict ->
+  ('inv, 'res) Explore.exploration option
+(** The warm answer a stored safety verdict stands for (zero work
+    counters): [V_ok] is trusted under the version + qid binding; a
+    [V_counterexample] is replayed ({!Slx_core.Explore.run_of_codes})
+    and served only if the replayed run fails [check].  [None] — a
+    witness that does not reproduce, or a liveness verdict — means
+    the record must not be served. *)
+
+val served_live :
+  n:int ->
+  factory:(unit -> ('inv, 'res) Runner.factory) ->
+  invoke:(('inv, 'res) Driver.view -> Proc.t -> 'inv option) ->
+  good:('res -> bool) ->
+  point:Freedom.t ->
+  pump_ticks:int ->
+  Store.verdict ->
+  ('inv, 'res) Live_explore.result option
+(** The liveness counterpart of {!served_exploration}:
+    [V_no_fair_cycle] is trusted; a [V_lasso] is rebuilt and re-pumped
+    ({!Slx_core.Live_explore.validate_cert_codes}).  Callers apply it
+    only to a record stored under the query's own [max_period] and
+    [pump_ticks]. *)
 
 val run_explore :
   store:Store.t ->
@@ -85,9 +124,8 @@ val run_explore :
   unit ->
   ('inv, 'res) Explore.exploration * source
 (** Store-backed {!Slx_core.Explore.explore}.  The caller must build
-    [qid] with {!query_key} from the same flags it passes here; nothing
-    checks that it did ({!Slx_serve.Queries.qid} and the CLI's
-    [--store] path each build their own).  Warm hits return synthesized explorations
+    [qid] with {!query_key} from the same flags it passes here
+    ({!Slx_serve.Queries.run} does).  Warm hits return synthesized explorations
     (zero work counters; [runs] and the witness restored from the
     record).  The exploration and the store file are consistent on
     return: the record for this [(qid, depth)] reflects this answer.
@@ -108,7 +146,6 @@ val run_live :
   ?pump_ticks:int ->
   ?invoke_order:bool ->
   ?dpor:bool ->
-  ?proviso_bound:int ->
   ?cache:bool ->
   ?cache_capacity:int ->
   ?obs:Slx_obs.Obs.t ->
@@ -117,7 +154,8 @@ val run_live :
   unit ->
   ('inv, 'res) Live_explore.result * source
 (** Store-backed {!Slx_core.Live_explore.search}.  [max_period] and
-    [pump_ticks] are resolved to the engine's defaults {e here} and
+    [pump_ticks] are resolved to the engine's defaults
+    ({!Slx_core.Live_explore.budgets}) {e here} and
     stored per record, because the defaults are depth-derived and a
     warm hit requires both to match the stored values — anything else
     plans cold.

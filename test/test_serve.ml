@@ -4,6 +4,8 @@
      engine's exact work (runs, digest, steps, witness, lasso), so a
      served answer costs what a cold CLI run costs, and its result line
      carries the answer and its work counters and nothing else.
+   - The query record: {!Queries.qid} binds every field of a
+     {!Queries.spec} but the per-record depth and liveness budgets.
    - Out-of-range bounds are refused: a usage error on the CLI, an
      [Error] from the serve decoder.
    - Warm service: {!Queries.warm_result} serves a computed verdict
@@ -14,8 +16,9 @@
    - A live coordinator ([slx serve], spawned from the built binary):
      a malformed request gets a 400 and the service keeps answering,
      a served record carries its 63-bit digest exactly and
-     warm-serves the CLI, and a deeper query over a served shallower
-     record is computed in full. *)
+     warm-serves the CLI, a deeper query over a served shallower
+     record is computed in full, and outside text (a store path, an
+     implementation name) comes back as valid JSON. *)
 
 open Support
 open Slx_sim
@@ -364,6 +367,56 @@ let test_warm_refuses () =
   | _ -> Alcotest.fail "live register (1,2): no lasso"
 
 (* ------------------------------------------------------------------ *)
+(* The query record.                                                   *)
+
+let make ?(kind = `Live) ?(impl = "register") ?(property = "1,2") ?(n = 2)
+    ?(depth = 10) ?(crashes = 0) ?max_period ?pump ?(dpor = true)
+    ?(symmetry = kind = `Explore) ?(invoke_order = false) () =
+  match
+    Queries.make ~kind ~impl ~property ~n ~depth ~crashes ~max_period ~pump
+      ~dpor ~symmetry ~invoke_order
+  with
+  | Ok sp -> sp
+  | Error e -> Alcotest.failf "make refused a valid spec: %s" e
+
+(* Every field but depth and the liveness budgets is in the qid; those
+   three are the record's slot and are compared per record. *)
+let test_qid_binds_the_record () =
+  let live = make () and safety = make ~kind:`Explore () in
+  let qid_changes expected (name, base, variant) =
+    check_bool
+      (Printf.sprintf "%s %s the qid" name
+         (if expected then "changes" else "keeps"))
+      expected
+      (Queries.qid base <> Queries.qid variant)
+  in
+  List.iter (qid_changes true)
+    [
+      ("kind", live, safety);
+      ("impl", live, make ~impl:"cas" ());
+      ("property", live, make ~property:"2,2" ());
+      ("n", live, make ~n:3 ());
+      ("crashes", live, make ~crashes:1 ());
+      ("dpor", live, make ~dpor:false ());
+      ("invoke_order", live, make ~invoke_order:true ());
+      ("safety impl", safety, make ~kind:`Explore ~impl:"cas" ());
+      ("safety dpor", safety, make ~kind:`Explore ~dpor:false ());
+      ("symmetry", safety, make ~kind:`Explore ~symmetry:false ());
+    ];
+  List.iter (qid_changes false)
+    [
+      ("depth", live, make ~depth:12 ());
+      ("max_period", live, make ~max_period:3 ());
+      ("pump", live, make ~pump:99 ());
+      ("safety depth", safety, make ~kind:`Explore ~depth:8 ());
+    ];
+  (* The decoder pins the CLI's default reductions. *)
+  check_int "a decoded live query keys like the CLI's default"
+    (Queries.qid live)
+    (Queries.qid
+       (spec_of {|{"kind": "live", "impl": "register", "property": "1,2"}|}))
+
+(* ------------------------------------------------------------------ *)
 (* Out-of-range input.                                                 *)
 
 let slx_bin = "../bin/slx_cli.exe"
@@ -381,6 +434,8 @@ let test_cli_out_of_range_refused () =
     [
       "explore --cache-capacity 0";
       "explore --depth=-3";
+      "explore --depth 0";
+      "explore --depth 65";
       "explore --crashes=-2";
       "explore -j 2";
       "live-explore --max-period 0";
@@ -389,10 +444,12 @@ let test_cli_out_of_range_refused () =
       "live-explore --crashes=-1";
       "live-explore --cache-capacity 0";
       "live-explore --procs 0";
+      "live-explore --procs 17";
     ]
 
 (* The declared-footprint POR, structural-key and hash-compaction
-   switches are gone: naming them is a usage error too. *)
+   switches and the live proviso bound are gone: naming them is a
+   usage error too. *)
 let test_cli_retired_flags_refused () =
   List.iter
     (fun args ->
@@ -406,6 +463,7 @@ let test_cli_retired_flags_refused () =
       "explore --no-compact";
       "explore --bitstate 16";
       "live-explore --no-compact";
+      "live-explore --proviso 3";
     ]
 
 (* The serve decoder answers the same bad bounds with an [Error]. *)
@@ -510,8 +568,8 @@ let with_server ~store f =
       ignore (Unix.waitpid [] pid);
       close_in_noerr ic)
     (fun () ->
-      (* The coordinator prints one line once it listens. *)
-      ignore (input_line ic);
+      (* The coordinator prints one JSON line once it listens. *)
+      ignore (parse_result (input_line ic));
       f port)
 
 let query port fields =
@@ -637,7 +695,53 @@ let test_cli_warm_serves_served_record () =
     "CLI warm-serves the served record" (Some "warm")
     (Option.bind (Json.member "store_source" warm) Json.str);
   check_int "warm runs = store-less runs" (int_field cold "runs")
-    (int_field warm "runs")
+    (int_field warm "runs");
+  (* The same for a lasso: Theorem 5.2's register (1,2) cell. *)
+  let _, served =
+    with_server ~store (fun port ->
+        query port
+          "\"kind\": \"live\", \"impl\": \"register\", \"property\": \"1,2\", \
+           \"depth\": 10")
+  in
+  check_outcome "served live" "lasso" served;
+  let warm =
+    cli_json
+      ("live-explore --impl register --property 1,2 --depth 10 --store "
+     ^ store)
+  in
+  Alcotest.(check (option string))
+    "CLI warm-serves the served lasso" (Some "warm")
+    (Option.bind (Json.member "store_source" warm) Json.str);
+  List.iter
+    (fun (cli, served_k) ->
+      Alcotest.(check string)
+        ("warm " ^ cli ^ " = served " ^ served_k)
+        (Json.to_string (Option.get (Json.member served_k served)))
+        (Json.to_string (Option.get (Json.member cli warm))))
+    [ ("stem", "stem_pp"); ("cycle", "cycle_pp") ]
+
+(* A store path and an implementation name are outside text: they come
+   back as JSON strings that parse, not as OCaml string literals. *)
+let test_outside_text_is_json () =
+  let dir = Filename.temp_dir "slx_serve_test" "" in
+  let store = Filename.concat dir "v\xc3\xa9rif.store" in
+  at_exit (fun () ->
+      (try Sys.remove store with Sys_error _ -> ());
+      try Sys.rmdir dir with Sys_error _ -> ());
+  with_server ~store (fun port ->
+      Alcotest.(check (option string))
+        "store.path" (Some store)
+        (Option.bind (Json.member "store" (stats port)) (fun s ->
+             Option.bind (Json.member "path" s) Json.str));
+      let resp =
+        exchange port
+          (request ~meth:"POST" ~path:"/query" "{\"impl\": \"\xc3\xa9x\"}")
+      in
+      Alcotest.(check string)
+        "unknown impl" "HTTP/1.1 400 Bad Request" (status_line resp);
+      Alcotest.(check (option string))
+        "decoded message" (Some "unknown implementation \"\xc3\xa9x\"")
+        (Option.bind (Json.member "message" (last_json resp)) Json.str))
 
 (* A deeper query over a served shallower record is computed in full:
    the store answers exact queries warm and nothing else, so the deeper
@@ -684,6 +788,11 @@ let suites =
         Alcotest.test_case "a cancelled task answers cancelled" `Quick
           test_cancelled_task;
       ] );
+    ( "serve.spec",
+      [
+        Alcotest.test_case "qid binds every field but depth and budgets"
+          `Quick test_qid_binds_the_record;
+      ] );
     ( "serve.input",
       [
         Alcotest.test_case "CLI refuses out-of-range bounds" `Quick
@@ -713,5 +822,7 @@ let suites =
           test_cli_warm_serves_served_record;
         Alcotest.test_case "a deeper query runs full" `Quick
           test_deeper_query_runs_full;
+        Alcotest.test_case "outside text comes back as JSON" `Quick
+          test_outside_text_is_json;
       ] );
   ]

@@ -235,10 +235,9 @@ let test_engine_mismatch () =
     && Store.records reopened = [ List.hd sample_records ])
 
 let test_qid_binds_flags () =
-  let base ?dpor ?symmetry ?invoke_order ?proviso_bound
-      ?(registry_digest = 99) () =
+  let base ?dpor ?symmetry ?invoke_order ?(registry_digest = 99) () =
     Persist.query_key ~ident:"cas" ~check:"consensus-safety" ~n:2
-      ~registry_digest ?dpor ?symmetry ?invoke_order ?proviso_bound ()
+      ~registry_digest ?dpor ?symmetry ?invoke_order ()
   in
   let q0 = base () in
   List.iteri
@@ -249,7 +248,6 @@ let test_qid_binds_flags () =
       base ~dpor:true ();
       base ~symmetry:true ();
       base ~invoke_order:true ();
-      base ~proviso_bound:3 ();
       base ~registry_digest:100 ();
       Persist.query_key ~ident:"cas" ~check:"live:(1,1)-freedom" ~n:2
         ~registry_digest:99 ();
