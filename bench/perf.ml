@@ -195,10 +195,10 @@ let checker_family_tests =
    compact-encoding pass rewrote, each against its predecessor, so the
    claimed speedups (BENCH_explore.json "micro" rows, gated ≥2x by
    bench/smoke.ml) are measured per-operation and not only end-to-end:
-   transposition keying (structural fingerprint lookup vs hash-consed
-   compact key), pending-step commutation (footprint list walk vs
-   conflict bitmask), and the sanitizer (shadowed vs bare run, now
-   batched per step).  [cursor] is the configuration the keying rows
+   transposition keying (structural fingerprint lookup vs the flat
+   compact-key array in {!Slx_core.Clock_cache}), pending-step
+   commutation (footprint list walk vs conflict bitmask), and the
+   sanitizer (shadowed vs bare run, now batched per step).  [cursor] is the configuration the keying rows
    key; [run] owns it. *)
 let micro_tests cursor =
   let one_proposal =
@@ -207,10 +207,9 @@ let micro_tests cursor =
   in
   let struct_table = Hashtbl.create 64 in
   Hashtbl.replace struct_table (Runner.Cursor.fingerprint cursor) 1;
-  let keys = Slx_core.Intern.Ints.create () in
-  let compact_table = Hashtbl.create 64 in
-  Hashtbl.replace compact_table
-    (Slx_core.Intern.Ints.intern keys (Runner.Cursor.compact_key cursor ~extra:[ 0 ]))
+  let compact_table = Slx_core.Clock_cache.create () in
+  Slx_core.Clock_cache.replace compact_table
+    (Runner.Cursor.compact_key cursor ~extra:[ 0 ])
     1;
   let fp_a =
     Runtime.of_accesses
@@ -237,9 +236,8 @@ let micro_tests cursor =
     Test.make ~name:"micro/fingerprint-compact"
       (Staged.stage (fun () ->
            ignore
-             (Hashtbl.find_opt compact_table
-                (Slx_core.Intern.Ints.intern keys
-                   (Runner.Cursor.compact_key cursor ~extra:[ 0 ])))));
+             (Slx_core.Clock_cache.find_opt compact_table
+                (Runner.Cursor.compact_key cursor ~extra:[ 0 ]))));
     Test.make ~name:"micro/shared-digest-full-fold"
       (Staged.stage (fun () ->
            ignore (Runner.Cursor.shared_digest_full cursor)));

@@ -484,7 +484,8 @@ let sanitize_overhead_smoke () =
    pass rewrote, gated at >= 2x each — per-node transposition keying
    (the seed's path: structural fingerprint over a from-scratch
    shared-state digest fold, vs the new path: compact key over the
-   incremental digest, interned to one dense int) and pending-step
+   incremental digest, looked up as the flat array the explorers'
+   {!Slx_core.Clock_cache} is keyed by) and pending-step
    commutation (footprint list walk vs conflict bitmask).  Best-of-N
    tight loops on the monotonic clock; [Sys.opaque_identity] keeps the
    optimizer from deleting the measured body. *)
@@ -529,11 +530,9 @@ let micro_smoke () =
       (fun cursor ->
         let struct_table = Hashtbl.create 64 in
         Hashtbl.replace struct_table (Runner.Cursor.fingerprint cursor) 1;
-        let keys = Slx_core.Intern.Ints.create () in
-        let compact_table = Hashtbl.create 64 in
-        Hashtbl.replace compact_table
-          (Slx_core.Intern.Ints.intern keys
-             (Runner.Cursor.compact_key cursor ~extra:[ 0 ]))
+        let compact_table = Slx_core.Clock_cache.create () in
+        Slx_core.Clock_cache.replace compact_table
+          (Runner.Cursor.compact_key cursor ~extra:[ 0 ])
           1;
         (* Seed path: every visit re-folded the whole registry (the full
            digest is recomputed here exactly as the seed did per node) and
@@ -547,9 +546,8 @@ let micro_smoke () =
         in
         let compact_ns =
           time_ns ~iters:20_000 (fun () ->
-              Hashtbl.find_opt compact_table
-                (Slx_core.Intern.Ints.intern keys
-                   (Runner.Cursor.compact_key cursor ~extra:[ 0 ])))
+              Slx_core.Clock_cache.find_opt compact_table
+                (Runner.Cursor.compact_key cursor ~extra:[ 0 ]))
         in
         (structural_ns, compact_ns))
   in

@@ -4,17 +4,40 @@
    hand sweeps the ring, clearing reference bits until it finds an
    unreferenced victim to evict.  One sweep visits at most 2x capacity
    slots (the first pass can only clear bits), so insertion is O(1)
-   amortized.  Unbounded when no capacity is given. *)
+   amortized.  Unbounded when no capacity is given.
 
-type ('k, 'v) entry = {
-  key : 'k;
+   Keys are the explorers' flat [compact_key] arrays, hashed with an
+   explicit full-array fold: the polymorphic [Hashtbl.hash] samples
+   only ~10 elements, so keys differing past the tenth would share a
+   bucket chain (equality stays exact either way, but every such
+   lookup would degrade to a scan). *)
+
+module Tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : int array) b =
+    let la = Array.length a in
+    la = Array.length b
+    &&
+    let rec eq i = i >= la || (a.(i) = b.(i) && eq (i + 1)) in
+    eq 0
+
+  let hash a =
+    Array.fold_left
+      (fun h v -> Slx_sim.Runtime.mix64 ((h * 0x100000001b3) lxor v))
+      0x811c9dc5 a
+    land max_int
+end)
+
+type 'v entry = {
+  key : int array;
   mutable value : 'v;
   mutable referenced : bool;
 }
 
-type ('k, 'v) t = {
-  tbl : ('k, ('k, 'v) entry) Hashtbl.t;
-  ring : ('k, 'v) entry option array;  (* [||] when unbounded *)
+type 'v t = {
+  tbl : 'v entry Tbl.t;
+  ring : 'v entry option array;  (* [||] when unbounded *)
   mutable hand : int;
   mutable size : int;
   mutable evictions : int;
@@ -26,7 +49,7 @@ let create ?capacity ?(sink = Slx_obs.Telemetry.null) () =
   | Some c when c < 1 -> invalid_arg "Clock_cache.create: capacity < 1"
   | _ -> ());
   {
-    tbl = Hashtbl.create 512;
+    tbl = Tbl.create 512;
     ring = (match capacity with None -> [||] | Some c -> Array.make c None);
     hand = 0;
     size = 0;
@@ -34,7 +57,7 @@ let create ?capacity ?(sink = Slx_obs.Telemetry.null) () =
     sink;
   }
 
-let length t = Hashtbl.length t.tbl
+let length t = Tbl.length t.tbl
 
 let evictions t = t.evictions
 
@@ -42,7 +65,7 @@ let capacity t =
   match Array.length t.ring with 0 -> None | c -> Some c
 
 let find_opt t k =
-  match Hashtbl.find_opt t.tbl k with
+  match Tbl.find_opt t.tbl k with
   | None -> None
   | Some e ->
       e.referenced <- true;
@@ -64,7 +87,7 @@ let claim_slot t =
           sweep ()
       | Some e ->
           let slot = t.hand in
-          Hashtbl.remove t.tbl e.key;
+          Tbl.remove t.tbl e.key;
           t.ring.(slot) <- None;
           t.size <- t.size - 1;
           t.evictions <- t.evictions + 1;
@@ -80,15 +103,15 @@ let claim_slot t =
   end
 
 let replace t k v =
-  match Hashtbl.find_opt t.tbl k with
+  match Tbl.find_opt t.tbl k with
   | Some e -> e.value <- v
   | None ->
       if Array.length t.ring = 0 then
-        Hashtbl.replace t.tbl k { key = k; value = v; referenced = false }
+        Tbl.replace t.tbl k { key = k; value = v; referenced = false }
       else begin
         let slot = claim_slot t in
         let e = { key = k; value = v; referenced = false } in
         t.ring.(slot) <- Some e;
         t.size <- t.size + 1;
-        Hashtbl.replace t.tbl k e
+        Tbl.replace t.tbl k e
       end

@@ -11,33 +11,35 @@
     table is unbounded and behaves like a plain [Hashtbl] (no ring
     bookkeeping at all).
 
-    Keys are hashed polymorphically, so their shape is the dominant
-    per-lookup cost: the explorers key this cache by hash-consed
-    {!Intern} ids (single ints), O(1) per probe regardless of history
-    depth.
+    Keys are the explorers' flat
+    {!Slx_sim.Runner.Cursor.compact_key} arrays themselves, hashed by
+    an explicit fold over every element and compared element-wise — so
+    the table is the only per-key store, and a capacity bounds the
+    memory the keys take.  (The polymorphic hash would sample only the
+    first ~10 elements of a key.)
 
     Not thread-safe; each exploration owns its own cache. *)
 
-type ('k, 'v) t
+type 'v t
 
 val create :
-  ?capacity:int -> ?sink:Slx_obs.Telemetry.sink -> unit -> ('k, 'v) t
+  ?capacity:int -> ?sink:Slx_obs.Telemetry.sink -> unit -> 'v t
 (** [create ~capacity ()] holds at most [capacity] entries (unbounded
     without it).  [sink] (default {!Slx_obs.Telemetry.null}) receives
     a [Cache_evict] event per eviction.
     @raise Invalid_argument if [capacity < 1]. *)
 
-val find_opt : ('k, 'v) t -> 'k -> 'v option
+val find_opt : 'v t -> int array -> 'v option
 (** Lookup; marks the entry as recently referenced. *)
 
-val replace : ('k, 'v) t -> 'k -> 'v -> unit
+val replace : 'v t -> int array -> 'v -> unit
 (** Insert or update, evicting one victim first if at capacity. *)
 
-val length : ('k, 'v) t -> int
+val length : 'v t -> int
 (** Current number of entries. *)
 
-val evictions : ('k, 'v) t -> int
+val evictions : 'v t -> int
 (** Total entries evicted so far. *)
 
-val capacity : ('k, 'v) t -> int option
+val capacity : 'v t -> int option
 (** The configured bound ([None] when unbounded). *)

@@ -200,7 +200,7 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
     let key =
       match st.table with
       | None -> None
-      | Some _ -> Some (Search.key st cursor sleep)
+      | Some _ -> Some (Search.key cursor sleep)
     in
     match Option.bind key (Search.find st) with
     | Some e ->

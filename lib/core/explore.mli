@@ -177,13 +177,14 @@ val explore :
     one.  For raising shadows with replayable witnesses use
     {!Slx_analysis.Audit} instead.
 
-    The transposition cache is keyed on hash-consed encodings: every
-    cursor carries an incremental interned history id, and cache keys
-    are dense small ints ({!Slx_sim.Runner.Cursor.compact_key} with the
-    sleep set's process ids as its tail, interned by {!Intern}).
-    Interning is injective, so key equality is fingerprint-and-sleep-set
-    equality up to the digest collisions the fingerprint already
-    accepts.
+    The transposition cache is keyed on flat compact keys: every
+    cursor carries an incremental interned history id ({!Intern}), and
+    a cache key is the int array
+    {!Slx_sim.Runner.Cursor.compact_key} with the sleep set's process
+    ids as its tail, hashed and compared whole by {!Clock_cache}.
+    History interning is injective, so key equality is
+    fingerprint-and-sleep-set equality up to the digest collisions the
+    fingerprint already accepts.
 
     [cancel] is polled once per visited node, right after the node is
     counted; when it returns [true] the walk stops and {!Interrupted}

@@ -1,9 +1,10 @@
 (** Hash-consing tables for compact configuration encodings.
 
-    The exploration engines intern structural values into dense
-    small-int ids once, so transposition keys become single ints (or
-    short int tuples) hashed with a 64-bit mixer instead of deep
-    structural traversals on every visit.
+    The exploration engines intern each history into a dense
+    small-int id, incrementally (event, then (previous id, event id)),
+    so a transposition key carries one int for the whole history
+    instead of a deep structural value.  The rest of a key is a flat
+    int array the cache hashes directly ({!Clock_cache}).
 
     {b Soundness.}  [intern t a = intern t b] iff [a = b] (structural
     equality), for interns through the same table: an id is assigned
@@ -15,8 +16,7 @@
 
     Interners grow monotonically (one entry per distinct value seen);
     engines scope them per search so the pools die with the search.
-    Not thread-safe: each exploration owns its own pools, scoped like
-    its transposition cache. *)
+    Not thread-safe: each exploration owns its own pools. *)
 
 type 'a t
 (** An interner over structural equality of ['a]. *)
@@ -29,14 +29,3 @@ val intern : 'a t -> 'a -> int
 
 val count : 'a t -> int
 (** Distinct values interned so far. *)
-
-(** Interning specialized to [int array] keys, with an explicit
-    full-array mix fold for the bucket hash — the polymorphic hash
-    would sample only a prefix of long keys. *)
-module Ints : sig
-  type t
-
-  val create : ?initial:int -> unit -> t
-  val intern : t -> int array -> int
-  val count : t -> int
-end

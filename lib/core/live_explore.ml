@@ -25,11 +25,11 @@ type ('inv, 'res) result = {
    sleeper's ignoring streak (the proviso counter), so the sleep set
    joins the key; with DPOR off it is always [].
 
-   The key is interned flat ({!Intern.Ints}) into one dense id: the
-   cursor's [compact_key] (which stands in for the fingerprint), then
-   the trace suffix as interned cell ids (the walk interns cells as it
-   emits them), length-prefixed so cell ids and sleeper entries cannot
-   alias, then each sleeper as the two ints [proc; streak].
+   The key is one flat int array ({!Search.key}): the cursor's
+   [compact_key] (which stands in for the fingerprint), then the trace
+   suffix as cell codes ({!Lasso.cell_code}, which the walk carries),
+   length-prefixed so codes and sleeper entries cannot alias, then
+   each sleeper as the two ints [proc; streak].
 
    Only nodes with [2 * max_period < len < depth] are keyed.  The key
    carries the time ([len]), and every decision's cell names its
@@ -39,9 +39,8 @@ type ('inv, 'res) result = {
    only miss.  Leaves ([len = depth]) are not keyed: a hit would save
    one candidate evaluation while every leaf pays for a key.  When no
    node qualifies ([depth <= 2 * max_period + 1], which includes the
-   default period bound) the search builds no cache at all — no table,
-   no history-interning hook, and no cell is interned (doc/model.md
-   §7). *)
+   default period bound) the search builds no cache at all — no table
+   and no history-interning hook (doc/model.md §7). *)
 
 (* The search state: the suffix cache maps a key to its subtree's run
    count, and the witness is the accepted certificate. *)
@@ -60,23 +59,18 @@ let rec take k xs =
 let rec drop k xs =
   if k <= 0 then xs else match xs with [] -> [] | _ :: tl -> drop (k - 1) tl
 
-(* Apply [d] to [cursor] and return the events it appended with the
-   abstract cell of the tick: exactly what {!Lasso.tick_cells} reports
-   for that tick, so certificates built from these cells
-   replay-compare directly. *)
-let step cursor d =
-  let before = History.length (Runner.Cursor.view cursor).Driver.history in
+(* Apply [d] to [cursor], whose history has [before] events, and
+   return the events it appended with the tick's cell code: the
+   {!Lasso.cell_code} of what {!Lasso.tick_cells} reports for that
+   tick, so certificates built from the decoded cells replay-compare
+   directly. *)
+let step ~before cursor d =
   Runner.Cursor.apply cursor d;
-  let fresh =
-    drop before (History.to_list (Runner.Cursor.view cursor).Driver.history)
-  in
-  let cell =
-    (match d with
-    | Driver.Schedule p -> [ Printf.sprintf "p%d:step" p ]
-    | _ -> [])
-    @ List.map Lasso.skeleton fresh
-  in
-  (fresh, cell)
+  let history = (Runner.Cursor.view cursor).Driver.history in
+  let fresh = History.latest history (History.length history - before) in
+  (fresh, Lasso.cell_code d fresh)
+
+let history_length view = History.length view.Driver.history
 
 let goods_of ~good fresh =
   List.fold_left
@@ -127,34 +121,41 @@ let certify (st : _ state) ~invoke ~good ~point ~pump_ticks ~blocked cert =
 
 (* Evaluate every candidate cycle anchored at the current node: for
    each period [p <= max_period], the suffix of the last [2p] ticks
-   whose per-tick cells are [p]-periodic (two full repetitions
+   whose per-tick cell codes are [p]-periodic (two full repetitions
    observed).  A candidate is a fair cycle when every correct,
    non-blocked process takes a grant on it; it violates [point] per
    {!Freedom.violated_on_cycle}; and it is accepted only if it passes
    [certify].  Stops the walk ({!Search.found}) at the first accepted
-   candidate (shortest period first). *)
+   candidate (shortest period first).  The correct and blocked sets
+   are built only once some period closes: most nodes have none. *)
 let eval_candidates (st : _ state) ~invoke ~good ~point ~max_period
-    ~pump_ticks cursor rev_script rev_cells rev_goods len =
+    ~pump_ticks cursor rev_script rev_codes rev_goods len =
   if len >= 2 then begin
-    let view = Runner.Cursor.view cursor in
-    let correct =
-      Proc.Set.of_list
-        (List.filter
-           (fun p -> view.Driver.status p <> Runtime.Crashed)
-           (Proc.all ~n:view.Driver.n))
-    in
-    let blocked = blocked_at ~invoke view in
-    let pmax = min max_period (len / 2) in
-    let cells = Array.of_list (take (2 * pmax) rev_cells) in
+    (* [rev_codes] has [len >= 2p] codes, newest first. *)
     let periodic p =
-      let ok = ref (Array.length cells >= 2 * p) in
-      for i = 0 to p - 1 do
-        if !ok && cells.(i) <> cells.(i + p) then ok := false
-      done;
-      !ok
+      let rec same i xs ys =
+        i = 0
+        ||
+        match (xs, ys) with
+        | (x : int) :: xs, y :: ys -> x = y && same (i - 1) xs ys
+        | _ -> false
+      in
+      same p rev_codes (drop p rev_codes)
     in
-    for p = 1 to pmax do
+    let context =
+      lazy
+        (let view = Runner.Cursor.view cursor in
+         let correct =
+           Proc.Set.of_list
+             (List.filter
+                (fun p -> view.Driver.status p <> Runtime.Crashed)
+                (Proc.all ~n:view.Driver.n))
+         in
+         (correct, blocked_at ~invoke view))
+    in
+    for p = 1 to min max_period (len / 2) do
       if periodic p then begin
+        let correct, blocked = Lazy.force context in
         st.cycles <- st.cycles + 1;
         let cycle_rev = take p rev_script in
         let granted =
@@ -184,7 +185,7 @@ let eval_candidates (st : _ state) ~invoke ~good ~point ~max_period
             Lasso.cert_of_cursor
               ~stem:(List.rev (drop p rev_script))
               ~cycle:(List.rev cycle_rev)
-              ~cells:(List.rev (take p rev_cells))
+              ~cells:(List.rev_map Lasso.cell_of_code (take p rev_codes))
               cursor
           in
           if certify st ~invoke ~good ~point ~pump_ticks ~blocked cert then
@@ -235,9 +236,6 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
     Search.create ~n ~factory ~cache ~dpor ~sanitize ?capacity:cache_capacity
       ?cancel obs
   in
-  (* Interns abstract trace cells, so the key's trace suffix is a list
-     of small ints. *)
-  let cells_pool = Intern.create () in
   (* The canonical menu ({!Search.menu}), so the emitted certificate
      is the lexicographically least in that order.  [invoke_order] is
      the one
@@ -304,17 +302,16 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
   in
   (* [sleep] carries each slept process with its ignoring streak; []
      with DPOR off. *)
-  let rec visit cursor rev_script rev_cells rev_cids rev_goods len crashes
-      sleep =
+  let rec visit cursor rev_script rev_codes rev_goods len crashes sleep =
     Search.node st len @@ fun () ->
     (* Shallow nodes and leaves stay unkeyed: see the key comment. *)
     let key =
       if Option.is_some st.table && 2 * max_period < len && len < depth
       then begin
-        let cids = take (2 * max_period) rev_cids in
+        let codes = take (2 * max_period) rev_codes in
         Some
-          (Search.key st cursor
-             ((List.length cids :: cids)
+          (Search.key cursor
+             ((List.length codes :: codes)
              @ List.concat_map (fun (z, s) -> [ z; s ]) sleep))
       end
       else None
@@ -324,8 +321,9 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
     | None ->
         let runs0 = st.runs in
         eval_candidates st ~invoke:(Some invoke) ~good ~point ~max_period
-          ~pump_ticks cursor rev_script rev_cells rev_goods len;
-        (match menu (Runner.Cursor.view cursor) len crashes with
+          ~pump_ticks cursor rev_script rev_codes rev_goods len;
+        let view = Runner.Cursor.view cursor in
+        (match menu view len crashes with
         | [] -> st.runs <- st.runs + 1
         | decisions ->
             (* Sleep-set filter, guarded by the cycle proviso.  A slept
@@ -372,17 +370,16 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
                   ~add:(fun p prev -> (p, 0) :: List.remove_assoc p prev)
                   sleep active
             in
-            Search.children st cursor ~rev_script ~len ~apply:step children
-              (fun child d child_sleep (fresh, cell) ->
+            (* Every child starts from this node's history. *)
+            let before = history_length view in
+            Search.children st cursor ~rev_script ~len ~apply:(step ~before)
+              children
+              (fun child d child_sleep (fresh, code) ->
                 let settled =
                   if dpor then settle_sleep child d child_sleep (len + 1)
                   else []
                 in
-                let rev_cids' =
-                  if cache then Intern.intern cells_pool cell :: rev_cids
-                  else rev_cids
-                in
-                visit child (d :: rev_script) (cell :: rev_cells) rev_cids'
+                visit child (d :: rev_script) (code :: rev_codes)
                   (goods_of ~good fresh :: rev_goods)
                   (len + 1)
                   (Search.crashes_after crashes d)
@@ -391,7 +388,7 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
   in
   result st
     (Search.run st (fun () ->
-         Search.with_cursor st (fun c -> visit c [] [] [] [] 0 0 [])))
+         Search.with_cursor st (fun c -> visit c [] [] [] 0 0 [])))
 
 let certify_run ~n ~factory ~driver ~good ~point ~max_steps ?max_period
     ?pump_ticks () =
@@ -401,24 +398,27 @@ let certify_run ~n ~factory ~driver ~good ~point ~max_steps ?max_period
   result st
     (Search.run st (fun () ->
          Search.with_cursor st (fun cursor ->
-             let rec go rev_script rev_cells rev_goods len =
-               if len >= max_steps then (rev_script, rev_cells, rev_goods, len)
+             let rec go rev_script rev_codes rev_goods len =
+               if len >= max_steps then (rev_script, rev_codes, rev_goods, len)
                else
-                 match driver (Runner.Cursor.view cursor) with
-                 | Driver.Stop -> (rev_script, rev_cells, rev_goods, len)
+                 let view = Runner.Cursor.view cursor in
+                 match driver view with
+                 | Driver.Stop -> (rev_script, rev_codes, rev_goods, len)
                  | d ->
-                     let fresh, cell = step cursor d in
-                     go (d :: rev_script) (cell :: rev_cells)
+                     let fresh, code =
+                       step ~before:(history_length view) cursor d
+                     in
+                     go (d :: rev_script) (code :: rev_codes)
                        (goods_of ~good fresh :: rev_goods)
                        (len + 1)
              in
-             let rev_script, rev_cells, rev_goods, len = go [] [] [] 0 in
+             let rev_script, rev_codes, rev_goods, len = go [] [] [] 0 in
              st.nodes <- len;
              st.runs <- 1;
              (* A driver is no workload: the pump replays the recorded
                 payloads, and no process counts as blocked. *)
              eval_candidates st ~invoke:None ~good ~point ~max_period
-               ~pump_ticks cursor rev_script rev_cells rev_goods len)))
+               ~pump_ticks cursor rev_script rev_codes rev_goods len)))
 
 let validate_cert_codes ~n ~factory ~invoke ~good ~point ~pump_ticks ~stem
     ~cycle () =
@@ -428,11 +428,9 @@ let validate_cert_codes ~n ~factory ~invoke ~good ~point ~pump_ticks ~stem
     Search.with_cursor st (fun cursor ->
         let apply_codes =
           List.map (fun code ->
-              let d =
-                Explore.decision_of_code ~invoke (Runner.Cursor.view cursor)
-                  code
-              in
-              (d, snd (step cursor d)))
+              let view = Runner.Cursor.view cursor in
+              let d = Explore.decision_of_code ~invoke view code in
+              (d, snd (step ~before:(history_length view) cursor d)))
         in
         match
           let stem_ds = apply_codes stem in
@@ -444,7 +442,7 @@ let validate_cert_codes ~n ~factory ~invoke ~good ~point ~pump_ticks ~stem
               Lasso.cert_of_cursor
                 ~stem:(List.map fst stem_ds)
                 ~cycle:(List.map fst cycle_ds)
-                ~cells:(List.map snd cycle_ds)
+                ~cells:(List.map (fun (_, c) -> Lasso.cell_of_code c) cycle_ds)
                 cursor
             in
             let invoke = Some invoke in

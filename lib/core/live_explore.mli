@@ -27,7 +27,8 @@
     in the abstract-trace quotient of {!Slx_liveness.Lasso}: a node
     closes a candidate cycle of period [p] when the per-tick cells
     ({!Slx_liveness.Lasso.tick_cells}: grant skeleton + event
-    skeletons) of its last [2p] ticks are [p]-periodic, i.e. two full
+    skeletons, carried as {!Slx_liveness.Lasso.cell_code} ints) of its
+    last [2p] ticks are [p]-periodic, i.e. two full
     repetitions are observed, exactly the existing lasso-certificate
     criterion.  A candidate only becomes a verdict after {e
     certificate validation}: the stem + cycle scripts are replayed
@@ -172,11 +173,13 @@ val search :
     verdict.  Pump validation runs outside the shadow — it re-executes
     an already-sanitized script on a fresh instance.
 
-    The suffix cache is keyed on hash-consed encodings, as in
-    {!Explore.explore}: interned incremental history ids, interned
-    abstract-trace cells and the sleepers' [(proc, streak)] pairs,
-    interned to one dense int per key.  When the cache does not engage
-    the cursors carry no history-interning hook either.
+    The suffix cache is keyed on flat compact keys, as in
+    {!Explore.explore}: the interned incremental history id, the
+    abstract-trace cells as the int codes the walk carries
+    ({!Slx_liveness.Lasso.cell_code}) and the sleepers'
+    [(proc, streak)] pairs, in one int array per key.  When the cache
+    does not engage the cursors carry no history-interning hook
+    either.  Cells become strings only in a certificate.
 
     [compact] exists only for callers that still pass [~compact:true];
     [~compact:false] raises [Invalid_argument].
@@ -184,7 +187,9 @@ val search :
     [cancel] behaves as in {!Explore.explore}: it is polled per node,
     aborting with {!Explore.Interrupted} carrying partial stats.
     @raise Explore.Interrupted when [cancel] fired.
-    @raise Invalid_argument unless [compact = true]. *)
+    @raise Invalid_argument unless [compact = true], or when the walk
+    reaches a decision of a process above 31 (the cell code's limit;
+    the CLI and serve cap [n] at 16). *)
 
 val budgets :
   depth:int -> max_period:int option -> pump_ticks:int option -> int * int

@@ -39,11 +39,10 @@ type ('inv, 'res, 'v, 'f) t = {
   mutable digest : int;
   mutable found : 'f option;
   ticks : int ref;
-  table : (int, 'v) Clock_cache.t option;
+  table : 'v Clock_cache.t option;
   shadow : Runtime.shadow option;
   probe : Runtime.probe option;
   encode : (int -> ('inv, 'res) Event.t -> int) option;
-  keys : Intern.Ints.t;
 }
 
 (* The [encode] hook of a cached search's cursors (see the field's
@@ -90,7 +89,6 @@ let create ~n ~factory ~cache ~dpor ~sanitize ?capacity
          else None);
       probe = (if dpor then Some (Runtime.make_probe ()) else None);
       encode = (if cache then Some (history_encoder ()) else None);
-      keys = Intern.Ints.create ();
     }
   in
   (* The progress sample: a plain read of the counters. *)
@@ -218,8 +216,7 @@ let crashes_after crashes = function
   | Driver.Crash _ -> crashes + 1
   | _ -> crashes
 
-let key st cursor extra =
-  Intern.Ints.intern st.keys (Runner.Cursor.compact_key cursor ~extra)
+let key cursor extra = Runner.Cursor.compact_key cursor ~extra
 
 let find st k =
   match st.table with Some t -> Clock_cache.find_opt t k | None -> None

@@ -5,7 +5,7 @@
     a live {!Slx_sim.Runner.Cursor}; the first child extends the
     parent's cursor in place and each later sibling replays the
     decision prefix into a fresh, bracketed cursor; a transposition
-    cache keyed on interned compact keys credits completed subtrees;
+    cache keyed on flat compact keys credits completed subtrees;
     every node is counted, ticks the progress reporter, polls
     [cancel] and sits inside a telemetry node span.  This module holds
     that shared walk and its state.  What really differs — the decision
@@ -48,9 +48,9 @@ type ('inv, 'res, 'v, 'f) t = {
   mutable found : 'f option;
       (** The witness {!found} recorded before unwinding. *)
   ticks : int ref;
-  table : (int, 'v) Clock_cache.t option;
-      (** The transposition cache: [Some] exactly when the exact cache
-          is live. *)
+  table : 'v Clock_cache.t option;
+      (** The transposition cache, keyed by {!key} arrays: [Some]
+          exactly when the exact cache is live. *)
   shadow : Runtime.shadow option;
       (** Non-raising, non-recording sanitizer shadow shared by every
           cursor: it only counts violations, so a sanitized search
@@ -62,10 +62,8 @@ type ('inv, 'res, 'v, 'f) t = {
       (** The history-interning hook, installed exactly when the cache
           is live: it interns each appended event, then the (previous
           history id, event id) pair, so a cursor's [hist_id] stands in
-          for its whole history. *)
-  keys : Intern.Ints.t;
-      (** Interns the flat [compact_key] arrays into the dense ids the
-          cache is keyed on. *)
+          for its whole history.  Only the history is interned; the
+          rest of a key is its flat array. *)
 }
 
 val create :
@@ -152,15 +150,14 @@ val sleep_sets :
 val crashes_after : int -> ('inv, 'res) Driver.decision -> int
 (** The crash count after a decision. *)
 
-val key :
-  ('inv, 'res, 'v, 'f) t -> ('inv, 'res) Runner.Cursor.t -> int list -> int
-(** The interned cache key of the cursor's [compact_key] with the given
-    tail. *)
+val key : ('inv, 'res) Runner.Cursor.t -> int list -> int array
+(** The cache key: the cursor's [compact_key] with the given tail,
+    itself — the cache hashes and compares the whole array. *)
 
-val find : ('inv, 'res, 'v, 'f) t -> int -> 'v option
+val find : ('inv, 'res, 'v, 'f) t -> int array -> 'v option
 (** The cached entry under a key ([None] without a cache). *)
 
-val remember : ('inv, 'res, 'v, 'f) t -> int option -> 'v -> unit
+val remember : ('inv, 'res, 'v, 'f) t -> int array option -> 'v -> unit
 (** Write an entry under the key, if any.  A found witness ends the
     walk, so only entries of completed, witness-free subtrees are ever
     read back, and a hit never masks the least witness. *)

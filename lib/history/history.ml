@@ -13,6 +13,15 @@ let of_list events =
 let to_list h = List.rev h.rev_events
 
 let length h = h.len
+
+let latest h k =
+  if k < 0 || k > h.len then invalid_arg "History.latest: bad count";
+  let rec go k acc = function
+    | e :: tl when k > 0 -> go (k - 1) (e :: acc) tl
+    | _ -> acc
+  in
+  go k [] h.rev_events
+
 let is_empty h = h.len = 0
 
 let nth h i =

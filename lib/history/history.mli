@@ -27,6 +27,11 @@ val to_list : ('inv, 'res) t -> ('inv, 'res) Event.t list
 val length : ('inv, 'res) t -> int
 (** Number of events. *)
 
+val latest : ('inv, 'res) t -> int -> ('inv, 'res) Event.t list
+(** [latest h k] is the last [k] events of [h], in chronological
+    order, in O([k]): what the last [k] appends added.
+    @raise Invalid_argument if [k < 0] or [k > length h]. *)
+
 val is_empty : ('inv, 'res) t -> bool
 
 val nth : ('inv, 'res) t -> int -> ('inv, 'res) Event.t

@@ -16,11 +16,18 @@ let trace_period ~equal xs =
   in
   if len < 2 then None else find 1
 
-let skeleton e =
-  match e with
-  | Event.Invocation (p, _) -> Printf.sprintf "p%d:inv" p
-  | Event.Response (p, _) -> Printf.sprintf "p%d:res" p
-  | Event.Crash p -> Printf.sprintf "p%d:crash" p
+(* The element kinds of a tick's cell, indexing their skeleton
+   names: the grant, then the events' constructors. *)
+let kind_names = [| "step"; "inv"; "res"; "crash" |]
+
+let element_string p kind = Printf.sprintf "p%d:%s" p kind_names.(kind)
+
+let event_kind = function
+  | Event.Invocation _ -> 1
+  | Event.Response _ -> 2
+  | Event.Crash _ -> 3
+
+let skeleton e = element_string (Event.proc e) (event_kind e)
 
 let tick_cells ?(abstract = skeleton) r =
   (* The observable activity per tick, in tick order: the scheduling
@@ -40,12 +47,45 @@ let tick_cells ?(abstract = skeleton) r =
   let tick t =
     let grant =
       match Hashtbl.find_opt grant_at t with
-      | Some p -> [ Printf.sprintf "p%d:step" p ]
+      | Some p -> [ element_string p 0 ]
       | None -> []
     in
     grant @ List.rev (Option.value (Hashtbl.find_opt events_at t) ~default:[])
   in
   List.init r.Run_report.total_time tick
+
+(* Cell codes.  A cell element is the 7-bit [(p lsl 2) lor kind] plus
+   one, so 0 marks an empty slot; element [i] of the cell sits in the
+   8-bit slot [i] of the code.  The runtime puts at most two elements
+   in a tick — a grant and the granted process's response, an
+   invocation and (for an operation with no atomic step) its
+   response, or a crash — and a code has room for three. *)
+let slot_bits = 8
+
+let max_elements = 3
+
+let element p kind =
+  if p > 31 then invalid_arg "Lasso.cell_code: process id above 31";
+  ((p lsl 2) lor kind) + 1
+
+let cell_code d events =
+  let rec push code slot = function
+    | [] -> code
+    | e :: tl ->
+        if slot >= max_elements then
+          invalid_arg "Lasso.cell_code: more than 3 elements in a tick";
+        let elt = element (Event.proc e) (event_kind e) in
+        push (code lor (elt lsl (slot * slot_bits))) (slot + 1) tl
+  in
+  match d with
+  | Driver.Schedule p -> push (element p 0) 1 events
+  | _ -> push 0 0 events
+
+let rec cell_of_code code =
+  if code = 0 then []
+  else
+    let e = (code land ((1 lsl slot_bits) - 1)) - 1 in
+    element_string (e lsr 2) (e land 3) :: cell_of_code (code lsr slot_bits)
 
 let window_period ?abstract r =
   let cells = tick_cells ?abstract r in

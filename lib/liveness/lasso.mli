@@ -43,6 +43,24 @@ val tick_cells :
     a run (time, histories and step counts grow monotonically), but a
     run that pumps a scheduling cycle repeats its per-tick cells. *)
 
+val cell_code :
+  ('inv, 'res) Slx_sim.Driver.decision ->
+  ('inv, 'res) Slx_history.Event.t list ->
+  int
+(** [cell_code d events] is the default-abstraction {!tick_cells} cell
+    of a tick that applied [d] and recorded [events] (chronological),
+    as one int — the form the fair-cycle search carries, compares and
+    keys on.  Each element (the grant of a [Schedule], then each
+    event's {!skeleton}) is [((p lsl 2) lor kind) + 1], kind 0-3 for
+    grant, invocation, response, crash, packed in 8-bit slots from the
+    low end; so two cells are equal iff their codes are, and
+    {!cell_of_code} recovers the strings.
+    @raise Invalid_argument if a process id is above 31 or the tick
+    has more than 3 elements. *)
+
+val cell_of_code : int -> string list
+(** The cell a {!cell_code} encodes, as {!tick_cells} prints it. *)
+
 val window_period :
   ?abstract:(('inv, 'res) Slx_history.Event.t -> string) ->
   ('inv, 'res) Run_report.t ->

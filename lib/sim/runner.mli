@@ -168,7 +168,7 @@ module Cursor : sig
   (** The canonical fingerprint of the current configuration. *)
 
   val compact_key : ('inv, 'res) t -> extra:int list -> int array
-  (** The flat small-int form of {!fingerprint}, for hash-consed
+  (** The flat small-int form of {!fingerprint}, the explorers'
       transposition keys: [[| time; hist_id; shared digest;
       (steps << 2 | status), obs digest per process 1..n; extra... |]].
       The history component is the incremental {!hist_id} — exact iff

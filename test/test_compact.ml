@@ -1,11 +1,12 @@
-(* The compact encodings' own suite: the hash-consed cache keys and
-   the conflict bitmasks must be invisible — every verdict, witness
+(* The compact encodings' own suite: the flat cache keys and the
+   conflict bitmasks must be invisible — every verdict, witness
    script and lasso certificate identical with the transposition cache
    on or off.
 
    Layers:
    - QCheck: interning preserves structural equality (the soundness
-     argument for replacing key components with interned ids), and the
+     argument for replacing the history with its interned id), the
+     cache finds an entry exactly under equal key arrays, and the
      conflict bitmasks agree with the footprint oracle everywhere,
      spill range included;
    - differential sweeps over the whole audit registry, safety and
@@ -54,20 +55,31 @@ let qcheck_intern_preserves_equality =
           && Intern.intern pool v = i)
         ids)
 
-let qcheck_intern_ints_preserves_equality =
+(* The transposition cache is keyed by the flat key arrays themselves:
+   equal arrays reach the same entry and distinct arrays distinct ones,
+   including arrays that agree on their first ten elements and differ
+   only past them, where the polymorphic hash stops looking. *)
+let qcheck_cache_key_equality =
   QCheck2.Test.make ~count:500
-    ~name:"Intern.Ints.intern: equal ids iff equal arrays"
+    ~name:"Clock_cache: same entry iff equal key arrays"
     QCheck2.Gen.(
       list_size (int_range 0 40)
-        (map Array.of_list (list_size (int_range 0 8) (int_range (-3) 3))))
+        (map2
+           (fun long tail ->
+             Array.of_list ((if long then List.init 10 Fun.id else []) @ tail))
+           bool
+           (list_size (int_range 0 8) (int_range (-3) 3))))
     (fun arrays ->
-      let pool = Intern.Ints.create () in
-      let ids = List.map (fun a -> (a, Intern.Ints.intern pool a)) arrays in
+      let cache = Clock_cache.create () in
+      List.iteri
+        (fun i a ->
+          if Clock_cache.find_opt cache a = None then
+            Clock_cache.replace cache a i)
+        arrays;
+      let entry a = Clock_cache.find_opt cache (Array.copy a) in
       List.for_all
-        (fun (a, i) ->
-          List.for_all (fun (b, j) -> i = j = (a = b)) ids
-          && Intern.Ints.intern pool a = i)
-        ids)
+        (fun a -> List.for_all (fun b -> entry a = entry b = (a = b)) arrays)
+        arrays)
 
 (* ------------------------------------------------------------------ *)
 (* QCheck: the conflict bitmasks agree with the footprint oracle.      *)
@@ -335,7 +347,7 @@ let suites =
       @ qcheck
           [
             qcheck_intern_preserves_equality;
-            qcheck_intern_ints_preserves_equality;
+            qcheck_cache_key_equality;
             qcheck_masks_commute_agree;
             qcheck_wakes_mask_agree;
           ] );

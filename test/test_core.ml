@@ -578,7 +578,8 @@ let test_explore_with_crashes () =
       Alcotest.fail "CAS consensus must survive single crashes too"
 
 (* ------------------------------------------------------------------ *)
-(* The clock (second-chance) cache store.                              *)
+(* The clock (second-chance) cache store.  Keys are the explorers'
+   flat int arrays; here [[| 1 |]] .. [[| 5 |]] stand for keys a .. e. *)
 
 let test_clock_cache_capacity_zero () =
   Alcotest.check_raises "capacity 0 rejected"
@@ -589,56 +590,57 @@ let test_clock_cache_capacity_zero () =
       ignore (Clock_cache.create ~capacity:(-3) ()))
 
 let test_clock_cache_capacity_one () =
-  let c = Clock_cache.create ~capacity:1 () in
-  Clock_cache.replace c "a" 1;
-  check_int "one entry" 1 (Clock_cache.length c);
-  check_bool "a present" true (Clock_cache.find_opt c "a" = Some 1);
+  let t = Clock_cache.create ~capacity:1 () in
+  Clock_cache.replace t [| 1 |] 1;
+  check_int "one entry" 1 (Clock_cache.length t);
+  check_bool "a present" true (Clock_cache.find_opt t [| 1 |] = Some 1);
   (* Even a referenced sole entry is evicted: the sweep clears its bit
      on the first pass and takes it on the second. *)
-  Clock_cache.replace c "b" 2;
-  check_int "still one entry" 1 (Clock_cache.length c);
-  check_bool "a evicted" true (Clock_cache.find_opt c "a" = None);
-  check_bool "b present" true (Clock_cache.find_opt c "b" = Some 2);
-  check_int "one eviction" 1 (Clock_cache.evictions c);
+  Clock_cache.replace t [| 2 |] 2;
+  check_int "still one entry" 1 (Clock_cache.length t);
+  check_bool "a evicted" true (Clock_cache.find_opt t [| 1 |] = None);
+  check_bool "b present" true (Clock_cache.find_opt t [| 2 |] = Some 2);
+  check_int "one eviction" 1 (Clock_cache.evictions t);
   (* Updating the resident key is not an eviction. *)
-  Clock_cache.replace c "b" 3;
-  check_bool "b updated in place" true (Clock_cache.find_opt c "b" = Some 3);
-  check_int "no further eviction" 1 (Clock_cache.evictions c)
+  Clock_cache.replace t [| 2 |] 3;
+  check_bool "b updated in place" true
+    (Clock_cache.find_opt t [| 2 |] = Some 3);
+  check_int "no further eviction" 1 (Clock_cache.evictions t)
 
 let test_clock_cache_second_chance_order () =
-  let c = Clock_cache.create ~capacity:3 () in
-  Clock_cache.replace c "a" 1;
-  Clock_cache.replace c "b" 2;
-  Clock_cache.replace c "c" 3;
+  let t = Clock_cache.create ~capacity:3 () in
+  Clock_cache.replace t [| 1 |] 1;
+  Clock_cache.replace t [| 2 |] 2;
+  Clock_cache.replace t [| 3 |] 3;
   (* Reference a: the hand (at slot 0) must clear a's bit, pass it
      over, and evict b — the first unreferenced entry in ring order. *)
-  ignore (Clock_cache.find_opt c "a");
-  Clock_cache.replace c "d" 4;
-  check_bool "b evicted first" true (Clock_cache.find_opt c "b" = None);
+  ignore (Clock_cache.find_opt t [| 1 |]);
+  Clock_cache.replace t [| 4 |] 4;
+  check_bool "b evicted first" true (Clock_cache.find_opt t [| 2 |] = None);
   check_bool "a survived its second chance" true
-    (Clock_cache.find_opt c "a" = Some 1);
-  check_bool "c retained" true (Clock_cache.find_opt c "c" = Some 3);
-  check_bool "d inserted" true (Clock_cache.find_opt c "d" = Some 4);
+    (Clock_cache.find_opt t [| 1 |] = Some 1);
+  check_bool "c retained" true (Clock_cache.find_opt t [| 3 |] = Some 3);
+  check_bool "d inserted" true (Clock_cache.find_opt t [| 4 |] = Some 4);
   (* The hand now stands past b's old slot; c's bit was just set by the
      lookup above, a's and d's too — all referenced, so the next
      insertion sweeps a full circle clearing bits and evicts the first
      entry it re-reaches: c (slot 2, where the hand stopped). *)
-  Clock_cache.replace c "e" 5;
+  Clock_cache.replace t [| 5 |] 5;
   check_bool "c evicted on the full sweep" true
-    (Clock_cache.find_opt c "c" = None);
-  check_bool "a still present" true (Clock_cache.find_opt c "a" = Some 1);
-  check_int "two evictions total" 2 (Clock_cache.evictions c)
+    (Clock_cache.find_opt t [| 3 |] = None);
+  check_bool "a still present" true (Clock_cache.find_opt t [| 1 |] = Some 1);
+  check_int "two evictions total" 2 (Clock_cache.evictions t)
 
 let test_clock_cache_eviction_counter () =
-  let c = Clock_cache.create ~capacity:2 () in
+  let t = Clock_cache.create ~capacity:2 () in
   for i = 1 to 10 do
-    Clock_cache.replace c i i
+    Clock_cache.replace t [| i |] i
   done;
-  check_int "over-capacity insertions each evict" 8 (Clock_cache.evictions c);
-  check_int "length stays at capacity" 2 (Clock_cache.length c);
+  check_int "over-capacity insertions each evict" 8 (Clock_cache.evictions t);
+  check_int "length stays at capacity" 2 (Clock_cache.length t);
   let unbounded = Clock_cache.create () in
   for i = 1 to 100 do
-    Clock_cache.replace unbounded i i
+    Clock_cache.replace unbounded [| i |] i
   done;
   check_int "unbounded cache never evicts" 0 (Clock_cache.evictions unbounded);
   check_int "unbounded cache keeps everything" 100

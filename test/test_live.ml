@@ -180,6 +180,74 @@ let prop_cache_transparent =
            ~factory:(fun () -> reg_factory ~depth ())
            ~point ~depth ~max_crashes ~max_period ()))
 
+(* The search carries each tick's cell as one int ({!Lasso.cell_code})
+   and decodes it only into certificates.  On random runs of every
+   consensus implementation, up to the 16 processes the CLI allows,
+   the decoded codes are exactly the run's {!Lasso.tick_cells}, and two
+   ticks get equal codes iff their cells are equal — so the periodicity
+   test and the cache keys see the cells the certificates carry.  The
+   selfish consensus answers within its invocation tick, so the
+   invocation-plus-response cell is covered too. *)
+let prop_cell_codes_match_tick_cells =
+  let factories =
+    [
+      ("register", fun () -> reg_factory ~depth:8 ());
+      ("cas", fun () -> Slx_consensus.Cas_consensus.factory ());
+      ("selfish", fun () -> Slx_consensus.Selfish_consensus.factory ());
+    ]
+  in
+  QCheck2.Test.make ~name:"cell codes decode to tick_cells" ~count:60
+    ~print:(fun (impl, n, picks) ->
+      Printf.sprintf "%s n=%d picks=[%s]" impl n
+        (String.concat ";" (List.map string_of_int picks)))
+    QCheck2.Gen.(
+      triple
+        (oneofl (List.map fst factories))
+        (int_range 1 16)
+        (list_size (int_range 0 40) (int_range 0 1_000)))
+    (fun (impl, n, picks) ->
+      Runner.Cursor.with_ ~n ~factory:(List.assoc impl factories ()) (fun c ->
+          (* A pick chooses a ready process's step or an idle one's
+             invocation; one pick in eight crashes a live process
+             instead. *)
+          let codes =
+            List.filter_map
+              (fun pick ->
+                let view = Runner.Cursor.view c in
+                let menu =
+                  List.concat_map
+                    (fun p ->
+                      match view.Driver.status p with
+                      | Runtime.Crashed -> []
+                      | _ when pick mod 8 = 0 -> [ Driver.Crash p ]
+                      | Runtime.Ready -> [ Driver.Schedule p ]
+                      | Runtime.Idle ->
+                          Option.to_list
+                            (Option.map
+                               (fun inv -> Driver.Invoke (p, inv))
+                               (invoke view p)))
+                    (Slx_history.Proc.all ~n)
+                in
+                match menu with
+                | [] -> None
+                | _ ->
+                    let d = List.nth menu (pick mod List.length menu) in
+                    let module H = Slx_history.History in
+                    let before = H.length view.Driver.history in
+                    Runner.Cursor.apply c d;
+                    let history = (Runner.Cursor.view c).Driver.history in
+                    Some
+                      (Lasso.cell_code d
+                         (H.latest history (H.length history - before))))
+              picks
+          in
+          let cells = Lasso.tick_cells (Runner.Cursor.report c ()) in
+          List.map Lasso.cell_of_code codes = cells
+          && List.for_all2
+               (fun a ca ->
+                 List.for_all2 (fun b cb -> a = b = (ca = cb)) codes cells)
+               codes cells))
+
 let test_invoke_order_reduction_sound () =
   let point = Freedom.make ~l:1 ~k:2 in
   let full = search_register ~depth:8 point in
@@ -528,7 +596,8 @@ let suites =
         quick "witness deterministic across configs"
           test_witness_deterministic_across_configs;
         quick "invoke-order reduction sound" test_invoke_order_reduction_sound;
-      ] );
+      ]
+      @ qcheck [ prop_cell_codes_match_tick_cells ] );
     ( "live-explore: suffix cache",
       [
         quick "hits keep outcome, certificate and runs"
