@@ -18,20 +18,6 @@ let wakes ~observed ~pending =
   | None -> true
   | Some fp -> not (Runtime.footprints_commute observed fp)
 
-(* Advance a sleep set across an executed decision: crashes perturb
-   every frozen continuation's future (the crash event is visible to
-   all), so they wake everyone (not counted as reversals); invocations
-   touch only the invoker's local state and commute with any pending
-   step; a schedule keeps exactly the sleepers whose pending footprints
-   commute with the step's observed accesses, and returns the woken
-   ones — the race reversals — second. *)
-let advance ~observed ~pending sleep d =
-  match d with
-  | Driver.Crash _ -> ([], [])
-  | Driver.Invoke _ | Driver.Stop -> (sleep, [])
-  | Driver.Schedule _ ->
-      List.partition (fun z -> not (wakes ~observed ~pending:(pending z))) sleep
-
 (* ------------------------------------------------------------------ *)
 (* Bitmask forms of the oracle above: same verdicts, no list walks.
    The engines precompute pending masks at suspension
@@ -49,6 +35,13 @@ let wakes_mask ~observed ~pending =
   | None -> true
   | Some m -> not (Runtime.masks_commute observed m)
 
+(* Advance a sleep set across an executed decision: crashes perturb
+   every frozen continuation's future (the crash event is visible to
+   all), so they wake everyone (not counted as reversals); invocations
+   touch only the invoker's local state and commute with any pending
+   step; a schedule keeps exactly the sleepers whose pending masks
+   commute with the step's observed mask, and returns the woken ones —
+   the race reversals — second. *)
 let advance_mask ~observed ~pending sleep d =
   match d with
   | Driver.Crash _ -> ([], [])

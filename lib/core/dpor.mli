@@ -35,21 +35,9 @@ val wakes :
   observed:Runtime.footprint -> pending:Runtime.footprint option -> bool
 (** Whether a sleeper with this pending footprint must be woken by a
     step with this observed footprint — true exactly when the two do
-    not provably commute (or the sleeper has no pending footprint). *)
-
-val advance :
-  observed:Runtime.footprint ->
-  pending:(Proc.t -> Runtime.footprint option) ->
-  Proc.t list ->
-  ('inv, 'res) Driver.decision ->
-  Proc.t list * Proc.t list
-(** [advance ~observed ~pending sleep d] splits [sleep] into the
-    processes that stay asleep across the executed decision [d] and
-    the ones it wakes, in that order.  [Crash] wakes everyone (the
-    crash event invalidates every sleeper's equivalence argument —
-    not a race reversal); [Invoke] is local and keeps everyone;
-    [Schedule] wakes exactly the sleepers racing with [observed] —
-    the race reversals the engines count and re-explore. *)
+    not provably commute (or the sleeper has no pending footprint).
+    The engines use {!wakes_mask}; this footprint form is the
+    reference oracle the tests check it against. *)
 
 (** {1 Bitmask forms}
 
@@ -78,4 +66,11 @@ val advance_mask :
   Proc.t list ->
   ('inv, 'res) Driver.decision ->
   Proc.t list * Proc.t list
-(** {!advance} on masks. *)
+(** [advance_mask ~observed ~pending sleep d] splits [sleep] into the
+    processes that stay asleep across the executed decision [d] and
+    the ones it wakes, in that order.  [Crash] wakes everyone (the
+    crash event invalidates every sleeper's equivalence argument —
+    not a race reversal); [Invoke] is local and keeps everyone;
+    [Schedule] wakes exactly the sleepers racing with [observed]
+    ({!wakes_mask}) — the race reversals the engines count and
+    re-explore. *)

@@ -29,7 +29,7 @@ let event_kind = function
 
 let skeleton e = element_string (Event.proc e) (event_kind e)
 
-let tick_cells ?(abstract = skeleton) r =
+let tick_cells r =
   (* The observable activity per tick, in tick order: the scheduling
      grant (if any) followed by the external events recorded at that
      tick.  Runs whose liveness violation shows up as pure silence (no
@@ -40,7 +40,7 @@ let tick_cells ?(abstract = skeleton) r =
     (fun i e ->
       let t = r.Run_report.event_times.(i) in
       Hashtbl.replace events_at t
-        (abstract e :: Option.value (Hashtbl.find_opt events_at t) ~default:[]))
+        (skeleton e :: Option.value (Hashtbl.find_opt events_at t) ~default:[]))
     events;
   let grant_at = Hashtbl.create 64 in
   List.iter (fun (t, p) -> Hashtbl.replace grant_at t p) r.Run_report.grants;
@@ -87,8 +87,8 @@ let rec cell_of_code code =
     let e = (code land ((1 lsl slot_bits) - 1)) - 1 in
     element_string (e lsr 2) (e land 3) :: cell_of_code (code lsr slot_bits)
 
-let window_period ?abstract r =
-  let cells = tick_cells ?abstract r in
+let window_period r =
+  let cells = tick_cells r in
   let ws = Run_report.window_start r in
   let trace = List.concat (List.filteri (fun t _ -> t >= ws) cells) in
   trace_period ~equal:String.equal trace
@@ -140,7 +140,7 @@ let cert_of_cursor ~stem ~cycle ~cells cursor =
 
 exception Pump_failed of string
 
-let pump ~factory ?ticks ?(repetitions = 2) ?abstract ?invoke cert =
+let pump ~factory ?ticks ?(repetitions = 2) ?invoke cert =
   let period = List.length cert.c_cycle in
   if period = 0 then Error "Lasso.pump: empty cycle"
   else if repetitions < 2 then Error "Lasso.pump: need at least 2 repetitions"
@@ -178,7 +178,7 @@ let pump ~factory ?ticks ?(repetitions = 2) ?abstract ?invoke cert =
           let r =
             Runner.Cursor.report cursor ~window:(repetitions * period) ()
           in
-          let cells = Array.of_list (tick_cells ?abstract r) in
+          let cells = Array.of_list (tick_cells r) in
           let expected = Array.of_list cert.c_cells in
           for rep = 1 to repetitions do
             let base = stem_len + ((rep - 1) * period) in

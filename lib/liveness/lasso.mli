@@ -26,32 +26,31 @@ val trace_period : equal:('a -> 'a -> bool) -> 'a list -> int option
 
 val skeleton :
   ('inv, 'res) Slx_history.Event.t -> string
-(** The default abstraction: process + constructor name, payloads
-    erased (e.g. [Invocation (2, Write (0, 17))] becomes ["p2:inv"]).
-    Coarse but sufficient for the adversaries here; callers needing a
-    finer abstraction can pass their own to {!window_period}. *)
+(** The abstraction every trace function here uses: process +
+    constructor name, payloads erased (e.g. [Invocation (2, Write (0,
+    17))] becomes ["p2:inv"]).  Coarse but sufficient for the
+    adversaries here. *)
 
 val tick_cells :
-  ?abstract:(('inv, 'res) Slx_history.Event.t -> string) ->
   ('inv, 'res) Run_report.t ->
   string list list
 (** The abstracted trace, one cell list per tick [0 .. total_time - 1]:
     the tick's scheduling grant (as ["pN:step"]), if any, followed by
-    the events recorded at that tick under the abstraction (default
-    {!skeleton}).  This is the quotient in which cycles of the
-    configuration graph are detected: raw configurations never recur on
-    a run (time, histories and step counts grow monotonically), but a
-    run that pumps a scheduling cycle repeats its per-tick cells. *)
+    the {!skeleton}s of the events recorded at that tick.  This is the
+    quotient in which cycles of the configuration graph are detected:
+    raw configurations never recur on a run (time, histories and step
+    counts grow monotonically), but a run that pumps a scheduling
+    cycle repeats its per-tick cells. *)
 
 val cell_code :
   ('inv, 'res) Slx_sim.Driver.decision ->
   ('inv, 'res) Slx_history.Event.t list ->
   int
-(** [cell_code d events] is the default-abstraction {!tick_cells} cell
-    of a tick that applied [d] and recorded [events] (chronological),
-    as one int — the form the fair-cycle search carries, compares and
-    keys on.  Each element (the grant of a [Schedule], then each
-    event's {!skeleton}) is [((p lsl 2) lor kind) + 1], kind 0-3 for
+(** [cell_code d events] is the {!tick_cells} cell of a tick that
+    applied [d] and recorded [events] (chronological), as one int —
+    the form the fair-cycle search carries, compares and keys on.
+    Each element (the grant of a [Schedule], then each event's
+    {!skeleton}) is [((p lsl 2) lor kind) + 1], kind 0-3 for
     grant, invocation, response, crash, packed in 8-bit slots from the
     low end; so two cells are equal iff their codes are, and
     {!cell_of_code} recovers the strings.
@@ -62,12 +61,11 @@ val cell_of_code : int -> string list
 (** The cell a {!cell_code} encodes, as {!tick_cells} prints it. *)
 
 val window_period :
-  ?abstract:(('inv, 'res) Slx_history.Event.t -> string) ->
   ('inv, 'res) Run_report.t ->
   int option
-(** The period of the run's windowed event trace under the abstraction
-    (default {!skeleton}).  [Some p] is the lasso certificate: the
-    adversary repeated its cycle at least twice inside the window. *)
+(** The period of the run's windowed {!skeleton} trace.  [Some p] is
+    the lasso certificate: the adversary repeated its cycle at least
+    twice inside the window. *)
 
 val certified_violation :
   good:('res -> bool) ->
@@ -120,7 +118,6 @@ val pump :
   factory:('inv, 'res) Runner.factory ->
   ?ticks:int ref ->
   ?repetitions:int ->
-  ?abstract:(('inv, 'res) Slx_history.Event.t -> string) ->
   ?invoke:
     (('inv, 'res) Slx_sim.Driver.view -> Slx_history.Proc.t -> 'inv option) ->
   ('inv, 'res) cert ->

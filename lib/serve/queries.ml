@@ -209,41 +209,53 @@ type answer =
   | Live of
       (Consensus_type.invocation, Consensus_type.response) Live_explore.result
 
+let record sp = function
+  | Safety e -> Persist.exploration_record ~qid:(qid sp) ~depth:sp.sp_depth e
+  | Live r ->
+      Persist.live_record ~qid:(qid sp) ~depth:sp.sp_depth
+        ~max_period:sp.sp_max_period ~pump_ticks:sp.sp_pump r
+
+(* A stored record as this query's answer, through the store's own
+   validators. *)
+let served sp r =
+  match sp.sp_kind with
+  | `Explore ->
+      Option.map
+        (fun e -> Safety e)
+        (Persist.served_exploration ~n:sp.sp_n ~factory:(factory sp)
+           ~invoke:safety_invoke ~check r)
+  | `Live ->
+      Option.map
+        (fun l -> Live l)
+        (Persist.served_live ~n:sp.sp_n ~factory:(factory sp)
+           ~invoke:live_invoke ~good ~point:(point sp) ~pump_ticks:sp.sp_pump r)
+
 let run ?store ?(cache = true) ?capacity ?(sanitize = false)
     ?(obs = Obs.disabled) ?cancel sp =
   let n = sp.sp_n and factory = factory sp and depth = sp.sp_depth in
   let max_crashes = sp.sp_crashes and dpor = sp.sp_dpor in
-  match (sp.sp_kind, store) with
-  | `Explore, None ->
-      ( Safety
+  let compute () =
+    match sp.sp_kind with
+    | `Explore ->
+        Safety
           (Explore.explore ~n ~factory ~invoke:safety_invoke ~depth ~max_crashes
              ~cache ?cache_capacity:capacity ~dpor ~symmetry:sp.sp_symmetry ~obs
-             ~sanitize ?cancel ~check ()),
-        None )
-  | `Explore, Some store ->
-      let e, source =
-        Persist.run_explore ~store ~qid:(qid sp) ~n ~factory
-          ~invoke:safety_invoke ~depth ~max_crashes ~cache
-          ?cache_capacity:capacity ~dpor ~symmetry:sp.sp_symmetry ~obs ~sanitize
-          ?cancel ~check ()
-      in
-      (Safety e, Some source)
-  | `Live, None ->
-      ( Live
+             ~sanitize ?cancel ~check ())
+    | `Live ->
+        Live
           (Live_explore.search ~n ~factory ~invoke:live_invoke ~good
              ~point:(point sp) ~depth ~max_crashes ~max_period:sp.sp_max_period
              ~pump_ticks:sp.sp_pump ~invoke_order:sp.sp_invoke_order ~dpor
-             ~cache ?cache_capacity:capacity ~obs ~sanitize ?cancel ()),
-        None )
-  | `Live, Some store ->
-      let r, source =
-        Persist.run_live ~store ~qid:(qid sp) ~n ~factory ~invoke:live_invoke
-          ~good ~point:(point sp) ~depth ~max_crashes
-          ~max_period:sp.sp_max_period ~pump_ticks:sp.sp_pump
-          ~invoke_order:sp.sp_invoke_order ~dpor ~cache ?cache_capacity:capacity
-          ~obs ~sanitize ?cancel ()
+             ~cache ?cache_capacity:capacity ~obs ~sanitize ?cancel ())
+  in
+  match store with
+  | None -> (compute (), None)
+  | Some store ->
+      let answer, source =
+        Persist.answer store ~qid:(qid sp) ~depth ~max_period:sp.sp_max_period
+          ~pump_ticks:sp.sp_pump ~served:(served sp) ~record:(record sp) compute
       in
-      (Live r, Some source)
+      (answer, Some source)
 
 type mode = Full
 
@@ -298,12 +310,15 @@ let computed_json answer =
 let error_result msg =
   Printf.sprintf "{\"outcome\": \"error\", \"message\": %s}" (json_string msg)
 
-let run_task ?cancel ?(progress = Progress.off) sp Full =
+let work ?cancel ?(progress = Progress.off) sp =
   match run ~obs:(Obs.create ~tracing:false ~progress ()) ?cancel sp with
-  | answer, _ -> computed_json answer
+  | answer, _ -> (computed_json answer, Some (record sp answer))
   | exception Explore.Interrupted stats ->
-      Printf.sprintf "{\"outcome\": \"cancelled\", \"steps\": %d}"
-        stats.Explore_stats.steps_executed
+      ( Printf.sprintf "{\"outcome\": \"cancelled\", \"steps\": %d}"
+          stats.Explore_stats.steps_executed,
+        None )
+
+let run_task ?cancel ?progress sp Full = fst (work ?cancel ?progress sp)
 
 (* ------------------------------------------------------------------ *)
 (* Warm service.                                                       *)
@@ -312,33 +327,14 @@ let run_task ?cancel ?(progress = Progress.off) sp Full =
    counterexample, one step per decision.  A clean liveness verdict
    reports the stored run count. *)
 let warm_result sp (r : Store.record) =
-  let warm answer steps =
-    Printf.sprintf "{%s, \"steps\": %d, \"stored_steps\": %d}"
-      (verdict_json answer) steps r.Store.r_steps
-  in
-  match sp.sp_kind with
-  | `Explore ->
-      Option.map
-        (fun e ->
-          warm (Safety e)
-            (List.length (Option.value e.Explore.witness_script ~default:[])))
-        (Persist.served_exploration ~n:sp.sp_n ~factory:(factory sp)
-           ~invoke:safety_invoke ~check r.Store.r_verdict)
-  | `Live
-    when r.Store.r_max_period <> sp.sp_max_period
-         || r.Store.r_pump_ticks <> sp.sp_pump ->
-      None
-  | `Live ->
-      Option.map
-        (fun l ->
-          warm
-            (Live
-               {
-                 l with
-                 Live_explore.stats =
-                   { l.Live_explore.stats with runs = r.Store.r_runs };
-               })
-            0)
-        (Persist.served_live ~n:sp.sp_n ~factory:(factory sp)
-           ~invoke:live_invoke ~good ~point:(point sp) ~pump_ticks:sp.sp_pump
-           r.Store.r_verdict)
+  Option.map
+    (fun answer ->
+      let steps =
+        match answer with
+        | Safety e ->
+            List.length (Option.value e.Explore.witness_script ~default:[])
+        | Live _ -> 0
+      in
+      Printf.sprintf "{%s, \"steps\": %d, \"stored_steps\": %d}"
+        (verdict_json answer) steps r.Store.r_steps)
+    (served sp r)

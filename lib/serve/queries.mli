@@ -12,9 +12,10 @@
 
     A task is the unit of work leased to a worker, and every computed
     query is exactly one task: a [Full] run of the whole tree, the
-    same run the CLI makes without a store.  {!run_task} executes it
-    and returns the result as a JSON object string, the exact line a
-    worker writes back. *)
+    same run the CLI makes without a store.  {!work} executes it and
+    returns the result JSON object string a worker writes back, plus
+    the answer's store {!record}, built here, in the process that ran
+    the engine, by the same function the CLI's [--store] path uses. *)
 
 open Slx_obs
 
@@ -147,14 +148,31 @@ val run :
   ?cancel:(unit -> bool) ->
   spec ->
   answer * Slx_store.Persist.source option
-(** Run a query: through [store] ({!Slx_store.Persist.run_explore} /
-    {!Slx_store.Persist.run_live} under {!qid}, the source returned),
-    or on the engine directly.  The optional arguments cannot change a
-    verdict: the transposition cache (default on) and its [capacity],
-    the counting [sanitize]r, the [obs] bundle and [cancel].
+(** Run a query on the engine.  With [store], the same engine call
+    runs inside {!Slx_store.Persist.answer} under {!qid}: a warm
+    record answers instead (zero work counters, the stored runs), a
+    computed answer is stored as its {!record}, and the source is
+    returned.  The optional arguments cannot change a verdict: the
+    transposition cache (default on) and its [capacity], the counting
+    [sanitize]r, the [obs] bundle and [cancel].
     @raise Slx_core.Explore.Interrupted when [cancel] fired. *)
 
+val record : spec -> answer -> Slx_store.Store.record
+(** The store record of a computed answer to this query
+    ({!Slx_store.Persist.exploration_record} /
+    {!Slx_store.Persist.live_record} under {!qid}, the query's depth
+    and resolved budgets). *)
+
 type mode = Full  (** The whole depth-[sp_depth] tree. *)
+
+val work :
+  ?cancel:(unit -> bool) ->
+  ?progress:Progress.t ->
+  spec ->
+  string * Slx_store.Store.record option
+(** A worker's whole function: execute one task in-process ({!run}
+    without a store) and return its result line ({!run_task}) and the
+    computed answer's {!record} — [None] when [cancel] fired. *)
 
 val run_task :
   ?cancel:(unit -> bool) ->
@@ -162,8 +180,8 @@ val run_task :
   spec ->
   mode ->
   string
-(** Execute one task in-process ({!run} without a store) and return
-    its result as a one-line JSON object (no trailing newline):
+(** The result half of {!work}: the task's result as a one-line JSON
+    object (no trailing newline):
 
     - safety: [{"outcome": "ok" | "counterexample", "runs", "digest",
       "steps", "steps_replayed", "witness": [codes]}]
@@ -185,9 +203,9 @@ val error_result : string -> string
     parse, a spec the decoder refuses). *)
 
 val warm_result : spec -> Slx_store.Store.record -> string option
-(** Serve a stored record for exactly this query without exploring,
-    through the store's own validators
-    ({!Slx_store.Persist.served_exploration} /
-    {!Slx_store.Persist.served_live}).  [None] means the record must
-    not be served (failed validation, other liveness budgets) and the
-    query has to be computed. *)
+(** Serve a stored record of this query without exploring, through the
+    store's own validators ({!Slx_store.Persist.served_exploration} /
+    {!Slx_store.Persist.served_live}), as the warm result JSON.
+    [None] means the record failed validation.  The budgets are the
+    policy's to compare: pass it to {!Slx_store.Persist.warm}, which
+    only hands it a record stored under the query's own. *)

@@ -1,5 +1,6 @@
 module Json = Slx_obs.Json
 module Store = Slx_store.Store
+module Persist = Slx_store.Persist
 
 (* Outside text (a path, an error message) as a JSON string. *)
 let json_string s = Json.to_string (Json.Str s)
@@ -31,7 +32,6 @@ type query = {
   mutable q_deadline : float option;
   mutable q_waiters : Unix.file_descr list;
   mutable q_last_hb : string option;
-  mutable q_steps : int;
 }
 
 type client = { c_fd : Unix.file_descr; c_acc : Buffer.t }
@@ -188,77 +188,43 @@ let new_lease t q =
   Hashtbl.replace t.leases lease.l_id lease;
   lease
 
-(* Store the final verdict of a computed (non-warm) query, so the
-   same query is answered warm next time. *)
-let store_final t q j =
-  let sp = q.q_spec in
-  let outcome =
-    Option.value ~default:"" (Option.bind (Json.member "outcome" j) Json.str)
-  in
-  let int_of k =
-    Option.value ~default:0 (Option.bind (Json.member k j) Json.int)
-  in
-  let codes k =
-    List.filter_map Json.int
-      (Json.to_list (Option.value ~default:Json.Null (Json.member k j)))
-  in
-  let verdict =
-    match outcome with
-    | "ok" -> Some (Store.V_ok (int_of "runs"))
-    | "counterexample" -> Some (Store.V_counterexample (codes "witness"))
-    | "no_fair_cycle" -> Some Store.V_no_fair_cycle
-    | "lasso" ->
-        Some (Store.V_lasso { stem = codes "stem"; cycle = codes "cycle" })
-    | _ -> None
-  in
-  match verdict with
-  | None -> ()
-  | Some v ->
-      Store.add t.store
-        (Slx_store.Persist.record ~qid:q.q_qid ~depth:sp.Queries.sp_depth
-           ~max_period:sp.Queries.sp_max_period ~pump_ticks:sp.Queries.sp_pump
-           ~runs:(int_of "runs") ~steps:q.q_steps v);
-      Store.bump t.store `Cold;
-      Store.commit t.store
-
-(* Plan a freshly created query: a warm answer, or one task that runs
-   the whole tree. *)
+(* Plan a freshly created query through the store's policy: a warm
+   answer, or one task that runs the whole tree. *)
 let plan t q =
   let sp = q.q_spec in
-  Store.bump t.store `Query;
-  let warm =
-    match Store.find t.store ~qid:q.q_qid ~depth:sp.Queries.sp_depth with
-    | Some r -> begin
-        match Queries.warm_result sp r with
-        | Some result ->
-            Store.bump t.store `Warm;
-            Store.commit t.store;
-            finalize t q result ~source:"warm";
-            true
-        | None ->
-            Store.bump t.store `Rejected;
-            false
-      end
-    | None -> false
-  in
-  if not warm then begin
-    q.q_state <- Running;
-    q.q_source <- "full";
-    t.pending <- t.pending @ [ new_lease t q ];
-    dispatch t
-  end
+  match
+    Persist.warm t.store ~qid:q.q_qid ~depth:sp.Queries.sp_depth
+      ~max_period:sp.Queries.sp_max_period ~pump_ticks:sp.Queries.sp_pump
+      (Queries.warm_result sp)
+  with
+  | Some result -> finalize t q result ~source:"warm"
+  | None ->
+      q.q_state <- Running;
+      q.q_source <- "full";
+      t.pending <- t.pending @ [ new_lease t q ];
+      dispatch t
+
+(* Store the record the worker built for a computed query, if it is
+   this query's own: decodes, and carries the query's qid, depth and
+   budgets.  Anything else is answered but not stored. *)
+let save_record t q record =
+  let sp = q.q_spec in
+  match Option.map Store.record_of_string record with
+  | Some (Ok r)
+    when r.Store.r_qid = q.q_qid
+         && r.Store.r_depth = sp.Queries.sp_depth
+         && r.Store.r_max_period = sp.Queries.sp_max_period
+         && r.Store.r_pump_ticks = sp.Queries.sp_pump ->
+      Persist.save t.store r
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Worker lines.                                                       *)
 
-let handle_result t lease result_j =
+let handle_result t lease result_j ~record =
   match Hashtbl.find_opt t.queries lease.l_query with
   | None -> ()
   | Some q ->
-      q.q_steps <-
-        q.q_steps
-        + Option.value ~default:0
-            (Option.bind (Json.member "steps" result_j) Json.int);
       if lease.l_cancelled || q.q_state <> Running then ()
       else begin
         match
@@ -276,7 +242,7 @@ let handle_result t lease result_j =
             t.pending <- new_lease t q :: t.pending;
             dispatch t
         | _ ->
-            store_final t q result_j;
+            save_record t q record;
             finalize t q (Json.to_string result_j) ~source:q.q_source
       end
 
@@ -291,7 +257,9 @@ let handle_worker_line t w line =
           | Some lease -> (
               Hashtbl.remove t.leases lid;
               match Json.member "result" j with
-              | Some r -> handle_result t lease r
+              | Some r ->
+                  handle_result t lease r
+                    ~record:(Option.bind (Json.member "record" j) Json.str)
               | None -> ())
           | None -> ());
           dispatch t
@@ -499,7 +467,6 @@ let handle_query_post t fd body =
                   q_deadline = Option.map (fun s -> now () +. s) timeout;
                   q_waiters = [];
                   q_last_hb = None;
-                  q_steps = 0;
                 }
               in
               t.next_query <- t.next_query + 1;

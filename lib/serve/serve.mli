@@ -23,12 +23,16 @@
       counters/health.
     - [POST /shutdown] — drain and exit.
 
-    {b Answer planning} mirrors {!Slx_store.Persist}: a warm store hit
-    answers immediately (witnesses re-validated).  Any other query is
-    computed as exactly one task leased to one worker, which explores
-    the whole tree: the answer is byte-identical to a store-less
-    [slx explore] / [slx live-explore], and the coordinator stores its
-    verdict.  [--workers] therefore parallelises across queries, not
+    {b Answer planning} is {!Slx_store.Persist}'s policy: a warm
+    store hit ({!Slx_store.Persist.warm}) answers immediately
+    (witnesses re-validated).  Any other query — a record under other
+    liveness budgets included — is computed as exactly one task leased
+    to one worker, which explores the whole tree: the answer is
+    byte-identical to a store-less [slx explore] / [slx live-explore].
+    The worker builds the answer's store record and sends it beside
+    the result; the coordinator saves it ({!Slx_store.Persist.save})
+    if it is the query's own, and reads nothing else from a result but
+    its ["outcome"] (and an error's ["message"]).  [--workers] therefore parallelises across queries, not
     within one.  Served sources are [warm] and [full].  Identical
     in-flight queries dedupe onto one computation.  A worker that dies
     mid-task gets its lease re-queued ([re_leases] in [/stats]) and its

@@ -18,7 +18,7 @@ let handle_line line =
       let lease =
         Option.value ~default:(-1) (Option.bind (Json.member "lease" j) Json.int)
       in
-      let result =
+      let result, record =
         match Option.map Queries.spec_of_json (Json.member "spec" j) with
         | Some (Ok spec) ->
             (* Heartbeats ride the result pipe; the coordinator keys
@@ -27,12 +27,20 @@ let handle_line line =
             let progress =
               Progress.create ~interval:0.2 ~json:true ~out:stdout ()
             in
-            Queries.run_task ~cancel:(fun () -> !cancelled) ~progress spec
-              Queries.Full
-        | Some (Error e) -> Queries.error_result e
-        | None -> Queries.error_result "task without spec"
+            Queries.work ~cancel:(fun () -> !cancelled) ~progress spec
+        | Some (Error e) -> (Queries.error_result e, None)
+        | None -> (Queries.error_result "task without spec", None)
       in
-      reply (Printf.sprintf "{\"lease\": %d, \"result\": %s}" lease result);
+      let record =
+        match record with
+        | Some r ->
+            Printf.sprintf ", \"record\": %s"
+              (Json.to_string (Json.Str (Slx_store.Store.record_to_string r)))
+        | None -> ""
+      in
+      reply
+        (Printf.sprintf "{\"lease\": %d, \"result\": %s%s}" lease result
+           record);
       (* Consume the cancel flag only after the reply: a SIGUSR1 can
          land while the task line is still being read or parsed, and a
          reset at task start would erase it.  The dual race — a stale signal

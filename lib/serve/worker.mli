@@ -8,12 +8,14 @@
       ({!Queries.spec_of_json}), run as a {!Queries.Full} task;
     - stdout, zero or more progress heartbeats (the engines'
       JSON-lines reporter, no ["lease"] member) followed by exactly
-      one result line [{"lease": N, "result": {...}}]
-      ({!Queries.run_task}).
+      one result line [{"lease": N, "result": {...}, "record": "..."}]
+      ({!Queries.work}): the client-visible result, and the answer's
+      store record in the store's own codec
+      ({!Slx_store.Store.record_to_string}) as a JSON string.  A
+      cancelled or failed task has no ["record"].
 
     Workers never open the store — the result line carries the
-    verdict and witness codes back, so the coordinator stays the
-    store's only writer.  [SIGUSR1] requests graceful cancellation: the engines
+    record back, so the coordinator stays the store's only writer.  [SIGUSR1] requests graceful cancellation: the engines
     poll a flag per node and the task answers
     [{"outcome": "cancelled"}].  EOF on stdin is shutdown. *)
 

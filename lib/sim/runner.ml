@@ -142,8 +142,6 @@ module Cursor = struct
         c.encode <- encode;
         c.hist_id <- id
 
-  let probe c = c.probe
-
   (* Disposal: crash every process, under the cursor's own registry and
      outside any shadow or probe.  [Runtime.crash] discontinues each
      suspended continuation with [Killed], which unwinds the fiber and

@@ -150,10 +150,6 @@ module Cursor : sig
       are validated exactly as in {!run}; applying [Driver.Stop] raises
       [Invalid_argument]. *)
 
-  val probe : ('inv, 'res) t -> Runtime.probe option
-  (** The probe installed at creation, if any — after an {!apply} of a
-      [Schedule] decision it holds that step's observation. *)
-
   val report :
     ('inv, 'res) t ->
     ?window:int ->

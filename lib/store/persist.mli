@@ -1,6 +1,8 @@
-(** Store-backed exploration: the policy layer between the engines
-    ({!Slx_core.Explore}, {!Slx_core.Live_explore}) and the on-disk
-    {!Store}.
+(** The store policy: how a verification query is answered through
+    the on-disk {!Store}, for the CLI's [--store] and the serve
+    coordinator alike.  This module owns the verdict <-> record format
+    in both directions and the warm/cold policy, and makes no engine
+    call: the caller passes the computation in.
 
     Each query is digested into a [qid] ({!query_key}) binding exactly
     the verdict-relevant identity: the implementation ident, the
@@ -9,20 +11,23 @@
     cannot change a verdict — cache on/off, capacity — deliberately
     stays out of the key, so tuning runs share records.
 
-    Answer planning is warm, else cold:
+    Answer planning is warm, else cold ({!answer}):
 
-    + {b warm} — an exact [(qid, depth)] record (for liveness: with
-      the same resolved [max_period]/[pump_ticks]) that
+    + {b warm} ({!warm}) — an exact [(qid, depth)] record stored under
+      the query's own [max_period]/[pump_ticks] that
       {!served_exploration} / {!served_live} vouch for.  A record they
-      refuse is {e rejected}: counted, never served, and overwritten
-      by the fresh run's record.
-    + {b cold} — anything else, a record at another depth included:
-      the engine explores from scratch, exactly as without a store.
+      refuse is {e rejected}: counted, never served, and superseded by
+      the fresh run's record.
+    + {b cold} — anything else: no record, a record at another depth,
+      or one under other liveness budgets (a different bounded claim,
+      not a rejected witness).  The engine explores from scratch,
+      exactly as without a store, and {!save} stores its record
+      (built by {!exploration_record} / {!live_record} in the process
+      that ran the engine).
 
-    Every cold answer stores its record (superseding the slot) before
-    returning; the store is committed even when the run is
-    {e interrupted} ([?cancel] / SIGINT), so partial sessions still
-    pay forward their counters. *)
+    The store is committed on every warm hit and every save, and also
+    when a cold run is {e interrupted} ([Explore.Interrupted]), so
+    partial sessions still pay forward their counters. *)
 
 open Slx_history
 open Slx_sim
@@ -63,32 +68,40 @@ val query_key :
     {!Slx_serve.Queries.qid} is the one producer that binds a whole
     query record. *)
 
-val record :
+val exploration_record :
+  qid:int ->
+  depth:int ->
+  ('inv, 'res) Explore.exploration ->
+  Store.record
+(** The record a computed safety answer is stored as: its verdict (the
+    witness in coded form), [stats.runs] and [stats.steps_executed];
+    budgets 0. *)
+
+val live_record :
   qid:int ->
   depth:int ->
   max_period:int ->
   pump_ticks:int ->
-  runs:int ->
-  steps:int ->
-  Store.verdict ->
+  ('inv, 'res) Live_explore.result ->
   Store.record
-(** The record a computed verdict is stored as — by this module's cold
-    path and by the serve coordinator alike.  [max_period]/[pump_ticks]
-    are the resolved liveness budgets, 0 for safety. *)
+(** The record a computed liveness answer is stored as, under the
+    resolved budgets it ran with. *)
 
 val served_exploration :
   n:int ->
   factory:(unit -> ('inv, 'res) Runner.factory) ->
   invoke:(('inv, 'res) Driver.view -> Proc.t -> 'inv option) ->
   check:(('inv, 'res) Run_report.t -> bool) ->
-  Store.verdict ->
+  Store.record ->
   ('inv, 'res) Explore.exploration option
-(** The warm answer a stored safety verdict stands for (zero work
-    counters): [V_ok] is trusted under the version + qid binding; a
-    [V_counterexample] is replayed ({!Slx_core.Explore.run_of_codes})
-    and served only if the replayed run fails [check].  [None] — a
-    witness that does not reproduce, or a liveness verdict — means
-    the record must not be served. *)
+(** The warm answer a stored safety record stands for, the validated
+    inverse of {!exploration_record}: zero work counters but the
+    stored [runs].  [V_ok] is trusted under the version + qid
+    binding; a [V_counterexample] is replayed
+    ({!Slx_core.Explore.run_of_codes}) and served only if the
+    replayed run fails [check].  [None] — a witness that does not
+    reproduce, or a liveness verdict — means the record must not be
+    served. *)
 
 val served_live :
   n:int ->
@@ -97,67 +110,47 @@ val served_live :
   good:('res -> bool) ->
   point:Freedom.t ->
   pump_ticks:int ->
-  Store.verdict ->
+  Store.record ->
   ('inv, 'res) Live_explore.result option
-(** The liveness counterpart of {!served_exploration}:
-    [V_no_fair_cycle] is trusted; a [V_lasso] is rebuilt and re-pumped
-    ({!Slx_core.Live_explore.validate_cert_codes}).  Callers apply it
-    only to a record stored under the query's own [max_period] and
-    [pump_ticks]. *)
+(** The liveness counterpart of {!served_exploration}, the validated
+    inverse of {!live_record}: [V_no_fair_cycle] is trusted; a
+    [V_lasso] is rebuilt and re-pumped
+    ({!Slx_core.Live_explore.validate_cert_codes}).  The budgets are
+    not compared here: {!warm} only hands it a record stored under
+    the query's own [max_period] and [pump_ticks]. *)
 
-val run_explore :
-  store:Store.t ->
+val warm :
+  Store.t ->
   qid:int ->
-  n:int ->
-  factory:(unit -> ('inv, 'res) Runner.factory) ->
-  invoke:(('inv, 'res) Driver.view -> Proc.t -> 'inv option) ->
   depth:int ->
-  ?max_crashes:int ->
-  ?cache:bool ->
-  ?cache_capacity:int ->
-  ?dpor:bool ->
-  ?symmetry:bool ->
-  ?obs:Slx_obs.Obs.t ->
-  ?sanitize:bool ->
-  ?cancel:(unit -> bool) ->
-  check:(('inv, 'res) Run_report.t -> bool) ->
-  unit ->
-  ('inv, 'res) Explore.exploration * source
-(** Store-backed {!Slx_core.Explore.explore}.  The caller must build
-    [qid] with {!query_key} from the same flags it passes here
-    ({!Slx_serve.Queries.run} does).  Warm hits return synthesized explorations
-    (zero work counters; [runs] and the witness restored from the
-    record).  The exploration and the store file are consistent on
-    return: the record for this [(qid, depth)] reflects this answer.
-    @raise Explore.Interrupted as the engine does; the store's
+  max_period:int ->
+  pump_ticks:int ->
+  (Store.record -> 'a option) ->
+  'a option
+(** [warm store ~qid ~depth ~max_period ~pump_ticks served] counts the
+    query and answers it from the store if it can.  No record at
+    [(qid, depth)], or one under other budgets, is a cold miss
+    ([None], not rejected).  Otherwise [served] (a validator above)
+    decides: [Some] is counted warm and committed, [None] is counted
+    rejected.  [max_period]/[pump_ticks] are the resolved liveness
+    budgets, 0 for safety. *)
+
+val save : Store.t -> Store.record -> unit
+(** Store a computed answer's record (superseding its slot), count it
+    cold and commit. *)
+
+val answer :
+  Store.t ->
+  qid:int ->
+  depth:int ->
+  max_period:int ->
+  pump_ticks:int ->
+  served:(Store.record -> 'a option) ->
+  record:('a -> Store.record) ->
+  (unit -> 'a) ->
+  'a * source
+(** {!warm}, else run the computation and {!save} its [record].  The
+    caller must build [qid] with {!query_key} from the flags the
+    computation runs with ({!Slx_serve.Queries.run} does).
+    @raise Explore.Interrupted as the computation does; the store's
     counters are committed first. *)
-
-val run_live :
-  store:Store.t ->
-  qid:int ->
-  n:int ->
-  factory:(unit -> ('inv, 'res) Runner.factory) ->
-  invoke:(('inv, 'res) Driver.view -> Proc.t -> 'inv option) ->
-  good:('res -> bool) ->
-  point:Freedom.t ->
-  depth:int ->
-  ?max_crashes:int ->
-  ?max_period:int ->
-  ?pump_ticks:int ->
-  ?invoke_order:bool ->
-  ?dpor:bool ->
-  ?cache:bool ->
-  ?cache_capacity:int ->
-  ?obs:Slx_obs.Obs.t ->
-  ?sanitize:bool ->
-  ?cancel:(unit -> bool) ->
-  unit ->
-  ('inv, 'res) Live_explore.result * source
-(** Store-backed {!Slx_core.Live_explore.search}.  [max_period] and
-    [pump_ticks] are resolved to the engine's defaults
-    ({!Slx_core.Live_explore.budgets}) {e here} and
-    stored per record, because the defaults are depth-derived and a
-    warm hit requires both to match the stored values — anything else
-    plans cold.
-    @raise Explore.Interrupted as the engine does; counters are
-    committed first. *)

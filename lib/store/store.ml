@@ -85,7 +85,7 @@ let verdict_lines = function
       Printf.sprintf "lasso %d %d %s" (List.length stem) (List.length cycle)
         (ints_to_string (stem @ cycle))
 
-let record_payload r =
+let record_to_string r =
   let b = Buffer.create 256 in
   Buffer.add_string b
     (Printf.sprintf "Q %d %d %d %d %d %d\n" r.r_qid r.r_depth r.r_max_period
@@ -150,6 +150,11 @@ let parse_record payload =
           }
       | _ -> raise Malformed)
   | _ -> raise Malformed
+
+let record_of_string s =
+  match parse_record s with
+  | r -> Ok r
+  | exception Malformed -> Error "malformed record"
 
 let parse_counters payload =
   match tokens payload with
@@ -349,7 +354,7 @@ let commit t =
   Buffer.add_string b magic;
   add_frame b (header_payload ~engine_version:t.t_engine_version);
   add_frame b (counters_payload t.t_counters);
-  List.iter (fun r -> add_frame b (record_payload r)) (List.rev t.t_records);
+  List.iter (fun r -> add_frame b (record_to_string r)) (List.rev t.t_records);
   let tmp = Printf.sprintf "%s.tmp.%d" t.t_path (Unix.getpid ()) in
   let oc = open_out_bin tmp in
   Fun.protect

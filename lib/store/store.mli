@@ -49,6 +49,16 @@ type record = {
   r_verdict : verdict;
 }
 
+val record_to_string : record -> string
+(** A record in the store's own frame codec: the payload of one record
+    frame (two lines, no framing).  Workers send a computed record to
+    the serve coordinator in this form. *)
+
+val record_of_string : string -> (record, string) result
+(** The inverse of {!record_to_string}: [Error] on a payload that is
+    not exactly one well-formed record (truncated, non-numeric, or
+    with trailing fields). *)
+
 type counters = {
   c_queries : int;  (** Store-backed queries answered. *)
   c_warm_hits : int;  (** Served from an exact [(qid, depth)] record. *)

@@ -9,16 +9,19 @@
    - Out-of-range bounds are refused: a usage error on the CLI, an
      [Error] from the serve decoder.
    - Warm service: {!Queries.warm_result} serves a computed verdict
-     from its record, and refuses a record whose witness does not
-     replay or whose liveness budgets differ.
+     from the record the worker built, and refuses a record whose
+     witness does not replay; the store policy treats a liveness
+     record under other budgets as a cold miss, not a rejection.
    - A worker ([slx worker]) answers a task line with the in-process
-     task's result.
+     task's result and the record the CLI's [--store] would store.
    - A live coordinator ([slx serve], spawned from the built binary):
      a malformed request gets a 400 and the service keeps answering,
      a served record carries its 63-bit digest exactly and
      warm-serves the CLI, a deeper query over a served shallower
-     record is computed in full, and outside text (a store path, an
-     implementation name) comes back as valid JSON. *)
+     record is computed in full, outside text (a store path, an
+     implementation name) comes back as valid JSON, and one query
+     sequence leaves the same store counters and records as the CLI's
+     [--store] path. *)
 
 open Support
 open Slx_sim
@@ -48,6 +51,12 @@ let int_field j k =
   match Option.bind (Json.member k j) Json.int with
   | Some v -> v
   | None -> Alcotest.failf "no %S in %s" k (Json.to_string j)
+
+let temp_store () =
+  let path = Filename.temp_file "slx_serve_test" ".store" in
+  Sys.remove path;
+  at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+  path
 
 (* ------------------------------------------------------------------ *)
 (* A task is a store-less run.                                         *)
@@ -266,30 +275,11 @@ let test_result_members () =
 (* ------------------------------------------------------------------ *)
 (* Warm service.                                                       *)
 
-(* The store record a computed task's result line stands for. *)
-let record_of sp task =
-  let verdict =
-    match outcome task with
-    | "ok" -> Store.V_ok (int_field task "runs")
-    | "counterexample" -> Store.V_counterexample (ints_field task "witness")
-    | "no_fair_cycle" -> Store.V_no_fair_cycle
-    | "lasso" ->
-        Store.V_lasso
-          { stem = ints_field task "stem"; cycle = ints_field task "cycle" }
-    | o -> Alcotest.failf "no record for outcome %S" o
-  in
-  {
-    Store.r_qid = 0;
-    r_depth = sp.Queries.sp_depth;
-    r_max_period = sp.Queries.sp_max_period;
-    r_pump_ticks = sp.Queries.sp_pump;
-    r_runs =
-      (match Option.bind (Json.member "runs" task) Json.int with
-      | Some r -> r
-      | None -> 0);
-    r_steps = int_field task "steps";
-    r_verdict = verdict;
-  }
+(* A computed task's result and the record the worker sends with it. *)
+let worked sp =
+  match Queries.work sp with
+  | task, Some r -> (parse_result task, r)
+  | task, None -> Alcotest.failf "no record for %s" task
 
 let warm_queries =
   [
@@ -308,8 +298,8 @@ let test_warm_serves_computed () =
   List.iter
     (fun fields ->
       let sp = spec_of fields in
-      let task = parse_result (Queries.run_task sp Queries.Full) in
-      match Queries.warm_result sp (record_of sp task) with
+      let task, r = worked sp in
+      match Queries.warm_result sp r with
       | None -> Alcotest.failf "%s: computed record not served warm" fields
       | Some w ->
           let warm = parse_result w in
@@ -336,15 +326,15 @@ let test_warm_serves_computed () =
     warm_queries
 
 (* A record the query cannot vouch for is not served: a witness that
-   does not fail the property on replay, a lasso that is not a fair
-   cycle, or a liveness record made under other budgets. *)
+   does not fail the property on replay or a lasso that is not a fair
+   cycle is rejected; a liveness record made under other budgets is a
+   cold miss, never handed to the validator. *)
 let test_warm_refuses () =
   let refused name sp r =
     check_bool (name ^ " is not served") true (Queries.warm_result sp r = None)
   in
   let selfish = spec_of (List.nth warm_queries 1) in
-  let task = parse_result (Queries.run_task selfish Queries.Full) in
-  let r = record_of selfish task in
+  let task, r = worked selfish in
   (match r.Store.r_verdict with
   | Store.V_counterexample codes ->
       refused "a truncated witness" selfish
@@ -355,10 +345,21 @@ let test_warm_refuses () =
   refused "a selfish witness on cas" cas
     { r with Store.r_verdict = Store.V_counterexample codes };
   let live = spec_of (List.nth warm_queries 3) in
-  let r = record_of live (parse_result (Queries.run_task live Queries.Full)) in
-  refused "a lasso under another pump" live
+  let _, r = worked live in
+  let cold_miss name r =
+    let st = Store.open_ (temp_store ()) in
+    Store.add st r;
+    check_bool (name ^ " is not served") true
+      (Slx_store.Persist.warm st ~qid:r.Store.r_qid ~depth:live.Queries.sp_depth
+         ~max_period:live.Queries.sp_max_period ~pump_ticks:live.Queries.sp_pump
+         (Queries.warm_result live)
+      = None);
+    check_int (name ^ " is not rejected") 0
+      (Store.counters st).Store.c_rejected
+  in
+  cold_miss "a lasso under another pump"
     { r with Store.r_pump_ticks = r.Store.r_pump_ticks + 1 };
-  refused "a lasso under another max_period" live
+  cold_miss "a lasso under another max_period"
     { r with Store.r_max_period = r.Store.r_max_period + 1 };
   match r.Store.r_verdict with
   | Store.V_lasso { stem; cycle } ->
@@ -485,12 +486,6 @@ let test_decoder_out_of_range_refused () =
 
 (* ------------------------------------------------------------------ *)
 (* A live coordinator.                                                 *)
-
-let temp_store () =
-  let path = Filename.temp_file "slx_serve_test" ".store" in
-  Sys.remove path;
-  at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
-  path
 
 let free_port () =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -631,6 +626,20 @@ let test_worker_answers_task_line () =
       Alcotest.(check string)
         "worker result = in-process task" (Json.to_string expected)
         (Json.to_string (Option.get (Json.member "result" answer)));
+      (* The worker's record is exactly what the CLI's --store path
+         stores for the same query. *)
+      let st = Store.open_ (temp_store ()) in
+      ignore (Queries.run ~store:st (spec_of fields));
+      Alcotest.(check (list string))
+        "worker record = Queries.run ~store's record"
+        (List.map Store.record_to_string (Store.records st))
+        (match Option.bind (Json.member "record" answer) Json.str with
+        | Some r -> (
+            match Store.record_of_string r with
+            | Ok r -> [ Store.record_to_string r ]
+            | Error e -> Alcotest.failf "undecodable record %S: %s" r e)
+        | None -> Alcotest.fail "result line without a record");
+      check_bool "bad line: no record" true (Json.member "record" bad = None);
       check_int "bad line: no lease" (-1) (int_field bad "lease");
       check_outcome "bad line" "error" (Option.get (Json.member "result" bad))
   | _ -> Alcotest.failf "expected 2 result lines, got %d" (List.length lines)
@@ -771,6 +780,79 @@ let test_deeper_query_runs_full () =
       check_int "two colds" 2 (stat st [ "store"; "colds" ]);
       check_int "one warm hit" 1 (stat st [ "store"; "warm_hits" ]))
 
+(* The CLI's --store path and the serve coordinator answer through one
+   policy and store one record per computed answer: the same sequence
+   of queries leaves both stores with the same counters and records,
+   and a warm live answer reports the cold run's run count either
+   way.  The third query re-asks the live one under another
+   [max_period]: a cold miss, not a rejected record. *)
+let test_cli_and_serve_agree () =
+  let live =
+    "\"kind\": \"live\", \"impl\": \"cas\", \"crashes\": 1, \"depth\": 10"
+  in
+  let selfish = "\"impl\": \"selfish\", \"depth\": 8" in
+  let sequence =
+    [
+      (live, "cold");
+      (live, "warm");
+      (live ^ ", \"max_period\": 2", "cold");
+      (selfish, "cold");
+      (selfish, "warm");
+    ]
+  in
+  let summary store =
+    let st = Store.open_ store in
+    let c = Store.counters st in
+    ( [
+        c.Store.c_queries; c.Store.c_warm_hits; c.Store.c_colds;
+        c.Store.c_rejected;
+      ],
+      List.map Store.record_to_string (Store.records st) )
+  in
+  (* The runs a live answer reports, or -1 for a safety answer. *)
+  let cli_store = temp_store () in
+  let cli_runs =
+    List.map
+      (fun (fields, source) ->
+        let answer, src =
+          Queries.run ~store:(Store.open_ cli_store)
+            (spec_of ("{" ^ fields ^ "}"))
+        in
+        Alcotest.(check (option string))
+          ("CLI source of " ^ fields) (Some source)
+          (Option.map (Format.asprintf "%a" Slx_store.Persist.pp_source) src);
+        match answer with
+        | Queries.Live r -> r.Live_explore.stats.Explore_stats.runs
+        | Queries.Safety _ -> -1)
+      sequence
+  in
+  let serve_store = temp_store () in
+  let serve_runs =
+    with_server ~store:serve_store (fun port ->
+        List.map
+          (fun (fields, source) ->
+            let src, r = query port fields in
+            Alcotest.(check (option string))
+              ("serve source of " ^ fields)
+              (Some (if source = "cold" then "full" else source))
+              src;
+            if String.starts_with ~prefix:live fields then int_field r "runs"
+            else -1)
+          sequence)
+  in
+  Alcotest.(check (list int)) "live runs: CLI = serve" cli_runs serve_runs;
+  Alcotest.(check int) "warm live runs = cold" (List.nth cli_runs 0)
+    (List.nth cli_runs 1);
+  let cli_counters, cli_records = summary cli_store
+  and serve_counters, serve_records = summary serve_store in
+  Alcotest.(check (list int))
+    "CLI counters: 5 queries, 2 warm, 3 cold, 0 rejected"
+    [ 5; 2; 3; 0 ] cli_counters;
+  Alcotest.(check (list int)) "serve counters = CLI counters" cli_counters
+    serve_counters;
+  Alcotest.(check (list string)) "serve records = CLI records" cli_records
+    serve_records
+
 let suites =
   [
     ( "serve.task",
@@ -824,5 +906,7 @@ let suites =
           test_deeper_query_runs_full;
         Alcotest.test_case "outside text comes back as JSON" `Quick
           test_outside_text_is_json;
+        Alcotest.test_case "the CLI and serve agree on a store" `Quick
+          test_cli_and_serve_agree;
       ] );
   ]

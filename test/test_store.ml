@@ -115,6 +115,49 @@ let test_round_trip () =
   check_bool "counters round-trip" true
     (c.Store.c_queries = 2 && c.Store.c_warm_hits = 1 && c.Store.c_colds = 1)
 
+(* The record codec the serve workers use: every verdict kind
+   round-trips under zero and non-zero budgets; a payload cut short or
+   carrying a non-numeric field is an [Error], never a record. *)
+let test_record_string () =
+  let variants r =
+    [
+      r;
+      { r with Store.r_max_period = 0; r_pump_ticks = 0 };
+      { r with Store.r_max_period = 5; r_pump_ticks = 40 };
+    ]
+  in
+  List.iter
+    (fun r ->
+      let s = Store.record_to_string r in
+      check_bool ("round-trips: " ^ String.escaped s) true
+        (Store.record_of_string s = Ok r);
+      let refused what s' =
+        check_bool
+          (Printf.sprintf "%s refused: %s" what (String.escaped s'))
+          true
+          (Result.is_error (Store.record_of_string s'))
+      in
+      refused "last field dropped" (String.sub s 0 (String.rindex s ' '));
+      refused "verdict line dropped" (String.sub s 0 (String.index s '\n'));
+      refused "empty" "";
+      let verdict_line = List.nth (String.split_on_char '\n' s) 1 in
+      let q_line fields =
+        "Q " ^ String.concat " " fields ^ "\n" ^ verdict_line
+      in
+      let ints = List.map string_of_int in
+      let { Store.r_qid; r_depth; r_max_period = mp; r_pump_ticks = pt;
+            r_runs; r_steps; _ } =
+        r
+      in
+      check_bool "the rebuilt payload is the codec's" true
+        (q_line (ints [ r_qid; r_depth; mp; pt; r_runs; r_steps ]) = s);
+      refused "non-numeric qid"
+        (q_line ("x" :: ints [ r_depth; mp; pt; r_runs; r_steps ]));
+      refused "non-numeric runs"
+        (q_line
+           (ints [ r_qid; r_depth; mp; pt ] @ [ "many"; string_of_int r_steps ])))
+    (List.concat_map variants sample_records)
+
 let file_bytes path =
   let ic = open_in_bin path in
   let n = in_channel_length ic in
@@ -311,9 +354,33 @@ let safety_qid ?(n = 2) ?(max_crashes = 0) ~ident ~factory () =
     ~registry_digest:(Persist.instance_digest ~n ~factory)
     ~max_crashes ~dpor:true ~symmetry:true ()
 
+(* A store-backed query as the CLI's --store path runs one: the engine
+   call inside [Persist.answer], stored through the record builder and
+   warm-served through its validated inverse. *)
+let stored_explore ~store ~qid ~n ~factory ~invoke ~depth ~max_crashes
+    ~symmetry ~check =
+  Persist.answer store ~qid ~depth ~max_period:0 ~pump_ticks:0
+    ~served:(Persist.served_exploration ~n ~factory ~invoke ~check)
+    ~record:(Persist.exploration_record ~qid ~depth)
+    (fun () ->
+      Explore.explore ~n ~factory ~invoke ~depth ~max_crashes ~dpor:true
+        ~symmetry ~check ())
+
+let stored_live ?(max_crashes = 0) ?max_period ?pump_ticks ~store ~qid ~n
+    ~factory ~invoke ~good ~point ~depth () =
+  let max_period, pump_ticks =
+    Live_explore.budgets ~depth ~max_period ~pump_ticks
+  in
+  Persist.answer store ~qid ~depth ~max_period ~pump_ticks
+    ~served:(Persist.served_live ~n ~factory ~invoke ~good ~point ~pump_ticks)
+    ~record:(Persist.live_record ~qid ~depth ~max_period ~pump_ticks)
+    (fun () ->
+      Live_explore.search ~n ~factory ~invoke ~good ~point ~depth ~max_crashes
+        ~max_period ~pump_ticks ~dpor:true ())
+
 let run_safety ?(n = 2) ?(max_crashes = 0) ~store ~qid ~factory ~depth () =
-  Persist.run_explore ~store ~qid ~n ~factory ~invoke:safety_invoke ~depth
-    ~max_crashes ~dpor:true ~symmetry:true ~check:consensus_check ()
+  stored_explore ~store ~qid ~n ~factory ~invoke:safety_invoke ~depth
+    ~max_crashes ~symmetry:true ~check:consensus_check
 
 (* What a stored answer must share with the store-less one: outcome,
    runs, digest and the work done. *)
@@ -357,6 +424,8 @@ let test_persist_cold_warm_deeper () =
     (runs_of warm);
   check_bool "warm does no engine work" true
     (warm.Explore.stats.Explore_stats.nodes = 0);
+  Alcotest.(check int) "warm reports the stored runs"
+    cold.Explore.stats.Explore_stats.runs warm.Explore.stats.Explore_stats.runs;
   let deep, src = run_safety ~store:st ~qid ~factory:cas_factory ~depth:8 () in
   check_bool "deeper query is cold" true (src = Persist.Cold);
   check_explore_work "deeper" (plain 8) deep;
@@ -455,8 +524,8 @@ let test_persist_live_cold_warm_deeper () =
   let qid = live_qid ~ident:"selfish" ~factory:selfish_factory ~point () in
   let good (_ : Slx_consensus.Consensus_type.response) = true in
   let run depth =
-    Persist.run_live ~store:st ~qid ~n:2 ~factory:selfish_factory
-      ~invoke:live_invoke ~good ~point ~depth ~pump_ticks:32 ~dpor:true ()
+    stored_live ~store:st ~qid ~n:2 ~factory:selfish_factory
+      ~invoke:live_invoke ~good ~point ~depth ~pump_ticks:32 ()
   in
   let plain depth =
     Live_explore.search ~n:2 ~factory:selfish_factory ~invoke:live_invoke
@@ -481,9 +550,8 @@ let test_persist_live_cold_warm_deeper () =
       ()
   in
   let runr depth =
-    Persist.run_live ~store:st ~qid:qidr ~n:2 ~factory:register_factory
-      ~invoke:live_invoke ~good ~point ~depth ~max_crashes:1 ~max_period:2
-      ~dpor:true ()
+    stored_live ~store:st ~qid:qidr ~n:2 ~factory:register_factory
+      ~invoke:live_invoke ~good ~point ~depth ~max_crashes:1 ~max_period:2 ()
   in
   ignore (runr 11);
   let deepr, src = runr 13 in
@@ -500,8 +568,8 @@ let test_persist_lasso_warm () =
   let qid = live_qid ~ident:"register" ~factory:register8_factory ~point () in
   let good (_ : Slx_consensus.Consensus_type.response) = true in
   let run () =
-    Persist.run_live ~store:st ~qid ~n:2 ~factory:register8_factory
-      ~invoke:live_invoke ~good ~point ~depth:8 ~dpor:true ()
+    stored_live ~store:st ~qid ~n:2 ~factory:register8_factory
+      ~invoke:live_invoke ~good ~point ~depth:8 ()
   in
   let cert r =
     match r.Live_explore.outcome with
@@ -534,8 +602,8 @@ let diff_store_case (Audit.Case c) =
       ~invoke:c.Audit.c_invoke ~depth ~max_crashes ~dpor:true ~check ()
   in
   let stored ~store ~qid ~depth ~check =
-    Persist.run_explore ~store ~qid ~n:c.Audit.c_n ~factory:c.Audit.c_factory
-      ~invoke:c.Audit.c_invoke ~depth ~max_crashes ~dpor:true ~check ()
+    stored_explore ~store ~qid ~n:c.Audit.c_n ~factory:c.Audit.c_factory
+      ~invoke:c.Audit.c_invoke ~depth ~max_crashes ~symmetry:false ~check
   in
   let qid_of ~check_name =
     Persist.query_key ~ident:name ~check:check_name ~n:c.Audit.c_n
@@ -607,12 +675,12 @@ let diff_store_live_case (Audit.Case c) =
       ~invoke:c.Audit.c_invoke ~good ~point ~depth ~pump_ticks ~dpor:true ()
   in
   let stored ~store ~depth =
-    Persist.run_live ~store ~qid ~n:c.Audit.c_n ~factory:c.Audit.c_factory
-      ~invoke:c.Audit.c_invoke ~good ~point ~depth ~pump_ticks ~dpor:true ()
+    stored_live ~store ~qid ~n:c.Audit.c_n ~factory:c.Audit.c_factory
+      ~invoke:c.Audit.c_invoke ~good ~point ~depth ~pump_ticks ()
   in
-  (* Verdict fingerprint only: a warm hit synthesizes zero-work stats,
-     so run counts are compared separately on the legs that really
-     explore. *)
+  (* Verdict fingerprint only: a warm hit synthesizes zero-work stats
+     (but the stored run count), so run and step counts are compared
+     separately. *)
   let fingerprint r =
     match r.Live_explore.outcome with
     | Live_explore.No_fair_cycle -> "no_fair_cycle"
@@ -639,7 +707,10 @@ let diff_store_live_case (Audit.Case c) =
   let warm, src = stored ~store:st ~depth in
   check_bool (name ^ ": live re-query is warm") true (src = Persist.Warm);
   Alcotest.(check string) (name ^ ": live warm = storeless") base
-    (fingerprint warm)
+    (fingerprint warm);
+  Alcotest.(check int) (name ^ ": live warm runs = storeless")
+    plain_run.Live_explore.stats.Explore_stats.runs
+    warm.Live_explore.stats.Explore_stats.runs
 
 let test_store_live_differential () =
   List.iter diff_store_live_case (Registry.all ())
@@ -651,6 +722,8 @@ let suites =
     ( "store.codec",
       [
         Alcotest.test_case "round-trip" `Quick test_round_trip;
+        Alcotest.test_case "record string round-trip" `Quick
+          test_record_string;
         Alcotest.test_case "truncated tail" `Quick test_truncated_tail;
         Alcotest.test_case "flipped byte" `Quick test_crc_flip;
         Alcotest.test_case "bad magic" `Quick test_bad_magic;
