@@ -12,6 +12,9 @@ open Slx_sim
 let consensus_workload =
   Driver.forever (fun p -> Slx_consensus.Consensus_type.Propose (p - 1))
 
+let consensus_once =
+  Driver.n_times 1 (fun p _ -> Slx_consensus.Consensus_type.Propose (p - 1))
+
 let register_history ~ops =
   (* A register history with [ops] completed operations from a real
      3-process run of a CAS-backed register. *)
@@ -265,6 +268,35 @@ let micro_tests cursor =
                 ())));
   ]
 
+(* P6b: the simulator kernel — the cost of re-establishing a
+   configuration, which is what every sibling after the first pays
+   (prefix replay is most of the explorers' steps).  A fixed 18-decision
+   register-consensus n=3 prefix (round-robin, one proposal each, the
+   lean 18-round instance) replayed into a fresh cursor: factory call,
+   18 decisions, disposal.  Reported in ns per run and, separately, in
+   minor words per run. *)
+let kernel_runs =
+  let factory = Slx_consensus.Register_consensus.factory ~max_rounds:18 () in
+  let prefix =
+    let taken = ref [] in
+    let rr = Driver.round_robin ~workload:consensus_once () in
+    let driver view =
+      let d = rr view in
+      if d <> Driver.Stop then taken := d :: !taken;
+      d
+    in
+    ignore (Runner.run ~n:3 ~factory ~driver ~max_steps:18 ());
+    List.rev !taken
+  in
+  assert (List.length prefix = 18);
+  [
+    ( "micro/replay-prefix",
+      fun () -> Runner.Cursor.with_ ~n:3 ~factory ~prefix ignore );
+  ]
+
+let kernel_tests =
+  List.map (fun (name, run) -> Test.make ~name (Staged.stage run)) kernel_runs
+
 (* P5: adversary games. *)
 let game_tests =
   [
@@ -286,7 +318,7 @@ let all_tests cursor =
   Test.make_grouped ~name:"slx"
     (lin_tests @ opacity_tests @ simulator_tests @ i12_tests
     @ snapshot_substitution_tests @ universal_tests @ explore_tests
-    @ checker_family_tests @ micro_tests cursor @ game_tests)
+    @ checker_family_tests @ micro_tests cursor @ kernel_tests @ game_tests)
 
 let run () =
   let ols =
@@ -324,4 +356,18 @@ let run () =
   in
   List.iter
     (fun (name, est) -> Printf.printf "  %-44s %14.0f ns\n" name est)
-    (List.sort (fun (a, _) (b, _) -> String.compare a b) rows)
+    (List.sort (fun (a, _) (b, _) -> String.compare a b) rows);
+  (* Allocation of the kernel rows, counted exactly: Bechamel's
+     allocation instance reads the GC's statistics, which OCaml 5
+     updates only at a minor collection. *)
+  Printf.printf "\n== allocation (minor words per run, Gc.minor_words) ==\n";
+  List.iter
+    (fun (name, run) ->
+      let runs = 1000 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to runs do
+        run ()
+      done;
+      Printf.printf "  %-44s %14.0f words\n" name
+        ((Gc.minor_words () -. w0) /. float_of_int runs))
+    kernel_runs

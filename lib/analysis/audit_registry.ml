@@ -21,13 +21,7 @@ let one_proposal =
    derives the next legal operation from the process's projection; the
    cap bounds total invocations so audit trees stay finite. *)
 let tm_invoke ~cap view p =
-  let issued =
-    History.length
-      (History.filter
-         (fun e -> Event.is_invocation e && Proc.equal (Event.proc e) p)
-         view.Driver.history)
-  in
-  if issued >= cap then None
+  if view.Driver.invocations p >= cap then None
   else Some (Slx_tm.Tm_workload.next_invocation view p)
 
 (* ------------------------------------------------------------------ *)

@@ -10,7 +10,13 @@
    explicit full-array fold: the polymorphic [Hashtbl.hash] samples
    only ~10 elements, so keys differing past the tenth would share a
    bucket chain (equality stays exact either way, but every such
-   lookup would degrade to a scan). *)
+   lookup would degrade to a scan).  The fold is one FNV
+   multiply-xor per element and a single [mix64] at the end.  Each
+   multiply-xor is invertible, so two keys of one length that differ
+   in one element fold to different words, and the final mix spreads
+   that difference over the bucket index bits.  An unbounded
+   [replace] is one [Tbl.replace]; a bounded one is a lookup and, on a
+   miss, a [Tbl.add] — never a second search of the bucket. *)
 
 module Tbl = Hashtbl.Make (struct
   type t = int array
@@ -22,11 +28,12 @@ module Tbl = Hashtbl.Make (struct
     let rec eq i = i >= la || (a.(i) = b.(i) && eq (i + 1)) in
     eq 0
 
-  let hash a =
-    Array.fold_left
-      (fun h v -> Slx_sim.Runtime.mix64 ((h * 0x100000001b3) lxor v))
-      0x811c9dc5 a
-    land max_int
+  let hash (a : int array) =
+    let h = ref 0x811c9dc5 in
+    for i = 0 to Array.length a - 1 do
+      h := (!h * 0x100000001b3) lxor Array.unsafe_get a i
+    done;
+    Slx_sim.Runtime.mix64 !h land max_int
 end)
 
 type 'v entry = {
@@ -103,15 +110,16 @@ let claim_slot t =
   end
 
 let replace t k v =
-  match Tbl.find_opt t.tbl k with
-  | Some e -> e.value <- v
-  | None ->
-      if Array.length t.ring = 0 then
-        Tbl.replace t.tbl k { key = k; value = v; referenced = false }
-      else begin
+  if Array.length t.ring = 0 then
+    (* Unbounded: no ring, and no reference bit anyone reads, so a
+       fresh entry may stand in for an old one. *)
+    Tbl.replace t.tbl k { key = k; value = v; referenced = false }
+  else
+    match Tbl.find_opt t.tbl k with
+    | Some e -> e.value <- v
+    | None ->
         let slot = claim_slot t in
         let e = { key = k; value = v; referenced = false } in
         t.ring.(slot) <- Some e;
         t.size <- t.size + 1;
-        Tbl.replace t.tbl k e
-      end
+        Tbl.add t.tbl k e

@@ -60,14 +60,7 @@ let run_of_codes ~n ~factory ~invoke codes =
       let len = List.length ds in
       (ds, Runner.Cursor.report cursor ~window:(max len 1) ()))
 
-let workload_invoke workload view p =
-  let issued =
-    History.length
-      (History.filter
-         (fun e -> Event.is_invocation e && Proc.equal (Event.proc e) p)
-         view.Driver.history)
-  in
-  workload p issued
+let workload_invoke workload view p = workload p (view.Driver.invocations p)
 
 (* ------------------------------------------------------------------ *)
 (* The decision menu.                                                  *)
@@ -83,13 +76,7 @@ let decision_menu ~invoke ~depth ~max_crashes ~symmetry view len crashes =
   let menu = Search.menu ~invoke ~depth ~max_crashes view len crashes in
   if not symmetry then (menu, 0)
   else begin
-    let untouched p =
-      History.length
-        (History.filter
-           (fun e -> Proc.equal (Event.proc e) p)
-           view.Driver.history)
-      = 0
-    in
+    let untouched p = view.Driver.events p = 0 in
     let pruned = ref 0 and invoked = ref false and crashed = ref false in
     let representative seen p =
       if not (untouched p) then true

@@ -259,4 +259,6 @@ val workload_invoke :
   ('inv, 'res) Driver.view ->
   Proc.t ->
   'inv option
-(** Adapt a counting workload to the [invoke] interface. *)
+(** Adapt a counting workload to the [invoke] interface: process [p]'s
+    next invocation is [workload p (view.invocations p)], the count the
+    cursor keeps, so no history is scanned. *)

@@ -20,14 +20,7 @@ let driver ~seed ?(crash_probability = 0.005) ?(stall_probability = 0.2)
         match view.Driver.status p with
         | Runtime.Ready -> Some (Driver.Schedule p)
         | Runtime.Idle -> begin
-            let issued =
-              History.length
-                (History.filter
-                   (fun e ->
-                     Event.is_invocation e && Proc.equal (Event.proc e) p)
-                   view.Driver.history)
-            in
-            match workload p issued with
+            match workload p (view.Driver.invocations p) with
             | Some inv -> Some (Driver.Invoke (p, inv))
             | None -> None
           end

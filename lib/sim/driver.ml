@@ -6,6 +6,8 @@ type ('inv, 'res) view = {
   history : ('inv, 'res) History.t;
   status : Proc.t -> Runtime.status;
   steps : Proc.t -> int;
+  invocations : Proc.t -> int;
+  events : Proc.t -> int;
 }
 
 type ('inv, 'res) decision =
@@ -22,20 +24,13 @@ let forever f : _ workload = fun p _ -> Some (f p)
 
 let n_times n f : _ workload = fun p k -> if k < n then Some (f p k) else None
 
-(* How many invocations process [p] has issued so far in the run. *)
-let invocation_count view p =
-  History.length
-    (History.filter
-       (fun e -> Event.is_invocation e && Proc.equal (Event.proc e) p)
-       view.history)
-
 (* The decision for one candidate process, if any: step it if ready,
    invoke it if idle and the workload has more work. *)
 let eligible workload view p =
   match view.status p with
   | Runtime.Ready -> Some (Schedule p)
   | Runtime.Idle -> begin
-      match workload p (invocation_count view p) with
+      match workload p (view.invocations p) with
       | Some inv -> Some (Invoke (p, inv))
       | None -> None
     end

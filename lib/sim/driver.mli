@@ -23,6 +23,13 @@ type ('inv, 'res) view = {
   history : ('inv, 'res) History.t;
   status : Proc.t -> Runtime.status;
   steps : Proc.t -> int;
+  invocations : Proc.t -> int;
+      (** Invocations process [p] has issued so far: the length of
+          [history]'s invocation events of [p], kept as a counter by
+          the run so that a workload's next index costs O(1). *)
+  events : Proc.t -> int;
+      (** History events of process [p] so far (its invocations,
+          responses and crash): 0 exactly when [p] is untouched. *)
 }
 
 type ('inv, 'res) decision =

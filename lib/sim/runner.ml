@@ -22,6 +22,8 @@ module Cursor = struct
     mutable time : int;
     mutable rev_grants : (int * Proc.t) list;
     step_counts : int array;
+    invocations : int array;  (* per process: invocations recorded *)
+    events : int array;  (* per process: history events recorded *)
     mutable crashed : Proc.Set.t;
     ticks : int ref;
     shadow : Runtime.shadow option;
@@ -32,14 +34,9 @@ module Cursor = struct
 
   let create ~n ~factory ?(ticks = ref 0) ?shadow ?probe ?encode () =
     let registry = Runtime.fresh_registry () in
-    let with_shadow f =
-      match shadow with None -> f () | Some sh -> Runtime.with_shadow sh f
-    in
     (* The factory runs under the shadow too: constructors that touch
        shared cells outside any atomic action should be caught. *)
-    let impl =
-      with_shadow (fun () -> Runtime.with_registry registry (fun () -> factory ~n))
-    in
+    let impl = Runtime.with_registry ?shadow registry (fun () -> factory ~n) in
     {
       n;
       impl;
@@ -50,6 +47,8 @@ module Cursor = struct
       time = 0;
       rev_grants = [];
       step_counts = Array.make (n + 1) 0;
+      invocations = Array.make (n + 1) 0;
+      events = Array.make (n + 1) 0;
       crashed = Proc.Set.empty;
       ticks;
       shadow;
@@ -69,6 +68,8 @@ module Cursor = struct
       history = c.history;
       status = (fun p -> Runtime.status (cell c p));
       steps = (fun p -> c.step_counts.(p));
+      invocations = (fun p -> c.invocations.(p));
+      events = (fun p -> c.events.(p));
     }
 
   let pending c p = Runtime.pending_footprint (cell c p)
@@ -77,6 +78,13 @@ module Cursor = struct
   let record c e =
     c.history <- History.append c.history e;
     c.rev_event_times <- c.time :: c.rev_event_times;
+    (* The per-process counts the view serves, so drivers and engines
+       never rescan the history for them. *)
+    let p = Event.proc e in
+    c.events.(p) <- c.events.(p) + 1;
+    (match e with
+    | Event.Invocation _ -> c.invocations.(p) <- c.invocations.(p) + 1
+    | Event.Response _ | Event.Crash _ -> ());
     (* Incremental history interning: with an [encode] hook installed
        the cursor maintains a single small-int stand-in for the whole
        history — each append maps (previous id, event) to a fresh or
@@ -113,17 +121,9 @@ module Cursor = struct
     c.time <- c.time + 1;
     incr c.ticks
 
-  let with_shadow c f =
-    match c.shadow with None -> f () | Some sh -> Runtime.with_shadow sh f
-
   let apply c d =
-    let body () =
-      with_shadow c (fun () ->
-          Runtime.with_registry c.registry (fun () -> step c d))
-    in
-    match c.probe with
-    | None -> body ()
-    | Some pr -> Runtime.with_probe pr body
+    Runtime.with_registry ?shadow:c.shadow ?probe:c.probe c.registry (fun () ->
+        step c d)
 
   (* Prefix replay: every decision under one registry and shadow
      bracket, outside the probe — engines read the probe only for the
@@ -134,8 +134,8 @@ module Cursor = struct
   let replay c ?hist_id prefix =
     let encode = c.encode in
     if Option.is_some hist_id then c.encode <- None;
-    with_shadow c (fun () ->
-        Runtime.with_registry c.registry (fun () -> List.iter (step c) prefix));
+    Runtime.with_registry ?shadow:c.shadow c.registry (fun () ->
+        List.iter (step c) prefix);
     match hist_id with
     | None -> ()
     | Some id ->

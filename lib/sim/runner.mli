@@ -127,7 +127,11 @@ module Cursor : sig
       the last completed step is retained). *)
 
   val view : ('inv, 'res) t -> ('inv, 'res) Driver.view
-  (** The driver-visible view of the current configuration. *)
+  (** The driver-visible view of the current configuration.  Its
+      per-process [invocations] and [events] counts are counters the
+      cursor bumps on every history append (prefix replay included),
+      not scans of the history, so a workload's next invocation index
+      and the symmetry filter's "untouched" test cost O(1) per node. *)
 
   val pending : ('inv, 'res) t -> Proc.t -> Runtime.footprint option
   (** The declared access footprint of the atomic action process [p] is

@@ -98,8 +98,30 @@ type mask = {
 let empty_mask = { m_opaque = false; m_r = 0; m_w = 0; m_rest = [] }
 let opaque_mask = { m_opaque = true; m_r = 0; m_w = 0; m_rest = [] }
 
+(* The single-access footprints and masks of the bitmask range,
+   built once: slot [2 * obj + write].  Most declarations are one
+   access to a registry-issued object, so a suspension usually
+   allocates neither its footprint nor its mask. *)
+let single_slot obj write = (2 * obj) + if write then 1 else 0
+
+let single_footprints =
+  Array.init (2 * mask_width) (fun i ->
+      Access { obj = i lsr 1; write = i land 1 = 1 })
+
+let single_masks =
+  Array.init (2 * mask_width) (fun i ->
+      let bit = 1 lsl (i lsr 1) in
+      {
+        m_opaque = false;
+        m_r = bit;
+        m_w = (if i land 1 = 1 then bit else 0);
+        m_rest = [];
+      })
+
 let mask_of_footprint = function
   | Opaque -> opaque_mask
+  | Access { obj; write } when obj >= 0 && obj < mask_width ->
+      single_masks.(single_slot obj write)
   | fp ->
       let r = ref 0 and w = ref 0 and rest = ref [] in
       List.iter
@@ -181,42 +203,46 @@ let combine h v = mix64 ((h * 0x100000001b3) lxor v)
    are not traversed — their layout is not plain fields — and fall back
    to the polymorphic hash; fingerprint components never contain
    them. *)
+let rec hash_fold budget h r =
+  decr budget;
+  if !budget < 0 then h
+  else if Obj.is_int r then combine h (Obj.obj r : int)
+  else
+    let t = Obj.tag r in
+    if t <= Obj.last_non_constant_constructor_tag then begin
+      let n = Obj.size r in
+      let h = ref (combine h ((t lsl 16) lxor n)) in
+      for i = 0 to n - 1 do
+        h := hash_fold budget !h (Obj.field r i)
+      done;
+      !h
+    end
+    else if t = Obj.string_tag then begin
+      let s : string = Obj.obj r in
+      let acc = ref (combine h (String.length s)) in
+      String.iter
+        (fun c -> acc := (!acc * 0x100000001b3) lxor Char.code c)
+        s;
+      mix64 !acc
+    end
+    else if t = Obj.double_tag then
+      combine h (Int64.to_int (Int64.bits_of_float (Obj.obj r : float)))
+    else if t = Obj.double_array_tag then begin
+      let a : float array = Obj.obj r in
+      Array.fold_left
+        (fun h f -> combine h (Int64.to_int (Int64.bits_of_float f)))
+        (combine h (Array.length a))
+        a
+    end
+    else combine h (Hashtbl.hash r)
+
 let hash_value v =
-  let budget = ref 1_000_000 in
-  let rec go h r =
-    decr budget;
-    if !budget < 0 then h
-    else if Obj.is_int r then combine h (Obj.obj r : int)
-    else
-      let t = Obj.tag r in
-      if t <= Obj.last_non_constant_constructor_tag then begin
-        let n = Obj.size r in
-        let h = ref (combine h ((t lsl 16) lxor n)) in
-        for i = 0 to n - 1 do
-          h := go !h (Obj.field r i)
-        done;
-        !h
-      end
-      else if t = Obj.string_tag then begin
-        let s : string = Obj.obj r in
-        let acc = ref (combine h (String.length s)) in
-        String.iter
-          (fun c -> acc := (!acc * 0x100000001b3) lxor Char.code c)
-          s;
-        mix64 !acc
-      end
-      else if t = Obj.double_tag then
-        combine h (Int64.to_int (Int64.bits_of_float (Obj.obj r : float)))
-      else if t = Obj.double_array_tag then begin
-        let a : float array = Obj.obj r in
-        Array.fold_left
-          (fun h f -> combine h (Int64.to_int (Int64.bits_of_float f)))
-          (combine h (Array.length a))
-          a
-      end
-      else combine h (Hashtbl.hash r)
-  in
-  mix64 (go 0x811c9dc5 (Obj.repr v))
+  let r = Obj.repr v in
+  (* Immediates (ints, bools, chars, unit, constant constructors — most
+     atomic results) skip the budgeted fold: for them it computes
+     exactly [combine seed v], so the digest is the same. *)
+  if Obj.is_int r then mix64 (combine 0x811c9dc5 (Obj.obj r : int))
+  else mix64 (hash_fold (ref 1_000_000) 0x811c9dc5 r)
 
 (* ------------------------------------------------------------------ *)
 (* Shared-state fingerprint registry.
@@ -253,8 +279,11 @@ let hash_value v =
 (* Per-object storage lives in fixed-size pages, object [id] at slot
    [id land page_mask] of page [id lsr page_bits].  Reserved id blocks
    leave long stretches of ids unused; pages are allocated only where
-   an object registers, so storage follows the objects, not the ids. *)
-let page_bits = 6
+   an object registers, so storage follows the objects, not the ids.
+   Pages hold 16 objects: every cursor builds a fresh instance, which
+   registers only a handful of objects before its first steps, so a
+   small first page is most of what a cursor's registry allocates. *)
+let page_bits = 4
 let page_mask = (1 lsl page_bits) - 1
 
 type page = {
@@ -289,8 +318,102 @@ type registry = {
   mutable next_id : int;  (* first id neither issued nor reserved *)
 }
 
-let current_registry : registry option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+(* ------------------------------------------------------------------ *)
+(* The domain's execution frame: everything the step path consults,
+   behind one domain-local slot.
+
+   It holds the current registry, the installed sanitizer shadow and
+   DPOR probe (see the sections below), and the state of the atomic
+   action in flight.  One [Domain.DLS.get] per grant and per touch
+   reaches all of it.
+
+   The frame also implements nested-atomic composition: an [atomic]/
+   [atomic_access] call made while an atomic action is already
+   executing runs inline (it cannot suspend again — the scheduler is
+   mid-grant) and its declared footprint is folded into the step's
+   effective footprint.
+
+   The touch buffer is a flat array of packed ints — [(obj lsl 1) lor
+   write] — appended to with no allocation; [asr]/[land] recover the
+   access (the encoding is sign-correct for negative orphan ids).
+   Validation against the effective footprint is batched: once at step
+   end, plus a flush at each nested declaration so every buffered touch
+   is judged against the effective footprint in force when it was made
+   (identical verdicts to the old per-touch check, at a fraction of the
+   cost).  A step that begins with neither a shadow nor a probe
+   installed — every step of a prefix replay — is {e inactive}: it
+   records no footprint, buffers no touch and writes no pointer field
+   of the frame, so [enter_step]/[leave_step] are two int stores. *)
+type frame = {
+  mutable fr_registry : registry option;  (* current: [with_registry] *)
+  mutable fr_shadow : shadow option;  (* installed: [with_registry] *)
+  mutable fr_probe : probe option;  (* installed: [with_registry] *)
+  mutable fr_depth : int;  (* nesting depth of in-flight atomic code *)
+  mutable fr_active : bool;  (* the step in flight began under a shadow or probe *)
+  mutable fr_pending : footprint;  (* declared at suspension (POR-visible) *)
+  mutable fr_eff : footprint;  (* pending ∪ nested declarations *)
+  mutable fr_eff_mask : mask;  (* bitmask form of [fr_eff] *)
+  mutable fr_buf : int array;  (* packed touches, program order *)
+  mutable fr_len : int;  (* touches buffered this step *)
+  mutable fr_checked : int;  (* validation watermark into [fr_buf] *)
+}
+
+and shadow = {
+  sh_record : bool;
+  sh_raise : bool;
+  mutable sh_steps : int;
+  mutable sh_log : step_log list;  (* reverse order *)
+  mutable sh_violations : violation list;  (* reverse order *)
+  sh_near : mstat array;  (* by id, for ids in the bitmask range *)
+  sh_far : (int, mstat) Hashtbl.t;  (* ids outside it *)
+  mutable sh_opaque : int;
+}
+
+and step_log = {
+  declared : footprint;
+  effective : footprint;
+  touched : access list;
+}
+
+and violation = {
+  v_kind : violation_kind;
+  v_obj : int;
+  v_write : bool;
+  v_pending : footprint;
+  v_step : int;
+}
+
+and violation_kind = Undeclared_touch | Undeclared_nesting | Outside_atomic
+
+and mstat = {
+  mutable ms_decl : int;
+  mutable ms_touched : int;
+  mutable ms_wdecl : int;
+  mutable ms_wrote : int;
+}
+
+and probe = {
+  mutable pr_steps : int;  (* atomic steps completed under this probe *)
+  mutable pr_eff : footprint;  (* effective footprint of the last step *)
+  mutable pr_touched : access list;  (* its physical touches, in order *)
+  mutable pr_mask : mask;  (* observed mask of the last step *)
+}
+
+let frame_key : frame Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      {
+        fr_registry = None;
+        fr_shadow = None;
+        fr_probe = None;
+        fr_depth = 0;
+        fr_active = false;
+        fr_pending = Opaque;
+        fr_eff = Opaque;
+        fr_eff_mask = opaque_mask;
+        fr_buf = Array.make 64 0;
+        fr_len = 0;
+        fr_checked = 0;
+      })
 
 let fresh_registry () : registry =
   { pages = [| vacant_page |]; dirty = []; digest = 0x811c9dc5; next_id = 1 }
@@ -318,7 +441,7 @@ let issue_ids size =
       scope := Some (id + size, limit);
       id
   | None -> (
-      match !(Domain.DLS.get current_registry) with
+      match (Domain.DLS.get frame_key).fr_registry with
       | Some reg ->
           let id = reg.next_id in
           reg.next_id <- id + size;
@@ -343,7 +466,7 @@ let own_page reg id =
 
 let register_object reader =
   let id = issue_ids 1 in
-  (match !(Domain.DLS.get current_registry) with
+  (match (Domain.DLS.get frame_key).fr_registry with
   | None -> ()
   | Some reg ->
       let p = own_page reg id and i = id land page_mask in
@@ -394,8 +517,8 @@ let in_block blk ~offset f =
    orphans (negative), vacant block slots, or a fixture touching an id
    it never registered — have no contribution to invalidate and are
    skipped. *)
-let mark_written obj =
-  match !(Domain.DLS.get current_registry) with
+let mark_written fr obj =
+  match fr.fr_registry with
   | Some reg when obj >= 1 && obj lsr page_bits < Array.length reg.pages ->
       let p = Array.unsafe_get reg.pages (obj lsr page_bits)
       and i = obj land page_mask in
@@ -405,16 +528,28 @@ let mark_written obj =
       end
   | _ -> ()
 
-let with_registry reg f =
-  let slot = Domain.DLS.get current_registry in
-  let saved = !slot in
-  slot := Some reg;
+(* Put back what [with_registry] replaced: the registry always, the
+   shadow and the probe only where it installed one. *)
+let restore fr reg0 ~shadow sh0 ~probe pr0 =
+  fr.fr_registry <- reg0;
+  if Option.is_some shadow then fr.fr_shadow <- sh0;
+  if Option.is_some probe then fr.fr_probe <- pr0
+
+(* One bracket installs the registry and, when given, the shadow and
+   the probe: the cursor's whole execution context in one frame
+   update. *)
+let with_registry ?shadow ?probe reg f =
+  let fr = Domain.DLS.get frame_key in
+  let reg0 = fr.fr_registry and sh0 = fr.fr_shadow and pr0 = fr.fr_probe in
+  fr.fr_registry <- Some reg;
+  if Option.is_some shadow then fr.fr_shadow <- shadow;
+  if Option.is_some probe then fr.fr_probe <- probe;
   match f () with
   | x ->
-      slot := saved;
+      restore fr reg0 ~shadow sh0 ~probe pr0;
       x
   | exception e ->
-      slot := saved;
+      restore fr reg0 ~shadow sh0 ~probe pr0;
       raise e
 
 let registry_digest (reg : registry) =
@@ -462,92 +597,8 @@ let registry_objects (reg : registry) =
    checks that trust dynamically.  Instrumented base objects report
    every physical cell access through [touch]; the domain-local frame
    tracks the footprint of the atomic action in flight, and an
-   installed shadow records/validates the touches against it.
-
-   The frame is maintained even with no shadow installed, because it
-   also implements nested-atomic composition: an [atomic]/
-   [atomic_access] call made while an atomic action is already
-   executing runs inline (it cannot suspend again — the scheduler is
-   mid-grant) and its declared footprint is folded into the step's
-   effective footprint. *)
-
-(* The touch buffer is a flat array of packed ints — [(obj lsl 1) lor
-   write] — appended to with no allocation; [asr]/[land] recover the
-   access (the encoding is sign-correct for negative orphan ids).
-   Validation against the effective footprint is batched: once at step
-   end, plus a flush at each nested declaration so every buffered touch
-   is judged against the effective footprint in force when it was made
-   (identical verdicts to the old per-touch check, at a fraction of the
-   cost).  The shadow and probe are read from their domain-local slots
-   once per step ([enter_step]) and cached in the frame, so [touch]
-   itself is one domain-local read, two branches and a store. *)
-type frame = {
-  mutable fr_depth : int;  (* nesting depth of in-flight atomic code *)
-  mutable fr_pending : footprint;  (* declared at suspension (POR-visible) *)
-  mutable fr_eff : footprint;  (* pending ∪ nested declarations *)
-  mutable fr_eff_mask : mask;  (* bitmask form of [fr_eff] *)
-  mutable fr_buf : int array;  (* packed touches, program order *)
-  mutable fr_len : int;  (* touches buffered this step *)
-  mutable fr_checked : int;  (* validation watermark into [fr_buf] *)
-  mutable fr_shadow : shadow option;  (* cached for the step in flight *)
-  mutable fr_probe : probe option;  (* cached for the step in flight *)
-  mutable fr_active : bool;  (* shadow or probe installed *)
-}
-
-and shadow = {
-  sh_record : bool;
-  sh_raise : bool;
-  mutable sh_steps : int;
-  mutable sh_log : step_log list;  (* reverse order *)
-  mutable sh_violations : violation list;  (* reverse order *)
-  sh_decls : (int, mstat) Hashtbl.t;
-  mutable sh_opaque : int;
-}
-
-and step_log = {
-  declared : footprint;
-  effective : footprint;
-  touched : access list;
-}
-
-and violation = {
-  v_kind : violation_kind;
-  v_obj : int;
-  v_write : bool;
-  v_pending : footprint;
-  v_step : int;
-}
-
-and violation_kind = Undeclared_touch | Undeclared_nesting | Outside_atomic
-
-and mstat = {
-  mutable ms_decl : int;
-  mutable ms_touched : int;
-  mutable ms_wdecl : int;
-  mutable ms_wrote : int;
-}
-
-and probe = {
-  mutable pr_steps : int;  (* atomic steps completed under this probe *)
-  mutable pr_eff : footprint;  (* effective footprint of the last step *)
-  mutable pr_touched : access list;  (* its physical touches, in order *)
-  mutable pr_mask : mask;  (* observed mask of the last step *)
-}
-
-let frame_key : frame Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        fr_depth = 0;
-        fr_pending = Opaque;
-        fr_eff = Opaque;
-        fr_eff_mask = opaque_mask;
-        fr_buf = Array.make 64 0;
-        fr_len = 0;
-        fr_checked = 0;
-        fr_shadow = None;
-        fr_probe = None;
-        fr_active = false;
-      })
+   installed shadow records/validates the touches against it.  A
+   cursor installs its shadow with [with_registry ~shadow]. *)
 
 exception Shadow_violation of violation
 
@@ -578,6 +629,8 @@ type decl_stat = {
   wrote_steps : int;
 }
 
+let fresh_mstat () = { ms_decl = 0; ms_touched = 0; ms_wdecl = 0; ms_wrote = 0 }
+
 let make_shadow ?(record = false) ?(raise_on_violation = true) () =
   {
     sh_record = record;
@@ -585,24 +638,10 @@ let make_shadow ?(record = false) ?(raise_on_violation = true) () =
     sh_steps = 0;
     sh_log = [];
     sh_violations = [];
-    sh_decls = Hashtbl.create 16;
+    sh_near = Array.init mask_width (fun _ -> fresh_mstat ());
+    sh_far = Hashtbl.create 16;
     sh_opaque = 0;
   }
-
-let current_shadow : shadow option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let with_shadow sh f =
-  let slot = Domain.DLS.get current_shadow in
-  let saved = !slot in
-  slot := Some sh;
-  match f () with
-  | x ->
-      slot := saved;
-      x
-  | exception e ->
-      slot := saved;
-      raise e
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic-conflict probe: the DPOR observed-access recorder.
@@ -619,21 +658,6 @@ let with_shadow sh f =
 
 let make_probe () =
   { pr_steps = 0; pr_eff = of_accesses []; pr_touched = []; pr_mask = empty_mask }
-
-let current_probe : probe option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let with_probe pr f =
-  let slot = Domain.DLS.get current_probe in
-  let saved = !slot in
-  slot := Some pr;
-  match f () with
-  | x ->
-      slot := saved;
-      x
-  | exception e ->
-      slot := saved;
-      raise e
 
 let probe_steps pr = pr.pr_steps
 let probe_last_effective pr = pr.pr_eff
@@ -653,17 +677,22 @@ let shadow_step_count sh = sh.sh_steps
 let shadow_opaque_steps sh = sh.sh_opaque
 
 let shadow_decl_stats sh =
-  Hashtbl.fold
-    (fun obj ms acc ->
-      ( obj,
-        {
-          decl_steps = ms.ms_decl;
-          touched_steps = ms.ms_touched;
-          write_decl_steps = ms.ms_wdecl;
-          wrote_steps = ms.ms_wrote;
-        } )
-      :: acc)
-    sh.sh_decls []
+  let stat obj ms acc =
+    ( obj,
+      {
+        decl_steps = ms.ms_decl;
+        touched_steps = ms.ms_touched;
+        write_decl_steps = ms.ms_wdecl;
+        wrote_steps = ms.ms_wrote;
+      } )
+    :: acc
+  in
+  (* A near slot is an object only once some step declared it. *)
+  let near = ref [] in
+  Array.iteri
+    (fun obj ms -> if ms.ms_decl > 0 then near := stat obj ms !near)
+    sh.sh_near;
+  Hashtbl.fold stat sh.sh_far !near
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let violate sh v =
@@ -679,14 +708,14 @@ let touch ~obj ~write =
   (* Keep the registry's incremental digest exact: every physical
      write invalidates the written object's cached contribution, with
      or without a shadow installed. *)
-  if write then mark_written obj;
   let fr = Domain.DLS.get frame_key in
+  if write then mark_written fr obj;
   if fr.fr_depth = 0 then (
     (* Outside any atomic action: a violation when a shadow judges;
        with only a probe installed there is no step to attribute the
        touch to, so it is dropped (the sanitizer is the layer that
        reports this contract breach). *)
-    match !(Domain.DLS.get current_shadow) with
+    match fr.fr_shadow with
     | Some sh ->
         violate sh
           {
@@ -780,12 +809,14 @@ let rec buffer_has fr ~obj ~write i =
    stats; [tr]/[tw] are the step's touched/written bits. *)
 let note_declared sh fr ~tr ~tw (a : access) =
   let ms =
-    match Hashtbl.find_opt sh.sh_decls a.obj with
-    | Some ms -> ms
-    | None ->
-        let ms = { ms_decl = 0; ms_touched = 0; ms_wdecl = 0; ms_wrote = 0 } in
-        Hashtbl.add sh.sh_decls a.obj ms;
-        ms
+    if a.obj >= 0 && a.obj < mask_width then sh.sh_near.(a.obj)
+    else
+      match Hashtbl.find_opt sh.sh_far a.obj with
+      | Some ms -> ms
+      | None ->
+          let ms = fresh_mstat () in
+          Hashtbl.add sh.sh_far a.obj ms;
+          ms
   in
   let in_mask = a.obj >= 0 && a.obj < mask_width in
   let bit = if in_mask then 1 lsl a.obj else 0 in
@@ -806,82 +837,76 @@ let note_declared sh fr ~tr ~tw (a : access) =
    pending action, [leave_step] when the action's body returns (or
    raises) — crucially {e before} the continuation is resumed, because
    the continuation runs up to the process's next suspension inside
-   the same dynamic extent.  The shadow and probe slots are read once
-   here and cached in the frame for the step's duration. *)
+   the same dynamic extent.  Whether the step is active is decided
+   once, here, from the installed shadow and probe. *)
 let enter_step fr fp fp_mask =
-  let sh = !(Domain.DLS.get current_shadow) in
-  let pr = !(Domain.DLS.get current_probe) in
-  fr.fr_shadow <- sh;
-  fr.fr_probe <- pr;
-  fr.fr_active <- (sh != None || pr != None);
   fr.fr_depth <- 1;
-  fr.fr_pending <- fp;
-  fr.fr_eff <- fp;
-  fr.fr_eff_mask <- fp_mask;
-  fr.fr_len <- 0;
-  fr.fr_checked <- 0
+  match (fr.fr_shadow, fr.fr_probe) with
+  | None, None -> ()
+  | _ ->
+      fr.fr_active <- true;
+      fr.fr_pending <- fp;
+      fr.fr_eff <- fp;
+      fr.fr_eff_mask <- fp_mask;
+      fr.fr_len <- 0;
+      fr.fr_checked <- 0
+
+(* The shadow's end-of-step work: declaration stats, the record-mode
+   log, and batched validation.  Validation runs before the step
+   counter advances, so a violation's [v_step] is the ordinal of the
+   step it occurred in — exactly what the old per-touch check recorded.
+   The counter still advances when a raising shadow aborts the step;
+   the raise is returned, for [leave_step] to re-raise once the frame
+   is reset. *)
+let settle_shadow fr sh =
+  (* Per-object declaration stats from the touched bits: one pair of
+     bit tests per declared access, allocation-free. *)
+  let tr = ref 0 and tw = ref 0 in
+  for i = 0 to fr.fr_len - 1 do
+    let p = fr.fr_buf.(i) in
+    let obj = p asr 1 in
+    if obj >= 0 && obj < mask_width then begin
+      let bit = 1 lsl obj in
+      tr := !tr lor bit;
+      if p land 1 <> 0 then tw := !tw lor bit
+    end
+  done;
+  (match fr.fr_pending with
+  | Opaque -> sh.sh_opaque <- sh.sh_opaque + 1
+  | Access a -> note_declared sh fr ~tr:!tr ~tw:!tw a
+  | Multi decl -> List.iter (note_declared sh fr ~tr:!tr ~tw:!tw) decl);
+  if sh.sh_record then
+    sh.sh_log <-
+      {
+        declared = fr.fr_pending;
+        effective = fr.fr_eff;
+        touched = buffered_touches fr;
+      }
+      :: sh.sh_log;
+  let deferred =
+    match validate_buffer fr sh with () -> None | exception e -> Some e
+  in
+  sh.sh_steps <- sh.sh_steps + 1;
+  deferred
 
 let leave_step fr =
   fr.fr_depth <- 0;
-  (match fr.fr_probe with
-  | None -> ()
-  | Some pr ->
-      pr.pr_steps <- pr.pr_steps + 1;
-      pr.pr_eff <- fr.fr_eff;
-      pr.pr_touched <- buffered_touches fr;
-      pr.pr_mask <- observed_mask_of_buffer fr);
-  (match fr.fr_shadow with
-  | None -> ()
-  | Some sh ->
-      (* Per-object declaration stats from the touched bits: one pair
-         of bit tests per declared access, allocation-free. *)
-      let tr = ref 0 and tw = ref 0 in
-      for i = 0 to fr.fr_len - 1 do
-        let p = fr.fr_buf.(i) in
-        let obj = p asr 1 in
-        if obj >= 0 && obj < mask_width then begin
-          let bit = 1 lsl obj in
-          tr := !tr lor bit;
-          if p land 1 <> 0 then tw := !tw lor bit
-        end
-      done;
-      (match fr.fr_pending with
-      | Opaque -> sh.sh_opaque <- sh.sh_opaque + 1
-      | Access a -> note_declared sh fr ~tr:!tr ~tw:!tw a
-      | Multi decl -> List.iter (note_declared sh fr ~tr:!tr ~tw:!tw) decl);
-      if sh.sh_record then
-        sh.sh_log <-
-          {
-            declared = fr.fr_pending;
-            effective = fr.fr_eff;
-            touched = buffered_touches fr;
-          }
-          :: sh.sh_log;
-      (* Batched validation, before the step counter advances so a
-         violation's [v_step] is the ordinal of the step it occurred
-         in — exactly what the old per-touch check recorded.  The
-         counter still advances when a raising shadow aborts the step,
-         as it did when the raise unwound through this bracket. *)
-      let deferred =
-        match validate_buffer fr sh with
-        | () -> None
-        | exception e -> Some e
-      in
-      sh.sh_steps <- sh.sh_steps + 1;
-      (match deferred with
-      | None -> ()
-      | Some e ->
-          fr.fr_len <- 0;
-          fr.fr_checked <- 0;
-          fr.fr_shadow <- None;
-          fr.fr_probe <- None;
-          fr.fr_active <- false;
-          raise e));
-  fr.fr_len <- 0;
-  fr.fr_checked <- 0;
-  fr.fr_shadow <- None;
-  fr.fr_probe <- None;
-  fr.fr_active <- false
+  if fr.fr_active then begin
+    (match fr.fr_probe with
+    | None -> ()
+    | Some pr ->
+        pr.pr_steps <- pr.pr_steps + 1;
+        pr.pr_eff <- fr.fr_eff;
+        pr.pr_touched <- buffered_touches fr;
+        pr.pr_mask <- observed_mask_of_buffer fr);
+    let deferred =
+      match fr.fr_shadow with None -> None | Some sh -> settle_shadow fr sh
+    in
+    fr.fr_len <- 0;
+    fr.fr_checked <- 0;
+    fr.fr_active <- false;
+    match deferred with None -> () | Some e -> raise e
+  end
 
 (* A nested atomic call: runs inline, folds its declaration into the
    effective footprint, and — under a shadow — checks that the nested
@@ -889,36 +914,39 @@ let leave_step fr =
    explorer decided commutation before the nested call could be
    known).  Touches buffered so far are validated first, against the
    effective footprint they were made under — widening it below must
-   not retroactively legitimize them. *)
+   not retroactively legitimize them.  An inactive step keeps no
+   footprint, so it only counts the depth. *)
 let enter_nested fr fp =
-  (match fr.fr_shadow with
-  | None -> ()
-  | Some sh ->
-      validate_buffer fr sh;
-      if not (covers fr.fr_pending fp) then begin
-        let v_obj, v_write =
-          match accesses fp with
-          | None -> (min_int, true)  (* a nested [atomic]: opaque *)
-          | Some accs -> (
-              match
-                List.find_opt
-                  (fun a -> not (covers fr.fr_pending (Access a)))
-                  accs
-              with
-              | Some a -> (a.obj, a.write)
-              | None -> (min_int, true))
-        in
-        violate sh
-          {
-            v_kind = Undeclared_nesting;
-            v_obj;
-            v_write;
-            v_pending = fr.fr_pending;
-            v_step = sh.sh_steps;
-          }
-      end);
-  fr.fr_eff <- union fr.fr_eff fp;
-  fr.fr_eff_mask <- mask_union fr.fr_eff_mask (mask_of_footprint fp);
+  if fr.fr_active then begin
+    (match fr.fr_shadow with
+    | None -> ()
+    | Some sh ->
+        validate_buffer fr sh;
+        if not (covers fr.fr_pending fp) then begin
+          let v_obj, v_write =
+            match accesses fp with
+            | None -> (min_int, true)  (* a nested [atomic]: opaque *)
+            | Some accs -> (
+                match
+                  List.find_opt
+                    (fun a -> not (covers fr.fr_pending (Access a)))
+                    accs
+                with
+                | Some a -> (a.obj, a.write)
+                | None -> (min_int, true))
+          in
+          violate sh
+            {
+              v_kind = Undeclared_nesting;
+              v_obj;
+              v_write;
+              v_pending = fr.fr_pending;
+              v_step = sh.sh_steps;
+            }
+        end);
+    fr.fr_eff <- union fr.fr_eff fp;
+    fr.fr_eff_mask <- mask_union fr.fr_eff_mask (mask_of_footprint fp)
+  end;
   fr.fr_depth <- fr.fr_depth + 1
 
 let atomic_with fp f =
@@ -936,27 +964,69 @@ let atomic_with fp f =
   else perform (Atomic (fp, f))
 
 let atomic f = atomic_with Opaque f
-let atomic_access ~obj ~write f = atomic_with (Access { obj; write }) f
+
+let atomic_access ~obj ~write f =
+  atomic_with
+    (if obj >= 0 && obj < mask_width then
+       single_footprints.(single_slot obj write)
+     else Access { obj; write })
+    f
 
 (* ------------------------------------------------------------------ *)
 (* Cells.                                                              *)
 
-(* A suspended process is a pair of one-shot closures sharing a [used]
-   flag: [resume] executes the pending atomic action and runs to the
-   next suspension point; [kill] unwinds the computation with
-   [Killed]. *)
-type suspended = {
-  resume : unit -> unit;
-  kill : unit -> unit;
-  pending : footprint;  (* of the atomic action awaiting its grant *)
-  pending_mask : mask;  (* its bitmask, computed once at suspension *)
+(* A suspended process is its slot: the continuation of the pending
+   atomic action, the action itself and its declared footprint.
+   [grant] runs the action and resumes the continuation with its
+   result; [crash] discontinues it with [Killed].  Both clear the slot
+   before touching the continuation, and the slot is the only
+   reference to it, so each continuation is resumed or discontinued at
+   most once with no flag to check, and a suspension allocates nothing
+   beyond the slot. *)
+type slot =
+  | S_idle
+  | S_ready : {
+      k : ('a, unit) continuation;
+      action : unit -> 'a;
+      pending : footprint;  (* of the atomic action awaiting its grant *)
+      pending_mask : mask;  (* its bitmask, computed once at suspension *)
+    }
+      -> slot
+  | S_crashed
+
+(* A cell owns the effect handler its process runs under, built at
+   the cell's first [spawn] and reused by every later one: a process
+   that never invokes costs no handler, and one that invokes many
+   times costs one. *)
+type cell = {
+  mutable slot : slot;
+  mutable obs : int;
+  mutable handler : (unit, unit) handler option;
 }
 
-type slot = S_idle | S_ready of suspended | S_crashed
+let make_cell () = { slot = S_idle; obs = 0x811c9dc5; handler = None }
 
-type cell = { mutable slot : slot; mutable obs : int }
-
-let make_cell () = { slot = S_idle; obs = 0x811c9dc5 }
+let make_handler cell =
+  {
+    retc = (fun () -> cell.slot <- S_idle);
+    exnc =
+      (fun e -> match e with Killed -> cell.slot <- S_crashed | e -> raise e);
+    effc =
+      (fun (type b) (eff : b Effect.t) ->
+        match eff with
+        | Atomic (fp, f) ->
+            Some
+              (fun (k : (b, unit) continuation) ->
+                cell.slot <-
+                  S_ready
+                    {
+                      k;
+                      action = f;
+                      pending = fp;
+                      pending_mask = mask_of_footprint fp;
+                    })
+        | _ -> None);
+  }
 
 let status cell =
   match cell.slot with
@@ -965,86 +1035,66 @@ let status cell =
   | S_crashed -> Crashed
 
 let pending_footprint cell =
-  match cell.slot with S_ready s -> Some s.pending | S_idle | S_crashed -> None
+  match cell.slot with
+  | S_ready { pending; _ } -> Some pending
+  | S_idle | S_crashed -> None
 
 let pending_mask cell =
   match cell.slot with
-  | S_ready s -> Some s.pending_mask
+  | S_ready { pending_mask; _ } -> Some pending_mask
   | S_idle | S_crashed -> None
 
 let obs cell = cell.obs
 
-let handler cell =
-  {
-    retc = (fun () -> cell.slot <- S_idle);
-    exnc =
-      (fun e ->
-        match e with Killed -> cell.slot <- S_crashed | e -> raise e);
-    effc =
-      (fun (type b) (eff : b Effect.t) ->
-        match eff with
-        | Atomic (fp, f) ->
-            Some
-              (fun (k : (b, unit) continuation) ->
-                let used = ref false in
-                let fp_mask = mask_of_footprint fp in
-                let resume () =
-                  if !used then invalid_arg "Runtime: continuation reused";
-                  used := true;
-                  (* Bracket the action body — not the continuation:
-                     [continue k v] below runs the process up to its
-                     next suspension inside this call, and that code
-                     is between atomic steps (local by contract). *)
-                  let fr = Domain.DLS.get frame_key in
-                  enter_step fr fp fp_mask;
-                  let v =
-                    match f () with
-                    | v ->
-                        leave_step fr;
-                        v
-                    | exception e ->
-                        leave_step fr;
-                        raise e
-                  in
-                  (* The local state of the process after this step is a
-                     deterministic function of its invocations (recorded
-                     in the history) and the results of its atomic
-                     actions; folding the result hashes gives an
-                     observation digest that stands in for the opaque
-                     continuation when fingerprinting configurations. *)
-                  cell.obs <- combine cell.obs (hash_value v);
-                  continue k v
-                in
-                let kill () =
-                  if not !used then begin
-                    used := true;
-                    try discontinue k Killed with Killed -> ()
-                  end
-                in
-                cell.slot <-
-                  S_ready { resume; kill; pending = fp; pending_mask = fp_mask })
-        | _ -> None);
-  }
-
 let spawn cell comp =
   match cell.slot with
-  | S_idle -> match_with comp () (handler cell)
+  | S_idle ->
+      let h =
+        match cell.handler with
+        | Some h -> h
+        | None ->
+            let h = make_handler cell in
+            cell.handler <- Some h;
+            h
+      in
+      match_with comp () h
   | S_ready _ | S_crashed -> invalid_arg "Runtime.spawn: process not idle"
 
 let grant cell =
   match cell.slot with
-  | S_ready s ->
+  | S_ready { k; action; pending; pending_mask } ->
       (* The suspension will be replaced by the handler when the
          computation next suspends (or by [retc]/[exnc] when it
          finishes), so clear it first to catch reentrancy bugs. *)
       cell.slot <- S_idle;
-      s.resume ()
+      (* Bracket the action body — not the continuation: [continue k v]
+         below runs the process up to its next suspension inside this
+         call, and that code is between atomic steps (local by
+         contract). *)
+      let fr = Domain.DLS.get frame_key in
+      enter_step fr pending pending_mask;
+      let v =
+        match action () with
+        | v ->
+            leave_step fr;
+            v
+        | exception e ->
+            leave_step fr;
+            raise e
+      in
+      (* The local state of the process after this step is a
+         deterministic function of its invocations (recorded in the
+         history) and the results of its atomic actions; folding the
+         result hashes gives an observation digest that stands in for
+         the opaque continuation when fingerprinting configurations. *)
+      cell.obs <- combine cell.obs (hash_value v);
+      continue k v
   | S_idle | S_crashed -> invalid_arg "Runtime.grant: process not ready"
 
 let crash cell =
   match cell.slot with
-  | S_ready s ->
+  | S_ready { k; _ } -> (
       cell.slot <- S_crashed;
-      s.kill ()
+      try discontinue k Killed with Killed -> ())
   | S_idle -> cell.slot <- S_crashed
   | S_crashed -> ()

@@ -141,9 +141,9 @@ val mask_covers : mask -> obj:int -> write:bool -> bool
     POR and the transposition cache trust declared footprints; a
     {e shadow} checks that trust dynamically.  Instrumented base
     objects ({!Slx_base_objects}) report every physical cell access
-    through {!touch}; while a shadow is installed ({!with_shadow}),
-    every touch is validated against the footprint of the atomic
-    action in flight.  Validation is {e batched}: touches accumulate
+    through {!touch}; while a shadow is installed
+    ({!with_registry} [~shadow]), every touch is validated against the
+    footprint of the atomic action in flight.  Validation is {e batched}: touches accumulate
     in a flat per-step buffer of packed ints and are checked once at
     step end (plus a flush at every nested atomic declaration), so
     each touch is judged against the effective footprint in force when
@@ -165,9 +165,10 @@ val mask_covers : mask -> obj:int -> write:bool -> bool
     consumed by the happens-before certifier {!Slx_analysis.Hb}.
 
     With no shadow or probe installed, {!touch} is one domain-local
-    read and two branches — engines not sanitizing pay essentially
-    nothing; with one installed it is the same read plus one packed
-    store into the step buffer. *)
+    read and two branches, and a grant records no footprint — engines
+    not sanitizing, and every prefix replay, pay essentially nothing;
+    with one installed a touch is the same read plus one packed store
+    into the step buffer. *)
 
 type violation_kind =
   | Undeclared_touch
@@ -209,11 +210,6 @@ val make_shadow : ?record:bool -> ?raise_on_violation:bool -> unit -> shadow
     counted and listed (the mode engines use, so sanitizing changes no
     outcome). *)
 
-val with_shadow : shadow -> (unit -> 'a) -> 'a
-(** [with_shadow sh f] runs [f] with [sh] installed as the current
-    (domain-local) shadow, restoring the previous one afterwards,
-    exceptions included. *)
-
 val touch : obj:int -> write:bool -> unit
 (** Called by instrumented base-object primitives at every physical
     cell access.  No-op unless a shadow or a probe is installed. *)
@@ -226,9 +222,10 @@ val touch : obj:int -> write:bool -> unit
     configuration — rather than from declared footprints alone.  A
     probe records, per completed atomic step, the step's effective
     footprint and its {!touch}es; unlike the shadow it validates
-    nothing and never raises.  Install one per engine
-    with {!with_probe} (or [Runner.Cursor.with_ ~probe]); after each
-    [Schedule] grant the engine reads the last step's observation. *)
+    nothing and never raises.  Install one per engine with
+    {!with_registry} [~probe] (or [Runner.Cursor.with_ ~probe]); after
+    each [Schedule] grant the engine reads the last step's
+    observation. *)
 
 type probe
 
@@ -236,11 +233,6 @@ val make_probe : unit -> probe
 (** A fresh probe.  Until a step completes under it,
     {!probe_last_observed} is the empty footprint and
     {!probe_steps} is 0. *)
-
-val with_probe : probe -> (unit -> 'a) -> 'a
-(** [with_probe pr f] runs [f] with [pr] installed as the current
-    (domain-local) probe, restoring the previous one afterwards,
-    exceptions included. *)
 
 val probe_steps : probe -> int
 (** Atomic steps completed under the probe so far — lets an engine
@@ -315,7 +307,14 @@ type status =
   | Ready    (** Suspended at an atomic step, waiting for a grant. *)
   | Crashed  (** Crashed; will never take another step. *)
 
-(** A handle on one process's suspended computation. *)
+(** A handle on one process's suspended computation.  A [Ready] cell
+    holds the continuation of its pending atomic action together with
+    the action itself and its footprint, with no closures around them:
+    {!grant} and {!crash} clear the slot before resuming or
+    discontinuing the continuation, which is how each continuation is
+    used at most once.  The effect handler the process runs under
+    belongs to the cell, built at its first {!spawn} and reused by
+    every later one. *)
 type cell
 
 val make_cell : unit -> cell
@@ -382,10 +381,15 @@ type registry
 
 val fresh_registry : unit -> registry
 
-val with_registry : registry -> (unit -> 'a) -> 'a
+val with_registry :
+  ?shadow:shadow -> ?probe:probe -> registry -> (unit -> 'a) -> 'a
 (** [with_registry reg f] runs [f] with [reg] as the current registry
-    (restoring the previous one afterwards, exceptions included).  The
-    current registry is domain-local. *)
+    and, when given, [shadow] and [probe] installed as the current
+    sanitizer shadow and DPOR probe (an omitted one leaves the current
+    one in place).  Everything it installed is restored afterwards,
+    exceptions included.  All three live in one domain-local frame
+    with the state of the atomic step in flight, so a grant or a
+    {!touch} reaches them with one domain-local read. *)
 
 val register_object : (unit -> int) -> int
 (** Called by base-object constructors: adds a reader returning a hash
@@ -464,4 +468,7 @@ val hash_value : 'a -> int
     float bit pattern through {!mix64}.  Unlike the polymorphic
     [Hashtbl.hash] (which samples a bounded number of nodes and
     silently truncates deep values) this hash sees the whole value, so
-    two configurations collide only with 64-bit-hash probability. *)
+    two configurations collide only with 64-bit-hash probability.  An
+    immediate (an int, bool, char, unit or constant constructor, as
+    most atomic results are) is hashed without the traversal, to the
+    digest the traversal gives it. *)

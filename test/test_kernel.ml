@@ -1,0 +1,344 @@
+(* The simulator kernel's shortcuts must be invisible.
+
+   - The cursor's per-process invocation and event counters, which the
+     driver view serves in place of history scans, equal those scans at
+     every node of small exhaustive walks (register, cas and selfish
+     consensus, TM I(1,2) with crashes, n = 2..4), and at every node
+     the reduced engine asks for an invocation.
+   - [Runtime.hash_value]'s fast path for immediates yields the digest
+     the deep fold defines, so no observation or registry digest moves.
+   - [Clock_cache] under its one-pass key hash: lookups agree with a
+     structural reference table, keys differing in one position are
+     distinct entries, and a bounded cache evicts exactly as the clock
+     policy does. *)
+
+open Slx_history
+open Slx_sim
+open Slx_core
+open Slx_consensus
+open Support
+
+(* ------------------------------------------------------------------ *)
+(* The view's counters against the scans they replace.                 *)
+
+let scan_invocations view p =
+  History.length
+    (History.filter
+       (fun e -> Event.is_invocation e && Proc.equal (Event.proc e) p)
+       view.Driver.history)
+
+let scan_events view p =
+  History.length
+    (History.filter (fun e -> Proc.equal (Event.proc e) p) view.Driver.history)
+
+(* Whether every process's counters equal the scans. *)
+let counters_agree view =
+  List.for_all
+    (fun p ->
+      view.Driver.invocations p = scan_invocations view p
+      && view.Driver.events p = scan_events view p)
+    (Proc.all ~n:view.Driver.n)
+
+(* Workloads whose next invocation is computed from the scans, so the
+   tree walked does not depend on the counters under test. *)
+let proposals view p =
+  if scan_invocations view p >= 1 then None
+  else Some (Consensus_type.Propose (p - 1))
+
+let tm_ops ~cap view p =
+  if scan_invocations view p >= cap then None
+  else Some (Slx_tm.Tm_workload.next_invocation view p)
+
+(* The decisions at [view]: grant a ready process, invoke an idle one
+   the workload still feeds, crash a live one while the budget lasts. *)
+let menu ~invoke ~budget view =
+  let procs = Proc.all ~n:view.Driver.n in
+  List.filter_map
+    (fun p ->
+      match view.Driver.status p with
+      | Runtime.Ready -> Some (Driver.Schedule p)
+      | Runtime.Idle ->
+          Option.map (fun inv -> Driver.Invoke (p, inv)) (invoke view p)
+      | Runtime.Crashed -> None)
+    procs
+  @
+  if budget > 0 then
+    List.filter_map
+      (fun p ->
+        if view.Driver.status p = Runtime.Crashed then None
+        else Some (Driver.Crash p))
+      procs
+  else []
+
+(* Every node of the depth-bounded decision tree, each reached by
+   replaying its parent's prefix and applying its own last decision, so
+   the counters are checked on both paths a cursor takes.  Returns the
+   nodes visited and the scripts of the nodes whose counters disagree. *)
+let walk ~n ~factory ~invoke ~depth ~crashes =
+  let nodes = ref 0 and bad = ref [] in
+  let rec visit rev_script budget =
+    let parent, last =
+      match rev_script with
+      | [] -> ([], None)
+      | d :: rest -> (List.rev rest, Some d)
+    in
+    let children =
+      Runner.Cursor.with_ ~n ~factory:(factory ()) ~prefix:parent (fun c ->
+          Option.iter (Runner.Cursor.apply c) last;
+          incr nodes;
+          let view = Runner.Cursor.view c in
+          if not (counters_agree view) then bad := List.rev rev_script :: !bad;
+          if List.length rev_script >= depth then []
+          else menu ~invoke ~budget view)
+    in
+    List.iter
+      (fun d ->
+        visit (d :: rev_script)
+          (match d with Driver.Crash _ -> budget - 1 | _ -> budget))
+      children
+  in
+  visit [] crashes;
+  (!nodes, List.length !bad)
+
+let consensus_cases =
+  [
+    ("register", fun () -> Register_consensus.factory ~max_rounds:8 ());
+    ("cas", fun () -> Cas_consensus.factory ());
+    ("selfish", fun () -> Selfish_consensus.factory ());
+  ]
+
+let test_counters_every_node () =
+  let check name (nodes, bad) =
+    check_int (name ^ ": counters equal the history scans") 0 bad;
+    check_bool
+      (Printf.sprintf "%s: walked %d nodes" name nodes)
+      true (nodes > 1)
+  in
+  List.iter
+    (fun (impl, factory) ->
+      List.iter
+        (fun (n, depth, crashes) ->
+          check
+            (Printf.sprintf "%s n=%d d=%d c=%d" impl n depth crashes)
+            (walk ~n ~factory ~invoke:proposals ~depth ~crashes))
+        [ (2, 7, 1); (3, 5, 1); (4, 4, 0) ])
+    consensus_cases;
+  List.iter
+    (fun (n, depth) ->
+      check
+        (Printf.sprintf "tm I12 n=%d d=%d c=1" n depth)
+        (walk ~n
+           ~factory:(fun () -> Slx_tm.I12.factory ~vars:1)
+           ~invoke:(tm_ops ~cap:2) ~depth ~crashes:1))
+    [ (2, 7); (3, 5) ]
+
+(* The reduced engine's own views: every [invoke] call the cached
+   DPOR + symmetry explorer makes sees counters equal to the scans. *)
+let test_counters_in_engine () =
+  List.iter
+    (fun (impl, factory) ->
+      List.iter
+        (fun n ->
+          let calls = ref 0 and bad = ref 0 in
+          let invoke view p =
+            incr calls;
+            if not (counters_agree view) then incr bad;
+            proposals view p
+          in
+          ignore
+            (Explore.explore ~n ~factory ~invoke ~depth:8 ~max_crashes:1
+               ~dpor:true ~symmetry:true
+               ~check:(fun _ -> true)
+               ());
+          let name = Printf.sprintf "%s n=%d" impl n in
+          check_int (name ^ ": engine views agree with the scans") 0 !bad;
+          check_bool (name ^ ": invoke was consulted") true (!calls > 0))
+        [ 2; 3 ])
+    consensus_cases
+
+(* ------------------------------------------------------------------ *)
+(* hash_value on immediates.                                            *)
+
+(* The deep fold's digest of an immediate [v]: one FNV multiply-xor of
+   [v] into the seed, mixed, then the final mix. *)
+let fold_of_immediate v =
+  Runtime.mix64 (Runtime.mix64 ((0x811c9dc5 * 0x100000001b3) lxor v))
+
+type colour = Red | Green | Blue
+
+let immediates_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun i -> (Obj.repr i, i)) int;
+        map (fun i -> (Obj.repr i, i)) (oneofl [ 0; -1; max_int; min_int ]);
+        map (fun b -> (Obj.repr b, Bool.to_int b)) bool;
+        map (fun c -> (Obj.repr c, Char.code c)) char;
+        return (Obj.repr (), 0);
+        map
+          (fun c -> (Obj.repr c, match c with Red -> 0 | Green -> 1 | Blue -> 2))
+          (oneofl [ Red; Green; Blue ]);
+        return (Obj.repr (None : int option), 0);
+      ])
+
+let qcheck_hash_value_immediates =
+  QCheck2.Test.make ~count:1000
+    ~name:"hash_value on immediates = the deep fold's digest"
+    immediates_gen
+    (fun (r, v) -> Runtime.hash_value r = fold_of_immediate v)
+
+(* Digests recorded from the deep fold before the immediate fast path
+   existed: immediates and blocks alike must keep them, or every stored
+   observation digest would move. *)
+let test_hash_value_pins () =
+  List.iter
+    (fun (name, got, expected) -> check_int ("hash_value " ^ name) expected got)
+    [
+      ("0", Runtime.hash_value 0, 3732281030105584126);
+      ("1", Runtime.hash_value 1, 4196674364873478129);
+      ("-1", Runtime.hash_value (-1), 2913409079390206313);
+      ("max_int", Runtime.hash_value max_int, -522637360658887429);
+      ("min_int", Runtime.hash_value min_int, 1148700963280182988);
+      ("true", Runtime.hash_value true, 4196674364873478129);
+      ("'a'", Runtime.hash_value 'a', -194383017376282159);
+      ("()", Runtime.hash_value (), 3732281030105584126);
+      ("Blue", Runtime.hash_value Blue, -1076997517333555431);
+      ("Some 3", Runtime.hash_value (Some 3), 3234432858661802881);
+      ("(1, \"a\")", Runtime.hash_value (1, "a"), -3274582422433584158);
+      ("[1; 2; 3]", Runtime.hash_value [ 1; 2; 3 ], -1660838982608031536);
+      ("\"slx\"", Runtime.hash_value "slx", 1273696944968031609);
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Clock_cache under the one-pass hash.                                *)
+
+let key_gen =
+  QCheck2.Gen.(
+    map Array.of_list (list_size (int_range 1 40) (int_range (-4) 4)))
+
+(* A replace/find sequence over a small key pool, so keys recur. *)
+let ops_gen =
+  QCheck2.Gen.(
+    let* pool = list_size (int_range 1 12) key_gen in
+    let pool = Array.of_list pool in
+    list_size (int_range 1 200)
+      (map2
+         (fun i v -> (pool.(i mod Array.length pool), v))
+         (int_range 0 1000) (int_range (-1) 50)))
+
+(* [v < 0] looks the key up; otherwise it is replaced with [v]. *)
+let qcheck_cache_matches_reference =
+  QCheck2.Test.make ~count:300
+    ~name:"Clock_cache: find_opt after replace = a structural Hashtbl"
+    ops_gen
+    (fun ops ->
+      let cache = Clock_cache.create () and reference = Hashtbl.create 16 in
+      List.for_all
+        (fun (k, v) ->
+          if v < 0 then
+            Clock_cache.find_opt cache (Array.copy k)
+            = Hashtbl.find_opt reference k
+          else begin
+            Clock_cache.replace cache (Array.copy k) v;
+            Hashtbl.replace reference k v;
+            Clock_cache.length cache = Hashtbl.length reference
+          end)
+        ops)
+
+let qcheck_cache_single_position =
+  QCheck2.Test.make ~count:500
+    ~name:"Clock_cache: keys differing in one position are distinct"
+    QCheck2.Gen.(triple key_gen (int_range 0 39) (int_range 1 1_000_000))
+    (fun (k, i, delta) ->
+      let i = i mod Array.length k in
+      let k' = Array.copy k in
+      k'.(i) <- k.(i) + delta;
+      let cache = Clock_cache.create () in
+      Clock_cache.replace cache k 1;
+      Clock_cache.replace cache k' 2;
+      Clock_cache.length cache = 2
+      && Clock_cache.find_opt cache (Array.copy k) = Some 1
+      && Clock_cache.find_opt cache (Array.copy k') = Some 2)
+
+(* The clock (second-chance) policy, restated over a plain ring: a hit
+   sets the entry's bit, an update keeps it, and an insert into a full
+   ring sweeps from the hand, clearing set bits, and evicts the first
+   clear entry. *)
+let clock_reference ~capacity ops =
+  let ring = Array.make capacity None and hand = ref 0 and size = ref 0 in
+  let evictions = ref 0 in
+  let find k =
+    let rec go i =
+      if i >= capacity then None
+      else
+        match ring.(i) with
+        | Some (k', _, _) when k' = k -> Some i
+        | _ -> go (i + 1)
+    in
+    go 0
+  in
+  List.iter
+    (fun (k, v) ->
+      match find k with
+      | Some i ->
+          let _, old, bit = Option.get ring.(i) in
+          ring.(i) <-
+            (if v < 0 then Some (k, old, true) else Some (k, v, bit))
+      | None when v < 0 -> ()
+      | None ->
+          let slot =
+            if !size < capacity then !size
+            else begin
+              let rec sweep () =
+                match ring.(!hand) with
+                | Some (k', x, true) ->
+                    ring.(!hand) <- Some (k', x, false);
+                    hand := (!hand + 1) mod capacity;
+                    sweep ()
+                | _ ->
+                    let s = !hand in
+                    incr evictions;
+                    decr size;
+                    hand := (s + 1) mod capacity;
+                    s
+              in
+              sweep ()
+            end
+          in
+          ring.(slot) <- Some (k, v, false);
+          incr size)
+    ops;
+  !evictions
+
+let qcheck_cache_clock_evictions =
+  QCheck2.Test.make ~count:300
+    ~name:"Clock_cache: bounded evictions = the clock policy's"
+    QCheck2.Gen.(pair (int_range 1 6) ops_gen)
+    (fun (capacity, ops) ->
+      let cache = Clock_cache.create ~capacity () in
+      List.iter
+        (fun (k, v) ->
+          if v < 0 then ignore (Clock_cache.find_opt cache (Array.copy k))
+          else Clock_cache.replace cache (Array.copy k) v)
+        ops;
+      Clock_cache.evictions cache = clock_reference ~capacity ops
+      && Clock_cache.length cache <= capacity)
+
+let suites =
+  [
+    ( "kernel",
+      [
+        quick "view counters = history scans at every node"
+          test_counters_every_node;
+        quick "view counters = history scans in the reduced engine"
+          test_counters_in_engine;
+        quick "hash_value keeps the deep fold's digests" test_hash_value_pins;
+      ]
+      @ qcheck
+          [
+            qcheck_hash_value_immediates;
+            qcheck_cache_matches_reference;
+            qcheck_cache_single_position;
+            qcheck_cache_clock_evictions;
+          ] );
+  ]

@@ -572,12 +572,19 @@ let test_tm_workload_transitions () =
   (* Build driver views by hand and check next_invocation walks the
      canonical transaction program. *)
   let view_of events : (Tm_type.invocation, Tm_type.response) Driver.view =
+    let history = h_of events in
+    let count keep p =
+      History.length
+        (History.filter (fun e -> keep e && Event.proc e = p) history)
+    in
     {
       Driver.time = 0;
       n = 1;
-      history = h_of events;
+      history;
       status = (fun _ -> Slx_sim.Runtime.Idle);
       steps = (fun _ -> 0);
+      invocations = count Event.is_invocation;
+      events = count (fun _ -> true);
     }
   in
   let next events = Tm_workload.next_invocation (view_of events) 1 in
