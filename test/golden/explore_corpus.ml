@@ -1,0 +1,101 @@
+(* The safety half of the golden verdict corpus.  For every
+   configuration of the grid
+     impl    ∈ {cas, register, selfish}
+     depth   ∈ {8, 10}
+     crashes ∈ {0, 1, 2}
+     flags   ∈ {none, --no-dpor, --no-symmetry, --cache-capacity 50,
+                --sanitize, --naive, --no-cache}
+   (126 in all) it runs the query exactly as `slx explore` does, in
+   process, and prints the command line followed by the verdict and,
+   for a counterexample, the failing history and the witness script.
+   Counters (nodes, runs, steps, cache hits) are deliberately left
+   out: a reduction may change how many representatives it visits,
+   never which verdict or which least witness it reports. *)
+
+open Slx_core
+open Slx_serve
+
+let impls = [ "cas"; "register"; "selfish" ]
+let depths = [ 8; 10 ]
+let crash_bounds = [ 0; 1; 2 ]
+
+type flags = {
+  label : string;
+  dpor : bool;
+  symmetry : bool;
+  cache : bool;
+  capacity : int option;
+  sanitize : bool;
+  naive : bool;
+}
+
+let plain =
+  {
+    label = "";
+    dpor = true;
+    symmetry = true;
+    cache = true;
+    capacity = None;
+    sanitize = false;
+    naive = false;
+  }
+
+let flag_sets =
+  [
+    plain;
+    { plain with label = " --no-dpor"; dpor = false };
+    { plain with label = " --no-symmetry"; symmetry = false };
+    { plain with label = " --cache-capacity 50"; capacity = Some 50 };
+    { plain with label = " --sanitize"; sanitize = true };
+    { plain with label = " --naive"; naive = true };
+    { plain with label = " --no-cache"; cache = false };
+  ]
+
+let answer sp f =
+  if f.naive then
+    Explore.explore_naive ~n:sp.Queries.sp_n ~factory:(Queries.factory sp)
+      ~invoke:Queries.safety_invoke ~depth:sp.sp_depth
+      ~max_crashes:sp.sp_crashes ~check:Queries.check ()
+  else
+    match
+      Queries.run ~cache:f.cache ?capacity:f.capacity ~sanitize:f.sanitize sp
+    with
+    | Queries.Safety e, _ -> e
+    | Queries.Live _, _ -> assert false
+
+let print_verdict (e : _ Explore.exploration) =
+  match e.Explore.outcome with
+  | Explore.Ok _ -> print_endline "  ok"
+  | Explore.Counterexample r ->
+      Format.printf "  counterexample: %a@."
+        Slx_consensus.Consensus_type.pp_history
+        r.Slx_sim.Run_report.history;
+      let script =
+        Option.fold ~none:"(none)"
+          ~some:(fun ds -> String.concat " " (List.map Queries.dec_string ds))
+          e.Explore.witness_script
+      in
+      Printf.printf "  witness script: %s\n" script
+
+let () =
+  List.iter
+    (fun impl ->
+      List.iter
+        (fun depth ->
+          List.iter
+            (fun crashes ->
+              List.iter
+                (fun f ->
+                  Printf.printf "slx explore --impl %s --depth %d --crashes %d%s\n"
+                    impl depth crashes f.label;
+                  match
+                    Queries.make ~kind:`Explore ~impl ~property:"" ~n:2 ~depth
+                      ~crashes ~max_period:None ~pump:None ~dpor:f.dpor
+                      ~symmetry:f.symmetry ~invoke_order:false
+                  with
+                  | Error e -> Printf.printf "  error: %s\n" e
+                  | Ok sp -> print_verdict (answer sp f))
+                flag_sets)
+            crash_bounds)
+        depths)
+    impls

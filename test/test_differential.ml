@@ -348,6 +348,167 @@ let test_explorers_agree_on_counterexample () =
             ~cache_capacity:16 ~check () );
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Reduction coverage under crashes.  A reduced engine explores one
+   representative per equivalence class, so it cannot be compared with
+   naive on the run multiset.  What it owes is coverage: for every
+   maximal run naive visits, the reduced engine (DPOR on, cache off,
+   so every explored run reaches the check) visits a run with the same
+   per-process projections whose operation-precedence relation
+   contains the naive run's.  A safety check that is a function of the
+   projections and monotone in precedence then fails on the
+   representative whenever it fails on the naive run.  Symmetry stays
+   off: its representatives are renamings, and a renaming changes the
+   projections these checks compare. *)
+
+let projections ~n h =
+  List.map (fun p -> History.to_list (History.project h p)) (Proc.all ~n)
+
+(* Operation-precedence pairs, each operation named by its process and
+   its ordinal among that process's operations, sorted. *)
+let precedence h =
+  let seen = Hashtbl.create 8 in
+  let named =
+    List.map
+      (fun o ->
+        let k = Option.value (Hashtbl.find_opt seen o.Op.proc) ~default:0 in
+        Hashtbl.replace seen o.Op.proc (k + 1);
+        ((o.Op.proc, k), o))
+      (Op.of_history h)
+  in
+  List.concat_map
+    (fun (a, o) ->
+      List.filter_map
+        (fun (b, o') -> if Op.precedes o o' then Some (a, b) else None)
+        named)
+    named
+  |> List.sort_uniq compare
+
+let rec sorted_subset xs ys =
+  match (xs, ys) with
+  | [], _ -> true
+  | _ :: _, [] -> false
+  | x :: xs', y :: ys' ->
+      let c = compare x y in
+      if c = 0 then sorted_subset xs' ys'
+      else if c > 0 then sorted_subset xs ys'
+      else false
+
+(* The number of distinct naive final histories no reduced run covers. *)
+let uncovered ~n ~factory ~invoke ~depth ~max_crashes =
+  let collect tbl r =
+    let h = r.Run_report.history in
+    Hashtbl.replace tbl (History.to_list h) h;
+    true
+  in
+  let naive = Hashtbl.create 1024 and reduced = Hashtbl.create 1024 in
+  ignore
+    (Explore.explore_naive ~n ~factory ~invoke ~depth ~max_crashes
+       ~check:(collect naive) ());
+  ignore
+    (Explore.explore ~n ~factory ~invoke ~depth ~max_crashes ~cache:false
+       ~dpor:true ~check:(collect reduced) ());
+  let by_proj = Hashtbl.create 1024 in
+  Hashtbl.iter
+    (fun _ h -> Hashtbl.add by_proj (projections ~n h) (precedence h))
+    reduced;
+  Hashtbl.fold
+    (fun _ h missed ->
+      let prec = precedence h in
+      if
+        List.exists (sorted_subset prec)
+          (Hashtbl.find_all by_proj (projections ~n h))
+      then missed
+      else missed + 1)
+    naive 0
+
+let two_proposals =
+  Explore.workload_invoke
+    (Driver.n_times 2 (fun p _ -> Slx_consensus.Consensus_type.Propose (p - 1)))
+
+let test_reduction_covers_naive_under_crashes () =
+  let consensus name factory invoke ~n ~depth ~max_crashes =
+    ( Printf.sprintf "%s n=%d c=%d d=%d" name n max_crashes depth,
+      fun () -> uncovered ~n ~factory ~invoke ~depth ~max_crashes )
+  in
+  let tm name factory ~depth =
+    ( Printf.sprintf "%s n=2 c=1 d=%d" name depth,
+      fun () ->
+        uncovered ~n:2 ~factory ~invoke:one_txn ~depth ~max_crashes:1 )
+  in
+  let cas () = Slx_consensus.Cas_consensus.factory () in
+  let register () = Slx_consensus.Register_consensus.factory () in
+  List.iter
+    (fun (name, run) -> check_int (name ^ ": uncovered naive runs") 0 (run ()))
+    [
+      consensus "cas" cas one_proposal ~n:2 ~depth:7 ~max_crashes:1;
+      consensus "cas" cas one_proposal ~n:3 ~depth:8 ~max_crashes:2;
+      consensus "cas, two proposals each" cas two_proposals ~n:2 ~depth:9
+        ~max_crashes:2;
+      consensus "register" register one_proposal ~n:2 ~depth:9 ~max_crashes:1;
+      consensus "register" register one_proposal ~n:3 ~depth:8 ~max_crashes:1;
+      tm "agp-tm" (fun () -> Agp_tm.factory ~vars:1) ~depth:7;
+      tm "tl2-tm" Tl2_tm.factory ~depth:6;
+    ]
+
+(* Witnesses that need a crash wherever it falls: the check fails once
+   some process has crashed and another has received a response, a
+   property of the per-process projections alone.  The least failing run must come out the same
+   from naive, from DPOR with the cache off and on, and from DPOR
+   under a bounded cache.  Symmetry is left out for the reason given
+   above: its witness is the least renaming, not the least run. *)
+let crashed_and_answered r =
+  let h = r.Run_report.history in
+  let crashed = History.crashed h in
+  Proc.Set.is_empty crashed
+  || not
+       (List.exists
+          (fun e -> Event.is_response e && not (Proc.Set.mem (Event.proc e) crashed))
+          (History.to_list h))
+
+let test_crash_witnesses_agree () =
+  List.iter
+    (fun (impl, factory, n, depth) ->
+      let name = Printf.sprintf "%s n=%d d=%d" impl n depth in
+      let check = crashed_and_answered in
+      let witness e =
+        match (e.Explore.outcome, e.Explore.witness_script) with
+        | Explore.Counterexample r, Some script ->
+            ( Explore.codes_of_script script,
+              Slx_sim.Runtime.hash_value r.Run_report.history )
+        | _ -> Alcotest.fail (name ^ ": expected a counterexample")
+      in
+      let explore ?cache ?cache_capacity () =
+        Explore.explore ~n ~factory ~invoke:one_proposal ~depth ~max_crashes:1
+          ?cache ?cache_capacity ~dpor:true ~check ()
+      in
+      let reference =
+        witness
+          (Explore.explore_naive ~n ~factory ~invoke:one_proposal ~depth
+             ~max_crashes:1 ~check ())
+      in
+      check_bool (name ^ ": the witness holds a crash") true
+        (List.exists (fun c -> c land 3 = 2) (fst reference));
+      List.iter
+        (fun (engine, run) ->
+          check_bool
+            (name ^ ": " ^ engine ^ " matches the naive witness")
+            true
+            (witness (run ()) = reference))
+        [
+          ("dpor, cache off", fun () -> explore ~cache:false ());
+          ("dpor, cache on", fun () -> explore ());
+          ("dpor, bounded cache", fun () -> explore ~cache_capacity:16 ());
+        ])
+    (let cas () = Slx_consensus.Cas_consensus.factory () in
+     let register () = Slx_consensus.Register_consensus.factory () in
+     [
+       ("cas", cas, 2, 8);
+       ("cas", cas, 3, 8);
+       ("register", register, 2, 10);
+       ("register", register, 3, 12);
+     ])
+
 let suites =
   [
     ( "differential",
@@ -361,5 +522,8 @@ let suites =
         quick "TM run set" test_explorers_agree_tm;
         quick "TM run set, crashes" test_explorers_agree_tm_crashes;
         quick "counterexample equivalence" test_explorers_agree_on_counterexample;
+        quick "reduction covers naive under crashes"
+          test_reduction_covers_naive_under_crashes;
+        quick "crash witnesses agree" test_crash_witnesses_agree;
       ] );
   ]
