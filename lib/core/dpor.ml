@@ -35,18 +35,32 @@ let wakes_mask ~observed ~pending =
   | None -> true
   | Some m -> not (Runtime.masks_commute observed m)
 
-(* Advance a sleep set across an executed decision: crashes perturb
-   every frozen continuation's future (the crash event is visible to
-   all), so they wake everyone (not counted as reversals); invocations
-   touch only the invoker's local state and commute with any pending
-   step; a schedule keeps exactly the sleepers whose pending masks
-   commute with the step's observed mask, and returns the woken ones —
-   the race reversals — second. *)
+(* The safety explorer's sleep-set entries, as signed ints: [p] for a
+   slept [Schedule p], [-p] for a slept [Crash p].  Process ids are
+   positive, so the two kinds never alias, and a sorted list of entries
+   is a canonical transposition-key tail. *)
+let sleeper = function
+  | Driver.Schedule p -> Some p
+  | Driver.Crash p -> Some (-p)
+  | Driver.Invoke _ | Driver.Stop -> None
+
+(* Advance a sleep set across an executed decision of process [p]:
+   - a crash of [p] touches only [p]'s cell and appends an event that
+     is neither an invocation nor a response, so it keeps every other
+     process's entries and drops [p]'s own (both are disabled now);
+   - an invocation by [p] touches only [p]'s local state: it commutes
+     with any pending step and wakes only a slept [Crash p];
+   - a step of [p] keeps exactly the slept steps whose pending masks
+     commute with its observed mask, and every slept crash but [p]'s.
+   The woken entries — the race reversals — come second. *)
 let advance_mask ~observed ~pending sleep d =
   match d with
-  | Driver.Crash _ -> ([], [])
-  | Driver.Invoke _ | Driver.Stop -> (sleep, [])
-  | Driver.Schedule _ ->
+  | Driver.Crash p -> (List.filter (fun z -> abs z <> p) sleep, [])
+  | Driver.Invoke (p, _) -> List.partition (fun z -> z <> -p) sleep
+  | Driver.Stop -> (sleep, [])
+  | Driver.Schedule p ->
       List.partition
-        (fun z -> not (wakes_mask ~observed ~pending:(pending z)))
+        (fun z ->
+          if z < 0 then z <> -p
+          else not (wakes_mask ~observed ~pending:(pending z)))
         sleep

@@ -1,4 +1,3 @@
-open Slx_history
 open Slx_sim
 module Telemetry = Slx_obs.Telemetry
 module Obs = Slx_obs.Obs
@@ -162,15 +161,10 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
         ~pending:(fun z -> Runner.Cursor.pending_mask cursor z)
         candidate d
     in
-    (match woken with
-    | [] -> ()
-    | _ -> (
-        match d with
-        | Driver.Schedule _ ->
-            st.reversals <- st.reversals + List.length woken;
-            Telemetry.emit st.sink Telemetry.Race_reversal len
-              (List.length woken)
-        | _ -> ()));
+    if woken <> [] then begin
+      st.reversals <- st.reversals + List.length woken;
+      Telemetry.emit st.sink Telemetry.Race_reversal len (List.length woken)
+    end;
     keep
   in
   (* Walk the subtree rooted at the configuration [cursor] sits on
@@ -182,8 +176,8 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
   let rec visit cursor rev_script len crashes sleep =
     Search.node st len @@ fun () ->
     (* The sleep set is sorted (children inherit a [sort_uniq]ed set,
-       which [Dpor.advance_mask] filters in order), so its ids are a
-       canonical key tail. *)
+       which [Dpor.advance_mask] filters in order), so its
+       {!Dpor.sleeper} entries are a canonical key tail. *)
     let key =
       match st.table with
       | None -> None
@@ -208,17 +202,17 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
         match decisions with
         | [] -> check_leaf st ~check ~key cursor rev_script len
         | _ -> begin
-            (* Sleep-set filter: a slept process's pending step
-               commutes with every step taken since it went to sleep,
-               so granting it here would reproduce, step-swapped, a run
-               already explored from an earlier sibling. *)
+            (* Sleep-set filter: a slept step or crash commutes with
+               every decision taken since it went to sleep, so taking
+               it here would reproduce, reordered, a run already
+               explored from an earlier sibling. *)
             let asleep, active =
               if sleep <> [] then
                 List.partition
                   (fun d ->
-                    match d with
-                    | Driver.Schedule p -> List.mem p sleep
-                    | _ -> false)
+                    match Dpor.sleeper d with
+                    | Some z -> List.mem z sleep
+                    | None -> false)
                   decisions
               else ([], decisions)
             in
@@ -235,15 +229,19 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
             | _ ->
                 let runs0 = st.runs and digest0 = st.digest in
                 (* Children, each with its candidate sleep set: every
-                   explored earlier sibling falls asleep for the later
-                   ones, and [settle_sleep] wakes the racers from the
-                   accesses [d] actually performed. *)
+                   explored earlier step or crash falls asleep for the
+                   later siblings (a crash child included), and
+                   [settle_sleep] wakes the racers from the accesses
+                   [d] actually performed. *)
                 let children =
                   if not dpor then List.map (fun d -> (d, [])) active
                   else
                     Search.sleep_sets
-                      ~add:(fun p prev ->
-                        List.sort_uniq Proc.compare (p :: prev))
+                      ~add:(fun d prev ->
+                        match Dpor.sleeper d with
+                        | Some z -> List.sort_uniq Int.compare (z :: prev)
+                        | None -> prev)
+                      ~crash_child:(fun _ prev -> prev)
                       sleep active
                 in
                 Search.children st cursor ~rev_script ~len

@@ -52,10 +52,13 @@
       ({!Slx_sim.Runtime.footprints_commute}) with the accesses another
       step actually performed reaches the same configuration in either
       order; sleep sets explore one representative interleaving per
-      such commutation class.  The representative's history can differ
-      from a pruned run's by swaps of adjacent response events of
+      such commutation class.  A crash commutes with every decision of
+      another process (it writes no shared state), so crashes sleep
+      too.  The representative's history can differ from a pruned
+      run's by swaps of adjacent response or crash events of
       different processes, so [check] must be invariant under that
-      (every history-level check in this repository is).
+      (every history-level check in this repository is: each reads
+      only per-process projections and operation precedence).
     - {e symmetry} (default off): requires the instance to be
       process-symmetric — all processes run the same [invoke] program
       and [check] is invariant under renaming processes (composed with

@@ -367,7 +367,11 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
               if not dpor then List.map (fun d -> (d, [])) active
               else
                 Search.sleep_sets
-                  ~add:(fun p prev -> (p, 0) :: List.remove_assoc p prev)
+                  ~add:(fun d prev ->
+                    match d with
+                    | Driver.Schedule p -> (p, 0) :: List.remove_assoc p prev
+                    | _ -> prev)
+                  ~crash_child:(fun _ _ -> [])
                   sleep active
             in
             (* Every child starts from this node's history. *)

@@ -203,12 +203,13 @@ let menu ~invoke ~depth ~max_crashes view len crashes =
     else []
   end
 
-let sleep_sets ~add sleep decisions =
+let sleep_sets ~add ~crash_child sleep decisions =
   List.fold_left
     (fun (acc, prev) d ->
-      let child_sleep = match d with Driver.Crash _ -> [] | _ -> prev in
-      let prev = match d with Driver.Schedule p -> add p prev | _ -> prev in
-      ((d, child_sleep) :: acc, prev))
+      let child_sleep =
+        match d with Driver.Crash p -> crash_child p prev | _ -> prev
+      in
+      ((d, child_sleep) :: acc, add d prev))
     ([], sleep) decisions
   |> fst |> List.rev
 

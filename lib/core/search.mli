@@ -137,15 +137,18 @@ val menu :
     The explorers' reductions (symmetry, [invoke_order]) filter it. *)
 
 val sleep_sets :
-  add:(Proc.t -> 's list -> 's list) ->
+  add:(('inv, 'res) Driver.decision -> 's list -> 's list) ->
+  crash_child:(Proc.t -> 's list -> 's list) ->
   's list ->
   ('inv, 'res) Driver.decision list ->
   (('inv, 'res) Driver.decision * 's list) list
-(** [sleep_sets ~add sleep decisions] pairs each child decision with
-    its candidate DPOR sleep set: the node's [sleep] plus every earlier
-    sibling's scheduled process, added with [add].  A crash child gets
-    the empty set — a crash perturbs every process's view of the
-    crashed one. *)
+(** [sleep_sets ~add ~crash_child sleep decisions] pairs each child
+    decision with its candidate DPOR sleep set: the node's [sleep] plus
+    what every earlier sibling put to sleep ([add d] adds sibling [d]'s
+    entry, if it has one).  A [Crash p] child gets [crash_child p] of
+    that set instead: the safety explorer keeps it whole, since a crash
+    commutes with every other process's decisions, while the live
+    search empties it. *)
 
 val crashes_after : int -> ('inv, 'res) Driver.decision -> int
 (** The crash count after a decision. *)

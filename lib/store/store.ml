@@ -33,7 +33,7 @@ let format_version = 2
    semantics change — a stored verdict is only as good as the
    engine that would reproduce it.  The OCaml version rides along
    because history digests go through the runtime's value hashing. *)
-let engine_version = Printf.sprintf "slx-engine-11+ocaml-%s" Sys.ocaml_version
+let engine_version = Printf.sprintf "slx-engine-12+ocaml-%s" Sys.ocaml_version
 
 let magic = "SLXSTOR1"
 

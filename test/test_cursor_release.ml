@@ -159,23 +159,26 @@ let pinned =
       "runs=12056 nodes=1091 steps_executed=5342 steps_replayed=4252 \
          cache_hits=366 history_digest=4281660246409360189 witness=[none]" );
     ( "register n=2 depth=12 c=1 dpor+symmetry",
-      "runs=197 nodes=477 steps_executed=2045 steps_replayed=1569 \
-         cache_hits=121 history_digest=2275089341820367456 witness=[none]" );
+      "runs=69 nodes=349 steps_executed=1917 steps_replayed=1569 \
+         cache_hits=0 history_digest=4452130094320982677 witness=[none]" );
     ( "register n=2 depth=12 c=1 dpor",
-      "runs=851 nodes=1083 steps_executed=4973 steps_replayed=3891 \
-         cache_hits=333 history_digest=1228134150341533242 witness=[none]" );
+      "runs=311 nodes=826 steps_executed=4716 steps_replayed=3891 \
+         cache_hits=91 history_digest=3276332110028291663 \
+         witness=[none]" );
     ( "register n=3 depth=10 c=1 dpor",
-      "runs=22253 nodes=13002 steps_executed=67616 steps_replayed=54615 \
-         cache_hits=4512 history_digest=1185516990485747586 witness=[none]" );
+      "runs=6977 nodes=8779 steps_executed=48075 steps_replayed=39297 \
+         cache_hits=1797 history_digest=2846995713835979246 \
+         witness=[none]" );
     ( "register n=3 depth=12 c=1 dpor+symmetry",
-      "runs=3371 nodes=3724 steps_executed=20725 steps_replayed=17002 \
-         cache_hits=980 history_digest=114583864289440043 witness=[none]" );
+      "runs=707 nodes=2264 steps_executed=13305 steps_replayed=11042 \
+         cache_hits=0 history_digest=3947491270665909954 witness=[none]" );
     ( "cas n=3 depth=10 c=1 incremental",
       "runs=19740 nodes=9238 steps_executed=36690 steps_replayed=27453 \
          cache_hits=1800 history_digest=92538121459553355 witness=[none]" );
     ( "cas n=3 depth=12 c=1 dpor",
-      "runs=5628 nodes=7798 steps_executed=30071 steps_replayed=22274 \
-         cache_hits=1513 history_digest=3963148168097614869 witness=[none]" );
+      "runs=1590 nodes=4888 steps_executed=23179 steps_replayed=18292 \
+         cache_hits=621 history_digest=3274065331907428302 \
+         witness=[none]" );
     ( "selfish n=3 depth=8 c=0 incremental",
       "runs=1 nodes=4 steps_executed=3 steps_replayed=0 cache_hits=0 \
          history_digest=1507557541948699408 witness=[5 9 13]" );
@@ -187,9 +190,9 @@ let pinned =
          cache_hits=93 history_digest=-985492335719341250 witness=[5 9 8 8 \
          8 8 8 8 8 8]" );
     ( "register n=3 depth=12 c=1 dpor, p1 responds first",
-      "runs=7527 nodes=6485 steps_executed=40177 steps_replayed=33693 \
-         cache_hits=2025 history_digest=901000425845494936 witness=[5 9 8 8 \
-         8 8 8 8 8 8 8 8]" );
+      "runs=2018 nodes=4174 steps_executed=27688 steps_replayed=23515 \
+         cache_hits=500 history_digest=-255977358599148210 witness=[5 9 \
+         8 8 8 8 8 8 8 8 8 8]" );
     ( "cas n=3 depth=10 c=1 incremental, p1 responds first",
       "runs=455 nodes=461 steps_executed=1781 steps_replayed=1321 \
          cache_hits=87 history_digest=-98425659240458076 witness=[5 4 9 8 8 \
@@ -198,8 +201,9 @@ let pinned =
       "runs=766 nodes=1515 steps_executed=10686 steps_replayed=10686 \
          cache_hits=0 history_digest=-1491201430012651329 witness=[none]" );
     ( "cas n=3 depth=10 c=1 dpor",
-      "runs=5628 nodes=7798 steps_executed=30071 steps_replayed=22274 \
-         cache_hits=1513 history_digest=3963148168097614869 witness=[none]" );
+      "runs=1590 nodes=4888 steps_executed=23179 steps_replayed=18292 \
+         cache_hits=621 history_digest=3274065331907428302 \
+         witness=[none]" );
     ( "live (1,1) n=2 depth=8 c=1",
       "no_fair_cycle nodes=1515 runs=766 steps_executed=9658 \
          steps_replayed=4614 cache_hits=0" );
