@@ -241,7 +241,7 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                         match Dpor.sleeper d with
                         | Some z -> List.sort_uniq Int.compare (z :: prev)
                         | None -> prev)
-                      ~crash_child:(fun _ prev -> prev)
+                      ~crash_child:Fun.id
                       sleep active
                 in
                 Search.children st cursor ~rev_script ~len

@@ -371,7 +371,7 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
                     match d with
                     | Driver.Schedule p -> (p, 0) :: List.remove_assoc p prev
                     | _ -> prev)
-                  ~crash_child:(fun _ _ -> [])
+                  ~crash_child:(fun _ -> [])
                   sleep active
             in
             (* Every child starts from this node's history. *)

@@ -207,7 +207,7 @@ let sleep_sets ~add ~crash_child sleep decisions =
   List.fold_left
     (fun (acc, prev) d ->
       let child_sleep =
-        match d with Driver.Crash p -> crash_child p prev | _ -> prev
+        match d with Driver.Crash _ -> crash_child prev | _ -> prev
       in
       ((d, child_sleep) :: acc, add d prev))
     ([], sleep) decisions

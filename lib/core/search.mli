@@ -138,15 +138,15 @@ val menu :
 
 val sleep_sets :
   add:(('inv, 'res) Driver.decision -> 's list -> 's list) ->
-  crash_child:(Proc.t -> 's list -> 's list) ->
+  crash_child:('s list -> 's list) ->
   's list ->
   ('inv, 'res) Driver.decision list ->
   (('inv, 'res) Driver.decision * 's list) list
 (** [sleep_sets ~add ~crash_child sleep decisions] pairs each child
     decision with its candidate DPOR sleep set: the node's [sleep] plus
     what every earlier sibling put to sleep ([add d] adds sibling [d]'s
-    entry, if it has one).  A [Crash p] child gets [crash_child p] of
-    that set instead: the safety explorer keeps it whole, since a crash
+    entry, if it has one).  A crash child gets [crash_child] of that
+    set instead: the safety explorer keeps it whole, since a crash
     commutes with every other process's decisions, while the live
     search empties it. *)
 
