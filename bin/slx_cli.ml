@@ -715,9 +715,9 @@ let stats_cmd =
         Printf.printf "  dropped:  %d corrupt frame(s)\n"
           h.Vstore.h_records_dropped;
       Printf.printf
-        "  counters: %d queries, %d warm, %d cold, %d rejected\n"
+        "  counters: %d queries, %d warm, %d cold, %d rejected, %d refused\n"
         c.Vstore.c_queries c.Vstore.c_warm_hits c.Vstore.c_colds
-        c.Vstore.c_rejected;
+        c.Vstore.c_rejected c.Vstore.c_refused;
       Printf.printf "  records:  %d\n" (List.length records);
       List.iter
         (fun (r : Vstore.record) ->

@@ -404,7 +404,7 @@ let stats_json t =
      %d, \"timeouts\": %d, \"workers\": %d, \"workers_busy\": %d, \
      \"worker_hwm_kb\": [%s], \
      \"store\": {\"path\": %s, \"records\": %d, \"queries\": %d, \
-     \"warm_hits\": %d, \"colds\": %d, \"rejected\": %d, \
+     \"warm_hits\": %d, \"colds\": %d, \"rejected\": %d, \"refused\": %d, \
      \"created\": %b, \"invalidated\": %s, \
      \"records_dropped\": %d}}"
     (t.next_query - 1) active t.dedup_hits t.re_leases t.timeouts
@@ -412,6 +412,7 @@ let stats_json t =
     (json_string (Store.path t.store))
     (List.length (Store.records t.store))
     c.Store.c_queries c.Store.c_warm_hits c.Store.c_colds c.Store.c_rejected
+    c.Store.c_refused
     h.Store.h_created
     (match h.Store.h_invalidated with
     | None -> "null"

@@ -19,7 +19,10 @@ type counters = {
   c_warm_hits : int;
   c_colds : int;
   c_rejected : int;
+  c_refused : int;
 }
+
+type refusal = { rf_qid : int; rf_depth : int; rf_bytes : int }
 
 type health = {
   h_created : bool;
@@ -27,7 +30,7 @@ type health = {
   h_records_dropped : int;
 }
 
-let format_version = 2
+let format_version = 3
 
 (* Bump the engine tag whenever menus, reductions or fingerprint
    semantics change — a stored verdict is only as good as the
@@ -38,7 +41,7 @@ let engine_version = Printf.sprintf "slx-engine-12+ocaml-%s" Sys.ocaml_version
 let magic = "SLXSTOR1"
 
 let zero_counters =
-  { c_queries = 0; c_warm_hits = 0; c_colds = 0; c_rejected = 0 }
+  { c_queries = 0; c_warm_hits = 0; c_colds = 0; c_rejected = 0; c_refused = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* CRC32 (IEEE 802.3, table-driven) and digesting.                     *)
@@ -94,8 +97,8 @@ let record_to_string r =
   Buffer.contents b
 
 let counters_payload c =
-  Printf.sprintf "C %d %d %d %d" c.c_queries c.c_warm_hits c.c_colds
-    c.c_rejected
+  Printf.sprintf "C %d %d %d %d %d" c.c_queries c.c_warm_hits c.c_colds
+    c.c_rejected c.c_refused
 
 let header_payload ~engine_version =
   Printf.sprintf "H %d %s" format_version engine_version
@@ -158,12 +161,13 @@ let record_of_string s =
 
 let parse_counters payload =
   match tokens payload with
-  | [ "C"; q; w; c; x ] ->
+  | [ "C"; q; w; c; x; r ] ->
       {
         c_queries = int_tok q;
         c_warm_hits = int_tok w;
         c_colds = int_tok c;
         c_rejected = int_tok x;
+        c_refused = int_tok r;
       }
   | _ -> raise Malformed
 
@@ -189,12 +193,14 @@ let add_frame b payload =
 
 (* The sane upper bound on one frame: the largest record is a witness
    or lasso of at most [depth] small int codes, so a larger length
-   field means a corrupted frame, not a big record. *)
+   field means a corrupted frame, not a big record.  The writer holds
+   itself to the same bound ({!add}). *)
 let max_frame = 1 lsl 26
 
 type t = {
   t_path : string;
   t_engine_version : string;
+  t_max_frame : int;
   mutable t_records : record list;  (* newest first *)
   mutable t_counters : counters;
   t_health : health;
@@ -203,7 +209,7 @@ type t = {
 (* Walk the frames of [data] after the magic.  Returns the payloads in
    file order plus the number of frames dropped (CRC mismatch: skip
    the frame, keep framing; truncation/insane length: stop). *)
-let read_frames data =
+let read_frames ~max_frame data =
   let len = String.length data in
   let dropped = ref 0 in
   let rec go off acc =
@@ -240,11 +246,12 @@ let read_file path =
 
 let same_slot a b = a.r_qid = b.r_qid && a.r_depth = b.r_depth
 
-let open_ ?engine_version:(ev = engine_version) path =
+let open_ ?engine_version:(ev = engine_version) ?(max_frame = max_frame) path =
   if not (Sys.file_exists path) then
     {
       t_path = path;
       t_engine_version = ev;
+      t_max_frame = max_frame;
       t_records = [];
       t_counters = zero_counters;
       t_health =
@@ -256,6 +263,7 @@ let open_ ?engine_version:(ev = engine_version) path =
       {
         t_path = path;
         t_engine_version = ev;
+        t_max_frame = max_frame;
         t_records = [];
         t_counters = zero_counters;
         t_health =
@@ -275,7 +283,7 @@ let open_ ?engine_version:(ev = engine_version) path =
         String.sub data (String.length magic)
           (String.length data - String.length magic)
       in
-      let payloads, dropped = read_frames body in
+      let payloads, dropped = read_frames ~max_frame body in
       match payloads with
       | [] -> fresh "missing header"
       | header :: rest -> (
@@ -314,6 +322,7 @@ let open_ ?engine_version:(ev = engine_version) path =
                 {
                   t_path = path;
                   t_engine_version = ev;
+                  t_max_frame = max_frame;
                   t_records = !records;
                   t_counters = !counters;
                   t_health =
@@ -335,8 +344,19 @@ let records t = List.rev t.t_records
 let find t ~qid ~depth =
   List.find_opt (fun r -> r.r_qid = qid && r.r_depth = depth) t.t_records
 
+(* A record whose frame would exceed the bound is refused here, so
+   {!commit} never writes a frame the next {!open_} would read as
+   damage (and stop at, losing every later record with it). *)
 let add t r =
-  t.t_records <- r :: List.filter (fun o -> not (same_slot o r)) t.t_records
+  let bytes = String.length (record_to_string r) in
+  if bytes > t.t_max_frame then begin
+    t.t_counters <- { t.t_counters with c_refused = t.t_counters.c_refused + 1 };
+    Error { rf_qid = r.r_qid; rf_depth = r.r_depth; rf_bytes = bytes }
+  end
+  else begin
+    t.t_records <- r :: List.filter (fun o -> not (same_slot o r)) t.t_records;
+    Ok ()
+  end
 
 let bump t event =
   let c = t.t_counters in

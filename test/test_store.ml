@@ -30,6 +30,12 @@ let temp_store () =
   at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
   path
 
+(* [Store.add] on a record the test expects to fit the frame bound. *)
+let add st r =
+  match Store.add st r with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "record refused"
+
 let show_script pp_inv ds =
   String.concat ";"
     (List.map
@@ -89,7 +95,7 @@ let sample_records =
 
 let populate path =
   let st = Store.open_ path in
-  List.iter (Store.add st) sample_records;
+  List.iter (add st) sample_records;
   Store.bump st `Query;
   Store.bump st `Cold;
   Store.bump st `Query;
@@ -235,7 +241,7 @@ let test_engine_mismatch () =
   Alcotest.(check int) "no stale verdicts cross an engine change" 0
     (List.length (Store.records st));
   (* The next commit under the new engine re-founds the file. *)
-  Store.add st (List.hd sample_records);
+  add st (List.hd sample_records);
   Store.commit st;
   let st' = Store.open_ ~engine_version:"slx-engine-bogus" path in
   check_bool "re-founded store is clean" true
@@ -270,7 +276,7 @@ let test_engine_mismatch () =
     ((Store.health old).Store.h_invalidated <> None);
   Alcotest.(check int) "no record crosses a format change" 0
     (List.length (Store.records old));
-  Store.add old (List.hd sample_records);
+  add old (List.hd sample_records);
   Store.commit old;
   let reopened = Store.open_ path in
   check_bool "the next commit overwrites it in the current format" true
@@ -299,8 +305,7 @@ let test_qid_binds_flags () =
   (* A mismatched qid is a store miss, not a wrong answer. *)
   let path = temp_store () in
   let st = Store.open_ path in
-  Store.add st
-    { (List.hd sample_records) with Store.r_qid = q0; r_depth = 5 };
+  add st { (List.hd sample_records) with Store.r_qid = q0; r_depth = 5 };
   check_bool "exact qid hits" true (Store.find st ~qid:q0 ~depth:5 <> None);
   check_bool "flag-variant qid misses" true
     (Store.find st ~qid:(base ~dpor:true ()) ~depth:5 = None)
@@ -319,9 +324,9 @@ let test_supersede () =
       r_verdict = verdict;
     }
   in
-  Store.add st (mk 4 (Store.V_ok 1));
-  Store.add st (mk 5 (Store.V_counterexample [ 1 ]));
-  Store.add st (mk 4 (Store.V_ok 9));
+  add st (mk 4 (Store.V_ok 1));
+  add st (mk 5 (Store.V_counterexample [ 1 ]));
+  add st (mk 4 (Store.V_ok 9));
   Store.commit st;
   let st = Store.open_ path in
   (match Store.find st ~qid:7 ~depth:4 with
@@ -331,6 +336,45 @@ let test_supersede () =
 
 (* ------------------------------------------------------------------ *)
 (* Persist policy on the consensus engines.                            *)
+
+(* The writer keeps the reader's frame bound: a record whose frame
+   would exceed it is refused with a structured error and counted,
+   instead of being written as a frame the next open reads as damage
+   (stopping there, so every later record would be lost too).  The
+   bound is lowered to 64 bytes here; the shipped one is 64 MiB. *)
+let test_oversized_record_refused () =
+  let path = temp_store () in
+  let st = Store.open_ ~max_frame:64 path in
+  let mk qid codes =
+    {
+      Store.r_qid = qid;
+      r_depth = 8;
+      r_max_period = 0;
+      r_pump_ticks = 0;
+      r_runs = 0;
+      r_steps = 1;
+      r_verdict = Store.V_counterexample codes;
+    }
+  in
+  add st (mk 1 [ 5; 9 ]);
+  let big = mk 2 (List.init 40 (fun i -> i)) in
+  (match Store.add st big with
+  | Error { Store.rf_qid = 2; rf_depth = 8; rf_bytes } ->
+      check_bool "the refusal names the frame size" true
+        (rf_bytes = String.length (Store.record_to_string big) && rf_bytes > 64)
+  | Error _ -> Alcotest.fail "the refusal names another record"
+  | Ok () -> Alcotest.fail "an oversized record was accepted");
+  check_bool "a refused record is not held" true
+    (Store.find st ~qid:2 ~depth:8 = None);
+  add st (mk 3 [ 4 ]);
+  Store.commit st;
+  let st = Store.open_ ~max_frame:64 path in
+  check_bool "no frame is read as damage" true
+    ((Store.health st).Store.h_records_dropped = 0);
+  Alcotest.(check (list int)) "the records around the refusal survive" [ 1; 3 ]
+    (List.map (fun r -> r.Store.r_qid) (Store.records st));
+  Alcotest.(check int) "the refusal is counted" 1
+    (Store.counters st).Store.c_refused
 
 let cas_factory () = Slx_consensus.Cas_consensus.factory ()
 let selfish_factory () = Slx_consensus.Selfish_consensus.factory ()
@@ -732,6 +776,8 @@ let suites =
         Alcotest.test_case "qid binds flags and registry" `Quick
           test_qid_binds_flags;
         Alcotest.test_case "supersede" `Quick test_supersede;
+        Alcotest.test_case "oversized record refused" `Quick
+          test_oversized_record_refused;
       ] );
     ( "store.persist",
       [
