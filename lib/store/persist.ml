@@ -112,10 +112,8 @@ let warm store ~qid ~depth ~max_period ~pump_ticks served =
          bounded claim, so a cold miss. *)
       None
 
-(* A refused record ([Store.add]'s frame bound) is counted by the store
-   and simply not saved: the answer itself stands. *)
 let save store record =
-  ignore (Store.add store record : (unit, Store.refusal) result);
+  Store.add store record;
   Store.bump store `Cold;
   Store.commit store
 

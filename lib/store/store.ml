@@ -22,8 +22,6 @@ type counters = {
   c_refused : int;
 }
 
-type refusal = { rf_qid : int; rf_depth : int; rf_bytes : int }
-
 type health = {
   h_created : bool;
   h_invalidated : string option;
@@ -194,13 +192,12 @@ let add_frame b payload =
 (* The sane upper bound on one frame: the largest record is a witness
    or lasso of at most [depth] small int codes, so a larger length
    field means a corrupted frame, not a big record.  The writer holds
-   itself to the same bound ({!add}). *)
+   itself to the same bound ({!encode}). *)
 let max_frame = 1 lsl 26
 
 type t = {
   t_path : string;
   t_engine_version : string;
-  t_max_frame : int;
   mutable t_records : record list;  (* newest first *)
   mutable t_counters : counters;
   t_health : health;
@@ -209,7 +206,7 @@ type t = {
 (* Walk the frames of [data] after the magic.  Returns the payloads in
    file order plus the number of frames dropped (CRC mismatch: skip
    the frame, keep framing; truncation/insane length: stop). *)
-let read_frames ~max_frame data =
+let read_frames data =
   let len = String.length data in
   let dropped = ref 0 in
   let rec go off acc =
@@ -246,12 +243,11 @@ let read_file path =
 
 let same_slot a b = a.r_qid = b.r_qid && a.r_depth = b.r_depth
 
-let open_ ?engine_version:(ev = engine_version) ?(max_frame = max_frame) path =
+let open_ ?engine_version:(ev = engine_version) path =
   if not (Sys.file_exists path) then
     {
       t_path = path;
       t_engine_version = ev;
-      t_max_frame = max_frame;
       t_records = [];
       t_counters = zero_counters;
       t_health =
@@ -263,7 +259,6 @@ let open_ ?engine_version:(ev = engine_version) ?(max_frame = max_frame) path =
       {
         t_path = path;
         t_engine_version = ev;
-        t_max_frame = max_frame;
         t_records = [];
         t_counters = zero_counters;
         t_health =
@@ -283,7 +278,7 @@ let open_ ?engine_version:(ev = engine_version) ?(max_frame = max_frame) path =
         String.sub data (String.length magic)
           (String.length data - String.length magic)
       in
-      let payloads, dropped = read_frames ~max_frame body in
+      let payloads, dropped = read_frames body in
       match payloads with
       | [] -> fresh "missing header"
       | header :: rest -> (
@@ -322,7 +317,6 @@ let open_ ?engine_version:(ev = engine_version) ?(max_frame = max_frame) path =
                 {
                   t_path = path;
                   t_engine_version = ev;
-                  t_max_frame = max_frame;
                   t_records = !records;
                   t_counters = !counters;
                   t_health =
@@ -344,19 +338,8 @@ let records t = List.rev t.t_records
 let find t ~qid ~depth =
   List.find_opt (fun r -> r.r_qid = qid && r.r_depth = depth) t.t_records
 
-(* A record whose frame would exceed the bound is refused here, so
-   {!commit} never writes a frame the next {!open_} would read as
-   damage (and stop at, losing every later record with it). *)
 let add t r =
-  let bytes = String.length (record_to_string r) in
-  if bytes > t.t_max_frame then begin
-    t.t_counters <- { t.t_counters with c_refused = t.t_counters.c_refused + 1 };
-    Error { rf_qid = r.r_qid; rf_depth = r.r_depth; rf_bytes = bytes }
-  end
-  else begin
-    t.t_records <- r :: List.filter (fun o -> not (same_slot o r)) t.t_records;
-    Ok ()
-  end
+  t.t_records <- r :: List.filter (fun o -> not (same_slot o r)) t.t_records
 
 let bump t event =
   let c = t.t_counters in
@@ -369,15 +352,34 @@ let bump t event =
 
 let counters t = t.t_counters
 
-let commit t =
+(* A record whose frame would exceed the bound is left out and
+   counted, so no frame is written that the next {!open_} would read
+   as damage (and stop at, losing every later record with it). *)
+let encode ~max_frame ~engine_version counters records =
+  let payloads = List.map (fun r -> (r, record_to_string r)) records in
+  let kept, refused =
+    List.partition (fun (_, p) -> String.length p <= max_frame) payloads
+  in
+  let counters =
+    { counters with c_refused = counters.c_refused + List.length refused }
+  in
   let b = Buffer.create 4096 in
   Buffer.add_string b magic;
-  add_frame b (header_payload ~engine_version:t.t_engine_version);
-  add_frame b (counters_payload t.t_counters);
-  List.iter (fun r -> add_frame b (record_to_string r)) (List.rev t.t_records);
+  add_frame b (header_payload ~engine_version);
+  add_frame b (counters_payload counters);
+  List.iter (fun (_, p) -> add_frame b p) kept;
+  (Buffer.contents b, counters, List.map fst kept)
+
+let commit t =
+  let image, counters, kept =
+    encode ~max_frame ~engine_version:t.t_engine_version t.t_counters
+      (List.rev t.t_records)
+  in
+  t.t_counters <- counters;
+  t.t_records <- List.rev kept;
   let tmp = Printf.sprintf "%s.tmp.%d" t.t_path (Unix.getpid ()) in
   let oc = open_out_bin tmp in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Buffer.output_buffer oc b);
+    (fun () -> output_string oc image);
   Unix.rename tmp t.t_path

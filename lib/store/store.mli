@@ -67,19 +67,10 @@ type counters = {
       (** Stored witnesses that failed re-validation (fell back to a
           cold run and were overwritten). *)
   c_refused : int;
-      (** Records {!add} refused because their frame would exceed the
-          frame bound (the answer was still returned, just not
-          stored). *)
+      (** Records {!commit} left out because their frame would exceed
+          the bound a reader accepts (the answer was still returned,
+          just not stored). *)
 }
-
-type refusal = {
-  rf_qid : int;
-  rf_depth : int;
-  rf_bytes : int;  (** The refused record's payload size. *)
-}
-(** Why {!add} refused a record: its frame would be larger than the
-    bound a reader accepts, and a reader treats such a frame as damage
-    and stops there, losing every later record too. *)
 
 type health = {
   h_created : bool;  (** No file existed (or it was empty). *)
@@ -105,13 +96,11 @@ val digest_string : string -> int
 
 type t
 
-val open_ : ?engine_version:string -> ?max_frame:int -> string -> t
+val open_ : ?engine_version:string -> string -> t
 (** Read (or initialize) the store at a path.  Never raises on bad
     content: corruption and mismatches degrade to an empty (or
     partial) store, reported in {!health}.  [engine_version] defaults
     to {!engine_version}; tests override it to forge mismatches.
-    [max_frame] (default 64 MiB) bounds one frame's payload, on read
-    and on {!add}; tests lower it to exercise refusals.
     @raise Sys_error only on unreadable paths (permissions). *)
 
 val path : t -> string
@@ -124,18 +113,30 @@ val records : t -> record list
 val find : t -> qid:int -> depth:int -> record option
 (** The exact record for this query at this depth, if any. *)
 
-val add : t -> record -> (unit, refusal) result
+val add : t -> record -> unit
 (** Insert (in memory), superseding any record with the same
-    [(qid, depth)].  Visible on disk after {!commit}.  A record whose
-    payload exceeds the frame bound is refused instead: [Error],
-    counted in [c_refused], the store unchanged — so {!commit} never
-    writes a frame the next {!open_} would drop. *)
+    [(qid, depth)].  Visible on disk after {!commit}. *)
 
 val bump : t -> [ `Query | `Warm | `Cold | `Rejected ] -> unit
 (** Count a store interaction into {!counters}. *)
 
 val counters : t -> counters
 
+val encode :
+  max_frame:int ->
+  engine_version:string ->
+  counters ->
+  record list ->
+  string * counters * record list
+(** [encode ~max_frame ~engine_version counters records] is the file
+    image of a log holding [records] (oldest first), with the counters
+    it wrote and the records it kept.  A record whose payload is longer
+    than [max_frame] is left out and counted in [c_refused]: a reader
+    takes such a frame for damage and stops there, losing every later
+    record too.  {!commit} passes the bound {!open_} reads with
+    (64 MiB). *)
+
 val commit : t -> unit
-(** Publish the in-memory state: serialize the whole log to
-    [path ^ ".tmp.<pid>"] and atomically rename it over [path]. *)
+(** Publish the in-memory state: {!encode} the whole log to
+    [path ^ ".tmp.<pid>"] and atomically rename it over [path].  A
+    record {!encode} refuses is dropped from the store. *)

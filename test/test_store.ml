@@ -30,12 +30,6 @@ let temp_store () =
   at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
   path
 
-(* [Store.add] on a record the test expects to fit the frame bound. *)
-let add st r =
-  match Store.add st r with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "record refused"
-
 let show_script pp_inv ds =
   String.concat ";"
     (List.map
@@ -95,7 +89,7 @@ let sample_records =
 
 let populate path =
   let st = Store.open_ path in
-  List.iter (add st) sample_records;
+  List.iter (Store.add st) sample_records;
   Store.bump st `Query;
   Store.bump st `Cold;
   Store.bump st `Query;
@@ -241,7 +235,7 @@ let test_engine_mismatch () =
   Alcotest.(check int) "no stale verdicts cross an engine change" 0
     (List.length (Store.records st));
   (* The next commit under the new engine re-founds the file. *)
-  add st (List.hd sample_records);
+  Store.add st (List.hd sample_records);
   Store.commit st;
   let st' = Store.open_ ~engine_version:"slx-engine-bogus" path in
   check_bool "re-founded store is clean" true
@@ -276,7 +270,7 @@ let test_engine_mismatch () =
     ((Store.health old).Store.h_invalidated <> None);
   Alcotest.(check int) "no record crosses a format change" 0
     (List.length (Store.records old));
-  add old (List.hd sample_records);
+  Store.add old (List.hd sample_records);
   Store.commit old;
   let reopened = Store.open_ path in
   check_bool "the next commit overwrites it in the current format" true
@@ -305,7 +299,8 @@ let test_qid_binds_flags () =
   (* A mismatched qid is a store miss, not a wrong answer. *)
   let path = temp_store () in
   let st = Store.open_ path in
-  add st { (List.hd sample_records) with Store.r_qid = q0; r_depth = 5 };
+  Store.add st
+    { (List.hd sample_records) with Store.r_qid = q0; r_depth = 5 };
   check_bool "exact qid hits" true (Store.find st ~qid:q0 ~depth:5 <> None);
   check_bool "flag-variant qid misses" true
     (Store.find st ~qid:(base ~dpor:true ()) ~depth:5 = None)
@@ -324,9 +319,9 @@ let test_supersede () =
       r_verdict = verdict;
     }
   in
-  add st (mk 4 (Store.V_ok 1));
-  add st (mk 5 (Store.V_counterexample [ 1 ]));
-  add st (mk 4 (Store.V_ok 9));
+  Store.add st (mk 4 (Store.V_ok 1));
+  Store.add st (mk 5 (Store.V_counterexample [ 1 ]));
+  Store.add st (mk 4 (Store.V_ok 9));
   Store.commit st;
   let st = Store.open_ path in
   (match Store.find st ~qid:7 ~depth:4 with
@@ -338,13 +333,11 @@ let test_supersede () =
 (* Persist policy on the consensus engines.                            *)
 
 (* The writer keeps the reader's frame bound: a record whose frame
-   would exceed it is refused with a structured error and counted,
-   instead of being written as a frame the next open reads as damage
-   (stopping there, so every later record would be lost too).  The
-   bound is lowered to 64 bytes here; the shipped one is 64 MiB. *)
+   would exceed it is left out of the image and counted, instead of
+   being written as a frame the next open reads as damage (stopping
+   there, so every later record would be lost too).  The bound is
+   lowered to 64 bytes here; the shipped one is 64 MiB. *)
 let test_oversized_record_refused () =
-  let path = temp_store () in
-  let st = Store.open_ ~max_frame:64 path in
   let mk qid codes =
     {
       Store.r_qid = qid;
@@ -356,24 +349,31 @@ let test_oversized_record_refused () =
       r_verdict = Store.V_counterexample codes;
     }
   in
-  add st (mk 1 [ 5; 9 ]);
   let big = mk 2 (List.init 40 (fun i -> i)) in
-  (match Store.add st big with
-  | Error { Store.rf_qid = 2; rf_depth = 8; rf_bytes } ->
-      check_bool "the refusal names the frame size" true
-        (rf_bytes = String.length (Store.record_to_string big) && rf_bytes > 64)
-  | Error _ -> Alcotest.fail "the refusal names another record"
-  | Ok () -> Alcotest.fail "an oversized record was accepted");
-  check_bool "a refused record is not held" true
-    (Store.find st ~qid:2 ~depth:8 = None);
-  add st (mk 3 [ 4 ]);
-  Store.commit st;
-  let st = Store.open_ ~max_frame:64 path in
+  check_bool "the big record's frame exceeds the bound" true
+    (String.length (Store.record_to_string big) > 64);
+  let image, counters, kept =
+    Store.encode ~max_frame:64 ~engine_version:Store.engine_version
+      {
+        Store.c_queries = 3;
+        c_warm_hits = 0;
+        c_colds = 3;
+        c_rejected = 0;
+        c_refused = 0;
+      }
+      [ mk 1 [ 5; 9 ]; big; mk 3 [ 4 ] ]
+  in
+  Alcotest.(check (list int)) "the oversized record is left out" [ 1; 3 ]
+    (List.map (fun r -> r.Store.r_qid) kept);
+  Alcotest.(check int) "the refusal is counted" 1 counters.Store.c_refused;
+  let path = temp_store () in
+  Out_channel.with_open_bin path (fun oc -> output_string oc image);
+  let st = Store.open_ path in
   check_bool "no frame is read as damage" true
     ((Store.health st).Store.h_records_dropped = 0);
   Alcotest.(check (list int)) "the records around the refusal survive" [ 1; 3 ]
     (List.map (fun r -> r.Store.r_qid) (Store.records st));
-  Alcotest.(check int) "the refusal is counted" 1
+  Alcotest.(check int) "the count is stored" 1
     (Store.counters st).Store.c_refused
 
 let cas_factory () = Slx_consensus.Cas_consensus.factory ()
