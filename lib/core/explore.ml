@@ -247,13 +247,22 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                 Search.children st cursor ~rev_script ~len
                   ~apply:Runner.Cursor.apply children
                   (fun child d child_sleep () ->
+                    let crashes = Search.crashes_after crashes d in
+                    (* A crash that spends the budget leaves every slept
+                       crash disabled for good: drop those entries, so
+                       they neither split transposition keys nor count
+                       as reversals when their process moves. *)
+                    let child_sleep =
+                      match d with
+                      | Driver.Crash _ when crashes = max_crashes ->
+                          List.filter (fun z -> z > 0) child_sleep
+                      | _ -> child_sleep
+                    in
                     let settled =
                       if dpor then settle_sleep child d child_sleep (len + 1)
                       else []
                     in
-                    visit child (d :: rev_script) (len + 1)
-                      (Search.crashes_after crashes d)
-                      settled);
+                    visit child (d :: rev_script) (len + 1) crashes settled);
                 Search.remember st key
                   { e_runs = st.runs - runs0; e_digest = st.digest - digest0 }
           end

@@ -136,6 +136,13 @@ let cases =
              ~depth:8 ~max_crashes:1 ~check:consensus_check ()) );
     ( "cas n=3 depth=10 c=1 dpor",
       fun () -> summary (explore ~dpor:true ~n:3 ~depth:10 ~crashes:1 cas) );
+    ( "cas n=3 depth=8 c=2 dpor",
+      fun () -> summary (explore ~dpor:true ~n:3 ~depth:8 ~crashes:2 cas) );
+    ( "register n=3 depth=10 c=2 dpor+symmetry",
+      fun () ->
+        summary
+          (explore ~symmetry:true ~dpor:true ~n:3 ~depth:10 ~crashes:2 register)
+    );
     ( "live (1,1) n=2 depth=8 c=1",
       fun () -> live_summary (live ~l:1 ~k:1 ~n:2 ~depth:8 ~crashes:1 ()) );
     ( "live (1,1) n=2 depth=8 c=1 dpor",
@@ -177,7 +184,7 @@ let pinned =
          cache_hits=1800 history_digest=92538121459553355 witness=[none]" );
     ( "cas n=3 depth=12 c=1 dpor",
       "runs=1590 nodes=4888 steps_executed=23179 steps_replayed=18292 \
-         cache_hits=621 history_digest=3274065331907428302 \
+         cache_hits=631 history_digest=3274065331907428302 \
          witness=[none]" );
     ( "selfish n=3 depth=8 c=0 incremental",
       "runs=1 nodes=4 steps_executed=3 steps_replayed=0 cache_hits=0 \
@@ -202,8 +209,14 @@ let pinned =
          cache_hits=0 history_digest=-1491201430012651329 witness=[none]" );
     ( "cas n=3 depth=10 c=1 dpor",
       "runs=1590 nodes=4888 steps_executed=23179 steps_replayed=18292 \
-         cache_hits=621 history_digest=3274065331907428302 \
+         cache_hits=631 history_digest=3274065331907428302 \
          witness=[none]" );
+    ( "cas n=3 depth=8 c=2 dpor",
+      "runs=4026 nodes=6105 steps_executed=27741 steps_replayed=21637 \
+         cache_hits=532 history_digest=-2399031265281252308 witness=[none]" );
+    ( "register n=3 depth=10 c=2 dpor+symmetry",
+      "runs=663 nodes=1967 steps_executed=10597 steps_replayed=8631 \
+         cache_hits=0 history_digest=-3107955062901501815 witness=[none]" );
     ( "live (1,1) n=2 depth=8 c=1",
       "no_fair_cycle nodes=1515 runs=766 steps_executed=9658 \
          steps_replayed=4614 cache_hits=0" );

@@ -273,6 +273,45 @@ let test_max_period_below_period_misses_lasso () =
   | Live_explore.Lasso _ ->
       Alcotest.fail "max_period 3 cannot detect a period-4 cycle"
 
+(* ------------------------------------------------------------------ *)
+(* Crash sleepers (doc/model.md §6).                                   *)
+
+(* [Dpor.advance_mask] on the safety explorer's signed entries ([p]
+   for a slept step, [-p] for a slept crash).  Every pending step here
+   reads object 1 and the executed step writes object 0, so no slept
+   step races; only the crash rules decide.  The rules are the
+   crash-commutation lemma's: a crash commutes with every decision of
+   another process, and a slept [Crash p] wakes when [p] itself steps
+   or invokes (crashing after that is a new configuration). *)
+let test_crash_sleepers () =
+  let observed =
+    Runtime.mask_of_footprint (Runtime.Access { obj = 0; write = true })
+  in
+  let pending _ =
+    Some (Runtime.mask_of_footprint (Runtime.Access { obj = 1; write = false }))
+  in
+  let sleep = [ -3; -2; 1 ] in
+  let across (d : (unit, unit) Driver.decision) =
+    Dpor.advance_mask ~observed ~pending sleep d
+  in
+  let check label (keep, woken) d =
+    Alcotest.(check (pair (list int) (list int))) label (keep, woken) (across d)
+  in
+  check "another process's step keeps every entry" ([ -3; -2; 1 ], [])
+    (Driver.Schedule 4);
+  check "p's step wakes a slept Crash p" ([ -3; 1 ], [ -2 ])
+    (Driver.Schedule 2);
+  check "another process's invocation keeps every entry" ([ -3; -2; 1 ], [])
+    (Driver.Invoke (4, ()));
+  check "p's invocation wakes a slept Crash p" ([ -3; 1 ], [ -2 ])
+    (Driver.Invoke (2, ()));
+  check "another process's crash keeps every entry" ([ -3; -2; 1 ], [])
+    (Driver.Crash 4);
+  check "Crash p drops p's own crash entry without waking it" ([ -3; 1 ], [])
+    (Driver.Crash 2);
+  check "Crash p drops p's own step entry without waking it" ([ -3; -2 ], [])
+    (Driver.Crash 1)
+
 let suites =
   [
     ( "dpor",
@@ -287,6 +326,7 @@ let suites =
           test_max_period_default_finds_boundary_lasso;
         quick "a max_period below the true period misses the lasso"
           test_max_period_below_period_misses_lasso;
+        quick "crash sleepers" test_crash_sleepers;
       ]
       @ qcheck
           [ qcheck_wakes_iff_conflict; qcheck_unknown_pending_always_wakes ] );
