@@ -241,28 +241,27 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                         match Dpor.sleeper d with
                         | Some z -> List.sort_uniq Int.compare (z :: prev)
                         | None -> prev)
-                      ~crash_child:Fun.id
+                      ~crash_child:(fun prev ->
+                        (* A crash that spends the budget leaves every
+                           slept crash disabled for good: drop those
+                           entries, so they neither split transposition
+                           keys nor count as reversals when their
+                           process moves. *)
+                        if crashes + 1 = max_crashes then
+                          List.filter (fun z -> z > 0) prev
+                        else prev)
                       sleep active
                 in
                 Search.children st cursor ~rev_script ~len
                   ~apply:Runner.Cursor.apply children
                   (fun child d child_sleep () ->
-                    let crashes = Search.crashes_after crashes d in
-                    (* A crash that spends the budget leaves every slept
-                       crash disabled for good: drop those entries, so
-                       they neither split transposition keys nor count
-                       as reversals when their process moves. *)
-                    let child_sleep =
-                      match d with
-                      | Driver.Crash _ when crashes = max_crashes ->
-                          List.filter (fun z -> z > 0) child_sleep
-                      | _ -> child_sleep
-                    in
                     let settled =
                       if dpor then settle_sleep child d child_sleep (len + 1)
                       else []
                     in
-                    visit child (d :: rev_script) (len + 1) crashes settled);
+                    visit child (d :: rev_script) (len + 1)
+                      (Search.crashes_after crashes d)
+                      settled);
                 Search.remember st key
                   { e_runs = st.runs - runs0; e_digest = st.digest - digest0 }
           end

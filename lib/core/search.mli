@@ -146,9 +146,10 @@ val sleep_sets :
     decision with its candidate DPOR sleep set: the node's [sleep] plus
     what every earlier sibling put to sleep ([add d] adds sibling [d]'s
     entry, if it has one).  A crash child gets [crash_child] of that
-    set instead: the safety explorer keeps it whole, since a crash
-    commutes with every other process's decisions, while the live
-    search empties it. *)
+    set instead: the safety explorer keeps it, since a crash commutes
+    with every other process's decisions (less the slept crashes when
+    the child spends the crash budget), while the live search empties
+    it. *)
 
 val crashes_after : int -> ('inv, 'res) Driver.decision -> int
 (** The crash count after a decision. *)
