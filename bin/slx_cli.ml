@@ -443,10 +443,8 @@ let print_answer ~json (sp : Queries.spec) source answer =
             Slx_consensus.Consensus_type.pp_history r.Slx_sim.Run_report.history;
           Option.iter
             (fun script ->
-              Format.printf "witness script: %a@."
-                (Format.pp_print_list ~pp_sep:Format.pp_print_space
-                   (fun fmt d -> Format.pp_print_string fmt (Queries.dec_string d)))
-                script)
+              Format.printf "witness script: %s@."
+                (String.concat " " (List.map Queries.dec_string script)))
             e.Explore.witness_script);
       print_stats e.Explore.stats
   | Queries.Live r ->
@@ -574,11 +572,18 @@ let explore_cmd =
     Term.(
       ret
         (const run $ impl_arg $ depth_arg $ crashes_arg
-        $ no_cache_arg ~doc:"Disable the transposition cache."
+        $ no_cache_arg
+            ~doc:
+              "Disable the transposition cache.  A cache is built only \
+               under --no-dpor or --no-symmetry: with both reductions on \
+               the sleep sets leave almost nothing to transpose, so no \
+               table is kept.  Verdict, witness and runs are the same \
+               either way."
         $ cache_capacity_arg
             ~doc:
               "Bound the transposition cache to this many entries (clock \
-               eviction); unbounded by default."
+               eviction); unbounded by default.  Only a walk with a \
+               reduction off (--no-dpor or --no-symmetry) has a cache."
         $ no_dpor_arg $ no_symmetry_arg
         $ json_arg ~doc:"Emit the verdict and full statistics as one JSON object."
         $ naive_arg

@@ -145,10 +145,17 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
   if domains <> 1 then invalid_arg "Explore.explore: domains must be 1";
   if not compact then invalid_arg "Explore.explore: compact must be true";
   if por && not dpor then invalid_arg "Explore.explore: por requires dpor";
+  if Option.fold ~none:false ~some:(fun c -> c < 1) cache_capacity then
+    invalid_arg "Explore.explore: cache_capacity < 1";
   let menu = decision_menu ~invoke ~depth ~max_crashes ~symmetry in
+  (* The table is built only where a reduction is off.  Under DPOR
+     plus symmetry the sleep sets prune nearly every transposition
+     before it is reached, so keying, interning and storing every node
+     costs more than the rare hit saves (E42). *)
   let st : _ state =
-    Search.create ~n ~factory ~cache ~dpor ~sanitize ?capacity:cache_capacity
-      ?cancel obs
+    Search.create ~n ~factory
+      ~cache:(cache && not (dpor && symmetry))
+      ~dpor ~sanitize ?capacity:cache_capacity ?cancel obs
   in
   (* Under DPOR, a child's sleep set is only a {e candidate} until its
      edge executes: the dynamic filter then wakes the sleepers whose

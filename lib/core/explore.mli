@@ -14,17 +14,20 @@
     - {!explore} — the incremental engine.  A node's configuration is a
       live {!Slx_sim.Runner.Cursor}; the first child {e extends it in
       place} (one runtime step) and only later siblings replay their
-      prefix.  A {e transposition cache} keyed on the canonical
-      configuration fingerprint ({!Slx_sim.Runner.fingerprint}: history,
-      crash set, per-process status/step-count/observation digests,
-      shared base-object digest) prunes schedule prefixes that reach an
-      already-explored configuration, crediting the cached subtree's run
-      count instead of descending; [~cache_capacity] bounds its memory
-      with clock (second-chance) eviction.  Two further multipliers
-      are opt-in: {e dynamic partial-order reduction} ([~dpor], sleep
-      sets woken by observed base-object accesses) and {e symmetry
-      reduction} ([~symmetry], orbit pruning of interchangeable
-      untouched processes).  The walk is sequential: independent
+      prefix.  Two reductions are opt-in: {e dynamic partial-order
+      reduction} ([~dpor], sleep sets woken by observed base-object
+      accesses) and {e symmetry reduction} ([~symmetry], orbit pruning
+      of interchangeable untouched processes).  Where either is off, a
+      {e transposition cache} keyed on the canonical configuration
+      fingerprint ({!Slx_sim.Runner.fingerprint}: history, crash set,
+      per-process status/step-count/observation digests, shared
+      base-object digest) prunes schedule prefixes that reach an
+      already-explored configuration, crediting the cached subtree's
+      run count instead of descending; [~cache_capacity] bounds its
+      memory with clock (second-chance) eviction.  With both on, the
+      sleep sets prune nearly every transposition before it is reached,
+      so the walk keeps no table (no key, no history interning, no
+      entry).  The walk is sequential: independent
       queries parallelize one level up, as separate processes
       ([slx serve --workers]).  It runs on the search kernel it
       shares with {!Live_explore} (cursor bracket, node span, child
@@ -39,15 +42,16 @@
 
     Soundness fine print — what each switch assumes of [check]:
 
-    - {e cache} (default on): fingerprint equality implies identical
+    - {e cache} (default on; a table exists only when [dpor] or
+      [symmetry] is off): fingerprint equality implies identical
       futures (same decision menus, same suffix histories, same run
       counts) up to hash collision on the digest components, and
       identical maximal-run reports {e except for the timing of prefix
       events} ([event_times], grant times) which the canonical
-      fingerprint abstracts away.  [check] is therefore invoked once
-      per configuration class — pass [~cache:false] if a check depends
-      on fine-grained event timing rather than on the history, crash
-      set, totals and window.
+      fingerprint abstracts away.  Where a table exists, [check] is
+      therefore invoked once per configuration class — pass
+      [~cache:false] if a check depends on fine-grained event timing
+      rather than on the history, crash set, totals and window.
     - {e dpor} (default off): a pending step that commutes
       ({!Slx_sim.Runtime.footprints_commute}) with the accesses another
       step actually performed reaches the same configuration in either
@@ -137,10 +141,11 @@ val explore :
     work.  [max_crashes] (default 0) additionally branches on crashing
     each not-yet-crashed process.
 
-    [cache] (default [true]) enables the transposition cache;
-    [cache_capacity] bounds the cache to that many entries,
-    evicted second-chance (unbounded without it).  [dpor] (default
-    [false]) enables sleep-set partial-order reduction ({!Dpor}): each
+    [cache] (default [true]) allows the transposition cache, which is
+    built only when [dpor] or [symmetry] is off ([stats.cache_entries]
+    is 0 under both); [cache_capacity] bounds the cache to that many
+    entries, evicted second-chance (unbounded without it).  [dpor]
+    (default [false]) enables sleep-set partial-order reduction ({!Dpor}): each
     cursor carries an observed-access probe
     ({!Slx_sim.Runtime.make_probe}), children inherit the whole sleep
     set as a candidate, and after each edge executes the sleepers

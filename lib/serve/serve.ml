@@ -189,7 +189,9 @@ let new_lease t q =
   lease
 
 (* Plan a freshly created query through the store's policy: a warm
-   answer, or one task that runs the whole tree. *)
+   answer, or one task that runs the whole tree.  A warm hit is not
+   committed: its count reaches disk with the next save or at
+   shutdown, and /stats reads the counters in memory. *)
 let plan t q =
   let sp = q.q_spec in
   match

@@ -101,7 +101,6 @@ let warm store ~qid ~depth ~max_period ~pump_ticks served =
       match served r with
       | Some _ as answer ->
           Store.bump store `Warm;
-          Store.commit store;
           answer
       | None ->
           Store.bump store `Rejected;
@@ -117,11 +116,15 @@ let save store record =
   Store.bump store `Cold;
   Store.commit store
 
-(* The store is committed also on interruption, so a SIGINT'd session
+(* A warm hit changes only the counters, so [warm] leaves the commit
+   to its caller; this one-query path (the CLI's) pays it at once.
+   The store is committed also on interruption, so a SIGINT'd session
    still pays its counters forward. *)
 let answer store ~qid ~depth ~max_period ~pump_ticks ~served ~record compute =
   match warm store ~qid ~depth ~max_period ~pump_ticks served with
-  | Some answer -> (answer, Warm)
+  | Some answer ->
+      Store.commit store;
+      (answer, Warm)
   | None -> (
       match compute () with
       | answer ->

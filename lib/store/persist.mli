@@ -131,9 +131,12 @@ val warm :
     query and answers it from the store if it can.  No record at
     [(qid, depth)], or one under other budgets, is a cold miss
     ([None], not rejected).  Otherwise [served] (a validator above)
-    decides: [Some] is counted warm and committed, [None] is counted
-    rejected.  [max_period]/[pump_ticks] are the resolved liveness
-    budgets, 0 for safety. *)
+    decides: [Some] is counted warm, [None] is counted rejected.
+    Nothing is committed: a warm hit changes only the counters, which
+    reach disk with the caller's next {!Store.commit} ({!answer}
+    commits at once; serve with its next {!save} or at shutdown).
+    [max_period]/[pump_ticks] are the resolved liveness budgets, 0 for
+    safety. *)
 
 val save : Store.t -> Store.record -> unit
 (** Store a computed answer's record (superseding its slot), count it
@@ -149,7 +152,8 @@ val answer :
   record:('a -> Store.record) ->
   (unit -> 'a) ->
   'a * source
-(** {!warm}, else run the computation and {!save} its [record].  The
+(** {!warm} (committing the warm count), else run the computation and
+    {!save} its [record].  The
     caller must build [qid] with {!query_key} from the flags the
     computation runs with ({!Slx_serve.Queries.run} does).
     @raise Explore.Interrupted as the computation does; the store's

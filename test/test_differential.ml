@@ -587,6 +587,84 @@ let test_crash_witnesses_agree () =
        ("a survivor decided a crashed value", decided, "cas", cas, 3, 2, 10);
      ])
 
+(* The table rule: under DPOR plus symmetry the safety explorer builds
+   no transposition table; with either reduction off it builds one,
+   which still hits.  Either way the answer is that of the
+   [~cache:false] walk.  The pinned answers are those the walk gave
+   while it still kept a table under DPOR plus symmetry (110 and 1,471
+   hits on the two consensus cas shapes): a hit credits exactly the
+   subtree it skips. *)
+let test_table_rule () =
+  let consensus r = Slx_consensus.Consensus_safety.check r.Run_report.history in
+  let cas () = Slx_consensus.Cas_consensus.factory () in
+  let register () = Slx_consensus.Register_consensus.factory () in
+  let explore ?cache ?(dpor = true) ?(symmetry = true) ?(check = consensus)
+      factory n depth max_crashes =
+    Explore.explore ~n ~factory ~invoke:one_proposal ~depth ~max_crashes
+      ?cache ~dpor ~symmetry ~check ()
+  in
+  (* Everything a hit could disturb: the witness (or none), the run
+     count and the digest of the histories credited. *)
+  let answer (e : _ Explore.exploration) =
+    Printf.sprintf "%s runs=%d digest=%d"
+      (match e.Explore.witness_script with
+      | None -> "ok"
+      | Some w ->
+          String.concat " " (List.map string_of_int (Explore.codes_of_script w)))
+      e.Explore.stats.Explore_stats.runs
+      e.Explore.stats.Explore_stats.history_digest
+  in
+  let same_as_no_cache name e no_cache =
+    Alcotest.(check string)
+      (name ^ ": = the ~cache:false walk")
+      (answer no_cache) (answer e)
+  in
+  List.iter
+    (fun (name, check, factory, n, depth, max_crashes, pinned) ->
+      let run ?cache () = explore ?cache ~check factory n depth max_crashes in
+      let e = run () in
+      check_int (name ^ ": no table") 0
+        e.Explore.stats.Explore_stats.cache_entries;
+      Alcotest.(check string) (name ^ ": pinned answer") pinned (answer e);
+      same_as_no_cache name e (run ~cache:false ()))
+    (let answered = crashed_and_answered in
+     [
+       ( "register n=3 d14 c1", consensus, register, 3, 14, 1,
+         "ok runs=1339 digest=3408686298619465532" );
+       ( "register n=3 d14 c1, crashed and answered", answered, register, 3,
+         14, 1, "5 4 4 4 4 4 4 4 4 4 4 9 8 6 runs=2 digest=3607472447777642283"
+       );
+       ( "cas n=3 d12 c2", consensus, cas, 3, 12, 2,
+         "ok runs=384 digest=-643732135914746007" );
+       ( "cas n=3 d12 c2, crashed and answered", answered, cas, 3, 12, 2,
+         "5 4 4 9 8 8 13 12 12 6 10 runs=1 digest=3570444724731600710" );
+       ( "cas n=4 d12 c1", consensus, cas, 4, 12, 1,
+         "ok runs=2102 digest=3212907166952281405" );
+       ( "cas n=4 d12 c1, crashed and answered", answered, cas, 4, 12, 1,
+         "5 4 4 9 8 8 13 12 12 17 16 6 runs=2 digest=2194760974002659359" );
+     ]);
+  List.iter
+    (fun (name, dpor, symmetry, n, depth, max_crashes, hits) ->
+      let run ?cache () =
+        explore ?cache ~dpor ~symmetry register n depth max_crashes
+      in
+      let e = run () in
+      check_int (name ^ ": cache hits") hits
+        e.Explore.stats.Explore_stats.cache_hits;
+      same_as_no_cache name e (run ~cache:false ()))
+    [
+      ("register n=3 d12 c0, dpor alone", true, false, 3, 12, 0, 1073);
+      ("register n=2 d14 c1, symmetry alone", false, true, 2, 14, 1, 270);
+    ];
+  (* A capacity below 1 is refused even where no table would be built. *)
+  check_bool "cache_capacity 0 refused under dpor+symmetry" true
+    (match
+       Explore.explore ~n:2 ~factory:register ~invoke:one_proposal ~depth:4
+         ~cache_capacity:0 ~dpor:true ~symmetry:true ~check:consensus ()
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let suites =
   [
     ( "differential",
@@ -603,5 +681,6 @@ let suites =
         quick "reduction covers naive under crashes"
           test_reduction_covers_naive_under_crashes;
         quick "crash witnesses agree" test_crash_witnesses_agree;
+        quick "the table rule" test_table_rule;
       ] );
   ]

@@ -670,6 +670,25 @@ let cli_json args =
 let history_digest j =
   stat j [ "stats"; "history_digest" ]
 
+(* The text report prints the witness script on one line, crash
+   included, so a reader or script taking that line gets all of it. *)
+let test_cli_witness_one_line () =
+  let out = Filename.temp_file "slx_serve_test" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      check_int "exit code" 0
+        (Sys.command
+           (Printf.sprintf "%s explore --impl selfish --depth 8 --crashes 1 > %s"
+              slx_bin out));
+      let lines =
+        String.split_on_char '\n'
+          (In_channel.with_open_bin out In_channel.input_all)
+      in
+      Alcotest.(check (list string))
+        "witness line" [ "witness script: I1(0) I2(1) C1" ]
+        (List.filter (String.starts_with ~prefix:"witness") lines))
+
 (* A served record carries its 63-bit digest exactly (the served
    answer's digest is the store-less CLI's), and the CLI answers the
    same query warm from it. *)
@@ -780,6 +799,30 @@ let test_deeper_query_runs_full () =
       check_int "two colds" 2 (stat st [ "store"; "colds" ]);
       check_int "one warm hit" 1 (stat st [ "store"; "warm_hits" ]))
 
+(* A served warm hit does not rewrite the store: its count is exact in
+   /stats at once and reaches disk with the next save. *)
+let test_warm_hit_not_committed () =
+  let store = temp_store () in
+  let fields d =
+    Printf.sprintf "\"impl\": \"cas\", \"crashes\": 1, \"depth\": %d" d
+  in
+  let on_disk () = In_channel.with_open_bin store In_channel.input_all in
+  let disk_warm () = (Store.counters (Store.open_ store)).Store.c_warm_hits in
+  with_server ~store (fun port ->
+      let src, _ = query port (fields 6) in
+      check_bool "first query full" true (src = Some "full");
+      let before = on_disk () in
+      let src, _ = query port (fields 6) in
+      check_bool "repeat served warm" true (src = Some "warm");
+      check_int "/stats counts the warm hit" 1
+        (stat (stats port) [ "store"; "warm_hits" ]);
+      check_bool "warm hit leaves the store file unchanged" true
+        (on_disk () = before);
+      check_int "no warm hit on disk yet" 0 (disk_warm ());
+      let src, _ = query port (fields 7) in
+      check_bool "new depth full" true (src = Some "full");
+      check_int "the next save commits the warm hit" 1 (disk_warm ()))
+
 (* The CLI's --store path and the serve coordinator answer through one
    policy and store one record per computed answer: the same sequence
    of queries leaves both stores with the same counters and records,
@@ -883,6 +926,8 @@ let suites =
           test_cli_retired_flags_refused;
         Alcotest.test_case "decoder refuses out-of-range bounds" `Quick
           test_decoder_out_of_range_refused;
+        Alcotest.test_case "CLI prints the witness script on one line" `Quick
+          test_cli_witness_one_line;
       ] );
     ( "serve.warm",
       [
@@ -908,5 +953,7 @@ let suites =
           test_outside_text_is_json;
         Alcotest.test_case "the CLI and serve agree on a store" `Quick
           test_cli_and_serve_agree;
+        Alcotest.test_case "a served warm hit is committed by the next save"
+          `Quick test_warm_hit_not_committed;
       ] );
   ]
