@@ -466,9 +466,10 @@ let print_answer ~json (sp : Queries.spec) source answer =
         in
         Printf.printf
           "{\"impl\": %S, \"property\": %S, \"n\": %d, \"depth\": %d, \
-           \"max_crashes\": %d, \"outcome\": %S%s%s, \"stats\": %s}\n"
+           \"max_crashes\": %d, \"outcome\": %S%s, \"exhaustive\": %b%s, \
+           \"stats\": %s}\n"
           sp.sp_impl property sp.sp_n sp.sp_depth sp.sp_crashes outcome
-          cert_json source_json
+          cert_json (not sp.sp_dpor) source_json
           (Explore_stats.to_json r.Live_explore.stats)
       end
       else begin
@@ -480,10 +481,17 @@ let print_answer ~json (sp : Queries.spec) source answer =
             Printf.printf "  cycle: %s  (period %d, pump-validated)\n"
               (script " " Fun.id c.Lasso.c_cycle)
               (List.length c.Lasso.c_cycle)
+        | Live_explore.No_fair_cycle when sp.sp_dpor ->
+            Printf.printf
+              "no fair non-progressing cycle within depth %d on the \
+               DPOR-reduced tree: %s is not excluded there (the reduced \
+               tree can miss a lasso under the depth bound; --no-dpor \
+               searches exhaustively)\n"
+              sp.sp_depth property
         | Live_explore.No_fair_cycle ->
             Printf.printf
-              "no fair non-progressing cycle within depth %d: %s is not \
-               excluded on this bounded graph\n"
+              "no fair non-progressing cycle within depth %d (exhaustive): \
+               %s is not excluded on this bounded graph\n"
               sp.sp_depth property);
         print_stats r.Live_explore.stats
       end
@@ -564,7 +572,7 @@ let explore_cmd =
       ~progress ~progress_json
       (Queries.make ~kind:`Explore ~impl ~property:"" ~n:2 ~depth ~crashes
          ~max_period:None ~pump:None ~dpor:(not no_dpor)
-         ~symmetry:(not no_symmetry) ~invoke_order:false)
+         ~symmetry:(not no_symmetry))
   in
   Cmd.v
     (Cmd.info "explore"
@@ -629,26 +637,20 @@ let live_explore_cmd =
          & info [ "pump" ]
              ~doc:"Certificate validation budget in ticks (default 4*depth).")
   in
-  let invoke_order_arg =
-    Arg.(value & flag
-         & info [ "invoke-order" ]
-             ~doc:"Offer only the least idle process's invocation at each \
-                   node (cycle-sound).")
-  in
   let no_dpor_arg =
     Arg.(value & flag
          & info [ "no-dpor" ]
              ~doc:"Disable the cycle-proviso-guarded dynamic partial-order \
-                   reduction and search the unreduced tree: the exhaustive \
-                   reference.  Under a depth bound the reduced search can \
-                   miss a lasso this one finds.")
+                   reduction: the exhaustive reference (invocations are \
+                   still offered in process order).  Under a depth bound \
+                   the reduced search can miss a lasso this one finds.")
   in
-  let run impl property n depth crashes max_period pump invoke_order no_dpor
-      no_cache cache_capacity sanitize json store trace progress progress_json =
+  let run impl property n depth crashes max_period pump no_dpor no_cache
+      cache_capacity sanitize json store trace progress progress_json =
     run_query ~json ~no_cache ~cache_capacity ~sanitize ~store ~trace ~progress
       ~progress_json
       (Queries.make ~kind:`Live ~impl ~property ~n ~depth ~crashes ~max_period
-         ~pump ~dpor:(not no_dpor) ~symmetry:false ~invoke_order)
+         ~pump ~dpor:(not no_dpor) ~symmetry:false)
   in
   Cmd.v
     (Cmd.info "live-explore"
@@ -658,8 +660,7 @@ let live_explore_cmd =
     Term.(
       ret
         (const run $ impl_arg $ property_arg $ procs_arg $ depth_arg
-        $ crashes_arg $ max_period_arg $ pump_arg $ invoke_order_arg
-        $ no_dpor_arg
+        $ crashes_arg $ max_period_arg $ pump_arg $ no_dpor_arg
         $ no_cache_arg
             ~doc:
               "Disable the transposition cache.  It only engages when \

@@ -36,7 +36,7 @@ type t = {
       (** Scheduling decisions skipped because the process was in the
           DPOR sleep set — each cuts a redundant interleaving of
           commuting steps.  Counted by both engines; the liveness
-          search's [invoke_order] reduction has its own counter
+          search's invoke order has its own counter
           ([invoke_order_prunes]). *)
   race_reversals : int;
       (** Sleeping processes woken because an executed step's {e
@@ -45,9 +45,9 @@ type t = {
           dynamic conflict to be explored. *)
   invoke_order_prunes : int;
       (** Fair-cycle search ({!Live_explore}) only: invocations pruned
-          by the [invoke_order] reduction (offer only the least idle
-          process's invocation).  Previously folded into the POR
-          counter; split so the two reductions are attributable. *)
+          by the invoke order (offer only the least idle process's
+          invocation).  Previously folded into the POR counter; split
+          so the two reductions are attributable. *)
   proviso_wakes : int;
       (** Fair-cycle search only: sleeping processes force-woken by
           the bounded-ignoring cycle proviso (slept through too many

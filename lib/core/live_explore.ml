@@ -224,7 +224,7 @@ let budgets ~depth ~max_period ~pump_ticks =
 let ignoring_bound = 2
 
 let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
-    ?max_period ?pump_ticks ?(invoke_order = false) ?(dpor = false)
+    ?max_period ?pump_ticks ?invoke_order:(_ : bool option) ?(dpor = false)
     ?(cache = true) ?cache_capacity ?(obs = Obs.disabled) ?(sanitize = false)
     ?(compact = true) ?cancel () =
   if not compact then invalid_arg "Live_explore.search: compact must be true";
@@ -237,30 +237,23 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
       ?cancel obs
   in
   (* The canonical menu ({!Search.menu}), so the emitted certificate
-     is the lexicographically least in that order.  [invoke_order] is
-     the one
-     reduction sound for cycle detection: when several idle processes
-     could be invoked, offer only the least one's invocation
-     (invocations commute with everything, and the normalization is
-     configuration-local, so it maps periodic runs to periodic runs —
-     unlike the safety engine's path-dependent sleep sets). *)
+     is the lexicographically least in that order, invoke-ordered:
+     where several idle processes could be invoked, only the least
+     one's invocation is offered (doc/model.md §7 states the lemma
+     and the fairness assumption this rests on). *)
   let menu view len crashes =
-    let menu = Search.menu ~invoke ~depth ~max_crashes view len crashes in
-    if not invoke_order then menu
-    else begin
-      let invoked = ref false in
-      List.filter
-        (function
-          | Driver.Invoke _ when !invoked ->
-              st.invoke_pruned <- st.invoke_pruned + 1;
-              Telemetry.emit st.sink Telemetry.Invoke_prune len 1;
-              false
-          | Driver.Invoke _ ->
-              invoked := true;
-              true
-          | _ -> true)
-        menu
-    end
+    let invoked = ref false in
+    List.filter
+      (function
+        | Driver.Invoke _ when !invoked ->
+            st.invoke_pruned <- st.invoke_pruned + 1;
+            Telemetry.emit st.sink Telemetry.Invoke_prune len 1;
+            false
+        | Driver.Invoke _ ->
+            invoked := true;
+            true
+        | _ -> true)
+      (Search.menu ~invoke ~depth ~max_crashes view len crashes)
   in
   (* Settle a child's candidate sleep set once its edge [d] has
      executed (DPOR only).  Three filters, in order: (1) race

@@ -50,7 +50,11 @@
     The walk is depth-first in the canonical menu order of {!Explore},
     so the emitted certificate is deterministic: the lex-least
     stem+cycle script among the validated candidates, independent of
-    caching.  The transposition cache is keyed on the configuration
+    caching.  The menu is {e invoke-ordered}: where several idle
+    processes could be invoked, only the least one's invocation is
+    offered; doc/model.md §7 states why that keeps a representative of
+    every fair periodic run, the fairness assumption it rests on, and
+    its slack under a depth bound.  The transposition cache is keyed on the configuration
     fingerprint {e plus} the last [2 * max_period] abstract cells —
     the context that determines every candidate in a subtree — and
     stores only completed lasso-free subtrees, so hits can never mask
@@ -76,10 +80,9 @@
     of a lasso the full tree holds can lie deeper than [depth], so a
     [dpor] search can answer [No_fair_cycle] where the unreduced
     search finds a lasso (doc/model.md §7, EXPERIMENTS E37); the
-    unreduced search is the exhaustive reference.  Certificate
+    search with [dpor] off is the exhaustive reference.  Certificate
     validation (pumping) remains the unconditional backstop against
-    false positives.  The other reduction offered is
-    [invoke_order]. *)
+    false positives. *)
 
 open Slx_history
 open Slx_sim
@@ -99,8 +102,8 @@ type ('inv, 'res) result = {
   stats : Explore_stats.t;
       (** Work counters.  [cycles_examined]/[fair_cycles] count the
           periodic candidates and the fair violating ones;
-          [invoke_order_prunes] counts invocations pruned by
-          [invoke_order]; [por_prunes]/[race_reversals]/
+          [invoke_order_prunes] counts invocations pruned by the
+          invoke order; [por_prunes]/[race_reversals]/
           [proviso_wakes] count the [dpor] reduction's prunes and
           wakes; pump replays are included in [steps_executed]. *)
 }
@@ -140,9 +143,9 @@ val search :
     pumped until at least that many extra ticks are covered before it
     is believed — it must exceed the implementation's longest
     good-response latency or a pre-response phase can masquerade as a
-    cycle.  [invoke_order] (default [false]) prunes all but the least
-    idle process's invocation at each node (sound for cycles, see
-    module doc); [dpor] (default [false]) enables the
+    cycle.  [invoke_order] is ignored: the walk is always
+    invoke-ordered (see module doc); the argument remains only for
+    callers that still pass it.  [dpor] (default [false]) enables the
     cycle-proviso-guarded DPOR sleep-set reduction (see module doc),
     whose bounded-ignoring limit is 2, the minimal nontrivial period
     (period-1 fair cycles need none: a sleeper is Ready and correct,
@@ -160,7 +163,7 @@ val search :
 
     [obs] (default {!Slx_obs.Obs.disabled}) attaches the observability
     bundle, as in {!Explore.explore}: node spans, decisions, cache
-    hits, [invoke_order] prunes, one [Cycle_candidate] instant per
+    hits, invoke-order prunes, one [Cycle_candidate] instant per
     candidate (tagged fair-and-violating or not) and one pump span per
     validation attempt, closed with its verdict on every path.
     Verdicts and counters (other than [elapsed_ns]/[events_dropped])

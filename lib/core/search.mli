@@ -134,7 +134,8 @@ val menu :
     for each process 1..n, its step (if ready) or its invocation (if
     idle and [invoke] has one); then, while [crashes < max_crashes],
     each process not yet crashed, crashed.  Empty at [len >= depth].
-    The explorers' reductions (symmetry, [invoke_order]) filter it. *)
+    The explorers' reductions (symmetry, the live invoke order) filter
+    it. *)
 
 val sleep_sets :
   add:(('inv, 'res) Driver.decision -> 's list -> 's list) ->

@@ -34,8 +34,8 @@ type kind =
       (** a = depth, b = sleepers force-woken by the bounded-ignoring
           cycle proviso ({!Slx_core.Live_explore}). *)
   | Invoke_prune
-      (** a = depth, b = invocations pruned by the [invoke_order]
-          reduction ({!Slx_core.Live_explore}). *)
+      (** a = depth, b = invocations pruned by the invoke order
+          ({!Slx_core.Live_explore}). *)
   | Symmetry_prune  (** a = depth, b = decisions pruned. *)
   | Cycle_candidate  (** a = period, b = 1 iff fair and violating. *)
   | Pump_start  (** a = period; span open, paired with [Pump_verdict]. *)

@@ -30,7 +30,11 @@ let point_of_string ~n s =
           match
             (int_of_string_opt (String.trim l), int_of_string_opt (String.trim k))
           with
-          | Some l, Some k when l >= 1 && k >= 1 -> Ok (Freedom.make ~l ~k)
+          | Some l, Some k when 1 <= l && l <= k -> Ok (Freedom.make ~l ~k)
+          | Some l, Some k when 1 <= k && k < l ->
+              Error
+                (Printf.sprintf "property %s out of range: l %d exceeds k %d"
+                   (json_string s) l k)
           | _ -> unknown ()
         end
       | _ -> unknown ()
@@ -73,14 +77,13 @@ type spec = {
   sp_pump : int;
   sp_dpor : bool;
   sp_symmetry : bool;
-  sp_invoke_order : bool;
 }
 
 let make ~kind ~impl ~property ~n ~depth ~crashes ~max_period ~pump ~dpor
-    ~symmetry ~invoke_order =
+    ~symmetry =
   let live = kind = `Live in
   (* The liveness budgets are resolved (and checked) for live queries
-     only; a safety query has none, and no invoke-order reduction. *)
+     only; a safety query has none. *)
   let max_period, pump =
     if live then Live_explore.budgets ~depth ~max_period ~pump_ticks:pump
     else (0, 0)
@@ -110,7 +113,6 @@ let make ~kind ~impl ~property ~n ~depth ~crashes ~max_period ~pump ~dpor
             sp_pump = pump;
             sp_dpor = dpor;
             sp_symmetry = symmetry && not live;
-            sp_invoke_order = invoke_order && live;
           }
 
 (* [make] admitted the spec, so its vocabulary resolves. *)
@@ -138,7 +140,7 @@ let spec_of_json j =
         ~depth:(Option.value (int "depth") ~default:8)
         ~crashes:(Option.value (int "crashes") ~default:0)
         ~max_period:(int "max_period") ~pump:(int "pump")
-        ~dpor:true ~symmetry:true ~invoke_order:false
+        ~dpor:true ~symmetry:true
 
 let spec_to_json sp =
   Printf.sprintf
@@ -164,11 +166,10 @@ let key
       sp_pump;
       sp_dpor;
       sp_symmetry;
-      sp_invoke_order;
     } =
-  Printf.sprintf "%s|%s|%s|n=%d|d=%d|c=%d|mp=%d|pt=%d|dpor=%b|sym=%b|io=%b"
+  Printf.sprintf "%s|%s|%s|n=%d|d=%d|c=%d|mp=%d|pt=%d|dpor=%b|sym=%b"
     (kind_string sp_kind) sp_impl sp_property sp_n sp_depth sp_crashes
-    sp_max_period sp_pump sp_dpor sp_symmetry sp_invoke_order
+    sp_max_period sp_pump sp_dpor sp_symmetry
 
 let qid
     {
@@ -182,7 +183,6 @@ let qid
       sp_pump = _;
       sp_dpor;
       sp_symmetry;
-      sp_invoke_order;
     } =
   (* The property is bound through the freedom point it names. *)
   let check =
@@ -197,8 +197,7 @@ let qid
     ~registry_digest:
       (Persist.instance_digest ~n:sp_n
          ~factory:(Result.get_ok (factory_of_impl sp_impl)))
-    ~max_crashes:sp_crashes ~dpor:sp_dpor ~symmetry:sp_symmetry
-    ~invoke_order:sp_invoke_order ()
+    ~max_crashes:sp_crashes ~dpor:sp_dpor ~symmetry:sp_symmetry ()
 
 (* ------------------------------------------------------------------ *)
 (* Execution.                                                          *)
@@ -245,8 +244,8 @@ let run ?store ?(cache = true) ?capacity ?(sanitize = false)
         Live
           (Live_explore.search ~n ~factory ~invoke:live_invoke ~good
              ~point:(point sp) ~depth ~max_crashes ~max_period:sp.sp_max_period
-             ~pump_ticks:sp.sp_pump ~invoke_order:sp.sp_invoke_order ~dpor
-             ~cache ?cache_capacity:capacity ~obs ~sanitize ?cancel ())
+             ~pump_ticks:sp.sp_pump ~dpor ~cache ?cache_capacity:capacity ~obs
+             ~sanitize ?cancel ())
   in
   match store with
   | None -> (compute (), None)

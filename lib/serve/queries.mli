@@ -61,7 +61,7 @@ val dec_string :
 (** {1 Queries} *)
 
 (** Implementations: [cas] | [register] | [selfish].  Properties:
-    [obstruction] | [lock] | [wait] | ["l,k"] with [l, k >= 1]. *)
+    [obstruction] | [lock] | [wait] | ["l,k"] with [1 <= l <= k]. *)
 
 type spec = private {
   sp_kind : [ `Explore | `Live ];
@@ -76,7 +76,6 @@ type spec = private {
   sp_pump : int;  (** Resolved (liveness); 0 for safety. *)
   sp_dpor : bool;  (** DPOR sleep sets (the cycle-proviso form for liveness). *)
   sp_symmetry : bool;  (** Symmetry reduction; safety only. *)
-  sp_invoke_order : bool;  (** Invoke-order reduction; liveness only. *)
 }
 (** One verification query, from CLI flag to store key to served
     answer.  Every field but [sp_depth], [sp_max_period] and [sp_pump]
@@ -94,15 +93,14 @@ val make :
   pump:int option ->
   dpor:bool ->
   symmetry:bool ->
-  invoke_order:bool ->
   (spec, string) result
 (** The one checked constructor.  [Error] on an unknown
-    implementation or malformed freedom point, or an out-of-range
+    implementation or malformed freedom point (including one with
+    [l > k], which names no point of the grid), or an out-of-range
     bound: depth outside [1, 64], n outside [1, 16], negative crashes,
     a live [max_period] or [pump] below 1.  Liveness budgets resolve
     here ({!Slx_core.Live_explore.budgets}); a safety spec drops the
-    property, the budgets and [invoke_order], a liveness spec drops
-    [symmetry]. *)
+    property and the budgets, a liveness spec drops [symmetry]. *)
 
 val factory : spec -> factory
 (** The query's implementation. *)
@@ -115,8 +113,7 @@ val spec_of_json : Json.t -> (spec, string) result
 (** Decode a client query object through {!make}: [kind] ("explore" |
     "live"), [impl], [n], [depth], [crashes], and for liveness
     [property], [max_period], [pump].  The reduction settings are not
-    on the wire: dpor on, symmetry on (safety), invoke_order off — the
-    CLI's defaults. *)
+    on the wire: dpor on, symmetry on (safety) — the CLI's defaults. *)
 
 val spec_to_json : spec -> string
 

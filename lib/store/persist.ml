@@ -11,10 +11,10 @@ let instance_digest ~n ~factory =
   Runner.Cursor.with_ ~n ~factory:(factory ()) Runner.Cursor.shared_digest
 
 let query_key ~ident ~check ~n ~registry_digest ?(max_crashes = 0)
-    ?(dpor = false) ?(symmetry = false) ?(invoke_order = false) () =
+    ?(dpor = false) ?(symmetry = false) () =
   Store.digest_string
-    (Printf.sprintf "%s|%s|n=%d|rd=%d|mc=%d|dpor=%b|sym=%b|io=%b" ident check n
-       registry_digest max_crashes dpor symmetry invoke_order)
+    (Printf.sprintf "%s|%s|n=%d|rd=%d|mc=%d|dpor=%b|sym=%b" ident check n
+       registry_digest max_crashes dpor symmetry)
 
 (* ------------------------------------------------------------------ *)
 (* Answers as records, built in the process that ran the engine.       *)

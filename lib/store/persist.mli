@@ -56,7 +56,6 @@ val query_key :
   ?max_crashes:int ->
   ?dpor:bool ->
   ?symmetry:bool ->
-  ?invoke_order:bool ->
   unit ->
   int
 (** Digest a query identity into a [qid].  [ident] names the

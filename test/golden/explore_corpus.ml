@@ -91,7 +91,7 @@ let () =
                   match
                     Queries.make ~kind:`Explore ~impl ~property:"" ~n:2 ~depth
                       ~crashes ~max_period:None ~pump:None ~dpor:f.dpor
-                      ~symmetry:f.symmetry ~invoke_order:false
+                      ~symmetry:f.symmetry
                   with
                   | Error e -> Printf.printf "  error: %s\n" e
                   | Ok sp -> print_verdict (answer sp f))

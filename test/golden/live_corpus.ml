@@ -80,7 +80,7 @@ let pair ~impl ~property ~n ~depth ~crashes ~max_period =
   let spec dpor =
     Result.get_ok
       (Queries.make ~kind:`Live ~impl ~property ~n ~depth ~crashes ~max_period
-         ~pump:None ~dpor ~symmetry:false ~invoke_order:false)
+         ~pump:None ~dpor ~symmetry:false)
   in
   let reduced_sp = spec true in
   let reduced = outcome reduced_sp and exhaustive = outcome (spec false) in

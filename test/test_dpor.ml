@@ -117,8 +117,9 @@ let test_live_differential () =
    sweep above proves agreement on [No_fair_cycle] and that the
    reduction neither invents nor misses one); the positive half of the
    certificate-identity contract is Theorem 5.2's own witness: the
-   register-consensus (1,2) lasso at depth 8, which every reduction
-   combination must reproduce byte-identically with fewer nodes. *)
+   register-consensus (1,2) lasso at depth 8, which the DPOR search
+   must reproduce byte-identically with fewer nodes than the
+   exhaustive one. *)
 
 let pp_consensus_inv (Slx_consensus.Consensus_type.Propose v) =
   "propose " ^ string_of_int v
@@ -128,13 +129,13 @@ let consensus_invoke =
     (Driver.forever (fun p -> Slx_consensus.Consensus_type.Propose (p - 1)))
 
 let test_register_cert_identity () =
-  let run ~dpor ~invoke_order =
+  let run ~dpor =
     Live_explore.search ~n:2
       ~factory:(fun () ->
         Slx_consensus.Register_consensus.factory ~max_rounds:8 ())
       ~invoke:consensus_invoke
       ~good:(fun _ -> true)
-      ~point:(Freedom.make ~l:1 ~k:2) ~depth:8 ~dpor ~invoke_order ()
+      ~point:(Freedom.make ~l:1 ~k:2) ~depth:8 ~dpor ()
   in
   let cert name r =
     match r.Live_explore.outcome with
@@ -142,29 +143,20 @@ let test_register_cert_identity () =
     | Live_explore.No_fair_cycle ->
         Alcotest.failf "register (1,2) %s: expected a lasso" name
   in
-  let base = run ~dpor:false ~invoke_order:false in
-  let b = cert "baseline" base in
-  List.iter
-    (fun (name, dpor, invoke_order) ->
-      let red = run ~dpor ~invoke_order in
-      let c = cert name red in
-      Alcotest.(check string)
-        (name ^ ": identical stem")
-        (show_script pp_consensus_inv b.Lasso.c_stem)
-        (show_script pp_consensus_inv c.Lasso.c_stem);
-      Alcotest.(check string)
-        (name ^ ": identical cycle")
-        (show_script pp_consensus_inv b.Lasso.c_cycle)
-        (show_script pp_consensus_inv c.Lasso.c_cycle);
-      check_bool (name ^ ": identical cells") true
-        (b.Lasso.c_cells = c.Lasso.c_cells);
-      check_bool (name ^ ": a strict reduction") true
-        (red.Live_explore.stats.Explore_stats.nodes
-        < base.Live_explore.stats.Explore_stats.nodes))
-    [
-      ("dpor", true, false);
-      ("dpor+invoke-order", true, true);
-    ]
+  let base = run ~dpor:false and red = run ~dpor:true in
+  let b = cert "baseline" base and c = cert "dpor" red in
+  Alcotest.(check string)
+    "dpor: identical stem"
+    (show_script pp_consensus_inv b.Lasso.c_stem)
+    (show_script pp_consensus_inv c.Lasso.c_stem);
+  Alcotest.(check string)
+    "dpor: identical cycle"
+    (show_script pp_consensus_inv b.Lasso.c_cycle)
+    (show_script pp_consensus_inv c.Lasso.c_cycle);
+  check_bool "dpor: identical cells" true (b.Lasso.c_cells = c.Lasso.c_cells);
+  check_bool "dpor: a strict reduction" true
+    (red.Live_explore.stats.Explore_stats.nodes
+    < base.Live_explore.stats.Explore_stats.nodes)
 
 (* ------------------------------------------------------------------ *)
 (* QCheck: [Dpor.wakes] wakes a sleeper iff some pair of raw accesses  *)

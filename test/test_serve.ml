@@ -372,10 +372,10 @@ let test_warm_refuses () =
 
 let make ?(kind = `Live) ?(impl = "register") ?(property = "1,2") ?(n = 2)
     ?(depth = 10) ?(crashes = 0) ?max_period ?pump ?(dpor = true)
-    ?(symmetry = kind = `Explore) ?(invoke_order = false) () =
+    ?(symmetry = kind = `Explore) () =
   match
     Queries.make ~kind ~impl ~property ~n ~depth ~crashes ~max_period ~pump
-      ~dpor ~symmetry ~invoke_order
+      ~dpor ~symmetry
   with
   | Ok sp -> sp
   | Error e -> Alcotest.failf "make refused a valid spec: %s" e
@@ -399,7 +399,6 @@ let test_qid_binds_the_record () =
       ("n", live, make ~n:3 ());
       ("crashes", live, make ~crashes:1 ());
       ("dpor", live, make ~dpor:false ());
-      ("invoke_order", live, make ~invoke_order:true ());
       ("safety impl", safety, make ~kind:`Explore ~impl:"cas" ());
       ("safety dpor", safety, make ~kind:`Explore ~dpor:false ());
       ("symmetry", safety, make ~kind:`Explore ~symmetry:false ());
@@ -446,11 +445,13 @@ let test_cli_out_of_range_refused () =
       "live-explore --cache-capacity 0";
       "live-explore --procs 0";
       "live-explore --procs 17";
+      "live-explore --property 2,1";
     ]
 
 (* The declared-footprint POR, structural-key and hash-compaction
-   switches and the live proviso bound are gone: naming them is a
-   usage error too. *)
+   switches, the live proviso bound and the invoke-order switch (the
+   live search always offers invocations in process order) are gone:
+   naming them is a usage error too. *)
 let test_cli_retired_flags_refused () =
   List.iter
     (fun args ->
@@ -465,6 +466,7 @@ let test_cli_retired_flags_refused () =
       "explore --bitstate 16";
       "live-explore --no-compact";
       "live-explore --proviso 3";
+      "live-explore --invoke-order";
     ]
 
 (* The serve decoder answers the same bad bounds with an [Error]. *)
@@ -481,6 +483,8 @@ let test_decoder_out_of_range_refused () =
       {|{"kind": "live", "pump": 0}|};
       {|{"kind": "explore", "depth": 0}|};
       {|{"kind": "explore", "n": 0}|};
+      {|{"kind": "live", "property": "2,1"}|};
+      {|{"kind": "live", "property": "0,1"}|};
     ];
   ignore (spec_of {|{"kind": "live", "max_period": 1, "pump": 1, "crashes": 0}|})
 
@@ -644,17 +648,40 @@ let test_worker_answers_task_line () =
       check_outcome "bad line" "error" (Option.get (Json.member "result" bad))
   | _ -> Alcotest.failf "expected 2 result lines, got %d" (List.length lines)
 
-let test_negative_content_length () =
+(* A request the coordinator cannot take answers 400 and creates no
+   query, and the coordinator keeps serving: a negative
+   Content-Length, and a freedom point with [l > k], which names no
+   cell of the grid (the decoder refuses it before the engine could
+   raise on it). *)
+let test_bad_requests_answer_400 () =
   with_server ~store:(temp_store ()) (fun port ->
-      let resp =
-        exchange port "POST /query HTTP/1.1\r\nContent-Length: -5\r\n\r\n{}"
-      in
-      Alcotest.(check string)
-        "negative Content-Length" "HTTP/1.1 400 Bad Request" (status_line resp);
-      let resp = exchange port (request ~meth:"GET" ~path:"/stats" "") in
-      Alcotest.(check string)
-        "still serving" "HTTP/1.1 200 OK" (status_line resp);
-      check_int "no query was created" 0 (stat (last_json resp) [ "queries" ]))
+      List.iter
+        (fun (name, raw, message) ->
+          let resp = exchange port raw in
+          Alcotest.(check string)
+            name "HTTP/1.1 400 Bad Request" (status_line resp);
+          Option.iter
+            (fun m ->
+              Alcotest.(check (option string))
+                (name ^ ": message") (Some m)
+                (Option.bind (Json.member "message" (last_json resp)) Json.str))
+            message;
+          let resp = exchange port (request ~meth:"GET" ~path:"/stats" "") in
+          Alcotest.(check string)
+            (name ^ ": still serving") "HTTP/1.1 200 OK" (status_line resp);
+          check_int
+            (name ^ ": no query was created")
+            0
+            (stat (last_json resp) [ "queries" ]))
+        [
+          ( "negative Content-Length",
+            "POST /query HTTP/1.1\r\nContent-Length: -5\r\n\r\n{}",
+            None );
+          ( "l > k",
+            request ~meth:"POST" ~path:"/query"
+              {|{"kind": "live", "property": "2,1"}|},
+            Some "property \"2,1\" out of range: l 2 exceeds k 1" );
+        ])
 
 let cli_json args =
   let out = Filename.temp_file "slx_serve_test" ".json" in
@@ -688,6 +715,47 @@ let test_cli_witness_one_line () =
       Alcotest.(check (list string))
         "witness line" [ "witness script: I1(0) I2(1) C1" ]
         (List.filter (String.starts_with ~prefix:"witness") lines))
+
+(* A negative live verdict says which tree it covers: the DPOR-reduced
+   one by default, pointing to --no-dpor, or the whole bounded tree
+   under --no-dpor; --json carries the same as "exhaustive". *)
+let test_cli_negative_live_verdict_names_its_tree () =
+  let args = "live-explore --impl cas --depth 6" in
+  let verdict_line flags =
+    let out = Filename.temp_file "slx_serve_test" ".txt" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove out)
+      (fun () ->
+        check_int "exit code" 0
+          (Sys.command (Printf.sprintf "%s %s%s > %s" slx_bin args flags out));
+        List.filter
+          (String.starts_with ~prefix:"no fair")
+          (String.split_on_char '\n'
+             (In_channel.with_open_bin out In_channel.input_all)))
+  in
+  Alcotest.(check (list string))
+    "reduced"
+    [
+      "no fair non-progressing cycle within depth 6 on the DPOR-reduced \
+       tree: (1,1)-freedom is not excluded there (the reduced tree can miss \
+       a lasso under the depth bound; --no-dpor searches exhaustively)";
+    ]
+    (verdict_line "");
+  Alcotest.(check (list string))
+    "exhaustive"
+    [
+      "no fair non-progressing cycle within depth 6 (exhaustive): \
+       (1,1)-freedom is not excluded on this bounded graph";
+    ]
+    (verdict_line " --no-dpor");
+  List.iter
+    (fun (flags, expected) ->
+      Alcotest.(check (option bool))
+        ("\"exhaustive\"" ^ flags) (Some expected)
+        (match Json.member "exhaustive" (cli_json (args ^ flags)) with
+        | Some (Json.Bool b) -> Some b
+        | _ -> None))
+    [ ("", false); (" --no-dpor", true) ]
 
 (* A served record carries its 63-bit digest exactly (the served
    answer's digest is the store-less CLI's), and the CLI answers the
@@ -928,6 +996,8 @@ let suites =
           test_decoder_out_of_range_refused;
         Alcotest.test_case "CLI prints the witness script on one line" `Quick
           test_cli_witness_one_line;
+        Alcotest.test_case "a negative live verdict names its tree" `Quick
+          test_cli_negative_live_verdict_names_its_tree;
       ] );
     ( "serve.warm",
       [
@@ -943,8 +1013,8 @@ let suites =
       ] );
     ( "serve.coordinator",
       [
-        Alcotest.test_case "negative Content-Length answers 400" `Quick
-          test_negative_content_length;
+        Alcotest.test_case "a bad request answers 400 and serving goes on"
+          `Quick test_bad_requests_answer_400;
         Alcotest.test_case "the CLI warm-serves a served record" `Quick
           test_cli_warm_serves_served_record;
         Alcotest.test_case "a deeper query runs full" `Quick

@@ -278,9 +278,9 @@ let test_engine_mismatch () =
     && Store.records reopened = [ List.hd sample_records ])
 
 let test_qid_binds_flags () =
-  let base ?dpor ?symmetry ?invoke_order ?(registry_digest = 99) () =
+  let base ?dpor ?symmetry ?(registry_digest = 99) () =
     Persist.query_key ~ident:"cas" ~check:"consensus-safety" ~n:2
-      ~registry_digest ?dpor ?symmetry ?invoke_order ()
+      ~registry_digest ?dpor ?symmetry ()
   in
   let q0 = base () in
   List.iteri
@@ -290,7 +290,6 @@ let test_qid_binds_flags () =
     [
       base ~dpor:true ();
       base ~symmetry:true ();
-      base ~invoke_order:true ();
       base ~registry_digest:100 ();
       Persist.query_key ~ident:"cas" ~check:"live:(1,1)-freedom" ~n:2
         ~registry_digest:99 ();
