@@ -54,11 +54,12 @@
     processes could be invoked, only the least one's invocation is
     offered; doc/model.md §7 states why that keeps a representative of
     every fair periodic run, the fairness assumption it rests on, and
-    its slack under a depth bound.  The transposition cache is keyed on the configuration
-    fingerprint {e plus} the last [2 * max_period] abstract cells —
-    the context that determines every candidate in a subtree — and
-    stores only completed lasso-free subtrees, so hits can never mask
-    the least witness.  Only nodes with [2 * max_period < len < depth]
+    its slack under a depth bound.  The transposition cache is keyed
+    on the configuration fingerprint {e plus} the last
+    [2 * max_period] abstract cells — the context that determines
+    every candidate in a subtree — and stores only completed
+    lasso-free subtrees, so hits can never mask the least witness.
+    Only nodes with [2 * max_period < len < depth]
     are keyed: a shallower key spells out the node's whole script, so
     it can never hit, and leaves are not worth a key (doc/model.md §7).
 

@@ -104,7 +104,8 @@ let sweep () =
                 List.iter
                   (fun crashes ->
                     ignore
-                      (pair ~impl ~property ~n ~depth ~crashes ~max_period:None))
+                      (pair ~impl ~property ~n ~depth ~crashes
+                         ~max_period:None))
                   [ 0; 1 ]
               done)
             sizes)

@@ -605,7 +605,8 @@ let suites =
         quick "CAS: no lasso anywhere" test_cas_no_lasso_anywhere;
         quick "witness deterministic across configs"
           test_witness_deterministic_across_configs;
-        quick "invoke order is unconditional" test_invoke_order_is_unconditional;
+        quick "invoke order is unconditional"
+          test_invoke_order_is_unconditional;
       ]
       @ qcheck [ prop_cell_codes_match_tick_cells ] );
     ( "live-explore: suffix cache",
