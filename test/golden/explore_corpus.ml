@@ -8,9 +8,10 @@
    (126 in all) it runs the query exactly as `slx explore` does, in
    process, and prints the command line followed by the verdict and,
    for a counterexample, the failing history and the witness script.
-   Counters (nodes, runs, steps, cache hits) are deliberately left
-   out: a reduction may change how many representatives it visits,
-   never which verdict or which least witness it reports. *)
+   Each configuration's engine counters ({!Counters}) go to a separate
+   file, `explore.counters.expected`: a reduction may change how many
+   representatives it visits, never which verdict or which least
+   witness it reports, so a perf change moves only the counters file. *)
 
 open Slx_core
 open Slx_serve
@@ -78,6 +79,7 @@ let print_verdict (e : _ Explore.exploration) =
       Printf.printf "  witness script: %s\n" script
 
 let () =
+  let counters = Counters.channel () in
   List.iter
     (fun impl ->
       List.iter
@@ -86,16 +88,23 @@ let () =
             (fun crashes ->
               List.iter
                 (fun f ->
-                  Printf.printf "slx explore --impl %s --depth %d --crashes %d%s\n"
-                    impl depth crashes f.label;
+                  let cmd =
+                    Printf.sprintf "slx explore --impl %s --depth %d --crashes %d%s"
+                      impl depth crashes f.label
+                  in
+                  print_endline cmd;
                   match
                     Queries.make ~kind:`Explore ~impl ~property:"" ~n:2 ~depth
                       ~crashes ~max_period:None ~pump:None ~dpor:f.dpor
                       ~symmetry:f.symmetry
                   with
                   | Error e -> Printf.printf "  error: %s\n" e
-                  | Ok sp -> print_verdict (answer sp f))
+                  | Ok sp ->
+                      let e = answer sp f in
+                      print_verdict e;
+                      Counters.print counters cmd e.Explore.stats)
                 flag_sets)
             crash_bounds)
         depths)
-    impls
+    impls;
+  close_out counters

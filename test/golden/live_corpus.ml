@@ -14,10 +14,18 @@
    - the cells of Figure1.consensus_exhaustive ~n:2 ~depth:8;
    - the TL2 (1,1) lasso at depth 20 with one crash, and the I12
      regression certificate (a stored witness whose cycle is no run
-     of the TM workload, which must not re-validate).
+     of the TM workload, which must not re-validate);
+   - two deeper register obstruction legs that pin the cache and the
+     reduction counters: n = 2 depth 14 with one crash, and n = 3
+     depth 11 with two crashes under --cache-capacity 1000, both
+     --max-period 2.
 
-   Counters are left out: a reduction may change how many nodes it
-   visits, never which verdict or which least certificate it reports.
+   Every query with engine stats also writes its counters ({!Counters})
+   to a separate file, `live.counters.expected`: a reduction may
+   change how many nodes it visits, never which verdict or which least
+   certificate it reports, so a perf change moves only the counters
+   file.  The Figure 1 cells and the I12 re-validation report no
+   stats.
 
    A default line whose verdict or certificate differs from the same
    query's --no-dpor line is tagged.  The DPOR-reduced live tree is
@@ -59,36 +67,50 @@ let tag ~reduced ~exhaustive =
 
 (* --- CLI queries ---------------------------------------------------- *)
 
-let outcome ?capacity sp =
+let counters = Counters.channel ()
+
+let run ?capacity sp =
   match Queries.run ?capacity sp with
-  | Queries.Live r, _ -> r.Live_explore.outcome
+  | Queries.Live r, _ -> r
   | Queries.Safety _, _ -> assert false
+
+(* A query's command line and verdict, and its counters to the
+   counters file. *)
+let print ?(tag = "") cmd (r : _ Live_explore.result) =
+  Printf.printf "%s\n  %s%s\n" cmd
+    (verdict Queries.dec_string r.Live_explore.outcome)
+    tag;
+  Counters.print counters cmd r.Live_explore.stats
+
+let command ~impl ~property ~n ~depth ~crashes ~max_period =
+  Printf.sprintf
+    "slx live-explore --impl %s --property %s --procs %d --depth %d \
+     --crashes %d%s"
+    impl property n depth crashes
+    (match max_period with
+    | None -> ""
+    | Some p -> Printf.sprintf " --max-period %d" p)
+
+let spec ~impl ~property ~n ~depth ~crashes ~max_period dpor =
+  Result.get_ok
+    (Queries.make ~kind:`Live ~impl ~property ~n ~depth ~crashes ~max_period
+       ~pump:None ~dpor ~symmetry:false)
 
 (* One query at the default and under --no-dpor, the default tagged
    by their difference; returns the command line and the default
    spec. *)
 let pair ~impl ~property ~n ~depth ~crashes ~max_period =
-  let cmd =
-    Printf.sprintf
-      "slx live-explore --impl %s --property %s --procs %d --depth %d \
-       --crashes %d%s"
-      impl property n depth crashes
-      (match max_period with
-      | None -> ""
-      | Some p -> Printf.sprintf " --max-period %d" p)
+  let cmd = command ~impl ~property ~n ~depth ~crashes ~max_period in
+  let reduced_sp = spec ~impl ~property ~n ~depth ~crashes ~max_period true in
+  let reduced = run reduced_sp
+  and exhaustive =
+    run (spec ~impl ~property ~n ~depth ~crashes ~max_period false)
   in
-  let spec dpor =
-    Result.get_ok
-      (Queries.make ~kind:`Live ~impl ~property ~n ~depth ~crashes ~max_period
-         ~pump:None ~dpor ~symmetry:false)
-  in
-  let reduced_sp = spec true in
-  let reduced = outcome reduced_sp and exhaustive = outcome (spec false) in
-  Printf.printf "%s\n  %s%s\n" cmd
-    (verdict Queries.dec_string reduced)
-    (tag ~reduced ~exhaustive);
-  Printf.printf "%s --no-dpor\n  %s\n" cmd
-    (verdict Queries.dec_string exhaustive);
+  print cmd reduced
+    ~tag:
+      (tag ~reduced:reduced.Live_explore.outcome
+         ~exhaustive:exhaustive.Live_explore.outcome);
+  print (cmd ^ " --no-dpor") exhaustive;
   (cmd, reduced_sp)
 
 let sweep () =
@@ -122,8 +144,7 @@ let live_grid () =
               let cmd, sp =
                 pair ~impl ~property ~n:2 ~depth:12 ~crashes:1 ~max_period
               in
-              Printf.printf "%s --cache-capacity 40\n  %s\n" cmd
-                (verdict Queries.dec_string (outcome ~capacity:40 sp)))
+              print (cmd ^ " --cache-capacity 40") (run ~capacity:40 sp))
             [ None; Some 2 ])
         [ "obstruction"; "1,2"; "1,1" ])
     impls
@@ -151,15 +172,17 @@ let tm_dec = function
 let tm_invoke v p = Some (Slx_tm.Tm_workload.next_invocation v p)
 
 let tl2 () =
-  print_endline
+  let cmd =
     "Live_explore.search TL2 (1,1) n=2 depth 20 crashes 1 (workload \
-     invocations)";
+     invocations)"
+  in
   let r =
     Live_explore.search ~n:2 ~factory:Slx_tm.Tl2_tm.factory ~invoke:tm_invoke
       ~good:Slx_tm.Tm_type.good ~point:Freedom.obstruction_freedom ~depth:20
       ~max_crashes:1 ~dpor:true ()
   in
-  Printf.printf "  %s\n" (verdict tm_dec r.Live_explore.outcome)
+  Printf.printf "%s\n  %s\n" cmd (verdict tm_dec r.Live_explore.outcome);
+  Counters.print counters cmd r.Live_explore.stats
 
 (* The certificate the search once returned for I12 at (1,2), depth
    22, period bound 8, while pumps replayed recorded payloads: its
@@ -181,9 +204,34 @@ let i12 () =
   | None -> print_endline "  rejected"
   | Some c -> Printf.printf "  %s\n" (verdict tm_dec (Live_explore.Lasso c))
 
+(* --- counter pins ----------------------------------------------------- *)
+
+(* Deeper register obstruction queries at the default only: their
+   counters exercise the suffix cache, its eviction under a capacity,
+   the sleep sets and the invoke order harder than the sweep does. *)
+let pins () =
+  List.iter
+    (fun (n, depth, crashes, capacity) ->
+      let cmd =
+        command ~impl:"register" ~property:"obstruction" ~n ~depth ~crashes
+          ~max_period:(Some 2)
+      in
+      let sp =
+        spec ~impl:"register" ~property:"obstruction" ~n ~depth ~crashes
+          ~max_period:(Some 2) true
+      in
+      match capacity with
+      | None -> print cmd (run sp)
+      | Some c ->
+          print (Printf.sprintf "%s --cache-capacity %d" cmd c)
+            (run ~capacity:c sp))
+    [ (2, 14, 1, None); (3, 11, 2, Some 1000) ]
+
 let () =
   sweep ();
   live_grid ();
   figure1 ();
   tl2 ();
-  i12 ()
+  i12 ();
+  pins ();
+  close_out counters
