@@ -157,23 +157,6 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
       ~cache:(cache && not (dpor && symmetry))
       ~dpor ~sanitize ?capacity:cache_capacity ?cancel obs
   in
-  (* Under DPOR, a child's sleep set is only a {e candidate} until its
-     edge executes: the dynamic filter then wakes the sleepers whose
-     pending actions raced with the step's observed accesses.  Returns
-     the settled sleep set. *)
-  let settle_sleep cursor d candidate len =
-    let observed = Dpor.observed_step_mask st.probe in
-    let keep, woken =
-      Dpor.advance_mask ~observed
-        ~pending:(fun z -> Runner.Cursor.pending_mask cursor z)
-        candidate d
-    in
-    if woken <> [] then begin
-      st.reversals <- st.reversals + List.length woken;
-      Telemetry.emit st.sink Telemetry.Race_reversal len (List.length woken)
-    end;
-    keep
-  in
   (* Walk the subtree rooted at the configuration [cursor] sits on
      ({!Search.children} extends it in place for the first child and
      replays the prefix for the others).  Stops at the first failing
@@ -238,7 +221,7 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                 (* Children, each with its candidate sleep set: every
                    explored earlier step or crash falls asleep for the
                    later siblings (a crash child included), and
-                   [settle_sleep] wakes the racers from the accesses
+                   [Search.settle] wakes the racers from the accesses
                    [d] actually performed. *)
                 let children =
                   if not dpor then List.map (fun d -> (d, [])) active
@@ -263,7 +246,7 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                   ~apply:Runner.Cursor.apply children
                   (fun child d child_sleep () ->
                     let settled =
-                      if dpor then settle_sleep child d child_sleep (len + 1)
+                      if dpor then Search.settle st child d child_sleep (len + 1)
                       else []
                     in
                     visit child (d :: rev_script) (len + 1)

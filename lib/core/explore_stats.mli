@@ -49,9 +49,12 @@ type t = {
           invocation).  Previously folded into the POR counter; split
           so the two reductions are attributable. *)
   proviso_wakes : int;
-      (** Fair-cycle search only: sleeping processes force-woken by
-          the bounded-ignoring cycle proviso (slept through too many
-          consecutive ticks), keeping the reduction cycle-sound. *)
+      (** Fair-cycle search only: sleepers woken without a race.  A
+          process sleeps at one node only, so each child drops its
+          parent's sleepers that its own step did not wake by a race
+          (those count as [race_reversals]); and a node whose every
+          enabled decision is asleep force-wakes them all rather than
+          truncate the path (doc/model.md §7). *)
   symmetry_pruned : int;
       (** Decisions pruned as symmetric to a lower-numbered untouched
           process's decision (symmetry reduction orbit pruning). *)

@@ -21,15 +21,14 @@ type ('inv, 'res) result = {
    agreeing on both have identical candidate sets below — an entry is
    written only for completed lasso-free subtrees, and stores the
    subtree's run count, credited to [runs] on a hit.  Under DPOR the
-   reduced subtree additionally depends on the sleep set and on each
-   sleeper's ignoring streak (the proviso counter), so the sleep set
-   joins the key; with DPOR off it is always [].
+   reduced subtree additionally depends on the node's sleep set, so
+   the sleep set joins the key; with DPOR off it is always [].
 
    The key is one flat int array ({!Search.key}): the cursor's
    [compact_key] (which stands in for the fingerprint), then the trace
    suffix as cell codes ({!Lasso.cell_code}, which the walk carries),
    length-prefixed so codes and sleeper entries cannot alias, then
-   each sleeper as the two ints [proc; streak].
+   the sleepers' process ids.
 
    Only nodes with [2 * max_period < len < depth] are keyed.  The key
    carries the time ([len]), and every decision's cell names its
@@ -212,17 +211,6 @@ let budgets ~depth ~max_period ~pump_ticks =
   ( Option.value max_period ~default:(max 1 ((depth + 1) / 2)),
     Option.value pump_ticks ~default:(4 * depth) )
 
-(* Bounded-ignoring proviso: a process may stay asleep through at most
-   this many consecutive edges of the walk before being force-woken,
-   so on any retained cycle of period >= the bound every slept process
-   gets re-enabled within one repetition (doc/model.md §7 says what
-   this does not keep under a depth bound).  2 is the minimal
-   nontrivial period: period-1 fair cycles need no protection (a
-   sleeper is Ready and correct, so a cycle that never grants it is
-   not fair in the full graph either), and a larger bound can ignore a
-   transition across a whole short cycle and miss its lasso. *)
-let ignoring_bound = 2
-
 let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
     ?max_period ?pump_ticks ?invoke_order:(_ : bool option) ?(dpor = false)
     ?(cache = true) ?cache_capacity ?(obs = Obs.disabled) ?(sanitize = false)
@@ -256,45 +244,24 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
       (Search.menu ~invoke ~depth ~max_crashes view len crashes)
   in
   (* Settle a child's candidate sleep set once its edge [d] has
-     executed (DPOR only).  Three filters, in order: (1) race
-     reversal — wake every sleeper whose pending footprint conflicts
-     with the accesses [d] actually performed; (2) the decision kind —
-     crashes wake everyone (handled by the caller passing [] as the
-     candidate), invocations are process-local and keep everyone;
-     (3) the bounded-ignoring proviso — bump each survivor's streak
-     and force-wake those that reach [ignoring_bound]. *)
-  let settle_sleep child d candidate len =
-    let advanced =
-      match d with
-      | Driver.Schedule _ ->
-          let observed = Dpor.observed_step_mask st.probe in
-          let keep, woken =
-            List.partition
-              (fun (z, _) ->
-                not
-                  (Dpor.wakes_mask ~observed
-                     ~pending:(Runner.Cursor.pending_mask child z)))
-              candidate
-          in
-          if woken <> [] then begin
-            st.reversals <- st.reversals + List.length woken;
-            Telemetry.emit st.sink Telemetry.Race_reversal len
-              (List.length woken)
-          end;
-          keep
-      | _ -> candidate
+     executed (DPOR only).  {!Search.settle} wakes the sleepers whose
+     pending steps race with the accesses [d] performed; of the rest,
+     the parent's own sleepers [sleep] are dropped too (counted as
+     [proviso_wakes]), so only [d]'s earlier siblings stay asleep. *)
+  let settle child d candidate ~sleep len =
+    let dropped, kept =
+      List.partition
+        (fun z -> List.mem z sleep)
+        (Search.settle st child d candidate len)
     in
-    let kept, expired =
-      List.partition (fun (_, streak) -> streak + 1 < ignoring_bound) advanced
-    in
-    if expired <> [] then begin
-      st.proviso <- st.proviso + List.length expired;
-      Telemetry.emit st.sink Telemetry.Proviso_wake len (List.length expired)
+    if dropped <> [] then begin
+      st.proviso <- st.proviso + List.length dropped;
+      Telemetry.emit st.sink Telemetry.Proviso_wake len (List.length dropped)
     end;
-    List.map (fun (z, streak) -> (z, streak + 1)) kept
+    kept
   in
-  (* [sleep] carries each slept process with its ignoring streak; []
-     with DPOR off. *)
+  (* [sleep] holds the processes asleep at this node, as the
+     {!Dpor.sleeper} entries of their steps; [] with DPOR off. *)
   let rec visit cursor rev_script rev_codes rev_goods len crashes sleep =
     Search.node st len @@ fun () ->
     (* Shallow nodes and leaves stay unkeyed: see the key comment. *)
@@ -302,10 +269,7 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
       if Option.is_some st.table && 2 * max_period < len && len < depth
       then begin
         let codes = take (2 * max_period) rev_codes in
-        Some
-          (Search.key cursor
-             ((List.length codes :: codes)
-             @ List.concat_map (fun (z, s) -> [ z; s ]) sleep))
+        Some (Search.key cursor ((List.length codes :: codes) @ sleep))
       end
       else None
     in
@@ -319,26 +283,21 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
         (match menu view len crashes with
         | [] -> st.runs <- st.runs + 1
         | decisions ->
-            (* Sleep-set filter, guarded by the cycle proviso.  A slept
-               process's step commutes with everything executed since
-               it went to sleep, so granting it here only step-swaps a
-               run an earlier sibling explores — {e for safety}.  For
-               cycle detection two extra wakes keep the reduction
-               sound: a path is never truncated outright (if every
-               enabled decision is asleep, all sleepers are
-               force-woken), and no process sleeps through more than
-               [ignoring_bound] consecutive edges ([settle_sleep]), so
-               every pruned transition is re-enabled within that many
-               ticks on any retained cycle. *)
+            (* One-level sleep-set filter.  A process asleep here took
+               its step as an earlier sibling of the edge into this
+               node, and that step commutes with the edge's observed
+               step, so granting it here only step-swaps a run the
+               sibling explores.  It sleeps at this node only: every
+               child drops it ([settle]).  A path is never truncated
+               outright: if every enabled decision is asleep, all
+               sleepers are force-woken (doc/model.md §7). *)
             let asleep, active =
-              if dpor && sleep <> [] then
+              if sleep = [] then ([], decisions)
+              else
                 List.partition
-                  (fun d ->
-                    match d with
-                    | Driver.Schedule p -> List.mem_assoc p sleep
-                    | _ -> false)
+                  (function
+                    | Driver.Schedule p -> List.mem p sleep | _ -> false)
                   decisions
-              else ([], decisions)
             in
             let asleep, active, sleep =
               if active = [] && asleep <> [] then begin
@@ -353,17 +312,15 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
             if asleep <> [] then
               Telemetry.emit st.sink Telemetry.Por_sleep len
                 (List.length asleep);
-            (* Children with their candidate sleep sets: each explored
-               sibling falls asleep (streak 0) for the siblings after
-               it; crashes wake everyone. *)
+            (* Children with their candidate sleep sets: this node's
+               sleepers and each explored step before the child's;
+               a crash child starts empty. *)
             let children =
               if not dpor then List.map (fun d -> (d, [])) active
               else
                 Search.sleep_sets
                   ~add:(fun d prev ->
-                    match d with
-                    | Driver.Schedule p -> (p, 0) :: List.remove_assoc p prev
-                    | _ -> prev)
+                    match d with Driver.Schedule p -> p :: prev | _ -> prev)
                   ~crash_child:(fun _ -> [])
                   sleep active
             in
@@ -373,7 +330,7 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
               children
               (fun child d child_sleep (fresh, code) ->
                 let settled =
-                  if dpor then settle_sleep child d child_sleep (len + 1)
+                  if dpor then settle child d child_sleep ~sleep (len + 1)
                   else []
                 in
                 visit child (d :: rev_script) (code :: rev_codes)

@@ -67,16 +67,16 @@
     — sleep sets are path-dependent, and pruning by them can defer a
     transition forever around a cycle (the classic "ignoring
     problem"), dropping every representative of a periodic run.  The
-    [dpor] reduction closes that gap with a {e bounded-ignoring cycle
-    proviso}: the DPOR sleep-set walk of {!Explore} (dynamic
-    observed-access race reversal, {!Dpor}) runs under two extra wake
-    rules — a node whose every enabled decision is asleep force-wakes
-    them all instead of truncating the path, and no process stays
-    asleep through more than 2 consecutive edges.  Together these
-    re-enable each pruned transition within 2 ticks on every retained
-    cycle; the transposition key carries the sleep set and the
-    per-sleeper ignoring streaks so distinct reduced subtrees never
-    share an entry.  This does {e not} make the reduced tree keep
+    [dpor] reduction keeps its sleep sets {e one level} deep: at node
+    [P·d], a process whose step was explored from [P] as an earlier
+    sibling of [d], and commutes with [d]'s observed step ({!Dpor}),
+    is not offered; every child of [P·d] offers it again.  A node
+    whose every enabled decision is asleep force-wakes them all
+    instead of truncating the path.  So no sleep set outlives one
+    edge, and each pruned transition is offered again at the next
+    node of every retained cycle; the transposition key carries the
+    sleep set so distinct reduced subtrees never share an entry.
+    This does {e not} make the reduced tree keep
     every fair periodic run under a depth bound: the representative
     of a lasso the full tree holds can lie deeper than [depth], so a
     [dpor] search can answer [No_fair_cycle] where the unreduced
@@ -104,9 +104,12 @@ type ('inv, 'res) result = {
       (** Work counters.  [cycles_examined]/[fair_cycles] count the
           periodic candidates and the fair violating ones;
           [invoke_order_prunes] counts invocations pruned by the
-          invoke order; [por_prunes]/[race_reversals]/
-          [proviso_wakes] count the [dpor] reduction's prunes and
-          wakes; pump replays are included in [steps_executed]. *)
+          invoke order; under [dpor], [por_prunes] counts slept
+          decisions, [race_reversals] the sleepers a child's step
+          wakes by a race, and [proviso_wakes] the other sleepers
+          dropped when the walk leaves their node, plus the ones a
+          node whose every decision is asleep force-wakes; pump
+          replays are included in [steps_executed]. *)
 }
 
 val search :
@@ -147,10 +150,7 @@ val search :
     cycle.  [invoke_order] is ignored: the walk is always
     invoke-ordered (see module doc); the argument remains only for
     callers that still pass it.  [dpor] (default [false]) enables the
-    cycle-proviso-guarded DPOR sleep-set reduction (see module doc),
-    whose bounded-ignoring limit is 2, the minimal nontrivial period
-    (period-1 fair cycles need none: a sleeper is Ready and correct,
-    so a cycle never granting it is unfair in the full graph too).
+    one-level DPOR sleep-set reduction (see module doc).
 
     [cache] (default [true]) enables the suffix-keyed transposition
     cache, bounded by [cache_capacity] (clock eviction).  It engages
@@ -180,8 +180,8 @@ val search :
     The suffix cache is keyed on flat compact keys, as in
     {!Explore.explore}: the interned incremental history id, the
     abstract-trace cells as the int codes the walk carries
-    ({!Slx_liveness.Lasso.cell_code}) and the sleepers'
-    [(proc, streak)] pairs, in one int array per key.  When the cache
+    ({!Slx_liveness.Lasso.cell_code}) and the sleepers' process ids,
+    in one int array per key.  When the cache
     does not engage the cursors carry no history-interning hook
     either.  Cells become strings only in a certificate.
 

@@ -213,6 +213,19 @@ let sleep_sets ~add ~crash_child sleep decisions =
     ([], sleep) decisions
   |> fst |> List.rev
 
+let settle st cursor d sleep len =
+  let keep, woken =
+    Dpor.advance_mask
+      ~observed:(Dpor.observed_step_mask st.probe)
+      ~pending:(Runner.Cursor.pending_mask cursor)
+      sleep d
+  in
+  if woken <> [] then begin
+    st.reversals <- st.reversals + List.length woken;
+    Telemetry.emit st.sink Telemetry.Race_reversal len (List.length woken)
+  end;
+  keep
+
 let crashes_after crashes = function
   | Driver.Crash _ -> crashes + 1
   | _ -> crashes

@@ -138,19 +138,37 @@ val menu :
     it. *)
 
 val sleep_sets :
-  add:(('inv, 'res) Driver.decision -> 's list -> 's list) ->
-  crash_child:('s list -> 's list) ->
-  's list ->
+  add:(('inv, 'res) Driver.decision -> int list -> int list) ->
+  crash_child:(int list -> int list) ->
+  int list ->
   ('inv, 'res) Driver.decision list ->
-  (('inv, 'res) Driver.decision * 's list) list
+  (('inv, 'res) Driver.decision * int list) list
 (** [sleep_sets ~add ~crash_child sleep decisions] pairs each child
-    decision with its candidate DPOR sleep set: the node's [sleep] plus
+    decision with its candidate DPOR sleep set of {!Dpor.sleeper}
+    entries: the node's [sleep] plus
     what every earlier sibling put to sleep ([add d] adds sibling [d]'s
     entry, if it has one).  A crash child gets [crash_child] of that
     set instead: the safety explorer keeps it, since a crash commutes
     with every other process's decisions (less the slept crashes when
     the child spends the crash budget), while the live search empties
-    it. *)
+    it.  The live search then drops the node's own [sleep] from every
+    child once {!settle} has run: its sleep sets are one level deep. *)
+
+val settle :
+  ('inv, 'res, 'v, 'f) t ->
+  ('inv, 'res) Runner.Cursor.t ->
+  ('inv, 'res) Driver.decision ->
+  int list ->
+  int ->
+  int list
+(** [settle st child d sleep len] settles a child's candidate sleep set
+    once its edge [d] has executed on [child], at depth [len]: the
+    entries {!Dpor.advance_mask} keeps, from the accesses [d] actually
+    performed ({!Dpor.observed_step_mask} of the search's probe) and
+    each sleeper's pending mask on [child].  The entries it wakes are
+    the race reversals: counted in [race_reversals] and emitted as one
+    [Race_reversal] event.  Both explorers' DPOR walks settle through
+    here. *)
 
 val crashes_after : int -> ('inv, 'res) Driver.decision -> int
 (** The crash count after a decision. *)

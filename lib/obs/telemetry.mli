@@ -31,8 +31,9 @@ type kind =
       (** a = depth, b = sleepers woken by an observed conflict of the
           step just executed (DPOR race reversal). *)
   | Proviso_wake
-      (** a = depth, b = sleepers force-woken by the bounded-ignoring
-          cycle proviso ({!Slx_core.Live_explore}). *)
+      (** a = depth, b = sleepers woken without a race: dropped as the
+          walk leaves the one node they sleep at, or force-woken where
+          every enabled decision is asleep ({!Slx_core.Live_explore}). *)
   | Invoke_prune
       (** a = depth, b = invocations pruned by the invoke order
           ({!Slx_core.Live_explore}). *)
