@@ -609,7 +609,8 @@ let live_explore_cmd =
   let property_arg =
     let doc =
       "Liveness property: obstruction, lock, wait, or an explicit \
-       (l,k)-freedom point written l,k (e.g. 1,2)."
+       (l,k)-freedom point written l,k (e.g. 1,2), with l <= k and k at \
+       most the process count."
     in
     Arg.(value & opt string "obstruction" & info [ "property"; "p" ] ~doc)
   in

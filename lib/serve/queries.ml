@@ -30,11 +30,16 @@ let point_of_string ~n s =
           match
             (int_of_string_opt (String.trim l), int_of_string_opt (String.trim k))
           with
-          | Some l, Some k when 1 <= l && l <= k -> Ok (Freedom.make ~l ~k)
+          | Some l, Some k when 1 <= l && l <= k && k <= n ->
+              Ok (Freedom.make ~l ~k)
           | Some l, Some k when 1 <= k && k < l ->
               Error
                 (Printf.sprintf "property %s out of range: l %d exceeds k %d"
                    (json_string s) l k)
+          | Some l, Some k when 1 <= l && l <= k ->
+              Error
+                (Printf.sprintf "property %s out of range: k %d exceeds n %d"
+                   (json_string s) k n)
           | _ -> unknown ()
         end
       | _ -> unknown ()

@@ -96,7 +96,8 @@ val make :
   (spec, string) result
 (** The one checked constructor.  [Error] on an unknown
     implementation or malformed freedom point (including one with
-    [l > k], which names no point of the grid), or an out-of-range
+    [l > k], which names no point of the grid, or with [k > n], which
+    Definition 5.1 cannot tell from [k = n]), or an out-of-range
     bound: depth outside [1, 64], n outside [1, 16], negative crashes,
     a live [max_period] or [pump] below 1.  Liveness budgets resolve
     here ({!Slx_core.Live_explore.budgets}); a safety spec drops the

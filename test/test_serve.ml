@@ -446,6 +446,8 @@ let test_cli_out_of_range_refused () =
       "live-explore --procs 0";
       "live-explore --procs 17";
       "live-explore --property 2,1";
+      "live-explore --property 1,17 --procs 2";
+      "live-explore --property 1,3";
     ]
 
 (* The declared-footprint POR, structural-key and hash-compaction
@@ -485,8 +487,11 @@ let test_decoder_out_of_range_refused () =
       {|{"kind": "explore", "n": 0}|};
       {|{"kind": "live", "property": "2,1"}|};
       {|{"kind": "live", "property": "0,1"}|};
+      {|{"kind": "live", "property": "1,3"}|};
+      {|{"kind": "live", "property": "1,17", "n": 16}|};
     ];
-  ignore (spec_of {|{"kind": "live", "max_period": 1, "pump": 1, "crashes": 0}|})
+  ignore (spec_of {|{"kind": "live", "max_period": 1, "pump": 1, "crashes": 0}|});
+  ignore (spec_of {|{"kind": "live", "property": "1,3", "n": 3}|})
 
 (* ------------------------------------------------------------------ *)
 (* A live coordinator.                                                 *)
@@ -650,9 +655,10 @@ let test_worker_answers_task_line () =
 
 (* A request the coordinator cannot take answers 400 and creates no
    query, and the coordinator keeps serving: a negative
-   Content-Length, and a freedom point with [l > k], which names no
-   cell of the grid (the decoder refuses it before the engine could
-   raise on it). *)
+   Content-Length, a freedom point with [l > k], which names no cell
+   of the grid (the decoder refuses it before the engine could raise
+   on it), and one with [k > n], which would answer for [k = n] under
+   a qid of its own. *)
 let test_bad_requests_answer_400 () =
   with_server ~store:(temp_store ()) (fun port ->
       List.iter
@@ -681,6 +687,10 @@ let test_bad_requests_answer_400 () =
             request ~meth:"POST" ~path:"/query"
               {|{"kind": "live", "property": "2,1"}|},
             Some "property \"2,1\" out of range: l 2 exceeds k 1" );
+          ( "k > n",
+            request ~meth:"POST" ~path:"/query"
+              {|{"kind": "live", "property": "1,3"}|},
+            Some "property \"1,3\" out of range: k 3 exceeds n 2" );
         ])
 
 let cli_json args =
