@@ -92,37 +92,6 @@ let pp_decision pp_inv = function
   | Driver.Crash p -> Printf.sprintf "crash p%d" p
   | Driver.Stop -> "stop"
 
-(* The decision menu, in the explorer's canonical order (steps and
-   invocations for 1..n, then crashes).  No symmetry or POR: an audit
-   certifies runs, so it wants the unreduced tree. *)
-let menu ~n ~invoke ~depth ~max_crashes view len crashes =
-  if len >= depth then []
-  else begin
-    let steps =
-      List.concat_map
-        (fun p ->
-          match view.Driver.status p with
-          | Runtime.Ready -> [ Driver.Schedule p ]
-          | Runtime.Idle -> begin
-              match invoke view p with
-              | Some inv -> [ Driver.Invoke (p, inv) ]
-              | None -> []
-            end
-          | Runtime.Crashed -> [])
-        (Proc.all ~n)
-    in
-    let crash_branches =
-      if crashes < max_crashes then
-        List.filter_map
-          (fun p ->
-            if view.Driver.status p = Runtime.Crashed then None
-            else Some (Driver.Crash p))
-          (Proc.all ~n)
-      else []
-    in
-    steps @ crash_branches
-  end
-
 (* Projection digest for the commutation oracle: commuting orders may
    differ in the interleaving of events of different processes, but
    every per-process projection must agree (doc/model.md §6). *)
@@ -137,16 +106,22 @@ let run_case ?(bound = `Runtest) ?depth ?(oracle = false) ?(detect = true)
     | None -> ( match bound with `Runtest -> c.c_depth | `Ci -> c.c_depth_ci)
   in
   let n = c.c_n in
-  let menu = menu ~n ~invoke:c.c_invoke ~depth ~max_crashes:c.c_max_crashes in
+  (* The explorers' canonical menu, with no symmetry or POR filter: an
+     audit certifies runs, so it wants the unreduced tree. *)
+  let menu =
+    Slx_core.Explore.menu ~invoke:c.c_invoke ~depth
+      ~max_crashes:c.c_max_crashes
+  in
   let ticks = ref 0 in
   (* One shared shadow for the whole sweep: violations raise (under
      [detect]); declaration statistics aggregate across every cursor,
      prefix replays included, so [touched_steps = 0] at the end means
-     the object was never touched on any audited run.  The audit stays
-     on the per-touch shadow deliberately: raising at the offending
-     access and attributing each touch to a step is the product here,
-     whereas the batched per-step frame the explorers use under
-     [--sanitize] trades that attribution away for speed. *)
+     the object was never touched on any audited run.  The audit runs
+     on the same batched shadow as the explorers' [--sanitize]: touches
+     are validated at step end (and at each nested-declaration flush),
+     and a violation raises out of the offending grant there, the
+     first one in program order, so [apply_checked] turns it into a
+     witness ending with that grant's decision. *)
   let shadow = Runtime.make_shadow ~record:false ~raise_on_violation:detect () in
   let found = ref None in
   let runs = ref 0 in

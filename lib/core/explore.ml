@@ -61,6 +61,8 @@ let run_of_codes ~n ~factory ~invoke codes =
 
 let workload_invoke workload view p = workload p (view.Driver.invocations p)
 
+let menu = Search.menu
+
 (* ------------------------------------------------------------------ *)
 (* The decision menu.                                                  *)
 

@@ -203,6 +203,23 @@ val explore :
     @raise Invalid_argument unless [domains = 1], [compact = true],
     [por] implies [dpor] and [cache_capacity >= 1]. *)
 
+val menu :
+  invoke:(('inv, 'res) Driver.view -> Proc.t -> 'inv option) ->
+  depth:int ->
+  max_crashes:int ->
+  ('inv, 'res) Driver.view ->
+  int ->
+  int ->
+  ('inv, 'res) Driver.decision list
+(** [menu ~invoke ~depth ~max_crashes view len crashes] is the decision
+    menu at a node of depth [len] with [crashes] crashes so far, in the
+    canonical order that defines "lexicographically least script":
+    for each process 1..n, its step (if ready) or its invocation (if
+    idle and [invoke] has one); then, while [crashes < max_crashes],
+    each process not yet crashed, crashed.  Empty at [len >= depth].
+    Both explorers' reductions (symmetry, the live invoke order)
+    filter it; the conflict-soundness audit walks it unfiltered. *)
+
 val code_of_decision : ('inv, 'res) Driver.decision -> int
 (** The persistent int form of a menu decision:
     [(p lsl 2) lor tag] with tag 0 = [Schedule], 1 = [Invoke],

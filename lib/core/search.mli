@@ -128,14 +128,7 @@ val menu :
   int ->
   int ->
   ('inv, 'res) Driver.decision list
-(** [menu ~invoke ~depth ~max_crashes view len crashes] is the decision
-    menu at a node of depth [len] with [crashes] crashes so far, in the
-    canonical order that defines "lexicographically least script":
-    for each process 1..n, its step (if ready) or its invocation (if
-    idle and [invoke] has one); then, while [crashes < max_crashes],
-    each process not yet crashed, crashed.  Empty at [len >= depth].
-    The explorers' reductions (symmetry, the live invoke order) filter
-    it. *)
+(** The canonical decision menu, exported as {!Explore.menu}. *)
 
 val sleep_sets :
   add:(('inv, 'res) Driver.decision -> int list -> int list) ->

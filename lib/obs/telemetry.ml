@@ -13,8 +13,6 @@ type kind =
   | Cycle_candidate
   | Pump_start
   | Pump_verdict
-  | Sanitizer_violation
-  | Hb_edge
 
 type event = {
   ev_ns : int;

@@ -41,11 +41,6 @@ type kind =
   | Cycle_candidate  (** a = period, b = 1 iff fair and violating. *)
   | Pump_start  (** a = period; span open, paired with [Pump_verdict]. *)
   | Pump_verdict  (** a = period, b = 1 iff the certificate pumped. *)
-  | Sanitizer_violation
-      (** a = offending object id, b = violation kind code (0 =
-          undeclared touch, 1 = undeclared nesting, 2 = outside
-          atomic). *)
-  | Hb_edge  (** a = object id the edge conflicts on, b = 1 iff write. *)
 
 type event = {
   ev_ns : int;  (** Timestamp, ns (non-decreasing within a ring). *)

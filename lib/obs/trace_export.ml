@@ -82,12 +82,6 @@ let event_record buf ~t0 e =
   | Cycle_candidate ->
       record buf ~name:"cycle_candidate" ~cat:"live" ~ph:"i" ~ts ~tid
         ~args:[ ("period", i e.ev_a); ("fair_violating", i e.ev_b) ] ()
-  | Sanitizer_violation ->
-      record buf ~name:"sanitizer_violation" ~cat:"sanitize" ~ph:"i" ~ts ~tid
-        ~args:[ ("obj", i e.ev_a); ("kind", i e.ev_b) ] ()
-  | Hb_edge ->
-      record buf ~name:"hb_edge" ~cat:"sanitize" ~ph:"i" ~ts ~tid
-        ~args:[ ("obj", i e.ev_a); ("write", i e.ev_b) ] ()
 
 let to_buffer ?(name = "slx") ~events_dropped events buf =
   let t0 =

@@ -50,7 +50,7 @@ let test_ring_below_capacity () =
   check_bool "ring sinks are enabled" true (Telemetry.enabled sink);
   check_bool "the null sink is disabled" false (Telemetry.enabled Telemetry.null);
   (* Emitting into the null sink must be a no-op (and not crash). *)
-  Telemetry.emit Telemetry.null Telemetry.Hb_edge 1 2
+  Telemetry.emit Telemetry.null Telemetry.Cache_hit 1 2
 
 let test_dec_codes () =
   Alcotest.(check string) "schedule" "S1" (Telemetry.Dec.pp (Telemetry.Dec.schedule 1));
