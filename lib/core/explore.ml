@@ -61,10 +61,10 @@ let run_of_codes ~n ~factory ~invoke codes =
 
 let workload_invoke workload view p = workload p (view.Driver.invocations p)
 
-let menu = Search.menu
-
 (* ------------------------------------------------------------------ *)
 (* The decision menu.                                                  *)
+
+let menu = Search.menu
 
 (* The canonical menu ({!Search.menu}) under [~symmetry]: untouched
    processes (no event in the history: never invoked, never crashed —
@@ -248,7 +248,8 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                   ~apply:Runner.Cursor.apply children
                   (fun child d child_sleep () ->
                     let settled =
-                      if dpor then Search.settle st child d child_sleep (len + 1)
+                      if dpor then
+                        Search.settle st child d child_sleep (len + 1)
                       else []
                     in
                     visit child (d :: rev_script) (len + 1)

@@ -220,11 +220,12 @@ let pins () =
         spec ~impl:"register" ~property:"obstruction" ~n ~depth ~crashes
           ~max_period:(Some 2) true
       in
-      match capacity with
-      | None -> print cmd (run sp)
-      | Some c ->
-          print (Printf.sprintf "%s --cache-capacity %d" cmd c)
-            (run ~capacity:c sp))
+      let cmd =
+        Option.fold ~none:cmd
+          ~some:(Printf.sprintf "%s --cache-capacity %d" cmd)
+          capacity
+      in
+      print cmd (run ?capacity sp))
     [ (2, 14, 1, None); (3, 11, 2, Some 1000) ]
 
 let () =

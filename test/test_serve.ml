@@ -447,7 +447,6 @@ let test_cli_out_of_range_refused () =
       "live-explore --procs 17";
       "live-explore --property 2,1";
       "live-explore --property 1,17 --procs 2";
-      "live-explore --property 1,3";
     ]
 
 (* The declared-footprint POR, structural-key and hash-compaction
@@ -488,7 +487,6 @@ let test_decoder_out_of_range_refused () =
       {|{"kind": "live", "property": "2,1"}|};
       {|{"kind": "live", "property": "0,1"}|};
       {|{"kind": "live", "property": "1,3"}|};
-      {|{"kind": "live", "property": "1,17", "n": 16}|};
     ];
   ignore (spec_of {|{"kind": "live", "max_period": 1, "pump": 1, "crashes": 0}|});
   ignore (spec_of {|{"kind": "live", "property": "1,3", "n": 3}|})
