@@ -158,7 +158,7 @@ let live_smoke () =
       o12 o11;
   ok
 
-(* The cycle-proviso DPOR legs: the same two live instances, reduced,
+(* The one-level DPOR legs: the same two live instances, reduced,
    against the exhaustive search (DPOR off; both walks offer
    invocations in process order).  The (1,1) no-fair-cycle leg is the
    headline acceptance bar — the reduction must cut BOTH nodes and
@@ -167,7 +167,7 @@ let live_smoke () =
    the (1,2) leg must emit the byte-identical lex-least lasso
    certificate.  These are the BENCH_explore.json "dpor" live rows. *)
 let live_dpor_smoke () =
-  Printf.printf "== bench smoke: cycle-proviso DPOR (live explorer) ==\n";
+  Printf.printf "== bench smoke: one-level DPOR (live explorer) ==\n";
   let factory () = Slx_consensus.Register_consensus.factory ~max_rounds:16 () in
   let invoke =
     Slx_core.Explore.workload_invoke

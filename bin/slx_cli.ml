@@ -641,7 +641,7 @@ let live_explore_cmd =
   let no_dpor_arg =
     Arg.(value & flag
          & info [ "no-dpor" ]
-             ~doc:"Disable the cycle-proviso-guarded dynamic partial-order \
+             ~doc:"Disable the one-level sleep-set dynamic partial-order \
                    reduction: the exhaustive reference (invocations are \
                    still offered in process order).  Under a depth bound \
                    the reduced search can miss a lasso this one finds.")

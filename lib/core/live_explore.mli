@@ -70,12 +70,13 @@
     [dpor] reduction keeps its sleep sets {e one level} deep: at node
     [P·d], a process whose step was explored from [P] as an earlier
     sibling of [d], and commutes with [d]'s observed step ({!Dpor}),
-    is not offered; every child of [P·d] offers it again.  A node
-    whose every enabled decision is asleep force-wakes them all
+    is not offered; every child of [P·d] drops it from its sleep set.
+    A node whose every enabled decision is asleep force-wakes them all
     instead of truncating the path.  So no sleep set outlives one
-    edge, and each pruned transition is offered again at the next
-    node of every retained cycle; the transposition key carries the
-    sleep set so distinct reduced subtrees never share an entry.
+    edge: a transition pruned at a node was explored from its parent,
+    and no inherited sleep set defers it further along a retained
+    cycle.  The transposition key carries the sleep set so distinct
+    reduced subtrees never share an entry.
     This does {e not} make the reduced tree keep
     every fair periodic run under a depth bound: the representative
     of a lasso the full tree holds can lie deeper than [depth], so a

@@ -61,7 +61,7 @@ val dec_string :
 (** {1 Queries} *)
 
 (** Implementations: [cas] | [register] | [selfish].  Properties:
-    [obstruction] | [lock] | [wait] | ["l,k"] with [1 <= l <= k]. *)
+    [obstruction] | [lock] | [wait] | ["l,k"] with [1 <= l <= k <= n]. *)
 
 type spec = private {
   sp_kind : [ `Explore | `Live ];
@@ -74,7 +74,7 @@ type spec = private {
   sp_crashes : int;
   sp_max_period : int;  (** Resolved (liveness); 0 for safety. *)
   sp_pump : int;  (** Resolved (liveness); 0 for safety. *)
-  sp_dpor : bool;  (** DPOR sleep sets (the cycle-proviso form for liveness). *)
+  sp_dpor : bool;  (** DPOR sleep sets (one level deep for liveness). *)
   sp_symmetry : bool;  (** Symmetry reduction; safety only. *)
 }
 (** One verification query, from CLI flag to store key to served

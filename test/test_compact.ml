@@ -220,7 +220,7 @@ let test_live_differential () =
 
 (* The positive half: Theorem 5.2's own (1,2) lasso at depth 8 must be
    identical with the suffix cache on or off, under the dpor reduction
-   whose key carries sleepers and streaks. *)
+   whose key carries the sleepers' process ids. *)
 
 let pp_consensus_inv (Slx_consensus.Consensus_type.Propose v) =
   "propose " ^ string_of_int v
