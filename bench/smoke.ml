@@ -228,7 +228,6 @@ let live_dpor_smoke () =
     | Slx_core.Live_explore.Lasso a, Slx_core.Live_explore.Lasso b ->
         a.Slx_liveness.Lasso.c_stem = b.Slx_liveness.Lasso.c_stem
         && a.Slx_liveness.Lasso.c_cycle = b.Slx_liveness.Lasso.c_cycle
-        && a.Slx_liveness.Lasso.c_cells = b.Slx_liveness.Lasso.c_cells
     | _ -> false
   in
   if not cert_identical then

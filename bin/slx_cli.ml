@@ -158,16 +158,16 @@ let figure1_cmd =
     Arg.(value & opt string "consensus" & info [ "object"; "o" ] ~doc)
   in
   let procs_arg =
-    let doc = "System size n." in
-    Arg.(value & opt int 3 & info [ "procs"; "n" ] ~doc)
+    let doc = "System size n, in [2, 16]." in
+    Arg.(value & opt (int_in 2 ~hi:16) 3 & info [ "procs"; "n" ] ~doc)
   in
   let steps_arg =
-    let doc = "Step budget per run." in
-    Arg.(value & opt int 900 & info [ "steps" ] ~doc)
+    let doc = "Step budget per run, at least 1." in
+    Arg.(value & opt (int_in 1) 900 & info [ "steps" ] ~doc)
   in
   let depth_arg =
-    let doc = "Schedule-tree depth (consensus-exhaustive only)." in
-    Arg.(value & opt int 10 & info [ "depth" ] ~doc)
+    let doc = "Schedule-tree depth (consensus-exhaustive only), in [1, 64]." in
+    Arg.(value & opt (int_in 1 ~hi:64) 10 & info [ "depth" ] ~doc)
   in
   let json_arg =
     Arg.(value & flag

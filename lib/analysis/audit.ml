@@ -308,17 +308,6 @@ let run_case ?(bound = `Runtest) ?depth ?(oracle = false) ?(detect = true)
     cr_lints = lints;
   }
 
-let run_cases ?(bound = `Runtest) ?oracle ?detect ?max_hb_runs
-    ?max_oracle_checks cases =
-  {
-    rp_bound = (match bound with `Runtest -> "runtest" | `Ci -> "ci");
-    rp_results =
-      List.map
-        (fun c -> run_case ~bound ?oracle ?detect ?max_hb_runs
-             ?max_oracle_checks c)
-        cases;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Reporting.                                                          *)
 

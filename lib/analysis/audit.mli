@@ -133,15 +133,6 @@ val run_case :
     [max_oracle_checks] (default 256) caps differentially executed
     pairs. *)
 
-val run_cases :
-  ?bound:[ `Runtest | `Ci ] ->
-  ?oracle:bool ->
-  ?detect:bool ->
-  ?max_hb_runs:int ->
-  ?max_oracle_checks:int ->
-  case list ->
-  report
-
 val pp_lint : Format.formatter -> lint -> unit
 val pp_case_result : Format.formatter -> case_result -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -61,8 +61,7 @@ let rec drop k xs =
 (* Apply [d] to [cursor], whose history has [before] events, and
    return the events it appended with the tick's cell code: the
    {!Lasso.cell_code} of what {!Lasso.tick_cells} reports for that
-   tick, so certificates built from the decoded cells replay-compare
-   directly. *)
+   tick. *)
 let step ~before cursor d =
   Runner.Cursor.apply cursor d;
   let history = (Runner.Cursor.view cursor).Driver.history in
@@ -181,11 +180,11 @@ let eval_candidates (st : _ state) ~invoke ~good ~point ~max_period
         if fair_violating then begin
           st.fair <- st.fair + 1;
           let cert =
-            Lasso.cert_of_cursor
-              ~stem:(List.rev (drop p rev_script))
-              ~cycle:(List.rev cycle_rev)
-              ~cells:(List.rev_map Lasso.cell_of_code (take p rev_codes))
-              cursor
+            {
+              Lasso.c_n = st.n;
+              c_stem = List.rev (drop p rev_script);
+              c_cycle = List.rev cycle_rev;
+            }
           in
           if certify st ~invoke ~good ~point ~pump_ticks ~blocked cert then
             Search.found st cert
@@ -382,23 +381,20 @@ let validate_cert_codes ~n ~factory ~invoke ~good ~point ~pump_ticks ~stem
     Search.with_cursor st (fun cursor ->
         let apply_codes =
           List.map (fun code ->
-              let view = Runner.Cursor.view cursor in
-              let d = Explore.decision_of_code ~invoke view code in
-              (d, snd (step ~before:(history_length view) cursor d)))
+              let d =
+                Explore.decision_of_code ~invoke (Runner.Cursor.view cursor)
+                  code
+              in
+              Runner.Cursor.apply cursor d;
+              d)
         in
         match
-          let stem_ds = apply_codes stem in
-          (stem_ds, apply_codes cycle)
+          let c_stem = apply_codes stem in
+          (c_stem, apply_codes cycle)
         with
         | exception _ -> None
-        | stem_ds, cycle_ds ->
-            let cert =
-              Lasso.cert_of_cursor
-                ~stem:(List.map fst stem_ds)
-                ~cycle:(List.map fst cycle_ds)
-                ~cells:(List.map (fun (_, c) -> Lasso.cell_of_code c) cycle_ds)
-                cursor
-            in
+        | c_stem, c_cycle ->
+            let cert = { Lasso.c_n = n; c_stem; c_cycle } in
             let invoke = Some invoke in
             let blocked = blocked_at ~invoke (Runner.Cursor.view cursor) in
             if certify st ~invoke ~good ~point ~pump_ticks ~blocked cert then

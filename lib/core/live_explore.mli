@@ -215,9 +215,9 @@ val validate_cert_codes :
   unit ->
   ('inv, 'res) Lasso.cert option
 (** Re-validate a stored lasso witness from its coded stem and cycle
-    scripts ({!Explore.code_of_decision}): replay them on a fresh
-    instance, rebuild the certificate's abstract cells, and run the
-    exact acceptance test of the exhaustive search — pump the cycle
+    scripts ({!Explore.code_of_decision}): decode them against a
+    fresh instance, and run on the decoded certificate the exact
+    acceptance test of the exhaustive search — pump the cycle
     for [max 2 (ceil (pump_ticks / period))] repetitions, then require
     the starved set to be blocked, the freedom predicate violated, and
     a periodic window present.  [Some cert] is the rebuilt,

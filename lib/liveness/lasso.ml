@@ -105,38 +105,11 @@ type ('inv, 'res) cert = {
   c_n : int;
   c_stem : ('inv, 'res) Driver.decision list;
   c_cycle : ('inv, 'res) Driver.decision list;
-  c_cells : string list list;
-  c_digest : int;
 }
 
-let status_code = function
-  | Runtime.Idle -> 0
-  | Runtime.Ready -> 1
-  | Runtime.Crashed -> 2
-
-(* The full fold, not the polymorphic [Hashtbl.hash]: that one stops
-   after 10 meaningful values, and at n = 4 the last process's status
-   already falls past them, so a diverging status went unseen. *)
-let boundary_digest cursor cells =
+let statuses cursor =
   let view = Runner.Cursor.view cursor in
-  let statuses =
-    List.map
-      (fun p -> status_code (view.Driver.status p))
-      (Proc.all ~n:view.Driver.n)
-  in
-  Runtime.hash_value (cells, statuses)
-
-let cert_of_cursor ~stem ~cycle ~cells cursor =
-  if cycle = [] then invalid_arg "Lasso.cert_of_cursor: empty cycle";
-  if List.length cells <> List.length cycle then
-    invalid_arg "Lasso.cert_of_cursor: one cell list per cycle tick";
-  {
-    c_n = (Runner.Cursor.view cursor).Driver.n;
-    c_stem = stem;
-    c_cycle = cycle;
-    c_cells = cells;
-    c_digest = boundary_digest cursor cells;
-  }
+  Array.of_list (List.map view.Driver.status (Proc.all ~n:view.Driver.n))
 
 exception Pump_failed of string
 
@@ -163,27 +136,32 @@ let pump ~factory ?ticks ?(repetitions = 2) ?invoke cert =
             with Invalid_argument msg ->
               raise (Pump_failed ("decision not applicable: " ^ msg))
           in
-          let stem_len = List.length cert.c_stem in
-          for rep = 1 to repetitions do
+          (* The first repetition is the reference: every later one
+             must end with every process in the same status, and must
+             repeat its cells. *)
+          List.iter apply cert.c_cycle;
+          let reference = statuses cursor in
+          for rep = 2 to repetitions do
             List.iter apply cert.c_cycle;
-            if boundary_digest cursor cert.c_cells <> cert.c_digest then
+            if statuses cursor <> reference then
               raise
                 (Pump_failed
-                   (Printf.sprintf
-                      "configuration digest diverged on repetition %d" rep))
+                   (Printf.sprintf "configuration diverged on repetition %d"
+                      rep))
           done;
           (* One trace computation for the whole pumped run, then
-             compare each repetition's slice — the per-repetition digest
-             check above already localizes a diverging configuration. *)
+             compare each repetition's slice with the first's — the
+             per-repetition status check above already localizes a
+             diverging configuration. *)
           let r =
             Runner.Cursor.report cursor ~window:(repetitions * period) ()
           in
           let cells = Array.of_list (tick_cells r) in
-          let expected = Array.of_list cert.c_cells in
-          for rep = 1 to repetitions do
-            let base = stem_len + ((rep - 1) * period) in
+          let first = List.length cert.c_stem in
+          for rep = 2 to repetitions do
+            let base = first + ((rep - 1) * period) in
             for i = 0 to period - 1 do
-              if cells.(base + i) <> expected.(i) then
+              if cells.(base + i) <> cells.(first + i) then
                 raise
                   (Pump_failed
                      (Printf.sprintf "trace diverged on repetition %d" rep))

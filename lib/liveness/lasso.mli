@@ -14,7 +14,11 @@
     implementation state could still drift in a way that eventually
     breaks the cycle); the experiment suite therefore combines it with
     window sweeps (experiment E12).  For the deterministic adversaries
-    here the abstracted traces are exactly periodic. *)
+    here the abstracted traces are exactly periodic.
+
+    The fair-cycle search's certificate is stronger: a stem and a
+    cycle, nothing else, which {!pump} replays on a fresh instance and
+    checks repetition by repetition against the first. *)
 
 open Slx_sim
 
@@ -79,13 +83,13 @@ val certified_violation :
 
     The fair-cycle search ({!Slx_core.Live_explore}) emits its witness
     in this form: a decision script that reaches the cycle (the {e
-    stem}) and the cycle's decision script itself, together with the
-    expected per-tick cells of one cycle repetition and a digest of the
-    boundary configuration (cells + per-process status codes).  The
-    certificate is {e pumpable}: replaying stem + cycle^m through a
-    fresh cursor must reproduce the same cells and boundary digest on
-    every repetition, for any [m] — the machine-checked evidence that
-    the cycle extends to an infinite run. *)
+    stem}) and the cycle's decision script itself.  That is the whole
+    certificate — exactly what the store keeps and serve returns.  It
+    is {e pumpable}: replaying stem + cycle^m through a fresh cursor
+    must end every repetition with every process in the status the
+    first repetition ended with, and must repeat the first
+    repetition's {!tick_cells}, for any [m] — the machine-checked
+    evidence that the cycle extends to an infinite run. *)
 
 type ('inv, 'res) cert = {
   c_n : int;  (** System size the scripts were recorded against. *)
@@ -93,26 +97,7 @@ type ('inv, 'res) cert = {
       (** Reaches the cycle's entry configuration from the initial one. *)
   c_cycle : ('inv, 'res) Slx_sim.Driver.decision list;
       (** One cycle repetition; non-empty. *)
-  c_cells : string list list;
-      (** Expected {!tick_cells} of one repetition (one list per tick). *)
-  c_digest : int;
-      (** Digest of the abstract configuration at the repetition
-          boundary: the repetition's cells plus every process's status
-          code.  Pumping asserts it recurs after each repetition —
-          "the configuration fingerprint repeats" in the quotient that
-          {e can} recur (raw fingerprints grow monotonically). *)
 }
-
-val cert_of_cursor :
-  stem:('inv, 'res) Slx_sim.Driver.decision list ->
-  cycle:('inv, 'res) Slx_sim.Driver.decision list ->
-  cells:string list list ->
-  ('inv, 'res) Runner.Cursor.t ->
-  ('inv, 'res) cert
-(** Build a certificate from a cursor standing at a repetition boundary
-    (i.e. [stem @ cycle^k] has just been applied to it, for some
-    [k >= 1]).  @raise Invalid_argument if [cycle] is empty or [cells]
-    does not have one cell list per cycle tick. *)
 
 val pump :
   factory:('inv, 'res) Runner.factory ->
@@ -125,10 +110,13 @@ val pump :
 (** [pump ~factory cert] replays [cert.c_stem] and then [repetitions]
     (default 2, minimum 2) copies of [cert.c_cycle] through a fresh
     cursor — the stem as the cursor's prefix ({!Runner.Cursor.with_}),
-    the repetitions decision by decision — checking after {e every}
-    repetition that the repetition's
-    {!tick_cells} equal [cert.c_cells] and that the boundary digest
-    equals [cert.c_digest].  [Ok report] has its window set to exactly
+    the repetitions decision by decision.  The first repetition is
+    the reference: after {e every} later one, each process's status
+    must equal its status after the first, and once all are applied,
+    each repetition's {!tick_cells} must equal the first's.  The
+    reference is the pump's own replay rather than a recorded copy:
+    the engine is deterministic, so the first repetition reproduces
+    the cells the search saw.  [Ok report] has its window set to exactly
     the pumped repetitions, so {!certified_violation} on it evaluates
     fairness, the freedom point and the window period over the cycle
     ticks alone.  [Error reason] reports the first inapplicable

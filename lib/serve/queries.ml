@@ -155,6 +155,16 @@ let spec_to_json sp =
     (json_string sp.sp_property) sp.sp_n sp.sp_depth sp.sp_crashes
     sp.sp_max_period sp.sp_pump
 
+(* The check a query runs.  A live property is bound through the
+   freedom point it names, so [obstruction] and [1,1] are one query. *)
+let check_name ~kind ~n property =
+  match kind with
+  | `Explore -> "consensus-safety"
+  | `Live ->
+      "live:"
+      ^ Format.asprintf "%a" Freedom.pp
+          (Result.get_ok (point_of_string ~n property))
+
 (* [key] and [qid] bind every field by name: a field added to [spec]
    does not compile here until it is bound, or named as one of the
    per-record fields (depth and the liveness budgets) that a qid
@@ -172,9 +182,10 @@ let key
       sp_dpor;
       sp_symmetry;
     } =
-  Printf.sprintf "%s|%s|%s|n=%d|d=%d|c=%d|mp=%d|pt=%d|dpor=%b|sym=%b"
-    (kind_string sp_kind) sp_impl sp_property sp_n sp_depth sp_crashes
-    sp_max_period sp_pump sp_dpor sp_symmetry
+  Printf.sprintf "%s|%s|n=%d|d=%d|c=%d|mp=%d|pt=%d|dpor=%b|sym=%b"
+    (check_name ~kind:sp_kind ~n:sp_n sp_property)
+    sp_impl sp_n sp_depth sp_crashes sp_max_period sp_pump sp_dpor
+    sp_symmetry
 
 let qid
     {
@@ -189,16 +200,9 @@ let qid
       sp_dpor;
       sp_symmetry;
     } =
-  (* The property is bound through the freedom point it names. *)
-  let check =
-    match sp_kind with
-    | `Explore -> "consensus-safety"
-    | `Live ->
-        "live:"
-        ^ Format.asprintf "%a" Freedom.pp
-            (Result.get_ok (point_of_string ~n:sp_n sp_property))
-  in
-  Persist.query_key ~ident:sp_impl ~check ~n:sp_n
+  Persist.query_key ~ident:sp_impl
+    ~check:(check_name ~kind:sp_kind ~n:sp_n sp_property)
+    ~n:sp_n
     ~registry_digest:
       (Persist.instance_digest ~n:sp_n
          ~factory:(Result.get_ok (factory_of_impl sp_impl)))

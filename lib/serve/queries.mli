@@ -120,7 +120,9 @@ val spec_to_json : spec -> string
 
 val key : spec -> string
 (** Canonical dedup key: two requests with equal keys are the same
-    query (same verdict, same store record). *)
+    query (same verdict, same store record).  A live property is bound
+    through the freedom point it names, as in {!qid}: [obstruction]
+    and [1,1] give one key. *)
 
 val qid : spec -> int
 (** The store key ({!Slx_store.Persist.query_key}) of this query, with

@@ -394,8 +394,6 @@ and mstat = {
 
 and probe = {
   mutable pr_steps : int;  (* atomic steps completed under this probe *)
-  mutable pr_eff : footprint;  (* effective footprint of the last step *)
-  mutable pr_touched : access list;  (* its physical touches, in order *)
   mutable pr_mask : mask;  (* observed mask of the last step *)
 }
 
@@ -647,28 +645,17 @@ let make_shadow ?(record = false) ?(raise_on_violation = true) () =
 (* Dynamic-conflict probe: the DPOR observed-access recorder.
 
    Where the shadow {e validates} touches against declarations, the
-   probe merely {e records} what the last completed atomic step
-   physically touched (plus its effective footprint), so the
-   exploration engines can compute race reversals from dynamic
-   conflicts — what a step actually did in this configuration — instead
-   of declared footprints alone.  One probe per engine,
-   installed around [Runner.Cursor.apply] exactly like the shadow; with
-   no probe installed, [touch] stays one domain-local read and a
-   branch. *)
+   probe merely {e records} the observed mask of the last completed
+   atomic step — what it physically touched, or its effective
+   footprint when it reported no touch — so the exploration engines
+   can compute race reversals from dynamic conflicts — what a step
+   actually did in this configuration — instead of declared footprints
+   alone.  One probe per engine, installed around
+   [Runner.Cursor.apply] exactly like the shadow; with no probe
+   installed, [touch] stays one domain-local read and a branch. *)
 
-let make_probe () =
-  { pr_steps = 0; pr_eff = of_accesses []; pr_touched = []; pr_mask = empty_mask }
-
+let make_probe () = { pr_steps = 0; pr_mask = empty_mask }
 let probe_steps pr = pr.pr_steps
-let probe_last_effective pr = pr.pr_eff
-let probe_last_touched pr = pr.pr_touched
-
-let probe_last_observed pr =
-  match pr.pr_touched with
-  | [] -> pr.pr_eff  (* uninstrumented or touch-free: trust the declaration *)
-  | touched -> of_accesses touched
-
-(* Same policy as [probe_last_observed], precomputed at step end. *)
 let probe_last_observed_mask pr = pr.pr_mask
 
 let shadow_violation_count sh = List.length sh.sh_violations
@@ -774,7 +761,7 @@ let validate_buffer fr sh =
 
 (* The observed mask of the buffered touches; the empty buffer defers
    to the effective mask (uninstrumented or touch-free step: trust the
-   declaration), mirroring [probe_last_observed]. *)
+   declaration). *)
 let observed_mask_of_buffer fr =
   if fr.fr_len = 0 then fr.fr_eff_mask
   else begin
@@ -896,8 +883,6 @@ let leave_step fr =
     | None -> ()
     | Some pr ->
         pr.pr_steps <- pr.pr_steps + 1;
-        pr.pr_eff <- fr.fr_eff;
-        pr.pr_touched <- buffered_touches fr;
         pr.pr_mask <- observed_mask_of_buffer fr);
     let deferred =
       match fr.fr_shadow with None -> None | Some sh -> settle_shadow fr sh

@@ -116,25 +116,16 @@ type mask = {
   m_rest : access list;  (** Normalized accesses with ids outside [0,61]. *)
 }
 
-val empty_mask : mask
-(** The footprint touching nothing ([of_accesses []]). *)
-
 val opaque_mask : mask
 (** The [Opaque] footprint. *)
 
 val mask_of_footprint : footprint -> mask
-
-val mask_union : mask -> mask -> mask
-(** Mirrors {!union}: [Opaque] is absorbing. *)
 
 val masks_commute : mask -> mask -> bool
 (** Mirrors {!footprints_commute}: two word-ops plus a rarely-taken
     spill fallback.  [masks_commute (mask_of_footprint a)
     (mask_of_footprint b) = footprints_commute a b] for all footprints
     [a], [b]. *)
-
-val mask_covers : mask -> obj:int -> write:bool -> bool
-(** Mirrors [covers m (Access {obj; write})]. *)
 
 (** {1 Shadow state: the conflict-soundness sanitizer}
 
@@ -220,18 +211,17 @@ val touch : obj:int -> write:bool -> unit
     {!Slx_core.Live_explore} computes race reversals from {e observed}
     accesses — what an executed step physically touched in this
     configuration — rather than from declared footprints alone.  A
-    probe records, per completed atomic step, the step's effective
-    footprint and its {!touch}es; unlike the shadow it validates
-    nothing and never raises.  Install one per engine with
-    {!with_registry} [~probe] (or [Runner.Cursor.with_ ~probe]); after
-    each [Schedule] grant the engine reads the last step's
-    observation. *)
+    probe records, per completed atomic step, the step's observed
+    mask; unlike the shadow it validates nothing and never raises.
+    Install one per engine with {!with_registry} [~probe] (or
+    [Runner.Cursor.with_ ~probe]); after each [Schedule] grant the
+    engine reads the last step's observation. *)
 
 type probe
 
 val make_probe : unit -> probe
 (** A fresh probe.  Until a step completes under it,
-    {!probe_last_observed} is the empty footprint and
+    {!probe_last_observed_mask} is the mask of the empty footprint and
     {!probe_steps} is 0. *)
 
 val probe_steps : probe -> int
@@ -239,25 +229,13 @@ val probe_steps : probe -> int
     check that a grant actually executed a step since it last read the
     probe. *)
 
-val probe_last_effective : probe -> footprint
-(** The effective (pending ∪ nested) declared footprint of the last
-    completed step. *)
-
-val probe_last_touched : probe -> access list
-(** The physical touches of the last completed step, in program order
-    (empty when the step's base objects are uninstrumented or it
-    touched nothing). *)
-
-val probe_last_observed : probe -> footprint
-(** The observed footprint of the last completed step: its physical
-    touches when the instrumentation reported any, otherwise its
-    effective declared footprint — never weaker than what a
-    declared-footprint oracle would use on a clean implementation. *)
-
 val probe_last_observed_mask : probe -> mask
-(** {!probe_last_observed} in bitmask form, precomputed at step end —
-    the representation the DPOR engines race-check against pending
-    masks with {!masks_commute}. *)
+(** The observed mask of the last completed step, precomputed at step
+    end: its physical {!touch}es when the instrumentation reported any,
+    otherwise its effective (pending ∪ nested) declared footprint —
+    never weaker than what a declared-footprint oracle would use on a
+    clean implementation.  The DPOR engines race-check it against
+    pending masks with {!masks_commute}. *)
 
 (** {2 Shadow reports} *)
 

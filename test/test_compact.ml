@@ -173,9 +173,7 @@ let same_lasso ~name pp_inv (on : _ Live_explore.result)
       Alcotest.(check string)
         (name ^ ": identical lasso cycle")
         (show_script pp_inv a.Lasso.c_cycle)
-        (show_script pp_inv b.Lasso.c_cycle);
-      check_bool (name ^ ": identical certificate cells") true
-        (a.Lasso.c_cells = b.Lasso.c_cells)
+        (show_script pp_inv b.Lasso.c_cycle)
   | Live_explore.Lasso _, Live_explore.No_fair_cycle ->
       Alcotest.failf "%s: the cache invented a lasso" name
   | Live_explore.No_fair_cycle, Live_explore.Lasso _ ->

@@ -60,10 +60,9 @@ let live_summary (r : _ Live_explore.result) =
     match r.Live_explore.outcome with
     | Live_explore.No_fair_cycle -> "no_fair_cycle"
     | Live_explore.Lasso c ->
-        Printf.sprintf "lasso stem=[%s] cycle=[%s] cells=[%s]"
+        Printf.sprintf "lasso stem=[%s] cycle=[%s]"
           (codes c.Slx_liveness.Lasso.c_stem)
           (codes c.c_cycle)
-          (String.concat "; " (List.map (String.concat ",") c.c_cells))
   in
   Printf.sprintf
     "%s nodes=%d runs=%d steps_executed=%d steps_replayed=%d cache_hits=%d"
@@ -226,11 +225,11 @@ let pinned =
       "no_fair_cycle nodes=358 runs=146 steps_executed=2503 \
          steps_replayed=811 cache_hits=0" );
     ( "live (1,2) n=2 depth=8 c=0",
-      "lasso stem=[5 4 4 9 8 4] cycle=[8 4] cells=[p2:step; p1:step] \
+      "lasso stem=[5 4 4 9 8 4] cycle=[8 4] \
          nodes=58 runs=26 steps_executed=270 steps_replayed=159 \
          cache_hits=0" );
     ( "live (1,2) n=2 depth=8 c=0 dpor",
-      "lasso stem=[5 4 4 9 8 4] cycle=[8 4] cells=[p2:step; p1:step] \
+      "lasso stem=[5 4 4 9 8 4] cycle=[8 4] \
          nodes=32 runs=11 steps_executed=134 steps_replayed=65 cache_hits=0" );
     ( "live (1,1) n=3 depth=7 c=0 dpor",
       "no_fair_cycle nodes=183 runs=101 steps_executed=707 \
@@ -314,9 +313,7 @@ let test_disposal_is_silent () =
   let observe () =
     ( !ticks,
       ( Runtime.probe_steps probe,
-        Runtime.probe_last_effective probe,
-        Runtime.probe_last_touched probe,
-        Runtime.probe_last_observed probe ),
+        Runtime.probe_last_observed_mask probe ),
       ( Runtime.shadow_step_count shadow,
         Runtime.shadow_violation_count shadow,
         Runtime.shadow_steps shadow,

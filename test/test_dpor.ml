@@ -100,11 +100,7 @@ let diff_live_case (Audit.Case c) =
       Alcotest.(check string)
         (c.Audit.c_name ^ ": identical lasso cycle")
         (show "cycle" a.Lasso.c_cycle)
-        (show "cycle" b.Lasso.c_cycle);
-      check_bool
-        (c.Audit.c_name ^ ": identical certificate cells")
-        true
-        (a.Lasso.c_cells = b.Lasso.c_cells)
+        (show "cycle" b.Lasso.c_cycle)
   | Live_explore.Lasso _, Live_explore.No_fair_cycle ->
       Alcotest.failf "%s: dpor search missed the lasso" c.Audit.c_name
   | Live_explore.No_fair_cycle, Live_explore.Lasso _ ->
@@ -153,7 +149,6 @@ let test_register_cert_identity () =
     "dpor: identical cycle"
     (show_script pp_consensus_inv b.Lasso.c_cycle)
     (show_script pp_consensus_inv c.Lasso.c_cycle);
-  check_bool "dpor: identical cells" true (b.Lasso.c_cells = c.Lasso.c_cells);
   check_bool "dpor: a strict reduction" true
     (red.Live_explore.stats.Explore_stats.nodes
     < base.Live_explore.stats.Explore_stats.nodes)

@@ -105,7 +105,6 @@ let same_cert a b =
   | Live_explore.Lasso x, Live_explore.Lasso y ->
       x.Lasso.c_stem = y.Lasso.c_stem
       && x.Lasso.c_cycle = y.Lasso.c_cycle
-      && x.Lasso.c_cells = y.Lasso.c_cells
   | Live_explore.No_fair_cycle, Live_explore.No_fair_cycle -> true
   | _ -> false
 
@@ -282,53 +281,55 @@ let test_invoke_order_is_unconditional () =
 (* ------------------------------------------------------------------ *)
 (* Certificate mechanics.                                              *)
 
-let test_cert_digest_repeats_exactly () =
-  (* The satellite check, stated directly: replay the certificate's
-     cycle twice more through a fresh cursor and the boundary
-     configuration digest (the fingerprint of the quotient that can
-     recur) repeats exactly. *)
+let test_cert_pumps_four_repetitions () =
+  (* The certificate is its stem and cycle alone: the pump takes its
+     reference from its own first repetition, and every later one
+     repeats it — statuses and cells — however many are asked for. *)
   let c = lasso_exn "cert" (search_register ~depth:8 (Freedom.make ~l:1 ~k:2)) in
-  let boundary cur =
-    (Lasso.cert_of_cursor ~stem:c.Lasso.c_stem ~cycle:c.Lasso.c_cycle
-       ~cells:c.Lasso.c_cells cur)
-      .Lasso.c_digest
-  in
-  Runner.Cursor.with_ ~n:2 ~factory:(reg_factory ())
-    ~prefix:(c.Lasso.c_stem @ c.Lasso.c_cycle) (fun cur ->
-      check_int "digest at the first boundary" c.Lasso.c_digest (boundary cur);
-      List.iter (Runner.Cursor.apply cur) c.Lasso.c_cycle;
-      check_int "digest after one more repetition" c.Lasso.c_digest
-        (boundary cur);
-      List.iter (Runner.Cursor.apply cur) c.Lasso.c_cycle;
-      check_int "digest after two more repetitions" c.Lasso.c_digest
-        (boundary cur))
-
-let test_cert_digest_sees_last_process () =
-  (* Two n = 4 boundaries that differ only in process 4's status (idle
-     against crashed) must digest differently, for a short and a long
-     cycle: the polymorphic [Hashtbl.hash] stops before reaching it. *)
-  let period2 = [ [ "p1:step"; "p1:res" ]; [ "p2:step"; "p2:inv" ] ] in
-  let period8 =
-    List.init 8 (fun i ->
-        let p = (i mod 4) + 1 in
-        [ Printf.sprintf "p%d:step" p;
-          Printf.sprintf "p%d:%s" p (if i < 4 then "inv" else "res") ])
-  in
-  let digest ~prefix cells =
-    Runner.Cursor.with_ ~n:4 ~factory:(reg_factory ()) ~prefix (fun cur ->
-        (Lasso.cert_of_cursor ~stem:[]
-           ~cycle:(List.map (fun _ -> Slx_sim.Driver.Schedule 1) cells)
-           ~cells cur)
-          .Lasso.c_digest)
-  in
+  let period = List.length c.Lasso.c_cycle in
   List.iter
-    (fun (name, cells) ->
-      check_bool
-        (Printf.sprintf "%s: process 4's status changes the digest" name)
-        true
-        (digest ~prefix:[] cells
-        <> digest ~prefix:[ Slx_sim.Driver.Crash 4 ] cells))
-    [ ("period 2", period2); ("period 8", period8) ]
+    (fun repetitions ->
+      match Lasso.pump ~factory:(reg_factory ()) ~repetitions c with
+      | Error e -> Alcotest.failf "%d repetitions: %s" repetitions e
+      | Ok r ->
+          check_int
+            (Printf.sprintf "%d repetitions: window is the pumped cycles"
+               repetitions)
+            (List.length c.Lasso.c_stem + (repetitions * period))
+            r.Run_report.total_time)
+    [ 2; 3; 4 ]
+
+let test_pump_sees_last_process () =
+  (* Processes 1-3 stay idle while process 4 runs one proposal solo,
+     one step per repetition, and the second repetition completes it:
+     only process 4's status differs from the first repetition's.  A
+     comparison that stops short of the last process — as the
+     polymorphic [Hashtbl.hash] of cells and statuses did at n = 4 —
+     lets this through. *)
+  let propose = Driver.Invoke (4, Slx_consensus.Consensus_type.Propose 3) in
+  let solo_steps =
+    Runner.Cursor.with_ ~n:4 ~factory:(reg_factory ()) ~prefix:[ propose ]
+      (fun cur ->
+        let rec go k =
+          Runner.Cursor.apply cur (Driver.Schedule 4);
+          if (Runner.Cursor.view cur).Driver.status 4 = Runtime.Idle then k
+          else go (k + 1)
+        in
+        go 1)
+  in
+  check_bool "the proposal takes at least two steps" true (solo_steps >= 2);
+  let cert =
+    {
+      Lasso.c_n = 4;
+      c_stem =
+        propose :: List.init (solo_steps - 2) (fun _ -> Driver.Schedule 4);
+      c_cycle = [ Driver.Schedule 4 ];
+    }
+  in
+  Alcotest.(check (result unit string))
+    "the diverging status is reported"
+    (Error "configuration diverged on repetition 2")
+    (Result.map ignore (Lasso.pump ~factory:(reg_factory ()) cert))
 
 let test_pump_rejects_wrong_instance () =
   (* A certificate recorded against the register consensus does not
@@ -355,23 +356,15 @@ let test_pump_argument_errors () =
       check_bool "inapplicable stem decision reported" true
         (String.starts_with ~prefix:"decision not applicable: " msg)
   | Ok _ -> Alcotest.fail "a stem granting an idle process must not pump");
-  Alcotest.check_raises "empty cycle rejected"
-    (Invalid_argument "Lasso.cert_of_cursor: empty cycle") (fun () ->
-      Runner.Cursor.with_ ~n:2 ~factory:(reg_factory ()) (fun cur ->
-          ignore (Lasso.cert_of_cursor ~stem:[] ~cycle:[] ~cells:[] cur)));
-  Alcotest.check_raises "cells arity checked"
-    (Invalid_argument "Lasso.cert_of_cursor: one cell list per cycle tick")
-    (fun () ->
-      Runner.Cursor.with_ ~n:2 ~factory:(reg_factory ()) (fun cur ->
-          ignore
-            (Lasso.cert_of_cursor ~stem:[]
-               ~cycle:[ Driver.Schedule 1 ]
-               ~cells:[] cur)))
+  Alcotest.(check (result unit string))
+    "empty cycle rejected" (Error "Lasso.pump: empty cycle")
+    (Result.map ignore
+       (Lasso.pump ~factory:(reg_factory ()) { c with Lasso.c_cycle = [] }))
 
 let prop_lasso_pumps =
   (* The QCheck satellite: over small depth/point/pump-length choices,
      the emitted certificate pumps — every repetition reproduces the
-     abstract cells and the boundary digest — and the pumped window
+     first one's cells and statuses — and the pumped window
      still carries the bounded violation. *)
   QCheck2.Test.make ~name:"emitted lasso certificates pump" ~count:12
     QCheck2.Gen.(
@@ -464,13 +457,8 @@ let test_pump_replays_the_workload () =
               Runner.Cursor.apply cursor d;
               d)
         in
-        let stem = apply stem in
-        let cycle = apply cycle in
-        let cells =
-          Lasso.tick_cells (Runner.Cursor.report cursor ())
-          |> List.filteri (fun t _ -> t >= List.length stem)
-        in
-        Lasso.cert_of_cursor ~stem ~cycle ~cells cursor)
+        let c_stem = apply stem in
+        { Lasso.c_n = 2; c_stem; c_cycle = apply cycle })
   in
   check_bool "the recorded payloads pump" true
     (Result.is_ok (Lasso.pump ~factory:(factory ()) ~repetitions:4 cert));
@@ -619,9 +607,9 @@ let suites =
       @ qcheck [ prop_cache_transparent ] );
     ( "live-explore: certificates",
       [
-        quick "boundary digest repeats exactly" test_cert_digest_repeats_exactly;
-        quick "boundary digest sees the last process"
-          test_cert_digest_sees_last_process;
+        quick "register (1,2) certificate pumps for 4 repetitions"
+          test_cert_pumps_four_repetitions;
+        quick "pump sees the last process's status" test_pump_sees_last_process;
         quick "pump rejects the wrong instance" test_pump_rejects_wrong_instance;
         quick "pump argument errors" test_pump_argument_errors;
       ]

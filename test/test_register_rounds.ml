@@ -178,11 +178,9 @@ let live_summary (r : _ Live_explore.result) =
           String.concat " "
             (List.map string_of_int (Explore.codes_of_script script))
         in
-        Printf.sprintf "lasso stem=[%s] cycle=[%s] cells=[%s] digest=%d"
+        Printf.sprintf "lasso stem=[%s] cycle=[%s]"
           (codes c.Slx_liveness.Lasso.c_stem)
           (codes c.c_cycle)
-          (String.concat "; " (List.map (String.concat ",") c.c_cells))
-          c.c_digest
   in
   Printf.sprintf
     "%s nodes=%d runs=%d steps_executed=%d steps_replayed=%d cache_hits=%d \

@@ -416,6 +416,25 @@ let test_qid_binds_the_record () =
     (Queries.qid
        (spec_of {|{"kind": "live", "impl": "register", "property": "1,2"}|}))
 
+(* A live property is deduplicated by the freedom point it names, as
+   the qid binds it: a named point and its (l,k) spelling are one
+   in-flight query, not two computing one tree into one store slot. *)
+let test_key_binds_the_point () =
+  List.iter
+    (fun (name, point) ->
+      let a = make ~property:name ~n:3 ()
+      and b = make ~property:point ~n:3 () in
+      Alcotest.(check string)
+        (Printf.sprintf "%s and %s share a dedup key" name point)
+        (Queries.key a) (Queries.key b);
+      check_int
+        (Printf.sprintf "%s and %s share a qid" name point)
+        (Queries.qid a) (Queries.qid b))
+    [ ("obstruction", "1,1"); ("wait", "3,3"); ("lock", "1,3") ];
+  check_bool "distinct points keep distinct keys" true
+    (Queries.key (make ~property:"1,2" ())
+    <> Queries.key (make ~property:"2,2" ()))
+
 (* ------------------------------------------------------------------ *)
 (* Out-of-range input.                                                 *)
 
@@ -447,6 +466,14 @@ let test_cli_out_of_range_refused () =
       "live-explore --procs 17";
       "live-explore --property 2,1";
       "live-explore --property 1,17 --procs 2";
+      "figure1 -n 0";
+      "figure1 -n 1";
+      "figure1 -o tm -n 1";
+      "figure1 -o s-prime -n 1";
+      "figure1 -n 17";
+      "figure1 --steps 0";
+      "figure1 -o consensus-exhaustive --depth 0";
+      "figure1 -o consensus-exhaustive --depth 65";
     ]
 
 (* The declared-footprint POR, structural-key and hash-compaction
@@ -993,6 +1020,8 @@ let suites =
       [
         Alcotest.test_case "qid binds every field but depth and budgets"
           `Quick test_qid_binds_the_record;
+        Alcotest.test_case "a live key binds the freedom point" `Quick
+          test_key_binds_the_point;
       ] );
     ( "serve.input",
       [
