@@ -7,6 +7,7 @@
    emitting the JSON rows recorded in BENCH_explore.json. *)
 
 open Slx_sim
+module Crash_moves = Slx_test_oracle.Crash_moves
 
 let one_proposal =
   Slx_core.Explore.workload_invoke
@@ -39,12 +40,32 @@ let explore_pair ~impl ~factory ~depth ~max_crashes =
      \"cache_hits\": %d}\n"
     impl depth max_crashes (steps naive) (steps inc) ratio (runs inc)
     inc.Slx_core.Explore.stats.Slx_core.Explore_stats.cache_hits;
-  let equivalent = runs inc = runs naive && digest inc = digest naive in
+  (* The incremental engine visits the image of naive's runs under the
+     crash-move map: every crash moved to just after its process's last
+     decision. *)
+  let image =
+    Crash_moves.image
+      (Crash_moves.naive_runs ~n:2 ~factory ~invoke:one_proposal ~depth
+         ~max_crashes)
+  in
+  let image_digest =
+    List.fold_left
+      (fun acc s ->
+        acc
+        + Runtime.hash_value
+            (Crash_moves.replay ~n:2 ~factory ~invoke:one_proposal s)
+              .Run_report.history)
+      0 image
+  in
+  let equivalent =
+    runs inc = List.length image && digest inc = image_digest
+  in
   if not equivalent then
     Printf.printf
-      "  SMOKE FAILURE: engines disagree (runs %d vs %d, digest mismatch=%b)\n"
-      (runs inc) (runs naive)
-      (digest inc <> digest naive);
+      "  SMOKE FAILURE: engines disagree (runs %d vs %d in naive's image, \
+       digest mismatch=%b)\n"
+      (runs inc) (List.length image)
+      (digest inc <> image_digest);
   (ratio, equivalent)
 
 (* The reduced engine (DPOR + symmetry) against the plain incremental

@@ -20,7 +20,12 @@ let verify name factory ~depth ~max_crashes =
       ()
   with
   | Explore.Ok runs ->
-      Printf.printf "agreement and validity hold on ALL %d schedules\n\n" runs
+      Printf.printf "agreement and validity hold on ALL %d schedules\n" runs;
+      if max_crashes > 0 then
+        print_endline
+          "  (each crash placed right after its process's last move, which\n\
+          \   stands for every later place of that crash)";
+      print_newline ()
   | Explore.Counterexample r ->
       Format.printf "VIOLATION found:@.  %a@.@." Consensus_type.pp_history
         r.Slx_sim.Run_report.history

@@ -35,32 +35,13 @@ let wakes_mask ~observed ~pending =
   | None -> true
   | Some m -> not (Runtime.masks_commute observed m)
 
-(* The safety explorer's sleep-set entries, as signed ints: [p] for a
-   slept [Schedule p], [-p] for a slept [Crash p].  Process ids are
-   positive, so the two kinds never alias, and a sorted list of entries
-   is a canonical transposition-key tail. *)
-let sleeper = function
-  | Driver.Schedule p -> Some p
-  | Driver.Crash p -> Some (-p)
-  | Driver.Invoke _ | Driver.Stop -> None
-
-(* Advance a sleep set across an executed decision of process [p]:
-   - a crash of [p] touches only [p]'s cell and appends an event that
-     is neither an invocation nor a response, so it keeps every other
-     process's entries and drops [p]'s own (both are disabled now);
-   - an invocation by [p] touches only [p]'s local state: it commutes
-     with any pending step and wakes only a slept [Crash p];
-   - a step of [p] keeps exactly the slept steps whose pending masks
-     commute with its observed mask, and every slept crash but [p]'s.
-   The woken entries — the race reversals — come second. *)
-let advance_mask ~observed ~pending sleep d =
-  match d with
-  | Driver.Crash p -> (List.filter (fun z -> abs z <> p) sleep, [])
-  | Driver.Invoke (p, _) -> List.partition (fun z -> z <> -p) sleep
-  | Driver.Stop -> (sleep, [])
-  | Driver.Schedule p ->
+(* Advance a sleep set across an executed decision.  A step keeps
+   exactly the sleepers whose pending masks commute with its observed
+   mask; an invocation or a crash touches no shared state, so it keeps
+   them all.  The woken entries — the race reversals — come second. *)
+let advance_mask ~observed ~pending sleep = function
+  | Driver.Schedule _ ->
       List.partition
-        (fun z ->
-          if z < 0 then z <> -p
-          else not (wakes_mask ~observed ~pending:(pending z)))
+        (fun z -> not (wakes_mask ~observed ~pending:(pending z)))
         sleep
+  | _ -> (sleep, [])

@@ -60,25 +60,17 @@ val wakes_mask :
   observed:Runtime.mask -> pending:Runtime.mask option -> bool
 (** {!wakes} on masks. *)
 
-val sleeper : ('inv, 'res) Driver.decision -> int option
-(** The safety explorer's sleep-set entry for a decision: [Some p] for
-    [Schedule p], [Some (-p)] for [Crash p], [None] for the decisions
-    that never sleep.  The two kinds cannot alias (process ids are
-    positive), so a sorted entry list is a canonical key tail. *)
-
 val advance_mask :
   observed:Runtime.mask ->
   pending:(Proc.t -> Runtime.mask option) ->
   int list ->
   ('inv, 'res) Driver.decision ->
   int list * int list
-(** [advance_mask ~observed ~pending sleep d] splits the {!sleeper}
-    entries [sleep] into those that stay asleep across the executed
-    decision [d] of process [p] and those it wakes, in that order.
-    A crash commutes with every decision of another process
-    (doc/model.md §6): [Crash p] keeps every other process's entries
-    and drops [p]'s own, which it disables (not a wake); [Invoke p] is
-    local and wakes only a slept [Crash p]; [Schedule p] wakes a slept
-    [Crash p] and exactly the slept steps racing with [observed]
-    ({!wakes_mask}).  The woken entries are the race reversals the
-    explorer counts and re-explores. *)
+(** [advance_mask ~observed ~pending sleep d] splits the sleep set
+    [sleep], the ids of processes whose steps sleep, into those that
+    stay asleep across the executed decision [d] and those it wakes,
+    in that order.  A step wakes
+    exactly the sleepers racing with [observed] ({!wakes_mask}); an
+    invocation or a crash writes no shared state and wakes none.  The
+    woken entries are the race reversals the explorer counts and
+    re-explores. *)

@@ -64,42 +64,9 @@ let workload_invoke workload view p = workload p (view.Driver.invocations p)
 (* ------------------------------------------------------------------ *)
 (* The decision menu.                                                  *)
 
-let menu = Search.menu
+let menu = Search.full_menu
 
-(* The canonical menu ({!Search.menu}) under [~symmetry]: untouched
-   processes (no event in the history: never invoked, never crashed —
-   hence idle with zero steps and initial local state) are
-   interchangeable up to renaming, so only the least untouched process
-   is offered an invocation (resp. a crash); the pruned decisions'
-   subtrees are renamings of the representative's.  The second
-   component counts the decisions pruned this way. *)
-let decision_menu ~invoke ~depth ~max_crashes ~symmetry view len crashes =
-  let menu = Search.menu ~invoke ~depth ~max_crashes view len crashes in
-  if not symmetry then (menu, 0)
-  else begin
-    let untouched p = view.Driver.events p = 0 in
-    let pruned = ref 0 and invoked = ref false and crashed = ref false in
-    let representative seen p =
-      if not (untouched p) then true
-      else if !seen then begin
-        incr pruned;
-        false
-      end
-      else begin
-        seen := true;
-        true
-      end
-    in
-    let menu =
-      List.filter
-        (function
-          | Driver.Invoke (p, _) -> representative invoked p
-          | Driver.Crash p -> representative crashed p
-          | _ -> true)
-        menu
-    in
-    (menu, !pruned)
-  end
+let canonical_menu = Search.menu
 
 (* ------------------------------------------------------------------ *)
 (* The walk.                                                           *)
@@ -149,7 +116,6 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
   if por && not dpor then invalid_arg "Explore.explore: por requires dpor";
   if Option.fold ~none:false ~some:(fun c -> c < 1) cache_capacity then
     invalid_arg "Explore.explore: cache_capacity < 1";
-  let menu = decision_menu ~invoke ~depth ~max_crashes ~symmetry in
   (* The table is built only where a reduction is off.  Under DPOR
      plus symmetry the sleep sets prune nearly every transposition
      before it is reached, so keying, interning and storing every node
@@ -159,6 +125,9 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
       ~cache:(cache && not (dpor && symmetry))
       ~dpor ~sanitize ?capacity:cache_capacity ?cancel obs
   in
+  let menu =
+    Search.menu ~invoke ~depth ~max_crashes ~symmetry ~invoke_order:false
+  in
   (* Walk the subtree rooted at the configuration [cursor] sits on
      ({!Search.children} extends it in place for the first child and
      replays the prefix for the others).  Stops at the first failing
@@ -167,26 +136,31 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
      transposition entry. *)
   let rec visit cursor rev_script len crashes sleep =
     Search.node st len @@ fun () ->
-    (* The sleep set is sorted (children inherit a [sort_uniq]ed set,
-       which [Dpor.advance_mask] filters in order), so its
-       {!Dpor.sleeper} entries are a canonical key tail. *)
+    let last = List.nth_opt rev_script 0 in
+    (* The key tail: the crash the menu may add after the last
+       decision, then the sleep set, which is sorted (children inherit
+       a [sort_uniq]ed set, which [Dpor.advance_mask] filters in
+       order), so it is canonical. *)
     let key =
       match st.table with
       | None -> None
-      | Some _ -> Some (Search.key cursor sleep)
+      | Some _ ->
+          Some
+            (Search.key cursor
+               (Search.crash_slot ~max_crashes ~last crashes :: sleep))
     in
     match Option.bind key (Search.find st) with
     | Some e ->
         (* Transposition: an already-explored configuration (with the
-           same sleep set).  Its subtree was counterexample-free
-           (failing subtrees abort the walk before an entry is
-           written), so credit its runs and final-history digest
-           without descending. *)
+           same crash slot and sleep set).  Its subtree was
+           counterexample-free (failing subtrees abort the walk before
+           an entry is written), so credit its runs and final-history
+           digest without descending. *)
         Search.hit st len e.e_runs;
         st.digest <- st.digest + e.e_digest
     | None -> begin
         let decisions, sym_pruned =
-          menu (Runner.Cursor.view cursor) len crashes
+          menu (Runner.Cursor.view cursor) ~last len crashes
         in
         st.sym_pruned <- st.sym_pruned + sym_pruned;
         if sym_pruned > 0 then
@@ -194,20 +168,11 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
         match decisions with
         | [] -> check_leaf st ~check ~key cursor rev_script len
         | _ -> begin
-            (* Sleep-set filter: a slept step or crash commutes with
+            (* Sleep-set filter: a slept step commutes with
                every decision taken since it went to sleep, so taking
                it here would reproduce, reordered, a run already
                explored from an earlier sibling. *)
-            let asleep, active =
-              if sleep <> [] then
-                List.partition
-                  (fun d ->
-                    match Dpor.sleeper d with
-                    | Some z -> List.mem z sleep
-                    | None -> false)
-                  decisions
-              else ([], decisions)
-            in
+            let asleep, active = Search.asleep sleep decisions in
             st.sleeps <- st.sleeps + List.length asleep;
             if asleep <> [] then
               Telemetry.emit st.sink Telemetry.Por_sleep len
@@ -221,28 +186,12 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
             | _ ->
                 let runs0 = st.runs and digest0 = st.digest in
                 (* Children, each with its candidate sleep set: every
-                   explored earlier step or crash falls asleep for the
-                   later siblings (a crash child included), and
-                   [Search.settle] wakes the racers from the accesses
-                   [d] actually performed. *)
+                   explored earlier step falls asleep for the later
+                   siblings but a crash, and [Search.settle] wakes the
+                   racers from the accesses [d] actually performed. *)
                 let children =
                   if not dpor then List.map (fun d -> (d, [])) active
-                  else
-                    Search.sleep_sets
-                      ~add:(fun d prev ->
-                        match Dpor.sleeper d with
-                        | Some z -> List.sort_uniq Int.compare (z :: prev)
-                        | None -> prev)
-                      ~crash_child:(fun prev ->
-                        (* A crash that spends the budget leaves every
-                           slept crash disabled for good: drop those
-                           entries, so they neither split transposition
-                           keys nor count as reversals when their
-                           process moves. *)
-                        if crashes + 1 = max_crashes then
-                          List.filter (fun z -> z > 0) prev
-                        else prev)
-                      sleep active
+                  else Search.sleep_sets sleep active
                 in
                 Search.children st cursor ~rev_script ~len
                   ~apply:Runner.Cursor.apply children
@@ -268,17 +217,15 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
 (* The naive reference engine.                                         *)
 
 let explore_naive ~n ~factory ~invoke ~depth ?(max_crashes = 0) ~check () =
-  let menu =
-    decision_menu ~invoke ~depth ~max_crashes ~symmetry:false
-  in
   let st : _ state =
     Search.create ~n ~factory ~cache:false ~dpor:false ~sanitize:false
       Obs.disabled
   in
   (* The retained reference engine: re-run the decision prefix from a
      fresh implementation instance at every node of the tree, exactly
-     as the original explorer did.  Kept for differential testing and
-     as the baseline the incremental/reduced engines' counters are
+     as the original explorer did, on the unrestricted menu (a crash
+     wherever one is enabled).  Kept for differential testing and as
+     the baseline the incremental/reduced engines' counters are
      measured against. *)
   let rec walk rev_script len crashes =
     Search.node st len @@ fun () ->
@@ -287,7 +234,10 @@ let explore_naive ~n ~factory ~invoke ~depth ?(max_crashes = 0) ~check () =
     let decisions =
       Search.with_cursor st ~prefix:(List.rev rev_script) (fun cursor ->
           st.replayed <- st.replayed + len;
-          match fst (menu (Runner.Cursor.view cursor) len crashes) with
+          match
+            Search.full_menu ~invoke ~depth ~max_crashes
+              (Runner.Cursor.view cursor) len crashes
+          with
           | [] ->
               check_leaf st ~check ~key:None cursor rev_script len;
               []

@@ -14,7 +14,9 @@
     - {!explore} — the incremental engine.  A node's configuration is a
       live {!Slx_sim.Runner.Cursor}; the first child {e extends it in
       place} (one runtime step) and only later siblings replay their
-      prefix.  Two reductions are opt-in: {e dynamic partial-order
+      prefix.  It walks {!canonical_menu}, which places each crash
+      directly after its process's last decision (doc/model.md §6).
+      Two reductions are opt-in: {e dynamic partial-order
       reduction} ([~dpor], sleep sets woken by observed base-object
       accesses) and {e symmetry reduction} ([~symmetry], orbit pruning
       of interchangeable untouched processes).  Where either is off, a
@@ -31,14 +33,15 @@
       queries parallelize one level up, as separate processes
       ([slx serve --workers]).  It runs on the search kernel it
       shares with {!Live_explore} (cursor bracket, node span, child
-      loop, counters, cancellation); only the menu, the sleep sets and
-      the leaf check are the safety engine's own.
+      loop, counters, cancellation) and menu; only the leaf check is
+      the safety engine's own.
     - {!explore_naive} — the retained reference: replays every prefix
-      from scratch at every node, no cache, no reductions.  The
-      differential suite proves the unreduced engines visit the
-      identical set of maximal runs, and the reduced engines the same
-      check verdicts and counterexamples; the bench smoke compares
-      their [steps_executed].
+      from scratch at every node of the unrestricted {!menu}, no cache,
+      no reductions.  The differential suite proves the unreduced
+      incremental engine visits exactly its runs with their crashes so
+      placed, and the reduced engines the same check verdicts and
+      counterexamples; the bench smoke compares their
+      [steps_executed].
 
     Soundness fine print — what each switch assumes of [check]:
 
@@ -56,13 +59,12 @@
       ({!Slx_sim.Runtime.footprints_commute}) with the accesses another
       step actually performed reaches the same configuration in either
       order; sleep sets explore one representative interleaving per
-      such commutation class.  A crash commutes with every decision of
-      another process (it writes no shared state), so crashes sleep
-      too.  The representative's history can differ from a pruned
-      run's by swaps of adjacent response or crash events of
-      different processes, so [check] must be invariant under that
-      (every history-level check in this repository is: each reads
-      only per-process projections and operation precedence).
+      such commutation class.  The representative's history can differ
+      from a pruned run's by swaps of adjacent response events of
+      different processes, and the canonical menu moves crash events,
+      so [check] must be invariant under both (every history-level
+      check in this repository is: each reads only per-process
+      projections and operation precedence).
     - {e symmetry} (default off): requires the instance to be
       process-symmetric — all processes run the same [invoke] program
       and [check] is invariant under renaming processes (composed with
@@ -93,11 +95,12 @@ type ('inv, 'res) outcome =
           script among those the engine explores (in the menu order:
           steps/invocations of processes 1..n, then crashes of
           processes 1..n) — deterministic for any engine configuration:
-          cache or not, bounded or not.  With DPOR/symmetry on,
-          "explored" means the reduced tree: the witness is then the
-          least {e representative} of the least failing equivalence
-          class, possibly a commutation/renaming of the unreduced
-          engines' witness. *)
+          cache or not, bounded or not ({!explore}'s can differ from
+          {!explore_naive}'s in where a crash stands).  With
+          DPOR/symmetry on, "explored" means the reduced tree: the
+          witness is then the least {e representative} of the least
+          failing equivalence class, possibly a commutation/renaming
+          of the unreduced engines' witness. *)
 
 type ('inv, 'res) exploration = {
   outcome : ('inv, 'res) outcome;
@@ -217,8 +220,27 @@ val menu :
     for each process 1..n, its step (if ready) or its invocation (if
     idle and [invoke] has one); then, while [crashes < max_crashes],
     each process not yet crashed, crashed.  Empty at [len >= depth].
-    Both explorers' reductions (symmetry, the live invoke order)
-    filter it; the conflict-soundness audit walks it unfiltered. *)
+    {!canonical_menu} filters it; {!explore_naive} and the audit walk
+    it unfiltered. *)
+
+val canonical_menu :
+  invoke:(('inv, 'res) Driver.view -> Proc.t -> 'inv option) ->
+  depth:int ->
+  max_crashes:int ->
+  symmetry:bool ->
+  invoke_order:bool ->
+  ('inv, 'res) Driver.view ->
+  last:('inv, 'res) Driver.decision option ->
+  int ->
+  int ->
+  ('inv, 'res) Driver.decision list * int
+(** The menu {!explore} and {!Live_explore.search} walk at a node whose
+    last decision is [last]: {!menu}, offering [Crash p] only directly
+    after a step or invocation of [p] or, while the script is all
+    crashes, in ascending order (doc/model.md §6); under [symmetry]
+    only the least untouched process's invocation and crash; under
+    [invoke_order] only the least idle process's invocation (§7).  The
+    second component counts what the last two filters pruned. *)
 
 val code_of_decision : ('inv, 'res) Driver.decision -> int
 (** The persistent int form of a menu decision:

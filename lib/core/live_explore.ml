@@ -228,19 +228,16 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
      where several idle processes could be invoked, only the least
      one's invocation is offered (doc/model.md §7 states the lemma
      and the fairness assumption this rests on). *)
-  let menu view len crashes =
-    let invoked = ref false in
-    List.filter
-      (function
-        | Driver.Invoke _ when !invoked ->
-            st.invoke_pruned <- st.invoke_pruned + 1;
-            Telemetry.emit st.sink Telemetry.Invoke_prune len 1;
-            false
-        | Driver.Invoke _ ->
-            invoked := true;
-            true
-        | _ -> true)
-      (Search.menu ~invoke ~depth ~max_crashes view len crashes)
+  let menu view rev_script len crashes =
+    let decisions, pruned =
+      Search.menu ~invoke ~depth ~max_crashes ~symmetry:false
+        ~invoke_order:true view ~last:(List.nth_opt rev_script 0) len crashes
+    in
+    if pruned > 0 then begin
+      st.invoke_pruned <- st.invoke_pruned + pruned;
+      Telemetry.emit st.sink Telemetry.Invoke_prune len pruned
+    end;
+    decisions
   in
   (* Settle a child's candidate sleep set once its edge [d] has
      executed (DPOR only).  {!Search.settle} wakes the sleepers whose
@@ -259,8 +256,8 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
     end;
     kept
   in
-  (* [sleep] holds the processes asleep at this node, as the
-     {!Dpor.sleeper} entries of their steps; [] with DPOR off. *)
+  (* [sleep] holds the ids of the processes whose steps sleep at this
+     node; [] with DPOR off. *)
   let rec visit cursor rev_script rev_codes rev_goods len crashes sleep =
     Search.node st len @@ fun () ->
     (* Shallow nodes and leaves stay unkeyed: see the key comment. *)
@@ -279,7 +276,7 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
         eval_candidates st ~invoke:(Some invoke) ~good ~point ~max_period
           ~pump_ticks cursor rev_script rev_codes rev_goods len;
         let view = Runner.Cursor.view cursor in
-        (match menu view len crashes with
+        (match menu view rev_script len crashes with
         | [] -> st.runs <- st.runs + 1
         | decisions ->
             (* One-level sleep-set filter.  A process asleep here took
@@ -290,14 +287,7 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
                child drops it ([settle]).  A path is never truncated
                outright: if every enabled decision is asleep, all
                sleepers are force-woken (doc/model.md §7). *)
-            let asleep, active =
-              if sleep = [] then ([], decisions)
-              else
-                List.partition
-                  (function
-                    | Driver.Schedule p -> List.mem p sleep | _ -> false)
-                  decisions
-            in
+            let asleep, active = Search.asleep sleep decisions in
             let asleep, active, sleep =
               if active = [] && asleep <> [] then begin
                 st.proviso <- st.proviso + List.length asleep;
@@ -313,15 +303,10 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
                 (List.length asleep);
             (* Children with their candidate sleep sets: this node's
                sleepers and each explored step before the child's;
-               a crash child starts empty. *)
+               a crash child gets this node's sleepers alone. *)
             let children =
               if not dpor then List.map (fun d -> (d, [])) active
-              else
-                Search.sleep_sets
-                  ~add:(fun d prev ->
-                    match d with Driver.Schedule p -> p :: prev | _ -> prev)
-                  ~crash_child:(fun _ -> [])
-                  sleep active
+              else Search.sleep_sets sleep active
             in
             (* Every child starts from this node's history. *)
             let before = history_length view in

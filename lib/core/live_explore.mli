@@ -47,10 +47,12 @@
     bounded number of further grants); see doc/model.md §7 for the
     soundness argument and its honest limits.
 
-    The walk is depth-first in the canonical menu order of {!Explore},
-    so the emitted certificate is deterministic: the lex-least
-    stem+cycle script among the validated candidates, independent of
-    caching.  The menu is {e invoke-ordered}: where several idle
+    The walk is depth-first in the canonical menu order of {!Explore}
+    ({!Explore.canonical_menu}: each crash directly after its process's
+    last decision, or in an ascending root prefix), so the emitted
+    certificate is deterministic: the lex-least stem+cycle script
+    among the validated candidates, independent of caching.  The menu
+    is {e invoke-ordered}: where several idle
     processes could be invoked, only the least one's invocation is
     offered; doc/model.md §7 states why that keeps a representative of
     every fair periodic run, the fairness assumption it rests on, and

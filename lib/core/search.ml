@@ -181,7 +181,7 @@ let children st cursor ~rev_script ~len ~apply kids descend =
             go child))
     kids
 
-let menu ~invoke ~depth ~max_crashes view len crashes =
+let menu_with ~crash ~invoke ~depth ~max_crashes view len crashes =
   if len >= depth then []
   else begin
     let procs = Proc.all ~n:view.Driver.n in
@@ -197,19 +197,69 @@ let menu ~invoke ~depth ~max_crashes view len crashes =
     if crashes < max_crashes then
       List.filter_map
         (fun p ->
-          if view.Driver.status p = Runtime.Crashed then None
+          if view.Driver.status p = Runtime.Crashed || not (crash p) then None
           else Some (Driver.Crash p))
         procs
     else []
   end
 
-let sleep_sets ~add ~crash_child sleep decisions =
+let full_menu ~invoke ~depth ~max_crashes view len crashes =
+  menu_with ~crash:(fun _ -> true) ~invoke ~depth ~max_crashes view len crashes
+
+(* Where a crash is offered.  [len = crashes] says the script so far is
+   all crashes: the root prefix, which takes them in ascending order.
+   Anywhere else [Crash p] follows a step or invocation of [p]. *)
+let crash_placed ~last len crashes p =
+  match last with
+  | Some (Driver.Schedule q | Driver.Invoke (q, _)) -> q = p
+  | Some (Driver.Crash q) -> len = crashes && q < p
+  | None | Some Driver.Stop -> true
+
+(* A root prefix's crashes are in the history, so it needs no slot. *)
+let crash_slot ~max_crashes ~last crashes =
+  match last with
+  | Some (Driver.Schedule p | Driver.Invoke (p, _)) when crashes < max_crashes
+    ->
+      p
+  | _ -> 0
+
+let menu ~invoke ~depth ~max_crashes ~symmetry ~invoke_order view ~last len
+    crashes =
+  let untouched p = view.Driver.events p = 0 in
+  let pruned = ref 0 and invoked = ref false and crashed = ref false in
+  let first seen =
+    let taken = !seen in
+    if taken then incr pruned;
+    seen := true;
+    not taken
+  in
+  let decisions =
+    List.filter
+      (function
+        | Driver.Invoke (p, _) when invoke_order || (symmetry && untouched p) ->
+            first invoked
+        | Driver.Crash p when symmetry && untouched p -> first crashed
+        | _ -> true)
+      (menu_with ~crash:(crash_placed ~last len crashes) ~invoke ~depth
+         ~max_crashes view len crashes)
+  in
+  (decisions, !pruned)
+
+let asleep sleep decisions =
+  if sleep = [] then ([], decisions)
+  else
+    List.partition
+      (function Driver.Schedule p -> List.mem p sleep | _ -> false)
+      decisions
+
+let sleep_sets sleep decisions =
   List.fold_left
     (fun (acc, prev) d ->
-      let child_sleep =
-        match d with Driver.Crash _ -> crash_child prev | _ -> prev
-      in
-      ((d, child_sleep) :: acc, add d prev))
+      match d with
+      | Driver.Schedule p ->
+          ((d, prev) :: acc, List.sort_uniq Int.compare (p :: prev))
+      | Driver.Crash _ -> ((d, sleep) :: acc, prev)
+      | _ -> ((d, prev) :: acc, prev))
     ([], sleep) decisions
   |> fst |> List.rev
 

@@ -8,9 +8,10 @@
     cache keyed on flat compact keys credits completed subtrees;
     every node is counted, ticks the progress reporter, polls
     [cancel] and sits inside a telemetry node span.  This module holds
-    that shared walk and its state.  What really differs — the decision
-    menus, the sleep-set shapes, the leaf check or the cycle
-    candidates — stays in each explorer's own [visit] recursion. *)
+    that shared walk, its state, its menu and its sleep-set rule.  What
+    really differs — the leaf check, the live walk's one-level sleep
+    sets or the cycle candidates — stays in each explorer's own [visit]
+    recursion. *)
 
 open Slx_history
 open Slx_sim
@@ -120,7 +121,7 @@ val children :
     child emits its [Decision] event, is applied with [apply], and is
     handed to [descend] with [apply]'s result. *)
 
-val menu :
+val full_menu :
   invoke:(('inv, 'res) Driver.view -> Proc.t -> 'inv option) ->
   depth:int ->
   max_crashes:int ->
@@ -128,24 +129,48 @@ val menu :
   int ->
   int ->
   ('inv, 'res) Driver.decision list
-(** The canonical decision menu, exported as {!Explore.menu}. *)
+(** The unrestricted decision menu, exported as {!Explore.menu}: the
+    naive oracle and the audit walk it. *)
+
+val menu :
+  invoke:(('inv, 'res) Driver.view -> Proc.t -> 'inv option) ->
+  depth:int ->
+  max_crashes:int ->
+  symmetry:bool ->
+  invoke_order:bool ->
+  ('inv, 'res) Driver.view ->
+  last:('inv, 'res) Driver.decision option ->
+  int ->
+  int ->
+  ('inv, 'res) Driver.decision list * int
+(** The menu both reduced explorers walk, exported as
+    {!Explore.canonical_menu}. *)
+
+val crash_slot :
+  max_crashes:int -> last:('inv, 'res) Driver.decision option -> int -> int
+(** The process whose crash {!menu} may offer after the last decision,
+    or 0: the part of a menu the configuration does not fix, which the
+    safety explorer's transposition key carries. *)
+
+val asleep :
+  int list ->
+  ('inv, 'res) Driver.decision list ->
+  ('inv, 'res) Driver.decision list * ('inv, 'res) Driver.decision list
+(** [asleep sleep decisions] splits a menu into the steps of the
+    processes in the sleep set [sleep] and the rest, in menu order. *)
 
 val sleep_sets :
-  add:(('inv, 'res) Driver.decision -> int list -> int list) ->
-  crash_child:(int list -> int list) ->
   int list ->
   ('inv, 'res) Driver.decision list ->
   (('inv, 'res) Driver.decision * int list) list
-(** [sleep_sets ~add ~crash_child sleep decisions] pairs each child
-    decision with its candidate DPOR sleep set of {!Dpor.sleeper}
-    entries: the node's [sleep] plus
-    what every earlier sibling put to sleep ([add d] adds sibling [d]'s
-    entry, if it has one).  A crash child gets [crash_child] of that
-    set instead: the safety explorer keeps it, since a crash commutes
-    with every other process's decisions (less the slept crashes when
-    the child spends the crash budget), while the live search empties
-    it.  The live search then drops the node's own [sleep] from every
-    child once {!settle} has run: its sleep sets are one level deep. *)
+(** [sleep_sets sleep decisions] pairs each child decision with its
+    candidate DPOR sleep set, the sorted ids of the processes whose
+    steps sleep: the node's [sleep] plus every earlier sibling's step.
+    A crash child gets the node's [sleep] alone, since a sibling's step
+    moved before the crash leaves a run the menu does not offer
+    (doc/model.md §6).
+    The live search then drops the node's own [sleep] from every child
+    once {!settle} has run: its sleep sets are one level deep. *)
 
 val settle :
   ('inv, 'res, 'v, 'f) t ->

@@ -81,12 +81,6 @@ let cell_code d events =
   | Driver.Schedule p -> push (element p 0) 1 events
   | _ -> push 0 0 events
 
-let rec cell_of_code code =
-  if code = 0 then []
-  else
-    let e = (code land ((1 lsl slot_bits) - 1)) - 1 in
-    element_string (e lsr 2) (e land 3) :: cell_of_code (code lsr slot_bits)
-
 let window_period r =
   let cells = tick_cells r in
   let ws = Run_report.window_start r in

@@ -56,13 +56,9 @@ val cell_code :
     Each element (the grant of a [Schedule], then each event's
     {!skeleton}) is [((p lsl 2) lor kind) + 1], kind 0-3 for
     grant, invocation, response, crash, packed in 8-bit slots from the
-    low end; so two cells are equal iff their codes are, and
-    {!cell_of_code} recovers the strings.
+    low end; so two cells are equal iff their codes are.
     @raise Invalid_argument if a process id is above 31 or the tick
     has more than 3 elements. *)
-
-val cell_of_code : int -> string list
-(** The cell a {!cell_code} encodes, as {!tick_cells} prints it. *)
 
 val window_period :
   ('inv, 'res) Run_report.t ->

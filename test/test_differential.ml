@@ -181,52 +181,70 @@ let prop_opacity_matches_brute_force =
       agree h && agree (mutate h))
 
 (* ------------------------------------------------------------------ *)
-(* Differential validation of the exploration engines: the incremental
-   cached explorer must visit exactly the maximal runs
-   the retained naive replay reference visits.  Cache-off engines are
-   compared on the exact multiset of final histories (collected through
-   the check callback); cached engines never materialize pruned runs,
-   so they are compared on the run count and the order-insensitive
-   history digest the engines maintain for precisely this purpose.     *)
+(* Differential validation of the exploration engines, through the
+   crash-move map (test/oracle/crash_moves.ml): the naive reference
+   crashes a process wherever a crash is enabled, the incremental
+   explorer only at the canonical place, so the incremental explorer
+   must visit exactly the image of naive's maximal runs under the map.
+   The cache-off engine is compared script by script, in walk order,
+   and on the final histories of the image's replays (collected
+   through the check callback); cached engines never materialize
+   pruned runs, so they are compared on the run count and the
+   order-insensitive history digest of that image.                    *)
 
 open Slx_core
+module Crash_moves = Slx_test_oracle.Crash_moves
+
+let hash_history r = Slx_sim.Runtime.hash_value r.Run_report.history
 
 let explorer_equivalence name ~factory ~invoke ~depth ~max_crashes =
-  let collect acc r =
-    acc := Slx_sim.Runtime.hash_value r.Run_report.history :: !acc;
-    true
+  let n = 2 in
+  let naive_runs =
+    Crash_moves.naive_runs ~n ~factory ~invoke ~depth ~max_crashes
   in
-  let multiset acc = List.sort compare !acc in
-  let naive_hist = ref [] in
-  let naive =
-    Explore.explore_naive ~n:2 ~factory ~invoke ~depth ~max_crashes
-      ~check:(collect naive_hist) ()
-  in
-  let nocache_hist = ref [] in
-  let nocache =
-    Explore.explore ~n:2 ~factory ~invoke ~depth ~max_crashes ~cache:false
-      ~check:(collect nocache_hist) ()
-  in
-  (* Exact multiset of final histories, run by run. *)
+  let image = Crash_moves.image naive_runs in
+  (* An image run is a naive run in canonical form, and naive walks in
+     menu order. *)
   check_bool
-    (name ^ ": cache-off engine visits the identical run multiset")
+    (name ^ ": the image is naive's canonical-form runs")
     true
-    (multiset naive_hist = multiset nocache_hist);
+    (image = List.filter (fun s -> Crash_moves.canonical s = s) naive_runs);
+  let image_hashes =
+    List.map
+      (fun s -> hash_history (Crash_moves.replay ~n ~factory ~invoke s))
+      image
+  in
+  let visited = ref [] in
+  let nocache =
+    Explore.explore ~n ~factory ~invoke ~depth ~max_crashes ~cache:false
+      ~check:(fun r ->
+        visited := (Crash_moves.script_of_report r, hash_history r) :: !visited;
+        true)
+      ()
+  in
+  (* Exactly the image, run by run, in menu order. *)
+  check_bool
+    (name ^ ": cache-off engine visits the image of naive's runs")
+    true
+    (List.rev !visited = List.combine image image_hashes);
   let runs e =
     match e.Explore.outcome with
     | Explore.Ok n -> n
     | Explore.Counterexample _ -> Alcotest.fail (name ^ ": unexpected violation")
   in
   let digest e = e.Explore.stats.Explore_stats.history_digest in
-  check_int (name ^ ": cache-off run count") (runs naive) (runs nocache);
+  let image_digest = List.fold_left ( + ) 0 image_hashes in
+  check_int (name ^ ": cache-off run count") (List.length image) (runs nocache);
+  check_bool (name ^ ": cache-off history digest") true
+    (digest nocache = image_digest);
   (* The cached engine: count + digest. *)
   let check r = ignore (r : _ Run_report.t); true in
   let cached =
-    Explore.explore ~n:2 ~factory ~invoke ~depth ~max_crashes ~check ()
+    Explore.explore ~n ~factory ~invoke ~depth ~max_crashes ~check ()
   in
-  check_int (name ^ ": cached run count") (runs naive) (runs cached);
+  check_int (name ^ ": cached run count") (List.length image) (runs cached);
   check_bool (name ^ ": cached history digest") true
-    (digest naive = digest cached);
+    (digest cached = image_digest);
   (* Reduced engines explore representatives only: the run count drops
      but the verdict must agree with naive on the same instance, and
      each reduced configuration must be self-deterministic (same count
@@ -234,19 +252,19 @@ let explorer_equivalence name ~factory ~invoke ~depth ~max_crashes =
   List.iter
     (fun (engine, dpor, symmetry) ->
       let reduced () =
-        Explore.explore ~n:2 ~factory ~invoke ~depth ~max_crashes ~dpor
+        Explore.explore ~n ~factory ~invoke ~depth ~max_crashes ~dpor
           ~symmetry ~check ()
       in
       let e = reduced () and e' = reduced () in
-      check_bool (name ^ ": " ^ engine ^ " verdict agrees with naive") true
-        (match (e.Explore.outcome, naive.Explore.outcome) with
-        | Explore.Ok _, Explore.Ok _ -> true
-        | Explore.Counterexample _, Explore.Counterexample _ -> true
-        | _ -> false);
+      check_bool (name ^ ": " ^ engine ^ " verdict agrees with naive's ok")
+        true
+        (match e.Explore.outcome with
+        | Explore.Ok _ -> true
+        | Explore.Counterexample _ -> false);
       check_bool
         (name ^ ": " ^ engine ^ " explores a nonempty subset of the runs")
         true
-        (runs e >= 1 && runs e <= runs naive);
+        (runs e >= 1 && runs e <= List.length image);
       check_int (name ^ ": " ^ engine ^ " is deterministic (count)") (runs e)
         (runs e');
       check_bool (name ^ ": " ^ engine ^ " is deterministic (digest)") true
@@ -351,21 +369,24 @@ let test_explorers_agree_on_counterexample () =
 (* ------------------------------------------------------------------ *)
 (* Reduction coverage under crashes.  A reduced engine explores one
    representative per equivalence class, so it cannot be compared with
-   naive on the run multiset.  It owes two things, both checked with
-   DPOR on and the cache off (so every explored run reaches the check):
-   - coverage: for every maximal run naive visits, it visits a run with
-     the same per-process projections whose operation-precedence
-     relation contains the naive run's, so a check that is a function
-     of the projections and monotone in precedence fails on the
-     representative whenever it fails on the naive run;
+   the image of naive's runs (the crash-move map, above) on the run
+   set.  It owes two things, both checked with DPOR on and the cache
+   off (so every explored run reaches the check):
+   - coverage: for every run of the image, it visits a run with the
+     same per-process projections whose operation-precedence relation
+     contains the image run's, so a check that is a function of the
+     projections and monotone in precedence fails on the
+     representative whenever it fails on the image run (the map moves
+     only crash events, which changes neither);
    - least representatives: for every projection tuple, the first run
-     its walk reaches with that tuple is naive's first.  Sleep sets
-     keep the least run of each commutation class, and both walks take
-     the menu in the same order, so any check that reads only the
-     projections gets naive's witness.  This is what makes a missed
-     wake-up visible: coverage alone holds even with no race reversal
-     at all, since on a correct consensus implementation some
-     sequential run contains every other run's precedence.
+     its walk reaches with that tuple is the least image run with it,
+     in menu order.  Sleep sets keep the least run of each commutation
+     class, and the walk takes the menu in order, so any check that
+     reads only the projections gets the least image witness.  This is
+     what makes a missed wake-up visible: coverage alone holds even
+     with no race reversal at all, since on a correct consensus
+     implementation some sequential run contains every other run's
+     precedence.
    Symmetry stays off: its representatives are renamings, and a
    renaming changes the projections these checks compare. *)
 
@@ -402,53 +423,57 @@ let rec sorted_subset xs ys =
       else if c > 0 then sorted_subset xs ys'
       else false
 
-(* The number of distinct naive final histories no reduced run covers,
-   and the number of projection tuples whose first run differs. *)
+(* The number of image runs no reduced run covers, and the number of
+   projection tuples whose first reduced run is not the least image run
+   with that tuple. *)
 let reduction_gaps ~n ~factory ~invoke ~depth ~max_crashes =
-  let walk run =
-    let runs = Hashtbl.create 1024 and first = Hashtbl.create 256 in
-    run (fun r ->
-        let h = r.Run_report.history in
+  let first_by_proj runs =
+    let first = Hashtbl.create 256 in
+    List.iter
+      (fun (script, h) ->
         let proj = projections ~n h in
-        Hashtbl.replace runs (History.to_list h) h;
-        if not (Hashtbl.mem first proj) then
-          Hashtbl.add first proj (History.to_list h);
-        true);
-    (runs, first)
+        if not (Hashtbl.mem first proj) then Hashtbl.add first proj script)
+      runs;
+    first
   in
-  let naive, naive_first =
-    walk (fun check ->
-        ignore
-          (Explore.explore_naive ~n ~factory ~invoke ~depth ~max_crashes ~check
-             ()))
+  let image =
+    List.map
+      (fun s ->
+        (s, (Crash_moves.replay ~n ~factory ~invoke s).Run_report.history))
+      (Crash_moves.image
+         (Crash_moves.naive_runs ~n ~factory ~invoke ~depth ~max_crashes))
   in
-  let reduced, reduced_first =
-    walk (fun check ->
-        ignore
-          (Explore.explore ~n ~factory ~invoke ~depth ~max_crashes ~cache:false
-             ~dpor:true ~check ()))
-  in
+  let reduced = ref [] in
+  ignore
+    (Explore.explore ~n ~factory ~invoke ~depth ~max_crashes ~cache:false
+       ~dpor:true
+       ~check:(fun r ->
+         reduced :=
+           (Crash_moves.script_of_report r, r.Run_report.history) :: !reduced;
+         true)
+       ());
+  let reduced = List.rev !reduced in
   let by_proj = Hashtbl.create 1024 in
-  Hashtbl.iter
-    (fun _ h -> Hashtbl.add by_proj (projections ~n h) (precedence h))
+  List.iter
+    (fun (_, h) -> Hashtbl.add by_proj (projections ~n h) (precedence h))
     reduced;
   let uncovered =
-    Hashtbl.fold
-      (fun _ h missed ->
-        let prec = precedence h in
-        if
-          List.exists (sorted_subset prec)
-            (Hashtbl.find_all by_proj (projections ~n h))
-        then missed
-        else missed + 1)
-      naive 0
+    List.length
+      (List.filter
+         (fun (_, h) ->
+           not
+             (List.exists
+                (sorted_subset (precedence h))
+                (Hashtbl.find_all by_proj (projections ~n h))))
+         image)
   in
+  let reduced_first = first_by_proj reduced in
   let first_differs =
     Hashtbl.fold
-      (fun proj h differs ->
-        if Hashtbl.find_opt reduced_first proj = Some h then differs
+      (fun proj script differs ->
+        if Hashtbl.find_opt reduced_first proj = Some script then differs
         else differs + 1)
-      naive_first 0
+      (first_by_proj image) 0
   in
   (uncovered, first_differs)
 
@@ -471,7 +496,7 @@ let test_reduction_covers_naive_under_crashes () =
   List.iter
     (fun (name, run) ->
       let uncovered, first_differs = run () in
-      check_int (name ^ ": uncovered naive runs") 0 uncovered;
+      check_int (name ^ ": uncovered image runs") 0 uncovered;
       check_int (name ^ ": projection tuples with another first run") 0
         first_differs)
     [
@@ -501,8 +526,8 @@ let crashed_and_answered r =
    value one of them proposed.  A survivor can decide that value only
    if the proposer's write landed before its crash, so every failing
    run has a crash after a shared write, and its two crashes need the
-   crash budget of 2 — the budget under which a slept crash outlives
-   its sibling.  Also a function of the projections alone. *)
+   crash budget of 2, where a canonical leaf can keep a crash unspent.
+   Also a function of the projections alone. *)
 let survivor_decided_crashed_value r =
   let h = History.to_list r.Run_report.history in
   let crashed = History.crashed r.Run_report.history in
@@ -526,11 +551,11 @@ let survivor_decided_crashed_value r =
             | None -> false)
           h)
 
-(* The least failing run must come out the same from naive, from DPOR
-   with the cache off and on, and from DPOR under a bounded cache.
-   Under symmetry only the verdict is compared: its witness is the
-   least renaming, not the least run (both checks are invariant under
-   renaming processes, as symmetry requires). *)
+(* The least failing run of the image of naive's runs (the crash-move
+   map) must come out of DPOR with the cache off and on, and under a
+   bounded cache.  Under symmetry only the verdict is compared: its
+   witness is the least renaming, not the least run (both checks are
+   invariant under renaming processes, as symmetry requires). *)
 let test_crash_witnesses_agree () =
   List.iter
     (fun (label, check, impl, factory, n, max_crashes, depth) ->
@@ -540,8 +565,7 @@ let test_crash_witnesses_agree () =
       let witness e =
         match (e.Explore.outcome, e.Explore.witness_script) with
         | Explore.Counterexample r, Some script ->
-            ( Explore.codes_of_script script,
-              Slx_sim.Runtime.hash_value r.Run_report.history )
+            (Explore.codes_of_script script, hash_history r)
         | _ -> Alcotest.fail (name ^ ": expected a counterexample")
       in
       let explore ?cache ?cache_capacity ?symmetry () =
@@ -549,9 +573,15 @@ let test_crash_witnesses_agree () =
           ?cache ?cache_capacity ?symmetry ~dpor:true ~check ()
       in
       let reference =
-        witness
-          (Explore.explore_naive ~n ~factory ~invoke:one_proposal ~depth
-             ~max_crashes ~check ())
+        match
+          Crash_moves.least_failing ~n ~factory ~invoke:one_proposal ~depth
+            ~max_crashes ~check
+        with
+        | Some s ->
+            ( s,
+              hash_history
+                (Crash_moves.replay ~n ~factory ~invoke:one_proposal s) )
+        | None -> Alcotest.fail (name ^ ": no failing image run")
       in
       check_int
         (name ^ ": crashes in the witness")
@@ -560,7 +590,7 @@ let test_crash_witnesses_agree () =
       List.iter
         (fun (engine, run) ->
           check_bool
-            (name ^ ": " ^ engine ^ " matches the naive witness")
+            (name ^ ": " ^ engine ^ " matches the least image witness")
             true
             (witness (run ()) = reference))
         [
@@ -590,10 +620,8 @@ let test_crash_witnesses_agree () =
 (* The table rule: under DPOR plus symmetry the safety explorer builds
    no transposition table; with either reduction off it builds one,
    which still hits.  Either way the answer is that of the
-   [~cache:false] walk.  The pinned answers are those the walk gave
-   while it still kept a table under DPOR plus symmetry (110 and 1,471
-   hits on the two consensus cas shapes): a hit credits exactly the
-   subtree it skips. *)
+   [~cache:false] walk: a hit credits exactly the subtree it skips.
+   The pinned answers are those of the canonical crash placement. *)
 let test_table_rule () =
   let consensus r = Slx_consensus.Consensus_safety.check r.Run_report.history in
   let cas () = Slx_consensus.Cas_consensus.factory () in
@@ -630,18 +658,19 @@ let test_table_rule () =
     (let answered = crashed_and_answered in
      [
        ( "register n=3 d14 c1", consensus, register, 3, 14, 1,
-         "ok runs=1339 digest=3408686298619465532" );
+         "ok runs=922 digest=-2977105762022196378" );
        ( "register n=3 d14 c1, crashed and answered", answered, register, 3,
-         14, 1, "5 4 4 4 4 4 4 4 4 4 4 9 8 6 runs=2 digest=3607472447777642283"
+         14, 1,
+         "5 4 4 4 4 4 4 4 4 4 4 9 8 10 runs=2 digest=-2731394087915856383"
        );
        ( "cas n=3 d12 c2", consensus, cas, 3, 12, 2,
-         "ok runs=384 digest=-643732135914746007" );
+         "ok runs=218 digest=1049027987363108765" );
        ( "cas n=3 d12 c2, crashed and answered", answered, cas, 3, 12, 2,
-         "5 4 4 9 8 8 13 12 12 6 10 runs=1 digest=3570444724731600710" );
+         "5 4 4 9 8 8 13 12 12 14 runs=1 digest=-4486760775570767643" );
        ( "cas n=4 d12 c1", consensus, cas, 4, 12, 1,
-         "ok runs=2102 digest=3212907166952281405" );
+         "ok runs=1440 digest=1099379283783249619" );
        ( "cas n=4 d12 c1, crashed and answered", answered, cas, 4, 12, 1,
-         "5 4 4 9 8 8 13 12 12 17 16 6 runs=2 digest=2194760974002659359" );
+         "5 4 4 9 8 8 13 12 12 17 16 18 runs=2 digest=2250746343860034781" );
      ]);
   List.iter
     (fun (name, dpor, symmetry, n, depth, max_crashes, hits) ->
@@ -654,7 +683,7 @@ let test_table_rule () =
       same_as_no_cache name e (run ~cache:false ()))
     [
       ("register n=3 d12 c0, dpor alone", true, false, 3, 12, 0, 1073);
-      ("register n=2 d14 c1, symmetry alone", false, true, 2, 14, 1, 270);
+      ("register n=2 d14 c1, symmetry alone", false, true, 2, 14, 1, 281);
     ];
   (* A capacity below 1 is refused even where no table would be built. *)
   check_bool "cache_capacity 0 refused under dpor+symmetry" true

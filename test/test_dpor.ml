@@ -261,43 +261,72 @@ let test_max_period_below_period_misses_lasso () =
       Alcotest.fail "max_period 3 cannot detect a period-4 cycle"
 
 (* ------------------------------------------------------------------ *)
-(* Crash sleepers (doc/model.md §6).                                   *)
+(* Canonical crash placement (doc/model.md §6).                        *)
 
-(* [Dpor.advance_mask] on the safety explorer's signed entries ([p]
-   for a slept step, [-p] for a slept crash).  Every pending step here
-   reads object 1 and the executed step writes object 0, so no slept
-   step races; only the crash rules decide.  The rules are the
-   crash-commutation lemma's: a crash commutes with every decision of
-   another process, and a slept [Crash p] wakes when [p] itself steps
-   or invokes (crashing after that is a new configuration). *)
-let test_crash_sleepers () =
-  let observed =
-    Runtime.mask_of_footprint (Runtime.Access { obj = 0; write = true })
+(* [Explore.canonical_menu] on hand-built views of three processes,
+   each with one more invocation to issue when idle.  [Crash p] stands
+   directly after a step or invocation of [p], or in an ascending
+   all-crash prefix at the root; the symmetry filter then keeps the
+   least untouched process's crash, and the live walk's invoke order
+   the least idle process's invocation. *)
+let test_canonical_crash_placement () =
+  let view statuses : (unit, unit) Driver.view =
+    let status p = List.nth statuses (p - 1) in
+    {
+      Driver.time = 0;
+      n = 3;
+      history = Slx_history.History.empty;
+      status;
+      steps = (fun _ -> 0);
+      invocations = (fun _ -> 0);
+      events = (fun p -> if status p = Runtime.Idle then 0 else 1);
+    }
   in
-  let pending _ =
-    Some (Runtime.mask_of_footprint (Runtime.Access { obj = 1; write = false }))
+  let menu ?(symmetry = false) ?(invoke_order = false) ?(max_crashes = 1)
+      statuses ~last len crashes =
+    let decisions, pruned =
+      Explore.canonical_menu
+        ~invoke:(fun _ _ -> Some ())
+        ~depth:8 ~max_crashes ~symmetry ~invoke_order (view statuses) ~last
+        len crashes
+    in
+    (show_script (fun () -> "") decisions, pruned)
   in
-  let sleep = [ -3; -2; 1 ] in
-  let across (d : (unit, unit) Driver.decision) =
-    Dpor.advance_mask ~observed ~pending sleep d
+  let check label expected got =
+    Alcotest.(check (pair string int)) label expected got
   in
-  let check label (keep, woken) d =
-    Alcotest.(check (pair (list int) (list int))) label (keep, woken) (across d)
-  in
-  check "another process's step keeps every entry" ([ -3; -2; 1 ], [])
-    (Driver.Schedule 4);
-  check "p's step wakes a slept Crash p" ([ -3; 1 ], [ -2 ])
-    (Driver.Schedule 2);
-  check "another process's invocation keeps every entry" ([ -3; -2; 1 ], [])
-    (Driver.Invoke (4, ()));
-  check "p's invocation wakes a slept Crash p" ([ -3; 1 ], [ -2 ])
-    (Driver.Invoke (2, ()));
-  check "another process's crash keeps every entry" ([ -3; -2; 1 ], [])
-    (Driver.Crash 4);
-  check "Crash p drops p's own crash entry without waking it" ([ -3; 1 ], [])
-    (Driver.Crash 2);
-  check "Crash p drops p's own step entry without waking it" ([ -3; -2 ], [])
-    (Driver.Crash 1)
+  let ready = Runtime.[ Ready; Ready; Idle ] in
+  check "after Schedule p: Crash p" ("S1;S2;I3();C1", 0)
+    (menu ready ~last:(Some (Driver.Schedule 1)) 3 0);
+  check "after Invoke p: Crash p" ("S1;S2;I3();C2", 0)
+    (menu ready ~last:(Some (Driver.Invoke (2, ()))) 3 0);
+  check "after q's step: Crash q, not Crash p" ("S1;S2;I3();C2", 0)
+    (menu ready ~last:(Some (Driver.Schedule 2)) 3 0);
+  check "after a mid-run crash: none" ("S1;S2", 0)
+    (menu ~max_crashes:2 Runtime.[ Ready; Ready; Crashed ]
+       ~last:(Some (Driver.Crash 3)) 4 1);
+  let idle = Runtime.[ Idle; Idle; Idle ] in
+  check "at the root: every crash" ("I1();I2();I3();C1;C2;C3", 0)
+    (menu idle ~last:None 0 0);
+  check "in the root prefix: ascending" ("I1();I3();C3", 0)
+    (menu ~max_crashes:2 Runtime.[ Idle; Crashed; Idle ]
+       ~last:(Some (Driver.Crash 2)) 1 1);
+  check "with symmetry, at the root: the least untouched" ("I1();C1", 4)
+    (menu ~symmetry:true idle ~last:None 0 0);
+  check "with symmetry, in the root prefix" ("I2();C2", 2)
+    (menu ~symmetry:true ~max_crashes:2 Runtime.[ Crashed; Idle; Idle ]
+       ~last:(Some (Driver.Crash 1)) 1 1);
+  check "with symmetry, after Invoke p: Crash p" ("S1;I2();C1", 1)
+    (menu ~symmetry:true Runtime.[ Ready; Idle; Idle ]
+       ~last:(Some (Driver.Invoke (1, ()))) 1 0);
+  check "with invoke order, at the root" ("I1();C1;C2;C3", 2)
+    (menu ~invoke_order:true idle ~last:None 0 0);
+  check "with invoke order, after a root crash" ("I2();C2;C3", 1)
+    (menu ~invoke_order:true ~max_crashes:2 Runtime.[ Crashed; Idle; Idle ]
+       ~last:(Some (Driver.Crash 1)) 1 1);
+  check "with invoke order, after Invoke p" ("S2;I3();C2", 0)
+    (menu ~invoke_order:true ~max_crashes:2 Runtime.[ Crashed; Ready; Idle ]
+       ~last:(Some (Driver.Invoke (2, ()))) 2 1)
 
 let suites =
   [
@@ -313,7 +342,7 @@ let suites =
           test_max_period_default_finds_boundary_lasso;
         quick "a max_period below the true period misses the lasso"
           test_max_period_below_period_misses_lasso;
-        quick "crash sleepers" test_crash_sleepers;
+        quick "canonical crash placement" test_canonical_crash_placement;
       ]
       @ qcheck
           [ qcheck_wakes_iff_conflict; qcheck_unknown_pending_always_wakes ] );

@@ -748,7 +748,7 @@ let test_cli_witness_one_line () =
           (In_channel.with_open_bin out In_channel.input_all)
       in
       Alcotest.(check (list string))
-        "witness line" [ "witness script: I1(0) I2(1) C1" ]
+        "witness line" [ "witness script: I1(0) I2(1) C2" ]
         (List.filter (String.starts_with ~prefix:"witness") lines))
 
 (* A negative live verdict says which tree it covers: the DPOR-reduced
