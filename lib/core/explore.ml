@@ -68,6 +68,23 @@ let menu = Search.full_menu
 
 let canonical_menu = Search.menu
 
+(* A crash child that offers only sleepers roots no maximal run
+   (doc/model.md §6): its sleep set is its node's own, and a crash wakes
+   none of it, so its canonical menu on the view after the crash decides
+   it at the parent. *)
+let dead_crash ~invoke ~depth ~max_crashes ~symmetry view ~sleep len crashes
+    q =
+  match
+    fst
+      (Search.menu ~invoke ~depth ~max_crashes ~symmetry ~invoke_order:false
+         view ~last:(Some (Driver.Crash q)) (len + 1) (crashes + 1))
+  with
+  | [] -> false
+  | ds ->
+      List.for_all
+        (function Driver.Schedule p -> List.mem p sleep | _ -> false)
+        ds
+
 (* ------------------------------------------------------------------ *)
 (* The walk.                                                           *)
 
@@ -173,15 +190,31 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                it here would reproduce, reordered, a run already
                explored from an earlier sibling. *)
             let asleep, active = Search.asleep sleep decisions in
-            st.sleeps <- st.sleeps + List.length asleep;
-            if asleep <> [] then
-              Telemetry.emit st.sink Telemetry.Por_sleep len
-                (List.length asleep);
+            (* A crash child whose menu offers only sleepers is dead:
+               it is decided here, as one prune, instead of being built
+               to find itself blocked.  With an empty sleep set none
+               is. *)
+            let dead, active =
+              if sleep = [] then ([], active)
+              else
+                List.partition
+                  (function
+                    | Driver.Crash q ->
+                        dead_crash ~invoke ~depth ~max_crashes ~symmetry
+                          (Runner.Cursor.crash_view cursor q)
+                          ~sleep len crashes q
+                    | _ -> false)
+                  active
+            in
+            let pruned = List.length asleep + List.length dead in
+            st.sleeps <- st.sleeps + pruned;
+            if pruned > 0 then
+              Telemetry.emit st.sink Telemetry.Por_sleep len pruned;
             match active with
             | [] ->
-                (* Everything enabled is asleep: every extension is a
-                   reordering of an explored run.  Not a maximal run —
-                   nothing to check, nothing to credit. *)
+                (* Everything enabled is asleep or a dead crash: every
+                   extension is a reordering of an explored run.  Not a
+                   maximal run — nothing to check, nothing to credit. *)
                 Search.remember st key { e_runs = 0; e_digest = 0 }
             | _ ->
                 let runs0 = st.runs and digest0 = st.digest in

@@ -154,7 +154,9 @@ val explore :
     set as a candidate, and after each edge executes the sleepers
     whose pending footprints race with the accesses the step {e
     actually performed} are woken (a {e race reversal},
-    {!Explore_stats.t.race_reversals}).  [symmetry] (default [false])
+    {!Explore_stats.t.race_reversals}).  A crash child that would
+    offer only sleepers ({!dead_crash}) is decided at its parent and
+    never built.  [symmetry] (default [false])
     declares the instance process-symmetric and enables orbit pruning
     of untouched processes; see the soundness notes above.
 
@@ -241,6 +243,29 @@ val canonical_menu :
     only the least untouched process's invocation and crash; under
     [invoke_order] only the least idle process's invocation (§7).  The
     second component counts what the last two filters pruned. *)
+
+val dead_crash :
+  invoke:(('inv, 'res) Driver.view -> Proc.t -> 'inv option) ->
+  depth:int ->
+  max_crashes:int ->
+  symmetry:bool ->
+  ('inv, 'res) Driver.view ->
+  sleep:int list ->
+  int ->
+  int ->
+  Proc.t ->
+  bool
+(** [dead_crash ~invoke ~depth ~max_crashes ~symmetry view ~sleep len
+    crashes q] decides, at a node of depth [len] with [crashes] crashes
+    and sleep set [sleep], whether its child [Crash q] is {e dead}:
+    [view] is the configuration after the crash
+    ({!Slx_sim.Runner.Cursor.crash_view} of the node's cursor), and the
+    child is dead when its {!canonical_menu} is non-empty and offers
+    only steps of processes in [sleep].  A crash wakes no sleeper, so
+    such a child would be blocked; it roots no maximal run and {!explore}
+    under [dpor] never builds it, counting one [por_prunes] instead
+    (doc/model.md §6).  A child whose menu is empty is a leaf, never
+    dead. *)
 
 val code_of_decision : ('inv, 'res) Driver.decision -> int
 (** The persistent int form of a menu decision:

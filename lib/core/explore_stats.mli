@@ -35,7 +35,10 @@ type t = {
   por_prunes : int;
       (** Scheduling decisions skipped because the process was in the
           DPOR sleep set — each cuts a redundant interleaving of
-          commuting steps.  Counted by both engines; the liveness
+          commuting steps.  The safety explorer also counts here,
+          once per crash, each crash child it decides dead at its
+          parent: one whose menu would offer only sleepers
+          ({!Explore.dead_crash}).  Counted by both engines; the liveness
           search's invoke order has its own counter
           ([invoke_order_prunes]). *)
   race_reversals : int;

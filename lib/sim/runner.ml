@@ -121,6 +121,23 @@ module Cursor = struct
     c.time <- c.time + 1;
     incr c.ticks
 
+  (* The view [step]'s crash arm would leave, read without applying
+     it: a crash touches no base object and no other process, so the
+     configuration after it is this one with [p]'s status, [p]'s event
+     count, the history and the clock moved. *)
+  let crash_view c p : _ Driver.view =
+    if Proc.Set.mem p c.crashed then
+      invalid_arg "Runner: crashing a crashed process";
+    let v = view c in
+    let events = c.events.(p) + 1 in
+    {
+      v with
+      Driver.time = c.time + 1;
+      history = History.append c.history (Event.Crash p);
+      status = (fun q -> if q = p then Runtime.Crashed else v.status q);
+      events = (fun q -> if q = p then events else v.events q);
+    }
+
   let apply c d =
     Runtime.with_registry ?shadow:c.shadow ?probe:c.probe c.registry (fun () ->
         step c d)

@@ -154,6 +154,15 @@ module Cursor : sig
       are validated exactly as in {!run}; applying [Driver.Stop] raises
       [Invalid_argument]. *)
 
+  val crash_view : ('inv, 'res) t -> Proc.t -> ('inv, 'res) Driver.view
+  (** [crash_view c p] is the {!view} [apply c (Driver.Crash p)] would
+      leave, without applying it: [time] one later, [Event.Crash p]
+      appended to the history, [p] [Crashed] with one more event, and
+      everything else as it is.  [c] does not move.  A crash writes no
+      base object, so this is the whole of the crash's effect; the
+      crash arm of {!apply} and this function are kept side by side.
+      Raises [Invalid_argument] if [p] has crashed already. *)
+
   val report :
     ('inv, 'res) t ->
     ?window:int ->

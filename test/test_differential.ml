@@ -190,14 +190,24 @@ let prop_opacity_matches_brute_force =
    and on the final histories of the image's replays (collected
    through the check callback); cached engines never materialize
    pruned runs, so they are compared on the run count and the
-   order-insensitive history digest of that image.                    *)
+   order-insensitive history digest of that image.  The reduced
+   engines are compared with the image on verdicts, through checks
+   that read only the per-process projections.                        *)
 
 open Slx_core
 module Crash_moves = Slx_test_oracle.Crash_moves
 
 let hash_history r = Slx_sim.Runtime.hash_value r.Run_report.history
 
-let explorer_equivalence name ~factory ~invoke ~depth ~max_crashes =
+(* A history's per-process projections, processes 1..n. *)
+let projections ~n h =
+  List.map (fun p -> History.to_list (History.project h p)) (Proc.all ~n)
+
+(* [rename h] is [h] with processes 1 and 2 exchanged, together with
+   whatever the workload derives from a process id, so that a check
+   rejecting both a history's projections and its renaming's is one
+   symmetry may be used on. *)
+let explorer_equivalence name ~factory ~invoke ~rename ~depth ~max_crashes =
   let n = 2 in
   let naive_runs =
     Crash_moves.naive_runs ~n ~factory ~invoke ~depth ~max_crashes
@@ -209,11 +219,12 @@ let explorer_equivalence name ~factory ~invoke ~depth ~max_crashes =
     (name ^ ": the image is naive's canonical-form runs")
     true
     (image = List.filter (fun s -> Crash_moves.canonical s = s) naive_runs);
-  let image_hashes =
+  let image_histories =
     List.map
-      (fun s -> hash_history (Crash_moves.replay ~n ~factory ~invoke s))
+      (fun s -> (Crash_moves.replay ~n ~factory ~invoke s).Run_report.history)
       image
   in
+  let image_hashes = List.map Slx_sim.Runtime.hash_value image_histories in
   let visited = ref [] in
   let nocache =
     Explore.explore ~n ~factory ~invoke ~depth ~max_crashes ~cache:false
@@ -246,9 +257,65 @@ let explorer_equivalence name ~factory ~invoke ~depth ~max_crashes =
   check_bool (name ^ ": cached history digest") true
     (digest cached = image_digest);
   (* Reduced engines explore representatives only: the run count drops
-     but the verdict must agree with naive on the same instance, and
-     each reduced configuration must be self-deterministic (same count
-     and digest on a re-run). *)
+     but each reduced configuration must be self-deterministic (same
+     count and digest on a re-run), and must agree with the image on
+     the verdict of every check that reads only the projections. *)
+  let reduced_engines =
+    [
+      ("dpor", true, false);
+      ("symmetry", false, true);
+      ("dpor+symmetry", true, true);
+    ]
+  in
+  (* Each candidate check rejects the projections of one history and of
+     its renaming; the histories are every image run's own and its
+     first half, which is mostly not maximal.  A reduced engine must
+     answer [Counterexample] exactly when some image run has rejected
+     projections, and its witness must be one. *)
+  let image_tuples = List.map (projections ~n) image_histories in
+  let candidates =
+    List.concat_map
+      (fun h -> [ h; History.prefix h (History.length h / 2) ])
+      image_histories
+    |> List.map (fun h -> [ projections ~n h; projections ~n (rename h) ])
+    |> List.sort_uniq compare
+  in
+  let verdicts =
+    List.mapi
+      (fun i rejected ->
+        let rejects h = List.mem (projections ~n h) rejected in
+        let expected =
+          List.exists (fun t -> List.mem t rejected) image_tuples
+        in
+        List.iter
+          (fun (engine, dpor, symmetry) ->
+            let label =
+              Printf.sprintf "%s: %s on candidate check %d" name engine i
+            in
+            match
+              (Explore.explore ~n ~factory ~invoke ~depth ~max_crashes ~dpor
+                 ~symmetry
+                 ~check:(fun r -> not (rejects r.Run_report.history))
+                 ())
+                .Explore.outcome
+            with
+            | Explore.Ok _ ->
+                check_bool (label ^ ": ok exactly when the image passes")
+                  false expected
+            | Explore.Counterexample r ->
+                check_bool
+                  (label ^ ": a counterexample exactly when the image fails")
+                  true expected;
+                check_bool (label ^ ": the witness is rejected") true
+                  (rejects r.Run_report.history))
+          reduced_engines;
+        expected)
+      candidates
+  in
+  check_bool
+    (name ^ ": the candidate checks reach both verdicts")
+    true
+    (List.mem true verdicts && List.mem false verdicts);
   List.iter
     (fun (engine, dpor, symmetry) ->
       let reduced () =
@@ -256,11 +323,6 @@ let explorer_equivalence name ~factory ~invoke ~depth ~max_crashes =
           ~symmetry ~check ()
       in
       let e = reduced () and e' = reduced () in
-      check_bool (name ^ ": " ^ engine ^ " verdict agrees with naive's ok")
-        true
-        (match e.Explore.outcome with
-        | Explore.Ok _ -> true
-        | Explore.Counterexample _ -> false);
       check_bool
         (name ^ ": " ^ engine ^ " explores a nonempty subset of the runs")
         true
@@ -269,11 +331,7 @@ let explorer_equivalence name ~factory ~invoke ~depth ~max_crashes =
         (runs e');
       check_bool (name ^ ": " ^ engine ^ " is deterministic (digest)") true
         (digest e = digest e'))
-    [
-      ("dpor", true, false);
-      ("symmetry", false, true);
-      ("dpor+symmetry", true, true);
-    ]
+    reduced_engines
 
 let one_proposal =
   Explore.workload_invoke
@@ -288,30 +346,43 @@ let one_txn view p =
   else if not (has Tm_type.Try_commit) then Some Tm_type.Try_commit
   else None
 
+(* Exchanging processes 1 and 2 exchanges their proposals, 0 and 1. *)
+let rename_proposals h =
+  let swap v = 1 - v in
+  History.map
+    ~inv:(fun (Slx_consensus.Consensus_type.Propose v) ->
+      Slx_consensus.Consensus_type.Propose (swap v))
+    ~res:(fun (Slx_consensus.Consensus_type.Decided v) ->
+      Slx_consensus.Consensus_type.Decided (swap v))
+    (History.rename (fun p -> 3 - p) h)
+
+(* A transaction's operations do not depend on its process. *)
+let rename_txns h = History.rename (fun p -> 3 - p) h
+
 let test_explorers_agree_consensus () =
   explorer_equivalence "cas-consensus"
     ~factory:(fun () -> Slx_consensus.Cas_consensus.factory ())
-    ~invoke:one_proposal ~depth:8 ~max_crashes:0
+    ~invoke:one_proposal ~rename:rename_proposals ~depth:8 ~max_crashes:0
 
 let test_explorers_agree_consensus_crashes () =
   explorer_equivalence "cas-consensus-crashes"
     ~factory:(fun () -> Slx_consensus.Cas_consensus.factory ())
-    ~invoke:one_proposal ~depth:7 ~max_crashes:1
+    ~invoke:one_proposal ~rename:rename_proposals ~depth:7 ~max_crashes:1
 
 let test_explorers_agree_register_consensus () =
   explorer_equivalence "register-consensus"
     ~factory:(fun () -> Slx_consensus.Register_consensus.factory ())
-    ~invoke:one_proposal ~depth:8 ~max_crashes:0
+    ~invoke:one_proposal ~rename:rename_proposals ~depth:8 ~max_crashes:0
 
 let test_explorers_agree_tm () =
   explorer_equivalence "agp-tm"
     ~factory:(fun () -> Agp_tm.factory ~vars:1)
-    ~invoke:one_txn ~depth:8 ~max_crashes:0
+    ~invoke:one_txn ~rename:rename_txns ~depth:8 ~max_crashes:0
 
 let test_explorers_agree_tm_crashes () =
   explorer_equivalence "agp-tm-crashes"
     ~factory:(fun () -> Agp_tm.factory ~vars:1)
-    ~invoke:one_txn ~depth:6 ~max_crashes:1
+    ~invoke:one_txn ~rename:rename_txns ~depth:6 ~max_crashes:1
 
 (* Counterexample equivalence: on a violating instance (selfish
    consensus breaks agreement) every engine configuration — naive,
@@ -389,9 +460,6 @@ let test_explorers_agree_on_counterexample () =
      precedence.
    Symmetry stays off: its representatives are renamings, and a
    renaming changes the projections these checks compare. *)
-
-let projections ~n h =
-  List.map (fun p -> History.to_list (History.project h p)) (Proc.all ~n)
 
 (* Operation-precedence pairs, each operation named by its process and
    its ordinal among that process's operations, sorted. *)

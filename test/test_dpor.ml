@@ -328,6 +328,48 @@ let test_canonical_crash_placement () =
     (menu ~invoke_order:true ~max_crashes:2 Runtime.[ Crashed; Ready; Idle ]
        ~last:(Some (Driver.Invoke (2, ()))) 2 1)
 
+(* [Explore.dead_crash] on hand-built views of three processes after
+   [Crash 1], the node's sleep set given: the crash child is dead when
+   every other ready process sleeps and no idle process can invoke.  A
+   root-prefix crash child never meets a sleep set in the walk (the
+   root's is empty and a crash child inherits its node's), so only the
+   pin below sees the crash its menu may still offer. *)
+let test_dead_crash_children () =
+  let view statuses : (unit, unit) Driver.view =
+    let status p = List.nth statuses (p - 1) in
+    {
+      Driver.time = 4;
+      n = 3;
+      history = Slx_history.History.empty;
+      status;
+      steps = (fun _ -> 0);
+      invocations = (fun _ -> 0);
+      events = (fun p -> if status p = Runtime.Idle then 0 else 1);
+    }
+  in
+  let dead ?(can_invoke = false) ?(max_crashes = 1) ?(depth = 8) statuses
+      ~sleep len crashes =
+    Explore.dead_crash
+      ~invoke:(fun _ _ -> if can_invoke then Some () else None)
+      ~depth ~max_crashes ~symmetry:false (view statuses) ~sleep len crashes 1
+  in
+  let both_ready = Runtime.[ Crashed; Ready; Ready ] in
+  check_bool "every other ready process sleeps: dead" true
+    (dead both_ready ~sleep:[ 2; 3 ] 3 0);
+  check_bool "the sleepers and an idle process with nothing to invoke: dead"
+    true
+    (dead Runtime.[ Crashed; Ready; Idle ] ~sleep:[ 2 ] 3 0);
+  check_bool "a leaf by depth: not dead" false
+    (dead ~depth:4 both_ready ~sleep:[ 2; 3 ] 3 0);
+  check_bool "a leaf because every process is done: not dead" false
+    (dead Runtime.[ Crashed; Idle; Idle ] ~sleep:[ 2; 3 ] 3 0);
+  check_bool "an idle process has an invocation: not dead" false
+    (dead ~can_invoke:true Runtime.[ Crashed; Ready; Idle ] ~sleep:[ 2 ] 3 0);
+  check_bool "a root-prefix crash may follow: not dead" false
+    (dead ~max_crashes:2 Runtime.[ Crashed; Idle; Idle ] ~sleep:[ 2; 3 ] 0 0);
+  check_bool "a ready process is awake: not dead" false
+    (dead both_ready ~sleep:[ 2 ] 3 0)
+
 let suites =
   [
     ( "dpor",
@@ -343,6 +385,7 @@ let suites =
         quick "a max_period below the true period misses the lasso"
           test_max_period_below_period_misses_lasso;
         quick "canonical crash placement" test_canonical_crash_placement;
+        quick "dead crash children" test_dead_crash_children;
       ]
       @ qcheck
           [ qcheck_wakes_iff_conflict; qcheck_unknown_pending_always_wakes ] );

@@ -5,6 +5,11 @@
      every node of small exhaustive walks (register, cas and selfish
      consensus, TM I(1,2) with crashes, n = 2..4), and at every node
      the reduced engine asks for an invocation.
+   - [Runner.Cursor.crash_view], which the safety explorer reads to
+     decide a crash child at its parent, equals the view after the
+     crash is applied, and yields the same canonical menu, at every
+     node of the same walks (register and cas consensus, n = 2, 3,
+     depth 8, one crash).
    - [Runtime.hash_value]'s fast path for immediates yields the digest
      the deep fold defines, so no observation or registry digest moves.
    - [Clock_cache] under its one-pass key hash: lookups agree with a
@@ -72,9 +77,11 @@ let menu ~invoke ~budget view =
 
 (* Every node of the depth-bounded decision tree, each reached by
    replaying its parent's prefix and applying its own last decision, so
-   the counters are checked on both paths a cursor takes.  Returns the
-   nodes visited and the scripts of the nodes whose counters disagree. *)
-let walk ~n ~factory ~invoke ~depth ~crashes =
+   [ok] sees both paths a cursor takes.  [ok script budget cursor]
+   judges a node.  Returns the nodes visited and the number of nodes
+   [ok] rejects; by default [ok] checks the counters. *)
+let walk ?(ok = fun _ _ c -> counters_agree (Runner.Cursor.view c)) ~n
+    ~factory ~invoke ~depth ~crashes () =
   let nodes = ref 0 and bad = ref [] in
   let rec visit rev_script budget =
     let parent, last =
@@ -86,10 +93,10 @@ let walk ~n ~factory ~invoke ~depth ~crashes =
       Runner.Cursor.with_ ~n ~factory:(factory ()) ~prefix:parent (fun c ->
           Option.iter (Runner.Cursor.apply c) last;
           incr nodes;
-          let view = Runner.Cursor.view c in
-          if not (counters_agree view) then bad := List.rev rev_script :: !bad;
+          let script = List.rev rev_script in
+          if not (ok script budget c) then bad := script :: !bad;
           if List.length rev_script >= depth then []
-          else menu ~invoke ~budget view)
+          else menu ~invoke ~budget (Runner.Cursor.view c))
     in
     List.iter
       (fun d ->
@@ -120,7 +127,7 @@ let test_counters_every_node () =
         (fun (n, depth, crashes) ->
           check
             (Printf.sprintf "%s n=%d d=%d c=%d" impl n depth crashes)
-            (walk ~n ~factory ~invoke:proposals ~depth ~crashes))
+            (walk ~n ~factory ~invoke:proposals ~depth ~crashes ()))
         [ (2, 7, 1); (3, 5, 1); (4, 4, 0) ])
     consensus_cases;
   List.iter
@@ -129,7 +136,7 @@ let test_counters_every_node () =
         (Printf.sprintf "tm I12 n=%d d=%d c=1" n depth)
         (walk ~n
            ~factory:(fun () -> Slx_tm.I12.factory ~vars:1)
-           ~invoke:(tm_ops ~cap:2) ~depth ~crashes:1))
+           ~invoke:(tm_ops ~cap:2) ~depth ~crashes:1 ()))
     [ (2, 7); (3, 5) ]
 
 (* The reduced engine's own views: every [invoke] call the cached
@@ -155,6 +162,69 @@ let test_counters_in_engine () =
           check_bool (name ^ ": invoke was consulted") true (!calls > 0))
         [ 2; 3 ])
     consensus_cases
+
+(* ------------------------------------------------------------------ *)
+(* The crash view against the crash applied.                           *)
+
+(* Everything a view serves, each process's accessors read out. *)
+let view_contents (v : _ Driver.view) =
+  ( v.Driver.time,
+    v.Driver.history,
+    List.map
+      (fun p ->
+        (v.Driver.status p, v.Driver.steps p, v.Driver.invocations p,
+         v.Driver.events p))
+      (Proc.all ~n:v.Driver.n) )
+
+(* At a node whose budget allows a crash, [Runner.Cursor.crash_view] of
+   every live process equals the view of a replayed cursor that applied
+   the crash, and the canonical menu after the crash, with symmetry or
+   without, is the same list on both. *)
+let crash_view_exact ~n ~factory ~depth script budget c =
+  let len = List.length script in
+  let crashes =
+    List.length
+      (List.filter (function Driver.Crash _ -> true | _ -> false) script)
+  in
+  let menu view q symmetry =
+    Explore.canonical_menu ~invoke:proposals ~depth
+      ~max_crashes:(crashes + budget) ~symmetry ~invoke_order:false view
+      ~last:(Some (Driver.Crash q)) (len + 1) (crashes + 1)
+  in
+  let view = Runner.Cursor.view c in
+  budget = 0 || len >= depth
+  || List.for_all
+       (fun q ->
+         view.Driver.status q = Runtime.Crashed
+         ||
+         let crashed = Runner.Cursor.crash_view c q in
+         Runner.Cursor.with_ ~n ~factory:(factory ()) ~prefix:script
+           (fun applied ->
+             Runner.Cursor.apply applied (Driver.Crash q);
+             let applied = Runner.Cursor.view applied in
+             view_contents crashed = view_contents applied
+             && List.for_all
+                  (fun symmetry ->
+                    menu crashed q symmetry = menu applied q symmetry)
+                  [ false; true ]))
+       (Proc.all ~n)
+
+let test_crash_view_exact () =
+  List.iter
+    (fun (impl, factory) ->
+      List.iter
+        (fun (n, depth) ->
+          let nodes, bad =
+            walk ~ok:(crash_view_exact ~n ~factory ~depth) ~n ~factory
+              ~invoke:proposals ~depth ~crashes:1 ()
+          in
+          let name = Printf.sprintf "%s n=%d d=%d c=1" impl n depth in
+          check_int (name ^ ": crash views equal the applied crash") 0 bad;
+          check_bool
+            (Printf.sprintf "%s: walked %d nodes" name nodes)
+            true (nodes > 1))
+        [ (2, 8); (3, 8) ])
+    (List.filter (fun (impl, _) -> impl <> "selfish") consensus_cases)
 
 (* ------------------------------------------------------------------ *)
 (* hash_value on immediates.                                            *)
@@ -332,6 +402,7 @@ let suites =
           test_counters_every_node;
         quick "view counters = history scans in the reduced engine"
           test_counters_in_engine;
+        quick "crash_view equals the crash applied" test_crash_view_exact;
         quick "hash_value keeps the deep fold's digests" test_hash_value_pins;
       ]
       @ qcheck
