@@ -108,8 +108,8 @@ let cases =
     );
     ( "cas n=3 depth=10 c=1 incremental",
       fun () -> summary (explore ~n:3 ~depth:10 ~crashes:1 cas) );
-    ( "cas n=3 depth=12 c=1 dpor",
-      fun () -> summary (explore ~dpor:true ~n:3 ~depth:12 ~crashes:1 cas) );
+    ( "cas n=3 depth=12 c=2 dpor",
+      fun () -> summary (explore ~dpor:true ~n:3 ~depth:12 ~crashes:2 cas) );
     ( "selfish n=3 depth=8 c=0 incremental",
       fun () -> summary (explore ~n:3 ~depth:8 ~crashes:0 selfish) );
     ( "selfish n=3 depth=8 c=1 dpor",
@@ -183,9 +183,9 @@ let pinned =
       "runs=7200 nodes=6322 steps_executed=22158 steps_replayed=15837 \
          cache_hits=1368 history_digest=912412462301921865 \
          witness=[none]" );
-    ( "cas n=3 depth=12 c=1 dpor",
-      "runs=1284 nodes=3893 steps_executed=11814 steps_replayed=7922 \
-         cache_hits=383 history_digest=4332923811194914039 \
+    ( "cas n=3 depth=12 c=2 dpor",
+      "runs=2876 nodes=6832 steps_executed=23151 steps_replayed=16320 \
+         cache_hits=519 history_digest=-4017882154365815296 \
          witness=[none]" );
     ( "selfish n=3 depth=8 c=0 incremental",
       "runs=1 nodes=4 steps_executed=3 steps_replayed=0 cache_hits=0 \
