@@ -165,28 +165,10 @@ let check_name ~kind ~n property =
       ^ Format.asprintf "%a" Freedom.pp
           (Result.get_ok (point_of_string ~n property))
 
-(* [key] and [qid] bind every field by name: a field added to [spec]
-   does not compile here until it is bound, or named as one of the
-   per-record fields (depth and the liveness budgets) that a qid
-   leaves to the record's slot. *)
-let key
-    {
-      sp_kind;
-      sp_impl;
-      sp_property;
-      sp_n;
-      sp_depth;
-      sp_crashes;
-      sp_max_period;
-      sp_pump;
-      sp_dpor;
-      sp_symmetry;
-    } =
-  Printf.sprintf "%s|%s|n=%d|d=%d|c=%d|mp=%d|pt=%d|dpor=%b|sym=%b"
-    (check_name ~kind:sp_kind ~n:sp_n sp_property)
-    sp_impl sp_n sp_depth sp_crashes sp_max_period sp_pump sp_dpor
-    sp_symmetry
-
+(* [qid] binds every field by name: a field added to [spec] does not
+   compile here until it is bound, or named as one of the per-record
+   fields (depth and the liveness budgets) that a qid leaves to the
+   record's slot. *)
 let qid
     {
       sp_kind;
@@ -207,6 +189,8 @@ let qid
       (Persist.instance_digest ~n:sp_n
          ~factory:(Result.get_ok (factory_of_impl sp_impl)))
     ~max_crashes:sp_crashes ~dpor:sp_dpor ~symmetry:sp_symmetry ()
+
+let slot sp = (qid sp, sp.sp_depth, sp.sp_max_period, sp.sp_pump)
 
 (* ------------------------------------------------------------------ *)
 (* Execution.                                                          *)

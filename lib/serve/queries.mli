@@ -118,16 +118,18 @@ val spec_of_json : Json.t -> (spec, string) result
 
 val spec_to_json : spec -> string
 
-val key : spec -> string
-(** Canonical dedup key: two requests with equal keys are the same
-    query (same verdict, same store record).  A live property is bound
-    through the freedom point it names, as in {!qid}: [obstruction]
-    and [1,1] give one key. *)
-
 val qid : spec -> int
 (** The store key ({!Slx_store.Persist.query_key}) of this query, with
     the implementation's instance digest bound in — the only place a
-    query record becomes a store key. *)
+    query record becomes a store key.  A live property is bound
+    through the freedom point it names: [obstruction] and [1,1] give
+    one qid. *)
+
+val slot : spec -> int * int * int * int
+(** The store slot this query's record fills: its {!qid}, depth,
+    [max_period] and pump budget.  Two requests with equal slots are
+    the same query (same verdict, same store record), so the serve
+    coordinator deduplicates in-flight queries on it. *)
 
 type answer =
   | Safety of

@@ -24,8 +24,7 @@ type qstate = Queued | Running | Done of string | Failed of string | Timeout
 type query = {
   q_id : int;
   q_spec : Queries.spec;
-  q_key : string;
-  q_qid : int;
+  q_slot : int * int * int * int;  (* [Queries.slot]: the dedup key *)
   q_created : float;
   mutable q_state : qstate;
   mutable q_source : string;
@@ -42,7 +41,7 @@ type t = {
   workers : worker array;
   leases : (int, lease) Hashtbl.t;
   queries : (int, query) Hashtbl.t;
-  inflight : (string, int) Hashtbl.t;  (* dedup key -> query id *)
+  inflight : (int * int * int * int, int) Hashtbl.t;  (* slot -> query id *)
   mutable pending : lease list;  (* FIFO; re-leases go to the front *)
   mutable clients : client list;
   mutable next_query : int;
@@ -154,7 +153,7 @@ let now () = Unix.gettimeofday ()
 let finalize t q result_json ~source =
   q.q_state <- Done result_json;
   q.q_source <- source;
-  Hashtbl.remove t.inflight q.q_key;
+  Hashtbl.remove t.inflight q.q_slot;
   let line =
     Printf.sprintf
       "{\"id\": %d, \"state\": \"done\", \"source\": %S, \"elapsed_s\": \
@@ -170,7 +169,7 @@ let finalize t q result_json ~source =
 
 let fail t q msg =
   q.q_state <- Failed msg;
-  Hashtbl.remove t.inflight q.q_key;
+  Hashtbl.remove t.inflight q.q_slot;
   let line =
     Printf.sprintf "{\"id\": %d, \"state\": \"failed\", \"error\": %s}" q.q_id
       (json_string msg)
@@ -193,11 +192,10 @@ let new_lease t q =
    committed: its count reaches disk with the next save or at
    shutdown, and /stats reads the counters in memory. *)
 let plan t q =
-  let sp = q.q_spec in
+  let qid, depth, max_period, pump_ticks = q.q_slot in
   match
-    Persist.warm t.store ~qid:q.q_qid ~depth:sp.Queries.sp_depth
-      ~max_period:sp.Queries.sp_max_period ~pump_ticks:sp.Queries.sp_pump
-      (Queries.warm_result sp)
+    Persist.warm t.store ~qid ~depth ~max_period ~pump_ticks
+      (Queries.warm_result q.q_spec)
   with
   | Some result -> finalize t q result ~source:"warm"
   | None ->
@@ -210,13 +208,11 @@ let plan t q =
    this query's own: decodes, and carries the query's qid, depth and
    budgets.  Anything else is answered but not stored. *)
 let save_record t q record =
-  let sp = q.q_spec in
   match Option.map Store.record_of_string record with
   | Some (Ok r)
-    when r.Store.r_qid = q.q_qid
-         && r.Store.r_depth = sp.Queries.sp_depth
-         && r.Store.r_max_period = sp.Queries.sp_max_period
-         && r.Store.r_pump_ticks = sp.Queries.sp_pump ->
+    when (r.Store.r_qid, r.Store.r_depth, r.Store.r_max_period,
+          r.Store.r_pump_ticks)
+         = q.q_slot ->
       Persist.save t.store r
   | _ -> ()
 
@@ -339,7 +335,7 @@ let check_deadlines t =
           t.timeouts <- t.timeouts + 1;
           cancel_query_workers t q;
           q.q_state <- Timeout;
-          Hashtbl.remove t.inflight q.q_key;
+          Hashtbl.remove t.inflight q.q_slot;
           let line =
             Printf.sprintf "{\"id\": %d, \"state\": \"timeout\"}\n" q.q_id
           in
@@ -436,7 +432,7 @@ let handle_query_post t fd body =
           let timeout =
             Option.bind (Json.member "timeout" j) Json.num
           in
-          let key = Queries.key spec in
+          let slot = Queries.slot spec in
           let attach q deduped =
             if wait then begin
               if stream_header fd then begin
@@ -453,7 +449,7 @@ let handle_query_post t fd body =
                 (Printf.sprintf "{\"id\": %d, \"deduped\": %b}" q.q_id
                    deduped)
           in
-          match Hashtbl.find_opt t.inflight key with
+          match Hashtbl.find_opt t.inflight slot with
           | Some qi ->
               t.dedup_hits <- t.dedup_hits + 1;
               attach (Hashtbl.find t.queries qi) true
@@ -462,8 +458,7 @@ let handle_query_post t fd body =
                 {
                   q_id = t.next_query;
                   q_spec = spec;
-                  q_key = key;
-                  q_qid = Queries.qid spec;
+                  q_slot = slot;
                   q_created = now ();
                   q_state = Queued;
                   q_source = "";
@@ -474,7 +469,7 @@ let handle_query_post t fd body =
               in
               t.next_query <- t.next_query + 1;
               Hashtbl.replace t.queries q.q_id q;
-              Hashtbl.replace t.inflight key q.q_id;
+              Hashtbl.replace t.inflight slot q.q_id;
               plan t q;
               attach q false
         end

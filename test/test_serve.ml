@@ -417,23 +417,22 @@ let test_qid_binds_the_record () =
        (spec_of {|{"kind": "live", "impl": "register", "property": "1,2"}|}))
 
 (* A live property is deduplicated by the freedom point it names, as
-   the qid binds it: a named point and its (l,k) spelling are one
-   in-flight query, not two computing one tree into one store slot. *)
+   the qid binds it: a named point and its (l,k) spelling fill one
+   store slot, so they are one in-flight query, not two computing one
+   tree into that slot. *)
 let test_key_binds_the_point () =
   List.iter
     (fun (name, point) ->
       let a = make ~property:name ~n:3 ()
       and b = make ~property:point ~n:3 () in
-      Alcotest.(check string)
-        (Printf.sprintf "%s and %s share a dedup key" name point)
-        (Queries.key a) (Queries.key b);
-      check_int
-        (Printf.sprintf "%s and %s share a qid" name point)
-        (Queries.qid a) (Queries.qid b))
+      check_bool
+        (Printf.sprintf "%s and %s share a slot" name point)
+        true
+        (Queries.slot a = Queries.slot b))
     [ ("obstruction", "1,1"); ("wait", "3,3"); ("lock", "1,3") ];
-  check_bool "distinct points keep distinct keys" true
-    (Queries.key (make ~property:"1,2" ())
-    <> Queries.key (make ~property:"2,2" ()))
+  check_bool "distinct points keep distinct slots" true
+    (Queries.slot (make ~property:"1,2" ())
+    <> Queries.slot (make ~property:"2,2" ()))
 
 (* ------------------------------------------------------------------ *)
 (* Out-of-range input.                                                 *)
