@@ -194,22 +194,19 @@ let checker_family_tests =
       (Staged.stage (fun () -> ignore (Slx_tm.S_prime.timestamp_rule h)));
   ]
 
-(* P6: hot-loop raw-speed microbenchmarks — the three operations the
-   compact-encoding pass rewrote, each against its predecessor, so the
-   claimed speedups (BENCH_explore.json "micro" rows, gated ≥2x by
-   bench/smoke.ml) are measured per-operation and not only end-to-end:
-   transposition keying (structural fingerprint lookup vs the flat
-   compact-key array in {!Slx_core.Clock_cache}), pending-step
-   commutation (footprint list walk vs conflict bitmask), and the
-   sanitizer (shadowed vs bare run, now batched per step).  [cursor] is the configuration the keying rows
+(* P6: hot-loop raw-speed microbenchmarks, so the claimed speedups
+   (BENCH_explore.json "micro" row, gated ≥2x by bench/smoke.ml) are
+   measured per-operation and not only end-to-end: transposition keying
+   (the flat compact-key array in {!Slx_core.Clock_cache}), the shared
+   digest (from-scratch fold vs incremental), pending-step commutation
+   on the conflict bitmasks, and the sanitizer (shadowed vs bare run,
+   batched per step).  [cursor] is the configuration the keying rows
    key; [run] owns it. *)
 let micro_tests cursor =
   let one_proposal =
     Slx_core.Explore.workload_invoke
       (Driver.n_times 1 (fun p _ -> Slx_consensus.Consensus_type.Propose (p - 1)))
   in
-  let struct_table = Hashtbl.create 64 in
-  Hashtbl.replace struct_table (Runner.Cursor.fingerprint cursor) 1;
   let compact_table = Slx_core.Clock_cache.create () in
   Slx_core.Clock_cache.replace compact_table
     (Runner.Cursor.compact_key cursor ~extra:[ 0 ])
@@ -229,13 +226,7 @@ let micro_tests cursor =
         { Runtime.obj = 5; write = false };
       ]
   in
-  let mask_a = Runtime.mask_of_footprint fp_a
-  and mask_b = Runtime.mask_of_footprint fp_b in
   [
-    Test.make ~name:"micro/fingerprint-structural"
-      (Staged.stage (fun () ->
-           ignore
-             (Hashtbl.find_opt struct_table (Runner.Cursor.fingerprint cursor))));
     Test.make ~name:"micro/fingerprint-compact"
       (Staged.stage (fun () ->
            ignore
@@ -246,10 +237,8 @@ let micro_tests cursor =
            ignore (Runner.Cursor.shared_digest_full cursor)));
     Test.make ~name:"micro/shared-digest-incremental"
       (Staged.stage (fun () -> ignore (Runner.Cursor.shared_digest cursor)));
-    Test.make ~name:"micro/commute-footprints"
-      (Staged.stage (fun () -> ignore (Runtime.footprints_commute fp_a fp_b)));
     Test.make ~name:"micro/commute-masks"
-      (Staged.stage (fun () -> ignore (Runtime.masks_commute mask_a mask_b)));
+      (Staged.stage (fun () -> ignore (Runtime.commute fp_a fp_b)));
     Test.make ~name:"micro/explore-depth-8-sanitized"
       (Staged.stage (fun () ->
            ignore

@@ -518,18 +518,16 @@ let sanitize_overhead_smoke () =
       "  SMOKE FAILURE: sanitizer overhead %.1f%% above the 15%% bar\n" pct;
   agree && pct <= 15.0
 
-(* Hot-path microbenchmarks: the two operations the compact-encoding
-   pass rewrote, gated at >= 2x each — per-node transposition keying
-   (the seed's path: structural fingerprint over a from-scratch
-   shared-state digest fold, vs the new path: compact key over the
-   incremental digest, looked up as the flat array the explorers'
-   {!Slx_core.Clock_cache} is keyed by) and pending-step
-   commutation (footprint list walk vs conflict bitmask).  Best-of-N
-   tight loops on the monotonic clock; [Sys.opaque_identity] keeps the
-   optimizer from deleting the measured body. *)
+(* Hot-path microbenchmark: per-node transposition keying, gated at
+   >= 2x — the seed's from-scratch shared-state digest fold against the
+   compact key over the incremental digest, looked up as the flat
+   array the explorers' {!Slx_core.Clock_cache} is keyed by.  The gate
+   guards the incremental Zobrist digest.  Best-of-N tight loops on
+   the monotonic clock; [Sys.opaque_identity] keeps the optimizer from
+   deleting the measured body. *)
 let micro_smoke () =
   Printf.printf
-    "== bench smoke: hot-path microbenchmarks (compact encodings) ==\n";
+    "== bench smoke: hot-path microbenchmark (node keying) ==\n";
   let time_ns ~iters f =
     let best = ref max_int in
     for _ = 1 to 5 do
@@ -555,7 +553,7 @@ let micro_smoke () =
     ignore (Sys.opaque_identity pool);
     Slx_consensus.Register_consensus.factory () ~n
   in
-  let structural_ns, compact_ns =
+  let full_ns, compact_ns =
     Runner.Cursor.with_ ~n:2 ~factory:pooled
       ~prefix:
         [
@@ -566,69 +564,33 @@ let micro_smoke () =
           Driver.Schedule 1;
         ]
       (fun cursor ->
-        let struct_table = Hashtbl.create 64 in
-        Hashtbl.replace struct_table (Runner.Cursor.fingerprint cursor) 1;
         let compact_table = Slx_core.Clock_cache.create () in
         Slx_core.Clock_cache.replace compact_table
           (Runner.Cursor.compact_key cursor ~extra:[ 0 ])
           1;
         (* Seed path: every visit re-folded the whole registry (the full
-           digest is recomputed here exactly as the seed did per node) and
-           keyed the cache on the structural fingerprint. *)
-        let structural_ns =
+           digest is recomputed here exactly as the seed did per node). *)
+        let full_ns =
           time_ns ~iters:100 (fun () ->
-              ignore
-                (Sys.opaque_identity
-                   (Runner.Cursor.shared_digest_full cursor));
-              Hashtbl.find_opt struct_table (Runner.Cursor.fingerprint cursor))
+              Runner.Cursor.shared_digest_full cursor)
         in
         let compact_ns =
           time_ns ~iters:20_000 (fun () ->
               Slx_core.Clock_cache.find_opt compact_table
                 (Runner.Cursor.compact_key cursor ~extra:[ 0 ]))
         in
-        (structural_ns, compact_ns))
+        (full_ns, compact_ns))
   in
-  let fp_ratio = structural_ns /. compact_ns in
-  let fp_a =
-    Runtime.of_accesses
-      [
-        { Runtime.obj = 1; write = true };
-        { Runtime.obj = 2; write = false };
-        { Runtime.obj = 3; write = false };
-      ]
-  and fp_b =
-    Runtime.of_accesses
-      [
-        { Runtime.obj = 2; write = false };
-        { Runtime.obj = 4; write = true };
-        { Runtime.obj = 5; write = false };
-      ]
-  in
-  let mask_a = Runtime.mask_of_footprint fp_a
-  and mask_b = Runtime.mask_of_footprint fp_b in
-  let list_ns =
-    time_ns ~iters:200_000 (fun () -> Runtime.footprints_commute fp_a fp_b)
-  in
-  let mask_ns =
-    time_ns ~iters:200_000 (fun () -> Runtime.masks_commute mask_a mask_b)
-  in
-  let commute_ratio = list_ns /. mask_ns in
+  let ratio = full_ns /. compact_ns in
   Printf.printf
     "  {\"case\": \"node-keying-seed-vs-compact\", \"seed_full_fold_ns\": \
      %.1f, \"compact_incremental_ns\": %.1f, \"ratio\": %.2f}\n"
-    structural_ns compact_ns fp_ratio;
-  Printf.printf
-    "  {\"case\": \"pending-commutation-check\", \"footprint_ns\": %.1f, \
-     \"mask_ns\": %.1f, \"ratio\": %.2f}\n"
-    list_ns mask_ns commute_ratio;
-  let ok = fp_ratio >= 2.0 && commute_ratio >= 2.0 in
+    full_ns compact_ns ratio;
+  let ok = ratio >= 2.0 in
   if not ok then
     Printf.printf
-      "  SMOKE FAILURE: microbenchmark ratios below the 2x bar (fingerprint \
-       %.2fx, commute %.2fx)\n"
-      fp_ratio commute_ratio;
-  (ok, fp_ratio, commute_ratio)
+      "  SMOKE FAILURE: node-keying ratio %.2fx below the 2x bar\n" ratio;
+  (ok, ratio)
 
 (* The cursor-release row: the lib-safety query shape (register n = 3,
    one crash, depth 14, every reduction on) explored 10 times in this
@@ -739,7 +701,7 @@ let run () =
   let keying_ok = live_keying_smoke () in
   let obs_ok = obs_smoke () in
   let san_ok = sanitize_overhead_smoke () in
-  let micro_ok, fp_ratio, commute_ratio = micro_smoke () in
+  let micro_ok, keying_ratio = micro_smoke () in
   let ok =
     cas_ratio >= 3.0 && crash_ratio >= 3.0 && red_ratio >= 5.0 && cas_eq
     && crash_eq && red_eq && dpor_ok && live_ok && live_dpor_ok && keying_ok
@@ -750,8 +712,7 @@ let run () =
      depth-10 reduction ratio %.2fx (bar: 5x), reduced rows %s, dpor %s, \
      live split %s, live dpor %.2fx nodes / %.2fx steps (bar: 1.9x each), \
      live keying %s, traces %s, sanitizer %s (bar: <=15%%), micro \
-     fingerprint %.2fx / commute %.2fx (bar: 2x each), cursor \
-     release %s (bar: <=1.25x)\n"
+     keying %.2fx (bar: 2x), cursor release %s (bar: <=1.25x)\n"
     (if ok then "OK" else "FAILED")
     cas_ratio crash_ratio red_ratio
     (if red_eq then "within the declared-POR steps" else "BROKEN")
@@ -761,7 +722,7 @@ let run () =
     (if keying_ok then "exact" else "BROKEN")
     (if obs_ok then "reconciled" else "BROKEN")
     (if san_ok then "transparent" else "BROKEN")
-    fp_ratio commute_ratio
+    keying_ratio
     (match release_ratio with
     | Some r -> Printf.sprintf "%.2fx" r
     | None -> "skipped");

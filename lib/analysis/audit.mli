@@ -13,7 +13,7 @@
       decision-script witness;
     - the {b happens-before certifier} ({!Hb}) re-derives the conflict
       relation from observed accesses on a sample of runs and
-      cross-checks it against {!Slx_sim.Runtime.footprints_commute};
+      cross-checks it against {!Slx_sim.Runtime.commute};
     - the optional {b commutation oracle} executes both orders of
       declared-commuting pending pairs and requires identical
       resulting states and per-process projections.
@@ -36,7 +36,7 @@ type ('inv, 'res) case_def = {
   c_max_crashes : int;
   c_waive_opaque : bool;
       (** Waive the opaque-steps lint (for implementations that
-          legitimately take [Opaque] steps, e.g. lazy allocators). *)
+          legitimately take opaque steps, e.g. lazy allocators). *)
   c_waive_never_wrote : bool;
       (** Waive the declared-write-never-written lint (for
           conditional writers like CAS at small depths). *)
@@ -81,7 +81,7 @@ type lint =
       (** Declared on some step, physically touched on none. *)
   | Never_wrote of int * Runtime.decl_stat
       (** Declared written on some step, physically written on none. *)
-  | Opaque_steps of int  (** Steps taken with an [Opaque] footprint. *)
+  | Opaque_steps of int  (** Steps taken with an opaque footprint. *)
 
 type case_result = {
   cr_name : string;

@@ -213,7 +213,7 @@ let universal_cases () =
         Slx_objects.Universal.factory ~tp:stack_tp ~consensus ~max_ops:8 ())
       ~invoke ~pp_inv:pp_stack ()
   in
-  (* Both variants allocate log slots lazily behind an Opaque lookup
+  (* Both variants allocate log slots lazily behind an opaque lookup
      step, hence the waivers. *)
   [ mk ~name:"universal-cas" `Cas true;
     mk ~name:"universal-registers" `Registers true ]

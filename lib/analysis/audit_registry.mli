@@ -11,7 +11,7 @@
     implementations of {!Fixtures}).
 
     Waivers are declared here, next to the case, with a comment
-    explaining each: lazily-allocating implementations take [Opaque]
+    explaining each: lazily-allocating implementations take opaque
     lookup steps ([waive_opaque]); CAS under a stale expected value
     may never physically write at audit depths
     ([waive_never_wrote]). *)

@@ -84,7 +84,7 @@ let nested_escape_factory ~n:_ =
     | Peek ->
         Got (Runtime.atomic_access ~obj:(snd a) ~write:false (fun () -> load a))
 
-(* Legal nesting: an [Opaque] outer step covers any nested
+(* Legal nesting: an opaque outer step covers any nested
    declaration; the nested action runs inline and its touches are
    checked against the composed effective footprint.  Clean (modulo
    the opaque-step lint, which its audit case waives). *)

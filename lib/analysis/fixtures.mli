@@ -45,7 +45,7 @@ val nested_escape_factory : (inv, res) Runner.factory
     {!Slx_sim.Runtime.Undeclared_nesting}. *)
 
 val nested_ok_factory : (inv, res) Runner.factory
-(** Legal nesting under an [Opaque] outer step — clean, modulo the
+(** Legal nesting under an opaque outer step — clean, modulo the
     opaque-step lint its audit case waives. *)
 
 val clean_factory : (inv, res) Runner.factory

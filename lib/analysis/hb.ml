@@ -32,9 +32,7 @@ let pp_mismatch fmt m =
    repeated touches of the same cell within one atomic action are one
    conflict source, not several. *)
 let dedup touched =
-  match Runtime.of_accesses touched with
-  | Runtime.Opaque -> []
-  | fp -> Option.value ~default:[] (Runtime.accesses fp)
+  Option.value ~default:[] (Runtime.accesses (Runtime.of_accesses touched))
 
 (* An observed conflict: both steps touched [obj], at least one wrote.
    The same oracle the DPOR engines wake sleepers with — sharing it is
@@ -65,7 +63,7 @@ let certify ~n steps =
            in
            if conflicting then begin
              incr checks;
-             if Runtime.footprints_commute steps.(i).hs_decl steps.(j).hs_decl
+             if Runtime.commute steps.(i).hs_decl steps.(j).hs_decl
              then begin
                let obj, write =
                  (* The first conflicting object, for the report. *)

@@ -37,7 +37,7 @@ type cert = {
           actually advanced a clock). *)
   hb_checks : int;
       (** Observed-conflict pairs cross-checked against
-          {!Slx_sim.Runtime.footprints_commute}. *)
+          {!Slx_sim.Runtime.commute}. *)
 }
 
 type mismatch = {

@@ -7,6 +7,11 @@ open Slx_sim
 let observed_conflict (a : Runtime.access) (b : Runtime.access) =
   a.Runtime.obj = b.Runtime.obj && (a.Runtime.write || b.Runtime.write)
 
+let observed_step probe =
+  match probe with
+  | Some pr -> Runtime.probe_last_observed pr
+  | None -> Runtime.opaque
+
 (* Whether the sleeping process [z] must be woken (a race reversal) by
    the executed step with observed footprint [observed]: its pending
    action no longer provably commutes with what the step actually did.
@@ -16,32 +21,14 @@ let observed_conflict (a : Runtime.access) (b : Runtime.access) =
 let wakes ~observed ~pending =
   match pending with
   | None -> true
-  | Some fp -> not (Runtime.footprints_commute observed fp)
-
-(* ------------------------------------------------------------------ *)
-(* Bitmask forms of the oracle above: same verdicts, no list walks.
-   The engines precompute pending masks at suspension
-   ([Runner.Cursor.pending_mask]) and the probe precomputes its
-   observation mask at step end, so the per-decision race check is two
-   word ANDs ([Runtime.masks_commute]). *)
-
-let observed_step_mask probe =
-  match probe with
-  | Some pr -> Runtime.probe_last_observed_mask pr
-  | None -> Runtime.opaque_mask
-
-let wakes_mask ~observed ~pending =
-  match pending with
-  | None -> true
-  | Some m -> not (Runtime.masks_commute observed m)
+  | Some fp -> not (Runtime.commute observed fp)
 
 (* Advance a sleep set across an executed decision.  A step keeps
-   exactly the sleepers whose pending masks commute with its observed
-   mask; an invocation or a crash touches no shared state, so it keeps
-   them all.  The woken entries — the race reversals — come second. *)
-let advance_mask ~observed ~pending sleep = function
+   exactly the sleepers whose pending footprints commute with its
+   observed footprint; an invocation or a crash touches no shared
+   state, so it keeps them all.  The woken entries — the race
+   reversals — come second. *)
+let advance ~observed ~pending sleep = function
   | Driver.Schedule _ ->
-      List.partition
-        (fun z -> not (wakes_mask ~observed ~pending:(pending z)))
-        sleep
+      List.partition (fun z -> not (wakes ~observed ~pending:(pending z))) sleep
   | _ -> (sleep, [])

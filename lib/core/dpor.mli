@@ -31,46 +31,32 @@ val observed_conflict : Runtime.access -> Runtime.access -> bool
 (** [observed_conflict a b]: same object, at least one write — the
     observed-access conflict oracle. *)
 
-val wakes :
-  observed:Runtime.footprint -> pending:Runtime.footprint option -> bool
-(** Whether a sleeper with this pending footprint must be woken by a
-    step with this observed footprint — true exactly when the two do
-    not provably commute (or the sleeper has no pending footprint).
-    The engines use {!wakes_mask}; this footprint form is the
-    reference oracle the tests check it against. *)
-
-(** {1 Bitmask forms}
-
-    The same oracle on precomputed {!Slx_sim.Runtime.mask}s — the
-    representation the engines' hot paths use ([Runner.Cursor.pending_mask]
-    for sleepers, {!Slx_sim.Runtime.probe_last_observed_mask} for the
-    executed step), turning each race check into two word operations.
-    Verdict-identical to the footprint forms above by
-    [masks_commute ∘ mask_of_footprint = footprints_commute]
-    (QCheck-tested in [test/test_compact.ml]). *)
-
-val observed_step_mask : Runtime.probe option -> Runtime.mask
-(** The observed mask of the step the engine just executed: the
+val observed_step : Runtime.probe option -> Runtime.footprint
+(** The observed footprint of the step the engine just executed: the
     probe's physical touches when instrumentation reported any,
     otherwise its effective declared footprint
-    ({!Slx_sim.Runtime.probe_last_observed_mask}); with no probe, the
-    opaque mask. *)
+    ({!Slx_sim.Runtime.probe_last_observed}); with no probe,
+    {!Slx_sim.Runtime.opaque}. *)
 
-val wakes_mask :
-  observed:Runtime.mask -> pending:Runtime.mask option -> bool
-(** {!wakes} on masks. *)
+val wakes :
+  observed:Runtime.footprint -> pending:Runtime.footprint option -> bool
+(** Whether a sleeper with this pending footprint
+    ([Runner.Cursor.pending]) must be woken by a step with this
+    observed footprint ({!observed_step}) — true exactly when the two
+    do not commute ({!Slx_sim.Runtime.commute}), or the sleeper has no
+    pending footprint.  Each race check is a couple of word
+    operations. *)
 
-val advance_mask :
-  observed:Runtime.mask ->
-  pending:(Proc.t -> Runtime.mask option) ->
+val advance :
+  observed:Runtime.footprint ->
+  pending:(Proc.t -> Runtime.footprint option) ->
   int list ->
   ('inv, 'res) Driver.decision ->
   int list * int list
-(** [advance_mask ~observed ~pending sleep d] splits the sleep set
+(** [advance ~observed ~pending sleep d] splits the sleep set
     [sleep], the ids of processes whose steps sleep, into those that
     stay asleep across the executed decision [d] and those it wakes,
-    in that order.  A step wakes
-    exactly the sleepers racing with [observed] ({!wakes_mask}); an
-    invocation or a crash writes no shared state and wakes none.  The
-    woken entries are the race reversals the explorer counts and
-    re-explores. *)
+    in that order.  A step wakes exactly the sleepers racing with
+    [observed] ({!wakes}); an invocation or a crash writes no shared
+    state and wakes none.  The woken entries are the race reversals
+    the explorer counts and re-explores. *)

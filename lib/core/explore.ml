@@ -156,7 +156,7 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
     let last = List.nth_opt rev_script 0 in
     (* The key tail: the crash the menu may add after the last
        decision, then the sleep set, which is sorted (children inherit
-       a [sort_uniq]ed set, which [Dpor.advance_mask] filters in
+       a [sort_uniq]ed set, which [Dpor.advance] filters in
        order), so it is canonical. *)
     let key =
       match st.table with

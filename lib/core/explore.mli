@@ -20,10 +20,10 @@
       reduction} ([~dpor], sleep sets woken by observed base-object
       accesses) and {e symmetry reduction} ([~symmetry], orbit pruning
       of interchangeable untouched processes).  Where either is off, a
-      {e transposition cache} keyed on the canonical configuration
-      fingerprint ({!Slx_sim.Runner.fingerprint}: history, crash set,
-      per-process status/step-count/observation digests, shared
-      base-object digest) prunes schedule prefixes that reach an
+      {e transposition cache} keyed on the configuration's compact key
+      ({!Slx_sim.Runner.Cursor.compact_key}: time, interned history,
+      shared base-object digest, per-process status/step-count and
+      observation digest) prunes schedule prefixes that reach an
       already-explored configuration, crediting the cached subtree's
       run count instead of descending; [~cache_capacity] bounds its
       memory with clock (second-chance) eviction.  With both on, the
@@ -46,17 +46,17 @@
     Soundness fine print — what each switch assumes of [check]:
 
     - {e cache} (default on; a table exists only when [dpor] or
-      [symmetry] is off): fingerprint equality implies identical
+      [symmetry] is off): key equality implies identical
       futures (same decision menus, same suffix histories, same run
       counts) up to hash collision on the digest components, and
       identical maximal-run reports {e except for the timing of prefix
-      events} ([event_times], grant times) which the canonical
-      fingerprint abstracts away.  Where a table exists, [check] is
+      events} ([event_times], grant times) which the key abstracts
+      away.  Where a table exists, [check] is
       therefore invoked once per configuration class — pass
       [~cache:false] if a check depends on fine-grained event timing
       rather than on the history, crash set, totals and window.
     - {e dpor} (default off): a pending step that commutes
-      ({!Slx_sim.Runtime.footprints_commute}) with the accesses another
+      ({!Slx_sim.Runtime.commute}) with the accesses another
       step actually performed reaches the same configuration in either
       order; sleep sets explore one representative interleaving per
       such commutation class.  The representative's history can differ
@@ -195,9 +195,9 @@ val explore :
     a cache key is the int array
     {!Slx_sim.Runner.Cursor.compact_key} with the sleep set's process
     ids as its tail, hashed and compared whole by {!Clock_cache}.
-    History interning is injective, so key equality is
-    fingerprint-and-sleep-set equality up to the digest collisions the
-    fingerprint already accepts.
+    History interning is injective, so key equality is configuration-
+    and-sleep-set equality up to the collisions of the key's shared
+    and observation digests.
 
     [cancel] is polled once per visited node, right after the node is
     counted; when it returns [true] the walk stops and {!Interrupted}
@@ -277,15 +277,16 @@ val code_of_decision : ('inv, 'res) Driver.decision -> int
 
 val codes_of_script : ('inv, 'res) Driver.decision list -> int list
 
-val decision_of_code :
+val apply_codes :
   invoke:(('inv, 'res) Driver.view -> Proc.t -> 'inv option) ->
-  ('inv, 'res) Driver.view ->
-  int ->
-  ('inv, 'res) Driver.decision
-(** Decode one coded decision against the view it is about to be
-    applied to.  @raise Invalid_argument if the code is stale (e.g. an
-    [Invoke] whose process has no pending invocation — a sign the
-    stored entry came from a different workload). *)
+  ('inv, 'res) Runner.Cursor.t ->
+  int list ->
+  ('inv, 'res) Driver.decision list
+(** Decode each coded decision against the view it is about to be
+    applied to and apply it to the cursor, returning the typed
+    decisions applied (root-first).  @raise Invalid_argument if a code
+    is stale (e.g. an [Invoke] whose process has no pending invocation
+    — a sign the stored entry came from a different workload). *)
 
 val run_of_codes :
   n:int ->

@@ -44,7 +44,7 @@ type t = {
   race_reversals : int;
       (** Sleeping processes woken because an executed step's {e
           observed} accesses raced with their pending action
-          ({!Dpor.advance_mask}) — each forces the reversed order of a
+          ({!Dpor.advance}) — each forces the reversed order of a
           dynamic conflict to be explored. *)
   invoke_order_prunes : int;
       (** Fair-cycle search ({!Live_explore}) only: invocations pruned

@@ -13,11 +13,11 @@ type ('inv, 'res) result = {
   stats : Explore_stats.t;
 }
 
-(* Transposition keys pair the raw configuration fingerprint with the
+(* Transposition keys pair the configuration's compact key with the
    last [2 * max_period] abstract trace cells: every candidate cycle
    examined at or below a node is a function of the configuration (the
-   fingerprint, which embeds the full history and hence all response
-   payloads) and of at most that much trace suffix, so two prefixes
+   key, whose interned history id stands for the full history and
+   hence all response payloads) and of at most that much trace suffix, so two prefixes
    agreeing on both have identical candidate sets below — an entry is
    written only for completed lasso-free subtrees, and stores the
    subtree's run count, credited to [runs] on a hit.  Under DPOR the
@@ -25,7 +25,7 @@ type ('inv, 'res) result = {
    the sleep set joins the key; with DPOR off it is always [].
 
    The key is one flat int array ({!Search.key}): the cursor's
-   [compact_key] (which stands in for the fingerprint), then the trace
+   [compact_key], then the trace
    suffix as cell codes ({!Lasso.cell_code}, which the walk carries),
    length-prefixed so codes and sleeper entries cannot alias, then
    the sleepers' process ids.
@@ -364,15 +364,7 @@ let validate_cert_codes ~n ~factory ~invoke ~good ~point ~pump_ticks ~stem
   else
     let st = plain_state ~n ~factory in
     Search.with_cursor st (fun cursor ->
-        let apply_codes =
-          List.map (fun code ->
-              let d =
-                Explore.decision_of_code ~invoke (Runner.Cursor.view cursor)
-                  code
-              in
-              Runner.Cursor.apply cursor d;
-              d)
-        in
+        let apply_codes = Explore.apply_codes ~invoke cursor in
         match
           let c_stem = apply_codes stem in
           (c_stem, apply_codes cycle)

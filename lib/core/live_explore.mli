@@ -57,7 +57,7 @@
     offered; doc/model.md §7 states why that keeps a representative of
     every fair periodic run, the fairness assumption it rests on, and
     its slack under a depth bound.  The transposition cache is keyed
-    on the configuration fingerprint {e plus} the last
+    on the configuration's compact key {e plus} the last
     [2 * max_period] abstract cells — the context that determines
     every candidate in a subtree — and stores only completed
     lasso-free subtrees, so hits can never mask the least witness.

@@ -265,9 +265,9 @@ let sleep_sets sleep decisions =
 
 let settle st cursor d sleep len =
   let keep, woken =
-    Dpor.advance_mask
-      ~observed:(Dpor.observed_step_mask st.probe)
-      ~pending:(Runner.Cursor.pending_mask cursor)
+    Dpor.advance
+      ~observed:(Dpor.observed_step st.probe)
+      ~pending:(Runner.Cursor.pending cursor)
       sleep d
   in
   if woken <> [] then begin

@@ -181,9 +181,9 @@ val settle :
   int list
 (** [settle st child d sleep len] settles a child's candidate sleep set
     once its edge [d] has executed on [child], at depth [len]: the
-    entries {!Dpor.advance_mask} keeps, from the accesses [d] actually
-    performed ({!Dpor.observed_step_mask} of the search's probe) and
-    each sleeper's pending mask on [child].  The entries it wakes are
+    entries {!Dpor.advance} keeps, from the accesses [d] actually
+    performed ({!Dpor.observed_step} of the search's probe) and
+    each sleeper's pending footprint on [child].  The entries it wakes are
     the race reversals: counted in [race_reversals] and emitted as one
     [Race_reversal] event.  Both explorers' DPOR walks settle through
     here. *)

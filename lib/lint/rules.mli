@@ -22,7 +22,7 @@
       helpers, or via a nested atomic declaration) must be rooted in
       the identifiers of [D]; writes must be declared as writes; a
       declared handle never touched in a closed body is flagged.
-      [Runtime.atomic] (Opaque) discharges the family. *)
+      [Runtime.atomic] (opaque) discharges the family. *)
 
 val check : file:string -> source:string -> Parsetree.structure -> Finding.t list
 (** All findings of the three families for one file, sorted.  [file]

@@ -73,7 +73,7 @@ module Registers = struct
     }
 
   (* Lazily allocate round [r]; modelled as one atomic step so the
-     shared table mutation cannot be interleaved.  Kept [Opaque]
+     shared table mutation cannot be interleaved.  Kept opaque
      (rather than a declared write of [tbl]): allocation also runs the
      nested [Register.make] registrations, and an opaque step's
      conflict-with-everything is the sound declaration for that —

@@ -26,7 +26,7 @@ module Make_log (C : One_shot_consensus.S) = struct
     }
 
   (* Lazily allocate slot [i]; one atomic step, so the shared table
-     mutation cannot be interleaved.  Kept [Opaque]: allocation runs
+     mutation cannot be interleaved.  Kept opaque: allocation runs
      the nested consensus-object constructor (registrations included),
      for which conflict-with-everything is the sound declaration —
      audits waive the resulting opaque-step lint. *)

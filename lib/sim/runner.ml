@@ -3,14 +3,6 @@ open Slx_history
 type ('inv, 'res) impl = proc:Proc.t -> 'inv -> 'res
 type ('inv, 'res) factory = n:int -> ('inv, 'res) impl
 
-type ('inv, 'res) fingerprint = {
-  fp_time : int;
-  fp_history : ('inv, 'res) History.t;
-  fp_crashed : Proc.t list;
-  fp_procs : (int * int * int) list;
-  fp_shared : int;
-}
-
 module Cursor = struct
   type ('inv, 'res) t = {
     n : int;
@@ -72,8 +64,7 @@ module Cursor = struct
       events = (fun p -> c.events.(p));
     }
 
-  let pending c p = Runtime.pending_footprint (cell c p)
-  let pending_mask c p = Runtime.pending_mask (cell c p)
+  let pending c p = Runtime.pending (cell c p)
 
   let record c e =
     c.history <- History.append c.history e;
@@ -88,7 +79,7 @@ module Cursor = struct
     (* Incremental history interning: with an [encode] hook installed
        the cursor maintains a single small-int stand-in for the whole
        history — each append maps (previous id, event) to a fresh or
-       cached id, so compact fingerprint keys never re-hash the
+       cached id, so compact keys never re-hash the
        history.  Replays fed the same hook reproduce the same id. *)
     match c.encode with
     | None -> ()
@@ -199,30 +190,12 @@ module Cursor = struct
     | Runtime.Ready -> 1
     | Runtime.Crashed -> 2
 
-  let fingerprint c =
-    {
-      fp_time = c.time;
-      fp_history = c.history;
-      fp_crashed = Proc.Set.elements c.crashed;
-      fp_procs =
-        List.map
-          (fun p ->
-            let cell = c.cells.(p) in
-            (status_code (Runtime.status cell), c.step_counts.(p),
-             Runtime.obs cell))
-          (Proc.all ~n:c.n);
-      fp_shared = Runtime.registry_digest c.registry;
-    }
-
-  (* The flat-int-array form of [fingerprint], for interning: the
-     history is represented by the incremental [hist_id] (exact under
-     an injective [encode] hook), the crash set by the per-process
-     status codes (a process is crashed iff its status is), and the
-     two digest components are the same digests the structural
-     fingerprint carries — so equality of compact keys coincides with
-     equality of structural fingerprints up to the digests' existing
-     collision bound.  [extra] lets callers append engine-specific key
-     components (sleep sets, trace-suffix ids). *)
+  (* The configuration as a flat int array, for interning: the history
+     is represented by the incremental [hist_id] (exact under an
+     injective [encode] hook) and the crash set by the per-process
+     status codes (a process is crashed iff its status is).  [extra]
+     lets callers append engine-specific key components (sleep sets,
+     trace-suffix ids). *)
   let compact_key c ~extra =
     let n = c.n in
     let a = Array.make (3 + (2 * n) + List.length extra) 0 in

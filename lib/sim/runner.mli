@@ -19,25 +19,6 @@ type ('inv, 'res) factory = n:int -> ('inv, 'res) impl
 (** Creates a fresh instance of the implementation (fresh base objects,
     fresh per-process local state) for a system of [n] processes. *)
 
-type ('inv, 'res) fingerprint = {
-  fp_time : int;  (** Decisions applied so far (= scheduler ticks). *)
-  fp_history : ('inv, 'res) History.t;  (** The external history. *)
-  fp_crashed : Proc.t list;  (** Crashed processes, sorted. *)
-  fp_procs : (int * int * int) list;
-      (** Per process [1..n]: (status code, step count, observation
-          digest — see {!Runtime.obs}). *)
-  fp_shared : int;  (** Digest of all base-object states. *)
-}
-(** A canonical fingerprint of a configuration.  Two configurations
-    with equal fingerprints have (up to hash collision on the two
-    digest components) identical histories, process statuses and local
-    states, and base-object states — hence identical futures under
-    identical subsequent decisions.  They may still differ in the {e
-    timing} of past events ([Run_report.event_times] and grant times),
-    which a fingerprint deliberately abstracts away; see
-    {!Slx_core.Explore} for the resulting caveat.  Compare with
-    structural equality ([=]). *)
-
 (** A resumable run: the step-and-snapshot API behind the incremental
     exploration engine.  A cursor holds one live instance of the
     implementation and extends it decision by decision; [report]
@@ -107,7 +88,7 @@ module Cursor : sig
       [encode previous_id event] (initial id 0).  With an injective
       hook — e.g. hash-consing the [(previous_id, event)] pair in an
       {!Slx_core.Intern} table — the id stands in for the whole
-      history in compact fingerprint keys, and two cursors fed the
+      history in compact keys, and two cursors fed the
       same hook have equal ids iff their histories are equal.
 
       [shadow] installs a sanitizer shadow ({!Runtime.make_shadow})
@@ -135,14 +116,9 @@ module Cursor : sig
 
   val pending : ('inv, 'res) t -> Proc.t -> Runtime.footprint option
   (** The declared access footprint of the atomic action process [p] is
-      suspended at ([None] unless [p] is [Ready]).  The explorer's
-      partial-order reduction grants commuting pending steps
-      ({!Runtime.footprints_commute}) in only one order. *)
-
-  val pending_mask : ('inv, 'res) t -> Proc.t -> Runtime.mask option
-  (** {!pending} in bitmask form, precomputed at suspension — what the
-      engines' hot commutation checks ({!Runtime.masks_commute})
-      consume. *)
+      suspended at ([None] unless [p] is [Ready]), built once at
+      suspension.  The explorers' partial-order reduction grants
+      commuting pending steps ({!Runtime.commute}) in only one order. *)
 
   val hist_id : ('inv, 'res) t -> int
   (** The interned history id maintained by the [encode] hook (0 at
@@ -173,27 +149,28 @@ module Cursor : sig
       half the elapsed time, at least 1; default [stopped]:
       [`Max_steps]).  The cursor remains usable. *)
 
-  val fingerprint : ('inv, 'res) t -> ('inv, 'res) fingerprint
-  (** The canonical fingerprint of the current configuration. *)
-
   val compact_key : ('inv, 'res) t -> extra:int list -> int array
-  (** The flat small-int form of {!fingerprint}, the explorers'
-      transposition keys: [[| time; hist_id; shared digest;
-      (steps << 2 | status), obs digest per process 1..n; extra... |]].
-      The history component is the incremental {!hist_id} — exact iff
-      an injective [encode] hook is installed — and the crash set is
-      carried by the per-process status codes; the two digest
-      components are the very digests the structural fingerprint uses.
-      Two cursors fed the same hook therefore have equal compact keys
-      iff their structural fingerprints (plus [extra]) are equal.
-      [extra] appends engine-specific key components (e.g. the DPOR
-      sleep set's process ids). *)
+  (** The identity of the current configuration, the explorers'
+      transposition key: [[| time; hist_id; shared digest;
+      (steps << 2 | status), obs digest per process 1..n; extra... |]],
+      where the shared digest is {!shared_digest} and each process's
+      observation digest is {!Runtime.obs}.  The history is carried by
+      the incremental {!hist_id} — exact iff an injective [encode] hook
+      is installed, and 0 without one — and the crash set by the
+      per-process status codes.  Two cursors fed the same hook with
+      equal keys have (up to hash collision on the digests) identical
+      histories, process statuses and local states, and base-object
+      states — hence identical futures under identical subsequent
+      decisions.  They may still differ in the {e timing} of past
+      events ([Run_report.event_times] and grant times), which the key
+      deliberately abstracts away; see {!Slx_core.Explore} for the
+      resulting caveat.  [extra] appends engine-specific key
+      components (e.g. the DPOR sleep set's process ids). *)
 
   val shared_digest : ('inv, 'res) t -> int
   (** The shared-state digest of the current configuration
       ({!Slx_sim.Runtime.registry_digest} of the cursor's registry):
-      the incrementally maintained digest both {!fingerprint} and
-      {!compact_key} embed. *)
+      the incrementally maintained digest {!compact_key} embeds. *)
 
   val shared_digest_full : ('inv, 'res) t -> int
   (** The same digest recomputed from scratch

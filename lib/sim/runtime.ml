@@ -5,13 +5,6 @@ open Effect.Deep
    whether it may be (was) written. *)
 type access = { obj : int; write : bool }
 
-(* The access footprint of a pending atomic action: which base objects
-   it touches and whether it may write them.  [Opaque] (the legacy
-   [atomic]) conflicts with everything; base objects declare precise
-   footprints so the exploration engine can recognize commuting steps
-   (partial-order reduction). *)
-type footprint = Opaque | Access of access | Multi of access list
-
 (* Canonical access-list form: one entry per object (write = the OR of
    the merged entries), sorted by object id. *)
 let normalize accs =
@@ -25,90 +18,41 @@ let normalize accs =
   Hashtbl.fold (fun obj write acc -> { obj; write } :: acc) tbl []
   |> List.sort (fun a b -> compare a.obj b.obj)
 
-let accesses = function
-  | Opaque -> None
-  | Access a -> Some [ a ]
-  | Multi accs -> Some accs
-
-let of_accesses accs =
-  match normalize accs with [ a ] -> Access a | accs -> Multi accs
-
-let union a b =
-  match (a, b) with
-  | Opaque, _ | _, Opaque -> Opaque
-  | a, b ->
-      (* [accesses] is total on non-Opaque footprints. *)
-      of_accesses (Option.get (accesses a) @ Option.get (accesses b))
-
-let conflict a b = a.obj = b.obj && (a.write || b.write)
-
-let footprints_commute a b =
-  match (accesses a, accesses b) with
-  | Some la, Some lb ->
-      not (List.exists (fun x -> List.exists (conflict x) lb) la)
-  | None, _ | _, None -> false
-
-let covers outer inner =
-  match (accesses outer, accesses inner) with
-  | None, _ -> true (* Opaque claims everything *)
-  | Some _, None -> false (* only Opaque covers Opaque *)
-  | Some lo, Some li ->
-      List.for_all
-        (fun a ->
-          List.exists (fun b -> b.obj = a.obj && (b.write || not a.write)) lo)
-        li
-
-let pp_access fmt a =
-  Format.fprintf fmt "%c%d" (if a.write then 'W' else 'R') a.obj
-
-let pp_footprint fmt = function
-  | Opaque -> Format.pp_print_string fmt "opaque"
-  | Access a -> pp_access fmt a
-  | Multi accs ->
-      Format.fprintf fmt "{%a}"
-        (Format.pp_print_list
-           ~pp_sep:(fun fmt () -> Format.pp_print_string fmt " ")
-           pp_access)
-        accs
-
-(* ------------------------------------------------------------------ *)
-(* Conflict bitmasks: the footprint operations above, precomputed.
+(* The access footprint of a pending atomic action: which base objects
+   it touches and whether it may write them, as conflict bitmasks.
+   [m_opaque] (the plain [atomic]) conflicts with everything; base
+   objects declare precise footprints so the exploration engines can
+   recognize commuting steps (partial-order reduction).
 
    Registry-issued object ids are small positive ints (dense from 1)
-   and orphan ids are negative, so almost every footprint seen by the
-   exploration engines fits two machine words: [m_r] has bit [i] set
-   iff object [i] is accessed at all, [m_w] iff it may be written
-   (0 <= i < mask_width).  Ids outside that range spill into [m_rest],
-   and since the bit range and the spill range are disjoint, a bit-part
-   access can never conflict with a rest-part access — the commutation
-   check is two ANDs plus a rarely-taken list fallback.  Masks are
-   computed once per suspension (and once per nested declaration), so
-   the per-decision hot paths — [masks_commute] in the DPOR sleep
-   logic, [mask_covers] in the sanitizer — never walk access lists. *)
+   and orphan ids are negative, so almost every footprint fits two
+   machine words: [m_r] has bit [i] set iff object [i] is accessed at
+   all, [m_w] iff it may be written (0 <= i < mask_width).  Ids outside
+   that range spill into [m_rest], normalized, and since the bit range
+   and the spill range are disjoint, a bit-part access can never
+   conflict with a rest-part access — the commutation check is two
+   ANDs plus a rarely-taken list fallback.  Every footprint is built
+   in this canonical form (an opaque one has no bits and no spill), so
+   structural equality is footprint equality. *)
 
 let mask_width = 62
 
-type mask = {
+type footprint = {
   m_opaque : bool;
   m_r : int;  (* presence bits: object i is read or written *)
   m_w : int;  (* write bits: object i may be written *)
   m_rest : access list;  (* normalized accesses with ids outside [0,61] *)
 }
 
-let empty_mask = { m_opaque = false; m_r = 0; m_w = 0; m_rest = [] }
-let opaque_mask = { m_opaque = true; m_r = 0; m_w = 0; m_rest = [] }
+let empty = { m_opaque = false; m_r = 0; m_w = 0; m_rest = [] }
+let opaque = { m_opaque = true; m_r = 0; m_w = 0; m_rest = [] }
+let in_bits obj = obj >= 0 && obj < mask_width
 
-(* The single-access footprints and masks of the bitmask range,
-   built once: slot [2 * obj + write].  Most declarations are one
-   access to a registry-issued object, so a suspension usually
-   allocates neither its footprint nor its mask. *)
-let single_slot obj write = (2 * obj) + if write then 1 else 0
-
-let single_footprints =
-  Array.init (2 * mask_width) (fun i ->
-      Access { obj = i lsr 1; write = i land 1 = 1 })
-
-let single_masks =
+(* The single-access footprints of the bitmask range, built once: slot
+   [2 * obj + write].  Most declarations are one access to a
+   registry-issued object, so a suspension usually allocates no
+   footprint. *)
+let singles =
   Array.init (2 * mask_width) (fun i ->
       let bit = 1 lsl (i lsr 1) in
       {
@@ -118,30 +62,43 @@ let single_masks =
         m_rest = [];
       })
 
-let mask_of_footprint = function
-  | Opaque -> opaque_mask
-  | Access { obj; write } when obj >= 0 && obj < mask_width ->
-      single_masks.(single_slot obj write)
-  | fp ->
-      let r = ref 0 and w = ref 0 and rest = ref [] in
-      List.iter
-        (fun a ->
-          if a.obj >= 0 && a.obj < mask_width then begin
-            let bit = 1 lsl a.obj in
-            r := !r lor bit;
-            if a.write then w := !w lor bit
-          end
-          else rest := a :: !rest)
-        (Option.get (accesses fp));
-      {
-        m_opaque = false;
-        m_r = !r;
-        m_w = !w;
-        m_rest = (match !rest with [] -> [] | rs -> normalize rs);
-      }
+let single ~obj ~write =
+  if in_bits obj then singles.((2 * obj) + if write then 1 else 0)
+  else { empty with m_rest = [ { obj; write } ] }
 
-let mask_union a b =
-  if a.m_opaque || b.m_opaque then opaque_mask
+let of_accesses accs =
+  let r = ref 0 and w = ref 0 and rest = ref [] in
+  List.iter
+    (fun a ->
+      if in_bits a.obj then begin
+        let bit = 1 lsl a.obj in
+        r := !r lor bit;
+        if a.write then w := !w lor bit
+      end
+      else rest := a :: !rest)
+    accs;
+  {
+    m_opaque = false;
+    m_r = !r;
+    m_w = !w;
+    m_rest = (match !rest with [] -> [] | rs -> normalize rs);
+  }
+
+(* Ascending by id: the negative spill ids, the bit ids, then the
+   spill ids past the bit range. *)
+let accesses m =
+  if m.m_opaque then None
+  else
+    let neg, far = List.partition (fun a -> a.obj < 0) m.m_rest in
+    let rec bits i acc =
+      if i < 0 then acc
+      else if m.m_r land (1 lsl i) = 0 then bits (i - 1) acc
+      else bits (i - 1) ({ obj = i; write = m.m_w land (1 lsl i) <> 0 } :: acc)
+    in
+    Some (neg @ bits (mask_width - 1) far)
+
+let union a b =
+  if a.m_opaque || b.m_opaque then opaque
   else
     {
       m_opaque = false;
@@ -153,23 +110,48 @@ let mask_union a b =
         | ra, rb -> normalize (ra @ rb));
     }
 
-(* Mirrors [footprints_commute]: Opaque commutes with nothing. *)
-let masks_commute a b =
+let conflict a b = a.obj = b.obj && (a.write || b.write)
+
+let commute a b =
   (not (a.m_opaque || b.m_opaque))
   && (a.m_w land b.m_r) lor (b.m_w land a.m_r) = 0
   && (match (a.m_rest, b.m_rest) with
      | [], _ | _, [] -> true
      | ra, rb -> not (List.exists (fun x -> List.exists (conflict x) rb) ra))
 
-(* Mirrors [covers outer (Access {obj; write})]. *)
-let mask_covers m ~obj ~write =
+(* Whether [m] allows one access: the sanitizer's per-touch check. *)
+let covers_access m ~obj ~write =
   m.m_opaque
   ||
-  if obj >= 0 && obj < mask_width then
+  if in_bits obj then
     let bit = 1 lsl obj in
     if write then m.m_w land bit <> 0 else m.m_r land bit <> 0
-  else
-    List.exists (fun b -> b.obj = obj && (b.write || not write)) m.m_rest
+  else List.exists (fun b -> b.obj = obj && (b.write || not write)) m.m_rest
+
+(* [m_w] lies within [m_r] on both sides, so the bit part is covered
+   iff neither of [inner]'s words has a bit [outer]'s lacks. *)
+let covers outer inner =
+  outer.m_opaque
+  || (not inner.m_opaque)
+     && inner.m_r land lnot outer.m_r = 0
+     && inner.m_w land lnot outer.m_w = 0
+     && List.for_all
+          (fun a -> covers_access outer ~obj:a.obj ~write:a.write)
+          inner.m_rest
+
+let pp_access fmt a =
+  Format.fprintf fmt "%c%d" (if a.write then 'W' else 'R') a.obj
+
+let pp_footprint fmt m =
+  match accesses m with
+  | None -> Format.pp_print_string fmt "opaque"
+  | Some [ a ] -> pp_access fmt a
+  | Some accs ->
+      Format.fprintf fmt "{%a}"
+        (Format.pp_print_list
+           ~pp_sep:(fun fmt () -> Format.pp_print_string fmt " ")
+           pp_access)
+        accs
 
 type _ Effect.t += Atomic : footprint * (unit -> 'a) -> 'a Effect.t
 
@@ -352,7 +334,6 @@ type frame = {
   mutable fr_active : bool;  (* the step in flight began under a shadow or probe *)
   mutable fr_pending : footprint;  (* declared at suspension (POR-visible) *)
   mutable fr_eff : footprint;  (* pending ∪ nested declarations *)
-  mutable fr_eff_mask : mask;  (* bitmask form of [fr_eff] *)
   mutable fr_buf : int array;  (* packed touches, program order *)
   mutable fr_len : int;  (* touches buffered this step *)
   mutable fr_checked : int;  (* validation watermark into [fr_buf] *)
@@ -394,7 +375,7 @@ and mstat = {
 
 and probe = {
   mutable pr_steps : int;  (* atomic steps completed under this probe *)
-  mutable pr_mask : mask;  (* observed mask of the last step *)
+  mutable pr_observed : footprint;  (* observed footprint of the last step *)
 }
 
 let frame_key : frame Domain.DLS.key =
@@ -405,9 +386,8 @@ let frame_key : frame Domain.DLS.key =
         fr_probe = None;
         fr_depth = 0;
         fr_active = false;
-        fr_pending = Opaque;
-        fr_eff = Opaque;
-        fr_eff_mask = opaque_mask;
+        fr_pending = opaque;
+        fr_eff = opaque;
         fr_buf = Array.make 64 0;
         fr_len = 0;
         fr_checked = 0;
@@ -645,7 +625,7 @@ let make_shadow ?(record = false) ?(raise_on_violation = true) () =
 (* Dynamic-conflict probe: the DPOR observed-access recorder.
 
    Where the shadow {e validates} touches against declarations, the
-   probe merely {e records} the observed mask of the last completed
+   probe merely {e records} the observed footprint of the last completed
    atomic step — what it physically touched, or its effective
    footprint when it reported no touch — so the exploration engines
    can compute race reversals from dynamic conflicts — what a step
@@ -654,9 +634,9 @@ let make_shadow ?(record = false) ?(raise_on_violation = true) () =
    [Runner.Cursor.apply] exactly like the shadow; with no probe
    installed, [touch] stays one domain-local read and a branch. *)
 
-let make_probe () = { pr_steps = 0; pr_mask = empty_mask }
+let make_probe () = { pr_steps = 0; pr_observed = empty }
 let probe_steps pr = pr.pr_steps
-let probe_last_observed_mask pr = pr.pr_mask
+let probe_last_observed pr = pr.pr_observed
 
 let shadow_violation_count sh = List.length sh.sh_violations
 let shadow_steps sh = List.rev sh.sh_log
@@ -709,7 +689,7 @@ let touch ~obj ~write =
             v_kind = Outside_atomic;
             v_obj = obj;
             v_write = write;
-            v_pending = Opaque;
+            v_pending = opaque;
             v_step = sh.sh_steps;
           }
     | None -> ())
@@ -742,11 +722,11 @@ let buffered_touches fr =
    raises, as before. *)
 let validate_buffer fr sh =
   if fr.fr_checked < fr.fr_len then begin
-    let m = fr.fr_eff_mask in
+    let m = fr.fr_eff in
     for i = fr.fr_checked to fr.fr_len - 1 do
       let p = fr.fr_buf.(i) in
       let obj = p asr 1 and write = p land 1 <> 0 in
-      if not (mask_covers m ~obj ~write) then
+      if not (covers_access m ~obj ~write) then
         violate sh
           {
             v_kind = Undeclared_touch;
@@ -759,17 +739,17 @@ let validate_buffer fr sh =
     fr.fr_checked <- fr.fr_len
   end
 
-(* The observed mask of the buffered touches; the empty buffer defers
-   to the effective mask (uninstrumented or touch-free step: trust the
-   declaration). *)
-let observed_mask_of_buffer fr =
-  if fr.fr_len = 0 then fr.fr_eff_mask
+(* The observed footprint of the buffered touches; the empty buffer
+   defers to the effective footprint (uninstrumented or touch-free
+   step: trust the declaration). *)
+let observed_of_buffer fr =
+  if fr.fr_len = 0 then fr.fr_eff
   else begin
     let r = ref 0 and w = ref 0 and rest = ref [] in
     for i = 0 to fr.fr_len - 1 do
       let p = fr.fr_buf.(i) in
       let obj = p asr 1 and write = p land 1 <> 0 in
-      if obj >= 0 && obj < mask_width then begin
+      if in_bits obj then begin
         let bit = 1 lsl obj in
         r := !r lor bit;
         if write then w := !w lor bit
@@ -792,33 +772,42 @@ let rec buffer_has fr ~obj ~write i =
       (p asr 1 = obj && (p land 1 <> 0 || not write))
       || buffer_has fr ~obj ~write (i + 1))
 
-(* Count one step's declaration of [a] in the shadow's per-object
-   stats; [tr]/[tw] are the step's touched/written bits. *)
-let note_declared sh fr ~tr ~tw (a : access) =
-  let ms =
-    if a.obj >= 0 && a.obj < mask_width then sh.sh_near.(a.obj)
-    else
-      match Hashtbl.find_opt sh.sh_far a.obj with
-      | Some ms -> ms
-      | None ->
-          let ms = fresh_mstat () in
-          Hashtbl.add sh.sh_far a.obj ms;
-          ms
+(* Count one step's declarations in the shadow's per-object stats;
+   [tr]/[tw] are the step's touched/written bits. *)
+let note_declared sh fr ~tr ~tw decl =
+  let count ms ~touched ~write ~wrote =
+    ms.ms_decl <- ms.ms_decl + 1;
+    if touched then ms.ms_touched <- ms.ms_touched + 1;
+    if write then begin
+      ms.ms_wdecl <- ms.ms_wdecl + 1;
+      if wrote then ms.ms_wrote <- ms.ms_wrote + 1
+    end
   in
-  let in_mask = a.obj >= 0 && a.obj < mask_width in
-  let bit = if in_mask then 1 lsl a.obj else 0 in
-  ms.ms_decl <- ms.ms_decl + 1;
-  if
-    if in_mask then tr land bit <> 0
-    else buffer_has fr ~obj:a.obj ~write:false 0
-  then ms.ms_touched <- ms.ms_touched + 1;
-  if a.write then begin
-    ms.ms_wdecl <- ms.ms_wdecl + 1;
-    if
-      if in_mask then tw land bit <> 0
-      else buffer_has fr ~obj:a.obj ~write:true 0
-    then ms.ms_wrote <- ms.ms_wrote + 1
-  end
+  let rec bits obj r =
+    if r <> 0 then begin
+      (if r land 1 <> 0 then
+         let bit = 1 lsl obj in
+         count sh.sh_near.(obj) ~touched:(tr land bit <> 0)
+           ~write:(decl.m_w land bit <> 0) ~wrote:(tw land bit <> 0));
+      bits (obj + 1) (r lsr 1)
+    end
+  in
+  bits 0 decl.m_r;
+  List.iter
+    (fun a ->
+      let ms =
+        match Hashtbl.find_opt sh.sh_far a.obj with
+        | Some ms -> ms
+        | None ->
+            let ms = fresh_mstat () in
+            Hashtbl.add sh.sh_far a.obj ms;
+            ms
+      in
+      count ms
+        ~touched:(buffer_has fr ~obj:a.obj ~write:false 0)
+        ~write:a.write
+        ~wrote:(a.write && buffer_has fr ~obj:a.obj ~write:true 0))
+    decl.m_rest
 
 (* Step bracketing: [enter_step] as a grant begins executing its
    pending action, [leave_step] when the action's body returns (or
@@ -826,7 +815,7 @@ let note_declared sh fr ~tr ~tw (a : access) =
    the continuation runs up to the process's next suspension inside
    the same dynamic extent.  Whether the step is active is decided
    once, here, from the installed shadow and probe. *)
-let enter_step fr fp fp_mask =
+let enter_step fr fp =
   fr.fr_depth <- 1;
   match (fr.fr_shadow, fr.fr_probe) with
   | None, None -> ()
@@ -834,7 +823,6 @@ let enter_step fr fp fp_mask =
       fr.fr_active <- true;
       fr.fr_pending <- fp;
       fr.fr_eff <- fp;
-      fr.fr_eff_mask <- fp_mask;
       fr.fr_len <- 0;
       fr.fr_checked <- 0
 
@@ -852,16 +840,14 @@ let settle_shadow fr sh =
   for i = 0 to fr.fr_len - 1 do
     let p = fr.fr_buf.(i) in
     let obj = p asr 1 in
-    if obj >= 0 && obj < mask_width then begin
+    if in_bits obj then begin
       let bit = 1 lsl obj in
       tr := !tr lor bit;
       if p land 1 <> 0 then tw := !tw lor bit
     end
   done;
-  (match fr.fr_pending with
-  | Opaque -> sh.sh_opaque <- sh.sh_opaque + 1
-  | Access a -> note_declared sh fr ~tr:!tr ~tw:!tw a
-  | Multi decl -> List.iter (note_declared sh fr ~tr:!tr ~tw:!tw) decl);
+  if fr.fr_pending.m_opaque then sh.sh_opaque <- sh.sh_opaque + 1
+  else note_declared sh fr ~tr:!tr ~tw:!tw fr.fr_pending;
   if sh.sh_record then
     sh.sh_log <-
       {
@@ -883,7 +869,7 @@ let leave_step fr =
     | None -> ()
     | Some pr ->
         pr.pr_steps <- pr.pr_steps + 1;
-        pr.pr_mask <- observed_mask_of_buffer fr);
+        pr.pr_observed <- observed_of_buffer fr);
     let deferred =
       match fr.fr_shadow with None -> None | Some sh -> settle_shadow fr sh
     in
@@ -914,7 +900,9 @@ let enter_nested fr fp =
             | Some accs -> (
                 match
                   List.find_opt
-                    (fun a -> not (covers fr.fr_pending (Access a)))
+                    (fun a ->
+                      not
+                        (covers_access fr.fr_pending ~obj:a.obj ~write:a.write))
                     accs
                 with
                 | Some a -> (a.obj, a.write)
@@ -929,8 +917,7 @@ let enter_nested fr fp =
               v_step = sh.sh_steps;
             }
         end);
-    fr.fr_eff <- union fr.fr_eff fp;
-    fr.fr_eff_mask <- mask_union fr.fr_eff_mask (mask_of_footprint fp)
+    fr.fr_eff <- union fr.fr_eff fp
   end;
   fr.fr_depth <- fr.fr_depth + 1
 
@@ -948,14 +935,8 @@ let atomic_with fp f =
   end
   else perform (Atomic (fp, f))
 
-let atomic f = atomic_with Opaque f
-
-let atomic_access ~obj ~write f =
-  atomic_with
-    (if obj >= 0 && obj < mask_width then
-       single_footprints.(single_slot obj write)
-     else Access { obj; write })
-    f
+let atomic f = atomic_with opaque f
+let atomic_access ~obj ~write f = atomic_with (single ~obj ~write) f
 
 (* ------------------------------------------------------------------ *)
 (* Cells.                                                              *)
@@ -974,7 +955,6 @@ type slot =
       k : ('a, unit) continuation;
       action : unit -> 'a;
       pending : footprint;  (* of the atomic action awaiting its grant *)
-      pending_mask : mask;  (* its bitmask, computed once at suspension *)
     }
       -> slot
   | S_crashed
@@ -1002,14 +982,7 @@ let make_handler cell =
         | Atomic (fp, f) ->
             Some
               (fun (k : (b, unit) continuation) ->
-                cell.slot <-
-                  S_ready
-                    {
-                      k;
-                      action = f;
-                      pending = fp;
-                      pending_mask = mask_of_footprint fp;
-                    })
+                cell.slot <- S_ready { k; action = f; pending = fp })
         | _ -> None);
   }
 
@@ -1019,14 +992,9 @@ let status cell =
   | S_ready _ -> Ready
   | S_crashed -> Crashed
 
-let pending_footprint cell =
+let pending cell =
   match cell.slot with
   | S_ready { pending; _ } -> Some pending
-  | S_idle | S_crashed -> None
-
-let pending_mask cell =
-  match cell.slot with
-  | S_ready { pending_mask; _ } -> Some pending_mask
   | S_idle | S_crashed -> None
 
 let obs cell = cell.obs
@@ -1047,7 +1015,7 @@ let spawn cell comp =
 
 let grant cell =
   match cell.slot with
-  | S_ready { k; action; pending; pending_mask } ->
+  | S_ready { k; action; pending } ->
       (* The suspension will be replaced by the handler when the
          computation next suspends (or by [retc]/[exnc] when it
          finishes), so clear it first to catch reentrancy bugs. *)
@@ -1057,7 +1025,7 @@ let grant cell =
          call, and that code is between atomic steps (local by
          contract). *)
       let fr = Domain.DLS.get frame_key in
-      enter_step fr pending pending_mask;
+      enter_step fr pending;
       let v =
         match action () with
         | v ->

@@ -30,27 +30,41 @@ val atomic : (unit -> 'a) -> 'a
     touch different base objects (or both merely read the same one)
     can be granted in either order with the same resulting
     configuration.  A footprint declares, before the action runs, what
-    it may touch. *)
+    it may touch.
+
+    The exploration engines make millions of commutation and coverage
+    queries, so a footprint is held as conflict bitmasks.
+    Registry-issued object ids are small dense positive ints (and
+    orphan ids negative), so almost every footprint fits two machine
+    words of presence/write bits; ids outside [0, 61] spill into a
+    normalized access list, and since the two id ranges are disjoint a
+    bit access can never conflict with a spill access.  A pending
+    footprint is built once per suspension, and each commutation or
+    coverage check is a couple of word operations. *)
 
 type access = { obj : int; write : bool }
 (** One declared (or physically observed) access: the base object with
     id [obj], written iff [write]. *)
 
-(** The declared footprint of a pending atomic action. *)
-type footprint =
-  | Opaque
-      (** Undeclared (the plain {!atomic}); conservatively conflicts
-          with every other action. *)
-  | Access of access
-      (** Touches the base object with id [obj]; [write] says the
-          action may modify it.  Object granularity: an action on a
-          multi-slot object (e.g. a snapshot segment update) declares
-          the whole object. *)
-  | Multi of access list
-      (** Touches several objects (e.g. the union of nested
-          declarations).  Canonical form: one access per object,
-          sorted by id — build with {!union}/{!of_accesses}, do not
-          construct raw. *)
+type footprint = private {
+  m_opaque : bool;
+      (** Undeclared (the plain {!atomic}): conflicts with every other
+          action.  An opaque footprint has no bits and no spill. *)
+  m_r : int;  (** Presence bits: object [i] is read or written. *)
+  m_w : int;  (** Write bits: object [i] may be written (within [m_r]). *)
+  m_rest : access list;
+      (** The accesses with ids outside [0, 61]: one per object, sorted
+          by id. *)
+}
+(** The declared footprint of a pending atomic action, at object
+    granularity: an action on a multi-slot object (e.g. a snapshot
+    segment update) declares the whole object.  Private, so that every
+    footprint is in the canonical form the functions below build, and
+    structural equality is footprint equality. *)
+
+val opaque : footprint
+(** The undeclared footprint: commutes with nothing, covers
+    everything, and is covered only by itself (sound default). *)
 
 val atomic_access : obj:int -> write:bool -> (unit -> 'a) -> 'a
 (** {!atomic} with a declared footprint: one atomic step on base
@@ -68,64 +82,35 @@ val atomic_access : obj:int -> write:bool -> (unit -> 'a) -> 'a
     {!Undeclared_nesting} violation, since the explorer committed to
     commutation decisions before the nested call could be known. *)
 
-val footprints_commute : footprint -> footprint -> bool
-(** Whether two pending actions with these footprints commute: both
-    declared, and no object is accessed by both with at least one of
-    the two accesses a write.  [Opaque] commutes with nothing (sound
-    default). *)
+val of_accesses : access list -> footprint
+(** The declared footprint touching exactly these accesses (an object
+    listed twice is written iff some entry writes it).  [of_accesses
+    []] touches nothing and commutes with every declared footprint. *)
 
 val accesses : footprint -> access list option
-(** The access list of a declared footprint in canonical form ([None]
-    for [Opaque]). *)
-
-val of_accesses : access list -> footprint
-(** The declared footprint touching exactly these accesses
-    (normalized: merged per object, sorted).  [of_accesses []] touches
-    nothing and commutes with every declared footprint. *)
+(** The accesses of a declared footprint ([None] for {!opaque}), in
+    canonical order: one per object, sorted by id (the negative spill
+    ids, then the bit ids, then the ids past 61). *)
 
 val union : footprint -> footprint -> footprint
 (** Footprint join: [union a b] covers everything [a] or [b] covers.
-    [Opaque] is absorbing. *)
+    {!opaque} is absorbing. *)
 
 val covers : footprint -> footprint -> bool
 (** [covers outer inner]: every access [inner] may make is allowed by
     [outer] (same object declared, and writing only if [outer]
-    declares the write).  [Opaque] covers everything; only [Opaque]
-    covers [Opaque]. *)
+    declares the write).  {!opaque} covers everything; only {!opaque}
+    covers {!opaque}. *)
+
+val commute : footprint -> footprint -> bool
+(** Whether two pending actions with these footprints commute: both
+    declared, and no object is accessed by both with at least one of
+    the two accesses a write.  Two word operations, plus a walk of the
+    spill lists when both have one. *)
 
 val pp_footprint : Format.formatter -> footprint -> unit
-(** [R3], [W7], [{R3 W7}], or [opaque]. *)
-
-(** {2 Conflict bitmasks}
-
-    The footprint operations above walk access lists; the exploration
-    engines make millions of commutation and coverage queries, so this
-    module also provides the same operations on a precomputed bitmask
-    form.  Registry-issued object ids are small dense positive ints
-    (and orphan ids negative), so almost every footprint fits two
-    machine words of presence/write bits; ids outside [0, 61] spill
-    into an access-list tail, and since the two id ranges are disjoint
-    a bit-part access can never conflict with a spill-part access.
-    Masks are computed once per suspension ({!pending_mask}) and the
-    per-decision checks are a couple of word operations. *)
-
-type mask = {
-  m_opaque : bool;  (** [Opaque]: conflicts with everything. *)
-  m_r : int;  (** Presence bits: object [i] is read or written. *)
-  m_w : int;  (** Write bits: object [i] may be written. *)
-  m_rest : access list;  (** Normalized accesses with ids outside [0,61]. *)
-}
-
-val opaque_mask : mask
-(** The [Opaque] footprint. *)
-
-val mask_of_footprint : footprint -> mask
-
-val masks_commute : mask -> mask -> bool
-(** Mirrors {!footprints_commute}: two word-ops plus a rarely-taken
-    spill fallback.  [masks_commute (mask_of_footprint a)
-    (mask_of_footprint b) = footprints_commute a b] for all footprints
-    [a], [b]. *)
+(** [R3], [W7], [{R3 W7}] (the accesses in canonical order), or
+    [opaque]. *)
 
 (** {1 Shadow state: the conflict-soundness sanitizer}
 
@@ -174,10 +159,10 @@ type violation = {
   v_kind : violation_kind;
   v_obj : int;
       (** The offending object id ([min_int] for an
-          [Undeclared_nesting] whose nested footprint is [Opaque]). *)
+          [Undeclared_nesting] whose nested footprint is {!opaque}). *)
   v_write : bool;
   v_pending : footprint;
-      (** The POR-visible declaration of the step ([Opaque] for
+      (** The POR-visible declaration of the step ({!opaque} for
           [Outside_atomic]). *)
   v_step : int;  (** Shadow step ordinal (grants finalized so far). *)
 }
@@ -212,7 +197,7 @@ val touch : obj:int -> write:bool -> unit
     accesses — what an executed step physically touched in this
     configuration — rather than from declared footprints alone.  A
     probe records, per completed atomic step, the step's observed
-    mask; unlike the shadow it validates nothing and never raises.
+    footprint; unlike the shadow it validates nothing and never raises.
     Install one per engine with {!with_registry} [~probe] (or
     [Runner.Cursor.with_ ~probe]); after each [Schedule] grant the
     engine reads the last step's observation. *)
@@ -221,21 +206,21 @@ type probe
 
 val make_probe : unit -> probe
 (** A fresh probe.  Until a step completes under it,
-    {!probe_last_observed_mask} is the mask of the empty footprint and
-    {!probe_steps} is 0. *)
+    {!probe_last_observed} is the empty footprint and {!probe_steps}
+    is 0. *)
 
 val probe_steps : probe -> int
 (** Atomic steps completed under the probe so far — lets an engine
     check that a grant actually executed a step since it last read the
     probe. *)
 
-val probe_last_observed_mask : probe -> mask
-(** The observed mask of the last completed step, precomputed at step
+val probe_last_observed : probe -> footprint
+(** The observed footprint of the last completed step, built at step
     end: its physical {!touch}es when the instrumentation reported any,
     otherwise its effective (pending ∪ nested) declared footprint —
     never weaker than what a declared-footprint oracle would use on a
     clean implementation.  The DPOR engines race-check it against
-    pending masks with {!masks_commute}. *)
+    pending footprints with {!commute}. *)
 
 (** {2 Shadow reports} *)
 
@@ -262,7 +247,7 @@ val shadow_step_count : shadow -> int
 (** Grants finalized under this shadow (counted in every mode). *)
 
 val shadow_opaque_steps : shadow -> int
-(** Steps whose pending footprint was [Opaque] — invisible to the race
+(** Steps whose pending footprint was {!opaque} — invisible to the race
     detector (everything is allowed) and to POR (they commute with
     nothing), so audits report them as a lint. *)
 
@@ -319,14 +304,10 @@ val crash : cell -> unit
     {!Killed} and the cell becomes [Crashed].  Idempotent on crashed
     cells; legal on idle cells (the process just never steps again). *)
 
-val pending_footprint : cell -> footprint option
+val pending : cell -> footprint option
 (** The declared footprint of the atomic action a [Ready] process is
-    suspended at; [None] when the cell is [Idle] or [Crashed]. *)
-
-val pending_mask : cell -> mask option
-(** {!pending_footprint} in bitmask form, computed once when the
-    process suspended — the engines' commutation checks read this
-    instead of re-deriving masks per decision. *)
+    suspended at, built once when it suspended; [None] when the cell
+    is [Idle] or [Crashed]. *)
 
 (** {1 Configuration fingerprinting}
 

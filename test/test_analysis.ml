@@ -130,8 +130,8 @@ let acc obj write = { Runtime.obj; write }
 let step p decl touched =
   { Hb.hs_proc = p; hs_decl = decl; hs_touched = touched }
 
-let w_fp obj = Runtime.Access (acc obj true)
-let r_fp obj = Runtime.Access (acc obj false)
+let w_fp obj = Runtime.of_accesses [ acc obj true ]
+let r_fp obj = Runtime.of_accesses [ acc obj false ]
 
 let test_hb_certifies_declared_conflict () =
   let steps =
@@ -194,33 +194,34 @@ let test_hb_edges_are_non_redundant () =
 (* ------------------------------------------------------------------ *)
 (* Footprint algebra properties.                                       *)
 
+(* Ids in the direct-bit window, past it and below zero, so the spill
+   lists take part in every law. *)
 let gen_access =
   QCheck2.Gen.(
-    let* obj = int_range 0 4 in
+    let* obj = oneof [ int_range 0 4; int_range 60 64; int_range (-2) (-1) ] in
     let* write = bool in
     return { Runtime.obj; write })
 
 let gen_footprint =
   QCheck2.Gen.(
     let* roll = int_range 0 10 in
-    if roll = 0 then return Runtime.Opaque
+    if roll = 0 then return Runtime.opaque
     else
       let* accs = list_size (int_range 1 4) gen_access in
       return (Runtime.of_accesses accs))
 
 let prop_commute_symmetric =
-  QCheck2.Test.make ~name:"footprints_commute is symmetric" ~count:500
+  QCheck2.Test.make ~name:"commute is symmetric" ~count:500
     QCheck2.Gen.(pair gen_footprint gen_footprint)
-    (fun (a, b) ->
-      Runtime.footprints_commute a b = Runtime.footprints_commute b a)
+    (fun (a, b) -> Runtime.commute a b = Runtime.commute b a)
 
 let prop_commute_union_monotone =
   QCheck2.Test.make
     ~name:"commuting with a union = commuting with both parts" ~count:500
     QCheck2.Gen.(triple gen_footprint gen_footprint gen_footprint)
     (fun (a, b, c) ->
-      Runtime.footprints_commute (Runtime.union a b) c
-      = (Runtime.footprints_commute a c && Runtime.footprints_commute b c))
+      Runtime.commute (Runtime.union a b) c
+      = (Runtime.commute a c && Runtime.commute b c))
 
 let prop_covers_union =
   QCheck2.Test.make ~name:"a union covers both sides" ~count:500
@@ -266,7 +267,7 @@ let test_nesting_composes_effective_footprint () =
         | _ -> Alcotest.fail "expected a single declared access"
       in
       check_bool "pending declaration is the outer write" true
-        (log.Runtime.declared = Runtime.Access { Runtime.obj; write = true });
+        (log.Runtime.declared = Runtime.of_accesses [ acc obj true ]);
       check_bool "effective = declared ∪ nested (W absorbs R)" true
         (log.Runtime.effective = log.Runtime.declared);
       Alcotest.(check (list (pair int bool)))

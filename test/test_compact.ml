@@ -7,8 +7,9 @@
    - QCheck: interning preserves structural equality (the soundness
      argument for replacing the history with its interned id), the
      cache finds an entry exactly under equal key arrays, and the
-     conflict bitmasks agree with the footprint oracle everywhere,
-     spill range included;
+     bitmask footprints answer commutation and list their accesses as
+     the raw access lists they were built from say, spill range
+     included;
    - differential sweeps over the whole audit registry, safety and
      liveness legs, cache on vs off (mirroring test/test_dpor.ml's
      dpor-on-vs-off sweeps), the liveness leg at a period bound where
@@ -82,38 +83,47 @@ let qcheck_cache_key_equality =
         arrays)
 
 (* ------------------------------------------------------------------ *)
-(* QCheck: the conflict bitmasks agree with the footprint oracle.      *)
-(* Object ids range beyond the 0..61 direct-bit window so the spill    *)
-(* fallback is exercised too.                                          *)
+(* QCheck: the bitmask footprints against their raw access lists.      *)
+(* Object ids range over the 0..61 direct-bit window, past it and      *)
+(* below zero, so both spill ranges are exercised too.                 *)
 
 let accesses_gen =
   QCheck2.Gen.(
     list_size (int_range 0 4)
       (map
          (fun (o, w) -> { Runtime.obj = o; write = w })
-         (pair (oneof [ int_range 0 5; int_range 58 70 ]) bool)))
+         (pair
+            (oneof [ int_range 0 5; int_range 58 70; int_range (-4) (-1) ])
+            bool)))
 
-let qcheck_masks_commute_agree =
+let qcheck_commute_iff_no_raw_conflict =
   QCheck2.Test.make ~count:1000
-    ~name:"masks_commute . mask_of_footprint = footprints_commute"
+    ~name:"commute holds iff no raw pair of accesses hits one object with a write"
     QCheck2.Gen.(pair accesses_gen accesses_gen)
     (fun (raw_a, raw_b) ->
-      let a = Runtime.of_accesses raw_a and b = Runtime.of_accesses raw_b in
-      Runtime.masks_commute (Runtime.mask_of_footprint a)
-        (Runtime.mask_of_footprint b)
-      = Runtime.footprints_commute a b)
+      Runtime.commute (Runtime.of_accesses raw_a) (Runtime.of_accesses raw_b)
+      = not
+          (List.exists
+             (fun a -> List.exists (Dpor.observed_conflict a) raw_b)
+             raw_a))
 
-let qcheck_wakes_mask_agree =
+let qcheck_accesses_canonical =
   QCheck2.Test.make ~count:1000
-    ~name:"Dpor.wakes_mask agrees with Dpor.wakes"
-    QCheck2.Gen.(pair accesses_gen (option accesses_gen))
-    (fun (raw_obs, raw_pending) ->
-      let observed = Runtime.of_accesses raw_obs in
-      let pending = Option.map Runtime.of_accesses raw_pending in
-      Dpor.wakes_mask
-        ~observed:(Runtime.mask_of_footprint observed)
-        ~pending:(Option.map Runtime.mask_of_footprint pending)
-      = Dpor.wakes ~observed ~pending)
+    ~name:"accesses (of_accesses l) is l merged per object and sorted by id"
+    accesses_gen
+    (fun raw ->
+      let merged =
+        List.sort_uniq compare (List.map (fun a -> a.Runtime.obj) raw)
+        |> List.map (fun obj ->
+               {
+                 Runtime.obj;
+                 write =
+                   List.exists
+                     (fun a -> a.Runtime.obj = obj && a.Runtime.write)
+                     raw;
+               })
+      in
+      Runtime.accesses (Runtime.of_accesses raw) = Some merged)
 
 (* ------------------------------------------------------------------ *)
 (* Safety leg: Explore with the transposition cache on vs off, over    *)
@@ -346,7 +356,7 @@ let suites =
           [
             qcheck_intern_preserves_equality;
             qcheck_cache_key_equality;
-            qcheck_masks_commute_agree;
-            qcheck_wakes_mask_agree;
+            qcheck_commute_iff_no_raw_conflict;
+            qcheck_accesses_canonical;
           ] );
   ]

@@ -307,7 +307,7 @@ let test_disposal_is_silent () =
   let observe () =
     ( !ticks,
       ( Runtime.probe_steps probe,
-        Runtime.probe_last_observed_mask probe ),
+        Runtime.probe_last_observed probe ),
       ( Runtime.shadow_step_count shadow,
         Runtime.shadow_violation_count shadow,
         Runtime.shadow_steps shadow,
@@ -366,7 +366,6 @@ let applicable ~crashes (view : _ Driver.view) =
 (* Everything a cursor exposes about its configuration. *)
 let observe c =
   ( Runner.Cursor.compact_key c ~extra:[],
-    Runner.Cursor.fingerprint c,
     Runner.Cursor.report c (),
     Runner.Cursor.hist_id c,
     Runner.Cursor.shared_digest c )
@@ -405,7 +404,7 @@ let replay_agreement ~factory ~n ~crashes choices =
         Runner.Cursor.with_ ~n ~factory:(factory ()) ~encode ~probe ~shadow
           ~prefix:script ~hist_id (fun c ->
             [
-              ("keys, fingerprint, report, hist_id, digest", observe c = expected);
+              ("keys, report, hist_id, digest", observe c = expected);
               ( "shared_digest = shared_digest_full",
                 Runner.Cursor.shared_digest c = Runner.Cursor.shared_digest_full c
               );

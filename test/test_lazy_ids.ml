@@ -1,7 +1,7 @@
 (* Schedule-independent object ids for the lazy allocators of the
    universal construction.  [One_shot_consensus.Registers] builds each
    commit-adopt round, and the universal construction's log each
-   consensus slot, lazily inside an [Opaque] step.  Several instances
+   consensus slot, lazily inside an opaque step.  Several instances
    share one registry (the log's slots), and a round of one slot and a
    later slot can be built in either order.  Slots take ids from the
    registry's counter, in slot order; each [Registers] instance builds
@@ -12,7 +12,7 @@
 
    The oracle below builds every slot and round up front, at fixed
    ids, and keeps the lazy construction's steps exactly (the same
-   [Opaque] allocation step, the same table touches and counters).
+   opaque allocation step, the same table touches and counters).
    Its shared digest is therefore a function of the configuration
    alone.  Every explorer must see the same configuration graph
    through both: the same runs, nodes, steps, cache hits and history

@@ -461,15 +461,7 @@ let test_pump_replays_the_workload () =
     = None);
   let cert =
     Runner.Cursor.with_ ~n:2 ~factory:(factory ()) (fun cursor ->
-        let apply =
-          List.map (fun code ->
-              let d =
-                Explore.decision_of_code ~invoke (Runner.Cursor.view cursor)
-                  code
-              in
-              Runner.Cursor.apply cursor d;
-              d)
-        in
+        let apply = Explore.apply_codes ~invoke cursor in
         let c_stem = apply stem in
         { Lasso.c_n = 2; c_stem; c_cycle = apply cycle })
   in
