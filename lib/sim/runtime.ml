@@ -772,42 +772,59 @@ let rec buffer_has fr ~obj ~write i =
       (p asr 1 = obj && (p land 1 <> 0 || not write))
       || buffer_has fr ~obj ~write (i + 1))
 
-(* Count one step's declarations in the shadow's per-object stats;
-   [tr]/[tw] are the step's touched/written bits. *)
+(* Count one declaration of an object in its per-object stats. *)
+let count_decl ms ~touched ~write ~wrote =
+  ms.ms_decl <- ms.ms_decl + 1;
+  if touched then ms.ms_touched <- ms.ms_touched + 1;
+  if write then begin
+    ms.ms_wdecl <- ms.ms_wdecl + 1;
+    if wrote then ms.ms_wrote <- ms.ms_wrote + 1
+  end
+
+(* The index of the lowest set bit of [x <> 0], by binary search. *)
+let lowest_bit x =
+  let i = ref 0 and x = ref x in
+  if !x land 0xFFFFFFFF = 0 then (i := !i + 32; x := !x lsr 32);
+  if !x land 0xFFFF = 0 then (i := !i + 16; x := !x lsr 16);
+  if !x land 0xFF = 0 then (i := !i + 8; x := !x lsr 8);
+  if !x land 0xF = 0 then (i := !i + 4; x := !x lsr 4);
+  if !x land 0x3 = 0 then (i := !i + 2; x := !x lsr 2);
+  if !x land 0x1 = 0 then incr i;
+  !i
+
+(* The declared bit-range objects, one per set bit of [r] (a subset of
+   the presence word); [tr]/[tw] are the step's touched and written
+   bits. *)
+let rec note_bits sh decl ~tr ~tw r =
+  if r <> 0 then begin
+    let obj = lowest_bit r in
+    let bit = 1 lsl obj in
+    count_decl sh.sh_near.(obj) ~touched:(tr land bit <> 0)
+      ~write:(decl.m_w land bit <> 0) ~wrote:(tw land bit <> 0);
+    note_bits sh decl ~tr ~tw (r lxor bit)
+  end
+
+(* Count one step's declarations in the shadow's per-object stats. *)
 let note_declared sh fr ~tr ~tw decl =
-  let count ms ~touched ~write ~wrote =
-    ms.ms_decl <- ms.ms_decl + 1;
-    if touched then ms.ms_touched <- ms.ms_touched + 1;
-    if write then begin
-      ms.ms_wdecl <- ms.ms_wdecl + 1;
-      if wrote then ms.ms_wrote <- ms.ms_wrote + 1
-    end
-  in
-  let rec bits obj r =
-    if r <> 0 then begin
-      (if r land 1 <> 0 then
-         let bit = 1 lsl obj in
-         count sh.sh_near.(obj) ~touched:(tr land bit <> 0)
-           ~write:(decl.m_w land bit <> 0) ~wrote:(tw land bit <> 0));
-      bits (obj + 1) (r lsr 1)
-    end
-  in
-  bits 0 decl.m_r;
-  List.iter
-    (fun a ->
-      let ms =
-        match Hashtbl.find_opt sh.sh_far a.obj with
-        | Some ms -> ms
-        | None ->
-            let ms = fresh_mstat () in
-            Hashtbl.add sh.sh_far a.obj ms;
-            ms
-      in
-      count ms
-        ~touched:(buffer_has fr ~obj:a.obj ~write:false 0)
-        ~write:a.write
-        ~wrote:(a.write && buffer_has fr ~obj:a.obj ~write:true 0))
-    decl.m_rest
+  note_bits sh decl ~tr ~tw decl.m_r;
+  match decl.m_rest with
+  | [] -> ()
+  | rest ->
+      List.iter
+        (fun a ->
+          let ms =
+            match Hashtbl.find_opt sh.sh_far a.obj with
+            | Some ms -> ms
+            | None ->
+                let ms = fresh_mstat () in
+                Hashtbl.add sh.sh_far a.obj ms;
+                ms
+          in
+          count_decl ms
+            ~touched:(buffer_has fr ~obj:a.obj ~write:false 0)
+            ~write:a.write
+            ~wrote:(a.write && buffer_has fr ~obj:a.obj ~write:true 0))
+        rest
 
 (* Step bracketing: [enter_step] as a grant begins executing its
    pending action, [leave_step] when the action's body returns (or
