@@ -4,7 +4,7 @@
    Registration also yields the object's footprint id: every primitive
    declares, via [atomic_access], which object it touches and whether
    it writes, so the explorer's partial-order reduction can recognize
-   commuting steps.  See Runtime's "Configuration fingerprinting" and
+   commuting steps.  See Runtime's "Configuration digests" and
    "Access footprints" sections.
 
    Primitives route every physical cell access through [load]/[store],

@@ -309,7 +309,7 @@ val pending : cell -> footprint option
     suspended at, built once when it suspended; [None] when the cell
     is [Idle] or [Crashed]. *)
 
-(** {1 Configuration fingerprinting}
+(** {1 Configuration digests}
 
     The exploration engine ({!Slx_core.Explore}) prunes schedule
     prefixes that reach the same configuration.  A configuration has
