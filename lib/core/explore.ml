@@ -68,22 +68,12 @@ let menu = Search.full_menu
 
 let canonical_menu = Search.menu
 
-(* A crash child that offers only sleepers roots no maximal run
-   (doc/model.md §6): its sleep set is its node's own, and a crash wakes
-   none of it, so its canonical menu on the view after the crash decides
-   it at the parent. *)
-let dead_crash ~invoke ~depth ~max_crashes ~symmetry view ~sleep len crashes
-    q =
-  match
-    fst
-      (Search.menu ~invoke ~depth ~max_crashes ~symmetry ~invoke_order:false
-         view ~last:(Some (Driver.Crash q)) (len + 1) (crashes + 1))
-  with
-  | [] -> false
-  | ds ->
-      List.for_all
-        (function Driver.Schedule p -> List.mem p sleep | _ -> false)
-        ds
+type crash_child = Search.crash_child = Dead | Leaf | Open
+
+let crash_child ~invoke ~depth ~max_crashes ~symmetry =
+  Search.crash_child
+    ~menu:
+      (Search.menu ~invoke ~depth ~max_crashes ~symmetry ~invoke_order:false)
 
 (* ------------------------------------------------------------------ *)
 (* The walk.                                                           *)
@@ -100,11 +90,10 @@ type entry = { e_runs : int; e_digest : int }
 
 type ('inv, 'res) state = ('inv, 'res, entry, ('inv, 'res) witness) Search.t
 
-(* A maximal run: check it, crediting its final-history digest (and
-   caching the one-run subtree under [key] before the verdict, as
-   every other node writes its entry). *)
-let check_leaf (st : _ state) ~check ~key cursor rev_script len =
-  let r = Runner.Cursor.report cursor ~window:(max len 1) () in
+(* A maximal run: check its report [r], crediting its final-history
+   digest (and caching the one-run subtree under [key] before the
+   verdict, as every other node writes its entry). *)
+let check_run (st : _ state) ~check ~key r rev_script len =
   st.runs <- st.runs + 1;
   st.checked <- st.checked + 1;
   Telemetry.emit st.sink Telemetry.Run_checked len 0;
@@ -112,6 +101,11 @@ let check_leaf (st : _ state) ~check ~key cursor rev_script len =
   st.digest <- st.digest + dh;
   Search.remember st key { e_runs = 1; e_digest = dh };
   if not (check r) then Search.found st (List.rev rev_script, r)
+
+let check_leaf st ~check ~key cursor rev_script len =
+  check_run st ~check ~key
+    (Runner.Cursor.report cursor ~window:(max len 1) ())
+    rev_script len
 
 let exploration (st : _ state) found =
   let stats = Search.stats st in
@@ -151,30 +145,36 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
      maximal run, which under this in-order walk is the
      lexicographically least one; a subtree that unwinds writes no
      transposition entry. *)
+  (* The key tail: the crash the menu may add after the last decision,
+     then the sleep set, which is sorted (children inherit a
+     [sort_uniq]ed set, which [Dpor.advance] filters in order), so it
+     is canonical. *)
+  let key_of key ~last crashes sleep =
+    match st.table with
+    | None -> None
+    | Some _ ->
+        Some (key (Search.crash_slot ~max_crashes ~last crashes :: sleep))
+  in
+  (* A transposition: an already-explored configuration (with the same
+     crash slot and sleep set).  Its subtree was counterexample-free
+     (failing subtrees abort the walk before an entry is written), so
+     credit its runs and final-history digest without descending. *)
+  let hit len e =
+    Search.hit st len e.e_runs;
+    st.digest <- st.digest + e.e_digest
+  in
+  (* Walk the subtree rooted at the configuration [cursor] sits on
+     ({!Search.children} extends it in place for the first open child
+     and replays the prefix for the others).  Stops at the first
+     failing maximal run, which under this in-order walk is the
+     lexicographically least one; a subtree that unwinds writes no
+     transposition entry. *)
   let rec visit cursor rev_script len crashes sleep =
     Search.node st len @@ fun () ->
     let last = List.nth_opt rev_script 0 in
-    (* The key tail: the crash the menu may add after the last
-       decision, then the sleep set, which is sorted (children inherit
-       a [sort_uniq]ed set, which [Dpor.advance] filters in
-       order), so it is canonical. *)
-    let key =
-      match st.table with
-      | None -> None
-      | Some _ ->
-          Some
-            (Search.key cursor
-               (Search.crash_slot ~max_crashes ~last crashes :: sleep))
-    in
+    let key = key_of (Search.key cursor) ~last crashes sleep in
     match Option.bind key (Search.find st) with
-    | Some e ->
-        (* Transposition: an already-explored configuration (with the
-           same crash slot and sleep set).  Its subtree was
-           counterexample-free (failing subtrees abort the walk before
-           an entry is written), so credit its runs and final-history
-           digest without descending. *)
-        Search.hit st len e.e_runs;
-        st.digest <- st.digest + e.e_digest
+    | Some e -> hit len e
     | None -> begin
         let decisions, sym_pruned =
           menu (Runner.Cursor.view cursor) ~last len crashes
@@ -190,27 +190,19 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                it here would reproduce, reordered, a run already
                explored from an earlier sibling. *)
             let asleep, active = Search.asleep sleep decisions in
-            (* A crash child whose menu offers only sleepers is dead:
-               it is decided here, as one prune, instead of being built
-               to find itself blocked.  With an empty sleep set none
-               is. *)
-            let dead, active =
-              if sleep = [] then ([], active)
-              else
-                List.partition
-                  (function
-                    | Driver.Crash q ->
-                        dead_crash ~invoke ~depth ~max_crashes ~symmetry
-                          (Runner.Cursor.crash_view cursor q)
-                          ~sleep len crashes q
-                    | _ -> false)
-                  active
+            (* Each crash child is decided here from its menu: a dead
+               one, whose menu offers only sleepers, is dropped as one
+               prune instead of being built to find itself blocked
+               (with an empty sleep set none is), and a leaf is checked
+               from its snapshot without a cursor. *)
+            let kids, dead =
+              Search.classify ~menu cursor ~sleep len crashes active
             in
-            let pruned = List.length asleep + List.length dead in
+            let pruned = List.length asleep + dead in
             st.sleeps <- st.sleeps + pruned;
             if pruned > 0 then
               Telemetry.emit st.sink Telemetry.Por_sleep len pruned;
-            match active with
+            match kids with
             | [] ->
                 (* Everything enabled is asleep or a dead crash: every
                    extension is a reordering of an explored run.  Not a
@@ -218,16 +210,17 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                 Search.remember st key { e_runs = 0; e_digest = 0 }
             | _ ->
                 let runs0 = st.runs and digest0 = st.digest in
-                (* Children, each with its candidate sleep set: every
-                   explored earlier step falls asleep for the later
-                   siblings but a crash, and [Search.settle] wakes the
-                   racers from the accesses [d] actually performed. *)
-                let children =
-                  if not dpor then List.map (fun d -> (d, [])) active
-                  else Search.sleep_sets sleep active
-                in
-                Search.children st cursor ~rev_script ~len
-                  ~apply:Runner.Cursor.apply children
+                (* Every explored earlier step falls asleep for the
+                   later siblings but a crash, and [Search.settle]
+                   wakes the racers from the accesses [d] actually
+                   performed. *)
+                Search.children st cursor ~rev_script ~len ~sleep
+                  ~apply:Runner.Cursor.apply
+                  ~leaf:(fun x d child_sleep ->
+                    leaf x (d :: rev_script) (len + 1)
+                      (Search.crashes_after crashes d)
+                      child_sleep)
+                  kids
                   (fun child d child_sleep () ->
                     let settled =
                       if dpor then
@@ -241,6 +234,23 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                   { e_runs = st.runs - runs0; e_digest = st.digest - digest0 }
           end
       end
+  (* A crash leaf, as [visit] would walk its cursor: its menu is empty,
+     so the node is a lookup then a check.  A crash wakes no sleeper,
+     so its sleep set is its candidate, and the crash slot after a
+     crash is 0. *)
+  and leaf x rev_script len crashes sleep =
+    Search.node st len @@ fun () ->
+    let key =
+      key_of
+        (fun extra -> Runner.Cursor.crash_key x ~extra)
+        ~last:(List.nth_opt rev_script 0) crashes sleep
+    in
+    match Option.bind key (Search.find st) with
+    | Some e -> hit len e
+    | None ->
+        check_run st ~check ~key
+          (Runner.Cursor.crash_report x ~window:(max len 1) ())
+          rev_script len
   in
   exploration st
     (Search.run st (fun () ->

@@ -12,9 +12,11 @@
     Two engines walk this tree:
 
     - {!explore} — the incremental engine.  A node's configuration is a
-      live {!Slx_sim.Runner.Cursor}; the first child {e extends it in
-      place} (one runtime step) and only later siblings replay their
-      prefix.  It walks {!canonical_menu}, which places each crash
+      live {!Slx_sim.Runner.Cursor}; a crash child that ends the run
+      is checked from that cursor without one of its own
+      ({!crash_child}), the first other child {e extends it in place}
+      (one runtime step) and only later siblings replay their prefix.
+      It walks {!canonical_menu}, which places each crash
       directly after its process's last decision (doc/model.md §6).
       Two reductions are opt-in: {e dynamic partial-order
       reduction} ([~dpor], sleep sets woken by observed base-object
@@ -155,10 +157,13 @@ val explore :
     whose pending footprints race with the accesses the step {e
     actually performed} are woken (a {e race reversal},
     {!Explore_stats.t.race_reversals}).  A crash child that would
-    offer only sleepers ({!dead_crash}) is decided at its parent and
-    never built.  [symmetry] (default [false])
-    declares the instance process-symmetric and enables orbit pruning
-    of untouched processes; see the soundness notes above.
+    offer only sleepers ({!crash_child} [Dead]) is decided at its
+    parent and never built.  Under every mode a crash child that ends
+    the run ([Leaf]) is checked from its parent's cursor, with its
+    table lookup where a table is kept, and never built either.
+    [symmetry] (default [false]) declares the instance
+    process-symmetric and enables orbit pruning of untouched
+    processes; see the soundness notes above.
 
     [domains] exists only for callers that still pass [~domains:1].
     [por] exists only for callers that still pass it: [false], or
@@ -244,7 +249,12 @@ val canonical_menu :
     [invoke_order] only the least idle process's invocation (§7).  The
     second component counts what the last two filters pruned. *)
 
-val dead_crash :
+type crash_child = Search.crash_child =
+  | Dead  (** Its menu is non-empty and offers only sleepers. *)
+  | Leaf  (** Its menu is empty: it ends a maximal run. *)
+  | Open  (** Anything else: it is built and walked. *)
+
+val crash_child :
   invoke:(('inv, 'res) Driver.view -> Proc.t -> 'inv option) ->
   depth:int ->
   max_crashes:int ->
@@ -254,18 +264,21 @@ val dead_crash :
   int ->
   int ->
   Proc.t ->
-  bool
-(** [dead_crash ~invoke ~depth ~max_crashes ~symmetry view ~sleep len
-    crashes q] decides, at a node of depth [len] with [crashes] crashes
-    and sleep set [sleep], whether its child [Crash q] is {e dead}:
-    [view] is the configuration after the crash
-    ({!Slx_sim.Runner.Cursor.crash_view} of the node's cursor), and the
-    child is dead when its {!canonical_menu} is non-empty and offers
-    only steps of processes in [sleep].  A crash wakes no sleeper, so
-    such a child would be blocked; it roots no maximal run and {!explore}
-    under [dpor] never builds it, counting one [por_prunes] instead
-    (doc/model.md §6).  A child whose menu is empty is a leaf, never
-    dead. *)
+  crash_child
+(** [crash_child ~invoke ~depth ~max_crashes ~symmetry view ~sleep len
+    crashes q] classifies, at a node of depth [len] with [crashes]
+    crashes and sleep set [sleep], its child [Crash q] by its
+    {!canonical_menu}, taken once: [view] is the configuration after
+    the crash ({!Slx_sim.Runner.Cursor.crash_view} of the node's
+    cursor).  The child is [Dead] when that menu is non-empty and
+    offers only steps of processes in [sleep]: a crash wakes no
+    sleeper, so it would be blocked, roots no maximal run, and
+    {!explore} under [dpor] never builds it, counting one
+    [por_prunes] instead.  It is a [Leaf] when the menu is empty: the
+    run it ends is the node's run plus [Crash q], which {!explore}
+    checks from the node's cursor ({!Slx_sim.Runner.Cursor.crash})
+    without building a cursor or replaying the prefix.  Otherwise it
+    is [Open] (doc/model.md §6). *)
 
 val code_of_decision : ('inv, 'res) Driver.decision -> int
 (** The persistent int form of a menu decision:

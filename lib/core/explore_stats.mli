@@ -26,7 +26,11 @@ type t = {
           a sibling, or replaying a stolen frontier item). *)
   replays_avoided : int;
       (** Nodes entered by extending the parent's cursor in place — each
-          saved a full prefix replay the naive engine performs. *)
+          saved a full prefix replay the naive engine performs.  A crash
+          child that ends its run is checked from its parent's cursor
+          without a cursor of its own ({!Explore.crash_child} [Leaf]):
+          it counts as neither replayed nor avoided, and its parent's
+          next child may still extend the cursor in place. *)
   cache_hits : int;  (** Subtrees pruned by the transposition cache. *)
   cache_entries : int;  (** Final size of the transposition cache. *)
   cache_evictions : int;
@@ -38,7 +42,7 @@ type t = {
           commuting steps.  The safety explorer also counts here,
           once per crash, each crash child it decides dead at its
           parent: one whose menu would offer only sleepers
-          ({!Explore.dead_crash}).  Counted by both engines; the liveness
+          ({!Explore.crash_child} [Dead]).  Counted by both engines; the liveness
           search's invoke order has its own counter
           ([invoke_order_prunes]). *)
   race_reversals : int;

@@ -68,6 +68,12 @@ let step ~before cursor d =
   let fresh = History.latest history (History.length history - before) in
   (fresh, Lasso.cell_code d fresh)
 
+(* The cell code [step] returns for a crash: the tick appends the crash
+   alone. *)
+let crash_cell = function
+  | Driver.Crash q as d -> Lasso.cell_code d [ Event.Crash q ]
+  | _ -> invalid_arg "Live_explore.crash_cell: not a crash"
+
 let history_length view = History.length view.Driver.history
 
 let goods_of ~good fresh =
@@ -228,10 +234,12 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
      where several idle processes could be invoked, only the least
      one's invocation is offered (doc/model.md §7 states the lemma
      and the fairness assumption this rests on). *)
+  let canonical =
+    Search.menu ~invoke ~depth ~max_crashes ~symmetry:false ~invoke_order:true
+  in
   let menu view rev_script len crashes =
     let decisions, pruned =
-      Search.menu ~invoke ~depth ~max_crashes ~symmetry:false
-        ~invoke_order:true view ~last:(List.nth_opt rev_script 0) len crashes
+      canonical view ~last:(List.nth_opt rev_script 0) len crashes
     in
     if pruned > 0 then begin
       st.invoke_pruned <- st.invoke_pruned + pruned;
@@ -244,31 +252,30 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
      pending steps race with the accesses [d] performed; of the rest,
      the parent's own sleepers [sleep] are dropped too (counted as
      [proviso_wakes]), so only [d]'s earlier siblings stay asleep. *)
-  let settle child d candidate ~sleep len =
-    let dropped, kept =
-      List.partition
-        (fun z -> List.mem z sleep)
-        (Search.settle st child d candidate len)
-    in
+  let drop_own settled ~sleep len =
+    let dropped, kept = List.partition (fun z -> List.mem z sleep) settled in
     if dropped <> [] then begin
       st.proviso <- st.proviso + List.length dropped;
       Telemetry.emit st.sink Telemetry.Proviso_wake len (List.length dropped)
     end;
     kept
   in
+  let settle child d candidate ~sleep len =
+    drop_own (Search.settle st child d candidate len) ~sleep len
+  in
+  (* Shallow nodes and leaves stay unkeyed: see the key comment. *)
+  let key_of key len rev_codes sleep =
+    if Option.is_some st.table && 2 * max_period < len && len < depth then begin
+      let codes = take (2 * max_period) rev_codes in
+      Some (key ((List.length codes :: codes) @ sleep))
+    end
+    else None
+  in
   (* [sleep] holds the ids of the processes whose steps sleep at this
      node; [] with DPOR off. *)
   let rec visit cursor rev_script rev_codes rev_goods len crashes sleep =
     Search.node st len @@ fun () ->
-    (* Shallow nodes and leaves stay unkeyed: see the key comment. *)
-    let key =
-      if Option.is_some st.table && 2 * max_period < len && len < depth
-      then begin
-        let codes = take (2 * max_period) rev_codes in
-        Some (Search.key cursor ((List.length codes :: codes) @ sleep))
-      end
-      else None
-    in
+    let key = key_of (Search.key cursor) len rev_codes sleep in
     match Option.bind key (Search.find st) with
     | Some runs -> Search.hit st len runs
     | None ->
@@ -301,17 +308,22 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
             if asleep <> [] then
               Telemetry.emit st.sink Telemetry.Por_sleep len
                 (List.length asleep);
-            (* Children with their candidate sleep sets: this node's
-               sleepers and each explored step before the child's;
-               a crash child gets this node's sleepers alone. *)
-            let children =
-              if not dpor then List.map (fun d -> (d, [])) active
-              else Search.sleep_sets sleep active
+            (* A crash child whose menu is empty is decided here as a
+               leaf; with no sleepers passed, none is dead. *)
+            let kids, _ =
+              Search.classify ~menu:canonical cursor ~sleep:[] len crashes
+                active
             in
             (* Every child starts from this node's history. *)
             let before = history_length view in
-            Search.children st cursor ~rev_script ~len ~apply:(step ~before)
-              children
+            Search.children st cursor ~rev_script ~len ~sleep
+              ~apply:(step ~before)
+              ~leaf:(fun x d child_sleep ->
+                let settled =
+                  if dpor then drop_own child_sleep ~sleep (len + 1) else []
+                in
+                leaf x (crash_cell d :: rev_codes) (len + 1) settled)
+              kids
               (fun child d child_sleep (fresh, code) ->
                 let settled =
                   if dpor then settle child d child_sleep ~sleep (len + 1)
@@ -323,6 +335,21 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
                   (Search.crashes_after crashes d)
                   settled));
         Search.remember st key (st.runs - runs0)
+  (* A crash leaf, as [visit] would walk its cursor: a lookup, then one
+     maximal run.  Its candidates are none: a period [p] closing here
+     would need the cell [p] ticks back to equal this tick's
+     [q:crash] cell, and [q] crashes once (doc/model.md §7).  A crash
+     wakes no sleeper, so [settled] is what {!Search.settle} returns. *)
+  and leaf x rev_codes len sleep =
+    Search.node st len @@ fun () ->
+    let key =
+      key_of (fun extra -> Runner.Cursor.crash_key x ~extra) len rev_codes sleep
+    in
+    match Option.bind key (Search.find st) with
+    | Some runs -> Search.hit st len runs
+    | None ->
+        st.runs <- st.runs + 1;
+        Search.remember st key 1
   in
   result st
     (Search.run st (fun () ->

@@ -56,7 +56,11 @@
     processes could be invoked, only the least one's invocation is
     offered; doc/model.md §7 states why that keeps a representative of
     every fair periodic run, the fairness assumption it rests on, and
-    its slack under a depth bound.  The transposition cache is keyed
+    its slack under a depth bound.  A crash child whose menu is empty
+    ends its run and closes no candidate (a crash cell cannot repeat),
+    so it is counted from its parent's cursor, as {!Explore.explore}
+    checks one ({!Explore.crash_child} [Leaf]), and never built.  The
+    transposition cache is keyed
     on the configuration's compact key {e plus} the last
     [2 * max_period] abstract cells — the context that determines
     every candidate in a subtree — and stores only completed

@@ -161,26 +161,6 @@ let dec_code = function
   | Driver.Crash p -> Telemetry.Dec.crash (Proc.hash p)
   | Driver.Stop -> Telemetry.Dec.schedule 0  (* never in a menu *)
 
-let children st cursor ~rev_script ~len ~apply kids descend =
-  (* Read before the first child extends [cursor] in place: every later
-     sibling replays this node's prefix, whose history id this is. *)
-  let hist_id = Runner.Cursor.hist_id cursor in
-  List.iteri
-    (fun i (d, x) ->
-      let go child =
-        Telemetry.emit st.sink Telemetry.Decision (len + 1) (dec_code d);
-        descend child d x (apply child d)
-      in
-      if i = 0 then begin
-        st.avoided <- st.avoided + 1;
-        go cursor
-      end
-      else
-        with_cursor st ~prefix:(List.rev rev_script) ~hist_id (fun child ->
-            st.replayed <- st.replayed + len;
-            go child))
-    kids
-
 let menu_with ~crash ~invoke ~depth ~max_crashes view len crashes =
   if len >= depth then []
   else begin
@@ -252,16 +232,79 @@ let asleep sleep decisions =
       (function Driver.Schedule p -> List.mem p sleep | _ -> false)
       decisions
 
-let sleep_sets sleep decisions =
+let sleep_sets sleep kids =
   List.fold_left
-    (fun (acc, prev) d ->
+    (fun (acc, prev) (d, x) ->
       match d with
       | Driver.Schedule p ->
-          ((d, prev) :: acc, List.sort_uniq Int.compare (p :: prev))
-      | Driver.Crash _ -> ((d, sleep) :: acc, prev)
-      | _ -> ((d, prev) :: acc, prev))
-    ([], sleep) decisions
+          ((d, x, prev) :: acc, List.sort_uniq Int.compare (p :: prev))
+      | Driver.Crash _ -> ((d, x, sleep) :: acc, prev)
+      | _ -> ((d, x, prev) :: acc, prev))
+    ([], sleep) kids
   |> fst |> List.rev
+
+type crash_child = Dead | Leaf | Open
+
+let crash_child ~menu view ~sleep len crashes q =
+  match
+    fst (menu view ~last:(Some (Driver.Crash q)) (len + 1) (crashes + 1))
+  with
+  | [] -> Leaf
+  | ds ->
+      if
+        sleep <> []
+        && List.for_all
+             (function Driver.Schedule p -> List.mem p sleep | _ -> false)
+             ds
+      then Dead
+      else Open
+
+let classify ~menu cursor ~sleep len crashes decisions =
+  let dead = ref 0 in
+  let kids =
+    List.filter_map
+      (fun d ->
+        match d with
+        | Driver.Crash q -> (
+            match
+              crash_child ~menu
+                (Runner.Cursor.crash_view cursor q)
+                ~sleep len crashes q
+            with
+            | Dead ->
+                incr dead;
+                None
+            | Leaf -> Some (d, Some (Runner.Cursor.crash cursor q))
+            | Open -> Some (d, None))
+        | _ -> Some (d, None))
+      decisions
+  in
+  (kids, !dead)
+
+let children st cursor ~rev_script ~len ~sleep ~apply ~leaf kids descend =
+  (* Read before the first open child extends [cursor] in place: every
+     later sibling replays this node's prefix, whose history id this
+     is. *)
+  let hist_id = Runner.Cursor.hist_id cursor in
+  let kids =
+    if Option.is_none st.probe then List.map (fun (d, x) -> (d, x, [])) kids
+    else sleep_sets sleep kids
+  in
+  let in_place = ref true in
+  List.iter
+    (fun (d, crash, z) ->
+      Telemetry.emit st.sink Telemetry.Decision (len + 1) (dec_code d);
+      match crash with
+      | Some x -> leaf x d z
+      | None when !in_place ->
+          in_place := false;
+          st.avoided <- st.avoided + 1;
+          descend cursor d z (apply cursor d)
+      | None ->
+          with_cursor st ~prefix:(List.rev rev_script) ~hist_id (fun child ->
+              st.replayed <- st.replayed + len;
+              descend child d z (apply child d)))
+    kids
 
 let settle st cursor d sleep len =
   let keep, woken =

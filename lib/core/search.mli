@@ -2,9 +2,10 @@
     {!Live_explore} for fair cycles).
 
     Both walk the same bounded decision tree in the same way: a node is
-    a live {!Slx_sim.Runner.Cursor}; the first child extends the
-    parent's cursor in place and each later sibling replays the
-    decision prefix into a fresh, bracketed cursor; a transposition
+    a live {!Slx_sim.Runner.Cursor}; a crash child that ends a run is
+    decided from its parent's cursor ({!classify}), the first other
+    child extends that cursor in place and each later sibling replays
+    the decision prefix into a fresh, bracketed cursor; a transposition
     cache keyed on flat compact keys credits completed subtrees;
     every node is counted, ticks the progress reporter, polls
     [cancel] and sits inside a telemetry node span.  This module holds
@@ -106,20 +107,86 @@ val children :
   ('inv, 'res) Runner.Cursor.t ->
   rev_script:('inv, 'res) Driver.decision list ->
   len:int ->
+  sleep:int list ->
   apply:(('inv, 'res) Runner.Cursor.t -> ('inv, 'res) Driver.decision -> 'a) ->
-  (('inv, 'res) Driver.decision * 'c) list ->
+  leaf:(('inv, 'res) Runner.Cursor.crash ->
+  ('inv, 'res) Driver.decision ->
+  int list ->
+  unit) ->
+  (('inv, 'res) Driver.decision * ('inv, 'res) Runner.Cursor.crash option)
+  list ->
   (('inv, 'res) Runner.Cursor.t ->
   ('inv, 'res) Driver.decision ->
-  'c ->
+  int list ->
   'a ->
   unit) ->
   unit
-(** [children st cursor ~rev_script ~len ~apply kids descend] walks the
-    node's children in order.  The first extends [cursor] in place
-    ([replays_avoided]); each later one replays the node's prefix into
-    a fresh cursor with the node's [hist_id] ([steps_replayed]).  Each
-    child emits its [Decision] event, is applied with [apply], and is
-    handed to [descend] with [apply]'s result. *)
+(** [children st cursor ~rev_script ~len ~sleep ~apply ~leaf kids
+    descend] walks a node's children, as {!classify} returns them, in
+    order, each with its candidate sleep set: under DPOR the node's
+    [sleep] plus every earlier sibling's step, but the node's [sleep]
+    alone for a crash child, since a sibling's step moved before the
+    crash leaves a run the menu does not offer (doc/model.md §6);
+    without DPOR, [[]].  Each child emits its [Decision] event.  A
+    decided crash leaf goes to [leaf] with its snapshot: no cursor, no
+    replay, counted as neither [replays_avoided] nor
+    [steps_replayed].  Every other child is applied with [apply] and
+    handed to [descend] with [apply]'s result: the first extends
+    [cursor] in place ([replays_avoided]), each later one replays the
+    node's prefix into a fresh cursor with the node's [hist_id]
+    ([steps_replayed]).  The live search drops the node's own [sleep]
+    from every child once {!settle} has run: its sleep sets are one
+    level deep. *)
+
+type crash_child =
+  | Dead  (** Its menu is non-empty and offers only sleepers. *)
+  | Leaf  (** Its menu is empty: it ends a maximal run. *)
+  | Open  (** Anything else: it is built and walked. *)
+
+val crash_child :
+  menu:
+    (('inv, 'res) Driver.view ->
+    last:('inv, 'res) Driver.decision option ->
+    int ->
+    int ->
+    ('inv, 'res) Driver.decision list * int) ->
+  ('inv, 'res) Driver.view ->
+  sleep:int list ->
+  int ->
+  int ->
+  Proc.t ->
+  crash_child
+(** [crash_child ~menu view ~sleep len crashes q] classifies, at a node
+    of depth [len] with [crashes] crashes and sleep set [sleep], its
+    child [Crash q], from [view], the configuration after the crash
+    ({!Slx_sim.Runner.Cursor.crash_view}), by [menu] (the walk's
+    {!menu}) taken once at [len + 1], [crashes + 1], after [Crash q].
+    A crash wakes no sleeper and the child's sleep set is its node's,
+    so a [Dead] child would be blocked: it roots no maximal run.  A
+    [Leaf] is a maximal run, the node's run plus [Crash q]
+    (doc/model.md §6).  With [sleep = []] no child is [Dead]. *)
+
+val classify :
+  menu:
+    (('inv, 'res) Driver.view ->
+    last:('inv, 'res) Driver.decision option ->
+    int ->
+    int ->
+    ('inv, 'res) Driver.decision list * int) ->
+  ('inv, 'res) Runner.Cursor.t ->
+  sleep:int list ->
+  int ->
+  int ->
+  ('inv, 'res) Driver.decision list ->
+  (('inv, 'res) Driver.decision * ('inv, 'res) Runner.Cursor.crash option)
+  list
+  * int
+(** [classify ~menu cursor ~sleep len crashes decisions] runs
+    {!crash_child} on every crash among a node's active [decisions],
+    before any child moves [cursor].  It returns the children in menu
+    order, a [Leaf] paired with its {!Slx_sim.Runner.Cursor.crash}
+    snapshot and every other child with [None], and the number of
+    [Dead] children it dropped. *)
 
 val full_menu :
   invoke:(('inv, 'res) Driver.view -> Proc.t -> 'inv option) ->
@@ -158,19 +225,6 @@ val asleep :
   ('inv, 'res) Driver.decision list * ('inv, 'res) Driver.decision list
 (** [asleep sleep decisions] splits a menu into the steps of the
     processes in the sleep set [sleep] and the rest, in menu order. *)
-
-val sleep_sets :
-  int list ->
-  ('inv, 'res) Driver.decision list ->
-  (('inv, 'res) Driver.decision * int list) list
-(** [sleep_sets sleep decisions] pairs each child decision with its
-    candidate DPOR sleep set, the sorted ids of the processes whose
-    steps sleep: the node's [sleep] plus every earlier sibling's step.
-    A crash child gets the node's [sleep] alone, since a sibling's step
-    moved before the crash leaves a run the menu does not offer
-    (doc/model.md §6).
-    The live search then drops the node's own [sleep] from every child
-    once {!settle} has run: its sleep sets are one level deep. *)
 
 val settle :
   ('inv, 'res, 'v, 'f) t ->

@@ -172,18 +172,23 @@ module Cursor = struct
         replay c ?hist_id prefix;
         f c)
 
-  let report c ?window ?(stopped = `Max_steps) () =
-    let window = Option.value window ~default:(max 1 (c.time / 2)) in
+  let report_of ~n ~history ~rev_event_times ~time ~rev_grants ~crashed
+      ?window ?(stopped = `Max_steps) () =
+    let window = Option.value window ~default:(max 1 (time / 2)) in
     {
-      Run_report.n = c.n;
-      history = c.history;
-      event_times = Array.of_list (List.rev c.rev_event_times);
-      grants = List.rev c.rev_grants;
-      crashed = c.crashed;
-      total_time = c.time;
+      Run_report.n;
+      history;
+      event_times = Array.of_list (List.rev rev_event_times);
+      grants = List.rev rev_grants;
+      crashed;
+      total_time = time;
       window;
       stopped;
     }
+
+  let report c =
+    report_of ~n:c.n ~history:c.history ~rev_event_times:c.rev_event_times
+      ~time:c.time ~rev_grants:c.rev_grants ~crashed:c.crashed
 
   let status_code = function
     | Runtime.Idle -> 0
@@ -213,6 +218,65 @@ module Cursor = struct
 
   let shared_digest c = Runtime.registry_digest c.registry
   let shared_digest_full c = Runtime.registry_digest_full c.registry
+
+  (* The run [step]'s crash arm would leave, as the parent's values:
+     the history, times, grants and crash set are persistent, and the
+     key part is copied out, so the snapshot survives the cursor moving
+     on.  The crash's own effect is applied when a report or key is
+     read. *)
+  type ('inv, 'res) crash = {
+    x_proc : Proc.t;
+    x_n : int;
+    x_time : int;
+    x_history : ('inv, 'res) History.t;
+    x_rev_event_times : int list;
+    x_rev_grants : (int * Proc.t) list;
+    x_crashed : Proc.Set.t;
+    x_key : int array;
+    x_encode : (int -> ('inv, 'res) Event.t -> int) option;
+  }
+
+  let crash c p =
+    if Proc.Set.mem p c.crashed then
+      invalid_arg "Runner: crashing a crashed process";
+    {
+      x_proc = p;
+      x_n = c.n;
+      x_time = c.time;
+      x_history = c.history;
+      x_rev_event_times = c.rev_event_times;
+      x_rev_grants = c.rev_grants;
+      x_crashed = c.crashed;
+      x_key = compact_key c ~extra:[];
+      x_encode = c.encode;
+    }
+
+  (* [record]'s append and [step]'s tick: [Crash p] stamped with the
+     parent's clock, the clock one later, [p] in the crash set. *)
+  let crash_report x =
+    report_of ~n:x.x_n
+      ~history:(History.append x.x_history (Event.Crash x.x_proc))
+      ~rev_event_times:(x.x_time :: x.x_rev_event_times)
+      ~time:(x.x_time + 1) ~rev_grants:x.x_rev_grants
+      ~crashed:(Proc.Set.add x.x_proc x.x_crashed)
+
+  (* [compact_key]'s fields after the crash: the clock one later, the
+     history id extended by [Crash p] through the hook (interning it
+     now, as [record] would), and [p]'s status code [Crashed] over its
+     unchanged step count.  The shared digest and every observation
+     digest stand: a crash writes neither. *)
+  let crash_key x ~extra =
+    let m = Array.length x.x_key in
+    let a = Array.make (m + List.length extra) 0 in
+    Array.blit x.x_key 0 a 0 m;
+    a.(0) <- x.x_time + 1;
+    (match x.x_encode with
+    | None -> ()
+    | Some enc -> a.(1) <- enc x.x_key.(1) (Event.Crash x.x_proc));
+    let i = 1 + (2 * x.x_proc) in
+    a.(i) <- (a.(i) land lnot 3) lor status_code Runtime.Crashed;
+    List.iteri (fun j v -> a.(m + j) <- v) extra;
+    a
 end
 
 let run ~n ~factory ~driver ~max_steps ?window () =

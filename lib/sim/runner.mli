@@ -25,7 +25,9 @@ type ('inv, 'res) factory = n:int -> ('inv, 'res) impl
     snapshots the run so far without disturbing it.  Cursors cannot be
     forked (suspended processes are one-shot effect continuations);
     explorers re-establish sibling configurations by replaying their
-    decision prefix into a fresh cursor.
+    decision prefix into a fresh cursor.  The one exception is a crash
+    that ends a run: a crash writes no base object, so {!crash} reads
+    the run it ends off the parent, and no cursor is built for it.
 
     {b Lifecycle.}  A cursor exists only inside {!with_}, which disposes
     of it when its body returns or raises.  Disposal crashes every
@@ -130,15 +132,6 @@ module Cursor : sig
       are validated exactly as in {!run}; applying [Driver.Stop] raises
       [Invalid_argument]. *)
 
-  val crash_view : ('inv, 'res) t -> Proc.t -> ('inv, 'res) Driver.view
-  (** [crash_view c p] is the {!view} [apply c (Driver.Crash p)] would
-      leave, without applying it: [time] one later, [Event.Crash p]
-      appended to the history, [p] [Crashed] with one more event, and
-      everything else as it is.  [c] does not move.  A crash writes no
-      base object, so this is the whole of the crash's effect; the
-      crash arm of {!apply} and this function are kept side by side.
-      Raises [Invalid_argument] if [p] has crashed already. *)
-
   val report :
     ('inv, 'res) t ->
     ?window:int ->
@@ -177,6 +170,53 @@ module Cursor : sig
       ({!Slx_sim.Runtime.registry_digest_full}); equals
       {!shared_digest} unless a base-object mutation bypassed the
       write-touch contract.  For audits and tests. *)
+
+  (** {2 A crash decided at its parent}
+
+      A crash writes no base object and moves no other process, so the
+      configuration [apply c (Driver.Crash p)] reaches is [c]'s with
+      the clock one later, [Event.Crash p] appended at [c]'s time, and
+      [p] [Crashed] with one more event.  The explorers read a crash
+      child off its parent's cursor this way, without building or
+      replaying one.  [crash_view] and the functions below are kept
+      beside {!apply}'s crash arm; test/test_kernel.ml compares them
+      with the applied crash at every node of small walks. *)
+
+  val crash_view : ('inv, 'res) t -> Proc.t -> ('inv, 'res) Driver.view
+  (** [crash_view c p] is the {!view} [apply c (Driver.Crash p)] would
+      leave: [time] one later, [Event.Crash p] appended to the history,
+      [p] [Crashed] with one more event, and everything else as it is.
+      [c] does not move, and the view reads [c]'s processes, so it
+      holds only while [c] stays where it is.
+      Raises [Invalid_argument] if [p] has crashed already. *)
+
+  type ('inv, 'res) crash
+  (** The run [apply c (Driver.Crash p)] would reach, as a snapshot of
+      [c]: it stays valid after [c] moves on. *)
+
+  val crash : ('inv, 'res) t -> Proc.t -> ('inv, 'res) crash
+  (** [crash c p] snapshots [c] for the crash of [p]: its persistent
+      history, event times, grants and crash set, and its
+      {!compact_key} without extra components.  [c] does not move.
+      Raises [Invalid_argument] if [p] has crashed already. *)
+
+  val crash_report :
+    ('inv, 'res) crash ->
+    ?window:int ->
+    ?stopped:[ `Driver_stop | `Max_steps | `Quiescent ] ->
+    unit ->
+    ('inv, 'res) Run_report.t
+  (** The {!report} of the cursor after the crash: the history plus
+      [Event.Crash p] at the parent's time, the crash set plus [p],
+      [total_time] one later, the grants as they were.  Defaults as in
+      {!report}. *)
+
+  val crash_key : ('inv, 'res) crash -> extra:int list -> int array
+  (** The {!compact_key} of the cursor after the crash: [time] one
+      later, the history id extended by [Event.Crash p] through the
+      parent's [encode] hook (which this call interns, as the applied
+      crash would), [p]'s status code [Crashed], and every digest as
+      at the parent. *)
 end
 
 val run :

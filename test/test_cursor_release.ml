@@ -161,63 +161,63 @@ let cases =
 let pinned =
   [
     ( "register n=2 depth=12 c=1 incremental",
-      "runs=7988 nodes=1163 steps_executed=5556 steps_replayed=4394 \
+      "runs=7988 nodes=1163 steps_executed=4856 steps_replayed=3758 \
          cache_hits=370 history_digest=383451908255355103 \
          witness=[none]" );
     ( "register n=2 depth=12 c=1 dpor+symmetry",
-      "runs=59 nodes=238 steps_executed=704 steps_replayed=467 \
+      "runs=59 nodes=238 steps_executed=498 steps_replayed=281 \
          cache_hits=0 history_digest=-2982070105460766373 \
          witness=[none]" );
     ( "register n=2 depth=12 c=1 dpor",
-      "runs=291 nodes=634 steps_executed=2163 steps_replayed=1530 \
+      "runs=291 nodes=634 steps_executed=1702 steps_replayed=1114 \
          cache_hits=67 history_digest=4378940218313695267 \
          witness=[none]" );
     ( "register n=3 depth=10 c=1 dpor",
-      "runs=5524 nodes=6319 steps_executed=28646 steps_replayed=22328 \
+      "runs=5524 nodes=6319 steps_executed=24366 steps_replayed=18476 \
          cache_hits=1173 history_digest=-1235349047565120442 \
          witness=[none]" );
     ( "register n=3 depth=12 c=1 dpor+symmetry",
-      "runs=461 nodes=1308 steps_executed=5532 steps_replayed=4225 \
+      "runs=461 nodes=1308 steps_executed=4272 steps_replayed=3070 \
          cache_hits=0 history_digest=1524185861423969002 witness=[none]" );
     ( "cas n=3 depth=10 c=1 incremental",
-      "runs=7200 nodes=6322 steps_executed=22158 steps_replayed=15837 \
+      "runs=7200 nodes=6322 steps_executed=20370 steps_replayed=14427 \
          cache_hits=1368 history_digest=912412462301921865 \
          witness=[none]" );
     ( "cas n=3 depth=12 c=2 dpor",
-      "runs=2876 nodes=6832 steps_executed=23151 steps_replayed=16320 \
+      "runs=2876 nodes=6832 steps_executed=17397 steps_replayed=11739 \
          cache_hits=519 history_digest=-4017882154365815296 \
          witness=[none]" );
     ( "selfish n=3 depth=8 c=0 incremental",
       "runs=1 nodes=4 steps_executed=3 steps_replayed=0 cache_hits=0 \
          history_digest=1507557541948699408 witness=[5 9 13]" );
     ( "selfish n=3 depth=8 c=1 dpor",
-      "runs=1 nodes=5 steps_executed=4 steps_replayed=0 cache_hits=0 \
+      "runs=1 nodes=5 steps_executed=3 steps_replayed=0 cache_hits=0 \
          history_digest=-2871300880469562023 witness=[5 9 13 14]" );
     ( "register n=2 depth=10 c=1 incremental, p1 responds first",
-      "runs=1013 nodes=313 steps_executed=1360 steps_replayed=1048 \
+      "runs=1013 nodes=313 steps_executed=1150 steps_replayed=859 \
          cache_hits=94 history_digest=-4296056499847578302 witness=[5 9 \
          8 8 8 8 8 8 8 8]" );
     ( "register n=3 depth=12 c=1 dpor, p1 responds first",
-      "runs=1514 nodes=2754 steps_executed=14416 steps_replayed=11663 \
+      "runs=1514 nodes=2754 steps_executed=11740 steps_replayed=9210 \
          cache_hits=301 history_digest=1434439013973821174 witness=[5 9 \
          8 8 8 8 8 8 8 8 8 8]" );
     ( "cas n=3 depth=10 c=1 incremental, p1 responds first",
-      "runs=149 nodes=268 steps_executed=890 steps_replayed=623 \
+      "runs=149 nodes=268 steps_executed=775 steps_replayed=530 \
          cache_hits=48 history_digest=-3516427122538861629 witness=[5 4 \
          9 8 8 4 13 12 12 14]" );
     ( "register n=2 depth=8 c=1 naive",
       "runs=766 nodes=1515 steps_executed=10686 steps_replayed=10686 \
          cache_hits=0 history_digest=-1491201430012651329 witness=[none]" );
     ( "cas n=3 depth=10 c=1 dpor",
-      "runs=1284 nodes=3893 steps_executed=11814 steps_replayed=7922 \
+      "runs=1284 nodes=3893 steps_executed=10782 steps_replayed=7103 \
          cache_hits=383 history_digest=4332923811194914039 \
          witness=[none]" );
     ( "live (1,1) n=2 depth=8 c=1",
-      "no_fair_cycle nodes=519 runs=257 steps_executed=3094 \
-         steps_replayed=1538 cache_hits=0" );
+      "no_fair_cycle nodes=519 runs=257 steps_executed=2582 \
+         steps_replayed=1090 cache_hits=0" );
     ( "live (1,1) n=2 depth=8 c=1 dpor",
-      "no_fair_cycle nodes=233 runs=93 steps_executed=1491 \
-         steps_replayed=512 cache_hits=0" );
+      "no_fair_cycle nodes=233 runs=93 steps_executed=1323 \
+         steps_replayed=365 cache_hits=0" );
     ( "live (1,2) n=2 depth=8 c=0",
       "lasso stem=[5 4 4 9 8 4] cycle=[8 4] \
          nodes=58 runs=26 steps_executed=270 steps_replayed=159 \

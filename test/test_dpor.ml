@@ -158,13 +158,17 @@ let test_register_cert_identity () =
 (* is a genuine observed conflict — the same oracle the happens-before *)
 (* certifier cross-checks runs with ([Hb.observed_conflict] is the     *)
 (* same binding).  So every race reversal is a certifiable conflict.   *)
+(* Object ids range over the 0..61 direct-bit window, past it and      *)
+(* below zero, so the footprints' spill lists race too.                *)
 
 let accesses_gen =
   QCheck2.Gen.(
     list_size (int_range 0 4)
       (map
          (fun (o, w) -> { Runtime.obj = o; write = w })
-         (pair (int_range 0 3) bool)))
+         (pair
+            (oneof [ int_range 0 5; int_range 58 70; int_range (-4) (-1) ])
+            bool)))
 
 let qcheck_wakes_iff_conflict =
   QCheck2.Test.make ~count:500
@@ -328,30 +332,38 @@ let test_canonical_crash_placement () =
     (menu ~invoke_order:true ~max_crashes:2 Runtime.[ Crashed; Ready; Idle ]
        ~last:(Some (Driver.Invoke (2, ()))) 2 1)
 
-(* [Explore.dead_crash] on hand-built views of three processes after
-   [Crash 1], the node's sleep set given: the crash child is dead when
-   every other ready process sleeps and no idle process can invoke.  A
-   root-prefix crash child never meets a sleep set in the walk (the
-   root's is empty and a crash child inherits its node's), so only the
-   pin below sees the crash its menu may still offer. *)
+(* Hand-built views of three processes after [Crash 1], with
+   process 1 crashed. *)
+let crashed_view statuses : (unit, unit) Driver.view =
+  let status p = List.nth statuses (p - 1) in
+  {
+    Driver.time = 4;
+    n = 3;
+    history = Slx_history.History.empty;
+    status;
+    steps = (fun _ -> 0);
+    invocations = (fun _ -> 0);
+    events = (fun p -> if status p = Runtime.Idle then 0 else 1);
+  }
+
+(* [Explore.crash_child] of the child [Crash 1] on such a view, the
+   node's depth, crash count and sleep set given. *)
+let classify ?(can_invoke = false) ?(max_crashes = 1) ?(depth = 8) statuses
+    ~sleep len crashes =
+  Explore.crash_child
+    ~invoke:(fun _ _ -> if can_invoke then Some () else None)
+    ~depth ~max_crashes ~symmetry:false (crashed_view statuses) ~sleep len
+    crashes 1
+
+(* The crash child is dead when every other ready process sleeps and no
+   idle process can invoke.  A root-prefix crash child never meets a
+   sleep set in the walk (the root's is empty and a crash child
+   inherits its node's), so only the pin below sees the crash its menu
+   may still offer. *)
 let test_dead_crash_children () =
-  let view statuses : (unit, unit) Driver.view =
-    let status p = List.nth statuses (p - 1) in
-    {
-      Driver.time = 4;
-      n = 3;
-      history = Slx_history.History.empty;
-      status;
-      steps = (fun _ -> 0);
-      invocations = (fun _ -> 0);
-      events = (fun p -> if status p = Runtime.Idle then 0 else 1);
-    }
-  in
-  let dead ?(can_invoke = false) ?(max_crashes = 1) ?(depth = 8) statuses
-      ~sleep len crashes =
-    Explore.dead_crash
-      ~invoke:(fun _ _ -> if can_invoke then Some () else None)
-      ~depth ~max_crashes ~symmetry:false (view statuses) ~sleep len crashes 1
+  let dead ?can_invoke ?max_crashes ?depth statuses ~sleep len crashes =
+    classify ?can_invoke ?max_crashes ?depth statuses ~sleep len crashes
+    = Explore.Dead
   in
   let both_ready = Runtime.[ Crashed; Ready; Ready ] in
   check_bool "every other ready process sleeps: dead" true
@@ -370,6 +382,38 @@ let test_dead_crash_children () =
   check_bool "a ready process is awake: not dead" false
     (dead both_ready ~sleep:[ 2 ] 3 0)
 
+(* The crash child is a leaf exactly when its menu is empty, whatever
+   the sleep set: at the depth bound, or where no process can move.  A
+   leaf is checked from its parent's cursor, so a child with anything
+   to offer, asleep or awake, must not be one. *)
+let test_leaf_crash_children () =
+  let kind = function
+    | Explore.Dead -> "dead"
+    | Explore.Leaf -> "leaf"
+    | Explore.Open -> "open"
+  in
+  let check name expected got =
+    Alcotest.(check string) name expected (kind got)
+  in
+  let both_ready = Runtime.[ Crashed; Ready; Ready ] in
+  check "at the depth bound, processes ready: leaf" "leaf"
+    (classify ~depth:4 both_ready ~sleep:[] 3 0);
+  check "at the depth bound, under a sleep set: leaf" "leaf"
+    (classify ~depth:4 both_ready ~sleep:[ 2; 3 ] 3 0);
+  check "no process can move: leaf" "leaf"
+    (classify Runtime.[ Crashed; Idle; Idle ] ~sleep:[] 3 0);
+  check "no process can move, crash budget left but not placed: leaf"
+    "leaf"
+    (classify ~max_crashes:3 Runtime.[ Crashed; Idle; Crashed ] ~sleep:[] 3 1);
+  check "a ready process below the depth bound: open" "open"
+    (classify both_ready ~sleep:[] 3 0);
+  check "an idle process has an invocation: open" "open"
+    (classify ~can_invoke:true Runtime.[ Crashed; Idle; Idle ] ~sleep:[] 3 0);
+  check "a root-prefix crash may follow: open" "open"
+    (classify ~max_crashes:2 Runtime.[ Crashed; Idle; Idle ] ~sleep:[] 0 0);
+  check "only sleepers to offer: dead, not a leaf" "dead"
+    (classify both_ready ~sleep:[ 2; 3 ] 3 0)
+
 let suites =
   [
     ( "dpor",
@@ -386,6 +430,7 @@ let suites =
           test_max_period_below_period_misses_lasso;
         quick "canonical crash placement" test_canonical_crash_placement;
         quick "dead crash children" test_dead_crash_children;
+        quick "leaf crash children" test_leaf_crash_children;
       ]
       @ qcheck
           [ qcheck_wakes_iff_conflict; qcheck_unknown_pending_always_wakes ] );

@@ -5,11 +5,13 @@
      every node of small exhaustive walks (register, cas and selfish
      consensus, TM I(1,2) with crashes, n = 2..4), and at every node
      the reduced engine asks for an invocation.
-   - [Runner.Cursor.crash_view], which the safety explorer reads to
-     decide a crash child at its parent, equals the view after the
-     crash is applied, and yields the same canonical menu, at every
-     node of the same walks (register and cas consensus, n = 2, 3,
-     depth 8, one crash).
+   - [Runner.Cursor.crash_view], which both explorers read to decide
+     a crash child at its parent, equals the view after the crash is
+     applied, and yields the same canonical menu; and the
+     [Runner.Cursor.crash] snapshot they check a crash leaf from
+     yields the applied crash's report and compact key, after its
+     cursor has moved on.  At every node of the same walks (register
+     and cas consensus, n = 2, 3, depth 8, one and two crashes).
    - [Runtime.hash_value]'s fast path for immediates yields the digest
      the deep fold defines, so no observation or registry digest moves.
    - [Clock_cache] under its one-pass key hash: lookups agree with a
@@ -176,36 +178,79 @@ let view_contents (v : _ Driver.view) =
          v.Driver.events p))
       (Proc.all ~n:v.Driver.n) )
 
-(* At a node whose budget allows a crash, [Runner.Cursor.crash_view] of
-   every live process equals the view of a replayed cursor that applied
-   the crash, and the canonical menu after the crash, with symmetry or
-   without, is the same list on both. *)
+(* A report's fields, the crash set as a sorted list. *)
+let report_contents (r : _ Run_report.t) =
+  ( ( r.Run_report.n,
+      r.Run_report.history,
+      r.Run_report.event_times,
+      r.Run_report.grants ),
+    ( Proc.Set.elements r.Run_report.crashed,
+      r.Run_report.total_time,
+      r.Run_report.window,
+      r.Run_report.stopped ) )
+
+(* The history-interning hook the explorers install: the event, then
+   the (previous id, event id) pair, hash-consed. *)
+let interning_hook () =
+  let events = Intern.create () and conses = Intern.create () in
+  fun parent e -> Intern.intern conses (parent, Intern.intern events e)
+
+(* At a node whose budget allows a crash, for every live process [q]:
+   [Runner.Cursor.crash_view] equals the view of a replayed cursor that
+   applied [Crash q], and the canonical menu after the crash, with
+   symmetry or without, is the same list on both; and the
+   {!Runner.Cursor.crash} snapshot, read after its cursor has moved on
+   by one more decision, yields that cursor's report and compact key
+   (an interning hook shared by both cursors, so the history id is
+   compared too). *)
 let crash_view_exact ~n ~factory ~depth script budget c =
   let len = List.length script in
   let crashes =
     List.length
       (List.filter (function Driver.Crash _ -> true | _ -> false) script)
   in
-  let menu view q symmetry =
+  let canonical view q symmetry =
     Explore.canonical_menu ~invoke:proposals ~depth
       ~max_crashes:(crashes + budget) ~symmetry ~invoke_order:false view
       ~last:(Some (Driver.Crash q)) (len + 1) (crashes + 1)
   in
   let view = Runner.Cursor.view c in
+  let extra = [ 0; 2; 3 ] in
   budget = 0 || len >= depth
   || List.for_all
        (fun q ->
          view.Driver.status q = Runtime.Crashed
          ||
          let crashed = Runner.Cursor.crash_view c q in
-         Runner.Cursor.with_ ~n ~factory:(factory ()) ~prefix:script
+         let encode = interning_hook () in
+         let snapshot =
+           Runner.Cursor.with_ ~n ~factory:(factory ()) ~encode ~prefix:script
+             (fun parent ->
+               let x = Runner.Cursor.crash parent q in
+               (* Moves on as the walk's first open child does. *)
+               Runner.Cursor.apply parent
+                 (List.hd
+                    (menu ~invoke:proposals ~budget
+                       (Runner.Cursor.view parent)));
+               ( report_contents
+                   (Runner.Cursor.crash_report x ~window:(len + 1) ()),
+                 Runner.Cursor.crash_key x ~extra ))
+         in
+         Runner.Cursor.with_ ~n ~factory:(factory ()) ~encode ~prefix:script
            (fun applied ->
              Runner.Cursor.apply applied (Driver.Crash q);
+             let report =
+               report_contents
+                 (Runner.Cursor.report applied ~window:(len + 1) ())
+             in
+             let key = Runner.Cursor.compact_key applied ~extra in
              let applied = Runner.Cursor.view applied in
              view_contents crashed = view_contents applied
+             && snapshot = (report, key)
              && List.for_all
                   (fun symmetry ->
-                    menu crashed q symmetry = menu applied q symmetry)
+                    canonical crashed q symmetry
+                    = canonical applied q symmetry)
                   [ false; true ]))
        (Proc.all ~n)
 
@@ -213,17 +258,17 @@ let test_crash_view_exact () =
   List.iter
     (fun (impl, factory) ->
       List.iter
-        (fun (n, depth) ->
+        (fun (n, depth, crashes) ->
           let nodes, bad =
             walk ~ok:(crash_view_exact ~n ~factory ~depth) ~n ~factory
-              ~invoke:proposals ~depth ~crashes:1 ()
+              ~invoke:proposals ~depth ~crashes ()
           in
-          let name = Printf.sprintf "%s n=%d d=%d c=1" impl n depth in
+          let name = Printf.sprintf "%s n=%d d=%d c=%d" impl n depth crashes in
           check_int (name ^ ": crash views equal the applied crash") 0 bad;
           check_bool
             (Printf.sprintf "%s: walked %d nodes" name nodes)
             true (nodes > 1))
-        [ (2, 8); (3, 8) ])
+        [ (2, 8, 1); (3, 8, 1); (2, 8, 2); (3, 8, 2) ])
     (List.filter (fun (impl, _) -> impl <> "selfish") consensus_cases)
 
 (* ------------------------------------------------------------------ *)
