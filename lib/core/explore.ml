@@ -139,12 +139,6 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
   let menu =
     Search.menu ~invoke ~depth ~max_crashes ~symmetry ~invoke_order:false
   in
-  (* Walk the subtree rooted at the configuration [cursor] sits on
-     ({!Search.children} extends it in place for the first child and
-     replays the prefix for the others).  Stops at the first failing
-     maximal run, which under this in-order walk is the
-     lexicographically least one; a subtree that unwinds writes no
-     transposition entry. *)
   (* The key tail: the crash the menu may add after the last decision,
      then the sleep set, which is sorted (children inherit a
      [sort_uniq]ed set, which [Dpor.advance] filters in order), so it

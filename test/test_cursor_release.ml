@@ -337,11 +337,6 @@ let test_disposal_is_silent () =
 (* ------------------------------------------------------------------ *)
 (* Prefix replay.                                                      *)
 
-(* The hash-consing hook the explorers install in compact-key mode. *)
-let interning_hook () =
-  let events = Intern.create () and conses = Intern.create () in
-  fun parent e -> Intern.intern conses (parent, Intern.intern events e)
-
 (* The decisions applicable at [view]: grant a ready process, invoke an
    idle one with a proposal left, crash a live one while [crashes]
    allows. *)

@@ -189,12 +189,6 @@ let report_contents (r : _ Run_report.t) =
       r.Run_report.window,
       r.Run_report.stopped ) )
 
-(* The history-interning hook the explorers install: the event, then
-   the (previous id, event id) pair, hash-consed. *)
-let interning_hook () =
-  let events = Intern.create () and conses = Intern.create () in
-  fun parent e -> Intern.intern conses (parent, Intern.intern events e)
-
 (* At a node whose budget allows a crash, for every live process [q]:
    [Runner.Cursor.crash_view] equals the view of a replayed cursor that
    applied [Crash q], and the canonical menu after the crash, with
