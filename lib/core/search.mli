@@ -123,11 +123,11 @@ val children :
   unit
 (** [children st cursor ~rev_script ~len ~sleep ~apply ~leaf kids
     descend] walks a node's children, as {!classify} returns them, in
-    order, each with its candidate sleep set: under DPOR the node's
-    [sleep] plus every earlier sibling's step, but the node's [sleep]
-    alone for a crash child, since a sibling's step moved before the
-    crash leaves a run the menu does not offer (doc/model.md §6);
-    without DPOR, [[]].  Each child emits its [Decision] event.  A
+    order, each with its candidate sleep set: under DPOR (the search
+    was created with a probe) the node's [sleep] plus every earlier
+    sibling's step, but the node's [sleep] alone for a crash child,
+    since a sibling's step moved before the crash leaves a run the
+    menu does not offer (doc/model.md §6); without DPOR, [[]].  Each child emits its [Decision] event.  A
     decided crash leaf goes to [leaf] with its snapshot: no cursor, no
     replay, counted as neither [replays_avoided] nor
     [steps_replayed].  Every other child is applied with [apply] and
