@@ -197,7 +197,7 @@ let checker_family_tests =
 (* P6: hot-loop raw-speed microbenchmarks, so the claimed speedups
    (BENCH_explore.json "micro" row, gated ≥2x by bench/smoke.ml) are
    measured per-operation and not only end-to-end: transposition keying
-   (the flat compact-key array in {!Slx_core.Clock_cache}), the shared
+   (the flat compact-key array in {!Slx_core.Key_table}), the shared
    digest (from-scratch fold vs incremental), pending-step commutation
    on the conflict bitmasks, and the sanitizer (shadowed vs bare run,
    batched per step).  [cursor] is the configuration the keying rows
@@ -207,8 +207,8 @@ let micro_tests cursor =
     Slx_core.Explore.workload_invoke
       (Driver.n_times 1 (fun p _ -> Slx_consensus.Consensus_type.Propose (p - 1)))
   in
-  let compact_table = Slx_core.Clock_cache.create () in
-  Slx_core.Clock_cache.replace compact_table
+  let compact_table = Slx_core.Key_table.create 16 in
+  Slx_core.Key_table.replace compact_table
     (Runner.Cursor.compact_key cursor ~extra:[ 0 ])
     1;
   let fp_a =
@@ -230,7 +230,7 @@ let micro_tests cursor =
     Test.make ~name:"micro/fingerprint-compact"
       (Staged.stage (fun () ->
            ignore
-             (Slx_core.Clock_cache.find_opt compact_table
+             (Slx_core.Key_table.find_opt compact_table
                 (Runner.Cursor.compact_key cursor ~extra:[ 0 ]))));
     Test.make ~name:"micro/shared-digest-full-fold"
       (Staged.stage (fun () ->

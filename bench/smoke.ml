@@ -521,7 +521,7 @@ let sanitize_overhead_smoke () =
 (* Hot-path microbenchmark: per-node transposition keying, gated at
    >= 2x — the seed's from-scratch shared-state digest fold against the
    compact key over the incremental digest, looked up as the flat
-   array the explorers' {!Slx_core.Clock_cache} is keyed by.  The gate
+   array the explorers' {!Slx_core.Key_table} is keyed by.  The gate
    guards the incremental Zobrist digest.  Best-of-N tight loops on
    the monotonic clock; [Sys.opaque_identity] keeps the optimizer from
    deleting the measured body. *)
@@ -564,8 +564,8 @@ let micro_smoke () =
           Driver.Schedule 1;
         ]
       (fun cursor ->
-        let compact_table = Slx_core.Clock_cache.create () in
-        Slx_core.Clock_cache.replace compact_table
+        let compact_table = Slx_core.Key_table.create 16 in
+        Slx_core.Key_table.replace compact_table
           (Runner.Cursor.compact_key cursor ~extra:[ 0 ])
           1;
         (* Seed path: every visit re-folded the whole registry (the full
@@ -576,7 +576,7 @@ let micro_smoke () =
         in
         let compact_ns =
           time_ns ~iters:20_000 (fun () ->
-              Slx_core.Clock_cache.find_opt compact_table
+              Slx_core.Key_table.find_opt compact_table
                 (Runner.Cursor.compact_key cursor ~extra:[ 0 ]))
         in
         (full_ns, compact_ns))

@@ -403,11 +403,6 @@ let mutex_cmd =
 (* ------------------------------------------------------------------ *)
 (* explore / live-explore: one query record each                       *)
 
-let no_cache_arg ~doc = Arg.(value & flag & info [ "no-cache" ] ~doc)
-
-let cache_capacity_arg ~doc =
-  Arg.(value & opt (some (int_in 1)) None & info [ "cache-capacity" ] ~doc)
-
 let sanitize_arg ~doc = Arg.(value & flag & info [ "sanitize" ] ~doc)
 let json_arg ~doc = Arg.(value & flag & info [ "json" ] ~doc)
 
@@ -500,8 +495,8 @@ let print_answer ~json (sp : Queries.spec) source answer =
    refuses is a usage error (exit 124), like cmdliner's own.  [naive]
    runs the replay-from-scratch reference engine instead, which
    bypasses the store. *)
-let run_query ?(naive = false) ~json ~no_cache ~cache_capacity ~sanitize ~store
-    ~trace ~progress ~progress_json spec =
+let run_query ?(naive = false) ~json ~sanitize ~store ~trace ~progress
+    ~progress_json spec =
   match spec with
   | Error e -> `Error (false, e)
   | Ok (sp : Queries.spec) ->
@@ -527,8 +522,7 @@ let run_query ?(naive = false) ~json ~no_cache ~cache_capacity ~sanitize ~store
         else
           Queries.run
             ?store:(Option.map Vstore.open_ store)
-            ~cache:(not no_cache) ?capacity:cache_capacity ~sanitize ~obs
-            ~cancel sp
+            ~sanitize ~obs ~cancel sp
       in
       match run () with
       | exception Explore.Interrupted stats ->
@@ -566,10 +560,9 @@ let explore_cmd =
          & info [ "naive" ]
              ~doc:"Use the replay-from-scratch reference engine.")
   in
-  let run impl depth crashes no_cache cache_capacity no_dpor no_symmetry json
-      naive sanitize store trace progress progress_json =
-    run_query ~naive ~json ~no_cache ~cache_capacity ~sanitize ~store ~trace
-      ~progress ~progress_json
+  let run impl depth crashes no_dpor no_symmetry json naive sanitize store
+      trace progress progress_json =
+    run_query ~naive ~json ~sanitize ~store ~trace ~progress ~progress_json
       (Queries.make ~kind:`Explore ~impl ~property:"" ~n:2 ~depth ~crashes
          ~max_period:None ~pump:None ~dpor:(not no_dpor)
          ~symmetry:(not no_symmetry))
@@ -579,20 +572,8 @@ let explore_cmd =
        ~doc:"Exhaustively check consensus safety on every bounded schedule")
     Term.(
       ret
-        (const run $ impl_arg $ depth_arg $ crashes_arg
-        $ no_cache_arg
-            ~doc:
-              "Disable the transposition cache.  A cache is built only \
-               under --no-dpor or --no-symmetry: with both reductions on \
-               the sleep sets leave almost nothing to transpose, so no \
-               table is kept.  Verdict, witness and runs are the same \
-               either way."
-        $ cache_capacity_arg
-            ~doc:
-              "Bound the transposition cache to this many entries (clock \
-               eviction); unbounded by default.  Only a walk with a \
-               reduction off (--no-dpor or --no-symmetry) has a cache."
-        $ no_dpor_arg $ no_symmetry_arg
+        (const run $ impl_arg $ depth_arg $ crashes_arg $ no_dpor_arg
+        $ no_symmetry_arg
         $ json_arg ~doc:"Emit the verdict and full statistics as one JSON object."
         $ naive_arg
         $ sanitize_arg
@@ -646,10 +627,9 @@ let live_explore_cmd =
                    still offered in process order).  Under a depth bound \
                    the reduced search can miss a lasso this one finds.")
   in
-  let run impl property n depth crashes max_period pump no_dpor no_cache
-      cache_capacity sanitize json store trace progress progress_json =
-    run_query ~json ~no_cache ~cache_capacity ~sanitize ~store ~trace ~progress
-      ~progress_json
+  let run impl property n depth crashes max_period pump no_dpor sanitize json
+      store trace progress progress_json =
+    run_query ~json ~sanitize ~store ~trace ~progress ~progress_json
       (Queries.make ~kind:`Live ~impl ~property ~n ~depth ~crashes ~max_period
          ~pump ~dpor:(not no_dpor) ~symmetry:false)
   in
@@ -662,13 +642,6 @@ let live_explore_cmd =
       ret
         (const run $ impl_arg $ property_arg $ procs_arg $ depth_arg
         $ crashes_arg $ max_period_arg $ pump_arg $ no_dpor_arg
-        $ no_cache_arg
-            ~doc:
-              "Disable the transposition cache.  It only engages when \
-               depth > 2*max-period + 1 (never at the default max-period), \
-               keying nodes deeper than 2*max-period ticks; verdict, \
-               certificate and runs are the same either way."
-        $ cache_capacity_arg ~doc:"Bound the transposition cache (clock eviction)."
         $ sanitize_arg
             ~doc:
               "Arm the footprint sanitizer (counting mode) on every search \

@@ -119,14 +119,12 @@ let exploration (st : _ state) found =
 (* The incremental reduced engine.                                     *)
 
 let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
-    ?cache_capacity ?(por = false) ?(dpor = false) ?(symmetry = false)
-    ?(domains = 1) ?(obs = Obs.disabled) ?(sanitize = false) ?(compact = true)
-    ?cancel ~check () =
+    ?(por = false) ?(dpor = false) ?(symmetry = false) ?(domains = 1)
+    ?(obs = Obs.disabled) ?(sanitize = false) ?(compact = true) ?cancel ~check
+    () =
   if domains <> 1 then invalid_arg "Explore.explore: domains must be 1";
   if not compact then invalid_arg "Explore.explore: compact must be true";
   if por && not dpor then invalid_arg "Explore.explore: por requires dpor";
-  if Option.fold ~none:false ~some:(fun c -> c < 1) cache_capacity then
-    invalid_arg "Explore.explore: cache_capacity < 1";
   (* The table is built only where a reduction is off.  Under DPOR
      plus symmetry the sleep sets prune nearly every transposition
      before it is reached, so keying, interning and storing every node
@@ -134,7 +132,7 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
   let st : _ state =
     Search.create ~n ~factory
       ~cache:(cache && not (dpor && symmetry))
-      ~dpor ~sanitize ?capacity:cache_capacity ?cancel obs
+      ~dpor ~sanitize ?cancel obs
   in
   let menu =
     Search.menu ~invoke ~depth ~max_crashes ~symmetry ~invoke_order:false

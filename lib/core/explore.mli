@@ -27,8 +27,7 @@
       shared base-object digest, per-process status/step-count and
       observation digest) prunes schedule prefixes that reach an
       already-explored configuration, crediting the cached subtree's
-      run count instead of descending; [~cache_capacity] bounds its
-      memory with clock (second-chance) eviction.  With both on, the
+      run count instead of descending.  With both on, the
       sleep sets prune nearly every transposition before it is reached,
       so the walk keeps no table (no key, no history interning, no
       entry).  The walk is sequential: independent
@@ -126,7 +125,6 @@ val explore :
   depth:int ->
   ?max_crashes:int ->
   ?cache:bool ->
-  ?cache_capacity:int ->
   ?por:bool ->
   ?dpor:bool ->
   ?symmetry:bool ->
@@ -148,8 +146,10 @@ val explore :
 
     [cache] (default [true]) allows the transposition cache, which is
     built only when [dpor] or [symmetry] is off ([stats.cache_entries]
-    is 0 under both); [cache_capacity] bounds the cache to that many
-    entries, evicted second-chance (unbounded without it).  [dpor]
+    is 0 under both).  The table is unbounded: a hit credits exactly
+    the subtree it skips, so for a [check] blind to prefix event timing
+    (see above) [cache] changes work, never a verdict, witness or run
+    count.  [dpor]
     (default [false]) enables sleep-set partial-order reduction ({!Dpor}): each
     cursor carries an observed-access probe
     ({!Slx_sim.Runtime.make_probe}), children inherit the whole sleep
@@ -173,7 +173,7 @@ val explore :
 
     [obs] (default {!Slx_obs.Obs.disabled}) attaches the observability
     bundle: with tracing on, the exploration records typed events (node
-    spans, decisions, cache hits/evicts, reductions) into a ring for
+    spans, decisions, cache hits, reductions) into a ring for
     Chrome-trace export, and the
     bundle's progress reporter is ticked from the hot loop.  With the
     default bundle every event site costs one branch; verdicts,
@@ -199,7 +199,7 @@ val explore :
     cursor carries an incremental interned history id ({!Intern}), and
     a cache key is the int array
     {!Slx_sim.Runner.Cursor.compact_key} with the sleep set's process
-    ids as its tail, hashed and compared whole by {!Clock_cache}.
+    ids as its tail, hashed and compared whole by {!Key_table}.
     History interning is injective, so key equality is configuration-
     and-sleep-set equality up to the collisions of the key's shared
     and observation digests.
@@ -210,8 +210,8 @@ val explore :
     reports [nodes = k]).  The
     poll must be cheap (a [ref] read).
     @raise Interrupted when [cancel] fired.
-    @raise Invalid_argument unless [domains = 1], [compact = true],
-    [por] implies [dpor] and [cache_capacity >= 1]. *)
+    @raise Invalid_argument unless [domains = 1], [compact = true]
+    and [por] implies [dpor]. *)
 
 val menu :
   invoke:(('inv, 'res) Driver.view -> Proc.t -> 'inv option) ->

@@ -7,7 +7,6 @@ type t = {
   replays_avoided : int;
   cache_hits : int;
   cache_entries : int;
-  cache_evictions : int;
   por_prunes : int;
   race_reversals : int;
   invoke_order_prunes : int;
@@ -31,7 +30,6 @@ let zero =
     replays_avoided = 0;
     cache_hits = 0;
     cache_entries = 0;
-    cache_evictions = 0;
     por_prunes = 0;
     race_reversals = 0;
     invoke_order_prunes = 0;
@@ -56,12 +54,12 @@ let pp fmt s =
   Format.fprintf fmt
     "@[<v>nodes visited:    %d@,maximal runs:     %d (checked: %d)@,\
      steps executed:   %d (replayed: %d)@,replays avoided:  %d@,\
-     cache:            %d hits / %d entries / %d evictions@,\
+     cache:            %d hits / %d entries@,\
      reductions:       %d pruned (POR), %d pruned (symmetry)@,\
      elapsed:          %a"
     s.nodes s.runs s.runs_checked s.steps_executed s.steps_replayed
-    s.replays_avoided s.cache_hits s.cache_entries s.cache_evictions
-    s.por_prunes s.symmetry_pruned pp_elapsed s.elapsed_ns;
+    s.replays_avoided s.cache_hits s.cache_entries s.por_prunes
+    s.symmetry_pruned pp_elapsed s.elapsed_ns;
   if s.race_reversals > 0 || s.invoke_order_prunes > 0 || s.proviso_wakes > 0
   then
     Format.fprintf fmt
@@ -84,14 +82,14 @@ let to_json s =
     "{\"nodes\": %d, \"runs\": %d, \"runs_checked\": %d, \
      \"steps_executed\": %d, \"steps_replayed\": %d, \
      \"replays_avoided\": %d, \"cache_hits\": %d, \"cache_entries\": %d, \
-     \"cache_evictions\": %d, \"por_prunes\": %d, \"race_reversals\": %d, \
+     \"por_prunes\": %d, \"race_reversals\": %d, \
      \"invoke_order_prunes\": %d, \"proviso_wakes\": %d, \
      \"symmetry_pruned\": %d, \
      \"cycles_examined\": %d, \"fair_cycles\": %d, \
      \"footprint_violations\": %d, \"elapsed_ns\": %d, \
      \"events_dropped\": %d, \"history_digest\": %d}"
     s.nodes s.runs s.runs_checked s.steps_executed s.steps_replayed
-    s.replays_avoided s.cache_hits s.cache_entries s.cache_evictions
-    s.por_prunes s.race_reversals s.invoke_order_prunes s.proviso_wakes
+    s.replays_avoided s.cache_hits s.cache_entries s.por_prunes
+    s.race_reversals s.invoke_order_prunes s.proviso_wakes
     s.symmetry_pruned s.cycles_examined s.fair_cycles s.footprint_violations
     s.elapsed_ns s.events_dropped s.history_digest

@@ -33,9 +33,6 @@ type t = {
           next child may still extend the cursor in place. *)
   cache_hits : int;  (** Subtrees pruned by the transposition cache. *)
   cache_entries : int;  (** Final size of the transposition cache. *)
-  cache_evictions : int;
-      (** Entries evicted by the clock policy under [~cache_capacity]
-          (0 when the cache is unbounded). *)
   por_prunes : int;
       (** Scheduling decisions skipped because the process was in the
           DPOR sleep set — each cuts a redundant interleaving of

@@ -4,7 +4,7 @@
     small-int id, incrementally (event, then (previous id, event id)),
     so a transposition key carries one int for the whole history
     instead of a deep structural value.  The rest of a key is a flat
-    int array the cache hashes directly ({!Clock_cache}).
+    int array the table hashes directly ({!Key_table}).
 
     {b Soundness.}  [intern t a = intern t b] iff [a = b] (structural
     equality), for interns through the same table: an id is assigned

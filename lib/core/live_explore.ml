@@ -218,16 +218,15 @@ let budgets ~depth ~max_period ~pump_ticks =
 
 let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
     ?max_period ?pump_ticks ?invoke_order:(_ : bool option) ?(dpor = false)
-    ?(cache = true) ?cache_capacity ?(obs = Obs.disabled) ?(sanitize = false)
-    ?(compact = true) ?cancel () =
+    ?(cache = true) ?(obs = Obs.disabled) ?(sanitize = false) ?(compact = true)
+    ?cancel () =
   if not compact then invalid_arg "Live_explore.search: compact must be true";
   let max_period, pump_ticks = budgets ~depth ~max_period ~pump_ticks in
   (* The cache engages only if some node can be keyed, i.e. some
      [len] has [2 * max_period < len < depth] (see the key comment). *)
   let cache = cache && depth > (2 * max_period) + 1 in
   let st : _ state =
-    Search.create ~n ~factory ~cache ~dpor ~sanitize ?capacity:cache_capacity
-      ?cancel obs
+    Search.create ~n ~factory ~cache ~dpor ~sanitize ?cancel obs
   in
   (* The canonical menu ({!Search.menu}), so the emitted certificate
      is the lexicographically least in that order, invoke-ordered:

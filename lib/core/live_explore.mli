@@ -132,7 +132,6 @@ val search :
   ?invoke_order:bool ->
   ?dpor:bool ->
   ?cache:bool ->
-  ?cache_capacity:int ->
   ?obs:Slx_obs.Obs.t ->
   ?sanitize:bool ->
   ?compact:bool ->
@@ -160,7 +159,7 @@ val search :
     one-level DPOR sleep-set reduction (see module doc).
 
     [cache] (default [true]) enables the suffix-keyed transposition
-    cache, bounded by [cache_capacity] (clock eviction).  It engages
+    cache, an unbounded {!Key_table}.  It engages
     only when [depth > 2 * max_period + 1], the only searches with a
     node that can hit (see module doc); otherwise, as at the default
     [max_period], nothing is built and every counter equals a

@@ -39,7 +39,7 @@ type ('inv, 'res, 'v, 'f) t = {
   mutable digest : int;
   mutable found : 'f option;
   ticks : int ref;
-  table : 'v Clock_cache.t option;
+  table : 'v Key_table.t option;
   shadow : Runtime.shadow option;
   probe : Runtime.probe option;
   encode : (int -> ('inv, 'res) Event.t -> int) option;
@@ -52,8 +52,8 @@ let history_encoder () =
   let conses = Intern.create () in
   fun parent e -> Intern.intern conses (parent, Intern.intern events e)
 
-let create ~n ~factory ~cache ~dpor ~sanitize ?capacity
-    ?(cancel = fun () -> false) obs =
+let create ~n ~factory ~cache ~dpor ~sanitize ?(cancel = fun () -> false)
+    obs =
   let sink = Obs.sink obs in
   let st =
     {
@@ -81,8 +81,7 @@ let create ~n ~factory ~cache ~dpor ~sanitize ?capacity
       digest = 0;
       found = None;
       ticks = ref 0;
-      table =
-        (if cache then Some (Clock_cache.create ?capacity ~sink ()) else None);
+      table = (if cache then Some (Key_table.create 512) else None);
       shadow =
         (if sanitize then
            Some (Runtime.make_shadow ~record:false ~raise_on_violation:false ())
@@ -99,10 +98,7 @@ let create ~n ~factory ~cache ~dpor ~sanitize ?capacity
           Progress.s_nodes = st.nodes;
           s_runs = st.runs;
           s_steps = !(st.ticks);
-          s_cache_entries =
-            Option.fold ~none:0 ~some:Clock_cache.length st.table;
-          s_cache_capacity =
-            Option.value ~default:0 (Option.bind st.table Clock_cache.capacity);
+          s_cache_entries = Option.fold ~none:0 ~some:Key_table.length st.table;
           s_cycles = st.cycles;
         });
   st
@@ -116,8 +112,7 @@ let stats st : Explore_stats.t =
     steps_replayed = st.replayed;
     replays_avoided = st.avoided;
     cache_hits = st.hits;
-    cache_entries = Option.fold ~none:0 ~some:Clock_cache.length st.table;
-    cache_evictions = Option.fold ~none:0 ~some:Clock_cache.evictions st.table;
+    cache_entries = Option.fold ~none:0 ~some:Key_table.length st.table;
     por_prunes = st.sleeps;
     race_reversals = st.reversals;
     invoke_order_prunes = st.invoke_pruned;
@@ -326,11 +321,11 @@ let crashes_after crashes = function
 let key cursor extra = Runner.Cursor.compact_key cursor ~extra
 
 let find st k =
-  match st.table with Some t -> Clock_cache.find_opt t k | None -> None
+  match st.table with Some t -> Key_table.find_opt t k | None -> None
 
 let remember st key v =
   match (st.table, key) with
-  | Some t, Some k -> Clock_cache.replace t k v
+  | Some t, Some k -> Key_table.replace t k v
   | _ -> ()
 
 let hit st len runs =

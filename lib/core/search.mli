@@ -50,9 +50,9 @@ type ('inv, 'res, 'v, 'f) t = {
   mutable found : 'f option;
       (** The witness {!found} recorded before unwinding. *)
   ticks : int ref;
-  table : 'v Clock_cache.t option;
-      (** The transposition cache, keyed by {!key} arrays: [Some]
-          exactly when the exact cache is live. *)
+  table : 'v Key_table.t option;
+      (** The transposition table, keyed by {!key} arrays: [Some]
+          exactly when the search was created with [cache]. *)
   shadow : Runtime.shadow option;
       (** Non-raising, non-recording sanitizer shadow shared by every
           cursor: it only counts violations, so a sanitized search
@@ -74,12 +74,11 @@ val create :
   cache:bool ->
   dpor:bool ->
   sanitize:bool ->
-  ?capacity:int ->
   ?cancel:(unit -> bool) ->
   Slx_obs.Obs.t ->
   ('inv, 'res, 'v, 'f) t
 (** A fresh search over [n] processes.  [cache] builds the
-    transposition table (bounded by [capacity]) and the
+    transposition table (a {!Key_table}, unbounded) and the
     history-interning hook; [dpor] the observed-access probe;
     [sanitize] the counting shadow.  The bundle's sink and progress
     reporter are taken once, here. *)

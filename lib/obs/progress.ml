@@ -3,7 +3,6 @@ type sample = {
   s_runs : int;
   s_steps : int;
   s_cache_entries : int;
-  s_cache_capacity : int;
   s_cycles : int;
 }
 
@@ -13,7 +12,6 @@ let zero =
     s_runs = 0;
     s_steps = 0;
     s_cache_entries = 0;
-    s_cache_capacity = 0;
     s_cycles = 0;
   }
 
@@ -75,17 +73,10 @@ let emit s now (x : sample) =
     Printf.fprintf s.out
       "{\"elapsed_s\": %.3f, \"nodes\": %d, \"nodes_per_s\": %.0f, \
        \"runs\": %d, \"steps\": %d, \"steps_per_s\": %.0f, \
-       \"cache_entries\": %d, \"cache_capacity\": %d, \
-       \"cycles_examined\": %d}\n"
+       \"cache_entries\": %d, \"cycles_examined\": %d}\n"
       elapsed_s x.s_nodes nodes_s x.s_runs x.s_steps steps_s
-      x.s_cache_entries x.s_cache_capacity x.s_cycles
+      x.s_cache_entries x.s_cycles
   else begin
-    let cache =
-      if x.s_cache_capacity > 0 then
-        Printf.sprintf "%s/%s" (human x.s_cache_entries)
-          (human x.s_cache_capacity)
-      else human x.s_cache_entries
-    in
     let cycles =
       if x.s_cycles > 0 then Printf.sprintf "  cycles %s" (human x.s_cycles)
       else ""
@@ -96,7 +87,8 @@ let emit s now (x : sample) =
       (human (int_of_float nodes_s))
       (human x.s_runs) (human x.s_steps)
       (human (int_of_float steps_s))
-      cache cycles
+      (human x.s_cache_entries)
+      cycles
   end;
   flush s.out;
   s.beats <- s.beats + 1;

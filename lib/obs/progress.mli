@@ -17,7 +17,6 @@ type sample = {
   s_runs : int;  (** Maximal runs accounted so far. *)
   s_steps : int;  (** Runtime ticks executed so far. *)
   s_cache_entries : int;  (** Transposition-cache entries. *)
-  s_cache_capacity : int;  (** Configured capacity; 0 = unbounded. *)
   s_cycles : int;  (** Candidate cycles examined (fair-cycle search). *)
 }
 

@@ -4,7 +4,6 @@ type kind =
   | Decision
   | Run_checked
   | Cache_hit
-  | Cache_evict
   | Por_sleep
   | Race_reversal
   | Proviso_wake

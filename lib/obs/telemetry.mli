@@ -2,7 +2,7 @@
 
     The exploration engines ({!Slx_core.Explore},
     {!Slx_core.Live_explore}) emit one {!event} per interesting action
-    — node enter/leave, decision taken, cache hit/evict, POR sleep,
+    — node enter/leave, decision taken, cache hit, POR sleep,
     symmetry prune, cycle candidate, pump start/verdict — into a
     {!sink}.  Two sinks exist:
 
@@ -25,7 +25,6 @@ type kind =
   | Decision  (** a = depth reached, b = {!Dec} code of the decision. *)
   | Run_checked  (** a = depth; a maximal run was checked. *)
   | Cache_hit  (** a = depth, b = runs credited from the entry. *)
-  | Cache_evict  (** a = evictions so far ({!Slx_core.Clock_cache}). *)
   | Por_sleep  (** a = depth, b = decisions slept (sleep-set prune). *)
   | Race_reversal
       (** a = depth, b = sleepers woken by an observed conflict of the

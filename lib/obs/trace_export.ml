@@ -61,9 +61,6 @@ let event_record buf ~t0 e =
   | Cache_hit ->
       record buf ~name:"cache_hit" ~cat:"cache" ~ph:"i" ~ts ~tid
         ~args:[ ("depth", i e.ev_a); ("credited_runs", i e.ev_b) ] ()
-  | Cache_evict ->
-      record buf ~name:"cache_evict" ~cat:"cache" ~ph:"i" ~ts ~tid
-        ~args:[ ("evictions", i e.ev_a) ] ()
   | Por_sleep ->
       record buf ~name:"por_sleep" ~cat:"reduce" ~ph:"i" ~ts ~tid
         ~args:[ ("depth", i e.ev_a); ("slept", i e.ev_b) ] ()

@@ -222,8 +222,7 @@ let served sp r =
         (Persist.served_live ~n:sp.sp_n ~factory:(factory sp)
            ~invoke:live_invoke ~good ~point:(point sp) ~pump_ticks:sp.sp_pump r)
 
-let run ?store ?(cache = true) ?capacity ?(sanitize = false)
-    ?(obs = Obs.disabled) ?cancel sp =
+let run ?store ?(sanitize = false) ?(obs = Obs.disabled) ?cancel sp =
   let n = sp.sp_n and factory = factory sp and depth = sp.sp_depth in
   let max_crashes = sp.sp_crashes and dpor = sp.sp_dpor in
   let compute () =
@@ -231,14 +230,12 @@ let run ?store ?(cache = true) ?capacity ?(sanitize = false)
     | `Explore ->
         Safety
           (Explore.explore ~n ~factory ~invoke:safety_invoke ~depth ~max_crashes
-             ~cache ?cache_capacity:capacity ~dpor ~symmetry:sp.sp_symmetry ~obs
-             ~sanitize ?cancel ~check ())
+             ~dpor ~symmetry:sp.sp_symmetry ~obs ~sanitize ?cancel ~check ())
     | `Live ->
         Live
           (Live_explore.search ~n ~factory ~invoke:live_invoke ~good
              ~point:(point sp) ~depth ~max_crashes ~max_period:sp.sp_max_period
-             ~pump_ticks:sp.sp_pump ~dpor ~cache ?cache_capacity:capacity ~obs
-             ~sanitize ?cancel ())
+             ~pump_ticks:sp.sp_pump ~dpor ~obs ~sanitize ?cancel ())
   in
   match store with
   | None -> (compute (), None)

@@ -143,8 +143,6 @@ type answer =
 
 val run :
   ?store:Slx_store.Store.t ->
-  ?cache:bool ->
-  ?capacity:int ->
   ?sanitize:bool ->
   ?obs:Slx_obs.Obs.t ->
   ?cancel:(unit -> bool) ->
@@ -155,8 +153,8 @@ val run :
     record answers instead (zero work counters, the stored runs), a
     computed answer is stored as its {!record}, and the source is
     returned.  The optional arguments cannot change a verdict: the
-    transposition cache (default on) and its [capacity], the counting
-    [sanitize]r, the [obs] bundle and [cancel].
+    counting [sanitize]r, the [obs] bundle and [cancel].  Whether a
+    transposition table is built is the engine's decision.
     @raise Slx_core.Explore.Interrupted when [cancel] fired. *)
 
 val record : spec -> answer -> Slx_store.Store.record

@@ -8,8 +8,9 @@
     the verdict-relevant identity: the implementation ident, the
     property ident, the system size, the initial shared-state digest
     ({!instance_digest}) and the reduction flags.  Anything that
-    cannot change a verdict — cache on/off, capacity — deliberately
-    stays out of the key, so tuning runs share records.
+    cannot change a verdict — whether a transposition table is built,
+    the sanitizer, tracing — deliberately stays out of the key, so
+    such runs share records.
 
     Answer planning is warm, else cold ({!answer}):
 

@@ -3,9 +3,8 @@
      impl    ∈ {cas, register, selfish}
      depth   ∈ {8, 10}
      crashes ∈ {0, 1, 2}
-     flags   ∈ {none, --no-dpor, --no-symmetry, --cache-capacity 50,
-                --sanitize, --naive, --no-cache}
-   (126 in all) it runs the query exactly as `slx explore` does, in
+     flags   ∈ {none, --no-dpor, --no-symmetry, --sanitize, --naive}
+   (90 in all) it runs the query exactly as `slx explore` does, in
    process, and prints the command line followed by the verdict and,
    for a counterexample, the failing history and the witness script.
    Each configuration's engine counters ({!Counters}) go to a separate
@@ -24,8 +23,6 @@ type flags = {
   label : string;
   dpor : bool;
   symmetry : bool;
-  cache : bool;
-  capacity : int option;
   sanitize : bool;
   naive : bool;
 }
@@ -35,8 +32,6 @@ let plain =
     label = "";
     dpor = true;
     symmetry = true;
-    cache = true;
-    capacity = None;
     sanitize = false;
     naive = false;
   }
@@ -46,10 +41,8 @@ let flag_sets =
     plain;
     { plain with label = " --no-dpor"; dpor = false };
     { plain with label = " --no-symmetry"; symmetry = false };
-    { plain with label = " --cache-capacity 50"; capacity = Some 50 };
     { plain with label = " --sanitize"; sanitize = true };
     { plain with label = " --naive"; naive = true };
-    { plain with label = " --no-cache"; cache = false };
   ]
 
 let answer sp f =
@@ -58,9 +51,7 @@ let answer sp f =
       ~invoke:Queries.safety_invoke ~depth:sp.sp_depth
       ~max_crashes:sp.sp_crashes ~check:Queries.check ()
   else
-    match
-      Queries.run ~cache:f.cache ?capacity:f.capacity ~sanitize:f.sanitize sp
-    with
+    match Queries.run ~sanitize:f.sanitize sp with
     | Queries.Safety e, _ -> e
     | Queries.Live _, _ -> assert false
 

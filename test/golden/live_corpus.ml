@@ -9,16 +9,15 @@
        n = 2 at depth 4-10, n = 3 at depth 4-8, crashes ∈ {0, 1}
      at the default and under --no-dpor (the exhaustive reference);
    - the live grid: the three impls × obstruction/1,2/1,1 at n = 2,
-     depth 12, one crash, without and with --max-period 2, each plain,
-     --no-dpor and --cache-capacity 40;
+     depth 12, one crash, without and with --max-period 2, each plain
+     and --no-dpor;
    - the cells of Figure1.consensus_exhaustive ~n:2 ~depth:8;
    - the TL2 (1,1) lasso at depth 20 with one crash, and the I12
      regression certificate (a stored witness whose cycle is no run
      of the TM workload, which must not re-validate);
    - two deeper register obstruction legs that pin the cache and the
      reduction counters: n = 2 depth 14 with one crash, and n = 3
-     depth 11 with two crashes under --cache-capacity 1000, both
-     --max-period 2.
+     depth 11 with two crashes, both --max-period 2.
 
    Every query with engine stats also writes its counters ({!Counters})
    to a separate file, `live.counters.expected`: a reduction may
@@ -69,8 +68,8 @@ let tag ~reduced ~exhaustive =
 
 let counters = Counters.channel ()
 
-let run ?capacity sp =
-  match Queries.run ?capacity sp with
+let run sp =
+  match Queries.run sp with
   | Queries.Live r, _ -> r
   | Queries.Safety _, _ -> assert false
 
@@ -97,12 +96,10 @@ let spec ~impl ~property ~n ~depth ~crashes ~max_period dpor =
        ~pump:None ~dpor ~symmetry:false)
 
 (* One query at the default and under --no-dpor, the default tagged
-   by their difference; returns the command line and the default
-   spec. *)
+   by their difference. *)
 let pair ~impl ~property ~n ~depth ~crashes ~max_period =
   let cmd = command ~impl ~property ~n ~depth ~crashes ~max_period in
-  let reduced_sp = spec ~impl ~property ~n ~depth ~crashes ~max_period true in
-  let reduced = run reduced_sp
+  let reduced = run (spec ~impl ~property ~n ~depth ~crashes ~max_period true)
   and exhaustive =
     run (spec ~impl ~property ~n ~depth ~crashes ~max_period false)
   in
@@ -110,8 +107,7 @@ let pair ~impl ~property ~n ~depth ~crashes ~max_period =
     ~tag:
       (tag ~reduced:reduced.Live_explore.outcome
          ~exhaustive:exhaustive.Live_explore.outcome);
-  print (cmd ^ " --no-dpor") exhaustive;
-  (cmd, reduced_sp)
+  print (cmd ^ " --no-dpor") exhaustive
 
 let sweep () =
   let properties = [ "obstruction"; "1,1"; "1,2"; "2,2"; "lock"; "wait" ] in
@@ -125,9 +121,7 @@ let sweep () =
               for depth = 4 to max_depth do
                 List.iter
                   (fun crashes ->
-                    ignore
-                      (pair ~impl ~property ~n ~depth ~crashes
-                         ~max_period:None))
+                    pair ~impl ~property ~n ~depth ~crashes ~max_period:None)
                   [ 0; 1 ]
               done)
             sizes)
@@ -141,10 +135,7 @@ let live_grid () =
         (fun property ->
           List.iter
             (fun max_period ->
-              let cmd, sp =
-                pair ~impl ~property ~n:2 ~depth:12 ~crashes:1 ~max_period
-              in
-              print (cmd ^ " --cache-capacity 40") (run ~capacity:40 sp))
+              pair ~impl ~property ~n:2 ~depth:12 ~crashes:1 ~max_period)
             [ None; Some 2 ])
         [ "obstruction"; "1,2"; "1,1" ])
     impls
@@ -207,26 +198,18 @@ let i12 () =
 (* --- counter pins ----------------------------------------------------- *)
 
 (* Deeper register obstruction queries at the default only: their
-   counters exercise the suffix cache, its eviction under a capacity,
-   the sleep sets and the invoke order harder than the sweep does. *)
+   counters exercise the suffix cache, the sleep sets and the invoke
+   order harder than the sweep does. *)
 let pins () =
   List.iter
-    (fun (n, depth, crashes, capacity) ->
-      let cmd =
-        command ~impl:"register" ~property:"obstruction" ~n ~depth ~crashes
-          ~max_period:(Some 2)
-      in
-      let sp =
-        spec ~impl:"register" ~property:"obstruction" ~n ~depth ~crashes
-          ~max_period:(Some 2) true
-      in
-      let cmd =
-        Option.fold ~none:cmd
-          ~some:(Printf.sprintf "%s --cache-capacity %d" cmd)
-          capacity
-      in
-      print cmd (run ?capacity sp))
-    [ (2, 14, 1, None); (3, 11, 2, Some 1000) ]
+    (fun (n, depth, crashes) ->
+      print
+        (command ~impl:"register" ~property:"obstruction" ~n ~depth ~crashes
+           ~max_period:(Some 2))
+        (run
+           (spec ~impl:"register" ~property:"obstruction" ~n ~depth ~crashes
+              ~max_period:(Some 2) true)))
+    [ (2, 14, 1); (3, 11, 2) ]
 
 let () =
   sweep ();

@@ -307,7 +307,7 @@ let test_sanitize_changes_nothing () =
   let configs =
     [
       ("plain", fun sanitize -> explore_register ~sanitize ());
-      ("no-cache", fun sanitize -> explore_register ~cache:false ~sanitize ());
+      ("cache-off", fun sanitize -> explore_register ~cache:false ~sanitize ());
       ( "dpor+symmetry",
         fun sanitize -> explore_register ~dpor:true ~symmetry:true ~sanitize ()
       );

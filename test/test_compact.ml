@@ -62,7 +62,7 @@ let qcheck_intern_preserves_equality =
    only past them, where the polymorphic hash stops looking. *)
 let qcheck_cache_key_equality =
   QCheck2.Test.make ~count:500
-    ~name:"Clock_cache: same entry iff equal key arrays"
+    ~name:"Key_table: same entry iff equal key arrays"
     QCheck2.Gen.(
       list_size (int_range 0 40)
         (map2
@@ -71,13 +71,12 @@ let qcheck_cache_key_equality =
            bool
            (list_size (int_range 0 8) (int_range (-3) 3))))
     (fun arrays ->
-      let cache = Clock_cache.create () in
+      let table = Key_table.create 16 in
       List.iteri
         (fun i a ->
-          if Clock_cache.find_opt cache a = None then
-            Clock_cache.replace cache a i)
+          if Key_table.find_opt table a = None then Key_table.replace table a i)
         arrays;
-      let entry a = Clock_cache.find_opt cache (Array.copy a) in
+      let entry a = Key_table.find_opt table (Array.copy a) in
       List.for_all
         (fun a -> List.for_all (fun b -> entry a = entry b = (a = b)) arrays)
         arrays)

@@ -385,7 +385,7 @@ let test_explore_finds_selfish_counterexample () =
       check_bool "counterexample really violates safety" false
         (Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history)
 
-let explore_selfish ?cache ?cache_capacity ?dpor ?symmetry engine =
+let explore_selfish ?cache ?dpor ?symmetry engine =
   let check r =
     Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history
   in
@@ -395,8 +395,8 @@ let explore_selfish ?cache ?cache_capacity ?dpor ?symmetry engine =
       Explore.explore_naive ~n:2 ~factory ~invoke:one_proposal ~depth:6 ~check
         ()
   | `Incremental ->
-      Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth:6 ?cache
-        ?cache_capacity ?dpor ?symmetry ~check ()
+      Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth:6 ?cache ?dpor
+        ?symmetry ~check ()
 
 let selfish_witness =
   (* The lexicographically least failing script: in the canonical menu
@@ -427,8 +427,7 @@ let test_explore_witness_is_deterministic () =
     [
       ("naive", explore_selfish `Naive);
       ("incremental", explore_selfish `Incremental);
-      ("no-cache", explore_selfish ~cache:false `Incremental);
-      ("bounded-cache", explore_selfish ~cache_capacity:4 `Incremental);
+      ("cache-off", explore_selfish ~cache:false `Incremental);
       ("dpor", explore_selfish ~dpor:true `Incremental);
       ("symmetry", explore_selfish ~symmetry:true `Incremental);
       ("dpor+symmetry", explore_selfish ~dpor:true ~symmetry:true `Incremental);
@@ -476,26 +475,25 @@ let test_explore_stats_sanity () =
   check_int "no telemetry, no drops" 0 s.Explore_stats.events_dropped
 
 let test_explore_reduction_stats () =
-  (* The reductions and the bounded cache must each leave their trace
-     in the stats — and none of them may change the verdict. *)
+  (* The reductions must each leave their trace in the stats — and
+     none of them may change the verdict. *)
   let check r =
     Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history
   in
   let factory () = Slx_consensus.Register_consensus.factory () in
-  let explore ?cache_capacity ?(dpor = false) ?(symmetry = false) () =
-    Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth:10
-      ?cache_capacity ~dpor ~symmetry ~check ()
+  let explore ?(dpor = false) ?(symmetry = false) () =
+    Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth:10 ~dpor
+      ~symmetry ~check ()
   in
   let plain = explore () in
   let reduced = explore ~dpor:true ~symmetry:true () in
-  let bounded = explore ~cache_capacity:8 () in
   let safe e =
     match e.Explore.outcome with
     | Explore.Ok _ -> true
     | Explore.Counterexample _ -> false
   in
   check_bool "register consensus safe under reductions" true
-    (safe plain && safe reduced && safe bounded);
+    (safe plain && safe reduced);
   let s = reduced.Explore.stats in
   check_bool "POR put processes to sleep" true (s.Explore_stats.por_prunes > 0);
   check_bool "symmetry pruned untouched-process decisions" true
@@ -507,16 +505,7 @@ let test_explore_reduction_stats () =
     (s.Explore_stats.runs < plain.Explore.stats.Explore_stats.runs);
   check_bool "plain engine sleeps and prunes nothing" true
     (plain.Explore.stats.Explore_stats.por_prunes = 0
-    && plain.Explore.stats.Explore_stats.symmetry_pruned = 0);
-  let b = bounded.Explore.stats in
-  check_bool "tiny cache evicts" true (b.Explore_stats.cache_evictions > 0);
-  check_bool "bounded cache stays within capacity" true
-    (b.Explore_stats.cache_entries <= 8);
-  check_int "bounded cache agrees on the run count"
-    plain.Explore.stats.Explore_stats.runs b.Explore_stats.runs;
-  check_bool "bounded cache agrees on the run set" true
-    (b.Explore_stats.history_digest
-    = plain.Explore.stats.Explore_stats.history_digest)
+    && plain.Explore.stats.Explore_stats.symmetry_pruned = 0)
 
 let test_explore_is_sequential () =
   (* [?domains] survives only for callers that pass [~domains:1]. *)
@@ -577,75 +566,6 @@ let test_explore_with_crashes () =
   | Explore.Counterexample _ ->
       Alcotest.fail "CAS consensus must survive single crashes too"
 
-(* ------------------------------------------------------------------ *)
-(* The clock (second-chance) cache store.  Keys are the explorers'
-   flat int arrays; here [[| 1 |]] .. [[| 5 |]] stand for keys a .. e. *)
-
-let test_clock_cache_capacity_zero () =
-  Alcotest.check_raises "capacity 0 rejected"
-    (Invalid_argument "Clock_cache.create: capacity < 1") (fun () ->
-      ignore (Clock_cache.create ~capacity:0 ()));
-  Alcotest.check_raises "negative capacity rejected"
-    (Invalid_argument "Clock_cache.create: capacity < 1") (fun () ->
-      ignore (Clock_cache.create ~capacity:(-3) ()))
-
-let test_clock_cache_capacity_one () =
-  let t = Clock_cache.create ~capacity:1 () in
-  Clock_cache.replace t [| 1 |] 1;
-  check_int "one entry" 1 (Clock_cache.length t);
-  check_bool "a present" true (Clock_cache.find_opt t [| 1 |] = Some 1);
-  (* Even a referenced sole entry is evicted: the sweep clears its bit
-     on the first pass and takes it on the second. *)
-  Clock_cache.replace t [| 2 |] 2;
-  check_int "still one entry" 1 (Clock_cache.length t);
-  check_bool "a evicted" true (Clock_cache.find_opt t [| 1 |] = None);
-  check_bool "b present" true (Clock_cache.find_opt t [| 2 |] = Some 2);
-  check_int "one eviction" 1 (Clock_cache.evictions t);
-  (* Updating the resident key is not an eviction. *)
-  Clock_cache.replace t [| 2 |] 3;
-  check_bool "b updated in place" true
-    (Clock_cache.find_opt t [| 2 |] = Some 3);
-  check_int "no further eviction" 1 (Clock_cache.evictions t)
-
-let test_clock_cache_second_chance_order () =
-  let t = Clock_cache.create ~capacity:3 () in
-  Clock_cache.replace t [| 1 |] 1;
-  Clock_cache.replace t [| 2 |] 2;
-  Clock_cache.replace t [| 3 |] 3;
-  (* Reference a: the hand (at slot 0) must clear a's bit, pass it
-     over, and evict b — the first unreferenced entry in ring order. *)
-  ignore (Clock_cache.find_opt t [| 1 |]);
-  Clock_cache.replace t [| 4 |] 4;
-  check_bool "b evicted first" true (Clock_cache.find_opt t [| 2 |] = None);
-  check_bool "a survived its second chance" true
-    (Clock_cache.find_opt t [| 1 |] = Some 1);
-  check_bool "c retained" true (Clock_cache.find_opt t [| 3 |] = Some 3);
-  check_bool "d inserted" true (Clock_cache.find_opt t [| 4 |] = Some 4);
-  (* The hand now stands past b's old slot; c's bit was just set by the
-     lookup above, a's and d's too — all referenced, so the next
-     insertion sweeps a full circle clearing bits and evicts the first
-     entry it re-reaches: c (slot 2, where the hand stopped). *)
-  Clock_cache.replace t [| 5 |] 5;
-  check_bool "c evicted on the full sweep" true
-    (Clock_cache.find_opt t [| 3 |] = None);
-  check_bool "a still present" true (Clock_cache.find_opt t [| 1 |] = Some 1);
-  check_int "two evictions total" 2 (Clock_cache.evictions t)
-
-let test_clock_cache_eviction_counter () =
-  let t = Clock_cache.create ~capacity:2 () in
-  for i = 1 to 10 do
-    Clock_cache.replace t [| i |] i
-  done;
-  check_int "over-capacity insertions each evict" 8 (Clock_cache.evictions t);
-  check_int "length stays at capacity" 2 (Clock_cache.length t);
-  let unbounded = Clock_cache.create () in
-  for i = 1 to 100 do
-    Clock_cache.replace unbounded [| i |] i
-  done;
-  check_int "unbounded cache never evicts" 0 (Clock_cache.evictions unbounded);
-  check_int "unbounded cache keeps everything" 100
-    (Clock_cache.length unbounded)
-
 let suites =
   [
     ( "core-exclusion",
@@ -680,15 +600,8 @@ let suites =
         quick "crash branching" test_explore_with_crashes;
         quick "deterministic least witness" test_explore_witness_is_deterministic;
         quick "stats sanity" test_explore_stats_sanity;
-        quick "reduction + eviction stats" test_explore_reduction_stats;
+        quick "reduction stats" test_explore_reduction_stats;
         quick "explore runs on one domain only" test_explore_is_sequential;
-      ] );
-    ( "core-clock-cache",
-      [
-        quick "capacity 0 rejected" test_clock_cache_capacity_zero;
-        quick "capacity 1" test_clock_cache_capacity_one;
-        quick "second-chance eviction order" test_clock_cache_second_chance_order;
-        quick "eviction counter" test_clock_cache_eviction_counter;
       ] );
     ( "core-figure1",
       [

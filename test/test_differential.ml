@@ -431,10 +431,6 @@ let test_explorers_agree_on_counterexample () =
         fun () ->
           Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth:8
             ~dpor:true ~symmetry:true ~check () );
-      ( "bounded cache",
-        fun () ->
-          Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth:8
-            ~cache_capacity:16 ~check () );
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -620,8 +616,7 @@ let survivor_decided_crashed_value r =
           h)
 
 (* The least failing run of the image of naive's runs (the crash-move
-   map) must come out of DPOR with the cache off and on, and under a
-   bounded cache.  Under symmetry only the verdict is compared: its
+   map) must come out of DPOR with the cache off and on.  Under symmetry only the verdict is compared: its
    witness is the least renaming, not the least run (both checks are
    invariant under renaming processes, as symmetry requires). *)
 let test_crash_witnesses_agree () =
@@ -636,9 +631,9 @@ let test_crash_witnesses_agree () =
             (Explore.codes_of_script script, hash_history r)
         | _ -> Alcotest.fail (name ^ ": expected a counterexample")
       in
-      let explore ?cache ?cache_capacity ?symmetry () =
+      let explore ?cache ?symmetry () =
         Explore.explore ~n ~factory ~invoke:one_proposal ~depth ~max_crashes
-          ?cache ?cache_capacity ?symmetry ~dpor:true ~check ()
+          ?cache ?symmetry ~dpor:true ~check ()
       in
       let reference =
         match
@@ -664,7 +659,6 @@ let test_crash_witnesses_agree () =
         [
           ("dpor, cache off", fun () -> explore ~cache:false ());
           ("dpor, cache on", fun () -> explore ());
-          ("dpor, bounded cache", fun () -> explore ~cache_capacity:16 ());
         ];
       check_bool
         (name ^ ": dpor+symmetry finds a counterexample too")
@@ -752,15 +746,7 @@ let test_table_rule () =
     [
       ("register n=3 d12 c0, dpor alone", true, false, 3, 12, 0, 1073);
       ("register n=2 d14 c1, symmetry alone", false, true, 2, 14, 1, 281);
-    ];
-  (* A capacity below 1 is refused even where no table would be built. *)
-  check_bool "cache_capacity 0 refused under dpor+symmetry" true
-    (match
-       Explore.explore ~n:2 ~factory:register ~invoke:one_proposal ~depth:4
-         ~cache_capacity:0 ~dpor:true ~symmetry:true ~check:consensus ()
-     with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
+    ]
 
 let suites =
   [

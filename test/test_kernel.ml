@@ -14,10 +14,9 @@
      and cas consensus, n = 2, 3, depth 8, one and two crashes).
    - [Runtime.hash_value]'s fast path for immediates yields the digest
      the deep fold defines, so no observation or registry digest moves.
-   - [Clock_cache] under its one-pass key hash: lookups agree with a
-     structural reference table, keys differing in one position are
-     distinct entries, and a bounded cache evicts exactly as the clock
-     policy does. *)
+   - [Key_table] under its one-pass key hash: lookups agree with a
+     structural reference table, and keys differing in one position
+     are distinct entries. *)
 
 open Slx_history
 open Slx_sim
@@ -319,7 +318,7 @@ let test_hash_value_pins () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Clock_cache under the one-pass hash.                                *)
+(* Key_table under the one-pass hash.                                  *)
 
 let key_gen =
   QCheck2.Gen.(
@@ -338,100 +337,36 @@ let ops_gen =
 (* [v < 0] looks the key up; otherwise it is replaced with [v]. *)
 let qcheck_cache_matches_reference =
   QCheck2.Test.make ~count:300
-    ~name:"Clock_cache: find_opt after replace = a structural Hashtbl"
+    ~name:"Key_table: find_opt after replace = a structural Hashtbl"
     ops_gen
     (fun ops ->
-      let cache = Clock_cache.create () and reference = Hashtbl.create 16 in
+      let table = Key_table.create 16 and reference = Hashtbl.create 16 in
       List.for_all
         (fun (k, v) ->
           if v < 0 then
-            Clock_cache.find_opt cache (Array.copy k)
+            Key_table.find_opt table (Array.copy k)
             = Hashtbl.find_opt reference k
           else begin
-            Clock_cache.replace cache (Array.copy k) v;
+            Key_table.replace table (Array.copy k) v;
             Hashtbl.replace reference k v;
-            Clock_cache.length cache = Hashtbl.length reference
+            Key_table.length table = Hashtbl.length reference
           end)
         ops)
 
 let qcheck_cache_single_position =
   QCheck2.Test.make ~count:500
-    ~name:"Clock_cache: keys differing in one position are distinct"
+    ~name:"Key_table: keys differing in one position are distinct"
     QCheck2.Gen.(triple key_gen (int_range 0 39) (int_range 1 1_000_000))
     (fun (k, i, delta) ->
       let i = i mod Array.length k in
       let k' = Array.copy k in
       k'.(i) <- k.(i) + delta;
-      let cache = Clock_cache.create () in
-      Clock_cache.replace cache k 1;
-      Clock_cache.replace cache k' 2;
-      Clock_cache.length cache = 2
-      && Clock_cache.find_opt cache (Array.copy k) = Some 1
-      && Clock_cache.find_opt cache (Array.copy k') = Some 2)
-
-(* The clock (second-chance) policy, restated over a plain ring: a hit
-   sets the entry's bit, an update keeps it, and an insert into a full
-   ring sweeps from the hand, clearing set bits, and evicts the first
-   clear entry. *)
-let clock_reference ~capacity ops =
-  let ring = Array.make capacity None and hand = ref 0 and size = ref 0 in
-  let evictions = ref 0 in
-  let find k =
-    let rec go i =
-      if i >= capacity then None
-      else
-        match ring.(i) with
-        | Some (k', _, _) when k' = k -> Some i
-        | _ -> go (i + 1)
-    in
-    go 0
-  in
-  List.iter
-    (fun (k, v) ->
-      match find k with
-      | Some i ->
-          let _, old, bit = Option.get ring.(i) in
-          ring.(i) <-
-            (if v < 0 then Some (k, old, true) else Some (k, v, bit))
-      | None when v < 0 -> ()
-      | None ->
-          let slot =
-            if !size < capacity then !size
-            else begin
-              let rec sweep () =
-                match ring.(!hand) with
-                | Some (k', x, true) ->
-                    ring.(!hand) <- Some (k', x, false);
-                    hand := (!hand + 1) mod capacity;
-                    sweep ()
-                | _ ->
-                    let s = !hand in
-                    incr evictions;
-                    decr size;
-                    hand := (s + 1) mod capacity;
-                    s
-              in
-              sweep ()
-            end
-          in
-          ring.(slot) <- Some (k, v, false);
-          incr size)
-    ops;
-  !evictions
-
-let qcheck_cache_clock_evictions =
-  QCheck2.Test.make ~count:300
-    ~name:"Clock_cache: bounded evictions = the clock policy's"
-    QCheck2.Gen.(pair (int_range 1 6) ops_gen)
-    (fun (capacity, ops) ->
-      let cache = Clock_cache.create ~capacity () in
-      List.iter
-        (fun (k, v) ->
-          if v < 0 then ignore (Clock_cache.find_opt cache (Array.copy k))
-          else Clock_cache.replace cache (Array.copy k) v)
-        ops;
-      Clock_cache.evictions cache = clock_reference ~capacity ops
-      && Clock_cache.length cache <= capacity)
+      let table = Key_table.create 16 in
+      Key_table.replace table k 1;
+      Key_table.replace table k' 2;
+      Key_table.length table = 2
+      && Key_table.find_opt table (Array.copy k) = Some 1
+      && Key_table.find_opt table (Array.copy k') = Some 2)
 
 let suites =
   [
@@ -449,6 +384,5 @@ let suites =
             qcheck_hash_value_immediates;
             qcheck_cache_matches_reference;
             qcheck_cache_single_position;
-            qcheck_cache_clock_evictions;
           ] );
   ]

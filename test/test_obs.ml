@@ -200,11 +200,10 @@ let one_proposal =
     (Slx_sim.Driver.n_times 1 (fun p _ ->
          Slx_consensus.Consensus_type.Propose (p - 1)))
 
-let explore_register ?cache ?cache_capacity ?(dpor = false) ?(symmetry = false)
-    ?obs () =
+let explore_register ?cache ?(dpor = false) ?(symmetry = false) ?obs () =
   Explore.explore ~n:2
     ~factory:(fun () -> Slx_consensus.Register_consensus.factory ())
-    ~invoke:one_proposal ~depth:8 ?cache ?cache_capacity ~dpor ~symmetry ?obs
+    ~invoke:one_proposal ~depth:8 ?cache ~dpor ~symmetry ?obs
     ~check:(fun r ->
       Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history)
     ()
@@ -222,8 +221,7 @@ let test_tracing_does_not_change_verdicts () =
   let configs =
     [
       ("plain", fun obs -> explore_register ~obs ());
-      ("no-cache", fun obs -> explore_register ~cache:false ~obs ());
-      ("bounded-cache", fun obs -> explore_register ~cache_capacity:8 ~obs ());
+      ("cache-off", fun obs -> explore_register ~cache:false ~obs ());
       ( "dpor+symmetry",
         fun obs -> explore_register ~dpor:true ~symmetry:true ~obs () );
     ]
@@ -246,7 +244,7 @@ let count_kind events k =
 
 let test_traced_events_reconcile_with_stats () =
   let obs = Obs.create ~tracing:true () in
-  let e = explore_register ~cache_capacity:8 ~obs () in
+  let e = explore_register ~obs () in
   let s = e.Explore.stats in
   let events = Obs.events obs in
   check_int "no drops at the default ring size" 0 (Obs.events_dropped obs);
@@ -256,8 +254,6 @@ let test_traced_events_reconcile_with_stats () =
     (count_kind events Telemetry.Node_leave);
   check_int "one cache-hit event per cache hit" s.Explore_stats.cache_hits
     (count_kind events Telemetry.Cache_hit);
-  check_int "one evict event per eviction" s.Explore_stats.cache_evictions
-    (count_kind events Telemetry.Cache_evict);
   check_int "one run-checked event per checked run" s.Explore_stats.runs_checked
     (count_kind events Telemetry.Run_checked);
   (* The export of the same run validates and agrees on the counts. *)

@@ -450,7 +450,6 @@ let test_cli_out_of_range_refused () =
         (Sys.command
            (Printf.sprintf "%s %s --json >/dev/null 2>&1" slx_bin args)))
     [
-      "explore --cache-capacity 0";
       "explore --depth=-3";
       "explore --depth 0";
       "explore --depth 65";
@@ -460,7 +459,6 @@ let test_cli_out_of_range_refused () =
       "live-explore --pump 0";
       "live-explore --depth=-1";
       "live-explore --crashes=-1";
-      "live-explore --cache-capacity 0";
       "live-explore --procs 0";
       "live-explore --procs 17";
       "live-explore --property 2,1";
@@ -491,9 +489,13 @@ let test_cli_retired_flags_refused () =
       "explore --no-por";
       "explore --no-compact";
       "explore --bitstate 16";
+      "explore --no-cache";
+      "explore --cache-capacity 50";
       "live-explore --no-compact";
       "live-explore --proviso 3";
       "live-explore --invoke-order";
+      "live-explore --no-cache";
+      "live-explore --cache-capacity 40";
     ]
 
 (* The serve decoder answers the same bad bounds with an [Error]. *)
