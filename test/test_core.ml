@@ -566,6 +566,60 @@ let test_explore_with_crashes () =
   | Explore.Counterexample _ ->
       Alcotest.fail "CAS consensus must survive single crashes too"
 
+(* ------------------------------------------------------------------ *)
+(* The transposition table.  Keys are the explorers' flat int arrays,
+   looked up by fresh equal copies, as the explorers build them. *)
+
+let test_key_table_unbounded () =
+  (* The table has no capacity: every entry stays, well past the
+     5,091 entries of the deepest live corpus pin. *)
+  let n = 10_000 in
+  let t = Key_table.create 16 in
+  for i = 0 to n - 1 do
+    Key_table.replace t [| i; i / 7; -i |] i
+  done;
+  check_int "every key kept" n (Key_table.length t);
+  for i = 0 to n - 1 do
+    if Key_table.find_opt t [| i; i / 7; -i |] <> Some i then
+      Alcotest.failf "key %d lost" i
+  done
+
+let test_key_table_replace_in_place () =
+  let t = Key_table.create 16 in
+  Key_table.replace t [| 1; 2 |] 1;
+  Key_table.replace t [| 1; 2 |] 2;
+  check_int "an equal key replaces, not adds" 1 (Key_table.length t);
+  check_bool "the newer value is found" true
+    (Key_table.find_opt t [| 1; 2 |] = Some 2);
+  check_bool "a prefix is another key" true (Key_table.find_opt t [| 1 |] = None);
+  check_bool "an extension is another key" true
+    (Key_table.find_opt t [| 1; 2; 0 |] = None);
+  check_bool "the empty key is another key" true
+    (Key_table.find_opt t [||] = None)
+
+let test_key_table_long_keys () =
+  (* Keys equal in their first 39 elements and differing only in the
+     last, past where the polymorphic hash stops looking, and keys
+     that are permutations of one another, are all distinct. *)
+  let t = Key_table.create 16 in
+  let long i = Array.init 40 (fun j -> if j = 39 then i else j) in
+  for i = 0 to 999 do
+    Key_table.replace t (long i) i
+  done;
+  check_int "keys differing in the last element are distinct" 1000
+    (Key_table.length t);
+  check_bool "each long key finds its own value" true
+    (List.for_all
+       (fun i -> Key_table.find_opt t (long i) = Some i)
+       [ 0; 1; 500; 998; 999 ]);
+  let p = Key_table.create 16 in
+  Key_table.replace p [| 1; 2; 3 |] 0;
+  Key_table.replace p [| 3; 2; 1 |] 1;
+  Key_table.replace p [| 2; 1; 3 |] 2;
+  check_int "permuted keys are distinct" 3 (Key_table.length p);
+  check_bool "a permuted key finds its own value" true
+    (Key_table.find_opt p [| 3; 2; 1 |] = Some 1)
+
 let suites =
   [
     ( "core-exclusion",
@@ -602,6 +656,12 @@ let suites =
         quick "stats sanity" test_explore_stats_sanity;
         quick "reduction stats" test_explore_reduction_stats;
         quick "explore runs on one domain only" test_explore_is_sequential;
+      ] );
+    ( "core-key-table",
+      [
+        quick "unbounded: every entry stays" test_key_table_unbounded;
+        quick "replace updates in place" test_key_table_replace_in_place;
+        quick "long and permuted keys are distinct" test_key_table_long_keys;
       ] );
     ( "core-figure1",
       [

@@ -348,6 +348,82 @@ let test_progress_jsonl () =
     !lines;
   Sys.remove path
 
+(* The counters' JSON, as [slx explore --json] and the store print it:
+   exactly the record's fields, in the record's order, each carrying
+   its field's value. *)
+let test_stats_json_fields () =
+  let s = (explore_register ()).Explore.stats in
+  let expected =
+    Explore_stats.
+      [
+        ("nodes", s.nodes);
+        ("runs", s.runs);
+        ("runs_checked", s.runs_checked);
+        ("steps_executed", s.steps_executed);
+        ("steps_replayed", s.steps_replayed);
+        ("replays_avoided", s.replays_avoided);
+        ("cache_hits", s.cache_hits);
+        ("cache_entries", s.cache_entries);
+        ("por_prunes", s.por_prunes);
+        ("race_reversals", s.race_reversals);
+        ("invoke_order_prunes", s.invoke_order_prunes);
+        ("proviso_wakes", s.proviso_wakes);
+        ("symmetry_pruned", s.symmetry_pruned);
+        ("cycles_examined", s.cycles_examined);
+        ("fair_cycles", s.fair_cycles);
+        ("footprint_violations", s.footprint_violations);
+        ("elapsed_ns", s.elapsed_ns);
+        ("events_dropped", s.events_dropped);
+        ("history_digest", s.history_digest);
+      ]
+  in
+  match Json.parse (Explore_stats.to_json s) with
+  | Ok (Json.Obj fields) ->
+      Alcotest.(check (list string))
+        "the record's fields, in order" (List.map fst expected)
+        (List.map fst fields);
+      List.iter
+        (fun (k, v) ->
+          check_bool (k ^ " carries its value") true
+            (Option.bind (Json.member k (Json.Obj fields)) Json.int = Some v))
+        expected
+  | Ok _ -> Alcotest.fail "stats JSON is not an object"
+  | Error err -> Alcotest.failf "stats JSON does not parse: %s" err
+
+(* A JSON-lines heartbeat names the sample's counters and the two
+   rates, and nothing else. *)
+let test_progress_json_fields () =
+  let path = Filename.temp_file "slx_progress" ".jsonl" in
+  let oc = open_out path in
+  let reporter = Progress.create ~interval:0.0 ~json:true ~out:oc () in
+  let e = explore_register ~obs:(Obs.create ~progress:reporter ()) () in
+  close_out oc;
+  let ic = open_in path in
+  let line = input_line ic in
+  close_in ic;
+  Sys.remove path;
+  match Json.parse line with
+  | Ok (Json.Obj fields as j) ->
+      Alcotest.(check (list string))
+        "heartbeat fields"
+        [
+          "elapsed_s";
+          "nodes";
+          "nodes_per_s";
+          "runs";
+          "steps";
+          "steps_per_s";
+          "cache_entries";
+          "cycles_examined";
+        ]
+        (List.map fst fields);
+      check_bool "the table size is at most the final one" true
+        (match Option.bind (Json.member "cache_entries" j) Json.int with
+        | Some c -> 0 <= c && c <= e.Explore.stats.Explore_stats.cache_entries
+        | None -> false)
+  | Ok _ -> Alcotest.fail "heartbeat is not an object"
+  | Error err -> Alcotest.failf "heartbeat is not JSON (%s): %s" err line
+
 let test_progress_off_is_free () =
   check_bool "off reporter is disabled" false (Progress.enabled Progress.off);
   check_int "off reporter never beats" 0 (Progress.beats Progress.off);
@@ -366,6 +442,7 @@ let suites =
         quick "parses values and escapes" test_json_parses_values;
         quick "rejects garbage" test_json_rejects_garbage;
         quick "exact integers" test_json_exact_ints;
+        quick "stats fields" test_stats_json_fields;
       ] );
     ( "obs-trace",
       [
@@ -382,5 +459,6 @@ let suites =
       [
         quick "json-lines heartbeats" test_progress_jsonl;
         quick "disabled reporter is free" test_progress_off_is_free;
+        quick "heartbeat fields" test_progress_json_fields;
       ] );
   ]
