@@ -262,8 +262,12 @@ let micro_tests cursor =
    (prefix replay is most of the explorers' steps).  A fixed 18-decision
    register-consensus n=3 prefix (round-robin, one proposal each, the
    lean 18-round instance) replayed into a fresh cursor: factory call,
-   18 decisions, disposal.  Reported in ns per run and, separately, in
-   minor words per run. *)
+   18 decisions, disposal; the same on a keyless cursor, as every walk
+   without a transposition table builds them; and the default safety
+   walk (dpor+symmetry, no table) of register consensus n=3, depth 14,
+   one crash, on the lean 14-round instance, a lib-safety query shape.
+   Reported in ns per run and, separately, in minor words per run and,
+   for the walk, per node. *)
 let kernel_runs =
   let factory = Slx_consensus.Register_consensus.factory ~max_rounds:18 () in
   let prefix =
@@ -278,13 +282,37 @@ let kernel_runs =
     List.rev !taken
   in
   assert (List.length prefix = 18);
+  let walk () =
+    Slx_core.Explore.explore ~n:3
+      ~factory:(fun () ->
+        Slx_consensus.Register_consensus.factory ~max_rounds:14 ())
+      ~invoke:(Slx_core.Explore.workload_invoke consensus_once)
+      ~depth:14 ~max_crashes:1 ~dpor:true ~symmetry:true
+      ~check:(fun r ->
+        Slx_consensus.Consensus_safety.check r.Run_report.history)
+      ()
+  in
+  let walk_nodes = (walk ()).Slx_core.Explore.stats.Slx_core.Explore_stats.nodes in
+  (* (name, run, allocation runs, nodes per run) *)
   [
     ( "micro/replay-prefix",
-      fun () -> Runner.Cursor.with_ ~n:3 ~factory ~prefix ignore );
+      (fun () -> Runner.Cursor.with_ ~n:3 ~factory ~prefix ignore),
+      1000,
+      None );
+    ( "micro/replay-prefix-keyless",
+      (fun () -> Runner.Cursor.with_ ~n:3 ~factory ~keyed:false ~prefix ignore),
+      1000,
+      None );
+    ( "micro/explore-register-n3-d14-c1",
+      (fun () -> ignore (walk ())),
+      5,
+      Some walk_nodes );
   ]
 
 let kernel_tests =
-  List.map (fun (name, run) -> Test.make ~name (Staged.stage run)) kernel_runs
+  List.map
+    (fun (name, run, _, _) -> Test.make ~name (Staged.stage run))
+    kernel_runs
 
 (* P5: adversary games. *)
 let game_tests =
@@ -351,12 +379,17 @@ let run () =
      updates only at a minor collection. *)
   Printf.printf "\n== allocation (minor words per run, Gc.minor_words) ==\n";
   List.iter
-    (fun (name, run) ->
-      let runs = 1000 in
+    (fun (name, run, runs, nodes) ->
       let w0 = Gc.minor_words () in
       for _ = 1 to runs do
         run ()
       done;
-      Printf.printf "  %-44s %14.0f words\n" name
-        ((Gc.minor_words () -. w0) /. float_of_int runs))
+      let words = (Gc.minor_words () -. w0) /. float_of_int runs in
+      Printf.printf "  %-44s %14.0f words" name words;
+      (match nodes with
+      | Some k ->
+          Printf.printf " (%d nodes, %.1f words per node)" k
+            (words /. float_of_int k)
+      | None -> ());
+      print_newline ())
     kernel_runs

@@ -19,11 +19,7 @@
 val all : unit -> Audit.case list
 (** Every registered implementation (fixtures excluded). *)
 
-val base_cases : unit -> Audit.case list
 val consensus_cases : unit -> Audit.case list
-val object_cases : unit -> Audit.case list
-val universal_cases : unit -> Audit.case list
-val tm_cases : unit -> Audit.case list
 
 val fixture_cases : unit -> Audit.case list
 (** The mis-declared fixtures, each expected dirty (or linty) in its

@@ -3,7 +3,7 @@
     [3]).
 
     Processes propose values and each decides one; safety demands at
-    most [k] distinct decided values ({!k_agreement}) and that every
+    most [k] distinct decided values (k-agreement) and that every
     decision was proposed ({!validity}).  [k = 1] is consensus.
 
     {!grouped_factory} implements k-set agreement from registers by
@@ -19,9 +19,6 @@
 open Slx_history
 
 type history = (Consensus_type.invocation, Consensus_type.response) History.t
-
-val k_agreement : k:int -> history -> bool
-(** At most [k] distinct decided values. *)
 
 val validity : history -> bool
 (** Every decided value was proposed before it was decided. *)

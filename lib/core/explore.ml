@@ -138,14 +138,12 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
     Search.menu ~invoke ~depth ~max_crashes ~symmetry ~invoke_order:false
   in
   (* The key tail: the crash the menu may add after the last decision,
-     then the sleep set, which is sorted (children inherit a
-     [sort_uniq]ed set, which [Dpor.advance] filters in order), so it
-     is canonical. *)
-  let key_of key ~last crashes sleep =
-    match st.table with
-    | None -> None
-    | Some _ ->
-        Some (key (Search.crash_slot ~max_crashes ~last crashes :: sleep))
+     then the sleep set, which is sorted (children inherit a sorted set,
+     which [Dpor.advance] filters in order), so it is canonical.  Only a
+     walk with a table builds keys: its cursors alone are keyed. *)
+  let keyed = Option.is_some st.table in
+  let key_tail ~last crashes sleep =
+    Search.crash_slot ~max_crashes ~last crashes :: sleep
   in
   (* A transposition: an already-explored configuration (with the same
      crash slot and sleep set).  Its subtree was counterexample-free
@@ -160,16 +158,22 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
      and replays the prefix for the others).  Stops at the first
      failing maximal run, which under this in-order walk is the
      lexicographically least one; a subtree that unwinds writes no
-     transposition entry. *)
-  let rec visit cursor rev_script len crashes sleep =
+     transposition entry.  An open crash child arrives with [pre], the
+     menu its parent took on its crash view, which is this node's. *)
+  let rec visit ?pre cursor rev_script len crashes sleep =
     Search.node st len @@ fun () ->
     let last = List.nth_opt rev_script 0 in
-    let key = key_of (Search.key cursor) ~last crashes sleep in
-    match Option.bind key (Search.find st) with
+    let key =
+      if keyed then Some (Search.key cursor (key_tail ~last crashes sleep))
+      else None
+    in
+    match Search.find st key with
     | Some e -> hit len e
     | None -> begin
         let decisions, sym_pruned =
-          menu (Runner.Cursor.view cursor) ~last len crashes
+          match pre with
+          | Some m -> m
+          | None -> menu (Runner.Cursor.view cursor) ~last len crashes
         in
         st.sym_pruned <- st.sym_pruned + sym_pruned;
         if sym_pruned > 0 then
@@ -213,13 +217,13 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                       (Search.crashes_after crashes d)
                       child_sleep)
                   kids
-                  (fun child d child_sleep () ->
+                  (fun child d child_sleep pre () ->
                     let settled =
                       if dpor then
                         Search.settle st child d child_sleep (len + 1)
                       else []
                     in
-                    visit child (d :: rev_script) (len + 1)
+                    visit ?pre child (d :: rev_script) (len + 1)
                       (Search.crashes_after crashes d)
                       settled);
                 Search.remember st key
@@ -233,11 +237,13 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
   and leaf x rev_script len crashes sleep =
     Search.node st len @@ fun () ->
     let key =
-      key_of
-        (fun extra -> Runner.Cursor.crash_key x ~extra)
-        ~last:(List.nth_opt rev_script 0) crashes sleep
+      if keyed then
+        Some
+          (Runner.Cursor.crash_key x
+             ~extra:(key_tail ~last:(List.nth_opt rev_script 0) crashes sleep))
+      else None
     in
-    match Option.bind key (Search.find st) with
+    match Search.find st key with
     | Some e -> hit len e
     | None ->
         check_run st ~check ~key

@@ -236,9 +236,11 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
   let canonical =
     Search.menu ~invoke ~depth ~max_crashes ~symmetry:false ~invoke_order:true
   in
-  let menu view rev_script len crashes =
+  let menu ?pre view rev_script len crashes =
     let decisions, pruned =
-      canonical view ~last:(List.nth_opt rev_script 0) len crashes
+      match pre with
+      | Some m -> m
+      | None -> canonical view ~last:(List.nth_opt rev_script 0) len crashes
     in
     if pruned > 0 then begin
       st.invoke_pruned <- st.invoke_pruned + pruned;
@@ -263,26 +265,31 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
     drop_own (Search.settle st child d candidate len) ~sleep len
   in
   (* Shallow nodes and leaves stay unkeyed: see the key comment. *)
-  let key_of key len rev_codes sleep =
-    if Option.is_some st.table && 2 * max_period < len && len < depth then begin
-      let codes = take (2 * max_period) rev_codes in
-      Some (key ((List.length codes :: codes) @ sleep))
-    end
-    else None
+  let keyed_at len =
+    Option.is_some st.table && 2 * max_period < len && len < depth
+  in
+  let key_tail rev_codes sleep =
+    let codes = take (2 * max_period) rev_codes in
+    (List.length codes :: codes) @ sleep
   in
   (* [sleep] holds the ids of the processes whose steps sleep at this
-     node; [] with DPOR off. *)
-  let rec visit cursor rev_script rev_codes rev_goods len crashes sleep =
+     node; [] with DPOR off.  An open crash child arrives with [pre],
+     the menu its parent took on its crash view, which is this
+     node's. *)
+  let rec visit ?pre cursor rev_script rev_codes rev_goods len crashes sleep =
     Search.node st len @@ fun () ->
-    let key = key_of (Search.key cursor) len rev_codes sleep in
-    match Option.bind key (Search.find st) with
+    let key =
+      if keyed_at len then Some (Search.key cursor (key_tail rev_codes sleep))
+      else None
+    in
+    match Search.find st key with
     | Some runs -> Search.hit st len runs
     | None ->
         let runs0 = st.runs in
         eval_candidates st ~invoke:(Some invoke) ~good ~point ~max_period
           ~pump_ticks cursor rev_script rev_codes rev_goods len;
         let view = Runner.Cursor.view cursor in
-        (match menu view rev_script len crashes with
+        (match menu ?pre view rev_script len crashes with
         | [] -> st.runs <- st.runs + 1
         | decisions ->
             (* One-level sleep-set filter.  A process asleep here took
@@ -323,12 +330,12 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
                 in
                 leaf x (crash_cell d :: rev_codes) (len + 1) settled)
               kids
-              (fun child d child_sleep (fresh, code) ->
+              (fun child d child_sleep pre (fresh, code) ->
                 let settled =
                   if dpor then settle child d child_sleep ~sleep (len + 1)
                   else []
                 in
-                visit child (d :: rev_script) (code :: rev_codes)
+                visit ?pre child (d :: rev_script) (code :: rev_codes)
                   (goods_of ~good fresh :: rev_goods)
                   (len + 1)
                   (Search.crashes_after crashes d)
@@ -342,9 +349,11 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
   and leaf x rev_codes len sleep =
     Search.node st len @@ fun () ->
     let key =
-      key_of (fun extra -> Runner.Cursor.crash_key x ~extra) len rev_codes sleep
+      if keyed_at len then
+        Some (Runner.Cursor.crash_key x ~extra:(key_tail rev_codes sleep))
+      else None
     in
-    match Option.bind key (Search.find st) with
+    match Search.find st key with
     | Some runs -> Search.hit st len runs
     | None ->
         st.runs <- st.runs + 1;

@@ -129,9 +129,11 @@ let stats st : Explore_stats.t =
     history_digest = st.digest;
   }
 
+(* A cursor keeps its key digests only where the table reads them. *)
 let with_cursor st ?prefix ?hist_id f =
   Runner.Cursor.with_ ~n:st.n ~factory:(st.factory ()) ~ticks:st.ticks
-    ?shadow:st.shadow ?probe:st.probe ?encode:st.encode ?prefix ?hist_id f
+    ?shadow:st.shadow ?probe:st.probe ?encode:st.encode
+    ~keyed:(Option.is_some st.table) ?prefix ?hist_id f
 
 let node st len body =
   st.nodes <- st.nodes + 1;
@@ -156,7 +158,7 @@ let dec_code = function
   | Driver.Crash p -> Telemetry.Dec.crash (Proc.hash p)
   | Driver.Stop -> Telemetry.Dec.schedule 0  (* never in a menu *)
 
-let menu_with ~crash ~invoke ~depth ~max_crashes view len crashes =
+let full_menu ~invoke ~depth ~max_crashes view len crashes =
   if len >= depth then []
   else begin
     let procs = Proc.all ~n:view.Driver.n in
@@ -172,14 +174,11 @@ let menu_with ~crash ~invoke ~depth ~max_crashes view len crashes =
     if crashes < max_crashes then
       List.filter_map
         (fun p ->
-          if view.Driver.status p = Runtime.Crashed || not (crash p) then None
+          if view.Driver.status p = Runtime.Crashed then None
           else Some (Driver.Crash p))
         procs
     else []
   end
-
-let full_menu ~invoke ~depth ~max_crashes view len crashes =
-  menu_with ~crash:(fun _ -> true) ~invoke ~depth ~max_crashes view len crashes
 
 (* Where a crash is offered.  [len = crashes] says the script so far is
    all crashes: the root prefix, which takes them in ascending order.
@@ -198,27 +197,110 @@ let crash_slot ~max_crashes ~last crashes =
       p
   | _ -> 0
 
-let menu ~invoke ~depth ~max_crashes ~symmetry ~invoke_order view ~last len
-    crashes =
-  let untouched p = view.Driver.events p = 0 in
-  let pruned = ref 0 and invoked = ref false and crashed = ref false in
-  let first seen =
-    let taken = !seen in
-    if taken then incr pruned;
-    seen := true;
-    not taken
+(* One walk's menu state: its filters and the [Schedule p] and
+   [Crash p] values every node's menu shares, fixed per walk; the
+   node's position and the pass's own counters, reset at each call. *)
+type ('inv, 'res) pass = {
+  invoke : ('inv, 'res) Driver.view -> Proc.t -> 'inv option;
+  symmetry : bool;
+  invoke_order : bool;
+  mutable schedules : ('inv, 'res) Driver.decision array;
+  mutable crash_of : ('inv, 'res) Driver.decision array;
+  mutable last : ('inv, 'res) Driver.decision option;
+  mutable len : int;
+  mutable crashes : int;
+  mutable can_crash : bool;
+  mutable pruned : int;
+  mutable invoked : bool;  (* a filtered invocation has been offered *)
+  mutable crashed : bool;  (* an untouched process's crash has been offered *)
+  mutable rev_crashes : ('inv, 'res) Driver.decision list;
+}
+
+(* Whether a filtered candidate is the first of its kind; every later
+   one counts as pruned. *)
+let first_invocation m =
+  if m.invoked then m.pruned <- m.pruned + 1;
+  let first = not m.invoked in
+  m.invoked <- true;
+  first
+
+let first_crash m =
+  if m.crashed then m.pruned <- m.pruned + 1;
+  let first = not m.crashed in
+  m.crashed <- true;
+  first
+
+(* Processes [p..n]: each one's step or invocation, in process order,
+   then the crashes collected on the way.  Under [invoke_order], or
+   under [symmetry] for an untouched process, only the least candidate
+   invocation is offered, and under [symmetry] only the least untouched
+   process's crash. *)
+let rec menu_from m view p =
+  if p > view.Driver.n then List.rev m.rev_crashes
+  else begin
+    let status = view.Driver.status p in
+    let untouched = m.symmetry && view.Driver.events p = 0 in
+    if
+      m.can_crash && status <> Runtime.Crashed
+      && crash_placed ~last:m.last m.len m.crashes p
+      && ((not untouched) || first_crash m)
+    then m.rev_crashes <- m.crash_of.(p) :: m.rev_crashes;
+    match status with
+    | Runtime.Ready ->
+        let rest = menu_from m view (p + 1) in
+        m.schedules.(p) :: rest
+    | Runtime.Crashed -> menu_from m view (p + 1)
+    | Runtime.Idle -> (
+        match m.invoke view p with
+        | Some inv
+          when (not (m.invoke_order || untouched)) || first_invocation m ->
+            let d = Driver.Invoke (p, inv) in
+            d :: menu_from m view (p + 1)
+        | _ -> menu_from m view (p + 1))
+  end
+
+(* One pass over 1..n with no intermediate list.  The pass state is
+   built once per partial application, so a walk that applies this to
+   its labelled arguments once shares it across every node. *)
+let menu ~invoke ~depth ~max_crashes ~symmetry ~invoke_order =
+  let m =
+    {
+      invoke;
+      symmetry;
+      invoke_order;
+      schedules = [||];
+      crash_of = [||];
+      last = None;
+      len = 0;
+      crashes = 0;
+      can_crash = false;
+      pruned = 0;
+      invoked = false;
+      crashed = false;
+      rev_crashes = [];
+    }
   in
-  let decisions =
-    List.filter
-      (function
-        | Driver.Invoke (p, _) when invoke_order || (symmetry && untouched p) ->
-            first invoked
-        | Driver.Crash p when symmetry && untouched p -> first crashed
-        | _ -> true)
-      (menu_with ~crash:(crash_placed ~last len crashes) ~invoke ~depth
-         ~max_crashes view len crashes)
-  in
-  (decisions, !pruned)
+  fun view ~last len crashes ->
+    if len >= depth then ([], 0)
+    else begin
+      let n = view.Driver.n in
+      if Array.length m.schedules <> n + 1 then begin
+        m.schedules <- Array.init (n + 1) (fun p -> Driver.Schedule p);
+        m.crash_of <- Array.init (n + 1) (fun p -> Driver.Crash p)
+      end;
+      m.last <- last;
+      m.len <- len;
+      m.crashes <- crashes;
+      m.can_crash <- crashes < max_crashes;
+      m.pruned <- 0;
+      m.invoked <- false;
+      m.crashed <- false;
+      m.rev_crashes <- [];
+      let decisions = menu_from m view 1 in
+      m.last <- None;
+      m.rev_crashes <- [];
+      (decisions, m.pruned)
+    end
 
 let asleep sleep decisions =
   if sleep = [] then ([], decisions)
@@ -227,32 +309,40 @@ let asleep sleep decisions =
       (function Driver.Schedule p -> List.mem p sleep | _ -> false)
       decisions
 
-let sleep_sets sleep kids =
-  List.fold_left
-    (fun (acc, prev) (d, x) ->
-      match d with
-      | Driver.Schedule p ->
-          ((d, x, prev) :: acc, List.sort_uniq Int.compare (p :: prev))
-      | Driver.Crash _ -> ((d, x, sleep) :: acc, prev)
-      | _ -> ((d, x, prev) :: acc, prev))
-    ([], sleep) kids
-  |> fst |> List.rev
+(* [p] added to the sorted, duplicate-free sleep set [sleep]. *)
+let rec insert p = function
+  | q :: rest as sleep ->
+      if p < q then p :: sleep else if p = q then sleep else q :: insert p rest
+  | [] -> [ p ]
 
 type crash_child = Dead | Leaf | Open
 
+(* The crash child's menu, taken once on the view after the crash, and
+   what it makes of the child. *)
+let crash_menu ~menu view ~sleep len crashes q =
+  let ((ds, _) as m) =
+    menu view ~last:(Some (Driver.Crash q)) (len + 1) (crashes + 1)
+  in
+  let kind =
+    match ds with
+    | [] -> Leaf
+    | ds ->
+        if
+          sleep <> []
+          && List.for_all
+               (function Driver.Schedule p -> List.mem p sleep | _ -> false)
+               ds
+        then Dead
+        else Open
+  in
+  (kind, m)
+
 let crash_child ~menu view ~sleep len crashes q =
-  match
-    fst (menu view ~last:(Some (Driver.Crash q)) (len + 1) (crashes + 1))
-  with
-  | [] -> Leaf
-  | ds ->
-      if
-        sleep <> []
-        && List.for_all
-             (function Driver.Schedule p -> List.mem p sleep | _ -> false)
-             ds
-      then Dead
-      else Open
+  fst (crash_menu ~menu view ~sleep len crashes q)
+
+type ('inv, 'res) child =
+  | Descend of (('inv, 'res) Driver.decision list * int) option
+  | Crash_leaf of ('inv, 'res) Runner.Cursor.crash
 
 let classify ~menu cursor ~sleep len crashes decisions =
   let dead = ref 0 in
@@ -262,16 +352,16 @@ let classify ~menu cursor ~sleep len crashes decisions =
         match d with
         | Driver.Crash q -> (
             match
-              crash_child ~menu
+              crash_menu ~menu
                 (Runner.Cursor.crash_view cursor q)
                 ~sleep len crashes q
             with
-            | Dead ->
+            | Dead, _ ->
                 incr dead;
                 None
-            | Leaf -> Some (d, Some (Runner.Cursor.crash cursor q))
-            | Open -> Some (d, None))
-        | _ -> Some (d, None))
+            | Leaf, _ -> Some (d, Crash_leaf (Runner.Cursor.crash cursor q))
+            | Open, m -> Some (d, Descend (Some m)))
+        | _ -> Some (d, Descend None))
       decisions
   in
   (kids, !dead)
@@ -281,25 +371,36 @@ let children st cursor ~rev_script ~len ~sleep ~apply ~leaf kids descend =
      later sibling replays this node's prefix, whose history id this
      is. *)
   let hist_id = Runner.Cursor.hist_id cursor in
-  let kids =
-    if Option.is_none st.probe then List.map (fun (d, x) -> (d, x, [])) kids
-    else sleep_sets sleep kids
+  let dpor = Option.is_some st.probe in
+  (* [prev]: the node's sleep set plus every earlier sibling's step. *)
+  let rec walk in_place prev = function
+    | [] -> ()
+    | (d, kid) :: kids -> (
+        Telemetry.emit st.sink Telemetry.Decision (len + 1) (dec_code d);
+        let z =
+          if not dpor then []
+          else match d with Driver.Crash _ -> sleep | _ -> prev
+        in
+        let next =
+          match d with
+          | Driver.Schedule p when dpor -> insert p prev
+          | _ -> prev
+        in
+        match kid with
+        | Crash_leaf x ->
+            leaf x d z;
+            walk in_place next kids
+        | Descend menu when in_place ->
+            st.avoided <- st.avoided + 1;
+            descend cursor d z menu (apply cursor d);
+            walk false next kids
+        | Descend menu ->
+            with_cursor st ~prefix:(List.rev rev_script) ~hist_id (fun child ->
+                st.replayed <- st.replayed + len;
+                descend child d z menu (apply child d));
+            walk false next kids)
   in
-  let in_place = ref true in
-  List.iter
-    (fun (d, crash, z) ->
-      Telemetry.emit st.sink Telemetry.Decision (len + 1) (dec_code d);
-      match crash with
-      | Some x -> leaf x d z
-      | None when !in_place ->
-          in_place := false;
-          st.avoided <- st.avoided + 1;
-          descend cursor d z (apply cursor d)
-      | None ->
-          with_cursor st ~prefix:(List.rev rev_script) ~hist_id (fun child ->
-              st.replayed <- st.replayed + len;
-              descend child d z (apply child d)))
-    kids
+  walk true sleep kids
 
 let settle st cursor d sleep len =
   let keep, woken =
@@ -320,8 +421,10 @@ let crashes_after crashes = function
 
 let key cursor extra = Runner.Cursor.compact_key cursor ~extra
 
-let find st k =
-  match st.table with Some t -> Key_table.find_opt t k | None -> None
+let find st key =
+  match (st.table, key) with
+  | Some t, Some k -> Key_table.find_opt t k
+  | _ -> None
 
 let remember st key v =
   match (st.table, key) with

@@ -6,7 +6,8 @@
     decided from its parent's cursor ({!classify}), the first other
     child extends that cursor in place and each later sibling replays
     the decision prefix into a fresh, bracketed cursor; a transposition
-    cache keyed on flat compact keys credits completed subtrees;
+    cache keyed on flat compact keys credits completed subtrees, and
+    only a search that keeps one has keyed cursors (see {!with_cursor});
     every node is counted, ticks the progress reporter, polls
     [cancel] and sits inside a telemetry node span.  This module holds
     that shared walk, its state, its menu and its sleep-set rule.  What
@@ -93,13 +94,29 @@ val with_cursor :
   (('inv, 'res) Runner.Cursor.t -> 'a) ->
   'a
 (** A cursor on a fresh instance carrying the search's hooks, disposed
-    of however the body ends, so at most [depth + 1] are live. *)
+    of however the body ends, so at most [depth + 1] are live.  It is
+    keyed ({!Slx_sim.Runner.Cursor.with_} [~keyed]) exactly when the
+    search keeps a transposition table: a table-less walk (DPOR with
+    symmetry, the live walk at its default period, the naive oracle,
+    certificate validation) keeps no shared-state or observation
+    digest, and must not call {!key}. *)
 
 val node : (_, _, _, _) t -> int -> (unit -> unit) -> unit
 (** [node st len body] enters a node at depth [len]: counts it, ticks
     progress, then polls [cancel] and runs [body] inside the
     [Node_enter]/[Node_leave] span, which closes on every exit.  With
     the sink disabled there is no [Fun.protect] frame. *)
+
+(** A child as {!classify} hands it to {!children}. *)
+type ('inv, 'res) child =
+  | Descend of (('inv, 'res) Driver.decision list * int) option
+      (** Built and walked.  An open crash child carries the menu
+          {!classify} took on its crash view: the menu its own node
+          would take, so its walk uses it instead, and counts its
+          pruned entries only where it reaches the menu (a table hit
+          counts none).  A step or an invocation carries [None]. *)
+  | Crash_leaf of ('inv, 'res) Runner.Cursor.crash
+      (** A [Leaf] crash child, checked from its parent's snapshot. *)
 
 val children :
   ('inv, 'res, 'v, 'f) t ->
@@ -112,11 +129,11 @@ val children :
   ('inv, 'res) Driver.decision ->
   int list ->
   unit) ->
-  (('inv, 'res) Driver.decision * ('inv, 'res) Runner.Cursor.crash option)
-  list ->
+  (('inv, 'res) Driver.decision * ('inv, 'res) child) list ->
   (('inv, 'res) Runner.Cursor.t ->
   ('inv, 'res) Driver.decision ->
   int list ->
+  (('inv, 'res) Driver.decision list * int) option ->
   'a ->
   unit) ->
   unit
@@ -130,7 +147,8 @@ val children :
     decided crash leaf goes to [leaf] with its snapshot: no cursor, no
     replay, counted as neither [replays_avoided] nor
     [steps_replayed].  Every other child is applied with [apply] and
-    handed to [descend] with [apply]'s result: the first extends
+    handed to [descend] with its {!classify}d menu and [apply]'s
+    result: the first extends
     [cursor] in place ([replays_avoided]), each later one replays the
     node's prefix into a fresh cursor with the node's [hist_id]
     ([steps_replayed]).  The live search drops the node's own [sleep]
@@ -177,15 +195,14 @@ val classify :
   int ->
   int ->
   ('inv, 'res) Driver.decision list ->
-  (('inv, 'res) Driver.decision * ('inv, 'res) Runner.Cursor.crash option)
-  list
-  * int
+  (('inv, 'res) Driver.decision * ('inv, 'res) child) list * int
 (** [classify ~menu cursor ~sleep len crashes decisions] runs
     {!crash_child} on every crash among a node's active [decisions],
     before any child moves [cursor].  It returns the children in menu
-    order, a [Leaf] paired with its {!Slx_sim.Runner.Cursor.crash}
-    snapshot and every other child with [None], and the number of
-    [Dead] children it dropped. *)
+    order, a [Leaf] as a [Crash_leaf] with its
+    {!Slx_sim.Runner.Cursor.crash} snapshot, an [Open] crash child with
+    the menu it was classified by, and every other child as
+    [Descend None]; and the number of [Dead] children it dropped. *)
 
 val full_menu :
   invoke:(('inv, 'res) Driver.view -> Proc.t -> 'inv option) ->
@@ -210,7 +227,11 @@ val menu :
   int ->
   ('inv, 'res) Driver.decision list * int
 (** The menu both reduced explorers walk, exported as
-    {!Explore.canonical_menu}. *)
+    {!Explore.canonical_menu}: one pass over the processes, with no
+    intermediate list.  Applied to its labelled arguments once per walk,
+    it builds each [Schedule p] and [Crash p] once and shares them
+    across every node.  That partial application holds the pass's
+    mutable state, so it serves one walk, on one domain, at a time. *)
 
 val crash_slot :
   max_crashes:int -> last:('inv, 'res) Driver.decision option -> int -> int
@@ -248,8 +269,9 @@ val key : ('inv, 'res) Runner.Cursor.t -> int list -> int array
 (** The cache key: the cursor's [compact_key] with the given tail,
     itself — the cache hashes and compares the whole array. *)
 
-val find : ('inv, 'res, 'v, 'f) t -> int array -> 'v option
-(** The cached entry under a key ([None] without a cache). *)
+val find : ('inv, 'res, 'v, 'f) t -> int array option -> 'v option
+(** The cached entry under the key, if any ([None] without a cache or
+    a key). *)
 
 val remember : ('inv, 'res, 'v, 'f) t -> int array option -> 'v -> unit
 (** Write an entry under the key, if any.  A found witness ends the

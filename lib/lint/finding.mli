@@ -36,7 +36,6 @@ val gating : t -> bool
 val compare : t -> t -> int
 (** Order by file, line, column, rule — the stable report order. *)
 
-val severity_label : severity -> string
 val pp : Format.formatter -> t -> unit
 
 val to_json : t -> string

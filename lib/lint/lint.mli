@@ -14,12 +14,6 @@ type report = {
       (** suppressed findings with the entry that suppressed each *)
 }
 
-val default_paths : string list
-(** The model-code sweep: [lib/objects], [lib/consensus], [lib/tm],
-    [lib/base_objects], [examples], and [lib/analysis/fixtures.ml]
-    (the deliberately-broken fixtures — which is what the waiver file
-    is for). *)
-
 val run :
   ?root:string ->
   ?paths:string list ->
@@ -29,7 +23,10 @@ val run :
   unit ->
   report
 (** Sweep [paths] (files or directories, relative to [root], default
-    {!default_paths}; directories recurse over [.ml] files, [.mli]
+    the model-code sweep: [lib/objects], [lib/consensus], [lib/tm],
+    [lib/base_objects], [examples], and [lib/analysis/fixtures.ml],
+    the deliberately-broken fixtures, which is what the waiver file is
+    for; directories recurse over [.ml] files, [.mli]
     interfaces carry no step bodies and are skipped).  A missing
     [path] is itself a finding, not an exception.  [waiver_file] (also
     relative to [root]) suppresses matching findings; a missing or

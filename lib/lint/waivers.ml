@@ -126,14 +126,6 @@ let matches e (f : Finding.t) =
 let expired ~today e =
   match e.w_expires with None -> false | Some d -> String.compare d today < 0
 
-let pp_entry ppf e =
-  Format.fprintf ppf "line %d: %s %s%s%s (%s)" e.w_line e.w_rule e.w_file
-    (match e.w_match with Some m -> Printf.sprintf " match=%S" m | None -> "")
-    (match e.w_expires with
-    | Some d -> Printf.sprintf " expires=%s" d
-    | None -> "")
-    e.w_reason
-
 let entry_to_json e =
   Printf.sprintf
     "{\"line\": %d, \"rule\": %S, \"file\": %S, \"match\": %s, \"expires\": \

@@ -37,5 +37,4 @@ val matches : entry -> Finding.t -> bool
 
 val expired : today:string -> entry -> bool
 
-val pp_entry : Format.formatter -> entry -> unit
 val entry_to_json : entry -> string

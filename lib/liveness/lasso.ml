@@ -117,7 +117,8 @@ let pump ~factory ?ticks ?(repetitions = 2) ?invoke cert =
        inapplicable stem decision. *)
     let in_body = ref false in
     try
-      Runner.Cursor.with_ ~n:cert.c_n ~factory ?ticks ~prefix:cert.c_stem
+      Runner.Cursor.with_ ~n:cert.c_n ~factory ?ticks ~keyed:false
+        ~prefix:cert.c_stem
         (fun cursor ->
           in_body := true;
           let apply d =

@@ -14,7 +14,7 @@
     - {!tas_factory}: the classical test-and-set spin lock;
     - {!workload}: a protocol-respecting driver (acquire, release,
       repeat);
-    - {!starvation_adversary}: a scheduler that lets [p2] take the lock
+    - {!run_starvation}: a scheduler that lets [p2] take the lock
       forever while granting [p1]'s acquire attempts only while the
       lock is held — [p1] starves, so (2,2)-freedom (and hence
       starvation-freedom) is excluded for the TAS lock, while
@@ -58,13 +58,12 @@ val random_workload :
   ?procs:Proc.t list -> seed:int -> unit -> (invocation, response) Driver.t
 (** The same protocol under a seeded random scheduler. *)
 
-val starvation_adversary : unit -> (invocation, response) Driver.t
-(** The two-process starvation scheduler described above. *)
-
 val run_starvation :
   factory:(invocation, response) Runner.factory ->
   max_steps:int ->
   (invocation, response) Run_report.t
+(** A run of two processes under the starvation scheduler described
+    above. *)
 
 val acquisitions : history -> (Proc.t * int) list
 (** How many times each process acquired the lock. *)

@@ -4,11 +4,6 @@ let max_ops = 62
 
 type error = Too_many_ops of int
 
-let pp_error fmt (Too_many_ops n) =
-  Format.fprintf fmt
-    "history has %d operations, beyond the %d the bitmask search supports" n
-    max_ops
-
 module Make (Tp : Object_type.S) = struct
   type op = (Tp.invocation, Tp.response) Op.t
 

@@ -30,8 +30,6 @@ type error = Too_many_ops of int
     (** The history contained this many operations, more than
         {!max_ops}. *)
 
-val pp_error : Format.formatter -> error -> unit
-
 module Make (Tp : Object_type.S) : sig
   type op = (Tp.invocation, Tp.response) Op.t
 

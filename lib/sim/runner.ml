@@ -7,6 +7,7 @@ module Cursor = struct
   type ('inv, 'res) t = {
     n : int;
     impl : ('inv, 'res) impl;
+    keyed : bool;
     registry : Runtime.registry;
     cells : Runtime.cell array;
     mutable history : ('inv, 'res) History.t;
@@ -22,35 +23,56 @@ module Cursor = struct
     probe : Runtime.probe option;
     mutable encode : (int -> ('inv, 'res) Event.t -> int) option;
     mutable hist_id : int;
+    (* The view's readers, built once: they read the arrays above. *)
+    status : Proc.t -> Runtime.status;
+    steps : Proc.t -> int;
+    invocations_of : Proc.t -> int;
+    events_of : Proc.t -> int;
   }
 
-  let create ~n ~factory ?(ticks = ref 0) ?shadow ?probe ?encode () =
-    let registry = Runtime.fresh_registry () in
+  let check_proc n p =
+    if not (Proc.is_valid ~n p) then invalid_arg "Runner: bad process id"
+
+  let create ~n ~factory ?(ticks = ref 0) ?shadow ?probe ?encode ?(keyed = true)
+      () =
+    let registry = Runtime.fresh_registry ~keyed () in
     (* The factory runs under the shadow too: constructors that touch
        shared cells outside any atomic action should be caught. *)
     let impl = Runtime.with_registry ?shadow registry (fun () -> factory ~n) in
+    let cells = Array.init (n + 1) (fun _ -> Runtime.make_cell ~keyed ()) in
+    let step_counts = Array.make (n + 1) 0 in
+    let invocations = Array.make (n + 1) 0 in
+    let events = Array.make (n + 1) 0 in
     {
       n;
       impl;
+      keyed;
       registry;
-      cells = Array.init (n + 1) (fun _ -> Runtime.make_cell ());
+      cells;
       history = History.empty;
       rev_event_times = [];
       time = 0;
       rev_grants = [];
-      step_counts = Array.make (n + 1) 0;
-      invocations = Array.make (n + 1) 0;
-      events = Array.make (n + 1) 0;
+      step_counts;
+      invocations;
+      events;
       crashed = Proc.Set.empty;
       ticks;
       shadow;
       probe;
       encode;
       hist_id = 0;
+      status =
+        (fun p ->
+          check_proc n p;
+          Runtime.status cells.(p));
+      steps = (fun p -> step_counts.(p));
+      invocations_of = (fun p -> invocations.(p));
+      events_of = (fun p -> events.(p));
     }
 
   let cell c p =
-    if not (Proc.is_valid ~n:c.n p) then invalid_arg "Runner: bad process id";
+    check_proc c.n p;
     c.cells.(p)
 
   let view c : _ Driver.view =
@@ -58,10 +80,10 @@ module Cursor = struct
       Driver.time = c.time;
       n = c.n;
       history = c.history;
-      status = (fun p -> Runtime.status (cell c p));
-      steps = (fun p -> c.step_counts.(p));
-      invocations = (fun p -> c.invocations.(p));
-      events = (fun p -> c.events.(p));
+      status = c.status;
+      steps = c.steps;
+      invocations = c.invocations_of;
+      events = c.events_of;
     }
 
   let pending c p = Runtime.pending (cell c p)
@@ -163,9 +185,9 @@ module Cursor = struct
           Runtime.crash c.cells.(p)
         done)
 
-  let with_ ~n ~factory ?ticks ?shadow ?probe ?encode ?(prefix = []) ?hist_id
-      f =
-    let c = create ~n ~factory ?ticks ?shadow ?probe ?encode () in
+  let with_ ~n ~factory ?ticks ?shadow ?probe ?encode ?keyed ?(prefix = [])
+      ?hist_id f =
+    let c = create ~n ~factory ?ticks ?shadow ?probe ?encode ?keyed () in
     Fun.protect
       ~finally:(fun () -> dispose c)
       (fun () ->
@@ -216,6 +238,7 @@ module Cursor = struct
     List.iteri (fun i v -> a.(3 + (2 * n) + i) <- v) extra;
     a
 
+  (* Each raises on a keyless cursor: its registry keeps no digest. *)
   let shared_digest c = Runtime.registry_digest c.registry
   let shared_digest_full c = Runtime.registry_digest_full c.registry
 
@@ -223,7 +246,7 @@ module Cursor = struct
      the history, times, grants and crash set are persistent, and the
      key part is copied out, so the snapshot survives the cursor moving
      on.  The crash's own effect is applied when a report or key is
-     read. *)
+     read.  A keyless cursor's snapshot has no key part. *)
   type ('inv, 'res) crash = {
     x_proc : Proc.t;
     x_n : int;
@@ -232,7 +255,7 @@ module Cursor = struct
     x_rev_event_times : int list;
     x_rev_grants : (int * Proc.t) list;
     x_crashed : Proc.Set.t;
-    x_key : int array;
+    x_key : int array option;
     x_encode : (int -> ('inv, 'res) Event.t -> int) option;
   }
 
@@ -247,7 +270,7 @@ module Cursor = struct
       x_rev_event_times = c.rev_event_times;
       x_rev_grants = c.rev_grants;
       x_crashed = c.crashed;
-      x_key = compact_key c ~extra:[];
+      x_key = (if c.keyed then Some (compact_key c ~extra:[]) else None);
       x_encode = c.encode;
     }
 
@@ -266,13 +289,18 @@ module Cursor = struct
      unchanged step count.  The shared digest and every observation
      digest stand: a crash writes neither. *)
   let crash_key x ~extra =
-    let m = Array.length x.x_key in
+    let key =
+      match x.x_key with
+      | Some key -> key
+      | None -> invalid_arg "Runner.Cursor.crash_key: keyless cursor"
+    in
+    let m = Array.length key in
     let a = Array.make (m + List.length extra) 0 in
-    Array.blit x.x_key 0 a 0 m;
+    Array.blit key 0 a 0 m;
     a.(0) <- x.x_time + 1;
     (match x.x_encode with
     | None -> ()
-    | Some enc -> a.(1) <- enc x.x_key.(1) (Event.Crash x.x_proc));
+    | Some enc -> a.(1) <- enc key.(1) (Event.Crash x.x_proc));
     let i = 1 + (2 * x.x_proc) in
     a.(i) <- (a.(i) land lnot 3) lor status_code Runtime.Crashed;
     List.iteri (fun j v -> a.(m + j) <- v) extra;
@@ -281,7 +309,7 @@ end
 
 let run ~n ~factory ~driver ~max_steps ?window () =
   let window = Option.value window ~default:(max_steps / 2) in
-  Cursor.with_ ~n ~factory (fun c ->
+  Cursor.with_ ~n ~factory ~keyed:false (fun c ->
       let stopped = ref `Max_steps in
       (try
          while c.Cursor.time < max_steps do

@@ -53,6 +53,7 @@ module Cursor : sig
     ?shadow:Runtime.shadow ->
     ?probe:Runtime.probe ->
     ?encode:(int -> ('inv, 'res) Event.t -> int) ->
+    ?keyed:bool ->
     ?prefix:('inv, 'res) Driver.decision list ->
     ?hist_id:int ->
     (('inv, 'res) t -> 'a) ->
@@ -107,14 +108,29 @@ module Cursor : sig
       [Schedule] grant, the probe holds the executed step's observed
       accesses, from which the DPOR engines compute race reversals.
       Engines share one probe across all of a domain's cursors (only
-      the last completed step is retained). *)
+      the last completed step is retained).
+
+      [keyed] (default [true]) says whether the cursor keeps the
+      digests its configuration keys are made of: the shared-state
+      digest ({!Runtime.registry_digest}) and each process's
+      observation digest ({!Runtime.obs}).  It is for the library's
+      own walks.  A keyless cursor ([~keyed:false]) runs the same
+      decisions to the same views and reports, with the same ids and
+      the same duplicate-registration check, but stores and calls no
+      state reader, queues no written object and hashes no atomic
+      result; {!compact_key}, {!shared_digest}, {!shared_digest_full}
+      and {!crash_key} raise [Invalid_argument] on it.  The explorers'
+      cursors are keyed exactly when their search keeps a transposition
+      table; {!run} and {!Slx_liveness.Lasso.pump} are keyless. *)
 
   val view : ('inv, 'res) t -> ('inv, 'res) Driver.view
   (** The driver-visible view of the current configuration.  Its
       per-process [invocations] and [events] counts are counters the
       cursor bumps on every history append (prefix replay included),
       not scans of the history, so a workload's next invocation index
-      and the symmetry filter's "untouched" test cost O(1) per node. *)
+      and the symmetry filter's "untouched" test cost O(1) per node.
+      Its four per-process readers are built once per cursor, so a view
+      costs one record. *)
 
   val pending : ('inv, 'res) t -> Proc.t -> Runtime.footprint option
   (** The declared access footprint of the atomic action process [p] is
@@ -158,18 +174,21 @@ module Cursor : sig
       events ([Run_report.event_times] and grant times), which the key
       deliberately abstracts away; see {!Slx_core.Explore} for the
       resulting caveat.  [extra] appends engine-specific key
-      components (e.g. the DPOR sleep set's process ids). *)
+      components (e.g. the DPOR sleep set's process ids).
+      Raises [Invalid_argument] on a keyless cursor. *)
 
   val shared_digest : ('inv, 'res) t -> int
   (** The shared-state digest of the current configuration
       ({!Slx_sim.Runtime.registry_digest} of the cursor's registry):
-      the incrementally maintained digest {!compact_key} embeds. *)
+      the incrementally maintained digest {!compact_key} embeds.
+      Raises [Invalid_argument] on a keyless cursor. *)
 
   val shared_digest_full : ('inv, 'res) t -> int
   (** The same digest recomputed from scratch
       ({!Slx_sim.Runtime.registry_digest_full}); equals
       {!shared_digest} unless a base-object mutation bypassed the
-      write-touch contract.  For audits and tests. *)
+      write-touch contract.  For audits and tests.  Raises
+      [Invalid_argument] on a keyless cursor. *)
 
   (** {2 A crash decided at its parent}
 
@@ -196,8 +215,9 @@ module Cursor : sig
 
   val crash : ('inv, 'res) t -> Proc.t -> ('inv, 'res) crash
   (** [crash c p] snapshots [c] for the crash of [p]: its persistent
-      history, event times, grants and crash set, and its
-      {!compact_key} without extra components.  [c] does not move.
+      history, event times, grants and crash set, and, on a keyed
+      cursor, its {!compact_key} without extra components (a keyless
+      one builds no key).  [c] does not move.
       Raises [Invalid_argument] if [p] has crashed already. *)
 
   val crash_report :
@@ -216,7 +236,8 @@ module Cursor : sig
       later, the history id extended by [Event.Crash p] through the
       parent's [encode] hook (which this call interns, as the applied
       crash would), [p]'s status code [Crashed], and every digest as
-      at the parent. *)
+      at the parent.  Raises [Invalid_argument] on the snapshot of a
+      keyless cursor. *)
 end
 
 val run :

@@ -269,8 +269,8 @@ let page_bits = 4
 let page_mask = (1 lsl page_bits) - 1
 
 type page = {
-  readers : (unit -> int) array;
-  contrib : int array;  (* last XOR contribution per object *)
+  readers : (unit -> int) array;  (* empty on a keyless registry's pages *)
+  contrib : int array;  (* last XOR contribution per object; likewise *)
   flags : Bytes.t;  (* see below *)
 }
 
@@ -283,17 +283,26 @@ let vacant = '\002'
 
 let no_reader : unit -> int = fun () -> 0
 
-let make_page () =
+(* A keyless registry's pages keep only the flags: nothing reads a
+   contribution it never stores. *)
+let make_page ~keyed =
+  let slots = if keyed then page_mask + 1 else 0 in
   {
-    readers = Array.make (page_mask + 1) no_reader;
-    contrib = Array.make (page_mask + 1) 0;
+    readers = Array.make slots no_reader;
+    contrib = Array.make slots 0;
     flags = Bytes.make (page_mask + 1) vacant;
   }
 
 (* Stands in for every page nothing has registered on; never written. *)
-let vacant_page = make_page ()
+let vacant_page = make_page ~keyed:true
 
+(* A keyless registry issues ids and refuses a second registration at
+   one id exactly as a keyed one does, but it stores and calls no
+   reader and queues no written object: a walk that keys no
+   configuration never asks for its digest, so it does not pay to keep
+   it current. *)
 type registry = {
+  keyed : bool;
   mutable pages : page array;
   mutable dirty : int list;  (* ids re-read at the next digest *)
   mutable digest : int;  (* XOR of every registered contribution *)
@@ -393,8 +402,14 @@ let frame_key : frame Domain.DLS.key =
         fr_checked = 0;
       })
 
-let fresh_registry () : registry =
-  { pages = [| vacant_page |]; dirty = []; digest = 0x811c9dc5; next_id = 1 }
+let fresh_registry ?(keyed = true) () : registry =
+  {
+    keyed;
+    pages = [| vacant_page |];
+    dirty = [];
+    digest = 0x811c9dc5;
+    next_id = 1;
+  }
 
 (* Fallback id source for objects allocated with no registry current
    (plain [Runner.run]s); footprint ids only ever need to be distinct
@@ -439,7 +454,8 @@ let own_page reg id =
     Array.blit reg.pages 0 pages 0 len;
     reg.pages <- pages
   end;
-  if reg.pages.(pg) == vacant_page then reg.pages.(pg) <- make_page ();
+  if reg.pages.(pg) == vacant_page then
+    reg.pages.(pg) <- make_page ~keyed:reg.keyed;
   reg.pages.(pg)
 
 let register_object reader =
@@ -450,13 +466,16 @@ let register_object reader =
       let p = own_page reg id and i = id land page_mask in
       if Bytes.get p.flags i <> vacant then
         invalid_arg "Runtime.register_object: id registered twice";
-      p.readers.(i) <- reader;
       Bytes.set p.flags i clean;
-      (* The reader is callable at registration: constructors register
-         after initializing the state the reader closes over. *)
-      let c = combine id (reader ()) in
-      p.contrib.(i) <- c;
-      reg.digest <- reg.digest lxor c);
+      if reg.keyed then begin
+        p.readers.(i) <- reader;
+        (* The reader is callable at registration: constructors
+           register after initializing the state the reader closes
+           over. *)
+        let c = combine id (reader ()) in
+        p.contrib.(i) <- c;
+        reg.digest <- reg.digest lxor c
+      end);
   id
 
 (* ------------------------------------------------------------------ *)
@@ -497,7 +516,8 @@ let in_block blk ~offset f =
    skipped. *)
 let mark_written fr obj =
   match fr.fr_registry with
-  | Some reg when obj >= 1 && obj lsr page_bits < Array.length reg.pages ->
+  | Some reg
+    when reg.keyed && obj >= 1 && obj lsr page_bits < Array.length reg.pages ->
       let p = Array.unsafe_get reg.pages (obj lsr page_bits)
       and i = obj land page_mask in
       if Bytes.unsafe_get p.flags i = clean then begin
@@ -530,7 +550,11 @@ let with_registry ?shadow ?probe reg f =
       restore fr reg0 ~shadow sh0 ~probe pr0;
       raise e
 
+let require_keyed (reg : registry) fn =
+  if not reg.keyed then invalid_arg ("Runtime." ^ fn ^ ": keyless registry")
+
 let registry_digest (reg : registry) =
+  require_keyed reg "registry_digest";
   (match reg.dirty with
   | [] -> ()
   | dirty ->
@@ -551,6 +575,7 @@ let registry_digest (reg : registry) =
    mutation bypassed the touch contract (in which case the incremental
    digest is stale and the divergence is the diagnostic). *)
 let registry_digest_full (reg : registry) =
+  require_keyed reg "registry_digest_full";
   let d = ref 0x811c9dc5 in
   Array.iteri
     (fun pg p ->
@@ -982,11 +1007,13 @@ type slot =
    times costs one. *)
 type cell = {
   mutable slot : slot;
-  mutable obs : int;
+  mutable obs : int;  (* constant on a keyless cell *)
   mutable handler : (unit, unit) handler option;
+  keyed : bool;
 }
 
-let make_cell () = { slot = S_idle; obs = 0x811c9dc5; handler = None }
+let make_cell ?(keyed = true) () =
+  { slot = S_idle; obs = 0x811c9dc5; handler = None; keyed }
 
 let make_handler cell =
   {
@@ -1056,8 +1083,9 @@ let grant cell =
          deterministic function of its invocations (recorded in the
          history) and the results of its atomic actions; folding the
          result hashes gives an observation digest that stands in for
-         the opaque continuation when fingerprinting configurations. *)
-      cell.obs <- combine cell.obs (hash_value v);
+         the opaque continuation when fingerprinting configurations.
+         A keyless cell is never fingerprinted, so it hashes nothing. *)
+      if cell.keyed then cell.obs <- combine cell.obs (hash_value v);
       continue k v
   | S_idle | S_crashed -> invalid_arg "Runtime.grant: process not ready"
 

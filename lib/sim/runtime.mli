@@ -280,8 +280,10 @@ type status =
     every later one. *)
 type cell
 
-val make_cell : unit -> cell
-(** A fresh cell, initially [Idle]. *)
+val make_cell : ?keyed:bool -> unit -> cell
+(** A fresh cell, initially [Idle].  A cell made with [~keyed:false]
+    (default [true]) folds no result into its observation digest
+    ({!obs}): it belongs to a cursor that keys no configuration. *)
 
 val status : cell -> status
 
@@ -295,7 +297,9 @@ val spawn : cell -> (unit -> unit) -> unit
 
 val grant : cell -> unit
 (** [grant cell] lets the suspended process execute its pending atomic
-    action and run to its next {!atomic} call (or to completion).
+    action and run to its next {!atomic} call (or to completion).  On a
+    keyed cell it folds the action's result hash into {!obs}; a keyless
+    one hashes nothing.
 
     @raise Invalid_argument if the cell is not [Ready]. *)
 
@@ -328,17 +332,28 @@ val pending : cell -> footprint option
 
     Digests are hashes: two configurations with equal digests are equal
     up to hash collision (made unlikely by {!hash_value}'s deep
-    traversal), a standard model-checking trade-off. *)
+    traversal), a standard model-checking trade-off.
+
+    Only a walk that keys configurations reads them.  A {e keyless}
+    registry and cell ([~keyed:false]) keep neither digest current:
+    the registry still issues ids and refuses a second registration at
+    one id, but stores and calls no reader and queues no written
+    object, and the cell hashes no result.  Its digests raise (the
+    registry's) or stay at their initial value (the cell's). *)
 
 val obs : cell -> int
 (** The observation digest of the process: a fold of the hashes of
-    every atomic-action result it has received so far. *)
+    every atomic-action result it has received so far (constant on a
+    keyless cell). *)
 
 type registry
 (** A collection of shared-state readers, one per base object allocated
     while the registry was current. *)
 
-val fresh_registry : unit -> registry
+val fresh_registry : ?keyed:bool -> unit -> registry
+(** A fresh registry, issuing ids from 1.  [keyed] (default [true])
+    keeps the shared-state digest; a keyless registry keeps none (see
+    above). *)
 
 val with_registry :
   ?shadow:shadow -> ?probe:probe -> registry -> (unit -> 'a) -> 'a
@@ -357,7 +372,8 @@ val register_object : (unit -> int) -> int
     one registry are positive, deterministic (allocation order, or the
     fixed offset inside an {!in_block} scope), and unique within the
     registry; with no registry current the reader is dropped and a
-    fresh negative id is returned (plain {!Runner.run}s pay nothing).
+    fresh negative id is returned; under a keyless registry the id is
+    issued and checked as under a keyed one, and the reader is dropped.
     @raise Invalid_argument if an {!in_block} scope's block is
     exhausted. *)
 
@@ -402,7 +418,8 @@ val registry_digest : registry -> int
     owning} cell even when the surrounding atomic action misdeclares
     its footprint — and the sanitizer shadow dynamically checks
     precisely this reporting.  {!registry_digest_full} is the
-    cross-check. *)
+    cross-check.
+    @raise Invalid_argument on a keyless registry. *)
 
 val registry_digest_full : registry -> int
 (** The same digest recomputed from scratch — O(objects), what
@@ -410,7 +427,8 @@ val registry_digest_full : registry -> int
     {!registry_digest} unless some mutation bypassed the touch
     contract (the incremental digest would then be stale, and the
     divergence is the diagnostic); used by audits, tests and the
-    before/after microbenchmarks. *)
+    before/after microbenchmarks.
+    @raise Invalid_argument on a keyless registry. *)
 
 val registry_objects : registry -> int
 (** How many objects are registered: O(storage), for tests and

@@ -9,6 +9,3 @@ let check_final h = serializable (Transaction.of_history h)
 let check h = List.for_all check_final (History.prefixes h)
 
 let property = Slx_safety.Property.make ~name:"opacity" check
-
-let property_final =
-  Slx_safety.Property.make ~name:"final-state-opacity" check_final

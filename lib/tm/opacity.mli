@@ -41,7 +41,3 @@ val check : Tm_type.history -> bool
 
 val property : Tm_type.history Slx_safety.Property.t
 (** {!check} packaged, named ["opacity"]. *)
-
-val property_final : Tm_type.history Slx_safety.Property.t
-(** {!check_final} packaged, named ["final-state-opacity"] — the cheap
-    variant used on long benchmark histories. *)

@@ -19,8 +19,3 @@ let program_order t1 t2 =
 let plain h =
   let txns = committable (Transaction.of_history h) in
   Option.is_some (Serialize_engine.search ~precedes:program_order txns)
-
-let property_strict =
-  Slx_safety.Property.make ~name:"strict-serializability" strict
-
-let property_plain = Slx_safety.Property.make ~name:"serializability" plain

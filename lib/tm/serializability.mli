@@ -15,9 +15,3 @@ val strict : Tm_type.history -> bool
 
 val plain : Tm_type.history -> bool
 (** Same, preserving only per-process program order. *)
-
-val property_strict : Tm_type.history Slx_safety.Property.t
-(** ["strict-serializability"]. *)
-
-val property_plain : Tm_type.history Slx_safety.Property.t
-(** ["serializability"]. *)

@@ -41,18 +41,15 @@ val run_local_progress :
   unit ->
   (Tm_type.invocation, Tm_type.response) Run_report.t
 
-val alternating_starts :
-  unit -> (Tm_type.invocation, Tm_type.response) Driver.t
-(** The mutual-abort adversary for latest-starter TMs
-    ({!Mutual_abort_tm}): after two opening [start]s it cycles
-    [p1 tryC; p1 start; p2 tryC; p2 start], so each commit attempt
-    finds the other process freshly started.  Witnesses that
-    obstruction-freedom does not imply lock-freedom. *)
-
 val run_alternating_starts :
   factory:(Tm_type.invocation, Tm_type.response) Runner.factory ->
   max_steps:int ->
   (Tm_type.invocation, Tm_type.response) Run_report.t
+(** A run under the mutual-abort adversary for latest-starter TMs
+    ({!Mutual_abort_tm}): after two opening [start]s it cycles
+    [p1 tryC; p1 start; p2 tryC; p2 start], so each commit attempt
+    finds the other process freshly started.  Witnesses that
+    obstruction-freedom does not imply lock-freedom. *)
 
 val three_way_adversary :
   unit -> (Tm_type.invocation, Tm_type.response) Driver.t

@@ -121,11 +121,6 @@ let precedes t1 t2 =
 
 let concurrent t1 t2 = (not (precedes t1 t2)) && not (precedes t2 t1)
 
-let is_finished t =
-  match t.status with
-  | Committed | Aborted -> true
-  | Commit_pending | Live -> false
-
 let writes t =
   List.fold_left
     (fun acc op ->

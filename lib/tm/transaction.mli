@@ -45,9 +45,6 @@ val precedes : t -> t -> bool
 val concurrent : t -> t -> bool
 (** Neither precedes the other. *)
 
-val is_finished : t -> bool
-(** Committed or aborted. *)
-
 val writes : t -> (Tm_type.var * int) list
 (** The write set, last write per variable winning. *)
 

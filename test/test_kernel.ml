@@ -12,6 +12,13 @@
      yields the applied crash's report and compact key, after its
      cursor has moved on.  At every node of the same walks (register
      and cas consensus, n = 2, 3, depth 8, one and two crashes).
+   - The one-pass canonical menu equals the list-based menu it
+     replaced, kept here as the oracle, at every node of naive walks,
+     and an open crash child, which walks the menu its parent took on
+     the crash view, counts that menu's prunes as before.
+   - A keyless cursor calls no state reader, raises from every key
+     function, still refuses a duplicate id, and replays every node to
+     the keyed cursor's view, report and pending footprints.
    - [Runtime.hash_value]'s fast path for immediates yields the digest
      the deep fold defines, so no observation or registry digest moves.
    - [Key_table] under its one-pass key hash: lookups agree with a
@@ -177,6 +184,10 @@ let view_contents (v : _ Driver.view) =
          v.Driver.events p))
       (Proc.all ~n:v.Driver.n) )
 
+(* The canonical menu's flag combinations: (symmetry, invoke_order). *)
+let menu_flags =
+  [ (false, false); (true, false); (false, true); (true, true) ]
+
 (* A report's fields, the crash set as a sorted list. *)
 let report_contents (r : _ Run_report.t) =
   ( ( r.Run_report.n,
@@ -191,7 +202,8 @@ let report_contents (r : _ Run_report.t) =
 (* At a node whose budget allows a crash, for every live process [q]:
    [Runner.Cursor.crash_view] equals the view of a replayed cursor that
    applied [Crash q], and the canonical menu after the crash, with
-   symmetry or without, is the same list on both; and the
+   symmetry and invocation order each on or off, is the same menu on
+   both (the explorers hand an open crash child the first); and the
    {!Runner.Cursor.crash} snapshot, read after its cursor has moved on
    by one more decision, yields that cursor's report and compact key
    (an interning hook shared by both cursors, so the history id is
@@ -202,9 +214,9 @@ let crash_view_exact ~n ~factory ~depth script budget c =
     List.length
       (List.filter (function Driver.Crash _ -> true | _ -> false) script)
   in
-  let canonical view q symmetry =
+  let canonical view q (symmetry, invoke_order) =
     Explore.canonical_menu ~invoke:proposals ~depth
-      ~max_crashes:(crashes + budget) ~symmetry ~invoke_order:false view
+      ~max_crashes:(crashes + budget) ~symmetry ~invoke_order view
       ~last:(Some (Driver.Crash q)) (len + 1) (crashes + 1)
   in
   let view = Runner.Cursor.view c in
@@ -241,10 +253,9 @@ let crash_view_exact ~n ~factory ~depth script budget c =
              view_contents crashed = view_contents applied
              && snapshot = (report, key)
              && List.for_all
-                  (fun symmetry ->
-                    canonical crashed q symmetry
-                    = canonical applied q symmetry)
-                  [ false; true ]))
+                  (fun flags ->
+                    canonical crashed q flags = canonical applied q flags)
+                  menu_flags))
        (Proc.all ~n)
 
 let test_crash_view_exact () =
@@ -262,6 +273,302 @@ let test_crash_view_exact () =
             (Printf.sprintf "%s: walked %d nodes" name nodes)
             true (nodes > 1))
         [ (2, 8, 1); (3, 8, 1); (2, 8, 2); (3, 8, 2) ])
+    (List.filter (fun (impl, _) -> impl <> "selfish") consensus_cases)
+
+(* ------------------------------------------------------------------ *)
+(* The one-pass menu against the list-based one it replaced.           *)
+
+(* The canonical menu as it was built before the one-pass rewrite: the
+   unrestricted menu's steps and invocations, then its crashes where
+   [crash_placed] allows one, filtered for invocation order and
+   symmetry.  Kept here as the oracle. *)
+let oracle_menu ~invoke ~depth ~max_crashes ~symmetry ~invoke_order view
+    ~last len crashes =
+  let crash_placed p =
+    match last with
+    | Some (Driver.Schedule q | Driver.Invoke (q, _)) -> q = p
+    | Some (Driver.Crash q) -> len = crashes && q < p
+    | None | Some Driver.Stop -> true
+  in
+  let listed =
+    if len >= depth then []
+    else begin
+      let procs = Proc.all ~n:view.Driver.n in
+      List.filter_map
+        (fun p ->
+          match view.Driver.status p with
+          | Runtime.Ready -> Some (Driver.Schedule p)
+          | Runtime.Idle ->
+              Option.map (fun inv -> Driver.Invoke (p, inv)) (invoke view p)
+          | Runtime.Crashed -> None)
+        procs
+      @
+      if crashes < max_crashes then
+        List.filter_map
+          (fun p ->
+            if view.Driver.status p = Runtime.Crashed || not (crash_placed p)
+            then None
+            else Some (Driver.Crash p))
+          procs
+      else []
+    end
+  in
+  let untouched p = view.Driver.events p = 0 in
+  let pruned = ref 0 and invoked = ref false and crashed = ref false in
+  let first seen =
+    let taken = !seen in
+    if taken then incr pruned;
+    seen := true;
+    not taken
+  in
+  let decisions =
+    List.filter
+      (function
+        | Driver.Invoke (p, _) when invoke_order || (symmetry && untouched p) ->
+            first invoked
+        | Driver.Crash p when symmetry && untouched p -> first crashed
+        | _ -> true)
+      listed
+  in
+  (decisions, !pruned)
+
+(* At every node of the naive walk, each flag combination's menu, one
+   partial application per walk as the explorers hold it, equals the
+   oracle's in decisions and pruned count. *)
+let test_menu_oracle () =
+  List.iter
+    (fun (impl, factory) ->
+      List.iter
+        (fun (n, depth, budget) ->
+          let menus =
+            List.map
+              (fun (symmetry, invoke_order) ->
+                ( (symmetry, invoke_order),
+                  Explore.canonical_menu ~invoke:proposals ~depth
+                    ~max_crashes:budget ~symmetry ~invoke_order ))
+              menu_flags
+          in
+          let compared = ref 0 in
+          let ok script _ c =
+            let view = Runner.Cursor.view c in
+            let len = List.length script in
+            let crashes =
+              List.length
+                (List.filter
+                   (function Driver.Crash _ -> true | _ -> false)
+                   script)
+            in
+            let last = List.nth_opt (List.rev script) 0 in
+            List.for_all
+              (fun ((symmetry, invoke_order), menu) ->
+                incr compared;
+                menu view ~last len crashes
+                = oracle_menu ~invoke:proposals ~depth ~max_crashes:budget
+                    ~symmetry ~invoke_order view ~last len crashes)
+              menus
+          in
+          let nodes, bad =
+            walk ~ok ~n ~factory ~invoke:proposals ~depth ~crashes:budget ()
+          in
+          let name = Printf.sprintf "%s n=%d d=%d c=%d" impl n depth budget in
+          check_int (name ^ ": menus equal the list-based oracle") 0 bad;
+          check_bool
+            (Printf.sprintf "%s: compared %d menus at %d nodes" name !compared
+               nodes)
+            true
+            (!compared = 4 * nodes && nodes > 1))
+        [ (2, 8, 0); (2, 8, 1); (2, 8, 2); (3, 6, 0); (3, 6, 1); (3, 6, 2) ])
+    (List.filter (fun (impl, _) -> impl <> "selfish") consensus_cases)
+
+(* ------------------------------------------------------------------ *)
+(* An open crash child counts the prunes of the menu it is handed.     *)
+
+(* The child of an open crash walks the menu its parent took on the
+   crash view and counts that menu's prunes where its walk reaches the
+   menu, as it did when it took the menu itself: these figures were
+   pinned with the child taking its own menu.  The [~dpor:false] rows
+   keep a table, whose hits count none; the live rows count the
+   invocation order's prunes. *)
+let test_crash_child_prunes () =
+  let cas () = Cas_consensus.factory ()
+  and register () = Register_consensus.factory ~max_rounds:8 () in
+  let invoke =
+    Explore.workload_invoke
+      (Driver.n_times 1 (fun p _ -> Consensus_type.Propose (p - 1)))
+  in
+  List.iter
+    (fun (impl, factory, n, crashes, dpor, nodes, hits, pruned) ->
+      let s =
+        (Explore.explore ~n ~factory ~invoke ~depth:8 ~max_crashes:crashes
+           ~dpor ~symmetry:true
+           ~check:(fun _ -> true)
+           ())
+          .Explore.stats
+      in
+      let name =
+        Printf.sprintf "%s n=%d c=%d dpor=%b" impl n crashes dpor
+      in
+      check_int (name ^ ": nodes") nodes s.Explore_stats.nodes;
+      check_int (name ^ ": cache hits") hits s.Explore_stats.cache_hits;
+      check_int (name ^ ": symmetry_pruned") pruned
+        s.Explore_stats.symmetry_pruned)
+    [
+      ("cas", cas, 3, 1, true, 368, 0, 11);
+      ("cas", cas, 3, 2, true, 503, 0, 12);
+      ("cas", cas, 4, 1, true, 959, 0, 68);
+      ("cas", cas, 3, 1, false, 719, 168, 11);
+      ("cas", cas, 4, 1, false, 2081, 586, 85);
+      ("register", register, 3, 1, true, 264, 0, 18);
+      ("register", register, 3, 1, false, 777, 330, 18);
+    ];
+  let live_invoke =
+    Explore.workload_invoke
+      (Driver.forever (fun p -> Consensus_type.Propose (p - 1)))
+  in
+  List.iter
+    (fun (crashes, depth, max_period, nodes, hits, pruned) ->
+      let s =
+        (Live_explore.search ~n:3 ~factory:register ~invoke:live_invoke
+           ~good:(fun _ -> true)
+           ~point:Slx_liveness.Freedom.obstruction_freedom ~depth
+           ~max_crashes:crashes ?max_period ~dpor:true ())
+          .Live_explore.stats
+      in
+      let name = Printf.sprintf "live register n=3 c=%d d=%d" crashes depth in
+      check_int (name ^ ": nodes") nodes s.Explore_stats.nodes;
+      check_int (name ^ ": cache hits") hits s.Explore_stats.cache_hits;
+      check_int (name ^ ": invoke_order_prunes") pruned
+        s.Explore_stats.invoke_order_prunes)
+    [ (1, 8, None, 1183, 0, 18); (2, 8, None, 1676, 0, 18);
+      (1, 9, Some 2, 2388, 115, 20) ]
+
+(* ------------------------------------------------------------------ *)
+(* Keyless cursors.                                                    *)
+
+(* One-shot consensus on a single base object whose state reader counts
+   its calls: the first proposal wins. *)
+let counting_factory calls () : _ Runner.factory =
+ fun ~n:_ ->
+  let decided = ref None in
+  let obj =
+    Runtime.register_object (fun () ->
+        incr calls;
+        Runtime.hash_value !decided)
+  in
+  fun ~proc:_ (Consensus_type.Propose v) ->
+    Runtime.atomic_access ~obj ~write:true (fun () ->
+        Runtime.touch ~obj ~write:false;
+        match !decided with
+        | Some w -> Consensus_type.Decided w
+        | None ->
+            Runtime.touch ~obj ~write:true;
+            decided := Some v;
+            Consensus_type.Decided v)
+
+(* A walk without a table (DPOR with symmetry) never calls a state
+   reader; the cached walk ([~dpor:false]) keys every node and does.
+   Both find the object safe. *)
+let test_keyless_reader_silent () =
+  let explore ~dpor calls =
+    Explore.explore ~n:3 ~factory:(counting_factory calls) ~invoke:proposals
+      ~depth:8 ~max_crashes:1 ~dpor ~symmetry:true
+      ~check:(fun r -> Consensus_safety.check r.Run_report.history)
+      ()
+  in
+  let keyless = ref 0 and keyed = ref 0 in
+  let a = explore ~dpor:true keyless and b = explore ~dpor:false keyed in
+  check_int "dpor+symmetry: no reader call" 0 !keyless;
+  check_bool "no dpor: the reader is called" true (!keyed > 0);
+  check_bool "no dpor: a table was kept" true
+    (b.Explore.stats.Explore_stats.cache_entries > 0);
+  check_bool "both walks find agreement" true
+    (match (a.Explore.outcome, b.Explore.outcome) with
+    | Explore.Ok _, Explore.Ok _ -> true
+    | _ -> false)
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+(* Every key function raises on a keyless cursor and on its crash
+   snapshot, and none does on a keyed one. *)
+let test_keyless_keys_raise () =
+  let prefix = [ Driver.Invoke (1, Consensus_type.Propose 0) ] in
+  let factory () = Cas_consensus.factory () in
+  List.iter
+    (fun keyed ->
+      Runner.Cursor.with_ ~n:2 ~factory:(factory ()) ~keyed ~prefix (fun c ->
+          let x = Runner.Cursor.crash c 2 in
+          List.iter
+            (fun (name, f) ->
+              check_bool
+                (Printf.sprintf "%s raises on a %s cursor" name
+                   (if keyed then "keyed" else "keyless"))
+                (not keyed) (raises_invalid f))
+            [
+              ("compact_key", fun () -> ignore (Runner.Cursor.compact_key c ~extra:[]));
+              ("shared_digest", fun () -> ignore (Runner.Cursor.shared_digest c));
+              ( "shared_digest_full",
+                fun () -> ignore (Runner.Cursor.shared_digest_full c) );
+              ("crash_key", fun () -> ignore (Runner.Cursor.crash_key x ~extra:[]));
+            ]))
+    [ true; false ]
+
+(* Two objects built at one reserved id: refused by a keyless registry
+   as by a keyed one. *)
+let test_keyless_duplicate_id () =
+  let factory ~n:_ =
+    let blk = Runtime.reserve_ids 2 in
+    let make () =
+      Runtime.in_block blk ~offset:0 (fun () ->
+          Slx_base_objects.Register.make 0)
+    in
+    ignore (make ());
+    ignore (make ());
+    fun ~proc:_ () -> ()
+  in
+  List.iter
+    (fun keyed ->
+      check_bool
+        (Printf.sprintf "id registered twice raises (keyed=%b)" keyed)
+        true
+        (match Runner.Cursor.with_ ~n:1 ~factory ~keyed ignore with
+        | () -> false
+        | exception Invalid_argument msg ->
+            msg = "Runtime.register_object: id registered twice"))
+    [ true; false ]
+
+(* At every node of the naive walk, a keyless cursor replaying the
+   node's script has the view, report and pending footprints of the
+   keyed cursor the walk built. *)
+let test_keyless_replay_equal () =
+  List.iter
+    (fun (impl, factory) ->
+      List.iter
+        (fun (n, depth, crashes) ->
+          let ok script _ keyed =
+            Runner.Cursor.with_ ~n ~factory:(factory ()) ~keyed:false
+              ~prefix:script (fun keyless ->
+                let len = List.length script in
+                let pending c =
+                  List.map (Runner.Cursor.pending c) (Proc.all ~n)
+                in
+                view_contents (Runner.Cursor.view keyless)
+                = view_contents (Runner.Cursor.view keyed)
+                && report_contents
+                     (Runner.Cursor.report keyless ~window:(len + 1) ())
+                   = report_contents
+                       (Runner.Cursor.report keyed ~window:(len + 1) ())
+                && pending keyless = pending keyed)
+          in
+          let nodes, bad =
+            walk ~ok ~n ~factory ~invoke:proposals ~depth ~crashes ()
+          in
+          let name = Printf.sprintf "%s n=%d d=%d c=%d" impl n depth crashes in
+          check_int (name ^ ": keyless replays equal keyed cursors") 0 bad;
+          check_bool
+            (Printf.sprintf "%s: walked %d nodes" name nodes)
+            true (nodes > 1))
+        [ (2, 8, 1); (3, 6, 1) ])
     (List.filter (fun (impl, _) -> impl <> "selfish") consensus_cases)
 
 (* ------------------------------------------------------------------ *)
@@ -377,6 +684,14 @@ let suites =
         quick "view counters = history scans in the reduced engine"
           test_counters_in_engine;
         quick "crash_view equals the crash applied" test_crash_view_exact;
+        quick "the one-pass menu = the list-based oracle" test_menu_oracle;
+        quick "an open crash child counts its menu's prunes"
+          test_crash_child_prunes;
+        quick "keyless walks call no state reader" test_keyless_reader_silent;
+        quick "key functions raise on a keyless cursor" test_keyless_keys_raise;
+        quick "keyless registries refuse a duplicate id"
+          test_keyless_duplicate_id;
+        quick "keyless replays equal keyed cursors" test_keyless_replay_equal;
         quick "hash_value keeps the deep fold's digests" test_hash_value_pins;
       ]
       @ qcheck
