@@ -51,24 +51,34 @@ let is_correct h p = not (Proc.Set.mem p (crashed h))
 (* Per-process status while scanning chronologically. *)
 type status = Idle | Pending | Crashed
 
-let scan_statuses h =
-  let statuses = Hashtbl.create 8 in
-  let status p = Option.value (Hashtbl.find_opt statuses p) ~default:Idle in
-  let ok = ref true in
-  let step e =
-    let p = Event.proc e in
-    match e, status p with
-    | _, Crashed -> ok := false
-    | Event.Invocation _, Idle -> Hashtbl.replace statuses p Pending
-    | Event.Invocation _, Pending -> ok := false
-    | Event.Response _, Pending -> Hashtbl.replace statuses p Idle
-    | Event.Response _, Idle -> ok := false
-    | Event.Crash _, (Idle | Pending) -> Hashtbl.replace statuses p Crashed
+(* One chronological pass that stops at the first ill-formed event.
+   The statuses of the processes seen so far sit in a short association
+   list; a process absent from it is [Idle]. *)
+let is_well_formed h =
+  let rec status p = function
+    | [] -> Idle
+    | (q, s) :: tl -> if Proc.equal p q then s else status p tl
   in
-  List.iter step (List.rev h.rev_events);
-  (!ok, statuses)
-
-let is_well_formed h = fst (scan_statuses h)
+  let rec set p s = function
+    | [] -> [ (p, s) ]
+    | (q, _) :: tl when Proc.equal p q -> (p, s) :: tl
+    | b :: tl -> b :: set p s tl
+  in
+  let rec scan statuses = function
+    | [] -> true
+    | e :: rest -> (
+        let p = Event.proc e in
+        match (e, status p statuses) with
+        | _, Crashed
+        | Event.Invocation _, Pending
+        | Event.Response _, Idle ->
+            false
+        | Event.Invocation _, Idle -> scan (set p Pending statuses) rest
+        | Event.Response _, Pending -> scan (set p Idle statuses) rest
+        | Event.Crash _, (Idle | Pending) ->
+            scan (set p Crashed statuses) rest)
+  in
+  scan [] (List.rev h.rev_events)
 
 let pending h p =
   (* Find the last non-crash event of [p]; pending iff it is an

@@ -10,7 +10,14 @@
    Each configuration's engine counters ({!Counters}) go to a separate
    file, `explore.counters.expected`: a reduction may change how many
    representatives it visits, never which verdict or which least
-   witness it reports, so a perf change moves only the counters file. *)
+   witness it reports, so a perf change moves only the counters file.
+
+   `slx explore` has no --procs, and at n = 2 no crash child's menu
+   prunes anything under symmetry.  The library queries after the grid
+   run the plain configuration at n = 3 (cas and register, depth 8,
+   crashes 1 and 2), where a menu below a crash does prune, so the
+   counters file pins [symmetry_pruned] there too.  They are labelled
+   by the library call, as live_corpus.ml labels its own. *)
 
 open Slx_core
 open Slx_serve
@@ -69,6 +76,14 @@ let print_verdict (e : _ Explore.exploration) =
       in
       Printf.printf "  witness script: %s\n" script
 
+let query ~impl ~n ~depth ~crashes f =
+  match
+    Queries.make ~kind:`Explore ~impl ~property:"" ~n ~depth ~crashes
+      ~max_period:None ~pump:None ~dpor:f.dpor ~symmetry:f.symmetry
+  with
+  | Error e -> Error e
+  | Ok sp -> Ok (answer sp f)
+
 let () =
   let counters = Counters.channel () in
   List.iter
@@ -84,18 +99,30 @@ let () =
                       impl depth crashes f.label
                   in
                   print_endline cmd;
-                  match
-                    Queries.make ~kind:`Explore ~impl ~property:"" ~n:2 ~depth
-                      ~crashes ~max_period:None ~pump:None ~dpor:f.dpor
-                      ~symmetry:f.symmetry
-                  with
+                  match query ~impl ~n:2 ~depth ~crashes f with
                   | Error e -> Printf.printf "  error: %s\n" e
-                  | Ok sp ->
-                      let e = answer sp f in
+                  | Ok e ->
                       print_verdict e;
                       Counters.print counters cmd e.Explore.stats)
                 flag_sets)
             crash_bounds)
         depths)
     impls;
+  List.iter
+    (fun impl ->
+      List.iter
+        (fun crashes ->
+          let cmd =
+            Printf.sprintf
+              "Explore.explore %s n=3 depth 8 crashes %d (dpor, symmetry)"
+              impl crashes
+          in
+          print_endline cmd;
+          let e =
+            Result.get_ok (query ~impl ~n:3 ~depth:8 ~crashes plain)
+          in
+          print_verdict e;
+          Counters.print counters cmd e.Explore.stats)
+        [ 1; 2 ])
+    [ "cas"; "register" ];
   close_out counters

@@ -185,6 +185,56 @@ let prop_generator_well_formed =
     (well_formed_register_history_gen ~n:4 ~len:30)
     History.is_well_formed
 
+(* The well-formedness check as it was first written: a chronological
+   scan that keeps every process's status in a hash table.  The oracle
+   of [prop_well_formed_oracle]. *)
+let well_formed_oracle h =
+  let statuses = Hashtbl.create 8 in
+  let status p = Option.value (Hashtbl.find_opt statuses p) ~default:`Idle in
+  let ok = ref true in
+  let step e =
+    let p = Event.proc e in
+    match (e, status p) with
+    | _, `Crashed -> ok := false
+    | Event.Invocation _, `Idle -> Hashtbl.replace statuses p `Pending
+    | Event.Invocation _, `Pending -> ok := false
+    | Event.Response _, `Pending -> Hashtbl.replace statuses p `Idle
+    | Event.Response _, `Idle -> ok := false
+    | Event.Crash _, (`Idle | `Pending) -> Hashtbl.replace statuses p `Crashed
+  in
+  List.iter step (History.to_list h);
+  !ok
+
+(* Any sequence of register events over three processes, well-formed
+   or not, or a well-formed history with one event inserted. *)
+let any_register_history_gen =
+  QCheck2.Gen.(
+    let event =
+      let* p = int_range 1 3 and* kind = int_range 0 2 and* v = int_range 0 2 in
+      return
+        (match kind with
+        | 0 -> inv p (if v = 0 then read else write v)
+        | 1 -> res p (if v = 0 then ok else value v)
+        | _ -> crash p)
+    in
+    oneof
+      [
+        map h_of (list_size (int_range 0 12) event);
+        (let* h = well_formed_register_history_gen ~n:3 ~len:15
+         and* e = event in
+         let* i = int_range 0 (History.length h) in
+         let events = History.to_list h in
+         return
+           (h_of
+              (List.filteri (fun j _ -> j < i) events
+              @ (e :: List.filteri (fun j _ -> j >= i) events))));
+      ])
+
+let prop_well_formed_oracle =
+  QCheck2.Test.make ~name:"is_well_formed = the hash-table scan" ~count:500
+    ~print:register_history_print any_register_history_gen (fun h ->
+      History.is_well_formed h = well_formed_oracle h)
+
 let prop_prefix_count =
   QCheck2.Test.make ~name:"|prefixes h| = |h| + 1" ~count:100
     ~print:register_history_print
@@ -245,6 +295,7 @@ let suites =
           [
             prop_roundtrip;
             prop_generator_well_formed;
+            prop_well_formed_oracle;
             prop_prefix_count;
             prop_prefixes_well_formed;
             prop_project_partition;

@@ -248,11 +248,51 @@ let test_cli_ci_clean_on_shipped_tree () =
   check_int "slx_lint_cli --ci is clean on the shipped tree" 0
     (slx_lint (Printf.sprintf "--ci --root %s >/dev/null 2>&1" repo_root))
 
+let on_linux () =
+  let ic = Unix.open_process_in "uname -s" in
+  let os =
+    Fun.protect
+      ~finally:(fun () -> ignore (Unix.close_process_in ic))
+      (fun () -> In_channel.input_all ic)
+  in
+  String.trim os = "Linux"
+
+(* The ELF type of an image and whether it names a program interpreter
+   (a [PT_INTERP] program header), read from its headers.  Searching
+   the bytes for "ld-linux" would not do: a static glibc carries that
+   string too. *)
+let elf_type_and_interp image =
+  if String.length image < 64 || String.sub image 0 5 <> "\x7fELF\002" then
+    Alcotest.fail "bin/slx_cli.exe is not a 64-bit ELF image";
+  let le = image.[5] = '\001' in
+  let u16 off =
+    if le then String.get_uint16_le image off
+    else String.get_uint16_be image off
+  and u32 off =
+    Int32.to_int
+      (if le then String.get_int32_le image off
+       else String.get_int32_be image off)
+  and u64 off =
+    Int64.to_int
+      (if le then String.get_int64_le image off
+       else String.get_int64_be image off)
+  in
+  let phoff = u64 32 and phentsize = u16 54 and phnum = u16 56 in
+  let pt_interp = 3 in
+  let interp =
+    List.exists
+      (fun i -> u32 (phoff + (i * phentsize)) = pt_interp)
+      (List.init phnum Fun.id)
+  in
+  (u16 16, interp)
+
 (* compiler-libs is linked in full once any library names it, and its
    module initialisers then run in every [slx] process, most of the
    per-query start-up cost.  The linter is a separate executable for
    that reason; a compiler-libs module in [slx] means a dependency
-   brought it back. *)
+   brought it back.  On Linux [slx] is also linked statically, so that
+   no dynamic loader runs before it (bin/dune): a non-PIE executable
+   ([ET_EXEC]) with no program interpreter. *)
 let test_slx_links_no_compiler_libs () =
   let bin =
     In_channel.with_open_bin "../bin/slx_cli.exe" In_channel.input_all
@@ -263,10 +303,79 @@ let test_slx_links_no_compiler_libs () =
         (Printf.sprintf "bin/slx_cli.exe contains no %s symbol" sym)
         false (contains ~sub:sym bin))
     [ "camlTypecore"; "camlParser" ];
+  if on_linux () then begin
+    let et_exec = 2 in
+    let typ, interp = elf_type_and_interp bin in
+    check_int "bin/slx_cli.exe is an ET_EXEC image" et_exec typ;
+    check_bool "bin/slx_cli.exe has no PT_INTERP header" false interp
+  end;
   check_int "slx lint is a usage error" 124
     (slx "lint --ci >/dev/null 2>&1");
   check_int "slx audit --lint is a usage error" 124
     (slx "audit --lint >/dev/null 2>&1")
+
+(* What a static [slx] cannot rely on: glibc serves the NSS lookups
+   (names, users, groups, services, protocols) and [dlopen] by loading
+   shared libraries at run time, which in a static binary works only
+   where the very glibc it was built against is installed.  [slx]
+   calls none of them -- serve and its client take numeric addresses --
+   and no source under lib/ or bin/ may start to, or link Dynlink.  A
+   name counts as a whole identifier, in code or in a comment. *)
+let nss_or_dynlink =
+  [
+    "Dynlink"; "gethostbyname"; "gethostbyaddr"; "getaddrinfo";
+    "getnameinfo"; "getpwnam"; "getpwuid"; "getgrnam"; "getgrgid";
+    "getlogin"; "getservbyname"; "getservbyport"; "getprotobyname";
+    "getprotobynumber"; "initgroups";
+  ]
+
+let rec ocaml_sources dir =
+  List.concat_map
+    (fun entry ->
+      let path = Filename.concat dir entry in
+      if Sys.is_directory path then ocaml_sources path
+      else if
+        Filename.check_suffix entry ".ml" || Filename.check_suffix entry ".mli"
+      then [ path ]
+      else [])
+    (List.sort String.compare (Array.to_list (Sys.readdir dir)))
+
+(* The identifiers of a source text, comments included. *)
+let identifiers s =
+  let ident = function
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
+    | _ -> false
+  in
+  let n = String.length s in
+  let rec go i acc =
+    if i >= n then acc
+    else if ident s.[i] then begin
+      let j = ref i in
+      while !j < n && ident s.[!j] do incr j done;
+      go !j (String.sub s i (!j - i) :: acc)
+    end
+    else go (i + 1) acc
+  in
+  go 0 []
+
+let test_no_nss_or_dynlink () =
+  let sources = ocaml_sources "../lib" @ ocaml_sources "../bin" in
+  check_bool "the scan reads lib/ and bin/" true
+    (List.mem "../bin/slx_cli.ml" sources && List.length sources > 50);
+  let named =
+    List.concat_map
+      (fun path ->
+        let ids =
+          identifiers (In_channel.with_open_bin path In_channel.input_all)
+        in
+        List.filter_map
+          (fun id ->
+            if List.mem id ids then Some (path ^ ": " ^ id) else None)
+          nss_or_dynlink)
+      sources
+  in
+  Alcotest.(check (list string))
+    "no source names an NSS lookup or Dynlink" [] named
 
 let test_stats_errors_normalized () =
   let run args =
@@ -329,5 +438,7 @@ let suites =
           test_stats_errors_normalized;
         quick "slx links no compiler-libs module"
           test_slx_links_no_compiler_libs;
+        quick "no NSS lookup or Dynlink in lib/ and bin/"
+          test_no_nss_or_dynlink;
       ] );
   ]
