@@ -632,11 +632,12 @@ let e16_exhaustive_verification () =
   in
   let tm_ok, tm_runs =
     match
-      Explore.forall_schedules ~n:2
-        ~factory:(fun () -> Slx_tm.Agp_tm.factory ~vars:1)
-        ~invoke:one_txn ~depth:10
-        ~check:(fun r -> Slx_tm.Opacity.check_final r.Run_report.history)
-        ()
+      (Explore.explore ~n:2
+         ~factory:(fun () -> Slx_tm.Agp_tm.factory ~vars:1)
+         ~invoke:one_txn ~depth:10
+         ~check:(fun r -> Slx_tm.Opacity.check_final r.Run_report.history)
+         ())
+        .Explore.outcome
     with
     | Explore.Ok runs -> (true, runs)
     | Explore.Counterexample _ -> (false, 0)
@@ -704,28 +705,30 @@ let e18_consensus_number () =
   in
   let two_ok, two_runs =
     match
-      Explore.forall_schedules ~n:2
-        ~factory:(fun () -> Slx_consensus.Queue_consensus.factory ())
-        ~invoke:one_proposal ~depth:10 ~max_crashes:1
-        ~check:(fun r ->
-          Slx_consensus.Consensus_safety.check r.Run_report.history
-          && (r.Run_report.total_time < 10
-             || Slx_history.History.count Slx_history.Event.is_response
-                  r.Run_report.history
-                > 0))
-        ()
+      (Explore.explore ~n:2
+         ~factory:(fun () -> Slx_consensus.Queue_consensus.factory ())
+         ~invoke:one_proposal ~depth:10 ~max_crashes:1
+         ~check:(fun r ->
+           Slx_consensus.Consensus_safety.check r.Run_report.history
+           && (r.Run_report.total_time < 10
+              || Slx_history.History.count Slx_history.Event.is_response
+                   r.Run_report.history
+                 > 0))
+         ())
+        .Explore.outcome
     with
     | Explore.Ok runs -> (true, runs)
     | Explore.Counterexample _ -> (false, 0)
   in
   let three_breaks =
     match
-      Explore.forall_schedules ~n:3
-        ~factory:(fun () -> Slx_consensus.Queue_consensus.factory ())
-        ~invoke:one_proposal ~depth:9
-        ~check:(fun r ->
-          Slx_consensus.Consensus_safety.check r.Run_report.history)
-        ()
+      (Explore.explore ~n:3
+         ~factory:(fun () -> Slx_consensus.Queue_consensus.factory ())
+         ~invoke:one_proposal ~depth:9
+         ~check:(fun r ->
+           Slx_consensus.Consensus_safety.check r.Run_report.history)
+         ())
+        .Explore.outcome
     with
     | Explore.Ok _ -> false
     | Explore.Counterexample _ -> true

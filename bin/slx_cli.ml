@@ -544,36 +544,23 @@ let explore_cmd =
   let crashes_arg =
     Arg.(value & opt int 0 & info [ "crashes" ] ~doc:"Max crash branches.")
   in
-  let no_dpor_arg =
-    Arg.(value & flag
-         & info [ "no-dpor" ]
-             ~doc:"Disable dynamic partial-order reduction (source-set \
-                   sleep sets woken by observed-access race reversals).")
-  in
-  let no_symmetry_arg =
-    Arg.(value & flag
-         & info [ "no-symmetry" ]
-             ~doc:"Disable symmetry reduction of untouched processes.")
-  in
   let naive_arg =
     Arg.(value & flag
          & info [ "naive" ]
              ~doc:"Use the replay-from-scratch reference engine.")
   in
-  let run impl depth crashes no_dpor no_symmetry json naive sanitize store
-      trace progress progress_json =
+  let run impl depth crashes json naive sanitize store trace progress
+      progress_json =
     run_query ~naive ~json ~sanitize ~store ~trace ~progress ~progress_json
       (Queries.make ~kind:`Explore ~impl ~property:"" ~n:2 ~depth ~crashes
-         ~max_period:None ~pump:None ~dpor:(not no_dpor)
-         ~symmetry:(not no_symmetry))
+         ~max_period:None ~pump:None ~dpor:true)
   in
   Cmd.v
     (Cmd.info "explore"
        ~doc:"Exhaustively check consensus safety on every bounded schedule")
     Term.(
       ret
-        (const run $ impl_arg $ depth_arg $ crashes_arg $ no_dpor_arg
-        $ no_symmetry_arg
+        (const run $ impl_arg $ depth_arg $ crashes_arg
         $ json_arg ~doc:"Emit the verdict and full statistics as one JSON object."
         $ naive_arg
         $ sanitize_arg
@@ -631,7 +618,7 @@ let live_explore_cmd =
       store trace progress progress_json =
     run_query ~json ~sanitize ~store ~trace ~progress ~progress_json
       (Queries.make ~kind:`Live ~impl ~property ~n ~depth ~crashes ~max_period
-         ~pump ~dpor:(not no_dpor) ~symmetry:false)
+         ~pump ~dpor:(not no_dpor))
   in
   Cmd.v
     (Cmd.info "live-explore"

@@ -14,10 +14,11 @@ let one_proposal =
 let verify name factory ~depth ~max_crashes =
   Printf.printf "== %s (depth %d, up to %d crashes) ==\n" name depth max_crashes;
   match
-    Explore.forall_schedules ~n:2 ~factory ~invoke:one_proposal ~depth
-      ~max_crashes
-      ~check:(fun r -> Consensus_safety.check r.Slx_sim.Run_report.history)
-      ()
+    (Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth
+       ~max_crashes
+       ~check:(fun r -> Consensus_safety.check r.Slx_sim.Run_report.history)
+       ())
+      .Explore.outcome
   with
   | Explore.Ok runs ->
       Printf.printf "agreement and validity hold on ALL %d schedules\n" runs;

@@ -290,6 +290,3 @@ let explore_naive ~n ~factory ~invoke ~depth ?(max_crashes = 0) ~check () =
       decisions
   in
   exploration st (Search.run st (fun () -> walk [] 0 0))
-
-let forall_schedules ~n ~factory ~invoke ~depth ?(max_crashes = 0) ~check () =
-  (explore ~n ~factory ~invoke ~depth ~max_crashes ~check ()).outcome

@@ -21,7 +21,15 @@
       Two reductions are opt-in: {e dynamic partial-order
       reduction} ([~dpor], sleep sets woken by observed base-object
       accesses) and {e symmetry reduction} ([~symmetry], orbit pruning
-      of interchangeable untouched processes).  Where either is off, a
+      of interchangeable untouched processes).  The defaults, both
+      off, are the unreduced reference walk, and they stay off: a
+      symmetry declaration is a claim about the instance that an
+      asymmetric caller must not inherit silently.  The product's walk
+      ([slx explore], [slx serve] and the [--store] path, all through
+      [Slx_serve.Queries]) is DPOR plus symmetry, chosen there and
+      nowhere else; DPOR alone and symmetry alone are library
+      configurations that the golden corpus and the test suites name
+      directly.  Where either reduction is off, a
       {e transposition cache} keyed on the configuration's compact key
       ({!Slx_sim.Runner.Cursor.compact_key}: time, interned history,
       shared base-object digest, per-process status/step-count and
@@ -326,19 +334,6 @@ val explore_naive :
     every node re-runs its whole decision prefix on a fresh instance
     (and [check] runs on every maximal run).  O(depth) runtime steps
     per node — kept as the differential-testing baseline. *)
-
-val forall_schedules :
-  n:int ->
-  factory:(unit -> ('inv, 'res) Runner.factory) ->
-  invoke:(('inv, 'res) Driver.view -> Proc.t -> 'inv option) ->
-  depth:int ->
-  ?max_crashes:int ->
-  check:(('inv, 'res) Run_report.t -> bool) ->
-  unit ->
-  ('inv, 'res) outcome
-(** [explore] with the default engine configuration (cache on, no
-    reductions), returning just the outcome.  [Ok runs]
-    counts {e maximal} runs only. *)
 
 val workload_invoke :
   ('inv, 'res) Driver.workload ->

@@ -28,19 +28,16 @@ val trace_period : equal:('a -> 'a -> bool) -> 'a list -> int option
     and [p <= length xs / 2] — so at least two full repetitions are
     observed.  [None] if no such period exists or [xs] is too short. *)
 
-val skeleton :
-  ('inv, 'res) Slx_history.Event.t -> string
-(** The abstraction every trace function here uses: process +
-    constructor name, payloads erased (e.g. [Invocation (2, Write (0,
-    17))] becomes ["p2:inv"]).  Coarse but sufficient for the
-    adversaries here. *)
-
 val tick_cells :
   ('inv, 'res) Run_report.t ->
   string list list
 (** The abstracted trace, one cell list per tick [0 .. total_time - 1]:
     the tick's scheduling grant (as ["pN:step"]), if any, followed by
-    the {!skeleton}s of the events recorded at that tick.  This is the
+    the skeletons of the events recorded at that tick.  A skeleton is
+    the abstraction every trace function here uses: process +
+    constructor name, payloads erased (e.g. [Invocation (2, Write (0,
+    17))] becomes ["p2:inv"]), coarse but sufficient for the
+    adversaries here.  This is the
     quotient in which cycles of the configuration graph are detected:
     raw configurations never recur on a run (time, histories and step
     counts grow monotonically), but a run that pumps a scheduling
@@ -54,7 +51,7 @@ val cell_code :
     applied [d] and recorded [events] (chronological), as one int —
     the form the fair-cycle search carries, compares and keys on.
     Each element (the grant of a [Schedule], then each event's
-    {!skeleton}) is [((p lsl 2) lor kind) + 1], kind 0-3 for
+    skeleton) is [((p lsl 2) lor kind) + 1], kind 0-3 for
     grant, invocation, response, crash, packed in 8-bit slots from the
     low end; so two cells are equal iff their codes are.
     @raise Invalid_argument if a process id is above 31 or the tick
@@ -63,7 +60,7 @@ val cell_code :
 val window_period :
   ('inv, 'res) Run_report.t ->
   int option
-(** The period of the run's windowed {!skeleton} trace.  [Some p] is
+(** The period of the run's windowed skeleton trace.  [Some p] is
     the lasso certificate: the adversary repeated its cycle at least
     twice inside the window. *)
 

@@ -81,11 +81,9 @@ type spec = {
   sp_max_period : int;
   sp_pump : int;
   sp_dpor : bool;
-  sp_symmetry : bool;
 }
 
-let make ~kind ~impl ~property ~n ~depth ~crashes ~max_period ~pump ~dpor
-    ~symmetry =
+let make ~kind ~impl ~property ~n ~depth ~crashes ~max_period ~pump ~dpor =
   let live = kind = `Live in
   (* The liveness budgets are resolved (and checked) for live queries
      only; a safety query has none. *)
@@ -116,8 +114,7 @@ let make ~kind ~impl ~property ~n ~depth ~crashes ~max_period ~pump ~dpor
             sp_crashes = crashes;
             sp_max_period = max_period;
             sp_pump = pump;
-            sp_dpor = dpor;
-            sp_symmetry = symmetry && not live;
+            sp_dpor = dpor || not live;
           }
 
 (* [make] admitted the spec, so its vocabulary resolves. *)
@@ -126,7 +123,7 @@ let point sp = Result.get_ok (point_of_string ~n:sp.sp_n sp.sp_property)
 
 (* ------------------------------------------------------------------ *)
 (* Wire forms.  The reduction settings are not on the wire: a served
-   query runs at the CLI's defaults. *)
+   live query runs DPOR, as the CLI does by default. *)
 
 let kind_string = function `Explore -> "explore" | `Live -> "live"
 
@@ -144,8 +141,7 @@ let spec_of_json j =
         ~n:(Option.value (int "n") ~default:2)
         ~depth:(Option.value (int "depth") ~default:8)
         ~crashes:(Option.value (int "crashes") ~default:0)
-        ~max_period:(int "max_period") ~pump:(int "pump")
-        ~dpor:true ~symmetry:true
+        ~max_period:(int "max_period") ~pump:(int "pump") ~dpor:true
 
 let spec_to_json sp =
   Printf.sprintf
@@ -168,7 +164,9 @@ let check_name ~kind ~n property =
 (* [qid] binds every field by name: a field added to [spec] does not
    compile here until it is bound, or named as one of the per-record
    fields (depth and the liveness budgets) that a qid leaves to the
-   record's slot. *)
+   record's slot.  The reduction bits are those the query runs under:
+   DPOR and symmetry for safety, [sp_dpor] without symmetry for
+   liveness. *)
 let qid
     {
       sp_kind;
@@ -180,7 +178,6 @@ let qid
       sp_max_period = _;
       sp_pump = _;
       sp_dpor;
-      sp_symmetry;
     } =
   Persist.query_key ~ident:sp_impl
     ~check:(check_name ~kind:sp_kind ~n:sp_n sp_property)
@@ -188,7 +185,8 @@ let qid
     ~registry_digest:
       (Persist.instance_digest ~n:sp_n
          ~factory:(Result.get_ok (factory_of_impl sp_impl)))
-    ~max_crashes:sp_crashes ~dpor:sp_dpor ~symmetry:sp_symmetry ()
+    ~max_crashes:sp_crashes ~dpor:sp_dpor
+    ~symmetry:(sp_kind = `Explore) ()
 
 let slot sp = (qid sp, sp.sp_depth, sp.sp_max_period, sp.sp_pump)
 
@@ -224,18 +222,18 @@ let served sp r =
 
 let run ?store ?(sanitize = false) ?(obs = Obs.disabled) ?cancel sp =
   let n = sp.sp_n and factory = factory sp and depth = sp.sp_depth in
-  let max_crashes = sp.sp_crashes and dpor = sp.sp_dpor in
+  let max_crashes = sp.sp_crashes in
   let compute () =
     match sp.sp_kind with
     | `Explore ->
         Safety
           (Explore.explore ~n ~factory ~invoke:safety_invoke ~depth ~max_crashes
-             ~dpor ~symmetry:sp.sp_symmetry ~obs ~sanitize ?cancel ~check ())
+             ~dpor:true ~symmetry:true ~obs ~sanitize ?cancel ~check ())
     | `Live ->
         Live
           (Live_explore.search ~n ~factory ~invoke:live_invoke ~good
              ~point:(point sp) ~depth ~max_crashes ~max_period:sp.sp_max_period
-             ~pump_ticks:sp.sp_pump ~dpor ~obs ~sanitize ?cancel ())
+             ~pump_ticks:sp.sp_pump ~dpor:sp.sp_dpor ~obs ~sanitize ?cancel ())
   in
   match store with
   | None -> (compute (), None)

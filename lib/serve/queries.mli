@@ -4,8 +4,10 @@
 
     A query is one {!spec} record, built only by {!make}: the CLI
     parses its flags into one, the serve decoder ({!spec_of_json})
-    decodes one (with the CLI's default reduction settings pinned),
-    {!qid} keys the store with it and {!run} runs it — so a verdict
+    decodes one, {!qid} keys the store with it and {!run} runs it.
+    This is the one place the product's engine configuration is
+    chosen: a safety query always walks DPOR plus symmetry, and a
+    live query DPOR unless the spec turns it off — so a verdict
     computed by the service, by a worker, or by the CLI with
     [--store] lands on the {e same} store key and they warm-serve
     each other.
@@ -74,8 +76,9 @@ type spec = private {
   sp_crashes : int;
   sp_max_period : int;  (** Resolved (liveness); 0 for safety. *)
   sp_pump : int;  (** Resolved (liveness); 0 for safety. *)
-  sp_dpor : bool;  (** DPOR sleep sets (one level deep for liveness). *)
-  sp_symmetry : bool;  (** Symmetry reduction; safety only. *)
+  sp_dpor : bool;
+      (** DPOR sleep sets: always on for safety; one level deep, and
+          optional, for liveness. *)
 }
 (** One verification query, from CLI flag to store key to served
     answer.  Every field but [sp_depth], [sp_max_period] and [sp_pump]
@@ -92,7 +95,6 @@ val make :
   max_period:int option ->
   pump:int option ->
   dpor:bool ->
-  symmetry:bool ->
   (spec, string) result
 (** The one checked constructor.  [Error] on an unknown
     implementation or malformed freedom point (including one with
@@ -101,7 +103,8 @@ val make :
     bound: depth outside [1, 64], n outside [1, 16], negative crashes,
     a live [max_period] or [pump] below 1.  Liveness budgets resolve
     here ({!Slx_core.Live_explore.budgets}); a safety spec drops the
-    property and the budgets, a liveness spec drops [symmetry]. *)
+    property and the budgets and runs DPOR whatever [dpor] says.  A
+    safety query runs under symmetry, a liveness query without. *)
 
 val factory : spec -> factory
 (** The query's implementation. *)
@@ -114,7 +117,7 @@ val spec_of_json : Json.t -> (spec, string) result
 (** Decode a client query object through {!make}: [kind] ("explore" |
     "live"), [impl], [n], [depth], [crashes], and for liveness
     [property], [max_period], [pump].  The reduction settings are not
-    on the wire: dpor on, symmetry on (safety) — the CLI's defaults. *)
+    on the wire: a live query runs DPOR, the CLI's default. *)
 
 val spec_to_json : spec -> string
 
@@ -123,7 +126,8 @@ val qid : spec -> int
     the implementation's instance digest bound in — the only place a
     query record becomes a store key.  A live property is bound
     through the freedom point it names: [obstruction] and [1,1] give
-    one qid. *)
+    one qid.  The reduction bits it hashes are [dpor=true sym=true]
+    for every safety query and [sym=false] for a live one. *)
 
 val slot : spec -> int * int * int * int
 (** The store slot this query's record fills: its {!qid}, depth,

@@ -417,63 +417,72 @@ let stats_json t =
     | Some r -> json_string r)
     h.Store.h_records_dropped
 
+(* A query's deadline in seconds: absent, or a positive number. *)
+let timeout_of j =
+  match Json.member "timeout" j with
+  | None -> Ok None
+  | Some v -> (
+      match Json.num v with
+      | Some s when s > 0. -> Ok (Some s)
+      | _ ->
+          Error
+            (Printf.sprintf "timeout %s is not a positive number of seconds"
+               (Json.to_string v)))
+
 let handle_query_post t fd body =
-  match Json.parse body with
+  let request =
+    Result.bind (Json.parse body) @@ fun j ->
+    Result.bind (Queries.spec_of_json j) @@ fun spec ->
+    Result.map (fun timeout -> (j, spec, timeout)) (timeout_of j)
+  in
+  match request with
   | Error e -> respond ~status:"400 Bad Request" fd (Queries.error_result e)
-  | Ok j -> begin
-      match Queries.spec_of_json j with
-      | Error e -> respond ~status:"400 Bad Request" fd (Queries.error_result e)
-      | Ok spec -> begin
-          let wait =
-            match Json.member "wait" j with
-            | Some (Json.Bool b) -> b
-            | _ -> false
-          in
-          let timeout =
-            Option.bind (Json.member "timeout" j) Json.num
-          in
-          let slot = Queries.slot spec in
-          let attach q deduped =
-            if wait then begin
-              if stream_header fd then begin
-                match q.q_state with
-                | Done _ | Failed _ | Timeout ->
-                    ignore (try_write fd (status_json q ^ "\n"));
-                    close_quiet fd
-                | _ -> q.q_waiters <- fd :: q.q_waiters
-              end
-              else close_quiet fd
-            end
-            else
-              respond ~status:"202 Accepted" fd
-                (Printf.sprintf "{\"id\": %d, \"deduped\": %b}" q.q_id
-                   deduped)
-          in
-          match Hashtbl.find_opt t.inflight slot with
-          | Some qi ->
-              t.dedup_hits <- t.dedup_hits + 1;
-              attach (Hashtbl.find t.queries qi) true
-          | None ->
-              let q =
-                {
-                  q_id = t.next_query;
-                  q_spec = spec;
-                  q_slot = slot;
-                  q_created = now ();
-                  q_state = Queued;
-                  q_source = "";
-                  q_deadline = Option.map (fun s -> now () +. s) timeout;
-                  q_waiters = [];
-                  q_last_hb = None;
-                }
-              in
-              t.next_query <- t.next_query + 1;
-              Hashtbl.replace t.queries q.q_id q;
-              Hashtbl.replace t.inflight slot q.q_id;
-              plan t q;
-              attach q false
+  | Ok (j, spec, timeout) -> (
+      let wait =
+        match Json.member "wait" j with
+        | Some (Json.Bool b) -> b
+        | _ -> false
+      in
+      let slot = Queries.slot spec in
+      let attach q deduped =
+        if wait then begin
+          if stream_header fd then begin
+            match q.q_state with
+            | Done _ | Failed _ | Timeout ->
+                ignore (try_write fd (status_json q ^ "\n"));
+                close_quiet fd
+            | _ -> q.q_waiters <- fd :: q.q_waiters
+          end
+          else close_quiet fd
         end
-    end
+        else
+          respond ~status:"202 Accepted" fd
+            (Printf.sprintf "{\"id\": %d, \"deduped\": %b}" q.q_id
+               deduped)
+      in
+      match Hashtbl.find_opt t.inflight slot with
+      | Some qi ->
+          t.dedup_hits <- t.dedup_hits + 1;
+          attach (Hashtbl.find t.queries qi) true
+      | None ->
+          let q =
+            {
+              q_id = t.next_query;
+              q_spec = spec;
+              q_slot = slot;
+              q_created = now ();
+              q_state = Queued;
+              q_source = "";
+              q_deadline = Option.map (fun s -> now () +. s) timeout;
+              q_waiters = [];
+              q_last_hb = None;
+            }
+          in
+          t.next_query <- t.next_query + 1;
+          Hashtbl.replace t.queries q.q_id q;
+          Hashtbl.replace t.inflight slot q.q_id;
+          plan t q;
+          attach q false)
 
 let handle_request t fd ~meth ~path ~body =
   match (meth, path) with

@@ -9,7 +9,8 @@
 
     {b Endpoints.}
     - [POST /query] — body {!Queries.spec_of_json} plus optional
-      ["timeout"] (seconds) and ["wait"] (bool).  Without [wait]:
+      ["timeout"] (seconds, a positive number: anything else is a
+      [400]) and ["wait"] (bool).  Without [wait]:
       [202] with [{"id", "deduped"}].  With [wait]: a close-delimited
       [application/x-ndjson] stream of progress heartbeats ending in
       the result object.

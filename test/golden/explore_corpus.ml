@@ -3,10 +3,14 @@
      impl    ∈ {cas, register, selfish}
      depth   ∈ {8, 10}
      crashes ∈ {0, 1, 2}
-     flags   ∈ {none, --no-dpor, --no-symmetry, --sanitize, --naive}
-   (90 in all) it runs the query exactly as `slx explore` does, in
-   process, and prints the command line followed by the verdict and,
-   for a counterexample, the failing history and the witness script.
+     walk    ∈ {slx explore, Explore.explore (symmetry),
+                Explore.explore (dpor), slx explore --sanitize,
+                slx explore --naive}
+   (90 in all) it runs the query in process and prints its header
+   followed by the verdict and, for a counterexample, the failing
+   history and the witness script.  The three `slx explore` walks run
+   exactly as the CLI does; the two table walks, one reduction each,
+   are library configurations and are labelled by the library call.
    Each configuration's engine counters ({!Counters}) go to a separate
    file, `explore.counters.expected`: a reduction may change how many
    representatives it visits, never which verdict or which least
@@ -16,8 +20,7 @@
    prunes anything under symmetry.  The library queries after the grid
    run the plain configuration at n = 3 (cas and register, depth 8,
    crashes 1 and 2), where a menu below a crash does prune, so the
-   counters file pins [symmetry_pruned] there too.  They are labelled
-   by the library call, as live_corpus.ml labels its own. *)
+   counters file pins [symmetry_pruned] there too. *)
 
 open Slx_core
 open Slx_serve
@@ -26,41 +29,37 @@ let impls = [ "cas"; "register"; "selfish" ]
 let depths = [ 8; 10 ]
 let crash_bounds = [ 0; 1; 2 ]
 
-type flags = {
-  label : string;
-  dpor : bool;
-  symmetry : bool;
-  sanitize : bool;
-  naive : bool;
-}
+(* A walk of the grid: the product's, sanitized or not, the naive
+   reference, or a table walk with one reduction on. *)
+type walk = Plain | Symmetry_alone | Dpor_alone | Sanitize | Naive
 
-let plain =
-  {
-    label = "";
-    dpor = true;
-    symmetry = true;
-    sanitize = false;
-    naive = false;
-  }
+let walks = [ Plain; Symmetry_alone; Dpor_alone; Sanitize; Naive ]
 
-let flag_sets =
-  [
-    plain;
-    { plain with label = " --no-dpor"; dpor = false };
-    { plain with label = " --no-symmetry"; symmetry = false };
-    { plain with label = " --sanitize"; sanitize = true };
-    { plain with label = " --naive"; naive = true };
-  ]
+let header ~impl ~n ~depth ~crashes = function
+  | Plain | Sanitize | Naive as w ->
+      Printf.sprintf "slx explore --impl %s --depth %d --crashes %d%s" impl
+        depth crashes
+        (match w with Sanitize -> " --sanitize" | Naive -> " --naive" | _ -> "")
+  | Symmetry_alone | Dpor_alone as w ->
+      Printf.sprintf "Explore.explore %s n=%d depth %d crashes %d (%s)" impl n
+        depth crashes
+        (if w = Dpor_alone then "dpor" else "symmetry")
 
-let answer sp f =
-  if f.naive then
-    Explore.explore_naive ~n:sp.Queries.sp_n ~factory:(Queries.factory sp)
-      ~invoke:Queries.safety_invoke ~depth:sp.sp_depth
-      ~max_crashes:sp.sp_crashes ~check:Queries.check ()
-  else
-    match Queries.run ~sanitize:f.sanitize sp with
-    | Queries.Safety e, _ -> e
-    | Queries.Live _, _ -> assert false
+let answer sp w =
+  let n = sp.Queries.sp_n and factory = Queries.factory sp in
+  let depth = sp.sp_depth and max_crashes = sp.sp_crashes in
+  match w with
+  | Naive ->
+      Explore.explore_naive ~n ~factory ~invoke:Queries.safety_invoke ~depth
+        ~max_crashes ~check:Queries.check ()
+  | Symmetry_alone | Dpor_alone ->
+      Explore.explore ~n ~factory ~invoke:Queries.safety_invoke ~depth
+        ~max_crashes ~dpor:(w = Dpor_alone) ~symmetry:(w = Symmetry_alone)
+        ~check:Queries.check ()
+  | Plain | Sanitize -> (
+      match Queries.run ~sanitize:(w = Sanitize) sp with
+      | Queries.Safety e, _ -> e
+      | Queries.Live _, _ -> assert false)
 
 let print_verdict (e : _ Explore.exploration) =
   match e.Explore.outcome with
@@ -76,13 +75,11 @@ let print_verdict (e : _ Explore.exploration) =
       in
       Printf.printf "  witness script: %s\n" script
 
-let query ~impl ~n ~depth ~crashes f =
-  match
-    Queries.make ~kind:`Explore ~impl ~property:"" ~n ~depth ~crashes
-      ~max_period:None ~pump:None ~dpor:f.dpor ~symmetry:f.symmetry
-  with
-  | Error e -> Error e
-  | Ok sp -> Ok (answer sp f)
+let query ~impl ~n ~depth ~crashes w =
+  Result.map
+    (fun sp -> answer sp w)
+    (Queries.make ~kind:`Explore ~impl ~property:"" ~n ~depth ~crashes
+       ~max_period:None ~pump:None ~dpor:true)
 
 let () =
   let counters = Counters.channel () in
@@ -93,18 +90,15 @@ let () =
           List.iter
             (fun crashes ->
               List.iter
-                (fun f ->
-                  let cmd =
-                    Printf.sprintf "slx explore --impl %s --depth %d --crashes %d%s"
-                      impl depth crashes f.label
-                  in
+                (fun w ->
+                  let cmd = header ~impl ~n:2 ~depth ~crashes w in
                   print_endline cmd;
-                  match query ~impl ~n:2 ~depth ~crashes f with
+                  match query ~impl ~n:2 ~depth ~crashes w with
                   | Error e -> Printf.printf "  error: %s\n" e
                   | Ok e ->
                       print_verdict e;
                       Counters.print counters cmd e.Explore.stats)
-                flag_sets)
+                walks)
             crash_bounds)
         depths)
     impls;
@@ -119,7 +113,7 @@ let () =
           in
           print_endline cmd;
           let e =
-            Result.get_ok (query ~impl ~n:3 ~depth:8 ~crashes plain)
+            Result.get_ok (query ~impl ~n:3 ~depth:8 ~crashes Plain)
           in
           print_verdict e;
           Counters.print counters cmd e.Explore.stats)

@@ -93,7 +93,7 @@ let command ~impl ~property ~n ~depth ~crashes ~max_period =
 let spec ~impl ~property ~n ~depth ~crashes ~max_period dpor =
   Result.get_ok
     (Queries.make ~kind:`Live ~impl ~property ~n ~depth ~crashes ~max_period
-       ~pump:None ~dpor ~symmetry:false)
+       ~pump:None ~dpor)
 
 (* One query at the default and under --no-dpor, the default tagged
    by their difference. *)

@@ -327,6 +327,52 @@ let test_sanitize_changes_nothing () =
         0 on.Explore.stats.Explore_stats.footprint_violations)
     configs
 
+(* The two table walks, one reduction each, sanitized: the instances
+   declare truthfully and stay safe, and the table hits, so a crash
+   child that ends its run is checked after its table lookup.  Selfish
+   consensus still breaks agreement under DPOR alone. *)
+let test_sanitize_table_walks () =
+  let consensus_check r =
+    Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history
+  in
+  let explore factory ~depth ~crashes ~dpor =
+    Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth
+      ~max_crashes:crashes ~dpor ~symmetry:(not dpor) ~sanitize:true
+      ~check:consensus_check ()
+  in
+  List.iter
+    (fun (impl, factory, depth) ->
+      List.iter
+        (fun (crashes, dpor) ->
+          let name =
+            Printf.sprintf "%s d%d c%d %s alone" impl depth crashes
+              (if dpor then "dpor" else "symmetry")
+          in
+          let e = explore factory ~depth ~crashes ~dpor in
+          let s = e.Explore.stats in
+          check_bool (name ^ ": ok") true
+            (match e.Explore.outcome with
+            | Explore.Ok _ -> true
+            | Explore.Counterexample _ -> false);
+          check_int (name ^ ": no footprint violation") 0
+            s.Explore_stats.footprint_violations;
+          check_bool (name ^ ": the table hits") true
+            (s.Explore_stats.cache_hits > 0))
+        [ (1, true); (1, false); (2, true); (2, false) ])
+    [
+      ("register", (fun () -> Slx_consensus.Register_consensus.factory ()), 12);
+      ("cas", (fun () -> Slx_consensus.Cas_consensus.factory ()), 10);
+    ];
+  check_bool "selfish d8 c2 dpor alone: counterexample" true
+    (match
+       (explore
+          (fun () -> Slx_consensus.Selfish_consensus.factory ())
+          ~depth:8 ~crashes:2 ~dpor:true)
+         .Explore.outcome
+     with
+    | Explore.Counterexample _ -> true
+    | Explore.Ok _ -> false)
+
 let test_sanitize_counts_in_live_search () =
   let open Slx_liveness in
   let factory () = Slx_consensus.Register_consensus.factory ~max_rounds:8 () in
@@ -399,6 +445,7 @@ let suites =
       [
         quick "sanitize changes nothing in the safety engines"
           test_sanitize_changes_nothing;
+        quick "the table walks sanitize clean" test_sanitize_table_walks;
         quick "sanitize changes nothing in the fair-cycle search"
           test_sanitize_counts_in_live_search;
       ] );

@@ -262,12 +262,13 @@ let one_proposal =
 
 let test_queue_consensus_two_procs_exhaustive () =
   match
-    Slx_core.Explore.forall_schedules ~n:2
-      ~factory:(fun () -> Queue_consensus.factory ())
-      ~invoke:one_proposal ~depth:10 ~max_crashes:1
-      ~check:(fun r ->
-        Consensus_safety.check r.Run_report.history)
-      ()
+    (Slx_core.Explore.explore ~n:2
+       ~factory:(fun () -> Queue_consensus.factory ())
+       ~invoke:one_proposal ~depth:10 ~max_crashes:1
+       ~check:(fun r ->
+         Consensus_safety.check r.Run_report.history)
+       ())
+      .Slx_core.Explore.outcome
   with
   | Slx_core.Explore.Ok runs ->
       check_bool "safe on every 2-process schedule" true (runs > 10)
@@ -277,12 +278,13 @@ let test_queue_consensus_two_procs_exhaustive () =
 let test_queue_consensus_two_procs_wait_free () =
   (* Every schedule also completes both operations: wait-freedom. *)
   match
-    Slx_core.Explore.forall_schedules ~n:2
-      ~factory:(fun () -> Queue_consensus.factory ())
-      ~invoke:one_proposal ~depth:10
-      ~check:(fun r ->
-        History.count Event.is_response r.Run_report.history = 2)
-      ()
+    (Slx_core.Explore.explore ~n:2
+       ~factory:(fun () -> Queue_consensus.factory ())
+       ~invoke:one_proposal ~depth:10
+       ~check:(fun r ->
+         History.count Event.is_response r.Run_report.history = 2)
+       ())
+      .Slx_core.Explore.outcome
   with
   | Slx_core.Explore.Ok _ -> ()
   | Slx_core.Explore.Counterexample _ ->
@@ -292,12 +294,13 @@ let test_queue_consensus_breaks_at_three () =
   (* The consensus-number-2 boundary: the explorer finds an agreement
      violation with three processes. *)
   match
-    Slx_core.Explore.forall_schedules ~n:3
-      ~factory:(fun () -> Queue_consensus.factory ())
-      ~invoke:one_proposal ~depth:9
-      ~check:(fun r ->
-        Consensus_safety.check r.Run_report.history)
-      ()
+    (Slx_core.Explore.explore ~n:3
+       ~factory:(fun () -> Queue_consensus.factory ())
+       ~invoke:one_proposal ~depth:9
+       ~check:(fun r ->
+         Consensus_safety.check r.Run_report.history)
+       ())
+      .Slx_core.Explore.outcome
   with
   | Slx_core.Explore.Ok _ ->
       Alcotest.fail "the naive 3-process extension must disagree somewhere"

@@ -346,12 +346,13 @@ let one_proposal =
 
 let test_explore_cas_consensus_all_schedules () =
   match
-    Explore.forall_schedules ~n:2
-      ~factory:(fun () -> Slx_consensus.Cas_consensus.factory ())
-      ~invoke:one_proposal ~depth:10
-      ~check:(fun r ->
-        Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history)
-      ()
+    (Explore.explore ~n:2
+       ~factory:(fun () -> Slx_consensus.Cas_consensus.factory ())
+       ~invoke:one_proposal ~depth:10
+       ~check:(fun r ->
+         Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history)
+       ())
+      .Explore.outcome
   with
   | Explore.Ok runs ->
       check_int "all 20 interleavings of two 3-step ops" 20 runs
@@ -360,12 +361,13 @@ let test_explore_cas_consensus_all_schedules () =
 
 let test_explore_register_consensus_all_schedules () =
   match
-    Explore.forall_schedules ~n:2
-      ~factory:(fun () -> Slx_consensus.Register_consensus.factory ())
-      ~invoke:one_proposal ~depth:9
-      ~check:(fun r ->
-        Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history)
-      ()
+    (Explore.explore ~n:2
+       ~factory:(fun () -> Slx_consensus.Register_consensus.factory ())
+       ~invoke:one_proposal ~depth:9
+       ~check:(fun r ->
+         Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history)
+       ())
+      .Explore.outcome
   with
   | Explore.Ok runs -> check_bool "explored schedules" true (runs > 20)
   | Explore.Counterexample _ ->
@@ -373,12 +375,13 @@ let test_explore_register_consensus_all_schedules () =
 
 let test_explore_finds_selfish_counterexample () =
   match
-    Explore.forall_schedules ~n:2
-      ~factory:(fun () -> Slx_consensus.Selfish_consensus.factory ())
-      ~invoke:one_proposal ~depth:6
-      ~check:(fun r ->
-        Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history)
-      ()
+    (Explore.explore ~n:2
+       ~factory:(fun () -> Slx_consensus.Selfish_consensus.factory ())
+       ~invoke:one_proposal ~depth:6
+       ~check:(fun r ->
+         Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history)
+       ())
+      .Explore.outcome
   with
   | Explore.Ok _ -> Alcotest.fail "selfish consensus must disagree somewhere"
   | Explore.Counterexample r ->
@@ -541,12 +544,13 @@ let one_txn view p =
 
 let test_explore_agp_opacity_all_schedules () =
   match
-    Explore.forall_schedules ~n:2
-      ~factory:(fun () -> Slx_tm.Agp_tm.factory ~vars:1)
-      ~invoke:one_txn ~depth:10
-      ~check:(fun r ->
-        Slx_tm.Opacity.check_final r.Slx_sim.Run_report.history)
-      ()
+    (Explore.explore ~n:2
+       ~factory:(fun () -> Slx_tm.Agp_tm.factory ~vars:1)
+       ~invoke:one_txn ~depth:10
+       ~check:(fun r ->
+         Slx_tm.Opacity.check_final r.Slx_sim.Run_report.history)
+       ())
+      .Explore.outcome
   with
   | Explore.Ok runs -> check_bool "explored schedules" true (runs > 20)
   | Explore.Counterexample _ ->
@@ -554,12 +558,13 @@ let test_explore_agp_opacity_all_schedules () =
 
 let test_explore_with_crashes () =
   match
-    Explore.forall_schedules ~n:2
-      ~factory:(fun () -> Slx_consensus.Cas_consensus.factory ())
-      ~invoke:one_proposal ~depth:7 ~max_crashes:1
-      ~check:(fun r ->
-        Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history)
-      ()
+    (Explore.explore ~n:2
+       ~factory:(fun () -> Slx_consensus.Cas_consensus.factory ())
+       ~invoke:one_proposal ~depth:7 ~max_crashes:1
+       ~check:(fun r ->
+         Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history)
+       ())
+      .Explore.outcome
   with
   | Explore.Ok runs ->
       check_bool "crash branches multiply the schedules" true (runs > 20)

@@ -5,7 +5,8 @@
      served answer costs what a cold CLI run costs, and its result line
      carries the answer and its work counters and nothing else.
    - The query record: {!Queries.qid} binds every field of a
-     {!Queries.spec} but the per-record depth and liveness budgets.
+     {!Queries.spec} but the per-record depth and liveness budgets,
+     and keeps the values stored records carry.
    - Out-of-range bounds are refused: a usage error on the CLI, an
      [Error] from the serve decoder.
    - Warm service: {!Queries.warm_result} serves a computed verdict
@@ -19,9 +20,10 @@
      a served record carries its 63-bit digest exactly and
      warm-serves the CLI, a deeper query over a served shallower
      record is computed in full, outside text (a store path, an
-     implementation name) comes back as valid JSON, and one query
+     implementation name) comes back as valid JSON, one query
      sequence leaves the same store counters and records as the CLI's
-     [--store] path. *)
+     [--store] path, and a query past its deadline is cancelled on its
+     worker and frees its slot. *)
 
 open Support
 open Slx_sim
@@ -371,11 +373,10 @@ let test_warm_refuses () =
 (* The query record.                                                   *)
 
 let make ?(kind = `Live) ?(impl = "register") ?(property = "1,2") ?(n = 2)
-    ?(depth = 10) ?(crashes = 0) ?max_period ?pump ?(dpor = true)
-    ?(symmetry = kind = `Explore) () =
+    ?(depth = 10) ?(crashes = 0) ?max_period ?pump ?(dpor = true) () =
   match
     Queries.make ~kind ~impl ~property ~n ~depth ~crashes ~max_period ~pump
-      ~dpor ~symmetry
+      ~dpor
   with
   | Ok sp -> sp
   | Error e -> Alcotest.failf "make refused a valid spec: %s" e
@@ -400,8 +401,6 @@ let test_qid_binds_the_record () =
       ("crashes", live, make ~crashes:1 ());
       ("dpor", live, make ~dpor:false ());
       ("safety impl", safety, make ~kind:`Explore ~impl:"cas" ());
-      ("safety dpor", safety, make ~kind:`Explore ~dpor:false ());
-      ("symmetry", safety, make ~kind:`Explore ~symmetry:false ());
     ];
   List.iter (qid_changes false)
     [
@@ -409,12 +408,45 @@ let test_qid_binds_the_record () =
       ("max_period", live, make ~max_period:3 ());
       ("pump", live, make ~pump:99 ());
       ("safety depth", safety, make ~kind:`Explore ~depth:8 ());
+      (* A safety query always runs DPOR. *)
+      ("safety dpor", safety, make ~kind:`Explore ~dpor:false ());
     ];
-  (* The decoder pins the CLI's default reductions. *)
+  (* The decoder keys a live query as the CLI's default. *)
   check_int "a decoded live query keys like the CLI's default"
     (Queries.qid live)
     (Queries.qid
        (spec_of {|{"kind": "live", "impl": "register", "property": "1,2"}|}))
+
+(* The qids of stored records are pinned: a store written by an
+   earlier build answers warm only while they hold.  A safety query
+   hashes [dpor=true sym=true] whatever [dpor] it is built with, and a
+   live one [sym=false] with its own [dpor]. *)
+let test_qid_values_pinned () =
+  List.iter
+    (fun (name, sp, expected) -> check_int name expected (Queries.qid sp))
+    [
+      ( "safety cas n=2 c=1",
+        make ~kind:`Explore ~impl:"cas" ~crashes:1 (),
+        4448029278466072970 );
+      ( "safety cas n=2 c=1 asked without dpor",
+        make ~kind:`Explore ~impl:"cas" ~crashes:1 ~dpor:false (),
+        4448029278466072970 );
+      ( "safety register n=3 c=2",
+        make ~kind:`Explore ~n:3 ~crashes:2 (),
+        1198646912507385600 );
+      ("safety selfish n=2", make ~kind:`Explore ~impl:"selfish" (),
+       3233755985106865418);
+      ("live register (1,2)", make (), 3870233144060948253);
+      ("live register (1,2) without dpor", make ~dpor:false (),
+       1222212953851040406);
+      ( "live cas obstruction n=3 c=1",
+        make ~impl:"cas" ~property:"obstruction" ~n:3 ~crashes:1 (),
+        2426983965865092172 );
+      ( "live cas obstruction n=3 c=1 without dpor",
+        make ~impl:"cas" ~property:"obstruction" ~n:3 ~crashes:1 ~dpor:false
+          (),
+        4301762813694862893 );
+    ]
 
 (* A live property is deduplicated by the freedom point it names, as
    the qid binds it: a named point and its (l,k) spelling fill one
@@ -474,9 +506,10 @@ let test_cli_out_of_range_refused () =
     ]
 
 (* The declared-footprint POR, structural-key and hash-compaction
-   switches, the live proviso bound and the invoke-order switch (the
-   live search always offers invocations in process order) are gone:
-   naming them is a usage error too. *)
+   switches, the safety walk's reduction switches (it always runs DPOR
+   plus symmetry), the live proviso bound and the invoke-order switch
+   (the live search always offers invocations in process order) are
+   gone: naming them is a usage error too. *)
 let test_cli_retired_flags_refused () =
   List.iter
     (fun args ->
@@ -491,6 +524,8 @@ let test_cli_retired_flags_refused () =
       "explore --bitstate 16";
       "explore --no-cache";
       "explore --cache-capacity 50";
+      "explore --no-dpor";
+      "explore --no-symmetry";
       "live-explore --no-compact";
       "live-explore --proviso 3";
       "live-explore --invoke-order";
@@ -578,9 +613,10 @@ let last_json response =
   | last :: _ -> parse_result last
   | [] -> Alcotest.failf "no JSON in %S" response
 
-(* Run [f port] against a fresh one-worker coordinator on [store];
-   the coordinator is shut down and reaped afterwards. *)
-let with_server ~store f =
+(* Run [f pid port] against a fresh one-worker coordinator on
+   [store], whose process is [pid]; the coordinator is shut down and
+   reaped afterwards. *)
+let with_server_pid ~store f =
   let port = free_port () in
   let r, w = Unix.pipe ~cloexec:true () in
   let pid =
@@ -600,7 +636,9 @@ let with_server ~store f =
     (fun () ->
       (* The coordinator prints one JSON line once it listens. *)
       ignore (parse_result (input_line ic));
-      f port)
+      f pid port)
+
+let with_server ~store f = with_server_pid ~store (fun _ port -> f port)
 
 let query port fields =
   let j =
@@ -719,16 +757,104 @@ let test_bad_requests_answer_400 () =
             Some "property \"1,3\" out of range: k 3 exceeds n 2" );
         ])
 
-let cli_json args =
+(* The last JSON line [slx ARGS] prints, and its exit code. *)
+let cli_last_json args =
   let out = Filename.temp_file "slx_serve_test" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove out)
     (fun () ->
-      let rc =
-        Sys.command (Printf.sprintf "%s %s --json > %s" slx_bin args out)
+      let rc = Sys.command (Printf.sprintf "%s %s > %s" slx_bin args out) in
+      (rc, last_json (In_channel.with_open_bin out In_channel.input_all)))
+
+(* The deadline path.  A [timeout] that is not a positive number is
+   refused before a query exists.  A query past its deadline reads
+   [timeout] in /status and counts in /stats; its worker is cancelled
+   (SIGUSR1) and its slot released, so the same query submitted again
+   is a new query, which the same worker process computes.  The
+   timeout, a microsecond, expires before the coordinator's loop
+   iteration that admitted the query ends, where deadlines are
+   checked; the query (CI's slow live query) computes for tens of
+   milliseconds.  A served safety query runs first, so the worker has
+   installed its SIGUSR1 handler before the cancel is sent. *)
+let test_deadline_cancels_and_frees_the_slot () =
+  let slow =
+    "--kind live --impl cas --property obstruction --procs 3 --depth 11 \
+     --crashes 1 --max-period 4 --pump 40"
+  in
+  let slow_fields =
+    {|"kind": "live", "impl": "cas", "property": "obstruction", "n": 3, |}
+    ^ {|"depth": 11, "crashes": 1, "max_period": 4, "pump": 40|}
+  in
+  with_server_pid ~store:(temp_store ()) (fun pid port ->
+      let slx args =
+        cli_last_json (Printf.sprintf "query --port %d %s" port args)
       in
-      check_int ("exit code of slx " ^ args) 0 rc;
-      parse_result (In_channel.with_open_bin out In_channel.input_all))
+      List.iter
+        (fun timeout ->
+          let resp =
+            exchange port
+              (request ~meth:"POST" ~path:"/query"
+                 (Printf.sprintf "{%s, \"timeout\": %s}" slow_fields timeout))
+          in
+          Alcotest.(check string)
+            ("timeout " ^ timeout) "HTTP/1.1 400 Bad Request"
+            (status_line resp);
+          check_outcome ("timeout " ^ timeout) "error" (last_json resp))
+        [ {|"5"|}; "0"; "-1"; "null" ];
+      check_int "a refused timeout creates no query" 0
+        (stat (stats port) [ "queries" ]);
+      let src, _ = query port {|"impl": "cas", "depth": 4|} in
+      check_bool "the worker is up" true (src = Some "full");
+      (* The coordinator's one child: its worker. *)
+      let children = Printf.sprintf "/proc/%d/task/%d/children" pid pid in
+      let worker () =
+        if Sys.file_exists children then
+          Some
+            (String.trim
+               (In_channel.with_open_bin children In_channel.input_all))
+        else None
+      in
+      let before = worker () in
+      let submit args =
+        let rc, j = slx (slow ^ args) in
+        check_int ("slx query" ^ args ^ ": exit code") 0 rc;
+        Alcotest.(check (option bool))
+          ("slx query" ^ args ^ ": deduped") (Some false)
+          (match Json.member "deduped" j with
+          | Some (Json.Bool b) -> Some b
+          | _ -> None);
+        int_field j "id"
+      in
+      let state id =
+        let _, j = slx (Printf.sprintf "--status %d" id) in
+        (Option.bind (Json.member "state" j) Json.str, j)
+      in
+      let id = submit " --timeout 1e-6" in
+      Alcotest.(check (option string))
+        "--status reads timeout" (Some "timeout") (fst (state id));
+      let _, st = slx "--stats" in
+      check_int "/stats counts one timeout" 1 (stat st [ "timeouts" ]);
+      let again = submit "" in
+      check_bool "the resubmission is a new query" true (again <> id);
+      let rec settle tries =
+        match state again with
+        | Some ("queued" | "running"), _ when tries > 0 ->
+            Unix.sleepf 0.05;
+            settle (tries - 1)
+        | s, j -> (s, j)
+      in
+      let s, j = settle 600 in
+      Alcotest.(check (option string))
+        "the resubmission is done" (Some "done") s;
+      check_outcome "the resubmission" "no_fair_cycle"
+        (Option.get (Json.member "result" j));
+      Alcotest.(check (option string))
+        "the same worker process computed it" before (worker ()))
+
+let cli_json args =
+  let rc, j = cli_last_json (args ^ " --json") in
+  check_int ("exit code of slx " ^ args) 0 rc;
+  j
 
 let history_digest j =
   stat j [ "stats"; "history_digest" ]
@@ -1023,6 +1149,8 @@ let suites =
           `Quick test_qid_binds_the_record;
         Alcotest.test_case "a live key binds the freedom point" `Quick
           test_key_binds_the_point;
+        Alcotest.test_case "qids keep the values stored records carry"
+          `Quick test_qid_values_pinned;
       ] );
     ( "serve.input",
       [
@@ -1063,5 +1191,7 @@ let suites =
           test_cli_and_serve_agree;
         Alcotest.test_case "a served warm hit is committed by the next save"
           `Quick test_warm_hit_not_committed;
+        Alcotest.test_case "a timed-out query is cancelled and frees its slot"
+          `Quick test_deadline_cancels_and_frees_the_slot;
       ] );
   ]
