@@ -1,43 +1,30 @@
-type invocation = Propose of int
-type response = Decided of int
-type state = int option
-
-let name = "consensus"
-let initial = None
-
-let seq (Propose v) = function
-  | None -> [ (Some v, Decided v) ]
-  | Some w -> [ (Some w, Decided w) ]
-
-let good (_ : response) = true
-
-let equal_state = Option.equal Int.equal
-let equal_invocation (Propose v) (Propose w) = Int.equal v w
-let equal_response (Decided v) (Decided w) = Int.equal v w
-
-let pp_state fmt = function
-  | None -> Format.pp_print_string fmt "undecided"
-  | Some v -> Format.fprintf fmt "decided(%d)" v
-
-let pp_invocation fmt (Propose v) = Format.fprintf fmt "propose(%d)" v
-let pp_response fmt (Decided v) = Format.fprintf fmt "%d" v
-
 module Self = struct
-  type nonrec state = state
-  type nonrec invocation = invocation
-  type nonrec response = response
+  type invocation = Propose of int
+  type response = Decided of int
+  type state = int option
 
-  let name = name
-  let initial = initial
-  let seq = seq
-  let good = good
-  let equal_state = equal_state
-  let equal_invocation = equal_invocation
-  let equal_response = equal_response
-  let pp_state = pp_state
-  let pp_invocation = pp_invocation
-  let pp_response = pp_response
+  let name = "consensus"
+  let initial = None
+
+  let seq (Propose v) = function
+    | None -> [ (Some v, Decided v) ]
+    | Some w -> [ (Some w, Decided w) ]
+
+  let good (_ : response) = true
+
+  let equal_state = Option.equal Int.equal
+  let equal_invocation (Propose v) (Propose w) = Int.equal v w
+  let equal_response (Decided v) (Decided w) = Int.equal v w
+
+  let pp_state fmt = function
+    | None -> Format.pp_print_string fmt "undecided"
+    | Some v -> Format.fprintf fmt "decided(%d)" v
+
+  let pp_invocation fmt (Propose v) = Format.fprintf fmt "propose(%d)" v
+  let pp_response fmt (Decided v) = Format.fprintf fmt "%d" v
 end
+
+include Self
 
 let tp : (state, invocation, response) Slx_history.Object_type.t =
   (module Self)

@@ -59,38 +59,11 @@ let holds_lock view p =
 let next_invocation view p =
   match holds_lock view p with `Held -> Release | `Free -> Acquire
 
-let eligible view p =
-  match view.Driver.status p with
-  | Slx_sim.Runtime.Ready -> Some (Driver.Schedule p)
-  | Slx_sim.Runtime.Idle -> Some (Driver.Invoke (p, next_invocation view p))
-  | Slx_sim.Runtime.Crashed -> None
+let workload ?procs () =
+  Driver.round_robin_by ?procs (fun view p -> Some (next_invocation view p))
 
-let workload ?procs () : _ Driver.t =
-  let cursor = ref 0 in
-  fun view ->
-    let procs = Option.value procs ~default:(Proc.all ~n:view.Driver.n) in
-    let len = List.length procs in
-    let rec try_from k =
-      if k >= len then Driver.Stop
-      else
-        let p = List.nth procs ((!cursor + k) mod len) in
-        match eligible view p with
-        | Some d ->
-            cursor := (!cursor + k + 1) mod len;
-            d
-        | None -> try_from (k + 1)
-    in
-    try_from 0
-
-let random_workload ?procs ~seed () : _ Driver.t =
-  let rng = Random.State.make [| seed |] in
-  fun view ->
-    let procs = Option.value procs ~default:(Proc.all ~n:view.Driver.n) in
-    let candidates = List.filter_map (eligible view) procs in
-    match candidates with
-    | [] -> Driver.Stop
-    | _ :: _ ->
-        List.nth candidates (Random.State.int rng (List.length candidates))
+let random_workload ?procs ~seed () =
+  Driver.random_by ?procs ~seed (fun view p -> Some (next_invocation view p))
 
 let starvation_adversary () : _ Driver.t =
   (* Whether p1's doomed attempt was already granted during the current

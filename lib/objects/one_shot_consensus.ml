@@ -26,16 +26,11 @@ module Cas = struct
 end
 
 module Registers = struct
-  (* One commit-adopt round (cf. Slx_consensus.Register_consensus,
-     generalized to arbitrary values). *)
-  type 'a round = {
-    a : 'a option Register.t array;
-    b : (bool * 'a) option Register.t array;
-  }
+  module Commit_adopt = Slx_consensus.Commit_adopt
 
   type 'a t = {
     n : int;
-    rounds : 'a round option array;  (* allocated on first use *)
+    rounds : 'a Commit_adopt.round option array;  (* allocated on first use *)
     allocated : int ref;  (* rounds allocated so far (prefix of [rounds]) *)
     tbl : int;  (* footprint id of the allocation table *)
     decision : 'a option Register.t;
@@ -43,12 +38,6 @@ module Registers = struct
   }
 
   let max_rounds = 4096
-
-  (* Builds [a] then [b]: [2n] ids. *)
-  let make_round n =
-    let a = Array.init n (fun _ -> Register.make None) in
-    let b = Array.init n (fun _ -> Register.make None) in
-    { a; b }
 
   let make ~n () =
     (* The allocation table is shared mutable state: fingerprint it
@@ -86,51 +75,17 @@ module Registers = struct
         | None ->
             let round =
               Slx_sim.Runtime.in_block t.ids ~offset:(r * 2 * t.n) (fun () ->
-                  make_round t.n)
+                  Commit_adopt.make_round t.n)
             in
             Slx_sim.Runtime.touch ~obj:t.tbl ~write:true;
             t.rounds.(r) <- Some round;
             incr t.allocated;
             round)
 
-  type 'a outcome = Commit of 'a | Adopt of 'a
-
-  let commit_adopt round ~n ~i v =
-    Register.write round.a.(i - 1) (Some v);
-    let seen_a =
-      List.filter_map
-        (fun j -> Register.read round.a.(j))
-        (List.init n (fun j -> j))
-    in
-    let phase1 = if List.for_all (fun u -> u = v) seen_a then (true, v) else (false, v) in
-    Register.write round.b.(i - 1) (Some phase1);
-    let seen_b =
-      List.filter_map
-        (fun j -> Register.read round.b.(j))
-        (List.init n (fun j -> j))
-    in
-    let trues = List.filter fst seen_b in
-    match trues with
-    | (_, u) :: _ when List.for_all (fun (f, _) -> f) seen_b -> Commit u
-    | (_, u) :: _ -> Adopt u
-    | [] -> Adopt v
-
   let propose t ~proc v =
-    let rec go r pref =
-      if r >= max_rounds then
-        failwith "One_shot_consensus.Registers: max_rounds exceeded"
-      else
-        match Register.read t.decision with
-        | Some w -> w
-        | None -> begin
-            match commit_adopt (round t r) ~n:t.n ~i:proc pref with
-            | Commit u ->
-                Register.write t.decision (Some u);
-                u
-            | Adopt u -> go (r + 1) u
-          end
-    in
-    if Proc.is_valid ~n:t.n proc then go 0 v
+    if Proc.is_valid ~n:t.n proc then
+      Commit_adopt.decide ~name:"One_shot_consensus.Registers" ~equal:( = )
+        ~n:t.n ~max_rounds ~decision:t.decision ~round:(round t) ~proc v
     else invalid_arg "One_shot_consensus.Registers.propose: bad process"
 
   let peek t = Register.read t.decision

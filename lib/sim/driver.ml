@@ -25,18 +25,20 @@ let forever f : _ workload = fun p _ -> Some (f p)
 let n_times n f : _ workload = fun p k -> if k < n then Some (f p k) else None
 
 (* The decision for one candidate process, if any: step it if ready,
-   invoke it if idle and the workload has more work. *)
-let eligible workload view p =
+   invoke it if idle and [next] has more work for it. *)
+let eligible next view p =
   match view.status p with
   | Runtime.Ready -> Some (Schedule p)
   | Runtime.Idle -> begin
-      match workload p (view.invocations p) with
+      match next view p with
       | Some inv -> Some (Invoke (p, inv))
       | None -> None
     end
   | Runtime.Crashed -> None
 
-let round_robin ?procs ~workload () : _ t =
+let of_workload workload view p = workload p (view.invocations p)
+
+let round_robin_by ?procs next : _ t =
   let cursor = ref 0 in
   fun view ->
     let procs = Option.value procs ~default:(Proc.all ~n:view.n) in
@@ -45,7 +47,7 @@ let round_robin ?procs ~workload () : _ t =
       if k >= len then Stop
       else
         let p = List.nth procs ((!cursor + k) mod len) in
-        match eligible workload view p with
+        match eligible next view p with
         | Some d ->
             cursor := (!cursor + k + 1) mod len;
             d
@@ -53,19 +55,24 @@ let round_robin ?procs ~workload () : _ t =
     in
     try_from 0
 
-let random ?procs ~seed ~workload () : _ t =
+let random_by ?procs ~seed next : _ t =
   let rng = Random.State.make [| seed |] in
   fun view ->
     let procs = Option.value procs ~default:(Proc.all ~n:view.n) in
-    let candidates = List.filter_map (eligible workload view) procs in
+    let candidates = List.filter_map (eligible next view) procs in
     match candidates with
     | [] -> Stop
     | _ :: _ ->
         List.nth candidates (Random.State.int rng (List.length candidates))
 
+let round_robin ?procs ~workload () = round_robin_by ?procs (of_workload workload)
+
+let random ?procs ~seed ~workload () =
+  random_by ?procs ~seed (of_workload workload)
+
 let solo p ~workload : _ t =
  fun view ->
-  match eligible workload view p with Some d -> d | None -> Stop
+  match eligible (of_workload workload) view p with Some d -> d | None -> Stop
 
 let of_script decisions : _ t =
   let remaining = ref decisions in

@@ -1,15 +1,23 @@
 open Slx_base_objects
 
+type hooks = {
+  on_start : proc:Slx_history.Proc.t -> unit;
+  may_commit : proc:Slx_history.Proc.t -> bool;
+}
+
+(* The state a process keeps between the operations of one
+   transaction. *)
 type local = {
   mutable in_txn : bool;
   mutable version : int;
-  mutable oldval : int list;
-  mutable values : int array;
+  mutable oldval : int list;  (* the values copied from C *)
+  mutable values : int array; (* the local working copy *)
 }
 
-let factory ~vars : _ Slx_sim.Runner.factory =
+let with_hooks ~vars ~hooks : _ Slx_sim.Runner.factory =
  fun ~n ->
   let c = Cas.make (1, List.init vars (fun _ -> Tm_type.initial_value)) in
+  let hooks = hooks ~n in
   let locals =
     Array.init (n + 1) (fun _ ->
         { in_txn = false; version = 0; oldval = []; values = [||] })
@@ -18,6 +26,7 @@ let factory ~vars : _ Slx_sim.Runner.factory =
     let st = locals.(proc) in
     match inv with
     | Tm_type.Start ->
+        hooks.on_start ~proc;
         let version, oldval = Cas.read c in
         st.version <- version;
         st.oldval <- oldval;
@@ -37,10 +46,16 @@ let factory ~vars : _ Slx_sim.Runner.factory =
         if not st.in_txn then Tm_type.Aborted
         else begin
           st.in_txn <- false;
-          if
+          if not (hooks.may_commit ~proc) then Tm_type.Aborted
+          else if
             Cas.compare_and_swap c
               ~expected:(st.version, st.oldval)
               ~desired:(st.version + 1, Array.to_list st.values)
           then Tm_type.Committed
           else Tm_type.Aborted
         end
+
+let no_hooks =
+  { on_start = (fun ~proc:_ -> ()); may_commit = (fun ~proc:_ -> true) }
+
+let factory ~vars = with_hooks ~vars ~hooks:(fun ~n:_ -> no_hooks)

@@ -1,65 +1,5 @@
-open Slx_base_objects
-
-(* The state a process keeps between the operations of one
-   transaction. *)
-type local = {
-  mutable timestamp : int;
-  mutable in_txn : bool;
-  mutable version : int;
-  mutable oldval : int list;  (* the values copied from C *)
-  mutable values : int array; (* the local working copy *)
-}
-
-let factory ~vars : _ Slx_sim.Runner.factory =
- fun ~n ->
-  let c = Cas.make (1, List.init vars (fun _ -> Tm_type.initial_value)) in
-  let r = Slx_objects.Snapshot_alg.make ~n 0 in
-  let locals =
-    Array.init (n + 1) (fun _ ->
-        {
-          timestamp = 0;
-          in_txn = false;
-          version = 0;
-          oldval = [];
-          values = [||];
-        })
-  in
-  fun ~proc inv ->
-    let st = locals.(proc) in
-    match inv with
-    | Tm_type.Start ->
-        st.timestamp <- st.timestamp + 1;
-        Slx_objects.Snapshot_alg.update r ~proc st.timestamp;
-        let version, oldval = Cas.read c in
-        st.version <- version;
-        st.oldval <- oldval;
-        st.values <- Array.of_list oldval;
-        st.in_txn <- true;
-        Tm_type.Ok
-    | Tm_type.Read x ->
-        if st.in_txn && x >= 0 && x < vars then Tm_type.Val st.values.(x)
-        else Tm_type.Aborted
-    | Tm_type.Write (x, v) ->
-        if st.in_txn && x >= 0 && x < vars then begin
-          st.values.(x) <- v;
-          Tm_type.Ok
-        end
-        else Tm_type.Aborted
-    | Tm_type.Try_commit ->
-        if not st.in_txn then Tm_type.Aborted
-        else begin
-          st.in_txn <- false;
-          let snapshot = Slx_objects.Snapshot_alg.scan r in
-          let count =
-            Array.fold_left
-              (fun acc ts -> if ts >= st.timestamp then acc + 1 else acc)
-              0 snapshot
-          in
-          if count >= 3 then Tm_type.Aborted
-          else if
-            Cas.compare_and_swap c
-              ~expected:(st.version, st.oldval)
-              ~desired:(st.version + 1, Array.to_list st.values)
-          then Tm_type.Committed
-          else Tm_type.Aborted
-        end
+let factory ~vars =
+  let open Slx_objects in
+  I12.with_snapshot ~make:Snapshot_alg.make
+    ~update:(fun r proc v -> Snapshot_alg.update r ~proc v)
+    ~scan:Snapshot_alg.scan ~vars

@@ -5,7 +5,9 @@
     replaces it with {!Slx_objects.Snapshot_alg} — the wait-free
     snapshot constructed from single-writer registers (Afek et al.) —
     so the only remaining non-register base object is the
-    compare-and-swap [C].  Scans and updates now take many steps,
+    compare-and-swap [C].  The algorithm is {!I12.with_snapshot}
+    over that object; nothing else differs.  Scans and updates now
+    take many steps,
     changing the interleavings an adversary can produce but none of the
     Lemma 5.4 guarantees; the test suite re-runs the I(1,2)
     experiments against this factory to confirm. *)

@@ -1,51 +1,11 @@
 open Slx_base_objects
 
-type local = {
-  mutable in_txn : bool;
-  mutable version : int;
-  mutable oldval : int list;
-  mutable values : int array;
-}
-
-let factory ~vars : _ Slx_sim.Runner.factory =
- fun ~n ->
-  let c = Cas.make (1, List.init vars (fun _ -> Tm_type.initial_value)) in
-  (* The last process to have started a transaction; anyone else's
-     commit attempt is aborted. *)
-  let writer = Register.make 0 in
-  let locals =
-    Array.init (n + 1) (fun _ ->
-        { in_txn = false; version = 0; oldval = []; values = [||] })
-  in
-  fun ~proc inv ->
-    let st = locals.(proc) in
-    match inv with
-    | Tm_type.Start ->
-        Register.write writer proc;
-        let version, oldval = Cas.read c in
-        st.version <- version;
-        st.oldval <- oldval;
-        st.values <- Array.of_list oldval;
-        st.in_txn <- true;
-        Tm_type.Ok
-    | Tm_type.Read x ->
-        if st.in_txn && x >= 0 && x < vars then Tm_type.Val st.values.(x)
-        else Tm_type.Aborted
-    | Tm_type.Write (x, v) ->
-        if st.in_txn && x >= 0 && x < vars then begin
-          st.values.(x) <- v;
-          Tm_type.Ok
-        end
-        else Tm_type.Aborted
-    | Tm_type.Try_commit ->
-        if not st.in_txn then Tm_type.Aborted
-        else begin
-          st.in_txn <- false;
-          if Register.read writer <> proc then Tm_type.Aborted
-          else if
-            Cas.compare_and_swap c
-              ~expected:(st.version, st.oldval)
-              ~desired:(st.version + 1, Array.to_list st.values)
-          then Tm_type.Committed
-          else Tm_type.Aborted
-        end
+let factory ~vars =
+  Agp_tm.with_hooks ~vars ~hooks:(fun ~n:_ ->
+      (* The last process to have started a transaction; anyone else's
+         commit attempt is aborted. *)
+      let writer = Register.make 0 in
+      {
+        Agp_tm.on_start = (fun ~proc -> Register.write writer proc);
+        may_commit = (fun ~proc -> Int.equal (Register.read writer) proc);
+      })

@@ -12,7 +12,11 @@
     {!Tm_adversary.run_alternating_starts}.  A transaction running
     without step contention still commits: (1,1)-freedom
     (obstruction-freedom) holds.  Publication still goes through the
-    versioned CAS, so opacity is preserved. *)
+    versioned CAS, so opacity is preserved.
+
+    The body is {!Agp_tm.with_hooks}; this module adds only the
+    writer register, written by the start hook and read by the commit
+    guard. *)
 
 val factory :
   vars:int ->
