@@ -219,7 +219,7 @@ let game_cmd =
     Arg.(value & opt string "lockstep" & info [ "adversary"; "a" ] ~doc)
   in
   let steps_arg =
-    Arg.(value & opt int 1000 & info [ "steps" ] ~doc:"Step budget.")
+    Arg.(value & opt (int_in 1) 1000 & info [ "steps" ] ~doc:"Step budget.")
   in
   let run impl adversary steps =
     let open Slx_consensus in
@@ -287,7 +287,7 @@ let tm_game_cmd =
     Arg.(value & opt string "local-progress" & info [ "adversary"; "a" ] ~doc)
   in
   let steps_arg =
-    Arg.(value & opt int 800 & info [ "steps" ] ~doc:"Step budget.")
+    Arg.(value & opt (int_in 1) 800 & info [ "steps" ] ~doc:"Step budget.")
   in
   let run impl adversary steps =
     let open Slx_tm in
@@ -369,7 +369,7 @@ let mutex_cmd =
     Arg.(value & opt string "tas" & info [ "impl"; "i" ] ~doc)
   in
   let steps_arg =
-    Arg.(value & opt int 800 & info [ "steps" ] ~doc:"Step budget.")
+    Arg.(value & opt (int_in 1) 800 & info [ "steps" ] ~doc:"Step budget.")
   in
   let run impl steps =
     let open Slx_objects in

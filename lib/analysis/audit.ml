@@ -1,5 +1,6 @@
 open Slx_history
 open Slx_sim
+module Json = Slx_obs.Json
 
 (* ------------------------------------------------------------------ *)
 (* Cases.                                                              *)
@@ -359,20 +360,6 @@ let pp_report fmt rp =
   List.iter (fun r -> Format.fprintf fmt "%a@," pp_case_result r) rp.rp_results;
   Format.fprintf fmt "@]"
 
-(* Hand-rolled JSON, as elsewhere in the repo (no json dependency). *)
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 32 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let lint_to_json = function
   | Never_touched (obj, s) ->
       Printf.sprintf
@@ -402,21 +389,22 @@ let case_result_to_json r =
            \"script\": [%s]}"
           kind v.Runtime.v_obj v.Runtime.v_write w.w_replayed
           (String.concat ", "
-             (List.map (fun l -> "\"" ^ escape l ^ "\"") w.w_script))
+             (List.map Json.quote w.w_script))
   in
   Printf.sprintf
-    "{\"name\": \"%s\", \"group\": \"%s\", \"depth\": %d, \"runs\": %d, \
+    "{\"name\": %s, \"group\": %s, \"depth\": %d, \"runs\": %d, \
      \"steps\": %d, \"clean\": %b, \"witness\": %s, \"hb_runs\": %d, \
      \"hb_edges\": %d, \"hb_checks\": %d, \"hb_mismatch\": %s, \
      \"oracle_checks\": %d, \"oracle_failures\": [%s], \"lints\": [%s]}"
-    (escape r.cr_name) (escape r.cr_group) r.cr_depth r.cr_runs r.cr_steps
+    (Json.quote r.cr_name) (Json.quote r.cr_group) r.cr_depth r.cr_runs
+    r.cr_steps
     (case_clean r) witness r.cr_hb_runs r.cr_hb_edges r.cr_hb_checks
     (match r.cr_hb_mismatch with
     | None -> "null"
-    | Some m -> "\"" ^ escape m ^ "\"")
+    | Some m -> Json.quote m)
     r.cr_oracle_checks
     (String.concat ", "
-       (List.map (fun f -> "\"" ^ escape f ^ "\"") r.cr_oracle_failures))
+       (List.map Json.quote r.cr_oracle_failures))
     (String.concat ", " (List.map lint_to_json r.cr_lints))
 
 let report_to_json rp =

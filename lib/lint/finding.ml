@@ -39,30 +39,15 @@ let pp ppf f =
     f.rule f.message;
   if f.snippet <> "" then Format.fprintf ppf "@,    | %s" (String.trim f.snippet)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json f =
+  let q = Slx_obs.Json.quote in
   Printf.sprintf
-    "{\"rule\": %S, \"severity\": %S, \"file\": %S, \"line\": %d, \"col\": \
-     %d, \"message\": \"%s\", \"snippet\": \"%s\"}"
-    f.rule
-    (severity_label f.severity)
-    f.file f.line f.col (json_escape f.message)
-    (json_escape (String.trim f.snippet))
+    "{\"rule\": %s, \"severity\": %s, \"file\": %s, \"line\": %d, \"col\": \
+     %d, \"message\": %s, \"snippet\": %s}"
+    (q f.rule)
+    (q (severity_label f.severity))
+    (q f.file) f.line f.col (q f.message)
+    (q (String.trim f.snippet))
 
 (* The catalog is the single source of rule ids; [Rules] and [Lint]
    construct findings through it so a typo'd id cannot ship. *)

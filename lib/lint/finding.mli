@@ -41,8 +41,6 @@ val pp : Format.formatter -> t -> unit
 val to_json : t -> string
 (** One-line JSON object. *)
 
-val json_escape : string -> string
-(** JSON string-body escaping (shared with the report emitters). *)
 
 val rules : (string * severity * string) list
 (** The rule catalog: id, default severity, one-line doc.  Tests

@@ -171,7 +171,7 @@ let to_json rp =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n";
   Buffer.add_string b
-    (Printf.sprintf "  \"root\": \"%s\",\n" (Finding.json_escape rp.root));
+    (Printf.sprintf "  \"root\": %s,\n" (Slx_obs.Json.quote rp.root));
   Buffer.add_string b
     (Printf.sprintf "  \"files\": %d,\n" (List.length rp.files));
   Buffer.add_string b

@@ -127,12 +127,10 @@ let expired ~today e =
   match e.w_expires with None -> false | Some d -> String.compare d today < 0
 
 let entry_to_json e =
+  let q = Slx_obs.Json.quote in
+  let opt = function Some s -> q s | None -> "null" in
   Printf.sprintf
-    "{\"line\": %d, \"rule\": %S, \"file\": %S, \"match\": %s, \"expires\": \
-     %s, \"reason\": \"%s\"}"
-    e.w_line e.w_rule e.w_file
-    (match e.w_match with
-    | Some m -> Printf.sprintf "\"%s\"" (Finding.json_escape m)
-    | None -> "null")
-    (match e.w_expires with Some d -> Printf.sprintf "%S" d | None -> "null")
-    (Finding.json_escape e.w_reason)
+    "{\"line\": %d, \"rule\": %s, \"file\": %s, \"match\": %s, \"expires\": \
+     %s, \"reason\": %s}"
+    e.w_line (q e.w_rule) (q e.w_file) (opt e.w_match) (opt e.w_expires)
+    (q e.w_reason)

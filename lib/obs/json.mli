@@ -23,6 +23,13 @@ val parse : string -> (t, string) result
 
 val parse_file : string -> (t, string) result
 
+val quote : string -> string
+(** A JSON string literal: the string's bytes between double quotes,
+    with each double quote and backslash escaped by a backslash and
+    each control character written as a six-byte [u00XX] escape.  The
+    one string escaper of the repository's hand-written JSON;
+    [to_string (Str s)] is [quote s]. *)
+
 val to_string : t -> string
 (** One-line JSON.  [parse (to_string j)] is [Ok j] for every parsed
     [j] without a non-finite number or a non-ASCII [\u] escape. *)

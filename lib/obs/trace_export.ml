@@ -1,27 +1,12 @@
 open Telemetry
 
-(* All names this exporter emits are ASCII identifiers; escaping is
-   for safety only. *)
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 32 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* One trace record.  [ts] is microseconds relative to the first
    event; Chrome accepts fractional microseconds. *)
 let record buf ~name ~cat ~ph ~ts ~tid ~args () =
   Buffer.add_string buf
     (Printf.sprintf
-       "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"%s\", \"ts\": %.3f, \
-        \"pid\": 1, \"tid\": %d" (escape name) cat ph ts tid);
+       "{\"name\": %s, \"cat\": \"%s\", \"ph\": \"%s\", \"ts\": %.3f, \
+        \"pid\": 1, \"tid\": %d" (Json.quote name) cat ph ts tid);
   if ph = "i" then Buffer.add_string buf ", \"s\": \"t\"";
   if args <> [] then begin
     Buffer.add_string buf ", \"args\": {";
@@ -95,7 +80,7 @@ let to_buffer ?(name = "slx") ~events_dropped events buf =
   in
   sep ();
   record buf ~name:"process_name" ~cat:"__metadata" ~ph:"M" ~ts:0. ~tid:0
-    ~args:[ ("name", Printf.sprintf "\"%s\"" (escape name)) ]
+    ~args:[ ("name", Json.quote name) ]
     ();
   List.iter
     (fun d ->

@@ -8,9 +8,6 @@ module Progress = Slx_obs.Progress
 module Store = Slx_store.Store
 module Persist = Slx_store.Persist
 
-(* Outside text (a path, a name a client sent) as a JSON string. *)
-let json_string s = Json.to_string (Json.Str s)
-
 (* ------------------------------------------------------------------ *)
 (* Vocabulary: implementations and freedom points, as the CLI names
    them. *)
@@ -19,7 +16,7 @@ type factory =
   unit -> (Consensus_type.invocation, Consensus_type.response) Runner.factory
 
 let point_of_string ~n s =
-  let unknown () = Error ("unknown property " ^ json_string s) in
+  let unknown () = Error ("unknown property " ^ Json.quote s) in
   match s with
   | "obstruction" -> Ok Freedom.obstruction_freedom
   | "lock" -> Ok (Freedom.lock_freedom ~n)
@@ -35,11 +32,11 @@ let point_of_string ~n s =
           | Some l, Some k when 1 <= k && k < l ->
               Error
                 (Printf.sprintf "property %s out of range: l %d exceeds k %d"
-                   (json_string s) l k)
+                   (Json.quote s) l k)
           | Some l, Some k when 1 <= l && l <= k ->
               Error
                 (Printf.sprintf "property %s out of range: k %d exceeds n %d"
-                   (json_string s) k n)
+                   (Json.quote s) k n)
           | _ -> unknown ()
         end
       | _ -> unknown ()
@@ -49,7 +46,7 @@ let factory_of_impl : string -> (factory, string) result = function
   | "cas" -> Ok (fun () -> Cas_consensus.factory ())
   | "register" -> Ok (fun () -> Register_consensus.factory ())
   | "selfish" -> Ok (fun () -> Selfish_consensus.factory ())
-  | other -> Error ("unknown implementation " ^ json_string other)
+  | other -> Error ("unknown implementation " ^ Json.quote other)
 
 let safety_invoke =
   Explore.workload_invoke
@@ -127,28 +124,50 @@ let point sp = Result.get_ok (point_of_string ~n:sp.sp_n sp.sp_property)
 
 let kind_string = function `Explore -> "explore" | `Live -> "live"
 
+(* A member of the wrong JSON type is refused: never truncated to an
+   integer, never read as its default. *)
 let spec_of_json j =
-  let str k = Option.bind (Json.member k j) Json.str in
-  let int k = Option.bind (Json.member k j) Json.int in
-  match str "kind" with
+  let member k what of_json =
+    match Json.member k j with
+    | None -> Ok None
+    | Some v -> begin
+        match of_json v with
+        | Some x -> Ok (Some x)
+        | None -> Error (Printf.sprintf "%s must be %s" k what)
+      end
+  in
+  let str k = member k "a string" Json.str in
+  let int k =
+    member k "an integer" (function Json.Int i -> Some i | _ -> None)
+  in
+  let ( let* ) = Result.bind in
+  let* kind = str "kind" in
+  let* impl = str "impl" in
+  let* property = str "property" in
+  let* n = int "n" in
+  let* depth = int "depth" in
+  let* crashes = int "crashes" in
+  let* max_period = int "max_period" in
+  let* pump = int "pump" in
+  match kind with
   | Some other when other <> "explore" && other <> "live" ->
-      Error ("unknown kind " ^ json_string other)
+      Error ("unknown kind " ^ Json.quote other)
   | kind ->
       make
         ~kind:(if kind = Some "live" then `Live else `Explore)
-        ~impl:(Option.value (str "impl") ~default:"cas")
-        ~property:(Option.value (str "property") ~default:"obstruction")
-        ~n:(Option.value (int "n") ~default:2)
-        ~depth:(Option.value (int "depth") ~default:8)
-        ~crashes:(Option.value (int "crashes") ~default:0)
-        ~max_period:(int "max_period") ~pump:(int "pump") ~dpor:true
+        ~impl:(Option.value impl ~default:"cas")
+        ~property:(Option.value property ~default:"obstruction")
+        ~n:(Option.value n ~default:2)
+        ~depth:(Option.value depth ~default:8)
+        ~crashes:(Option.value crashes ~default:0)
+        ~max_period ~pump ~dpor:true
 
 let spec_to_json sp =
   Printf.sprintf
     "{\"kind\": \"%s\", \"impl\": %s, \"property\": %s, \"n\": %d, \
      \"depth\": %d, \"crashes\": %d, \"max_period\": %d, \"pump\": %d}"
-    (kind_string sp.sp_kind) (json_string sp.sp_impl)
-    (json_string sp.sp_property) sp.sp_n sp.sp_depth sp.sp_crashes
+    (kind_string sp.sp_kind) (Json.quote sp.sp_impl)
+    (Json.quote sp.sp_property) sp.sp_n sp.sp_depth sp.sp_crashes
     sp.sp_max_period sp.sp_pump
 
 (* The check a query runs.  A live property is bound through the
@@ -295,7 +314,7 @@ let computed_json answer =
     stats.Explore_stats.steps_replayed
 
 let error_result msg =
-  Printf.sprintf "{\"outcome\": \"error\", \"message\": %s}" (json_string msg)
+  Printf.sprintf "{\"outcome\": \"error\", \"message\": %s}" (Json.quote msg)
 
 let work ?cancel ?(progress = Progress.off) sp =
   match run ~obs:(Obs.create ~tracing:false ~progress ()) ?cancel sp with

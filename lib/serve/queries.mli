@@ -116,8 +116,12 @@ val point : spec -> Slx_liveness.Freedom.t
 val spec_of_json : Json.t -> (spec, string) result
 (** Decode a client query object through {!make}: [kind] ("explore" |
     "live"), [impl], [n], [depth], [crashes], and for liveness
-    [property], [max_period], [pump].  The reduction settings are not
-    on the wire: a live query runs DPOR, the CLI's default. *)
+    [property], [max_period], [pump].  An absent member takes its
+    default; a present one must be a JSON string ([kind], [impl],
+    [property]) or an integer literal (the rest), and any other value
+    (a fraction, a quoted number, [null]) is an [Error].  The
+    reduction settings are not on the wire: a live query runs DPOR,
+    the CLI's default. *)
 
 val spec_to_json : spec -> string
 

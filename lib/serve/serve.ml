@@ -2,9 +2,6 @@ module Json = Slx_obs.Json
 module Store = Slx_store.Store
 module Persist = Slx_store.Persist
 
-(* Outside text (a path, an error message) as a JSON string. *)
-let json_string s = Json.to_string (Json.Str s)
-
 (* ------------------------------------------------------------------ *)
 (* State.                                                              *)
 
@@ -172,7 +169,7 @@ let fail t q msg =
   Hashtbl.remove t.inflight q.q_slot;
   let line =
     Printf.sprintf "{\"id\": %d, \"state\": \"failed\", \"error\": %s}" q.q_id
-      (json_string msg)
+      (Json.quote msg)
   in
   List.iter
     (fun fd ->
@@ -357,7 +354,7 @@ let status_json q =
     | Queued -> ("queued", "")
     | Running -> ("running", "")
     | Done r -> ("done", Printf.sprintf ", \"result\": %s" r)
-    | Failed e -> ("failed", ", \"error\": " ^ json_string e)
+    | Failed e -> ("failed", ", \"error\": " ^ Json.quote e)
     | Timeout -> ("timeout", "")
   in
   let hb =
@@ -407,14 +404,14 @@ let stats_json t =
      \"records_dropped\": %d}}"
     (t.next_query - 1) active t.dedup_hits t.re_leases t.timeouts
     (Array.length t.workers) busy hwm
-    (json_string (Store.path t.store))
+    (Json.quote (Store.path t.store))
     (List.length (Store.records t.store))
     c.Store.c_queries c.Store.c_warm_hits c.Store.c_colds c.Store.c_rejected
     c.Store.c_refused
     h.Store.h_created
     (match h.Store.h_invalidated with
     | None -> "null"
-    | Some r -> json_string r)
+    | Some r -> Json.quote r)
     h.Store.h_records_dropped
 
 (* A query's deadline in seconds: absent, or a positive number. *)
@@ -507,7 +504,7 @@ let handle_request t fd ~meth ~path ~body =
   | _ ->
       respond ~status:"404 Not Found" fd
         (Printf.sprintf "{\"error\": %s}"
-           (json_string (Printf.sprintf "no route %s %s" meth path)))
+           (Json.quote (Printf.sprintf "no route %s %s" meth path)))
 
 (* Try to cut one complete HTTP request out of a client's buffer. *)
 let try_parse_request acc =
@@ -593,7 +590,7 @@ let main ?(host = "127.0.0.1") ~port ~workers ~store () =
   Sys.set_signal Sys.sigterm (Sys.Signal_handle on_term);
   Printf.printf "{\"serving\": \"%s:%d\", \"workers\": %d, \"store\": %s}\n%!"
     host port nworkers
-    (json_string (Store.path t.store));
+    (Json.quote (Store.path t.store));
   while t.running && not !stop do
     let worker_fds = Array.to_list (Array.map (fun w -> w.w_out) t.workers) in
     let client_fds = List.map (fun c -> c.c_fd) t.clients in

@@ -35,7 +35,7 @@ let handle_line line =
         match record with
         | Some r ->
             Printf.sprintf ", \"record\": %s"
-              (Json.to_string (Json.Str (Slx_store.Store.record_to_string r)))
+              (Json.quote (Slx_store.Store.record_to_string r))
         | None -> ""
       in
       reply

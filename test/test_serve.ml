@@ -503,7 +503,23 @@ let test_cli_out_of_range_refused () =
       "figure1 --steps 0";
       "figure1 -o consensus-exhaustive --depth 0";
       "figure1 -o consensus-exhaustive --depth 65";
-    ]
+    ];
+  (* The games take no --json.  Each runs with a budget of one step,
+     so the refusals below are the budget's alone. *)
+  List.iter
+    (fun (cmd, budgets) ->
+      List.iter
+        (fun (steps, expected) ->
+          let args = Printf.sprintf "%s --steps=%s" cmd steps in
+          check_int
+            (Printf.sprintf "slx %s exits %d" args expected)
+            expected
+            (Sys.command
+               (Printf.sprintf "%s %s >/dev/null 2>&1" slx_bin args)))
+        budgets)
+    (List.map
+       (fun cmd -> (cmd, [ ("1", 0); ("0", 124); ("-3", 124) ]))
+       [ "game"; "game --adversary tie"; "tm-game"; "mutex" ])
 
 (* The declared-footprint POR, structural-key and hash-compaction
    switches, the safety walk's reduction switches (it always runs DPOR
@@ -553,6 +569,35 @@ let test_decoder_out_of_range_refused () =
     ];
   ignore (spec_of {|{"kind": "live", "max_period": 1, "pump": 1, "crashes": 0}|});
   ignore (spec_of {|{"kind": "live", "property": "1,3", "n": 3}|})
+
+(* A member of the wrong JSON type is refused, not truncated or read as
+   its default; the encoder's own output, explore specs' zero budgets
+   included, still decodes to the same spec. *)
+let test_decoder_wrong_types_refused () =
+  List.iter
+    (fun (fields, message) ->
+      match Result.bind (Json.parse fields) Queries.spec_of_json with
+      | Error e -> Alcotest.(check string) fields message e
+      | Ok _ -> Alcotest.failf "the decoder accepted %s" fields)
+    [
+      ({|{"kind": "explore", "depth": 8.7}|}, "depth must be an integer");
+      ({|{"kind": "explore", "crashes": "2"}|}, "crashes must be an integer");
+      ({|{"kind": "live", "pump": 40.0}|}, "pump must be an integer");
+      ({|{"n": null}|}, "n must be an integer");
+      ({|{"impl": 3}|}, "impl must be a string");
+      ({|{"kind": true}|}, "kind must be a string");
+      ({|{"kind": "live", "property": ["1,2"]}|}, "property must be a string");
+    ];
+  List.iter
+    (fun fields ->
+      let sp = spec_of fields in
+      Alcotest.(check string)
+        (fields ^ " round-trips") (Queries.spec_to_json sp)
+        (Queries.spec_to_json (spec_of (Queries.spec_to_json sp))))
+    [
+      {|{"kind": "explore", "impl": "register", "depth": 10, "crashes": 1}|};
+      {|{"kind": "live", "impl": "cas", "property": "1,2", "max_period": 2}|};
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* A live coordinator.                                                 *)
@@ -680,7 +725,9 @@ let test_worker_answers_task_line () =
         ignore (Unix.waitpid [] pid);
         close_in_noerr ic)
       (fun () ->
-        Printf.fprintf oc "{\"lease\": 7, \"spec\": %s}\nnot json\n%!" fields;
+        Printf.fprintf oc "{\"lease\": 7, \"spec\": %s}\nnot json\n%s\n%!"
+          fields
+          {|{"lease": 8, "spec": {"kind": "explore", "impl": "cas", "depth": 8.7, "crashes": "2"}}|};
         close_out oc;
         (* Heartbeats carry no lease; only result lines do. *)
         let rec results acc =
@@ -694,7 +741,7 @@ let test_worker_answers_task_line () =
         results [])
   in
   match lines with
-  | [ answer; bad ] ->
+  | [ answer; bad; mistyped ] ->
       check_int "lease echoed" 7 (int_field answer "lease");
       Alcotest.(check string)
         "worker result = in-process task" (Json.to_string expected)
@@ -714,15 +761,22 @@ let test_worker_answers_task_line () =
         | None -> Alcotest.fail "result line without a record");
       check_bool "bad line: no record" true (Json.member "record" bad = None);
       check_int "bad line: no lease" (-1) (int_field bad "lease");
-      check_outcome "bad line" "error" (Option.get (Json.member "result" bad))
-  | _ -> Alcotest.failf "expected 2 result lines, got %d" (List.length lines)
+      check_outcome "bad line" "error" (Option.get (Json.member "result" bad));
+      (* A fractional depth and a quoted crash count are refused, not
+         run as the depth-8 crash-free query. *)
+      check_int "mistyped spec: lease echoed" 8 (int_field mistyped "lease");
+      check_bool "mistyped spec: no record" true
+        (Json.member "record" mistyped = None);
+      check_outcome "mistyped spec" "error"
+        (Option.get (Json.member "result" mistyped))
+  | _ -> Alcotest.failf "expected 3 result lines, got %d" (List.length lines)
 
 (* A request the coordinator cannot take answers 400 and creates no
    query, and the coordinator keeps serving: a negative
    Content-Length, a freedom point with [l > k], which names no cell
    of the grid (the decoder refuses it before the engine could raise
-   on it), and one with [k > n], which would answer for [k = n] under
-   a qid of its own. *)
+   on it), one with [k > n], which would answer for [k = n] under
+   a qid of its own, and members of the wrong JSON type. *)
 let test_bad_requests_answer_400 () =
   with_server ~store:(temp_store ()) (fun port ->
       List.iter
@@ -755,6 +809,14 @@ let test_bad_requests_answer_400 () =
             request ~meth:"POST" ~path:"/query"
               {|{"kind": "live", "property": "1,3"}|},
             Some "property \"1,3\" out of range: k 3 exceeds n 2" );
+          ( "fractional depth",
+            request ~meth:"POST" ~path:"/query"
+              {|{"kind": "explore", "impl": "cas", "depth": 8.7}|},
+            Some "depth must be an integer" );
+          ( "quoted crashes",
+            request ~meth:"POST" ~path:"/query"
+              {|{"kind": "explore", "impl": "cas", "crashes": "2"}|},
+            Some "crashes must be an integer" );
         ])
 
 (* The last JSON line [slx ARGS] prints, and its exit code. *)
@@ -1160,6 +1222,8 @@ let suites =
           test_cli_retired_flags_refused;
         Alcotest.test_case "decoder refuses out-of-range bounds" `Quick
           test_decoder_out_of_range_refused;
+        Alcotest.test_case "decoder refuses wrong-typed members" `Quick
+          test_decoder_wrong_types_refused;
         Alcotest.test_case "CLI prints the witness script on one line" `Quick
           test_cli_witness_one_line;
         Alcotest.test_case "a negative live verdict names its tree" `Quick
