@@ -16,6 +16,10 @@
     values forever — exactly the behaviour the paper's Section 5.2
     impossibility discussion requires (see {!Consensus_adversary}).
 
+    The cascade is {!Commit_adopt}, shared with
+    [Slx_objects.One_shot_consensus.Registers]; this module adds the
+    integer values and its round allocation (below).
+
     Only {!Slx_base_objects.Register} is used, so the implementation
     falls inside the “implementations from registers” class of
     Corollaries 4.5 and 4.10 and Theorem 5.2. *)

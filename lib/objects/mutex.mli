@@ -52,11 +52,14 @@ val tas_factory : unit -> (invocation, response) Runner.factory
 
 val workload : ?procs:Proc.t list -> unit -> (invocation, response) Driver.t
 (** A fair round-robin driver where every process alternates
-    [Acquire] / [Release] forever. *)
+    [Acquire] / [Release] forever: {!Slx_sim.Driver.round_robin_by}
+    with an idle process's next invocation read off its projected
+    history ([Release] while it holds the lock, else [Acquire]). *)
 
 val random_workload :
   ?procs:Proc.t list -> seed:int -> unit -> (invocation, response) Driver.t
-(** The same protocol under a seeded random scheduler. *)
+(** The same protocol under {!Slx_sim.Driver.random_by}, the seeded
+    random scheduler. *)
 
 val run_starvation :
   factory:(invocation, response) Runner.factory ->

@@ -31,5 +31,11 @@ module Cas : S
 (** Decide by a single compare-and-swap. *)
 
 module Registers : S
-(** The commit–adopt cascade of {!Slx_consensus.Register_consensus},
-    generalized to arbitrary values.  Obstruction-free only. *)
+(** {!Slx_consensus.Commit_adopt}, the cascade
+    {!Slx_consensus.Register_consensus} also runs, over arbitrary
+    values compared with structural equality.  What this module adds
+    is its round allocation: round [r] is built on first use, at ids
+    reserved by [make], inside one opaque atomic step over a
+    fingerprinted allocation table (several instances share a
+    registry as the universal construction's log slots).
+    Obstruction-free only. *)

@@ -28,11 +28,13 @@ val round_robin :
   unit ->
   (Tm_type.invocation, Tm_type.response) Driver.t
 (** Fair rotation over [procs] (default all), scheduling ready
-    processes and issuing {!next_invocation} to idle ones. *)
+    processes and issuing {!next_invocation} to idle ones:
+    {!Slx_sim.Driver.round_robin_by} with {!next_invocation}. *)
 
 val random :
   ?procs:Slx_history.Proc.t list ->
   seed:int ->
   unit ->
   (Tm_type.invocation, Tm_type.response) Driver.t
-(** Seeded uniform choice among eligible processes. *)
+(** Seeded uniform choice among eligible processes:
+    {!Slx_sim.Driver.random_by} with {!next_invocation}. *)
