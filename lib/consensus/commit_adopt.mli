@@ -4,12 +4,12 @@
     the values they agree on and in how they allocate rounds.
 
     A round is two arrays of [n] single-writer registers.  In a round a
-    process writes its preference, collects the round's writes, writes
-    whether it saw only its own value, and collects again: it
-    {e commits} a value every process reported seeing alone, and
-    otherwise {e adopts} a preference for the next round (Gafni's
-    commit–adopt, 1998).  Every step is a {!Slx_base_objects.Register}
-    access. *)
+    process writes its preference, collects the round's writes, reports
+    whether it saw only its own value, and collects the reports: it
+    {e commits} when every report it sees says so, and otherwise
+    {e adopts} a reported value (or keeps its own) for the next round
+    (Gafni's commit–adopt, 1998).  Every step is a
+    {!Slx_base_objects.Register} access. *)
 
 open Slx_base_objects
 

@@ -41,7 +41,6 @@ val pp : Format.formatter -> t -> unit
 val to_json : t -> string
 (** One-line JSON object. *)
 
-
 val rules : (string * severity * string) list
 (** The rule catalog: id, default severity, one-line doc.  Tests
     assert reported ids stay within it. *)

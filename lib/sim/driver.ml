@@ -65,7 +65,8 @@ let random_by ?procs ~seed next : _ t =
     | _ :: _ ->
         List.nth candidates (Random.State.int rng (List.length candidates))
 
-let round_robin ?procs ~workload () = round_robin_by ?procs (of_workload workload)
+let round_robin ?procs ~workload () =
+  round_robin_by ?procs (of_workload workload)
 
 let random ?procs ~seed ~workload () =
   random_by ?procs ~seed (of_workload workload)

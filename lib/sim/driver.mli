@@ -70,21 +70,20 @@ val random :
 (** A scheduler picking uniformly at random (seeded, reproducible)
     among the eligible processes of [procs]. *)
 
-(** The two schedulers above, for a protocol whose next invocation
-    depends on the run so far: [next view p] is the invocation an idle
-    process [p] issues next, or [None] if [p] should stop invoking.
-    {!round_robin} and {!random} are these with [next view p] the
-    workload's [view.invocations p]-th invocation of [p]; the mutex
-    and TM workload drivers derive [next] from [p]'s projected
-    history. *)
-
 val round_robin_by :
   ?procs:Proc.t list -> (('inv, 'res) view -> Proc.t -> 'inv option) ->
   ('inv, 'res) t
+(** {!round_robin} for a protocol whose next invocation depends on the
+    run so far: [next view p] is the invocation an idle process [p]
+    issues next, or [None] if [p] should stop invoking.
+    {!round_robin} is this with [next view p] the workload's
+    [view.invocations p]-th invocation of [p]; the mutex and TM
+    workload drivers derive [next] from [p]'s projected history. *)
 
 val random_by :
   ?procs:Proc.t list -> seed:int ->
   (('inv, 'res) view -> Proc.t -> 'inv option) -> ('inv, 'res) t
+(** {!random} over a [next] function, as {!round_robin_by}. *)
 
 val solo :
   Proc.t -> workload:('inv, 'res) workload -> ('inv, 'res) t

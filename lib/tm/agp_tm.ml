@@ -55,7 +55,6 @@ let with_hooks ~vars ~hooks : _ Slx_sim.Runner.factory =
           else Tm_type.Aborted
         end
 
-let no_hooks =
-  { on_start = (fun ~proc:_ -> ()); may_commit = (fun ~proc:_ -> true) }
-
-let factory ~vars = with_hooks ~vars ~hooks:(fun ~n:_ -> no_hooks)
+let factory ~vars =
+  with_hooks ~vars ~hooks:(fun ~n:_ ->
+      { on_start = (fun ~proc:_ -> ()); may_commit = (fun ~proc:_ -> true) })
