@@ -155,7 +155,16 @@ let figure1_cmd =
       "Which grid: consensus, consensus-exhaustive (fair-cycle search), \
        tm, s-prime, or mutex."
     in
-    Arg.(value & opt string "consensus" & info [ "object"; "o" ] ~doc)
+    let grids =
+      [
+        ("consensus", `Consensus);
+        ("consensus-exhaustive", `Exhaustive);
+        ("tm", `Tm);
+        ("s-prime", `S_prime);
+        ("mutex", `Mutex);
+      ]
+    in
+    Arg.(value & opt (enum grids) `Consensus & info [ "object"; "o" ] ~doc)
   in
   let procs_arg =
     let doc = "System size n, in [2, 16]." in
@@ -176,31 +185,24 @@ let figure1_cmd =
   let run obj n max_steps depth json =
     let grid =
       match obj with
-      | "consensus" -> Ok (Figure1.consensus ~n ~max_steps ())
-      | "consensus-exhaustive" ->
-          Ok (Figure1.consensus_exhaustive ~n ~depth ())
-      | "tm" -> Ok (Figure1.tm ~n ~max_steps ())
-      | "s-prime" -> Ok (Figure1.s_prime ~n ~max_steps ())
-      | "mutex" -> Ok (Figure1.mutex ~n ~max_steps ())
-      | other -> Error (Printf.sprintf "unknown object %S" other)
+      | `Consensus -> Figure1.consensus ~n ~max_steps ()
+      | `Exhaustive -> Figure1.consensus_exhaustive ~n ~depth ()
+      | `Tm -> Figure1.tm ~n ~max_steps ()
+      | `S_prime -> Figure1.s_prime ~n ~max_steps ()
+      | `Mutex -> Figure1.mutex ~n ~max_steps ()
     in
-    match grid with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok grid when json ->
-        print_endline (Figure1.to_json grid);
-        0
-    | Ok grid ->
-        print_string (Figure1.render grid);
-        let pp points =
-          String.concat ", " (List.map (Format.asprintf "%a" Freedom.pp) points)
-        in
-        Printf.printf "strongest not excluding: %s\n"
-          (pp (Figure1.strongest_not_excluded grid));
-        Printf.printf "weakest excluding:       %s\n"
-          (pp (Figure1.weakest_excluded grid));
-        0
+    if json then print_endline (Figure1.to_json grid)
+    else begin
+      print_string (Figure1.render grid);
+      let pp points =
+        String.concat ", " (List.map (Format.asprintf "%a" Freedom.pp) points)
+      in
+      Printf.printf "strongest not excluding: %s\n"
+        (pp (Figure1.strongest_not_excluded grid));
+      Printf.printf "weakest excluding:       %s\n"
+        (pp (Figure1.weakest_excluded grid))
+    end;
+    0
   in
   Cmd.v
     (Cmd.info "figure1" ~doc:"Regenerate a Figure 1 panel experimentally")
@@ -212,63 +214,61 @@ let figure1_cmd =
 let game_cmd =
   let impl_arg =
     let doc = "Implementation: register or cas." in
-    Arg.(value & opt string "register" & info [ "impl"; "i" ] ~doc)
+    Arg.(
+      value
+      & opt (enum [ ("register", `Register); ("cas", `Cas) ]) `Register
+      & info [ "impl"; "i" ] ~doc)
   in
   let adversary_arg =
     let doc = "Adversary: lockstep or tie." in
-    Arg.(value & opt string "lockstep" & info [ "adversary"; "a" ] ~doc)
+    Arg.(
+      value
+      & opt (enum [ ("lockstep", `Lockstep); ("tie", `Tie) ]) `Lockstep
+      & info [ "adversary"; "a" ] ~doc)
   in
   let steps_arg =
-    Arg.(value & opt (int_in 1) 1000 & info [ "steps" ] ~doc:"Step budget.")
+    Arg.(
+      value
+      & opt (some (int_in 1)) None
+      & info [ "steps" ]
+          ~doc:"Step budget (default 1000 for lockstep, 60 for tie).")
   in
   let run impl adversary steps =
     let open Slx_consensus in
     let factory =
       match impl with
-      | "register" -> Ok (Register_consensus.factory ())
-      | "cas" -> Ok (Cas_consensus.factory ())
-      | other -> Error (Printf.sprintf "unknown implementation %S" other)
+      | `Register -> Register_consensus.factory ()
+      | `Cas -> Cas_consensus.factory ()
     in
-    match factory with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok factory -> begin
-        match adversary with
-        | "lockstep" ->
-            let good (_ : Consensus_type.response) = true in
-            let v =
-              Exclusion.play ~n:2 ~factory
-                ~adversary:(Consensus_adversary.lockstep ())
-                ~safety:Consensus_safety.property
-                ~liveness:
-                  (Live_property.of_freedom ~good (Freedom.make ~l:1 ~k:2))
-                ~max_steps:steps
-            in
-            Printf.printf "fair=%b safe=%b liveness((1,2))=%b\n"
-              v.Exclusion.fair v.Exclusion.safety_holds
-              v.Exclusion.liveness_holds;
-            Printf.printf "%s\n"
-              (if Exclusion.adversary_wins v then
-                 "adversary wins: (1,2)-freedom excluded"
-               else "implementation survives");
+    match adversary with
+    | `Lockstep ->
+        let good (_ : Consensus_type.response) = true in
+        let v =
+          Exclusion.play ~n:2 ~factory
+            ~adversary:(Consensus_adversary.lockstep ())
+            ~safety:Consensus_safety.property
+            ~liveness:(Live_property.of_freedom ~good (Freedom.make ~l:1 ~k:2))
+            ~max_steps:(Option.value steps ~default:1000)
+        in
+        Printf.printf "fair=%b safe=%b liveness((1,2))=%b\n" v.Exclusion.fair
+          v.Exclusion.safety_holds v.Exclusion.liveness_holds;
+        Printf.printf "%s\n"
+          (if Exclusion.adversary_wins v then
+             "adversary wins: (1,2)-freedom excluded"
+           else "implementation survives");
+        0
+    | `Tie -> (
+        let steps = Option.value steps ~default:60 in
+        match Consensus_adversary.tie_attack ~factory ~steps () with
+        | Consensus_adversary.Defeated r ->
+            Printf.printf
+              "adversary wins: %d fair steps, no decision, safety %b\n"
+              r.Slx_sim.Run_report.total_time
+              (Consensus_safety.check r.Slx_sim.Run_report.history);
             0
-        | "tie" -> begin
-            match Consensus_adversary.tie_attack ~factory ~steps:60 () with
-            | Consensus_adversary.Defeated r ->
-                Printf.printf
-                  "adversary wins: %d fair steps, no decision, safety %b\n"
-                  r.Slx_sim.Run_report.total_time
-                  (Consensus_safety.check r.Slx_sim.Run_report.history);
-                0
-            | Consensus_adversary.Lost _ ->
-                Printf.printf "adversary loses: a decision was forced\n";
-                0
-          end
-        | other ->
-            Printf.eprintf "unknown adversary %S\n" other;
-            1
-      end
+        | Consensus_adversary.Lost _ ->
+            Printf.printf "adversary loses: a decision was forced\n";
+            0)
   in
   Cmd.v
     (Cmd.info "game" ~doc:"Play a consensus exclusion game")
@@ -280,11 +280,20 @@ let game_cmd =
 let tm_game_cmd =
   let impl_arg =
     let doc = "Implementation: i12 or agp." in
-    Arg.(value & opt string "i12" & info [ "impl"; "i" ] ~doc)
+    Arg.(
+      value
+      & opt (enum [ ("i12", `I12); ("agp", `Agp) ]) `I12
+      & info [ "impl"; "i" ] ~doc)
   in
   let adversary_arg =
     let doc = "Adversary: local-progress or three-way." in
-    Arg.(value & opt string "local-progress" & info [ "adversary"; "a" ] ~doc)
+    Arg.(
+      value
+      & opt
+          (enum
+             [ ("local-progress", `Local_progress); ("three-way", `Three_way) ])
+          `Local_progress
+      & info [ "adversary"; "a" ] ~doc)
   in
   let steps_arg =
     Arg.(value & opt (int_in 1) 800 & info [ "steps" ] ~doc:"Step budget.")
@@ -293,44 +302,29 @@ let tm_game_cmd =
     let open Slx_tm in
     let factory =
       match impl with
-      | "i12" -> Ok (I12.factory ~vars:2)
-      | "agp" -> Ok (Agp_tm.factory ~vars:2)
-      | other -> Error (Printf.sprintf "unknown implementation %S" other)
+      | `I12 -> I12.factory ~vars:2
+      | `Agp -> Agp_tm.factory ~vars:2
     in
-    match factory with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok factory ->
-        let report =
-          match adversary with
-          | "local-progress" ->
-              Ok (Tm_adversary.run_local_progress ~factory ~max_steps:steps ())
-          | "three-way" ->
-              Ok (Tm_adversary.run_three_way ~factory ~max_steps:steps)
-          | other -> Error (Printf.sprintf "unknown adversary %S" other)
-        in
-        begin
-          match report with
-          | Error e ->
-              prerr_endline e;
-              1
-          | Ok r ->
-              List.iter
-                (fun (p, c) -> Printf.printf "p%d: %d commits\n" p c)
-                (Tm_adversary.commits r.Slx_sim.Run_report.history);
-              Printf.printf "final-state opacity: %b   S': %b\n"
-                (Opacity.check_final r.Slx_sim.Run_report.history)
-                (S_prime.check_final r.Slx_sim.Run_report.history);
-              List.iter
-                (fun (l, k) ->
-                  let f = Freedom.make ~l ~k in
-                  Printf.printf "%s: %b\n"
-                    (Format.asprintf "%a" Freedom.pp f)
-                    (Freedom.holds ~good:Tm_type.good r f))
-                [ (1, 2); (2, 2); (1, 3) ];
-              0
-        end
+    let r =
+      match adversary with
+      | `Local_progress ->
+          Tm_adversary.run_local_progress ~factory ~max_steps:steps ()
+      | `Three_way -> Tm_adversary.run_three_way ~factory ~max_steps:steps
+    in
+    List.iter
+      (fun (p, c) -> Printf.printf "p%d: %d commits\n" p c)
+      (Tm_adversary.commits r.Slx_sim.Run_report.history);
+    Printf.printf "final-state opacity: %b   S': %b\n"
+      (Opacity.check_final r.Slx_sim.Run_report.history)
+      (S_prime.check_final r.Slx_sim.Run_report.history);
+    List.iter
+      (fun (l, k) ->
+        let f = Freedom.make ~l ~k in
+        Printf.printf "%s: %b\n"
+          (Format.asprintf "%a" Freedom.pp f)
+          (Freedom.holds ~good:Tm_type.good r f))
+      [ (1, 2); (2, 2); (1, 3) ];
+    0
   in
   Cmd.v
     (Cmd.info "tm-game" ~doc:"Play a TM exclusion game")
@@ -366,7 +360,13 @@ let theorems_cmd =
 let mutex_cmd =
   let impl_arg =
     let doc = "Lock: tas, bakery, or peterson." in
-    Arg.(value & opt string "tas" & info [ "impl"; "i" ] ~doc)
+    Arg.(
+      value
+      & opt
+          (enum
+             [ ("tas", `Tas); ("bakery", `Bakery); ("peterson", `Peterson) ])
+          `Tas
+      & info [ "impl"; "i" ] ~doc)
   in
   let steps_arg =
     Arg.(value & opt (int_in 1) 800 & info [ "steps" ] ~doc:"Step budget.")
@@ -375,26 +375,20 @@ let mutex_cmd =
     let open Slx_objects in
     let factory =
       match impl with
-      | "tas" -> Ok (Mutex.tas_factory ())
-      | "bakery" -> Ok (Bakery.factory ())
-      | "peterson" -> Ok (Peterson.factory ())
-      | other -> Error (Printf.sprintf "unknown lock %S" other)
+      | `Tas -> Mutex.tas_factory ()
+      | `Bakery -> Bakery.factory ()
+      | `Peterson -> Peterson.factory ()
     in
-    match factory with
-    | Error e ->
-        prerr_endline e;
-        1
-    | Ok factory ->
-        let r = Mutex.run_starvation ~factory ~max_steps:steps in
-        List.iter
-          (fun (p, c) -> Printf.printf "p%d acquired %d times\n" p c)
-          (Mutex.acquisitions r.Slx_sim.Run_report.history);
-        Printf.printf "mutual exclusion: %b   fair: %b\n"
-          (Mutex.mutual_exclusion r.Slx_sim.Run_report.history)
-          (Slx_liveness.Fairness.is_bounded_fair r);
-        Printf.printf "starvation-freedom: %b\n"
-          (Freedom.holds ~good:Mutex.good r (Freedom.wait_freedom ~n:2));
-        0
+    let r = Mutex.run_starvation ~factory ~max_steps:steps in
+    List.iter
+      (fun (p, c) -> Printf.printf "p%d acquired %d times\n" p c)
+      (Mutex.acquisitions r.Slx_sim.Run_report.history);
+    Printf.printf "mutual exclusion: %b   fair: %b\n"
+      (Mutex.mutual_exclusion r.Slx_sim.Run_report.history)
+      (Slx_liveness.Fairness.is_bounded_fair r);
+    Printf.printf "starvation-freedom: %b\n"
+      (Freedom.holds ~good:Mutex.good r (Freedom.wait_freedom ~n:2));
+    0
   in
   Cmd.v
     (Cmd.info "mutex" ~doc:"Run a lock against the starvation scheduler")
@@ -412,7 +406,7 @@ let print_answer ~json (sp : Queries.spec) source answer =
   let source_json =
     match source with
     | None -> ""
-    | Some s -> Printf.sprintf ", \"store_source\": %S" s
+    | Some s -> ", \"store_source\": " ^ Json.quote s
   in
   let print_stats stats =
     Option.iter (Printf.printf "store: %s\n") source;
@@ -426,9 +420,10 @@ let print_answer ~json (sp : Queries.spec) source answer =
         | Explore.Counterexample _ -> ("counterexample", 0)
       in
       Printf.printf
-        "{\"impl\": %S, \"depth\": %d, \"max_crashes\": %d, \"outcome\": %S, \
+        "{\"impl\": %s, \"depth\": %d, \"max_crashes\": %d, \"outcome\": %s, \
          \"runs\": %d%s, \"stats\": %s}\n"
-        sp.sp_impl sp.sp_depth sp.sp_crashes outcome runs source_json
+        (Json.quote sp.sp_impl) sp.sp_depth sp.sp_crashes (Json.quote outcome)
+        runs source_json
         (Explore_stats.to_json e.Explore.stats)
   | Queries.Safety e ->
       (match e.Explore.outcome with
@@ -452,7 +447,7 @@ let print_answer ~json (sp : Queries.spec) source answer =
           match r.Live_explore.outcome with
           | Live_explore.No_fair_cycle -> ("no_fair_cycle", "")
           | Live_explore.Lasso c ->
-              let script = script ", " (Printf.sprintf "%S") in
+              let script = script ", " Json.quote in
               ( "lasso",
                 Printf.sprintf
                   ", \"stem\": [%s], \"cycle\": [%s], \"period\": %d"
@@ -460,11 +455,12 @@ let print_answer ~json (sp : Queries.spec) source answer =
                   (List.length c.Lasso.c_cycle) )
         in
         Printf.printf
-          "{\"impl\": %S, \"property\": %S, \"n\": %d, \"depth\": %d, \
-           \"max_crashes\": %d, \"outcome\": %S%s, \"exhaustive\": %b%s, \
+          "{\"impl\": %s, \"property\": %s, \"n\": %d, \"depth\": %d, \
+           \"max_crashes\": %d, \"outcome\": %s%s, \"exhaustive\": %b%s, \
            \"stats\": %s}\n"
-          sp.sp_impl property sp.sp_n sp.sp_depth sp.sp_crashes outcome
-          cert_json (not sp.sp_dpor) source_json
+          (Json.quote sp.sp_impl) (Json.quote property) sp.sp_n sp.sp_depth
+          sp.sp_crashes (Json.quote outcome) cert_json (not sp.sp_dpor)
+          source_json
           (Explore_stats.to_json r.Live_explore.stats)
       end
       else begin
@@ -996,7 +992,8 @@ let query_cmd =
          ~doc:"Server port.")
   in
   let kind_arg =
-    Arg.(value & opt string "explore"
+    Arg.(value
+         & opt (enum [ ("explore", "explore"); ("live", "live") ]) "explore"
          & info [ "kind"; "k" ] ~doc:"Query kind: explore or live.")
   in
   let impl_arg =

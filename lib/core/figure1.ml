@@ -23,63 +23,82 @@ let classify ~good ~n ~adversary ~positive =
   in
   List.map (fun point -> (point, color point)) (Freedom.all ~n)
 
-(* Crash every process outside [active] at time 0, then run [driver]
-   over the survivors. *)
-let crash_others ~n ~active driver =
-  let victims =
-    List.filter (fun p -> not (List.mem p active)) (Proc.all ~n)
-  in
-  Driver.with_crashes (List.map (fun p -> (0, p)) victims) driver
+(* A sampled grid as one row of data.  An adversary run is an active
+   set, a driver and a step budget ([Drive]: everyone outside the set
+   crashes at time 0), or a report already made ([Report]).  The
+   positive runs are [workload active seed] under [Drive] at half the
+   grid's budget, for every active set [1..m] with [m] in [sizes] and
+   every seed, plus [also_positive]. *)
+type ('inv, 'res) run =
+  | Drive of Proc.t list * ('inv, 'res) Driver.t * int
+  | Report of ('inv, 'res) Run_report.t
 
-(* ------------------------------------------------------------------ *)
-(* Figure 1a: consensus from registers vs agreement-and-validity.      *)
+type ('inv, 'res) row = {
+  title : string;
+  factory : ('inv, 'res) Runner.factory;
+  safe : ('inv, 'res) History.t -> bool;
+  good : 'res -> bool;
+  adversary : ('inv, 'res) run list;
+  workload : Proc.t list -> int -> ('inv, 'res) Driver.t;
+  sizes : int list;
+  also_positive : ('inv, 'res) run list;
+}
 
-let consensus ?(n = 3) ?(max_steps = 1200) ?(seeds = [ 1; 2; 3 ]) () =
-  let open Slx_consensus in
-  let factory = Register_consensus.factory () in
-  let workload =
-    Driver.forever (fun p -> Consensus_type.Propose (p - 1))
+(* Field every run of [row] that fits in [n] processes and classify.
+   Adversary runs only count when the implementation kept its safety
+   side of the bargain. *)
+let sampled ~n ~max_steps ~seeds row =
+  let fits = function
+    | Drive (active, _, _) -> List.for_all (fun p -> p <= n) active
+    | Report _ -> true
   in
-  let adversary =
-    (* The lockstep adversary over processes 1 and 2, the rest
-       crashed. *)
-    [
-      Runner.run ~n ~factory
-        ~driver:(crash_others ~n ~active:[ 1; 2 ] (Consensus_adversary.lockstep ()))
-        ~max_steps ();
-    ]
+  let play = function
+    | Drive (active, driver, max_steps) ->
+        let crash p = if List.mem p active then None else Some (0, p) in
+        let crashes = List.filter_map crash (Proc.all ~n) in
+        Runner.run ~n ~factory:row.factory
+          ~driver:(Driver.with_crashes crashes driver) ~max_steps ()
+    | Report r -> r
   in
-  let positive =
-    (* Every active-subset size, several seeds. *)
+  let field runs = List.map play (List.filter fits runs) in
+  let sweep =
     List.concat_map
       (fun m ->
-        let active = List.init m (fun i -> i + 1) in
+        let active = List.init m succ in
         List.map
-          (fun seed ->
-            Runner.run ~n ~factory
-              ~driver:
-                (crash_others ~n ~active
-                   (Driver.random ~procs:active ~seed ~workload ()))
-              ~max_steps:(max_steps / 2) ())
+          (fun seed -> Drive (active, row.workload active seed, max_steps / 2))
           seeds)
-      (List.init n (fun i -> i + 1))
+      row.sizes
   in
-  (* Adversary runs only count when the implementation kept its safety
-     side of the bargain. *)
-  let safe r =
-    Consensus_safety.check r.Run_report.history
+  let adversary =
+    List.filter (fun r -> row.safe r.Run_report.history) (field row.adversary)
   in
-  let adversary = List.filter safe adversary in
+  let positive = field (sweep @ row.also_positive) in
   {
-    name = "Figure 1a: consensus (agreement and validity)";
+    name = row.title;
     n;
-    cells =
-      classify
-        ~good:(fun (_ : Consensus_type.response) -> true)
-        ~n ~adversary ~positive;
+    cells = classify ~good:row.good ~n ~adversary ~positive;
     adversary_runs = List.length adversary;
     positive_runs = List.length positive;
   }
+
+(* Figure 1a: consensus from registers vs agreement-and-validity, the
+   lockstep adversary over processes 1 and 2. *)
+let consensus ?(n = 3) ?(max_steps = 1200) ?(seeds = [ 1; 2; 3 ]) () =
+  let open Slx_consensus in
+  let workload = Driver.forever (fun p -> Consensus_type.Propose (p - 1)) in
+  sampled ~n ~max_steps ~seeds
+    {
+      title = "Figure 1a: consensus (agreement and validity)";
+      factory = Register_consensus.factory ();
+      safe = Consensus_safety.check;
+      good = (fun (_ : Consensus_type.response) -> true);
+      adversary =
+        [ Drive ([ 1; 2 ], Consensus_adversary.lockstep (), max_steps) ];
+      workload = (fun procs seed -> Driver.random ~procs ~seed ~workload ());
+      sizes = List.init n succ;
+      also_positive = [];
+    }
 
 (* The same grid by exhaustive fair-cycle search instead of sampled
    adversary games: every (l,k) point is classified by whether
@@ -118,142 +137,69 @@ let consensus_exhaustive ?(n = 2) ?(depth = 10) () =
     positive_runs = 0;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Figure 1b: TM vs opacity.                                           *)
-
+(* Figure 1b: TM vs opacity, the AGP TM.  The three-way adversary does
+   NOT defeat AGP: its run is positive evidence. *)
 let tm ?(n = 3) ?(max_steps = 900) ?(seeds = [ 1; 2; 3 ]) () =
   let open Slx_tm in
-  let factory = Agp_tm.factory ~vars:1 in
-  let adversary =
-    [
-      Runner.run ~n ~factory
-        ~driver:
-          (crash_others ~n ~active:[ 1; 2 ]
-             (Tm_adversary.local_progress_adversary ()))
-        ~max_steps ();
-    ]
-  in
-  let positive =
-    List.concat_map
-      (fun m ->
-        let active = List.init m (fun i -> i + 1) in
-        List.map
-          (fun seed ->
-            Runner.run ~n ~factory
-              ~driver:
-                (crash_others ~n ~active
-                   (Tm_workload.random ~procs:active ~seed ()))
-              ~max_steps:(max_steps / 2) ())
-          seeds)
-      (List.init n (fun i -> i + 1))
-    @
-    (* The three-way adversary does NOT defeat AGP: its runs are
-       positive evidence for the opacity grid. *)
-    if n >= 3 then
-      [
-        Runner.run ~n ~factory
-          ~driver:(crash_others ~n ~active:[ 1; 2; 3 ] (Tm_adversary.three_way_adversary ()))
-          ~max_steps:(max_steps / 2) ();
-      ]
-    else []
-  in
-  let safe r = Opacity.check_final r.Run_report.history in
-  let adversary = List.filter safe adversary in
-  {
-    name = "Figure 1b: TM (opacity)";
-    n;
-    cells = classify ~good:Tm_type.good ~n ~adversary ~positive;
-    adversary_runs = List.length adversary;
-    positive_runs = List.length positive;
-  }
+  sampled ~n ~max_steps ~seeds
+    {
+      title = "Figure 1b: TM (opacity)";
+      factory = Agp_tm.factory ~vars:1;
+      safe = Opacity.check_final;
+      good = Tm_type.good;
+      adversary =
+        [
+          Drive ([ 1; 2 ], Tm_adversary.local_progress_adversary (), max_steps);
+        ];
+      workload = (fun procs seed -> Tm_workload.random ~procs ~seed ());
+      sizes = List.init n succ;
+      also_positive =
+        [
+          Drive
+            ([ 1; 2; 3 ], Tm_adversary.three_way_adversary (), max_steps / 2);
+        ];
+    }
 
-(* ------------------------------------------------------------------ *)
-(* The Section 5.3 grid: TM vs S'.                                     *)
-
+(* The Section 5.3 grid: TM vs S', the I(1,2) TM.  The local-progress
+   adversary violates the l >= 2 points; the three-way one violates the
+   (1, k >= 3) points, because the timestamp rule of S' forces I(1,2) to
+   abort all three forever. *)
 let s_prime ?(n = 3) ?(max_steps = 900) ?(seeds = [ 1; 2 ]) () =
   let open Slx_tm in
-  let factory = I12.factory ~vars:1 in
-  let adversary =
-    [
-      (* Violates the l >= 2 points. *)
-      Runner.run ~n ~factory
-        ~driver:
-          (crash_others ~n ~active:[ 1; 2 ]
-             (Tm_adversary.local_progress_adversary ()))
-        ~max_steps ();
-    ]
-    @
-    (* Violates the (1, k >= 3) points: the timestamp rule of S'
-       forces I(1,2) to abort all three forever. *)
-    (if n >= 3 then
-       [
-         Runner.run ~n ~factory
-           ~driver:
-             (crash_others ~n ~active:[ 1; 2; 3 ]
-                (Tm_adversary.three_way_adversary ()))
-           ~max_steps ();
-       ]
-     else [])
-  in
-  let positive =
-    List.concat_map
-      (fun m ->
-        let active = List.init m (fun i -> i + 1) in
-        List.map
-          (fun seed ->
-            Runner.run ~n ~factory
-              ~driver:
-                (crash_others ~n ~active
-                   (Tm_workload.random ~procs:active ~seed ()))
-              ~max_steps:(max_steps / 2) ())
-          seeds)
-      [ 1; 2 ]
-  in
-  let safe r = S_prime.check_final r.Run_report.history in
-  let adversary = List.filter safe adversary in
-  {
-    name = "Section 5.3: TM (S')";
-    n;
-    cells = classify ~good:Tm_type.good ~n ~adversary ~positive;
-    adversary_runs = List.length adversary;
-    positive_runs = List.length positive;
-  }
+  sampled ~n ~max_steps ~seeds
+    {
+      title = "Section 5.3: TM (S')";
+      factory = I12.factory ~vars:1;
+      safe = S_prime.check_final;
+      good = Tm_type.good;
+      adversary =
+        [
+          Drive ([ 1; 2 ], Tm_adversary.local_progress_adversary (), max_steps);
+          Drive ([ 1; 2; 3 ], Tm_adversary.three_way_adversary (), max_steps);
+        ];
+      workload = (fun procs seed -> Tm_workload.random ~procs ~seed ());
+      sizes = [ 1; 2 ];
+      also_positive = [];
+    }
 
-(* ------------------------------------------------------------------ *)
-(* The mutex grid: the no-trade-off counterpoint.                      *)
-
+(* The mutex grid, the no-trade-off counterpoint: the Bakery lock
+   against the starvation scheduler, the best lock adversary we have.
+   The classifier keeps only its bounded-fair runs, and against Bakery
+   it cannot produce one that starves anybody. *)
 let mutex ?(n = 3) ?(max_steps = 1200) ?(seeds = [ 1; 2; 3 ]) () =
   let open Slx_objects in
   let factory = Bakery.factory () in
-  let adversary =
-    (* The starvation scheduler, the best lock adversary we have: the
-       classifier keeps only its bounded-fair runs, and against the
-       Bakery lock it cannot produce one that starves anybody. *)
-    [ Mutex.run_starvation ~factory ~max_steps ]
-  in
-  let positive =
-    List.concat_map
-      (fun m ->
-        let active = List.init m (fun i -> i + 1) in
-        List.map
-          (fun seed ->
-            Runner.run ~n ~factory
-              ~driver:
-                (crash_others ~n ~active
-                   (Mutex.random_workload ~procs:active ~seed ()))
-              ~max_steps:(max_steps / 2) ())
-          seeds)
-      (List.init n (fun i -> i + 1))
-  in
-  let safe r = Mutex.mutual_exclusion r.Run_report.history in
-  let adversary = List.filter safe adversary in
-  {
-    name = "Mutex (mutual exclusion, Bakery lock)";
-    n;
-    cells = classify ~good:Mutex.good ~n ~adversary ~positive;
-    adversary_runs = List.length adversary;
-    positive_runs = List.length positive;
-  }
+  sampled ~n ~max_steps ~seeds
+    {
+      title = "Mutex (mutual exclusion, Bakery lock)";
+      factory;
+      safe = Mutex.mutual_exclusion;
+      good = Mutex.good;
+      adversary = [ Report (Mutex.run_starvation ~factory ~max_steps) ];
+      workload = (fun procs seed -> Mutex.random_workload ~procs ~seed ());
+      sizes = List.init n succ;
+      also_positive = [];
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Analysis and rendering.                                             *)
@@ -264,19 +210,12 @@ let color_at grid ~l ~k =
       if Freedom.l p = l && Freedom.k p = k then Some c else None)
     grid.cells
 
-let whites grid =
-  List.filter_map
-    (fun (p, c) -> if c = Not_excluded then Some p else None)
-    grid.cells
+let colored color grid =
+  List.filter_map (fun (p, c) -> if c = color then Some p else None) grid.cells
 
-let blacks grid =
-  List.filter_map
-    (fun (p, c) -> if c = Excluded then Some p else None)
-    grid.cells
+let strongest_not_excluded grid = Freedom.maximal (colored Not_excluded grid)
 
-let strongest_not_excluded grid = Freedom.maximal (whites grid)
-
-let weakest_excluded grid = Freedom.minimal (blacks grid)
+let weakest_excluded grid = Freedom.minimal (colored Excluded grid)
 
 let render grid =
   let buf = Buffer.create 256 in
@@ -314,7 +253,7 @@ let to_json grid =
       (Freedom.k p) (color_name c)
   in
   Printf.sprintf
-    "{\"name\": %S, \"n\": %d, \"adversary_runs\": %d, \"positive_runs\": %d, \
+    "{\"name\": %s, \"n\": %d, \"adversary_runs\": %d, \"positive_runs\": %d, \
      \"cells\": [%s]}"
-    grid.name grid.n grid.adversary_runs grid.positive_runs
+    (Slx_obs.Json.quote grid.name) grid.n grid.adversary_runs grid.positive_runs
     (String.concat ", " (List.map cell grid.cells))

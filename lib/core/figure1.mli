@@ -18,6 +18,16 @@
     too weak to rule it out; the paper's theorems predict no Unknowns,
     and the test suite asserts none appear.
 
+    Each sampled grid ({!consensus}, {!tm}, {!s_prime}, {!mutex}) is
+    one row of data handed to one internal builder: the implementation
+    factory, the safety check and [good]; the adversary runs, each an
+    active set, a driver and a step budget (everyone outside the set
+    crashes at time 0), or a report already made; and the positive
+    workload with the active-set sizes it is swept over, each with
+    every seed at half the budget.  The builder fields every run whose
+    active set fits in [n] processes, keeps the adversary runs that
+    respect the safety check, and classifies.
+
     Expected shapes (the tests and EXPERIMENTS.md check these):
     - {!consensus} (Figure 1a): white exactly at (1,1) — Theorem 5.2;
     - {!tm} (Figure 1b): white exactly at the bottom row l = 1 —
@@ -37,15 +47,6 @@ type grid = {
   adversary_runs : int;  (** How many adversary runs were fielded. *)
   positive_runs : int;   (** How many positive runs were fielded. *)
 }
-
-val classify :
-  good:('res -> bool) ->
-  n:int ->
-  adversary:('inv, 'res) Slx_sim.Run_report.t list ->
-  positive:('inv, 'res) Slx_sim.Run_report.t list ->
-  (Freedom.t * color) list
-(** The generic classifier over prepared runs (unfair runs are
-    ignored). *)
 
 val consensus : ?n:int -> ?max_steps:int -> ?seeds:int list -> unit -> grid
 (** Figure 1a: agreement-and-validity, register consensus, lockstep

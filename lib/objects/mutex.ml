@@ -45,34 +45,36 @@ let tas_factory () : _ Runner.factory =
         Test_and_set.reset flag;
         Released
 
-(* Whether [p] currently holds the lock according to the history. *)
-let holds_lock view p =
-  let rec last_status = function
-    | [] -> `Free
-    | Event.Response (_, Acquired) :: _ -> `Held
-    | Event.Response (_, Released) :: _ -> `Free
-    | (Event.Invocation _ | Event.Crash _) :: rest -> last_status rest
-  in
-  (* Scan [p]'s responses backwards. *)
-  last_status (List.rev (History.to_list (History.project view.Driver.history p)))
+(* Whether a process holds the lock, read off its last response; the
+   drivers keep it per process scheduler-side, so a run costs time
+   linear in its length. *)
+let holds held = function
+  | Event.Response (_, Acquired) -> true
+  | Event.Response (_, Released) -> false
+  | Event.Invocation _ | Event.Crash _ -> held
 
-let next_invocation view p =
-  match holds_lock view p with `Held -> Release | `Free -> Acquire
+let holds_lock () = Driver.fold_procs ~init:false holds ()
 
-let workload ?procs () =
-  Driver.round_robin_by ?procs (fun view p -> Some (next_invocation view p))
+let invocation held = if held then Release else Acquire
+
+let next () =
+  let held = holds_lock () in
+  fun view p -> Some (invocation (held view p))
+
+let workload ?procs () = Driver.round_robin_by ?procs (next ())
 
 let random_workload ?procs ~seed () =
-  Driver.random_by ?procs ~seed (fun view p -> Some (next_invocation view p))
+  Driver.random_by ?procs ~seed (next ())
 
 let starvation_adversary () : _ Driver.t =
+  let held = holds_lock () in
   (* Whether p1's doomed attempt was already granted during the current
      hold of the lock. *)
   let granted_this_hold = ref false in
   fun view ->
     let lock_held =
       (* Any process currently between Acquired and Released. *)
-      List.exists (fun p -> holds_lock view p = `Held) [ 1; 2 ]
+      List.exists (held view) [ 1; 2 ]
     in
     if not lock_held then granted_this_hold := false;
     match view.Driver.status 1 with
@@ -88,7 +90,7 @@ let starvation_adversary () : _ Driver.t =
           match view.Driver.status 2 with
           | Slx_sim.Runtime.Ready -> Driver.Schedule 2
           | Slx_sim.Runtime.Idle ->
-              Driver.Invoke (2, next_invocation view 2)
+              Driver.Invoke (2, invocation (held view 2))
           | Slx_sim.Runtime.Crashed -> Driver.Stop
         end
 

@@ -53,8 +53,10 @@ val tas_factory : unit -> (invocation, response) Runner.factory
 val workload : ?procs:Proc.t list -> unit -> (invocation, response) Driver.t
 (** A fair round-robin driver where every process alternates
     [Acquire] / [Release] forever: {!Slx_sim.Driver.round_robin_by}
-    with an idle process's next invocation read off its projected
-    history ([Release] while it holds the lock, else [Acquire]). *)
+    with an idle process's next invocation read off its last response
+    ([Release] while it holds the lock, else [Acquire]), kept per
+    process scheduler-side ({!Slx_sim.Driver.fold_procs}) so a run
+    costs time linear in its length. *)
 
 val random_workload :
   ?procs:Proc.t list -> seed:int -> unit -> (invocation, response) Driver.t

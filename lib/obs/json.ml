@@ -166,6 +166,12 @@ let quote s =
   Buffer.add_char b '"';
   Buffer.contents b
 
+(* The fewest significant digits, from 15 up to 17, that read back as
+   [f]: [0.1] prints as [0.1], not [0.10000000000000001]. *)
+let rec shortest digits f =
+  let s = Printf.sprintf "%.*g" digits f in
+  if digits >= 17 || float_of_string s = f then s else shortest (digits + 1) f
+
 let rec to_string = function
   | Null -> "null"
   | Bool b -> string_of_bool b
@@ -173,7 +179,7 @@ let rec to_string = function
   | Num f when Float.is_integer f && Float.abs f < 1e17 ->
       (* Keep the fraction so it parses back as a [Num]. *)
       Printf.sprintf "%.1f" f
-  | Num f when Float.is_finite f -> Printf.sprintf "%.17g" f
+  | Num f when Float.is_finite f -> shortest 15 f
   | Num _ -> "null"
   | Str s -> quote s
   | Arr xs -> "[" ^ String.concat ", " (List.map to_string xs) ^ "]"

@@ -32,7 +32,10 @@ val quote : string -> string
 
 val to_string : t -> string
 (** One-line JSON.  [parse (to_string j)] is [Ok j] for every parsed
-    [j] without a non-finite number or a non-ASCII [\u] escape. *)
+    [j] without a non-finite number or a non-ASCII [\u] escape.  A
+    [Num] that is not an integer below [1e17] prints with the fewest of
+    15, 16 or 17 significant digits that read back as the same float,
+    so [0.1] prints as [0.1]. *)
 
 (** {2 Accessors} *)
 

@@ -269,7 +269,7 @@ let ints xs = "[" ^ String.concat ", " (List.map string_of_int xs) ^ "]"
 
 let pps ds =
   "["
-  ^ String.concat ", " (List.map (fun d -> Printf.sprintf "%S" (dec_string d)) ds)
+  ^ String.concat ", " (List.map (fun d -> Json.quote (dec_string d)) ds)
   ^ "]"
 
 (* An answer's verdict members, ahead of its work members. *)

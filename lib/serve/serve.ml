@@ -153,9 +153,9 @@ let finalize t q result_json ~source =
   Hashtbl.remove t.inflight q.q_slot;
   let line =
     Printf.sprintf
-      "{\"id\": %d, \"state\": \"done\", \"source\": %S, \"elapsed_s\": \
+      "{\"id\": %d, \"state\": \"done\", \"source\": %s, \"elapsed_s\": \
        %.3f, \"result\": %s}"
-      q.q_id source (now () -. q.q_created) result_json
+      q.q_id (Json.quote source) (now () -. q.q_created) result_json
   in
   List.iter
     (fun fd ->
@@ -364,9 +364,9 @@ let status_json q =
     | _ -> ""
   in
   Printf.sprintf
-    "{\"id\": %d, \"state\": %S, \"source\": %S, \"spec\": %s, \
+    "{\"id\": %d, \"state\": %s, \"source\": %s, \"spec\": %s, \
      \"elapsed_s\": %.3f%s%s}"
-    q.q_id state q.q_source
+    q.q_id (Json.quote state) (Json.quote q.q_source)
     (Queries.spec_to_json q.q_spec)
     (now () -. q.q_created) extra hb
 

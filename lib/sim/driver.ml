@@ -65,6 +65,19 @@ let random_by ?procs ~seed next : _ t =
     | _ :: _ ->
         List.nth candidates (Random.State.int rng (List.length candidates))
 
+let fold_procs ~init step () =
+  let states = ref [||] and seen = ref 0 in
+  fun view p ->
+    if Array.length !states = 0 then states := Array.make (view.n + 1) init;
+    let len = History.length view.history in
+    List.iter
+      (fun e ->
+        let q = Event.proc e in
+        !states.(q) <- step !states.(q) e)
+      (History.latest view.history (len - !seen));
+    seen := len;
+    !states.(p)
+
 let round_robin ?procs ~workload () =
   round_robin_by ?procs (of_workload workload)
 

@@ -78,12 +78,24 @@ val round_robin_by :
     issues next, or [None] if [p] should stop invoking.
     {!round_robin} is this with [next view p] the workload's
     [view.invocations p]-th invocation of [p]; the mutex and TM
-    workload drivers derive [next] from [p]'s projected history. *)
+    workload drivers derive [next] from [p]'s position in its
+    protocol, kept by {!fold_procs}. *)
 
 val random_by :
   ?procs:Proc.t list -> seed:int ->
   (('inv, 'res) view -> Proc.t -> 'inv option) -> ('inv, 'res) t
 (** {!random} over a [next] function, as {!round_robin_by}. *)
+
+val fold_procs :
+  init:'s -> ('s -> ('inv, 'res) Event.t -> 's) -> unit ->
+  ('inv, 'res) view -> Proc.t -> 's
+(** [fold_procs ~init step ()] reads process [p]'s state in a run:
+    [step] folded from [init] over [p]'s events so far.  The states
+    are kept scheduler-side and each read folds only the events the
+    run appended since the previous one, so a driver that reads a
+    position per tick costs time linear in the run's length rather
+    than re-projecting the history.  Like a driver, the reader belongs
+    to one run: make a fresh one per driver. *)
 
 val solo :
   Proc.t -> workload:('inv, 'res) workload -> ('inv, 'res) t

@@ -10,10 +10,14 @@ let commits h =
   in
   List.map (fun p -> (p, count p)) (Proc.Set.elements (History.procs h))
 
-let last_response view p =
-  match List.rev (History.responses_of view.Driver.history p) with
-  | r :: _ -> Some r
-  | [] -> None
+(* Each process's last response, kept scheduler-side by the adversary
+   that reads it, so a run costs time linear in its length. *)
+let last_response () =
+  Driver.fold_procs ~init:None
+    (fun last -> function
+      | Event.Response (_, r) -> Some r
+      | Event.Invocation _ | Event.Crash _ -> last)
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* The Section 4.1 local-progress adversary.                           *)
@@ -35,6 +39,7 @@ let local_progress_adversary ?(swap = false) () : _ Driver.t =
   let p1 = if swap then 2 else 1 in
   let p2 = if swap then 1 else 2 in
   let phase = ref Step1_start in
+  let last_response = last_response () in
   (* v' is p1's last read value, v'' is p2's. *)
   let v' = ref 0 and v'' = ref 0 in
   let awaiting = ref false in
@@ -161,6 +166,7 @@ let three_way_adversary () : _ Driver.t =
      (in Committing: those whose start was not aborted). *)
   let invoked = ref Proc.Set.empty in
   let participants = ref (Proc.Set.of_list procs) in
+  let last_response = last_response () in
   fun view ->
     if !stage = Beaten then Driver.Stop
     else begin

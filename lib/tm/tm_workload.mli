@@ -21,7 +21,10 @@ val next_invocation :
   Slx_history.Proc.t ->
   Tm_type.invocation
 (** The next protocol-legal invocation for an idle process, derived
-    from its projected history. *)
+    from its projected history.  The drivers below compute the same
+    invocation from each process's position kept scheduler-side
+    ({!Slx_sim.Driver.fold_procs}), so a run they drive costs time
+    linear in its length. *)
 
 val round_robin :
   ?procs:Slx_history.Proc.t list ->
@@ -29,12 +32,12 @@ val round_robin :
   (Tm_type.invocation, Tm_type.response) Driver.t
 (** Fair rotation over [procs] (default all), scheduling ready
     processes and issuing {!next_invocation} to idle ones:
-    {!Slx_sim.Driver.round_robin_by} with {!next_invocation}. *)
+    {!Slx_sim.Driver.round_robin_by}. *)
 
 val random :
   ?procs:Slx_history.Proc.t list ->
   seed:int ->
   unit ->
   (Tm_type.invocation, Tm_type.response) Driver.t
-(** Seeded uniform choice among eligible processes:
-    {!Slx_sim.Driver.random_by} with {!next_invocation}. *)
+(** Seeded uniform choice among eligible processes, issuing
+    {!next_invocation}: {!Slx_sim.Driver.random_by}. *)

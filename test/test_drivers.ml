@@ -126,6 +126,42 @@ let test_report_pp_smoke () =
     in
     has_sub "steps" && has_sub "tick")
 
+(* [Driver.fold_procs], read after some appends and not others, agrees
+   with folding each process's projected history from scratch. *)
+let prop_fold_procs_matches_projection =
+  QCheck2.Test.make ~name:"fold_procs agrees with the projection" ~count:300
+    QCheck2.Gen.(
+      list_size (int_range 0 60)
+        (triple (int_range 1 3) (int_range 0 2) bool))
+    (fun appends ->
+      let n = 3 in
+      let read = Driver.fold_procs ~init:[] (fun acc e -> e :: acc) () in
+      let view history : (cinv, cres) Driver.view =
+        {
+          Driver.time = 0;
+          n;
+          history;
+          status = (fun _ -> Runtime.Idle);
+          steps = (fun _ -> 0);
+          invocations = (fun _ -> 0);
+          events = (fun _ -> 0);
+        }
+      in
+      let event p = function
+        | 0 -> Event.Invocation (p, Tick)
+        | 1 -> Event.Response (p, Tock)
+        | _ -> Event.Crash p
+      in
+      let agrees h p =
+        List.rev (read (view h) p) = History.to_list (History.project h p)
+      in
+      snd
+        (List.fold_left
+           (fun (h, ok) (p, kind, now) ->
+             let h = History.append h (event p kind) in
+             (h, ok && ((not now) || List.for_all (agrees h) (Proc.all ~n))))
+           (History.empty, true) appends))
+
 let suites =
   [
     ( "drivers",
@@ -138,5 +174,6 @@ let suites =
         quick "round robin skips exhausted" test_round_robin_skips_exhausted;
         quick "run report accessors" test_run_report_accessors;
         quick "report pp smoke" test_report_pp_smoke;
-      ] );
+      ]
+      @ qcheck [ prop_fold_procs_matches_projection ] );
   ]

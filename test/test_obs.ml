@@ -127,6 +127,31 @@ let test_json_exact_ints () =
         "digest printed exactly" "3784237809352984055"
         (Json.to_string (List.nth xs 0))
 
+(* A float prints with the fewest digits that read back as itself. *)
+let test_json_short_floats () =
+  List.iter
+    (fun (f, want) ->
+      Alcotest.(check string) want want (Json.to_string (Json.Num f)))
+    [ (0.1, "0.1"); (-0.1, "-0.1"); (1e-6, "1e-06"); (0.3, "0.3");
+      (0.1 +. 0.2, "0.30000000000000004"); (2.5, "2.5") ]
+
+let prop_json_floats_round_trip =
+  QCheck2.Test.make ~name:"a finite float round-trips through to_string"
+    ~count:2000
+    QCheck2.Gen.(
+      oneof
+        [
+          float;
+          map2 (fun m e -> float_of_int m /. (10. ** float_of_int e))
+            (int_range (-100_000) 100_000) (int_range 0 12);
+        ])
+    (fun f ->
+      let f = if Float.is_finite f then f else 0. in
+      let s = Json.to_string (Json.Num f) in
+      Json.parse s = Ok (Json.Num f)
+      && (Float.is_integer f
+         || String.length s <= String.length (Printf.sprintf "%.17g" f)))
+
 (* ------------------------------------------------------------------ *)
 (* Chrome-trace export and validation.                                 *)
 
@@ -442,8 +467,10 @@ let suites =
         quick "parses values and escapes" test_json_parses_values;
         quick "rejects garbage" test_json_rejects_garbage;
         quick "exact integers" test_json_exact_ints;
+        quick "shortest round-trip floats" test_json_short_floats;
         quick "stats fields" test_stats_json_fields;
-      ] );
+      ]
+      @ qcheck [ prop_json_floats_round_trip ] );
     ( "obs-trace",
       [
         quick "export is well-formed" test_trace_export_well_formed;

@@ -519,7 +519,44 @@ let test_cli_out_of_range_refused () =
         budgets)
     (List.map
        (fun cmd -> (cmd, [ ("1", 0); ("0", 124); ("-3", 124) ]))
-       [ "game"; "game --adversary tie"; "tm-game"; "mutex" ])
+       [ "game"; "game --adversary tie"; "tm-game"; "mutex" ]);
+  (* An unknown choice is a usage error too, which lists the valid
+     choices. *)
+  List.iter
+    (fun args ->
+      check_int
+        (Printf.sprintf "slx %s is a usage error" args)
+        124
+        (Sys.command (Printf.sprintf "%s %s >/dev/null 2>&1" slx_bin args)))
+    [
+      "figure1 --object bogus";
+      "game --impl bogus";
+      "game --adversary bogus";
+      "tm-game --impl bogus";
+      "tm-game --adversary bogus";
+      "mutex --impl bogus";
+      "query --kind bogus";
+    ]
+
+(* The tie adversary plays to the --steps budget it is given, 60 by
+   default. *)
+let test_cli_tie_steps () =
+  let tie flags =
+    let out = Filename.temp_file "slx_serve_test" ".txt" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove out)
+      (fun () ->
+        check_int "exit code" 0
+          (Sys.command
+             (Printf.sprintf "%s game --adversary tie%s > %s" slx_bin flags out));
+        String.trim (In_channel.with_open_bin out In_channel.input_all))
+  in
+  let default = tie "" in
+  Alcotest.(check string)
+    "default budget" "adversary wins: 62 fair steps, no decision, safety true"
+    default;
+  Alcotest.(check string) "--steps 60 is the default" default (tie " --steps 60");
+  check_bool "--steps 5 changes the run" true (tie " --steps 5" <> default)
 
 (* The declared-footprint POR, structural-key and hash-compaction
    switches, the safety walk's reduction switches (it always runs DPOR
@@ -856,6 +893,16 @@ let test_deadline_cancels_and_frees_the_slot () =
             (status_line resp);
           check_outcome ("timeout " ^ timeout) "error" (last_json resp))
         [ {|"5"|}; "0"; "-1"; "null" ];
+      (* The refusal echoes the number as the client wrote it. *)
+      let refusal =
+        exchange port
+          (request ~meth:"POST" ~path:"/query"
+             (Printf.sprintf "{%s, \"timeout\": -0.1}" slow_fields))
+      in
+      Alcotest.(check (option string))
+        "timeout -0.1 refusal"
+        (Some "timeout -0.1 is not a positive number of seconds")
+        (Option.bind (Json.member "message" (last_json refusal)) Json.str);
       check_int "a refused timeout creates no query" 0
         (stat (stats port) [ "queries" ]);
       let src, _ = query port {|"impl": "cas", "depth": 4|} in
@@ -1211,6 +1258,8 @@ let suites =
       [
         Alcotest.test_case "CLI refuses out-of-range bounds" `Quick
           test_cli_out_of_range_refused;
+        Alcotest.test_case "game --adversary tie obeys --steps" `Quick
+          test_cli_tie_steps;
         Alcotest.test_case "CLI refuses the retired reduction flags" `Quick
           test_cli_retired_flags_refused;
         Alcotest.test_case "decoder refuses out-of-range bounds" `Quick
