@@ -1,26 +1,20 @@
 (* Benchmark entry point.
 
-   dune exec bench/main.exe                -- experiments then perf
-   dune exec bench/main.exe experiments    -- experiment suite only
-   dune exec bench/main.exe perf           -- Bechamel perf only
-   dune exec bench/main.exe smoke          -- tiny explorer smoke (runtest) *)
+   dune exec bench/main.exe perf           -- Bechamel perf
+   dune exec bench/main.exe smoke          -- tiny explorer smoke (runtest)
+
+   The paper experiments E1-E20 are the claims ledger,
+   test/golden/claims_corpus.ml, which `dune runtest` diffs. *)
 
 let () =
-  let mode = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
   let ok =
-    match mode with
-    | "experiments" -> Experiments.run ()
-    | "perf" ->
+    match Array.to_list Sys.argv with
+    | [ _; "perf" ] ->
         Perf.run ();
         true
-    | "smoke" -> Smoke.run ()
-    | "all" ->
-        let ok = Experiments.run () in
-        Perf.run ();
-        ok
-    | other ->
-        Printf.eprintf
-          "unknown mode %S (use: experiments | perf | smoke)\n" other;
+    | [ _; "smoke" ] -> Smoke.run ()
+    | _ ->
+        prerr_endline "usage: main.exe (perf | smoke)";
         false
   in
   exit (if ok then 0 else 1)

@@ -347,7 +347,13 @@ let theorems_cmd =
       r.Theorem_4_9.both_ensure_s r.Theorem_4_9.incomparable
       (if Theorem_4_9.holds r then "no strongest liveness below Lmax"
        else "CHECK FAILED");
-    if Theorem_4_9.holds r then 0 else 1
+    let theorem_4_4 =
+      Theorem_4_4.weakest_excluding_exists pos
+      && (not (Theorem_4_4.weakest_excluding_exists neg))
+      && Theorem_4_4.verify_by_enumeration pos
+      && Theorem_4_4.verify_by_enumeration neg
+    in
+    if theorem_4_4 && Theorem_4_9.holds r then 0 else 1
   in
   Cmd.v
     (Cmd.info "theorems" ~doc:"Machine-check the Theorem 4.4/4.9 constructions")
@@ -875,7 +881,7 @@ let audit_cmd =
                    resulting states.")
   in
   let depth_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some (int_in 1 ~hi:64)) None
          & info [ "depth" ]
              ~doc:"Override every case's depth bound (use with --case).")
   in

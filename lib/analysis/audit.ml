@@ -110,7 +110,7 @@ let run_case ?(bound = `Runtest) ?depth ?(oracle = false) ?(detect = true)
   (* The explorers' canonical menu, with no symmetry or POR filter: an
      audit certifies runs, so it wants the unreduced tree. *)
   let menu =
-    Slx_core.Explore.menu ~invoke:c.c_invoke ~depth
+    Slx_core.Search.full_menu ~invoke:c.c_invoke ~depth
       ~max_crashes:c.c_max_crashes
   in
   let ticks = ref 0 in

@@ -62,20 +62,6 @@ let run_of_codes ~n ~factory ~invoke codes =
 let workload_invoke workload view p = workload p (view.Driver.invocations p)
 
 (* ------------------------------------------------------------------ *)
-(* The decision menu.                                                  *)
-
-let menu = Search.full_menu
-
-let canonical_menu = Search.menu
-
-type crash_child = Search.crash_child = Dead | Leaf | Open
-
-let crash_child ~invoke ~depth ~max_crashes ~symmetry =
-  Search.crash_child
-    ~menu:
-      (Search.menu ~invoke ~depth ~max_crashes ~symmetry ~invoke_order:false)
-
-(* ------------------------------------------------------------------ *)
 (* The walk.                                                           *)
 
 (* A counterexample as first found: decision script, failing report.

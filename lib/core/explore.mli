@@ -14,9 +14,10 @@
     - {!explore} — the incremental engine.  A node's configuration is a
       live {!Slx_sim.Runner.Cursor}; a crash child that ends the run
       is checked from that cursor without one of its own
-      ({!crash_child}), the first other child {e extends it in place}
-      (one runtime step) and only later siblings replay their prefix.
-      It walks {!canonical_menu}, which places each crash
+      ({!Search.crash_child}), the first other child {e extends it in
+      place} (one runtime step) and only later siblings replay their
+      prefix.
+      It walks {!Search.menu}, which places each crash
       directly after its process's last decision (doc/model.md §6).
       Two reductions are opt-in: {e dynamic partial-order
       reduction} ([~dpor], sleep sets woken by observed base-object
@@ -45,12 +46,12 @@
       loop, counters, cancellation) and menu; only the leaf check is
       the safety engine's own.
     - {!explore_naive} — the retained reference: replays every prefix
-      from scratch at every node of the unrestricted {!menu}, no cache,
-      no reductions.  The differential suite proves the unreduced
-      incremental engine visits exactly its runs with their crashes so
-      placed, and the reduced engines the same check verdicts and
-      counterexamples; the bench smoke compares their
-      [steps_executed].
+      from scratch at every node of the unrestricted
+      {!Search.full_menu}, no cache, no reductions.  The differential
+      suite proves the unreduced incremental engine visits exactly its
+      runs with their crashes so placed, and the reduced engines the
+      same check verdicts and counterexamples; the bench smoke compares
+      their [steps_executed].
 
     Soundness fine print — what each switch assumes of [check]:
 
@@ -165,7 +166,7 @@ val explore :
     whose pending footprints race with the accesses the step {e
     actually performed} are woken (a {e race reversal},
     {!Explore_stats.t.race_reversals}).  A crash child that would
-    offer only sleepers ({!crash_child} [Dead]) is decided at its
+    offer only sleepers ({!Search.crash_child} [Dead]) is decided at its
     parent and never built.  Under every mode a crash child that ends
     the run ([Leaf]) is checked from its parent's cursor, with its
     table lookup where a table is kept, and never built either.
@@ -220,73 +221,6 @@ val explore :
     @raise Interrupted when [cancel] fired.
     @raise Invalid_argument unless [domains = 1], [compact = true]
     and [por] implies [dpor]. *)
-
-val menu :
-  invoke:(('inv, 'res) Driver.view -> Proc.t -> 'inv option) ->
-  depth:int ->
-  max_crashes:int ->
-  ('inv, 'res) Driver.view ->
-  int ->
-  int ->
-  ('inv, 'res) Driver.decision list
-(** [menu ~invoke ~depth ~max_crashes view len crashes] is the decision
-    menu at a node of depth [len] with [crashes] crashes so far, in the
-    canonical order that defines "lexicographically least script":
-    for each process 1..n, its step (if ready) or its invocation (if
-    idle and [invoke] has one); then, while [crashes < max_crashes],
-    each process not yet crashed, crashed.  Empty at [len >= depth].
-    {!canonical_menu} filters it; {!explore_naive} and the audit walk
-    it unfiltered. *)
-
-val canonical_menu :
-  invoke:(('inv, 'res) Driver.view -> Proc.t -> 'inv option) ->
-  depth:int ->
-  max_crashes:int ->
-  symmetry:bool ->
-  invoke_order:bool ->
-  ('inv, 'res) Driver.view ->
-  last:('inv, 'res) Driver.decision option ->
-  int ->
-  int ->
-  ('inv, 'res) Driver.decision list * int
-(** The menu {!explore} and {!Live_explore.search} walk at a node whose
-    last decision is [last]: {!menu}, offering [Crash p] only directly
-    after a step or invocation of [p] or, while the script is all
-    crashes, in ascending order (doc/model.md §6); under [symmetry]
-    only the least untouched process's invocation and crash; under
-    [invoke_order] only the least idle process's invocation (§7).  The
-    second component counts what the last two filters pruned. *)
-
-type crash_child = Search.crash_child =
-  | Dead  (** Its menu is non-empty and offers only sleepers. *)
-  | Leaf  (** Its menu is empty: it ends a maximal run. *)
-  | Open  (** Anything else: it is built and walked. *)
-
-val crash_child :
-  invoke:(('inv, 'res) Driver.view -> Proc.t -> 'inv option) ->
-  depth:int ->
-  max_crashes:int ->
-  symmetry:bool ->
-  ('inv, 'res) Driver.view ->
-  sleep:int list ->
-  int ->
-  int ->
-  Proc.t ->
-  crash_child
-(** [crash_child ~invoke ~depth ~max_crashes ~symmetry view ~sleep len
-    crashes q] classifies, at a node of depth [len] with [crashes]
-    crashes and sleep set [sleep], its child [Crash q] by its
-    {!canonical_menu}, taken once: [view] is the configuration after
-    the crash ({!Slx_sim.Runner.Cursor.crash_view} of the node's
-    cursor).  The child is [Dead] when that menu is non-empty and
-    offers only steps of processes in [sleep]: a crash wakes no
-    sleeper, so it would be blocked, roots no maximal run, and
-    {!explore} under [dpor] never builds it, counting one
-    [por_prunes] instead.  It is a [Leaf] when the menu is empty: the
-    run it ends is the node's run plus [Crash q], which {!explore}
-    checks from the node's cursor ({!Slx_sim.Runner.Cursor.crash})
-    without building a cursor or replaying the prefix.  Otherwise it
-    is [Open] (doc/model.md §6). *)
 
 val code_of_decision : ('inv, 'res) Driver.decision -> int
 (** The persistent int form of a menu decision:

@@ -1,8 +1,7 @@
 (** Counters produced by the exploration engine ({!Explore}), so that
     the incremental/cached/reduced engine's speedup over naive
-    replay is measured, not asserted.  Surfaced by
-    [bench/experiments.ml] (E16), the bench smoke target, and the
-    [slx explore] subcommand (as JSON under [--json]). *)
+    replay is measured, not asserted.  Surfaced by the bench smoke
+    target and the [slx explore] subcommand (as JSON under [--json]). *)
 
 type t = {
   nodes : int;
@@ -28,7 +27,7 @@ type t = {
       (** Nodes entered by extending the parent's cursor in place — each
           saved a full prefix replay the naive engine performs.  A crash
           child that ends its run is checked from its parent's cursor
-          without a cursor of its own ({!Explore.crash_child} [Leaf]):
+          without a cursor of its own ({!Search.crash_child} [Leaf]):
           it counts as neither replayed nor avoided, and its parent's
           next child may still extend the cursor in place. *)
   cache_hits : int;  (** Subtrees pruned by the transposition cache. *)
@@ -39,7 +38,7 @@ type t = {
           commuting steps.  The safety explorer also counts here,
           once per crash, each crash child it decides dead at its
           parent: one whose menu would offer only sleepers
-          ({!Explore.crash_child} [Dead]).  Counted by both engines; the liveness
+          ({!Search.crash_child} [Dead]).  Counted by both engines; the liveness
           search's invoke order has its own counter
           ([invoke_order_prunes]). *)
   race_reversals : int;

@@ -48,7 +48,7 @@
     soundness argument and its honest limits.
 
     The walk is depth-first in the canonical menu order of {!Explore}
-    ({!Explore.canonical_menu}: each crash directly after its process's
+    ({!Search.menu}: each crash directly after its process's
     last decision, or in an ascending root prefix), so the emitted
     certificate is deterministic: the lex-least stem+cycle script
     among the validated candidates, independent of caching.  The menu
@@ -59,7 +59,7 @@
     its slack under a depth bound.  A crash child whose menu is empty
     ends its run and closes no candidate (a crash cell cannot repeat),
     so it is counted from its parent's cursor, as {!Explore.explore}
-    checks one ({!Explore.crash_child} [Leaf]), and never built.  The
+    checks one ({!Search.crash_child} [Leaf]), and never built.  The
     transposition cache is keyed
     on the configuration's compact key {e plus} the last
     [2 * max_period] abstract cells — the context that determines

@@ -212,8 +212,14 @@ val full_menu :
   int ->
   int ->
   ('inv, 'res) Driver.decision list
-(** The unrestricted decision menu, exported as {!Explore.menu}: the
-    naive oracle and the audit walk it. *)
+(** [full_menu ~invoke ~depth ~max_crashes view len crashes] is the
+    unrestricted decision menu at a node of depth [len] with [crashes]
+    crashes so far, in the canonical order that defines
+    "lexicographically least script": for each process 1..n, its step
+    (if ready) or its invocation (if idle and [invoke] has one); then,
+    while [crashes < max_crashes], each process not yet crashed,
+    crashed.  Empty at [len >= depth].  {!menu} filters it;
+    {!Explore.explore_naive} and the audit walk it unfiltered. *)
 
 val menu :
   invoke:(('inv, 'res) Driver.view -> Proc.t -> 'inv option) ->
@@ -226,9 +232,15 @@ val menu :
   int ->
   int ->
   ('inv, 'res) Driver.decision list * int
-(** The menu both reduced explorers walk, exported as
-    {!Explore.canonical_menu}: one pass over the processes, with no
-    intermediate list.  Applied to its labelled arguments once per walk,
+(** The menu {!Explore.explore} and {!Live_explore.search} walk at a
+    node whose last decision is [last]: {!full_menu}, offering
+    [Crash p] only directly after a step or invocation of [p] or, while
+    the script is all crashes, in ascending order (doc/model.md §6);
+    under [symmetry] only the least untouched process's invocation and
+    crash; under [invoke_order] only the least idle process's invocation
+    (§7).  The second component counts what the last two filters
+    pruned.  It is one pass over the processes, with no intermediate
+    list.  Applied to its labelled arguments once per walk,
     it builds each [Schedule p] and [Crash p] once and shares them
     across every node.  That partial application holds the pass's
     mutable state, so it serves one walk, on one domain, at a time. *)

@@ -426,20 +426,22 @@ let timeout_of j =
             (Printf.sprintf "timeout %s is not a positive number of seconds"
                (Json.to_string v)))
 
+let wait_of j =
+  match Json.member "wait" j with
+  | None -> Ok false
+  | Some (Json.Bool b) -> Ok b
+  | Some _ -> Error "wait must be a boolean"
+
 let handle_query_post t fd body =
   let request =
     Result.bind (Json.parse body) @@ fun j ->
     Result.bind (Queries.spec_of_json j) @@ fun spec ->
-    Result.map (fun timeout -> (j, spec, timeout)) (timeout_of j)
+    Result.bind (timeout_of j) @@ fun timeout ->
+    Result.map (fun wait -> (spec, timeout, wait)) (wait_of j)
   in
   match request with
   | Error e -> respond ~status:"400 Bad Request" fd (Queries.error_result e)
-  | Ok (j, spec, timeout) -> (
-      let wait =
-        match Json.member "wait" j with
-        | Some (Json.Bool b) -> b
-        | _ -> false
-      in
+  | Ok (spec, timeout, wait) -> (
       let slot = Queries.slot spec in
       let attach q deduped =
         if wait then begin

@@ -10,7 +10,8 @@
     {b Endpoints.}
     - [POST /query] — body {!Queries.spec_of_json} plus optional
       ["timeout"] (seconds, a positive number: anything else is a
-      [400]) and ["wait"] (bool).  Without [wait]:
+      [400]) and ["wait"] (a boolean: anything else is a [400]).
+      Without [wait]:
       [202] with [{"id", "deduped"}].  With [wait]: a close-delimited
       [application/x-ndjson] stream of progress heartbeats ending in
       the result object.

@@ -1,7 +1,7 @@
 (* The crash-move map.  The naive explorer offers a crash wherever one
    is enabled; the incremental explorers offer [Crash p] only directly
    after a step or invocation of [p], or in an ascending all-crash
-   prefix at the root (Slx_core.Explore.canonical_menu).  A crash
+   prefix at the root (Slx_core.Search.menu).  A crash
    writes no shared state and its process takes no decision after it,
    so moving every [Crash p] to just after [p]'s last decision (and the
    crashes of processes that never acted to an ascending root prefix)

@@ -267,7 +267,7 @@ let test_max_period_below_period_misses_lasso () =
 (* ------------------------------------------------------------------ *)
 (* Canonical crash placement (doc/model.md §6).                        *)
 
-(* [Explore.canonical_menu] on hand-built views of three processes,
+(* [Search.menu] on hand-built views of three processes,
    each with one more invocation to issue when idle.  [Crash p] stands
    directly after a step or invocation of [p], or in an ascending
    all-crash prefix at the root; the symmetry filter then keeps the
@@ -289,7 +289,7 @@ let test_canonical_crash_placement () =
   let menu ?(symmetry = false) ?(invoke_order = false) ?(max_crashes = 1)
       statuses ~last len crashes =
     let decisions, pruned =
-      Explore.canonical_menu
+      Search.menu
         ~invoke:(fun _ _ -> Some ())
         ~depth:8 ~max_crashes ~symmetry ~invoke_order (view statuses) ~last
         len crashes
@@ -346,14 +346,17 @@ let crashed_view statuses : (unit, unit) Driver.view =
     events = (fun p -> if status p = Runtime.Idle then 0 else 1);
   }
 
-(* [Explore.crash_child] of the child [Crash 1] on such a view, the
-   node's depth, crash count and sleep set given. *)
+(* [Search.crash_child] of the child [Crash 1] on such a view, by the
+   safety walk's menu, the node's depth, crash count and sleep set
+   given. *)
 let classify ?(can_invoke = false) ?(max_crashes = 1) ?(depth = 8) statuses
     ~sleep len crashes =
-  Explore.crash_child
-    ~invoke:(fun _ _ -> if can_invoke then Some () else None)
-    ~depth ~max_crashes ~symmetry:false (crashed_view statuses) ~sleep len
-    crashes 1
+  Search.crash_child
+    ~menu:
+      (Search.menu
+         ~invoke:(fun _ _ -> if can_invoke then Some () else None)
+         ~depth ~max_crashes ~symmetry:false ~invoke_order:false)
+    (crashed_view statuses) ~sleep len crashes 1
 
 (* The crash child is dead when every other ready process sleeps and no
    idle process can invoke.  A root-prefix crash child never meets a
@@ -363,7 +366,7 @@ let classify ?(can_invoke = false) ?(max_crashes = 1) ?(depth = 8) statuses
 let test_dead_crash_children () =
   let dead ?can_invoke ?max_crashes ?depth statuses ~sleep len crashes =
     classify ?can_invoke ?max_crashes ?depth statuses ~sleep len crashes
-    = Explore.Dead
+    = Search.Dead
   in
   let both_ready = Runtime.[ Crashed; Ready; Ready ] in
   check_bool "every other ready process sleeps: dead" true
@@ -388,9 +391,9 @@ let test_dead_crash_children () =
    to offer, asleep or awake, must not be one. *)
 let test_leaf_crash_children () =
   let kind = function
-    | Explore.Dead -> "dead"
-    | Explore.Leaf -> "leaf"
-    | Explore.Open -> "open"
+    | Search.Dead -> "dead"
+    | Search.Leaf -> "leaf"
+    | Search.Open -> "open"
   in
   let check name expected got =
     Alcotest.(check string) name expected (kind got)

@@ -215,7 +215,7 @@ let crash_view_exact ~n ~factory ~depth script budget c =
       (List.filter (function Driver.Crash _ -> true | _ -> false) script)
   in
   let canonical view q (symmetry, invoke_order) =
-    Explore.canonical_menu ~invoke:proposals ~depth
+    Search.menu ~invoke:proposals ~depth
       ~max_crashes:(crashes + budget) ~symmetry ~invoke_order view
       ~last:(Some (Driver.Crash q)) (len + 1) (crashes + 1)
   in
@@ -344,7 +344,7 @@ let test_menu_oracle () =
             List.map
               (fun (symmetry, invoke_order) ->
                 ( (symmetry, invoke_order),
-                  Explore.canonical_menu ~invoke:proposals ~depth
+                  Search.menu ~invoke:proposals ~depth
                     ~max_crashes:budget ~symmetry ~invoke_order ))
               menu_flags
           in

@@ -503,6 +503,10 @@ let test_cli_out_of_range_refused () =
       "figure1 --steps 0";
       "figure1 -o consensus-exhaustive --depth 0";
       "figure1 -o consensus-exhaustive --depth 65";
+      "audit --depth 0";
+      "audit --depth=-3";
+      "audit --depth 65";
+      "audit --fixtures --group fixture --depth 0";
     ];
   (* The games take no --json.  Each runs with a budget of one step,
      so the refusals below are the budget's alone. *)
@@ -847,6 +851,14 @@ let test_bad_requests_answer_400 () =
             request ~meth:"POST" ~path:"/query"
               {|{"kind": "explore", "impl": "cas", "crashes": "2"}|},
             Some "crashes must be an integer" );
+          ( "numeric wait",
+            request ~meth:"POST" ~path:"/query"
+              {|{"kind": "explore", "impl": "cas", "wait": 1}|},
+            Some "wait must be a boolean" );
+          ( "null wait",
+            request ~meth:"POST" ~path:"/query"
+              {|{"kind": "explore", "impl": "cas", "wait": null}|},
+            Some "wait must be a boolean" );
         ])
 
 (* The last JSON line [slx ARGS] prints, and its exit code. *)
