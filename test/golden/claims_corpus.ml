@@ -57,17 +57,8 @@ let sampled (build : sampled) ~adversary ~n ~max_steps ~seeds =
 let count color grid =
   List.length (List.filter (fun (_, c) -> c = color) grid.Figure1.cells)
 
-let shape grid =
-  Printf.sprintf "strongest %s; weakest %s; %d unknowns"
-    (pp_points (Figure1.strongest_not_excluded grid))
-    (pp_points (Figure1.weakest_excluded grid))
-    (count Figure1.Unknown grid)
-
 let unique_strongest grid point =
   Freedom.unique (Figure1.strongest_not_excluded grid) = Some point
-
-let unique_weakest grid point =
-  Freedom.unique (Figure1.weakest_excluded grid) = Some point
 
 (* Every cell white where [white] holds and black elsewhere. *)
 let split grid white =
@@ -99,26 +90,7 @@ let e1_figure_1a () =
   check "no Unknown cells" ~paper:"theorems leave no unclassified points"
     ~bound
     ~measured:(Printf.sprintf "%d unknowns" (count Figure1.Unknown grid))
-    (count Figure1.Unknown grid = 0);
-  let grid, bound =
-    sampled Figure1.consensus ~adversary:lockstep_pair ~n:3 ~max_steps:900
-      ~seeds:[ 1; 2 ]
-  in
-  check "the same shape at a smaller budget"
-    ~paper:"strongest implementable (1,1); weakest non-impl. (1,2)" ~bound
-    ~measured:(shape grid)
-    (count Figure1.Unknown grid = 0
-    && split grid (Freedom.equal Freedom.obstruction_freedom)
-    && unique_strongest grid Freedom.obstruction_freedom
-    && unique_weakest grid (Freedom.make ~l:1 ~k:2));
-  let grid, bound =
-    sampled Figure1.consensus ~adversary:lockstep_pair ~n:4 ~max_steps:1200
-      ~seeds:[ 1; 2 ]
-  in
-  check "white only at (1,1) at n = 4"
-    ~paper:"the shape does not depend on the system size" ~bound
-    ~measured:(shape grid)
-    (split grid (Freedom.equal Freedom.obstruction_freedom))
+    (count Figure1.Unknown grid = 0)
 
 let e2_figure_1b () =
   experiment "E2" "Figure 1b";
@@ -134,27 +106,7 @@ let e2_figure_1b () =
       (Printf.sprintf "strongest %s; weakest %s" (pp_points strongest)
          (pp_points weakest))
     (Freedom.unique strongest = Some (Freedom.lock_freedom ~n:3)
-    && Freedom.unique weakest = Some (Freedom.make ~l:2 ~k:2));
-  let bottom_row p = Freedom.l p = 1 in
-  let grid, bound =
-    sampled Figure1.tm ~adversary:local_progress_pair ~n:3 ~max_steps:900
-      ~seeds:[ 1; 2 ]
-  in
-  check "the same shape with two seeds"
-    ~paper:"strongest implementable (1,n); weakest non-impl. (2,2)" ~bound
-    ~measured:(shape grid)
-    (count Figure1.Unknown grid = 0
-    && split grid bottom_row
-    && unique_strongest grid (Freedom.lock_freedom ~n:3)
-    && unique_weakest grid (Freedom.make ~l:2 ~k:2));
-  let grid, bound =
-    sampled Figure1.tm ~adversary:local_progress_pair ~n:4 ~max_steps:1200
-      ~seeds:[ 1; 2 ]
-  in
-  check "white exactly on the l = 1 row at n = 4"
-    ~paper:"the shape does not depend on the system size" ~bound
-    ~measured:(shape grid)
-    (split grid bottom_row && unique_strongest grid (Freedom.lock_freedom ~n:4))
+    && Freedom.unique weakest = Some (Freedom.make ~l:2 ~k:2))
 
 let e3_gmax_consensus () =
   experiment "E3" "Corollary 4.5";
@@ -442,11 +394,7 @@ let e9_counterexample () =
   check "strongest (l,k)-freedom implementable with S' is (1,2)"
     ~paper:"Algorithm I(1,2) implements it (Lemma 5.4)" ~bound
     ~measured:(pp_points (Figure1.strongest_not_excluded grid))
-    (unique_strongest grid (Freedom.make ~l:1 ~k:2));
-  check "no Unknown cells" ~paper:"theorems leave no unclassified points"
-    ~bound
-    ~measured:(Printf.sprintf "%d unknowns" (count Figure1.Unknown grid))
-    (count Figure1.Unknown grid = 0)
+    (unique_strongest grid (Freedom.make ~l:1 ~k:2))
 
 let e10_section_6 () =
   experiment "E10" "Section 6";
@@ -840,9 +788,6 @@ let e18_consensus_number () =
 
 let e19_mutex_grid () =
   experiment "E19" "Section 3.2 (extension)";
-  let all_white grid =
-    count Figure1.Not_excluded grid = List.length grid.Figure1.cells
-  in
   let grid, bound =
     sampled Figure1.mutex ~adversary:"starvation scheduler on 2 processes"
       ~n:3 ~max_steps:1200 ~seeds:[ 1; 2; 3 ]
@@ -855,17 +800,7 @@ let e19_mutex_grid () =
          (count Figure1.Excluded grid)
          (count Figure1.Unknown grid)
          (List.length grid.Figure1.cells))
-    (all_white grid);
-  let grid, bound =
-    sampled Figure1.mutex ~adversary:"starvation scheduler on 2 processes"
-      ~n:3 ~max_steps:1200 ~seeds:[ 1; 2 ]
-  in
-  check "the same grid with two seeds"
-    ~paper:"strongest not excluded is Lmax = (n,n); nothing excluded" ~bound
-    ~measured:(shape grid)
-    (all_white grid
-    && unique_strongest grid (Freedom.wait_freedom ~n:3)
-    && Figure1.weakest_excluded grid = [])
+    (count Figure1.Not_excluded grid = List.length grid.Figure1.cells)
 
 let e20_fair_cycle_cross_validation () =
   experiment "E20" "Theorem 5.2 (cross-validation)";

@@ -107,9 +107,6 @@ let test_gmax_consensus_corollary () =
 (* ------------------------------------------------------------------ *)
 (* Theorem 4.4 micro-universes.                                        *)
 
-(* The positive and negative instances' verdicts are claims E3.3 and
-   E3.4 of the paper-claims ledger (test/golden/claims_corpus.ml). *)
-
 let test_theorem_4_4_traps () =
   let t0 = Theorem_4_4.traps ~n:1 ~quotas:[ 0 ] in
   check_int "never-respond has one trap" 1 (List.length t0);
@@ -122,6 +119,28 @@ let test_theorem_4_4_traps () =
     (List.length t00);
   let t10 = Theorem_4_4.traps ~n:2 ~quotas:[ 1; 0 ] in
   check_int "respond p1 once: four interleavings" 4 (List.length t10)
+
+let test_theorem_4_4_positive () =
+  let inst = Theorem_4_4.positive () in
+  let g = Theorem_4_4.gmax inst in
+  check_int "Gmax has both traps" 2 (List.length g);
+  check_bool "Gmax is an adversary set" true
+    (Theorem_4_4.gmax_is_adversary_set inst);
+  check_bool "weakest excluding liveness exists" true
+    (Theorem_4_4.weakest_excluding_exists inst);
+  check_bool "matches brute-force enumeration" true
+    (Theorem_4_4.verify_by_enumeration inst)
+
+let test_theorem_4_4_negative () =
+  let inst = Theorem_4_4.negative () in
+  check_bool "Gmax is empty" true (Theorem_4_4.gmax inst = []);
+  check_bool "Gmax is not an adversary set" false
+    (Theorem_4_4.gmax_is_adversary_set inst);
+  check_bool "no weakest excluding liveness" false
+    (Theorem_4_4.weakest_excluding_exists inst);
+  check_bool "matches brute-force enumeration" true
+    (Theorem_4_4.verify_by_enumeration inst)
+
 
 (* The Gmax characterization validated on randomly generated
    micro-universes: the singleton-trap formula must agree with brute
@@ -147,9 +166,20 @@ let prop_gmax_characterization =
 (* ------------------------------------------------------------------ *)
 (* Theorem 4.9 constructions.                                          *)
 
+let test_theorem_4_9 () =
+  let r = Theorem_4_9.run ~depth:5 in
+  check_bool "both It and Ib ensure S" true r.Theorem_4_9.both_ensure_s;
+  check_bool "h = ping separates fair(It) from fair(Ib)" true
+    r.Theorem_4_9.h_separates;
+  check_bool "h' = ping.ack.ping separates fair(Ib) from fair(It)" true
+    r.Theorem_4_9.h'_separates;
+  check_bool "both outside Lmax" true r.Theorem_4_9.h_outside_lmax;
+  check_bool "Lt and Lb incomparable" true r.Theorem_4_9.incomparable;
+  check_bool "all checks pass" true (Theorem_4_9.holds r)
+
 let test_theorem_4_9_depth_stability () =
   (* The verdicts must not depend on the exploration depth once the
-     separating histories fit.  Depth 5 is the ledger's E5. *)
+     separating histories fit.  Depth 5 is "proof checks" above. *)
   List.iter
     (fun depth ->
       check_bool
@@ -157,6 +187,11 @@ let test_theorem_4_9_depth_stability () =
         true
         (Theorem_4_9.holds (Theorem_4_9.run ~depth)))
     [ 4; 6; 7 ]
+
+let test_lemma_4_8 () =
+  check_bool "Lemma 4.8 on the bounded universe (depth 5)" true
+    (Theorem_4_9.lemma_4_8 ~depth:5);
+  check_bool "Lemma 4.8 at depth 7" true (Theorem_4_9.lemma_4_8 ~depth:7)
 
 let test_theorem_4_9_automata_structure () =
   let it = Theorem_4_9.it () and ib = Theorem_4_9.ib () in
@@ -195,8 +230,101 @@ let test_theorem_4_9_automata_structure () =
 (* ------------------------------------------------------------------ *)
 (* Figure 1 grids.                                                     *)
 
-(* The grids' shapes are claims of the ledger (E1, E2, E9 and E19);
-   here only the renderer. *)
+let cells_by_color grid color =
+  List.filter_map
+    (fun (p, c) -> if c = color then Some p else None)
+    grid.Figure1.cells
+
+let test_figure_1a_consensus () =
+  let grid = Figure1.consensus ~n:3 ~max_steps:900 ~seeds:[ 1; 2 ] () in
+  check_bool "no unknowns" true (cells_by_color grid Figure1.Unknown = []);
+  check_bool "(1,1) white" true
+    (Figure1.color_at grid ~l:1 ~k:1 = Some Figure1.Not_excluded);
+  check_bool "(1,2) black" true
+    (Figure1.color_at grid ~l:1 ~k:2 = Some Figure1.Excluded);
+  check_bool "every k >= 2 point black" true
+    (List.for_all
+       (fun (p, c) -> Freedom.k p < 2 || c = Figure1.Excluded)
+       grid.Figure1.cells);
+  (* Theorem 5.2 conclusions. *)
+  check_bool "strongest implementable is (1,1)" true
+    (Freedom.unique (Figure1.strongest_not_excluded grid)
+    = Some Freedom.obstruction_freedom);
+  check_bool "weakest non-implementable is (1,2)" true
+    (Freedom.unique (Figure1.weakest_excluded grid)
+    = Some (Freedom.make ~l:1 ~k:2))
+
+let test_figure_1b_tm () =
+  let grid = Figure1.tm ~n:3 ~max_steps:900 ~seeds:[ 1; 2 ] () in
+  check_bool "no unknowns" true (cells_by_color grid Figure1.Unknown = []);
+  check_bool "bottom row white" true
+    (List.for_all
+       (fun k -> Figure1.color_at grid ~l:1 ~k = Some Figure1.Not_excluded)
+       [ 1; 2; 3 ]);
+  check_bool "l >= 2 black" true
+    (List.for_all
+       (fun (p, c) -> Freedom.l p < 2 || c = Figure1.Excluded)
+       grid.Figure1.cells);
+  (* Theorem 5.3 conclusions. *)
+  check_bool "strongest implementable is (1,n)" true
+    (Freedom.unique (Figure1.strongest_not_excluded grid)
+    = Some (Freedom.lock_freedom ~n:3));
+  check_bool "weakest non-implementable is (2,2)" true
+    (Freedom.unique (Figure1.weakest_excluded grid)
+    = Some (Freedom.make ~l:2 ~k:2))
+
+let test_s_prime_grid () =
+  let grid = Figure1.s_prime ~n:3 ~max_steps:900 ~seeds:[ 1; 2 ] () in
+  check_bool "no unknowns" true (cells_by_color grid Figure1.Unknown = []);
+  check_bool "(1,1) and (1,2) white" true
+    (Figure1.color_at grid ~l:1 ~k:1 = Some Figure1.Not_excluded
+    && Figure1.color_at grid ~l:1 ~k:2 = Some Figure1.Not_excluded);
+  check_bool "(1,3) black" true
+    (Figure1.color_at grid ~l:1 ~k:3 = Some Figure1.Excluded);
+  check_bool "(2,2) black" true
+    (Figure1.color_at grid ~l:2 ~k:2 = Some Figure1.Excluded);
+  (* The Section 5.3 punchline: TWO incomparable minimal excluders. *)
+  let weakest = Figure1.weakest_excluded grid in
+  check_int "two minimal black points" 2 (List.length weakest);
+  check_bool "no unique weakest excluding (l,k)-freedom" true
+    (Freedom.unique weakest = None);
+  check_bool "they are (2,2) and (1,3)" true
+    (List.exists (Freedom.equal (Freedom.make ~l:2 ~k:2)) weakest
+    && List.exists (Freedom.equal (Freedom.make ~l:1 ~k:3)) weakest);
+  check_bool "strongest implementable is (1,2)" true
+    (Freedom.unique (Figure1.strongest_not_excluded grid)
+    = Some (Freedom.make ~l:1 ~k:2))
+
+let test_grids_stable_at_n4 () =
+  (* The theorem shapes are independent of the system size: re-run the
+     classification at n = 4 (10 grid points). *)
+  let ca = Figure1.consensus ~n:4 ~max_steps:1200 ~seeds:[ 1; 2 ] () in
+  check_bool "consensus n=4: white only at (1,1)" true
+    (List.for_all
+       (fun (p, c) ->
+         if Freedom.equal p Freedom.obstruction_freedom then
+           c = Figure1.Not_excluded
+         else c = Figure1.Excluded)
+       ca.Figure1.cells);
+  let tm = Figure1.tm ~n:4 ~max_steps:1200 ~seeds:[ 1; 2 ] () in
+  check_bool "tm n=4: white exactly on the l=1 row" true
+    (List.for_all
+       (fun (p, c) ->
+         if Freedom.l p = 1 then c = Figure1.Not_excluded
+         else c = Figure1.Excluded)
+       tm.Figure1.cells);
+  check_bool "tm n=4 strongest is (1,4)" true
+    (Freedom.unique (Figure1.strongest_not_excluded tm)
+    = Some (Freedom.lock_freedom ~n:4))
+
+let test_mutex_grid_all_white () =
+  let grid = Figure1.mutex ~n:3 ~max_steps:1200 ~seeds:[ 1; 2 ] () in
+  check_bool "every point white: no trade-off for mutual exclusion" true
+    (List.for_all (fun (_, c) -> c = Figure1.Not_excluded) grid.Figure1.cells);
+  check_bool "strongest not excluding is Lmax = (n,n)" true
+    (Freedom.unique (Figure1.strongest_not_excluded grid)
+    = Some (Freedom.wait_freedom ~n:3));
+  check_bool "nothing excluded" true (Figure1.weakest_excluded grid = [])
 
 let test_render () =
   let grid = Figure1.consensus ~n:2 ~max_steps:600 ~seeds:[ 1 ] () in
@@ -388,6 +516,39 @@ let test_explore_is_sequential () =
   | _ -> Alcotest.fail "~domains:2 must be rejected"
   | exception Invalid_argument _ -> ()
 
+(* One start-tryC transaction per process, derived from the history. *)
+let one_txn view p =
+  let h = History.project view.Slx_sim.Driver.history p in
+  let started =
+    History.count
+      (fun e -> Event.invocation e = Some Slx_tm.Tm_type.Start)
+      h
+    > 0
+  in
+  let tried =
+    History.count
+      (fun e -> Event.invocation e = Some Slx_tm.Tm_type.Try_commit)
+      h
+    > 0
+  in
+  if not started then Some Slx_tm.Tm_type.Start
+  else if not tried then Some Slx_tm.Tm_type.Try_commit
+  else None
+
+let test_explore_agp_opacity_all_schedules () =
+  match
+    (Explore.explore ~n:2
+       ~factory:(fun () -> Slx_tm.Agp_tm.factory ~vars:1)
+       ~invoke:one_txn ~depth:10
+       ~check:(fun r ->
+         Slx_tm.Opacity.check_final r.Slx_sim.Run_report.history)
+       ())
+      .Explore.outcome
+  with
+  | Explore.Ok runs -> check_bool "explored schedules" true (runs > 20)
+  | Explore.Counterexample _ ->
+      Alcotest.fail "AGP must be opaque on every schedule"
+
 let test_explore_with_crashes () =
   match
     (Explore.explore ~n:2
@@ -470,10 +631,14 @@ let suites =
     ( "core-theorem-4.4",
       [
         quick "trap enumeration" test_theorem_4_4_traps;
+        quick "positive universe" test_theorem_4_4_positive;
+        quick "negative universe" test_theorem_4_4_negative;
       ]
       @ qcheck [ prop_gmax_characterization ] );
     ( "core-theorem-4.9",
       [
+        quick "proof checks" test_theorem_4_9;
+        quick "Lemma 4.8 bounded check" test_lemma_4_8;
         quick "depth stability" test_theorem_4_9_depth_stability;
         quick "automata structure" test_theorem_4_9_automata_structure;
       ] );
@@ -483,6 +648,7 @@ let suites =
         quick "register consensus: all schedules safe"
           test_explore_register_consensus_all_schedules;
         quick "selfish foil: counterexample found" test_explore_finds_selfish_counterexample;
+        quick "AGP: all schedules opaque" test_explore_agp_opacity_all_schedules;
         quick "crash branching" test_explore_with_crashes;
         quick "deterministic least witness" test_explore_witness_is_deterministic;
         quick "stats sanity" test_explore_stats_sanity;
@@ -497,6 +663,11 @@ let suites =
       ] );
     ( "core-figure1",
       [
+        quick "Figure 1a (consensus)" test_figure_1a_consensus;
+        quick "Figure 1b (TM)" test_figure_1b_tm;
+        quick "Section 5.3 grid (S')" test_s_prime_grid;
+        quick "grids stable at n=4" test_grids_stable_at_n4;
+        quick "mutex grid all white" test_mutex_grid_all_white;
         quick "render" test_render;
       ] );
   ]

@@ -396,8 +396,52 @@ let prop_lasso_pumps =
 (* ------------------------------------------------------------------ *)
 (* Cross-validation: exhaustive search vs adversary games.             *)
 
-(* The grid comparison and the I12 certificate are claims E20.1 and
-   E20.4 of the paper-claims ledger (test/golden/claims_corpus.ml). *)
+let test_exhaustive_grid_matches_games () =
+  let exhaustive = Figure1.consensus_exhaustive ~n:2 ~depth:10 () in
+  let games = Figure1.consensus ~n:2 ~max_steps:1200 () in
+  List.iter
+    (fun (point, color) ->
+      let l = Freedom.l point and k = Freedom.k point in
+      match Figure1.color_at games ~l ~k with
+      | None -> Alcotest.failf "game grid misses (%d,%d)" l k
+      | Some game_color ->
+          check_bool
+            (Printf.sprintf "grids agree at (%d,%d)" l k)
+            true
+            (color = game_color))
+    exhaustive.Figure1.cells;
+  (* And the shape is Theorem 5.2's: white exactly at (1,1). *)
+  check_bool "white at (1,1)" true
+    (Figure1.color_at exhaustive ~l:1 ~k:1 = Some Figure1.Not_excluded);
+  check_bool "black at (1,2)" true
+    (Figure1.color_at exhaustive ~l:1 ~k:2 = Some Figure1.Excluded);
+  check_bool "black at (2,2)" true
+    (Figure1.color_at exhaustive ~l:2 ~k:2 = Some Figure1.Excluded)
+
+let test_certify_run_i12_local_progress () =
+  (* The I12 leg of E20: the Section 4.1 adversary's sampled win is
+     promoted to a pumpable lasso certificate by the same candidate
+     detection the exhaustive search uses. *)
+  let open Slx_tm in
+  let r =
+    Live_explore.certify_run ~n:2
+      ~factory:(fun () -> I12.factory ~vars:1)
+      ~driver:(Tm_adversary.local_progress_adversary ())
+      ~good:Tm_type.good
+      ~point:(Freedom.wait_freedom ~n:2)
+      ~max_steps:400 ()
+  in
+  match r.Live_explore.outcome with
+  | Live_explore.No_fair_cycle ->
+      Alcotest.fail "local-progress adversary run should certify"
+  | Live_explore.Lasso c ->
+      check_bool "non-trivial period" true (List.length c.Lasso.c_cycle >= 2);
+      check_bool "certificate re-pumps" true
+        (match
+           Lasso.pump ~factory:(I12.factory ~vars:1) ~repetitions:3 c
+         with
+        | Ok _ -> true
+        | Error _ -> false)
 
 (* The certificate the search returned for I12 at (1,2), depth 22,
    period bound 8, DPOR on, while pumps still replayed the recorded
@@ -577,6 +621,10 @@ let suites =
       @ qcheck [ prop_lasso_pumps ] );
     ( "live-explore: cross-validation (E20)",
       [
+        quick "exhaustive grid matches adversary games"
+          test_exhaustive_grid_matches_games;
+        quick "I12 local-progress run certifies"
+          test_certify_run_i12_local_progress;
         quick "grid JSON" test_grid_json;
         quick "stats JSON cycle counters" test_stats_json_has_cycle_counters;
       ] );

@@ -215,6 +215,22 @@ let test_mutex_safety_checker_units () =
 let total_commits h =
   List.fold_left (fun acc (_, c) -> acc + c) 0 (Slx_tm.Tm_adversary.commits h)
 
+let test_i12_reg_lemma_5_4 () =
+  (* Lemma 5.4's S' with the snapshot assumption discharged. *)
+  List.iter
+    (fun seed ->
+      let r =
+        Runner.run ~n:3
+          ~factory:(Slx_tm.I12_reg.factory ~vars:2)
+          ~driver:(Slx_tm.Tm_workload.random ~seed ())
+          ~max_steps:250 ()
+      in
+      check_bool
+        (Printf.sprintf "S' holds (seed %d)" seed)
+        true
+        (Slx_tm.S_prime.check_final r.Run_report.history))
+    [ 1; 2; 3 ]
+
 let test_i12_reg_two_active_commit () =
   let r =
     Runner.run ~n:3
@@ -543,6 +559,7 @@ let suites =
       @ qcheck [ prop_bakery_safe ] );
     ( "tm-i12-from-registers",
       [
+        quick "Lemma 5.4 with snapshot discharged" test_i12_reg_lemma_5_4;
         quick "two active commit" test_i12_reg_two_active_commit;
         quick "three-way adversary starves" test_i12_reg_three_way_starves;
       ] );

@@ -546,13 +546,21 @@ let test_tl2_blocking_under_crash () =
   (* TL2: the crashed lock holder wedges p2 forever - (1,1)-freedom
      fails in the presence of the crash: the lock-based TM is
      blocking, exactly the paper's non-blocking footnote.  That p2
-     never commits and (1,1)-freedom fails, and that AGP does not
-     block, is claim E17.1 of the paper-claims ledger. *)
+     never commits and (1,1)-freedom fails is claim E17.1 of the
+     paper-claims ledger. *)
   let r = crash_holding_lock ~factory:(Tl2_tm.factory ()) ~max_steps:400 in
   check_bool "p1 crashed" true (Proc.Set.mem 1 r.Run_report.crashed);
   check_bool "fair (p2 keeps stepping)" true (Fairness.is_bounded_fair r);
   check_bool "opacity still holds" true
     (Opacity.check_final r.Run_report.history)
+
+let test_agp_non_blocking_under_crash () =
+  (* The same crash schedule against AGP: p2 sails past the corpse. *)
+  let r = crash_holding_lock ~factory:(Agp_tm.factory ~vars:1) ~max_steps:400 in
+  check_bool "p2 commits despite p1's crash" true
+    (List.assoc 2 (Tm_adversary.commits r.Run_report.history) > 0);
+  check_bool "(1,1)-freedom holds: non-blocking" true
+    (Freedom.holds ~good:Tm_type.good r Freedom.obstruction_freedom)
 
 
 (* ------------------------------------------------------------------ *)
@@ -639,6 +647,7 @@ let suites =
         quick "TL2 solo commits" test_tl2_solo_commits;
         quick "TL2 opaque under contention" test_tl2_opaque_under_contention;
         quick "TL2 blocking under crash" test_tl2_blocking_under_crash;
+        quick "AGP non-blocking under crash" test_agp_non_blocking_under_crash;
         quick "TM workload transitions" test_tm_workload_transitions;
       ]
       @ qcheck
