@@ -9,12 +9,6 @@ open Slx_sim
 (* ------------------------------------------------------------------ *)
 (* Fixtures: histories and factories prepared outside the timed code.  *)
 
-let consensus_workload =
-  Driver.forever (fun p -> Slx_consensus.Consensus_type.Propose (p - 1))
-
-let consensus_once =
-  Driver.n_times 1 (fun p _ -> Slx_consensus.Consensus_type.Propose (p - 1))
-
 let register_history ~ops =
   (* A register history with [ops] completed operations from a real
      3-process run of a CAS-backed register. *)
@@ -72,7 +66,8 @@ let simulator_tests =
                (Runner.run ~n:3
                   ~factory:(Slx_consensus.Register_consensus.factory ())
                   ~driver:
-                    (Driver.random ~seed:3 ~workload:consensus_workload ())
+                    (Driver.random ~seed:3
+                       ~workload:Slx_consensus.Consensus_type.propose_forever ())
                   ~max_steps:steps ()))))
     [ 200; 400 ]
 
@@ -129,10 +124,7 @@ let universal_tests =
 (* P4d: the exhaustive explorer — the incremental engine against the
    replay-from-scratch reference, wall clock. *)
 let explore_tests =
-  let one_proposal =
-    Slx_core.Explore.workload_invoke
-      (Driver.n_times 1 (fun p _ -> Slx_consensus.Consensus_type.Propose (p - 1)))
-  in
+  let one_proposal = Slx_serve.Queries.safety_invoke in
   List.concat_map
     (fun depth ->
       [
@@ -203,10 +195,7 @@ let checker_family_tests =
    batched per step).  [cursor] is the configuration the keying rows
    key; [run] owns it. *)
 let micro_tests cursor =
-  let one_proposal =
-    Slx_core.Explore.workload_invoke
-      (Driver.n_times 1 (fun p _ -> Slx_consensus.Consensus_type.Propose (p - 1)))
-  in
+  let one_proposal = Slx_serve.Queries.safety_invoke in
   let compact_table = Slx_core.Key_table.create 16 in
   Slx_core.Key_table.replace compact_table
     (Runner.Cursor.compact_key cursor ~extra:[ 0 ])
@@ -272,7 +261,9 @@ let kernel_runs =
   let factory = Slx_consensus.Register_consensus.factory ~max_rounds:18 () in
   let prefix =
     let taken = ref [] in
-    let rr = Driver.round_robin ~workload:consensus_once () in
+    let rr =
+      Driver.round_robin ~workload:Slx_consensus.Consensus_type.propose_once ()
+    in
     let driver view =
       let d = rr view in
       if d <> Driver.Stop then taken := d :: !taken;
@@ -286,11 +277,9 @@ let kernel_runs =
     Slx_core.Explore.explore ~n:3
       ~factory:(fun () ->
         Slx_consensus.Register_consensus.factory ~max_rounds:14 ())
-      ~invoke:(Slx_core.Explore.workload_invoke consensus_once)
+      ~invoke:Slx_serve.Queries.safety_invoke
       ~depth:14 ~max_crashes:1 ~dpor:true ~symmetry:true
-      ~check:(fun r ->
-        Slx_consensus.Consensus_safety.check r.Run_report.history)
-      ()
+      ~check:Slx_serve.Queries.check ()
   in
   let walk_nodes = (walk ()).Slx_core.Explore.stats.Slx_core.Explore_stats.nodes in
   (* (name, run, allocation runs, nodes per run) *)

@@ -8,12 +8,11 @@
 
 open Slx_sim
 module Crash_moves = Slx_test_oracle.Crash_moves
+module Queries = Slx_serve.Queries
 
-let one_proposal =
-  Slx_core.Explore.workload_invoke
-    (Driver.n_times 1 (fun p _ -> Slx_consensus.Consensus_type.Propose (p - 1)))
-
-let check r = Slx_consensus.Consensus_safety.check r.Run_report.history
+let one_proposal = Queries.safety_invoke
+let check = Queries.check
+let good = Slx_consensus.Consensus_type.good
 
 let steps e = e.Slx_core.Explore.stats.Slx_core.Explore_stats.steps_executed
 let runs e = e.Slx_core.Explore.stats.Slx_core.Explore_stats.runs
@@ -138,11 +137,7 @@ let explore_dpor ~impl ~factory ~depth ~max_crashes =
 let live_smoke () =
   Printf.printf "== bench smoke: fair-cycle search (live explorer) ==\n";
   let factory () = Slx_consensus.Register_consensus.factory ~max_rounds:16 () in
-  let invoke =
-    Slx_core.Explore.workload_invoke
-      (Driver.forever (fun p -> Slx_consensus.Consensus_type.Propose (p - 1)))
-  in
-  let good (_ : Slx_consensus.Consensus_type.response) = true in
+  let invoke = Queries.live_invoke in
   let case ~name ~point ~depth ~max_crashes =
     let r =
       Slx_core.Live_explore.search ~n:2 ~factory ~invoke ~good ~point ~depth
@@ -190,11 +185,7 @@ let live_smoke () =
 let live_dpor_smoke () =
   Printf.printf "== bench smoke: one-level DPOR (live explorer) ==\n";
   let factory () = Slx_consensus.Register_consensus.factory ~max_rounds:16 () in
-  let invoke =
-    Slx_core.Explore.workload_invoke
-      (Driver.forever (fun p -> Slx_consensus.Consensus_type.Propose (p - 1)))
-  in
-  let good (_ : Slx_consensus.Consensus_type.response) = true in
+  let invoke = Queries.live_invoke in
   let search ~reduce ~point ~depth ~max_crashes =
     Slx_core.Live_explore.search ~n:2 ~factory ~invoke ~good ~point ~depth
       ~max_crashes ~dpor:reduce ()
@@ -274,11 +265,7 @@ let live_dpor_smoke () =
 let live_keying_smoke () =
   Printf.printf "== bench smoke: live suffix-cache keying ==\n";
   let factory () = Slx_consensus.Register_consensus.factory () in
-  let invoke =
-    Slx_core.Explore.workload_invoke
-      (Driver.forever (fun p -> Slx_consensus.Consensus_type.Propose (p - 1)))
-  in
-  let good (_ : Slx_consensus.Consensus_type.response) = true in
+  let invoke = Queries.live_invoke in
   let stats ~n ~depth ~max_crashes ?max_period cache =
     let st =
       (Slx_core.Live_explore.search ~n ~factory ~invoke ~good
@@ -346,11 +333,7 @@ let reconcile name pairs =
 
 let obs_live_smoke () =
   let factory () = Slx_consensus.Register_consensus.factory ~max_rounds:16 () in
-  let invoke =
-    Slx_core.Explore.workload_invoke
-      (Driver.forever (fun p -> Slx_consensus.Consensus_type.Propose (p - 1)))
-  in
-  let good (_ : Slx_consensus.Consensus_type.response) = true in
+  let invoke = Queries.live_invoke in
   let search ?obs () =
     Slx_core.Live_explore.search ~n:2 ~factory ~invoke ~good
       ~point:Slx_liveness.Freedom.obstruction_freedom ~depth:8 ~max_crashes:1

@@ -186,7 +186,7 @@ let figure1_cmd =
     let grid =
       match obj with
       | `Consensus -> Figure1.consensus ~n ~max_steps ()
-      | `Exhaustive -> Figure1.consensus_exhaustive ~n ~depth ()
+      | `Exhaustive -> Queries.consensus_exhaustive ~n ~depth ()
       | `Tm -> Figure1.tm ~n ~max_steps ()
       | `S_prime -> Figure1.s_prime ~n ~max_steps ()
       | `Mutex -> Figure1.mutex ~n ~max_steps ()
@@ -242,12 +242,13 @@ let game_cmd =
     in
     match adversary with
     | `Lockstep ->
-        let good (_ : Consensus_type.response) = true in
         let v =
           Exclusion.play ~n:2 ~factory
             ~adversary:(Consensus_adversary.lockstep ())
             ~safety:Consensus_safety.property
-            ~liveness:(Live_property.of_freedom ~good (Freedom.make ~l:1 ~k:2))
+            ~liveness:
+              (Live_property.of_freedom ~good:Consensus_type.good
+                 (Freedom.make ~l:1 ~k:2))
             ~max_steps:(Option.value steps ~default:1000)
         in
         Printf.printf "fair=%b safe=%b liveness((1,2))=%b\n" v.Exclusion.fair

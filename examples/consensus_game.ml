@@ -10,7 +10,7 @@ open Slx_liveness
 open Slx_consensus
 open Slx_core
 
-let good (_ : Consensus_type.response) = true
+let good = Consensus_type.good
 
 let play name factory =
   Format.printf "@.== tie-maintaining adversary vs %s ==@." name;

@@ -7,16 +7,14 @@
 open Slx_consensus
 open Slx_core
 
-let one_proposal =
-  Explore.workload_invoke
-    (Slx_sim.Driver.n_times 1 (fun p _ -> Consensus_type.Propose (p - 1)))
+let one_proposal = Slx_serve.Queries.safety_invoke
 
 let verify name factory ~depth ~max_crashes =
   Printf.printf "== %s (depth %d, up to %d crashes) ==\n" name depth max_crashes;
   match
     (Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth
        ~max_crashes
-       ~check:(fun r -> Consensus_safety.check r.Slx_sim.Run_report.history)
+       ~check:Slx_serve.Queries.check
        ())
       .Explore.outcome
   with

@@ -8,8 +8,8 @@ open Slx_sim
 open Slx_liveness
 open Slx_consensus
 
-let propose_own = Driver.forever (fun p -> Consensus_type.Propose (p - 1))
-let good (_ : Consensus_type.response) = true
+let propose_own = Consensus_type.propose_forever
+let good = Consensus_type.good
 
 let describe name r =
   let decisions = Consensus_adversary.decisions r.Run_report.history in

@@ -15,7 +15,7 @@ let pp_consensus = function
 
 let one_proposal =
   counting
-    (Driver.n_times 1 (fun p _ -> Slx_consensus.Consensus_type.Propose (p - 1)))
+    Slx_consensus.Consensus_type.propose_once
 
 (* Capped protocol-legal TM workload: [Tm_workload.next_invocation]
    derives the next legal operation from the process's projection; the

@@ -31,3 +31,6 @@ let tp : (state, invocation, response) Slx_history.Object_type.t =
 
 let pp_history fmt h =
   Slx_history.History.pp ~pp_inv:pp_invocation ~pp_res:pp_response fmt h
+
+let propose_once = Slx_sim.Driver.n_times 1 (fun p _ -> Propose (p - 1))
+let propose_forever = Slx_sim.Driver.forever (fun p -> Propose (p - 1))

@@ -86,56 +86,21 @@ let sampled ~n ~max_steps ~seeds row =
    lockstep adversary over processes 1 and 2. *)
 let consensus ?(n = 3) ?(max_steps = 1200) ?(seeds = [ 1; 2; 3 ]) () =
   let open Slx_consensus in
-  let workload = Driver.forever (fun p -> Consensus_type.Propose (p - 1)) in
   sampled ~n ~max_steps ~seeds
     {
       title = "Figure 1a: consensus (agreement and validity)";
       factory = Register_consensus.factory ();
       safe = Consensus_safety.check;
-      good = (fun (_ : Consensus_type.response) -> true);
+      good = Consensus_type.good;
       adversary =
         [ Drive ([ 1; 2 ], Consensus_adversary.lockstep (), max_steps) ];
-      workload = (fun procs seed -> Driver.random ~procs ~seed ~workload ());
+      workload =
+        (fun procs seed ->
+          Driver.random ~procs ~seed ~workload:Consensus_type.propose_forever
+            ());
       sizes = List.init n succ;
       also_positive = [];
     }
-
-(* The same grid by exhaustive fair-cycle search instead of sampled
-   adversary games: every (l,k) point is classified by whether
-   {!Live_explore.search} finds a validated fair progress-free lasso in
-   the bounded configuration graph.  [max_crashes = n - 1] gives the
-   obstruction-style points their solo windows (a blocked-forever
-   lockstep partner is unfair unless crashed). *)
-let consensus_exhaustive ?(n = 2) ?(depth = 10) () =
-  let open Slx_consensus in
-  let factory () = Register_consensus.factory () in
-  let invoke =
-    Explore.workload_invoke
-      (Driver.forever (fun p -> Consensus_type.Propose (p - 1)))
-  in
-  let good (_ : Consensus_type.response) = true in
-  let cells =
-    List.map
-      (fun point ->
-        let r =
-          Live_explore.search ~n ~factory ~invoke ~good ~point ~depth
-            ~max_crashes:(n - 1) ()
-        in
-        let color =
-          match r.Live_explore.outcome with
-          | Live_explore.Lasso _ -> Excluded
-          | Live_explore.No_fair_cycle -> Not_excluded
-        in
-        (point, color))
-      (Freedom.all ~n)
-  in
-  {
-    name = "Figure 1a (exhaustive): consensus, fair-cycle search";
-    n;
-    cells;
-    adversary_runs = 0;
-    positive_runs = 0;
-  }
 
 (* Figure 1b: TM vs opacity, the AGP TM.  The three-way adversary does
    NOT defeat AGP: its run is positive evidence. *)

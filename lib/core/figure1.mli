@@ -52,17 +52,6 @@ val consensus : ?n:int -> ?max_steps:int -> ?seeds:int list -> unit -> grid
 (** Figure 1a: agreement-and-validity, register consensus, lockstep
     adversary.  Defaults: [n = 3], [max_steps = 1200], three seeds. *)
 
-val consensus_exhaustive : ?n:int -> ?depth:int -> unit -> grid
-(** Figure 1a again, but by {e exhaustive fair-cycle search}
-    ({!Live_explore.search}) instead of sampled adversary games: a
-    point is {b Excluded} iff the bounded configuration graph contains
-    a validated fair progress-free lasso for it (with up to [n - 1]
-    crashes, so obstruction-style points get their solo windows), and
-    {b Not_excluded} otherwise — no [Unknown] is possible.  Defaults
-    [n = 2], [depth = 10]: big enough for Theorem 5.2's split, small
-    enough to exhaust.  Experiment E20 cross-checks this grid
-    cell-by-cell against {!consensus}. *)
-
 val tm : ?n:int -> ?max_steps:int -> ?seeds:int list -> unit -> grid
 (** Figure 1b: opacity, the AGP TM, the Section 4.1 adversary. *)
 

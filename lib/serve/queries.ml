@@ -48,15 +48,8 @@ let factory_of_impl : string -> (factory, string) result = function
   | "selfish" -> Ok (fun () -> Selfish_consensus.factory ())
   | other -> Error ("unknown implementation " ^ Json.quote other)
 
-let safety_invoke =
-  Explore.workload_invoke
-    (Driver.n_times 1 (fun p _ -> Consensus_type.Propose (p - 1)))
-
-let live_invoke =
-  Explore.workload_invoke
-    (Driver.forever (fun p -> Consensus_type.Propose (p - 1)))
-
-let good (_ : Consensus_type.response) = true
+let safety_invoke = Explore.workload_invoke Consensus_type.propose_once
+let live_invoke = Explore.workload_invoke Consensus_type.propose_forever
 let check r = Consensus_safety.check r.Run_report.history
 
 let dec_string = function
@@ -237,7 +230,8 @@ let served sp r =
       Option.map
         (fun l -> Live l)
         (Persist.served_live ~n:sp.sp_n ~factory:(factory sp)
-           ~invoke:live_invoke ~good ~point:(point sp) ~pump_ticks:sp.sp_pump r)
+           ~invoke:live_invoke ~good:Consensus_type.good ~point:(point sp)
+           ~pump_ticks:sp.sp_pump r)
 
 let run ?store ?(sanitize = false) ?(obs = Obs.disabled) ?cancel sp =
   let n = sp.sp_n and factory = factory sp and depth = sp.sp_depth in
@@ -250,9 +244,10 @@ let run ?store ?(sanitize = false) ?(obs = Obs.disabled) ?cancel sp =
              ~dpor:true ~symmetry:true ~obs ~sanitize ?cancel ~check ())
     | `Live ->
         Live
-          (Live_explore.search ~n ~factory ~invoke:live_invoke ~good
-             ~point:(point sp) ~depth ~max_crashes ~max_period:sp.sp_max_period
-             ~pump_ticks:sp.sp_pump ~dpor:sp.sp_dpor ~obs ~sanitize ?cancel ())
+          (Live_explore.search ~n ~factory ~invoke:live_invoke
+             ~good:Consensus_type.good ~point:(point sp) ~depth ~max_crashes
+             ~max_period:sp.sp_max_period ~pump_ticks:sp.sp_pump
+             ~dpor:sp.sp_dpor ~obs ~sanitize ?cancel ())
   in
   match store with
   | None -> (compute (), None)
@@ -262,6 +257,33 @@ let run ?store ?(sanitize = false) ?(obs = Obs.disabled) ?cancel sp =
           ~pump_ticks:sp.sp_pump ~served:(served sp) ~record:(record sp) compute
       in
       (answer, Some source)
+
+(* Figure 1a by search: each (l,k) point is the live query that [slx
+   live-explore --impl register --crashes n-1 --no-dpor] runs.  The
+   one-level DPOR tree misses lassos, so the panel walks the unreduced
+   tree; [n - 1] crashes give the obstruction-style points their solo
+   windows. *)
+let consensus_exhaustive ?(n = 2) ?(depth = 10) () =
+  let cell point =
+    let property = Printf.sprintf "%d,%d" (Freedom.l point) (Freedom.k point) in
+    let sp =
+      make ~kind:`Live ~impl:"register" ~property ~n ~depth ~crashes:(n - 1)
+        ~max_period:None ~pump:None ~dpor:false
+    in
+    match fst (run (Result.get_ok sp)) with
+    | Live { Live_explore.outcome = Live_explore.Lasso _; _ } ->
+        (point, Figure1.Excluded)
+    | Live { Live_explore.outcome = Live_explore.No_fair_cycle; _ }
+    | Safety _ ->
+        (point, Figure1.Not_excluded)
+  in
+  {
+    Figure1.name = "Figure 1a (exhaustive): consensus, fair-cycle search";
+    n;
+    cells = List.map cell (Freedom.all ~n);
+    adversary_runs = 0;
+    positive_runs = 0;
+  }
 
 type mode = Full
 

@@ -10,7 +10,10 @@
     live query DPOR unless the spec turns it off — so a verdict
     computed by the service, by a worker, or by the CLI with
     [--store] lands on the {e same} store key and they warm-serve
-    each other.
+    each other.  Figure 1a's exhaustive panel
+    ({!consensus_exhaustive}) is a grid of such queries, so no other
+    module in the library or the CLI calls an engine (the CLI's
+    [explore --naive] reference oracle aside).
 
     A task is the unit of work leased to a worker, and every computed
     query is exactly one task: a [Full] run of the whole tree, the
@@ -35,7 +38,8 @@ val safety_invoke :
   Slx_sim.Driver.view ->
   Slx_history.Proc.t ->
   Slx_consensus.Consensus_type.invocation option
-(** Safety workload: each process proposes [p - 1] once. *)
+(** Safety workload, {!Slx_consensus.Consensus_type.propose_once}:
+    each process proposes [p - 1] once. *)
 
 val live_invoke :
   ( Slx_consensus.Consensus_type.invocation,
@@ -43,10 +47,9 @@ val live_invoke :
   Slx_sim.Driver.view ->
   Slx_history.Proc.t ->
   Slx_consensus.Consensus_type.invocation option
-(** Liveness workload: each process proposes [p - 1] forever. *)
-
-val good : Slx_consensus.Consensus_type.response -> bool
-(** Every consensus response is good. *)
+(** Liveness workload, {!Slx_consensus.Consensus_type.propose_forever}:
+    each process proposes [p - 1] whenever it is idle.  Every response
+    is good ({!Slx_consensus.Consensus_type.good}). *)
 
 val check :
   ( Slx_consensus.Consensus_type.invocation,
@@ -164,6 +167,22 @@ val run :
     counting [sanitize]r, the [obs] bundle and [cancel].  Whether a
     transposition table is built is the engine's decision.
     @raise Slx_core.Explore.Interrupted when [cancel] fired. *)
+
+val consensus_exhaustive :
+  ?n:int -> ?depth:int -> unit -> Slx_core.Figure1.grid
+(** Figure 1a by {e exhaustive fair-cycle search} instead of sampled
+    adversary games, one {!run} per (l,k) point of the grid: the live
+    query [impl = "register"], [property = "l,k"], [crashes = n - 1]
+    (so obstruction-style points get their solo windows), the default
+    budgets and DPOR off — what [slx live-explore --no-dpor] runs, the
+    unreduced tree, because the one-level DPOR tree can miss a lasso.
+    A point is {b Excluded} iff the query answers a validated lasso and
+    {b Not_excluded} otherwise; no [Unknown] is possible, and the grid
+    counts no adversary or positive runs.  Defaults [n = 2],
+    [depth = 10]: big enough for Theorem 5.2's split, small enough to
+    exhaust.  Claims ledger block E20 cross-checks this grid
+    cell-by-cell against {!Slx_core.Figure1.consensus}.
+    @raise Invalid_argument when {!make} refuses [n] or [depth]. *)
 
 val record : spec -> answer -> Slx_store.Store.record
 (** The store record of a computed answer to this query

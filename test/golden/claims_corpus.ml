@@ -232,7 +232,7 @@ let e5_theorem_4_9 () =
 let e6_theorem_5_2 () =
   experiment "E6" "Theorem 5.2";
   let open Slx_consensus in
-  let good (_ : Consensus_type.response) = true in
+  let good = Consensus_type.good in
   let factory = Register_consensus.factory () in
   (* Positive: solo runs decide, over several victims/seeds. *)
   let seeds = [ 1; 2; 3; 4; 5 ] in
@@ -244,8 +244,7 @@ let e6_theorem_5_2 () =
             ~driver:
               (Driver.with_crashes [ (0, 2) ]
                  (Driver.random ~procs:[ 1 ] ~seed
-                    ~workload:
-                      (Driver.forever (fun p -> Consensus_type.Propose (p - 1)))
+                    ~workload:Consensus_type.propose_forever
                     ()))
             ~max_steps:300 ()
         in
@@ -457,7 +456,7 @@ let e11_ablation_timestamp_rule () =
 let e12_window_sensitivity () =
   experiment "E12" "Theorem 5.2 (window ablation)";
   let open Slx_consensus in
-  let good (_ : Consensus_type.response) = true in
+  let good = Consensus_type.good in
   (* The lockstep exclusion verdict must not depend on the bounded-run
      parameters: sweep step budgets x window fractions. *)
   let budgets = [ 200; 600; 1800 ] in
@@ -645,11 +644,9 @@ let e15_universal_construction () =
          tied_ok cas_ok)
     (solo_ok && tied_ok && cas_ok)
 
-let one_proposal =
-  Explore.workload_invoke
-    (Driver.n_times 1 (fun p _ -> Slx_consensus.Consensus_type.Propose (p - 1)))
+let one_proposal = Slx_serve.Queries.safety_invoke
 
-let consensus_safe r = Slx_consensus.Consensus_safety.check r.Run_report.history
+let consensus_safe = Slx_serve.Queries.check
 
 let e16_exhaustive_verification () =
   experiment "E16" "Theorems 5.2, 5.3 (exhaustive safety)";
@@ -807,7 +804,7 @@ let e20_fair_cycle_cross_validation () =
   (* Leg 1: register consensus at n = 2, the Theorem 5.2 grid
      classified twice — by the sampled adversary games and by the
      exhaustive fair-cycle search — and compared cell by cell. *)
-  let exhaustive = Figure1.consensus_exhaustive ~n:2 ~depth:10 () in
+  let exhaustive = Slx_serve.Queries.consensus_exhaustive ~n:2 ~depth:10 () in
   let games = Figure1.consensus ~n:2 ~max_steps:1200 () in
   let agreements =
     List.map
@@ -832,11 +829,8 @@ let e20_fair_cycle_cross_validation () =
   (* The acceptance witness in full: the (1,2) lasso at depth 8, and
      its absence for (1,1) under a solo window. *)
   let factory () = Slx_consensus.Register_consensus.factory ~max_rounds:16 () in
-  let invoke =
-    Explore.workload_invoke
-      (Driver.forever (fun p -> Slx_consensus.Consensus_type.Propose (p - 1)))
-  in
-  let good (_ : Slx_consensus.Consensus_type.response) = true in
+  let invoke = Slx_serve.Queries.live_invoke in
+  let good = Slx_consensus.Consensus_type.good in
   let r12 =
     Live_explore.search ~n:2 ~factory ~invoke ~good
       ~point:(Freedom.make ~l:1 ~k:2) ~depth:8 ()

@@ -11,7 +11,7 @@
    - the live grid: the three impls × obstruction/1,2/1,1 at n = 2,
      depth 12, one crash, without and with --max-period 2, each plain
      and --no-dpor;
-   - the cells of Figure1.consensus_exhaustive ~n:2 ~depth:8;
+   - the cells of Queries.consensus_exhaustive ~n:2 ~depth:8;
    - the TL2 (1,1) lasso at depth 20 with one crash, and the I12
      regression certificate (a stored witness whose cycle is no run
      of the TM workload, which must not re-validate);
@@ -143,7 +143,7 @@ let live_grid () =
 (* --- library queries ------------------------------------------------ *)
 
 let figure1 () =
-  print_endline "Figure1.consensus_exhaustive ~n:2 ~depth:8";
+  print_endline "Queries.consensus_exhaustive ~n:2 ~depth:8";
   List.iter
     (fun (point, color) ->
       Format.printf "  %a %s@." Freedom.pp point
@@ -151,7 +151,7 @@ let figure1 () =
         | Figure1.Excluded -> "excluded"
         | Figure1.Not_excluded -> "not_excluded"
         | Figure1.Unknown -> "unknown"))
-    (Figure1.consensus_exhaustive ~n:2 ~depth:8 ()).Figure1.cells
+    (Queries.consensus_exhaustive ~n:2 ~depth:8 ()).Figure1.cells
 
 let tm_dec = function
   | Driver.Schedule p -> Printf.sprintf "S%d" p

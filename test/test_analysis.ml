@@ -281,17 +281,14 @@ let test_nesting_composes_effective_footprint () =
 (* ------------------------------------------------------------------ *)
 (* Sanitize changes nothing: the engine differential.                  *)
 
-let one_proposal =
-  Explore.workload_invoke
-    (Driver.n_times 1 (fun p _ -> Slx_consensus.Consensus_type.Propose (p - 1)))
+let one_proposal = Slx_serve.Queries.safety_invoke
 
 let explore_register ?cache ?(dpor = false) ?(symmetry = false)
     ?(sanitize = false) () =
   Explore.explore ~n:2
     ~factory:(fun () -> Slx_consensus.Register_consensus.factory ())
     ~invoke:one_proposal ~depth:8 ?cache ~dpor ~symmetry ~sanitize
-    ~check:(fun r ->
-      Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history)
+    ~check:Slx_serve.Queries.check
     ()
 
 let essence e =
@@ -332,13 +329,10 @@ let test_sanitize_changes_nothing () =
    child that ends its run is checked after its table lookup.  Selfish
    consensus still breaks agreement under DPOR alone. *)
 let test_sanitize_table_walks () =
-  let consensus_check r =
-    Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history
-  in
   let explore factory ~depth ~crashes ~dpor =
     Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth
       ~max_crashes:crashes ~dpor ~symmetry:(not dpor) ~sanitize:true
-      ~check:consensus_check ()
+      ~check:Slx_serve.Queries.check ()
   in
   List.iter
     (fun (impl, factory, depth) ->
@@ -376,11 +370,8 @@ let test_sanitize_table_walks () =
 let test_sanitize_counts_in_live_search () =
   let open Slx_liveness in
   let factory () = Slx_consensus.Register_consensus.factory ~max_rounds:8 () in
-  let invoke =
-    Explore.workload_invoke
-      (Driver.forever (fun p -> Slx_consensus.Consensus_type.Propose (p - 1)))
-  in
-  let good (_ : Slx_consensus.Consensus_type.response) = true in
+  let invoke = Slx_serve.Queries.live_invoke in
+  let good = Slx_consensus.Consensus_type.good in
   let point = Freedom.make ~l:1 ~k:2 in
   let search sanitize =
     Live_explore.search ~n:2 ~factory ~invoke ~good ~point ~depth:6 ~sanitize

@@ -6,7 +6,7 @@ open Slx_sim
 open Support
 
 let propose_own =
-  Driver.forever (fun p -> Slx_consensus.Consensus_type.Propose (p - 1))
+  Slx_consensus.Consensus_type.propose_forever
 
 let chaos ~seed ~workload = Chaos.driver ~seed ~crash_probability:0.01 ~workload ()
 

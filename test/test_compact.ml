@@ -232,17 +232,13 @@ let test_live_differential () =
 let pp_consensus_inv (Slx_consensus.Consensus_type.Propose v) =
   "propose " ^ string_of_int v
 
-let consensus_invoke =
-  Explore.workload_invoke
-    (Driver.forever (fun p -> Slx_consensus.Consensus_type.Propose (p - 1)))
-
 let test_register_cert_identity () =
   let run ~cache =
     Live_explore.search ~n:2
       ~factory:(fun () ->
         Slx_consensus.Register_consensus.factory ~max_rounds:8 ())
-      ~invoke:consensus_invoke
-      ~good:(fun _ -> true)
+      ~invoke:Slx_serve.Queries.live_invoke
+      ~good:Slx_consensus.Consensus_type.good
       ~point:(Freedom.make ~l:1 ~k:2) ~depth:8 ~max_period:2 ~dpor:true ~cache
       ()
   in
@@ -265,10 +261,7 @@ let test_retired_switches_raise () =
     | _ -> Alcotest.failf "%s must raise Invalid_argument" name
   in
   let factory () = Slx_consensus.Register_consensus.factory () in
-  let invoke =
-    Explore.workload_invoke
-      (Driver.n_times 1 (fun p _ -> Slx_consensus.Consensus_type.Propose (p - 1)))
-  in
+  let invoke = Slx_serve.Queries.safety_invoke in
   let explore ?por ?dpor ?compact () =
     ignore
       (Explore.explore ~n:2 ~factory ~invoke ~depth:4 ?por ?dpor ?compact
@@ -280,8 +273,8 @@ let test_retired_switches_raise () =
   raises "Explore.explore ~por:true ~dpor:false" (explore ~por:true ~dpor:false);
   raises "Live_explore.search ~compact:false" (fun () ->
       ignore
-        (Live_explore.search ~n:2 ~factory ~invoke:consensus_invoke
-           ~good:(fun _ -> true)
+        (Live_explore.search ~n:2 ~factory ~invoke:Slx_serve.Queries.live_invoke
+           ~good:Slx_consensus.Consensus_type.good
            ~point:(Freedom.make ~l:1 ~k:1) ~depth:4 ~compact:false ()));
   (* The values the frozen callers still pass are accepted. *)
   explore ~por:true ~dpor:true ~compact:true ();

@@ -4,16 +4,13 @@ open Slx_liveness
 open Slx_consensus
 open Support
 
-let propose_own : (Consensus_type.invocation, Consensus_type.response) Driver.workload =
-  (* Each process keeps proposing a value derived from its identity, so
-     two processes always propose distinct values. *)
-  Driver.forever (fun p -> Consensus_type.Propose (p - 1))
+let propose_own = Consensus_type.propose_forever
 
-let good (_ : Consensus_type.response) = true
+let good = Consensus_type.good
 
 let lk l k = Freedom.make ~l ~k
 
-let safety_holds r = Consensus_safety.check r.Run_report.history
+let safety_holds = Slx_serve.Queries.check
 
 (* ------------------------------------------------------------------ *)
 (* Register-based consensus (commit-adopt cascade).                    *)
@@ -256,17 +253,14 @@ let prop_register_consensus_always_safe =
 (* ------------------------------------------------------------------ *)
 (* Consensus from a queue (consensus number 2).                        *)
 
-let one_proposal =
-  Slx_core.Explore.workload_invoke
-    (Driver.n_times 1 (fun p _ -> Consensus_type.Propose (p - 1)))
+let one_proposal = Slx_serve.Queries.safety_invoke
 
 let test_queue_consensus_two_procs_exhaustive () =
   match
     (Slx_core.Explore.explore ~n:2
        ~factory:(fun () -> Queue_consensus.factory ())
        ~invoke:one_proposal ~depth:10 ~max_crashes:1
-       ~check:(fun r ->
-         Consensus_safety.check r.Run_report.history)
+       ~check:Slx_serve.Queries.check
        ())
       .Slx_core.Explore.outcome
   with
@@ -297,8 +291,7 @@ let test_queue_consensus_breaks_at_three () =
     (Slx_core.Explore.explore ~n:3
        ~factory:(fun () -> Queue_consensus.factory ())
        ~invoke:one_proposal ~depth:9
-       ~check:(fun r ->
-         Consensus_safety.check r.Run_report.history)
+       ~check:Slx_serve.Queries.check
        ())
       .Slx_core.Explore.outcome
   with
@@ -317,7 +310,7 @@ let test_queue_consensus_lockstep_immune () =
     Runner.run ~n:2 ~factory:(Queue_consensus.factory ())
       ~driver:
         (Driver.round_robin
-           ~workload:(Driver.n_times 1 (fun p _ -> Consensus_type.Propose (p - 1)))
+           ~workload:Consensus_type.propose_once
            ())
       ~max_steps:50 ()
   in

@@ -6,9 +6,6 @@ open Support
 (* ------------------------------------------------------------------ *)
 (* The exclusion game.                                                 *)
 
-let propose_own : (Slx_consensus.Consensus_type.invocation, _) Slx_sim.Driver.workload =
-  Slx_sim.Driver.forever (fun p -> Slx_consensus.Consensus_type.Propose (p - 1))
-
 let test_exclusion_game_adversary_wins () =
   let v =
     Exclusion.play ~n:2
@@ -17,7 +14,7 @@ let test_exclusion_game_adversary_wins () =
       ~safety:Slx_consensus.Consensus_safety.property
       ~liveness:
         (Live_property.of_freedom
-           ~good:(fun (_ : Slx_consensus.Consensus_type.response) -> true)
+           ~good:Slx_consensus.Consensus_type.good
            (Freedom.make ~l:1 ~k:2))
       ~max_steps:1000
   in
@@ -36,7 +33,7 @@ let test_exclusion_game_implementation_survives () =
       ~safety:Slx_consensus.Consensus_safety.property
       ~liveness:
         (Live_property.wait_freedom
-           ~good:(fun (_ : Slx_consensus.Consensus_type.response) -> true)
+           ~good:Slx_consensus.Consensus_type.good
            ~n:2)
       ~max_steps:1000
   in
@@ -48,7 +45,8 @@ let test_exclusion_sweep () =
   let adversaries =
     [
       Slx_consensus.Consensus_adversary.lockstep ();
-      Slx_sim.Driver.random ~seed:3 ~workload:propose_own ();
+      Slx_sim.Driver.random ~seed:3
+        ~workload:Slx_consensus.Consensus_type.propose_forever ();
     ]
   in
   let verdicts =
@@ -58,7 +56,7 @@ let test_exclusion_sweep () =
       ~safety:Slx_consensus.Consensus_safety.property
       ~liveness:
         (Live_property.of_freedom
-           ~good:(fun (_ : Slx_consensus.Consensus_type.response) -> true)
+           ~good:Slx_consensus.Consensus_type.good
            (Freedom.make ~l:1 ~k:2))
       ~max_steps:600
   in
@@ -339,18 +337,14 @@ let test_render () =
 (* ------------------------------------------------------------------ *)
 (* Exhaustive bounded exploration.                                     *)
 
-let one_proposal =
-  Explore.workload_invoke
-    (Slx_sim.Driver.n_times 1 (fun p _ ->
-         Slx_consensus.Consensus_type.Propose (p - 1)))
+let one_proposal = Slx_serve.Queries.safety_invoke
 
 let test_explore_cas_consensus_all_schedules () =
   match
     (Explore.explore ~n:2
        ~factory:(fun () -> Slx_consensus.Cas_consensus.factory ())
        ~invoke:one_proposal ~depth:10
-       ~check:(fun r ->
-         Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history)
+       ~check:Slx_serve.Queries.check
        ())
       .Explore.outcome
   with
@@ -364,8 +358,7 @@ let test_explore_register_consensus_all_schedules () =
     (Explore.explore ~n:2
        ~factory:(fun () -> Slx_consensus.Register_consensus.factory ())
        ~invoke:one_proposal ~depth:9
-       ~check:(fun r ->
-         Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history)
+       ~check:Slx_serve.Queries.check
        ())
       .Explore.outcome
   with
@@ -378,8 +371,7 @@ let test_explore_finds_selfish_counterexample () =
     (Explore.explore ~n:2
        ~factory:(fun () -> Slx_consensus.Selfish_consensus.factory ())
        ~invoke:one_proposal ~depth:6
-       ~check:(fun r ->
-         Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history)
+       ~check:Slx_serve.Queries.check
        ())
       .Explore.outcome
   with
@@ -389,9 +381,7 @@ let test_explore_finds_selfish_counterexample () =
         (Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history)
 
 let explore_selfish ?cache ?dpor ?symmetry engine =
-  let check r =
-    Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history
-  in
+  let check = Slx_serve.Queries.check in
   let factory () = Slx_consensus.Selfish_consensus.factory () in
   match engine with
   | `Naive ->
@@ -448,9 +438,7 @@ let test_explore_witness_is_deterministic () =
     configs
 
 let test_explore_stats_sanity () =
-  let check r =
-    Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history
-  in
+  let check = Slx_serve.Queries.check in
   let factory () = Slx_consensus.Cas_consensus.factory () in
   let inc =
     Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth:10 ~check ()
@@ -480,9 +468,7 @@ let test_explore_stats_sanity () =
 let test_explore_reduction_stats () =
   (* The reductions must each leave their trace in the stats — and
      none of them may change the verdict. *)
-  let check r =
-    Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history
-  in
+  let check = Slx_serve.Queries.check in
   let factory () = Slx_consensus.Register_consensus.factory () in
   let explore ?(dpor = false) ?(symmetry = false) () =
     Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth:10 ~dpor
@@ -554,8 +540,7 @@ let test_explore_with_crashes () =
     (Explore.explore ~n:2
        ~factory:(fun () -> Slx_consensus.Cas_consensus.factory ())
        ~invoke:one_proposal ~depth:7 ~max_crashes:1
-       ~check:(fun r ->
-         Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history)
+       ~check:Slx_serve.Queries.check
        ())
       .Explore.outcome
   with

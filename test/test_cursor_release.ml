@@ -17,15 +17,11 @@ open Support
 (* ------------------------------------------------------------------ *)
 (* Exploration summaries, pinned.                                      *)
 
-let one_proposal =
-  Explore.workload_invoke
-    (Driver.n_times 1 (fun p _ -> Consensus_type.Propose (p - 1)))
+let one_proposal = Slx_serve.Queries.safety_invoke
 
-let forever_proposal =
-  Explore.workload_invoke
-    (Driver.forever (fun p -> Consensus_type.Propose (p - 1)))
+let forever_proposal = Slx_serve.Queries.live_invoke
 
-let consensus_check r = Consensus_safety.check r.Run_report.history
+let consensus_check = Slx_serve.Queries.check
 
 (* A property that fails only off the leftmost path — on the least run
    in which p2 responds before p1 — so the walk reaches its witness
@@ -82,7 +78,7 @@ let live ?(dpor = false) ~l ~k ~n ~depth ~crashes () =
   Live_explore.search ~n
     ~factory:(fun () -> Register_consensus.factory ~max_rounds:(max 8 depth) ())
     ~invoke:forever_proposal
-    ~good:(fun _ -> true)
+    ~good:Consensus_type.good
     ~point:(Slx_liveness.Freedom.make ~l ~k)
     ~depth ~max_crashes:crashes ~dpor ()
 

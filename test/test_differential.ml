@@ -333,9 +333,7 @@ let explorer_equivalence name ~factory ~invoke ~rename ~depth ~max_crashes =
         (digest e = digest e'))
     reduced_engines
 
-let one_proposal =
-  Explore.workload_invoke
-    (Driver.n_times 1 (fun p _ -> Slx_consensus.Consensus_type.Propose (p - 1)))
+let one_proposal = Slx_serve.Queries.safety_invoke
 
 let one_txn view p =
   let h = History.project view.Driver.history p in
@@ -392,7 +390,7 @@ let test_explorers_agree_tm_crashes () =
    processes' invocations, so no reduction can prune it away. *)
 let test_explorers_agree_on_counterexample () =
   let factory () = Slx_consensus.Selfish_consensus.factory () in
-  let check r = Slx_consensus.Consensus_safety.check r.Run_report.history in
+  let check = Slx_serve.Queries.check in
   let witness e =
     match (e.Explore.outcome, e.Explore.witness_script) with
     | Explore.Counterexample r, Some script ->
@@ -685,7 +683,7 @@ let test_crash_witnesses_agree () =
    [~cache:false] walk: a hit credits exactly the subtree it skips.
    The pinned answers are those of the canonical crash placement. *)
 let test_table_rule () =
-  let consensus r = Slx_consensus.Consensus_safety.check r.Run_report.history in
+  let consensus = Slx_serve.Queries.check in
   let cas () = Slx_consensus.Cas_consensus.factory () in
   let register () = Slx_consensus.Register_consensus.factory () in
   let explore ?cache ?(dpor = true) ?(symmetry = true) ?(check = consensus)

@@ -120,9 +120,7 @@ let test_live_differential () =
 let pp_consensus_inv (Slx_consensus.Consensus_type.Propose v) =
   "propose " ^ string_of_int v
 
-let consensus_invoke =
-  Explore.workload_invoke
-    (Driver.forever (fun p -> Slx_consensus.Consensus_type.Propose (p - 1)))
+let consensus_invoke = Slx_serve.Queries.live_invoke
 
 let test_register_cert_identity () =
   let run ~dpor =
@@ -130,7 +128,7 @@ let test_register_cert_identity () =
       ~factory:(fun () ->
         Slx_consensus.Register_consensus.factory ~max_rounds:8 ())
       ~invoke:consensus_invoke
-      ~good:(fun _ -> true)
+      ~good:Slx_consensus.Consensus_type.good
       ~point:(Freedom.make ~l:1 ~k:2) ~depth:8 ~dpor ()
   in
   let cert name r =

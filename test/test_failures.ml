@@ -9,7 +9,7 @@ open Slx_liveness
 open Support
 
 let propose_own =
-  Driver.forever (fun p -> Slx_consensus.Consensus_type.Propose (p - 1))
+  Slx_consensus.Consensus_type.propose_forever
 
 (* Crash schedule: [victims] at staggered times derived from [at]. *)
 let crashes ~at victims = List.mapi (fun i p -> (at + (7 * i), p)) victims
@@ -71,7 +71,7 @@ let test_consensus_survivor_decides () =
        (Slx_consensus.Consensus_adversary.decisions r.Run_report.history));
   check_bool "(1,1)-freedom holds" true
     (Freedom.holds
-       ~good:(fun (_ : Slx_consensus.Consensus_type.response) -> true)
+       ~good:Slx_consensus.Consensus_type.good
        r Freedom.obstruction_freedom)
 
 let test_fewer_correct_than_l_branch () =
@@ -90,7 +90,7 @@ let test_fewer_correct_than_l_branch () =
   in
   check_bool "(3,3)-freedom holds via the all-correct branch" true
     (Freedom.holds
-       ~good:(fun (_ : Slx_consensus.Consensus_type.response) -> true)
+       ~good:Slx_consensus.Consensus_type.good
        r
        (Freedom.wait_freedom ~n:3))
 

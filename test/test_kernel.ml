@@ -392,10 +392,7 @@ let test_menu_oracle () =
 let test_crash_child_prunes () =
   let cas () = Cas_consensus.factory ()
   and register () = Register_consensus.factory ~max_rounds:8 () in
-  let invoke =
-    Explore.workload_invoke
-      (Driver.n_times 1 (fun p _ -> Consensus_type.Propose (p - 1)))
-  in
+  let invoke = Slx_serve.Queries.safety_invoke in
   List.iter
     (fun (impl, factory, n, crashes, dpor, nodes, hits, pruned) ->
       let s =
@@ -421,15 +418,12 @@ let test_crash_child_prunes () =
       ("register", register, 3, 1, true, 264, 0, 18);
       ("register", register, 3, 1, false, 777, 330, 18);
     ];
-  let live_invoke =
-    Explore.workload_invoke
-      (Driver.forever (fun p -> Consensus_type.Propose (p - 1)))
-  in
+  let live_invoke = Slx_serve.Queries.live_invoke in
   List.iter
     (fun (crashes, depth, max_period, nodes, hits, pruned) ->
       let s =
         (Live_explore.search ~n:3 ~factory:register ~invoke:live_invoke
-           ~good:(fun _ -> true)
+           ~good:Consensus_type.good
            ~point:Slx_liveness.Freedom.obstruction_freedom ~depth
            ~max_crashes:crashes ?max_period ~dpor:true ())
           .Live_explore.stats
@@ -472,7 +466,7 @@ let test_keyless_reader_silent () =
   let explore ~dpor calls =
     Explore.explore ~n:3 ~factory:(counting_factory calls) ~invoke:proposals
       ~depth:8 ~max_crashes:1 ~dpor ~symmetry:true
-      ~check:(fun r -> Consensus_safety.check r.Run_report.history)
+      ~check:Slx_serve.Queries.check
       ()
   in
   let keyless = ref 0 and keyed = ref 0 in

@@ -7,11 +7,9 @@ open Slx_liveness
 open Slx_core
 open Support
 
-let good (_ : Slx_consensus.Consensus_type.response) = true
+let good = Slx_consensus.Consensus_type.good
 
-let invoke =
-  Explore.workload_invoke
-    (Driver.forever (fun p -> Slx_consensus.Consensus_type.Propose (p - 1)))
+let invoke = Slx_serve.Queries.live_invoke
 
 let reg_factory ?(depth = 10) () =
   Slx_consensus.Register_consensus.factory ~max_rounds:(max 8 depth) ()
@@ -397,7 +395,7 @@ let prop_lasso_pumps =
 (* Cross-validation: exhaustive search vs adversary games.             *)
 
 let test_exhaustive_grid_matches_games () =
-  let exhaustive = Figure1.consensus_exhaustive ~n:2 ~depth:10 () in
+  let exhaustive = Slx_serve.Queries.consensus_exhaustive ~n:2 ~depth:10 () in
   let games = Figure1.consensus ~n:2 ~max_steps:1200 () in
   List.iter
     (fun (point, color) ->
@@ -569,7 +567,8 @@ let contains hay needle =
   go 0
 
 let test_grid_json () =
-  let j = Figure1.to_json (Figure1.consensus_exhaustive ~n:2 ~depth:8 ()) in
+  let grid = Slx_serve.Queries.consensus_exhaustive ~n:2 ~depth:8 () in
+  let j = Figure1.to_json grid in
   List.iter
     (fun needle ->
       check_bool (Printf.sprintf "grid JSON contains %s" needle) true

@@ -288,7 +288,7 @@ let test_lasso_on_lockstep_run () =
   | None -> Alcotest.fail "lockstep run must be periodic");
   check_bool "certified violation of (1,2)" true
     (Lasso.certified_violation
-       ~good:(fun (_ : Slx_consensus.Consensus_type.response) -> true)
+       ~good:Slx_consensus.Consensus_type.good
        r
        (Freedom.make ~l:1 ~k:2))
 
@@ -325,7 +325,7 @@ let test_no_lasso_on_decided_run () =
      that a finished run is not reported as a violation. *)
   check_bool "no certified violation on a completed run" false
     (Lasso.certified_violation
-       ~good:(fun (_ : Slx_consensus.Consensus_type.response) -> true)
+       ~good:Slx_consensus.Consensus_type.good
        r
        (Freedom.make ~l:1 ~k:2))
 
@@ -334,8 +334,8 @@ let test_no_lasso_on_decided_run () =
    reports): the (n,x)-liveness and S-freedom stories operationally. *)
 
 let test_nx_liveness_on_real_runs () =
-  let propose = Driver.forever (fun p -> Slx_consensus.Consensus_type.Propose (p - 1)) in
-  let all_good (_ : Slx_consensus.Consensus_type.response) = true in
+  let propose = Slx_consensus.Consensus_type.propose_forever in
+  let all_good = Slx_consensus.Consensus_type.good in
   (* (2,0)-liveness (everyone obstruction-free) holds for register
      consensus: the lockstep run has two active processes, so the
      solo clause is vacuous and the wait-free set is empty. *)
@@ -361,7 +361,7 @@ let test_nx_liveness_on_real_runs () =
     (Alt.Nx_liveness.holds ~good:all_good solo x0)
 
 let test_s_freedom_on_real_runs () =
-  let all_good (_ : Slx_consensus.Consensus_type.response) = true in
+  let all_good = Slx_consensus.Consensus_type.good in
   (* {1}-freedom (= obstruction-freedom) holds for register consensus:
      vacuous on the two-active lockstep run, satisfied on solo runs;
      {2}-freedom is violated by the lockstep run. *)

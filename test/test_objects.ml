@@ -257,7 +257,7 @@ let test_i12_reg_three_way_starves () =
 (* k-set agreement.                                                    *)
 
 let propose_own =
-  Driver.forever (fun p -> Slx_consensus.Consensus_type.Propose (p - 1))
+  Slx_consensus.Consensus_type.propose_forever
 
 let test_kset_checker_units () =
   let open Slx_consensus in
@@ -328,9 +328,7 @@ let test_kset_in_group_lockstep_starves_group () =
   check_bool "safety holds" true (Kset.check ~k:2 r.Run_report.history);
   check_bool "fair" true (Fairness.is_bounded_fair r);
   check_bool "(1,2)-freedom violated for k-set too" false
-    (Freedom.holds
-       ~good:(fun (_ : Consensus_type.response) -> true)
-       r (Freedom.make ~l:1 ~k:2))
+    (Freedom.holds ~good:Consensus_type.good r (Freedom.make ~l:1 ~k:2))
 
 
 (* ------------------------------------------------------------------ *)

@@ -220,17 +220,13 @@ let test_trace_validate_rejects_unbalanced () =
 (* ------------------------------------------------------------------ *)
 (* Tracing through the engines: determinism and reconciliation.        *)
 
-let one_proposal =
-  Explore.workload_invoke
-    (Slx_sim.Driver.n_times 1 (fun p _ ->
-         Slx_consensus.Consensus_type.Propose (p - 1)))
+let one_proposal = Slx_serve.Queries.safety_invoke
 
 let explore_register ?cache ?(dpor = false) ?(symmetry = false) ?obs () =
   Explore.explore ~n:2
     ~factory:(fun () -> Slx_consensus.Register_consensus.factory ())
     ~invoke:one_proposal ~depth:8 ?cache ~dpor ~symmetry ?obs
-    ~check:(fun r ->
-      Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history)
+    ~check:Slx_serve.Queries.check
     ()
 
 let essence e =
@@ -297,17 +293,13 @@ let test_traced_events_reconcile_with_stats () =
 
 let test_live_search_traced_matches_untraced () =
   let point = Slx_liveness.Freedom.make ~l:1 ~k:1 in
-  let invoke =
-    Explore.workload_invoke
-      (Slx_sim.Driver.forever (fun p ->
-           Slx_consensus.Consensus_type.Propose (p - 1)))
-  in
+  let invoke = Slx_serve.Queries.live_invoke in
   let search ?obs () =
     Live_explore.search ~n:2
       ~factory:(fun () ->
         Slx_consensus.Register_consensus.factory ~max_rounds:8 ())
       ~invoke
-      ~good:(fun (_ : Slx_consensus.Consensus_type.response) -> true)
+      ~good:Slx_consensus.Consensus_type.good
       ~point ~depth:6 ~max_crashes:1 ?obs ()
   in
   let untraced = search () in

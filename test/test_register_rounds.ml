@@ -87,9 +87,7 @@ let eager_rounds depth = max 8 depth
 (* ------------------------------------------------------------------ *)
 (* Safety exploration.                                                 *)
 
-let one_proposal =
-  Explore.workload_invoke
-    (Driver.n_times 1 (fun p _ -> Consensus_type.Propose (p - 1)))
+let one_proposal = Slx_serve.Queries.safety_invoke
 
 let summary (e : _ Explore.exploration) =
   let s = e.Explore.stats in
@@ -132,7 +130,7 @@ let same_exploration ~name ~n ~depth ~max_crashes ~check ~lazy_ ~eager =
         (old.Explore.witness_script = now.Explore.witness_script))
     engines
 
-let consensus_check r = Consensus_safety.check r.Run_report.history
+let consensus_check = Slx_serve.Queries.check
 
 let test_register_differential () =
   List.iter
@@ -164,9 +162,7 @@ let test_kset_differential () =
 (* ------------------------------------------------------------------ *)
 (* Fair-cycle search.                                                  *)
 
-let forever_proposal =
-  Explore.workload_invoke
-    (Driver.forever (fun p -> Consensus_type.Propose (p - 1)))
+let forever_proposal = Slx_serve.Queries.live_invoke
 
 let live_summary (r : _ Live_explore.result) =
   let s = r.Live_explore.stats in
@@ -194,7 +190,7 @@ let test_live_differential () =
       let point = Slx_liveness.Freedom.make ~l ~k in
       let search factory =
         Live_explore.search ~n:2 ~factory ~invoke:forever_proposal
-          ~good:(fun _ -> true)
+          ~good:Consensus_type.good
           ~point ~depth ~max_crashes ()
       in
       let old =

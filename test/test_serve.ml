@@ -26,7 +26,6 @@
      worker and frees its slot. *)
 
 open Support
-open Slx_sim
 open Slx_core
 open Slx_liveness
 module Json = Slx_obs.Json
@@ -71,14 +70,8 @@ let test_full_task_steps () =
   let e =
     Explore.explore ~n:3
       ~factory:(fun () -> Slx_consensus.Cas_consensus.factory ())
-      ~invoke:
-        (Explore.workload_invoke
-           (Driver.n_times 1 (fun p _ ->
-                Slx_consensus.Consensus_type.Propose (p - 1))))
-      ~depth:10 ~max_crashes:2 ~dpor:true ~symmetry:true
-      ~check:(fun r ->
-        Slx_consensus.Consensus_safety.check r.Run_report.history)
-      ()
+      ~invoke:Queries.safety_invoke ~depth:10 ~max_crashes:2 ~dpor:true
+      ~symmetry:true ~check:Queries.check ()
   in
   let s = e.Explore.stats in
   check_outcome "cas n=3 c=2 d=10" "ok" task;
@@ -109,24 +102,15 @@ let ints_field j k =
 
 (* The store-less safety run a task must reproduce. *)
 let store_less_explore ~impl ~n ~depth ~crashes =
-  Explore.explore ~n ~factory:(factory_of impl)
-    ~invoke:
-      (Explore.workload_invoke
-         (Driver.n_times 1 (fun p _ ->
-              Slx_consensus.Consensus_type.Propose (p - 1))))
-    ~depth ~max_crashes:crashes ~dpor:true ~symmetry:true
-    ~check:(fun r -> Slx_consensus.Consensus_safety.check r.Run_report.history)
+  Explore.explore ~n ~factory:(factory_of impl) ~invoke:Queries.safety_invoke
+    ~depth ~max_crashes:crashes ~dpor:true ~symmetry:true ~check:Queries.check
     ()
 
 (* The store-less liveness run a task must reproduce. *)
 let store_less_live ~impl ~n ~point ~depth ~crashes ~max_period ~pump =
-  Live_explore.search ~n ~factory:(factory_of impl)
-    ~invoke:
-      (Explore.workload_invoke
-         (Driver.forever (fun p -> Slx_consensus.Consensus_type.Propose (p - 1))))
-    ~good:(fun _ -> true)
-    ~point ~depth ~max_crashes:crashes ~max_period ~pump_ticks:pump ~dpor:true
-    ()
+  Live_explore.search ~n ~factory:(factory_of impl) ~invoke:Queries.live_invoke
+    ~good:Slx_consensus.Consensus_type.good ~point ~depth ~max_crashes:crashes
+    ~max_period ~pump_ticks:pump ~dpor:true ()
 
 let check_work name (s : Explore_stats.t) task =
   check_int (name ^ ": steps = store-less") s.Explore_stats.steps_executed

@@ -404,16 +404,11 @@ let test_oversized_record_refused () =
 let cas_factory () = Slx_consensus.Cas_consensus.factory ()
 let selfish_factory () = Slx_consensus.Selfish_consensus.factory ()
 
-let safety_invoke =
-  Explore.workload_invoke
-    (Driver.n_times 1 (fun p _ -> Slx_consensus.Consensus_type.Propose (p - 1)))
+let safety_invoke = Slx_serve.Queries.safety_invoke
 
-let live_invoke =
-  Explore.workload_invoke
-    (Driver.forever (fun p -> Slx_consensus.Consensus_type.Propose (p - 1)))
+let live_invoke = Slx_serve.Queries.live_invoke
 
-let consensus_check r =
-  Slx_consensus.Consensus_safety.check r.Run_report.history
+let consensus_check = Slx_serve.Queries.check
 
 let pp_consensus_inv (Slx_consensus.Consensus_type.Propose v) =
   "propose " ^ string_of_int v
@@ -591,7 +586,7 @@ let test_persist_live_cold_warm_deeper () =
   let st = Store.open_ path in
   let point = Freedom.obstruction_freedom in
   let qid = live_qid ~ident:"selfish" ~factory:selfish_factory ~point () in
-  let good (_ : Slx_consensus.Consensus_type.response) = true in
+  let good = Slx_consensus.Consensus_type.good in
   let run depth =
     stored_live ~store:st ~qid ~n:2 ~factory:selfish_factory
       ~invoke:live_invoke ~good ~point ~depth ~pump_ticks:32 ()
@@ -635,7 +630,7 @@ let test_persist_lasso_warm () =
   let st = Store.open_ path in
   let point = Freedom.make ~l:1 ~k:2 in
   let qid = live_qid ~ident:"register" ~factory:register8_factory ~point () in
-  let good (_ : Slx_consensus.Consensus_type.response) = true in
+  let good = Slx_consensus.Consensus_type.good in
   let run () =
     stored_live ~store:st ~qid ~n:2 ~factory:register8_factory
       ~invoke:live_invoke ~good ~point ~depth:8 ()
