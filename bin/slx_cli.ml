@@ -962,12 +962,13 @@ let serve_cmd =
              ~doc:"Bind address (an IP literal).")
   in
   let port_arg =
-    Arg.(value & opt int 8844 & info [ "port" ] ~docv:"PORT" ~doc:"TCP port.")
+    Arg.(value & opt (int_in 1 ~hi:65535) 8844
+         & info [ "port" ] ~docv:"PORT" ~doc:"TCP port, in [1, 65535].")
   in
   let workers_arg =
-    Arg.(value & opt int 2
+    Arg.(value & opt (int_in 1 ~hi:64) 2
          & info [ "workers"; "j" ] ~docv:"N"
-             ~doc:"Worker processes (the slx binary re-executed).")
+             ~doc:"Worker processes (the slx binary re-executed), in [1, 64].")
   in
   let store_path_arg =
     Arg.(value & opt string "slx.store"

@@ -35,14 +35,10 @@ val pp_history :
 (** Histories printed in the paper's notation:
     ["propose(0)_1 . propose(1)_2 . 0_1"]. *)
 
-(** {1 Workloads}
-
-    The two consensus workloads every explorer, grid and query runs:
-    process [p] proposes [p - 1]. *)
+(** {1 Workloads}: process [p] proposes [p - 1]. *)
 
 val propose_once : (invocation, response) Slx_sim.Driver.workload
-(** Each process proposes once (the safety workload). *)
+(** Once: the safety workload. *)
 
 val propose_forever : (invocation, response) Slx_sim.Driver.workload
-(** Each process proposes again whenever it is idle (the liveness
-    workload). *)
+(** Whenever idle: the liveness workload. *)

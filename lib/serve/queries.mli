@@ -170,18 +170,16 @@ val run :
 
 val consensus_exhaustive :
   ?n:int -> ?depth:int -> unit -> Slx_core.Figure1.grid
-(** Figure 1a by {e exhaustive fair-cycle search} instead of sampled
-    adversary games, one {!run} per (l,k) point of the grid: the live
-    query [impl = "register"], [property = "l,k"], [crashes = n - 1]
-    (so obstruction-style points get their solo windows), the default
-    budgets and DPOR off — what [slx live-explore --no-dpor] runs, the
-    unreduced tree, because the one-level DPOR tree can miss a lasso.
-    A point is {b Excluded} iff the query answers a validated lasso and
-    {b Not_excluded} otherwise; no [Unknown] is possible, and the grid
-    counts no adversary or positive runs.  Defaults [n = 2],
-    [depth = 10]: big enough for Theorem 5.2's split, small enough to
-    exhaust.  Claims ledger block E20 cross-checks this grid
-    cell-by-cell against {!Slx_core.Figure1.consensus}.
+(** Figure 1a by {e exhaustive fair-cycle search}, one {!run} per
+    (l,k) point: the live query [impl = "register"], [property =
+    "l,k"], [crashes = n - 1] (the obstruction-style points' solo
+    windows), default budgets and DPOR off — [slx live-explore
+    --no-dpor], because the one-level DPOR tree can miss a lasso.  A
+    point is {b Excluded} iff the query answers a lasso, else {b
+    Not_excluded}; the grid fields no adversary or positive runs.
+    Defaults [n = 2], [depth = 10]: big enough for Theorem 5.2's
+    split, small enough to exhaust.  Ledger block E20 cross-checks it
+    cell by cell against {!Slx_core.Figure1.consensus}.
     @raise Invalid_argument when {!make} refuses [n] or [depth]. *)
 
 val record : spec -> answer -> Slx_store.Store.record

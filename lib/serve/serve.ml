@@ -16,7 +16,7 @@ type worker = {
 
 type lease = { l_id : int; l_query : int; mutable l_cancelled : bool }
 
-type qstate = Queued | Running | Done of string | Failed of string | Timeout
+type qstate = Running | Done of string | Failed of string | Timeout
 
 type query = {
   q_id : int;
@@ -196,7 +196,6 @@ let plan t q =
   with
   | Some result -> finalize t q result ~source:"warm"
   | None ->
-      q.q_state <- Running;
       q.q_source <- "full";
       t.pending <- t.pending @ [ new_lease t q ];
       dispatch t
@@ -328,7 +327,7 @@ let check_deadlines t =
   Hashtbl.iter
     (fun _ q ->
       match (q.q_state, q.q_deadline) with
-      | (Queued | Running), Some dl when now > dl ->
+      | Running, Some dl when now > dl ->
           t.timeouts <- t.timeouts + 1;
           cancel_query_workers t q;
           q.q_state <- Timeout;
@@ -351,7 +350,6 @@ let check_deadlines t =
 let status_json q =
   let state, extra =
     match q.q_state with
-    | Queued -> ("queued", "")
     | Running -> ("running", "")
     | Done r -> ("done", Printf.sprintf ", \"result\": %s" r)
     | Failed e -> ("failed", ", \"error\": " ^ Json.quote e)
@@ -375,7 +373,7 @@ let stats_json t =
   let h = Store.health t.store in
   let active =
     Hashtbl.fold
-      (fun _ q acc -> match q.q_state with Queued | Running -> acc + 1 | _ -> acc)
+      (fun _ q acc -> if q.q_state = Running then acc + 1 else acc)
       t.queries 0
   in
   let busy =
@@ -470,7 +468,7 @@ let handle_query_post t fd body =
               q_spec = spec;
               q_slot = slot;
               q_created = now ();
-              q_state = Queued;
+              q_state = Running;
               q_source = "";
               q_deadline = Option.map (fun s -> now () +. s) timeout;
               q_waiters = [];
@@ -567,12 +565,11 @@ let main ?(host = "127.0.0.1") ~port ~workers ~store () =
   Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
   Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
   Unix.listen listen_fd 64;
-  let nworkers = max 1 workers in
   let t =
     {
       store;
       listen_fd;
-      workers = Array.init nworkers spawn_worker;
+      workers = Array.init workers spawn_worker;
       leases = Hashtbl.create 32;
       queries = Hashtbl.create 32;
       inflight = Hashtbl.create 32;
@@ -591,7 +588,7 @@ let main ?(host = "127.0.0.1") ~port ~workers ~store () =
   Sys.set_signal Sys.sigint (Sys.Signal_handle on_term);
   Sys.set_signal Sys.sigterm (Sys.Signal_handle on_term);
   Printf.printf "{\"serving\": \"%s:%d\", \"workers\": %d, \"store\": %s}\n%!"
-    host port nworkers
+    host port workers
     (Json.quote (Store.path t.store));
   while t.running && not !stop do
     let worker_fds = Array.to_list (Array.map (fun w -> w.w_out) t.workers) in

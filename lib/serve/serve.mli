@@ -15,9 +15,8 @@
       [202] with [{"id", "deduped"}].  With [wait]: a close-delimited
       [application/x-ndjson] stream of progress heartbeats ending in
       the result object.
-    - [GET /status/ID] — query state ([queued]/[running]/[done]/
-      [failed]/[timeout]), the latest heartbeat, and the result when
-      done.
+    - [GET /status/ID] — query state ([running]/[done]/[failed]/
+      [timeout]), the latest heartbeat, and the result when done.
     - [GET /stats] — service counters (dedup hits, re-leases,
       timeouts, worker states), each worker's peak resident set
       ([worker_hwm_kb], read from [/proc/<pid>/status] when asked;
@@ -48,7 +47,7 @@ val main :
   store:string ->
   unit ->
   int
-(** Serve until [POST /shutdown] (or SIGINT/SIGTERM).  [host] defaults
-    to ["127.0.0.1"]; [workers] is clamped to at least 1.  Returns the
+(** Serve until [POST /shutdown] (or SIGINT/SIGTERM) with [workers]
+    worker processes.  [host] defaults to ["127.0.0.1"].  Returns the
     process exit code; the store is committed on every completed query
     and again on shutdown. *)

@@ -107,8 +107,8 @@ module Cursor : sig
       prefix): after a
       [Schedule] grant, the probe holds the executed step's observed
       accesses, from which the DPOR engines compute race reversals.
-      Engines share one probe across all of a domain's cursors (only
-      the last completed step is retained).
+      Engines share one probe across all of their cursors (only the
+      last completed step is retained).
 
       [keyed] (default [true]) says whether the cursor keeps the
       digests its configuration keys are made of: the shared-state

@@ -234,8 +234,8 @@ let hash_value v =
    current state.  The registry in effect while an implementation
    instance is alive collects the readers of every base object that
    instance allocates; the explorer folds them into configuration
-   fingerprints.  The "current registry" is domain-local so parallel
-   explorers do not observe each other's allocations.
+   fingerprints.  One registry is current at a time: the simulator
+   runs on one domain (doc/model.md §5).
 
    The digest is maintained {e incrementally}, Zobrist-style: each
    object contributes [combine id (reader ())], the registry digest is
@@ -310,13 +310,13 @@ type registry = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* The domain's execution frame: everything the step path consults,
-   behind one domain-local slot.
+(* The execution frame: everything the step path consults, in one
+   module-level record (the simulator runs on one domain).
 
    It holds the current registry, the installed sanitizer shadow and
    DPOR probe (see the sections below), and the state of the atomic
-   action in flight.  One [Domain.DLS.get] per grant and per touch
-   reaches all of it.
+   action in flight.  A grant and a touch reach all of it with one
+   load.
 
    The frame also implements nested-atomic composition: an [atomic]/
    [atomic_access] call made while an atomic action is already
@@ -387,20 +387,19 @@ and probe = {
   mutable pr_observed : footprint;  (* observed footprint of the last step *)
 }
 
-let frame_key : frame Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        fr_registry = None;
-        fr_shadow = None;
-        fr_probe = None;
-        fr_depth = 0;
-        fr_active = false;
-        fr_pending = opaque;
-        fr_eff = opaque;
-        fr_buf = Array.make 64 0;
-        fr_len = 0;
-        fr_checked = 0;
-      })
+let frame =
+  {
+    fr_registry = None;
+    fr_shadow = None;
+    fr_probe = None;
+    fr_depth = 0;
+    fr_active = false;
+    fr_pending = opaque;
+    fr_eff = opaque;
+    fr_buf = Array.make 64 0;
+    fr_len = 0;
+    fr_checked = 0;
+  }
 
 let fresh_registry ?(keyed = true) () : registry =
   {
@@ -415,34 +414,31 @@ let fresh_registry ?(keyed = true) () : registry =
    (plain [Runner.run]s); footprint ids only ever need to be distinct
    within one implementation instance, and negative ids cannot collide
    with registry-issued positive ones. *)
-let orphan_ids : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
+let orphan_ids = ref 0
 
 (* While [in_block] runs: the next id to issue inside the block and the
    block's end (exclusive). *)
-let block_scope : (int * int) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+let block_scope : (int * int) option ref = ref None
 
 (* The first of [size] consecutive fresh ids: from the enclosing block
    when one is in scope, else from the current registry, else from the
    orphan counter. *)
 let issue_ids size =
-  let scope = Domain.DLS.get block_scope in
-  match !scope with
+  match !block_scope with
   | Some (id, limit) ->
       if id + size > limit then
         invalid_arg "Runtime: allocation overruns its reserved id block";
-      scope := Some (id + size, limit);
+      block_scope := Some (id + size, limit);
       id
   | None -> (
-      match (Domain.DLS.get frame_key).fr_registry with
+      match frame.fr_registry with
       | Some reg ->
           let id = reg.next_id in
           reg.next_id <- id + size;
           id
       | None ->
-          let c = Domain.DLS.get orphan_ids in
-          c := !c - size;
-          !c)
+          orphan_ids := !orphan_ids - size;
+          !orphan_ids)
 
 (* The page object [id] lives on, allocating it (and growing the page
    directory) on first use. *)
@@ -460,7 +456,7 @@ let own_page reg id =
 
 let register_object reader =
   let id = issue_ids 1 in
-  (match (Domain.DLS.get frame_key).fr_registry with
+  (match frame.fr_registry with
   | None -> ()
   | Some reg ->
       let p = own_page reg id and i = id land page_mask in
@@ -498,15 +494,14 @@ let reserve_ids size =
 let in_block blk ~offset f =
   if offset < 0 || offset > blk.blk_size then
     invalid_arg "Runtime.in_block: offset outside the block";
-  let scope = Domain.DLS.get block_scope in
-  let saved = !scope in
-  scope := Some (blk.blk_base + offset, blk.blk_base + blk.blk_size);
+  let saved = !block_scope in
+  block_scope := Some (blk.blk_base + offset, blk.blk_base + blk.blk_size);
   match f () with
   | x ->
-      scope := saved;
+      block_scope := saved;
       x
   | exception e ->
-      scope := saved;
+      block_scope := saved;
       raise e
 
 (* Called (unconditionally) on every write-touch: queue the object for
@@ -537,17 +532,17 @@ let restore fr reg0 ~shadow sh0 ~probe pr0 =
    the probe: the cursor's whole execution context in one frame
    update. *)
 let with_registry ?shadow ?probe reg f =
-  let fr = Domain.DLS.get frame_key in
-  let reg0 = fr.fr_registry and sh0 = fr.fr_shadow and pr0 = fr.fr_probe in
-  fr.fr_registry <- Some reg;
-  if Option.is_some shadow then fr.fr_shadow <- shadow;
-  if Option.is_some probe then fr.fr_probe <- probe;
+  let reg0 = frame.fr_registry and sh0 = frame.fr_shadow in
+  let pr0 = frame.fr_probe in
+  frame.fr_registry <- Some reg;
+  if Option.is_some shadow then frame.fr_shadow <- shadow;
+  if Option.is_some probe then frame.fr_probe <- probe;
   match f () with
   | x ->
-      restore fr reg0 ~shadow sh0 ~probe pr0;
+      restore frame reg0 ~shadow sh0 ~probe pr0;
       x
   | exception e ->
-      restore fr reg0 ~shadow sh0 ~probe pr0;
+      restore frame reg0 ~shadow sh0 ~probe pr0;
       raise e
 
 let require_keyed (reg : registry) fn =
@@ -598,7 +593,7 @@ let registry_objects (reg : registry) =
 
    POR trusts each pending action's declared footprint; the sanitizer
    checks that trust dynamically.  Instrumented base objects report
-   every physical cell access through [touch]; the domain-local frame
+   every physical cell access through [touch]; the execution frame
    tracks the footprint of the atomic action in flight, and an
    installed shadow records/validates the touches against it.  A
    cursor installs its shadow with [with_registry ~shadow]. *)
@@ -657,7 +652,7 @@ let make_shadow ?(record = false) ?(raise_on_violation = true) () =
    actually did in this configuration — instead of declared footprints
    alone.  One probe per engine, installed around
    [Runner.Cursor.apply] exactly like the shadow; with no probe
-   installed, [touch] stays one domain-local read and a branch. *)
+   installed, [touch] stays one frame read and a branch. *)
 
 let make_probe () = { pr_steps = 0; pr_observed = empty }
 let probe_steps pr = pr.pr_steps
@@ -691,7 +686,7 @@ let violate sh v =
   sh.sh_violations <- v :: sh.sh_violations;
   if sh.sh_raise then raise (Shadow_violation v)
 
-(* The hot path: one domain-local read, a depth test, an activity test
+(* The hot path: one frame read, a depth test, an activity test
    and a packed store.  No allocation, no footprint walk — validation
    happens in batch at [leave_step] (and at nested-declaration
    boundaries, which preserve the temporal precision of the old
@@ -700,14 +695,13 @@ let touch ~obj ~write =
   (* Keep the registry's incremental digest exact: every physical
      write invalidates the written object's cached contribution, with
      or without a shadow installed. *)
-  let fr = Domain.DLS.get frame_key in
-  if write then mark_written fr obj;
-  if fr.fr_depth = 0 then (
+  if write then mark_written frame obj;
+  if frame.fr_depth = 0 then (
     (* Outside any atomic action: a violation when a shadow judges;
        with only a probe installed there is no step to attribute the
        touch to, so it is dropped (the sanitizer is the layer that
        reports this contract breach). *)
-    match fr.fr_shadow with
+    match frame.fr_shadow with
     | Some sh ->
         violate sh
           {
@@ -718,14 +712,14 @@ let touch ~obj ~write =
             v_step = sh.sh_steps;
           }
     | None -> ())
-  else if fr.fr_active then begin
-    if fr.fr_len = Array.length fr.fr_buf then begin
-      let bigger = Array.make (2 * fr.fr_len) 0 in
-      Array.blit fr.fr_buf 0 bigger 0 fr.fr_len;
-      fr.fr_buf <- bigger
+  else if frame.fr_active then begin
+    if frame.fr_len = Array.length frame.fr_buf then begin
+      let bigger = Array.make (2 * frame.fr_len) 0 in
+      Array.blit frame.fr_buf 0 bigger 0 frame.fr_len;
+      frame.fr_buf <- bigger
     end;
-    fr.fr_buf.(fr.fr_len) <- (obj lsl 1) lor (if write then 1 else 0);
-    fr.fr_len <- fr.fr_len + 1
+    frame.fr_buf.(frame.fr_len) <- (obj lsl 1) lor (if write then 1 else 0);
+    frame.fr_len <- frame.fr_len + 1
   end
 
 (* Rebuild the buffered touches as an access list in program order
@@ -964,15 +958,14 @@ let enter_nested fr fp =
   fr.fr_depth <- fr.fr_depth + 1
 
 let atomic_with fp f =
-  let fr = Domain.DLS.get frame_key in
-  if fr.fr_depth > 0 then begin
-    enter_nested fr fp;
+  if frame.fr_depth > 0 then begin
+    enter_nested frame fp;
     match f () with
     | v ->
-        fr.fr_depth <- fr.fr_depth - 1;
+        frame.fr_depth <- frame.fr_depth - 1;
         v
     | exception e ->
-        fr.fr_depth <- fr.fr_depth - 1;
+        frame.fr_depth <- frame.fr_depth - 1;
         raise e
   end
   else perform (Atomic (fp, f))
@@ -1068,15 +1061,14 @@ let grant cell =
          below runs the process up to its next suspension inside this
          call, and that code is between atomic steps (local by
          contract). *)
-      let fr = Domain.DLS.get frame_key in
-      enter_step fr pending;
+      enter_step frame pending;
       let v =
         match action () with
         | v ->
-            leave_step fr;
+            leave_step frame;
             v
         | exception e ->
-            leave_step fr;
+            leave_step frame;
             raise e
       in
       (* The local state of the process after this step is a

@@ -140,8 +140,8 @@ val pp_footprint : Format.formatter -> footprint -> unit
     over-declaration lints, and (in record mode) a per-step log
     consumed by the happens-before certifier {!Slx_analysis.Hb}.
 
-    With no shadow or probe installed, {!touch} is one domain-local
-    read and two branches, and a grant records no footprint — engines
+    With no shadow or probe installed, {!touch} is one frame read and
+    two branches, and a grant records no footprint — engines
     not sanitizing, and every prefix replay, pay essentially nothing;
     with one installed a touch is the same read plus one packed store
     into the step buffer. *)
@@ -361,9 +361,10 @@ val with_registry :
     and, when given, [shadow] and [probe] installed as the current
     sanitizer shadow and DPOR probe (an omitted one leaves the current
     one in place).  Everything it installed is restored afterwards,
-    exceptions included.  All three live in one domain-local frame
+    exceptions included.  All three live in one module-level frame
     with the state of the atomic step in flight, so a grant or a
-    {!touch} reaches them with one domain-local read. *)
+    {!touch} reaches them with one read.  The simulator runs on one
+    domain: nothing here is safe to share across domains. *)
 
 val register_object : (unit -> int) -> int
 (** Called by base-object constructors: adds a reader returning a hash

@@ -1,8 +1,9 @@
-(* Figure 1 pins: the exact JSON record of every sampled grid at three
+(* Figure 1 pins: the exact JSON record of every sampled grid at four
    settings.  A grid's record holds its cell colours and how many
    adversary and positive runs were fielded, so a rewrite of the grid
    builder, of an adversary or of a workload driver that changes a
-   colour or drops a run fails here. *)
+   colour or drops a run fails here.  At 8 steps every grid has
+   [unknown] cells, so a classifier that paints them white fails too. *)
 
 open Slx_core
 
@@ -13,6 +14,8 @@ let settings =
       fun f -> f ?n:(Some 2) ?max_steps:(Some 300) ?seeds:(Some [ 1 ]) () );
     ( "n 4, 600 steps, seeds 1 2",
       fun f -> f ?n:(Some 4) ?max_steps:(Some 600) ?seeds:(Some [ 1; 2 ]) () );
+    ( "n 2, 8 steps, seeds 1 2 3",
+      fun f -> f ?n:(Some 2) ?max_steps:(Some 8) ?seeds:(Some [ 1; 2; 3 ]) () );
   ]
 
 let grids =
@@ -51,6 +54,14 @@ let pins =
       {|{"name": "Section 5.3: TM (S')", "n": 4, "adversary_runs": 2, "positive_runs": 4, "cells": [{"l": 1, "k": 1, "color": "not_excluded"}, {"l": 1, "k": 2, "color": "not_excluded"}, {"l": 1, "k": 3, "color": "excluded"}, {"l": 1, "k": 4, "color": "excluded"}, {"l": 2, "k": 2, "color": "excluded"}, {"l": 2, "k": 3, "color": "excluded"}, {"l": 2, "k": 4, "color": "excluded"}, {"l": 3, "k": 3, "color": "excluded"}, {"l": 3, "k": 4, "color": "excluded"}, {"l": 4, "k": 4, "color": "excluded"}]}|} );
     ( "mutex n 4, 600 steps, seeds 1 2",
       {|{"name": "Mutex (mutual exclusion, Bakery lock)", "n": 4, "adversary_runs": 1, "positive_runs": 8, "cells": [{"l": 1, "k": 1, "color": "not_excluded"}, {"l": 1, "k": 2, "color": "not_excluded"}, {"l": 1, "k": 3, "color": "not_excluded"}, {"l": 1, "k": 4, "color": "not_excluded"}, {"l": 2, "k": 2, "color": "not_excluded"}, {"l": 2, "k": 3, "color": "not_excluded"}, {"l": 2, "k": 4, "color": "not_excluded"}, {"l": 3, "k": 3, "color": "not_excluded"}, {"l": 3, "k": 4, "color": "not_excluded"}, {"l": 4, "k": 4, "color": "not_excluded"}]}|} );
+    ( "consensus n 2, 8 steps, seeds 1 2 3",
+      {|{"name": "Figure 1a: consensus (agreement and validity)", "n": 2, "adversary_runs": 1, "positive_runs": 6, "cells": [{"l": 1, "k": 1, "color": "unknown"}, {"l": 1, "k": 2, "color": "excluded"}, {"l": 2, "k": 2, "color": "excluded"}]}|} );
+    ( "tm n 2, 8 steps, seeds 1 2 3",
+      {|{"name": "Figure 1b: TM (opacity)", "n": 2, "adversary_runs": 1, "positive_runs": 6, "cells": [{"l": 1, "k": 1, "color": "unknown"}, {"l": 1, "k": 2, "color": "unknown"}, {"l": 2, "k": 2, "color": "unknown"}]}|} );
+    ( "s_prime n 2, 8 steps, seeds 1 2 3",
+      {|{"name": "Section 5.3: TM (S')", "n": 2, "adversary_runs": 1, "positive_runs": 6, "cells": [{"l": 1, "k": 1, "color": "unknown"}, {"l": 1, "k": 2, "color": "unknown"}, {"l": 2, "k": 2, "color": "unknown"}]}|} );
+    ( "mutex n 2, 8 steps, seeds 1 2 3",
+      {|{"name": "Mutex (mutual exclusion, Bakery lock)", "n": 2, "adversary_runs": 1, "positive_runs": 6, "cells": [{"l": 1, "k": 1, "color": "unknown"}, {"l": 1, "k": 2, "color": "unknown"}, {"l": 2, "k": 2, "color": "unknown"}]}|} );
   ]
 
 let test_pins () =

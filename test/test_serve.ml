@@ -509,7 +509,8 @@ let test_cli_out_of_range_refused () =
        (fun cmd -> (cmd, [ ("1", 0); ("0", 124); ("-3", 124) ]))
        [ "game"; "game --adversary tie"; "tm-game"; "mutex" ]);
   (* An unknown choice is a usage error too, which lists the valid
-     choices. *)
+     choices, and so is a serve bound out of range: cmdliner refuses it
+     before any socket or worker exists. *)
   List.iter
     (fun args ->
       check_int
@@ -524,6 +525,10 @@ let test_cli_out_of_range_refused () =
       "tm-game --adversary bogus";
       "mutex --impl bogus";
       "query --kind bogus";
+      "serve --workers 0";
+      "serve --workers 65";
+      "serve --port 0";
+      "serve --port 65536";
     ]
 
 (* The tie adversary plays to the --steps budget it is given, 60 by
@@ -936,7 +941,7 @@ let test_deadline_cancels_and_frees_the_slot () =
       check_bool "the resubmission is a new query" true (again <> id);
       let rec settle tries =
         match state again with
-        | Some ("queued" | "running"), _ when tries > 0 ->
+        | Some "running", _ when tries > 0 ->
             Unix.sleepf 0.05;
             settle (tries - 1)
         | s, j -> (s, j)
