@@ -7,15 +7,11 @@
 open Slx_consensus
 open Slx_core
 
-let one_proposal = Slx_serve.Queries.safety_invoke
-
 let verify name factory ~depth ~max_crashes =
   Printf.printf "== %s (depth %d, up to %d crashes) ==\n" name depth max_crashes;
   match
-    (Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth
-       ~max_crashes
-       ~check:Slx_serve.Queries.check
-       ())
+    (Explore.explore ~n:2 ~factory ~invoke:Slx_serve.Queries.safety_invoke
+       ~depth ~max_crashes ~check:Slx_serve.Queries.check ())
       .Explore.outcome
   with
   | Explore.Ok runs ->

@@ -9,8 +9,6 @@ open Slx_liveness
 open Slx_consensus
 
 let propose_own = Consensus_type.propose_forever
-let good = Consensus_type.good
-
 let describe name r =
   let decisions = Consensus_adversary.decisions r.Run_report.history in
   Format.printf "@.== %s ==@." name;
@@ -31,7 +29,8 @@ let describe name r =
   List.iter
     (fun (l, k) ->
       let f = Freedom.make ~l ~k in
-      Format.printf "%a: %b@." Freedom.pp f (Freedom.holds ~good r f))
+      Format.printf "%a: %b@." Freedom.pp f
+        (Freedom.holds ~good:Consensus_type.good r f))
     [ (1, 1); (1, 2); (2, 2) ]
 
 let () =

@@ -86,6 +86,7 @@ let sampled ~n ~max_steps ~seeds row =
    lockstep adversary over processes 1 and 2. *)
 let consensus ?(n = 3) ?(max_steps = 1200) ?(seeds = [ 1; 2; 3 ]) () =
   let open Slx_consensus in
+  let workload = Consensus_type.propose_forever in
   sampled ~n ~max_steps ~seeds
     {
       title = "Figure 1a: consensus (agreement and validity)";
@@ -94,10 +95,7 @@ let consensus ?(n = 3) ?(max_steps = 1200) ?(seeds = [ 1; 2; 3 ]) () =
       good = Consensus_type.good;
       adversary =
         [ Drive ([ 1; 2 ], Consensus_adversary.lockstep (), max_steps) ];
-      workload =
-        (fun procs seed ->
-          Driver.random ~procs ~seed ~workload:Consensus_type.propose_forever
-            ());
+      workload = (fun procs seed -> Driver.random ~procs ~seed ~workload ());
       sizes = List.init n succ;
       also_positive = [];
     }

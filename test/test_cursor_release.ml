@@ -19,8 +19,6 @@ open Support
 
 let one_proposal = Slx_serve.Queries.safety_invoke
 
-let forever_proposal = Slx_serve.Queries.live_invoke
-
 let consensus_check = Slx_serve.Queries.check
 
 (* A property that fails only off the leftmost path — on the least run
@@ -77,7 +75,7 @@ let explore ?(symmetry = false) ?(dpor = false) ?(check = consensus_check) ~n
 let live ?(dpor = false) ~l ~k ~n ~depth ~crashes () =
   Live_explore.search ~n
     ~factory:(fun () -> Register_consensus.factory ~max_rounds:(max 8 depth) ())
-    ~invoke:forever_proposal
+    ~invoke:Slx_serve.Queries.live_invoke
     ~good:Consensus_type.good
     ~point:(Slx_liveness.Freedom.make ~l ~k)
     ~depth ~max_crashes:crashes ~dpor ()

@@ -120,14 +120,12 @@ let test_live_differential () =
 let pp_consensus_inv (Slx_consensus.Consensus_type.Propose v) =
   "propose " ^ string_of_int v
 
-let consensus_invoke = Slx_serve.Queries.live_invoke
-
 let test_register_cert_identity () =
   let run ~dpor =
     Live_explore.search ~n:2
       ~factory:(fun () ->
         Slx_consensus.Register_consensus.factory ~max_rounds:8 ())
-      ~invoke:consensus_invoke
+      ~invoke:Slx_serve.Queries.live_invoke
       ~good:Slx_consensus.Consensus_type.good
       ~point:(Freedom.make ~l:1 ~k:2) ~depth:8 ~dpor ()
   in

@@ -220,14 +220,11 @@ let test_trace_validate_rejects_unbalanced () =
 (* ------------------------------------------------------------------ *)
 (* Tracing through the engines: determinism and reconciliation.        *)
 
-let one_proposal = Slx_serve.Queries.safety_invoke
-
 let explore_register ?cache ?(dpor = false) ?(symmetry = false) ?obs () =
   Explore.explore ~n:2
     ~factory:(fun () -> Slx_consensus.Register_consensus.factory ())
-    ~invoke:one_proposal ~depth:8 ?cache ~dpor ~symmetry ?obs
-    ~check:Slx_serve.Queries.check
-    ()
+    ~invoke:Slx_serve.Queries.safety_invoke ~depth:8 ?cache ~dpor ~symmetry ?obs
+    ~check:Slx_serve.Queries.check ()
 
 let essence e =
   let s = e.Explore.stats in

@@ -87,8 +87,6 @@ let eager_rounds depth = max 8 depth
 (* ------------------------------------------------------------------ *)
 (* Safety exploration.                                                 *)
 
-let one_proposal = Slx_serve.Queries.safety_invoke
-
 let summary (e : _ Explore.exploration) =
   let s = e.Explore.stats in
   let verdict =
@@ -113,8 +111,8 @@ let engines =
   ]
 
 let explore_with ~n ~depth ~max_crashes ~check e factory =
-  Explore.explore ~n ~factory ~invoke:one_proposal ~depth ~max_crashes
-    ~symmetry:e.symmetry ~dpor:e.dpor ~check ()
+  Explore.explore ~n ~factory ~invoke:Slx_serve.Queries.safety_invoke ~depth
+    ~max_crashes ~symmetry:e.symmetry ~dpor:e.dpor ~check ()
 
 let same_exploration ~name ~n ~depth ~max_crashes ~check ~lazy_ ~eager =
   List.iter
@@ -130,13 +128,11 @@ let same_exploration ~name ~n ~depth ~max_crashes ~check ~lazy_ ~eager =
         (old.Explore.witness_script = now.Explore.witness_script))
     engines
 
-let consensus_check = Slx_serve.Queries.check
-
 let test_register_differential () =
   List.iter
     (fun (n, depth, max_crashes) ->
       same_exploration ~name:"register" ~n ~depth ~max_crashes
-        ~check:consensus_check
+        ~check:Slx_serve.Queries.check
         ~lazy_:(fun () -> Register_consensus.factory ())
         ~eager:(fun () ->
           Eager.factory ~max_rounds:(eager_rounds depth) ()))
@@ -161,8 +157,6 @@ let test_kset_differential () =
 
 (* ------------------------------------------------------------------ *)
 (* Fair-cycle search.                                                  *)
-
-let forever_proposal = Slx_serve.Queries.live_invoke
 
 let live_summary (r : _ Live_explore.result) =
   let s = r.Live_explore.stats in
@@ -189,9 +183,8 @@ let test_live_differential () =
     (fun (l, k, depth, max_crashes) ->
       let point = Slx_liveness.Freedom.make ~l ~k in
       let search factory =
-        Live_explore.search ~n:2 ~factory ~invoke:forever_proposal
-          ~good:Consensus_type.good
-          ~point ~depth ~max_crashes ()
+        Live_explore.search ~n:2 ~factory ~invoke:Slx_serve.Queries.live_invoke
+          ~good:Consensus_type.good ~point ~depth ~max_crashes ()
       in
       let old =
         search (fun () -> Eager.factory ~max_rounds:(eager_rounds depth) ())
