@@ -67,7 +67,8 @@ let simulator_tests =
                   ~factory:(Slx_consensus.Register_consensus.factory ())
                   ~driver:
                     (Driver.random ~seed:3
-                       ~workload:Slx_consensus.Consensus_type.propose_forever ())
+                       ~workload:Slx_consensus.Consensus_type.propose_forever
+                       ())
                   ~max_steps:steps ()))))
     [ 200; 400 ]
 
