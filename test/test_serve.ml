@@ -22,8 +22,9 @@
      record is computed in full, outside text (a store path, an
      implementation name) comes back as valid JSON, one query
      sequence leaves the same store counters and records as the CLI's
-     [--store] path, and a query past its deadline is cancelled on its
-     worker and frees its slot. *)
+     [--store] path, a query past its deadline is cancelled on its
+     worker and frees its slot, and a query whose worker is killed or
+     cancelled by a stray signal is re-leased and answered in full. *)
 
 open Support
 open Slx_core
@@ -859,6 +860,19 @@ let cli_last_json args =
       let rc = Sys.command (Printf.sprintf "%s %s > %s" slx_bin args out) in
       (rc, last_json (In_channel.with_open_bin out In_channel.input_all)))
 
+(* CI's slow live query: it computes for tens of milliseconds. *)
+let slow_fields =
+  {|"kind": "live", "impl": "cas", "property": "obstruction", "n": 3, |}
+  ^ {|"depth": 11, "crashes": 1, "max_period": 4, "pump": 40|}
+
+(* The pid of coordinator [pid]'s one child, its worker, where /proc
+   can tell. *)
+let worker_of pid =
+  let children = Printf.sprintf "/proc/%d/task/%d/children" pid pid in
+  if Sys.file_exists children then
+    Some (String.trim (In_channel.with_open_bin children In_channel.input_all))
+  else None
+
 (* The deadline path.  A [timeout] that is not a positive number is
    refused before a query exists.  A query past its deadline reads
    [timeout] in /status and counts in /stats; its worker is cancelled
@@ -873,10 +887,6 @@ let test_deadline_cancels_and_frees_the_slot () =
   let slow =
     "--kind live --impl cas --property obstruction --procs 3 --depth 11 \
      --crashes 1 --max-period 4 --pump 40"
-  in
-  let slow_fields =
-    {|"kind": "live", "impl": "cas", "property": "obstruction", "n": 3, |}
-    ^ {|"depth": 11, "crashes": 1, "max_period": 4, "pump": 40|}
   in
   with_server_pid ~store:(temp_store ()) (fun pid port ->
       let slx args =
@@ -908,16 +918,7 @@ let test_deadline_cancels_and_frees_the_slot () =
         (stat (stats port) [ "queries" ]);
       let src, _ = query port {|"impl": "cas", "depth": 4|} in
       check_bool "the worker is up" true (src = Some "full");
-      (* The coordinator's one child: its worker. *)
-      let children = Printf.sprintf "/proc/%d/task/%d/children" pid pid in
-      let worker () =
-        if Sys.file_exists children then
-          Some
-            (String.trim
-               (In_channel.with_open_bin children In_channel.input_all))
-        else None
-      in
-      let before = worker () in
+      let before = worker_of pid in
       let submit args =
         let rc, j = slx (slow ^ args) in
         check_int ("slx query" ^ args ^ ": exit code") 0 rc;
@@ -952,7 +953,64 @@ let test_deadline_cancels_and_frees_the_slot () =
       check_outcome "the resubmission" "no_fair_cycle"
         (Option.get (Json.member "result" j));
       Alcotest.(check (option string))
-        "the same worker process computed it" before (worker ()))
+        "the same worker process computed it" before (worker_of pid))
+
+(* A worker lost mid-query.  The coordinator's one worker, up since a
+   served safety query (so its SIGUSR1 handler is installed), is
+   stopped before CI's slow live query is submitted, so the query is
+   still its task when [disturb] acts on it: a SIGKILL, or a SIGUSR1
+   the coordinator never sent, which the task answers "cancelled".
+   Either way the coordinator puts the query back once, and the
+   answer is the store-less task's, computed in full. *)
+let test_lost_task_is_re_leased disturb () =
+  let expected =
+    Queries.run_task (spec_of ("{" ^ slow_fields ^ "}")) Queries.Full
+    |> parse_result |> Json.to_string
+  in
+  with_server_pid ~store:(temp_store ()) (fun pid port ->
+      let src, _ = query port {|"impl": "cas", "depth": 4|} in
+      check_bool "the worker is up" true (src = Some "full");
+      let worker =
+        match Option.bind (worker_of pid) int_of_string_opt with
+        | Some w -> w
+        | None -> Alcotest.fail "no worker pid in /proc"
+      in
+      Unix.kill worker Sys.sigstop;
+      let id =
+        Fun.protect
+          ~finally:(fun () ->
+            try Unix.kill worker Sys.sigcont with Unix.Unix_error _ -> ())
+          (fun () ->
+            let ticket =
+              exchange port
+                (request ~meth:"POST" ~path:"/query" ("{" ^ slow_fields ^ "}"))
+            in
+            disturb worker;
+            int_field (last_json ticket) "id")
+      in
+      let status () =
+        last_json
+          (exchange port
+             (request ~meth:"GET" ~path:(Printf.sprintf "/status/%d" id) ""))
+      in
+      let rec settle tries =
+        let j = status () in
+        if Json.member "state" j = Some (Json.Str "running") && tries > 0
+        then begin
+          Unix.sleepf 0.05;
+          settle (tries - 1)
+        end
+        else j
+      in
+      let j = settle 600 in
+      let str k = Option.bind (Json.member k j) Json.str in
+      Alcotest.(check (option string)) "state" (Some "done") (str "state");
+      Alcotest.(check (option string)) "source" (Some "full") (str "source");
+      Alcotest.(check string)
+        "result = store-less task" expected
+        (Json.to_string (Option.get (Json.member "result" j)));
+      check_int "/stats counts one re-lease" 1
+        (stat (stats port) [ "re_leases" ]))
 
 let cli_json args =
   let rc, j = cli_last_json (args ^ " --json") in
@@ -1298,5 +1356,9 @@ let suites =
           `Quick test_warm_hit_not_committed;
         Alcotest.test_case "a timed-out query is cancelled and frees its slot"
           `Quick test_deadline_cancels_and_frees_the_slot;
+        Alcotest.test_case "a killed worker's query is re-leased" `Quick
+          (test_lost_task_is_re_leased (fun w -> Unix.kill w Sys.sigkill));
+        Alcotest.test_case "a stray cancel's query is re-leased" `Quick
+          (test_lost_task_is_re_leased (fun w -> Unix.kill w Sys.sigusr1));
       ] );
   ]
