@@ -111,6 +111,23 @@ let store_arg =
            if missing; corrupt or stale stores degrade to cold runs, \
            never to wrong answers.")
 
+(* One structured error path for CLI file problems: a [slx]-prefixed
+   line on stderr and exit 2, whatever the flag that named the file. *)
+let cli_error fmt =
+  Printf.ksprintf
+    (fun s ->
+      Printf.eprintf "[slx] error: %s\n" s;
+      2)
+    fmt
+
+(* The store commits through a temp file beside it, so a [--store] in a
+   directory that does not exist could never be written: the commands
+   refuse it through [cli_error] before any engine work or socket. *)
+let store_dir_error path =
+  let dir = Filename.dirname path in
+  if Sys.file_exists dir && Sys.is_directory dir then None
+  else Some (Printf.sprintf "%s: directory %s does not exist" path dir)
+
 (* Graceful ^C for the exploration subcommands: the engines poll the
    flag once per node and abandon with partial statistics; a
    store-backed run commits its counters first. *)
@@ -500,9 +517,10 @@ let print_answer ~json (sp : Queries.spec) source answer =
    bypasses the store. *)
 let run_query ?(naive = false) ~json ~sanitize ~store ~trace ~progress
     ~progress_json spec =
-  match spec with
-  | Error e -> `Error (false, e)
-  | Ok (sp : Queries.spec) ->
+  match (spec, Option.bind store store_dir_error) with
+  | Error e, _ -> `Error (false, e)
+  | Ok _, Some e -> `Ok (cli_error "%s" e)
+  | Ok (sp : Queries.spec), None ->
       let obs = make_obs ~trace ~progress ~progress_json in
       if naive && trace <> None then
         prerr_endline
@@ -644,15 +662,6 @@ let live_explore_cmd =
 
 (* ------------------------------------------------------------------ *)
 (* stats — replay a saved trace into histograms                        *)
-
-(* One structured error path for CLI file problems: a [slx]-prefixed
-   line on stderr and exit 2, whatever the flag that named the file. *)
-let cli_error fmt =
-  Printf.ksprintf
-    (fun s ->
-      Printf.eprintf "[slx] error: %s\n" s;
-      2)
-    fmt
 
 let stats_cmd =
   let trace_file_arg =
@@ -977,7 +986,9 @@ let serve_cmd =
                    writer).")
   in
   let run host port workers store =
-    Slx_serve.Serve.main ~host ~port ~workers ~store ()
+    match store_dir_error store with
+    | Some e -> cli_error "%s" e
+    | None -> Slx_serve.Serve.main ~host ~port ~workers ~store ()
   in
   Cmd.v
     (Cmd.info "serve"
@@ -985,8 +996,7 @@ let serve_cmd =
          "Run the verification service: a JSON-over-HTTP coordinator that \
           answers queries warm from the store, computes each other one \
           cold as a single task on a worker process (re-leased on \
-          crash), and dedupes \
-          identical in-flight queries.  Endpoints: \
+          crash), and dedupes identical in-flight queries.  Endpoints: \
           POST /query, GET /status/ID, GET /stats, POST /shutdown.")
     Term.(const run $ host_arg $ port_arg $ workers_arg $ store_path_arg)
 
@@ -996,8 +1006,8 @@ let query_cmd =
          ~doc:"Server address.")
   in
   let port_arg =
-    Arg.(value & opt int 8844 & info [ "port" ] ~docv:"PORT"
-         ~doc:"Server port.")
+    Arg.(value & opt (int_in 1 ~hi:65535) 8844 & info [ "port" ] ~docv:"PORT"
+         ~doc:"Server port, in [1, 65535].")
   in
   let kind_arg =
     Arg.(value

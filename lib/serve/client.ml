@@ -1,3 +1,22 @@
+(* The wire helpers both sides of the socket share. *)
+
+let write_all fd s =
+  let rec go off =
+    if off < String.length s then
+      go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
+let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let body_start s =
+  let rec find i =
+    if i + 4 > String.length s then None
+    else if String.sub s i 4 = "\r\n\r\n" then Some (i + 4)
+    else find (i + 1)
+  in
+  find 0
+
 let connect ?(host = "127.0.0.1") ~port () =
   match Unix.inet_addr_of_string host with
   | exception Failure _ -> Error (Printf.sprintf "bad host %S" host)
@@ -6,60 +25,37 @@ let connect ?(host = "127.0.0.1") ~port () =
       match Unix.connect fd (Unix.ADDR_INET (addr, port)) with
       | () -> Ok fd
       | exception Unix.Unix_error (e, _, _) ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
+          close_quiet fd;
           Error
             (Printf.sprintf "cannot reach %s:%d: %s" host port
                (Unix.error_message e)))
-
-let send_all fd s =
-  let b = Bytes.of_string s in
-  let len = Bytes.length b in
-  let rec go off =
-    if off < len then go (off + Unix.write fd b off (len - off))
-  in
-  go 0
 
 (* Responses are [Connection: close]: stream everything after the
    header block straight to [out] until EOF.  That one loop serves
    both fixed-length JSON bodies and ndjson heartbeat streams. *)
 let relay_body fd ~out =
   let buf = Bytes.create 65536 in
-  let acc = Buffer.create 256 in
+  let head = Buffer.create 256 in
   let in_body = ref false in
   let rec loop () =
     match Unix.read fd buf 0 (Bytes.length buf) with
     | 0 -> ()
     | n ->
-        if !in_body then (
-          output_string out (Bytes.sub_string buf 0 n);
-          flush out)
+        if !in_body then output out buf 0 n
         else begin
-          Buffer.add_subbytes acc buf 0 n;
-          let s = Buffer.contents acc in
-          (match String.index_opt s '\r' with
-          | Some _ -> (
-              match
-                (* End of header block. *)
-                let rec find i =
-                  if i + 3 >= String.length s then None
-                  else if String.sub s i 4 = "\r\n\r\n" then Some (i + 4)
-                  else find (i + 1)
-                in
-                find 0
-              with
-              | Some body_off ->
-                  in_body := true;
-                  output_string out
-                    (String.sub s body_off (String.length s - body_off));
-                  flush out
-              | None -> ())
-          | None -> ());
-          ()
+          Buffer.add_subbytes head buf 0 n;
+          let s = Buffer.contents head in
+          Option.iter
+            (fun off ->
+              in_body := true;
+              output_substring out s off (String.length s - off))
+            (body_start s)
         end;
+        flush out;
         loop ()
   in
   (try loop () with Unix.Unix_error _ -> ());
-  (try Unix.close fd with Unix.Unix_error _ -> ())
+  close_quiet fd
 
 let request ?host ~port ~meth ~path ?(body = "") ~out () =
   match connect ?host ~port () with
@@ -71,12 +67,12 @@ let request ?host ~port ~meth ~path ?(body = "") ~out () =
            Connection: close\r\n\r\n%s"
           meth path (String.length body) body
       in
-      match send_all fd req with
+      match write_all fd req with
       | () ->
           relay_body fd ~out;
           Ok ()
       | exception Unix.Unix_error (e, _, _) ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
+          close_quiet fd;
           Error (Unix.error_message e))
 
 (* The body is the spec object with the transport members appended. *)

@@ -6,7 +6,22 @@
     there is no connection state to manage.  Streaming responses
     ([POST /query] with [wait]) are relayed line-by-line to [out] as
     they arrive — heartbeats and the final result object — which is
-    exactly what a terminal or a pipe into [jq] wants. *)
+    exactly what a terminal or a pipe into [jq] wants.
+
+    The socket helpers both ends share ({!write_all}, {!close_quiet},
+    {!body_start}) live here, and {!Serve} calls them. *)
+
+val write_all : Unix.file_descr -> string -> unit
+(** Write the whole string, however many [write]s it takes.  Raises
+    [Unix.Unix_error] as [write] does. *)
+
+val close_quiet : Unix.file_descr -> unit
+(** Close, ignoring any [Unix.Unix_error]. *)
+
+val body_start : string -> int option
+(** The offset just past the first ["\r\n\r\n"], where an HTTP
+    message's body starts; [None] while the header block is
+    unfinished. *)
 
 val post_query :
   ?host:string ->

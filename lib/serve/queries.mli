@@ -15,7 +15,7 @@
     module in the library or the CLI calls an engine (the CLI's
     [explore --naive] reference oracle aside).
 
-    A task is the unit of work leased to a worker, and every computed
+    A task is the unit of work a worker runs, and every computed
     query is exactly one task: a [Full] run of the whole tree, the
     same run the CLI makes without a store.  {!work} executes it and
     returns the result JSON object string a worker writes back, plus

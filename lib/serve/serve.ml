@@ -5,17 +5,6 @@ module Persist = Slx_store.Persist
 (* ------------------------------------------------------------------ *)
 (* State.                                                              *)
 
-type worker = {
-  w_idx : int;
-  mutable w_pid : int;
-  mutable w_in : Unix.file_descr;  (* coordinator -> worker: task lines *)
-  mutable w_out : Unix.file_descr;  (* worker -> coordinator: results *)
-  mutable w_acc : Buffer.t;  (* partial line from w_out *)
-  mutable w_lease : int option;
-}
-
-type lease = { l_id : int; l_query : int; mutable l_cancelled : bool }
-
 type qstate = Running | Done of string | Failed of string | Timeout
 
 type query = {
@@ -25,9 +14,21 @@ type query = {
   q_created : float;
   mutable q_state : qstate;
   mutable q_source : string;
-  mutable q_deadline : float option;
+  q_deadline : float option;
   mutable q_waiters : Unix.file_descr list;
   mutable q_last_hb : string option;
+}
+
+(* A worker runs one query at a time, [w_query]; its task line's
+   ["lease"] member is the query's id.  A dead worker's slot gets a
+   fresh record. *)
+type worker = {
+  w_idx : int;
+  w_pid : int;
+  w_in : Unix.file_descr;  (* coordinator -> worker: task lines *)
+  w_out : Unix.file_descr;  (* worker -> coordinator: results *)
+  w_acc : Buffer.t;  (* partial line from w_out *)
+  mutable w_query : query option;
 }
 
 type client = { c_fd : Unix.file_descr; c_acc : Buffer.t }
@@ -36,36 +37,28 @@ type t = {
   store : Store.t;
   listen_fd : Unix.file_descr;
   workers : worker array;
-  leases : (int, lease) Hashtbl.t;
   queries : (int, query) Hashtbl.t;
-  inflight : (int * int * int * int, int) Hashtbl.t;  (* slot -> query id *)
-  mutable pending : lease list;  (* FIFO; re-leases go to the front *)
+  inflight : (int * int * int * int, query) Hashtbl.t;  (* by slot *)
+  mutable pending : query list;  (* FIFO; re-leases go to the front *)
   mutable clients : client list;
   mutable next_query : int;
-  mutable next_lease : int;
   mutable dedup_hits : int;
   mutable re_leases : int;
   mutable timeouts : int;
-  mutable running : bool;
+  mutable running : bool;  (* cleared by /shutdown, SIGINT and SIGTERM *)
 }
 
 (* ------------------------------------------------------------------ *)
 (* Small IO helpers.                                                   *)
 
-let write_all fd s =
-  let len = String.length s in
-  let b = Bytes.of_string s in
-  let rec go off =
-    if off < len then
-      let n = Unix.write fd b off (len - off) in
-      go (off + n)
-  in
-  go 0
+let close_quiet = Client.close_quiet
 
 (* Streamed waiters can die mid-query; a failed write just drops the
    waiter rather than the coordinator. *)
 let try_write fd s =
-  match write_all fd s with () -> true | exception Unix.Unix_error _ -> false
+  match Client.write_all fd s with
+  | () -> true
+  | exception Unix.Unix_error _ -> false
 
 let respond ?(status = "200 OK") fd body =
   let body = body ^ "\n" in
@@ -75,14 +68,12 @@ let respond ?(status = "200 OK") fd body =
           "HTTP/1.1 %s\r\nContent-Type: application/json\r\n\
            Content-Length: %d\r\nConnection: close\r\n\r\n%s"
           status (String.length body) body));
-  (try Unix.close fd with Unix.Unix_error _ -> ())
+  close_quiet fd
 
 let stream_header fd =
   try_write fd
     "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
      Connection: close\r\n\r\n"
-
-let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Workers.                                                            *)
@@ -105,84 +96,64 @@ let spawn_worker idx =
     w_in = task_w;
     w_out = res_r;
     w_acc = Buffer.create 256;
-    w_lease = None;
+    w_query = None;
   }
 
-let respawn_worker w =
+let respawn_worker t w =
   close_quiet w.w_in;
   close_quiet w.w_out;
   (try ignore (Unix.waitpid [ Unix.WNOHANG ] w.w_pid)
    with Unix.Unix_error _ -> ());
-  let fresh = spawn_worker w.w_idx in
-  w.w_pid <- fresh.w_pid;
-  w.w_in <- fresh.w_in;
-  w.w_out <- fresh.w_out;
-  w.w_acc <- Buffer.create 256;
-  w.w_lease <- None
+  t.workers.(w.w_idx) <- spawn_worker w.w_idx
 
-let send_task t w lease =
-  let line =
-    Printf.sprintf "{\"lease\": %d, \"spec\": %s}\n" lease.l_id
-      (Queries.spec_to_json (Hashtbl.find t.queries lease.l_query).q_spec)
-  in
-  match write_all w.w_in line with
-  | () -> w.w_lease <- Some lease.l_id
-  | exception Unix.Unix_error _ ->
-      (* Dead pipe: the EOF path will re-lease and respawn. *)
-      t.pending <- lease :: t.pending
-
+(* Hand pending queries to idle workers.  A failed write (a dead pipe)
+   puts the query back; the EOF path respawns the worker. *)
 let dispatch t =
   Array.iter
     (fun w ->
-      if w.w_lease = None then
-        match t.pending with
-        | [] -> ()
-        | lease :: rest ->
-            t.pending <- rest;
-            send_task t w lease)
+      match (w.w_query, t.pending) with
+      | None, q :: rest -> (
+          t.pending <- rest;
+          let line =
+            Printf.sprintf "{\"lease\": %d, \"spec\": %s}\n" q.q_id
+              (Queries.spec_to_json q.q_spec)
+          in
+          match Client.write_all w.w_in line with
+          | () -> w.w_query <- Some q
+          | exception Unix.Unix_error _ -> t.pending <- q :: t.pending)
+      | _ -> ())
     t.workers
+
+(* A running query lost its task (its worker died, or a signal the
+   coordinator never sent cancelled it): queue it again, first. *)
+let re_lease t q =
+  t.re_leases <- t.re_leases + 1;
+  t.pending <- q :: t.pending
 
 (* ------------------------------------------------------------------ *)
 (* Query lifecycle.                                                    *)
 
 let now () = Unix.gettimeofday ()
 
+(* End a query: its final state, its slot free for a new query, and
+   [line], its last, to each streamed waiter. *)
+let settle t q state line =
+  q.q_state <- state;
+  Hashtbl.remove t.inflight q.q_slot;
+  List.iter
+    (fun fd ->
+      ignore (try_write fd (line ^ "\n"));
+      close_quiet fd)
+    q.q_waiters;
+  q.q_waiters <- []
+
 let finalize t q result_json ~source =
-  q.q_state <- Done result_json;
   q.q_source <- source;
-  Hashtbl.remove t.inflight q.q_slot;
-  let line =
-    Printf.sprintf
-      "{\"id\": %d, \"state\": \"done\", \"source\": %s, \"elapsed_s\": \
-       %.3f, \"result\": %s}"
-      q.q_id (Json.quote source) (now () -. q.q_created) result_json
-  in
-  List.iter
-    (fun fd ->
-      ignore (try_write fd (line ^ "\n"));
-      close_quiet fd)
-    q.q_waiters;
-  q.q_waiters <- []
-
-let fail t q msg =
-  q.q_state <- Failed msg;
-  Hashtbl.remove t.inflight q.q_slot;
-  let line =
-    Printf.sprintf "{\"id\": %d, \"state\": \"failed\", \"error\": %s}" q.q_id
-      (Json.quote msg)
-  in
-  List.iter
-    (fun fd ->
-      ignore (try_write fd (line ^ "\n"));
-      close_quiet fd)
-    q.q_waiters;
-  q.q_waiters <- []
-
-let new_lease t q =
-  let lease = { l_id = t.next_lease; l_query = q.q_id; l_cancelled = false } in
-  t.next_lease <- t.next_lease + 1;
-  Hashtbl.replace t.leases lease.l_id lease;
-  lease
+  settle t q (Done result_json)
+    (Printf.sprintf
+       "{\"id\": %d, \"state\": \"done\", \"source\": %s, \"elapsed_s\": \
+        %.3f, \"result\": %s}"
+       q.q_id (Json.quote source) (now () -. q.q_created) result_json)
 
 (* Plan a freshly created query through the store's policy: a warm
    answer, or one task that runs the whole tree.  A warm hit is not
@@ -197,7 +168,7 @@ let plan t q =
   | Some result -> finalize t q result ~source:"warm"
   | None ->
       q.q_source <- "full";
-      t.pending <- t.pending @ [ new_lease t q ];
+      t.pending <- t.pending @ [ q ];
       dispatch t
 
 (* Store the record the worker built for a computed query, if it is
@@ -215,113 +186,58 @@ let save_record t q record =
 (* ------------------------------------------------------------------ *)
 (* Worker lines.                                                       *)
 
-let handle_result t lease result_j ~record =
-  match Hashtbl.find_opt t.queries lease.l_query with
-  | None -> ()
-  | Some q ->
-      if lease.l_cancelled || q.q_state <> Running then ()
-      else begin
-        match
-          Option.value ~default:""
-            (Option.bind (Json.member "outcome" result_j) Json.str)
-        with
-        | "error" ->
-            fail t q
-              (Option.value ~default:"worker error"
-                 (Option.bind (Json.member "message" result_j) Json.str))
-        | "cancelled" ->
-            (* We did not cancel it: a stray signal.  Re-lease. *)
-            lease.l_cancelled <- true;
-            t.re_leases <- t.re_leases + 1;
-            t.pending <- new_lease t q :: t.pending;
-            dispatch t
-        | _ ->
-            save_record t q record;
-            finalize t q (Json.to_string result_j) ~source:q.q_source
-      end
+(* The result of a running query's task. *)
+let handle_result t q result_j ~record =
+  let member k = Option.bind (Json.member k result_j) Json.str in
+  match member "outcome" with
+  | Some "error" ->
+      let msg = Option.value ~default:"worker error" (member "message") in
+      settle t q (Failed msg)
+        (Printf.sprintf "{\"id\": %d, \"state\": \"failed\", \"error\": %s}"
+           q.q_id (Json.quote msg))
+  | Some "cancelled" -> re_lease t q
+  | _ ->
+      save_record t q record;
+      finalize t q (Json.to_string result_j) ~source:q.q_source
 
+(* A line from a busy worker: its task's result line (it has a
+   ["lease"] member), which frees the worker, or a heartbeat. *)
 let handle_worker_line t w line =
-  match Json.parse line with
-  | Error _ -> ()
-  | Ok j -> (
-      match Option.bind (Json.member "lease" j) Json.int with
-      | Some lid -> begin
-          w.w_lease <- None;
-          (match Hashtbl.find_opt t.leases lid with
-          | Some lease -> (
-              Hashtbl.remove t.leases lid;
-              match Json.member "result" j with
-              | Some r ->
-                  handle_result t lease r
-                    ~record:(Option.bind (Json.member "record" j) Json.str)
-              | None -> ())
-          | None -> ());
+  match (Json.parse line, w.w_query) with
+  | Error _, _ | _, None -> ()
+  | Ok j, Some q -> (
+      match Json.member "lease" j with
+      | Some _ ->
+          w.w_query <- None;
+          (match Json.member "result" j with
+          | Some r when q.q_state = Running ->
+              handle_result t q r
+                ~record:(Option.bind (Json.member "record" j) Json.str)
+          | _ -> ());
           dispatch t
-        end
-      | None -> (
-          (* A heartbeat: attribute it to the worker's current task. *)
-          match w.w_lease with
-          | None -> ()
-          | Some lid -> (
-              match Hashtbl.find_opt t.leases lid with
-              | None -> ()
-              | Some lease -> (
-                  match Hashtbl.find_opt t.queries lease.l_query with
-                  | None -> ()
-                  | Some q ->
-                      q.q_last_hb <- Some line;
-                      let fwd =
-                        Printf.sprintf
-                          "{\"id\": %d, \"state\": \"running\", \
-                           \"heartbeat\": %s}\n"
-                          q.q_id line
-                      in
-                      q.q_waiters <-
-                        List.filter
-                          (fun fd -> try_write fd fwd)
-                          q.q_waiters))))
+      | None ->
+          q.q_last_hb <- Some line;
+          let fwd =
+            Printf.sprintf
+              "{\"id\": %d, \"state\": \"running\", \"heartbeat\": %s}\n"
+              q.q_id line
+          in
+          q.q_waiters <- List.filter (fun fd -> try_write fd fwd) q.q_waiters)
 
+(* The worker died (crash or kill): re-lease its query and put a fresh
+   process in its slot. *)
 let handle_worker_eof t w =
-  (* The worker died (crash or kill): re-queue its lease at the front
-     and put a fresh process in its slot. *)
-  (match w.w_lease with
-  | Some lid -> begin
-      match Hashtbl.find_opt t.leases lid with
-      | Some lease when not lease.l_cancelled -> begin
-          match Hashtbl.find_opt t.queries lease.l_query with
-          | Some q when q.q_state = Running ->
-              Hashtbl.remove t.leases lid;
-              t.re_leases <- t.re_leases + 1;
-              t.pending <- new_lease t q :: t.pending
-          | _ -> Hashtbl.remove t.leases lid
-        end
-      | Some _ -> Hashtbl.remove t.leases lid
-      | None -> ()
-    end
-  | None -> ());
-  respawn_worker w;
+  (match w.w_query with
+  | Some q when q.q_state = Running -> re_lease t q
+  | _ -> ());
+  respawn_worker t w;
   dispatch t
 
 (* ------------------------------------------------------------------ *)
 (* Timeouts.                                                           *)
 
-let cancel_query_workers t q =
-  Array.iter
-    (fun w ->
-      match w.w_lease with
-      | Some lid -> begin
-          match Hashtbl.find_opt t.leases lid with
-          | Some lease when lease.l_query = q.q_id ->
-              lease.l_cancelled <- true;
-              (try Unix.kill w.w_pid Sys.sigusr1
-               with Unix.Unix_error _ -> ())
-          | _ -> ()
-        end
-      | None -> ())
-    t.workers;
-  t.pending <-
-    List.filter (fun lease -> lease.l_query <> q.q_id) t.pending
-
+(* A query past its deadline is taken off the queue, its worker (if
+   it has one) cancelled with SIGUSR1, and its waiters told. *)
 let check_deadlines t =
   let now = now () in
   Hashtbl.iter
@@ -329,18 +245,17 @@ let check_deadlines t =
       match (q.q_state, q.q_deadline) with
       | Running, Some dl when now > dl ->
           t.timeouts <- t.timeouts + 1;
-          cancel_query_workers t q;
-          q.q_state <- Timeout;
-          Hashtbl.remove t.inflight q.q_slot;
-          let line =
-            Printf.sprintf "{\"id\": %d, \"state\": \"timeout\"}\n" q.q_id
-          in
-          List.iter
-            (fun fd ->
-              ignore (try_write fd line);
-              close_quiet fd)
-            q.q_waiters;
-          q.q_waiters <- []
+          Array.iter
+            (fun w ->
+              match w.w_query with
+              | Some wq when wq == q -> (
+                  try Unix.kill w.w_pid Sys.sigusr1
+                  with Unix.Unix_error _ -> ())
+              | _ -> ())
+            t.workers;
+          t.pending <- List.filter (fun p -> p != q) t.pending;
+          settle t q Timeout
+            (Printf.sprintf "{\"id\": %d, \"state\": \"timeout\"}" q.q_id)
       | _ -> ())
     t.queries
 
@@ -378,7 +293,7 @@ let stats_json t =
   in
   let busy =
     Array.fold_left
-      (fun acc w -> if w.w_lease <> None then acc + 1 else acc)
+      (fun acc w -> if Option.is_some w.w_query then acc + 1 else acc)
       0 t.workers
   in
   (* Each worker's peak resident set, read only now, when asked for:
@@ -458,9 +373,9 @@ let handle_query_post t fd body =
                deduped)
       in
       match Hashtbl.find_opt t.inflight slot with
-      | Some qi ->
+      | Some q ->
           t.dedup_hits <- t.dedup_hits + 1;
-          attach (Hashtbl.find t.queries qi) true
+          attach q true
       | None ->
           let q =
             {
@@ -477,7 +392,7 @@ let handle_query_post t fd body =
           in
           t.next_query <- t.next_query + 1;
           Hashtbl.replace t.queries q.q_id q;
-          Hashtbl.replace t.inflight slot q.q_id;
+          Hashtbl.replace t.inflight slot q;
           plan t q;
           attach q false)
 
@@ -506,57 +421,86 @@ let handle_request t fd ~meth ~path ~body =
         (Printf.sprintf "{\"error\": %s}"
            (Json.quote (Printf.sprintf "no route %s %s" meth path)))
 
-(* Try to cut one complete HTTP request out of a client's buffer. *)
-let try_parse_request acc =
-  let data = Buffer.contents acc in
-  match String.index_opt data '\r' with
-  | None -> None
-  | Some _ -> (
-      let hdr_end =
-        let rec find i =
-          if i + 3 >= String.length data then None
-          else if String.sub data i 4 = "\r\n\r\n" then Some i
-          else find (i + 1)
-        in
-        find 0
-      in
-      match hdr_end with
-      | None -> None
-      | Some he -> (
-          let head = String.sub data 0 he in
-          let lines = String.split_on_char '\n' head in
-          let lines = List.map (fun l -> String.trim l) lines in
-          match lines with
-          | [] -> None
-          | req :: headers -> (
-              (* [None]: a Content-Length that is not a length. *)
-              let content_length =
-                List.fold_left
-                  (fun acc h ->
-                    match String.index_opt h ':' with
-                    | Some i
-                      when String.lowercase_ascii (String.sub h 0 i)
-                           = "content-length" -> (
-                        match
-                          int_of_string_opt
-                            (String.trim
-                               (String.sub h (i + 1) (String.length h - i - 1)))
-                        with
-                        | Some len when len >= 0 -> Some len
-                        | _ -> None)
-                    | _ -> acc)
-                  (Some 0) headers
-              in
-              let body_start = he + 4 in
-              match (content_length, String.split_on_char ' ' req) with
-              | Some len, meth :: path :: _ ->
-                  if String.length data >= body_start + len then
-                    Some (meth, path, String.sub data body_start len)
-                  else None
-              | _ -> Some ("BAD", "/", ""))))
+let max_request = 65536
+
+(* Cut one complete HTTP request out of a client's bytes: [None] while
+   it is unfinished, ["BAD"] when it is malformed or longer than
+   [max_request]. *)
+let try_parse_request data =
+  let bad = Some ("BAD", "/", "") in
+  match Client.body_start data with
+  | None -> if String.length data > max_request then bad else None
+  | Some body_start -> (
+      let head = String.sub data 0 (body_start - 4) in
+      match List.map String.trim (String.split_on_char '\n' head) with
+      | [] -> bad
+      | req :: headers -> (
+          (* [None]: a Content-Length that is not a length. *)
+          let content_length =
+            List.fold_left
+              (fun acc h ->
+                match String.index_opt h ':' with
+                | Some i
+                  when String.lowercase_ascii (String.sub h 0 i)
+                       = "content-length" -> (
+                    match
+                      int_of_string_opt
+                        (String.trim
+                           (String.sub h (i + 1) (String.length h - i - 1)))
+                    with
+                    | Some len when len >= 0 -> Some len
+                    | _ -> None)
+                | _ -> acc)
+              (Some 0) headers
+          in
+          match (content_length, String.split_on_char ' ' req) with
+          | Some len, meth :: path :: _ when len <= max_request - body_start ->
+              if String.length data >= body_start + len then
+                Some (meth, path, String.sub data body_start len)
+              else None
+          | _ -> bad))
 
 (* ------------------------------------------------------------------ *)
 (* Main loop.                                                          *)
+
+let chunk = Bytes.create 65536
+
+(* Handle each complete line a worker has sent. *)
+let read_worker t w =
+  match Unix.read w.w_out chunk 0 (Bytes.length chunk) with
+  | 0 -> handle_worker_eof t w
+  | exception Unix.Unix_error _ -> handle_worker_eof t w
+  | n ->
+      Buffer.add_subbytes w.w_acc chunk 0 n;
+      let rec go = function
+        | [] -> ()
+        | [ last ] ->
+            Buffer.clear w.w_acc;
+            Buffer.add_string w.w_acc last
+        | line :: rest ->
+            if String.trim line <> "" then handle_worker_line t w line;
+            go rest
+      in
+      go (String.split_on_char '\n' (Buffer.contents w.w_acc))
+
+(* Read a client's request; once it is complete, the fd's fate belongs
+   to the handler (respond closes it; a waiter keeps it). *)
+let read_client t c =
+  let drop () = t.clients <- List.filter (fun c' -> c' != c) t.clients in
+  match Unix.read c.c_fd chunk 0 (Bytes.length chunk) with
+  | 0 ->
+      drop ();
+      close_quiet c.c_fd
+  | exception Unix.Unix_error _ ->
+      drop ();
+      close_quiet c.c_fd
+  | n -> (
+      Buffer.add_subbytes c.c_acc chunk 0 n;
+      match try_parse_request (Buffer.contents c.c_acc) with
+      | Some (meth, path, body) ->
+          drop ();
+          handle_request t c.c_fd ~meth ~path ~body
+      | None -> ())
 
 let main ?(host = "127.0.0.1") ~port ~workers ~store () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -570,95 +514,48 @@ let main ?(host = "127.0.0.1") ~port ~workers ~store () =
       store;
       listen_fd;
       workers = Array.init workers spawn_worker;
-      leases = Hashtbl.create 32;
       queries = Hashtbl.create 32;
       inflight = Hashtbl.create 32;
       pending = [];
       clients = [];
       next_query = 1;
-      next_lease = 1;
       dedup_hits = 0;
       re_leases = 0;
       timeouts = 0;
       running = true;
     }
   in
-  let stop = ref false in
-  let on_term _ = stop := true in
+  let on_term _ = t.running <- false in
   Sys.set_signal Sys.sigint (Sys.Signal_handle on_term);
   Sys.set_signal Sys.sigterm (Sys.Signal_handle on_term);
   Printf.printf "{\"serving\": \"%s:%d\", \"workers\": %d, \"store\": %s}\n%!"
     host port workers
     (Json.quote (Store.path t.store));
-  while t.running && not !stop do
-    let worker_fds = Array.to_list (Array.map (fun w -> w.w_out) t.workers) in
-    let client_fds = List.map (fun c -> c.c_fd) t.clients in
-    let fds = (t.listen_fd :: worker_fds) @ client_fds in
+  while t.running do
+    let fds =
+      t.listen_fd
+      :: Array.fold_right
+           (fun w fds -> w.w_out :: fds)
+           t.workers
+           (List.map (fun c -> c.c_fd) t.clients)
+    in
     match Unix.select fds [] [] 0.25 with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | ready, _, _ ->
         List.iter
           (fun fd ->
-            if fd = t.listen_fd then begin
+            if fd = t.listen_fd then
               match Unix.accept t.listen_fd with
               | cfd, _ ->
                   t.clients <-
                     { c_fd = cfd; c_acc = Buffer.create 256 } :: t.clients
               | exception Unix.Unix_error _ -> ()
-            end
             else
-              match
-                Array.to_list t.workers
-                |> List.find_opt (fun w -> w.w_out = fd)
-              with
-              | Some w -> begin
-                  let buf = Bytes.create 65536 in
-                  match Unix.read w.w_out buf 0 65536 with
-                  | 0 -> handle_worker_eof t w
-                  | n ->
-                      Buffer.add_subbytes w.w_acc buf 0 n;
-                      let data = Buffer.contents w.w_acc in
-                      let parts = String.split_on_char '\n' data in
-                      let rec go = function
-                        | [] -> ()
-                        | [ last ] ->
-                            Buffer.clear w.w_acc;
-                            Buffer.add_string w.w_acc last
-                        | line :: rest ->
-                            if String.trim line <> "" then
-                              handle_worker_line t w line;
-                            go rest
-                      in
-                      go parts
-                  | exception Unix.Unix_error _ -> handle_worker_eof t w
-                end
-              | None -> (
-                  match List.find_opt (fun c -> c.c_fd = fd) t.clients with
-                  | None -> ()
-                  | Some c -> (
-                      let buf = Bytes.create 65536 in
-                      let drop () =
-                        t.clients <-
-                          List.filter (fun c' -> c'.c_fd <> c.c_fd) t.clients
-                      in
-                      match Unix.read c.c_fd buf 0 65536 with
-                      | 0 ->
-                          drop ();
-                          close_quiet c.c_fd
-                      | n -> begin
-                          Buffer.add_subbytes c.c_acc buf 0 n;
-                          match try_parse_request c.c_acc with
-                          | Some (meth, path, body) ->
-                              (* The fd's fate now belongs to the
-                                 handler (respond closes it; a waiter
-                                 keeps it). *)
-                              drop ();
-                              handle_request t c.c_fd ~meth ~path ~body
-                          | None -> ()
-                        end
-                      | exception Unix.Unix_error _ ->
-                          drop ();
-                          close_quiet c.c_fd)))
+              match Array.find_opt (fun w -> w.w_out = fd) t.workers with
+              | Some w -> read_worker t w
+              | None ->
+                  Option.iter (read_client t)
+                    (List.find_opt (fun c -> c.c_fd = fd) t.clients))
           ready;
         check_deadlines t
   done;

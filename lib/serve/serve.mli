@@ -5,7 +5,7 @@
     sockets, JSON bodies — no dependencies beyond the stdlib), the
     persistent verdict store ({!Slx_store.Store}, single writer), and
     a pool of worker processes ({!Worker}, the [slx] binary
-    re-executed) it leases work to.
+    re-executed), each running one query at a time.
 
     {b Endpoints.}
     - [POST /query] — body {!Queries.spec_of_json} plus optional
@@ -27,18 +27,29 @@
     {b Answer planning} is {!Slx_store.Persist}'s policy: a warm
     store hit ({!Slx_store.Persist.warm}) answers immediately
     (witnesses re-validated).  Any other query — a record under other
-    liveness budgets included — is computed as exactly one task leased
-    to one worker, which explores the whole tree: the answer is
+    liveness budgets included — is its own task: the query's spec goes
+    to one worker, under the query's id (the task line's ["lease"]
+    member), and that worker explores the whole tree, so the answer is
     byte-identical to a store-less [slx explore] / [slx live-explore].
     The worker builds the answer's store record and sends it beside
     the result; the coordinator saves it ({!Slx_store.Persist.save})
     if it is the query's own, and reads nothing else from a result but
-    its ["outcome"] (and an error's ["message"]).  [--workers] therefore parallelises across queries, not
-    within one.  Served sources are [warm] and [full].  Identical
-    in-flight queries dedupe onto one computation.  A worker that dies
-    mid-task gets its lease re-queued ([re_leases] in [/stats]) and its
-    process respawned; a query past its timeout has its worker
-    cancelled ([SIGUSR1]) and reports [timeout]. *)
+    its ["outcome"] (and an error's ["message"]).  [--workers]
+    therefore parallelises across queries, not within one.  Served
+    sources are [warm] and [full].  Identical in-flight queries dedupe
+    onto one computation.  A query whose worker dies mid-task, or whose
+    task a signal the coordinator never sent cancels, goes back to the
+    front of the queue ([re_leases] in [/stats]), and a dead worker's
+    process is respawned; a query past its timeout has its worker
+    cancelled ([SIGUSR1]) and reports [timeout].
+
+    {b Input bounds.}  A request longer than {!max_request} bytes, or
+    one whose header block has not ended by then, answers [400] and
+    its connection is dropped. *)
+
+val max_request : int
+(** The longest request, header block and body, a client may send:
+    64 KiB, against a spec body under 1 KB. *)
 
 val main :
   ?host:string ->

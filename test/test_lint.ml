@@ -378,9 +378,15 @@ let test_no_nss_or_dynlink () =
     "no source names an NSS lookup or Dynlink" [] named
 
 let test_stats_errors_normalized () =
+  (* Under [timeout], so that a server that starts fails the check
+     instead of hanging it. *)
   let run args =
     let err = Filename.temp_file "slx_stats" ".err" in
-    let rc = slx (Printf.sprintf "%s >/dev/null 2>%s" args err) in
+    let rc =
+      Sys.command
+        (Printf.sprintf "timeout 30 ../bin/slx_cli.exe %s >/dev/null 2>%s"
+           args err)
+    in
     let ic = open_in_bin err in
     let contents = really_input_string ic (in_channel_length ic) in
     close_in ic;
@@ -397,7 +403,12 @@ let test_stats_errors_normalized () =
   in
   check_path "stats --store /nonexistent/dir/store.slx";
   check_path "stats --trace /nonexistent/dir/trace.json";
-  check_path "stats"
+  check_path "stats";
+  (* A --store in a directory that does not exist is refused before
+     any engine work or socket, not after the verdict. *)
+  check_path "explore --store /nonexistent/dir/x.store";
+  check_path "live-explore --store /nonexistent/dir/x.store";
+  check_path "serve --store /nonexistent/dir/x.store"
 
 let suites =
   [

@@ -530,6 +530,8 @@ let test_cli_out_of_range_refused () =
       "serve --workers 65";
       "serve --port 0";
       "serve --port 65536";
+      "query --port 0";
+      "query --port 65536";
     ]
 
 (* The tie adversary plays to the --steps budget it is given, 60 by
@@ -800,7 +802,8 @@ let test_worker_answers_task_line () =
    Content-Length, a freedom point with [l > k], which names no cell
    of the grid (the decoder refuses it before the engine could raise
    on it), one with [k > n], which would answer for [k = n] under
-   a qid of its own, and members of the wrong JSON type. *)
+   a qid of its own, members of the wrong JSON type, and a request
+   longer than {!Slx_serve.Serve.max_request}. *)
 let test_bad_requests_answer_400 () =
   with_server ~store:(temp_store ()) (fun port ->
       List.iter
@@ -849,6 +852,20 @@ let test_bad_requests_answer_400 () =
             request ~meth:"POST" ~path:"/query"
               {|{"kind": "explore", "impl": "cas", "wait": null}|},
             Some "wait must be a boolean" );
+          (* Requests past the cap: the header block has not ended, or
+             the Content-Length asks for more, or for max_int, whose
+             end offset wraps.  [exchange]'s receive timeout fails a
+             server that keeps the request waiting. *)
+          ( "unended header block",
+            String.make (Slx_serve.Serve.max_request + 1) 'x',
+            None );
+          ( "huge Content-Length",
+            "POST /query HTTP/1.1\r\nContent-Length: 100000000\r\n\r\n{}",
+            None );
+          ( "max_int Content-Length",
+            Printf.sprintf "POST /query HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+              max_int,
+            None );
         ])
 
 (* The last JSON line [slx ARGS] prints, and its exit code. *)
