@@ -996,7 +996,8 @@ let serve_cmd =
          "Run the verification service: a JSON-over-HTTP coordinator that \
           answers queries warm from the store, computes each other one \
           cold as a single task on a worker process (re-leased on \
-          crash), and dedupes identical in-flight queries.  Endpoints: \
+          crash), and dedupes \
+          identical in-flight queries.  Endpoints: \
           POST /query, GET /status/ID, GET /stats, POST /shutdown.")
     Term.(const run $ host_arg $ port_arg $ workers_arg $ store_path_arg)
 
