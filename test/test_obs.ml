@@ -190,6 +190,51 @@ let test_trace_export_well_formed () =
           check_int "dropped count survives" 5 sm.Trace_export.sm_dropped
     end
 
+(* One event of every kind, spans balanced, and the exact bytes the
+   writer makes of them. *)
+let every_kind =
+  Telemetry.
+    [
+      ev 1000 Node_enter 0 0;
+      ev 1250 Decision 1 (Dec.schedule 1);
+      ev 1500 Run_checked 1 0;
+      ev 2125 Cache_hit 1 3;
+      ev 2500 Por_sleep 1 2;
+      ev 2750 Race_reversal 1 1;
+      ev 3010 Proviso_wake 1 2;
+      ev 3333 Invoke_prune 1 1;
+      ev 3600 Symmetry_prune 1 1;
+      ev 4100 Cycle_candidate 2 1;
+      ev 4400 Pump_start 2 0;
+      ev 9450 Pump_verdict 2 1;
+      ev 12345 Node_leave 0 0;
+    ]
+
+let every_kind_trace =
+  {|{"traceEvents": [
+{"name": "process_name", "cat": "__metadata", "ph": "M", "ts": 0.000, "pid": 1, "tid": 0, "args": {"name": "slx"}},
+{"name": "thread_name", "cat": "__metadata", "ph": "M", "ts": 0.000, "pid": 1, "tid": 0, "args": {"name": "domain 0"}},
+{"name": "node", "cat": "explore", "ph": "B", "ts": 0.000, "pid": 1, "tid": 0, "args": {"depth": 0}},
+{"name": "decision", "cat": "explore", "ph": "i", "ts": 0.250, "pid": 1, "tid": 0, "s": "t", "args": {"depth": 1, "decision": "S1"}},
+{"name": "run_checked", "cat": "explore", "ph": "i", "ts": 0.500, "pid": 1, "tid": 0, "s": "t", "args": {"depth": 1}},
+{"name": "cache_hit", "cat": "cache", "ph": "i", "ts": 1.125, "pid": 1, "tid": 0, "s": "t", "args": {"depth": 1, "credited_runs": 3}},
+{"name": "por_sleep", "cat": "reduce", "ph": "i", "ts": 1.500, "pid": 1, "tid": 0, "s": "t", "args": {"depth": 1, "slept": 2}},
+{"name": "race_reversal", "cat": "reduce", "ph": "i", "ts": 1.750, "pid": 1, "tid": 0, "s": "t", "args": {"depth": 1, "woken": 1}},
+{"name": "proviso_wake", "cat": "reduce", "ph": "i", "ts": 2.010, "pid": 1, "tid": 0, "s": "t", "args": {"depth": 1, "woken": 2}},
+{"name": "invoke_prune", "cat": "reduce", "ph": "i", "ts": 2.333, "pid": 1, "tid": 0, "s": "t", "args": {"depth": 1, "pruned": 1}},
+{"name": "symmetry_prune", "cat": "reduce", "ph": "i", "ts": 2.600, "pid": 1, "tid": 0, "s": "t", "args": {"depth": 1, "pruned": 1}},
+{"name": "cycle_candidate", "cat": "live", "ph": "i", "ts": 3.100, "pid": 1, "tid": 0, "s": "t", "args": {"period": 2, "fair_violating": 1}},
+{"name": "pump", "cat": "live", "ph": "B", "ts": 3.400, "pid": 1, "tid": 0, "args": {"period": 2}},
+{"name": "pump", "cat": "live", "ph": "E", "ts": 8.450, "pid": 1, "tid": 0, "args": {"period": 2, "accepted": 1}},
+{"name": "node", "cat": "explore", "ph": "E", "ts": 11.345, "pid": 1, "tid": 0, "args": {"depth": 0}}
+], "displayTimeUnit": "ns", "otherData": {"events_dropped": 2}}
+|}
+
+let test_trace_export_bytes_pinned () =
+  Alcotest.(check string)
+    "every kind's record, byte for byte" every_kind_trace
+    (Trace_export.to_string ~events_dropped:2 every_kind)
+
 let test_trace_validate_rejects_unbalanced () =
   let unbalanced =
     [ ev 100 Telemetry.Node_enter 0 0; ev 110 Telemetry.Node_enter 1 0;
@@ -463,6 +508,7 @@ let suites =
     ( "obs-trace",
       [
         quick "export is well-formed" test_trace_export_well_formed;
+        quick "export bytes are pinned" test_trace_export_bytes_pinned;
         quick "validator rejects unbalanced traces"
           test_trace_validate_rejects_unbalanced;
         quick "tracing changes no verdict" test_tracing_does_not_change_verdicts;
