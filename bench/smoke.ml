@@ -305,7 +305,7 @@ let live_keying_smoke () =
   default_ok && small_ok
 
 (* Observability smoke: one traced fair-cycle search, exported to
-   Chrome trace-event JSON, re-parsed with the validator, and
+   Chrome trace-event JSON, read back with [Trace_export.read], and
    reconciled event-by-event against the stats of the run that
    produced it — plus the tracing-overhead row of
    BENCH_explore.json (the disabled sink must stay within noise; the
@@ -313,7 +313,7 @@ let live_keying_smoke () =
    at [$SLX_SMOKE_TRACE] when that is set, so CI can upload it as an
    artifact. *)
 module Obs = Slx_obs.Obs
-module Json = Slx_obs.Json
+module Telemetry = Slx_obs.Telemetry
 module Trace_export = Slx_obs.Trace_export
 
 (* (path, keep): kept for CI upload when [$SLX_SMOKE_TRACE] names it. *)
@@ -358,37 +358,42 @@ let obs_live_smoke () =
   let st = traced.Slx_core.Live_explore.stats in
   let path, keep = smoke_trace_path () in
   Obs.write_trace obs path;
-  let verdict = Result.bind (Json.parse_file path) Trace_export.validate in
+  let verdict =
+    Trace_export.read (In_channel.with_open_bin path In_channel.input_all)
+  in
   if not keep then Sys.remove path;
   match verdict with
   | Error msg ->
       Printf.printf "  SMOKE FAILURE: live trace invalid: %s\n" msg;
       false
-  | Ok sm ->
+  | Ok { Trace_export.events; events_dropped } ->
+      let count k =
+        List.length (List.filter (fun e -> e.Telemetry.ev_kind = k) events)
+      in
       Printf.printf
         "  {\"case\": \"register-live-(1,1)-depth-8-crashes-1-traced\", \
          \"trace_events\": %d, \"node_spans\": %d, \"pump_spans\": %d, \
          \"dropped\": %d, \"trace\": %S}\n"
-        sm.Trace_export.sm_events
-        (Trace_export.span_count sm "node")
-        (Trace_export.span_count sm "pump")
-        sm.Trace_export.sm_dropped path;
+        (List.length events)
+        (count Telemetry.Node_leave)
+        (count Telemetry.Pump_verdict)
+        events_dropped path;
       same_outcome
       && reconcile "live trace"
            [
              ( "node spans",
-               Trace_export.span_count sm "node",
+               count Telemetry.Node_leave,
                st.Slx_core.Explore_stats.nodes );
              ( "cache_hit instants",
-               Trace_export.instant_count sm "cache_hit",
+               count Telemetry.Cache_hit,
                st.Slx_core.Explore_stats.cache_hits );
              ( "cycle_candidate instants",
-               Trace_export.instant_count sm "cycle_candidate",
+               count Telemetry.Cycle_candidate,
                st.Slx_core.Explore_stats.cycles_examined );
              ( "pump spans",
-               Trace_export.span_count sm "pump",
+               count Telemetry.Pump_verdict,
                st.Slx_core.Explore_stats.fair_cycles );
-             ("dropped", sm.Trace_export.sm_dropped, 0);
+             ("dropped", events_dropped, 0);
            ]
 
 (* The tracing-overhead row: the depth-10 reduced exploration with the

@@ -48,6 +48,7 @@ open Slx_core
 module Obs = Slx_obs.Obs
 module Progress = Slx_obs.Progress
 module Json = Slx_obs.Json
+module Telemetry = Slx_obs.Telemetry
 module Trace_export = Slx_obs.Trace_export
 module Vstore = Slx_store.Store
 module Persist = Slx_store.Persist
@@ -723,46 +724,44 @@ let stats_cmd =
     end
   in
   let trace_stats path =
-    match Json.parse_file path with
-    | Error e -> cli_error "%s: %s" path e
-    | Ok json -> begin
-        match Trace_export.validate json with
+    match In_channel.with_open_bin path In_channel.input_all with
+    | exception Sys_error e -> cli_error "%s" e
+    | text -> (
+        match Trace_export.read text with
         | Error e -> cli_error "%s: invalid trace: %s" path e
-        | Ok sm ->
-            let events =
-              match Json.member "traceEvents" json with
-              | Some (Json.Arr es) -> es
-              | _ -> []
+        | Ok { Trace_export.events; events_dropped } ->
+            let of_kind k =
+              List.filter (fun e -> e.Telemetry.ev_kind = k) events
             in
-            let str_field e k = Option.bind (Json.member k e) Json.str in
-            let int_field e k = Option.bind (Json.member k e) Json.int in
-            let num_field e k = Option.bind (Json.member k e) Json.num in
-            let arg_int e k =
-              Option.bind (Json.member "args" e) (fun a ->
-                  Option.bind (Json.member k a) Json.int)
+            (* Completed spans are counted at their end; spans and
+               instants are listed by name. *)
+            let counts ph =
+              List.filter_map
+                (fun (d : Trace_export.descriptor) ->
+                  match List.length (of_kind d.kind) with
+                  | c when d.ph = ph && c > 0 -> Some (d.name, c)
+                  | _ -> None)
+                Trace_export.descriptors
+              |> List.sort compare
             in
             Printf.printf "trace: %s\n" path;
-            Printf.printf "  events:        %d on %d lane(s), %d dropped\n"
-              sm.Trace_export.sm_events sm.Trace_export.sm_lanes
-              sm.Trace_export.sm_dropped;
+            Printf.printf "  events:        %d, %d dropped\n"
+              (List.length events) events_dropped;
             List.iter
               (fun (n, c) -> Printf.printf "  spans  %-15s %d\n" n c)
-              sm.Trace_export.sm_spans;
+              (counts "E");
             List.iter
               (fun (n, c) -> Printf.printf "  events %-15s %d\n" n c)
-              sm.Trace_export.sm_instants;
+              (counts "i");
             (* Cache-hit depth distribution: at which depths does the
                transposition cache actually cut subtrees? *)
             let hist = Hashtbl.create 16 in
             List.iter
               (fun e ->
-                if str_field e "name" = Some "cache_hit" then
-                  match arg_int e "depth" with
-                  | Some d ->
-                      Hashtbl.replace hist d
-                        (1 + Option.value ~default:0 (Hashtbl.find_opt hist d))
-                  | None -> ())
-              events;
+                let d = e.Telemetry.ev_a in
+                Hashtbl.replace hist d
+                  (1 + Option.value ~default:0 (Hashtbl.find_opt hist d)))
+              (of_kind Telemetry.Cache_hit);
             if Hashtbl.length hist > 0 then begin
               let rows =
                 List.sort compare
@@ -777,28 +776,22 @@ let stats_cmd =
                     c)
                 rows
             end;
-            (* Reduction work: the reduce-category instants each carry
-               the number of decisions affected in their args, so the
-               instant counts alone under-report — sum the weights. *)
-            let reduction_weight name arg =
-              List.fold_left
-                (fun acc e ->
-                  if str_field e "name" = Some name then
-                    acc + Option.value ~default:0 (arg_int e arg)
-                  else acc)
-                0 events
-            in
+            (* Reduction work: each reduction event carries the number
+               of decisions affected in [b], so the event counts alone
+               under-report — sum the weights. *)
             let reductions =
-              [
-                ("por_sleep", "slept");
-                ("race_reversal", "woken");
-                ("proviso_wake", "woken");
-                ("invoke_prune", "pruned");
-                ("symmetry_prune", "pruned");
-              ]
-              |> List.filter_map (fun (name, arg) ->
-                     let w = reduction_weight name arg in
-                     if w > 0 then Some (name, arg, w) else None)
+              List.filter_map
+                (fun (d : Trace_export.descriptor) ->
+                  let w =
+                    List.fold_left
+                      (fun acc e -> acc + e.Telemetry.ev_b)
+                      0 (of_kind d.kind)
+                  in
+                  match d.b with
+                  | Some arg when d.cat = "reduce" && w > 0 ->
+                      Some (d.name, arg, w)
+                  | _ -> None)
+                Trace_export.descriptors
             in
             if reductions <> [] then begin
               Printf.printf "\n  reduction decisions (weighted by args):\n";
@@ -807,49 +800,34 @@ let stats_cmd =
                   Printf.printf "    %-15s %-7s %d\n" name arg w)
                 reductions
             end;
-            let describe label = function
-              | [] -> ()
-              | xs ->
-                  let n = List.length xs in
-                  let total = List.fold_left ( +. ) 0. xs in
-                  let mn = List.fold_left min infinity xs in
-                  let mx = List.fold_left max neg_infinity xs in
-                  Printf.printf
-                    "\n  %s: %d sample(s), min %.1f us, mean %.1f us, max \
-                     %.1f us\n"
-                    label n mn (total /. float_of_int n) mx
+            (* Pump-validation cost: pump span durations, tagged with
+               the verdict carried on the close. *)
+            let us e = float_of_int e.Telemetry.ev_ns /. 1e3 in
+            let _, pump_costs, accepted =
+              List.fold_left
+                (fun ((starts, costs, acc) as st) e ->
+                  match (e.Telemetry.ev_kind, starts) with
+                  | Telemetry.Pump_start, _ -> (us e :: starts, costs, acc)
+                  | Telemetry.Pump_verdict, t0 :: outer ->
+                      ( outer,
+                        (us e -. t0) :: costs,
+                        if e.Telemetry.ev_b = 1 then acc + 1 else acc )
+                  | _ -> st)
+                ([], [], 0) events
             in
-            (* Pump-validation cost: B/E "pump" span durations per
-               lane, tagged with the verdict carried on the close. *)
-            let open_pumps = Hashtbl.create 8 in
-            let pump_costs = ref [] in
-            let accepted = ref 0 in
-            List.iter
-              (fun e ->
-                if str_field e "name" = Some "pump" then
-                  let lane = (int_field e "pid", int_field e "tid") in
-                  match (str_field e "ph", num_field e "ts") with
-                  | Some "B", Some ts ->
-                      Hashtbl.replace open_pumps lane
-                        (ts
-                        :: Option.value ~default:[]
-                             (Hashtbl.find_opt open_pumps lane))
-                  | Some "E", Some ts -> begin
-                      match Hashtbl.find_opt open_pumps lane with
-                      | Some (t0 :: rest) ->
-                          Hashtbl.replace open_pumps lane rest;
-                          pump_costs := (ts -. t0) :: !pump_costs;
-                          if arg_int e "accepted" = Some 1 then incr accepted
-                      | _ -> ()
-                    end
-                  | _ -> ())
-              events;
-            describe "pump validation" !pump_costs;
-            if !pump_costs <> [] then
-              Printf.printf "    certificates accepted: %d of %d\n" !accepted
-                (List.length !pump_costs);
-            0
-      end
+            if pump_costs <> [] then begin
+              let n = List.length pump_costs in
+              let total = List.fold_left ( +. ) 0. pump_costs in
+              Printf.printf
+                "\n  pump validation: %d sample(s), min %.1f us, mean %.1f \
+                 us, max %.1f us\n"
+                n
+                (List.fold_left min infinity pump_costs)
+                (total /. float_of_int n)
+                (List.fold_left max neg_infinity pump_costs);
+              Printf.printf "    certificates accepted: %d of %d\n" accepted n
+            end;
+            0)
   in
   let run store trace =
     let store_rc = Option.map store_stats store in

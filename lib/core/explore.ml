@@ -17,18 +17,7 @@ exception Interrupted = Search.Interrupted
 (* ------------------------------------------------------------------ *)
 (* Type-agnostic decision coding.                                      *)
 
-(* A decision as a small int — the persistent form stored witness
-   scripts use.  [Invoke] payloads are deliberately not
-   encoded: every engine constructs an invocation as [invoke view p],
-   so a decoder holding the same [invoke] re-derives the identical
-   payload from the view at the point of application.  [Stop] never
-   appears in a menu. *)
-let code_of_decision = function
-  | Driver.Schedule p -> p lsl 2
-  | Driver.Invoke (p, _) -> (p lsl 2) lor 1
-  | Driver.Crash p -> (p lsl 2) lor 2
-  | Driver.Stop -> invalid_arg "Explore.code_of_decision: Stop"
-
+let code_of_decision = Search.code_of_decision
 let codes_of_script ds = List.map code_of_decision ds
 
 let decision_of_code ~invoke view code =

@@ -227,7 +227,9 @@ val code_of_decision : ('inv, 'res) Driver.decision -> int
     [(p lsl 2) lor tag] with tag 0 = [Schedule], 1 = [Invoke],
     2 = [Crash].  [Invoke] payloads are not encoded — they are
     re-derived at decode time through the workload's [invoke], which
-    is how every engine constructed them in the first place.
+    is how every engine constructed them in the first place.  The
+    [Decision] telemetry event carries this code, and a trace prints
+    it as ["S1"], ["I2"], ["C3"] ({!Slx_obs.Trace_export}).
     @raise Invalid_argument on [Stop]. *)
 
 val codes_of_script : ('inv, 'res) Driver.decision list -> int list

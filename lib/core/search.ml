@@ -151,12 +151,17 @@ let node st len body =
     body ()
   end
 
-(* The packed int a [Decision] telemetry event carries. *)
-let dec_code = function
-  | Driver.Schedule p -> Telemetry.Dec.schedule (Proc.hash p)
-  | Driver.Invoke (p, _) -> Telemetry.Dec.invoke (Proc.hash p)
-  | Driver.Crash p -> Telemetry.Dec.crash (Proc.hash p)
-  | Driver.Stop -> Telemetry.Dec.schedule 0  (* never in a menu *)
+(* A decision as a small int: the persistent form stored witness
+   scripts use, and what a [Decision] telemetry event carries.
+   [Invoke] payloads are deliberately not encoded: every engine
+   constructs an invocation as [invoke view p], so a decoder holding
+   the same [invoke] re-derives the identical payload from the view at
+   the point of application.  [Stop] never appears in a menu. *)
+let code_of_decision = function
+  | Driver.Schedule p -> p lsl 2
+  | Driver.Invoke (p, _) -> (p lsl 2) lor 1
+  | Driver.Crash p -> (p lsl 2) lor 2
+  | Driver.Stop -> invalid_arg "Explore.code_of_decision: Stop"
 
 let full_menu ~invoke ~depth ~max_crashes view len crashes =
   if len >= depth then []
@@ -376,7 +381,8 @@ let children st cursor ~rev_script ~len ~sleep ~apply ~leaf kids descend =
   let rec walk in_place prev = function
     | [] -> ()
     | (d, kid) :: kids -> (
-        Telemetry.emit st.sink Telemetry.Decision (len + 1) (dec_code d);
+        Telemetry.emit st.sink Telemetry.Decision (len + 1)
+          (code_of_decision d);
         let z =
           if not dpor then []
           else match d with Driver.Crash _ -> sleep | _ -> prev

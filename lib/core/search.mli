@@ -274,6 +274,10 @@ val settle :
     [Race_reversal] event.  Both explorers' DPOR walks settle through
     here. *)
 
+val code_of_decision : ('inv, 'res) Driver.decision -> int
+(** {!Explore.code_of_decision}, defined here so that the [Decision]
+    events this module emits carry the same code. *)
+
 val crashes_after : int -> ('inv, 'res) Driver.decision -> int
 (** The crash count after a decision. *)
 

@@ -1,5 +1,5 @@
 (** A minimal JSON reader — just enough to load a saved trace back
-    (the [slx stats] replay mode, the bench smoke's trace validation,
+    (the trace reader behind [slx stats] and the bench smoke,
     and the well-formedness tests), with no third-party dependency.
 
     The grammar is standard JSON.  Integer literals that fit an OCaml

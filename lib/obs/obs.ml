@@ -22,7 +22,7 @@ let progress t = t.ob_progress
 let sink t =
   if not t.ob_tracing then Telemetry.null
   else begin
-    let r = Telemetry.ring ~capacity:t.ob_capacity ~domain:0 () in
+    let r = Telemetry.ring ~capacity:t.ob_capacity () in
     t.ob_ring <- Some r;
     Telemetry.sink_of_ring r
   end
@@ -34,6 +34,3 @@ let events_dropped t = Option.fold ~none:0 ~some:Telemetry.ring_dropped t.ob_rin
 let write_trace t path =
   Out_channel.with_open_bin path (fun oc ->
       Trace_export.write oc ~events_dropped:(events_dropped t) (events t))
-
-let trace_string t =
-  Trace_export.to_string ~events_dropped:(events_dropped t) (events t)

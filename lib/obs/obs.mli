@@ -38,5 +38,3 @@ val events_dropped : t -> int
 
 val write_trace : t -> string -> unit
 (** Export {!events} as Chrome trace-event JSON to the given path. *)
-
-val trace_string : t -> string

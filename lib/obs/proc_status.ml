@@ -12,14 +12,16 @@ let kb ?pid field =
         match input_line ic with
         | exception End_of_file -> None
         | line when String.starts_with ~prefix line -> (
+            (* [line] reads ["VmHWM:    1234 kB"]. *)
             let rest =
-              String.sub line (String.length prefix)
-                (String.length line - String.length prefix)
+              String.trim
+                (String.sub line (String.length prefix)
+                   (String.length line - String.length prefix))
             in
-            match Scanf.sscanf rest " %d kB" Fun.id with
-            | v -> Some v
-            | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) ->
-                None)
+            if String.ends_with ~suffix:"kB" rest then
+              int_of_string_opt
+                (String.trim (String.sub rest 0 (String.length rest - 2)))
+            else None)
         | _ -> scan ()
       in
       Fun.protect ~finally:(fun () -> close_in_noerr ic) scan

@@ -15,14 +15,12 @@ type kind =
 
 type event = {
   ev_ns : int;
-  ev_domain : int;
   ev_kind : kind;
   ev_a : int;
   ev_b : int;
 }
 
 type ring = {
-  r_domain : int;
   r_buf : event array;
   r_cap : int;
   mutable r_next : int;  (* total events ever written *)
@@ -34,12 +32,11 @@ type sink = Null | Ring of ring
 let null = Null
 let enabled = function Null -> false | Ring _ -> true
 
-let dummy = { ev_ns = 0; ev_domain = 0; ev_kind = Decision; ev_a = 0; ev_b = 0 }
+let dummy = { ev_ns = 0; ev_kind = Decision; ev_a = 0; ev_b = 0 }
 
-let ring ?(capacity = 65536) ~domain () =
+let ring ?(capacity = 65536) () =
   if capacity < 1 then invalid_arg "Telemetry.ring: capacity < 1";
   {
-    r_domain = domain;
     r_buf = Array.make capacity dummy;
     r_cap = capacity;
     r_next = 0;
@@ -47,7 +44,6 @@ let ring ?(capacity = 65536) ~domain () =
   }
 
 let sink_of_ring r = Ring r
-let ring_written r = r.r_next
 let ring_dropped r = max 0 (r.r_next - r.r_cap)
 
 let ring_events r =
@@ -64,19 +60,5 @@ let[@inline] emit sink kind a b =
       let ns = if ns < r.r_last_ns then r.r_last_ns else ns in
       r.r_last_ns <- ns;
       r.r_buf.(r.r_next mod r.r_cap) <-
-        { ev_ns = ns; ev_domain = r.r_domain; ev_kind = kind; ev_a = a; ev_b = b };
+        { ev_ns = ns; ev_kind = kind; ev_a = a; ev_b = b };
       r.r_next <- r.r_next + 1
-
-module Dec = struct
-  let schedule p = p lsl 2
-  let invoke p = (p lsl 2) lor 1
-  let crash p = (p lsl 2) lor 2
-
-  let pp code =
-    let p = code lsr 2 in
-    match code land 3 with
-    | 0 -> Printf.sprintf "S%d" p
-    | 1 -> Printf.sprintf "I%d" p
-    | 2 -> Printf.sprintf "C%d" p
-    | _ -> Printf.sprintf "?%d" p
-end

@@ -11,18 +11,20 @@
       Every emission site passes plain [int] arguments, so a disabled
       sink costs one predictable conditional per event site.
     - a {e ring sink} ({!ring}, {!sink_of_ring}) — a preallocated
-      circular buffer with a single writer, one per exploration.  Its
-      [domain] index names the trace lane its events are drawn on.
+      circular buffer with a single writer, one per exploration.
       When the ring is full the oldest events are overwritten and
       counted as {!ring_dropped}.
 
     Timestamps are wall-clock nanoseconds ({!Clock.now_ns}) clamped to
-    be non-decreasing per ring. *)
+    be non-decreasing per ring.  {!Trace_export} is the one place
+    that names the kinds and their arguments in a trace. *)
 
 type kind =
   | Node_enter  (** a = depth; span open, paired with [Node_leave]. *)
   | Node_leave  (** a = depth; emitted on every exit, exceptions included. *)
-  | Decision  (** a = depth reached, b = {!Dec} code of the decision. *)
+  | Decision
+      (** a = depth reached, b = the decision's code
+          ({!Slx_core.Explore.code_of_decision}). *)
   | Run_checked  (** a = depth; a maximal run was checked. *)
   | Cache_hit  (** a = depth, b = runs credited from the entry. *)
   | Por_sleep  (** a = depth, b = decisions slept (sleep-set prune). *)
@@ -43,7 +45,6 @@ type kind =
 
 type event = {
   ev_ns : int;  (** Timestamp, ns (non-decreasing within a ring). *)
-  ev_domain : int;  (** Lane index of the emitting ring. *)
   ev_kind : kind;
   ev_a : int;
   ev_b : int;
@@ -65,32 +66,15 @@ val emit : sink -> kind -> int -> int -> unit
 
 type ring
 
-val ring : ?capacity:int -> domain:int -> unit -> ring
-(** A fresh ring whose events carry the lane index [domain].
-    [capacity] (default [65536]) must be >= 1; when more events are
-    emitted the oldest are overwritten and counted as dropped. *)
+val ring : ?capacity:int -> unit -> ring
+(** A fresh ring.  [capacity] (default [65536]) must be >= 1; when
+    more events are emitted the oldest are overwritten and counted as
+    dropped. *)
 
 val sink_of_ring : ring -> sink
-
-val ring_written : ring -> int
-(** Total events ever emitted into the ring. *)
 
 val ring_dropped : ring -> int
 (** Events overwritten by wraparound ([max 0 (written - capacity)]). *)
 
 val ring_events : ring -> event list
 (** The retained events, oldest first. *)
-
-(** {2 Decision codes} *)
-
-(** Scheduler decisions packed into one int for the [Decision] event:
-    the process id shifted left twice, or-ed with a 2-bit tag. *)
-module Dec : sig
-  val schedule : int -> int
-  val invoke : int -> int
-  val crash : int -> int
-
-  val pp : int -> string
-  (** ["S1"], ["I2"], ["C1"] — the notation of the CLI witness
-      scripts. *)
-end

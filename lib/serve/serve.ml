@@ -31,7 +31,8 @@ type worker = {
   mutable w_query : query option;
 }
 
-type client = { c_fd : Unix.file_descr; c_acc : Buffer.t }
+(* A connection whose request is not complete yet. *)
+type client = { c_fd : Unix.file_descr; c_acc : Buffer.t; c_since : float }
 
 type t = {
   store : Store.t;
@@ -483,24 +484,61 @@ let read_worker t w =
       in
       go (String.split_on_char '\n' (Buffer.contents w.w_acc))
 
+let forget t c = t.clients <- List.filter (fun c' -> c' != c) t.clients
+
+let drop_client t c =
+  forget t c;
+  close_quiet c.c_fd
+
 (* Read a client's request; once it is complete, the fd's fate belongs
    to the handler (respond closes it; a waiter keeps it). *)
 let read_client t c =
-  let drop () = t.clients <- List.filter (fun c' -> c' != c) t.clients in
   match Unix.read c.c_fd chunk 0 (Bytes.length chunk) with
-  | 0 ->
-      drop ();
-      close_quiet c.c_fd
-  | exception Unix.Unix_error _ ->
-      drop ();
-      close_quiet c.c_fd
+  | 0 | (exception Unix.Unix_error _) -> drop_client t c
   | n -> (
       Buffer.add_subbytes c.c_acc chunk 0 n;
       match try_parse_request (Buffer.contents c.c_acc) with
       | Some (meth, path, body) ->
-          drop ();
+          forget t c;
           handle_request t c.c_fd ~meth ~path ~body
       | None -> ())
+
+(* The client-side fds, unfinished readers plus streamed waiters, stay
+   at most this many, so that with stdio, the listener and two pipes
+   per worker every fd the loop selects on is below FD_SETSIZE (1024). *)
+let max_clients = 768
+
+(* A reader whose request is still unfinished this long (seconds)
+   after it connected is closed. *)
+let read_deadline = 10.
+
+(* Take every pending connection (the listener is non-blocking).  At
+   [max_clients] the oldest unfinished reader makes room for each;
+   when every client-side fd is a streamed waiter, the newcomer is
+   closed instead. *)
+let accept_clients t =
+  match Unix.accept ~cloexec:true t.listen_fd with
+  | exception Unix.Unix_error _ -> ()
+  | fd, _ ->
+      let waiters =
+        Hashtbl.fold (fun _ q n -> n + List.length q.q_waiters) t.queries 0
+      in
+      let add () =
+        t.clients <-
+          { c_fd = fd; c_acc = Buffer.create 256; c_since = now () }
+          :: t.clients
+      in
+      if List.length t.clients + waiters < max_clients then add ()
+      else
+        (match List.rev t.clients with
+        | oldest :: _ ->
+            drop_client t oldest;
+            add ()
+        | [] -> close_quiet fd)
+
+let close_stale_readers t =
+  let cutoff = now () -. read_deadline in
+  List.iter (fun c -> if c.c_since < cutoff then drop_client t c) t.clients
 
 let main ?(host = "127.0.0.1") ~port ~workers ~store () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -508,7 +546,7 @@ let main ?(host = "127.0.0.1") ~port ~workers ~store () =
   let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
   Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-  Unix.listen listen_fd 64;
+  Unix.listen listen_fd 1024;
   let t =
     {
       store;
@@ -544,12 +582,7 @@ let main ?(host = "127.0.0.1") ~port ~workers ~store () =
     | ready, _, _ ->
         List.iter
           (fun fd ->
-            if fd = t.listen_fd then
-              match Unix.accept t.listen_fd with
-              | cfd, _ ->
-                  t.clients <-
-                    { c_fd = cfd; c_acc = Buffer.create 256 } :: t.clients
-              | exception Unix.Unix_error _ -> ()
+            if fd = t.listen_fd then accept_clients t
             else
               match Array.find_opt (fun w -> w.w_out = fd) t.workers with
               | Some w -> read_worker t w
@@ -557,7 +590,8 @@ let main ?(host = "127.0.0.1") ~port ~workers ~store () =
                   Option.iter (read_client t)
                     (List.find_opt (fun c -> c.c_fd = fd) t.clients))
           ready;
-        check_deadlines t
+        check_deadlines t;
+        close_stale_readers t
   done;
   (* Drain: EOF every worker's stdin, reap, flush the store. *)
   Array.iter (fun w -> close_quiet w.w_in) t.workers;

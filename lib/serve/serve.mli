@@ -45,7 +45,12 @@
 
     {b Input bounds.}  A request longer than {!max_request} bytes, or
     one whose header block has not ended by then, answers [400] and
-    its connection is dropped. *)
+    its connection is dropped.  So is a connection whose request is
+    still unfinished 10 s after it was accepted.  At most 768
+    connections (unfinished requests plus streamed waiters) are open
+    at once, which keeps every descriptor under [select]'s
+    FD_SETSIZE: a new connection past that closes the oldest
+    unfinished one, or itself when all of them are waiters. *)
 
 val max_request : int
 (** The longest request, header block and body, a client may send:

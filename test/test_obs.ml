@@ -11,25 +11,27 @@ module Obs = Slx_obs.Obs
 module Json = Slx_obs.Json
 module Trace_export = Slx_obs.Trace_export
 
+let ev ns kind a b =
+  { Telemetry.ev_ns = ns; ev_kind = kind; ev_a = a; ev_b = b }
+
+(* The code of the decision that schedules process 1: ["S1"]. *)
+let s1 = Explore.code_of_decision (Slx_sim.Driver.Schedule 1)
+
 (* ------------------------------------------------------------------ *)
 (* Ring sinks.                                                         *)
 
 let test_ring_wraparound () =
-  let r = Telemetry.ring ~capacity:4 ~domain:0 () in
+  let r = Telemetry.ring ~capacity:4 () in
   let sink = Telemetry.sink_of_ring r in
   for i = 1 to 10 do
     Telemetry.emit sink Telemetry.Run_checked i 0
   done;
-  check_int "every emission is counted" 10 (Telemetry.ring_written r);
   check_int "overflow is accounted as drops" 6 (Telemetry.ring_dropped r);
   let events = Telemetry.ring_events r in
   check_int "the ring retains capacity events" 4 (List.length events);
   Alcotest.(check (list int))
     "oldest events are the ones overwritten" [ 7; 8; 9; 10 ]
     (List.map (fun e -> e.Telemetry.ev_a) events);
-  List.iter
-    (fun e -> check_int "events carry the ring's domain" 0 e.Telemetry.ev_domain)
-    events;
   let rec monotone = function
     | a :: (b :: _ as tl) ->
         check_bool "timestamps are non-decreasing" true
@@ -40,7 +42,7 @@ let test_ring_wraparound () =
   monotone events
 
 let test_ring_below_capacity () =
-  let r = Telemetry.ring ~capacity:8 ~domain:3 () in
+  let r = Telemetry.ring ~capacity:8 () in
   let sink = Telemetry.sink_of_ring r in
   for i = 1 to 5 do
     Telemetry.emit sink Telemetry.Cache_hit i (10 * i)
@@ -52,10 +54,27 @@ let test_ring_below_capacity () =
   (* Emitting into the null sink must be a no-op (and not crash). *)
   Telemetry.emit Telemetry.null Telemetry.Cache_hit 1 2
 
+(* A [Decision] event carries the engines' decision code; a trace
+   prints it in the witness scripts' notation and reads it back. *)
 let test_dec_codes () =
-  Alcotest.(check string) "schedule" "S1" (Telemetry.Dec.pp (Telemetry.Dec.schedule 1));
-  Alcotest.(check string) "invoke" "I2" (Telemetry.Dec.pp (Telemetry.Dec.invoke 2));
-  Alcotest.(check string) "crash" "C3" (Telemetry.Dec.pp (Telemetry.Dec.crash 3))
+  List.iter
+    (fun (d, printed) ->
+      let code = Explore.code_of_decision d in
+      let events = [ ev 0 Telemetry.Decision 1 code ] in
+      let text = Trace_export.to_string ~events_dropped:0 events in
+      let line = Printf.sprintf {|"decision": "%s"|} printed in
+      check_bool printed true
+        (List.exists
+           (fun l -> String.ends_with ~suffix:(line ^ "}}") l)
+           (String.split_on_char '\n' text));
+      check_bool (printed ^ " reads back") true
+        (Result.map (fun t -> t.Trace_export.events) (Trace_export.read text)
+        = Ok events))
+    [
+      (Slx_sim.Driver.Schedule 1, "S1");
+      (Slx_sim.Driver.Invoke (2, ()), "I2");
+      (Slx_sim.Driver.Crash 3, "C3");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* The minimal JSON reader.                                            *)
@@ -153,42 +172,46 @@ let prop_json_floats_round_trip =
          || String.length s <= String.length (Printf.sprintf "%.17g" f)))
 
 (* ------------------------------------------------------------------ *)
-(* Chrome-trace export and validation.                                 *)
+(* Chrome-trace export and reading back.                              *)
 
-let ev ?(domain = 0) ns kind a b =
-  { Telemetry.ev_ns = ns; ev_domain = domain; ev_kind = kind; ev_a = a; ev_b = b }
+let count_kind events k =
+  List.length (List.filter (fun e -> e.Telemetry.ev_kind = k) events)
+
+(* [events] with times counted from [t0]. *)
+let from t0 events =
+  List.map (fun e -> { e with Telemetry.ev_ns = e.Telemetry.ev_ns - t0 }) events
+
+(* [Trace_export.read] of a written trace, or the test fails. *)
+let read_back ?(events_dropped = 0) what events =
+  match
+    Trace_export.read (Trace_export.to_string ~events_dropped events)
+  with
+  | Ok t -> t
+  | Error e -> Alcotest.failf "%s: trace does not read back: %s" what e
 
 let test_trace_export_well_formed () =
   let events =
     [
       ev 100 Telemetry.Node_enter 0 0;
-      ev 110 Telemetry.Decision 1 (Telemetry.Dec.schedule 1);
+      ev 110 Telemetry.Decision 1 s1;
       ev 120 Telemetry.Node_enter 1 0;
       ev 130 Telemetry.Cache_hit 1 3;
       ev 140 Telemetry.Node_leave 1 0;
       ev 150 Telemetry.Por_sleep 1 1;
-      ev 160 ~domain:1 Telemetry.Run_checked 3 0;
+      ev 160 Telemetry.Run_checked 3 0;
       ev 170 Telemetry.Pump_start 2 0;
       ev 180 Telemetry.Pump_verdict 2 1;
       ev 190 Telemetry.Node_leave 0 0;
     ]
   in
-  let s = Trace_export.to_string ~events_dropped:5 events in
-  match Json.parse s with
-  | Error e -> Alcotest.failf "emitted trace does not parse: %s" e
-  | Ok json -> begin
-      match Trace_export.validate json with
-      | Error e -> Alcotest.failf "emitted trace does not validate: %s" e
-      | Ok sm ->
-          check_int "all events survive the round trip" 10
-            sm.Trace_export.sm_events;
-          check_int "node spans balance" 2 (Trace_export.span_count sm "node");
-          check_int "pump spans balance" 1 (Trace_export.span_count sm "pump");
-          check_int "cache hit instant" 1
-            (Trace_export.instant_count sm "cache_hit");
-          check_int "two lanes" 2 sm.Trace_export.sm_lanes;
-          check_int "dropped count survives" 5 sm.Trace_export.sm_dropped
-    end
+  let t = read_back ~events_dropped:5 "well-formed" events in
+  let got = t.Trace_export.events in
+  check_int "all events survive the round trip" 10 (List.length got);
+  check_int "node spans balance" 2 (count_kind got Telemetry.Node_leave);
+  check_int "pump spans balance" 1 (count_kind got Telemetry.Pump_verdict);
+  check_int "cache hit instant" 1 (count_kind got Telemetry.Cache_hit);
+  check_int "dropped count survives" 5 t.Trace_export.events_dropped;
+  check_bool "times start at 0" true (got = from 100 events)
 
 (* One event of every kind, spans balanced, and the exact bytes the
    writer makes of them. *)
@@ -196,7 +219,7 @@ let every_kind =
   Telemetry.
     [
       ev 1000 Node_enter 0 0;
-      ev 1250 Decision 1 (Dec.schedule 1);
+      ev 1250 Decision 1 s1;
       ev 1500 Run_checked 1 0;
       ev 2125 Cache_hit 1 3;
       ev 2500 Por_sleep 1 2;
@@ -235,32 +258,117 @@ let test_trace_export_bytes_pinned () =
     "every kind's record, byte for byte" every_kind_trace
     (Trace_export.to_string ~events_dropped:2 every_kind)
 
-let test_trace_validate_rejects_unbalanced () =
-  let unbalanced =
-    [ ev 100 Telemetry.Node_enter 0 0; ev 110 Telemetry.Node_enter 1 0;
-      ev 120 Telemetry.Node_leave 1 0 ]
+let refused what text =
+  match Trace_export.read text with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.failf "the reader accepted %s" what
+
+let test_trace_read_refuses_unbalanced () =
+  let text events = Trace_export.to_string ~events_dropped:0 events in
+  refused "an open span"
+    (text
+       [ ev 100 Telemetry.Node_enter 0 0; ev 110 Telemetry.Node_enter 1 0;
+         ev 120 Telemetry.Node_leave 1 0 ]);
+  refused "a span end with no open span"
+    (text [ ev 100 Telemetry.Node_leave 0 0 ]);
+  refused "a pump closing a node span"
+    (text
+       [ ev 100 Telemetry.Node_enter 0 0; ev 110 Telemetry.Pump_verdict 2 1 ])
+
+(* [every_kind_trace] with the [n]-th occurrence (from 1) of [sub]
+   replaced by [by]. *)
+let edit_pinned n sub by =
+  let s = every_kind_trace and m = String.length sub in
+  let rec find from k =
+    if String.sub s from m <> sub then find (from + 1) k
+    else if k < n then find (from + 1) (k + 1)
+    else from
   in
-  (match
-     Json.parse (Trace_export.to_string ~events_dropped:0 unbalanced)
-   with
-  | Ok json -> begin
-      match Trace_export.validate json with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "validator accepted an open span"
-    end
-  | Error e -> Alcotest.failf "unexpected parse error: %s" e);
-  (* Spans balance per lane: a span opened on one lane cannot be
-     closed from another. *)
-  let cross_lane =
-    [ ev 100 Telemetry.Node_enter 0 0; ev 110 ~domain:1 Telemetry.Node_leave 0 0 ]
+  let i = find 0 1 in
+  String.sub s 0 i ^ by ^ String.sub s (i + m) (String.length s - i - m)
+
+(* slx writes one lane, pid 1 and tid 0: a record elsewhere is not its
+   own, and neither is a name, a phase or an argument it never writes. *)
+let test_trace_read_refuses_foreign () =
+  (match Trace_export.read every_kind_trace with
+  | Ok t ->
+      check_bool "the pinned trace reads back" true
+        (t.Trace_export.events = from 1000 every_kind)
+  | Error e -> Alcotest.failf "the pinned trace does not read: %s" e);
+  List.iter
+    (fun (what, n, sub, by) -> refused what (edit_pinned n sub by))
+    [
+      ("a trace event on another tid", 5, {|"tid": 0|}, {|"tid": 1|});
+      ("a span end on another tid", 15, {|"tid": 0|}, {|"tid": 1|});
+      ("another pid", 3, {|"pid": 1|}, {|"pid": 2|});
+      ("an unknown name", 1, {|"run_checked"|}, {|"run_skipped"|});
+      ("an unknown phase", 1, {|"ph": "i"|}, {|"ph": "X"|});
+      ("a missing argument", 1, {|"slept"|}, {|"sleeping"|});
+      ("a bad decision", 1, {|"S1"|}, {|"Q1"|});
+      ("a missing timestamp", 4, {|"ts"|}, {|"tz"|});
+      ("no dropped count", 1, {|"events_dropped"|}, {|"dropped"|});
+    ]
+
+(* Balanced event lists of every kind: instants, and node or pump spans
+   around nested lists.  Kinds whose [b] a trace does not write carry
+   0, and a [Decision] a valid code. *)
+let gen_events =
+  let open QCheck2.Gen in
+  let instant =
+    let* kind =
+      oneofl
+        Telemetry.
+          [ Decision; Run_checked; Cache_hit; Por_sleep; Race_reversal;
+            Proviso_wake; Invoke_prune; Symmetry_prune; Cycle_candidate ]
+    in
+    let* a = int_range 0 50 in
+    let* b =
+      match kind with
+      | Telemetry.Decision ->
+          map2 (fun p tag -> (p lsl 2) lor tag) (int_range 1 16) (int_range 0 2)
+      | Telemetry.Run_checked -> pure 0
+      | _ -> int_range 0 1000
+    in
+    pure [ (kind, a, b) ]
   in
-  match Json.parse (Trace_export.to_string ~events_dropped:0 cross_lane) with
-  | Ok json -> begin
-      match Trace_export.validate json with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "validator accepted a span closed on another lane"
-    end
-  | Error e -> Alcotest.failf "unexpected parse error: %s" e
+  let span self size enter leave a b =
+    let* inner = self (size / 2) in
+    pure (((enter, a, 0) :: inner) @ [ (leave, a, b) ])
+  in
+  let nodes =
+    fix (fun self size ->
+        if size <= 0 then pure []
+        else
+          let* first =
+            frequency
+              [
+                (3, instant);
+                ( 1,
+                  let* a = int_range 0 50 in
+                  span self size Telemetry.Node_enter Telemetry.Node_leave a 0 );
+                ( 1,
+                  let* a = int_range 1 20 and* accepted = int_range 0 1 in
+                  span self size Telemetry.Pump_start Telemetry.Pump_verdict a
+                    accepted );
+              ]
+          in
+          let* rest = self (size - 1) in
+          pure (first @ rest))
+  in
+  let* shape = sized_size (int_range 0 30) nodes in
+  let* times =
+    list_repeat (List.length shape) (int_range 0 1_000_000_000_000)
+  in
+  pure (List.map2 (fun (k, a, b) ns -> ev ns k a b) shape times)
+
+let prop_trace_round_trip =
+  QCheck2.Test.make ~name:"read (to_string events) = events, from time 0"
+    ~count:300 gen_events (fun events ->
+      let t0 =
+        List.fold_left (fun m e -> min m e.Telemetry.ev_ns) max_int events
+      in
+      Trace_export.read (Trace_export.to_string ~events_dropped:7 events)
+      = Ok { Trace_export.events = from t0 events; events_dropped = 7 })
 
 (* ------------------------------------------------------------------ *)
 (* Tracing through the engines: determinism and reconciliation.        *)
@@ -302,9 +410,6 @@ let test_tracing_does_not_change_verdicts () =
          (((fst a, snd a), b), (c, d))))
     configs
 
-let count_kind events k =
-  List.length (List.filter (fun e -> e.Telemetry.ev_kind = k) events)
-
 let test_traced_events_reconcile_with_stats () =
   let obs = Obs.create ~tracing:true () in
   let e = explore_register ~obs () in
@@ -319,19 +424,12 @@ let test_traced_events_reconcile_with_stats () =
     (count_kind events Telemetry.Cache_hit);
   check_int "one run-checked event per checked run" s.Explore_stats.runs_checked
     (count_kind events Telemetry.Run_checked);
-  (* The export of the same run validates and agrees on the counts. *)
-  match Json.parse (Obs.trace_string obs) with
-  | Error err -> Alcotest.failf "engine trace does not parse: %s" err
-  | Ok json -> begin
-      match Trace_export.validate json with
-      | Error err -> Alcotest.failf "engine trace does not validate: %s" err
-      | Ok sm ->
-          check_int "exported node spans match the stats" s.Explore_stats.nodes
-            (Trace_export.span_count sm "node");
-          check_int "exported cache hits match the stats"
-            s.Explore_stats.cache_hits
-            (Trace_export.instant_count sm "cache_hit")
-    end
+  (* The export of the same run reads back and agrees on the counts. *)
+  let read = (read_back "engine trace" events).Trace_export.events in
+  check_int "exported node spans match the stats" s.Explore_stats.nodes
+    (count_kind read Telemetry.Node_leave);
+  check_int "exported cache hits match the stats" s.Explore_stats.cache_hits
+    (count_kind read Telemetry.Cache_hit)
 
 let test_live_search_traced_matches_untraced () =
   let point = Slx_liveness.Freedom.make ~l:1 ~k:1 in
@@ -361,19 +459,16 @@ let test_live_search_traced_matches_untraced () =
     untraced.Live_explore.stats.Explore_stats.steps_executed
     traced.Live_explore.stats.Explore_stats.steps_executed;
   let s = traced.Live_explore.stats in
-  match Json.parse (Obs.trace_string obs) with
-  | Error err -> Alcotest.failf "live trace does not parse: %s" err
-  | Ok json -> begin
-      match Trace_export.validate json with
-      | Error err -> Alcotest.failf "live trace does not validate: %s" err
-      | Ok sm ->
-          check_int "one cycle-candidate instant per candidate"
-            s.Explore_stats.cycles_examined
-            (Trace_export.instant_count sm "cycle_candidate");
-          check_int "one pump span per fair violating candidate"
-            s.Explore_stats.fair_cycles
-            (Trace_export.span_count sm "pump")
-    end
+  let read =
+    (read_back ~events_dropped:(Obs.events_dropped obs) "live trace"
+       (Obs.events obs)).Trace_export.events
+  in
+  check_int "one cycle-candidate instant per candidate"
+    s.Explore_stats.cycles_examined
+    (count_kind read Telemetry.Cycle_candidate);
+  check_int "one pump span per fair violating candidate"
+    s.Explore_stats.fair_cycles
+    (count_kind read Telemetry.Pump_verdict)
 
 (* ------------------------------------------------------------------ *)
 (* Progress heartbeats.                                                *)
@@ -509,14 +604,17 @@ let suites =
       [
         quick "export is well-formed" test_trace_export_well_formed;
         quick "export bytes are pinned" test_trace_export_bytes_pinned;
-        quick "validator rejects unbalanced traces"
-          test_trace_validate_rejects_unbalanced;
+        quick "reader refuses unbalanced traces"
+          test_trace_read_refuses_unbalanced;
+        quick "a trace event on another tid is refused"
+          test_trace_read_refuses_foreign;
         quick "tracing changes no verdict" test_tracing_does_not_change_verdicts;
         quick "events reconcile with stats"
           test_traced_events_reconcile_with_stats;
         quick "live search traced = untraced"
           test_live_search_traced_matches_untraced;
-      ] );
+      ]
+      @ qcheck [ prop_trace_round_trip ] );
     ( "obs-progress",
       [
         quick "json-lines heartbeats" test_progress_jsonl;

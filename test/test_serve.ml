@@ -868,6 +868,55 @@ let test_bad_requests_answer_400 () =
             None );
         ])
 
+(* More idle connections than [select]'s FD_SETSIZE (1024), none
+   sending a byte: the coordinator keeps its client-side fds bounded
+   by closing the oldest idle ones, and still answers /stats and
+   /shutdown.  The two answering sockets are made before the flood, so
+   that their fds stay low: this process reads them without [select]. *)
+let test_idle_flood_is_survived () =
+  with_server ~store:(temp_store ()) (fun port ->
+      let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
+      let socket () = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+      let answer fd raw =
+        Unix.connect fd addr;
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.;
+        ignore (Unix.write_substring fd raw 0 (String.length raw));
+        let buf = Buffer.create 1024 and chunk = Bytes.create 4096 in
+        let rec recv () =
+          match Unix.read fd chunk 0 (Bytes.length chunk) with
+          | 0 -> Buffer.contents buf
+          | k ->
+              Buffer.add_subbytes buf chunk 0 k;
+              recv ()
+        in
+        recv ()
+      in
+      let ask = socket () and bye = socket () in
+      let idle = ref [] in
+      Fun.protect
+        ~finally:(fun () -> List.iter Unix.close (ask :: bye :: !idle))
+        (fun () ->
+          match
+            for _ = 1 to 1100 do
+              let fd = socket () in
+              idle := fd :: !idle;
+              Unix.connect fd addr
+            done
+          with
+          | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+              Printf.printf "skipped: out of fds after %d connections\n"
+                (List.length !idle);
+              Alcotest.skip ()
+          | () ->
+              let stats = answer ask (request ~meth:"GET" ~path:"/stats" "") in
+              Alcotest.(check string)
+                "/stats after the flood" "HTTP/1.1 200 OK" (status_line stats);
+              let bye = answer bye (request ~meth:"POST" ~path:"/shutdown" "") in
+              Alcotest.(check string)
+                "/shutdown after the flood" "HTTP/1.1 200 OK" (status_line bye);
+              check_bool "shutdown acknowledged" true
+                (Json.member "ok" (last_json bye) = Some (Json.Bool true))))
+
 (* The last JSON line [slx ARGS] prints, and its exit code. *)
 let cli_last_json args =
   let out = Filename.temp_file "slx_serve_test" ".json" in
@@ -1361,6 +1410,8 @@ let suites =
       [
         Alcotest.test_case "a bad request answers 400 and serving goes on"
           `Quick test_bad_requests_answer_400;
+        Alcotest.test_case "an idle flood past FD_SETSIZE is survived" `Quick
+          test_idle_flood_is_survived;
         Alcotest.test_case "the CLI warm-serves a served record" `Quick
           test_cli_warm_serves_served_record;
         Alcotest.test_case "a deeper query runs full" `Quick
