@@ -504,8 +504,9 @@ let read_client t c =
       | None -> ())
 
 (* The client-side fds, unfinished readers plus streamed waiters, stay
-   at most this many, so that with stdio, the listener and two pipes
-   per worker every fd the loop selects on is below FD_SETSIZE (1024). *)
+   at most this many, so that with stdio, the listener and the two
+   pipes of each of at most 64 workers every fd the loop selects on is
+   below FD_SETSIZE (1024). *)
 let max_clients = 768
 
 (* A reader whose request is still unfinished this long (seconds)
@@ -546,6 +547,8 @@ let main ?(host = "127.0.0.1") ~port ~workers ~store () =
   let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
   Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
+  (* A burst of connections waits in the kernel's queue instead of
+     retrying its handshake a second later. *)
   Unix.listen listen_fd 1024;
   let t =
     {

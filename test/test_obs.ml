@@ -29,6 +29,8 @@ let test_ring_wraparound () =
   check_int "overflow is accounted as drops" 6 (Telemetry.ring_dropped r);
   let events = Telemetry.ring_events r in
   check_int "the ring retains capacity events" 4 (List.length events);
+  check_int "every emission is counted" 10
+    (Telemetry.ring_dropped r + List.length events);
   Alcotest.(check (list int))
     "oldest events are the ones overwritten" [ 7; 8; 9; 10 ]
     (List.map (fun e -> e.Telemetry.ev_a) events);
