@@ -876,7 +876,9 @@ let test_bad_requests_answer_400 () =
 let test_idle_flood_is_survived () =
   with_server ~store:(temp_store ()) (fun port ->
       let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
-      let socket () = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+      let socket () =
+        Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0
+      in
       let answer fd raw =
         Unix.connect fd addr;
         Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.;
@@ -908,10 +910,14 @@ let test_idle_flood_is_survived () =
                 (List.length !idle);
               Alcotest.skip ()
           | () ->
-              let stats = answer ask (request ~meth:"GET" ~path:"/stats" "") in
+              let stats =
+                answer ask (request ~meth:"GET" ~path:"/stats" "")
+              in
               Alcotest.(check string)
                 "/stats after the flood" "HTTP/1.1 200 OK" (status_line stats);
-              let bye = answer bye (request ~meth:"POST" ~path:"/shutdown" "") in
+              let bye =
+                answer bye (request ~meth:"POST" ~path:"/shutdown" "")
+              in
               Alcotest.(check string)
                 "/shutdown after the flood" "HTTP/1.1 200 OK" (status_line bye);
               check_bool "shutdown acknowledged" true
