@@ -188,7 +188,7 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                 Search.children st cursor ~rev_script ~len ~sleep
                   ~apply:Runner.Cursor.apply
                   ~leaf:(fun x d child_sleep ->
-                    leaf x (d :: rev_script) (len + 1)
+                    leaf (Option.get x) (d :: rev_script) (len + 1)
                       (Search.crashes_after crashes d)
                       child_sleep)
                   kids

@@ -45,7 +45,9 @@ type t = {
       (** Sleeping processes woken because an executed step's {e
           observed} accesses raced with their pending action
           ({!Dpor.advance}) — each forces the reversed order of a
-          dynamic conflict to be explored. *)
+          dynamic conflict to be explored.  The fair-cycle search
+          settles no sleep set at the depth bound, where a leaf has no
+          menu to prune, so it counts only wakes below it. *)
   invoke_order_prunes : int;
       (** Fair-cycle search ({!Live_explore}) only: invocations pruned
           by the invoke order (offer only the least idle process's
@@ -53,11 +55,13 @@ type t = {
           so the two reductions are attributable. *)
   proviso_wakes : int;
       (** Fair-cycle search only: sleepers woken without a race.  A
-          process sleeps at one node only, so each child drops its
-          parent's sleepers that its own step did not wake by a race
-          (those count as [race_reversals]); and a node whose every
-          enabled decision is asleep force-wakes them all rather than
-          truncate the path (doc/model.md §7). *)
+          process sleeps at one node only, so each child below the
+          depth bound drops its parent's sleepers that its own step
+          did not wake by a race (those count as [race_reversals]);
+          and a node whose every enabled decision is asleep force-wakes
+          them all rather than truncate the path (doc/model.md §7).  A
+          leaf at the depth bound settles none, so none is counted
+          there. *)
   symmetry_pruned : int;
       (** Decisions pruned as symmetric to a lower-numbered untouched
           process's decision (symmetry reduction orbit pruning). *)

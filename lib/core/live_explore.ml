@@ -103,25 +103,63 @@ let blocked_at ~invoke view =
    [max 2 (ceil (pump_ticks / period))] repetitions — replaying the
    workload [invoke], when there is one — then require the starved
    processes to be blocked, the freedom point violated and a periodic
-   window present.  The pump span closes with its verdict on every
-   path. *)
-let certify (st : _ state) ~invoke ~good ~point ~pump_ticks ~blocked cert =
+   window present.  [own], a cursor already at stem · cycle that no one
+   uses again, is pumped from where it stands, outside the walk's
+   shadow and probe; without it the pump replays the stem on a fresh
+   instance.  [Error (Some r)] is a pump that failed at repetition [r]
+   in a way the cycle's continuations inherit ({!Lasso.failure}).  The
+   pump span closes with its verdict on every path. *)
+let certify (st : _ state) ~invoke ~good ~point ~pump_ticks ~blocked ?own
+    cert =
   let p = List.length cert.Lasso.c_cycle in
-  let reps = max 2 ((pump_ticks + p - 1) / p) in
+  let repetitions = max 2 ((pump_ticks + p - 1) / p) in
   Telemetry.emit st.sink Telemetry.Pump_start p 0;
-  let certified =
-    match
-      Lasso.pump ~factory:(st.factory ()) ~ticks:st.ticks ~repetitions:reps
-        ?invoke cert
-    with
-    | Error _ -> false
-    | Ok rep ->
-        Proc.Set.subset (Fairness.starved rep) blocked
-        && (not (Freedom.holds ~good rep point))
-        && Option.is_some (Lasso.window_period rep)
+  let pumped =
+    match own with
+    | Some cursor ->
+        Runner.Cursor.detach cursor;
+        Lasso.pump_from cursor ~repetitions ?invoke cert
+    | None ->
+        Lasso.pump ~factory:(st.factory ()) ~ticks:st.ticks ~repetitions
+          ?invoke cert
   in
-  Telemetry.emit st.sink Telemetry.Pump_verdict p (if certified then 1 else 0);
-  certified
+  let verdict =
+    match pumped with
+    | Error f -> Error f.Lasso.repetition
+    | Ok rep ->
+        if
+          Proc.Set.subset (Fairness.starved rep) blocked
+          && (not (Freedom.holds ~good rep point))
+          && Option.is_some (Lasso.window_period rep)
+        then Ok ()
+        else Error None
+  in
+  Telemetry.emit st.sink Telemetry.Pump_verdict p
+    (if Result.is_ok verdict then 1 else 0);
+  verdict
+
+(* A pump of cycle [cycle] that failed at repetition [r >= 3] on the
+   candidate closed at depth [base].  Replay is deterministic, so the
+   candidate with the same cycle closed [m] repetitions later, [1 <= m
+   <= r - 2], fails at repetition [r - m]: the walk carries the record
+   down the edges that continue [cycle], up to depth [until = base +
+   (r - 2) * period], and rejects those candidates without pumping
+   (doc/model.md §7). *)
+type ('inv, 'res) doomed = {
+  period : int;
+  base : int;
+  until : int;
+  cycle : ('inv, 'res) Driver.decision array;
+}
+
+(* The records whose cycle an edge [d] into depth [len] continues. *)
+let continued doomed d len =
+  if doomed = [] then []
+  else
+    List.filter
+      (fun r ->
+        len <= r.until && r.cycle.((len - r.base - 1) mod r.period) = d)
+      doomed
 
 (* Evaluate every candidate cycle anchored at the current node: for
    each period [p <= max_period], the suffix of the last [2p] ticks
@@ -129,11 +167,16 @@ let certify (st : _ state) ~invoke ~good ~point ~pump_ticks ~blocked cert =
    observed).  A candidate is a fair cycle when every correct,
    non-blocked process takes a grant on it; it violates [point] per
    {!Freedom.violated_on_cycle}; and it is accepted only if it passes
-   [certify].  Stops the walk ({!Search.found}) at the first accepted
-   candidate (shortest period first).  The correct and blocked sets
-   are built only once some period closes: most nodes have none. *)
+   [certify] — unless a [doomed] record already rejects it, which
+   still opens and closes its pump span.  Stops the walk
+   ({!Search.found}) at the first accepted candidate (shortest period
+   first).  With [own], the node's cursor is not used again, so the
+   first pump runs on it.  The correct and blocked sets are built only
+   once some period closes: most nodes have none.  Returns [doomed]
+   plus the records of this node's failed pumps. *)
 let eval_candidates (st : _ state) ~invoke ~good ~point ~max_period
-    ~pump_ticks cursor rev_script rev_codes rev_goods len =
+    ~pump_ticks ~own cursor rev_script rev_codes rev_goods len doomed =
+  let carried = ref doomed in
   if len >= 2 then begin
     (* [rev_codes] has [len >= 2p] codes, newest first. *)
     let periodic p =
@@ -157,6 +200,7 @@ let eval_candidates (st : _ state) ~invoke ~good ~point ~max_period
          in
          (correct, blocked_at ~invoke view))
     in
+    let own = ref own in
     for p = 1 to min max_period (len / 2) do
       if periodic p then begin
         let correct, blocked = Lazy.force context in
@@ -185,19 +229,45 @@ let eval_candidates (st : _ state) ~invoke ~good ~point ~max_period
           (if fair_violating then 1 else 0);
         if fair_violating then begin
           st.fair <- st.fair + 1;
-          let cert =
-            {
-              Lasso.c_n = st.n;
-              c_stem = List.rev (drop p rev_script);
-              c_cycle = List.rev cycle_rev;
-            }
-          in
-          if certify st ~invoke ~good ~point ~pump_ticks ~blocked cert then
-            Search.found st cert
+          if
+            List.exists
+              (fun r -> r.period = p && (len - r.base) mod p = 0)
+              doomed
+          then begin
+            Telemetry.emit st.sink Telemetry.Pump_start p 0;
+            Telemetry.emit st.sink Telemetry.Pump_verdict p 0
+          end
+          else begin
+            let cert =
+              {
+                Lasso.c_n = st.n;
+                c_stem = List.rev (drop p rev_script);
+                c_cycle = List.rev cycle_rev;
+              }
+            in
+            let own_cursor = if !own then Some cursor else None in
+            own := false;
+            match
+              certify st ~invoke ~good ~point ~pump_ticks ~blocked
+                ?own:own_cursor cert
+            with
+            | Ok () -> Search.found st cert
+            | Error (Some r) when r >= 3 ->
+                carried :=
+                  {
+                    period = p;
+                    base = len;
+                    until = len + ((r - 2) * p);
+                    cycle = Array.of_list cert.Lasso.c_cycle;
+                  }
+                  :: !carried
+            | Error _ -> ()
+          end
         end
       end
     done
-  end
+  end;
+  !carried
 
 let result (st : _ state) found =
   {
@@ -252,7 +322,10 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
      executed (DPOR only).  {!Search.settle} wakes the sleepers whose
      pending steps race with the accesses [d] performed; of the rest,
      the parent's own sleepers [sleep] are dropped too (counted as
-     [proviso_wakes]), so only [d]'s earlier siblings stay asleep. *)
+     [proviso_wakes]), so only [d]'s earlier siblings stay asleep.  A
+     child at the depth bound is a leaf, with no menu to prune, so
+     none is settled there. *)
+  let settles len = dpor && len < depth in
   let drop_own settled ~sleep len =
     let dropped, kept = List.partition (fun z -> List.mem z sleep) settled in
     if dropped <> [] then begin
@@ -272,11 +345,29 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
     let codes = take (2 * max_period) rev_codes in
     (List.length codes :: codes) @ sleep
   in
+  (* The children of a node at depth [len]: a step or invocation leaf
+     that {!Lasso.may_close} says closes no candidate is decided here
+     ({!Search.Step_leaf}), since a leaf's only work is its candidates.
+     A sanitized walk builds every leaf, so its shadow checks every
+     step it always did. *)
+  let decide_leaves len rev_codes kids =
+    if len + 1 < depth || Option.is_some st.shadow then kids
+    else
+      List.map
+        (function
+          | d, Search.Descend None
+            when not (Lasso.may_close ~max_period d rev_codes) ->
+              (d, Search.Step_leaf)
+          | kid -> kid)
+        kids
+  in
   (* [sleep] holds the ids of the processes whose steps sleep at this
      node; [] with DPOR off.  An open crash child arrives with [pre],
      the menu its parent took on its crash view, which is this
-     node's. *)
-  let rec visit ?pre cursor rev_script rev_codes rev_goods len crashes sleep =
+     node's.  [doomed] holds the pump failures whose cycle the path to
+     this node continues. *)
+  let rec visit ?pre cursor rev_script rev_codes rev_goods len crashes sleep
+      doomed =
     Search.node st len @@ fun () ->
     let key =
       if keyed_at len then Some (Search.key cursor (key_tail rev_codes sleep))
@@ -286,9 +377,13 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
     | Some runs -> Search.hit st len runs
     | None ->
         let runs0 = st.runs in
-        eval_candidates st ~invoke:(Some invoke) ~good ~point ~max_period
-          ~pump_ticks cursor rev_script rev_codes rev_goods len;
+        (* Read before a leaf's pump moves the cursor. *)
         let view = Runner.Cursor.view cursor in
+        let doomed =
+          eval_candidates st ~invoke:(Some invoke) ~good ~point ~max_period
+            ~pump_ticks ~own:(len = depth) cursor rev_script rev_codes
+            rev_goods len doomed
+        in
         (match menu ?pre view rev_script len crashes with
         | [] -> st.runs <- st.runs + 1
         | decisions ->
@@ -320,26 +415,37 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
               Search.classify ~menu:canonical cursor ~sleep:[] len crashes
                 active
             in
+            let kids = decide_leaves len rev_codes kids in
             (* Every child starts from this node's history. *)
             let before = history_length view in
             Search.children st cursor ~rev_script ~len ~sleep
               ~apply:(step ~before)
               ~leaf:(fun x d child_sleep ->
-                let settled =
-                  if dpor then drop_own child_sleep ~sleep (len + 1) else []
-                in
-                leaf x (crash_cell d :: rev_codes) (len + 1) settled)
+                match x with
+                | None ->
+                    (* A decided step leaf: one node, one run. *)
+                    Search.node st (len + 1) (fun () ->
+                        st.runs <- st.runs + 1)
+                | Some x ->
+                    let settled =
+                      if settles (len + 1) then
+                        drop_own child_sleep ~sleep (len + 1)
+                      else []
+                    in
+                    leaf x (crash_cell d :: rev_codes) (len + 1) settled)
               kids
               (fun child d child_sleep pre (fresh, code) ->
                 let settled =
-                  if dpor then settle child d child_sleep ~sleep (len + 1)
+                  if settles (len + 1) then
+                    settle child d child_sleep ~sleep (len + 1)
                   else []
                 in
                 visit ?pre child (d :: rev_script) (code :: rev_codes)
                   (goods_of ~good fresh :: rev_goods)
                   (len + 1)
                   (Search.crashes_after crashes d)
-                  settled));
+                  settled
+                  (continued doomed d (len + 1))));
         Search.remember st key (st.runs - runs0)
   (* A crash leaf, as [visit] would walk its cursor: a lookup, then one
      maximal run.  Its candidates are none: a period [p] closing here
@@ -361,7 +467,7 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
   in
   result st
     (Search.run st (fun () ->
-         Search.with_cursor st (fun c -> visit c [] [] [] 0 0 [])))
+         Search.with_cursor st (fun c -> visit c [] [] [] 0 0 [] [])))
 
 let certify_run ~n ~factory ~driver ~good ~point ~max_steps ?max_period
     ?pump_ticks () =
@@ -389,9 +495,12 @@ let certify_run ~n ~factory ~driver ~good ~point ~max_steps ?max_period
              st.nodes <- len;
              st.runs <- 1;
              (* A driver is no workload: the pump replays the recorded
-                payloads, and no process counts as blocked. *)
-             eval_candidates st ~invoke:None ~good ~point ~max_period
-               ~pump_ticks cursor rev_script rev_codes rev_goods len)))
+                payloads, and no process counts as blocked.  The run
+                ends here, so the first pump runs on its cursor. *)
+             ignore
+               (eval_candidates st ~invoke:None ~good ~point ~max_period
+                  ~pump_ticks ~own:true cursor rev_script rev_codes rev_goods
+                  len []))))
 
 let validate_cert_codes ~n ~factory ~invoke ~good ~point ~pump_ticks ~stem
     ~cycle () =
@@ -409,6 +518,11 @@ let validate_cert_codes ~n ~factory ~invoke ~good ~point ~pump_ticks ~stem
             let cert = { Lasso.c_n = n; c_stem; c_cycle } in
             let invoke = Some invoke in
             let blocked = blocked_at ~invoke (Runner.Cursor.view cursor) in
-            if certify st ~invoke ~good ~point ~pump_ticks ~blocked cert then
-              Some cert
-            else None)
+            (* The cursor stands at stem · cycle: the pump goes on from
+               there. *)
+            match
+              certify st ~invoke ~good ~point ~pump_ticks ~blocked
+                ~own:cursor cert
+            with
+            | Ok () -> Some cert
+            | Error _ -> None)

@@ -35,9 +35,14 @@
     through a fresh instance with the cycle pumped until at least
     [pump_ticks] extra ticks are covered
     ({!Slx_liveness.Lasso.pump}), which must reproduce the cells and
-    the boundary configuration digest on every repetition and yield a
+    every process's status on every repetition and yield a
     report satisfying the standard bounded violation
-    ({!Slx_liveness.Lasso.certified_violation}).  The pump replays the
+    ({!Slx_liveness.Lasso.certified_violation}).  A leaf's first pump
+    goes on from the leaf's own cursor, which already stands at stem +
+    cycle ({!Slx_liveness.Lasso.pump_from}); a candidate whose cycle
+    continues one an ancestor's pump saw fail at repetition [r >= 3],
+    fewer than [r - 1] repetitions later, is rejected without pumping,
+    since replay is deterministic (doc/model.md §7).  The pump replays the
     workload: every cycle invocation must be the one [invoke] issues
     at that point of the pumped run, so a certificate is a run of the
     declared workload, not of payloads recorded once.  Pumping is what
@@ -59,7 +64,11 @@
     its slack under a depth bound.  A crash child whose menu is empty
     ends its run and closes no candidate (a crash cell cannot repeat),
     so it is counted from its parent's cursor, as {!Explore.explore}
-    checks one ({!Search.crash_child} [Leaf]), and never built.  The
+    checks one ({!Search.crash_child} [Leaf]), and never built.  So is
+    a step or invocation leaf at the depth bound whose tick closes no
+    candidate whatever it records ({!Slx_liveness.Lasso.may_close},
+    from the parent's cell codes and the decision), unless a sanitizer
+    shadow is on: a sanitized walk builds every leaf.  The
     transposition cache is keyed
     on the configuration's compact key {e plus} the last
     [2 * max_period] abstract cells — the context that determines
@@ -115,8 +124,9 @@ type ('inv, 'res) result = {
           decisions, [race_reversals] the sleepers a child's step
           wakes by a race, and [proviso_wakes] the other sleepers
           dropped when the walk leaves their node, plus the ones a
-          node whose every decision is asleep force-wakes; pump
-          replays are included in [steps_executed]. *)
+          node whose every decision is asleep force-wakes — both
+          only below the depth bound, where a leaf settles no sleep
+          set; pumped steps are included in [steps_executed]. *)
 }
 
 val search :
@@ -180,8 +190,12 @@ val search :
     shadow on every search cursor (as in {!Explore.explore}):
     footprint mismatches are counted into
     [stats.footprint_violations] without changing any decision or
-    verdict.  Pump validation runs outside the shadow — it re-executes
-    an already-sanitized script on a fresh instance.
+    verdict.  A sanitized walk builds every leaf (see module doc), so
+    of its work counters only [steps_executed], [steps_replayed] and
+    [replays_avoided] differ from an unsanitized walk's.
+    Pump validation runs outside the shadow — it re-executes an
+    already-sanitized script, on a fresh instance or on a leaf's
+    detached cursor.
 
     The suffix cache is keyed on flat compact keys, as in
     {!Explore.explore}: the interned incremental history id, the

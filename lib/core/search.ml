@@ -348,6 +348,7 @@ let crash_child ~menu view ~sleep len crashes q =
 type ('inv, 'res) child =
   | Descend of (('inv, 'res) Driver.decision list * int) option
   | Crash_leaf of ('inv, 'res) Runner.Cursor.crash
+  | Step_leaf
 
 let classify ~menu cursor ~sleep len crashes decisions =
   let dead = ref 0 in
@@ -394,7 +395,10 @@ let children st cursor ~rev_script ~len ~sleep ~apply ~leaf kids descend =
         in
         match kid with
         | Crash_leaf x ->
-            leaf x d z;
+            leaf (Some x) d z;
+            walk in_place next kids
+        | Step_leaf ->
+            leaf None d z;
             walk in_place next kids
         | Descend menu when in_place ->
             st.avoided <- st.avoided + 1;

@@ -3,7 +3,8 @@
 
     Both walk the same bounded decision tree in the same way: a node is
     a live {!Slx_sim.Runner.Cursor}; a crash child that ends a run is
-    decided from its parent's cursor ({!classify}), the first other
+    decided from its parent's cursor ({!classify}), as is the live
+    walk's leaf that closes no candidate ([Step_leaf]), the first other
     child extends that cursor in place and each later sibling replays
     the decision prefix into a fresh, bracketed cursor; a transposition
     cache keyed on flat compact keys credits completed subtrees, and
@@ -117,6 +118,11 @@ type ('inv, 'res) child =
           counts none).  A step or an invocation carries [None]. *)
   | Crash_leaf of ('inv, 'res) Runner.Cursor.crash
       (** A [Leaf] crash child, checked from its parent's snapshot. *)
+  | Step_leaf
+      (** A step or invocation child its walk decided at the parent
+          without running it: the live walk's leaf that closes no
+          candidate ({!Slx_liveness.Lasso.may_close}).  {!classify}
+          never returns one. *)
 
 val children :
   ('inv, 'res, 'v, 'f) t ->
@@ -125,7 +131,7 @@ val children :
   len:int ->
   sleep:int list ->
   apply:(('inv, 'res) Runner.Cursor.t -> ('inv, 'res) Driver.decision -> 'a) ->
-  leaf:(('inv, 'res) Runner.Cursor.crash ->
+  leaf:(('inv, 'res) Runner.Cursor.crash option ->
   ('inv, 'res) Driver.decision ->
   int list ->
   unit) ->
@@ -144,11 +150,11 @@ val children :
     sibling's step, but the node's [sleep] alone for a crash child,
     since a sibling's step moved before the crash leaves a run the
     menu does not offer (doc/model.md §6); without DPOR, [[]].  Each child emits its [Decision] event.  A
-    decided crash leaf goes to [leaf] with its snapshot: no cursor, no
-    replay, counted as neither [replays_avoided] nor
-    [steps_replayed].  Every other child is applied with [apply] and
-    handed to [descend] with its {!classify}d menu and [apply]'s
-    result: the first extends
+    decided crash leaf goes to [leaf] with its snapshot, a [Step_leaf]
+    with [None]: no cursor, no replay, counted as neither
+    [replays_avoided] nor [steps_replayed].  Every other child is
+    applied with [apply] and handed to [descend] with its {!classify}d
+    menu and [apply]'s result: the first extends
     [cursor] in place ([replays_avoided]), each later one replays the
     node's prefix into a fresh cursor with the node's [hist_id]
     ([steps_replayed]).  The live search drops the node's own [sleep]

@@ -81,6 +81,35 @@ let cell_code d events =
   | Driver.Schedule p -> push (element p 0) 1 events
   | _ -> push 0 0 events
 
+let first_element = function
+  | Driver.Schedule p -> element p 0
+  | Driver.Invoke (p, _) -> element p 1
+  | Driver.Crash p -> element p 3
+  | Driver.Stop -> invalid_arg "Lasso.first_element: Stop"
+
+let slot_mask = (1 lsl slot_bits) - 1
+
+let may_close ~max_period d rev_codes =
+  let low = first_element d in
+  let rec same i xs ys =
+    i = 0
+    ||
+    match (xs, ys) with
+    | (x : int) :: xs, y :: ys -> x = y && same (i - 1) xs ys
+    | _ -> false
+  in
+  (* Period [p] closes when the new code equals [c], the code [p] ticks
+     back, and the [p - 1] codes newer than [c] repeat the [p - 1] older
+     ones that start [rest]. *)
+  let rec from p = function
+    | [] -> false
+    | c :: rest ->
+        p <= max_period
+        && ((c land slot_mask = low && same (p - 1) rev_codes rest)
+           || from (p + 1) rest)
+  in
+  from 1 rev_codes
+
 let window_period r =
   let cells = tick_cells r in
   let ws = Run_report.window_start r in
@@ -105,65 +134,77 @@ let statuses cursor =
   let view = Runner.Cursor.view cursor in
   Array.of_list (List.map view.Driver.status (Proc.all ~n:view.Driver.n))
 
-exception Pump_failed of string
+type failure = { reason : string; repetition : int option }
+
+exception Pump_failed of failure
+
+let fail ?repetition reason = raise (Pump_failed { reason; repetition })
+
+(* Apply repetition [rep] of [cycle] to [cursor], checking each cycle
+   invocation against the workload [invoke]. *)
+let repeat ?invoke cursor rep cycle =
+  List.iter
+    (fun d ->
+      (match (invoke, d) with
+      | Some invoke, Driver.Invoke (p, inv)
+        when invoke (Runner.Cursor.view cursor) p <> Some inv ->
+          fail ~repetition:rep "workload diverged"
+      | _ -> ());
+      try Runner.Cursor.apply cursor d
+      with Invalid_argument msg ->
+        fail ~repetition:rep ("decision not applicable: " ^ msg))
+    cycle
+
+(* The pump proper, on a cursor at stem · cycle: the first repetition
+   is the reference, so every later one must end with every process in
+   the same status, and must repeat its cells. *)
+let pump_rest ?invoke ~repetitions cursor cert =
+  let period = List.length cert.c_cycle in
+  let reference = statuses cursor in
+  for rep = 2 to repetitions do
+    repeat ?invoke cursor rep cert.c_cycle;
+    if statuses cursor <> reference then
+      fail ~repetition:rep
+        (Printf.sprintf "configuration diverged on repetition %d" rep)
+  done;
+  (* One trace computation for the whole pumped run, then compare each
+     repetition's slice with the first's — the per-repetition status
+     check above already localizes a diverging configuration. *)
+  let r = Runner.Cursor.report cursor ~window:(repetitions * period) () in
+  let cells = Array.of_list (tick_cells r) in
+  let first = List.length cert.c_stem in
+  for rep = 2 to repetitions do
+    let base = first + ((rep - 1) * period) in
+    for i = 0 to period - 1 do
+      if cells.(base + i) <> cells.(first + i) then
+        fail (Printf.sprintf "trace diverged on repetition %d" rep)
+    done
+  done;
+  r
+
+let guarded ~repetitions cert pumped =
+  if cert.c_cycle = [] then
+    Error { reason = "Lasso.pump: empty cycle"; repetition = None }
+  else if repetitions < 2 then
+    Error
+      { reason = "Lasso.pump: need at least 2 repetitions"; repetition = None }
+  else try Ok (pumped ()) with Pump_failed f -> Error f
+
+let pump_from cursor ?(repetitions = 2) ?invoke cert =
+  guarded ~repetitions cert (fun () ->
+      pump_rest ?invoke ~repetitions cursor cert)
 
 let pump ~factory ?ticks ?(repetitions = 2) ?invoke cert =
-  let period = List.length cert.c_cycle in
-  if period = 0 then Error "Lasso.pump: empty cycle"
-  else if repetitions < 2 then Error "Lasso.pump: need at least 2 repetitions"
-  else
-    (* The stem is replayed as the cursor's prefix: an
-       [Invalid_argument] raised before the body runs is an
-       inapplicable stem decision. *)
-    let in_body = ref false in
-    try
-      Runner.Cursor.with_ ~n:cert.c_n ~factory ?ticks ~keyed:false
-        ~prefix:cert.c_stem
-        (fun cursor ->
-          in_body := true;
-          let apply d =
-            (match (invoke, d) with
-            | Some invoke, Driver.Invoke (p, inv)
-              when invoke (Runner.Cursor.view cursor) p <> Some inv ->
-                raise (Pump_failed "workload diverged")
-            | _ -> ());
-            try Runner.Cursor.apply cursor d
-            with Invalid_argument msg ->
-              raise (Pump_failed ("decision not applicable: " ^ msg))
-          in
-          (* The first repetition is the reference: every later one
-             must end with every process in the same status, and must
-             repeat its cells. *)
-          List.iter apply cert.c_cycle;
-          let reference = statuses cursor in
-          for rep = 2 to repetitions do
-            List.iter apply cert.c_cycle;
-            if statuses cursor <> reference then
-              raise
-                (Pump_failed
-                   (Printf.sprintf "configuration diverged on repetition %d"
-                      rep))
-          done;
-          (* One trace computation for the whole pumped run, then
-             compare each repetition's slice with the first's — the
-             per-repetition status check above already localizes a
-             diverging configuration. *)
-          let r =
-            Runner.Cursor.report cursor ~window:(repetitions * period) ()
-          in
-          let cells = Array.of_list (tick_cells r) in
-          let first = List.length cert.c_stem in
-          for rep = 2 to repetitions do
-            let base = first + ((rep - 1) * period) in
-            for i = 0 to period - 1 do
-              if cells.(base + i) <> cells.(first + i) then
-                raise
-                  (Pump_failed
-                     (Printf.sprintf "trace diverged on repetition %d" rep))
-            done
-          done;
-          Ok r)
-    with
-    | Pump_failed msg -> Error msg
-    | Invalid_argument msg when not !in_body ->
-        Error ("decision not applicable: " ^ msg)
+  guarded ~repetitions cert (fun () ->
+      (* The stem is replayed as the cursor's prefix: an
+         [Invalid_argument] raised before the body runs is an
+         inapplicable stem decision. *)
+      let in_body = ref false in
+      try
+        Runner.Cursor.with_ ~n:cert.c_n ~factory ?ticks ~keyed:false
+          ~prefix:cert.c_stem (fun cursor ->
+            in_body := true;
+            repeat ?invoke cursor 1 cert.c_cycle;
+            pump_rest ?invoke ~repetitions cursor cert)
+      with Invalid_argument msg when not !in_body ->
+        fail ("decision not applicable: " ^ msg))

@@ -57,6 +57,23 @@ val cell_code :
     @raise Invalid_argument if a process id is above 31 or the tick
     has more than 3 elements. *)
 
+val may_close :
+  max_period:int ->
+  ('inv, 'res) Slx_sim.Driver.decision ->
+  int list ->
+  bool
+(** [may_close ~max_period d rev_codes] is [false] only if no tick that
+    applies [d] after ticks whose cell codes are [rev_codes] (newest
+    first) closes a candidate: whatever events the tick records, no
+    period [p <= max_period] with [2p <= 1 + length rev_codes] makes
+    the last [2p] codes [p]-periodic.  The new code's low 8-bit slot
+    is fixed by [d] alone ({!cell_code}: the grant of [Schedule q],
+    the invocation of [Invoke (q, _)], the crash of [Crash q]), so a
+    period can close only where the code [p] ticks back has that
+    slot and the [p - 1] codes newer than it repeat the [p - 1] older
+    ones.  The live walk decides
+    a leaf with [false] at its parent. *)
+
 val window_period :
   ('inv, 'res) Run_report.t ->
   int option
@@ -92,6 +109,22 @@ type ('inv, 'res) cert = {
       (** One cycle repetition; non-empty. *)
 }
 
+type failure = {
+  reason : string;  (** Why the certificate does not pump. *)
+  repetition : int option;
+      (** [Some r] when repetition [r] stopped repeating the first
+          while it was applied: a cycle decision not applicable, a
+          cycle invocation the workload does not issue there, or a
+          process status at its end unlike the first's.  Each of these
+          depends only on the configuration that repetition starts
+          from and on the statuses after the first, so a pump of
+          [stem · cycle^m] with the same cycle fails at repetition
+          [r - m] for every [1 <= m <= r - 2] (doc/model.md §7).
+          [None] for an argument error, an inapplicable stem decision
+          and a cell mismatch, which compares with the first
+          repetition's cells and so does not carry over. *)
+}
+
 val pump :
   factory:('inv, 'res) Runner.factory ->
   ?ticks:int ref ->
@@ -99,7 +132,7 @@ val pump :
   ?invoke:
     (('inv, 'res) Slx_sim.Driver.view -> Slx_history.Proc.t -> 'inv option) ->
   ('inv, 'res) cert ->
-  (('inv, 'res) Run_report.t, string) result
+  (('inv, 'res) Run_report.t, failure) result
 (** [pump ~factory cert] replays [cert.c_stem] and then [repetitions]
     (default 2, minimum 2) copies of [cert.c_cycle] through a fresh
     cursor — the stem as the cursor's prefix ({!Runner.Cursor.with_}),
@@ -112,7 +145,7 @@ val pump :
     the cells the search saw.  [Ok report] has its window set to exactly
     the pumped repetitions, so {!certified_violation} on it evaluates
     fairness, the freedom point and the window period over the cycle
-    ticks alone.  [Error reason] reports the first inapplicable
+    ticks alone.  [Error failure] reports the first inapplicable
     decision or diverging repetition — the certificate does not extend
     to an infinite run by verbatim repetition.
 
@@ -120,7 +153,23 @@ val pump :
     the pump replay that workload rather than the recorded payloads:
     before each cycle [Invoke (p, inv)] is applied, [invoke view p]
     must return [Some inv] at the current configuration, else the
-    result is [Error "workload diverged"].  Without it a cycle may
-    re-issue an invocation the workload only issues once (a counting
-    workload's next transaction differs from its last), and the
-    pumped run is then no run of the declared system. *)
+    result is an [Error] with reason ["workload diverged"].  Without it
+    a cycle may re-issue an invocation the workload only issues once
+    (a counting workload's next transaction differs from its last),
+    and the pumped run is then no run of the declared system. *)
+
+val pump_from :
+  ('inv, 'res) Runner.Cursor.t ->
+  ?repetitions:int ->
+  ?invoke:
+    (('inv, 'res) Slx_sim.Driver.view -> Slx_history.Proc.t -> 'inv option) ->
+  ('inv, 'res) cert ->
+  (('inv, 'res) Run_report.t, failure) result
+(** [pump_from cursor cert] is {!pump} on a cursor that already stands
+    at [cert.c_stem] followed by one [cert.c_cycle], from the initial
+    configuration of its instance: it applies repetitions 2 to
+    [repetitions] there and checks them as {!pump} does, with no fresh
+    instance and no replay.  {!pump} is a fresh cursor, the stem, the
+    first repetition and then this.  The cursor's hooks stay on: a
+    caller whose cursor carries a shadow or probe {!Runner.Cursor.detach}es
+    it first.  The cursor is left after the last applied decision. *)

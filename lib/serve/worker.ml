@@ -38,16 +38,19 @@ let handle_line line =
               (Json.quote (Slx_store.Store.record_to_string r))
         | None -> ""
       in
-      reply
-        (Printf.sprintf "{\"lease\": %d, \"result\": %s%s}" lease result
-           record);
-      (* Consume the cancel flag only after the reply: a SIGUSR1 can
-         land while the task line is still being read or parsed, and a
-         reset at task start would erase it.  The dual race — a stale signal
-         cancelling the next task instantly — is self-healing: the
+      (* Consume the cancel flag once the result is computed and before
+         the reply is written: a SIGUSR1 can land while the task line is
+         still being read or parsed, and a reset at task start would
+         erase it; a reset after the reply would erase a signal that
+         lands between the two, when the coordinator may already have
+         read the reply.  A signal that lands after the reset cancels
+         the next task instantly, which is self-healing: the
          coordinator re-leases a task answered "cancelled" when it
          never cancelled its lease. *)
-      cancelled := false
+      cancelled := false;
+      reply
+        (Printf.sprintf "{\"lease\": %d, \"result\": %s%s}" lease result
+           record)
     end
 
 let main () =

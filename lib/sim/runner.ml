@@ -19,8 +19,8 @@ module Cursor = struct
     events : int array;  (* per process: history events recorded *)
     mutable crashed : Proc.Set.t;
     ticks : int ref;
-    shadow : Runtime.shadow option;
-    probe : Runtime.probe option;
+    mutable shadow : Runtime.shadow option;
+    mutable probe : Runtime.probe option;
     mutable encode : (int -> ('inv, 'res) Event.t -> int) option;
     mutable hist_id : int;
     (* The view's readers, built once: they read the arrays above. *)
@@ -154,6 +154,11 @@ module Cursor = struct
   let apply c d =
     Runtime.with_registry ?shadow:c.shadow ?probe:c.probe c.registry (fun () ->
         step c d)
+
+  let detach c =
+    c.shadow <- None;
+    c.probe <- None;
+    c.encode <- None
 
   (* Prefix replay: every decision under one registry and shadow
      bracket, outside the probe — engines read the probe only for the

@@ -148,6 +148,14 @@ module Cursor : sig
       are validated exactly as in {!run}; applying [Driver.Stop] raises
       [Invalid_argument]. *)
 
+  val detach : ('inv, 'res) t -> unit
+  (** [detach c] drops [c]'s [shadow], [probe] and [encode] hooks: every
+      later {!apply} runs as on a cursor created without them, so it
+      is neither checked, observed nor interned.  For a cursor its
+      walk is done with, which a certificate pump then carries on
+      from ({!Slx_liveness.Lasso.pump_from}).  Its {!hist_id} stops
+      following its history, so its keys are no longer exact. *)
+
   val report :
     ('inv, 'res) t ->
     ?window:int ->

@@ -388,6 +388,78 @@ let test_sanitize_counts_in_live_search () =
   check_int "and finds no violations in instrumented implementations" 0
     on.Live_explore.stats.Explore_stats.footprint_violations
 
+(* The live corpus's register queries (test/golden/live_corpus.ml:
+   the sweep, the live grid and the two counter pins), sanitized and
+   not.  A sanitized walk builds every leaf, while an unsanitized one
+   decides at its parent a leaf that closes no candidate, so the
+   sanitized walk is the oracle for that rule: the outcome, the
+   certificate and the work the rule must not change — nodes, runs,
+   candidates and fair candidates — agree, and the shadow finds
+   nothing. *)
+let test_sanitize_live_corpus_register () =
+  let spec ~property ~n ~depth ~crashes ~max_period dpor =
+    Result.get_ok
+      (Slx_serve.Queries.make ~kind:`Live ~impl:"register" ~property ~n ~depth
+         ~crashes ~max_period ~pump:None ~dpor)
+  in
+  let both ~property ~n ~depth ~crashes ~max_period =
+    [
+      spec ~property ~n ~depth ~crashes ~max_period true;
+      spec ~property ~n ~depth ~crashes ~max_period false;
+    ]
+  in
+  let sweep =
+    List.concat_map
+      (fun property ->
+        List.concat_map
+          (fun (n, max_depth) ->
+            List.concat_map
+              (fun depth ->
+                List.concat_map
+                  (fun crashes ->
+                    both ~property ~n ~depth ~crashes ~max_period:None)
+                  [ 0; 1 ])
+              (List.init (max_depth - 3) (fun i -> i + 4)))
+          [ (2, 10); (3, 8) ])
+      [ "obstruction"; "1,1"; "1,2"; "2,2"; "lock"; "wait" ]
+  and grid =
+    List.concat_map
+      (fun property ->
+        List.concat_map
+          (fun max_period ->
+            both ~property ~n:2 ~depth:12 ~crashes:1 ~max_period)
+          [ None; Some 2 ])
+      [ "obstruction"; "1,2"; "1,1" ]
+  and pins =
+    List.map
+      (fun (n, depth, crashes) ->
+        spec ~property:"obstruction" ~n ~depth ~crashes ~max_period:(Some 2)
+          true)
+      [ (2, 14, 1); (3, 11, 2) ]
+  in
+  let observe sanitize sp =
+    match Slx_serve.Queries.run ~sanitize sp with
+    | Slx_serve.Queries.Live r, _ ->
+        let s = r.Slx_core.Live_explore.stats in
+        ( (match r.Slx_core.Live_explore.outcome with
+          | Slx_core.Live_explore.Lasso c ->
+              Some (c.Slx_liveness.Lasso.c_stem, c.Slx_liveness.Lasso.c_cycle)
+          | Slx_core.Live_explore.No_fair_cycle -> None),
+          Explore_stats.
+            [ s.nodes; s.runs; s.cycles_examined; s.fair_cycles ],
+          s.Explore_stats.footprint_violations )
+    | Slx_serve.Queries.Safety _, _ -> Alcotest.fail "not a live query"
+  in
+  List.iter
+    (fun sp ->
+      let name = Slx_serve.Queries.spec_to_json sp in
+      let outcome, work, _ = observe false sp
+      and outcome', work', violations = observe true sp in
+      check_bool (name ^ ": outcome and certificate") true (outcome = outcome');
+      Alcotest.(check (list int)) (name ^ ": work") work work';
+      check_int (name ^ ": footprint violations") 0 violations)
+    (sweep @ grid @ pins)
+
 (* ------------------------------------------------------------------ *)
 
 let suites =
@@ -439,5 +511,7 @@ let suites =
         quick "the table walks sanitize clean" test_sanitize_table_walks;
         quick "sanitize changes nothing in the fair-cycle search"
           test_sanitize_counts_in_live_search;
+        quick "the live corpus's register queries sanitize alike"
+          test_sanitize_live_corpus_register;
       ] );
   ]

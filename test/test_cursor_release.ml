@@ -139,6 +139,8 @@ let cases =
     ( "live (1,2) n=2 depth=8 c=0 dpor",
       fun () ->
         live_summary (live ~dpor:true ~l:1 ~k:2 ~n:2 ~depth:8 ~crashes:0 ()) );
+    ( "live (1,2) n=2 depth=13 c=1",
+      fun () -> live_summary (live ~l:1 ~k:2 ~n:2 ~depth:13 ~crashes:1 ()) );
     ( "live (1,1) n=3 depth=7 c=0 dpor",
       fun () ->
         live_summary (live ~dpor:true ~l:1 ~k:1 ~n:3 ~depth:7 ~crashes:0 ()) );
@@ -151,7 +153,12 @@ let cases =
    rows those of the canonical crash placement, which offers a crash
    only right after its process's own decision (or in an ascending
    root prefix); the safety explorer's DPOR rows with a crash budget
-   are those of the walk that never builds a dead crash child. *)
+   are those of the walk that never builds a dead crash child; the
+   live rows' steps are those of the walk that decides a leaf closing
+   no candidate at its parent, rejects a pump its cycle inherited a
+   failure for, and pumps a leaf's first candidate on its cursor.  The
+   depth-13 row is one where carrying a failure down an edge that does
+   not continue its cycle would skip a pump. *)
 let pinned =
   [
     ( "register n=2 depth=12 c=1 incremental",
@@ -207,21 +214,23 @@ let pinned =
          cache_hits=383 history_digest=4332923811194914039 \
          witness=[none]" );
     ( "live (1,1) n=2 depth=8 c=1",
-      "no_fair_cycle nodes=519 runs=257 steps_executed=2582 \
-         steps_replayed=1090 cache_hits=0" );
+      "no_fair_cycle nodes=519 runs=257 steps_executed=1601 \
+         steps_replayed=768 cache_hits=0" );
     ( "live (1,1) n=2 depth=8 c=1 dpor",
-      "no_fair_cycle nodes=233 runs=93 steps_executed=1323 \
-         steps_replayed=365 cache_hits=0" );
+      "no_fair_cycle nodes=233 runs=93 steps_executed=757 \
+         steps_replayed=260 cache_hits=0" );
     ( "live (1,2) n=2 depth=8 c=0",
-      "lasso stem=[5 4 4 9 8 4] cycle=[8 4] \
-         nodes=58 runs=26 steps_executed=270 steps_replayed=159 \
-         cache_hits=0" );
+      "lasso stem=[5 4 4 9 8 4] cycle=[8 4] nodes=58 runs=26 \
+         steps_executed=157 steps_replayed=75 cache_hits=0" );
     ( "live (1,2) n=2 depth=8 c=0 dpor",
-      "lasso stem=[5 4 4 9 8 4] cycle=[8 4] \
-         nodes=32 runs=11 steps_executed=134 steps_replayed=65 cache_hits=0" );
+      "lasso stem=[5 4 4 9 8 4] cycle=[8 4] nodes=32 runs=11 \
+         steps_executed=85 steps_replayed=30 cache_hits=0" );
+    ( "live (1,2) n=2 depth=13 c=1",
+      "lasso stem=[5 4 4 4 9 8 8 4] cycle=[8 4] nodes=1780 runs=891 \
+         steps_executed=9108 steps_replayed=5134 cache_hits=0" );
     ( "live (1,1) n=3 depth=7 c=0 dpor",
-      "no_fair_cycle nodes=183 runs=101 steps_executed=707 \
-         steps_replayed=525 cache_hits=0" );
+      "no_fair_cycle nodes=183 runs=101 steps_executed=307 \
+         steps_replayed=189 cache_hits=0" );
   ]
 
 let test_pinned () =

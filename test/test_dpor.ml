@@ -248,7 +248,7 @@ let test_max_period_default_finds_boundary_lasso () =
       (* And the certificate replays. *)
       (match Lasso.pump ~factory:looper_factory ~repetitions:3 c with
       | Ok _ -> ()
-      | Error e -> Alcotest.failf "looper pump failed: %s" e)
+      | Error e -> Alcotest.failf "looper pump failed: %s" e.Lasso.reason)
   | Live_explore.No_fair_cycle ->
       Alcotest.fail
         "depth-9 default max_period must admit the period-4 lasso"

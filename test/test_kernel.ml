@@ -21,6 +21,7 @@
      the keyed cursor's view, report and pending footprints.
    - [Runtime.hash_value]'s fast path for immediates yields the digest
      the deep fold defines, so no observation or registry digest moves.
+   - A detached cursor's steps reach none of its hooks.
    - [Key_table] under its one-pass key hash: lookups agree with a
      structural reference table, and keys differing in one position
      are distinct entries. *)
@@ -565,6 +566,33 @@ let test_keyless_replay_equal () =
         [ (2, 8, 1); (3, 6, 1) ])
     (List.filter (fun (impl, _) -> impl <> "selfish") consensus_cases)
 
+(* A detached cursor, which a leaf's pump carries on from, applies
+   outside the hooks it was created with: the probe and the shadow see
+   none of its later steps and its history id stays put, while the run
+   itself goes on. *)
+let test_detach_drops_hooks () =
+  let probe = Runtime.make_probe () in
+  let shadow = Runtime.make_shadow ~record:false ~raise_on_violation:false () in
+  let propose p = Driver.Invoke (p, Slx_consensus.Consensus_type.Propose p) in
+  Runner.Cursor.with_ ~n:2
+    ~factory:(Slx_consensus.Register_consensus.factory ())
+    ~probe ~shadow ~encode:(fun id _ -> id + 1) (fun c ->
+      List.iter (Runner.Cursor.apply c) [ propose 1; Driver.Schedule 1 ];
+      let hooks () =
+        ( Runtime.probe_steps probe,
+          Runtime.shadow_step_count shadow,
+          Runner.Cursor.hist_id c )
+      in
+      let before = hooks () in
+      check_bool "the hooks saw the steps" true
+        (before = (1, 1, 1));
+      Runner.Cursor.detach c;
+      List.iter (Runner.Cursor.apply c)
+        [ propose 2; Driver.Schedule 2; Driver.Schedule 1 ];
+      check_bool "a detached cursor's steps reach no hook" true
+        (hooks () = before);
+      check_int "the run goes on" 5 (Runner.Cursor.view c).Driver.time)
+
 (* ------------------------------------------------------------------ *)
 (* hash_value on immediates.                                            *)
 
@@ -686,6 +714,8 @@ let suites =
         quick "keyless registries refuse a duplicate id"
           test_keyless_duplicate_id;
         quick "keyless replays equal keyed cursors" test_keyless_replay_equal;
+        quick "a detached cursor applies outside its hooks"
+          test_detach_drops_hooks;
         quick "hash_value keeps the deep fold's digests" test_hash_value_pins;
       ]
       @ qcheck

@@ -24,6 +24,12 @@ let search_cas ?(depth = 9) ?(max_crashes = 1) point =
     ~factory:(fun () -> Slx_consensus.Cas_consensus.factory ())
     ~invoke ~good ~point ~depth ~max_crashes ()
 
+(* A pump's verdict, its report dropped. *)
+let failure r =
+  Result.map_error
+    (fun f -> (f.Lasso.reason, f.Lasso.repetition))
+    (Result.map ignore r)
+
 let lasso_exn name r =
   match r.Live_explore.outcome with
   | Live_explore.Lasso c -> c
@@ -43,7 +49,7 @@ let test_register_lasso_for_1_2 () =
   (* The emitted certificate replays and pumps through a fresh
      instance. *)
   match Lasso.pump ~factory:(reg_factory ()) ~repetitions:4 c with
-  | Error e -> Alcotest.failf "pump failed: %s" e
+  | Error e -> Alcotest.failf "pump failed: %s" e.Lasso.reason
   | Ok rep ->
       check_bool "pumped report carries the bounded violation" true
         (Lasso.certified_violation ~good rep (Freedom.make ~l:1 ~k:2))
@@ -177,6 +183,28 @@ let prop_cache_transparent =
            ~factory:(fun () -> reg_factory ~depth ())
            ~point ~depth ~max_crashes ~max_period ()))
 
+(* The decision a random [pick] makes at [c]'s configuration: a ready
+   process's step or an idle one's invocation under [invoke], chosen
+   by the pick's value, or with [crash] one pick in eight crashes a
+   live process instead.  [None] when nothing is enabled. *)
+let pick_decision ~crash ~invoke c pick =
+  let view = Runner.Cursor.view c in
+  let menu =
+    List.concat_map
+      (fun p ->
+        match view.Driver.status p with
+        | Runtime.Crashed -> []
+        | _ when crash && pick mod 8 = 0 -> [ Driver.Crash p ]
+        | Runtime.Ready -> [ Driver.Schedule p ]
+        | Runtime.Idle ->
+            Option.to_list
+              (Option.map (fun inv -> Driver.Invoke (p, inv)) (invoke view p)))
+      (Slx_history.Proc.all ~n:view.Driver.n)
+  in
+  match menu with
+  | [] -> None
+  | _ -> Some (List.nth menu (pick mod List.length menu))
+
 (* The cell a {!Lasso.cell_code} encodes, as {!Lasso.tick_cells}
    prints it: 8-bit slots from the low end, each element
    [((p lsl 2) lor kind) + 1], kind 0-3 for a grant, an invocation, a
@@ -217,38 +245,20 @@ let prop_cell_codes_match_tick_cells =
         (list_size (int_range 0 40) (int_range 0 1_000)))
     (fun (impl, n, picks) ->
       Runner.Cursor.with_ ~n ~factory:(List.assoc impl factories ()) (fun c ->
-          (* A pick chooses a ready process's step or an idle one's
-             invocation; one pick in eight crashes a live process
-             instead. *)
           let codes =
             List.filter_map
               (fun pick ->
-                let view = Runner.Cursor.view c in
-                let menu =
-                  List.concat_map
-                    (fun p ->
-                      match view.Driver.status p with
-                      | Runtime.Crashed -> []
-                      | _ when pick mod 8 = 0 -> [ Driver.Crash p ]
-                      | Runtime.Ready -> [ Driver.Schedule p ]
-                      | Runtime.Idle ->
-                          Option.to_list
-                            (Option.map
-                               (fun inv -> Driver.Invoke (p, inv))
-                               (invoke view p)))
-                    (Slx_history.Proc.all ~n)
-                in
-                match menu with
-                | [] -> None
-                | _ ->
-                    let d = List.nth menu (pick mod List.length menu) in
+                Option.map
+                  (fun d ->
                     let module H = Slx_history.History in
-                    let before = H.length view.Driver.history in
+                    let before =
+                      H.length (Runner.Cursor.view c).Driver.history
+                    in
                     Runner.Cursor.apply c d;
                     let history = (Runner.Cursor.view c).Driver.history in
-                    Some
-                      (Lasso.cell_code d
-                         (H.latest history (H.length history - before))))
+                    Lasso.cell_code d
+                      (H.latest history (H.length history - before)))
+                  (pick_decision ~crash:true ~invoke c pick))
               picks
           in
           let cells = Lasso.tick_cells (Runner.Cursor.report c ()) in
@@ -301,7 +311,8 @@ let test_cert_pumps_four_repetitions () =
   List.iter
     (fun repetitions ->
       match Lasso.pump ~factory:(reg_factory ()) ~repetitions c with
-      | Error e -> Alcotest.failf "%d repetitions: %s" repetitions e
+      | Error e ->
+          Alcotest.failf "%d repetitions: %s" repetitions e.Lasso.reason
       | Ok r ->
           check_int
             (Printf.sprintf "%d repetitions: window is the pumped cycles"
@@ -337,10 +348,10 @@ let test_pump_sees_last_process () =
       c_cycle = [ Driver.Schedule 4 ];
     }
   in
-  Alcotest.(check (result unit string))
-    "the diverging status is reported"
-    (Error "configuration diverged on repetition 2")
-    (Result.map ignore (Lasso.pump ~factory:(reg_factory ()) cert))
+  Alcotest.(check (result unit (pair string (option int))))
+    "the diverging status is reported, at its repetition"
+    (Error ("configuration diverged on repetition 2", Some 2))
+    (failure (Lasso.pump ~factory:(reg_factory ()) cert))
 
 let test_pump_rejects_wrong_instance () =
   (* A certificate recorded against the register consensus does not
@@ -363,14 +374,276 @@ let test_pump_argument_errors () =
      Lasso.pump ~factory:(reg_factory ())
        { c with Lasso.c_stem = Driver.Schedule 1 :: c.Lasso.c_stem }
    with
-  | Error msg ->
+  | Error f ->
       check_bool "inapplicable stem decision reported" true
-        (String.starts_with ~prefix:"decision not applicable: " msg)
+        (String.starts_with ~prefix:"decision not applicable: " f.Lasso.reason);
+      check_bool "at no repetition" true (f.Lasso.repetition = None)
   | Ok _ -> Alcotest.fail "a stem granting an idle process must not pump");
-  Alcotest.(check (result unit string))
-    "empty cycle rejected" (Error "Lasso.pump: empty cycle")
-    (Result.map ignore
+  Alcotest.(check (result unit (pair string (option int))))
+    "empty cycle rejected" (Error ("Lasso.pump: empty cycle", None))
+    (failure
        (Lasso.pump ~factory:(reg_factory ()) { c with Lasso.c_cycle = [] }))
+
+(* A certificate drawn from a driven run under the workload [invoke]:
+   [stem_picks] drive the stem, crashes included, and [cycle_picks] the
+   cycle's first repetition, which grants or invokes only
+   ({!pick_decision}).  [None] when the cycle found nothing to
+   apply. *)
+let driven_cert ~factory ~invoke n stem_picks cycle_picks =
+  let cert =
+    Runner.Cursor.with_ ~n ~factory (fun c ->
+        let drive ~crash picks =
+          List.filter_map
+            (fun pick ->
+              Option.map
+                (fun d ->
+                  Runner.Cursor.apply c d;
+                  d)
+                (pick_decision ~crash ~invoke c pick))
+            picks
+        in
+        let c_stem = drive ~crash:true stem_picks in
+        { Lasso.c_n = n; c_stem; c_cycle = drive ~crash:false cycle_picks })
+  in
+  if cert.Lasso.c_cycle = [] then None else Some cert
+
+(* Runs of the register and CAS consensus, and of TL2 under the TM
+   workload, whose next invocation depends on the process's own
+   history, so its pumps can also fail with "workload diverged". *)
+let gen_driven =
+  QCheck2.Gen.(
+    quad
+      (oneofl [ "register"; "cas"; "tl2" ])
+      (int_range 2 3)
+      (list_size (int_range 0 10) (int_range 0 1_000))
+      (list_size (int_range 1 3) (int_range 0 1_000)))
+
+let print_driven (impl, n, stem, cycle) =
+  let ints xs = String.concat ";" (List.map string_of_int xs) in
+  Printf.sprintf "%s n=%d stem=[%s] cycle=[%s]" impl n (ints stem)
+    (ints cycle)
+
+(* A property of one driven certificate, for any implementation. *)
+type driven_check = {
+  check :
+    'inv 'res.
+    factory:(unit -> ('inv, 'res) Runner.factory) ->
+    invoke:(('inv, 'res) Driver.view -> Slx_history.Proc.t -> 'inv option) ->
+    ('inv, 'res) Lasso.cert ->
+    bool;
+}
+
+let on_driven { check } (impl, n, stem, cycle) =
+  let run ~factory ~invoke =
+    match driven_cert ~factory:(factory ()) ~invoke n stem cycle with
+    | None -> true
+    | Some cert -> check ~factory ~invoke cert
+  in
+  match impl with
+  | "tl2" ->
+      run ~factory:Slx_tm.Tl2_tm.factory
+        ~invoke:(fun v p -> Some (Slx_tm.Tm_workload.next_invocation v p))
+  | "cas" -> run ~factory:Slx_consensus.Cas_consensus.factory ~invoke
+  | _ -> run ~factory:(fun () -> reg_factory ~depth:12 ()) ~invoke
+
+let driven_repetitions = 8
+
+(* The inheritance lemma the live walk rejects pumps by (doc/model.md
+   §7): a pump of [(S, C)] that fails at repetition [r >= 3] with a
+   repetition-bound failure makes the pump of [(S·C^m, C)] fail at
+   repetition [r - m], for every [1 <= m <= r - 2]. *)
+let prop_pump_failure_carries =
+  QCheck2.Test.make ~name:"a pump failure carries along its cycle" ~count:600
+    ~print:print_driven gen_driven
+    (on_driven
+       {
+         check =
+           (fun ~factory ~invoke cert ->
+             let pump c =
+               Lasso.pump ~factory:(factory ())
+                 ~repetitions:driven_repetitions ~invoke c
+             in
+             match pump cert with
+             | Error { Lasso.repetition = Some r; _ } when r >= 3 ->
+                 List.for_all
+                   (fun m ->
+                     let c_stem =
+                       cert.Lasso.c_stem
+                       @ List.concat
+                           (List.init m (fun _ -> cert.Lasso.c_cycle))
+                     in
+                     match pump { cert with Lasso.c_stem } with
+                     | Error { Lasso.repetition = Some r'; _ } -> r' = r - m
+                     | _ -> false)
+                   (List.init (r - 2) (fun i -> i + 1))
+             | _ -> true);
+       })
+
+(* The split pump: {!Lasso.pump_from} on a cursor already at stem ·
+   cycle returns what {!Lasso.pump} does from a fresh instance, report
+   and failure alike. *)
+let prop_pump_from_is_pump =
+  QCheck2.Test.make ~name:"pump_from at stem · cycle = pump" ~count:300
+    ~print:print_driven gen_driven
+    (on_driven
+       {
+         check =
+           (fun ~factory ~invoke cert ->
+             let summary = function
+               | Ok r ->
+                   Ok
+                     ( Lasso.tick_cells r,
+                       Run_report.window_start r,
+                       r.Run_report.total_time )
+               | Error f -> Error f
+             in
+             let fresh =
+               Lasso.pump ~factory:(factory ())
+                 ~repetitions:driven_repetitions ~invoke cert
+             in
+             let from =
+               Runner.Cursor.with_ ~n:cert.Lasso.c_n ~factory:(factory ())
+                 ~prefix:(cert.Lasso.c_stem @ cert.Lasso.c_cycle) (fun c ->
+                   Lasso.pump_from c ~repetitions:driven_repetitions ~invoke
+                     cert)
+             in
+             summary fresh = summary from);
+       })
+
+(* The leaf rule's premise ({!Lasso.may_close}): where it says a
+   decision's tick closes no candidate, no code whose low slot is the
+   decision's first element makes any period [p <= max_period] close
+   — checked against the search's own periodicity test on the codes
+   with that code prepended.  Codes come from a small alphabet, so
+   periods are common. *)
+let prop_may_close_is_sound =
+  let element d =
+    let open Slx_history in
+    let first =
+      match d with
+      | Driver.Schedule _ -> []
+      | Driver.Invoke (p, inv) -> [ Event.Invocation (p, inv) ]
+      | Driver.Crash p -> [ Event.Crash p ]
+      | Driver.Stop -> []
+    in
+    Lasso.cell_code d first land 0xff
+  in
+  let closes ~max_period codes =
+    let len = List.length codes in
+    let codes = Array.of_list codes in
+    List.exists
+      (fun p ->
+        2 * p <= len
+        && List.for_all
+             (fun i -> codes.(i) = codes.(i + p))
+             (List.init p Fun.id))
+      (List.init max_period (fun i -> i + 1))
+  in
+  QCheck2.Test.make ~name:"may_close = false closes no period" ~count:2_000
+    ~print:(fun (max_period, (kind, q), codes, extra) ->
+      Printf.sprintf "max_period=%d kind=%d q=%d codes=[%s] extra=%d"
+        max_period kind q
+        (String.concat ";" (List.map string_of_int codes))
+        extra)
+    QCheck2.Gen.(
+      quad (int_range 1 6)
+        (pair (int_range 0 2) (int_range 1 2))
+        (list_size (int_range 0 12) (int_range 0 7))
+        (int_range 0 3))
+    (fun (max_period, (kind, q), small, extra) ->
+      let d =
+        match kind with
+        | 0 -> Driver.Schedule q
+        | 1 -> Driver.Invoke (q, Slx_consensus.Consensus_type.Propose 0)
+        | _ -> Driver.Crash q
+      in
+      (* Small ints stand for cells whose first elements are grants
+         and invocations of processes 1 and 2, so codes share low
+         slots with the decisions. *)
+      let code i =
+        element
+          (if i mod 4 < 2 then Driver.Schedule ((i mod 2) + 1)
+           else
+             Driver.Invoke
+               ((i mod 2) + 1, Slx_consensus.Consensus_type.Propose 0))
+        lor ((i / 4) lsl 8)
+      in
+      let codes = List.map code small in
+      let low = element d in
+      (* Candidate new codes: the decision's element alone, under every
+         upper slot seen in [codes], and under [extra]. *)
+      let news =
+        low lor (extra lsl 8)
+        :: List.map (fun c -> low lor (c land lnot 0xff)) codes
+      in
+      Lasso.may_close ~max_period d codes
+      || List.for_all
+           (fun c -> not (closes ~max_period (c :: codes)))
+           news)
+
+(* Every pump verdict of a walk — a fresh pump, a leaf's pump on its
+   own cursor, or a rejection inherited from an ancestor's failed pump
+   — is what a fresh pump of the same candidate says
+   ({!Live_explore.validate_cert_codes}, the search's acceptance test
+   run from scratch).  Each candidate is read off the walk's trace: the
+   [Decision] codes on the path to the node whose pump span it is,
+   split [p] from the end.  The queries are register and CAS ones where
+   all three kinds of verdict occur. *)
+let test_pump_verdicts_match_fresh_pumps () =
+  let open Slx_obs in
+  List.iter
+    (fun (impl, property, n, crashes, depth, dpor) ->
+      let sp =
+        Result.get_ok
+          (Slx_serve.Queries.make ~kind:`Live ~impl ~property ~n ~depth
+             ~crashes ~max_period:None ~pump:None ~dpor)
+      in
+      let obs = Obs.create ~tracing:true ~ring_capacity:(1 lsl 20) () in
+      let r =
+        match Slx_serve.Queries.run ~obs sp with
+        | Slx_serve.Queries.Live r, _ -> r
+        | Slx_serve.Queries.Safety _, _ -> Alcotest.fail "not a live query"
+      in
+      let name = Slx_serve.Queries.spec_to_json sp in
+      check_int (name ^ ": no event dropped") 0 (Obs.events_dropped obs);
+      let path = Array.make (depth + 1) 0 in
+      let lens = ref [] and candidate = ref ([], []) and pumps = ref 0 in
+      List.iter
+        (fun e ->
+          match e.Telemetry.ev_kind with
+          | Telemetry.Decision ->
+              path.(e.Telemetry.ev_a - 1) <- e.Telemetry.ev_b
+          | Telemetry.Node_enter -> lens := e.Telemetry.ev_a :: !lens
+          | Telemetry.Node_leave -> lens := List.tl !lens
+          | Telemetry.Pump_start ->
+              let len = List.hd !lens and p = e.Telemetry.ev_a in
+              let codes = Array.to_list (Array.sub path 0 len) in
+              candidate :=
+                (List.filteri (fun i _ -> i < len - p) codes,
+                 List.filteri (fun i _ -> i >= len - p) codes)
+          | Telemetry.Pump_verdict ->
+              incr pumps;
+              let stem, cycle = !candidate in
+              let fresh =
+                Live_explore.validate_cert_codes ~n
+                  ~factory:(Slx_serve.Queries.factory sp)
+                  ~invoke ~good ~point:(Slx_serve.Queries.point sp)
+                  ~pump_ticks:sp.Slx_serve.Queries.sp_pump ~stem ~cycle ()
+              in
+              check_bool
+                (Printf.sprintf "%s: pump %d's verdict" name !pumps)
+                (Option.is_some fresh) (e.Telemetry.ev_b = 1)
+          | _ -> ())
+        (Obs.events obs);
+      check_int (name ^ ": one pump span per fair violating candidate")
+        r.Live_explore.stats.Explore_stats.fair_cycles !pumps)
+    [
+      ("register", "obstruction", 2, 1, 12, true);
+      ("register", "obstruction", 2, 1, 10, false);
+      ("register", "1,2", 2, 1, 13, false);
+      ("register", "obstruction", 3, 2, 8, true);
+      ("cas", "obstruction", 2, 1, 10, true);
+    ]
 
 let prop_lasso_pumps =
   (* The QCheck satellite: over small depth/point/pump-length choices,
@@ -465,10 +738,10 @@ let test_pump_replays_the_workload () =
   in
   check_bool "the recorded payloads pump" true
     (Result.is_ok (Lasso.pump ~factory:(factory ()) ~repetitions:4 cert));
-  Alcotest.(check (result unit string))
-    "the workload does not" (Error "workload diverged")
-    (Result.map ignore
-       (Lasso.pump ~factory:(factory ()) ~repetitions:4 ~invoke cert))
+  Alcotest.(check (result unit (pair string (option int))))
+    "the workload does not, from its second repetition"
+    (Error ("workload diverged", Some 2))
+    (failure (Lasso.pump ~factory:(factory ()) ~repetitions:4 ~invoke cert))
 
 (* The other side of the workload check: a lasso the search finds is a
    run of the declared workload.  TL2 with a crashed lock holder starves
@@ -490,7 +763,7 @@ let test_genuine_lasso_passes_the_workload_check () =
        (function Driver.Invoke _ -> true | _ -> false)
        c.Lasso.c_cycle);
   (match Lasso.pump ~factory:(factory ()) ~repetitions:4 ~invoke c with
-  | Error e -> Alcotest.failf "workload pump failed: %s" e
+  | Error e -> Alcotest.failf "workload pump failed: %s" e.Lasso.reason
   | Ok rep ->
       check_bool "pumped report carries the bounded violation" true
         (Lasso.certified_violation ~good rep point));
@@ -616,8 +889,16 @@ let suites =
         quick "pump sees the last process's status" test_pump_sees_last_process;
         quick "pump rejects the wrong instance" test_pump_rejects_wrong_instance;
         quick "pump argument errors" test_pump_argument_errors;
+        quick "every pump verdict is a fresh pump's"
+          test_pump_verdicts_match_fresh_pumps;
       ]
-      @ qcheck [ prop_lasso_pumps ] );
+      @ qcheck
+          [
+            prop_lasso_pumps;
+            prop_pump_failure_carries;
+            prop_pump_from_is_pump;
+            prop_may_close_is_sound;
+          ] );
     ( "live-explore: cross-validation (E20)",
       [
         quick "exhaustive grid matches adversary games"
