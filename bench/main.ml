@@ -2,6 +2,8 @@
 
    dune exec bench/main.exe perf           -- Bechamel perf
    dune exec bench/main.exe smoke          -- tiny explorer smoke (runtest)
+   dune exec bench/main.exe counts FILE    -- its counted rows, written
+                                              to FILE (runtest diffs it)
 
    The paper experiments E1-E20 are the claims ledger,
    test/golden/claims_corpus.ml, which `dune runtest` diffs. *)
@@ -13,8 +15,9 @@ let () =
         Perf.run ();
         true
     | [ _; "smoke" ] -> Smoke.run ()
+    | [ _; "counts"; path ] -> Smoke.counts path
     | _ ->
-        prerr_endline "usage: main.exe (perf | smoke)";
+        prerr_endline "usage: main.exe (perf | smoke | counts FILE)";
         false
   in
   exit (if ok then 0 else 1)

@@ -10,6 +10,36 @@ open Slx_sim
 module Crash_moves = Slx_test_oracle.Crash_moves
 module Queries = Slx_serve.Queries
 
+(* A counted row's field: a count, a ratio of counts (two decimals)
+   or a word — never a clock reading. *)
+type field = Int of int | Ratio of float | Word of string
+
+let json_value = function
+  | Int n -> string_of_int n
+  | Ratio r -> Printf.sprintf "%.2f" r
+  | Word w -> Printf.sprintf "%S" w
+
+(* The counted rows, one line each in the order they run: [counts]
+   writes them to a file that [dune runtest] diffs against
+   bench/smoke.counts.expected, so a change that moves a count fails
+   until the golden is promoted. *)
+let counts = Buffer.create 2048
+
+(* Print a counted row as the JSON line BENCH_explore.json records,
+   with [extra] (raw JSON members, no counts) appended, and add its
+   fields to [counts] under [table] (the BENCH_explore.json array). *)
+let row ?(extra = []) ~table case fields =
+  let members =
+    List.map (fun (k, v) -> Printf.sprintf "%S: %s" k (json_value v)) fields
+  in
+  Printf.printf "  {\"case\": %S, %s}\n" case
+    (String.concat ", " (members @ extra));
+  Printf.bprintf counts "%s %s" table case;
+  List.iter
+    (fun (k, v) -> Printf.bprintf counts " %s %s" k (json_value v))
+    fields;
+  Buffer.add_char counts '\n'
+
 let one_proposal = Queries.safety_invoke
 let check = Queries.check
 let good = Slx_consensus.Consensus_type.good
@@ -33,12 +63,17 @@ let explore_pair ~impl ~factory ~depth ~max_crashes =
       ~max_crashes ~check ()
   in
   let ratio = float_of_int (steps naive) /. float_of_int (max 1 (steps inc)) in
-  Printf.printf
-    "  {\"case\": \"%s-depth-%d-crashes-%d\", \"naive_steps\": %d, \
-     \"incremental_steps\": %d, \"ratio\": %.2f, \"runs\": %d, \
-     \"cache_hits\": %d}\n"
-    impl depth max_crashes (steps naive) (steps inc) ratio (runs inc)
-    inc.Slx_core.Explore.stats.Slx_core.Explore_stats.cache_hits;
+  row ~table:"steps"
+    (Printf.sprintf "%s-depth-%d-crashes-%d" impl depth max_crashes)
+    [
+      ("naive_steps", Int (steps naive));
+      ("incremental_steps", Int (steps inc));
+      ("ratio", Ratio ratio);
+      ("runs", Int (runs inc));
+      ("naive_runs", Int (runs naive));
+      ( "cache_hits",
+        Int inc.Slx_core.Explore.stats.Slx_core.Explore_stats.cache_hits );
+    ];
   (* The incremental engine visits the image of naive's runs under the
      crash-move map: every crash moved to just after its process's last
      decision. *)
@@ -83,13 +118,16 @@ let explore_reduced ~impl ~factory ~depth ~max_crashes ~max_steps =
   in
   let ratio = float_of_int (steps inc) /. float_of_int (max 1 (steps red)) in
   let st = red.Slx_core.Explore.stats in
-  Printf.printf
-    "  {\"case\": \"%s-depth-%d-crashes-%d\", \"incremental_steps\": %d, \
-     \"reduced_steps\": %d, \"ratio\": %.2f, \"representative_runs\": %d, \
-     \"por_prunes\": %d, \"symmetry_pruned\": %d}\n"
-    impl depth max_crashes (steps inc) (steps red) ratio (runs red)
-    st.Slx_core.Explore_stats.por_prunes
-    st.Slx_core.Explore_stats.symmetry_pruned;
+  row ~table:"reduced"
+    (Printf.sprintf "%s-depth-%d-crashes-%d" impl depth max_crashes)
+    [
+      ("incremental_steps", Int (steps inc));
+      ("reduced_steps", Int (steps red));
+      ("ratio", Ratio ratio);
+      ("representative_runs", Int (runs red));
+      ("por_prunes", Int st.Slx_core.Explore_stats.por_prunes);
+      ("symmetry_pruned", Int st.Slx_core.Explore_stats.symmetry_pruned);
+    ];
   let agree = safe inc = safe red in
   if not agree then
     Printf.printf
@@ -117,13 +155,16 @@ let explore_dpor ~impl ~factory ~depth ~max_crashes =
   in
   let ratio = float_of_int (steps inc) /. float_of_int (max 1 (steps red)) in
   let st = red.Slx_core.Explore.stats in
-  Printf.printf
-    "  {\"case\": \"%s-depth-%d-crashes-%d\", \"incremental_steps\": %d, \
-     \"dpor_steps\": %d, \"ratio\": %.2f, \"representative_runs\": %d, \
-     \"por_prunes\": %d, \"race_reversals\": %d}\n"
-    impl depth max_crashes (steps inc) (steps red) ratio (runs red)
-    st.Slx_core.Explore_stats.por_prunes
-    st.Slx_core.Explore_stats.race_reversals;
+  row ~table:"dpor"
+    (Printf.sprintf "%s-depth-%d-crashes-%d" impl depth max_crashes)
+    [
+      ("incremental_steps", Int (steps inc));
+      ("dpor_steps", Int (steps red));
+      ("ratio", Ratio ratio);
+      ("representative_runs", Int (runs red));
+      ("por_prunes", Int st.Slx_core.Explore_stats.por_prunes);
+      ("race_reversals", Int st.Slx_core.Explore_stats.race_reversals);
+    ];
   let agree = safe inc = safe red in
   if not agree then
     Printf.printf
@@ -149,13 +190,14 @@ let live_smoke () =
       | Slx_core.Live_explore.Lasso _ -> "lasso"
       | Slx_core.Live_explore.No_fair_cycle -> "no_fair_cycle"
     in
-    Printf.printf
-      "  {\"case\": %S, \"outcome\": %S, \"nodes\": %d, \"steps\": %d, \
-       \"cycles_examined\": %d, \"fair_cycles\": %d}\n"
-      name outcome st.Slx_core.Explore_stats.nodes
-      st.Slx_core.Explore_stats.steps_executed
-      st.Slx_core.Explore_stats.cycles_examined
-      st.Slx_core.Explore_stats.fair_cycles;
+    row ~table:"live" name
+      [
+        ("outcome", Word outcome);
+        ("nodes", Int st.Slx_core.Explore_stats.nodes);
+        ("steps", Int st.Slx_core.Explore_stats.steps_executed);
+        ("cycles_examined", Int st.Slx_core.Explore_stats.cycles_examined);
+        ("fair_cycles", Int st.Slx_core.Explore_stats.fair_cycles);
+      ];
     outcome
   in
   let o12 =
@@ -202,15 +244,19 @@ let live_dpor_smoke () =
     let step_ratio =
       float_of_int (lsteps base) /. float_of_int (max 1 (lsteps red))
     in
-    Printf.printf
-      "  {\"case\": %S, \"baseline_nodes\": %d, \"dpor_nodes\": %d, \
-       \"baseline_steps\": %d, \"dpor_steps\": %d, \"node_ratio\": %.2f, \
-       \"step_ratio\": %.2f, \"race_reversals\": %d, \"proviso_wakes\": %d, \
-       \"invoke_order_prunes\": %d}\n"
-      name (nodes base) (nodes red) (lsteps base) (lsteps red) node_ratio
-      step_ratio st.Slx_core.Explore_stats.race_reversals
-      st.Slx_core.Explore_stats.proviso_wakes
-      st.Slx_core.Explore_stats.invoke_order_prunes;
+    row ~table:"live" name
+      [
+        ("baseline_nodes", Int (nodes base));
+        ("dpor_nodes", Int (nodes red));
+        ("baseline_steps", Int (lsteps base));
+        ("dpor_steps", Int (lsteps red));
+        ("node_ratio", Ratio node_ratio);
+        ("step_ratio", Ratio step_ratio);
+        ("race_reversals", Int st.Slx_core.Explore_stats.race_reversals);
+        ("proviso_wakes", Int st.Slx_core.Explore_stats.proviso_wakes);
+        ( "invoke_order_prunes",
+          Int st.Slx_core.Explore_stats.invoke_order_prunes );
+      ];
     (node_ratio, step_ratio)
   in
   (* The (1,1) clean leg under a solo window. *)
@@ -275,16 +321,21 @@ let live_keying_smoke () =
     in
     { st with Slx_core.Explore_stats.elapsed_ns = 0 }
   in
-  let row name (on : Slx_core.Explore_stats.t) (off : Slx_core.Explore_stats.t)
-      =
-    Printf.printf
-      "  {\"case\": %S, \"nodes\": %d, \"no_cache_nodes\": %d, \"runs\": %d, \
-       \"no_cache_runs\": %d, \"cache_hits\": %d, \"cache_entries\": %d}\n"
-      name on.nodes off.nodes on.runs off.runs on.cache_hits on.cache_entries
+  let keying_row name (on : Slx_core.Explore_stats.t)
+      (off : Slx_core.Explore_stats.t) =
+    row ~table:"live_keying" name
+      [
+        ("nodes", Int on.nodes);
+        ("no_cache_nodes", Int off.nodes);
+        ("runs", Int on.runs);
+        ("no_cache_runs", Int off.runs);
+        ("cache_hits", Int on.cache_hits);
+        ("cache_entries", Int on.cache_entries);
+      ]
   in
   let d_on = stats ~n:3 ~depth:9 ~max_crashes:2 true in
   let d_off = stats ~n:3 ~depth:9 ~max_crashes:2 false in
-  row "register-live-n3-crashes-2-depth-9-default-period" d_on d_off;
+  keying_row "register-live-n3-crashes-2-depth-9-default-period" d_on d_off;
   let default_ok = d_on.cache_entries = 0 && d_on = d_off in
   if not default_ok then
     Printf.printf
@@ -293,7 +344,7 @@ let live_keying_smoke () =
       d_on.cache_entries;
   let s_on = stats ~n:2 ~depth:14 ~max_crashes:1 ~max_period:2 true in
   let s_off = stats ~n:2 ~depth:14 ~max_crashes:1 ~max_period:2 false in
-  row "register-live-n2-crashes-1-depth-14-max-period-2" s_on s_off;
+  keying_row "register-live-n2-crashes-1-depth-14-max-period-2" s_on s_off;
   let small_ok =
     s_on.cache_hits > 0 && s_on.nodes < s_off.nodes && s_on.runs = s_off.runs
   in
@@ -307,9 +358,9 @@ let live_keying_smoke () =
 (* Observability smoke: one traced fair-cycle search, exported to
    Chrome trace-event JSON, read back with [Trace_export.read], and
    reconciled event-by-event against the stats of the run that
-   produced it — plus the tracing-overhead row of
-   BENCH_explore.json (the disabled sink must stay within noise; the
-   ring sink within a few percent).  The trace of the live case is kept
+   produced it — plus a tracing-overhead line, whose steps must not
+   move (its timings are printed, not gated: on a walk this short they
+   time the ring's allocation).  The trace of the live case is kept
    at [$SLX_SMOKE_TRACE] when that is set, so CI can upload it as an
    artifact. *)
 module Obs = Slx_obs.Obs
@@ -370,14 +421,18 @@ let obs_live_smoke () =
       let count k =
         List.length (List.filter (fun e -> e.Telemetry.ev_kind = k) events)
       in
-      Printf.printf
-        "  {\"case\": \"register-live-(1,1)-depth-8-crashes-1-traced\", \
-         \"trace_events\": %d, \"node_spans\": %d, \"pump_spans\": %d, \
-         \"dropped\": %d, \"trace\": %S}\n"
-        (List.length events)
-        (count Telemetry.Node_leave)
-        (count Telemetry.Pump_verdict)
-        events_dropped path;
+      row ~table:"traced"
+        ~extra:[ Printf.sprintf "\"trace\": %S" path ]
+        "register-live-(1,1)-depth-8-crashes-1-traced"
+        [
+          ("trace_events", Int (List.length events));
+          ("node_spans", Int (count Telemetry.Node_leave));
+          ("decision_instants", Int (count Telemetry.Decision));
+          ("cycle_candidate_instants", Int (count Telemetry.Cycle_candidate));
+          ("pump_spans", Int (count Telemetry.Pump_verdict));
+          ("invoke_prune_instants", Int (count Telemetry.Invoke_prune));
+          ("events_dropped", Int events_dropped);
+        ];
       same_outcome
       && reconcile "live trace"
            [
@@ -434,12 +489,6 @@ let obs_overhead_smoke () =
        %d)\n"
       (steps off) (steps on_);
   agree
-
-let obs_smoke () =
-  Printf.printf "== bench smoke: traced exploration (observability) ==\n";
-  let live_ok = obs_live_smoke () in
-  let ovh_ok = obs_overhead_smoke () in
-  live_ok && ovh_ok
 
 (* The sanitizer-overhead row: the same depth-10 reduced instance with
    the counting shadow off vs on.  Sanitizing must change no decision
@@ -626,8 +675,10 @@ let cursor_release_smoke () =
           ratio;
       (ratio <= 1.25, Some ratio)
 
-let run () =
-  let release_ok, release_ratio = cursor_release_smoke () in
+(* The rows whose every field is a count or a ratio of counts, with
+   their gates: whether all hold, and the summary's words for them.
+   They write {!counts}. *)
+let counted_rows () =
   Printf.printf "== bench smoke: incremental explorer vs naive replay ==\n";
   let cas_ratio, cas_eq =
     explore_pair ~impl:"cas"
@@ -687,28 +738,47 @@ let run () =
   let live_ok = live_smoke () in
   let live_dpor_ok, live_node_ratio, live_step_ratio = live_dpor_smoke () in
   let keying_ok = live_keying_smoke () in
-  let obs_ok = obs_smoke () in
-  let san_ok = sanitize_overhead_smoke () in
-  let micro_ok, keying_ratio = micro_smoke () in
+  Printf.printf "== bench smoke: traced exploration (observability) ==\n";
+  let trace_ok = obs_live_smoke () in
   let ok =
     cas_ratio >= 3.0 && crash_ratio >= 3.0 && red_ratio >= 5.0 && cas_eq
     && crash_eq && red_eq && dpor_ok && live_ok && live_dpor_ok && keying_ok
-    && obs_ok && san_ok && micro_ok && release_ok
+    && trace_ok
   in
+  ( ok,
+    Printf.sprintf
+      "depth-8 incremental ratios %.2fx / %.2fx (bar: 3x each), depth-10 \
+       reduction ratio %.2fx (bar: 5x), reduced rows %s, dpor %s, live \
+       split %s, live dpor %.2fx nodes / %.2fx steps (bar: 1.9x each), live \
+       keying %s, traces %s"
+      cas_ratio crash_ratio red_ratio
+      (if red_eq then "within the declared-POR steps" else "BROKEN")
+      (if dpor_ok then "sound" else "BROKEN")
+      (if live_ok then "reproduced" else "BROKEN")
+      live_node_ratio live_step_ratio
+      (if keying_ok then "exact" else "BROKEN")
+      (if trace_ok then "reconciled" else "BROKEN") )
+
+(* The counted rows alone, their counts written to [path]: the file
+   [dune runtest] diffs.  The timed rows stay out, so no clock can
+   fail the rule that writes it. *)
+let counts path =
+  let ok, _ = counted_rows () in
+  Out_channel.with_open_bin path (fun oc -> Buffer.output_buffer oc counts);
+  ok
+
+let run () =
+  let release_ok, release_ratio = cursor_release_smoke () in
+  let counted_ok, counted = counted_rows () in
+  let ovh_ok = obs_overhead_smoke () in
+  let san_ok = sanitize_overhead_smoke () in
+  let micro_ok, keying_ratio = micro_smoke () in
+  let ok = counted_ok && ovh_ok && san_ok && micro_ok && release_ok in
   Printf.printf
-    "smoke %s: depth-8 incremental ratios %.2fx / %.2fx (bar: 3x each), \
-     depth-10 reduction ratio %.2fx (bar: 5x), reduced rows %s, dpor %s, \
-     live split %s, live dpor %.2fx nodes / %.2fx steps (bar: 1.9x each), \
-     live keying %s, traces %s, sanitizer %s (bar: <=15%%), micro \
-     keying %.2fx (bar: 2x), cursor release %s (bar: <=1.25x)\n"
+    "smoke %s: %s, sanitizer %s (bar: <=15%%), micro keying %.2fx (bar: \
+     2x), cursor release %s (bar: <=1.25x)\n"
     (if ok then "OK" else "FAILED")
-    cas_ratio crash_ratio red_ratio
-    (if red_eq then "within the declared-POR steps" else "BROKEN")
-    (if dpor_ok then "sound" else "BROKEN")
-    (if live_ok then "reproduced" else "BROKEN")
-    live_node_ratio live_step_ratio
-    (if keying_ok then "exact" else "BROKEN")
-    (if obs_ok then "reconciled" else "BROKEN")
+    counted
     (if san_ok then "transparent" else "BROKEN")
     keying_ratio
     (match release_ratio with

@@ -102,13 +102,15 @@ let blocked_at ~invoke view =
    and the re-validation of stored witnesses: pump the cycle for
    [max 2 (ceil (pump_ticks / period))] repetitions — replaying the
    workload [invoke], when there is one — then require the starved
-   processes to be blocked, the freedom point violated and a periodic
-   window present.  [own], a cursor already at stem · cycle that no one
-   uses again, is pumped from where it stands, outside the walk's
-   shadow and probe; without it the pump replays the stem on a fresh
-   instance.  [Error (Some r)] is a pump that failed at repetition [r]
-   in a way the cycle's continuations inherit ({!Lasso.failure}).  The
-   pump span closes with its verdict on every path. *)
+   processes to be blocked and the freedom point violated.  A pump
+   that passes repeats its cells in every repetition, so its window is
+   periodic with no test here (doc/model.md §7).  [own], a cursor
+   already at stem · cycle that no one uses again, is pumped from where
+   it stands, outside the walk's shadow and probe; without it the pump
+   replays the stem on a fresh instance.  [Error (Some r)] is a pump
+   that failed at repetition [r] in a way the cycle's continuations
+   inherit ({!Lasso.failure}).  The pump span closes with its verdict
+   on every path. *)
 let certify (st : _ state) ~invoke ~good ~point ~pump_ticks ~blocked ?own
     cert =
   let p = List.length cert.Lasso.c_cycle in
@@ -129,8 +131,7 @@ let certify (st : _ state) ~invoke ~good ~point ~pump_ticks ~blocked ?own
     | Ok rep ->
         if
           Proc.Set.subset (Fairness.starved rep) blocked
-          && (not (Freedom.holds ~good rep point))
-          && Option.is_some (Lasso.window_period rep)
+          && not (Freedom.holds ~good rep point)
         then Ok ()
         else Error None
   in
@@ -179,16 +180,7 @@ let eval_candidates (st : _ state) ~invoke ~good ~point ~max_period
   let carried = ref doomed in
   if len >= 2 then begin
     (* [rev_codes] has [len >= 2p] codes, newest first. *)
-    let periodic p =
-      let rec same i xs ys =
-        i = 0
-        ||
-        match (xs, ys) with
-        | (x : int) :: xs, y :: ys -> x = y && same (i - 1) xs ys
-        | _ -> false
-      in
-      same p rev_codes (drop p rev_codes)
-    in
+    let periodic p = Lasso.same_prefix p rev_codes (drop p rev_codes) in
     let context =
       lazy
         (let view = Runner.Cursor.view cursor in

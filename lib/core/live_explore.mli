@@ -34,10 +34,11 @@
     certificate validation}: the stem + cycle scripts are replayed
     through a fresh instance with the cycle pumped until at least
     [pump_ticks] extra ticks are covered
-    ({!Slx_liveness.Lasso.pump}), which must reproduce the cells and
-    every process's status on every repetition and yield a
-    report satisfying the standard bounded violation
-    ({!Slx_liveness.Lasso.certified_violation}).  A leaf's first pump
+    ({!Slx_liveness.Lasso.pump}), which must apply every decision and
+    end every repetition with every process in the status the first
+    ended with — the cells then repeat too, so they are not compared —
+    and yield a report whose starved processes are all blocked and
+    which violates the freedom point.  A leaf's first pump
     goes on from the leaf's own cursor, which already stands at stem +
     cycle ({!Slx_liveness.Lasso.pump_from}); a candidate whose cycle
     continues one an ancestor's pump saw fail at repetition [r >= 3],
@@ -238,13 +239,13 @@ val validate_cert_codes :
     fresh instance, and run on the decoded certificate the exact
     acceptance test of the exhaustive search — pump the cycle
     for [max 2 (ceil (pump_ticks / period))] repetitions, then require
-    the starved set to be blocked, the freedom predicate violated, and
-    a periodic window present.  [Some cert] is the rebuilt,
-    pump-validated certificate; [None] means the stored witness does
-    not reproduce (stale codes, changed workload, a cycle whose
-    invocations the workload does not re-issue, or a forged store)
-    and must not be served — {!Slx_store.Persist} then falls back to a
-    cold search. *)
+    the starved set to be blocked and the freedom predicate violated
+    (a pump that passes has a periodic window).  [Some cert] is the
+    rebuilt, pump-validated certificate; [None] means the stored
+    witness does not reproduce (stale codes, changed workload, a cycle
+    whose invocations the workload does not re-issue, or a forged
+    store) and must not be served — {!Slx_store.Persist} then falls
+    back to a cold search. *)
 
 val certify_run :
   n:int ->

@@ -57,6 +57,12 @@ val cell_code :
     @raise Invalid_argument if a process id is above 31 or the tick
     has more than 3 elements. *)
 
+val same_prefix : int -> int list -> int list -> bool
+(** [same_prefix k xs ys] holds when [xs] and [ys] both have at least
+    [k] elements and their first [k] are equal.  On cell codes, newest
+    first, [same_prefix p codes (drop p codes)] is the search's
+    periodicity test: the last [2p] ticks are [p]-periodic. *)
+
 val may_close :
   max_period:int ->
   ('inv, 'res) Slx_sim.Driver.decision ->
@@ -96,10 +102,12 @@ val certified_violation :
     stem}) and the cycle's decision script itself.  That is the whole
     certificate — exactly what the store keeps and serve returns.  It
     is {e pumpable}: replaying stem + cycle^m through a fresh cursor
-    must end every repetition with every process in the status the
-    first repetition ended with, and must repeat the first
-    repetition's {!tick_cells}, for any [m] — the machine-checked
-    evidence that the cycle extends to an infinite run. *)
+    must apply every decision and end every repetition with every
+    process in the status the first repetition ended with, for any
+    [m] — the machine-checked evidence that the cycle extends to an
+    infinite run.  Such a pump repeats the first repetition's
+    {!tick_cells} in every repetition (doc/model.md §7), so the cells
+    need no check of their own. *)
 
 type ('inv, 'res) cert = {
   c_n : int;  (** System size the scripts were recorded against. *)
@@ -120,9 +128,8 @@ type failure = {
           from and on the statuses after the first, so a pump of
           [stem · cycle^m] with the same cycle fails at repetition
           [r - m] for every [1 <= m <= r - 2] (doc/model.md §7).
-          [None] for an argument error, an inapplicable stem decision
-          and a cell mismatch, which compares with the first
-          repetition's cells and so does not carry over. *)
+          [None] for an argument error and an inapplicable stem
+          decision. *)
 }
 
 val pump :
@@ -138,16 +145,20 @@ val pump :
     cursor — the stem as the cursor's prefix ({!Runner.Cursor.with_}),
     the repetitions decision by decision.  The first repetition is
     the reference: after {e every} later one, each process's status
-    must equal its status after the first, and once all are applied,
-    each repetition's {!tick_cells} must equal the first's.  The
-    reference is the pump's own replay rather than a recorded copy:
-    the engine is deterministic, so the first repetition reproduces
-    the cells the search saw.  [Ok report] has its window set to exactly
-    the pumped repetitions, so {!certified_violation} on it evaluates
-    fairness, the freedom point and the window period over the cycle
-    ticks alone.  [Error failure] reports the first inapplicable
-    decision or diverging repetition — the certificate does not extend
-    to an infinite run by verbatim repetition.
+    must equal its status after the first.  The reference is the
+    pump's own replay rather than a recorded copy: the engine is
+    deterministic, so the first repetition reproduces the cells the
+    search saw.  A process's status changes only by its own decisions,
+    and a tick's cell is its decision's process and kind plus a
+    response exactly when that process ends the tick idle; so when
+    every decision applies and every repetition ends in the reference
+    statuses, every repetition's {!tick_cells} equal the first's
+    (doc/model.md §7) and are not compared.  [Ok report] has its
+    window set to exactly the pumped repetitions, so fairness and the
+    freedom point on it are evaluated over the cycle ticks alone, and
+    its {!window_period} is [Some].  [Error failure] reports the first
+    inapplicable decision or diverging repetition — the certificate
+    does not extend to an infinite run by verbatim repetition.
 
     [invoke], the workload the certificate was searched under, makes
     the pump replay that workload rather than the recorded payloads:

@@ -510,6 +510,67 @@ let prop_pump_from_is_pump =
              summary fresh = summary from);
        })
 
+(* Repetition [k] (from 0) of [cert]'s cycle in [cells], the
+   {!Lasso.tick_cells} of a run that starts with [cert]'s stem. *)
+let repetition_cells cert cells k =
+  let period = List.length cert.Lasso.c_cycle in
+  Array.sub cells (List.length cert.Lasso.c_stem + (k * period)) period
+
+(* The pump compares statuses only (doc/model.md §7): a pump whose
+   decisions all apply and whose repetitions all end in the first's
+   statuses repeats the first repetition's cells, so its window is
+   periodic. *)
+let prop_accepted_pump_repeats_cells =
+  QCheck2.Test.make ~name:"an accepted pump repeats its cells" ~count:1_000
+    ~print:print_driven gen_driven
+    (on_driven
+       {
+         check =
+           (fun ~factory ~invoke cert ->
+             match
+               Lasso.pump ~factory:(factory ())
+                 ~repetitions:driven_repetitions ~invoke cert
+             with
+             | Error _ -> true
+             | Ok r ->
+                 let cells = Array.of_list (Lasso.tick_cells r) in
+                 let rep = repetition_cells cert cells in
+                 List.for_all
+                   (fun k -> rep k = rep 0)
+                   (List.init driven_repetitions Fun.id)
+                 && Option.is_some (Lasso.window_period r));
+       })
+
+(* The converse the carry bound rests on: a repetition that ends in
+   other statuses than the one before it also records other cells
+   than that one, so no candidate closes on it (doc/model.md §7). *)
+let prop_diverged_repetition_changes_cells =
+  QCheck2.Test.make ~name:"a diverged repetition changes its cells"
+    ~count:600 ~print:print_driven gen_driven
+    (on_driven
+       {
+         check =
+           (fun ~factory ~invoke cert ->
+             match
+               Lasso.pump ~factory:(factory ())
+                 ~repetitions:driven_repetitions ~invoke cert
+             with
+             | Error { Lasso.reason; repetition = Some r }
+               when String.starts_with ~prefix:"configuration diverged" reason
+               ->
+                 let cycles = List.init r (fun _ -> cert.Lasso.c_cycle) in
+                 let cells =
+                   Runner.Cursor.with_ ~n:cert.Lasso.c_n ~factory:(factory ())
+                     ~prefix:(cert.Lasso.c_stem @ List.concat cycles)
+                     (fun c ->
+                       Array.of_list
+                         (Lasso.tick_cells (Runner.Cursor.report c ())))
+                 in
+                 let rep = repetition_cells cert cells in
+                 rep (r - 1) <> rep (r - 2)
+             | _ -> true);
+       })
+
 (* The leaf rule's premise ({!Lasso.may_close}): where it says a
    decision's tick closes no candidate, no code whose low slot is the
    decision's first element makes any period [p <= max_period] close
@@ -897,6 +958,8 @@ let suites =
             prop_lasso_pumps;
             prop_pump_failure_carries;
             prop_pump_from_is_pump;
+            prop_accepted_pump_repeats_cells;
+            prop_diverged_repetition_changes_cells;
             prop_may_close_is_sound;
           ] );
     ( "live-explore: cross-validation (E20)",
