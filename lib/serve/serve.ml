@@ -238,27 +238,33 @@ let handle_worker_eof t w =
 (* Timeouts.                                                           *)
 
 (* A query past its deadline is taken off the queue, its worker (if
-   it has one) cancelled with SIGUSR1, and its waiters told. *)
+   it has one) cancelled with SIGUSR1, and its waiters told.  Only a
+   running query can expire, and the running ones are [inflight]'s;
+   the expired are collected first because [settle] removes from it. *)
 let check_deadlines t =
   let now = now () in
-  Hashtbl.iter
-    (fun _ q ->
-      match (q.q_state, q.q_deadline) with
-      | Running, Some dl when now > dl ->
-          t.timeouts <- t.timeouts + 1;
-          Array.iter
-            (fun w ->
-              match w.w_query with
-              | Some wq when wq == q -> (
-                  try Unix.kill w.w_pid Sys.sigusr1
-                  with Unix.Unix_error _ -> ())
-              | _ -> ())
-            t.workers;
-          t.pending <- List.filter (fun p -> p != q) t.pending;
-          settle t q Timeout
-            (Printf.sprintf "{\"id\": %d, \"state\": \"timeout\"}" q.q_id)
-      | _ -> ())
-    t.queries
+  let expired =
+    Hashtbl.fold
+      (fun _ q acc ->
+        match q.q_deadline with
+        | Some dl when now > dl -> q :: acc
+        | _ -> acc)
+      t.inflight []
+  in
+  List.iter
+    (fun q ->
+      t.timeouts <- t.timeouts + 1;
+      Array.iter
+        (fun w ->
+          match w.w_query with
+          | Some wq when wq == q -> (
+              try Unix.kill w.w_pid Sys.sigusr1 with Unix.Unix_error _ -> ())
+          | _ -> ())
+        t.workers;
+      t.pending <- List.filter (fun p -> p != q) t.pending;
+      settle t q Timeout
+        (Printf.sprintf "{\"id\": %d, \"state\": \"timeout\"}" q.q_id))
+    expired
 
 (* ------------------------------------------------------------------ *)
 (* HTTP.                                                               *)
@@ -521,8 +527,9 @@ let accept_clients t =
   match Unix.accept ~cloexec:true t.listen_fd with
   | exception Unix.Unix_error _ -> ()
   | fd, _ ->
+      (* Only a running query holds waiters ([settle] clears them). *)
       let waiters =
-        Hashtbl.fold (fun _ q n -> n + List.length q.q_waiters) t.queries 0
+        Hashtbl.fold (fun _ q n -> n + List.length q.q_waiters) t.inflight 0
       in
       let add () =
         t.clients <-

@@ -195,12 +195,20 @@ let add_frame b payload =
    itself to the same bound ({!encode}). *)
 let max_frame = 1 lsl 26
 
+(* What a handle knows of its file: the inode and size it last wrote
+   or read whole, and the size of the full image of the state it last
+   wrote or read.  An append is only ever made to exactly that file. *)
+type image = { i_dev : int; i_ino : int; i_size : int; i_full : int }
+
 type t = {
   t_path : string;
   t_engine_version : string;
   mutable t_records : record list;  (* newest first *)
+  mutable t_pending : record list;
+      (* added since the last commit, newest first, one per slot *)
   mutable t_counters : counters;
   t_health : health;
+  mutable t_image : image option;
 }
 
 (* Walk the frames of [data] after the magic.  Returns the payloads in
@@ -235,11 +243,17 @@ let read_frames data =
   let payloads = go 0 [] in
   (payloads, !dropped)
 
+(* The file's bytes and the [stat] of the descriptor they were read
+   through, so the image a handle knows is the inode it read. *)
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+    (fun () ->
+      let st = Unix.fstat (Unix.descr_of_in_channel ic) in
+      (really_input_string ic (in_channel_length ic), st))
+
+let frame_size payload = 8 + String.length payload
 
 let same_slot a b = a.r_qid = b.r_qid && a.r_depth = b.r_depth
 
@@ -249,17 +263,20 @@ let open_ ?engine_version:(ev = engine_version) path =
       t_path = path;
       t_engine_version = ev;
       t_records = [];
+      t_pending = [];
       t_counters = zero_counters;
       t_health =
         { h_created = true; h_invalidated = None; h_records_dropped = 0 };
+      t_image = None;
     }
   else begin
-    let data = read_file path in
+    let data, st = read_file path in
     let fresh reason =
       {
         t_path = path;
         t_engine_version = ev;
         t_records = [];
+        t_pending = [];
         t_counters = zero_counters;
         t_health =
           {
@@ -268,6 +285,7 @@ let open_ ?engine_version:(ev = engine_version) path =
               (if String.length data = 0 then None else Some reason);
             h_records_dropped = 0;
           };
+        t_image = None;
       }
     in
     if String.length data < String.length magic then fresh "bad magic"
@@ -294,6 +312,7 @@ let open_ ?engine_version:(ev = engine_version) path =
                      ev)
               else begin
                 let dropped = ref dropped in
+                (* Each live record with its frame's size. *)
                 let records = ref [] and counters = ref zero_counters in
                 List.iter
                   (fun payload ->
@@ -305,8 +324,10 @@ let open_ ?engine_version:(ev = engine_version) path =
                         match parse_record payload with
                         | r ->
                             records :=
-                              r :: List.filter (fun o -> not (same_slot o r))
-                                     !records
+                              (r, frame_size payload)
+                              :: List.filter
+                                   (fun (o, _) -> not (same_slot o r))
+                                   !records
                         | exception Malformed -> incr dropped)
                     | 'C' -> (
                         match parse_counters payload with
@@ -314,10 +335,16 @@ let open_ ?engine_version:(ev = engine_version) path =
                         | exception Malformed -> incr dropped)
                     | _ | (exception Malformed) -> incr dropped)
                   rest;
+                let full =
+                  String.length magic + frame_size header
+                  + frame_size (counters_payload !counters)
+                  + List.fold_left (fun n (_, k) -> n + k) 0 !records
+                in
                 {
                   t_path = path;
                   t_engine_version = ev;
-                  t_records = !records;
+                  t_records = List.map fst !records;
+                  t_pending = [];
                   t_counters = !counters;
                   t_health =
                     {
@@ -325,6 +352,18 @@ let open_ ?engine_version:(ev = engine_version) path =
                       h_invalidated = None;
                       h_records_dropped = !dropped;
                     };
+                  (* A file read with a dropped frame is not
+                     extended: its next commit rewrites it. *)
+                  t_image =
+                    (if !dropped > 0 then None
+                     else
+                       Some
+                         {
+                           i_dev = st.Unix.st_dev;
+                           i_ino = st.Unix.st_ino;
+                           i_size = String.length data;
+                           i_full = full;
+                         });
                 }
               end
           | _ -> fresh "bad header")
@@ -339,7 +378,8 @@ let find t ~qid ~depth =
   List.find_opt (fun r -> r.r_qid = qid && r.r_depth = depth) t.t_records
 
 let add t r =
-  t.t_records <- r :: List.filter (fun o -> not (same_slot o r)) t.t_records
+  t.t_records <- r :: List.filter (fun o -> not (same_slot o r)) t.t_records;
+  t.t_pending <- r :: List.filter (fun o -> not (same_slot o r)) t.t_pending
 
 let bump t event =
   let c = t.t_counters in
@@ -370,16 +410,70 @@ let encode ~max_frame ~engine_version counters records =
   List.iter (fun (_, p) -> add_frame b p) kept;
   (Buffer.contents b, counters, List.map fst kept)
 
-let commit t =
+(* The full rewrite: the whole log to a temp file, renamed over the
+   path.  The temp file's descriptor gives the inode later appends
+   must find. *)
+let rewrite t =
   let image, counters, kept =
     encode ~max_frame ~engine_version:t.t_engine_version t.t_counters
       (List.rev t.t_records)
   in
   t.t_counters <- counters;
   t.t_records <- List.rev kept;
+  t.t_pending <- [];
+  t.t_image <- None;
   let tmp = Printf.sprintf "%s.tmp.%d" t.t_path (Unix.getpid ()) in
   let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc image);
-  Unix.rename tmp t.t_path
+  let st =
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        output_string oc image;
+        flush oc;
+        Unix.fstat (Unix.descr_of_out_channel oc))
+  in
+  Unix.rename tmp t.t_path;
+  let size = String.length image in
+  t.t_image <-
+    Some
+      { i_dev = st.Unix.st_dev; i_ino = st.Unix.st_ino; i_size = size;
+        i_full = size }
+
+(* One [write] with [O_APPEND] of [tail] onto the file this handle
+   last wrote or read whole; [false] when there is no such image, the
+   path's descriptor is not that inode at that size, the file would
+   pass twice its last full image, or the write fails.  The image is
+   forgotten until the append succeeds, so a failed one is followed
+   by a rewrite, never by another append. *)
+let append t tail =
+  match t.t_image with
+  | Some im when im.i_size + String.length tail <= 2 * im.i_full -> (
+      t.t_image <- None;
+      let len = String.length tail in
+      try
+        let fd = Unix.openfile t.t_path [ O_WRONLY; O_APPEND; O_CLOEXEC ] 0 in
+        Fun.protect
+          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+          (fun () ->
+            let st = Unix.fstat fd in
+            let ok =
+              st.Unix.st_dev = im.i_dev && st.Unix.st_ino = im.i_ino
+              && st.Unix.st_size = im.i_size
+              && Unix.write_substring fd tail 0 len = len
+            in
+            if ok then t.t_image <- Some { im with i_size = im.i_size + len };
+            ok)
+      with Unix.Unix_error _ -> false)
+  | _ -> false
+
+let commit t =
+  let payloads = List.rev_map record_to_string t.t_pending in
+  let appended =
+    List.for_all (fun p -> String.length p <= max_frame) payloads
+    &&
+    let b = Buffer.create 256 in
+    List.iter (add_frame b) payloads;
+    add_frame b (counters_payload t.t_counters);
+    append t (Buffer.contents b)
+  in
+  if appended then t.t_pending <- [] else rewrite t

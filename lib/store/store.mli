@@ -1,5 +1,6 @@
 (** The on-disk verdict/fingerprint store: a CRC-framed, append-only
-    record log with atomic-rename commits.
+    record log, committed by appending the new frames and compacted
+    by atomic rename.
 
     One file holds every verdict a machine has computed: for each
     {e query} (an implementation + workload + property + flags,
@@ -18,10 +19,23 @@
     whose CRC does not match its payload is dropped (and counted in
     {!health}) without giving up on later frames; a truncated tail
     frame drops the remainder.  Within the log, a later record for the
-    same [(qid, depth)] supersedes an earlier one.
+    same [(qid, depth)] supersedes an earlier one, and the last
+    counters frame holds the counters.  A full image is the header,
+    the counters and each live record once; a commit appends the
+    records added since the last commit and a counters frame, so
+    superseded frames stay in the file until the next full image
+    replaces it (at most twice the last full image's size).
 
-    {b Concurrency.}  Readers see a consistent file because commits
-    are whole-file rewrites published by [rename(2)]; a store is
+    {b Concurrency.}  A full image is written to a temp file and
+    published by [rename(2)].  An append is one [write] with
+    [O_APPEND] to a file whose inode and size the handle itself last
+    wrote or read whole, so it only ever follows a header that
+    handle wrote or validated: a file another writer renamed in (under
+    another engine version, say) is rewritten, never extended.  A
+    reader racing an append, or a file torn by a crash mid-append, may
+    see a truncated tail frame: it counts one dropped frame and misses
+    that record (and the commit's counters), never reads a wrong one;
+    the handle that read it rewrites on its next commit.  A store is
     single-writer by convention (the CLI holds it for a run; the serve
     daemon's coordinator is the only writer, its workers never open
     the store).  No in-file locking. *)
@@ -137,6 +151,11 @@ val encode :
     (64 MiB). *)
 
 val commit : t -> unit
-(** Publish the in-memory state: {!encode} the whole log to
-    [path ^ ".tmp.<pid>"] and atomically rename it over [path].  A
+(** Publish the in-memory state.  When the handle knows the file's
+    image (it wrote it, or read it whole with no frame dropped), the
+    path still names that inode at that size, no new record exceeds
+    the frame bound and the file stays within twice its last full
+    image, append the frames of the records added since the last
+    commit and one counters frame.  Otherwise {!encode} the whole log
+    to [path ^ ".tmp.<pid>"] and atomically rename it over [path]; a
     record {!encode} refuses is dropped from the store. *)

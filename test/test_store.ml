@@ -357,6 +357,271 @@ let test_supersede () =
   Alcotest.(check int) "one record per slot" 2 (List.length (Store.records st))
 
 (* ------------------------------------------------------------------ *)
+(* Append commits.                                                     *)
+
+let file_string path = Bytes.to_string (file_bytes path)
+
+(* The image a full rewrite of a handle's state writes. *)
+let full_image ?(engine_version = Store.engine_version) st =
+  let image, _, _ =
+    Store.encode ~max_frame:(1 lsl 26) ~engine_version (Store.counters st)
+      (Store.records st)
+  in
+  image
+
+let clean st =
+  let h = Store.health st in
+  h.Store.h_invalidated = None && h.Store.h_records_dropped = 0
+
+let mk_record qid depth verdict =
+  {
+    Store.r_qid = qid;
+    r_depth = depth;
+    r_max_period = 0;
+    r_pump_ticks = 0;
+    r_runs = 1;
+    r_steps = qid + depth;
+    r_verdict = verdict;
+  }
+
+(* A commit after a known image writes only the new frames: the file
+   before it is a prefix of the file after it, and the inode stays. *)
+let test_append_in_place () =
+  let path = temp_store () in
+  let st = populate path in
+  let ino = (Unix.stat path).Unix.st_ino in
+  check_bool "the first commit is a full image" true
+    (file_string path = full_image st);
+  let commit_one r =
+    let before = file_string path in
+    Store.add st r;
+    Store.bump st `Cold;
+    Store.commit st;
+    let after = file_string path in
+    check_bool "the commit appended" true
+      (String.starts_with ~prefix:before after);
+    let c = Store.counters st in
+    (* The tail is the new record's frame and one counters frame. *)
+    check_int "only the new frames"
+      (16 + String.length (Store.record_to_string r)
+      + String.length
+          (Printf.sprintf "C %d %d %d %d %d" c.Store.c_queries
+             c.Store.c_warm_hits c.Store.c_colds c.Store.c_rejected
+             c.Store.c_refused))
+      (String.length after - String.length before)
+  in
+  commit_one (mk_record 50 3 (Store.V_ok 3));
+  commit_one (mk_record 11 5 (Store.V_ok 9));
+  check_int "in place" ino (Unix.stat path).Unix.st_ino;
+  let st' = Store.open_ path in
+  check_bool "an appended file reads clean" true (clean st');
+  check_bool "and reads the handle's state" true
+    (Store.records st' = Store.records st
+    && Store.counters st' = Store.counters st)
+
+(* Truncating the file at every offset inside the last appended tail
+   (two records, then the counters frame) opens to the previous
+   commit's counters and records plus, at a frame boundary, the tail's
+   records whose frames are whole: never a wrong record, and at most
+   one frame dropped.  A handle that dropped a frame rewrites on its
+   next commit, and the file then reads clean. *)
+let test_torn_append () =
+  let path = temp_store () in
+  let st = populate path in
+  let prev = file_string path in
+  let prev_records = Store.records st and prev_counters = Store.counters st in
+  let tail_records =
+    [ mk_record 60 4 (Store.V_counterexample [ 1; 2; 3 ]);
+      mk_record 11 5 (Store.V_ok 7) ]
+  in
+  List.iter (Store.add st) tail_records;
+  Store.bump st `Query;
+  Store.commit st;
+  let whole = file_string path in
+  check_bool "the tail was appended" true
+    (String.starts_with ~prefix:prev whole);
+  let expected_after k =
+    List.fold_left
+      (fun acc r ->
+        List.filter
+          (fun o ->
+            not
+              (o.Store.r_qid = r.Store.r_qid
+              && o.Store.r_depth = r.Store.r_depth))
+          acc
+        @ [ r ])
+      prev_records
+      (List.filteri (fun i _ -> i < k) tail_records)
+  in
+  let torn = temp_store () in
+  for cut = String.length prev + 1 to String.length whole - 1 do
+    write_bytes torn (Bytes.of_string (String.sub whole 0 cut));
+    let st = Store.open_ torn in
+    let h = Store.health st in
+    let what = Printf.sprintf "cut at %d" cut in
+    check_bool (what ^ ": not invalidated") true (h.Store.h_invalidated = None);
+    check_bool (what ^ ": at most one frame dropped") true
+      (h.Store.h_records_dropped <= 1);
+    check_bool (what ^ ": the previous commit's counters") true
+      (Store.counters st = prev_counters);
+    check_bool (what ^ ": the previous records plus whole tail frames") true
+      (List.exists (fun k -> Store.records st = expected_after k) [ 0; 1; 2 ]);
+    let records = Store.records st and counters = Store.counters st in
+    Store.commit st;
+    if h.Store.h_records_dropped > 0 then
+      check_bool (what ^ ": the next commit rewrites") true
+        (file_string torn = full_image st);
+    let st' = Store.open_ torn in
+    check_bool (what ^ ": then reads clean") true
+      (clean st'
+      && Store.records st' = records
+      && Store.counters st' = counters)
+  done
+
+(* A second writer replaces the file between two commits of the first
+   (a rename under another engine version, or an append under the same
+   one): the first handle's next commit must not extend that file. *)
+let test_foreign_writer () =
+  (* Another engine generation: a tag of the same length, so the
+     foreign image below has exactly the first one's size and only
+     the inode tells the two files apart. *)
+  let foreign = "slx-engine-99+ocaml-" ^ Sys.ocaml_version in
+  check_int "same-length engine tags" (String.length Store.engine_version)
+    (String.length foreign);
+  let path = temp_store () in
+  let a = Store.open_ path in
+  let ra = mk_record 1 1 (Store.V_ok 1) in
+  Store.add a ra;
+  Store.commit a;
+  let size_a = String.length (file_string path) in
+  let b = Store.open_ ~engine_version:foreign path in
+  check_bool "the foreign handle invalidates" true
+    ((Store.health b).Store.h_invalidated <> None);
+  let rb = mk_record 2 2 (Store.V_ok 2) in
+  Store.add b rb;
+  Store.commit b;
+  check_int "the foreign image has the first one's size" size_a
+    (String.length (file_string path));
+  let ra' = mk_record 3 3 Store.V_no_fair_cycle in
+  Store.add a ra';
+  Store.commit a;
+  check_bool "the first handle rewrote under its own header" true
+    (file_string path = full_image a);
+  let mine = Store.open_ path
+  and theirs = Store.open_ ~engine_version:foreign path in
+  check_bool "its own engine reads its records" true
+    (clean mine && Store.records mine = [ ra; ra' ]);
+  check_bool "the other engine reads none" true
+    ((Store.health theirs).Store.h_invalidated <> None
+    && Store.records theirs = []);
+  Store.add b (mk_record 4 4 (Store.V_ok 4));
+  Store.commit b;
+  check_bool "the foreign handle rewrote under its header" true
+    (file_string path = full_image ~engine_version:foreign b);
+  let mine = Store.open_ path
+  and theirs = Store.open_ ~engine_version:foreign path in
+  check_bool "now the first engine reads none" true
+    ((Store.health mine).Store.h_invalidated <> None
+    && Store.records mine = []);
+  check_bool "and the other reads only its own" true
+    (clean theirs && Store.records theirs = Store.records b);
+  (* Same engine: the second handle appends to the file the first
+     knows, so the size no longer matches and the first rewrites. *)
+  let path = temp_store () in
+  let a = Store.open_ path in
+  Store.add a ra;
+  Store.commit a;
+  let b = Store.open_ path in
+  Store.add b rb;
+  Store.commit b;
+  let after_b = file_string path in
+  check_bool "the second handle appended" true
+    (String.length after_b > String.length (full_image a));
+  Store.add a ra';
+  Store.commit a;
+  check_bool "the first handle rewrote rather than append" true
+    (file_string path = full_image a);
+  let st = Store.open_ path in
+  check_bool "last writer's state, clean" true
+    (clean st && Store.records st = [ ra; ra' ])
+
+type op = Add of Store.record | Bump of [ `Query | `Warm | `Cold | `Rejected ]
+        | Commit | Reopen
+
+let gen_op =
+  QCheck2.Gen.(
+    let gen_codes = list_size (int_range 0 12) (int_range 0 40) in
+    let gen_verdict =
+      oneof
+        [
+          map (fun n -> Store.V_ok n) (int_range 0 1000);
+          map (fun c -> Store.V_counterexample c) gen_codes;
+          return Store.V_no_fair_cycle;
+          map2 (fun stem cycle -> Store.V_lasso { stem; cycle }) gen_codes
+            gen_codes;
+        ]
+    in
+    frequency
+      [
+        ( 5,
+          let* qid = int_range 0 6 and* depth = int_range 1 3
+          and* v = gen_verdict in
+          return (Add (mk_record qid depth v)) );
+        ( 2,
+          map (fun e -> Bump e)
+            (oneofl [ `Query; `Warm; `Cold; `Rejected ]) );
+        (2, return Commit);
+        (1, return Reopen);
+      ])
+
+let show_op = function
+  | Add r -> "add " ^ String.escaped (Store.record_to_string r)
+  | Bump _ -> "bump"
+  | Commit -> "commit"
+  | Reopen -> "reopen"
+
+(* Any sequence of adds, bumps and commits, with reopens after
+   commits, reads back what one full rewrite of the same state reads;
+   and the file never passes twice the full image of the state its
+   writer last rewrote or read. *)
+let prop_append_equals_rewrite =
+  let path = temp_store () and reference = temp_store () in
+  QCheck2.Test.make ~name:"append commits read as one full rewrite"
+    ~count:300
+    ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+    QCheck2.Gen.(list_size (int_range 1 60) gen_op)
+    (fun ops ->
+      write_bytes path Bytes.empty;
+      let st = ref (Store.open_ path) and full = ref 0 in
+      let commit () =
+        Store.commit !st;
+        let data = file_string path in
+        let image = full_image !st in
+        if data = image then full := String.length image;
+        if String.length data > 2 * !full then
+          QCheck2.Test.fail_reportf "%d bytes past twice the image of %d"
+            (String.length data) !full
+      in
+      List.iter
+        (function
+          | Add r -> Store.add !st r
+          | Bump e -> Store.bump !st e
+          | Commit -> commit ()
+          | Reopen ->
+              commit ();
+              st := Store.open_ path;
+              full := String.length (full_image !st))
+        ops;
+      commit ();
+      write_bytes reference (Bytes.of_string (full_image !st));
+      let appended = Store.open_ path and rewritten = Store.open_ reference in
+      clean appended
+      && Store.records appended = Store.records rewritten
+      && Store.counters appended = Store.counters rewritten
+      && Store.records appended = Store.records !st
+      && Store.counters appended = Store.counters !st)
+
+(* ------------------------------------------------------------------ *)
 (* Persist policy on the consensus engines.                            *)
 
 (* The writer keeps the reader's frame bound: a record whose frame
@@ -801,6 +1066,14 @@ let suites =
         Alcotest.test_case "oversized record refused" `Quick
           test_oversized_record_refused;
       ] );
+    ( "store.append",
+      [
+        Alcotest.test_case "commit appends in place" `Quick
+          test_append_in_place;
+        Alcotest.test_case "torn append" `Quick test_torn_append;
+        Alcotest.test_case "foreign writer" `Quick test_foreign_writer;
+      ]
+      @ qcheck [ prop_append_equals_rewrite ] );
     ( "store.persist",
       [
         Alcotest.test_case "cold, warm, deeper cold" `Quick
