@@ -12,6 +12,7 @@ type query = {
   q_spec : Queries.spec;
   q_slot : int * int * int * int;  (* [Queries.slot]: the dedup key *)
   q_created : float;
+  mutable q_settled : float option;  (* when [settle] ended it *)
   mutable q_state : qstate;
   mutable q_source : string;
   q_deadline : float option;
@@ -136,25 +137,48 @@ let re_lease t q =
 
 let now () = Unix.gettimeofday ()
 
-(* End a query: its final state, its slot free for a new query, and
-   [line], its last, to each streamed waiter. *)
-let settle t q state line =
-  q.q_state <- state;
-  Hashtbl.remove t.inflight q.q_slot;
-  List.iter
-    (fun fd ->
-      ignore (try_write fd (line ^ "\n"));
-      close_quiet fd)
-    q.q_waiters;
-  q.q_waiters <- []
+(* The one rendering of a query's state: every line a streamed waiter
+   reads, and [/status].  A finished query's [elapsed_s] is its
+   duration, fixed when it settled. *)
+let status_json q =
+  let state, extra =
+    match q.q_state with
+    | Running -> ("running", "")
+    | Done r -> ("done", Printf.sprintf ", \"result\": %s" r)
+    | Failed e -> ("failed", ", \"error\": " ^ Json.quote e)
+    | Timeout -> ("timeout", "")
+  in
+  let hb =
+    match q.q_last_hb with
+    | Some h when q.q_state = Running ->
+        Printf.sprintf ", \"heartbeat\": %s" h
+    | _ -> ""
+  in
+  Printf.sprintf
+    "{\"id\": %d, \"state\": %s, \"source\": %s, \"spec\": %s, \
+     \"elapsed_s\": %.3f%s%s}"
+    q.q_id (Json.quote state) (Json.quote q.q_source)
+    (Queries.spec_to_json q.q_spec)
+    (Option.value ~default:(now ()) q.q_settled -. q.q_created)
+    extra hb
 
-let finalize t q result_json ~source =
-  q.q_source <- source;
-  settle t q (Done result_json)
-    (Printf.sprintf
-       "{\"id\": %d, \"state\": \"done\", \"source\": %s, \"elapsed_s\": \
-        %.3f, \"result\": %s}"
-       q.q_id (Json.quote source) (now () -. q.q_created) result_json)
+(* End a query: its final state and settle time, its slot free for a
+   new query, and its status, its last line, to each streamed
+   waiter. *)
+let settle t q state =
+  q.q_state <- state;
+  q.q_settled <- Some (now ());
+  Hashtbl.remove t.inflight q.q_slot;
+  match q.q_waiters with
+  | [] -> ()
+  | waiters ->
+      let line = status_json q ^ "\n" in
+      List.iter
+        (fun fd ->
+          ignore (try_write fd line);
+          close_quiet fd)
+        waiters;
+      q.q_waiters <- []
 
 (* Plan a freshly created query through the store's policy: a warm
    answer, or one task that runs the whole tree.  A warm hit is not
@@ -166,7 +190,9 @@ let plan t q =
     Persist.warm t.store ~qid ~depth ~max_period ~pump_ticks
       (Queries.warm_result q.q_spec)
   with
-  | Some result -> finalize t q result ~source:"warm"
+  | Some result ->
+      q.q_source <- "warm";
+      settle t q (Done result)
   | None ->
       q.q_source <- "full";
       t.pending <- t.pending @ [ q ];
@@ -194,12 +220,10 @@ let handle_result t q result_j ~record =
   | Some "error" ->
       let msg = Option.value ~default:"worker error" (member "message") in
       settle t q (Failed msg)
-        (Printf.sprintf "{\"id\": %d, \"state\": \"failed\", \"error\": %s}"
-           q.q_id (Json.quote msg))
   | Some "cancelled" -> re_lease t q
   | _ ->
       save_record t q record;
-      finalize t q (Json.to_string result_j) ~source:q.q_source
+      settle t q (Done (Json.to_string result_j))
 
 (* A line from a busy worker: its task's result line (it has a
    ["lease"] member), which frees the worker, or a heartbeat. *)
@@ -218,11 +242,7 @@ let handle_worker_line t w line =
           dispatch t
       | None ->
           q.q_last_hb <- Some line;
-          let fwd =
-            Printf.sprintf
-              "{\"id\": %d, \"state\": \"running\", \"heartbeat\": %s}\n"
-              q.q_id line
-          in
+          let fwd = status_json q ^ "\n" in
           q.q_waiters <- List.filter (fun fd -> try_write fd fwd) q.q_waiters)
 
 (* The worker died (crash or kill): re-lease its query and put a fresh
@@ -262,42 +282,15 @@ let check_deadlines t =
           | _ -> ())
         t.workers;
       t.pending <- List.filter (fun p -> p != q) t.pending;
-      settle t q Timeout
-        (Printf.sprintf "{\"id\": %d, \"state\": \"timeout\"}" q.q_id))
+      settle t q Timeout)
     expired
 
 (* ------------------------------------------------------------------ *)
 (* HTTP.                                                               *)
 
-let status_json q =
-  let state, extra =
-    match q.q_state with
-    | Running -> ("running", "")
-    | Done r -> ("done", Printf.sprintf ", \"result\": %s" r)
-    | Failed e -> ("failed", ", \"error\": " ^ Json.quote e)
-    | Timeout -> ("timeout", "")
-  in
-  let hb =
-    match q.q_last_hb with
-    | Some h when q.q_state = Running ->
-        Printf.sprintf ", \"heartbeat\": %s" h
-    | _ -> ""
-  in
-  Printf.sprintf
-    "{\"id\": %d, \"state\": %s, \"source\": %s, \"spec\": %s, \
-     \"elapsed_s\": %.3f%s%s}"
-    q.q_id (Json.quote state) (Json.quote q.q_source)
-    (Queries.spec_to_json q.q_spec)
-    (now () -. q.q_created) extra hb
-
 let stats_json t =
   let c = Store.counters t.store in
   let h = Store.health t.store in
-  let active =
-    Hashtbl.fold
-      (fun _ q acc -> if q.q_state = Running then acc + 1 else acc)
-      t.queries 0
-  in
   let busy =
     Array.fold_left
       (fun acc w -> if Option.is_some w.w_query then acc + 1 else acc)
@@ -322,8 +315,10 @@ let stats_json t =
      \"warm_hits\": %d, \"colds\": %d, \"rejected\": %d, \"refused\": %d, \
      \"created\": %b, \"invalidated\": %s, \
      \"records_dropped\": %d}}"
-    (t.next_query - 1) active t.dedup_hits t.re_leases t.timeouts
-    (Array.length t.workers) busy hwm
+    (t.next_query - 1)
+    (* The running queries are [inflight]'s: [settle] removes each. *)
+    (Hashtbl.length t.inflight)
+    t.dedup_hits t.re_leases t.timeouts (Array.length t.workers) busy hwm
     (Json.quote (Store.path t.store))
     (List.length (Store.records t.store))
     c.Store.c_queries c.Store.c_warm_hits c.Store.c_colds c.Store.c_rejected
@@ -390,6 +385,7 @@ let handle_query_post t fd body =
               q_spec = spec;
               q_slot = slot;
               q_created = now ();
+              q_settled = None;
               q_state = Running;
               q_source = "";
               q_deadline = Option.map (fun s -> now () +. s) timeout;

@@ -13,10 +13,13 @@
       [400]) and ["wait"] (a boolean: anything else is a [400]).
       Without [wait]:
       [202] with [{"id", "deduped"}].  With [wait]: a close-delimited
-      [application/x-ndjson] stream of progress heartbeats ending in
-      the result object.
-    - [GET /status/ID] — query state ([running]/[done]/[failed]/
-      [timeout]), the latest heartbeat, and the result when done.
+      [application/x-ndjson] stream of the query's status line, once
+      per progress heartbeat and once more when the query ends.
+    - [GET /status/ID] — the same status line: [id], [state]
+      ([running]/[done]/[failed]/[timeout]), [source], [spec] and
+      [elapsed_s] (fixed once the query has ended), plus the latest
+      [heartbeat] while running, the [result] when done or the
+      [error] when failed.
     - [GET /stats] — service counters (dedup hits, re-leases,
       timeouts, worker states), each worker's peak resident set
       ([worker_hwm_kb], read from [/proc/<pid>/status] when asked;

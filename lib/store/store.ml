@@ -169,6 +169,13 @@ let parse_counters payload =
       }
   | _ -> raise Malformed
 
+(* A record or counters payload; any other is damage. *)
+let parse_frame payload =
+  match payload.[0] with
+  | 'Q' -> `Record (parse_record payload)
+  | 'C' -> `Counters (parse_counters payload)
+  | _ | (exception Invalid_argument _) -> raise Malformed
+
 (* ------------------------------------------------------------------ *)
 (* Framing.                                                            *)
 
@@ -211,37 +218,50 @@ type t = {
   mutable t_image : image option;
 }
 
-(* Walk the frames of [data] after the magic.  Returns the payloads in
-   file order plus the number of frames dropped (CRC mismatch: skip
-   the frame, keep framing; truncation/insane length: stop). *)
+(* Walk the frames after the magic.  Returns the first payload (the
+   header, if any), the others newest first, and the number of frames
+   dropped (CRC mismatch: skip the frame, keep framing;
+   truncation/insane length: stop). *)
 let read_frames data =
   let len = String.length data in
-  let dropped = ref 0 in
-  let rec go off acc =
-    if off = len then List.rev acc
-    else if off + 8 > len then begin
-      incr dropped;
-      List.rev acc
-    end
-    else begin
+  let rec go off header rest dropped =
+    if off = len then (header, rest, dropped)
+    else if off + 8 > len then (header, rest, dropped + 1)
+    else
       let plen = get_u32 data off in
-      let crc = get_u32 data (off + 4) in
-      if plen < 0 || plen > max_frame || off + 8 + plen > len then begin
-        incr dropped;
-        List.rev acc
-      end
-      else begin
+      let next = off + 8 + plen in
+      if plen > max_frame || next > len then (header, rest, dropped + 1)
+      else
         let payload = String.sub data (off + 8) plen in
-        if crc32 payload <> crc then begin
-          incr dropped;
-          go (off + 8 + plen) acc
-        end
-        else go (off + 8 + plen) (payload :: acc)
-      end
-    end
+        if crc32 payload <> get_u32 data (off + 4) then
+          go next header rest (dropped + 1)
+        else
+          match header with
+          | None -> go next (Some payload) rest dropped
+          | Some _ -> go next header (payload :: rest) dropped
   in
-  let payloads = go 0 [] in
-  (payloads, !dropped)
+  go (String.length magic) None [] 0
+
+(* The header, the other frames (newest first) and the dropped count
+   of a log that opens under engine [ev], or the reason, verbatim in
+   {!health}, that it does not. *)
+let read_log ev data =
+  if not (String.starts_with ~prefix:magic data) then Error "bad magic"
+  else
+    match read_frames data with
+    | None, _, _ -> Error "missing header"
+    | Some header, frames, dropped -> (
+        match tokens header with
+        | [ "H"; fv; hev ] when int_of_string_opt fv <> None ->
+            if int_of_string fv <> format_version then
+              Error
+                (Printf.sprintf "format version mismatch (%s, want %d)" fv
+                   format_version)
+            else if hev <> ev then
+              Error
+                (Printf.sprintf "engine version mismatch (%s, want %s)" hev ev)
+            else Ok (header, frames, dropped)
+        | _ -> Error "bad header")
 
 (* The file's bytes and the [stat] of the descriptor they were read
    through, so the image a handle knows is the inode it read. *)
@@ -257,118 +277,70 @@ let frame_size payload = 8 + String.length payload
 
 let same_slot a b = a.r_qid = b.r_qid && a.r_depth = b.r_depth
 
+(* A handle on no readable log: no file, an empty one, or one refused
+   for the reason [invalidated]. *)
+let empty ?invalidated ~created path ev =
+  {
+    t_path = path;
+    t_engine_version = ev;
+    t_records = [];
+    t_pending = [];
+    t_counters = zero_counters;
+    t_health =
+      { h_created = created; h_invalidated = invalidated; h_records_dropped = 0 };
+    t_image = None;
+  }
+
 let open_ ?engine_version:(ev = engine_version) path =
-  if not (Sys.file_exists path) then
-    {
-      t_path = path;
-      t_engine_version = ev;
-      t_records = [];
-      t_pending = [];
-      t_counters = zero_counters;
-      t_health =
-        { h_created = true; h_invalidated = None; h_records_dropped = 0 };
-      t_image = None;
-    }
-  else begin
+  if not (Sys.file_exists path) then empty ~created:true path ev
+  else
     let data, st = read_file path in
-    let fresh reason =
-      {
-        t_path = path;
-        t_engine_version = ev;
-        t_records = [];
-        t_pending = [];
-        t_counters = zero_counters;
-        t_health =
-          {
-            h_created = String.length data = 0;
-            h_invalidated =
-              (if String.length data = 0 then None else Some reason);
-            h_records_dropped = 0;
-          };
-        t_image = None;
-      }
-    in
-    if String.length data < String.length magic then fresh "bad magic"
-    else if String.sub data 0 (String.length magic) <> magic then
-      fresh "bad magic"
-    else begin
-      let body =
-        String.sub data (String.length magic)
-          (String.length data - String.length magic)
-      in
-      let payloads, dropped = read_frames body in
-      match payloads with
-      | [] -> fresh "missing header"
-      | header :: rest -> (
-          match tokens header with
-          | [ "H"; fv; hev ] when int_of_string_opt fv <> None ->
-              if int_of_string fv <> format_version then
-                fresh
-                  (Printf.sprintf "format version mismatch (%s, want %d)" fv
-                     format_version)
-              else if hev <> ev then
-                fresh
-                  (Printf.sprintf "engine version mismatch (%s, want %s)" hev
-                     ev)
-              else begin
-                let dropped = ref dropped in
-                (* Each live record with its frame's size. *)
-                let records = ref [] and counters = ref zero_counters in
-                List.iter
-                  (fun payload ->
-                    match
-                      if String.length payload = 0 then raise Malformed
-                      else payload.[0]
-                    with
-                    | 'Q' -> (
-                        match parse_record payload with
-                        | r ->
-                            records :=
-                              (r, frame_size payload)
-                              :: List.filter
-                                   (fun (o, _) -> not (same_slot o r))
-                                   !records
-                        | exception Malformed -> incr dropped)
-                    | 'C' -> (
-                        match parse_counters payload with
-                        | c -> counters := c
-                        | exception Malformed -> incr dropped)
-                    | _ | (exception Malformed) -> incr dropped)
-                  rest;
-                let full =
-                  String.length magic + frame_size header
-                  + frame_size (counters_payload !counters)
-                  + List.fold_left (fun n (_, k) -> n + k) 0 !records
-                in
-                {
-                  t_path = path;
-                  t_engine_version = ev;
-                  t_records = List.map fst !records;
-                  t_pending = [];
-                  t_counters = !counters;
-                  t_health =
-                    {
-                      h_created = false;
-                      h_invalidated = None;
-                      h_records_dropped = !dropped;
-                    };
-                  (* A file read with a dropped frame is not
-                     extended: its next commit rewrites it. *)
-                  t_image =
-                    (if !dropped > 0 then None
-                     else
-                       Some
-                         {
-                           i_dev = st.Unix.st_dev;
-                           i_ino = st.Unix.st_ino;
-                           i_size = String.length data;
-                           i_full = full;
-                         });
-                }
-              end
-          | _ -> fresh "bad header")
-    end
-  end
+    match read_log ev data with
+    | Error _ when data = "" -> empty ~created:true path ev
+    | Error reason -> empty ~invalidated:reason ~created:false path ev
+    | Ok (header, frames, dropped) ->
+        (* One pass, newest frame first: a slot's first record is its
+           last write, and the first counters frame that parses is the
+           one in force.  Superseded frames are parsed too, so damage
+           anywhere in the log is counted. *)
+        let seen = Hashtbl.create 64 in
+        let dropped = ref dropped and counters = ref None in
+        let records = ref [] in
+        let full = ref (String.length magic + frame_size header) in
+        List.iter
+          (fun payload ->
+            match parse_frame payload with
+            | `Record r when not (Hashtbl.mem seen (r.r_qid, r.r_depth)) ->
+                Hashtbl.add seen (r.r_qid, r.r_depth) ();
+                records := r :: !records;
+                full := !full + frame_size payload
+            | `Counters c when Option.is_none !counters -> counters := Some c
+            | `Record _ | `Counters _ -> ()
+            | exception Malformed -> incr dropped)
+          frames;
+        let counters = Option.value ~default:zero_counters !counters in
+        {
+          t_path = path;
+          t_engine_version = ev;
+          t_records = List.rev !records;
+          t_pending = [];
+          t_counters = counters;
+          t_health =
+            { h_created = false; h_invalidated = None;
+              h_records_dropped = !dropped };
+          (* A file read with a dropped frame is not extended: its next
+             commit rewrites it. *)
+          t_image =
+            (if !dropped > 0 then None
+             else
+               Some
+                 {
+                   i_dev = st.Unix.st_dev;
+                   i_ino = st.Unix.st_ino;
+                   i_size = String.length data;
+                   i_full = !full + frame_size (counters_payload counters);
+                 });
+        }
 
 let path t = t.t_path
 let health t = t.t_health

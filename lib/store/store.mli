@@ -111,10 +111,16 @@ val digest_string : string -> int
 type t
 
 val open_ : ?engine_version:string -> string -> t
-(** Read (or initialize) the store at a path.  Never raises on bad
-    content: corruption and mismatches degrade to an empty (or
-    partial) store, reported in {!health}.  [engine_version] defaults
-    to {!engine_version}; tests override it to forge mismatches.
+(** Read (or initialize) the store at a path.  After the magic and
+    header check, one pass over the frames, newest first: a slot's
+    first record is its last write and the first counters frame that
+    parses is the one in force.  Superseded frames are parsed only to
+    count damage: a malformed frame anywhere in the log counts in
+    [h_records_dropped] (and makes the next {!commit} a rewrite).
+    Never raises on bad content: corruption and mismatches degrade to
+    an empty (or partial) store, reported in {!health}.
+    [engine_version] defaults to {!engine_version}; tests override it
+    to forge mismatches.
     @raise Sys_error only on unreadable paths (permissions). *)
 
 val path : t -> string

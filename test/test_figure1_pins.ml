@@ -6,6 +6,7 @@
    [unknown] cells, so a classifier that paints them white fails too. *)
 
 open Slx_core
+module Freedom = Slx_liveness.Freedom
 
 let settings =
   [
@@ -80,4 +81,42 @@ let test_pins () =
     (List.length settings * List.length grids)
     (List.length pins)
 
-let suites = [ ("figure1 pins", [ Support.quick "sampled grids" test_pins ]) ]
+(* A run that violates a point violates every point stronger than it
+   ([Freedom.stronger_equal]), so a grid is closed upwards: every
+   point stronger than an [excluded] cell is [excluded], and every
+   point stronger than a cell that is not [not_excluded] is not
+   [not_excluded] either. *)
+let check_closed_upwards name (g : Figure1.grid) =
+  List.iter
+    (fun (p, cp) ->
+      List.iter
+        (fun (q, cq) ->
+          let at = Format.asprintf "%s: %a above %a" name Freedom.pp q
+              Freedom.pp p in
+          if Freedom.stronger_equal q p then begin
+            if cp = Figure1.Excluded && cq <> Figure1.Excluded then
+              Alcotest.failf "%s is not excluded" at;
+            if cp <> Figure1.Not_excluded && cq = Figure1.Not_excluded then
+              Alcotest.failf "%s is not_excluded" at
+          end)
+        g.Figure1.cells)
+    g.Figure1.cells
+
+let test_closed_upwards () =
+  List.iter
+    (fun (setting, at) ->
+      List.iter
+        (fun (grid, f) -> check_closed_upwards (grid ^ " " ^ setting) (at f))
+        grids)
+    settings;
+  check_closed_upwards "consensus_exhaustive n 2, depth 8"
+    (Slx_serve.Queries.consensus_exhaustive ~n:2 ~depth:8 ())
+
+let suites =
+  [
+    ( "figure1 pins",
+      [
+        Support.quick "sampled grids" test_pins;
+        Support.quick "every grid is closed upwards" test_closed_upwards;
+      ] );
+  ]

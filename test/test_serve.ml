@@ -1359,6 +1359,62 @@ let test_cli_and_serve_agree () =
   Alcotest.(check (list string)) "serve records = CLI records" cli_records
     serve_records
 
+(* Every line a streamed waiter reads is the query's status, as
+   /status prints it: the last lines of a computed and of a warm answer
+   have the same members, a timed-out query's has them but [result],
+   and a finished query's [elapsed_s] is its duration, the same in
+   /status 50 ms apart as in its waiter's last line. *)
+let test_one_status_rendering () =
+  let fields = {|"impl": "cas", "depth": 5|} in
+  let members j =
+    match j with
+    | Json.Obj kvs -> List.sort compare (List.map fst kvs)
+    | _ -> Alcotest.failf "not an object: %s" (Json.to_string j)
+  in
+  let elapsed j = Option.bind (Json.member "elapsed_s" j) Json.num in
+  with_server ~store:(temp_store ()) (fun port ->
+      let wait fields =
+        last_json
+          (exchange port
+             (request ~meth:"POST" ~path:"/query"
+                ("{" ^ fields ^ ", \"wait\": true}")))
+      in
+      let computed = wait fields in
+      let warm = wait fields in
+      let source j = Option.bind (Json.member "source" j) Json.str in
+      Alcotest.(check (option string)) "computed" (Some "full")
+        (source computed);
+      Alcotest.(check (option string)) "warm" (Some "warm") (source warm);
+      Alcotest.(check (list string))
+        "a warm and a computed answer have the same members"
+        (members computed) (members warm);
+      Alcotest.(check (list string)) "the members clients read"
+        [ "elapsed_s"; "id"; "result"; "source"; "spec"; "state" ]
+        (members computed);
+      let timed_out = wait (slow_fields ^ {|, "timeout": 1e-6|}) in
+      Alcotest.(check (option string)) "timed out" (Some "timeout")
+        (Option.bind (Json.member "state" timed_out) Json.str);
+      Alcotest.(check (list string)) "a timeout has them but the result"
+        (List.filter (( <> ) "result") (members computed))
+        (members timed_out);
+      let status () =
+        last_json
+          (exchange port
+             (request ~meth:"GET"
+                ~path:(Printf.sprintf "/status/%d" (int_field computed "id"))
+                ""))
+      in
+      let first = status () in
+      Unix.sleepf 0.05;
+      let second = status () in
+      Alcotest.(check (option (float 0.)))
+        "a finished query's elapsed_s stops counting" (elapsed first)
+        (elapsed second);
+      Alcotest.(check (option (float 0.)))
+        "/status reads the duration the waiter read" (elapsed computed)
+        (elapsed first);
+      check_int "no query is active" 0 (stat (stats port) [ "active" ]))
+
 let suites =
   [
     ( "serve.task",
@@ -1430,6 +1486,8 @@ let suites =
           `Quick test_warm_hit_not_committed;
         Alcotest.test_case "a timed-out query is cancelled and frees its slot"
           `Quick test_deadline_cancels_and_frees_the_slot;
+        Alcotest.test_case "one rendering of a query's state" `Quick
+          test_one_status_rendering;
         Alcotest.test_case "a killed worker's query is re-leased" `Quick
           (test_lost_task_is_re_leased (fun w -> Unix.kill w Sys.sigkill));
         Alcotest.test_case "a stray cancel's query is re-leased" `Quick

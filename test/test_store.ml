@@ -226,6 +226,19 @@ let crc32 s =
     s;
   !c lxor 0xFFFFFFFF
 
+(* One frame, [[u32 length][u32 crc32][payload]], forged by hand. *)
+let frame ?(crc = crc32) payload =
+  let b = Buffer.create 64 in
+  let u32 v =
+    for i = 0 to 3 do
+      Buffer.add_char b (Char.chr ((v lsr (8 * i)) land 0xff))
+    done
+  in
+  u32 (String.length payload);
+  u32 (crc payload);
+  Buffer.add_string b payload;
+  Buffer.contents b
+
 let test_engine_mismatch () =
   (* Deciding live leaves at their parents and pumping without replays
      changed the steps a live record stores, checking crash leaves at
@@ -273,18 +286,6 @@ let test_engine_mismatch () =
      the old format version in its header and old-shape counter and
      record lines — is invalidated wholesale too, and the next commit
      overwrites it in the current format. *)
-  let frame payload =
-    let b = Buffer.create 64 in
-    let u32 v =
-      for i = 0 to 3 do
-        Buffer.add_char b (Char.chr ((v lsr (8 * i)) land 0xff))
-      done
-    in
-    u32 (String.length payload);
-    u32 (crc32 payload);
-    Buffer.add_string b payload;
-    Buffer.contents b
-  in
   write_bytes path
     (Bytes.of_string
        ("SLXSTOR1"
@@ -620,6 +621,316 @@ let prop_append_equals_rewrite =
       && Store.counters appended = Store.counters rewritten
       && Store.records appended = Store.records !st
       && Store.counters appended = Store.counters !st)
+
+(* ------------------------------------------------------------------ *)
+(* The reader against its earlier self.                                *)
+
+(* A second reader of the log, written front to back, the oracle of
+   the one-pass [Store.open_]: each record frame drops its slot's
+   earlier record from the live list, and the last counters frame that
+   parses is taken.  Returns the records (oldest first), the counters,
+   the health and, when the handle may append, the size of the full
+   image of what it read. *)
+module Reference = struct
+  exception Malformed
+
+  let magic = "SLXSTOR1"
+  let zero = { Store.c_queries = 0; c_warm_hits = 0; c_colds = 0;
+               c_rejected = 0; c_refused = 0 }
+
+  let tokens line =
+    List.filter (fun s -> s <> "") (String.split_on_char ' ' line)
+
+  let int_tok s =
+    match int_of_string_opt s with Some n -> n | None -> raise Malformed
+
+  let parse_counters payload =
+    match tokens payload with
+    | [ "C"; q; w; c; x; r ] ->
+        { Store.c_queries = int_tok q; c_warm_hits = int_tok w;
+          c_colds = int_tok c; c_rejected = int_tok x; c_refused = int_tok r }
+    | _ -> raise Malformed
+
+  let parse_record payload =
+    match Store.record_of_string payload with
+    | Ok r -> r
+    | Error _ -> raise Malformed
+
+  let counters_payload c =
+    Printf.sprintf "C %d %d %d %d %d" c.Store.c_queries c.Store.c_warm_hits
+      c.Store.c_colds c.Store.c_rejected c.Store.c_refused
+
+  let get_u32 s off =
+    Char.code s.[off]
+    lor (Char.code s.[off + 1] lsl 8)
+    lor (Char.code s.[off + 2] lsl 16)
+    lor (Char.code s.[off + 3] lsl 24)
+
+  let read_frames data =
+    let len = String.length data in
+    let dropped = ref 0 in
+    let rec go off acc =
+      if off = len then List.rev acc
+      else if off + 8 > len then begin
+        incr dropped;
+        List.rev acc
+      end
+      else begin
+        let plen = get_u32 data off in
+        let crc = get_u32 data (off + 4) in
+        if plen < 0 || plen > 1 lsl 26 || off + 8 + plen > len then begin
+          incr dropped;
+          List.rev acc
+        end
+        else begin
+          let payload = String.sub data (off + 8) plen in
+          if crc32 payload <> crc then begin
+            incr dropped;
+            go (off + 8 + plen) acc
+          end
+          else go (off + 8 + plen) (payload :: acc)
+        end
+      end
+    in
+    let payloads = go 0 [] in
+    (payloads, !dropped)
+
+  let frame_size payload = 8 + String.length payload
+
+  let same_slot a b =
+    a.Store.r_qid = b.Store.r_qid && a.Store.r_depth = b.Store.r_depth
+
+  let read ~ev data =
+    let fresh reason =
+      ( [],
+        zero,
+        {
+          Store.h_created = data = "";
+          h_invalidated = (if data = "" then None else Some reason);
+          h_records_dropped = 0;
+        },
+        None )
+    in
+    if String.length data < String.length magic then fresh "bad magic"
+    else if String.sub data 0 (String.length magic) <> magic then
+      fresh "bad magic"
+    else begin
+      let body =
+        String.sub data (String.length magic)
+          (String.length data - String.length magic)
+      in
+      let payloads, dropped = read_frames body in
+      match payloads with
+      | [] -> fresh "missing header"
+      | header :: rest -> (
+          match tokens header with
+          | [ "H"; fv; hev ] when int_of_string_opt fv <> None ->
+              if int_of_string fv <> Store.format_version then
+                fresh
+                  (Printf.sprintf "format version mismatch (%s, want %d)" fv
+                     Store.format_version)
+              else if hev <> ev then
+                fresh
+                  (Printf.sprintf "engine version mismatch (%s, want %s)" hev
+                     ev)
+              else begin
+                let dropped = ref dropped in
+                let records = ref [] and counters = ref zero in
+                List.iter
+                  (fun payload ->
+                    match
+                      if String.length payload = 0 then raise Malformed
+                      else payload.[0]
+                    with
+                    | 'Q' -> (
+                        match parse_record payload with
+                        | r ->
+                            records :=
+                              (r, frame_size payload)
+                              :: List.filter
+                                   (fun (o, _) -> not (same_slot o r))
+                                   !records
+                        | exception Malformed -> incr dropped)
+                    | 'C' -> (
+                        match parse_counters payload with
+                        | c -> counters := c
+                        | exception Malformed -> incr dropped)
+                    | _ | (exception Malformed) -> incr dropped)
+                  rest;
+                let full =
+                  String.length magic + frame_size header
+                  + frame_size (counters_payload !counters)
+                  + List.fold_left (fun n (_, k) -> n + k) 0 !records
+                in
+                ( List.rev_map fst !records,
+                  !counters,
+                  {
+                    Store.h_created = false;
+                    h_invalidated = None;
+                    h_records_dropped = !dropped;
+                  },
+                  if !dropped > 0 then None else Some full )
+              end
+          | _ -> fresh "bad header")
+    end
+end
+
+type log_op =
+  | Log of op  (** Through a handle; [Reopen] drops what is uncommitted. *)
+  | Forge of string  (** Raw bytes appended behind the handle's back. *)
+
+(* Frames a writer never writes: payloads that are CRC-valid but
+   malformed or of an unknown tag, a CRC mismatch, and well-formed
+   records and counters that supersede. *)
+let gen_forged =
+  QCheck2.Gen.(
+    let* qid = int_range 0 6 and* depth = int_range 1 3
+    and* n = int_range 0 9 in
+    let q = Printf.sprintf "Q %d %d 0 0 1 %d" qid depth n in
+    oneofl
+      [
+        frame (q ^ "\nok x");
+        frame (q ^ "\nok 1\nok 1");
+        frame "Q 1 2 3";
+        frame "C 1 2 3";
+        frame "C a 0 0 0 0";
+        frame "";
+        frame "Z 1";
+        frame (Printf.sprintf "H %d %s" Store.format_version Store.engine_version);
+        frame ~crc:(fun p -> crc32 p lxor 1) (q ^ "\nok 1");
+        frame (q ^ Printf.sprintf "\nok %d" n);
+        frame (q ^ "\ncex 2 4 5");
+        frame (Printf.sprintf "C %d 1 2 3 0" n);
+      ])
+
+(* What is done to the log last: nothing, a cut at any byte, a new
+   header frame in place of the first, or a forged frame before it. *)
+type damage = Intact | Cut of float | Header of string | Front of string
+
+let gen_damage =
+  QCheck2.Gen.(
+    frequency
+      [
+        (2, return Intact);
+        (3, map (fun f -> Cut f) (float_bound_inclusive 1.));
+        ( 1,
+          map
+            (fun h -> Header h)
+            (oneofl
+               [
+                 Printf.sprintf "H %d %s" (Store.format_version - 1)
+                   Store.engine_version;
+                 Printf.sprintf "H %d slx-engine-bogus" Store.format_version;
+                 "H x " ^ Store.engine_version;
+                 Printf.sprintf "H %d" Store.format_version;
+                 "C 0 0 0 0 0";
+               ]) );
+        (1, map (fun f -> Front f) gen_forged);
+      ])
+
+let show_log_op = function
+  | Log op -> show_op op
+  | Forge f -> "forge " ^ String.escaped f
+
+let show_damage = function
+  | Intact -> "intact"
+  | Cut f -> Printf.sprintf "cut at %.3f" f
+  | Header h -> "header " ^ h
+  | Front f -> "front " ^ String.escaped f
+
+let magic_len = String.length Reference.magic
+
+let damaged data = function
+  | Intact -> data
+  | Cut f ->
+      String.sub data 0 (int_of_float (f *. float_of_int (String.length data)))
+  | Header h when String.length data >= magic_len + 8 ->
+      let first = magic_len + 8 + Reference.get_u32 data magic_len in
+      if first > String.length data then data
+      else
+        Reference.magic ^ frame h
+        ^ String.sub data first (String.length data - first)
+  | Front f when String.length data >= magic_len ->
+      Reference.magic ^ f
+      ^ String.sub data magic_len (String.length data - magic_len)
+  | Header _ | Front _ -> data
+
+(* How many commits in a row, the first right after the open and each
+   later one after a [`Query] bump, append before one rewrites, as the
+   reference's image predicts: an image is kept while the file plus a
+   counters frame stays within twice its full size. *)
+let predicted_appends ~size ~full counters =
+  match full with
+  | None -> 0
+  | Some full ->
+      let rec go n size =
+        let c = { counters with Store.c_queries = counters.Store.c_queries + n } in
+        let tail = String.length (frame (Reference.counters_payload c)) in
+        if size + tail <= 2 * full then go (n + 1) (size + tail) else n
+      in
+      go 0 size
+
+(* Logs built by a writer, with forged frames behind its back and a
+   last cut, header swap or forged first frame, read alike by the
+   one-pass reader and the reference; the commits after the open
+   append exactly as long as the reference's image allows (none when
+   it dropped a frame or invalidated the file). *)
+let prop_reader_matches_reference =
+  let path = temp_store () in
+  QCheck2.Test.make ~name:"the one-pass reader reads as the reference"
+    ~count:400
+    ~print:(fun (ops, d) ->
+      String.concat "; " (List.map show_log_op ops) ^ " / " ^ show_damage d)
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 0 50)
+           (frequency
+              [ (4, map (fun op -> Log op) gen_op);
+                (1, map (fun f -> Forge f) gen_forged) ]))
+        gen_damage)
+    (fun (ops, damage) ->
+      write_bytes path Bytes.empty;
+      let st = ref (Store.open_ path) in
+      List.iter
+        (function
+          | Log (Add r) -> Store.add !st r
+          | Log (Bump e) -> Store.bump !st e
+          | Log Commit -> Store.commit !st
+          | Log Reopen -> st := Store.open_ path
+          | Forge f ->
+              Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644
+                path (fun oc -> output_string oc f))
+        ops;
+      let data = damaged (file_string path) damage in
+      write_bytes path (Bytes.of_string data);
+      let records, counters, health, full =
+        Reference.read ~ev:Store.engine_version data
+      in
+      let st = Store.open_ path in
+      let read = (Store.records st, Store.counters st, Store.health st) in
+      (* Commit until a commit rewrites: an append keeps the inode and
+         what was there before. *)
+      let rec appends n =
+        let before = file_string path and ino = (Unix.stat path).Unix.st_ino in
+        if n > 0 then Store.bump st `Query;
+        Store.commit st;
+        if
+          (Unix.stat path).Unix.st_ino = ino
+          && String.starts_with ~prefix:before (file_string path)
+        then appends (n + 1)
+        else n
+      in
+      let expected =
+        predicted_appends ~size:(String.length data) ~full counters
+      in
+      if read <> (records, counters, health) then
+        QCheck2.Test.fail_report "the reader and the reference differ"
+      else
+        let got = appends 0 in
+        if got <> expected then
+          QCheck2.Test.fail_reportf "%d appends, the reference predicts %d" got
+            expected
+        else true)
 
 (* ------------------------------------------------------------------ *)
 (* Persist policy on the consensus engines.                            *)
@@ -1073,7 +1384,8 @@ let suites =
         Alcotest.test_case "torn append" `Quick test_torn_append;
         Alcotest.test_case "foreign writer" `Quick test_foreign_writer;
       ]
-      @ qcheck [ prop_append_equals_rewrite ] );
+      @ qcheck [ prop_append_equals_rewrite; prop_reader_matches_reference ]
+    );
     ( "store.persist",
       [
         Alcotest.test_case "cold, warm, deeper cold" `Quick
