@@ -32,22 +32,29 @@ let connect ?(host = "127.0.0.1") ~port () =
 
 (* Responses are [Connection: close]: stream everything after the
    header block straight to [out] until EOF.  That one loop serves
-   both fixed-length JSON bodies and ndjson heartbeat streams. *)
+   both fixed-length JSON bodies and ndjson heartbeat streams.  The
+   status line's code and reason are returned, [None] when no header
+   block came. *)
 let relay_body fd ~out =
   let buf = Bytes.create 65536 in
   let head = Buffer.create 256 in
-  let in_body = ref false in
+  let status = ref None in
   let rec loop () =
     match Unix.read fd buf 0 (Bytes.length buf) with
     | 0 -> ()
     | n ->
-        if !in_body then output out buf 0 n
+        if Option.is_some !status then output out buf 0 n
         else begin
           Buffer.add_subbytes head buf 0 n;
           let s = Buffer.contents head in
           Option.iter
             (fun off ->
-              in_body := true;
+              (* What follows "HTTP/1.1 " on the status line. *)
+              let line = List.hd (String.split_on_char '\r' s) in
+              let i =
+                Option.fold ~none:0 ~some:succ (String.index_opt line ' ')
+              in
+              status := Some (String.sub line i (String.length line - i));
               output_substring out s off (String.length s - off))
             (body_start s)
         end;
@@ -55,7 +62,8 @@ let relay_body fd ~out =
         loop ()
   in
   (try loop () with Unix.Unix_error _ -> ());
-  close_quiet fd
+  close_quiet fd;
+  !status
 
 let request ?host ~port ~meth ~path ?(body = "") ~out () =
   match connect ?host ~port () with
@@ -68,9 +76,11 @@ let request ?host ~port ~meth ~path ?(body = "") ~out () =
           meth path (String.length body) body
       in
       match write_all fd req with
-      | () ->
-          relay_body fd ~out;
-          Ok ()
+      | () -> (
+          match relay_body fd ~out with
+          | Some status when String.starts_with ~prefix:"2" status -> Ok ()
+          | Some status -> Error ("server answered " ^ status)
+          | None -> Error "no response from the server")
       | exception Unix.Unix_error (e, _, _) ->
           close_quiet fd;
           Error (Unix.error_message e))

@@ -6,7 +6,9 @@
     there is no connection state to manage.  Streaming responses
     ([POST /query] with [wait]) are relayed line-by-line to [out] as
     they arrive — heartbeats and the final result object — which is
-    exactly what a terminal or a pipe into [jq] wants.
+    exactly what a terminal or a pipe into [jq] wants.  A response
+    whose status is not [2xx] is relayed too, and the call returns
+    [Error].
 
     The socket helpers both ends share ({!write_all}, {!close_quiet},
     {!body_start}) live here, and {!Serve} calls them. *)

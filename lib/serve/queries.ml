@@ -336,15 +336,11 @@ let computed_json answer =
 let error_result msg =
   Printf.sprintf "{\"outcome\": \"error\", \"message\": %s}" (Json.quote msg)
 
-let work ?cancel ?(progress = Progress.off) sp =
-  match run ~obs:(Obs.create ~tracing:false ~progress ()) ?cancel sp with
-  | answer, _ -> (computed_json answer, Some (record sp answer))
-  | exception Explore.Interrupted stats ->
-      ( Printf.sprintf "{\"outcome\": \"cancelled\", \"steps\": %d}"
-          stats.Explore_stats.steps_executed,
-        None )
+let work ?(progress = Progress.off) sp =
+  let answer, _ = run ~obs:(Obs.create ~tracing:false ~progress ()) sp in
+  (computed_json answer, record sp answer)
 
-let run_task ?cancel ?progress sp Full = fst (work ?cancel ?progress sp)
+let run_task ?progress sp Full = fst (work ?progress sp)
 
 (* ------------------------------------------------------------------ *)
 (* Warm service.                                                       *)

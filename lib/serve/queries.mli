@@ -191,16 +191,14 @@ val record : spec -> answer -> Slx_store.Store.record
 type mode = Full  (** The whole depth-[sp_depth] tree. *)
 
 val work :
-  ?cancel:(unit -> bool) ->
   ?progress:Progress.t ->
   spec ->
-  string * Slx_store.Store.record option
+  string * Slx_store.Store.record
 (** A worker's whole function: execute one task in-process ({!run}
     without a store) and return its result line ({!run_task}) and the
-    computed answer's {!record} — [None] when [cancel] fired. *)
+    computed answer's {!record}. *)
 
 val run_task :
-  ?cancel:(unit -> bool) ->
   ?progress:Progress.t ->
   spec ->
   mode ->
@@ -212,7 +210,6 @@ val run_task :
       "steps", "steps_replayed", "witness": [codes]}]
     - liveness: [{"outcome": "no_fair_cycle" | "lasso", "stem",
       "cycle", "period", "runs", "steps", "steps_replayed"}]
-    - [{"outcome": "cancelled", "steps"}] when [cancel] fired.
 
     [steps] is the engine's [steps_executed]; [steps_replayed] is the
     part of it spent replaying decision prefixes to re-establish

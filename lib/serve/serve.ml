@@ -21,8 +21,10 @@ type query = {
 }
 
 (* A worker runs one query at a time, [w_query]; its task line's
-   ["lease"] member is the query's id.  A dead worker's slot gets a
-   fresh record. *)
+   ["lease"] member is the query's id.  A worker whose [w_query] has
+   settled was killed at its query's deadline and is dead to the
+   coordinator until its EOF.  A dead worker's slot gets a fresh
+   record. *)
 type worker = {
   w_idx : int;
   w_pid : int;
@@ -39,7 +41,8 @@ type t = {
   store : Store.t;
   listen_fd : Unix.file_descr;
   workers : worker array;
-  queries : (int, query) Hashtbl.t;
+  queries : (int, query) Hashtbl.t;  (* running, and the latest settled *)
+  settled : int Queue.t;  (* the settled ones' ids, oldest first *)
   inflight : (int * int * int * int, query) Hashtbl.t;  (* by slot *)
   mutable pending : query list;  (* FIFO; re-leases go to the front *)
   mutable clients : client list;
@@ -101,11 +104,19 @@ let spawn_worker idx =
     w_query = None;
   }
 
+let rec reap pid =
+  try ignore (Unix.waitpid [] pid) with
+  | Unix.Unix_error (Unix.EINTR, _, _) -> reap pid
+  | Unix.Unix_error _ -> ()
+
+(* A worker's EOF can come before its process is reapable: kill it, so
+   that the blocking reap returns at once and leaves no zombie. *)
 let respawn_worker t w =
   close_quiet w.w_in;
   close_quiet w.w_out;
-  (try ignore (Unix.waitpid [ Unix.WNOHANG ] w.w_pid)
-   with Unix.Unix_error _ -> ());
+  (try Unix.kill w.w_pid Sys.sigkill
+   with Unix.Unix_error (Unix.ESRCH, _, _) -> ());
+  reap w.w_pid;
   t.workers.(w.w_idx) <- spawn_worker w.w_idx
 
 (* Hand pending queries to idle workers.  A failed write (a dead pipe)
@@ -126,8 +137,8 @@ let dispatch t =
       | _ -> ())
     t.workers
 
-(* A running query lost its task (its worker died, or a signal the
-   coordinator never sent cancelled it): queue it again, first. *)
+(* A running query lost its task (its worker died): queue it again,
+   first. *)
 let re_lease t q =
   t.re_leases <- t.re_leases + 1;
   t.pending <- q :: t.pending
@@ -162,13 +173,18 @@ let status_json q =
     (Option.value ~default:(now ()) q.q_settled -. q.q_created)
     extra hb
 
+let max_settled = 1024
+
 (* End a query: its final state and settle time, its slot free for a
-   new query, and its status, its last line, to each streamed
-   waiter. *)
+   new query, the oldest settled query forgotten past [max_settled],
+   and its status, its last line, to each streamed waiter. *)
 let settle t q state =
   q.q_state <- state;
   q.q_settled <- Some (now ());
   Hashtbl.remove t.inflight q.q_slot;
+  Queue.push q.q_id t.settled;
+  if Queue.length t.settled > max_settled then
+    Hashtbl.remove t.queries (Queue.pop t.settled);
   match q.q_waiters with
   | [] -> ()
   | waiters ->
@@ -220,33 +236,33 @@ let handle_result t q result_j ~record =
   | Some "error" ->
       let msg = Option.value ~default:"worker error" (member "message") in
       settle t q (Failed msg)
-  | Some "cancelled" -> re_lease t q
   | _ ->
       save_record t q record;
       settle t q (Done (Json.to_string result_j))
 
 (* A line from a busy worker: its task's result line (it has a
-   ["lease"] member), which frees the worker, or a heartbeat. *)
+   ["lease"] member), which frees the worker, or a heartbeat.  A
+   killed worker's last lines are dropped. *)
 let handle_worker_line t w line =
   match (Json.parse line, w.w_query) with
-  | Error _, _ | _, None -> ()
-  | Ok j, Some q -> (
+  | Ok j, Some q when q.q_state = Running -> (
       match Json.member "lease" j with
       | Some _ ->
           w.w_query <- None;
-          (match Json.member "result" j with
-          | Some r when q.q_state = Running ->
+          Option.iter
+            (fun r ->
               handle_result t q r
-                ~record:(Option.bind (Json.member "record" j) Json.str)
-          | _ -> ());
+                ~record:(Option.bind (Json.member "record" j) Json.str))
+            (Json.member "result" j);
           dispatch t
       | None ->
           q.q_last_hb <- Some line;
           let fwd = status_json q ^ "\n" in
           q.q_waiters <- List.filter (fun fd -> try_write fd fwd) q.q_waiters)
+  | _ -> ()
 
-(* The worker died (crash or kill): re-lease its query and put a fresh
-   process in its slot. *)
+(* The worker died (crash or kill): re-lease its query, unless it
+   timed out, and put a fresh process in its slot. *)
 let handle_worker_eof t w =
   (match w.w_query with
   | Some q when q.q_state = Running -> re_lease t q
@@ -258,9 +274,9 @@ let handle_worker_eof t w =
 (* Timeouts.                                                           *)
 
 (* A query past its deadline is taken off the queue, its worker (if
-   it has one) cancelled with SIGUSR1, and its waiters told.  Only a
-   running query can expire, and the running ones are [inflight]'s;
-   the expired are collected first because [settle] removes from it. *)
+   it has one) killed, and its waiters told.  Only a running query can
+   expire, and the running ones are [inflight]'s; the expired are
+   collected first because [settle] removes from it. *)
 let check_deadlines t =
   let now = now () in
   let expired =
@@ -278,7 +294,7 @@ let check_deadlines t =
         (fun w ->
           match w.w_query with
           | Some wq when wq == q -> (
-              try Unix.kill w.w_pid Sys.sigusr1 with Unix.Unix_error _ -> ())
+              try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ())
           | _ -> ())
         t.workers;
       t.pending <- List.filter (fun p -> p != q) t.pending;
@@ -559,6 +575,7 @@ let main ?(host = "127.0.0.1") ~port ~workers ~store () =
       listen_fd;
       workers = Array.init workers spawn_worker;
       queries = Hashtbl.create 32;
+      settled = Queue.create ();
       inflight = Hashtbl.create 32;
       pending = [];
       clients = [];
@@ -601,10 +618,7 @@ let main ?(host = "127.0.0.1") ~port ~workers ~store () =
   done;
   (* Drain: EOF every worker's stdin, reap, flush the store. *)
   Array.iter (fun w -> close_quiet w.w_in) t.workers;
-  Array.iter
-    (fun w ->
-      try ignore (Unix.waitpid [] w.w_pid) with Unix.Unix_error _ -> ())
-    t.workers;
+  Array.iter (fun w -> reap w.w_pid) t.workers;
   Store.commit t.store;
   close_quiet t.listen_fd;
   0

@@ -19,7 +19,9 @@
       ([running]/[done]/[failed]/[timeout]), [source], [spec] and
       [elapsed_s] (fixed once the query has ended), plus the latest
       [heartbeat] while running, the [result] when done or the
-      [error] when failed.
+      [error] when failed.  The coordinator keeps every running query
+      and the latest {!max_settled} ended ones; an older id answers
+      [404].
     - [GET /stats] — service counters (dedup hits, re-leases,
       timeouts, worker states), each worker's peak resident set
       ([worker_hwm_kb], read from [/proc/<pid>/status] when asked;
@@ -40,11 +42,12 @@
     its ["outcome"] (and an error's ["message"]).  [--workers]
     therefore parallelises across queries, not within one.  Served
     sources are [warm] and [full].  Identical in-flight queries dedupe
-    onto one computation.  A query whose worker dies mid-task, or whose
-    task a signal the coordinator never sent cancels, goes back to the
-    front of the queue ([re_leases] in [/stats]), and a dead worker's
-    process is respawned; a query past its timeout has its worker
-    cancelled ([SIGUSR1]) and reports [timeout].
+    onto one computation.  A task ends early one way: its worker dies.
+    A query whose worker dies mid-task goes back to the front of the
+    queue ([re_leases] in [/stats]); a query past its timeout reports
+    [timeout] and has its worker killed, a stopped or hung one
+    included.  Either way the dead worker is reaped and a fresh
+    process takes its slot.
 
     {b Input bounds.}  A request longer than {!max_request} bytes, or
     one whose header block has not ended by then, answers [400] and
@@ -58,6 +61,10 @@
 val max_request : int
 (** The longest request, header block and body, a client may send:
     64 KiB, against a spec body under 1 KB. *)
+
+val max_settled : int
+(** How many ended queries [/status] still answers: 1024, the oldest
+    forgotten first.  Running queries are always kept. *)
 
 val main :
   ?host:string ->

@@ -12,12 +12,12 @@
       ({!Queries.work}): the client-visible result, and the answer's
       store record in the store's own codec
       ({!Slx_store.Store.record_to_string}) as a JSON string.  A
-      cancelled or failed task has no ["record"].
+      failed task has no ["record"].
 
     Workers never open the store — the result line carries the
-    record back, so the coordinator stays the store's only writer.  [SIGUSR1] requests graceful cancellation: the engines
-    poll a flag per node and the task answers
-    [{"outcome": "cancelled"}].  EOF on stdin is shutdown. *)
+    record back, so the coordinator stays the store's only writer.  A
+    task is never interrupted: the coordinator kills a worker whose
+    query timed out.  EOF on stdin is shutdown. *)
 
 val main : unit -> int
 (** Run the task loop until stdin closes.  Exit code 0. *)

@@ -22,9 +22,12 @@
      record is computed in full, outside text (a store path, an
      implementation name) comes back as valid JSON, one query
      sequence leaves the same store counters and records as the CLI's
-     [--store] path, a query past its deadline is cancelled on its
-     worker and frees its slot, and a query whose worker is killed or
-     cancelled by a stray signal is re-leased and answered in full. *)
+     [--store] path, a query past its deadline has its worker killed,
+     a stopped one included, and frees its slot and the service, a
+     query whose worker is killed is re-leased and answered in full,
+     dead workers leave no zombie, the coordinator forgets the oldest
+     ended queries past {!Slx_serve.Serve.max_settled}, and
+     [slx query] exits 1 when the server refuses. *)
 
 open Support
 open Slx_core
@@ -218,21 +221,6 @@ let test_full_task_live_clean () =
 
 (* A result line is the answer and its work counters: no member beyond
    the documented ones (in particular no frontier to resume from). *)
-(* A worker's cancel reaches the engine: a task whose [cancel] is
-   already set answers "cancelled", for either explorer. *)
-let test_cancelled_task () =
-  List.iter
-    (fun fields ->
-      check_outcome fields "cancelled"
-        (parse_result
-           (Queries.run_task ~cancel:(fun () -> true) (spec_of fields)
-              Queries.Full)))
-    [
-      "{\"impl\": \"register\", \"depth\": 10, \"crashes\": 1}";
-      "{\"kind\": \"live\", \"impl\": \"register\", \"property\": \"1,2\", \
-       \"depth\": 8}";
-    ]
-
 let test_result_members () =
   List.iter
     (fun (fields, expected) ->
@@ -264,9 +252,8 @@ let test_result_members () =
 
 (* A computed task's result and the record the worker sends with it. *)
 let worked sp =
-  match Queries.work sp with
-  | task, Some r -> (parse_result task, r)
-  | task, None -> Alcotest.failf "no record for %s" task
+  let task, r = Queries.work sp in
+  (parse_result task, r)
 
 let warm_queries =
   [
@@ -638,8 +625,9 @@ let free_port () =
       | Unix.ADDR_INET (_, port) -> port
       | _ -> Alcotest.fail "no port")
 
-(* Send raw bytes, read until the server closes: the whole response. *)
-let exchange port raw =
+(* Send raw bytes, read until the server closes: the whole response,
+   which must be complete [within] seconds after the request. *)
+let exchange ?(within = 30.) port raw =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
@@ -651,10 +639,13 @@ let exchange port raw =
           send (off + Unix.write fd b off (Bytes.length b - off))
       in
       send 0;
+      let deadline = Unix.gettimeofday () +. within in
       let buf = Buffer.create 1024 and chunk = Bytes.create 4096 in
       let rec recv () =
-        match Unix.select [ fd ] [] [] 30. with
-        | [], _, _ -> Alcotest.fail "no response within 30 s"
+        match
+          Unix.select [ fd ] [] [] (max 0. (deadline -. Unix.gettimeofday ()))
+        with
+        | [], _, _ -> Alcotest.failf "no response within %g s" within
         | _ -> (
             match Unix.read fd chunk 0 (Bytes.length chunk) with
             | 0 -> Buffer.contents buf
@@ -937,25 +928,37 @@ let slow_fields =
   {|"kind": "live", "impl": "cas", "property": "obstruction", "n": 3, |}
   ^ {|"depth": 11, "crashes": 1, "max_period": 4, "pump": 40|}
 
-(* The pid of coordinator [pid]'s one child, its worker, where /proc
-   can tell. *)
-let worker_of pid =
-  let children = Printf.sprintf "/proc/%d/task/%d/children" pid pid in
-  if Sys.file_exists children then
-    Some (String.trim (In_channel.with_open_bin children In_channel.input_all))
+(* The pids of process [pid]'s children, where /proc can tell. *)
+let children pid =
+  let file = Printf.sprintf "/proc/%d/task/%d/children" pid pid in
+  if Sys.file_exists file then
+    Some
+      (In_channel.with_open_bin file In_channel.input_all
+      |> String.split_on_char ' '
+      |> List.filter_map int_of_string_opt)
   else None
+
+(* The pid of coordinator [pid]'s one child, its worker; the test is
+   skipped where /proc cannot tell. *)
+let worker_of pid =
+  match children pid with
+  | Some [ w ] -> w
+  | Some ws -> Alcotest.failf "%d children, not one worker" (List.length ws)
+  | None ->
+      print_endline "skipped: no children list in /proc";
+      Alcotest.skip ()
 
 (* The deadline path.  A [timeout] that is not a positive number is
    refused before a query exists.  A query past its deadline reads
-   [timeout] in /status and counts in /stats; its worker is cancelled
-   (SIGUSR1) and its slot released, so the same query submitted again
-   is a new query, which the same worker process computes.  The
-   timeout, a microsecond, expires before the coordinator's loop
-   iteration that admitted the query ends, where deadlines are
-   checked; the query (CI's slow live query) computes for tens of
-   milliseconds.  A served safety query runs first, so the worker has
-   installed its SIGUSR1 handler before the cancel is sent. *)
-let test_deadline_cancels_and_frees_the_slot () =
+   [timeout] in /status and counts in /stats; its worker is killed and
+   its slot released, so the same query submitted again is a new
+   query, which a fresh worker process computes, with nothing
+   re-leased.  The timeout, a microsecond, expires before the
+   coordinator's loop iteration that admitted the query ends, where
+   deadlines are checked; the query (CI's slow live query) computes
+   for tens of milliseconds.  A served safety query runs first, so the
+   worker's pid is known before the kill. *)
+let test_deadline_kills_and_frees_the_slot () =
   let slow =
     "--kind live --impl cas --property obstruction --procs 3 --depth 11 \
      --crashes 1 --max-period 4 --pump 40"
@@ -1024,17 +1027,16 @@ let test_deadline_cancels_and_frees_the_slot () =
         "the resubmission is done" (Some "done") s;
       check_outcome "the resubmission" "no_fair_cycle"
         (Option.get (Json.member "result" j));
-      Alcotest.(check (option string))
-        "the same worker process computed it" before (worker_of pid))
+      check_bool "a fresh worker process computed it" true
+        (worker_of pid <> before);
+      check_int "nothing was re-leased" 0 (stat (stats port) [ "re_leases" ]))
 
 (* A worker lost mid-query.  The coordinator's one worker, up since a
-   served safety query (so its SIGUSR1 handler is installed), is
-   stopped before CI's slow live query is submitted, so the query is
-   still its task when [disturb] acts on it: a SIGKILL, or a SIGUSR1
-   the coordinator never sent, which the task answers "cancelled".
-   Either way the coordinator puts the query back once, and the
-   answer is the store-less task's, computed in full. *)
-let test_lost_task_is_re_leased disturb () =
+   served safety query, is stopped before CI's slow live query is
+   submitted, so the query is still its task when it is killed.  The
+   coordinator puts the query back once, and the answer is the
+   store-less task's, computed in full. *)
+let test_killed_worker_is_re_leased () =
   let expected =
     Queries.run_task (spec_of ("{" ^ slow_fields ^ "}")) Queries.Full
     |> parse_result |> Json.to_string
@@ -1042,11 +1044,7 @@ let test_lost_task_is_re_leased disturb () =
   with_server_pid ~store:(temp_store ()) (fun pid port ->
       let src, _ = query port {|"impl": "cas", "depth": 4|} in
       check_bool "the worker is up" true (src = Some "full");
-      let worker =
-        match Option.bind (worker_of pid) int_of_string_opt with
-        | Some w -> w
-        | None -> Alcotest.fail "no worker pid in /proc"
-      in
+      let worker = worker_of pid in
       Unix.kill worker Sys.sigstop;
       let id =
         Fun.protect
@@ -1057,7 +1055,7 @@ let test_lost_task_is_re_leased disturb () =
               exchange port
                 (request ~meth:"POST" ~path:"/query" ("{" ^ slow_fields ^ "}"))
             in
-            disturb worker;
+            Unix.kill worker Sys.sigkill;
             int_field (last_json ticket) "id")
       in
       let status () =
@@ -1083,6 +1081,156 @@ let test_lost_task_is_re_leased disturb () =
         (Json.to_string (Option.get (Json.member "result" j)));
       check_int "/stats counts one re-lease" 1
         (stat (stats port) [ "re_leases" ]))
+
+(* A hung worker.  The coordinator's one worker is stopped (SIGSTOP)
+   after a warm-up query, so CI's slow live query can only time out.
+   The kill at its deadline frees the service: a cold query submitted
+   next answers [done] within 10 s, on a fresh worker, with nothing
+   re-leased and no worker busy. *)
+let test_stopped_worker_timeout_frees_the_service () =
+  let state j = Option.bind (Json.member "state" j) Json.str in
+  with_server_pid ~store:(temp_store ()) (fun pid port ->
+      let src, _ = query port {|"impl": "cas", "depth": 4|} in
+      check_bool "the worker is up" true (src = Some "full");
+      let worker = worker_of pid in
+      Unix.kill worker Sys.sigstop;
+      Fun.protect
+        ~finally:(fun () ->
+          try Unix.kill worker Sys.sigcont with Unix.Unix_error _ -> ())
+        (fun () ->
+          let timed_out =
+            exchange port
+              (request ~meth:"POST" ~path:"/query"
+                 ("{" ^ slow_fields ^ {|, "timeout": 0.3, "wait": true}|}))
+          in
+          Alcotest.(check (option string))
+            "the slow query timed out" (Some "timeout")
+            (state (last_json timed_out));
+          let cold =
+            exchange ~within:10. port
+              (request ~meth:"POST" ~path:"/query"
+                 {|{"impl": "cas", "depth": 6, "wait": true}|})
+          in
+          Alcotest.(check (option string))
+            "the next cold query is done" (Some "done")
+            (state (last_json cold));
+          check_bool "a fresh worker computed it" true (worker_of pid <> worker);
+          let st = stats port in
+          check_int "nothing was re-leased" 0 (stat st [ "re_leases" ]);
+          check_int "no worker is busy" 0 (stat st [ "workers_busy" ]);
+          check_int "no query is active" 0 (stat st [ "active" ])))
+
+(* Dead workers are reaped: after four SIGKILLs of the worker and one
+   kill at a deadline, no child of the coordinator is a zombie.  A
+   query that a fresh worker answers follows each kill, so the
+   coordinator has read the dead worker's EOF before the check. *)
+let test_dead_workers_are_reaped () =
+  (* A process's state is the field after its command name, which is
+     in parentheses and may hold spaces. *)
+  let proc_state pid =
+    let stat =
+      In_channel.with_open_bin (Printf.sprintf "/proc/%d/stat" pid)
+        In_channel.input_all
+    in
+    stat.[String.rindex stat ')' + 2]
+  in
+  with_server_pid ~store:(temp_store ()) (fun pid port ->
+      let computed depth =
+        let src, _ =
+          query port (Printf.sprintf {|"impl": "cas", "depth": %d|} depth)
+        in
+        check_bool (Printf.sprintf "depth %d computed" depth) true
+          (src = Some "full")
+      in
+      computed 4;
+      for depth = 5 to 8 do
+        Unix.kill (worker_of pid) Sys.sigkill;
+        computed depth
+      done;
+      let timed_out =
+        last_json
+          (exchange port
+             (request ~meth:"POST" ~path:"/query"
+                ("{" ^ slow_fields ^ {|, "timeout": 1e-6, "wait": true}|})))
+      in
+      Alcotest.(check (option string))
+        "the slow query timed out" (Some "timeout")
+        (Option.bind (Json.member "state" timed_out) Json.str);
+      computed 9;
+      match children pid with
+      | None -> print_endline "skipped: no children list in /proc"
+      | Some cs ->
+          check_int "one child" 1 (List.length cs);
+          check_bool "no child is a zombie" false
+            (List.exists (fun c -> proc_state c = 'Z') cs))
+
+(* The coordinator keeps every running query and the latest
+   [max_settled] ended ones.  One computed answer and then
+   [max_settled + 1] warm ones: the first warm id answers the 404 of
+   an unknown id, the next, the oldest kept, and the last read [done],
+   and /stats still counts every query. *)
+let test_settled_queries_are_bounded () =
+  let limit = Slx_serve.Serve.max_settled in
+  let fields = {|"impl": "cas", "depth": 4|} in
+  with_server ~store:(temp_store ()) (fun port ->
+      let src, _ = query port fields in
+      check_bool "computed" true (src = Some "full");
+      let submit () =
+        int_field
+          (last_json
+             (exchange port
+                (request ~meth:"POST" ~path:"/query" ("{" ^ fields ^ "}"))))
+          "id"
+      in
+      let first = submit () in
+      for _ = 1 to limit - 1 do
+        ignore (submit ())
+      done;
+      let last = submit () in
+      let status id =
+        exchange port
+          (request ~meth:"GET" ~path:(Printf.sprintf "/status/%d" id) "")
+      in
+      let forgotten = status first in
+      Alcotest.(check string)
+        "the first warm id is forgotten" "HTTP/1.1 404 Not Found"
+        (status_line forgotten);
+      Alcotest.(check (option string))
+        "its 404" (Some (Printf.sprintf "no query %d" first))
+        (Option.bind (Json.member "error" (last_json forgotten)) Json.str);
+      List.iter
+        (fun (name, id) ->
+          Alcotest.(check (option string))
+            name (Some "done")
+            (Option.bind (Json.member "state" (last_json (status id)))
+               Json.str))
+        [
+          ("the oldest kept reads done", first + 1);
+          ("the last reads done", last);
+        ];
+      check_int "/stats counts every query" (limit + 2)
+        (stat (stats port) [ "queries" ]))
+
+(* [slx query] relays a refusal's body and exits 1: a query the
+   decoder refuses (400) and the status of an id that never was
+   (404). *)
+let test_cli_query_refused_exits_1 () =
+  with_server ~store:(temp_store ()) (fun port ->
+      List.iter
+        (fun (args, member, expected) ->
+          let rc, j =
+            cli_last_json
+              (Printf.sprintf "query --port %d %s 2>/dev/null" port args)
+          in
+          check_int ("slx query " ^ args ^ ": exit code") 1 rc;
+          Alcotest.(check (option string))
+            ("slx query " ^ args ^ ": body") (Some expected)
+            (Option.bind (Json.member member j) Json.str))
+        [
+          ("--kind live --impl bogus", "message",
+           "unknown implementation \"bogus\"");
+          ("--status 999", "error", "no query 999");
+        ])
 
 let cli_json args =
   let rc, j = cli_last_json (args ^ " --json") in
@@ -1429,8 +1577,6 @@ let suites =
           test_full_task_lasso;
         Alcotest.test_case "clean live cas" `Quick test_full_task_live_clean;
         Alcotest.test_case "result members" `Quick test_result_members;
-        Alcotest.test_case "a cancelled task answers cancelled" `Quick
-          test_cancelled_task;
       ] );
     ( "serve.spec",
       [
@@ -1484,13 +1630,19 @@ let suites =
           test_cli_and_serve_agree;
         Alcotest.test_case "a served warm hit is committed by the next save"
           `Quick test_warm_hit_not_committed;
-        Alcotest.test_case "a timed-out query is cancelled and frees its slot"
-          `Quick test_deadline_cancels_and_frees_the_slot;
+        Alcotest.test_case "a timed-out query's worker is killed and frees its slot"
+          `Quick test_deadline_kills_and_frees_the_slot;
         Alcotest.test_case "one rendering of a query's state" `Quick
           test_one_status_rendering;
         Alcotest.test_case "a killed worker's query is re-leased" `Quick
-          (test_lost_task_is_re_leased (fun w -> Unix.kill w Sys.sigkill));
-        Alcotest.test_case "a stray cancel's query is re-leased" `Quick
-          (test_lost_task_is_re_leased (fun w -> Unix.kill w Sys.sigusr1));
+          test_killed_worker_is_re_leased;
+        Alcotest.test_case "a stopped worker's timed-out query frees the service"
+          `Quick test_stopped_worker_timeout_frees_the_service;
+        Alcotest.test_case "dead workers leave no zombie" `Quick
+          test_dead_workers_are_reaped;
+        Alcotest.test_case "only the latest settled queries are kept" `Quick
+          test_settled_queries_are_bounded;
+        Alcotest.test_case "slx query exits 1 when the server refuses" `Quick
+          test_cli_query_refused_exits_1;
       ] );
   ]
