@@ -938,8 +938,12 @@ let children pid =
       |> List.filter_map int_of_string_opt)
   else None
 
-(* The pid of coordinator [pid]'s one child, its worker; the test is
-   skipped where /proc cannot tell. *)
+(* The pid of coordinator [pid]'s one child, its worker, where /proc
+   can tell. *)
+let worker_pid pid = match children pid with Some [ w ] -> Some w | _ -> None
+
+(* [worker_pid] for a test that cannot run without it: the test is
+   skipped where /proc has no children list. *)
 let worker_of pid =
   match children pid with
   | Some [ w ] -> w
@@ -953,11 +957,12 @@ let worker_of pid =
    [timeout] in /status and counts in /stats; its worker is killed and
    its slot released, so the same query submitted again is a new
    query, which a fresh worker process computes, with nothing
-   re-leased.  The timeout, a microsecond, expires before the
-   coordinator's loop iteration that admitted the query ends, where
-   deadlines are checked; the query (CI's slow live query) computes
-   for tens of milliseconds.  A served safety query runs first, so the
-   worker's pid is known before the kill. *)
+   re-leased (where /proc names the workers, the pids are compared).
+   The timeout, a microsecond, expires before the coordinator's loop
+   iteration that admitted the query ends, where deadlines are
+   checked; the query (CI's slow live query) computes for tens of
+   milliseconds.  A served safety query runs first, so the worker's
+   pid is known before the kill. *)
 let test_deadline_kills_and_frees_the_slot () =
   let slow =
     "--kind live --impl cas --property obstruction --procs 3 --depth 11 \
@@ -993,7 +998,7 @@ let test_deadline_kills_and_frees_the_slot () =
         (stat (stats port) [ "queries" ]);
       let src, _ = query port {|"impl": "cas", "depth": 4|} in
       check_bool "the worker is up" true (src = Some "full");
-      let before = worker_of pid in
+      let before = worker_pid pid in
       let submit args =
         let rc, j = slx (slow ^ args) in
         check_int ("slx query" ^ args ^ ": exit code") 0 rc;
@@ -1027,8 +1032,11 @@ let test_deadline_kills_and_frees_the_slot () =
         "the resubmission is done" (Some "done") s;
       check_outcome "the resubmission" "no_fair_cycle"
         (Option.get (Json.member "result" j));
-      check_bool "a fresh worker process computed it" true
-        (worker_of pid <> before);
+      Option.iter
+        (fun b ->
+          check_bool "a fresh worker process computed it" true
+            (match worker_pid pid with Some w -> w <> b | None -> false))
+        before;
       check_int "nothing was re-leased" 0 (stat (stats port) [ "re_leases" ]))
 
 (* A worker lost mid-query.  The coordinator's one worker, up since a
@@ -1044,7 +1052,11 @@ let test_killed_worker_is_re_leased () =
   with_server_pid ~store:(temp_store ()) (fun pid port ->
       let src, _ = query port {|"impl": "cas", "depth": 4|} in
       check_bool "the worker is up" true (src = Some "full");
-      let worker = worker_of pid in
+      let worker =
+        match worker_pid pid with
+        | Some w -> w
+        | None -> Alcotest.fail "no worker pid in /proc"
+      in
       Unix.kill worker Sys.sigstop;
       let id =
         Fun.protect
@@ -1120,10 +1132,14 @@ let test_stopped_worker_timeout_frees_the_service () =
           check_int "no worker is busy" 0 (stat st [ "workers_busy" ]);
           check_int "no query is active" 0 (stat st [ "active" ])))
 
-(* Dead workers are reaped: after four SIGKILLs of the worker and one
-   kill at a deadline, no child of the coordinator is a zombie.  A
-   query that a fresh worker answers follows each kill, so the
-   coordinator has read the dead worker's EOF before the check. *)
+(* Dead workers are reaped: after 300 SIGKILLs of the idle worker and
+   one kill at a deadline, the coordinator has one child and no
+   zombie.  Each kill waits for the fresh worker, which is spawned once
+   the dead one's EOF is handled; a computed query follows the timeout.
+   A reap that neither kills nor blocks leaves a zombie when the dying
+   worker has closed its pipes but not yet exited; on a 2-core x86-64
+   Linux host that was about one kill in a hundred, and this test
+   failed on such a reap in 19 of 20 runs. *)
 let test_dead_workers_are_reaped () =
   (* A process's state is the field after its command name, which is
      in parentheses and may hold spaces. *)
@@ -1142,10 +1158,19 @@ let test_dead_workers_are_reaped () =
         check_bool (Printf.sprintf "depth %d computed" depth) true
           (src = Some "full")
       in
+      let rec respawned w tries =
+        match children pid with
+        | Some cs when List.exists (fun c -> c <> w) cs -> ()
+        | _ when tries > 0 ->
+            Unix.sleepf 0.002;
+            respawned w (tries - 1)
+        | _ -> Alcotest.failf "worker %d was not replaced" w
+      in
       computed 4;
-      for depth = 5 to 8 do
-        Unix.kill (worker_of pid) Sys.sigkill;
-        computed depth
+      for _ = 1 to 300 do
+        let w = worker_of pid in
+        Unix.kill w Sys.sigkill;
+        respawned w 2500
       done;
       let timed_out =
         last_json
@@ -1156,13 +1181,11 @@ let test_dead_workers_are_reaped () =
       Alcotest.(check (option string))
         "the slow query timed out" (Some "timeout")
         (Option.bind (Json.member "state" timed_out) Json.str);
-      computed 9;
-      match children pid with
-      | None -> print_endline "skipped: no children list in /proc"
-      | Some cs ->
-          check_int "one child" 1 (List.length cs);
-          check_bool "no child is a zombie" false
-            (List.exists (fun c -> proc_state c = 'Z') cs))
+      computed 5;
+      let cs = Option.value (children pid) ~default:[] in
+      check_int "one child" 1 (List.length cs);
+      check_bool "no child is a zombie" false
+        (List.exists (fun c -> proc_state c = 'Z') cs))
 
 (* The coordinator keeps every running query and the latest
    [max_settled] ended ones.  One computed answer and then
