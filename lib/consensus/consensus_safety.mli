@@ -14,6 +14,9 @@ open Slx_history
 
 type history = (Consensus_type.invocation, Consensus_type.response) History.t
 
+val decided_values : history -> int list
+(** The values decided in the history, in order, repeats kept. *)
+
 val agreement : history -> bool
 (** All decided values in the history are equal. *)
 

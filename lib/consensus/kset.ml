@@ -2,16 +2,10 @@ open Slx_history
 
 type history = (Consensus_type.invocation, Consensus_type.response) History.t
 
-let decided_values h =
-  List.filter_map
-    (fun e ->
-      match Event.response e with
-      | Some (Consensus_type.Decided v) -> Some v
-      | None -> None)
-    (History.to_list h)
-
 let k_agreement ~k h =
-  List.length (List.sort_uniq Int.compare (decided_values h)) <= k
+  List.length
+    (List.sort_uniq Int.compare (Consensus_safety.decided_values h))
+  <= k
 
 let validity = Consensus_safety.validity
 

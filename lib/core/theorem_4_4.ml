@@ -112,27 +112,9 @@ let negative () =
      [verify_by_enumeration]; the conclusion (no singleton traps, so
      Gmax = 0) is unchanged by adding implementations. *)
   let quota_sets = [ [ 0; 0 ]; [ 1; 0 ]; [ 0; 1 ] ] in
-  let universe =
-    List.fold_left
-      (fun acc quotas ->
-        List.fold_left
-          (fun acc h ->
-            if List.exists (equal_history h) acc then acc else h :: acc)
-          acc
-          (traps ~n:2 ~quotas))
-      [] quota_sets
-    |> List.rev
-  in
   {
+    (instance_of ~n:2 ~quota_sets) with
     name = "2-process symmetric, S = at-most-one-response-per-process";
-    universe;
-    impl_traps =
-      List.map
-        (fun quotas ->
-          ( Printf.sprintf "I(%s)"
-              (String.concat "," (List.map string_of_int quotas)),
-            traps ~n:2 ~quotas ))
-        quota_sets;
   }
 
 (* A set of histories covers the instance if it intersects every

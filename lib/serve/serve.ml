@@ -20,11 +20,9 @@ type query = {
   mutable q_last_hb : string option;
 }
 
-(* A worker runs one query at a time, [w_query]; its task line's
-   ["lease"] member is the query's id.  A worker whose [w_query] has
-   settled was killed at its query's deadline and is dead to the
-   coordinator until its EOF.  A dead worker's slot gets a fresh
-   record. *)
+(* A worker is idle ([w_query] is [None]) or running one query that is
+   still running: a query's result frees its worker, and a deadline or
+   an EOF replaces it, in the same slot, with a fresh record. *)
 type worker = {
   w_idx : int;
   w_pid : int;
@@ -109,14 +107,18 @@ let rec reap pid =
   | Unix.Unix_error (Unix.EINTR, _, _) -> reap pid
   | Unix.Unix_error _ -> ()
 
-(* A worker's EOF can come before its process is reapable: kill it, so
-   that the blocking reap returns at once and leaves no zombie. *)
-let respawn_worker t w =
+(* The one way a worker process ends, whether it is dead already,
+   stopped, hung or busy: the kill makes the blocking reap return at
+   once, and leaves no zombie. *)
+let stop_worker w =
   close_quiet w.w_in;
   close_quiet w.w_out;
   (try Unix.kill w.w_pid Sys.sigkill
    with Unix.Unix_error (Unix.ESRCH, _, _) -> ());
-  reap w.w_pid;
+  reap w.w_pid
+
+let respawn_worker t w =
+  stop_worker w;
   t.workers.(w.w_idx) <- spawn_worker w.w_idx
 
 (* Hand pending queries to idle workers.  A failed write (a dead pipe)
@@ -128,8 +130,7 @@ let dispatch t =
       | None, q :: rest -> (
           t.pending <- rest;
           let line =
-            Printf.sprintf "{\"lease\": %d, \"spec\": %s}\n" q.q_id
-              (Queries.spec_to_json q.q_spec)
+            Printf.sprintf "{\"spec\": %s}\n" (Queries.spec_to_json q.q_spec)
           in
           match Client.write_all w.w_in line with
           | () -> w.w_query <- Some q
@@ -241,19 +242,15 @@ let handle_result t q result_j ~record =
       settle t q (Done (Json.to_string result_j))
 
 (* A line from a busy worker: its task's result line (it has a
-   ["lease"] member), which frees the worker, or a heartbeat.  A
-   killed worker's last lines are dropped. *)
+   ["result"] member), which frees the worker, or a heartbeat. *)
 let handle_worker_line t w line =
   match (Json.parse line, w.w_query) with
-  | Ok j, Some q when q.q_state = Running -> (
-      match Json.member "lease" j with
-      | Some _ ->
+  | Ok j, Some q -> (
+      match Json.member "result" j with
+      | Some r ->
           w.w_query <- None;
-          Option.iter
-            (fun r ->
-              handle_result t q r
-                ~record:(Option.bind (Json.member "record" j) Json.str))
-            (Json.member "result" j);
+          handle_result t q r
+            ~record:(Option.bind (Json.member "record" j) Json.str);
           dispatch t
       | None ->
           q.q_last_hb <- Some line;
@@ -261,45 +258,12 @@ let handle_worker_line t w line =
           q.q_waiters <- List.filter (fun fd -> try_write fd fwd) q.q_waiters)
   | _ -> ()
 
-(* The worker died (crash or kill): re-lease its query, unless it
-   timed out, and put a fresh process in its slot. *)
+(* The worker died (crash or kill): re-lease its query and put a
+   fresh process in its slot. *)
 let handle_worker_eof t w =
-  (match w.w_query with
-  | Some q when q.q_state = Running -> re_lease t q
-  | _ -> ());
+  Option.iter (re_lease t) w.w_query;
   respawn_worker t w;
   dispatch t
-
-(* ------------------------------------------------------------------ *)
-(* Timeouts.                                                           *)
-
-(* A query past its deadline is taken off the queue, its worker (if
-   it has one) killed, and its waiters told.  Only a running query can
-   expire, and the running ones are [inflight]'s; the expired are
-   collected first because [settle] removes from it. *)
-let check_deadlines t =
-  let now = now () in
-  let expired =
-    Hashtbl.fold
-      (fun _ q acc ->
-        match q.q_deadline with
-        | Some dl when now > dl -> q :: acc
-        | _ -> acc)
-      t.inflight []
-  in
-  List.iter
-    (fun q ->
-      t.timeouts <- t.timeouts + 1;
-      Array.iter
-        (fun w ->
-          match w.w_query with
-          | Some wq when wq == q -> (
-              try Unix.kill w.w_pid Sys.sigkill with Unix.Unix_error _ -> ())
-          | _ -> ())
-        t.workers;
-      t.pending <- List.filter (fun p -> p != q) t.pending;
-      settle t q Timeout)
-    expired
 
 (* ------------------------------------------------------------------ *)
 (* HTTP.                                                               *)
@@ -556,9 +520,50 @@ let accept_clients t =
             add ()
         | [] -> close_quiet fd)
 
-let close_stale_readers t =
-  let cutoff = now () -. read_deadline in
-  List.iter (fun c -> if c.c_since < cutoff then drop_client t c) t.clients
+(* The longest [select] waits, so that a signal that lands just
+   before it is still noticed this soon. *)
+let max_wait = 0.25
+
+(* The one clock.  Every query past its deadline is taken off the
+   queue and settles as [timeout], and then its worker, if it has one,
+   is replaced; every reader past [read_deadline] is closed.
+   The result is how long [select] may wait: until the next deadline,
+   at most [max_wait].  Only a running query can expire, and the
+   running ones are [inflight]'s; the expired are collected first
+   because [settle] removes from it. *)
+let expire t =
+  let now = now () in
+  let next = ref (now +. max_wait) in
+  let expired =
+    Hashtbl.fold
+      (fun _ q acc ->
+        match q.q_deadline with
+        | Some dl when dl <= now -> q :: acc
+        | Some dl ->
+            next := Float.min !next dl;
+            acc
+        | None -> acc)
+      t.inflight []
+  in
+  List.iter
+    (fun q ->
+      t.timeouts <- t.timeouts + 1;
+      t.pending <- List.filter (fun p -> p != q) t.pending;
+      settle t q Timeout;
+      Array.iter
+        (fun w ->
+          match w.w_query with
+          | Some wq when wq == q -> respawn_worker t w
+          | _ -> ())
+        t.workers)
+    expired;
+  if expired <> [] then dispatch t;
+  List.iter
+    (fun c ->
+      let dl = c.c_since +. read_deadline in
+      if dl <= now then drop_client t c else next := Float.min !next dl)
+    t.clients;
+  Float.max 0. (!next -. now)
 
 let main ?(host = "127.0.0.1") ~port ~workers ~store () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -593,6 +598,7 @@ let main ?(host = "127.0.0.1") ~port ~workers ~store () =
     host port workers
     (Json.quote (Store.path t.store));
   while t.running do
+    let wait = expire t in
     let fds =
       t.listen_fd
       :: Array.fold_right
@@ -600,7 +606,7 @@ let main ?(host = "127.0.0.1") ~port ~workers ~store () =
            t.workers
            (List.map (fun c -> c.c_fd) t.clients)
     in
-    match Unix.select fds [] [] 0.25 with
+    match Unix.select fds [] [] wait with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | ready, _, _ ->
         List.iter
@@ -612,13 +618,11 @@ let main ?(host = "127.0.0.1") ~port ~workers ~store () =
               | None ->
                   Option.iter (read_client t)
                     (List.find_opt (fun c -> c.c_fd = fd) t.clients))
-          ready;
-        check_deadlines t;
-        close_stale_readers t
+          ready
   done;
-  (* Drain: EOF every worker's stdin, reap, flush the store. *)
-  Array.iter (fun w -> close_quiet w.w_in) t.workers;
-  Array.iter (fun w -> reap w.w_pid) t.workers;
+  (* Nothing reads a worker's result after the loop: stop each one,
+     idle or not, and flush the store. *)
+  Array.iter stop_worker t.workers;
   Store.commit t.store;
   close_quiet t.listen_fd;
   0

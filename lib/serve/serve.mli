@@ -33,21 +33,41 @@
     store hit ({!Slx_store.Persist.warm}) answers immediately
     (witnesses re-validated).  Any other query — a record under other
     liveness budgets included — is its own task: the query's spec goes
-    to one worker, under the query's id (the task line's ["lease"]
-    member), and that worker explores the whole tree, so the answer is
-    byte-identical to a store-less [slx explore] / [slx live-explore].
+    to one idle worker, and that worker explores the whole tree, so the
+    answer is byte-identical to a store-less [slx explore] /
+    [slx live-explore].
     The worker builds the answer's store record and sends it beside
     the result; the coordinator saves it ({!Slx_store.Persist.save})
     if it is the query's own, and reads nothing else from a result but
     its ["outcome"] (and an error's ["message"]).  [--workers]
     therefore parallelises across queries, not within one.  Served
     sources are [warm] and [full].  Identical in-flight queries dedupe
-    onto one computation.  A task ends early one way: its worker dies.
-    A query whose worker dies mid-task goes back to the front of the
-    queue ([re_leases] in [/stats]); a query past its timeout reports
-    [timeout] and has its worker killed, a stopped or hung one
-    included.  Either way the dead worker is reaped and a fresh
-    process takes its slot.
+    onto one computation.
+
+    {b Workers.}  A worker is idle or running one query that is still
+    running; there is no third state.  A worker process ends one way:
+    its two pipes are closed, it is sent SIGKILL and it is reaped,
+    which returns at once for a busy, stopped or hung worker as for a
+    dead one.  That happens when its pipe reaches EOF (it crashed or
+    was killed from outside: its query goes back to the front of the
+    queue, [re_leases] in [/stats], and a fresh process takes its
+    slot), when its query passes its deadline, and at shutdown.
+
+    {b Deadlines.}  One clock serves query timeouts and the read
+    deadline below.  Before each wait for input, every query past its
+    deadline settles as [timeout] (its waiters are told, and its
+    worker, if it has one, is replaced at once, so the next pending
+    query starts on the fresh process), and every reader past its read
+    deadline is closed.  The wait then lasts until the next deadline,
+    and at most 0.25 s, so that a SIGINT or SIGTERM that lands just
+    before it is noticed that soon.  A timeout therefore settles on
+    time, not at the next poll.
+
+    {b Shutdown.}  [POST /shutdown], SIGINT and SIGTERM end the loop.
+    Every worker is then stopped, idle or busy: nothing would read a
+    busy worker's result.  The store is committed and the process
+    exits; a running query's streamed waiters see their connection
+    close.
 
     {b Input bounds.}  A request longer than {!max_request} bytes, or
     one whose header block has not ended by then, answers [400] and

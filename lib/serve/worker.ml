@@ -6,22 +6,15 @@ let reply line =
   print_newline ();
   flush stdout
 
+(* One task line, [{"spec": ...}], answered by one result line; the
+   task's heartbeats come first, on the same pipe. *)
 let handle_line line =
-  match Json.parse line with
-  | Error e ->
-      reply
-        (Printf.sprintf "{\"lease\": -1, \"result\": %s}"
-           (Queries.error_result ("bad task line: " ^ e)))
-  | Ok j -> begin
-      let lease =
-        Option.value ~default:(-1) (Option.bind (Json.member "lease" j) Json.int)
-      in
-      let result, record =
+  let result, record =
+    match Json.parse line with
+    | Error e -> (Queries.error_result ("bad task line: " ^ e), "")
+    | Ok j -> (
         match Option.map Queries.spec_of_json (Json.member "spec" j) with
         | Some (Ok spec) ->
-            (* Heartbeats ride the result pipe; the coordinator keys
-               them to this lease because a worker runs one task at a
-               time. *)
             let progress =
               Progress.create ~interval:0.2 ~json:true ~out:stdout ()
             in
@@ -30,12 +23,9 @@ let handle_line line =
               Printf.sprintf ", \"record\": %s"
                 (Json.quote (Slx_store.Store.record_to_string r)) )
         | Some (Error e) -> (Queries.error_result e, "")
-        | None -> (Queries.error_result "task without spec", "")
-      in
-      reply
-        (Printf.sprintf "{\"lease\": %d, \"result\": %s%s}" lease result
-           record)
-    end
+        | None -> (Queries.error_result "task without spec", ""))
+  in
+  reply (Printf.sprintf "{\"result\": %s%s}" result record)
 
 let main () =
   (* The coordinator owns the terminal's SIGINT story; a worker only

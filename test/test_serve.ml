@@ -25,8 +25,9 @@
      [--store] path, a query past its deadline has its worker killed,
      a stopped one included, and frees its slot and the service, a
      query whose worker is killed is re-leased and answered in full,
-     dead workers leave no zombie, the coordinator forgets the oldest
-     ended queries past {!Slx_serve.Serve.max_settled}, and
+     a deadline fires on time, shutdown does not wait for a stopped
+     worker, dead workers leave no zombie, the coordinator forgets the
+     oldest ended queries past {!Slx_serve.Serve.max_settled}, and
      [slx query] exits 1 when the server refuses. *)
 
 open Support
@@ -720,7 +721,7 @@ let stat j path =
   |> Json.int |> Option.get
 
 (* A worker ([slx worker]) answers each task line with exactly the
-   in-process task's result, keyed to the line's lease, and a line
+   in-process task's result, in the order of the lines, and a line
    that does not parse with an error result. *)
 let test_worker_answers_task_line () =
   let fields = "{\"impl\": \"register\", \"n\": 3, \"depth\": 8, \"crashes\": 1}" in
@@ -742,16 +743,15 @@ let test_worker_answers_task_line () =
         ignore (Unix.waitpid [] pid);
         close_in_noerr ic)
       (fun () ->
-        Printf.fprintf oc "{\"lease\": 7, \"spec\": %s}\nnot json\n%s\n%!"
-          fields
-          {|{"lease": 8, "spec": {"kind": "explore", "impl": "cas", "depth": 8.7, "crashes": "2"}}|};
+        Printf.fprintf oc "{\"spec\": %s}\nnot json\n%s\n%!" fields
+          {|{"spec": {"kind": "explore", "impl": "cas", "depth": 8.7, "crashes": "2"}}|};
         close_out oc;
-        (* Heartbeats carry no lease; only result lines do. *)
+        (* Heartbeats carry no result; only result lines do. *)
         let rec results acc =
           match input_line ic with
           | line ->
               let j = parse_result line in
-              if Json.member "lease" j = None then results acc
+              if Json.member "result" j = None then results acc
               else results (j :: acc)
           | exception End_of_file -> List.rev acc
         in
@@ -759,7 +759,6 @@ let test_worker_answers_task_line () =
   in
   match lines with
   | [ answer; bad; mistyped ] ->
-      check_int "lease echoed" 7 (int_field answer "lease");
       Alcotest.(check string)
         "worker result = in-process task" (Json.to_string expected)
         (Json.to_string (Option.get (Json.member "result" answer)));
@@ -777,11 +776,9 @@ let test_worker_answers_task_line () =
             | Error e -> Alcotest.failf "undecodable record %S: %s" r e)
         | None -> Alcotest.fail "result line without a record");
       check_bool "bad line: no record" true (Json.member "record" bad = None);
-      check_int "bad line: no lease" (-1) (int_field bad "lease");
       check_outcome "bad line" "error" (Option.get (Json.member "result" bad));
       (* A fractional depth and a quoted crash count are refused, not
          run as the depth-8 crash-free query. *)
-      check_int "mistyped spec: lease echoed" 8 (int_field mistyped "lease");
       check_bool "mistyped spec: no record" true
         (Json.member "record" mistyped = None);
       check_outcome "mistyped spec" "error"
@@ -942,6 +939,15 @@ let children pid =
    can tell. *)
 let worker_pid pid = match children pid with Some [ w ] -> Some w | _ -> None
 
+(* Process [pid]'s state letter ('Z' for a zombie): the field after
+   its command name, which is in parentheses and may hold spaces. *)
+let proc_state pid =
+  let stat =
+    In_channel.with_open_bin (Printf.sprintf "/proc/%d/stat" pid)
+      In_channel.input_all
+  in
+  stat.[String.rindex stat ')' + 2]
+
 (* [worker_pid] for a test that cannot run without it: the test is
    skipped where /proc has no children list. *)
 let worker_of pid =
@@ -1094,13 +1100,10 @@ let test_killed_worker_is_re_leased () =
       check_int "/stats counts one re-lease" 1
         (stat (stats port) [ "re_leases" ]))
 
-(* A hung worker.  The coordinator's one worker is stopped (SIGSTOP)
-   after a warm-up query, so CI's slow live query can only time out.
-   The kill at its deadline frees the service: a cold query submitted
-   next answers [done] within 10 s, on a fresh worker, with nothing
-   re-leased and no worker busy. *)
-let test_stopped_worker_timeout_frees_the_service () =
-  let state j = Option.bind (Json.member "state" j) Json.str in
+(* Run [f pid port worker] against a one-worker coordinator whose
+   [worker] is stopped (SIGSTOP) after a warm-up query and resumed
+   afterwards. *)
+let with_stopped_worker f =
   with_server_pid ~store:(temp_store ()) (fun pid port ->
       let src, _ = query port {|"impl": "cas", "depth": 4|} in
       check_bool "the worker is up" true (src = Some "full");
@@ -1109,28 +1112,85 @@ let test_stopped_worker_timeout_frees_the_service () =
       Fun.protect
         ~finally:(fun () ->
           try Unix.kill worker Sys.sigcont with Unix.Unix_error _ -> ())
-        (fun () ->
-          let timed_out =
-            exchange port
-              (request ~meth:"POST" ~path:"/query"
-                 ("{" ^ slow_fields ^ {|, "timeout": 0.3, "wait": true}|}))
-          in
-          Alcotest.(check (option string))
-            "the slow query timed out" (Some "timeout")
-            (state (last_json timed_out));
-          let cold =
-            exchange ~within:10. port
-              (request ~meth:"POST" ~path:"/query"
-                 {|{"impl": "cas", "depth": 6, "wait": true}|})
-          in
-          Alcotest.(check (option string))
-            "the next cold query is done" (Some "done")
-            (state (last_json cold));
-          check_bool "a fresh worker computed it" true (worker_of pid <> worker);
-          let st = stats port in
-          check_int "nothing was re-leased" 0 (stat st [ "re_leases" ]);
-          check_int "no worker is busy" 0 (stat st [ "workers_busy" ]);
-          check_int "no query is active" 0 (stat st [ "active" ])))
+        (fun () -> f pid port worker))
+
+(* A hung worker.  The coordinator's one worker is stopped (SIGSTOP)
+   after a warm-up query, so CI's slow live query can only time out.
+   The kill at its deadline frees the service: a cold query submitted
+   next answers [done] within 10 s, on a fresh worker, with nothing
+   re-leased and no worker busy. *)
+let test_stopped_worker_timeout_frees_the_service () =
+  let state j = Option.bind (Json.member "state" j) Json.str in
+  with_stopped_worker (fun pid port worker ->
+      let timed_out =
+        exchange port
+          (request ~meth:"POST" ~path:"/query"
+             ("{" ^ slow_fields ^ {|, "timeout": 0.3, "wait": true}|}))
+      in
+      Alcotest.(check (option string))
+        "the slow query timed out" (Some "timeout")
+        (state (last_json timed_out));
+      let cold =
+        exchange ~within:10. port
+          (request ~meth:"POST" ~path:"/query"
+             {|{"impl": "cas", "depth": 6, "wait": true}|})
+      in
+      Alcotest.(check (option string))
+        "the next cold query is done" (Some "done")
+        (state (last_json cold));
+      check_bool "a fresh worker computed it" true (worker_of pid <> worker);
+      let st = stats port in
+      check_int "nothing was re-leased" 0 (stat st [ "re_leases" ]);
+      check_int "no worker is busy" 0 (stat st [ "workers_busy" ]);
+      check_int "no query is active" 0 (stat st [ "active" ]))
+
+(* A deadline fires on time, not at the next poll.  The one worker is
+   stopped after a warm-up query, so CI's slow live query under a
+   0.3 s timeout can only time out; it must settle no earlier than its
+   deadline and well before 0.45 s (a 0.25 s poll read 0.501). *)
+let test_deadline_fires_on_time () =
+  with_stopped_worker (fun _ port _ ->
+      let j =
+        last_json
+          (exchange port
+             (request ~meth:"POST" ~path:"/query"
+                ("{" ^ slow_fields ^ {|, "timeout": 0.3, "wait": true}|})))
+      in
+      Alcotest.(check (option string))
+        "the slow query timed out" (Some "timeout")
+        (Option.bind (Json.member "state" j) Json.str);
+      let elapsed =
+        Option.get (Option.bind (Json.member "elapsed_s" j) Json.num)
+      in
+      check_bool
+        (Printf.sprintf "elapsed_s %.3f is in [0.3, 0.45)" elapsed)
+        true
+        (elapsed >= 0.3 && elapsed < 0.45))
+
+(* Shutdown stops every worker, a stopped one included, instead of
+   waiting for its task.  The one worker is stopped before CI's slow
+   live query is submitted, so the query is its task when /shutdown
+   comes; the coordinator must then exit within 5 s.  It is not reaped
+   here: its zombie state is its exit. *)
+let test_shutdown_does_not_wait_for_a_stopped_worker () =
+  with_stopped_worker (fun pid port _ ->
+      ignore
+        (exchange port
+           (request ~meth:"POST" ~path:"/query" ("{" ^ slow_fields ^ "}")));
+      check_int "the worker is busy" 1 (stat (stats port) [ "workers_busy" ]);
+      let bye = exchange port (request ~meth:"POST" ~path:"/shutdown" "") in
+      check_bool "/shutdown answers ok" true
+        (Json.member "ok" (last_json bye) = Some (Json.Bool true));
+      let deadline = Unix.gettimeofday () +. 5. in
+      let rec exited () =
+        proc_state pid = 'Z'
+        || Unix.gettimeofday () < deadline
+           && begin
+                Unix.sleepf 0.01;
+                exited ()
+              end
+      in
+      check_bool "the coordinator exits within 5 s" true (exited ()))
 
 (* Dead workers are reaped: after 300 SIGKILLs of the idle worker and
    one kill at a deadline, the coordinator has one child and no
@@ -1141,15 +1201,6 @@ let test_stopped_worker_timeout_frees_the_service () =
    Linux host that was about one kill in a hundred, and this test
    failed on such a reap in 19 of 20 runs. *)
 let test_dead_workers_are_reaped () =
-  (* A process's state is the field after its command name, which is
-     in parentheses and may hold spaces. *)
-  let proc_state pid =
-    let stat =
-      In_channel.with_open_bin (Printf.sprintf "/proc/%d/stat" pid)
-        In_channel.input_all
-    in
-    stat.[String.rindex stat ')' + 2]
-  in
   with_server_pid ~store:(temp_store ()) (fun pid port ->
       let computed depth =
         let src, _ =
@@ -1661,6 +1712,10 @@ let suites =
           test_killed_worker_is_re_leased;
         Alcotest.test_case "a stopped worker's timed-out query frees the service"
           `Quick test_stopped_worker_timeout_frees_the_service;
+        Alcotest.test_case "a deadline fires on time" `Quick
+          test_deadline_fires_on_time;
+        Alcotest.test_case "shutdown does not wait for a stopped worker" `Quick
+          test_shutdown_does_not_wait_for_a_stopped_worker;
         Alcotest.test_case "dead workers leave no zombie" `Quick
           test_dead_workers_are_reaped;
         Alcotest.test_case "only the latest settled queries are kept" `Quick
