@@ -191,10 +191,9 @@ let checker_family_tests =
    (BENCH_explore.json "micro" row, gated ≥2x by bench/smoke.ml) are
    measured per-operation and not only end-to-end: transposition keying
    (the flat compact-key array in {!Slx_core.Key_table}), the shared
-   digest (from-scratch fold vs incremental), pending-step commutation
-   on the conflict bitmasks, and the sanitizer (shadowed vs bare run,
-   batched per step).  [cursor] is the configuration the keying rows
-   key; [run] owns it. *)
+   digest (from-scratch fold vs incremental), step commutation on the
+   conflict bitmasks, and a depth-8 exploration.  [cursor] is the
+   configuration the keying rows key; [run] owns it. *)
 let micro_tests cursor =
   let one_proposal = Slx_serve.Queries.safety_invoke in
   let compact_table = Slx_core.Key_table.create 16 in
@@ -229,15 +228,7 @@ let micro_tests cursor =
       (Staged.stage (fun () -> ignore (Runner.Cursor.shared_digest cursor)));
     Test.make ~name:"micro/commute-masks"
       (Staged.stage (fun () -> ignore (Runtime.commute fp_a fp_b)));
-    Test.make ~name:"micro/explore-depth-8-sanitized"
-      (Staged.stage (fun () ->
-           ignore
-             (Slx_core.Explore.explore ~n:2
-                ~factory:(fun () -> Slx_consensus.Register_consensus.factory ())
-                ~invoke:one_proposal ~depth:8 ~sanitize:true
-                ~check:(fun _ -> true)
-                ())));
-    Test.make ~name:"micro/explore-depth-8-bare"
+    Test.make ~name:"micro/explore-depth-8"
       (Staged.stage (fun () ->
            ignore
              (Slx_core.Explore.explore ~n:2

@@ -490,71 +490,6 @@ let obs_overhead_smoke () =
       (steps off) (steps on_);
   agree
 
-(* The sanitizer-overhead row: the same depth-10 reduced instance with
-   the counting shadow off vs on.  Sanitizing must change no decision
-   (identical steps, runs and digest), find no violations in the
-   instrumented implementations, and — now that shadow checks are
-   batched per step (one packed store per touch, validated at step
-   end) instead of per-touch — stay within the 15% bar that makes
-   [--sanitize] the CI default.  The gated statistic is paired: each
-   repetition runs off and on back to back (alternating which goes
-   first), and the overhead is the median of the per-pair on/off
-   ratios, so a burst of load from a parallel job slows both halves
-   of a pair instead of one side's minimum.  [off_ns] and [on_ns]
-   still report each side's minimum, ungated. *)
-let sanitize_overhead_smoke () =
-  Printf.printf "== bench smoke: sanitizer overhead (counting shadow) ==\n";
-  let explore ~sanitize () =
-    Slx_core.Explore.explore ~n:2
-      ~factory:(fun () -> Slx_consensus.Register_consensus.factory ())
-      ~invoke:one_proposal ~depth:10 ~max_crashes:0 ~dpor:true ~symmetry:true
-      ~sanitize ~check ()
-  in
-  let ns e = e.Slx_core.Explore.stats.Slx_core.Explore_stats.elapsed_ns in
-  let reps = 200 in
-  let ratios = Array.make reps 0.0 in
-  let off_ns = ref max_int and on_ns = ref max_int in
-  let last = ref None in
-  for i = 0 to reps - 1 do
-    let off, on_ =
-      if i land 1 = 0 then
-        let off = explore ~sanitize:false () in
-        (off, explore ~sanitize:true ())
-      else
-        let on_ = explore ~sanitize:true () in
-        (explore ~sanitize:false (), on_)
-    in
-    ratios.(i) <- float_of_int (ns on_) /. float_of_int (max 1 (ns off));
-    off_ns := min !off_ns (ns off);
-    on_ns := min !on_ns (ns on_);
-    last := Some (off, on_)
-  done;
-  let off, on_ = Option.get !last in
-  Array.sort Float.compare ratios;
-  let median = (ratios.((reps / 2) - 1) +. ratios.(reps / 2)) /. 2.0 in
-  let pct = 100.0 *. (median -. 1.0) in
-  let violations =
-    on_.Slx_core.Explore.stats.Slx_core.Explore_stats.footprint_violations
-  in
-  Printf.printf
-    "  {\"case\": \"register-depth-10-reduced-sanitizer-overhead\", \
-     \"pairs\": %d, \"overhead_pct\": %.1f, \"off_ns\": %d, \"on_ns\": %d, \
-     \"steps\": %d, \"violations\": %d}\n"
-    reps pct !off_ns !on_ns (steps off) violations;
-  let agree =
-    steps off = steps on_ && runs off = runs on_ && digest off = digest on_
-    && violations = 0
-  in
-  if not agree then
-    Printf.printf
-      "  SMOKE FAILURE: sanitizing changed the exploration (steps %d vs %d, \
-       runs %d vs %d, violations %d)\n"
-      (steps off) (steps on_) (runs off) (runs on_) violations;
-  if pct > 15.0 then
-    Printf.printf
-      "  SMOKE FAILURE: sanitizer overhead %.1f%% above the 15%% bar\n" pct;
-  agree && pct <= 15.0
-
 (* Hot-path microbenchmark: per-node transposition keying, gated at
    >= 2x — the seed's from-scratch shared-state digest fold against the
    compact key over the incremental digest, looked up as the flat
@@ -771,16 +706,13 @@ let run () =
   let release_ok, release_ratio = cursor_release_smoke () in
   let counted_ok, counted = counted_rows () in
   let ovh_ok = obs_overhead_smoke () in
-  let san_ok = sanitize_overhead_smoke () in
   let micro_ok, keying_ratio = micro_smoke () in
-  let ok = counted_ok && ovh_ok && san_ok && micro_ok && release_ok in
+  let ok = counted_ok && ovh_ok && micro_ok && release_ok in
   Printf.printf
-    "smoke %s: %s, sanitizer %s (bar: <=15%%), micro keying %.2fx (bar: \
-     2x), cursor release %s (bar: <=1.25x)\n"
+    "smoke %s: %s, micro keying %.2fx (bar: 2x), cursor release %s (bar: \
+     <=1.25x)\n"
     (if ok then "OK" else "FAILED")
-    counted
-    (if san_ok then "transparent" else "BROKEN")
-    keying_ratio
+    counted keying_ratio
     (match release_ratio with
     | Some r -> Printf.sprintf "%.2fx" r
     | None -> "skipped");

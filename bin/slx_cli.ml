@@ -21,13 +21,6 @@
    slx stats --trace FILE
        Replay a trace recorded with --trace into summary histograms.
 
-   slx audit [--ci] [--oracle] [--json] [--group G] [--case NAME]
-       Sweep every registered implementation's bounded schedule tree
-       with the conflict-soundness sanitizer armed; nonzero exit on
-       any footprint violation.  (The static lint sweep is the
-       separate bin/slx_lint_cli.exe, which keeps compiler-libs out of
-       this executable.)
-
    slx serve --port N --workers N --store FILE
        Run the JSON-over-HTTP verification service: warm answers from
        the store, one worker task per other query.
@@ -40,7 +33,7 @@
    a Chrome trace-event JSON file, loadable in Perfetto),
    --progress[=SECS] (live heartbeats to stderr), and --store FILE
    (answer through the persistent verdict store: warm hits, else a cold
-   run that is recorded — see doc/model.md section 11).  *)
+   run that is recorded — see doc/model.md section 10).  *)
 
 open Cmdliner
 open Slx_liveness
@@ -422,7 +415,6 @@ let mutex_cmd =
 (* ------------------------------------------------------------------ *)
 (* explore / live-explore: one query record each                       *)
 
-let sanitize_arg ~doc = Arg.(value & flag & info [ "sanitize" ] ~doc)
 let json_arg ~doc = Arg.(value & flag & info [ "json" ] ~doc)
 
 (* Print a query's answer: one JSON object, or the human report. *)
@@ -516,8 +508,8 @@ let print_answer ~json (sp : Queries.spec) source answer =
    refuses is a usage error (exit 124), like cmdliner's own.  [naive]
    runs the replay-from-scratch reference engine instead, which
    bypasses the store. *)
-let run_query ?(naive = false) ~json ~sanitize ~store ~trace ~progress
-    ~progress_json spec =
+let run_query ?(naive = false) ~json ~store ~trace ~progress ~progress_json
+    spec =
   match (spec, Option.bind store store_dir_error) with
   | Error e, _ -> `Error (false, e)
   | Ok _, Some e -> `Ok (cli_error "%s" e)
@@ -527,9 +519,6 @@ let run_query ?(naive = false) ~json ~sanitize ~store ~trace ~progress
         prerr_endline
           "[slx] note: the naive engine does not trace; the trace will be \
            empty";
-      if naive && sanitize then
-        prerr_endline
-          "[slx] note: the naive engine does not sanitize; use slx audit";
       if naive && store <> None then
         prerr_endline "[slx] note: the naive engine bypasses the store";
       let cancel = install_sigint () in
@@ -544,7 +533,7 @@ let run_query ?(naive = false) ~json ~sanitize ~store ~trace ~progress
         else
           Queries.run
             ?store:(Option.map Vstore.open_ store)
-            ~sanitize ~obs ~cancel sp
+            ~obs ~cancel sp
       in
       match run () with
       | exception Explore.Interrupted stats ->
@@ -571,9 +560,8 @@ let explore_cmd =
          & info [ "naive" ]
              ~doc:"Use the replay-from-scratch reference engine.")
   in
-  let run impl depth crashes json naive sanitize store trace progress
-      progress_json =
-    run_query ~naive ~json ~sanitize ~store ~trace ~progress ~progress_json
+  let run impl depth crashes json naive store trace progress progress_json =
+    run_query ~naive ~json ~store ~trace ~progress ~progress_json
       (Queries.make ~kind:`Explore ~impl ~property:"" ~n:2 ~depth ~crashes
          ~max_period:None ~pump:None ~dpor:true)
   in
@@ -584,12 +572,7 @@ let explore_cmd =
       ret
         (const run $ impl_arg $ depth_arg $ crashes_arg
         $ json_arg ~doc:"Emit the verdict and full statistics as one JSON object."
-        $ naive_arg
-        $ sanitize_arg
-            ~doc:
-              "Arm the footprint sanitizer (counting mode): report \
-               violations in the stats without changing the verdict."
-        $ store_arg $ trace_arg $ progress_arg $ progress_json_arg))
+        $ naive_arg $ store_arg $ trace_arg $ progress_arg $ progress_json_arg))
 
 let live_explore_cmd =
   let impl_arg =
@@ -636,9 +619,9 @@ let live_explore_cmd =
                    still offered in process order).  Under a depth bound \
                    the reduced search can miss a lasso this one finds.")
   in
-  let run impl property n depth crashes max_period pump no_dpor sanitize json
-      store trace progress progress_json =
-    run_query ~json ~sanitize ~store ~trace ~progress ~progress_json
+  let run impl property n depth crashes max_period pump no_dpor json store
+      trace progress progress_json =
+    run_query ~json ~store ~trace ~progress ~progress_json
       (Queries.make ~kind:`Live ~impl ~property ~n ~depth ~crashes ~max_period
          ~pump ~dpor:(not no_dpor))
   in
@@ -651,11 +634,6 @@ let live_explore_cmd =
       ret
         (const run $ impl_arg $ property_arg $ procs_arg $ depth_arg
         $ crashes_arg $ max_period_arg $ pump_arg $ no_dpor_arg
-        $ sanitize_arg
-            ~doc:
-              "Arm the footprint sanitizer (counting mode) on every search \
-               cursor: violations surface in footprint_violations without \
-               perturbing the search."
         $ json_arg
             ~doc:"Emit the verdict, certificate and statistics as one JSON \
                   object."
@@ -847,99 +825,6 @@ let stats_cmd =
     Term.(const run $ store_file_arg $ trace_file_arg)
 
 (* ------------------------------------------------------------------ *)
-(* audit                                                               *)
-
-let audit_cmd =
-  let module Audit = Slx_analysis.Audit in
-  let module Registry = Slx_analysis.Audit_registry in
-  let json_arg =
-    Arg.(value & flag
-         & info [ "json" ] ~doc:"Emit the full report as one JSON object.")
-  in
-  let ci_arg =
-    Arg.(value & flag
-         & info [ "ci" ]
-             ~doc:"Use the larger CI depth bound of each case.")
-  in
-  let oracle_arg =
-    Arg.(value & flag
-         & info [ "oracle" ]
-             ~doc:"Also run the commutation oracle: execute both orders \
-                   of declared-commuting pending pairs and compare the \
-                   resulting states.")
-  in
-  let depth_arg =
-    Arg.(value & opt (some (int_in 1 ~hi:64)) None
-         & info [ "depth" ]
-             ~doc:"Override every case's depth bound (use with --case).")
-  in
-  let group_arg =
-    Arg.(value & opt (some string) None
-         & info [ "group"; "g" ]
-             ~doc:"Only audit cases of this group (base, consensus, \
-                   objects, universal, tm, fixture).")
-  in
-  let case_arg =
-    Arg.(value & opt (some string) None
-         & info [ "case"; "c" ] ~doc:"Only audit the named case.")
-  in
-  let fixtures_arg =
-    Arg.(value & flag
-         & info [ "fixtures" ]
-             ~doc:"Include the deliberately mis-declared fixtures (each \
-                   is expected dirty; for demonstration, not gating).")
-  in
-  let out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "out"; "o" ] ~doc:"Also write the report to this file.")
-  in
-  let run json ci oracle depth group case fixtures out =
-    let pool =
-      if fixtures then Registry.all () @ Registry.fixture_cases ()
-      else Registry.all ()
-    in
-    let cases = Registry.select ?group ?name:case pool in
-    if cases = [] then begin
-      prerr_endline "[slx] no audit cases match the filter";
-      1
-    end
-    else begin
-      let bound = if ci then `Ci else `Runtest in
-      let rp =
-        {
-          Audit.rp_bound = (if ci then "ci" else "runtest");
-          rp_results =
-            List.map (fun c -> Audit.run_case ~bound ?depth ~oracle c) cases;
-        }
-      in
-      let rendered =
-        if json then Audit.report_to_json rp ^ "\n"
-        else Format.asprintf "%a" Audit.pp_report rp
-      in
-      print_string rendered;
-      Option.iter
-        (fun path ->
-          let oc = open_out path in
-          output_string oc rendered;
-          close_out oc)
-        out;
-      if Audit.clean rp then 0 else 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "audit"
-       ~doc:
-         "Sweep every registered implementation's bounded schedule tree \
-          with the conflict-soundness sanitizer armed: race-detect \
-          undeclared base-object accesses (with replayable witnesses), \
-          certify the observed conflict relation against declared \
-          footprints, and lint over-declarations.  Nonzero exit on any \
-          violation.")
-    Term.(
-      const run $ json_arg $ ci_arg $ oracle_arg $ depth_arg $ group_arg
-      $ case_arg $ fixtures_arg $ out_arg)
-
-(* ------------------------------------------------------------------ *)
 (* serve / query / worker                                              *)
 
 let serve_cmd =
@@ -1108,6 +993,6 @@ let () =
   in
   exit (Cmd.eval' (Cmd.group info
        [ figure1_cmd; game_cmd; tm_game_cmd; theorems_cmd; mutex_cmd;
-         explore_cmd; live_explore_cmd; stats_cmd; audit_cmd;
+         explore_cmd; live_explore_cmd; stats_cmd;
          serve_cmd;
          query_cmd; worker_cmd ]))

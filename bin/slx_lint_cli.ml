@@ -4,7 +4,7 @@
 
    slx_lint_cli [PATHS] [--ci] [--json] [--root DIR] [--waivers FILE]
        [--out FILE]
-       Statically check model sources (escape/determinism/footprint
+       Statically check model sources (escape and determinism
        families); nonzero exit on any unwaived finding.  *)
 
 open Cmdliner
@@ -41,7 +41,7 @@ let lint_cmd =
           ~doc:
             "Files or directories to sweep, relative to --root (default: \
              the model-code set: lib/objects, lib/consensus, lib/tm, \
-             lib/base_objects, examples, lib/analysis/fixtures.ml).")
+             lib/base_objects, examples).")
   in
   let root_arg =
     Arg.(
@@ -92,10 +92,10 @@ let lint_cmd =
   Cmd.v
     (Cmd.info "slx_lint_cli"
        ~doc:
-         "Statically check model sources for escape, determinism and \
-          footprint violations: the conservative all-paths complement of \
-          the audit's exact explored-paths sanitizer.  Nonzero exit on \
-          any unwaived finding.")
+         "Statically check model sources for escape and determinism \
+          violations: shared state kept outside registered, touched cells \
+          and calls that can differ between a run and its replay.  \
+          Nonzero exit on any unwaived finding.")
     Term.(
       const run $ paths_arg $ root_arg $ waivers_arg $ json_arg $ ci_arg
       $ out_arg)

@@ -1,33 +1,26 @@
 (* Every constructor registers a state reader with the fingerprint
    registry currently in effect (a no-op outside the explorer), so the
    exploration engine can digest the shared state of a configuration.
-   Registration also yields the object's footprint id: every primitive
-   declares, via [atomic_access], which object it touches and whether
-   it writes, so the explorer's partial-order reduction can recognize
-   commuting steps.  See Runtime's "Configuration digests" and
-   "Access footprints" sections.
+   Registration also yields the object's footprint id.  Every
+   primitive is one [Runtime.atomic] step that routes each physical
+   cell access through [load]/[store], which report it with
+   [Runtime.touch] under the owning object's id: what a step touched
+   is its observed footprint, from which the explorer's partial-order
+   reduction recognizes commuting steps.  See Runtime's "Configuration
+   digests" and "Access footprints" sections. *)
+module Runtime = Slx_sim.Runtime
 
-   Primitives route every physical cell access through [load]/[store],
-   which report the access to the sanitizer shadow (Runtime.touch, a
-   no-op unless a shadow is installed).  The report is attached to the
-   cell, not to the declaring wrapper, so a primitive whose declared
-   footprint disagrees with what it physically does is caught by the
-   race detector rather than trusted. *)
 let fingerprinted state read =
-  Slx_sim.Runtime.register_object (fun () ->
-      Slx_sim.Runtime.hash_value (read state))
+  Runtime.register_object (fun () -> Runtime.hash_value (read state))
 
-let reads ~obj f = Slx_sim.Runtime.atomic_access ~obj ~write:false f
-let writes ~obj f = Slx_sim.Runtime.atomic_access ~obj ~write:true f
-
-(* Shadow-reported ref-cell accesses.  [obj] is the id of the base
-   object owning the cell. *)
+(* Reported ref-cell accesses.  [obj] is the id of the base object
+   owning the cell. *)
 let load ~obj st =
-  Slx_sim.Runtime.touch ~obj ~write:false;
+  Runtime.touch ~obj ~write:false;
   !st
 
 let store ~obj st v =
-  Slx_sim.Runtime.touch ~obj ~write:true;
+  Runtime.touch ~obj ~write:true;
   st := v
 
 module Register = struct
@@ -37,8 +30,8 @@ module Register = struct
     let st = ref v in
     { st; obj = fingerprinted st ( ! ) }
 
-  let read r = reads ~obj:r.obj (fun () -> load ~obj:r.obj r.st)
-  let write r v = writes ~obj:r.obj (fun () -> store ~obj:r.obj r.st v)
+  let read r = Runtime.atomic (fun () -> load ~obj:r.obj r.st)
+  let write r v = Runtime.atomic (fun () -> store ~obj:r.obj r.st v)
 end
 
 module Cas = struct
@@ -48,10 +41,10 @@ module Cas = struct
     let st = ref v in
     { st; obj = fingerprinted st ( ! ) }
 
-  let read r = reads ~obj:r.obj (fun () -> load ~obj:r.obj r.st)
+  let read r = Runtime.atomic (fun () -> load ~obj:r.obj r.st)
 
   let compare_and_swap r ~expected ~desired =
-    writes ~obj:r.obj (fun () ->
+    Runtime.atomic (fun () ->
         if load ~obj:r.obj r.st = expected then begin
           store ~obj:r.obj r.st desired;
           true
@@ -67,16 +60,16 @@ module Test_and_set = struct
     { st; obj = fingerprinted st ( ! ) }
 
   let test_and_set r =
-    writes ~obj:r.obj (fun () ->
+    Runtime.atomic (fun () ->
         if load ~obj:r.obj r.st then false
         else begin
           store ~obj:r.obj r.st true;
           true
         end)
 
-  let reset r = writes ~obj:r.obj (fun () -> store ~obj:r.obj r.st false)
+  let reset r = Runtime.atomic (fun () -> store ~obj:r.obj r.st false)
 
-  let read r = reads ~obj:r.obj (fun () -> load ~obj:r.obj r.st)
+  let read r = Runtime.atomic (fun () -> load ~obj:r.obj r.st)
 end
 
 module Fetch_and_add = struct
@@ -87,12 +80,12 @@ module Fetch_and_add = struct
     { st; obj = fingerprinted st ( ! ) }
 
   let fetch_and_add r d =
-    writes ~obj:r.obj (fun () ->
+    Runtime.atomic (fun () ->
         let old = load ~obj:r.obj r.st in
         store ~obj:r.obj r.st (old + d);
         old)
 
-  let read r = reads ~obj:r.obj (fun () -> load ~obj:r.obj r.st)
+  let read r = Runtime.atomic (fun () -> load ~obj:r.obj r.st)
 end
 
 module Queue = struct
@@ -103,11 +96,11 @@ module Queue = struct
     { st; obj = fingerprinted st ( ! ) }
 
   let enqueue q v =
-    writes ~obj:q.obj (fun () ->
+    Runtime.atomic (fun () ->
         store ~obj:q.obj q.st (load ~obj:q.obj q.st @ [ v ]))
 
   let dequeue q =
-    writes ~obj:q.obj (fun () ->
+    Runtime.atomic (fun () ->
         match load ~obj:q.obj q.st with
         | [] -> None
         | x :: rest ->
@@ -123,18 +116,17 @@ module Snapshot = struct
     let st = Array.make n init in
     { st; obj = fingerprinted st (fun s -> Array.to_list s) }
 
-  (* Object-granularity footprints: updates of different segments are
-     declared on the same object and therefore not commuted by the
-     explorer — sound, merely conservative.  Touches are likewise
-     object-granular. *)
+  (* Object-granularity touches: updates of different segments touch
+     the same object and are therefore not commuted by the explorer —
+     sound, merely conservative. *)
   let update s p v =
     if p < 1 || p > Array.length s.st then invalid_arg "Snapshot.update";
-    writes ~obj:s.obj (fun () ->
-        Slx_sim.Runtime.touch ~obj:s.obj ~write:true;
+    Runtime.atomic (fun () ->
+        Runtime.touch ~obj:s.obj ~write:true;
         s.st.(p - 1) <- v)
 
   let scan s =
-    reads ~obj:s.obj (fun () ->
-        Slx_sim.Runtime.touch ~obj:s.obj ~write:false;
+    Runtime.atomic (fun () ->
+        Runtime.touch ~obj:s.obj ~write:false;
         Array.copy s.st)
 end

@@ -95,8 +95,7 @@ let exploration (st : _ state) found =
 
 let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
     ?(por = false) ?(dpor = false) ?(symmetry = false) ?(domains = 1)
-    ?(obs = Obs.disabled) ?(sanitize = false) ?(compact = true) ?cancel ~check
-    () =
+    ?(obs = Obs.disabled) ?(compact = true) ?cancel ~check () =
   if domains <> 1 then invalid_arg "Explore.explore: domains must be 1";
   if not compact then invalid_arg "Explore.explore: compact must be true";
   if por && not dpor then invalid_arg "Explore.explore: por requires dpor";
@@ -107,7 +106,7 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
   let st : _ state =
     Search.create ~n ~factory
       ~cache:(cache && not (dpor && symmetry))
-      ~dpor ~sanitize ?cancel obs
+      ~dpor ?cancel obs
   in
   let menu =
     Search.menu ~invoke ~depth ~max_crashes ~symmetry ~invoke_order:false
@@ -118,7 +117,7 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
      walk with a table builds keys: its cursors alone are keyed. *)
   let keyed = Option.is_some st.table in
   let key_tail ~last crashes sleep =
-    Search.crash_slot ~max_crashes ~last crashes :: sleep
+    Search.crash_slot ~max_crashes ~last crashes :: Search.sleep_ids sleep
   in
   (* A transposition: an already-explored configuration (with the same
      crash slot and sleep set).  Its subtree was counterexample-free
@@ -195,7 +194,7 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                   (fun child d child_sleep pre () ->
                     let settled =
                       if dpor then
-                        Search.settle st child d child_sleep (len + 1)
+                        Search.settle st d child_sleep (len + 1)
                       else []
                     in
                     visit ?pre child (d :: rev_script) (len + 1)
@@ -234,8 +233,7 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
 
 let explore_naive ~n ~factory ~invoke ~depth ?(max_crashes = 0) ~check () =
   let st : _ state =
-    Search.create ~n ~factory ~cache:false ~dpor:false ~sanitize:false
-      Obs.disabled
+    Search.create ~n ~factory ~cache:false ~dpor:false Obs.disabled
   in
   (* The retained reference engine: re-run the decision prefix from a
      fresh implementation instance at every node of the tree, exactly

@@ -65,10 +65,9 @@
       therefore invoked once per configuration class — pass
       [~cache:false] if a check depends on fine-grained event timing
       rather than on the history, crash set, totals and window.
-    - {e dpor} (default off): a pending step that commutes
-      ({!Slx_sim.Runtime.commute}) with the accesses another
-      step actually performed reaches the same configuration in either
-      order; sleep sets explore one representative interleaving per
+    - {e dpor} (default off): two steps whose observed accesses
+      commute ({!Slx_sim.Runtime.commute}) reach the same
+      configuration in either order; sleep sets explore one representative interleaving per
       such commutation class.  The representative's history can differ
       from a pruned run's by swaps of adjacent response events of
       different processes, and the canonical menu moves crash events,
@@ -139,7 +138,6 @@ val explore :
   ?symmetry:bool ->
   ?domains:int ->
   ?obs:Slx_obs.Obs.t ->
-  ?sanitize:bool ->
   ?compact:bool ->
   ?cancel:(unit -> bool) ->
   check:(('inv, 'res) Run_report.t -> bool) ->
@@ -162,9 +160,10 @@ val explore :
     (default [false]) enables sleep-set partial-order reduction ({!Dpor}): each
     cursor carries an observed-access probe
     ({!Slx_sim.Runtime.make_probe}), children inherit the whole sleep
-    set as a candidate, and after each edge executes the sleepers
-    whose pending footprints race with the accesses the step {e
-    actually performed} are woken (a {e race reversal},
+    set as a candidate, each sleeper with the footprint its own step
+    observed, and after each edge executes the sleepers whose
+    footprints race with the accesses the step {e actually performed}
+    are woken (a {e race reversal},
     {!Explore_stats.t.race_reversals}).  A crash child that would
     offer only sleepers ({!Search.crash_child} [Dead]) is decided at its
     parent and never built.  Under every mode a crash child that ends
@@ -194,15 +193,6 @@ val explore :
     available); the report's window is the whole run.  When a
     counterexample is found the remaining exploration is abandoned, so
     [stats] then reflects the work done up to the discovery.
-
-    [sanitize] (default [false]) installs a sanitizer shadow ({!Slx_sim.Runtime.make_shadow}) on every cursor: physical
-    base-object accesses are checked against declared footprints and
-    mismatches counted into [stats.footprint_violations].  The shadow
-    neither raises nor records, so a sanitized exploration applies
-    exactly the decisions — and returns exactly the outcome, stats
-    (beyond [footprint_violations]) and witness — of an unsanitized
-    one.  For raising shadows with replayable witnesses use
-    {!Slx_analysis.Audit} instead.
 
     The transposition cache is keyed on flat compact keys: every
     cursor carries an incremental interned history id ({!Intern}), and

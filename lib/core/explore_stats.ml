@@ -14,7 +14,6 @@ type t = {
   symmetry_pruned : int;
   cycles_examined : int;
   fair_cycles : int;
-  footprint_violations : int;
   elapsed_ns : int;
   events_dropped : int;
   history_digest : int;
@@ -37,7 +36,6 @@ let zero =
     symmetry_pruned = 0;
     cycles_examined = 0;
     fair_cycles = 0;
-    footprint_violations = 0;
     elapsed_ns = 0;
     events_dropped = 0;
     history_digest = 0;
@@ -69,9 +67,6 @@ let pp fmt s =
   if s.cycles_examined > 0 || s.fair_cycles > 0 then
     Format.fprintf fmt "@,cycles:           %d examined, %d fair violating"
       s.cycles_examined s.fair_cycles;
-  if s.footprint_violations > 0 then
-    Format.fprintf fmt "@,sanitizer:        %d violations"
-      s.footprint_violations;
   if s.events_dropped > 0 then
     Format.fprintf fmt "@,telemetry:        %d events dropped (ring overflow)"
       s.events_dropped;
@@ -85,11 +80,10 @@ let to_json s =
      \"por_prunes\": %d, \"race_reversals\": %d, \
      \"invoke_order_prunes\": %d, \"proviso_wakes\": %d, \
      \"symmetry_pruned\": %d, \
-     \"cycles_examined\": %d, \"fair_cycles\": %d, \
-     \"footprint_violations\": %d, \"elapsed_ns\": %d, \
+     \"cycles_examined\": %d, \"fair_cycles\": %d, \"elapsed_ns\": %d, \
      \"events_dropped\": %d, \"history_digest\": %d}"
     s.nodes s.runs s.runs_checked s.steps_executed s.steps_replayed
     s.replays_avoided s.cache_hits s.cache_entries s.por_prunes
     s.race_reversals s.invoke_order_prunes s.proviso_wakes
-    s.symmetry_pruned s.cycles_examined s.fair_cycles s.footprint_violations
+    s.symmetry_pruned s.cycles_examined s.fair_cycles
     s.elapsed_ns s.events_dropped s.history_digest

@@ -73,12 +73,6 @@ type t = {
       (** Fair-cycle search only: candidates that were fair and
           progress-violating before certificate validation; the search
           stops at the first one whose certificate also pumps. *)
-  footprint_violations : int;
-      (** Sanitizer violations observed ({!Runtime.shadow_violation_count}):
-          undeclared touches, escaping nested declarations, or
-          touches outside any atomic action.  Always 0 for a clean
-          implementation; engines running with [~sanitize:true] count
-          without raising. *)
   elapsed_ns : int;
       (** Wall-clock nanoseconds of the exploration, measured inside
           the engine (entry to exit). *)

@@ -45,11 +45,10 @@ type ('inv, 'res) result = {
    count, and the witness is the accepted certificate. *)
 type ('inv, 'res) state = ('inv, 'res, int, ('inv, 'res) Lasso.cert) Search.t
 
-(* A search with no cache, reductions, shadow or telemetry: the one
+(* A search with no cache, reductions or telemetry: the one
    [certify_run] and [validate_cert_codes] replay and pump with. *)
 let plain_state ~n ~factory : _ state =
-  Search.create ~n ~factory ~cache:false ~dpor:false ~sanitize:false
-    Obs.disabled
+  Search.create ~n ~factory ~cache:false ~dpor:false Obs.disabled
 
 let rec take k xs =
   if k <= 0 then []
@@ -106,7 +105,7 @@ let blocked_at ~invoke view =
    that passes repeats its cells in every repetition, so its window is
    periodic with no test here (doc/model.md §7).  [own], a cursor
    already at stem · cycle that no one uses again, is pumped from where
-   it stands, outside the walk's shadow and probe; without it the pump
+   it stands, outside the walk's probe; without it the pump
    replays the stem on a fresh instance.  [Error (Some r)] is a pump
    that failed at repetition [r] in a way the cycle's continuations
    inherit ({!Lasso.failure}).  The pump span closes with its verdict
@@ -280,16 +279,13 @@ let budgets ~depth ~max_period ~pump_ticks =
 
 let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
     ?max_period ?pump_ticks ?invoke_order:(_ : bool option) ?(dpor = false)
-    ?(cache = true) ?(obs = Obs.disabled) ?(sanitize = false) ?(compact = true)
-    ?cancel () =
+    ?(cache = true) ?(obs = Obs.disabled) ?(compact = true) ?cancel () =
   if not compact then invalid_arg "Live_explore.search: compact must be true";
   let max_period, pump_ticks = budgets ~depth ~max_period ~pump_ticks in
   (* The cache engages only if some node can be keyed, i.e. some
      [len] has [2 * max_period < len < depth] (see the key comment). *)
   let cache = cache && depth > (2 * max_period) + 1 in
-  let st : _ state =
-    Search.create ~n ~factory ~cache ~dpor ~sanitize ?cancel obs
-  in
+  let st : _ state = Search.create ~n ~factory ~cache ~dpor ?cancel obs in
   (* The canonical menu ({!Search.menu}), so the emitted certificate
      is the lexicographically least in that order, invoke-ordered:
      where several idle processes could be invoked, only the least
@@ -319,15 +315,17 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
      none is settled there. *)
   let settles len = dpor && len < depth in
   let drop_own settled ~sleep len =
-    let dropped, kept = List.partition (fun z -> List.mem z sleep) settled in
+    let dropped, kept =
+      List.partition (fun (z, _) -> List.mem_assoc z sleep) settled
+    in
     if dropped <> [] then begin
       st.proviso <- st.proviso + List.length dropped;
       Telemetry.emit st.sink Telemetry.Proviso_wake len (List.length dropped)
     end;
     kept
   in
-  let settle child d candidate ~sleep len =
-    drop_own (Search.settle st child d candidate len) ~sleep len
+  let settle d candidate ~sleep len =
+    drop_own (Search.settle st d candidate len) ~sleep len
   in
   (* Shallow nodes and leaves stay unkeyed: see the key comment. *)
   let keyed_at len =
@@ -335,15 +333,13 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
   in
   let key_tail rev_codes sleep =
     let codes = take (2 * max_period) rev_codes in
-    (List.length codes :: codes) @ sleep
+    (List.length codes :: codes) @ Search.sleep_ids sleep
   in
   (* The children of a node at depth [len]: a step or invocation leaf
      that {!Lasso.may_close} says closes no candidate is decided here
-     ({!Search.Step_leaf}), since a leaf's only work is its candidates.
-     A sanitized walk builds every leaf, so its shadow checks every
-     step it always did. *)
+     ({!Search.Step_leaf}), since a leaf's only work is its candidates. *)
   let decide_leaves len rev_codes kids =
-    if len + 1 < depth || Option.is_some st.shadow then kids
+    if len + 1 < depth then kids
     else
       List.map
         (function
@@ -353,8 +349,8 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
           | kid -> kid)
         kids
   in
-  (* [sleep] holds the ids of the processes whose steps sleep at this
-     node; [] with DPOR off.  An open crash child arrives with [pre],
+  (* [sleep] holds the processes whose steps sleep at this node, each
+     with the footprint its step observed; [] with DPOR off.  An open crash child arrives with [pre],
      the menu its parent took on its crash view, which is this
      node's.  [doomed] holds the pump failures whose cycle the path to
      this node continues. *)
@@ -429,7 +425,7 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
               (fun child d child_sleep pre (fresh, code) ->
                 let settled =
                   if settles (len + 1) then
-                    settle child d child_sleep ~sleep (len + 1)
+                    settle d child_sleep ~sleep (len + 1)
                   else []
                 in
                 visit ?pre child (d :: rev_script) (code :: rev_codes)

@@ -68,8 +68,7 @@
     checks one ({!Search.crash_child} [Leaf]), and never built.  So is
     a step or invocation leaf at the depth bound whose tick closes no
     candidate whatever it records ({!Slx_liveness.Lasso.may_close},
-    from the parent's cell codes and the decision), unless a sanitizer
-    shadow is on: a sanitized walk builds every leaf.  The
+    from the parent's cell codes and the decision).  The
     transposition cache is keyed
     on the configuration's compact key {e plus} the last
     [2 * max_period] abstract cells — the context that determines
@@ -144,7 +143,6 @@ val search :
   ?dpor:bool ->
   ?cache:bool ->
   ?obs:Slx_obs.Obs.t ->
-  ?sanitize:bool ->
   ?compact:bool ->
   ?cancel:(unit -> bool) ->
   unit ->
@@ -186,17 +184,6 @@ val search :
     validation attempt, closed with its verdict on every path.
     Verdicts and counters (other than [elapsed_ns]/[events_dropped])
     are identical with tracing on or off.
-
-    [sanitize] (default [false]) installs a non-raising sanitizer
-    shadow on every search cursor (as in {!Explore.explore}):
-    footprint mismatches are counted into
-    [stats.footprint_violations] without changing any decision or
-    verdict.  A sanitized walk builds every leaf (see module doc), so
-    of its work counters only [steps_executed], [steps_replayed] and
-    [replays_avoided] differ from an unsanitized walk's.
-    Pump validation runs outside the shadow — it re-executes an
-    already-sanitized script, on a fresh instance or on a leaf's
-    detached cursor.
 
     The suffix cache is keyed on flat compact keys, as in
     {!Explore.explore}: the interned incremental history id, the

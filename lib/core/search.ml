@@ -40,7 +40,6 @@ type ('inv, 'res, 'v, 'f) t = {
   mutable found : 'f option;
   ticks : int ref;
   table : 'v Key_table.t option;
-  shadow : Runtime.shadow option;
   probe : Runtime.probe option;
   encode : (int -> ('inv, 'res) Event.t -> int) option;
 }
@@ -52,8 +51,7 @@ let history_encoder () =
   let conses = Intern.create () in
   fun parent e -> Intern.intern conses (parent, Intern.intern events e)
 
-let create ~n ~factory ~cache ~dpor ~sanitize ?(cancel = fun () -> false)
-    obs =
+let create ~n ~factory ~cache ~dpor ?(cancel = fun () -> false) obs =
   let sink = Obs.sink obs in
   let st =
     {
@@ -82,10 +80,6 @@ let create ~n ~factory ~cache ~dpor ~sanitize ?(cancel = fun () -> false)
       found = None;
       ticks = ref 0;
       table = (if cache then Some (Key_table.create 512) else None);
-      shadow =
-        (if sanitize then
-           Some (Runtime.make_shadow ~record:false ~raise_on_violation:false ())
-         else None);
       probe = (if dpor then Some (Runtime.make_probe ()) else None);
       encode = (if cache then Some (history_encoder ()) else None);
     }
@@ -120,10 +114,6 @@ let stats st : Explore_stats.t =
     symmetry_pruned = st.sym_pruned;
     cycles_examined = st.cycles;
     fair_cycles = st.fair;
-    footprint_violations =
-      (match st.shadow with
-      | Some sh -> Runtime.shadow_violation_count sh
-      | None -> 0);
     elapsed_ns = Clock.now_ns () - st.t0;
     events_dropped = Obs.events_dropped st.obs;
     history_digest = st.digest;
@@ -132,7 +122,7 @@ let stats st : Explore_stats.t =
 (* A cursor keeps its key digests only where the table reads them. *)
 let with_cursor st ?prefix ?hist_id f =
   Runner.Cursor.with_ ~n:st.n ~factory:(st.factory ()) ~ticks:st.ticks
-    ?shadow:st.shadow ?probe:st.probe ?encode:st.encode
+    ?probe:st.probe ?encode:st.encode
     ~keyed:(Option.is_some st.table) ?prefix ?hist_id f
 
 let node st len body =
@@ -307,18 +297,25 @@ let menu ~invoke ~depth ~max_crashes ~symmetry ~invoke_order =
       (decisions, m.pruned)
     end
 
+type sleep = Dpor.sleep
+
+let sleep_ids sleep = List.map fst sleep
+
 let asleep sleep decisions =
   if sleep = [] then ([], decisions)
   else
     List.partition
-      (function Driver.Schedule p -> List.mem p sleep | _ -> false)
+      (function Driver.Schedule p -> List.mem_assoc p sleep | _ -> false)
       decisions
 
-(* [p] added to the sorted, duplicate-free sleep set [sleep]. *)
-let rec insert p = function
-  | q :: rest as sleep ->
-      if p < q then p :: sleep else if p = q then sleep else q :: insert p rest
-  | [] -> [ p ]
+(* [p], whose step observed [fp], added to the sleep set [sleep],
+   sorted by process and duplicate-free. *)
+let rec insert p fp = function
+  | ((q, _) as z) :: rest as sleep ->
+      if p < q then (p, fp) :: sleep
+      else if p = q then sleep
+      else z :: insert p fp rest
+  | [] -> [ (p, fp) ]
 
 type crash_child = Dead | Leaf | Open
 
@@ -335,7 +332,8 @@ let crash_menu ~menu view ~sleep len crashes q =
         if
           sleep <> []
           && List.for_all
-               (function Driver.Schedule p -> List.mem p sleep | _ -> false)
+               (function
+                 | Driver.Schedule p -> List.mem_assoc p sleep | _ -> false)
                ds
         then Dead
         else Open
@@ -378,46 +376,56 @@ let children st cursor ~rev_script ~len ~sleep ~apply ~leaf kids descend =
      is. *)
   let hist_id = Runner.Cursor.hist_id cursor in
   let dpor = Option.is_some st.probe in
-  (* [prev]: the node's sleep set plus every earlier sibling's step. *)
+  (* Apply [d] on [child] and descend, returning the footprint the
+     step observed, read before the descent runs further steps. *)
+  let run child d z menu =
+    let applied = apply child d in
+    let fp = Dpor.observed_step st.probe in
+    descend child d z menu applied;
+    fp
+  in
+  (* [prev]: the node's sleep set plus every earlier sibling's step,
+     with the footprint that step observed.  A step leaf never runs,
+     so its entry is opaque; no sleep set holding it is settled. *)
   let rec walk in_place prev = function
     | [] -> ()
-    | (d, kid) :: kids -> (
+    | (d, kid) :: kids ->
         Telemetry.emit st.sink Telemetry.Decision (len + 1)
           (code_of_decision d);
         let z =
           if not dpor then []
           else match d with Driver.Crash _ -> sleep | _ -> prev
         in
+        let fp, in_place =
+          match kid with
+          | Crash_leaf x ->
+              leaf (Some x) d z;
+              (Runtime.opaque, in_place)
+          | Step_leaf ->
+              leaf None d z;
+              (Runtime.opaque, in_place)
+          | Descend menu when in_place ->
+              st.avoided <- st.avoided + 1;
+              (run cursor d z menu, false)
+          | Descend menu ->
+              ( with_cursor st ~prefix:(List.rev rev_script) ~hist_id
+                  (fun child ->
+                    st.replayed <- st.replayed + len;
+                    run child d z menu),
+                false )
+        in
         let next =
           match d with
-          | Driver.Schedule p when dpor -> insert p prev
+          | Driver.Schedule p when dpor -> insert p fp prev
           | _ -> prev
         in
-        match kid with
-        | Crash_leaf x ->
-            leaf (Some x) d z;
-            walk in_place next kids
-        | Step_leaf ->
-            leaf None d z;
-            walk in_place next kids
-        | Descend menu when in_place ->
-            st.avoided <- st.avoided + 1;
-            descend cursor d z menu (apply cursor d);
-            walk false next kids
-        | Descend menu ->
-            with_cursor st ~prefix:(List.rev rev_script) ~hist_id (fun child ->
-                st.replayed <- st.replayed + len;
-                descend child d z menu (apply child d));
-            walk false next kids)
+        walk in_place next kids
   in
   walk true sleep kids
 
-let settle st cursor d sleep len =
+let settle st d sleep len =
   let keep, woken =
-    Dpor.advance
-      ~observed:(Dpor.observed_step st.probe)
-      ~pending:(Runner.Cursor.pending cursor)
-      sleep d
+    Dpor.advance ~observed:(Dpor.observed_step st.probe) sleep d
   in
   if woken <> [] then begin
     st.reversals <- st.reversals + List.length woken;

@@ -55,10 +55,6 @@ type ('inv, 'res, 'v, 'f) t = {
   table : 'v Key_table.t option;
       (** The transposition table, keyed by {!key} arrays: [Some]
           exactly when the search was created with [cache]. *)
-  shadow : Runtime.shadow option;
-      (** Non-raising, non-recording sanitizer shadow shared by every
-          cursor: it only counts violations, so a sanitized search
-          takes exactly the decisions an unsanitized one does. *)
   probe : Runtime.probe option;
       (** DPOR observed-access probe shared by every cursor; recording
           only. *)
@@ -75,14 +71,13 @@ val create :
   factory:(unit -> ('inv, 'res) Runner.factory) ->
   cache:bool ->
   dpor:bool ->
-  sanitize:bool ->
   ?cancel:(unit -> bool) ->
   Slx_obs.Obs.t ->
   ('inv, 'res, 'v, 'f) t
 (** A fresh search over [n] processes.  [cache] builds the
     transposition table (a {!Key_table}, unbounded) and the
-    history-interning hook; [dpor] the observed-access probe;
-    [sanitize] the counting shadow.  The bundle's sink and progress
+    history-interning hook; [dpor] the observed-access probe.  The
+    bundle's sink and progress
     reporter are taken once, here. *)
 
 val stats : (_, _, _, _) t -> Explore_stats.t
@@ -108,6 +103,14 @@ val node : (_, _, _, _) t -> int -> (unit -> unit) -> unit
     [Node_enter]/[Node_leave] span, which closes on every exit.  With
     the sink disabled there is no [Fun.protect] frame. *)
 
+type sleep = Dpor.sleep
+(** A DPOR sleep set ({!Dpor.sleep}).  A sleeper's footprint is a
+    function of the configuration and the process while the process
+    sleeps, so transposition keys carry only {!sleep_ids}. *)
+
+val sleep_ids : sleep -> int list
+(** The sleeping processes, in order. *)
+
 (** A child as {!classify} hands it to {!children}. *)
 type ('inv, 'res) child =
   | Descend of (('inv, 'res) Driver.decision list * int) option
@@ -129,16 +132,16 @@ val children :
   ('inv, 'res) Runner.Cursor.t ->
   rev_script:('inv, 'res) Driver.decision list ->
   len:int ->
-  sleep:int list ->
+  sleep:sleep ->
   apply:(('inv, 'res) Runner.Cursor.t -> ('inv, 'res) Driver.decision -> 'a) ->
   leaf:(('inv, 'res) Runner.Cursor.crash option ->
   ('inv, 'res) Driver.decision ->
-  int list ->
+  sleep ->
   unit) ->
   (('inv, 'res) Driver.decision * ('inv, 'res) child) list ->
   (('inv, 'res) Runner.Cursor.t ->
   ('inv, 'res) Driver.decision ->
-  int list ->
+  sleep ->
   (('inv, 'res) Driver.decision list * int) option ->
   'a ->
   unit) ->
@@ -147,9 +150,14 @@ val children :
     descend] walks a node's children, as {!classify} returns them, in
     order, each with its candidate sleep set: under DPOR (the search
     was created with a probe) the node's [sleep] plus every earlier
-    sibling's step, but the node's [sleep] alone for a crash child,
-    since a sibling's step moved before the crash leaves a run the
-    menu does not offer (doc/model.md §6); without DPOR, [[]].  Each child emits its [Decision] event.  A
+    sibling's step, with the footprint the probe observed right after
+    that sibling was applied, but the node's [sleep] alone for a crash
+    child, since a sibling's step moved before the crash leaves a run
+    the menu does not offer (doc/model.md §6); without DPOR, [[]].  A
+    [Step_leaf] sibling never runs, so it sleeps with
+    {!Slx_sim.Runtime.opaque}; only the live walk makes step leaves,
+    at the depth bound, where no sleep set is settled.  Each child
+    emits its [Decision] event.  A
     decided crash leaf goes to [leaf] with its snapshot, a [Step_leaf]
     with [None]: no cursor, no replay, counted as neither
     [replays_avoided] nor [steps_replayed].  Every other child is
@@ -174,7 +182,7 @@ val crash_child :
     int ->
     ('inv, 'res) Driver.decision list * int) ->
   ('inv, 'res) Driver.view ->
-  sleep:int list ->
+  sleep:sleep ->
   int ->
   int ->
   Proc.t ->
@@ -197,7 +205,7 @@ val classify :
     int ->
     ('inv, 'res) Driver.decision list * int) ->
   ('inv, 'res) Runner.Cursor.t ->
-  sleep:int list ->
+  sleep:sleep ->
   int ->
   int ->
   ('inv, 'res) Driver.decision list ->
@@ -225,7 +233,7 @@ val full_menu :
     (if ready) or its invocation (if idle and [invoke] has one); then,
     while [crashes < max_crashes], each process not yet crashed,
     crashed.  Empty at [len >= depth].  {!menu} filters it;
-    {!Explore.explore_naive} and the audit walk it unfiltered. *)
+    {!Explore.explore_naive} walks it unfiltered. *)
 
 val menu :
   invoke:(('inv, 'res) Driver.view -> Proc.t -> 'inv option) ->
@@ -258,24 +266,19 @@ val crash_slot :
     safety explorer's transposition key carries. *)
 
 val asleep :
-  int list ->
+  sleep ->
   ('inv, 'res) Driver.decision list ->
   ('inv, 'res) Driver.decision list * ('inv, 'res) Driver.decision list
 (** [asleep sleep decisions] splits a menu into the steps of the
     processes in the sleep set [sleep] and the rest, in menu order. *)
 
 val settle :
-  ('inv, 'res, 'v, 'f) t ->
-  ('inv, 'res) Runner.Cursor.t ->
-  ('inv, 'res) Driver.decision ->
-  int list ->
-  int ->
-  int list
-(** [settle st child d sleep len] settles a child's candidate sleep set
-    once its edge [d] has executed on [child], at depth [len]: the
-    entries {!Dpor.advance} keeps, from the accesses [d] actually
-    performed ({!Dpor.observed_step} of the search's probe) and
-    each sleeper's pending footprint on [child].  The entries it wakes are
+  ('inv, 'res, 'v, 'f) t -> ('inv, 'res) Driver.decision -> sleep -> int -> sleep
+(** [settle st d sleep len] settles a child's candidate sleep set once
+    its edge [d] has executed, at depth [len]: the entries
+    {!Dpor.advance} keeps, racing the accesses [d] actually performed
+    ({!Dpor.observed_step} of the search's probe) against each
+    sleeper's observed footprint.  The entries it wakes are
     the race reversals: counted in [race_reversals] and emitted as one
     [Race_reversal] event.  Both explorers' DPOR walks settle through
     here. *)

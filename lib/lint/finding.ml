@@ -61,13 +61,12 @@ let rules =
     ( "escape-unregistered-state",
       Error,
       "mutable state captured by a runtime-interacting closure without a \
-       Runtime.register_object in scope: the shadow detector and the \
-       fingerprint registry never see it" );
+       Runtime.register_object in scope: neither the fingerprint registry \
+       nor a step's observed footprint sees it" );
     ( "escape-naked-mutation",
       Warn,
       "mutation of non-local state in runtime-interacting code outside any \
-       atomic/atomic_access callback: the access is invisible to declared \
-       footprints" );
+       atomic callback: the access is invisible to observed footprints" );
     ( "det-banned-call",
       Error,
       "call that can differ across replays (Random globals, Hashtbl.hash, \
@@ -77,20 +76,6 @@ let rules =
       Error,
       "physical equality (==/!=) in model code: depends on sharing, which \
        replay does not preserve" );
-    ( "fp-undeclared-handle",
-      Error,
-      "an object handle is touched (or re-declared by a nested atomic \
-       action) under a declaration that never mentions it: the static twin \
-       of the sanitizer's Undeclared_touch/Undeclared_nesting" );
-    ( "fp-write-under-read",
-      Error,
-      "a write-touch under a declaration that announced only a read: POR \
-       would commute steps that do not commute" );
-    ( "fp-unused-declaration",
-      Warn,
-      "a declared handle is never touched in a closed step body: harmless \
-       for soundness, destroys reduction (the static twin of the audit's \
-       Never_touched lint)" );
     ( "parse-error",
       Error,
       "the source file does not parse; nothing behind the error is checked" );

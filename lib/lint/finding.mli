@@ -11,7 +11,7 @@ type severity =
   | Error  (** Gates every run; waivable. *)
 
 type t = {
-  rule : string;  (** Rule id, e.g. ["fp-undeclared-handle"]. *)
+  rule : string;  (** Rule id, e.g. ["escape-global-mutable"]. *)
   severity : severity;
   file : string;  (** Path relative to the lint root. *)
   line : int;  (** 1-based; 0 when the finding is file-level. *)

@@ -12,7 +12,6 @@ let default_paths =
     "lib/tm";
     "lib/base_objects";
     "examples";
-    "lib/analysis/fixtures.ml";
   ]
 
 let read_file path =

@@ -24,9 +24,8 @@ val run :
   report
 (** Sweep [paths] (files or directories, relative to [root], default
     the model-code sweep: [lib/objects], [lib/consensus], [lib/tm],
-    [lib/base_objects], [examples], and [lib/analysis/fixtures.ml],
-    the deliberately-broken fixtures, which is what the waiver file is
-    for; directories recurse over [.ml] files, [.mli]
+    [lib/base_objects] and [examples]; directories recurse over [.ml]
+    files, [.mli]
     interfaces carry no step bodies and are skipped).  A missing
     [path] is itself a finding, not an exception.  [waiver_file] (also
     relative to [root]) suppresses matching findings; a missing or

@@ -80,12 +80,6 @@ let rec fun_params e =
       ((lbl, pat) :: ps, b)
   | _ -> ([], e)
 
-let bool_lit e =
-  match (unwrap e).pexp_desc with
-  | Pexp_construct ({ txt = Longident.Lident "true"; _ }, None) -> Some true
-  | Pexp_construct ({ txt = Longident.Lident "false"; _ }, None) -> Some false
-  | _ -> None
-
 (* The handle roots of an expression: the free lowercase identifiers
    it is built from, skipping identifiers in function position (so
    [snd a] and [r.obj] both root at the handle, not the accessor). *)
@@ -161,34 +155,12 @@ let is_register_path path =
   | ("register_object" | "fingerprinted") :: _ -> true
   | _ -> false
 
-(* Applications that keep a step body "closed" for the unused-
-   declaration check: operators plus a few pure standbys. *)
-let pure_fn = function
-  | [ x ] ->
-      (x <> "" && not ((x.[0] >= 'a' && x.[0] <= 'z') || x.[0] = '_'))
-      || List.mem x
-           [ "fst"; "snd"; "not"; "ignore"; "min"; "max"; "abs"; "succ";
-             "pred"; "compare"; "string_of_int"; "string_of_bool" ]
-  | _ -> false
-
 (* ------------------------------------------------------------------ *)
 (* Pass A: per-file helper discovery.                                  *)
 
-type param_key = PLabel of string | PIndex of int
-
-type touch_spec = { t_param : param_key; t_write : bool }
-
-type declare_spec = {
-  d_obj : param_key;
-  d_cb : param_key option;
-  d_write : bool;
-}
-
 type helpers = {
-  touch_helpers : (string, touch_spec list) Hashtbl.t;
-  declare_helpers : (string, declare_spec) Hashtbl.t;
-  registering : SSet.t ref;  (** names whose body reaches a registration *)
-  touching : SSet.t ref;  (** names whose body reaches the runtime *)
+  registering : SSet.t;  (** names whose body reaches a registration *)
+  touching : SSet.t;  (** names whose body reaches the runtime *)
 }
 
 let named_functions str =
@@ -209,117 +181,10 @@ let named_functions str =
   List.iter (it.structure_item it) str;
   !acc
 
-(* The key under which an application site will pass this parameter:
-   its label, or its index among the unlabelled parameters. *)
-let param_keys params =
-  let idx = ref (-1) in
-  List.map
-    (fun (lbl, pat) ->
-      match lbl with
-      | Asttypes.Labelled l | Asttypes.Optional l -> (PLabel l, pat_vars pat)
-      | Asttypes.Nolabel ->
-          incr idx;
-          (PIndex !idx, pat_vars pat))
-    params
-
-let arg_for args = function
-  | PLabel l ->
-      List.assoc_opt (Asttypes.Labelled l) args
-  | PIndex k ->
-      let unlabelled =
-        List.filter_map
-          (fun (lbl, a) ->
-            match lbl with Asttypes.Nolabel -> Some a | _ -> None)
-          args
-      in
-      List.nth_opt unlabelled k
-
+(* Registration and runtime-reaching named functions, each to a
+   fixpoint over the file's named functions. *)
 let discover str =
   let fns = named_functions str in
-  let h =
-    {
-      touch_helpers = Hashtbl.create 8;
-      declare_helpers = Hashtbl.create 8;
-      registering = ref SSet.empty;
-      touching = ref SSet.empty;
-    }
-  in
-  (* Touch helpers: a parameter whose pattern binds every root of a
-     direct [Runtime.touch ~obj:..] in the body carries the handle. *)
-  List.iter
-    (fun (name, params, body) ->
-      let keys = param_keys params in
-      let specs = ref [] in
-      iter_exprs
-        (fun e ->
-          match e.pexp_desc with
-          | Pexp_apply (f, args) -> begin
-              match path_of f with
-              | Some p when is_runtime "touch" p -> begin
-                  match arg_for args (PLabel "obj") with
-                  | None -> ()
-                  | Some obj ->
-                      let r = roots obj in
-                      let write =
-                        match arg_for args (PLabel "write") with
-                        | Some w -> Option.value (bool_lit w) ~default:true
-                        | None -> true
-                      in
-                      List.iter
-                        (fun (key, vars) ->
-                          if (not (SSet.is_empty r)) && SSet.subset r vars then
-                            specs := { t_param = key; t_write = write } :: !specs)
-                        keys
-                end
-              | _ -> ()
-            end
-          | _ -> ())
-        body;
-      if !specs <> [] then Hashtbl.replace h.touch_helpers name !specs)
-    fns;
-  (* Declare helpers: the body is one [atomic_access] forwarding an
-     [~obj] parameter, with a literal [~write] (the [reads]/[writes]
-     wrappers of Slx_base_objects). *)
-  List.iter
-    (fun (name, params, body) ->
-      let keys = param_keys params in
-      match (unwrap body).pexp_desc with
-      | Pexp_apply (f, args) -> begin
-          match path_of f with
-          | Some p when is_runtime "atomic_access" p -> begin
-              let param_of e =
-                match (unwrap e).pexp_desc with
-                | Pexp_ident { txt = Longident.Lident x; _ } ->
-                    List.find_map
-                      (fun (key, vars) ->
-                        if SSet.mem x vars then Some key else None)
-                      keys
-                | _ -> None
-              in
-              match Option.bind (arg_for args (PLabel "obj")) param_of with
-              | None -> ()
-              | Some d_obj ->
-                  let d_write =
-                    match arg_for args (PLabel "write") with
-                    | Some w -> Option.value (bool_lit w) ~default:true
-                    | None -> true
-                  in
-                  let d_cb =
-                    List.find_map
-                      (fun (lbl, a) ->
-                        match lbl with
-                        | Asttypes.Nolabel -> param_of a
-                        | _ -> None)
-                      args
-                  in
-                  Hashtbl.replace h.declare_helpers name { d_obj; d_cb; d_write }
-            end
-          | _ -> ()
-        end
-      | _ -> ())
-    fns;
-  (* Registration and runtime-reaching closures, to a fixpoint over
-     the file's named functions. *)
   let reaches body pred locals =
     exists_expr
       (fun e ->
@@ -348,34 +213,13 @@ let discover str =
     done;
     !set
   in
-  h.registering := fix is_register_path;
-  h.touching :=
-    fix (fun p ->
-        is_runtime "touch" p || is_runtime "atomic_access" p
-        || is_runtime "atomic" p
-        ||
-        match p with
-        | [ x ] ->
-            Hashtbl.mem h.touch_helpers x || Hashtbl.mem h.declare_helpers x
-        | _ -> false);
-  h
+  {
+    registering = fix is_register_path;
+    touching = fix (fun p -> is_runtime "touch" p || is_runtime "atomic" p);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Pass B: the walker.                                                 *)
-
-type app_kind =
-  | Declare of expression option * bool * expression option
-      (** obj, write, callback *)
-  | Opaque_declare of expression option
-  | Touches of (expression * bool) list  (** (obj expr, write) *)
-  | Plain
-
-type decl_ctx = {
-  opaque : bool;
-  map : (string * bool) list;  (** root -> write declared *)
-  mutable touched : SSet.t;
-  mutable unknown : bool;  (** an un-analyzable application was seen *)
-}
 
 let check ~file ~source str =
   let lines = Array.of_list (String.split_on_char '\n' source) in
@@ -399,7 +243,7 @@ let check ~file ~source str =
         | Pexp_ident { txt; _ } -> begin
             match Longident.flatten txt with
             | exception _ -> false
-            | [ x ] when SSet.mem x !(h.registering) -> true
+            | [ x ] when SSet.mem x h.registering -> true
             | p -> is_register_path p
           end
         | _ -> false)
@@ -412,71 +256,18 @@ let check ~file ~source str =
         | Pexp_ident { txt; _ } -> begin
             match Longident.flatten txt with
             | exception _ -> false
-            | [ x ] ->
-                SSet.mem x !(h.touching)
-                || Hashtbl.mem h.touch_helpers x
-                || Hashtbl.mem h.declare_helpers x
-            | p ->
-                is_runtime "touch" p || is_runtime "atomic_access" p
-                || is_runtime "atomic" p
+            | [ x ] -> SSet.mem x h.touching
+            | p -> is_runtime "touch" p || is_runtime "atomic" p
           end
         | _ -> false)
       e
-  in
-  let classify f args =
-    match path_of f with
-    | Some p when is_runtime "atomic_access" p ->
-        let cb =
-          List.filter_map
-            (fun (lbl, a) ->
-              match lbl with Asttypes.Nolabel -> Some a | _ -> None)
-            args
-        in
-        Declare
-          ( arg_for args (PLabel "obj"),
-            (match arg_for args (PLabel "write") with
-            | Some w -> Option.value (bool_lit w) ~default:true
-            | None -> true),
-            match List.rev cb with c :: _ -> Some c | [] -> None )
-    | Some p when is_runtime "atomic" p ->
-        Opaque_declare
-          (List.find_map
-             (fun (lbl, a) ->
-               match lbl with Asttypes.Nolabel -> Some a | _ -> None)
-             args)
-    | Some p when is_runtime "touch" p -> begin
-        match arg_for args (PLabel "obj") with
-        | None -> Plain
-        | Some obj ->
-            let write =
-              match arg_for args (PLabel "write") with
-              | Some w -> Option.value (bool_lit w) ~default:true
-              | None -> true
-            in
-            Touches [ (obj, write) ]
-      end
-    | Some [ name ] when Hashtbl.mem h.declare_helpers name ->
-        let s = Hashtbl.find h.declare_helpers name in
-        Declare
-          ( arg_for args s.d_obj,
-            s.d_write,
-            Option.bind s.d_cb (fun k -> arg_for args k) )
-    | Some [ name ] when Hashtbl.mem h.touch_helpers name ->
-        Touches
-          (List.filter_map
-             (fun s ->
-               Option.map (fun a -> (a, s.t_write))
-                 (arg_for args s.t_param))
-             (Hashtbl.find h.touch_helpers name))
-    | _ -> Plain
   in
   (* Mutable walker state, saved and restored around sub-walks. *)
   let fun_depth = ref 0 in
   let registered_scope = ref false in
   let interacting_scope = ref false in
   let local_bound = ref SSet.empty in
-  let cb_bound = ref SSet.empty in
-  let ctx : decl_ctx option ref = ref None in
+  let in_atomic = ref false in
   let handled_creations = Hashtbl.create 8 in
   let it = ref Ast_iterator.default_iterator in
   let walk e = !it.expr !it e in
@@ -511,7 +302,7 @@ let check ~file ~source str =
                          "%s bound to %S is captured by a runtime-\
                           interacting closure with no \
                           Runtime.register_object in scope: invisible to \
-                          fingerprints and the sanitizer shadow"
+                          fingerprints and to observed footprints"
                          what x)
                   (* else: scheduler-side closure state (drivers,
                      adversaries) — replay re-decides, not re-draws *)
@@ -543,7 +334,7 @@ let check ~file ~source str =
     let is_mut =
       match path_of f with Some p -> mutation_name p | None -> false
     in
-    if is_mut && !ctx = None && !interacting_scope then
+    if is_mut && (not !in_atomic) && !interacting_scope then
       match
         List.find_map
           (fun (lbl, a) ->
@@ -556,97 +347,10 @@ let check ~file ~source str =
           if not (SSet.is_empty r) then
             report ~rule:"escape-naked-mutation" ~severity:Finding.Warn ~loc
               (Printf.sprintf
-                 "mutation of %s outside any atomic/atomic_access callback \
-                  in runtime-interacting code: invisible to declared \
-                  footprints"
+                 "mutation of %s outside any atomic callback in \
+                  runtime-interacting code: a step's observed footprint \
+                  cannot see it"
                  (String.concat ", " (SSet.elements r)))
-  in
-  let touch_check obj write loc =
-    match !ctx with
-    | None | Some { opaque = true; _ } -> ()
-    | Some c ->
-        let r = SSet.diff (roots obj) !cb_bound in
-        c.touched <- SSet.union c.touched r;
-        SSet.iter
-          (fun x ->
-            match List.assoc_opt x c.map with
-            | None ->
-                report ~rule:"fp-undeclared-handle" ~loc
-                  (Printf.sprintf
-                     "handle %S is touched under a declaration that only \
-                      mentions {%s}: the static twin of Undeclared_touch"
-                     x
-                     (String.concat ", " (List.map fst c.map)))
-            | Some declared_write ->
-                if write && not declared_write then
-                  report ~rule:"fp-write-under-read" ~loc
-                    (Printf.sprintf
-                       "handle %S is written under a read-only declaration: \
-                        POR would commute steps that do not commute"
-                       x))
-          r
-  in
-  (* Walk a declare's callback under a new footprint context. *)
-  let with_ctx new_ctx cb =
-    let saved_ctx = !ctx and saved_cb = !cb_bound in
-    ctx := Some new_ctx;
-    cb_bound := SSet.empty;
-    walk cb;
-    ctx := saved_ctx;
-    cb_bound := saved_cb
-  in
-  let declare_check obj write callback loc =
-    let declared = match obj with Some o -> roots o | None -> SSet.empty in
-    (* A nested declaration must stay inside the pending footprint
-       (the static twin of Undeclared_nesting). *)
-    (match !ctx with
-    | Some c when not c.opaque ->
-        let fresh =
-          SSet.filter (fun x -> not (List.mem_assoc x c.map))
-            (SSet.diff declared !cb_bound)
-        in
-        SSet.iter
-          (fun x ->
-            report ~rule:"fp-undeclared-handle" ~loc
-              (Printf.sprintf
-                 "nested atomic declaration mentions handle %S outside the \
-                  pending footprint {%s}: the static twin of \
-                  Undeclared_nesting"
-                 x
-                 (String.concat ", " (List.map fst c.map))))
-          fresh
-    | _ -> ());
-    let outer_map, outer_opaque =
-      match !ctx with Some c -> (c.map, c.opaque) | None -> ([], false)
-    in
-    match callback with
-    | Some cb when (match (unwrap cb).pexp_desc with
-                   | Pexp_fun _ | Pexp_function _ -> true
-                   | _ -> false) ->
-        let new_roots =
-          SSet.filter (fun x -> not (List.mem_assoc x outer_map)) declared
-        in
-        let c =
-          {
-            opaque = outer_opaque;
-            map =
-              SSet.fold (fun x acc -> (x, write) :: acc) declared outer_map;
-            touched = SSet.empty;
-            unknown = false;
-          }
-        in
-        with_ctx c cb;
-        let untouched = SSet.diff new_roots c.touched in
-        if (not c.opaque) && (not c.unknown) && not (SSet.is_empty untouched)
-        then
-          report ~rule:"fp-unused-declaration" ~severity:Finding.Warn ~loc
-            (Printf.sprintf
-               "declared handle%s {%s} never touched in this closed step \
-                body: the static twin of the audit's Never_touched lint"
-               (if SSet.cardinal untouched > 1 then "s" else "")
-               (String.concat ", " (SSet.elements untouched)))
-    | Some cb -> walk cb  (* opaque callback value: analyzed elsewhere *)
-    | None -> ()
   in
   let expr_override _it e =
     match e.pexp_desc with
@@ -671,8 +375,7 @@ let check ~file ~source str =
       end
     | Pexp_fun _ | Pexp_function _ ->
         let saved =
-          (!fun_depth, !registered_scope, !interacting_scope, !local_bound,
-           !cb_bound)
+          (!fun_depth, !registered_scope, !interacting_scope, !local_bound)
         in
         incr fun_depth;
         if not !registered_scope then
@@ -681,91 +384,62 @@ let check ~file ~source str =
           interacting_scope := contains_interaction e;
         (match e.pexp_desc with
         | Pexp_fun (_, _, pat, _) ->
-            local_bound := SSet.union !local_bound (pat_vars pat);
-            cb_bound := SSet.union !cb_bound (pat_vars pat)
+            local_bound := SSet.union !local_bound (pat_vars pat)
         | _ -> ());
         Ast_iterator.default_iterator.expr !it e;
-        let d, r, i, l, c = saved in
+        let d, r, i, l = saved in
         fun_depth := d;
         registered_scope := r;
         interacting_scope := i;
-        local_bound := l;
-        cb_bound := c
+        local_bound := l
     | Pexp_let (_, vbs, cont) ->
         List.iter (fun vb -> escape_check vb (cont :: List.map (fun v -> v.pvb_expr) (List.filter (fun v -> v != vb) vbs))) vbs;
         List.iter (fun vb -> walk vb.pvb_expr) vbs;
-        let saved = (!local_bound, !cb_bound) in
+        let saved = !local_bound in
         let vars =
           List.fold_left
             (fun acc vb -> SSet.union acc (pat_vars vb.pvb_pat))
             SSet.empty vbs
         in
         local_bound := SSet.union !local_bound vars;
-        cb_bound := SSet.union !cb_bound vars;
         walk cont;
-        local_bound := fst saved;
-        cb_bound := snd saved
+        local_bound := saved
     | Pexp_apply (f, args) -> begin
         creation_fallback e;
         mutation_check f args e.pexp_loc;
-        (match !ctx with
-        | Some c when not c.opaque -> begin
-            match classify f args with
-            | Plain -> begin
-                match path_of f with
-                | Some p when pure_fn p || mutation_name p -> ()
-                | Some _ | None -> c.unknown <- true
-              end
-            | _ -> ()
-          end
-        | _ -> ());
-        match classify f args with
-        | Declare (obj, write, callback) ->
+        (* The unlabelled argument of [Runtime.atomic], when it is a
+           literal function, is a step body: mutations in it are inside
+           the step. *)
+        let step_body =
+          match path_of f with
+          | Some p when is_runtime "atomic" p ->
+              List.find_map
+                (fun (lbl, a) ->
+                  match (lbl, (unwrap a).pexp_desc) with
+                  | Asttypes.Nolabel, (Pexp_fun _ | Pexp_function _) -> Some a
+                  | _ -> None)
+                args
+          | _ -> None
+        in
+        match step_body with
+        | Some body ->
             walk f;
-            Option.iter walk obj;
-            List.iter
-              (fun (lbl, a) ->
-                let is_cb =
-                  match callback with Some cb -> a == cb | None -> false
-                in
-                let is_obj =
-                  match obj with Some o -> a == o | None -> false
-                in
-                if (not is_cb) && not is_obj then
-                  match lbl with _ -> walk a)
-              args;
-            declare_check obj write callback e.pexp_loc
-        | Opaque_declare callback -> begin
-            walk f;
-            match callback with
-            | Some cb
-              when (match (unwrap cb).pexp_desc with
-                   | Pexp_fun _ | Pexp_function _ -> true
-                   | _ -> false) ->
-                with_ctx
-                  { opaque = true; map = []; touched = SSet.empty;
-                    unknown = false }
-                  cb
-            | Some cb -> walk cb
-            | None -> ()
-          end
-        | Touches objs ->
-            List.iter
-              (fun (obj, write) -> touch_check obj write e.pexp_loc)
-              objs;
-            Ast_iterator.default_iterator.expr !it e
-        | Plain -> Ast_iterator.default_iterator.expr !it e
+            let saved = !in_atomic in
+            in_atomic := true;
+            walk body;
+            in_atomic := saved
+        | None -> Ast_iterator.default_iterator.expr !it e
       end
     | Pexp_setfield (b, _, _) ->
-        (if !ctx = None && !interacting_scope then
+        (if (not !in_atomic) && !interacting_scope then
            let r = SSet.diff (roots b) !local_bound in
            if not (SSet.is_empty r) then
              report ~rule:"escape-naked-mutation" ~severity:Finding.Warn
                ~loc:e.pexp_loc
                (Printf.sprintf
-                  "field mutation of %s outside any atomic/atomic_access \
-                   callback in runtime-interacting code: invisible to \
-                   declared footprints"
+                  "field mutation of %s outside any atomic callback in \
+                   runtime-interacting code: a step's observed footprint \
+                   cannot see it"
                   (String.concat ", " (SSet.elements r))));
         Ast_iterator.default_iterator.expr !it e
     | _ -> Ast_iterator.default_iterator.expr !it e

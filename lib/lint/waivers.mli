@@ -4,10 +4,10 @@
     values optionally double-quoted; [#] starts a comment:
 
     {v
-    # deliberately-broken sanitizer fixture (doc/model.md section 12)
-    rule=fp-undeclared-handle file=lib/analysis/fixtures.ml \
-      match="store b v" expires=2030-12-31 \
-      reason="leaky fixture: the leak is the point"
+    # a derived cache, rebuilt by every instantiation
+    rule=escape-unregistered-state file=lib/objects/universal.ml \
+      match="Array.init (n + 1)" expires=2030-12-31 \
+      reason="derived replay cache of the registered log"
     v}
 
     [rule] and [file] are mandatory and matched exactly ([file] is the

@@ -182,5 +182,5 @@ val pump_from :
     [repetitions] there and checks them as {!pump} does, with no fresh
     instance and no replay.  {!pump} is a fresh cursor, the stem, the
     first repetition and then this.  The cursor's hooks stay on: a
-    caller whose cursor carries a shadow or probe {!Runner.Cursor.detach}es
+    caller whose cursor carries a probe {!Runner.Cursor.detach}es
     it first.  The cursor is left after the last applied decision. *)

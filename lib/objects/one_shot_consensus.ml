@@ -44,7 +44,7 @@ module Registers = struct
        (rounds are allocated in order, so the count characterizes it —
        the registers themselves register their own readers) and give
        it a footprint id so the lazy-allocation step can report its
-       accesses to the sanitizer.  The rounds' ids are reserved here:
+       accesses.  The rounds' ids are reserved here:
        several instances share a registry (the universal
        construction's log slots), and a round built with the
        registry's counter would be numbered by whichever of them
@@ -62,11 +62,11 @@ module Registers = struct
     }
 
   (* Lazily allocate round [r]; modelled as one atomic step so the
-     shared table mutation cannot be interleaved.  Kept opaque
-     (rather than a declared write of [tbl]): allocation also runs the
-     nested [Register.make] registrations, and an opaque step's
-     conflict-with-everything is the sound declaration for that —
-     audits waive the resulting opaque-step lint. *)
+     shared table mutation cannot be interleaved.  The step observes
+     its [tbl] touches: a read, plus a write when it allocates.  The
+     round's registers are built inside the step at ids fixed by [r]
+     and are reached only through a later [tbl] read, which the
+     allocating write orders. *)
   let round t r =
     Slx_sim.Runtime.atomic (fun () ->
         Slx_sim.Runtime.touch ~obj:t.tbl ~write:false;

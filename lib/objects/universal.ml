@@ -16,7 +16,7 @@ module Make_log (C : One_shot_consensus.S) = struct
     (* The slot table is shared mutable state: fingerprint its
        allocation count (slots fill in order; the consensus objects
        inside register their own readers) and give it a footprint id
-       so the lazy-allocation step reports to the sanitizer. *)
+       so the lazy-allocation step reports its accesses. *)
     let allocated = ref 0 in
     {
       n;
@@ -26,10 +26,10 @@ module Make_log (C : One_shot_consensus.S) = struct
     }
 
   (* Lazily allocate slot [i]; one atomic step, so the shared table
-     mutation cannot be interleaved.  Kept opaque: allocation runs
-     the nested consensus-object constructor (registrations included),
-     for which conflict-with-everything is the sound declaration —
-     audits waive the resulting opaque-step lint. *)
+     mutation cannot be interleaved.  The step observes its [tbl]
+     touches: a read, plus a write when it allocates.  Every later use
+     of the slot's consensus object follows a [tbl] read by the same
+     process, so the allocating write orders it. *)
   let slot t i =
     if i >= Array.length t.slots then
       failwith "Universal: log exhausted (raise max_ops)";

@@ -233,7 +233,7 @@ let served sp r =
            ~invoke:live_invoke ~good:Consensus_type.good ~point:(point sp)
            ~pump_ticks:sp.sp_pump r)
 
-let run ?store ?(sanitize = false) ?(obs = Obs.disabled) ?cancel sp =
+let run ?store ?(obs = Obs.disabled) ?cancel sp =
   let n = sp.sp_n and factory = factory sp and depth = sp.sp_depth in
   let max_crashes = sp.sp_crashes in
   let compute () =
@@ -241,13 +241,13 @@ let run ?store ?(sanitize = false) ?(obs = Obs.disabled) ?cancel sp =
     | `Explore ->
         Safety
           (Explore.explore ~n ~factory ~invoke:safety_invoke ~depth ~max_crashes
-             ~dpor:true ~symmetry:true ~obs ~sanitize ?cancel ~check ())
+             ~dpor:true ~symmetry:true ~obs ?cancel ~check ())
     | `Live ->
         Live
           (Live_explore.search ~n ~factory ~invoke:live_invoke
              ~good:Consensus_type.good ~point:(point sp) ~depth ~max_crashes
              ~max_period:sp.sp_max_period ~pump_ticks:sp.sp_pump
-             ~dpor:sp.sp_dpor ~obs ~sanitize ?cancel ())
+             ~dpor:sp.sp_dpor ~obs ?cancel ())
   in
   match store with
   | None -> (compute (), None)

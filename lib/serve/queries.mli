@@ -86,7 +86,7 @@ type spec = private {
 (** One verification query, from CLI flag to store key to served
     answer.  Every field but [sp_depth], [sp_max_period] and [sp_pump]
     is part of the {!qid}; those three are the per-record slot and
-    budgets (doc/model.md §11). *)
+    budgets (doc/model.md §10). *)
 
 val make :
   kind:[ `Explore | `Live ] ->
@@ -154,7 +154,6 @@ type answer =
 
 val run :
   ?store:Slx_store.Store.t ->
-  ?sanitize:bool ->
   ?obs:Slx_obs.Obs.t ->
   ?cancel:(unit -> bool) ->
   spec ->
@@ -164,7 +163,7 @@ val run :
     record answers instead (zero work counters, the stored runs), a
     computed answer is stored as its {!record}, and the source is
     returned.  The optional arguments cannot change a verdict: the
-    counting [sanitize]r, the [obs] bundle and [cancel].  Whether a
+    [obs] bundle and [cancel].  Whether a
     transposition table is built is the engine's decision.
     @raise Slx_core.Explore.Interrupted when [cancel] fired. *)
 

@@ -19,7 +19,6 @@ module Cursor = struct
     events : int array;  (* per process: history events recorded *)
     mutable crashed : Proc.Set.t;
     ticks : int ref;
-    mutable shadow : Runtime.shadow option;
     mutable probe : Runtime.probe option;
     mutable encode : (int -> ('inv, 'res) Event.t -> int) option;
     mutable hist_id : int;
@@ -33,12 +32,9 @@ module Cursor = struct
   let check_proc n p =
     if not (Proc.is_valid ~n p) then invalid_arg "Runner: bad process id"
 
-  let create ~n ~factory ?(ticks = ref 0) ?shadow ?probe ?encode ?(keyed = true)
-      () =
+  let create ~n ~factory ?(ticks = ref 0) ?probe ?encode ?(keyed = true) () =
     let registry = Runtime.fresh_registry ~keyed () in
-    (* The factory runs under the shadow too: constructors that touch
-       shared cells outside any atomic action should be caught. *)
-    let impl = Runtime.with_registry ?shadow registry (fun () -> factory ~n) in
+    let impl = Runtime.with_registry registry (fun () -> factory ~n) in
     let cells = Array.init (n + 1) (fun _ -> Runtime.make_cell ~keyed ()) in
     let step_counts = Array.make (n + 1) 0 in
     let invocations = Array.make (n + 1) 0 in
@@ -58,7 +54,6 @@ module Cursor = struct
       events;
       crashed = Proc.Set.empty;
       ticks;
-      shadow;
       probe;
       encode;
       hist_id = 0;
@@ -85,8 +80,6 @@ module Cursor = struct
       invocations = c.invocations_of;
       events = c.events_of;
     }
-
-  let pending c p = Runtime.pending (cell c p)
 
   let record c e =
     c.history <- History.append c.history e;
@@ -152,16 +145,14 @@ module Cursor = struct
     }
 
   let apply c d =
-    Runtime.with_registry ?shadow:c.shadow ?probe:c.probe c.registry (fun () ->
-        step c d)
+    Runtime.with_registry ?probe:c.probe c.registry (fun () -> step c d)
 
   let detach c =
-    c.shadow <- None;
     c.probe <- None;
     c.encode <- None
 
-  (* Prefix replay: every decision under one registry and shadow
-     bracket, outside the probe — engines read the probe only for the
+  (* Prefix replay: every decision under one registry bracket, outside
+     the probe — engines read the probe only for the
      edge they just applied, never for a replayed one.  With the
      prefix's own [hist_id] known, the interner is skipped too: the
      implementation is deterministic, so the replay rebuilds the same
@@ -169,8 +160,7 @@ module Cursor = struct
   let replay c ?hist_id prefix =
     let encode = c.encode in
     if Option.is_some hist_id then c.encode <- None;
-    Runtime.with_registry ?shadow:c.shadow c.registry (fun () ->
-        List.iter (step c) prefix);
+    Runtime.with_registry c.registry (fun () -> List.iter (step c) prefix);
     match hist_id with
     | None -> ()
     | Some id ->
@@ -178,11 +168,11 @@ module Cursor = struct
         c.hist_id <- id
 
   (* Disposal: crash every process, under the cursor's own registry and
-     outside any shadow or probe.  [Runtime.crash] discontinues each
+     outside any probe.  [Runtime.crash] discontinues each
      suspended continuation with [Killed], which unwinds the fiber and
      returns its stack to the runtime — OCaml 5.1 never reclaims the
      stack of a continuation that is merely dropped.  No tick, no
-     history event, no probe or shadow observation: nothing an
+     history event, no probe observation: nothing an
      explorer counts can move. *)
   let dispose c =
     Runtime.with_registry c.registry (fun () ->
@@ -190,9 +180,9 @@ module Cursor = struct
           Runtime.crash c.cells.(p)
         done)
 
-  let with_ ~n ~factory ?ticks ?shadow ?probe ?encode ?keyed ?(prefix = [])
-      ?hist_id f =
-    let c = create ~n ~factory ?ticks ?shadow ?probe ?encode ?keyed () in
+  let with_ ~n ~factory ?ticks ?probe ?encode ?keyed ?(prefix = []) ?hist_id f
+      =
+    let c = create ~n ~factory ?ticks ?probe ?encode ?keyed () in
     Fun.protect
       ~finally:(fun () -> dispose c)
       (fun () ->

@@ -38,7 +38,7 @@ type ('inv, 'res) factory = n:int -> ('inv, 'res) impl
     processes' stacks for the rest of the program, and an exhaustive
     walk forgets sibling cursors by the hundred thousand.  Disposal
     applies no decision: it ticks nothing, records no history event
-    and runs outside the cursor's shadow and probe, so no count, digest
+    and runs outside the cursor's probe, so no count, digest
     or verdict depends on it.  A cursor that escapes its bracket
     (stored, returned, captured by a closure that outlives [f]) is a
     bug: after disposal every process is [Crashed] and the cursor no
@@ -50,7 +50,6 @@ module Cursor : sig
     n:int ->
     factory:('inv, 'res) factory ->
     ?ticks:int ref ->
-    ?shadow:Runtime.shadow ->
     ?probe:Runtime.probe ->
     ?encode:(int -> ('inv, 'res) Event.t -> int) ->
     ?keyed:bool ->
@@ -68,9 +67,8 @@ module Cursor : sig
       applicable raises [Invalid_argument] as {!apply} does, and the
       cursor is disposed of all the same.
 
-      {b The prefix contract.}  Prefix steps are ticked and
-      shadow-checked exactly as {!apply}'d ones are, but they are not
-      probed: [probe] observes only decisions {!apply}'d after the
+      {b The prefix contract.}  Prefix steps are ticked exactly as
+      {!apply}'d ones are, but they are not probed: [probe] observes only decisions {!apply}'d after the
       prefix, so after [with_ ~prefix] it still holds whatever it held
       before.  An engine that needs the observation of the edge into
       a configuration replays the prefix without that edge and
@@ -93,14 +91,6 @@ module Cursor : sig
       {!Slx_core.Intern} table — the id stands in for the whole
       history in compact keys, and two cursors fed the
       same hook have equal ids iff their histories are equal.
-
-      [shadow] installs a sanitizer shadow ({!Runtime.make_shadow})
-      around the factory call, the prefix and every {!apply}: all base-object
-      cell accesses made while this cursor executes algorithm code are
-      checked (and, in record mode, logged) against declared footprints.
-      A raising shadow propagates {!Runtime.Shadow_violation} out of
-      [apply] (and out of [with_], after disposal); the cursor must not
-      be applied again.
 
       [probe] installs a dynamic-conflict probe
       ({!Runtime.make_probe}) around every {!apply} (not around the
@@ -132,12 +122,6 @@ module Cursor : sig
       Its four per-process readers are built once per cursor, so a view
       costs one record. *)
 
-  val pending : ('inv, 'res) t -> Proc.t -> Runtime.footprint option
-  (** The declared access footprint of the atomic action process [p] is
-      suspended at ([None] unless [p] is [Ready]), built once at
-      suspension.  The explorers' partial-order reduction grants
-      commuting pending steps ({!Runtime.commute}) in only one order. *)
-
   val hist_id : ('inv, 'res) t -> int
   (** The interned history id maintained by the [encode] hook (0 at
       the empty history, and constantly 0 when no hook was passed to
@@ -149,9 +133,9 @@ module Cursor : sig
       [Invalid_argument]. *)
 
   val detach : ('inv, 'res) t -> unit
-  (** [detach c] drops [c]'s [shadow], [probe] and [encode] hooks: every
-      later {!apply} runs as on a cursor created without them, so it
-      is neither checked, observed nor interned.  For a cursor its
+  (** [detach c] drops [c]'s [probe] and [encode] hooks: every later
+      {!apply} runs as on a cursor created without them, so it is
+      neither observed nor interned.  For a cursor its
       walk is done with, which a certificate pump then carries on
       from ({!Slx_liveness.Lasso.pump_from}).  Its {!hist_id} stops
       following its history, so its keys are no longer exact. *)
@@ -195,7 +179,7 @@ module Cursor : sig
   (** The same digest recomputed from scratch
       ({!Slx_sim.Runtime.registry_digest_full}); equals
       {!shared_digest} unless a base-object mutation bypassed the
-      write-touch contract.  For audits and tests.  Raises
+      write-touch contract.  For tests.  Raises
       [Invalid_argument] on a keyless cursor. *)
 
   (** {2 A crash decided at its parent}

@@ -19,186 +19,83 @@ val atomic : (unit -> 'a) -> 'a
     with its result.
 
     Must be called from code running under {!spawn}; otherwise raises
-    [Effect.Unhandled].  Called while an atomic action is already
-    executing (a {e nested} atomic), it runs [f] inline instead — see
-    {!atomic_access} for the footprint-composition semantics. *)
+    [Effect.Unhandled].  Called while an atomic step is already
+    executing (a {e nested} atomic), it runs [f] inline, as part of the
+    same step. *)
 
 (** {1 Access footprints}
 
     The partial-order reduction of {!Slx_core.Explore} needs to know
-    which pending steps {e commute}: two suspended atomic actions that
-    touch different base objects (or both merely read the same one)
-    can be granted in either order with the same resulting
-    configuration.  A footprint declares, before the action runs, what
-    it may touch.
+    which steps {e commute}: two atomic steps that touch different
+    base objects (or both merely read the same one) can be granted in
+    either order with the same resulting configuration.  A footprint
+    is what a step {e observed}: the base objects it touched through
+    {!touch}, and which of them it wrote.
 
-    The exploration engines make millions of commutation and coverage
-    queries, so a footprint is held as conflict bitmasks.
-    Registry-issued object ids are small dense positive ints (and
-    orphan ids negative), so almost every footprint fits two machine
-    words of presence/write bits; ids outside [0, 61] spill into a
-    normalized access list, and since the two id ranges are disjoint a
-    bit access can never conflict with a spill access.  A pending
-    footprint is built once per suspension, and each commutation or
-    coverage check is a couple of word operations. *)
+    The exploration engines make millions of commutation queries, so
+    a footprint is held as conflict bitmasks.  Registry-issued object
+    ids are small dense positive ints (and orphan ids negative), so
+    almost every footprint fits two machine words of presence/write
+    bits; ids outside [0, 61] spill into a normalized access list, and
+    since the two id ranges are disjoint a bit access can never
+    conflict with a spill access.  Each commutation check is a couple
+    of word operations. *)
 
 type access = { obj : int; write : bool }
-(** One declared (or physically observed) access: the base object with
-    id [obj], written iff [write]. *)
+(** One access: the base object with id [obj], written iff [write]. *)
 
 type footprint = private {
   m_opaque : bool;
-      (** Undeclared (the plain {!atomic}): conflicts with every other
-          action.  An opaque footprint has no bits and no spill. *)
+      (** Unknown: conflicts with every other step.  An opaque
+          footprint has no bits and no spill. *)
   m_r : int;  (** Presence bits: object [i] is read or written. *)
-  m_w : int;  (** Write bits: object [i] may be written (within [m_r]). *)
+  m_w : int;  (** Write bits: object [i] is written (within [m_r]). *)
   m_rest : access list;
       (** The accesses with ids outside [0, 61]: one per object, sorted
           by id. *)
 }
-(** The declared footprint of a pending atomic action, at object
-    granularity: an action on a multi-slot object (e.g. a snapshot
-    segment update) declares the whole object.  Private, so that every
-    footprint is in the canonical form the functions below build, and
-    structural equality is footprint equality. *)
+(** The footprint of an atomic step, at object granularity: a step on
+    a multi-slot object (e.g. a snapshot segment update) touches the
+    whole object.  Private, so that every footprint is in the canonical
+    form the functions below build, and structural equality is
+    footprint equality. *)
 
 val opaque : footprint
-(** The undeclared footprint: commutes with nothing, covers
-    everything, and is covered only by itself (sound default). *)
-
-val atomic_access : obj:int -> write:bool -> (unit -> 'a) -> 'a
-(** {!atomic} with a declared footprint: one atomic step on base
-    object [obj], writing iff [write].  Base-object modules obtain
-    [obj] from {!register_object}.
-
-    {b Nesting.}  Called while an atomic action is already executing
-    (i.e. from inside the [f] of an outer [atomic]/[atomic_access]),
-    the call does not suspend again — the scheduler is mid-grant — but
-    runs [f] inline as part of the same step, and its declared
-    footprint is folded ({!union}) into the step's {e effective}
-    footprint.  The POR-visible footprint of the step remains the
-    outer ({e pending}) declaration; a shadow ({!make_shadow}) reports
-    a nested declaration not {!covers}-contained in it as an
-    {!Undeclared_nesting} violation, since the explorer committed to
-    commutation decisions before the nested call could be known. *)
+(** The unknown footprint: commutes with nothing (sound default). *)
 
 val of_accesses : access list -> footprint
-(** The declared footprint touching exactly these accesses (an object
-    listed twice is written iff some entry writes it).  [of_accesses
-    []] touches nothing and commutes with every declared footprint. *)
+(** The footprint touching exactly these accesses (an object listed
+    twice is written iff some entry writes it).  [of_accesses []]
+    touches nothing and commutes with every footprint but {!opaque}. *)
 
 val accesses : footprint -> access list option
-(** The accesses of a declared footprint ([None] for {!opaque}), in
-    canonical order: one per object, sorted by id (the negative spill
-    ids, then the bit ids, then the ids past 61). *)
-
-val union : footprint -> footprint -> footprint
-(** Footprint join: [union a b] covers everything [a] or [b] covers.
-    {!opaque} is absorbing. *)
-
-val covers : footprint -> footprint -> bool
-(** [covers outer inner]: every access [inner] may make is allowed by
-    [outer] (same object declared, and writing only if [outer]
-    declares the write).  {!opaque} covers everything; only {!opaque}
-    covers {!opaque}. *)
+(** The accesses of a footprint ([None] for {!opaque}), in canonical
+    order: one per object, sorted by id (the negative spill ids, then
+    the bit ids, then the ids past 61). *)
 
 val commute : footprint -> footprint -> bool
-(** Whether two pending actions with these footprints commute: both
-    declared, and no object is accessed by both with at least one of
+(** Whether two steps with these footprints commute: neither is
+    {!opaque}, and no object is accessed by both with at least one of
     the two accesses a write.  Two word operations, plus a walk of the
     spill lists when both have one. *)
 
-val pp_footprint : Format.formatter -> footprint -> unit
-(** [R3], [W7], [{R3 W7}] (the accesses in canonical order), or
-    [opaque]. *)
-
-(** {1 Shadow state: the conflict-soundness sanitizer}
-
-    POR and the transposition cache trust declared footprints; a
-    {e shadow} checks that trust dynamically.  Instrumented base
-    objects ({!Slx_base_objects}) report every physical cell access
-    through {!touch}; while a shadow is installed
-    ({!with_registry} [~shadow]), every touch is validated against the
-    footprint of the atomic action in flight.  Validation is {e batched}: touches accumulate
-    in a flat per-step buffer of packed ints and are checked once at
-    step end (plus a flush at every nested atomic declaration), so
-    each touch is judged against the effective footprint in force when
-    it was made — the violations, their order and their [v_step]
-    ordinals are those of a per-touch check, at a fraction of the
-    cost:
-
-    - a touch not covered by the effective footprint is an
-      {!Undeclared_touch} violation (the under-declaration that would
-      make sleep-set pruning unsound);
-    - a nested atomic declaration escaping the pending footprint is an
-      {!Undeclared_nesting} violation;
-    - a touch with no atomic action in flight is an {!Outside_atomic}
-      violation (shared mutation outside the step semantics).
-
-    The shadow also aggregates per-object declaration statistics
-    ({!shadow_decl_stats}) from which {!Slx_analysis.Audit} derives
-    over-declaration lints, and (in record mode) a per-step log
-    consumed by the happens-before certifier {!Slx_analysis.Hb}.
-
-    With no shadow or probe installed, {!touch} is one frame read and
-    two branches, and a grant records no footprint — engines
-    not sanitizing, and every prefix replay, pay essentially nothing;
-    with one installed a touch is the same read plus one packed store
-    into the step buffer. *)
-
-type violation_kind =
-  | Undeclared_touch
-      (** A physical access outside the step's effective footprint. *)
-  | Undeclared_nesting
-      (** A nested atomic declaration not covered by the pending
-          footprint. *)
-  | Outside_atomic
-      (** A physical access with no atomic action in flight. *)
-
-type violation = {
-  v_kind : violation_kind;
-  v_obj : int;
-      (** The offending object id ([min_int] for an
-          [Undeclared_nesting] whose nested footprint is {!opaque}). *)
-  v_write : bool;
-  v_pending : footprint;
-      (** The POR-visible declaration of the step ({!opaque} for
-          [Outside_atomic]). *)
-  v_step : int;  (** Shadow step ordinal (grants finalized so far). *)
-}
-
-exception Shadow_violation of violation
-(** Raised out of the offending grant (at the batched validation
-    point: step end or nested-declaration flush) when the shadow was
-    created with [raise_on_violation]; the violation raised is the
-    first one in program order.  The run cannot be resumed past it:
-    abandon the cursor and replay the witness prefix. *)
-
-val pp_violation : Format.formatter -> violation -> unit
-
-type shadow
-
-val make_shadow : ?record:bool -> ?raise_on_violation:bool -> unit -> shadow
-(** A fresh shadow.  [record] (default [false]) keeps a per-step log
-    ({!shadow_steps}) for happens-before certification;
-    [raise_on_violation] (default [true]) makes the first violation
-    raise {!Shadow_violation} — with it off, violations are only
-    counted and listed (the mode engines use, so sanitizing changes no
-    outcome). *)
-
 val touch : obj:int -> write:bool -> unit
 (** Called by instrumented base-object primitives at every physical
-    cell access.  No-op unless a shadow or a probe is installed. *)
+    cell access, from inside the atomic step that makes it.  It marks
+    a written object for the registry's incremental digest and, under
+    a probe, records the access in the step's observed footprint.
+    @raise Invalid_argument with no atomic step in flight: shared state
+    is accessed only by atomic steps, so a crash, which unwinds a
+    process between steps, touches none (doc/model.md §6). *)
 
 (** {2 Dynamic-conflict probe}
 
     The source-set DPOR of {!Slx_core.Explore} and
     {!Slx_core.Live_explore} computes race reversals from {e observed}
     accesses — what an executed step physically touched in this
-    configuration — rather than from declared footprints alone.  A
-    probe records, per completed atomic step, the step's observed
-    footprint; unlike the shadow it validates nothing and never raises.
-    Install one per engine with {!with_registry} [~probe] (or
+    configuration.  A probe records, per completed atomic step, the
+    step's observed footprint: exactly its {!touch}es.  Install one
+    per engine with {!with_registry} [~probe] (or
     [Runner.Cursor.with_ ~probe]); after each [Schedule] grant the
     engine reads the last step's observation. *)
 
@@ -216,47 +113,8 @@ val probe_steps : probe -> int
 
 val probe_last_observed : probe -> footprint
 (** The observed footprint of the last completed step, built at step
-    end: its physical {!touch}es when the instrumentation reported any,
-    otherwise its effective (pending ∪ nested) declared footprint —
-    never weaker than what a declared-footprint oracle would use on a
-    clean implementation.  The DPOR engines race-check it against
-    pending footprints with {!commute}. *)
-
-(** {2 Shadow reports} *)
-
-type step_log = {
-  declared : footprint;  (** The pending (POR-visible) declaration. *)
-  effective : footprint;  (** [declared] ∪ nested declarations. *)
-  touched : access list;  (** Physical touches, in program order. *)
-}
-
-type decl_stat = {
-  decl_steps : int;
-      (** Steps whose pending footprint declared the object. *)
-  touched_steps : int;  (** … of which physically touched it. *)
-  write_decl_steps : int;  (** Steps declaring a write of the object. *)
-  wrote_steps : int;  (** … of which physically wrote it. *)
-}
-
-val shadow_violation_count : shadow -> int
-
-val shadow_steps : shadow -> step_log list
-(** The per-step log, in grant order (empty unless [record]). *)
-
-val shadow_step_count : shadow -> int
-(** Grants finalized under this shadow (counted in every mode). *)
-
-val shadow_opaque_steps : shadow -> int
-(** Steps whose pending footprint was {!opaque} — invisible to the race
-    detector (everything is allowed) and to POR (they commute with
-    nothing), so audits report them as a lint. *)
-
-val shadow_decl_stats : shadow -> (int * decl_stat) list
-(** Per-object declaration statistics, sorted by object id.  An object
-    with [touched_steps = 0] over a whole audit sweep was declared but
-    never touched (over-declaration: needless conflicts cost POR
-    pruning); [write_decl_steps > 0, wrote_steps = 0] likewise for
-    writes. *)
+    end from its {!touch}es.  The DPOR engines race-check it against
+    sleepers' observed footprints with {!commute}. *)
 
 exception Killed
 (** Raised inside a process's computation when the process is crashed
@@ -272,7 +130,7 @@ type status =
 
 (** A handle on one process's suspended computation.  A [Ready] cell
     holds the continuation of its pending atomic action together with
-    the action itself and its footprint, with no closures around them:
+    the action itself, with no closures around them:
     {!grant} and {!crash} clear the slot before resuming or
     discontinuing the continuation, which is how each continuation is
     used at most once.  The effect handler the process runs under
@@ -307,11 +165,6 @@ val crash : cell -> unit
 (** [crash cell] crashes the process: its computation is unwound with
     {!Killed} and the cell becomes [Crashed].  Idempotent on crashed
     cells; legal on idle cells (the process just never steps again). *)
-
-val pending : cell -> footprint option
-(** The declared footprint of the atomic action a [Ready] process is
-    suspended at, built once when it suspended; [None] when the cell
-    is [Idle] or [Crashed]. *)
 
 (** {1 Configuration digests}
 
@@ -355,21 +208,19 @@ val fresh_registry : ?keyed:bool -> unit -> registry
     keeps the shared-state digest; a keyless registry keeps none (see
     above). *)
 
-val with_registry :
-  ?shadow:shadow -> ?probe:probe -> registry -> (unit -> 'a) -> 'a
+val with_registry : ?probe:probe -> registry -> (unit -> 'a) -> 'a
 (** [with_registry reg f] runs [f] with [reg] as the current registry
-    and, when given, [shadow] and [probe] installed as the current
-    sanitizer shadow and DPOR probe (an omitted one leaves the current
-    one in place).  Everything it installed is restored afterwards,
-    exceptions included.  All three live in one module-level frame
-    with the state of the atomic step in flight, so a grant or a
-    {!touch} reaches them with one read.  The simulator runs on one
+    and, when given, [probe] installed as the current DPOR probe (an
+    omitted one leaves the current one in place).  Everything it
+    installed is restored afterwards, exceptions included.  Both live
+    in one module-level frame with the state of the atomic step in
+    flight, so a grant or a {!touch} reaches them with one read.  The simulator runs on one
     domain: nothing here is safe to share across domains. *)
 
 val register_object : (unit -> int) -> int
 (** Called by base-object constructors: adds a reader returning a hash
     of the object's current state to the current registry, and returns
-    the object's footprint id (for {!atomic_access}).  Ids issued by
+    the object's footprint id (for {!touch}).  Ids issued by
     one registry are positive, deterministic (allocation order, or the
     fixed offset inside an {!in_block} scope), and unique within the
     registry; with no registry current the reader is dropped and a
@@ -414,12 +265,9 @@ val registry_digest : registry -> int
     Exactness rests on the touch contract: every physical mutation of
     a registered object's state is reported via [touch ~write:true]
     with the owning object's id while its registry is current.  The
-    instrumented base-object layer does this by construction — stores
+    instrumented base-object layer does this by construction: stores
     route through [Slx_base_objects.store], which reports the {e
-    owning} cell even when the surrounding atomic action misdeclares
-    its footprint — and the sanitizer shadow dynamically checks
-    precisely this reporting.  {!registry_digest_full} is the
-    cross-check.
+    owning} cell.  {!registry_digest_full} is the cross-check.
     @raise Invalid_argument on a keyless registry. *)
 
 val registry_digest_full : registry -> int
@@ -427,8 +275,8 @@ val registry_digest_full : registry -> int
     {!registry_digest} cost before the incremental scheme.  Equal to
     {!registry_digest} unless some mutation bypassed the touch
     contract (the incremental digest would then be stale, and the
-    divergence is the diagnostic); used by audits, tests and the
-    before/after microbenchmarks.
+    divergence is the diagnostic); used by tests and the before/after
+    microbenchmarks.
     @raise Invalid_argument on a keyless registry. *)
 
 val registry_objects : registry -> int

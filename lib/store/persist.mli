@@ -9,8 +9,8 @@
     property ident, the system size, the initial shared-state digest
     ({!instance_digest}) and the reduction flags.  Anything that
     cannot change a verdict — whether a transposition table is built,
-    the sanitizer, tracing — deliberately stays out of the key, so
-    such runs share records.
+    tracing — deliberately stays out of the key, so such runs share
+    records.
 
     Answer planning is warm, else cold ({!answer}):
 
@@ -63,7 +63,7 @@ val query_key :
     implementation + workload (e.g. ["cas"]); [check] names the
     property (e.g. ["consensus-safety"], ["live:obstruction"]) — for
     liveness it must embed the [good]/[point] identity, because a
-    verdict is property-specific (doc/model.md §11).  Flag defaults
+    verdict is property-specific (doc/model.md §10).  Flag defaults
     mirror the engines' ([max_crashes 0], reductions off).
     {!Slx_serve.Queries.qid} is the one producer that binds a whole
     query record. *)

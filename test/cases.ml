@@ -1,7 +1,40 @@
+(* Every implementation of the repository with a small workload: the
+   cases the differential suites (test_dpor, test_compact, test_store)
+   sweep.  Groups: direct exercisers for each instrumented base object,
+   the consensus implementations and the one-shot objects, the other
+   shared objects, the universal construction over both consensus
+   building blocks, and the transactional memories. *)
+
 open Slx_history
 open Slx_sim
 module B = Slx_base_objects
 module Explore = Slx_core.Explore
+
+type ('inv, 'res) case_def = {
+  c_name : string;
+  c_n : int;
+  c_factory : unit -> ('inv, 'res) Runner.factory;
+  c_invoke : ('inv, 'res) Driver.view -> Proc.t -> 'inv option;
+  c_pp_inv : 'inv -> string;  (* for witness scripts *)
+  c_depth : int;
+  c_max_crashes : int;
+}
+
+(* A case packs its invocation types away so heterogeneous cases can be
+   swept uniformly. *)
+type case = Case : ('inv, 'res) case_def -> case
+
+let case ?(depth = 6) ?(max_crashes = 0) ~name ~n ~factory ~invoke ~pp_inv () =
+  Case
+    {
+      c_name = name;
+      c_n = n;
+      c_factory = factory;
+      c_invoke = invoke;
+      c_pp_inv = pp_inv;
+      c_depth = depth;
+      c_max_crashes = max_crashes;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Workload adapters.                                                  *)
@@ -19,14 +52,14 @@ let one_proposal =
 
 (* Capped protocol-legal TM workload: [Tm_workload.next_invocation]
    derives the next legal operation from the process's projection; the
-   cap bounds total invocations so audit trees stay finite. *)
+   cap bounds total invocations so the trees stay finite. *)
 let tm_invoke ~cap view p =
   if view.Driver.invocations p >= cap then None
   else Some (Slx_tm.Tm_workload.next_invocation view p)
 
 (* ------------------------------------------------------------------ *)
 (* Base-object exercisers: one tiny harness per primitive, so every
-   instrumented base object is audited directly, not only through the
+   instrumented base object is walked directly, not only through the
    algorithms that happen to use it. *)
 
 type base_inv = Op of int
@@ -37,8 +70,8 @@ let pp_base (Op k) = "op " ^ string_of_int k
 let base_invoke =
   counting (Driver.n_times 2 (fun p k -> Op ((2 * p) + k)))
 
-let base_case ~name ?(waive_never_wrote = false) impl_of =
-  Audit.case ~group:"base" ~name ~n:2 ~depth:6 ~waive_never_wrote
+let base_case ~name impl_of =
+  case ~name ~n:2 ~depth:6
     ~factory:(fun () ~n -> impl_of ~n)
     ~invoke:base_invoke ~pp_inv:pp_base ()
 
@@ -52,9 +85,7 @@ let base_cases () =
             Res 0
           end
           else Res (B.Register.read r));
-    (* CAS against a stale expected value may never physically write
-       at this depth; that is the primitive working as specified. *)
-    base_case ~name:"base-cas" ~waive_never_wrote:true (fun ~n:_ ->
+    base_case ~name:"base-cas" (fun ~n:_ ->
         let c = B.Cas.make 0 in
         fun ~proc:_ (Op k) ->
           if k mod 2 = 0 then
@@ -94,7 +125,7 @@ let base_cases () =
 
 let consensus_cases () =
   let mk ~name ?(depth = 6) ?(max_crashes = 0) factory =
-    Audit.case ~group:"consensus" ~name ~n:2 ~depth ~max_crashes ~factory
+    case ~name ~n:2 ~depth ~max_crashes ~factory
       ~invoke:one_proposal ~pp_inv:pp_consensus ()
   in
   [
@@ -107,10 +138,9 @@ let consensus_cases () =
         Slx_consensus.Selfish_consensus.factory ());
   ]
 
-(* One-shot consensus objects, audited through a direct harness. *)
-let one_shot_case ~name ?(waive_opaque = false) (module C : Slx_objects
-                                                  .One_shot_consensus.S) =
-  Audit.case ~group:"consensus" ~name ~n:2 ~depth:6 ~waive_opaque
+(* One-shot consensus objects, through a direct harness. *)
+let one_shot_case ~name (module C : Slx_objects.One_shot_consensus.S) =
+  case ~name ~n:2 ~depth:6
     ~factory:(fun () ~n ->
       let o = C.make ~n () in
       fun ~proc -> function
@@ -128,7 +158,7 @@ let lock_invoke =
          else Slx_objects.Mutex.Release))
 
 let lock_case ~name ?(depth = 6) ?(max_crashes = 0) factory =
-  Audit.case ~group:"objects" ~name ~n:2 ~depth ~max_crashes ~factory
+  case ~name ~n:2 ~depth ~max_crashes ~factory
     ~invoke:lock_invoke
     ~pp_inv:(asprintf Slx_objects.Mutex.pp_invocation)
     ()
@@ -178,13 +208,13 @@ let object_cases () =
     lock_case ~name:"mutex-bakery" (fun () -> Slx_objects.Bakery.factory ());
     lock_case ~name:"mutex-peterson" (fun () ->
         Slx_objects.Peterson.factory ());
-    Audit.case ~group:"objects" ~name:"treiber-stack" ~n:2 ~depth:6
+    case ~name:"treiber-stack" ~n:2 ~depth:6
       ~factory:(fun () -> Slx_objects.Treiber_stack.factory ())
       ~invoke:stack_invoke ~pp_inv:pp_stack ();
-    Audit.case ~group:"objects" ~name:"cas-queue" ~n:2 ~depth:6
+    case ~name:"cas-queue" ~n:2 ~depth:6
       ~factory:(fun () -> Slx_objects.Cas_queue.factory ())
       ~invoke:queue_invoke ~pp_inv:pp_queue ();
-    Audit.case ~group:"objects" ~name:"snapshot-alg" ~n:2 ~depth:6
+    case ~name:"snapshot-alg" ~n:2 ~depth:6
       ~factory:(fun () -> snapshot_factory)
       ~invoke:
         (counting
@@ -192,7 +222,7 @@ let object_cases () =
                 if k mod 2 = 0 then Sn.Update (p, (10 * p) + k) else Sn.Scan)))
       ~pp_inv:pp_snapshot ();
     one_shot_case ~name:"oneshot-cas" (module Slx_objects.One_shot_consensus.Cas);
-    one_shot_case ~name:"oneshot-registers" ~waive_opaque:true
+    one_shot_case ~name:"oneshot-registers"
       (module Slx_objects.One_shot_consensus.Registers);
   ]
 
@@ -206,17 +236,13 @@ let universal_cases () =
     counting
       (Driver.n_times 1 (fun p _ -> Slx_objects.Stack_type.Push (10 * p)))
   in
-  let mk ~name consensus waive_opaque =
-    Audit.case ~group:"universal" ~name ~n:2 ~depth:5 ~depth_ci:7
-      ~waive_opaque
+  let mk ~name consensus =
+    case ~name ~n:2 ~depth:5
       ~factory:(fun () ->
         Slx_objects.Universal.factory ~tp:stack_tp ~consensus ~max_ops:8 ())
       ~invoke ~pp_inv:pp_stack ()
   in
-  (* Both variants allocate log slots lazily behind an opaque lookup
-     step, hence the waivers. *)
-  [ mk ~name:"universal-cas" `Cas true;
-    mk ~name:"universal-registers" `Registers true ]
+  [ mk ~name:"universal-cas" `Cas; mk ~name:"universal-registers" `Registers ]
 
 (* ------------------------------------------------------------------ *)
 (* Transactional memories. *)
@@ -224,7 +250,7 @@ let universal_cases () =
 let tm_cases () =
   let pp = asprintf Slx_tm.Tm_type.pp_invocation in
   let mk ~name ?(depth = 6) factory =
-    Audit.case ~group:"tm" ~name ~n:2 ~depth ~factory
+    case ~name ~n:2 ~depth ~factory
       ~invoke:(tm_invoke ~cap:4) ~pp_inv:pp ()
   in
   [
@@ -237,44 +263,6 @@ let tm_cases () =
     mk ~name:"tm-always-abort" (fun () -> Slx_tm.Always_abort_tm.factory ());
   ]
 
-(* ------------------------------------------------------------------ *)
-(* Fixtures (not part of [all]): the deliberately mis-declared
-   implementations of {!Fixtures}, for the sanitizer's own tests. *)
-
-let fixture_case ~name ?(waive_opaque = false) factory =
-  Audit.case ~group:"fixture" ~name ~n:2 ~depth:5 ~waive_opaque
-    ~factory:(fun () -> factory)
-    ~invoke:(counting (Fixtures.workload ~ops:1))
-    ~pp_inv:Fixtures.pp_inv ()
-
-let fixture_cases () =
-  [
-    fixture_case ~name:"fixture-leaky" Fixtures.leaky_factory;
-    fixture_case ~name:"fixture-write-under-read"
-      Fixtures.write_under_read_factory;
-    fixture_case ~name:"fixture-phantom" Fixtures.phantom_factory;
-    fixture_case ~name:"fixture-nested-escape" Fixtures.nested_escape_factory;
-    fixture_case ~name:"fixture-nested-ok" ~waive_opaque:true
-      Fixtures.nested_ok_factory;
-    fixture_case ~name:"fixture-clean" Fixtures.clean_factory;
-    (* The depth-gated leak: its undeclared write fires on the eighth
-       poke, far past these bounds, so the dynamic sanitizer reports
-       clean while the static lint flags the site (EXPERIMENTS E26). *)
-    Audit.case ~group:"fixture" ~name:"fixture-deep-leak" ~n:2 ~depth:6
-      ~factory:(fun () -> Fixtures.deep_leaky_factory)
-      ~invoke:(counting (Fixtures.workload ~ops:12))
-      ~pp_inv:Fixtures.pp_inv ();
-  ]
-
 let all () =
   base_cases () @ consensus_cases () @ object_cases () @ universal_cases ()
   @ tm_cases ()
-
-let select ?group ?name cases =
-  List.filter
-    (fun c ->
-      (match group with
-      | Some g -> Audit.case_group c = g
-      | None -> true)
-      && match name with Some n -> Audit.case_name c = n | None -> true)
-    cases

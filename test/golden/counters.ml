@@ -21,10 +21,8 @@ let print oc cmd (s : Explore_stats.t) =
     \  cache_hits %d cache_entries %d por_prunes %d \
      race_reversals %d invoke_order_prunes %d proviso_wakes %d \
      symmetry_pruned %d\n\
-    \  cycles_examined %d fair_cycles %d footprint_violations %d \
-     history_digest %d\n"
+    \  cycles_examined %d fair_cycles %d history_digest %d\n"
     cmd s.nodes s.runs s.runs_checked s.steps_executed s.steps_replayed
     s.replays_avoided s.cache_hits s.cache_entries s.por_prunes
     s.race_reversals s.invoke_order_prunes s.proviso_wakes
-    s.symmetry_pruned s.cycles_examined s.fair_cycles s.footprint_violations
-    s.history_digest
+    s.symmetry_pruned s.cycles_examined s.fair_cycles s.history_digest

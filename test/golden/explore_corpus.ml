@@ -4,11 +4,10 @@
      depth   ∈ {8, 10}
      crashes ∈ {0, 1, 2}
      walk    ∈ {slx explore, Explore.explore (symmetry),
-                Explore.explore (dpor), slx explore --sanitize,
-                slx explore --naive}
-   (90 in all) it runs the query in process and prints its header
+                Explore.explore (dpor), slx explore --naive}
+   (72 in all) it runs the query in process and prints its header
    followed by the verdict and, for a counterexample, the failing
-   history and the witness script.  The three `slx explore` walks run
+   history and the witness script.  The two `slx explore` walks run
    exactly as the CLI does; the two table walks, one reduction each,
    are library configurations and are labelled by the library call.
    Each configuration's engine counters ({!Counters}) go to a separate
@@ -29,17 +28,17 @@ let impls = [ "cas"; "register"; "selfish" ]
 let depths = [ 8; 10 ]
 let crash_bounds = [ 0; 1; 2 ]
 
-(* A walk of the grid: the product's, sanitized or not, the naive
-   reference, or a table walk with one reduction on. *)
-type walk = Plain | Symmetry_alone | Dpor_alone | Sanitize | Naive
+(* A walk of the grid: the product's, the naive reference, or a table
+   walk with one reduction on. *)
+type walk = Plain | Symmetry_alone | Dpor_alone | Naive
 
-let walks = [ Plain; Symmetry_alone; Dpor_alone; Sanitize; Naive ]
+let walks = [ Plain; Symmetry_alone; Dpor_alone; Naive ]
 
 let header ~impl ~n ~depth ~crashes = function
-  | Plain | Sanitize | Naive as w ->
+  | Plain | Naive as w ->
       Printf.sprintf "slx explore --impl %s --depth %d --crashes %d%s" impl
         depth crashes
-        (match w with Sanitize -> " --sanitize" | Naive -> " --naive" | _ -> "")
+        (if w = Naive then " --naive" else "")
   | Symmetry_alone | Dpor_alone as w ->
       Printf.sprintf "Explore.explore %s n=%d depth %d crashes %d (%s)" impl n
         depth crashes
@@ -56,8 +55,8 @@ let answer sp w =
       Explore.explore ~n ~factory ~invoke:Queries.safety_invoke ~depth
         ~max_crashes ~dpor:(w = Dpor_alone) ~symmetry:(w = Symmetry_alone)
         ~check:Queries.check ()
-  | Plain | Sanitize -> (
-      match Queries.run ~sanitize:(w = Sanitize) sp with
+  | Plain -> (
+      match Queries.run sp with
       | Queries.Safety e, _ -> e
       | Queries.Live _, _ -> assert false)
 

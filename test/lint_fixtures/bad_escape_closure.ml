@@ -4,6 +4,6 @@
 let factory ~n:_ =
   let hidden = ref 0 in
   fun ~proc:_ () ->
-    Runtime.atomic_access ~obj:0 ~write:true (fun () ->
+    Runtime.atomic (fun () ->
         incr hidden;
         Runtime.touch ~obj:0 ~write:true)

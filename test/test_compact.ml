@@ -10,23 +10,20 @@
      bitmask footprints answer commutation and list their accesses as
      the raw access lists they were built from say, spill range
      included;
-   - differential sweeps over the whole audit registry, safety and
+   - differential sweeps over every case of test/cases.ml, safety and
      liveness legs, cache on vs off (mirroring test/test_dpor.ml's
      dpor-on-vs-off sweeps), the liveness leg at a period bound where
      the suffix cache engages;
    - the retired switches ([~compact:false], declared-footprint
      [~por:true ~dpor:false]) raise;
    - the incremental shared-state digest always agrees with the
-     from-scratch recomputation — including for the deliberately
-     mis-declared fixtures, whose physical write-touches are honest
-     even when their declarations lie. *)
+     from-scratch recomputation, also after a step that writes two
+     cells. *)
 
 open Slx_sim
 open Slx_core
 open Slx_liveness
 open Support
-module Audit = Slx_analysis.Audit
-module Registry = Slx_analysis.Audit_registry
 
 let show_script pp_inv ds =
   String.concat ";"
@@ -126,27 +123,27 @@ let qcheck_accesses_canonical =
 
 (* ------------------------------------------------------------------ *)
 (* Safety leg: Explore with the transposition cache on vs off, over    *)
-(* the whole audit registry — identical runs, history digests and      *)
+(* every case of test/cases.ml — identical runs, history digests and      *)
 (* lex-least witness scripts.                                          *)
 
-let diff_explore_case (Audit.Case c) =
-  let depth = min c.Audit.c_depth 5 in
-  let max_crashes = min c.Audit.c_max_crashes 1 in
+let diff_explore_case (Cases.Case c) =
+  let depth = min c.Cases.c_depth 5 in
+  let max_crashes = min c.Cases.c_max_crashes 1 in
   let run ~cache ~check =
-    Explore.explore ~n:c.Audit.c_n ~factory:c.Audit.c_factory
-      ~invoke:c.Audit.c_invoke ~depth ~max_crashes ~dpor:true ~cache ~check ()
+    Explore.explore ~n:c.Cases.c_n ~factory:c.Cases.c_factory
+      ~invoke:c.Cases.c_invoke ~depth ~max_crashes ~dpor:true ~cache ~check ()
   in
   let stats e = e.Explore.stats in
   let off = run ~cache:false ~check:(fun _ -> true) in
   let on = run ~cache:true ~check:(fun _ -> true) in
   (match (off.Explore.outcome, on.Explore.outcome) with
   | Explore.Ok a, Explore.Ok b ->
-      check_int (c.Audit.c_name ^ ": identical runs") a b
+      check_int (c.Cases.c_name ^ ": identical runs") a b
   | _ ->
       Alcotest.failf "%s: always-true check produced a counterexample"
-        c.Audit.c_name);
+        c.Cases.c_name);
   check_bool
-    (c.Audit.c_name ^ ": identical history digest")
+    (c.Cases.c_name ^ ": identical history digest")
     true
     ((stats off).Explore_stats.history_digest
     = (stats on).Explore_stats.history_digest);
@@ -155,15 +152,15 @@ let diff_explore_case (Audit.Case c) =
   match (offx.Explore.witness_script, onx.Explore.witness_script) with
   | Some a, Some b ->
       Alcotest.(check string)
-        (c.Audit.c_name ^ ": identical lex-least counterexample script")
-        (show_script c.Audit.c_pp_inv a)
-        (show_script c.Audit.c_pp_inv b)
+        (c.Cases.c_name ^ ": identical lex-least counterexample script")
+        (show_script c.Cases.c_pp_inv a)
+        (show_script c.Cases.c_pp_inv b)
   | _ ->
       Alcotest.failf "%s: always-false check produced no counterexample"
-        c.Audit.c_name
+        c.Cases.c_name
 
 let test_explore_differential () =
-  List.iter diff_explore_case (Registry.all ())
+  List.iter diff_explore_case (Cases.all ())
 
 (* ------------------------------------------------------------------ *)
 (* Liveness leg: Live_explore with the suffix cache on vs off.  The    *)
@@ -199,11 +196,11 @@ let cache_entries (r : _ Live_explore.result) =
    checks that its total is positive. *)
 let shallow_cases = [ "consensus-selfish" ]
 
-let diff_live_case (Audit.Case c) =
-  let depth = min c.Audit.c_depth 7 in
+let diff_live_case (Cases.Case c) =
+  let depth = min c.Cases.c_depth 7 in
   let run ~cache =
-    Live_explore.search ~n:c.Audit.c_n ~factory:c.Audit.c_factory
-      ~invoke:c.Audit.c_invoke
+    Live_explore.search ~n:c.Cases.c_n ~factory:c.Cases.c_factory
+      ~invoke:c.Cases.c_invoke
       ~good:(fun _ -> false)
       ~point:(Freedom.make ~l:1 ~k:1) ~depth ~max_period:1 ~dpor:true ~cache
       ()
@@ -211,17 +208,17 @@ let diff_live_case (Audit.Case c) =
   let on = run ~cache:true in
   if
     on.Live_explore.outcome = Live_explore.No_fair_cycle
-    && not (List.mem c.Audit.c_name shallow_cases)
+    && not (List.mem c.Cases.c_name shallow_cases)
   then
-    check_bool (c.Audit.c_name ^ ": the suffix cache holds entries") true
+    check_bool (c.Cases.c_name ^ ": the suffix cache holds entries") true
       (cache_entries on > 0);
-  same_lasso ~name:c.Audit.c_name c.Audit.c_pp_inv on (run ~cache:false);
+  same_lasso ~name:c.Cases.c_name c.Cases.c_pp_inv on (run ~cache:false);
   cache_entries on
 
 let test_live_differential () =
   let total =
     List.fold_left (fun acc case -> acc + diff_live_case case) 0
-      (Registry.all ())
+      (Cases.all ())
   in
   check_bool "the sweep's suffix caches hold entries" true (total > 0)
 
@@ -282,9 +279,8 @@ let test_retired_switches_raise () =
 
 (* ------------------------------------------------------------------ *)
 (* The incremental shared-state digest agrees with the from-scratch    *)
-(* recomputation after every decision — for an honest implementation   *)
-(* and for the mis-declared fixtures (whose physical write-touches are *)
-(* still attached to the owning cell).                                 *)
+(* recomputation after every decision — for an implementation and for  *)
+(* a step that writes two cells.                                       *)
 
 let test_incremental_digest_matches_full () =
   Runner.Cursor.with_ ~n:2
@@ -309,21 +305,38 @@ let test_incremental_digest_matches_full () =
           Driver.Schedule 1;
         ])
 
-let test_incremental_digest_matches_full_on_fixture () =
-  Runner.Cursor.with_ ~n:2 ~factory:Slx_analysis.Fixtures.leaky_factory
-    (fun c ->
+(* One atomic step writing two registered cells: the step's second
+   write-touch still reaches its own cell's digest contribution. *)
+let two_cell_factory ~n:_ =
+  let cell () =
+    let r = ref 0 in
+    (r, Runtime.register_object (fun () -> Runtime.hash_value !r))
+  in
+  let a = cell () and b = cell () in
+  let store (r, obj) v =
+    Runtime.touch ~obj ~write:true;
+    r := v
+  in
+  fun ~proc:_ v ->
+    Runtime.atomic (fun () ->
+        store a v;
+        store b v);
+    v
+
+let test_incremental_digest_matches_full_on_two_writes () =
+  Runner.Cursor.with_ ~n:2 ~factory:two_cell_factory (fun c ->
       let check_step i d =
         Runner.Cursor.apply c d;
         check_bool
-          (Printf.sprintf "leaky fixture: digests agree after decision %d" i)
+          (Printf.sprintf "two-cell step: digests agree after decision %d" i)
           true
           (Runner.Cursor.shared_digest c = Runner.Cursor.shared_digest_full c)
       in
       List.iteri check_step
         [
-          Driver.Invoke (1, Slx_analysis.Fixtures.Poke 7);
+          Driver.Invoke (1, 7);
           Driver.Schedule 1;
-          Driver.Invoke (2, Slx_analysis.Fixtures.Peek);
+          Driver.Invoke (2, 8);
           Driver.Schedule 2;
         ])
 
@@ -331,9 +344,9 @@ let suites =
   [
     ( "compact",
       [
-        quick "explore differential over the audit registry"
+        quick "explore differential over every case"
           test_explore_differential;
-        quick "live-explore differential over the audit registry"
+        quick "live-explore differential over every case"
           test_live_differential;
         quick "register (1,2) certificate is identical with the cache on or off"
           test_register_cert_identity;
@@ -341,8 +354,8 @@ let suites =
           test_retired_switches_raise;
         quick "incremental shared digest = full recomputation"
           test_incremental_digest_matches_full;
-        quick "incremental shared digest survives mis-declared fixtures"
-          test_incremental_digest_matches_full_on_fixture;
+        quick "incremental shared digest follows a step's every write"
+          test_incremental_digest_matches_full_on_two_writes;
       ]
       @ qcheck
           [

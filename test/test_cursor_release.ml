@@ -3,7 +3,7 @@
    suspended continuations are discontinued and their fiber stacks
    freed.  Disposal must be invisible to everything an explorer
    counts: these tests check that no process is left suspended, that
-   the shared tick counter, probe, shadow and history interner are
+   the shared tick counter, probe and history interner are
    untouched by disposal, and that both explorers report exactly the
    counters, digests, witnesses and lasso certificates they reported
    when sibling cursors were simply dropped (pinned below). *)
@@ -153,8 +153,9 @@ let cases =
    rows those of the canonical crash placement, which offers a crash
    only right after its process's own decision (or in an ascending
    root prefix); the safety explorer's DPOR rows with a crash budget
-   are those of the walk that never builds a dead crash child; the
-   live rows' steps are those of the walk that decides a leaf closing
+   are those of the walk that never builds a dead crash child, and its
+   CAS DPOR rows those of sleepers carrying the footprint their step
+   observed; the live rows' steps are those of the walk that decides a leaf closing
    no candidate at its parent, rejects a pump its cycle inherited a
    failure for, and pumps a leaf's first candidate on its cursor.  The
    depth-13 row is one where carrying a failure down an edge that does
@@ -185,8 +186,8 @@ let pinned =
          cache_hits=1368 history_digest=912412462301921865 \
          witness=[none]" );
     ( "cas n=3 depth=12 c=2 dpor",
-      "runs=2876 nodes=6832 steps_executed=17397 steps_replayed=11739 \
-         cache_hits=519 history_digest=-4017882154365815296 \
+      "runs=1092 nodes=3854 steps_executed=9544 steps_replayed=6200 \
+         cache_hits=216 history_digest=-4068234023158267241 \
          witness=[none]" );
     ( "selfish n=3 depth=8 c=0 incremental",
       "runs=1 nodes=4 steps_executed=3 steps_replayed=0 cache_hits=0 \
@@ -210,8 +211,8 @@ let pinned =
       "runs=766 nodes=1515 steps_executed=10686 steps_replayed=10686 \
          cache_hits=0 history_digest=-1491201430012651329 witness=[none]" );
     ( "cas n=3 depth=10 c=1 dpor",
-      "runs=1284 nodes=3893 steps_executed=10782 steps_replayed=7103 \
-         cache_hits=383 history_digest=4332923811194914039 \
+      "runs=398 nodes=2298 steps_executed=6128 steps_replayed=3906 \
+         cache_hits=152 history_digest=-454774887534599141 \
          witness=[none]" );
     ( "live (1,1) n=2 depth=8 c=1",
       "no_fair_cycle nodes=519 runs=257 steps_executed=1601 \
@@ -294,12 +295,11 @@ let test_no_cell_ready () =
   check_bool "body not run" true (!kept = None)
 
 (* Disposal moves none of the counters an explorer reads: the shared
-   tick counter, the probe's last observation, the shadow's log and
-   counts, and the history interner behind the [encode] hook. *)
+   tick counter, the probe's last observation and the history
+   interner behind the [encode] hook. *)
 let test_disposal_is_silent () =
   let ticks = ref 0 in
   let probe = Runtime.make_probe () in
-  let shadow = Runtime.make_shadow ~record:true () in
   let events = Intern.create () in
   let conses = Intern.create () in
   let encodes = ref 0 in
@@ -311,15 +311,10 @@ let test_disposal_is_silent () =
     ( !ticks,
       ( Runtime.probe_steps probe,
         Runtime.probe_last_observed probe ),
-      ( Runtime.shadow_step_count shadow,
-        Runtime.shadow_violation_count shadow,
-        Runtime.shadow_steps shadow,
-        Runtime.shadow_decl_stats shadow ),
       (!encodes, Intern.count events, Intern.count conses) )
   in
   let inside =
-    Runner.Cursor.with_ ~n:2 ~factory:(register ()) ~ticks ~probe ~shadow
-      ~encode
+    Runner.Cursor.with_ ~n:2 ~factory:(register ()) ~ticks ~probe ~encode
       ~prefix:
         [
           Driver.Invoke (1, Consensus_type.Propose 0);
@@ -334,7 +329,7 @@ let test_disposal_is_silent () =
         observe ())
   in
   check_int "five decisions ticked" 5 !ticks;
-  check_bool "disposal leaves ticks, probe, shadow and interner alone" true
+  check_bool "disposal leaves ticks, probe and interner alone" true
     (inside = observe ())
 
 (* ------------------------------------------------------------------ *)
@@ -375,9 +370,7 @@ let observe c =
    could differ. *)
 let replay_agreement ~factory ~n ~crashes choices =
   let encode = interning_hook () in
-  let walk_shadow = Runtime.make_shadow ~raise_on_violation:false () in
-  Runner.Cursor.with_ ~n ~factory:(factory ()) ~encode ~shadow:walk_shadow
-    (fun walked ->
+  Runner.Cursor.with_ ~n ~factory:(factory ()) ~encode (fun walked ->
       let script =
         List.fold_left
           (fun rev k ->
@@ -392,14 +385,9 @@ let replay_agreement ~factory ~n ~crashes choices =
       in
       let hist_id = Runner.Cursor.hist_id walked in
       let expected = observe walked in
-      let grants =
-        List.length
-          (List.filter (function Driver.Schedule _ -> true | _ -> false) script)
-      in
       let probe = Runtime.make_probe () in
-      let shadow = Runtime.make_shadow ~raise_on_violation:false () in
       let replayed =
-        Runner.Cursor.with_ ~n ~factory:(factory ()) ~encode ~probe ~shadow
+        Runner.Cursor.with_ ~n ~factory:(factory ()) ~encode ~probe
           ~prefix:script ~hist_id (fun c ->
             [
               ("keys, report, hist_id, digest", observe c = expected);
@@ -407,9 +395,6 @@ let replay_agreement ~factory ~n ~crashes choices =
                 Runner.Cursor.shared_digest c = Runner.Cursor.shared_digest_full c
               );
               ("probe_steps unmoved", Runtime.probe_steps probe = 0);
-              ( "shadow counts every prefix step",
-                Runtime.shadow_step_count shadow = grants
-                && Runtime.shadow_step_count walk_shadow = grants );
             ])
       in
       let re_encoded =

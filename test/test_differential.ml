@@ -724,11 +724,11 @@ let test_table_rule () =
          "5 4 4 4 4 4 4 4 4 4 4 9 8 10 runs=2 digest=-2731394087915856383"
        );
        ( "cas n=3 d12 c2", consensus, cas, 3, 12, 2,
-         "ok runs=218 digest=1049027987363108765" );
+         "ok runs=81 digest=2877844204319384413" );
        ( "cas n=3 d12 c2, crashed and answered", answered, cas, 3, 12, 2,
          "5 4 4 9 8 8 13 12 12 14 runs=1 digest=-4486760775570767643" );
        ( "cas n=4 d12 c1", consensus, cas, 4, 12, 1,
-         "ok runs=1440 digest=1099379283783249619" );
+         "ok runs=83 digest=845786491339820320" );
        ( "cas n=4 d12 c1, crashed and answered", answered, cas, 4, 12, 1,
          "5 4 4 9 8 8 13 12 12 17 16 18 runs=2 digest=2250746343860034781" );
      ]);

@@ -527,7 +527,6 @@ let test_stats_json_fields () =
         ("symmetry_pruned", s.symmetry_pruned);
         ("cycles_examined", s.cycles_examined);
         ("fair_cycles", s.fair_cycles);
-        ("footprint_violations", s.footprint_violations);
         ("elapsed_ns", s.elapsed_ns);
         ("events_dropped", s.events_dropped);
         ("history_digest", s.history_digest);

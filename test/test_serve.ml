@@ -476,10 +476,9 @@ let test_cli_out_of_range_refused () =
       "figure1 --steps 0";
       "figure1 -o consensus-exhaustive --depth 0";
       "figure1 -o consensus-exhaustive --depth 65";
-      "audit --depth 0";
-      "audit --depth=-3";
-      "audit --depth 65";
-      "audit --fixtures --group fixture --depth 0";
+      "explore --sanitize";
+      "live-explore --sanitize";
+      "audit";
     ];
   (* The games take no --json.  Each runs with a budget of one step,
      so the refusals below are the budget's alone. *)

@@ -11,7 +11,7 @@
      deeper queries run cold and do exactly the store-less work — and
      a corrupt or mismatched store degrades to cold with the identical
      verdict;
-   - the differential contract, on the whole audit registry: with the
+   - the differential contract, on every case of test/cases.ml: with the
      store in any state (off, cold, warm, holding a shallower record)
      the verdict, the run count, the digest, the step count and the
      lex-least witness are byte-identical. *)
@@ -22,8 +22,6 @@ open Slx_liveness
 open Support
 module Store = Slx_store.Store
 module Persist = Slx_store.Persist
-module Audit = Slx_analysis.Audit
-module Registry = Slx_analysis.Audit_registry
 
 let temp_store () =
   let path = Filename.temp_file "slx_test" ".store" in
@@ -240,15 +238,16 @@ let frame ?(crc = crc32) payload =
   Buffer.contents b
 
 let test_engine_mismatch () =
-  (* Deciding live leaves at their parents and pumping without replays
-     changed the steps a live record stores, checking crash leaves at
+  (* Observed sleeper footprints changed the runs and steps a record
+     stores, deciding live leaves at their parents and pumping without
+     replays changed the steps a live record stores, checking crash leaves at
      their parents changed the steps a record with a crash budget
      stores, pruning dead crash children before it changed them under
      DPOR, and the canonical crash placement before that changed
      witnesses, certificates and run counts: a store an earlier engine
      wrote is not read warm. *)
-  check_bool "engine generation 17" true
-    (String.starts_with ~prefix:"slx-engine-17+" Store.engine_version);
+  check_bool "engine generation 18" true
+    (String.starts_with ~prefix:"slx-engine-18+" Store.engine_version);
   List.iter
     (fun generation ->
       let previous = temp_store () in
@@ -267,7 +266,7 @@ let test_engine_mismatch () =
         true
         ((Store.health st).Store.h_invalidated <> None
         && Store.records st = []))
-    [ 13; 14; 15; 16 ];
+    [ 13; 14; 15; 16; 17 ];
   let path = temp_store () in
   let _ = populate path in
   let st = Store.open_ ~engine_version:"slx-engine-bogus" path in
@@ -1235,22 +1234,22 @@ let test_persist_lasso_warm () =
 (* Differential sweep: every registry case, store off/cold/warm/deeper *)
 (* — identical verdicts, runs, digests, steps and lex-least witnesses. *)
 
-let diff_store_case (Audit.Case c) =
-  let depth = min c.Audit.c_depth 5 in
-  let max_crashes = min c.Audit.c_max_crashes 1 in
-  let name = c.Audit.c_name in
+let diff_store_case (Cases.Case c) =
+  let depth = min c.Cases.c_depth 5 in
+  let max_crashes = min c.Cases.c_max_crashes 1 in
+  let name = c.Cases.c_name in
   let plain ~depth ~check =
-    Explore.explore ~n:c.Audit.c_n ~factory:c.Audit.c_factory
-      ~invoke:c.Audit.c_invoke ~depth ~max_crashes ~dpor:true ~check ()
+    Explore.explore ~n:c.Cases.c_n ~factory:c.Cases.c_factory
+      ~invoke:c.Cases.c_invoke ~depth ~max_crashes ~dpor:true ~check ()
   in
   let stored ~store ~qid ~depth ~check =
-    stored_explore ~store ~qid ~n:c.Audit.c_n ~factory:c.Audit.c_factory
-      ~invoke:c.Audit.c_invoke ~depth ~max_crashes ~symmetry:false ~check
+    stored_explore ~store ~qid ~n:c.Cases.c_n ~factory:c.Cases.c_factory
+      ~invoke:c.Cases.c_invoke ~depth ~max_crashes ~symmetry:false ~check
   in
   let qid_of ~check_name =
-    Persist.query_key ~ident:name ~check:check_name ~n:c.Audit.c_n
+    Persist.query_key ~ident:name ~check:check_name ~n:c.Cases.c_n
       ~registry_digest:
-        (Persist.instance_digest ~n:c.Audit.c_n ~factory:c.Audit.c_factory)
+        (Persist.instance_digest ~n:c.Cases.c_n ~factory:c.Cases.c_factory)
       ~max_crashes ~dpor:true ()
   in
   (* Passing leg: identity across store states, including a store that
@@ -1281,7 +1280,7 @@ let diff_store_case (Audit.Case c) =
   let qidx = qid_of ~check_name:"diff-false" in
   let witness e =
     match e.Explore.witness_script with
-    | Some ds -> show_script c.Audit.c_pp_inv ds
+    | Some ds -> show_script c.Cases.c_pp_inv ds
     | None -> Alcotest.failf "%s: always-false check found no witness" name
   in
   let basex = witness (plain ~depth ~check:(fun _ -> false)) in
@@ -1298,27 +1297,27 @@ let diff_store_case (Audit.Case c) =
   Alcotest.(check string) (name ^ ": warm witness = storeless") basex
     (witness warmx)
 
-let test_store_differential () = List.iter diff_store_case (Registry.all ())
+let test_store_differential () = List.iter diff_store_case (Cases.all ())
 
-let diff_store_live_case (Audit.Case c) =
-  let depth = min c.Audit.c_depth 5 in
-  let name = c.Audit.c_name in
+let diff_store_live_case (Cases.Case c) =
+  let depth = min c.Cases.c_depth 5 in
+  let name = c.Cases.c_name in
   let pump_ticks = 4 * depth in
   let point = Freedom.make ~l:1 ~k:1 in
   let good _ = false in
   let qid =
-    Persist.query_key ~ident:name ~check:"live:diff" ~n:c.Audit.c_n
+    Persist.query_key ~ident:name ~check:"live:diff" ~n:c.Cases.c_n
       ~registry_digest:
-        (Persist.instance_digest ~n:c.Audit.c_n ~factory:c.Audit.c_factory)
+        (Persist.instance_digest ~n:c.Cases.c_n ~factory:c.Cases.c_factory)
       ~dpor:true ()
   in
   let plain ~depth =
-    Live_explore.search ~n:c.Audit.c_n ~factory:c.Audit.c_factory
-      ~invoke:c.Audit.c_invoke ~good ~point ~depth ~pump_ticks ~dpor:true ()
+    Live_explore.search ~n:c.Cases.c_n ~factory:c.Cases.c_factory
+      ~invoke:c.Cases.c_invoke ~good ~point ~depth ~pump_ticks ~dpor:true ()
   in
   let stored ~store ~depth =
-    stored_live ~store ~qid ~n:c.Audit.c_n ~factory:c.Audit.c_factory
-      ~invoke:c.Audit.c_invoke ~good ~point ~depth ~pump_ticks ()
+    stored_live ~store ~qid ~n:c.Cases.c_n ~factory:c.Cases.c_factory
+      ~invoke:c.Cases.c_invoke ~good ~point ~depth ~pump_ticks ()
   in
   (* Verdict fingerprint only: a warm hit synthesizes zero-work stats
      (but the stored run count), so run and step counts are compared
@@ -1327,8 +1326,8 @@ let diff_store_live_case (Audit.Case c) =
     match r.Live_explore.outcome with
     | Live_explore.No_fair_cycle -> "no_fair_cycle"
     | Live_explore.Lasso l ->
-        show_script c.Audit.c_pp_inv l.Lasso.c_stem
-        ^ "~" ^ show_script c.Audit.c_pp_inv l.Lasso.c_cycle
+        show_script c.Cases.c_pp_inv l.Lasso.c_stem
+        ^ "~" ^ show_script c.Cases.c_pp_inv l.Lasso.c_cycle
   in
   let st = Store.open_ (temp_store ()) in
   let plain_run = plain ~depth in
@@ -1355,7 +1354,7 @@ let diff_store_live_case (Audit.Case c) =
     warm.Live_explore.stats.Explore_stats.runs
 
 let test_store_live_differential () =
-  List.iter diff_store_live_case (Registry.all ())
+  List.iter diff_store_live_case (Cases.all ())
 
 (* ------------------------------------------------------------------ *)
 
