@@ -17,8 +17,8 @@
     impossibility discussion requires (see {!Consensus_adversary}).
 
     The cascade is {!Commit_adopt}, shared with
-    [Slx_objects.One_shot_consensus.Registers]; this module adds the
-    integer values and its round allocation (below).
+    [Slx_objects.One_shot_consensus.Registers]; this module is one
+    instance of it over integer values.
 
     Only {!Slx_base_objects.Register} is used, so the implementation
     falls inside the “implementations from registers” class of
@@ -28,11 +28,10 @@ val factory :
   ?max_rounds:int ->
   unit ->
   (Consensus_type.invocation, Consensus_type.response) Slx_sim.Runner.factory
-(** A fresh implementation instance.  It registers only the decision
-    register; round [r]'s [2n] registers are built when a process
-    first enters round [r], at ids fixed by the instance and [r] (see
-    {!Slx_sim.Runtime.in_block}), so the explorers tell the same
-    configurations apart as with every round built up front.
+(** A fresh implementation instance: one {!Commit_adopt.t}.  It
+    registers only the decision register; round [r]'s [2n] registers
+    are built between steps when a process first enters round [r], at
+    ids fixed by the instance and [r].
     [max_rounds] (default [4096]) only caps the cascade: a process
     entering round [max_rounds] raises.  It costs nothing until
     reached, so the default suits any bounded run (each round takes

@@ -1,4 +1,4 @@
-type severity = Info | Warn | Error
+type severity = Warn | Error
 
 type t = {
   rule : string;
@@ -12,8 +12,6 @@ type t = {
 
 let v ~rule ~severity ~file ?(line = 0) ?(col = 0) ?(snippet = "") message =
   { rule; severity; file; line; col; snippet; message }
-
-let gating f = match f.severity with Info -> false | Warn | Error -> true
 
 let compare a b =
   match String.compare a.file b.file with
@@ -29,7 +27,6 @@ let compare a b =
   | c -> c
 
 let severity_label = function
-  | Info -> "info"
   | Warn -> "warn"
   | Error -> "error"
 
@@ -48,44 +45,3 @@ let to_json f =
     (q (severity_label f.severity))
     (q f.file) f.line f.col (q f.message)
     (q (String.trim f.snippet))
-
-(* The catalog is the single source of rule ids; [Rules] and [Lint]
-   construct findings through it so a typo'd id cannot ship. *)
-let rules =
-  [
-    ( "escape-global-mutable",
-      Error,
-      "module-level mutable state (ref/array/Hashtbl/...) captured by a \
-       function: shared across every instance and run, invisible to \
-       fingerprints and replay" );
-    ( "escape-unregistered-state",
-      Error,
-      "mutable state captured by a runtime-interacting closure without a \
-       Runtime.register_object in scope: neither the fingerprint registry \
-       nor a step's observed footprint sees it" );
-    ( "escape-naked-mutation",
-      Warn,
-      "mutation of non-local state in runtime-interacting code outside any \
-       atomic callback: the access is invisible to observed footprints" );
-    ( "det-banned-call",
-      Error,
-      "call that can differ across replays (Random globals, Hashtbl.hash, \
-       wall clocks, Gc introspection, Domain spawns): fingerprints, \
-       lex-least witnesses and store re-validation assume determinism" );
-    ( "det-physical-equality",
-      Error,
-      "physical equality (==/!=) in model code: depends on sharing, which \
-       replay does not preserve" );
-    ( "parse-error",
-      Error,
-      "the source file does not parse; nothing behind the error is checked" );
-    ( "waiver-expired",
-      Error,
-      "a waiver entry is past its expiry date: re-justify or fix" );
-    ( "waiver-unused",
-      Warn,
-      "a waiver entry matched no finding: stale, delete it" );
-    ( "waiver-malformed",
-      Error,
-      "a waiver line does not parse: fix the entry" );
-  ]

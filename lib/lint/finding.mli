@@ -1,14 +1,15 @@
 (** A structured lint finding.
 
     Every rule reports through this one type so the human renderer,
-    the JSON emitter, the waiver matcher and the CI gate all agree on
-    what a finding is.  Findings are pure data: producing one never
-    prints, raises or exits. *)
+    the JSON emitter and the CI gate all agree on what a finding is.
+    Findings are pure data: producing one never prints, raises or
+    exits. *)
 
+(** How sure the rule is.  Both gate: a sweep with any finding is not
+    clean. *)
 type severity =
-  | Info  (** Reported, never gates. *)
-  | Warn  (** Gates [--ci]; waivable. *)
-  | Error  (** Gates every run; waivable. *)
+  | Warn  (** A likely fault (the rule may lack context). *)
+  | Error  (** A fault. *)
 
 type t = {
   rule : string;  (** Rule id, e.g. ["escape-global-mutable"]. *)
@@ -30,9 +31,6 @@ val v :
   string ->
   t
 
-val gating : t -> bool
-(** Whether the finding fails the lint ([severity >= Warn]). *)
-
 val compare : t -> t -> int
 (** Order by file, line, column, rule — the stable report order. *)
 
@@ -40,7 +38,3 @@ val pp : Format.formatter -> t -> unit
 
 val to_json : t -> string
 (** One-line JSON object. *)
-
-val rules : (string * severity * string) list
-(** The rule catalog: id, default severity, one-line doc.  Tests
-    assert reported ids stay within it. *)

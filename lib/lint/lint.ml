@@ -2,7 +2,6 @@ type report = {
   root : string;
   files : string list;
   findings : Finding.t list;
-  waived : (Finding.t * Waivers.entry) list;
 }
 
 let default_paths =
@@ -64,30 +63,7 @@ let check_file ~root rel =
                  msg) ]
     end
 
-let load_waivers ~root ~strict = function
-  | None -> ([], [])
-  | Some wf -> begin
-      let abs = under root wf in
-      match read_file abs with
-      | exception Sys_error e ->
-          ( [],
-            [ Finding.v ~rule:"waiver-malformed" ~severity:Finding.Error
-                ~file:wf
-                (Printf.sprintf "cannot read waiver file: %s" e) ] )
-      | contents -> begin
-          match Waivers.parse contents with
-          | Error (msg, line) ->
-              ( [],
-                [ Finding.v ~rule:"waiver-malformed" ~severity:Finding.Error
-                    ~file:wf ~line msg ] )
-          | Ok entries ->
-              ignore strict;
-              (entries, [])
-        end
-    end
-
-let run ?(root = ".") ?(paths = default_paths) ?waiver_file
-    ?(today = "0000-00-00") ?(strict_waivers = false) () =
+let run ?(root = ".") ?(paths = default_paths) () =
   let files, missing =
     List.fold_left
       (fun (files, missing) p ->
@@ -101,64 +77,14 @@ let run ?(root = ".") ?(paths = default_paths) ?waiver_file
       ([], []) paths
   in
   let files = List.sort_uniq String.compare files in
-  let raw = List.concat_map (check_file ~root) files @ missing in
-  let entries, waiver_findings =
-    load_waivers ~root ~strict:strict_waivers waiver_file
-  in
-  let live, dead = List.partition (fun e -> not (Waivers.expired ~today e)) entries in
-  let used = Hashtbl.create 8 in
-  let findings, waived =
-    List.fold_left
-      (fun (fs, ws) f ->
-        match List.find_opt (fun e -> Waivers.matches e f) live with
-        | Some e ->
-            Hashtbl.replace used e.Waivers.w_line ();
-            (fs, (f, e) :: ws)
-        | None -> (f :: fs, ws))
-      ([], []) raw
-  in
-  let wf = Option.value waiver_file ~default:"" in
-  let expired_findings =
-    List.map
-      (fun (e : Waivers.entry) ->
-        Finding.v ~rule:"waiver-expired" ~severity:Finding.Error ~file:wf
-          ~line:e.w_line
-          (Printf.sprintf "waiver for %s on %s expired %s (%s)" e.w_rule
-             e.w_file
-             (Option.value e.w_expires ~default:"?")
-             e.w_reason))
-      dead
-  in
-  let unused_findings =
-    List.filter_map
-      (fun (e : Waivers.entry) ->
-        if Hashtbl.mem used e.w_line then None
-        else
-          Some
-            (Finding.v ~rule:"waiver-unused"
-               ~severity:(if strict_waivers then Finding.Warn else Finding.Info)
-               ~file:wf ~line:e.w_line
-               (Printf.sprintf "waiver for %s on %s matched nothing (%s)"
-                  e.w_rule e.w_file e.w_reason)))
-      live
-  in
-  {
-    root;
-    files;
-    findings =
-      List.sort Finding.compare
-        (findings @ waiver_findings @ expired_findings @ unused_findings);
-    waived = List.rev waived;
-  }
+  let findings = List.concat_map (check_file ~root) files @ missing in
+  { root; files; findings = List.sort Finding.compare findings }
 
-let clean rp = not (List.exists Finding.gating rp.findings)
+let clean rp = rp.findings = []
 
 let pp ppf rp =
   Format.fprintf ppf "@[<v>";
   List.iter (fun f -> Format.fprintf ppf "%a@," Finding.pp f) rp.findings;
-  if rp.waived <> [] then
-    Format.fprintf ppf "%d finding%s waived@," (List.length rp.waived)
-      (if List.length rp.waived = 1 then "" else "s");
   Format.fprintf ppf "%d file%s swept, %d finding%s%s@]"
     (List.length rp.files)
     (if List.length rp.files = 1 then "" else "s")
@@ -183,17 +109,5 @@ let to_json rp =
       Buffer.add_string b (Finding.to_json f))
     rp.findings;
   if rp.findings <> [] then Buffer.add_string b "\n  ";
-  Buffer.add_string b "],\n";
-  Buffer.add_string b "  \"waived\": [";
-  List.iteri
-    (fun i (f, e) ->
-      if i > 0 then Buffer.add_string b ",";
-      Buffer.add_string b "\n    {\"finding\": ";
-      Buffer.add_string b (Finding.to_json f);
-      Buffer.add_string b ", \"waiver\": ";
-      Buffer.add_string b (Waivers.entry_to_json e);
-      Buffer.add_string b "}")
-    rp.waived;
-  if rp.waived <> [] then Buffer.add_string b "\n  ";
   Buffer.add_string b "]\n}";
   Buffer.contents b

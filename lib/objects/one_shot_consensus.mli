@@ -22,9 +22,6 @@ module type S = sig
   val propose : 'a t -> proc:Proc.t -> 'a -> 'a
   (** Propose a value; returns the decided value.  May take unboundedly
       many steps for {!Registers} under contention. *)
-
-  val peek : 'a t -> 'a option
-  (** The decided value, if any (one atomic step). *)
 end
 
 module Cas : S
@@ -33,9 +30,7 @@ module Cas : S
 module Registers : S
 (** {!Slx_consensus.Commit_adopt}, the cascade
     {!Slx_consensus.Register_consensus} also runs, over arbitrary
-    values compared with structural equality.  What this module adds
-    is its round allocation: round [r] is built on first use, at ids
-    reserved by [make], inside one opaque atomic step over a
-    fingerprinted allocation table (several instances share a
-    registry as the universal construction's log slots).
-    Obstruction-free only. *)
+    values compared with structural equality and capped at 4096 rounds.
+    [make] reserves the instance's id block and registers its decision
+    register; each round is built between steps, by the first process
+    to enter it.  Obstruction-free only. *)

@@ -7,42 +7,28 @@ type 'inv entry = { owner : Proc.t; id : int; inv : 'inv }
 module Make_log (C : One_shot_consensus.S) = struct
   type 'inv t = {
     n : int;
-    slots : 'inv entry C.t option array;
-    allocated : int ref;  (* slots allocated so far *)
-    tbl : int;  (* footprint id of the allocation table *)
+    max_ops : int;
+    slots : (int, 'inv entry C.t) Hashtbl.t;
   }
 
-  let make ~n ~max_ops =
-    (* The slot table is shared mutable state: fingerprint its
-       allocation count (slots fill in order; the consensus objects
-       inside register their own readers) and give it a footprint id
-       so the lazy-allocation step reports its accesses. *)
-    let allocated = ref 0 in
-    {
-      n;
-      slots = Array.make max_ops None;
-      allocated;
-      tbl = Slx_sim.Runtime.register_object (fun () -> !allocated);
-    }
+  let make ~n ~max_ops = { n; max_ops; slots = Hashtbl.create 8 }
 
-  (* Lazily allocate slot [i]; one atomic step, so the shared table
-     mutation cannot be interleaved.  The step observes its [tbl]
-     touches: a read, plus a write when it allocates.  Every later use
-     of the slot's consensus object follows a [tbl] read by the same
-     process, so the allocating write orders it. *)
+  (* Slot [i] is built by the first process to decide it, between two
+     of its steps.  Its consensus object takes its ids from the
+     registry's counter, so slots are built in slot order to be
+     numbered alike in every schedule: a process decides slots 0, 1,
+     2, ... in turn, so slot [i - 1] is built before any process needs
+     slot [i]. *)
   let slot t i =
-    if i >= Array.length t.slots then
-      failwith "Universal: log exhausted (raise max_ops)";
-    Slx_sim.Runtime.atomic (fun () ->
-        Slx_sim.Runtime.touch ~obj:t.tbl ~write:false;
-        match t.slots.(i) with
-        | Some c -> c
-        | None ->
-            let c = C.make ~n:t.n () in
-            Slx_sim.Runtime.touch ~obj:t.tbl ~write:true;
-            t.slots.(i) <- Some c;
-            incr t.allocated;
-            c)
+    match Hashtbl.find_opt t.slots i with
+    | Some c -> c
+    | None ->
+        if i >= t.max_ops then
+          failwith "Universal: log exhausted (raise max_ops)";
+        assert (i = 0 || Hashtbl.mem t.slots (i - 1));
+        let c = C.make ~n:t.n () in
+        Hashtbl.add t.slots i c;
+        c
 
   let decide t i ~proc entry = C.propose (slot t i) ~proc entry
 end

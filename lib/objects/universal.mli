@@ -38,4 +38,10 @@ val factory :
     answer the first branch of a retry — such specs should be total).
     [max_ops] (default [4096]) bounds the log length.
 
+    Construction registers nothing.  Slot [i]'s consensus object is
+    built between two steps, by the first process to decide slot [i];
+    processes decide slots in order, so slots are built in slot order
+    and take their ids from the registry's counter alike in every
+    schedule.
+
     @raise Failure at run time if the log or the spec is exhausted. *)

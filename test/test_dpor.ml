@@ -192,9 +192,9 @@ let qcheck_opaque_sleeper_always_wakes =
 (* drawn from every primitive of Slx_base_objects — a failed and a     *)
 (* successful CAS or test-and-set among them — and from the first step *)
 (* of a one-shot register consensus and of a universal object, which   *)
-(* allocate a round or a log slot lazily.  Process 3 first runs a       *)
+(* build a round or a log slot between steps.  Process 3 first runs a   *)
 (* drawn list of operations solo, so the objects start in drawn states *)
-(* (a CAS that fails, a set test-and-set, a round already allocated).  *)
+(* (a CAS that fails, a set test-and-set, a round already built).      *)
 (* Values range over 0..2 so that a CAS's expected value often meets   *)
 (* the other step's write.                                              *)
 

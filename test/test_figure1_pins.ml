@@ -109,8 +109,13 @@ let test_closed_upwards () =
         (fun (grid, f) -> check_closed_upwards (grid ^ " " ^ setting) (at f))
         grids)
     settings;
-  check_closed_upwards "consensus_exhaustive n 2, depth 8"
-    (Slx_serve.Queries.consensus_exhaustive ~n:2 ~depth:8 ())
+  List.iter
+    (fun (n, depth) ->
+      check_closed_upwards
+        (Printf.sprintf "consensus_exhaustive n %d, depth %d" n depth)
+        (Slx_serve.Queries.consensus_exhaustive ~n ~depth ()))
+    (* n 2 at depth 10 is E20's ledger grid. *)
+    [ (2, 8); (2, 10); (3, 8) ]
 
 let suites =
   [

@@ -1,8 +1,8 @@
 (* Observed footprints from the bottom up: the footprint algebra the
    DPOR engines race sleepers with, the probe that records what each
-   step touched, the lazy-allocation steps' table touches, the sleep
-   set's split across a decision, and small walks whose size only the
-   observed footprints of their sleepers decide. *)
+   step touched, the sleep set's split across a decision, and small
+   walks whose size only the observed footprints of their sleepers
+   decide. *)
 
 open Slx_sim
 open Slx_core
@@ -251,26 +251,19 @@ let test_with_registry_restores_probe () =
   check_int "the inner one did not" 0 (Runtime.probe_steps inner)
 
 (* ------------------------------------------------------------------ *)
-(* Lazy allocation: the step that allocates a round or a log slot      *)
-(* writes its allocation table, and a later step that finds it         *)
-(* allocated only reads it.                                            *)
+(* Objects built between steps: a one-shot round or a universal log    *)
+(* slot is built by the first process to need it, so its first step   *)
+(* already touches the new object, and no step touches a table.        *)
 
 (* The footprints of [p]'s next [k] steps. *)
 let next_steps c probe p k =
   List.init k (fun _ ->
       Runner.Cursor.apply c (Driver.Schedule p);
-      Runtime.probe_last_observed probe)
+      print_footprint (Runtime.probe_last_observed probe))
 
-let check_footprints label expected got =
-  Alcotest.(check (list string))
-    label
-    (List.map (fun accs -> print_footprint (Runtime.of_accesses accs)) expected)
-    (List.map print_footprint got)
-
-(* A register consensus registers its decision register (id 1) and
-   then its round table (id 2); a proposer reads the decision, then
-   reaches round 0 through the table. *)
-let test_round_allocation () =
+(* The instance's block starts at id 1: the decision register, then
+   round 0's phase-1 registers (ids 2 and 3 for n = 2). *)
+let test_round_built_between_steps () =
   let factory ~n =
     let t = Slx_objects.One_shot_consensus.Registers.make ~n () in
     fun ~proc v -> Slx_objects.One_shot_consensus.Registers.propose t ~proc v
@@ -279,17 +272,17 @@ let test_round_allocation () =
   Runner.Cursor.with_ ~n:2 ~factory ~probe (fun c ->
       Runner.Cursor.apply c (Driver.Invoke (1, 0));
       Runner.Cursor.apply c (Driver.Invoke (2, 1));
-      check_footprints "p1 reads the decision, then allocates round 0"
-        [ [ r 1 ]; [ w 2 ] ]
-        (next_steps c probe 1 2);
-      check_footprints "p2 reads the decision, then finds round 0 allocated"
-        [ [ r 1 ]; [ r 2 ] ]
-        (next_steps c probe 2 2))
+      Alcotest.(check (list string))
+        "p1 reads the decision, then writes its round-0 preference"
+        [ "[R1]"; "[W2]" ] (next_steps c probe 1 2);
+      Alcotest.(check (list string))
+        "p2 reads the decision, then writes into the same round"
+        [ "[R1]"; "[W3]" ] (next_steps c probe 2 2))
 
-(* A universal object over CAS consensus registers its slot table
-   (id 1) first; each slot's consensus object is built by the step
-   that allocates it. *)
-let test_slot_allocation () =
+(* Construction registers nothing, so slot 0's CAS takes id 1: p1's
+   first step swaps it, and p2's first step, a failed CAS on the same
+   object, only reads it. *)
+let test_slot_built_between_steps () =
   let factory =
     Slx_objects.Universal.factory
       ~tp:(module Slx_objects.Stack_type.Self)
@@ -299,9 +292,10 @@ let test_slot_allocation () =
   Runner.Cursor.with_ ~n:2 ~factory ~probe (fun c ->
       Runner.Cursor.apply c (Driver.Invoke (1, Slx_objects.Stack_type.Push 1));
       Runner.Cursor.apply c (Driver.Invoke (2, Slx_objects.Stack_type.Push 2));
-      check_footprints "p1 allocates slot 0" [ [ w 1 ] ] (next_steps c probe 1 1);
-      check_footprints "p2 finds slot 0 allocated" [ [ r 1 ] ]
-        (next_steps c probe 2 1))
+      Alcotest.(check (list string))
+        "p1 swaps slot 0's CAS" [ "[W1]" ] (next_steps c probe 1 1);
+      Alcotest.(check (list string))
+        "p2 fails on the same object" [ "[R1]" ] (next_steps c probe 2 1))
 
 (* ------------------------------------------------------------------ *)
 (* The sleep set's split across a decision.                            *)
@@ -525,10 +519,10 @@ let suites =
           test_keyless_observes_alike;
         quick "with_registry restores the probe it replaced"
           test_with_registry_restores_probe;
-        quick "a one-shot round's allocation writes its table"
-          test_round_allocation;
-        quick "a universal slot's allocation writes its table"
-          test_slot_allocation;
+        quick "a one-shot round is built between steps"
+          test_round_built_between_steps;
+        quick "a universal slot is built between steps"
+          test_slot_built_between_steps;
       ] );
     ( "footprint: sleepers",
       [

@@ -1,22 +1,19 @@
-(* Schedule-independent object ids for the lazy allocators of the
-   universal construction.  [One_shot_consensus.Registers] builds each
-   commit-adopt round, and the universal construction's log each
-   consensus slot, lazily inside an opaque step.  Several instances
-   share one registry (the log's slots), and a round of one slot and a
-   later slot can be built in either order.  Slots take ids from the
-   registry's counter, in slot order; each [Registers] instance builds
-   its rounds inside an id block it reserves at construction, so no id
-   depends on the schedule.  Rounds numbered by the counter instead
-   make equal configurations reached by different schedules digest
-   differently, and the cache misses them.
+(* Schedule-independent object ids for the objects the universal
+   construction builds between steps.  Its log builds slot [i]'s
+   consensus object when a process first decides slot [i], and
+   [One_shot_consensus.Registers] builds each commit-adopt round when a
+   process first enters it; neither adds a step.  Slots take ids from
+   the registry's counter, in slot order; each [Registers] instance
+   builds its rounds inside an id block it reserves at construction, so
+   no id depends on the schedule.  Ids that did would make equal
+   configurations reached by different schedules digest differently,
+   and the cache would miss them.
 
-   The oracle below builds every slot and round up front, at fixed
-   ids, and keeps the lazy construction's steps exactly (the same
-   opaque allocation step, the same table touches and counters).
-   Its shared digest is therefore a function of the configuration
-   alone.  Every explorer must see the same configuration graph
-   through both: the same runs, nodes, steps, cache hits and history
-   digest. *)
+   The oracle below is plain eager construction: every slot and every
+   round is built with the instance.  Its shared digest is therefore a
+   function of the configuration alone.  Every explorer must see the
+   same configuration graph through both, over either consensus: the
+   same runs, nodes, steps, cache hits and history digest. *)
 
 open Slx_history
 open Slx_sim
@@ -30,47 +27,20 @@ open Support
 module Eager = struct
   open Slx_base_objects
 
+  (* A consensus object is its propose function. *)
+  type 'a cons = proc:Proc.t -> 'a -> 'a
+
+  (* [One_shot_consensus.Cas]. *)
+  let cas ~n:_ : _ cons =
+    let c = Cas.make None in
+    fun ~proc:_ v ->
+      ignore (Cas.compare_and_swap c ~expected:None ~desired:(Some v));
+      match Cas.read c with Some w -> w | None -> assert false
+
   type 'a round = {
     a : 'a option Register.t array;
     b : (bool * 'a) option Register.t array;
   }
-
-  (* [One_shot_consensus.Registers] with all [rounds] rounds built at
-     construction.  Rounds are entered in order, so [allocated] — the
-     count the lazy table digests — is the number entered so far. *)
-  type 'a cons = {
-    n : int;
-    rounds : 'a round array;
-    allocated : int ref;
-    tbl : int;
-    decision : 'a option Register.t;
-  }
-
-  let make_cons ~n ~rounds =
-    let allocated = ref 0 in
-    let tbl = Runtime.register_object (fun () -> !allocated) in
-    let decision = Register.make None in
-    let rounds =
-      Array.init rounds (fun _ ->
-          let a = Array.init n (fun _ -> Register.make None) in
-          let b = Array.init n (fun _ -> Register.make None) in
-          { a; b })
-    in
-    { n; rounds; allocated; tbl; decision }
-
-  (* The lazy allocation step, minus the allocation. *)
-  let enter ~tbl ~allocated i =
-    Runtime.touch ~obj:tbl ~write:false;
-    if i >= !allocated then begin
-      Runtime.touch ~obj:tbl ~write:true;
-      incr allocated
-    end
-
-  let round t r =
-    if r >= Array.length t.rounds then failwith "Eager: rounds exhausted";
-    Runtime.atomic (fun () ->
-        enter ~tbl:t.tbl ~allocated:t.allocated r;
-        t.rounds.(r))
 
   type 'a outcome = Commit of 'a | Adopt of 'a
 
@@ -96,27 +66,38 @@ module Eager = struct
     | (_, u) :: _ -> Adopt u
     | [] -> Adopt v
 
-  let propose t ~proc v =
-    let rec go r pref =
-      match Register.read t.decision with
-      | Some w -> w
-      | None -> begin
-          match commit_adopt (round t r) ~n:t.n ~i:proc pref with
-          | Commit u ->
-              Register.write t.decision (Some u);
-              u
-          | Adopt u -> go (r + 1) u
-        end
+  (* [One_shot_consensus.Registers] with all [rounds] rounds built at
+     construction. *)
+  let registers ~rounds ~n : _ cons =
+    let decision = Register.make None in
+    let rounds =
+      Array.init rounds (fun _ ->
+          let a = Array.init n (fun _ -> Register.make None) in
+          let b = Array.init n (fun _ -> Register.make None) in
+          { a; b })
     in
-    go 0 v
+    fun ~proc v ->
+      let rec go r pref =
+        if r >= Array.length rounds then failwith "Eager: rounds exhausted";
+        match Register.read decision with
+        | Some w -> w
+        | None -> begin
+            match commit_adopt rounds.(r) ~n ~i:proc pref with
+            | Commit u ->
+                Register.write decision (Some u);
+                u
+            | Adopt u -> go (r + 1) u
+          end
+      in
+      go 0 v
 
   type 'inv entry = { owner : Proc.t; id : int; inv : 'inv }
   type 'st cursor = { mutable index : int; mutable state : 'st; mutable next_id : int }
 
-  (* [Universal.factory ~consensus:`Registers] with all [slots] log
-     slots, each with all its rounds, built at construction. *)
+  (* [Universal.factory] with all [slots] log slots built at
+     construction, in slot order, each by [cons]. *)
   let factory (type st inv res) ~(tp : (st, inv, res) Object_type.t) ~slots
-      ~rounds () : (inv, res) Runner.factory =
+      ~(cons : n:int -> inv entry cons) () : (inv, res) Runner.factory =
     let module Tp = (val tp) in
     let apply st i =
       match Tp.seq i st with
@@ -124,15 +105,7 @@ module Eager = struct
       | [] -> failwith "Eager: sequential specification is not total"
     in
     fun ~n ->
-      let allocated = ref 0 in
-      let tbl = Runtime.register_object (fun () -> !allocated) in
-      let log = Array.init slots (fun _ -> make_cons ~n ~rounds) in
-      let slot i =
-        if i >= slots then failwith "Eager: log exhausted";
-        Runtime.atomic (fun () ->
-            enter ~tbl ~allocated i;
-            log.(i))
-      in
+      let log = Array.init slots (fun _ -> cons ~n) in
       let cursors =
         Array.init (n + 1) (fun _ ->
             { index = 0; state = Tp.initial; next_id = 0 })
@@ -142,7 +115,8 @@ module Eager = struct
         let my = { owner = proc; id = cur.next_id; inv } in
         cur.next_id <- cur.next_id + 1;
         let rec race () =
-          let winner = propose (slot cur.index) ~proc my in
+          if cur.index >= slots then failwith "Eager: log exhausted";
+          let winner = log.(cur.index) ~proc my in
           let state', res = apply cur.state winner.inv in
           cur.index <- cur.index + 1;
           cur.state <- state';
@@ -181,34 +155,41 @@ module Lin = Slx_safety.Linearizability.Make (Register_type)
 
 let linearizable r = Lin.check r.Run_report.history
 
-let test_universal_registers_differential () =
+let test_universal_differential () =
   List.iter
-    (fun (n, depth, max_crashes, dpor) ->
+    (fun (consensus, n, depth, max_crashes, dpor) ->
       let explore factory =
         Explore.explore ~n ~factory ~invoke:two_ops ~depth ~max_crashes ~dpor
           ~check:linearizable ()
       in
       let lazy_ =
-        explore (fun () ->
-            Universal.factory ~tp:register_tp ~consensus:`Registers ())
+        explore (fun () -> Universal.factory ~tp:register_tp ~consensus ())
       and eager =
         explore (fun () ->
-            Eager.factory ~tp:register_tp ~slots:(2 * n) ~rounds:depth ())
+            Eager.factory ~tp:register_tp ~slots:(2 * n)
+              ~cons:
+                (match consensus with
+                | `Cas -> Eager.cas
+                | `Registers -> Eager.registers ~rounds:depth)
+              ())
       in
       Alcotest.(check string)
-        (Printf.sprintf "universal registers n=%d depth=%d crashes=%d%s" n
-           depth max_crashes
+        (Printf.sprintf "universal %s n=%d depth=%d crashes=%d%s"
+           (match consensus with `Cas -> "cas" | `Registers -> "registers")
+           n depth max_crashes
            (if dpor then " dpor" else ""))
         (summary eager) (summary lazy_))
-    (* In this walk a round is first built after a later slot at
-       depth 25. *)
-    [ (2, 26, 0, true) ]
+    [
+      (* Deep enough that later slots and later rounds are built. *)
+      (`Registers, 2, 26, 0, true);
+      (`Cas, 3, 12, 1, true);
+    ]
 
 let suites =
   [
     ( "lazy ids",
       [
-        Alcotest.test_case "differential vs eager: universal over registers"
-          `Slow test_universal_registers_differential;
+        Alcotest.test_case "differential vs eager: universal over either consensus"
+          `Slow test_universal_differential;
       ] );
   ]

@@ -1,11 +1,10 @@
 (* The static soundness linter: rule families over parse-only fixture
-   sources, waiver round-trips, the malformed-source path, the dogfood
-   sweep of the shipped tree, and the normalized stats CLI error path. *)
+   sources, the malformed-source path, the dogfood sweeps of the
+   shipped tree, and the normalized stats CLI error path. *)
 
 open Support
 module Lint = Slx_lint.Lint
 module Finding = Slx_lint.Finding
-module Waivers = Slx_lint.Waivers
 
 (* Test fixtures live under [lint_fixtures/]; the repo tree itself is
    reachable as [..] from the test's working directory. *)
@@ -13,9 +12,7 @@ let fixture_root = "lint_fixtures"
 
 let repo_root = ".."
 
-let lint_one ?waiver_file ?today ?strict_waivers file =
-  Lint.run ~root:fixture_root ~paths:[ file ] ?waiver_file ?today
-    ?strict_waivers ()
+let lint_one file = Lint.run ~root:fixture_root ~paths:[ file ] ()
 
 let rules_of rp =
   List.sort_uniq String.compare
@@ -61,6 +58,16 @@ let test_determinism_family () =
     "seeded Random.State and structural equality allowed" []
     (rules_of good)
 
+(* The escape rules fire only in code that calls [Runtime.atomic] or
+   [touch] itself: the closure state that bad_escape_closure.ml is
+   flagged for passes when the step goes through a base object. *)
+let test_escape_rules_need_a_primitive () =
+  check_bool "the direct twin is flagged" true
+    (has_rule "escape-unregistered-state" (lint_one "bad_escape_closure.ml"));
+  Alcotest.(check (list string))
+    "through a base object: no finding" []
+    (rules_of (lint_one "reach_register_closure.ml"))
+
 let test_malformed_source_is_a_finding () =
   let rp = lint_one "malformed.ml" in
   Alcotest.(check (list string))
@@ -69,108 +76,48 @@ let test_malformed_source_is_a_finding () =
   check_bool "the report gates" false (Lint.clean rp)
 
 (* ------------------------------------------------------------------ *)
-(* Waivers.                                                            *)
+(* Dogfood: the shipped tree is clean, and only lib/base_objects names *)
+(* the runtime's step and cell primitives.                             *)
 
-let test_waiver_parse_round_trip () =
-  let text =
-    "# comment\n\
-     \n\
-     rule=det-banned-call file=a.ml match=\"Random.int x\" \
-     expires=2031-12-31 reason=\"seeded later\"\n\
-     rule=parse-error file=b.ml reason=vendored\n"
-  in
-  match Waivers.parse text with
-  | Error (msg, line) -> Alcotest.failf "parse failed at %d: %s" line msg
-  | Ok [ a; b ] ->
-      Alcotest.(check string) "rule" "det-banned-call" a.Waivers.w_rule;
-      Alcotest.(check (option string))
-        "quoted match survives spaces" (Some "Random.int x") a.Waivers.w_match;
-      Alcotest.(check (option string))
-        "expiry" (Some "2031-12-31") a.Waivers.w_expires;
-      check_int "line numbers skip comments and blanks" 3 a.Waivers.w_line;
-      Alcotest.(check (option string)) "no expiry" None b.Waivers.w_expires;
-      check_bool "dated entry live before its date" false
-        (Waivers.expired ~today:"2031-12-31" a);
-      check_bool "dated entry dead after its date" true
-        (Waivers.expired ~today:"2032-01-01" a);
-      check_bool "undated entry never expires" false
-        (Waivers.expired ~today:"9999-12-31" b)
-  | Ok es -> Alcotest.failf "expected 2 entries, got %d" (List.length es)
-
-let test_waiver_rejects_malformed () =
-  let bad checks text =
-    match Waivers.parse text with
-    | Ok _ -> Alcotest.failf "accepted malformed waiver: %s" text
-    | Error (msg, _) ->
-        check_bool
-          (Printf.sprintf "error %S mentions %S" msg checks)
-          true
-          (contains ~sub:checks msg)
-  in
-  bad "missing rule=" "file=a.ml reason=x\n";
-  bad "reason" "rule=parse-error file=a.ml\n";
-  bad "unknown rule" "rule=not-a-rule file=a.ml reason=x\n";
-  bad "YYYY-MM-DD" "rule=parse-error file=a.ml expires=soon reason=x\n";
-  bad "unknown key" "rule=parse-error file=a.ml reason=x color=red\n"
-
-let temp_waivers contents =
-  let path = Filename.temp_file "slx_lint_waivers" ".conf" in
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc;
-  path
-
-let test_waiver_suppresses_and_gates () =
-  (* A matching waiver suppresses the finding; an expired one turns
-     into an error; an unused one gates only under --ci strictness. *)
-  let wf =
-    temp_waivers
-      "rule=det-physical-equality file=bad_det_physeq.ml expires=2031-12-31 \
-       reason=\"legacy identity check\"\n\
-       rule=det-banned-call file=never_matches.ml reason=stale\n"
-  in
-  let rp = lint_one ~waiver_file:wf ~today:"2026-08-08" "bad_det_physeq.ml" in
-  check_int "both physeq findings suppressed" 2 (List.length rp.Lint.waived);
+let test_shipped_tree_clean () =
+  let rp = Lint.run ~root:repo_root () in
   Alcotest.(check (list string))
-    "only the stale-entry note remains" [ "waiver-unused" ] (rules_of rp);
-  check_bool "unused waiver does not gate a human run" true (Lint.clean rp);
-  let strict =
-    lint_one ~waiver_file:wf ~today:"2026-08-08" ~strict_waivers:true
-      "bad_det_physeq.ml"
-  in
-  check_bool "unused waiver gates a --ci run" false (Lint.clean strict);
-  let past = lint_one ~waiver_file:wf ~today:"2032-01-01" "bad_det_physeq.ml" in
-  check_bool "expired waiver stops suppressing" true
-    (has_rule "det-physical-equality" past);
-  check_bool "and reports its own expiry" true (has_rule "waiver-expired" past);
-  Sys.remove wf
-
-let test_waiver_file_malformed_is_a_finding () =
-  let wf = temp_waivers "rule=not-a-rule file=a.ml reason=x\n" in
-  let rp = lint_one ~waiver_file:wf "good_det.ml" in
-  Alcotest.(check (list string))
-    "malformed waiver file is a structured finding" [ "waiver-malformed" ]
-    (rules_of rp);
-  check_bool "and it gates" false (Lint.clean rp);
-  Sys.remove wf
-
-(* ------------------------------------------------------------------ *)
-(* Dogfood: the shipped tree is clean under the shipped waiver file,   *)
-(* and the waiver count is exact — a new finding or a stale entry      *)
-(* both fail here before CI sees them.                                 *)
-
-let test_shipped_tree_clean_with_exact_waivers () =
-  let rp =
-    Lint.run ~root:repo_root ~waiver_file:"lint-waivers.conf"
-      ~today:"2026-08-08" ~strict_waivers:true ()
-  in
-  Alcotest.(check (list string))
-    "no unwaived findings on the shipped tree" []
+    "no findings on the shipped tree" []
     (List.map (Format.asprintf "%a" Finding.pp) rp.Lint.findings);
-  check_int "exactly the one shipped waiver in use" 1
-    (List.length rp.Lint.waived);
   check_bool "sweep actually covered the tree" true
     (List.length rp.Lint.files > 40)
+
+(* A step, a touch and a registered cell are made in lib/base_objects
+   alone.  Elsewhere the escape rules for unregistered closure state
+   and naked mutation do not fire (they need a direct [Runtime.atomic]
+   or [touch]), so an untouched read of a registered cell could only be
+   written there, where test_dpor's commutation QCheck covers every
+   primitive. *)
+let test_primitives_only_in_base_objects () =
+  let rp = Lint.run ~root:repo_root () in
+  let outside =
+    List.filter
+      (fun f -> not (String.starts_with ~prefix:"lib/base_objects/" f))
+      rp.Lint.files
+  in
+  check_bool "the sweep reaches beyond lib/base_objects" true
+    (List.length outside > 30);
+  let named =
+    List.concat_map
+      (fun file ->
+        let src =
+          In_channel.with_open_bin (Filename.concat repo_root file)
+            In_channel.input_all
+        in
+        List.filter_map
+          (fun name ->
+            if contains ~sub:name src then Some (file ^ ": " ^ name) else None)
+          [ "Runtime.atomic"; "Runtime.touch"; "Runtime.register_object" ])
+      outside
+  in
+  Alcotest.(check (list string))
+    "no swept source outside lib/base_objects names a step primitive" []
+    named
 
 (* ------------------------------------------------------------------ *)
 (* The CLIs: the linter's exit codes per fixture, the normalized stats  *)
@@ -202,9 +149,22 @@ let test_cli_exit_codes () =
            (Printf.sprintf "--root %s %s >/dev/null 2>&1" fixture_root f)))
     [ "good_escape.ml"; "good_det.ml" ]
 
-let test_cli_ci_clean_on_shipped_tree () =
-  check_int "slx_lint_cli --ci is clean on the shipped tree" 0
-    (slx_lint (Printf.sprintf "--ci --root %s >/dev/null 2>&1" repo_root))
+let test_cli_clean_on_shipped_tree () =
+  check_int "slx_lint_cli is clean on the shipped tree" 0
+    (slx_lint (Printf.sprintf "--root %s >/dev/null 2>&1" repo_root))
+
+(* The waiver flags are gone: the CLI rejects them as unknown
+   options (Cmdliner's exit code 124), not as findings. *)
+let test_cli_rejects_waiver_flags () =
+  List.iter
+    (fun flag ->
+      check_int
+        (Printf.sprintf "slx_lint_cli %s is a usage error" flag)
+        124
+        (slx_lint
+           (Printf.sprintf "%s --root %s good_det.ml >/dev/null 2>&1" flag
+              fixture_root)))
+    [ "--ci"; "--waivers lint-waivers.conf" ]
 
 let on_linux () =
   let ic = Unix.open_process_in "uname -s" in
@@ -377,28 +337,20 @@ let suites =
           test_determinism_family;
         quick "malformed source is a structured finding"
           test_malformed_source_is_a_finding;
-      ] );
-    ( "lint.waivers",
-      [
-        quick "parse round-trip with quoting, dates and line numbers"
-          test_waiver_parse_round_trip;
-        quick "malformed entries rejected with the reason"
-          test_waiver_rejects_malformed;
-        quick "suppression, expiry and strict unused gating"
-          test_waiver_suppresses_and_gates;
-        quick "malformed waiver file is a structured finding"
-          test_waiver_file_malformed_is_a_finding;
+        quick "escape rules need a direct atomic or touch"
+          test_escape_rules_need_a_primitive;
       ] );
     ( "lint.dogfood",
       [
-        quick "shipped tree clean with exactly the shipped waivers"
-          test_shipped_tree_clean_with_exact_waivers;
+        quick "shipped tree clean" test_shipped_tree_clean;
+        quick "only lib/base_objects names the step primitives"
+          test_primitives_only_in_base_objects;
       ] );
     ( "lint.cli",
       [
         quick "exit codes across the fixture set" test_cli_exit_codes;
-        quick "lint --ci clean on the shipped tree"
-          test_cli_ci_clean_on_shipped_tree;
+        quick "lint clean on the shipped tree" test_cli_clean_on_shipped_tree;
+        quick "waiver flags are usage errors" test_cli_rejects_waiver_flags;
         quick "stats errors share one structured path"
           test_stats_errors_normalized;
         quick "slx links no compiler-libs module"

@@ -139,11 +139,11 @@ let pins =
     ("peterson random_workload seed 2", -4417076325741393563, 200);
     ("peterson random_workload seed 3", 1265826566221722379, 200);
     ("register consensus random seed 1", 124024372476010370, 66);
-    ("universal stack over registers random seed 1", -1669465861471884249, 104);
+    ("universal stack over registers random seed 1", -1669465861471884249, 113);
     ("register consensus random seed 2", -250238251048402043, 120);
-    ("universal stack over registers random seed 2", -2861812763579652275, 96);
+    ("universal stack over registers random seed 2", 4511813975192882366, 101);
     ("register consensus random seed 3", -1928964819004138933, 174);
-    ("universal stack over registers random seed 3", -1456682926201368857, 88);
+    ("universal stack over registers random seed 3", -1456682926201368857, 85);
   ]
 
 let test_pins () =

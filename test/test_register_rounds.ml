@@ -265,6 +265,43 @@ let test_rounds_built_on_entry () =
   step 2;
   check_int "a second process enters round 0: no rebuild" 5 (objects ())
 
+(* One_shot_consensus.Registers runs the same instance: its make
+   registers only the decision register, and a round is built when
+   first entered, once. *)
+let test_one_shot_rounds_built_on_entry () =
+  let module R = Slx_objects.One_shot_consensus.Registers in
+  let reg = Runtime.fresh_registry () in
+  let in_reg f = Runtime.with_registry reg f in
+  let t = in_reg (fun () -> R.make ~n:2 ()) in
+  let cells = Array.init 3 (fun _ -> Runtime.make_cell ()) in
+  let invoke p v =
+    in_reg (fun () ->
+        Runtime.spawn cells.(p) (fun () -> ignore (R.propose t ~proc:p v)))
+  in
+  let step p = in_reg (fun () -> Runtime.grant cells.(p)) in
+  let objects () = Runtime.registry_objects reg in
+  check_int "a fresh instance" 1 (objects ());
+  invoke 1 "a";
+  step 1;
+  check_int "round 0 entered" 5 (objects ());
+  invoke 2 "b";
+  step 2;
+  check_int "a second process enters round 0: no rebuild" 5 (objects ())
+
+(* [propose] rejects a process outside [1..n], and refuses to enter a
+   round at the cap, before either takes a step. *)
+let test_commit_adopt_rejects () =
+  Runtime.with_registry (Runtime.fresh_registry ()) (fun () ->
+      let t = Commit_adopt.make ~name:"ca" ~equal:Int.equal ~n:2 ~max_rounds:1 in
+      Alcotest.check_raises "process 3 of 2" (Invalid_argument "ca.propose: bad process")
+        (fun () -> ignore (Commit_adopt.propose t ~proc:3 0));
+      let capped =
+        Commit_adopt.make ~name:"ca" ~equal:Int.equal ~n:2 ~max_rounds:0
+      in
+      Alcotest.check_raises "no round below the cap"
+        (Failure "ca: max_rounds exceeded") (fun () ->
+          ignore (Commit_adopt.propose capped ~proc:1 0)))
+
 (* Block ids are fixed by the offset, not by allocation order, and a
    block cannot be overrun. *)
 let test_id_blocks () =
@@ -302,6 +339,10 @@ let suites =
       [
         quick "instance registers O(n) objects" test_instance_is_small;
         quick "rounds built on entry, once" test_rounds_built_on_entry;
+        quick "one-shot consensus builds rounds on entry, once"
+          test_one_shot_rounds_built_on_entry;
+        quick "commit-adopt rejects a bad process and the cap"
+          test_commit_adopt_rejects;
         quick "id blocks" test_id_blocks;
         Alcotest.test_case "differential vs eager: register n=2,3" `Slow
           test_register_differential;

@@ -117,6 +117,52 @@ let test_universal_agreement_across_processes () =
   check_bool "linearizable with four processes" true
     (Reg_lin.check r.Run_report.history)
 
+(* The footprints of a solo process's steps while it runs [ops] in
+   turn, [steps] steps each. *)
+let solo_footprints ~consensus ~ops ~steps =
+  let probe = Runtime.make_probe () in
+  let factory = Universal.factory ~tp:stack_tp ~consensus ~max_ops:4 () in
+  Runner.Cursor.with_ ~n:1 ~factory ~probe (fun c ->
+      List.concat_map
+        (fun op ->
+          Runner.Cursor.apply c (Driver.Invoke (1, op));
+          List.init steps (fun _ ->
+              Runner.Cursor.apply c (Driver.Schedule 1);
+              match Runtime.accesses (Runtime.probe_last_observed probe) with
+              | None -> "opaque"
+              | Some accs ->
+                  String.concat ";"
+                    (List.map
+                       (fun a ->
+                         Printf.sprintf "%s%d"
+                           (if a.Runtime.write then "W" else "R")
+                           a.Runtime.obj)
+                       accs)))
+        ops)
+
+(* Slots are built in slot order and number their objects from the
+   registry's counter: slot [i]'s CAS is id [i + 1], and a slot's
+   register consensus takes the id block after the previous slot's. *)
+let test_slots_numbered_in_slot_order () =
+  Alcotest.(check (list string))
+    "CAS log: each operation swaps, then reads, the next slot"
+    [ "W1"; "R1"; "W2"; "R2"; "W3"; "R3" ]
+    (solo_footprints ~consensus:`Cas
+       ~ops:Stack_type.[ Push 1; Push 2; Pop ]
+       ~steps:2);
+  let block = 1 + (4096 * 2) in
+  let first_of_each =
+    List.filteri
+      (fun i _ -> i mod 6 = 0)
+      (solo_footprints ~consensus:`Registers
+         ~ops:Stack_type.[ Push 1; Push 2 ]
+         ~steps:6)
+  in
+  Alcotest.(check (list string))
+    "register log: each slot's first step reads its own decision register"
+    [ "R1"; Printf.sprintf "R%d" (1 + block) ]
+    first_of_each
+
 let prop_universal_linearizable =
   QCheck2.Test.make ~name:"universal objects are linearizable" ~count:10
     QCheck2.Gen.(int_range 0 1000)
@@ -137,6 +183,7 @@ let suites =
         quick "register-consensus log, lockstep starves"
           test_universal_from_registers_lockstep_starves;
         quick "agreement across processes" test_universal_agreement_across_processes;
+        quick "slots numbered in slot order" test_slots_numbered_in_slot_order;
       ]
       @ qcheck [ prop_universal_linearizable ] );
   ]
