@@ -85,14 +85,6 @@ let progress_arg =
           "Print a live progress heartbeat to stderr every $(docv) \
            seconds (default 1).")
 
-let progress_json_arg =
-  Arg.(
-    value & flag
-    & info [ "progress-json" ]
-        ~doc:
-          "Emit progress heartbeats as JSON lines instead of the human \
-           one-liner (implies $(b,--progress)).")
-
 let store_arg =
   Arg.(
     value
@@ -140,11 +132,11 @@ let report_interrupt ~store ~stats =
   Format.eprintf "%a@." Explore_stats.pp stats;
   130
 
-let make_obs ~trace ~progress ~progress_json =
+let make_obs ~trace ~progress =
   let reporter =
-    match (progress, progress_json) with
-    | None, false -> Progress.off
-    | interval, json -> Progress.create ?interval ~json ()
+    match progress with
+    | None -> Progress.off
+    | Some interval -> Progress.create ~interval ()
   in
   Obs.create ~tracing:(trace <> None) ~progress:reporter ()
 
@@ -508,13 +500,12 @@ let print_answer ~json (sp : Queries.spec) source answer =
    refuses is a usage error (exit 124), like cmdliner's own.  [naive]
    runs the replay-from-scratch reference engine instead, which
    bypasses the store. *)
-let run_query ?(naive = false) ~json ~store ~trace ~progress ~progress_json
-    spec =
+let run_query ?(naive = false) ~json ~store ~trace ~progress spec =
   match (spec, Option.bind store store_dir_error) with
   | Error e, _ -> `Error (false, e)
   | Ok _, Some e -> `Ok (cli_error "%s" e)
   | Ok (sp : Queries.spec), None ->
-      let obs = make_obs ~trace ~progress ~progress_json in
+      let obs = make_obs ~trace ~progress in
       if naive && trace <> None then
         prerr_endline
           "[slx] note: the naive engine does not trace; the trace will be \
@@ -560,8 +551,8 @@ let explore_cmd =
          & info [ "naive" ]
              ~doc:"Use the replay-from-scratch reference engine.")
   in
-  let run impl depth crashes json naive store trace progress progress_json =
-    run_query ~naive ~json ~store ~trace ~progress ~progress_json
+  let run impl depth crashes json naive store trace progress =
+    run_query ~naive ~json ~store ~trace ~progress
       (Queries.make ~kind:`Explore ~impl ~property:"" ~n:2 ~depth ~crashes
          ~max_period:None ~pump:None ~dpor:true)
   in
@@ -572,7 +563,7 @@ let explore_cmd =
       ret
         (const run $ impl_arg $ depth_arg $ crashes_arg
         $ json_arg ~doc:"Emit the verdict and full statistics as one JSON object."
-        $ naive_arg $ store_arg $ trace_arg $ progress_arg $ progress_json_arg))
+        $ naive_arg $ store_arg $ trace_arg $ progress_arg))
 
 let live_explore_cmd =
   let impl_arg =
@@ -620,8 +611,8 @@ let live_explore_cmd =
                    the reduced search can miss a lasso this one finds.")
   in
   let run impl property n depth crashes max_period pump no_dpor json store
-      trace progress progress_json =
-    run_query ~json ~store ~trace ~progress ~progress_json
+      trace progress =
+    run_query ~json ~store ~trace ~progress
       (Queries.make ~kind:`Live ~impl ~property ~n ~depth ~crashes ~max_period
          ~pump ~dpor:(not no_dpor))
   in
@@ -637,7 +628,7 @@ let live_explore_cmd =
         $ json_arg
             ~doc:"Emit the verdict, certificate and statistics as one JSON \
                   object."
-        $ store_arg $ trace_arg $ progress_arg $ progress_json_arg))
+        $ store_arg $ trace_arg $ progress_arg))
 
 (* ------------------------------------------------------------------ *)
 (* stats — replay a saved trace into histograms                        *)

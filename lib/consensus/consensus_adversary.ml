@@ -12,10 +12,9 @@ let decisions h =
       | Event.Invocation _ | Event.Crash _ -> None)
     (History.to_list h)
 
-let lockstep ?(pair = (1, 2)) ?(proposals = (0, 1)) () : _ Driver.t =
+let lockstep ?(pair = (1, 2)) () : _ Driver.t =
   let p1, p2 = pair in
-  let v1, v2 = proposals in
-  let proposal p = if p = p1 then v1 else v2 in
+  let proposal p = if p = p1 then 0 else 1 in
   fun view ->
     (* Keep the two processes in lockstep: next is whichever has fewer
        grants (ties to the first); re-invoke on completion. *)
@@ -48,8 +47,11 @@ let replay ~factory ~script ?(extra = fun (_ : _ Driver.view) -> Driver.Stop)
   in
   Runner.run ~n:2 ~factory ~driver ~max_steps ()
 
+(* Each solo probe's step budget. *)
+let solo_budget = 1000
+
 (* The decision process [p] reaches when run solo after [script]. *)
-let solo_decision ~factory ~script ~solo_budget p =
+let solo_decision ~factory ~script p =
   let extra view =
     match view.Driver.status p with
     | Runtime.Ready -> Driver.Schedule p
@@ -66,7 +68,7 @@ let solo_decision ~factory ~script ~solo_budget p =
     (fun (q, v) -> if Proc.equal p q then Some v else None)
     (decisions report.Run_report.history)
 
-let tie_attack ~factory ~steps ?(solo_budget = 1000) () =
+let tie_attack ~factory ~steps () =
   let initial =
     [
       Driver.Invoke (1, Consensus_type.Propose 0);
@@ -74,8 +76,8 @@ let tie_attack ~factory ~steps ?(solo_budget = 1000) () =
     ]
   in
   let tied script =
-    let d1 = solo_decision ~factory ~script ~solo_budget 1 in
-    let d2 = solo_decision ~factory ~script ~solo_budget 2 in
+    let d1 = solo_decision ~factory ~script 1 in
+    let d2 = solo_decision ~factory ~script 2 in
     match d1, d2 with Some v1, Some v2 -> v1 <> v2 | _, _ -> false
   in
   let no_decision script =

@@ -30,14 +30,12 @@ type response = Consensus_type.response
 
 val lockstep :
   ?pair:Slx_history.Proc.t * Slx_history.Proc.t ->
-  ?proposals:int * int ->
   unit ->
   (invocation, response) Driver.t
 (** The strict-alternation adversary for the two processes of [pair]
-    (default [(1, 2)]): the first proposes the first value of
-    [proposals] (default [(0, 1)]), the second the other, then steps
-    alternate strictly, re-invoking a process if it ever completes an
-    operation. *)
+    (default [(1, 2)]): the first proposes [0], the second [1], then
+    steps alternate strictly, re-invoking a process if it ever
+    completes an operation. *)
 
 val run_lockstep :
   factory:(invocation, response) Runner.factory ->
@@ -56,7 +54,6 @@ type attack_result =
 val tie_attack :
   factory:(invocation, response) Runner.factory ->
   steps:int ->
-  ?solo_budget:int ->
   unit ->
   attack_result
 (** The search adversary.  Starting from [propose(0)_1 . propose(1)_2],
@@ -64,7 +61,7 @@ val tie_attack :
     configuration {e tied}: running either process solo from the
     current configuration must still lead to different decisions.  It
     prefers the process with fewer grants, so a successful attack is
-    bounded-fair.  [solo_budget] (default [1000]) bounds each probe.
+    bounded-fair.  Each probe runs at most 1000 steps.
 
     The probes replay the schedule prefix from scratch, so the
     implementation must be deterministic (all ours are). *)

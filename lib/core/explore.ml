@@ -101,7 +101,7 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
   if por && not dpor then invalid_arg "Explore.explore: por requires dpor";
   (* The table is built only where a reduction is off.  Under DPOR
      plus symmetry the sleep sets prune nearly every transposition
-     before it is reached, so keying, interning and storing every node
+     before it is reached, so keying and storing every node
      costs more than the rare hit saves (E42). *)
   let st : _ state =
     Search.create ~n ~factory

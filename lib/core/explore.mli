@@ -32,13 +32,13 @@
       configurations that the golden corpus and the test suites name
       directly.  Where either reduction is off, a
       {e transposition cache} keyed on the configuration's compact key
-      ({!Slx_sim.Runner.Cursor.compact_key}: time, interned history,
+      ({!Slx_sim.Runner.Cursor.compact_key}: time, history digest,
       shared base-object digest, per-process status/step-count and
       observation digest) prunes schedule prefixes that reach an
       already-explored configuration, crediting the cached subtree's
       run count instead of descending.  With both on, the
       sleep sets prune nearly every transposition before it is reached,
-      so the walk keeps no table (no key, no history interning, no
+      so the walk keeps no table (no key, no history digest, no
       entry).  The walk is sequential: independent
       queries parallelize one level up, as separate processes
       ([slx serve --workers]).  It runs on the search kernel it
@@ -195,13 +195,13 @@ val explore :
     [stats] then reflects the work done up to the discovery.
 
     The transposition cache is keyed on flat compact keys: every
-    cursor carries an incremental interned history id ({!Intern}), and
-    a cache key is the int array
+    cursor of a search with a table keeps a running digest of its
+    history, and a cache key is the int array
     {!Slx_sim.Runner.Cursor.compact_key} with the sleep set's process
-    ids as its tail, hashed and compared whole by {!Key_table}.
-    History interning is injective, so key equality is configuration-
-    and-sleep-set equality up to the collisions of the key's shared
-    and observation digests.
+    ids as its tail, hashed and compared whole by {!Key_table}.  Key
+    equality is configuration-and-sleep-set equality up to the
+    collisions of the key's 64-bit history, shared and observation
+    digests.
 
     [cancel] is polled once per visited node, right after the node is
     counted; when it returns [true] the walk stops and {!Interrupted}

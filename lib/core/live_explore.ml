@@ -16,9 +16,10 @@ type ('inv, 'res) result = {
 (* Transposition keys pair the configuration's compact key with the
    last [2 * max_period] abstract trace cells: every candidate cycle
    examined at or below a node is a function of the configuration (the
-   key, whose interned history id stands for the full history and
-   hence all response payloads) and of at most that much trace suffix, so two prefixes
-   agreeing on both have identical candidate sets below — an entry is
+   key, whose history digest stands for the full history and hence
+   all response payloads) and of at most that much trace suffix, so
+   two prefixes agreeing on both have identical candidate sets below —
+   an entry is
    written only for completed lasso-free subtrees, and stores the
    subtree's run count, credited to [runs] on a hit.  Under DPOR the
    reduced subtree additionally depends on the node's sleep set, so
@@ -39,7 +40,7 @@ type ('inv, 'res) result = {
    one candidate evaluation while every leaf pays for a key.  When no
    node qualifies ([depth <= 2 * max_period + 1], which includes the
    default period bound) the search builds no cache at all — no table
-   and no history-interning hook (doc/model.md §7). *)
+   and no keyed cursor (doc/model.md §7). *)
 
 (* The search state: the suffix cache maps a key to its subtree's run
    count, and the witness is the accepted certificate. *)

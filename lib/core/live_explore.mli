@@ -186,12 +186,12 @@ val search :
     are identical with tracing on or off.
 
     The suffix cache is keyed on flat compact keys, as in
-    {!Explore.explore}: the interned incremental history id, the
-    abstract-trace cells as the int codes the walk carries
+    {!Explore.explore}: the cursor's compact key with its history
+    digest, the abstract-trace cells as the int codes the walk carries
     ({!Slx_liveness.Lasso.cell_code}) and the sleepers' process ids,
-    in one int array per key.  When the cache
-    does not engage the cursors carry no history-interning hook
-    either.  Cells become strings only in a certificate.
+    in one int array per key.  When the cache does not engage the
+    cursors are keyless and keep no digest either.  Cells become
+    strings only in a certificate.
 
     [compact] exists only for callers that still pass [~compact:true];
     [~compact:false] raises [Invalid_argument].

@@ -41,15 +41,7 @@ type ('inv, 'res, 'v, 'f) t = {
   ticks : int ref;
   table : 'v Key_table.t option;
   probe : Runtime.probe option;
-  encode : (int -> ('inv, 'res) Event.t -> int) option;
 }
-
-(* The [encode] hook of a cached search's cursors (see the field's
-   documentation). *)
-let history_encoder () =
-  let events = Intern.create () in
-  let conses = Intern.create () in
-  fun parent e -> Intern.intern conses (parent, Intern.intern events e)
 
 let create ~n ~factory ~cache ~dpor ?(cancel = fun () -> false) obs =
   let sink = Obs.sink obs in
@@ -81,7 +73,6 @@ let create ~n ~factory ~cache ~dpor ?(cancel = fun () -> false) obs =
       ticks = ref 0;
       table = (if cache then Some (Key_table.create 512) else None);
       probe = (if dpor then Some (Runtime.make_probe ()) else None);
-      encode = (if cache then Some (history_encoder ()) else None);
     }
   in
   (* The progress sample: a plain read of the counters. *)
@@ -120,10 +111,9 @@ let stats st : Explore_stats.t =
   }
 
 (* A cursor keeps its key digests only where the table reads them. *)
-let with_cursor st ?prefix ?hist_id f =
+let with_cursor st ?prefix f =
   Runner.Cursor.with_ ~n:st.n ~factory:(st.factory ()) ~ticks:st.ticks
-    ?probe:st.probe ?encode:st.encode
-    ~keyed:(Option.is_some st.table) ?prefix ?hist_id f
+    ?probe:st.probe ~keyed:(Option.is_some st.table) ?prefix f
 
 let node st len body =
   st.nodes <- st.nodes + 1;
@@ -371,10 +361,6 @@ let classify ~menu cursor ~sleep len crashes decisions =
   (kids, !dead)
 
 let children st cursor ~rev_script ~len ~sleep ~apply ~leaf kids descend =
-  (* Read before the first open child extends [cursor] in place: every
-     later sibling replays this node's prefix, whose history id this
-     is. *)
-  let hist_id = Runner.Cursor.hist_id cursor in
   let dpor = Option.is_some st.probe in
   (* Apply [d] on [child] and descend, returning the footprint the
      step observed, read before the descent runs further steps. *)
@@ -408,8 +394,7 @@ let children st cursor ~rev_script ~len ~sleep ~apply ~leaf kids descend =
               st.avoided <- st.avoided + 1;
               (run cursor d z menu, false)
           | Descend menu ->
-              ( with_cursor st ~prefix:(List.rev rev_script) ~hist_id
-                  (fun child ->
+              ( with_cursor st ~prefix:(List.rev rev_script) (fun child ->
                     st.replayed <- st.replayed + len;
                     run child d z menu),
                 false )

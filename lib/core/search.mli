@@ -58,12 +58,6 @@ type ('inv, 'res, 'v, 'f) t = {
   probe : Runtime.probe option;
       (** DPOR observed-access probe shared by every cursor; recording
           only. *)
-  encode : (int -> ('inv, 'res) Event.t -> int) option;
-      (** The history-interning hook, installed exactly when the cache
-          is live: it interns each appended event, then the (previous
-          history id, event id) pair, so a cursor's [hist_id] stands in
-          for its whole history.  Only the history is interned; the
-          rest of a key is its flat array. *)
 }
 
 val create :
@@ -75,8 +69,8 @@ val create :
   Slx_obs.Obs.t ->
   ('inv, 'res, 'v, 'f) t
 (** A fresh search over [n] processes.  [cache] builds the
-    transposition table (a {!Key_table}, unbounded) and the
-    history-interning hook; [dpor] the observed-access probe.  The
+    transposition table (a {!Key_table}, unbounded), and with it
+    keyed cursors; [dpor] the observed-access probe.  The
     bundle's sink and progress
     reporter are taken once, here. *)
 
@@ -86,7 +80,6 @@ val stats : (_, _, _, _) t -> Explore_stats.t
 val with_cursor :
   ('inv, 'res, 'v, 'f) t ->
   ?prefix:('inv, 'res) Driver.decision list ->
-  ?hist_id:int ->
   (('inv, 'res) Runner.Cursor.t -> 'a) ->
   'a
 (** A cursor on a fresh instance carrying the search's hooks, disposed
@@ -94,8 +87,8 @@ val with_cursor :
     keyed ({!Slx_sim.Runner.Cursor.with_} [~keyed]) exactly when the
     search keeps a transposition table: a table-less walk (DPOR with
     symmetry, the live walk at its default period, the naive oracle,
-    certificate validation) keeps no shared-state or observation
-    digest, and must not call {!key}. *)
+    certificate validation) keeps no history, shared-state or
+    observation digest, and must not call {!key}. *)
 
 val node : (_, _, _, _) t -> int -> (unit -> unit) -> unit
 (** [node st len body] enters a node at depth [len]: counts it, ticks
@@ -164,10 +157,9 @@ val children :
     applied with [apply] and handed to [descend] with its {!classify}d
     menu and [apply]'s result: the first extends
     [cursor] in place ([replays_avoided]), each later one replays the
-    node's prefix into a fresh cursor with the node's [hist_id]
-    ([steps_replayed]).  The live search drops the node's own [sleep]
-    from every child once {!settle} has run: its sleep sets are one
-    level deep. *)
+    node's prefix into a fresh cursor ([steps_replayed]).  The live
+    search drops the node's own [sleep] from every child once
+    {!settle} has run: its sleep sets are one level deep. *)
 
 type crash_child =
   | Dead  (** Its menu is non-empty and offers only sleepers. *)

@@ -7,19 +7,7 @@ module type S = sig
   val propose : 'a t -> proc:Proc.t -> 'a -> 'a
 end
 
-module Cas = struct
-  type 'a t = 'a option Slx_base_objects.Cas.t
-
-  let make ~n:_ () = Slx_base_objects.Cas.make None
-
-  let propose t ~proc:_ v =
-    let _won =
-      Slx_base_objects.Cas.compare_and_swap t ~expected:None ~desired:(Some v)
-    in
-    match Slx_base_objects.Cas.read t with
-    | Some w -> w
-    | None -> assert false
-end
+module Cas = Slx_consensus.Cas_consensus
 
 module Registers = struct
   module Commit_adopt = Slx_consensus.Commit_adopt

@@ -25,7 +25,9 @@ module type S = sig
 end
 
 module Cas : S
-(** Decide by a single compare-and-swap. *)
+(** {!Slx_consensus.Cas_consensus}, the instance
+    {!Slx_consensus.Cas_consensus.factory} also runs: decide by a
+    single compare-and-swap. *)
 
 module Registers : S
 (** {!Slx_consensus.Commit_adopt}, the cascade

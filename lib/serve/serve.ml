@@ -255,7 +255,11 @@ let handle_worker_line t w line =
       | None ->
           q.q_last_hb <- Some line;
           let fwd = status_json q ^ "\n" in
-          q.q_waiters <- List.filter (fun fd -> try_write fd fwd) q.q_waiters)
+          (* A waiter that hung up is closed as it is dropped. *)
+          q.q_waiters <-
+            List.filter
+              (fun fd -> try_write fd fwd || (close_quiet fd; false))
+              q.q_waiters)
   | _ -> ()
 
 (* The worker died (crash or kill): re-lease its query and put a

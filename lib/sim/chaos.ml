@@ -1,7 +1,9 @@
 open Slx_history
 
-let driver ~seed ?(crash_probability = 0.005) ?(stall_probability = 0.2)
-    ~workload () : _ Driver.t =
+let crash_probability = 0.01
+let stall_probability = 0.2
+
+let driver ~seed ~workload () : _ Driver.t =
   let rng = Random.State.make [| seed |] in
   fun view ->
     let procs = Proc.all ~n:view.Driver.n in

@@ -3,7 +3,7 @@
 
     Where {!Driver.random} keeps every process busy and nobody crashes,
     the chaos driver also stalls processes for random stretches and
-    crashes them with a configurable probability, producing the ugly
+    crashes them now and then, producing the ugly
     schedules real systems see.  Safety properties must survive all of
     them; the test suites run every implementation in the repository
     under chaos.
@@ -16,17 +16,14 @@ open Slx_history
 
 val driver :
   seed:int ->
-  ?crash_probability:float ->
-  ?stall_probability:float ->
   workload:('inv, 'res) Driver.workload ->
   unit ->
   ('inv, 'res) Driver.t
 (** [driver ~seed ~workload ()] behaves like {!Driver.random} but, at
-    each tick: with [crash_probability] (default [0.005]) crashes a
-    random non-crashed process (at most [n - 1] crashes total, so
-    someone always survives); with [stall_probability] (default [0.2])
-    re-rolls the candidate, biasing some processes into long stalls.
-    Reproducible from [seed]. *)
+    each tick: with probability 0.01 crashes a random non-crashed
+    process (at most [n - 1] crashes total, so someone always
+    survives); with probability 0.2 re-rolls the candidate, biasing
+    some processes into long stalls.  Reproducible from [seed]. *)
 
 val survivor : ('inv, 'res) Run_report.t -> Proc.t
 (** The lowest-numbered non-crashed process of a chaos run (always

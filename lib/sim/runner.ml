@@ -20,8 +20,7 @@ module Cursor = struct
     mutable crashed : Proc.Set.t;
     ticks : int ref;
     mutable probe : Runtime.probe option;
-    mutable encode : (int -> ('inv, 'res) Event.t -> int) option;
-    mutable hist_id : int;
+    mutable history_digest : int;  (* constant on a keyless cursor *)
     (* The view's readers, built once: they read the arrays above. *)
     status : Proc.t -> Runtime.status;
     steps : Proc.t -> int;
@@ -32,7 +31,7 @@ module Cursor = struct
   let check_proc n p =
     if not (Proc.is_valid ~n p) then invalid_arg "Runner: bad process id"
 
-  let create ~n ~factory ?(ticks = ref 0) ?probe ?encode ?(keyed = true) () =
+  let create ~n ~factory ?(ticks = ref 0) ?probe ?(keyed = true) () =
     let registry = Runtime.fresh_registry ~keyed () in
     let impl = Runtime.with_registry registry (fun () -> factory ~n) in
     let cells = Array.init (n + 1) (fun _ -> Runtime.make_cell ~keyed ()) in
@@ -55,8 +54,7 @@ module Cursor = struct
       crashed = Proc.Set.empty;
       ticks;
       probe;
-      encode;
-      hist_id = 0;
+      history_digest = 0;
       status =
         (fun p ->
           check_proc n p;
@@ -91,16 +89,13 @@ module Cursor = struct
     (match e with
     | Event.Invocation _ -> c.invocations.(p) <- c.invocations.(p) + 1
     | Event.Response _ | Event.Crash _ -> ());
-    (* Incremental history interning: with an [encode] hook installed
-       the cursor maintains a single small-int stand-in for the whole
-       history — each append maps (previous id, event) to a fresh or
-       cached id, so compact keys never re-hash the
-       history.  Replays fed the same hook reproduce the same id. *)
-    match c.encode with
-    | None -> ()
-    | Some enc -> c.hist_id <- enc c.hist_id e
-
-  let hist_id c = c.hist_id
+    (* The history's running digest, folded as a process's observation
+       digest folds its atomic results, so a key never re-hashes the
+       history.  A keyless cursor's key is never read, so it hashes
+       nothing. *)
+    if c.keyed then
+      c.history_digest <-
+        Runtime.combine c.history_digest (Runtime.hash_value e)
 
   (* One decision, registry-free: the caller keeps the cursor's
      registry current while algorithm code executes, because
@@ -147,25 +142,13 @@ module Cursor = struct
   let apply c d =
     Runtime.with_registry ?probe:c.probe c.registry (fun () -> step c d)
 
-  let detach c =
-    c.probe <- None;
-    c.encode <- None
+  let detach c = c.probe <- None
 
   (* Prefix replay: every decision under one registry bracket, outside
      the probe — engines read the probe only for the
-     edge they just applied, never for a replayed one.  With the
-     prefix's own [hist_id] known, the interner is skipped too: the
-     implementation is deterministic, so the replay rebuilds the same
-     history and the hook would hand back that very id. *)
-  let replay c ?hist_id prefix =
-    let encode = c.encode in
-    if Option.is_some hist_id then c.encode <- None;
-    Runtime.with_registry c.registry (fun () -> List.iter (step c) prefix);
-    match hist_id with
-    | None -> ()
-    | Some id ->
-        c.encode <- encode;
-        c.hist_id <- id
+     edge they just applied, never for a replayed one. *)
+  let replay c prefix =
+    Runtime.with_registry c.registry (fun () -> List.iter (step c) prefix)
 
   (* Disposal: crash every process, under the cursor's own registry and
      outside any probe.  [Runtime.crash] discontinues each
@@ -180,13 +163,12 @@ module Cursor = struct
           Runtime.crash c.cells.(p)
         done)
 
-  let with_ ~n ~factory ?ticks ?probe ?encode ?keyed ?(prefix = []) ?hist_id f
-      =
-    let c = create ~n ~factory ?ticks ?probe ?encode ?keyed () in
+  let with_ ~n ~factory ?ticks ?probe ?keyed ?(prefix = []) f =
+    let c = create ~n ~factory ?ticks ?probe ?keyed () in
     Fun.protect
       ~finally:(fun () -> dispose c)
       (fun () ->
-        replay c ?hist_id prefix;
+        replay c prefix;
         f c)
 
   let report_of ~n ~history ~rev_event_times ~time ~rev_grants ~crashed
@@ -212,17 +194,16 @@ module Cursor = struct
     | Runtime.Ready -> 1
     | Runtime.Crashed -> 2
 
-  (* The configuration as a flat int array, for interning: the history
-     is represented by the incremental [hist_id] (exact under an
-     injective [encode] hook) and the crash set by the per-process
-     status codes (a process is crashed iff its status is).  [extra]
-     lets callers append engine-specific key components (sleep sets,
-     trace-suffix ids). *)
+  (* The configuration as a flat int array: the history is represented
+     by its running digest and the crash set by the per-process status
+     codes (a process is crashed iff its status is).  [extra] lets
+     callers append engine-specific key components (sleep sets,
+     trace-suffix cells). *)
   let compact_key c ~extra =
     let n = c.n in
     let a = Array.make (3 + (2 * n) + List.length extra) 0 in
     a.(0) <- c.time;
-    a.(1) <- c.hist_id;
+    a.(1) <- c.history_digest;
     a.(2) <- Runtime.registry_digest c.registry;
     for p = 1 to n do
       let cell = c.cells.(p) in
@@ -251,7 +232,6 @@ module Cursor = struct
     x_rev_grants : (int * Proc.t) list;
     x_crashed : Proc.Set.t;
     x_key : int array option;
-    x_encode : (int -> ('inv, 'res) Event.t -> int) option;
   }
 
   let crash c p =
@@ -266,7 +246,6 @@ module Cursor = struct
       x_rev_grants = c.rev_grants;
       x_crashed = c.crashed;
       x_key = (if c.keyed then Some (compact_key c ~extra:[]) else None);
-      x_encode = c.encode;
     }
 
   (* [record]'s append and [step]'s tick: [Crash p] stamped with the
@@ -279,10 +258,10 @@ module Cursor = struct
       ~crashed:(Proc.Set.add x.x_proc x.x_crashed)
 
   (* [compact_key]'s fields after the crash: the clock one later, the
-     history id extended by [Crash p] through the hook (interning it
-     now, as [record] would), and [p]'s status code [Crashed] over its
-     unchanged step count.  The shared digest and every observation
-     digest stand: a crash writes neither. *)
+     history digest extended by [Crash p] as [record] would extend it,
+     and [p]'s status code [Crashed] over its unchanged step count.
+     The shared digest and every observation digest stand: a crash
+     writes neither. *)
   let crash_key x ~extra =
     let key =
       match x.x_key with
@@ -293,9 +272,8 @@ module Cursor = struct
     let a = Array.make (m + List.length extra) 0 in
     Array.blit key 0 a 0 m;
     a.(0) <- x.x_time + 1;
-    (match x.x_encode with
-    | None -> ()
-    | Some enc -> a.(1) <- enc key.(1) (Event.Crash x.x_proc));
+    a.(1) <-
+      Runtime.combine key.(1) (Runtime.hash_value (Event.Crash x.x_proc));
     let i = 1 + (2 * x.x_proc) in
     a.(i) <- (a.(i) land lnot 3) lor status_code Runtime.Crashed;
     List.iteri (fun j v -> a.(m + j) <- v) extra;

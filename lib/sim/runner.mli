@@ -51,10 +51,8 @@ module Cursor : sig
     factory:('inv, 'res) factory ->
     ?ticks:int ref ->
     ?probe:Runtime.probe ->
-    ?encode:(int -> ('inv, 'res) Event.t -> int) ->
     ?keyed:bool ->
     ?prefix:('inv, 'res) Driver.decision list ->
-    ?hist_id:int ->
     (('inv, 'res) t -> 'a) ->
     'a
   (** [with_ ~n ~factory f] creates a cursor at the initial
@@ -72,25 +70,12 @@ module Cursor : sig
       prefix, so after [with_ ~prefix] it still holds whatever it held
       before.  An engine that needs the observation of the edge into
       a configuration replays the prefix without that edge and
-      {!apply}s it.  [hist_id], when given, must be the prefix's own
-      history id — the {!hist_id} a cursor fed the same [encode] hook
-      had after these very decisions (0 without a hook).  The replay
-      then skips the hook and sets the id directly; any other id
-      silently corrupts every compact key of the cursor's subtree.
-      Without [hist_id] the replay interns each event through the
-      hook as {!apply} does.
+      {!apply}s it.  A keyed cursor's replay folds each event into its
+      history digest as {!apply} does.
 
       [ticks] (default: a private counter) is incremented on every
       applied decision, [prefix] included — explorers share one
       counter across many cursors to measure runtime steps executed.
-
-      [encode] arms incremental history interning: on every history
-      append the cursor updates a small-int history id as
-      [encode previous_id event] (initial id 0).  With an injective
-      hook — e.g. hash-consing the [(previous_id, event)] pair in an
-      {!Slx_core.Intern} table — the id stands in for the whole
-      history in compact keys, and two cursors fed the
-      same hook have equal ids iff their histories are equal.
 
       [probe] installs a dynamic-conflict probe
       ({!Runtime.make_probe}) around every {!apply} (not around the
@@ -102,14 +87,17 @@ module Cursor : sig
 
       [keyed] (default [true]) says whether the cursor keeps the
       digests its configuration keys are made of: the shared-state
-      digest ({!Runtime.registry_digest}) and each process's
-      observation digest ({!Runtime.obs}).  It is for the library's
+      digest ({!Runtime.registry_digest}), each process's observation
+      digest ({!Runtime.obs}) and the history digest, which every
+      history append extends by the event's {!Runtime.hash_value}
+      ({!Runtime.combine}).  It is for the library's
       own walks.  A keyless cursor ([~keyed:false]) runs the same
       decisions to the same views and reports, with the same ids and
       the same duplicate-registration check, but stores and calls no
       state reader, queues no written object and hashes no atomic
-      result; {!compact_key}, {!shared_digest}, {!shared_digest_full}
-      and {!crash_key} raise [Invalid_argument] on it.  The explorers'
+      result or event; {!compact_key}, {!shared_digest},
+      {!shared_digest_full} and {!crash_key} raise [Invalid_argument]
+      on it.  The explorers'
       cursors are keyed exactly when their search keeps a transposition
       table; {!run} and {!Slx_liveness.Lasso.pump} are keyless. *)
 
@@ -122,23 +110,16 @@ module Cursor : sig
       Its four per-process readers are built once per cursor, so a view
       costs one record. *)
 
-  val hist_id : ('inv, 'res) t -> int
-  (** The interned history id maintained by the [encode] hook (0 at
-      the empty history, and constantly 0 when no hook was passed to
-      {!with_}). *)
-
   val apply : ('inv, 'res) t -> ('inv, 'res) Driver.decision -> unit
   (** Extend the run by one decision (one scheduler tick).  Decisions
       are validated exactly as in {!run}; applying [Driver.Stop] raises
       [Invalid_argument]. *)
 
   val detach : ('inv, 'res) t -> unit
-  (** [detach c] drops [c]'s [probe] and [encode] hooks: every later
-      {!apply} runs as on a cursor created without them, so it is
-      neither observed nor interned.  For a cursor its
-      walk is done with, which a certificate pump then carries on
-      from ({!Slx_liveness.Lasso.pump_from}).  Its {!hist_id} stops
-      following its history, so its keys are no longer exact. *)
+  (** [detach c] drops [c]'s [probe]: every later {!apply} runs as on
+      a cursor created without it, so it is not observed.  For a
+      cursor its walk is done with, which a certificate pump then
+      carries on from ({!Slx_liveness.Lasso.pump_from}). *)
 
   val report :
     ('inv, 'res) t ->
@@ -152,18 +133,17 @@ module Cursor : sig
 
   val compact_key : ('inv, 'res) t -> extra:int list -> int array
   (** The identity of the current configuration, the explorers'
-      transposition key: [[| time; hist_id; shared digest;
+      transposition key: [[| time; history digest; shared digest;
       (steps << 2 | status), obs digest per process 1..n; extra... |]],
-      where the shared digest is {!shared_digest} and each process's
-      observation digest is {!Runtime.obs}.  The history is carried by
-      the incremental {!hist_id} — exact iff an injective [encode] hook
-      is installed, and 0 without one — and the crash set by the
-      per-process status codes.  Two cursors fed the same hook with
-      equal keys have (up to hash collision on the digests) identical
-      histories, process statuses and local states, and base-object
-      states — hence identical futures under identical subsequent
-      decisions.  They may still differ in the {e timing} of past
-      events ([Run_report.event_times] and grant times), which the key
+      where the shared digest is {!shared_digest}, each process's
+      observation digest is {!Runtime.obs} and the history digest
+      folds every event's {!Runtime.hash_value} in order (see
+      [keyed] in {!with_}).  The crash set is carried by the
+      per-process status codes.  Two cursors with equal keys have (up
+      to collision of the 64-bit digests) identical histories, process
+      statuses and local states, and base-object states — hence
+      identical futures under identical subsequent decisions.  They
+      may still differ in the {e timing} of past events ([Run_report.event_times] and grant times), which the key
       deliberately abstracts away; see {!Slx_core.Explore} for the
       resulting caveat.  [extra] appends engine-specific key
       components (e.g. the DPOR sleep set's process ids).
@@ -225,11 +205,10 @@ module Cursor : sig
 
   val crash_key : ('inv, 'res) crash -> extra:int list -> int array
   (** The {!compact_key} of the cursor after the crash: [time] one
-      later, the history id extended by [Event.Crash p] through the
-      parent's [encode] hook (which this call interns, as the applied
-      crash would), [p]'s status code [Crashed], and every digest as
-      at the parent.  Raises [Invalid_argument] on the snapshot of a
-      keyless cursor. *)
+      later, the history digest extended by [Event.Crash p] as the
+      applied crash would extend it, [p]'s status code [Crashed], and
+      every other digest as at the parent.  Raises [Invalid_argument]
+      on the snapshot of a keyless cursor. *)
 end
 
 val run :

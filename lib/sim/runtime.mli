@@ -286,7 +286,14 @@ val registry_objects : registry -> int
 val mix64 : int -> int
 (** A 64-bit finalizing mixer (xorshift-star family, 63-bit-safe
     constants): spreads small-int keys across the whole word.  Used by
-    the compact-key interning in {!Slx_core}. *)
+    {!Slx_core.Key_table}'s key hash. *)
+
+val combine : int -> int -> int
+(** [combine h v] folds [v] into the running digest [h] (FNV-style,
+    then {!mix64}); not commutative, so a digest depends on the order
+    of its folds.  Each process's observation digest folds its atomic
+    results' {!hash_value}s this way, and a keyed
+    {!Runner.Cursor}'s history digest its events'. *)
 
 val hash_value : 'a -> int
 (** The deep structural hash used for every fingerprint component: an

@@ -76,12 +76,3 @@ let pp_register_history fmt h =
     ~pp_res:Register_type.pp_response fmt h
 
 let register_history_print h = Format.asprintf "%a" pp_register_history h
-
-(* The history-interning hook the explorers install where they keep a
-   table: the event, then the (previous id, event id) pair,
-   hash-consed. *)
-let interning_hook () =
-  let events = Slx_core.Intern.create ()
-  and conses = Slx_core.Intern.create () in
-  fun parent e ->
-    Slx_core.Intern.intern conses (parent, Slx_core.Intern.intern events e)

@@ -8,7 +8,7 @@ open Support
 let propose_own =
   Slx_consensus.Consensus_type.propose_forever
 
-let chaos ~seed ~workload = Chaos.driver ~seed ~crash_probability:0.01 ~workload ()
+let chaos ~seed ~workload = Chaos.driver ~seed ~workload ()
 
 let run ~n ~seed ~factory ~workload ~max_steps =
   Runner.run ~n ~factory ~driver:(chaos ~seed ~workload) ~max_steps ()
@@ -104,7 +104,7 @@ let test_chaos_locks () =
           let r =
             Runner.run ~n:2 ~factory
               ~driver:
-                (Chaos.driver ~seed ~crash_probability:0.01
+                (Chaos.driver ~seed
                    ~workload:(Driver.forever (fun _ -> Slx_objects.Mutex.Acquire))
                    ())
               ~max_steps:150 ()

@@ -4,22 +4,24 @@
    on or off.
 
    Layers:
-   - QCheck: interning preserves structural equality (the soundness
-     argument for replacing the history with its interned id), the
-     cache finds an entry exactly under equal key arrays, and the
-     bitmask footprints answer commutation and list their accesses as
-     the raw access lists they were built from say, spill range
-     included;
+   - QCheck: the cache finds an entry exactly under equal key arrays,
+     and the bitmask footprints answer commutation and list their
+     accesses as the raw access lists they were built from say, spill
+     range included;
    - differential sweeps over every case of test/cases.ml, safety and
      liveness legs, cache on vs off (mirroring test/test_dpor.ml's
      dpor-on-vs-off sweeps), the liveness leg at a period bound where
      the suffix cache engages;
+   - equal keys are equal configurations (history, shared state,
+     statuses) at every node of naive walks over every case and of a
+     live walk's tree keyed with its trace-suffix tail;
    - the retired switches ([~compact:false], declared-footprint
      [~por:true ~dpor:false]) raise;
    - the incremental shared-state digest always agrees with the
      from-scratch recomputation, also after a step that writes two
      cells. *)
 
+open Slx_history
 open Slx_sim
 open Slx_core
 open Slx_liveness
@@ -36,22 +38,7 @@ let show_script pp_inv ds =
        ds)
 
 (* ------------------------------------------------------------------ *)
-(* QCheck: interning preserves equality.                               *)
-
-let qcheck_intern_preserves_equality =
-  QCheck2.Test.make ~count:500
-    ~name:"Intern.intern: equal ids iff equal values"
-    QCheck2.Gen.(
-      list_size (int_range 0 40)
-        (pair (int_range 0 5) (list_size (int_range 0 3) (int_range 0 5))))
-    (fun values ->
-      let pool = Intern.create () in
-      let ids = List.map (fun v -> (v, Intern.intern pool v)) values in
-      List.for_all
-        (fun (v, i) ->
-          List.for_all (fun (w, j) -> i = j = (v = w)) ids
-          && Intern.intern pool v = i)
-        ids)
+(* QCheck: the key table.                                              *)
 
 (* The transposition cache is keyed by the flat key arrays themselves:
    equal arrays reach the same entry and distinct arrays distinct ones,
@@ -249,6 +236,135 @@ let test_register_cert_identity () =
   same_lasso ~name:"register (1,2)" pp_consensus_inv on off
 
 (* ------------------------------------------------------------------ *)
+(* What the key must guarantee.  The key's history slot is a running   *)
+(* digest of the history, so equal keys must still mean equal          *)
+(* configurations: two nodes with equal [compact_key]s have equal       *)
+(* histories, equal shared states recomputed from scratch and equal     *)
+(* process statuses.                                                    *)
+
+(* Walk the tree [menu] spans (it offers nothing at the depth bound),
+   every node replaying its parent's prefix into a fresh keyed cursor
+   and applying its own decision, and note each node's key, with the
+   tail [tail len rev_codes] gives ([None]: not keyed), against what it
+   stands for; a crash child is noted once more from its parent's
+   snapshot.
+   [rev_codes] are the nodes' trace cells ({!Lasso.cell_code}), latest
+   first.  Returns the keys noted, those already noted, and those
+   already noted for another configuration. *)
+let key_walk ~n ~factory ~menu ~tail =
+  let seen = Hashtbl.create 4096 in
+  let keys = ref 0 and repeats = ref 0 and clashes = ref 0 in
+  let note key config =
+    incr keys;
+    match Hashtbl.find_opt seen key with
+    | None -> Hashtbl.add seen key config
+    | Some c ->
+        incr repeats;
+        if c <> config then incr clashes
+  in
+  let config (v : _ Driver.view) full =
+    (v.Driver.history, full, List.map v.Driver.status (Proc.all ~n))
+  in
+  let rec visit prefix last rev_codes len crashes =
+    let rev_codes, decisions =
+      Runner.Cursor.with_ ~n ~factory:(factory ()) ~prefix (fun c ->
+          let rev_codes =
+            match last with
+            | None -> rev_codes
+            | Some d ->
+                let history () = (Runner.Cursor.view c).Driver.history in
+                let before = History.length (history ()) in
+                Runner.Cursor.apply c d;
+                let h = history () in
+                Lasso.cell_code d (History.latest h (History.length h - before))
+                :: rev_codes
+          in
+          let view = Runner.Cursor.view c in
+          let full = Runner.Cursor.shared_digest_full c in
+          Option.iter
+            (fun extra ->
+              note (Runner.Cursor.compact_key c ~extra) (config view full))
+            (tail len rev_codes);
+          let decisions = menu view ~last len crashes in
+          List.iter
+            (function
+              | Driver.Crash q as d ->
+                  Option.iter
+                    (fun extra ->
+                      note
+                        (Runner.Cursor.crash_key (Runner.Cursor.crash c q)
+                           ~extra)
+                        (config (Runner.Cursor.crash_view c q) full))
+                    (tail (len + 1)
+                       (Lasso.cell_code d [ Event.Crash q ] :: rev_codes))
+              | _ -> ())
+            decisions;
+          (rev_codes, decisions))
+    in
+    let prefix = prefix @ Option.to_list last in
+    List.iter
+      (fun d ->
+        visit prefix (Some d) rev_codes (len + 1)
+          (Search.crashes_after crashes d))
+      decisions
+  in
+  visit [] None [] 0 0;
+  (!keys, !repeats, !clashes)
+
+(* Naive walks over every case, at depth at most 6 and at most one
+   crash, keyed as {!Explore.explore} keys (no tail). *)
+let test_equal_keys_naive () =
+  let repeats =
+    List.fold_left
+      (fun acc (Cases.Case c) ->
+        let depth = min c.Cases.c_depth 6 in
+        let max_crashes = min c.Cases.c_max_crashes 1 in
+        let keys, repeats, clashes =
+          key_walk ~n:c.Cases.c_n ~factory:c.Cases.c_factory
+            ~menu:(fun view ~last:_ len crashes ->
+              Search.full_menu ~invoke:c.Cases.c_invoke ~depth ~max_crashes
+                view len crashes)
+            ~tail:(fun _ _ -> Some [])
+        in
+        check_int (c.Cases.c_name ^ ": equal keys, equal configurations") 0
+          clashes;
+        check_bool (c.Cases.c_name ^ ": keys were noted") true (keys > 0);
+        acc + repeats)
+      0 (Cases.all ())
+  in
+  check_bool "some key recurs" true (repeats > 0)
+
+(* The live walk's tree (its canonical, invoke-ordered menu) for
+   register consensus, n = 2, one crash, depth 9, keyed as
+   {!Live_explore.search} keys at [--max-period 2]: every node deeper
+   than [2 * max_period], with the trace-suffix tail. *)
+let test_equal_keys_live () =
+  let max_period = 2 and depth = 9 in
+  let rec take k = function
+    | x :: xs when k > 0 -> x :: take (k - 1) xs
+    | _ -> []
+  in
+  let canonical =
+    Search.menu ~invoke:Slx_serve.Queries.live_invoke ~depth ~max_crashes:1
+      ~symmetry:false ~invoke_order:true
+  in
+  let keys, repeats, clashes =
+    key_walk ~n:2
+      ~factory:(fun () ->
+        Slx_consensus.Register_consensus.factory ~max_rounds:8 ())
+      ~menu:(fun view ~last len crashes ->
+        fst (canonical view ~last len crashes))
+      ~tail:(fun len rev_codes ->
+        if len <= 2 * max_period then None
+        else
+          let codes = take (2 * max_period) rev_codes in
+          Some (List.length codes :: codes))
+  in
+  check_int "live walk: equal keys, equal configurations" 0 clashes;
+  check_bool "live walk: keys were noted" true (keys > 0);
+  check_bool "live walk: some key recurs" true (repeats > 0)
+
+(* ------------------------------------------------------------------ *)
 (* The retired switches: one key representation, one sleep-set oracle. *)
 
 let test_retired_switches_raise () =
@@ -350,6 +466,10 @@ let suites =
           test_live_differential;
         quick "register (1,2) certificate is identical with the cache on or off"
           test_register_cert_identity;
+        quick "equal keys are equal configurations on naive walks"
+          test_equal_keys_naive;
+        quick "equal keys are equal configurations on a live walk"
+          test_equal_keys_live;
         quick "the retired --no-compact and declared-POR switches raise"
           test_retired_switches_raise;
         quick "incremental shared digest = full recomputation"
@@ -359,7 +479,6 @@ let suites =
       ]
       @ qcheck
           [
-            qcheck_intern_preserves_equality;
             qcheck_cache_key_equality;
             qcheck_commute_iff_no_raw_conflict;
             qcheck_accesses_canonical;

@@ -3,10 +3,10 @@
    suspended continuations are discontinued and their fiber stacks
    freed.  Disposal must be invisible to everything an explorer
    counts: these tests check that no process is left suspended, that
-   the shared tick counter, probe and history interner are
-   untouched by disposal, and that both explorers report exactly the
-   counters, digests, witnesses and lasso certificates they reported
-   when sibling cursors were simply dropped (pinned below). *)
+   the shared tick counter and probe are untouched by disposal, and
+   that both explorers report exactly the counters, digests, witnesses
+   and lasso certificates they reported when sibling cursors were
+   simply dropped (pinned below). *)
 
 open Slx_history
 open Slx_sim
@@ -295,26 +295,15 @@ let test_no_cell_ready () =
   check_bool "body not run" true (!kept = None)
 
 (* Disposal moves none of the counters an explorer reads: the shared
-   tick counter, the probe's last observation and the history
-   interner behind the [encode] hook. *)
+   tick counter and the probe's last observation. *)
 let test_disposal_is_silent () =
   let ticks = ref 0 in
   let probe = Runtime.make_probe () in
-  let events = Intern.create () in
-  let conses = Intern.create () in
-  let encodes = ref 0 in
-  let encode parent e =
-    incr encodes;
-    Intern.intern conses (parent, Intern.intern events e)
-  in
   let observe () =
-    ( !ticks,
-      ( Runtime.probe_steps probe,
-        Runtime.probe_last_observed probe ),
-      (!encodes, Intern.count events, Intern.count conses) )
+    (!ticks, Runtime.probe_steps probe, Runtime.probe_last_observed probe)
   in
   let inside =
-    Runner.Cursor.with_ ~n:2 ~factory:(register ()) ~ticks ~probe ~encode
+    Runner.Cursor.with_ ~n:2 ~factory:(register ()) ~ticks ~probe
       ~prefix:
         [
           Driver.Invoke (1, Consensus_type.Propose 0);
@@ -329,7 +318,7 @@ let test_disposal_is_silent () =
         observe ())
   in
   check_int "five decisions ticked" 5 !ticks;
-  check_bool "disposal leaves ticks, probe and interner alone" true
+  check_bool "disposal leaves ticks and probe alone" true
     (inside = observe ())
 
 (* ------------------------------------------------------------------ *)
@@ -360,17 +349,13 @@ let applicable ~crashes (view : _ Driver.view) =
 let observe c =
   ( Runner.Cursor.compact_key c ~extra:[],
     Runner.Cursor.report c (),
-    Runner.Cursor.hist_id c,
     Runner.Cursor.shared_digest c )
 
 (* Walks a cursor by [apply], taking at each step the applicable
    decision [choices] picks (modulo the menu), then replays the script
-   it took as a prefix — once with the walk's [hist_id], once
-   re-encoding through the same hook — and names each way the replay
-   could differ. *)
+   it took as a prefix and names each way the replay could differ. *)
 let replay_agreement ~factory ~n ~crashes choices =
-  let encode = interning_hook () in
-  Runner.Cursor.with_ ~n ~factory:(factory ()) ~encode (fun walked ->
+  Runner.Cursor.with_ ~n ~factory:(factory ()) (fun walked ->
       let script =
         List.fold_left
           (fun rev k ->
@@ -383,25 +368,17 @@ let replay_agreement ~factory ~n ~crashes choices =
           [] choices
         |> List.rev
       in
-      let hist_id = Runner.Cursor.hist_id walked in
       let expected = observe walked in
       let probe = Runtime.make_probe () in
-      let replayed =
-        Runner.Cursor.with_ ~n ~factory:(factory ()) ~encode ~probe
-          ~prefix:script ~hist_id (fun c ->
-            [
-              ("keys, report, hist_id, digest", observe c = expected);
-              ( "shared_digest = shared_digest_full",
-                Runner.Cursor.shared_digest c = Runner.Cursor.shared_digest_full c
-              );
-              ("probe_steps unmoved", Runtime.probe_steps probe = 0);
-            ])
-      in
-      let re_encoded =
-        Runner.Cursor.with_ ~n ~factory:(factory ()) ~encode ~prefix:script
-          (fun c -> Runner.Cursor.hist_id c)
-      in
-      ("hist_id = the hook's re-encoding", re_encoded = hist_id) :: replayed)
+      Runner.Cursor.with_ ~n ~factory:(factory ()) ~probe ~prefix:script
+        (fun c ->
+          [
+            ("keys, report, digest", observe c = expected);
+            ( "shared_digest = shared_digest_full",
+              Runner.Cursor.shared_digest c = Runner.Cursor.shared_digest_full c
+            );
+            ("probe_steps unmoved", Runtime.probe_steps probe = 0);
+          ]))
 
 let replay_impls = [ ("register", register); ("cas", cas) ]
 
@@ -426,7 +403,7 @@ let test_replay_equals_apply () =
 
 let qcheck_replay_equals_apply =
   QCheck2.Test.make ~count:200
-    ~name:"with_ ~prefix ~hist_id equals apply on random applicable prefixes"
+    ~name:"with_ ~prefix equals apply on random applicable prefixes"
     QCheck2.Gen.(
       quad (int_range 0 1) (int_range 2 3) (int_range 0 1)
         (list_size (int_range 0 20) (int_range 0 63)))
@@ -439,7 +416,7 @@ let suites =
     ( "cursor release",
       [
         quick "no process is left suspended by with_" test_no_cell_ready;
-        quick "disposal ticks, probes, logs and interns nothing"
+        quick "disposal ticks, probes and logs nothing"
           test_disposal_is_silent;
         quick "explorers report the pinned figures" test_pinned;
         quick "a replayed prefix equals the applied one"

@@ -21,7 +21,8 @@
      the keyed cursor's view and report.
    - [Runtime.hash_value]'s fast path for immediates yields the digest
      the deep fold defines, so no observation or registry digest moves.
-   - A detached cursor's steps reach none of its hooks.
+   - A detached cursor's steps reach no probe, and its key still
+     follows its run.
    - [Key_table] under its one-pass key hash: lookups agree with a
      structural reference table, and keys differing in one position
      are distinct entries. *)
@@ -206,9 +207,8 @@ let report_contents (r : _ Run_report.t) =
    symmetry and invocation order each on or off, is the same menu on
    both (the explorers hand an open crash child the first); and the
    {!Runner.Cursor.crash} snapshot, read after its cursor has moved on
-   by one more decision, yields that cursor's report and compact key
-   (an interning hook shared by both cursors, so the history id is
-   compared too). *)
+   by one more decision, yields that cursor's report and compact key,
+   history digest included. *)
 let crash_view_exact ~n ~factory ~depth script budget c =
   let len = List.length script in
   let crashes =
@@ -228,9 +228,8 @@ let crash_view_exact ~n ~factory ~depth script budget c =
          view.Driver.status q = Runtime.Crashed
          ||
          let crashed = Runner.Cursor.crash_view c q in
-         let encode = interning_hook () in
          let snapshot =
-           Runner.Cursor.with_ ~n ~factory:(factory ()) ~encode ~prefix:script
+           Runner.Cursor.with_ ~n ~factory:(factory ()) ~prefix:script
              (fun parent ->
                let x = Runner.Cursor.crash parent q in
                (* Moves on as the walk's first open child does. *)
@@ -242,7 +241,7 @@ let crash_view_exact ~n ~factory ~depth script budget c =
                    (Runner.Cursor.crash_report x ~window:(len + 1) ()),
                  Runner.Cursor.crash_key x ~extra ))
          in
-         Runner.Cursor.with_ ~n ~factory:(factory ()) ~encode ~prefix:script
+         Runner.Cursor.with_ ~n ~factory:(factory ()) ~prefix:script
            (fun applied ->
              Runner.Cursor.apply applied (Driver.Crash q);
              let report =
@@ -566,28 +565,28 @@ let test_keyless_replay_equal () =
     (List.filter (fun (impl, _) -> impl <> "selfish") consensus_cases)
 
 (* A detached cursor, which a leaf's pump carries on from, applies
-   outside the hooks it was created with: the probe sees none of its
-   later steps and its history id stays put, while the run
-   itself goes on. *)
-let test_detach_drops_hooks () =
+   outside the probe it was created with: the probe sees none of its
+   later steps, while the run goes on and its key follows it, equal to
+   the key of a cursor that replays the same decisions. *)
+let test_detach_drops_probe () =
   let probe = Runtime.make_probe () in
   let propose p = Driver.Invoke (p, Slx_consensus.Consensus_type.Propose p) in
-  Runner.Cursor.with_ ~n:2
-    ~factory:(Slx_consensus.Register_consensus.factory ())
-    ~probe ~encode:(fun id _ -> id + 1) (fun c ->
-      List.iter (Runner.Cursor.apply c) [ propose 1; Driver.Schedule 1 ];
-      let hooks () =
-        (Runtime.probe_steps probe, Runner.Cursor.hist_id c)
-      in
-      let before = hooks () in
-      check_bool "the hooks saw the steps" true
-        (before = (1, 1));
+  let factory () = Slx_consensus.Register_consensus.factory () in
+  let before = [ propose 1; Driver.Schedule 1 ]
+  and after = [ propose 2; Driver.Schedule 2; Driver.Schedule 1 ] in
+  Runner.Cursor.with_ ~n:2 ~factory:(factory ()) ~probe (fun c ->
+      List.iter (Runner.Cursor.apply c) before;
+      check_int "the probe saw the step" 1 (Runtime.probe_steps probe);
       Runner.Cursor.detach c;
-      List.iter (Runner.Cursor.apply c)
-        [ propose 2; Driver.Schedule 2; Driver.Schedule 1 ];
-      check_bool "a detached cursor's steps reach no hook" true
-        (hooks () = before);
-      check_int "the run goes on" 5 (Runner.Cursor.view c).Driver.time)
+      List.iter (Runner.Cursor.apply c) after;
+      check_int "a detached cursor's steps reach no probe" 1
+        (Runtime.probe_steps probe);
+      check_int "the run goes on" 5 (Runner.Cursor.view c).Driver.time;
+      check_bool "its key is the replayed run's" true
+        (Runner.Cursor.compact_key c ~extra:[]
+        = Runner.Cursor.with_ ~n:2 ~factory:(factory ())
+            ~prefix:(before @ after) (fun r ->
+              Runner.Cursor.compact_key r ~extra:[])))
 
 (* ------------------------------------------------------------------ *)
 (* hash_value on immediates.                                            *)
@@ -710,8 +709,8 @@ let suites =
         quick "keyless registries refuse a duplicate id"
           test_keyless_duplicate_id;
         quick "keyless replays equal keyed cursors" test_keyless_replay_equal;
-        quick "a detached cursor applies outside its hooks"
-          test_detach_drops_hooks;
+        quick "a detached cursor applies outside its probe"
+          test_detach_drops_probe;
         quick "hash_value keeps the deep fold's digests" test_hash_value_pins;
       ]
       @ qcheck

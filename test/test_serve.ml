@@ -1636,6 +1636,79 @@ let test_one_status_rendering () =
         (elapsed first);
       check_int "no query is active" 0 (stat (stats port) [ "active" ]))
 
+(* Streamed waiters that hang up while their query runs.  Four
+   [--wait] clients attach to a query that computes for about a second,
+   read the stream header and close; the worker's heartbeats (every
+   0.2 s) then find them gone.  Once the query has settled, the
+   coordinator holds as many fds as before the clients came: each
+   dropped waiter was closed.  Skipped where /proc has no fd
+   directory. *)
+let test_hung_up_waiters_are_closed () =
+  let long_fields =
+    {|"kind": "live", "impl": "cas", "property": "obstruction", "n": 3, |}
+    ^ {|"depth": 16, "crashes": 1, "max_period": 4, "pump": 40|}
+  in
+  with_server_pid ~store:(temp_store ()) (fun pid port ->
+      let fd_dir = Printf.sprintf "/proc/%d/fd" pid in
+      if not (Sys.file_exists fd_dir) then begin
+        print_endline "skipped: no fd directory in /proc";
+        Alcotest.skip ()
+      end;
+      let fds () = Array.length (Sys.readdir fd_dir) in
+      let src, _ = query port {|"impl": "cas", "depth": 4|} in
+      check_bool "the worker is up" true (src = Some "full");
+      let baseline = fds () in
+      let ticket =
+        exchange port
+          (request ~meth:"POST" ~path:"/query" ("{" ^ long_fields ^ "}"))
+      in
+      let id = int_field (last_json ticket) "id" in
+      let hang_up () =
+        let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.;
+            let raw =
+              request ~meth:"POST" ~path:"/query"
+                ("{" ^ long_fields ^ ", \"wait\": true}")
+            in
+            ignore (Unix.write_substring fd raw 0 (String.length raw));
+            (* The stream header: the waiter is attached. *)
+            check_bool "a waiter reads the stream header" true
+              (Unix.read fd (Bytes.create 256) 0 256 > 0))
+      in
+      for _ = 1 to 4 do
+        hang_up ()
+      done;
+      let state () =
+        Json.member "state"
+          (last_json
+             (exchange port
+                (request ~meth:"GET" ~path:(Printf.sprintf "/status/%d" id) "")))
+      in
+      let rec settle tries =
+        if state () = Some (Json.Str "running") && tries > 0 then begin
+          Unix.sleepf 0.05;
+          settle (tries - 1)
+        end
+      in
+      settle 1200;
+      Alcotest.(check (option string))
+        "the query is done" (Some "done")
+        (Option.bind (state ()) Json.str);
+      let rec fds_settle tries =
+        let k = fds () in
+        if k <> baseline && tries > 0 then begin
+          Unix.sleepf 0.05;
+          fds_settle (tries - 1)
+        end
+        else k
+      in
+      check_int "the coordinator's fds are back at their baseline" baseline
+        (fds_settle 40))
+
 let suites =
   [
     ( "serve.task",
@@ -1707,6 +1780,8 @@ let suites =
           `Quick test_deadline_kills_and_frees_the_slot;
         Alcotest.test_case "one rendering of a query's state" `Quick
           test_one_status_rendering;
+        Alcotest.test_case "a waiter that hangs up is closed" `Quick
+          test_hung_up_waiters_are_closed;
         Alcotest.test_case "a killed worker's query is re-leased" `Quick
           test_killed_worker_is_re_leased;
         Alcotest.test_case "a stopped worker's timed-out query frees the service"
